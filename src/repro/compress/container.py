@@ -130,47 +130,31 @@ def pack_huffman(streams: Sequence[HuffmanEncoded], lossless_level: int = 6) -> 
 
 
 def unpack_huffman(sections: Dict[str, bytes], *,
-                   sync_interval: int = 0,
-                   fallback_nbits: Optional[Sequence[int]] = None,
-                   fallback_ncodes: Optional[Sequence[int]] = None) -> List[np.ndarray]:
+                   sync_interval: int = 0) -> List[np.ndarray]:
     """Decode the shared-table Huffman sections back to per-stream code arrays.
 
-    Streams written before the unified container kept ``nbits``/``ncodes`` in
-    codec-specific metadata instead of sections; pass those via the
-    ``fallback_*`` arguments so old streams keep deserialising.
+    The streams share one table, so the concatenated payload goes to the codec
+    once, as one multi-stream :class:`HuffmanEncoded`: all of the container's
+    lanes decode in a single pass and the flat result is split per stream.
+    The codec checks the counts against the bytes present (negative counts, a
+    short payload, more symbols than bits) before sizing anything from them.
     """
+    for name in ("huff_nbits", "huff_ncodes"):
+        if name not in sections:
+            raise ValueError(f"Huffman sections carry no {name!r}")
+    nbits = np.frombuffer(sections["huff_nbits"], dtype=np.int64)
+    ncodes = np.frombuffer(sections["huff_ncodes"], dtype=np.int64)
+    if nbits.size != ncodes.size or nbits.size == 0:
+        raise ValueError("Huffman bit/symbol count mismatch")
     symbols, lengths = unpack_arrays(sections["huff_table"])
     codec = HuffmanCodec(symbols, lengths)
-    payload_bits = zlib_decompress(sections["huff_payload"])
-    if "huff_nbits" in sections:
-        nbits = np.frombuffer(sections["huff_nbits"], dtype=np.int64)
-    elif fallback_nbits is not None:
-        nbits = np.asarray(fallback_nbits, dtype=np.int64)
-    else:
-        raise ValueError("Huffman sections carry no bit counts")
-    if "huff_ncodes" in sections:
-        ncodes = np.frombuffer(sections["huff_ncodes"], dtype=np.int64)
-    elif fallback_ncodes is not None:
-        ncodes = np.asarray(fallback_ncodes, dtype=np.int64)
-    else:
-        raise ValueError("Huffman sections carry no symbol counts")
-    if nbits.size != ncodes.size:
-        raise ValueError("Huffman bit/symbol count mismatch")
+    payload = zlib_decompress(sections["huff_payload"])
     syncs = huffman.unpack_sync_for(sections.get("huff_sync"), int(sync_interval),
-                                    [int(c) for c in ncodes])
-    out: List[np.ndarray] = []
-    offset = 0
-    for i in range(nbits.size):
-        n = int(ncodes[i])
-        if n == 0:
-            out.append(np.zeros(0, dtype=np.uint32))
-            continue
-        nbytes = (int(nbits[i]) + 7) // 8
-        stream = HuffmanEncoded(payload_bits[offset:offset + nbytes], int(nbits[i]),
-                                n, symbols, lengths, sync=syncs[i])
-        out.append(codec.decode(stream))
-        offset += nbytes
-    return out
+                                    ncodes.tolist())
+    sync = None if any(s is None for s in syncs) else np.concatenate(syncs)
+    batch = HuffmanEncoded(payload, int(nbits.sum()), int(ncodes.sum()), symbols, lengths,
+                           sync=sync, streams=np.stack([nbits, ncodes], axis=1))
+    return np.split(codec.decode(batch), np.cumsum(ncodes)[:-1])
 
 
 def pack_huffman_individual(streams: Sequence[HuffmanEncoded],

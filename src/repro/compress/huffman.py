@@ -17,12 +17,17 @@ Both directions are fully vectorized (DESIGN.md §2):
   not O(bits).  Alongside the bitstream it records *sync offsets* — the bit
   position of every ``SYNC_INTERVAL``-th symbol — which cost 8 bytes per
   ``SYNC_INTERVAL`` symbols and are what makes the decoder parallel.
-* **decode** splits the stream at the sync offsets into independent lanes and
-  advances all lanes in lockstep: peek the next ``K`` bits of every lane
-  through a sliding 24-bit byte window, look all of them up in a flat
-  canonical table ``LUT[next_k_bits] -> (symbol, code_len)``, emit, advance.
-  Code lengths are limited to ``MAX_CODE_LEN`` (16) by the Kraft repair in
-  :func:`_limit_lengths`, which keeps the LUT at most 2**16 entries.
+* **decode** splits the payload at the sync offsets into independent lanes
+  ``(start bit, end bit, symbol count)`` and advances all lanes in lockstep:
+  peek the next ``K`` bits of every lane through a sliding 24-bit byte
+  window, look all of them up in a flat canonical table
+  ``LUT[next_k_bits] -> (symbol, code_len)``, emit, advance.  A
+  :class:`HuffmanEncoded` may hold several byte-aligned streams of one table
+  back to back (a container's SLE streams); their lanes then run in the same
+  pass, so the ``SYNC_INTERVAL`` Python-level steps are paid once per
+  container, not once per stream.  Code lengths are limited to
+  ``MAX_CODE_LEN`` (16) by the Kraft repair in :func:`_limit_lengths`, which
+  keeps the LUT at most 2**16 entries.
 
 Streams without sync offsets (hand-built :class:`HuffmanEncoded` objects, or
 tables whose code lengths exceed the LUT width) fall back to an exact
@@ -39,13 +44,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.compress.lossless import zlib_decompress
+
 __all__ = ["HuffmanCodec", "encode", "decode", "HuffmanEncoded",
            "MAX_CODE_LEN", "SYNC_INTERVAL", "pack_sync", "unpack_sync",
            "unpack_sync_for"]
 
 #: default code-length limit — keeps the decode LUT at 2**16 entries
 MAX_CODE_LEN = 16
-_MAX_CODE_LEN = MAX_CODE_LEN  # backwards-compatible alias
 
 #: symbols per decoder lane; encode records one sync offset per interval
 SYNC_INTERVAL = 256
@@ -66,6 +72,11 @@ class HuffmanEncoded:
     #: bit offset of every SYNC_INTERVAL-th symbol (enables parallel decode);
     #: optional — streams without it decode through the scalar fallback
     sync: Optional[np.ndarray] = None
+    #: set when ``payload`` is several byte-aligned streams of this one table
+    #: back to back: one ``(nbits, nsymbols)`` row per stream.  ``nbits`` and
+    #: ``nsymbols`` are then the totals and ``sync`` the streams' offsets
+    #: (each relative to its own stream) concatenated
+    streams: Optional[np.ndarray] = None
 
     @property
     def payload_nbytes(self) -> int:
@@ -129,6 +140,35 @@ def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _lane_layout(nbits: np.ndarray, counts: np.ndarray, offsets: np.ndarray,
+                 sync: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Decoder lanes ``(start bit, end bit, symbol count)`` of byte-aligned streams.
+
+    Stream ``i`` starts at payload byte ``offsets[i]`` and holds ``counts[i]``
+    symbols in ``nbits[i]`` bits; ``sync`` is the streams' sync offsets
+    concatenated.  A lane runs from its sync offset to the next one (the last
+    lane of a stream to the stream's end) and holds ``SYNC_INTERVAL`` symbols
+    (the last lane the remainder).  Returns ``None`` when ``sync`` is not well
+    formed — wrong lane count, a stream whose first offset is not 0, offsets
+    that decrease or pass the stream's end — so the caller can fall back.
+    """
+    live = np.flatnonzero(counts)
+    nbits, counts, base = nbits[live], counts[live], 8 * offsets[live]
+    per_stream = (counts + SYNC_INTERVAL - 1) // SYNC_INTERVAL
+    last = np.cumsum(per_stream) - 1
+    if sync.size != last[-1] + 1:
+        return None
+    start = sync + np.repeat(base, per_stream)
+    end = np.empty_like(start)
+    end[:-1] = start[1:]
+    end[last] = base + nbits
+    count = np.full(start.size, SYNC_INTERVAL, dtype=np.int64)
+    count[last] = counts - (per_stream - 1) * SYNC_INTERVAL
+    if sync[last - per_stream + 1].any() or bool((start > end).any()):
+        return None
+    return start, end, count
+
+
 class HuffmanCodec:
     """A reusable canonical Huffman table built from symbol frequencies."""
 
@@ -154,7 +194,7 @@ class HuffmanCodec:
         self._dec_lengths = self.lengths[order].astype(np.int64)
         self._dec_symbols = self.symbols[order]
         self._dec_codes = self.codes[order].astype(np.int64)
-        self._lut: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        self._lut: Optional[Tuple[int, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -253,22 +293,23 @@ class HuffmanCodec:
                               self.symbols, self.lengths, sync=sync)
 
     # ------------------------------------------------------------------
-    def _build_lut(self) -> Tuple[int, np.ndarray, np.ndarray]:
-        """Flat canonical decode table ``LUT[next_k_bits] -> (symbol, length)``.
+    def _build_lut(self) -> Tuple[int, np.ndarray]:
+        """Flat canonical decode table ``LUT[next_k_bits] -> index << 5 | length``.
 
+        ``index`` is the symbol's canonical rank (into ``_dec_symbols``), so
+        one uint32 gather per step yields both the symbol and the advance.
         Canonical codes occupy a contiguous prefix of the k-bit code space, so
-        the table is two ``np.repeat`` calls; unassigned slots keep length 0,
+        the table is one ``np.repeat``; unassigned slots stay 0 (length 0),
         which the decoder reports as an invalid stream.
         """
         if self._lut is None:
             k = int(self._dec_lengths.max())
             reps = np.int64(1) << (k - self._dec_lengths)
-            filled = int(reps.sum())
-            lut_sym = np.zeros(1 << k, dtype=np.uint32)
-            lut_len = np.zeros(1 << k, dtype=np.int64)
-            lut_sym[:filled] = np.repeat(self._dec_symbols, reps)
-            lut_len[:filled] = np.repeat(self._dec_lengths, reps)
-            self._lut = (k, lut_sym, lut_len)
+            entries = (np.arange(reps.size, dtype=np.uint32) << np.uint32(5)) \
+                | self._dec_lengths.astype(np.uint32)
+            lut = np.zeros(1 << k, dtype=np.uint32)
+            lut[:int(reps.sum())] = np.repeat(entries, reps)
+            self._lut = (k, lut)
         return self._lut
 
     def decode(self, encoded: HuffmanEncoded) -> np.ndarray:
@@ -277,61 +318,81 @@ class HuffmanCodec:
         Streams carrying sync offsets (everything this codec encodes, and
         everything the SZ serializers round-trip) take the vectorized
         multi-lane LUT path; anything else uses the exact scalar fallback.
+        A multi-stream ``encoded`` (``encoded.streams`` set) decodes to the
+        concatenation of its streams' symbols, all lanes in one pass.
         """
-        n = int(encoded.nsymbols)
-        if n == 0:
+        rows = np.asarray([[encoded.nbits, encoded.nsymbols]] if encoded.streams is None
+                          else encoded.streams, dtype=np.int64).reshape(-1, 2)
+        if rows.size and int(rows.min()) < 0:
+            raise ValueError("invalid Huffman stream (negative bit or symbol count)")
+        nbits, counts = rows[:, 0], rows[:, 1]
+        if not counts.any():
             return np.zeros(0, dtype=np.uint32)
-        nbits = int(encoded.nbits)
-        if len(encoded.payload) * 8 < nbits:
+        payload = encoded.payload
+        nbytes = (nbits + 7) >> 3
+        # every code is at least one bit long, so the symbol counts (and with
+        # them everything allocated below) are bounded by the bytes present
+        if int(nbits.max()) > 8 * len(payload) or int(nbytes.sum()) > len(payload) \
+                or bool((counts > nbits).any()):
             raise ValueError("truncated Huffman stream")
         if self._dec_lengths.size == 0:
             raise ValueError("invalid Huffman stream (empty table)")
-        sync = encoded.sync
-        if sync is not None:
-            sync = np.asarray(sync, dtype=np.int64).ravel()
-            nlanes = (n + SYNC_INTERVAL - 1) // SYNC_INTERVAL
-            well_formed = (
-                sync.size == nlanes and nlanes > 0 and int(sync[0]) == 0
-                and bool(np.all(np.diff(sync) >= 0)) and int(sync[-1]) <= nbits)
-            if well_formed and int(self._dec_lengths.max()) <= MAX_CODE_LEN:
-                return self._decode_lanes(encoded.payload, nbits, n, sync)
-        return self._decode_scalar(encoded.payload, nbits, n)
+        offsets = np.cumsum(nbytes) - nbytes
+        if encoded.sync is not None and int(self._dec_lengths.max()) <= MAX_CODE_LEN:
+            lanes = _lane_layout(nbits, counts, offsets,
+                                 np.asarray(encoded.sync, dtype=np.int64).ravel())
+            if lanes is not None:
+                return self._decode_lanes(payload, *lanes)
+        return np.concatenate([
+            self._decode_scalar(payload[o:o + b], nb, n)
+            for o, b, nb, n in zip(*(a.tolist() for a in (offsets, nbytes, nbits, counts)))
+            if n])
 
-    def _decode_lanes(self, payload: bytes, nbits: int, n: int,
-                      sync: np.ndarray) -> np.ndarray:
-        k, lut_sym, lut_len = self._build_lut()
-        mask = np.uint32((1 << k) - 1)
+    def _decode_lanes(self, payload: bytes, start: np.ndarray, end: np.ndarray,
+                      count: np.ndarray) -> np.ndarray:
+        """Lock-step LUT decode of lanes ``(start bit, end bit, symbol count)``.
+
+        Returns the lanes' symbols concatenated in lane order.  Lanes are
+        visited longest first, so the lanes still active at step ``t`` are a
+        prefix and each step is a handful of whole-array operations whatever
+        the number of streams the lanes came from.
+        """
+        k, lut = self._build_lut()
+        mask = (1 << k) - 1
         base_shift = 24 - k
 
-        # sliding 24-bit windows: window[j] holds bits 8j..8j+23 of the stream
+        # sliding 24-bit windows: window[j] holds bits 8j..8j+23 of the payload.
+        # A lane advances at most MAX_CODE_LEN bits per step, so one that runs
+        # off its end stays within 2*SYNC_INTERVAL zero bytes past the payload
+        # (zero bits that match no code stall it; either way the end check fails)
         b = np.frombuffer(payload, dtype=np.uint8)
-        padded = np.zeros(b.size + 4, dtype=np.uint32)
+        padded = np.zeros(b.size + 2 * SYNC_INTERVAL + 4, dtype=np.int64)
         padded[:b.size] = b
-        window = (padded[:-2] << np.uint32(16)) | (padded[1:-1] << np.uint32(8)) \
-            | padded[2:]
+        window = (padded[:-2] << 16) | (padded[1:-1] << 8) | padded[2:]
 
-        nlanes = sync.size
-        tail = n - (nlanes - 1) * SYNC_INTERVAL     # symbols in the last lane
-        pos = sync.copy()
-        out = np.empty((nlanes, SYNC_INTERVAL), dtype=np.uint32)
-        for t in range(SYNC_INTERVAL):
-            m = nlanes if t < tail else nlanes - 1
+        nlanes = count.size
+        order = np.argsort(-count, kind="stable")
+        # lanes with more than t symbols, for every step t
+        active = nlanes - np.cumsum(np.bincount(count, minlength=SYNC_INTERVAL))
+        pos = start[order]
+        out = np.empty((SYNC_INTERVAL, nlanes), dtype=np.uint32)
+        for t, m in enumerate(active[:SYNC_INTERVAL].tolist()):
             if m == 0:
                 break
             p = pos[:m]
-            np.minimum(p, nbits, out=p)             # keep peeks in bounds
-            peek = (window[p >> 3] >> (base_shift - (p & 7))).astype(np.uint32) & mask
-            step = lut_len[peek]
-            if not step.all():
-                raise ValueError("invalid Huffman stream (unassigned code)")
-            out[:m, t] = lut_sym[peek]
-            p += step
-        expected_end = np.empty(nlanes, dtype=np.int64)
-        expected_end[:-1] = sync[1:]
-        expected_end[-1] = nbits
-        if not np.array_equal(pos, expected_end):
+            shift = base_shift - (p & 7)
+            peek = window[p >> 3]
+            peek >>= shift
+            peek &= mask
+            entry = lut[peek]
+            out[t, :m] = entry
+            p += entry & 31                         # length 0 (no such code) stalls
+        entries = out.T[np.argsort(order)][np.arange(SYNC_INTERVAL) < count[:, None]]
+        if not (entries & 31).all():
+            raise ValueError("invalid Huffman stream (unassigned code)")
+        if not np.array_equal(pos, end[order]):
             raise ValueError("truncated or corrupt Huffman stream")
-        return out.reshape(-1)[:n]
+        return self._dec_symbols[entries >> 5]
 
     def _decode_scalar(self, payload: bytes, nbits: int, n: int) -> np.ndarray:
         """Exact canonical decode, one code at a time (fallback path)."""
@@ -369,6 +430,8 @@ class HuffmanCodec:
                 length = 0
             elif length > max_len:
                 raise ValueError("invalid Huffman stream (code length overflow)")
+        if pos != nbits:
+            raise ValueError("truncated or corrupt Huffman stream")
         return out
 
 
@@ -429,7 +492,7 @@ def unpack_sync(blob: bytes, lane_counts: Sequence[int]) -> List[Optional[np.nda
     Returns ``None`` entries (→ scalar decode fallback) if the blob does not
     hold exactly the expected number of deltas.
     """
-    deltas = np.frombuffer(zlib.decompress(blob), dtype=np.uint16).astype(np.int64)
+    deltas = np.frombuffer(zlib_decompress(blob), dtype=np.uint16).astype(np.int64)
     if deltas.size != int(sum(lane_counts)):
         return [None] * len(lane_counts)
     out: List[Optional[np.ndarray]] = []

@@ -36,7 +36,11 @@ def zlib_compress(payload: bytes, level: int = 6) -> bytes:
 
 
 def zlib_decompress(payload: bytes) -> bytes:
-    return zlib.decompress(payload)
+    """Inflate ``payload``; a damaged stream is a :class:`ValueError`."""
+    try:
+        return zlib.decompress(payload)
+    except zlib.error as exc:
+        raise ValueError(f"corrupt deflate stream: {exc}") from exc
 
 
 def pack_sections(sections: Dict[str, bytes]) -> bytes:

@@ -86,12 +86,8 @@ class SZ1DCompressor(Compressor):
         abs_eb = float(meta["abs_eb"])
         radius = int(meta["radius"])
 
-        # streams from before the unified container kept nbits/ncodes in meta
         codes = ctn.unpack_huffman(
-            sections, sync_interval=int(meta.get("sync_interval", 0)),
-            fallback_nbits=[int(meta["nbits"])] if "nbits" in meta else None,
-            fallback_ncodes=[int(meta["ncodes"])] if "ncodes" in meta else None,
-        )[0].astype(np.int64)
+            sections, sync_interval=int(meta.get("sync_interval", 0)))[0].astype(np.int64)
         outliers = ctn.unpack_zarray(sections["outliers"]).astype(np.int64)
 
         deltas = codes - radius

@@ -212,11 +212,8 @@ class SZInterpCompressor(Compressor):
                                          radius=meta["radius"], cubic=meta["cubic"])
             return decoder.decompress(buffer)
 
-        # streams from before the unified container kept nbits/ncodes in meta
         codes = ctn.unpack_huffman(
-            sections, sync_interval=int(meta.get("sync_interval", 0)),
-            fallback_nbits=[int(meta["nbits"])] if "nbits" in meta else None,
-            fallback_ncodes=[int(meta["ncodes"])] if "ncodes" in meta else None)[0]
+            sections, sync_interval=int(meta.get("sync_interval", 0)))[0]
         anchors = ctn.unpack_zarray(sections["anchors"])
         outliers = ctn.unpack_zarray(sections["outliers"])
 

@@ -418,13 +418,11 @@ class SZLRCompressor(Compressor):
 
         # decode Huffman streams back to per-array code arrays
         interval = int(meta.get("sync_interval", 0))
-        ncodes = [int(c) for c in counts[:, 5]]
         if meta["shared"]:
-            codes_per_array = ctn.unpack_huffman(
-                sections, sync_interval=interval, fallback_ncodes=ncodes)
+            codes_per_array = ctn.unpack_huffman(sections, sync_interval=interval)
         else:
             codes_per_array = ctn.unpack_huffman_individual(
-                sections["huff_individual"], ncodes, interval)
+                sections["huff_individual"], counts[:, 5].tolist(), interval)
 
         return meta, counts, codes_per_array, selection_all, anchors_all, \
             lor_out_all, reg_out_all, coeffs_all

@@ -137,12 +137,8 @@ class ZFPLikeCompressor(Compressor):
         block_size = int(meta["block_size"])
         shape = tuple(meta["shape"])
 
-        # streams from before the unified container kept nbits/ncodes in meta
         codes = ctn.unpack_huffman(
-            sections, sync_interval=int(meta.get("sync_interval", 0)),
-            fallback_nbits=[int(meta["nbits"])] if "nbits" in meta else None,
-            fallback_ncodes=[int(meta["ncodes"])] if "ncodes" in meta else None,
-        )[0].astype(np.int64)
+            sections, sync_interval=int(meta.get("sync_interval", 0)))[0].astype(np.int64)
         outliers = ctn.unpack_zarray(sections["outliers"])
 
         mat, _ = self._basis(len(shape))

@@ -71,18 +71,6 @@ class TestHuffmanSections:
         for a, b in zip(arrays, back):
             np.testing.assert_array_equal(a, b)
 
-    def test_fallback_counts_for_old_streams(self):
-        codes = np.arange(100, dtype=np.uint32) % 7
-        stream = HuffmanCodec.from_data(codes).encode(codes)
-        sections = ctn.pack_huffman([stream])
-        # simulate an old stream: counts lived in codec metadata, not sections
-        del sections["huff_nbits"], sections["huff_ncodes"]
-        back = ctn.unpack_huffman(sections, fallback_nbits=[stream.nbits],
-                                  fallback_ncodes=[codes.size])
-        np.testing.assert_array_equal(back[0], codes)
-        with pytest.raises(ValueError):
-            ctn.unpack_huffman(sections)
-
     def test_individual_roundtrip(self):
         rng = np.random.default_rng(4)
         arrays = [rng.integers(0, 9, size=n).astype(np.uint32) for n in (300, 17)]

@@ -1,0 +1,241 @@
+"""One lane pass per container: batched decode of streams sharing a table.
+
+The batched decode (every stream of a container in one :meth:`HuffmanCodec.decode`
+call) must equal per-stream decode must equal the scalar reference loop, and a
+damaged container must fail with :class:`ValueError` and nothing else.
+"""
+
+import zlib
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.compress import container as ctn
+from repro.compress.huffman import (
+    MAX_CODE_LEN,
+    SYNC_INTERVAL,
+    HuffmanCodec,
+    HuffmanEncoded,
+)
+
+
+def _deep_codec() -> HuffmanCodec:
+    """Fibonacci counts: the Kraft repair clamps the table at MAX_CODE_LEN."""
+    fib = [1, 1]
+    while len(fib) < 30:
+        fib.append(fib[-1] + fib[-2])
+    codec = HuffmanCodec.from_data(
+        np.concatenate([np.full(c, s, np.uint32) for s, c in enumerate(fib)]))
+    assert int(codec.lengths.max()) == MAX_CODE_LEN
+    return codec
+
+
+DEEP = _deep_codec()
+
+#: stream lengths that sit on the lane boundaries, plus ragged ones
+SIZES = st.one_of(
+    st.sampled_from([0, 1, SYNC_INTERVAL - 1, SYNC_INTERVAL, SYNC_INTERVAL + 1,
+                     2 * SYNC_INTERVAL, 3 * SYNC_INTERVAL]),
+    st.integers(2, 700))
+
+
+@st.composite
+def shared_table_mixes(draw):
+    """(codec, arrays): several streams' symbols and the one table they share."""
+    sizes = draw(st.lists(SIZES, min_size=1, max_size=8))
+    kind = draw(st.sampled_from(["skewed", "uniform", "single", "deep"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "single":
+        arrays = [np.full(n, 7, dtype=np.uint32) for n in sizes]
+    elif kind == "deep":
+        arrays = [rng.integers(0, 30, size=n).astype(np.uint32) for n in sizes]
+        return DEEP, arrays
+    elif kind == "uniform":
+        arrays = [rng.integers(0, 200, size=n).astype(np.uint32) for n in sizes]
+    else:
+        arrays = [(1000 + np.round(rng.laplace(0, 2.0, size=n))).astype(np.uint32)
+                  for n in sizes]
+    return HuffmanCodec.from_multiple(arrays), arrays
+
+
+def _batch(streams) -> HuffmanEncoded:
+    return HuffmanEncoded(
+        b"".join(s.payload for s in streams),
+        sum(s.nbits for s in streams), sum(s.nsymbols for s in streams),
+        streams[0].table_symbols, streams[0].table_lengths,
+        sync=np.concatenate([s.sync for s in streams]),
+        streams=np.asarray([[s.nbits, s.nsymbols] for s in streams], dtype=np.int64))
+
+
+class TestBatchedEqualsPerStream:
+    @given(shared_table_mixes())
+    def test_batched_equals_per_stream_equals_scalar(self, mix):
+        codec, arrays = mix
+        streams = [codec.encode(a) for a in arrays]
+        flat = codec.decode(_batch(streams))
+        np.testing.assert_array_equal(flat, np.concatenate(arrays))
+        through = ctn.unpack_huffman(ctn.pack_huffman(streams),
+                                     sync_interval=SYNC_INTERVAL)
+        assert len(through) == len(arrays)
+        for array, stream, got in zip(arrays, streams, through):
+            np.testing.assert_array_equal(got, array)
+            np.testing.assert_array_equal(codec.decode(stream), array)
+            if array.size:
+                np.testing.assert_array_equal(
+                    codec._decode_scalar(stream.payload, stream.nbits, array.size), array)
+
+    @given(shared_table_mixes(), st.data())
+    def test_one_stream_without_sync_sends_the_batch_down_the_scalar_path(
+            self, mix, data):
+        codec, arrays = mix
+        streams = [codec.encode(a) for a in arrays]
+        victim = data.draw(st.integers(0, len(streams) - 1))
+        # an empty stream has no sync offsets to lose
+        if arrays[victim].size == 0:
+            return
+        streams[victim].sync = None
+        with mock.patch.object(HuffmanCodec, "_decode_lanes",
+                               side_effect=AssertionError("lane path taken")):
+            through = ctn.unpack_huffman(ctn.pack_huffman(streams),
+                                         sync_interval=SYNC_INTERVAL)
+        for array, got in zip(arrays, through):
+            np.testing.assert_array_equal(got, array)
+
+    def test_one_decode_call_per_container(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        arrays = [rng.integers(0, 40, size=n).astype(np.uint32) for n in (900, 0, 300, 256)]
+        codec = HuffmanCodec.from_multiple(arrays)
+        sections = ctn.pack_huffman([codec.encode(a) for a in arrays])
+        seen = []
+        decode = HuffmanCodec.decode
+        monkeypatch.setattr(HuffmanCodec, "decode",
+                            lambda self, enc: seen.append(enc.nsymbols) or decode(self, enc))
+        ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+        assert seen == [sum(a.size for a in arrays)]
+
+
+def _sections(arrays, codec=None):
+    codec = codec or HuffmanCodec.from_multiple(arrays)
+    return ctn.pack_huffman([codec.encode(a) for a in arrays])
+
+
+class TestCorruptionMatrix:
+    """Damage either raises ValueError or (sync only) falls back to exact data."""
+
+    @staticmethod
+    def _arrays(seed, sizes=(700, 1, 300, 513)):
+        rng = np.random.default_rng(seed)
+        return [rng.integers(0, 60, size=n).astype(np.uint32) for n in sizes]
+
+    @given(st.integers(0, 50), st.integers(1, 400))
+    def test_truncated_payload(self, seed, cut):
+        sections = _sections(self._arrays(seed))
+        payload = zlib.decompress(sections["huff_payload"])
+        sections["huff_payload"] = zlib.compress(payload[:-cut])
+        with pytest.raises(ValueError):
+            ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+
+    @given(st.integers(0, 50), st.integers(0, 7), st.sampled_from([-3, -1, 1, 2, 40]))
+    def test_flipped_sync_delta(self, seed, lane, bump):
+        arrays = self._arrays(seed)
+        sections = _sections(arrays)
+        deltas = np.frombuffer(zlib.decompress(sections["huff_sync"]), dtype=np.uint16).copy()
+        lane %= deltas.size
+        deltas[lane] = (int(deltas[lane]) + bump) % 2**16
+        sections["huff_sync"] = zlib.compress(deltas.tobytes())
+        try:
+            got = ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+        except ValueError:
+            return
+        for array, back in zip(arrays, got):  # malformed offsets: the scalar loop took over
+            np.testing.assert_array_equal(back, array)
+
+    def test_flipped_interior_sync_delta_is_refused(self):
+        sections = _sections(self._arrays(3))
+        deltas = np.frombuffer(zlib.decompress(sections["huff_sync"]), dtype=np.uint16).copy()
+        deltas[1] += np.uint16(1)     # still monotone and in range: lanes run, and miss
+        sections["huff_sync"] = zlib.compress(deltas.tobytes())
+        with pytest.raises(ValueError, match="truncated or corrupt"):
+            ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+
+    @given(st.integers(0, 3), st.integers(0, 10_000))
+    def test_lane_pointed_at_unassigned_code(self, which, where):
+        # a one-symbol table assigns only code '0': any 1 bit matches nothing
+        arrays = [np.full(n, 9, dtype=np.uint32) for n in (600, 40, 257, 256)]
+        sections = _sections(arrays)
+        payload = bytearray(zlib.decompress(sections["huff_payload"]))
+        start = sum((a.size + 7) // 8 for a in arrays[:which])
+        bit = where % arrays[which].size
+        payload[start + bit // 8] |= 0x80 >> (bit % 8)
+        sections["huff_payload"] = zlib.compress(bytes(payload))
+        with pytest.raises(ValueError, match="unassigned code"):
+            ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+
+    @given(st.integers(0, 50), st.permutations(range(4)))
+    def test_swapped_nbits(self, seed, perm):
+        sections = _sections(self._arrays(seed))
+        nbits = np.frombuffer(sections["huff_nbits"], dtype=np.int64)
+        if np.array_equal(nbits[list(perm)], nbits):
+            return
+        sections["huff_nbits"] = nbits[list(perm)].tobytes()
+        with pytest.raises(ValueError):
+            ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+
+    @pytest.mark.parametrize("name", ["huff_nbits", "huff_ncodes"])
+    @pytest.mark.parametrize("value", [-1, -(2**62), 2**60])
+    def test_hostile_counts_refused_before_allocating(self, name, value):
+        sections = _sections(self._arrays(5))
+        counts = np.frombuffer(sections[name], dtype=np.int64).copy()
+        counts[2] = value
+        sections[name] = counts.tobytes()
+        with pytest.raises(ValueError):
+            ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+        del sections["huff_sync"]                     # and on the scalar path
+        with pytest.raises(ValueError):
+            ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+
+    def test_count_section_mismatch_refused(self):
+        sections = _sections(self._arrays(6))
+        sections["huff_ncodes"] = sections["huff_ncodes"][:-8]
+        with pytest.raises(ValueError, match="mismatch"):
+            ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+        del sections["huff_ncodes"]
+        with pytest.raises(ValueError, match="huff_ncodes"):
+            ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+
+    def test_scalar_path_checks_the_stream_end(self):
+        """Without sync offsets a stream must still end exactly on its nbits."""
+        codec = HuffmanCodec.from_data(np.arange(64, dtype=np.uint32) % 5)
+        enc = codec.encode(np.arange(64, dtype=np.uint32) % 5)
+        padded = HuffmanEncoded(enc.payload + b"\x00", enc.nbits + 8, enc.nsymbols,
+                                enc.table_symbols, enc.table_lengths)
+        with pytest.raises(ValueError, match="truncated or corrupt"):
+            codec.decode(padded)
+
+
+class TestDeflateErrors:
+    """A damaged deflate stream is a ValueError from every section reader."""
+
+    JUNK = b"\x00not a deflate stream"
+
+    def test_zlib_decompress(self):
+        from repro.compress.lossless import zlib_decompress
+        with pytest.raises(ValueError, match="deflate"):
+            zlib_decompress(self.JUNK)
+
+    @pytest.mark.parametrize("section", ["huff_payload", "huff_sync"])
+    def test_unpack_huffman(self, section):
+        sections = _sections([np.arange(300, dtype=np.uint32) % 11])
+        sections[section] = self.JUNK
+        with pytest.raises(ValueError):
+            ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+
+    def test_side_sections(self):
+        for reader in (ctn.unpack_zarray, ctn.unpack_zbytes):
+            with pytest.raises(ValueError):
+                reader(self.JUNK)
+        with pytest.raises(ValueError):
+            ctn.unpack_huffman_individual(self.JUNK, [10], SYNC_INTERVAL)

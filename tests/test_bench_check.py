@@ -287,3 +287,37 @@ class TestRemoteGate:
         out = capsys.readouterr().out
         assert rc == 1
         assert "remote-read assertion(s) failed" in out
+
+
+class TestEntropyGate:
+    def _entropy_suite(self, tmp_path, *, long_median=0.030, small_median=0.040,
+                       stamp=True):
+        """A fresh BENCH_entropy.json: one 1M-symbol stream vs 390 small ones."""
+        _write_suite(tmp_path / "BENCH_entropy.json", {
+            bench_check.ENTROPY_LONG_BENCH:
+                (long_median, {"symbols": 1_000_000} if stamp else {}),
+            bench_check.ENTROPY_SMALL_BENCH:
+                (small_median, {"symbols": 1_050_000} if stamp else {}),
+        })
+        return str(tmp_path)
+
+    def test_one_lane_pass_per_container_holds(self, tmp_path):
+        lines, _, failures = bench_check.check_entropy(self._entropy_suite(tmp_path))
+        assert failures == 0
+        assert len(lines) == 1 and "ok" in lines[0]
+
+    def test_per_stream_loop_cost_fails(self, tmp_path):
+        # what one lane loop per stream measured: ~30x the per-symbol cost
+        fresh = self._entropy_suite(tmp_path, small_median=0.9)
+        lines, _, failures = bench_check.check_entropy(fresh)
+        assert failures == 1 and "FAIL" in lines[0]
+        rc = bench_check.main(["--baseline-dir", str(tmp_path / "none"),
+                               "--fresh-dir", fresh])
+        assert rc == 1
+
+    def test_missing_suite_or_stamp_is_a_notice(self, tmp_path):
+        lines, notices, failures = bench_check.check_entropy(str(tmp_path))
+        assert failures == 0 and not lines and "no fresh" in notices[0]
+        fresh = self._entropy_suite(tmp_path, stamp=False)
+        lines, notices, failures = bench_check.check_entropy(fresh)
+        assert failures == 0 and not lines and "skipped" in notices[0]

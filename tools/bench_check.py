@@ -38,6 +38,11 @@ cost at most :data:`OBS_OVERHEAD_MAX` (5%) over the same reads with
 its thin-shell promise: warm batched reads over the HTTP/JSON gateway may
 cost at most :data:`HTTP_OVERHEAD_MAX` (2x) the same reads over the TCP
 transport, both served by one shared request core and warm cache.  The
+**entropy target** on the fresh ``BENCH_entropy.json`` (see
+:func:`check_entropy`) holds the Huffman decoder to one lane pass per
+container: decoding a symbol from hundreds of small streams that share a
+table may cost at most :data:`ENTROPY_SMALL_STREAMS_MAX` (2x) a symbol of
+one long stream.  The
 speedup target is declared for a 4-core machine and
 auto-scales to the *recording* machine's core count (stamped into each
 benchmark's ``extra_info.cpu_count`` by the perf conftest): below 2 cores it
@@ -456,6 +461,45 @@ def check_http(fresh_dir: str) -> Tuple[List[str], List[str], int]:
 
 
 # ----------------------------------------------------------------------
+# entropy-stage assertions (BENCH_entropy.json)
+# ----------------------------------------------------------------------
+#: the entropy suite's one-long-stream and many-small-streams decodes
+ENTROPY_SUITE = "entropy"
+ENTROPY_LONG_BENCH = "test_huffman_decode_1m"
+ENTROPY_SMALL_BENCH = "test_huffman_decode_many_small_streams"
+#: a symbol of a shared-table container of small streams may cost at most
+#: this many times a symbol of one long stream (a ratio: host speed cancels)
+ENTROPY_SMALL_STREAMS_MAX = 2.0
+
+
+def check_entropy(fresh_dir: str) -> Tuple[List[str], List[str], int]:
+    """Assert the per-symbol decode ceiling on a fresh ``BENCH_entropy.json``.
+
+    Returns ``(result lines, notices, failures)`` like :func:`check_obs`.
+    Both benchmarks stamp their symbol count into ``extra_info.symbols``; a
+    missing file, benchmark or stamp downgrades the assertion to a notice.
+    """
+    fresh_path = os.path.join(fresh_dir, f"BENCH_{ENTROPY_SUITE}.json")
+    if not os.path.isfile(fresh_path):
+        return [], [f"entropy: no fresh BENCH_{ENTROPY_SUITE}.json; skipped"], 0
+    entries = load_entries(fresh_path)
+    per_symbol = []
+    for name in (ENTROPY_LONG_BENCH, ENTROPY_SMALL_BENCH):
+        entry = entries.get(name)
+        symbols = None if entry is None else entry["extra_info"].get("symbols")
+        if not symbols or entry["median"] <= 0:
+            return [], [f"entropy: {name!r} missing from fresh results (or "
+                        "carries no symbols extra_info); skipped"], 0
+        per_symbol.append(entry["median"] / float(symbols))
+    ratio = per_symbol[1] / per_symbol[0]
+    ok = ratio <= ENTROPY_SMALL_STREAMS_MAX
+    return [f"entropy: many small streams decode at {ratio:.2f}x the "
+            f"per-symbol cost of one long stream ({per_symbol[1] * 1e9:.0f} vs "
+            f"{per_symbol[0] * 1e9:.0f} ns/symbol; {'ok' if ok else 'FAIL'}; "
+            f"required <= {ENTROPY_SMALL_STREAMS_MAX:.1f}x)"], [], 0 if ok else 1
+
+
+# ----------------------------------------------------------------------
 # live-streaming assertions (BENCH_stream.json)
 # ----------------------------------------------------------------------
 #: the stream suite's full live reopen and its journal-tail refresh
@@ -594,17 +638,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     stream_lines, stream_notices, stream_failures = check_stream(args.fresh_dir)
     obs_lines, obs_notices, obs_failures = check_obs(args.fresh_dir)
     http_lines, http_notices, http_failures = check_http(args.fresh_dir)
+    entropy_lines, entropy_notices, entropy_failures = check_entropy(args.fresh_dir)
     for notice in notices + speedup_notices + remote_notices \
-            + stream_notices + obs_notices + http_notices:
+            + stream_notices + obs_notices + http_notices + entropy_notices:
         print(f"note: {notice}")
     if rows:
         print(format_rows(rows))
     for line in speedup_lines + remote_lines + stream_lines + obs_lines \
-            + http_lines:
+            + http_lines + entropy_lines:
         print(line)
     bad = [row for row in rows if row["status"] in (REGRESSED, MISSING)]
     if bad or speedup_failures or remote_failures or stream_failures \
-            or obs_failures or http_failures:
+            or obs_failures or http_failures or entropy_failures:
         parts = []
         if bad:
             parts.append(f"{len(bad)} benchmark(s) regressed beyond "
@@ -619,14 +664,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             parts.append(f"{obs_failures} observability assertion(s) failed")
         if http_failures:
             parts.append(f"{http_failures} http-gateway assertion(s) failed")
+        if entropy_failures:
+            parts.append(f"{entropy_failures} entropy assertion(s) failed")
         print(f"\nFAIL: " + "; ".join(parts))
         return 1
     checked = sum(1 for row in rows if row["status"] in (OK, IMPROVED))
     print(f"\nbench-check: {checked} benchmark(s) within {args.tolerance:.0%} "
           f"of baseline; {len(speedup_lines)} speedup, {len(remote_lines)} "
           f"remote-read, {len(stream_lines)} streaming, {len(obs_lines)} "
-          f"observability and {len(http_lines)} http-gateway assertion(s) "
-          "held")
+          f"observability, {len(http_lines)} http-gateway and "
+          f"{len(entropy_lines)} entropy assertion(s) held")
     return 0
 
 
