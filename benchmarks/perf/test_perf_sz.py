@@ -37,3 +37,19 @@ def test_sz_lr_unit_blocks_sle(benchmark, smooth_cube):
 
     decoded = benchmark.pedantic(run, rounds=3, iterations=1)
     assert len(decoded) == len(blocks)
+
+
+def test_sz_lr_compress_many_unit_blocks(benchmark, smooth_cube):
+    """One rank chunk as the filter hands it over: 16 unit blocks, two of each
+    of the eight 16/8 shape combinations — the predictor's batch."""
+    shapes = [(a, b, c) for a in (16, 8) for b in (16, 8) for c in (16, 8)] * 2
+    blocks = [smooth_cube[2 * i:2 * i + a, 8:8 + b, 16:16 + c]
+              for i, (a, b, c) in enumerate(shapes)]
+    comp = SZLRCompressor(1e-3)
+    vrange = float(smooth_cube.max() - smooth_cube.min())
+    benchmark.extra_info["cells"] = sum(b.size for b in blocks)
+
+    buf = benchmark.pedantic(
+        lambda: comp.compress_many(blocks, shared_encoding=True, value_range=vrange),
+        rounds=10, iterations=1, warmup_rounds=1)
+    assert len(comp.decompress_many(buf)) == len(blocks)

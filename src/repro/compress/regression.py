@@ -15,6 +15,7 @@ quantiser and the user's error bound holds exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -48,8 +49,20 @@ def _design_matrix(block_shape: Tuple[int, ...]) -> np.ndarray:
     return np.stack(columns, axis=1)  # (npoints, ndim+1)
 
 
+@lru_cache(maxsize=64)
+def _fit_matrix(block_shape: Tuple[int, ...]) -> np.ndarray:
+    """Pseudo-inverse of the design matrix, ``(ndim+1, npoints)``.
+
+    A pure function of the block shape, memoised (a plotfile has a few dozen
+    distinct shapes) and handed out read-only because every caller shares it.
+    """
+    pinv = np.linalg.pinv(_design_matrix(block_shape))
+    pinv.setflags(write=False)
+    return pinv
+
+
 def fit_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Least-squares plane fit for every block.
+    """Least-squares plane fit for every block: one matrix multiplication.
 
     Parameters
     ----------
@@ -61,12 +74,8 @@ def fit_blocks(blocks: np.ndarray) -> np.ndarray:
     coefficients of shape ``(nblocks, ndim + 1)`` (unquantised).
     """
     blocks = np.asarray(blocks, dtype=np.float64)
-    nblocks = blocks.shape[0]
-    block_shape = blocks.shape[1:]
-    design = _design_matrix(block_shape)
-    pinv = np.linalg.pinv(design)              # (ndim+1, npoints)
-    flat = blocks.reshape(nblocks, -1)          # (nblocks, npoints)
-    return flat @ pinv.T                        # (nblocks, ndim+1)
+    flat = blocks.reshape(blocks.shape[0], -1)               # (nblocks, npoints)
+    return flat @ _fit_matrix(tuple(blocks.shape[1:])).T     # (nblocks, ndim+1)
 
 
 def quantize_coefficients(coefficients: np.ndarray, eb: float,
@@ -91,10 +100,19 @@ def quantize_coefficients(coefficients: np.ndarray, eb: float,
 
 
 def predict_blocks(model: RegressionModel) -> np.ndarray:
-    """Evaluate the fitted planes: returns array of shape (nblocks,) + block_shape."""
-    design = _design_matrix(model.block_shape)   # (npoints, ndim+1)
-    flat = model.coefficients @ design.T         # (nblocks, npoints)
-    return flat.reshape((model.nblocks,) + model.block_shape)
+    """Evaluate the fitted planes: returns array of shape (nblocks,) + block_shape.
+
+    Summed term by term in a fixed order — ``((b0 + b1*i) + b2*j) + b3*k`` —
+    and not as a BLAS product, whose rounding depends on how many blocks share
+    the call: the decoder must reproduce the encoder's prediction bit for bit
+    however either of them batches blocks.
+    """
+    out = model.coefficients[:, 0]
+    for axis, extent in enumerate(model.block_shape):
+        centred = np.arange(extent, dtype=np.float64) - (extent - 1) / 2.0
+        term = model.coefficients[:, axis + 1, None] * centred
+        out = out[..., None] + term.reshape((-1,) + (1,) * axis + (extent,))
+    return out
 
 
 def fit_and_predict(blocks: np.ndarray, eb: float) -> Tuple[RegressionModel, np.ndarray]:

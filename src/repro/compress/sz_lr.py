@@ -29,8 +29,10 @@ Public entry points
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -44,108 +46,102 @@ from repro.compress import regression
 
 __all__ = ["SZLRCompressor"]
 
-_LORENZO = 0
-_REGRESSION = 1
+#: the per-array side streams, in the column order of the ``counts`` section:
+#: selection is uint8 per region (0 = Lorenzo, 1 = regression), anchors int64
+#: per Lorenzo region, the outliers int64 / float64, the coefficients float64
+#: ``(n_regression_blocks, ndim + 1)``
+_SIDE = ("selection", "anchors", "lorenzo_outliers", "regression_outliers",
+         "regression_coeffs")
 
 
 # ----------------------------------------------------------------------
-# region / block partition of an array without padding (SZ semantics)
+# the region plan of an array shape (SZ semantics: no padding)
 # ----------------------------------------------------------------------
-def _region_slices(shape: Tuple[int, ...], block_size: Tuple[int, ...]):
-    """Yield the (up to 2^ndim) corner regions of an array.
+@dataclass(frozen=True)
+class _Region:
+    """One corner region: uniform in block shape, predicted on its own."""
 
-    Each region is uniform in block shape: along every axis it is either the
-    "full blocks" part (a multiple of the block size) or the remainder part
-    (shorter than one block).  Iteration order is deterministic, which the
-    decoder relies on.
+    slices: Tuple[slice, ...]         # where it sits in the array
+    shape: Tuple[int, ...]
+    block_shape: Tuple[int, ...]
+    grid: Tuple[int, ...]             # blocks per axis
+    nblocks: int
+    volume: int                       # cells
+
+
+@lru_cache(maxsize=256)
+def _region_plan(shape: Tuple[int, ...], block_size: Tuple[int, ...]):
+    """``(segments, regions)`` of an array shape: the one description of
+    "regions of a shape" that the encoder and the decoder both walk.
+
+    Along every axis the array splits into the "full blocks" segment (a
+    multiple of the block size) and the remainder segment (shorter than one
+    block); ``segments[axis]`` lists them as ``(start, stop)``.  The (up to
+    2^ndim) corner regions are the products of one segment per axis, in a
+    deterministic order the stored streams rely on.
     """
-    per_axis: List[List[Tuple[int, int]]] = []
+    segments = []
     for n, b in zip(shape, block_size):
         full = (n // b) * b
-        segments: List[Tuple[int, int]] = []
-        if full > 0:
-            segments.append((0, full))
-        if n - full > 0:
-            segments.append((full, n))
-        per_axis.append(segments)
-    for combo in itertools.product(*per_axis):
-        yield tuple(slice(s, e) for s, e in combo)
+        segments.append(tuple(seg for seg in ((0, full), (full, n)) if seg[1] > seg[0]))
+    regions = []
+    for combo in itertools.product(*segments):
+        extent = tuple(e - s for s, e in combo)
+        block_shape = tuple(min(b, n) for b, n in zip(block_size, extent))
+        grid = tuple(n // b for n, b in zip(extent, block_shape))
+        regions.append(_Region(
+            slices=tuple(slice(s, e) for s, e in combo), shape=extent,
+            block_shape=block_shape, grid=grid, nblocks=math.prod(grid),
+            volume=math.prod(extent)))
+    return tuple(segments), tuple(regions)
 
 
-def _region_block_shape(region_shape: Tuple[int, ...],
-                        block_size: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(min(b, s) for b, s in zip(block_size, region_shape))
+def _lorenzo(stack: np.ndarray, segments) -> np.ndarray:
+    """Lorenzo differences, in place, of every region of every stacked array.
+
+    Regions are products of per-axis segments, so the per-region operator —
+    ``diff`` with a prepended zero along each axis — is the same per-axis pass
+    over the whole stack restarted at each segment.  Axis 0 of ``stack``
+    indexes the arrays; int64 throughout, so the result is exactly the
+    per-region one.
+    """
+    for axis, axis_segments in enumerate(segments, start=1):
+        lead = (slice(None),) * axis
+        for start, stop in axis_segments:
+            # numpy buffers the overlapping operand, so this is a plain diff
+            stack[lead + (slice(start + 1, stop),)] -= stack[lead + (slice(start, stop - 1),)]
+    return stack
 
 
-def _split_region_into_blocks(region: np.ndarray,
-                              block_shape: Tuple[int, ...]) -> np.ndarray:
-    """Reshape a region whose extents are multiples of ``block_shape`` into
-    an array of shape ``(nblocks,) + block_shape``."""
-    grid = tuple(s // b for s, b in zip(region.shape, block_shape))
-    interleaved = tuple(v for pair in zip(grid, block_shape) for v in pair)
-    reshaped = region.reshape(interleaved)
-    ndim = region.ndim
-    grid_axes = tuple(range(0, 2 * ndim, 2))
-    block_axes = tuple(range(1, 2 * ndim, 2))
-    return np.ascontiguousarray(reshaped.transpose(grid_axes + block_axes)
-                                .reshape((-1,) + block_shape))
+def _to_blocks(stacked_region: np.ndarray, region: _Region) -> np.ndarray:
+    """``(m,) + region.shape`` -> ``(m * nblocks,) + block_shape``, array-major."""
+    ndim = len(region.shape)
+    interleaved = tuple(v for pair in zip(region.grid, region.block_shape) for v in pair)
+    axes = (0,) + tuple(range(1, 2 * ndim, 2)) + tuple(range(2, 2 * ndim + 1, 2))
+    return (stacked_region.reshape(stacked_region.shape[:1] + interleaved)
+            .transpose(axes).reshape((-1,) + region.block_shape))
 
 
-def _merge_blocks_into_region(blocks: np.ndarray, region_shape: Tuple[int, ...],
-                              block_shape: Tuple[int, ...]) -> np.ndarray:
-    grid = tuple(s // b for s, b in zip(region_shape, block_shape))
-    ndim = len(region_shape)
-    stacked = blocks.reshape(grid + block_shape)
-    order: List[int] = []
-    for i in range(ndim):
-        order.extend([i, ndim + i])
-    return np.ascontiguousarray(stacked.transpose(order).reshape(region_shape))
+def _from_blocks(blocks: np.ndarray, region: _Region) -> np.ndarray:
+    """Inverse of :func:`_to_blocks`."""
+    ndim = len(region.shape)
+    axes = (0,) + tuple(a for i in range(ndim) for a in (1 + i, 1 + ndim + i))
+    return (blocks.reshape((-1,) + region.grid + region.block_shape)
+            .transpose(axes).reshape((-1,) + region.shape))
 
 
-def _blockwise_lorenzo(q_blocks: np.ndarray) -> np.ndarray:
-    """Lorenzo difference applied independently within each block of a batch."""
-    out = q_blocks.astype(np.int64, copy=True)
-    for axis in range(1, out.ndim):
-        prepend_shape = list(out.shape)
-        prepend_shape[axis] = 1
-        out = np.diff(out, axis=axis, prepend=np.zeros(prepend_shape, dtype=np.int64))
-    return out
+def _group_by_shape(shapes: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], np.ndarray]:
+    """Indices of the arrays of each distinct shape (ascending within a shape)."""
+    groups: Dict[Tuple[int, ...], List[int]] = {}
+    for index, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(index)
+    return {shape: np.asarray(members, dtype=np.int64) for shape, members in groups.items()}
 
 
-def _blockwise_lorenzo_inverse(deltas: np.ndarray) -> np.ndarray:
-    out = deltas.astype(np.int64, copy=True)
-    for axis in range(1, out.ndim):
-        out = np.cumsum(out, axis=axis)
-    return out
-
-
-def _estimated_bits(values: np.ndarray, axis: Tuple[int, ...]) -> np.ndarray:
-    """Cheap per-block size estimate for signed residual values."""
-    return np.sum(2.0 * np.log2(1.0 + np.abs(values)) + 1.0, axis=axis)
-
-
-# ----------------------------------------------------------------------
-# intermediate encoding of one array
-# ----------------------------------------------------------------------
-@dataclass
-class _EncodedArray:
-    """Everything produced by predicting/quantising one array (pre-Huffman)."""
-
-    shape: Tuple[int, ...]
-    codes: np.ndarray                 # uint32, one per cell, concatenated region/block order
-    selection: np.ndarray             # uint8 per block (0 = Lorenzo, 1 = regression)
-    anchors: np.ndarray               # int64, one per Lorenzo block
-    lorenzo_outliers: np.ndarray      # int64
-    regression_outliers: np.ndarray   # float64
-    regression_coeffs: np.ndarray     # float64 (n_regression_blocks, ndim + 1)
-    reconstruction: np.ndarray
-
-    @property
-    def metadata_nbytes(self) -> int:
-        """Bytes of per-array side information (outside the Huffman stream)."""
-        return (self.selection.size // 8 + 1 + self.anchors.size * 8
-                + self.lorenzo_outliers.size * 8 + self.regression_outliers.size * 8
-                + self.regression_coeffs.size * 4)
+def _residual_bits(values: np.ndarray) -> np.ndarray:
+    """Per-row size estimate of signed residuals (rows are C-contiguous, so
+    each row sums in the order a per-array ``np.sum`` would)."""
+    return np.sum(2.0 * np.log2(1.0 + np.abs(values)) + 1.0, axis=1)
 
 
 class SZLRCompressor(Compressor):
@@ -182,13 +178,14 @@ class SZLRCompressor(Compressor):
         return self._block_size_spec
 
     # ------------------------------------------------------------------
-    # core per-array encoder
+    # core predictor: one batched pass per call
     # ------------------------------------------------------------------
-    def _encode_array(self, data: np.ndarray, abs_eb: float) -> _EncodedArray:
-        """Predict and quantise one array.
+    def _encode_batch(self, arrays: Sequence[np.ndarray], abs_eb: float):
+        """Predict and quantise a list of (non-empty, float64) arrays.
 
-        The array is cut into corner regions (full-block part / remainder part
-        per axis).  Each region independently chooses between
+        Every array is cut into corner regions (full-block part / remainder
+        part per axis).  Each region of each array independently chooses
+        between
 
         * the Lorenzo predictor applied across the *whole region* (dual
           quantisation; prediction freely crosses SZ-block boundaries, exactly
@@ -200,162 +197,182 @@ class SZLRCompressor(Compressor):
         behaviour of AMRIC (prediction confined to unit blocks) fall out of
         the ``compress_many`` API, and what makes thin remainder regions
         ("residue blocks", Fig. 8 of the paper) predict poorly.
+
+        Arrays of equal shape are stacked and share each numpy pass: one
+        Lorenzo transform per stack, one regression fit per region of the
+        stack.  Every value is computed by the arithmetic a per-array loop
+        would use, so the streams do not depend on how arrays are grouped.
+
+        Returns ``(codes, side, counts, reconstructions)``: uint32 codes per
+        array (one per cell, region/block order), the :data:`_SIDE` streams of
+        all arrays concatenated in array order, the int64 ``(narrays, 6)``
+        length of each array's share of them (last column: cells), and the
+        reconstruction of each array.
         """
-        data = np.asarray(data, dtype=np.float64)
-        if data.size == 0:
-            raise ValueError("cannot compress an empty array")
-        ndim = data.ndim
+        shapes = [a.shape for a in arrays]
+        ndim = len(shapes[0])
+        if any(len(shape) != ndim for shape in shapes):
+            raise ValueError("all arrays of one call must have the same number of dimensions")
         block_size = self._block_size_for(ndim)
         radius = self.radius
+        two_eb = 2.0 * abs_eb
+        codes: List[np.ndarray] = [None] * len(arrays)            # type: ignore[list-item]
+        reconstructions: List[np.ndarray] = [None] * len(arrays)  # type: ignore[list-item]
+        # side values are produced per (stack, region) as (owning array of
+        # each value, values); a stable sort on the owner at the end puts
+        # them in the stored (array, region, cell) order
+        pieces: Dict[str, list] = {name: [] for name in _SIDE}
 
-        codes_parts: List[np.ndarray] = []
-        selection_parts: List[np.ndarray] = []
-        anchors_parts: List[np.ndarray] = []
-        lor_outlier_parts: List[np.ndarray] = []
-        reg_outlier_parts: List[np.ndarray] = []
-        reg_coeff_parts: List[np.ndarray] = []
-        reconstruction = np.empty_like(data)
+        for shape, members in _group_by_shape(shapes).items():
+            segments, regions = _region_plan(shape, block_size)
+            stack = np.stack([arrays[i] for i in members])
+            m = len(members)
+            quantised = np.rint(stack / two_eb).astype(np.int64)
+            recon = quantised * two_eb          # Lorenzo's; regression regions overwrite
+            deltas = _lorenzo(quantised, segments)
+            stack_codes = np.empty((m, math.prod(shape)), dtype=np.uint32)
+            cell = 0
+            for region in regions:
+                where = (slice(None),) + region.slices
 
-        for region_sl in _region_slices(data.shape, block_size):
-            region = data[region_sl]
-            block_shape = _region_block_shape(region.shape, block_size)
-            blocks = _split_region_into_blocks(region, block_shape)
-            block_axes = tuple(range(1, blocks.ndim))
+                # --- Lorenzo path: dual quantisation across the region ------
+                lor = deltas[where].reshape(m, -1)
+                anchor = lor[:, 0].copy()
+                lor[:, 0] = 0
+                lorenzo_bits = _residual_bits(lor) + 64.0
 
-            # --- Lorenzo path: dual quantisation across the region ----------
-            q = np.rint(region / (2.0 * abs_eb)).astype(np.int64)
-            deltas = q.copy()
-            for axis in range(ndim):
-                prepend_shape = list(deltas.shape)
-                prepend_shape[axis] = 1
-                deltas = np.diff(deltas, axis=axis,
-                                 prepend=np.zeros(prepend_shape, dtype=np.int64))
-            corner = (0,) * ndim
-            anchor = np.int64(deltas[corner])
-            deltas[corner] = 0
-            recon_lorenzo = q * (2.0 * abs_eb)
-            lorenzo_bits = float(np.sum(2.0 * np.log2(1.0 + np.abs(deltas)) + 1.0)) + 64.0
+                # --- Regression path: per SZ-block plane fit ----------------
+                blocks = _to_blocks(stack[where], region)
+                model, preds = regression.fit_and_predict(blocks, abs_eb)
+                residuals = blocks - preds
+                reg = np.rint(residuals / two_eb).astype(np.int64)
+                reg_err = reg * two_eb
+                reg_outlier = (np.abs(reg) >= radius) | \
+                    (np.abs(reg_err - residuals) > abs_eb * (1 + 1e-12))
+                reg[reg_outlier] = 0
+                reg = reg.reshape(m, -1)
+                reg_outlier_rows = reg_outlier.reshape(m, -1)
+                regression_bits = (_residual_bits(reg) + 64.0 * reg_outlier_rows.sum(axis=1)
+                                   + 32.0 * (ndim + 1) * region.nblocks)
 
-            # --- Regression path: per SZ-block plane fit --------------------
-            model, preds = regression.fit_and_predict(blocks, abs_eb)
-            residuals = blocks - preds
-            reg_raw = np.rint(residuals / (2.0 * abs_eb)).astype(np.int64)
-            reg_recon_err = reg_raw * (2.0 * abs_eb)
-            reg_outlier_mask = (np.abs(reg_raw) >= radius) | \
-                (np.abs(reg_recon_err - residuals) > abs_eb * (1 + 1e-12))
-            recon_regression = preds + np.where(reg_outlier_mask, residuals, reg_recon_err)
-            regression_bits = float(
-                np.sum(2.0 * np.log2(1.0 + np.abs(np.where(reg_outlier_mask, 0, reg_raw))) + 1.0)
-                + 64.0 * reg_outlier_mask.sum()
-                + 32.0 * (ndim + 1) * blocks.shape[0])
+                # --- per-(array, region) choice; each path stores its rows --
+                use_regression = regression_bits < lorenzo_bits
+                pieces["selection"].append((members, use_regression.astype(np.uint8)))
+                region_codes = stack_codes[:, cell:cell + region.volume]
+                cell += region.volume
 
-            # --- per-region choice -------------------------------------------
-            use_regression = bool(regression_bits < lorenzo_bits)
-            selection_parts.append(np.asarray([use_regression], dtype=np.uint8))
+                own = np.flatnonzero(~use_regression)
+                lor = lor[own]
+                outlier = np.abs(lor) >= radius
+                region_codes[own] = np.where(outlier, 0, lor + radius)
+                pieces["anchors"].append((members[own], anchor[own]))
+                row, col = np.nonzero(outlier)
+                pieces["lorenzo_outliers"].append((members[own[row]], lor[row, col]))
 
-            if use_regression:
-                codes = np.where(reg_outlier_mask, 0, reg_raw + radius).astype(np.uint32)
-                codes_parts.append(codes.reshape(codes.shape[0], -1).ravel())
-                reg_outlier_parts.append(residuals[reg_outlier_mask])
-                reg_coeff_parts.append(model.coefficients)
-                reconstruction[region_sl] = _merge_blocks_into_region(
-                    recon_regression, region.shape, block_shape)
-            else:
-                lor_outlier_mask = np.abs(deltas) >= radius
-                codes = np.where(lor_outlier_mask, 0, deltas + radius).astype(np.uint32)
-                codes_parts.append(codes.ravel())
-                anchors_parts.append(np.asarray([anchor], dtype=np.int64))
-                lor_outlier_parts.append(deltas[lor_outlier_mask])
-                reconstruction[region_sl] = recon_lorenzo
+                own = np.flatnonzero(use_regression)
+                outlier = reg_outlier_rows[own]
+                region_codes[own] = np.where(outlier, 0, reg[own] + radius)
+                row, col = np.nonzero(outlier)
+                pieces["regression_outliers"].append(
+                    (members[own[row]], residuals.reshape(m, -1)[own[row], col]))
+                coeffs = model.coefficients.reshape(m, region.nblocks, ndim + 1)[own]
+                pieces["regression_coeffs"].append(
+                    (np.repeat(members[own], region.nblocks), coeffs.reshape(-1, ndim + 1)))
+                if own.size:
+                    fitted = _from_blocks(
+                        preds + np.where(reg_outlier, residuals, reg_err), region)
+                    recon[(own,) + region.slices] = fitted[own]
+            for row, index in enumerate(members):
+                codes[index] = stack_codes[row]
+                reconstructions[index] = recon[row]
 
-        return _EncodedArray(
-            shape=tuple(int(s) for s in data.shape),
-            codes=np.concatenate(codes_parts) if codes_parts else np.zeros(0, np.uint32),
-            selection=np.concatenate(selection_parts) if selection_parts else np.zeros(0, np.uint8),
-            anchors=np.concatenate(anchors_parts) if anchors_parts else np.zeros(0, np.int64),
-            lorenzo_outliers=np.concatenate(lor_outlier_parts) if lor_outlier_parts else np.zeros(0, np.int64),
-            regression_outliers=np.concatenate(reg_outlier_parts) if reg_outlier_parts else np.zeros(0, np.float64),
-            regression_coeffs=(np.concatenate(reg_coeff_parts) if reg_coeff_parts
-                               else np.zeros((0, ndim + 1), np.float64)),
-            reconstruction=reconstruction,
-        )
+        side: Dict[str, np.ndarray] = {}
+        counts = np.empty((len(arrays), len(_SIDE) + 1), dtype=np.int64)
+        for column, name in enumerate(_SIDE):
+            owner = np.concatenate([o for o, _ in pieces[name]])
+            values = np.concatenate([v for _, v in pieces[name]])
+            side[name] = values[np.argsort(owner, kind="stable")]
+            counts[:, column] = np.bincount(owner, minlength=len(arrays))
+        counts[:, -1] = [c.size for c in codes]
+        return codes, side, counts, reconstructions
 
-    def _decode_array(self, shape: Tuple[int, ...], abs_eb: float, codes: np.ndarray,
-                      selection: np.ndarray, anchors: np.ndarray,
-                      lorenzo_outliers: np.ndarray, regression_outliers: np.ndarray,
-                      regression_coeffs: np.ndarray) -> np.ndarray:
-        ndim = len(shape)
-        block_size = self._block_size_for(ndim)
+    def _decode_batch(self, shapes: Sequence[Tuple[int, ...]], abs_eb: float,
+                      codes: Sequence[np.ndarray], side: Dict[str, np.ndarray],
+                      counts: np.ndarray) -> List[np.ndarray]:
+        """Invert :meth:`_encode_batch` from the same region plan, one stack
+        per shape; ``side`` and ``counts`` are the stored concatenations."""
         radius = self.radius
-        out = np.empty(shape, dtype=np.float64)
+        two_eb = 2.0 * abs_eb
+        starts = np.cumsum(counts[:, :len(_SIDE)], axis=0) - counts[:, :len(_SIDE)]
+        out: List[np.ndarray] = [None] * len(shapes)              # type: ignore[list-item]
 
-        code_pos = 0
-        region_index = 0
-        anchor_pos = 0
-        lor_out_pos = 0
-        reg_out_pos = 0
-        coeff_pos = 0
+        def fill_outliers(values: np.ndarray, stored: np.ndarray, name: str,
+                          cursor: np.ndarray, rows: np.ndarray) -> None:
+            """Overwrite the cells of ``values`` whose ``stored`` code is 0
+            from the ``name`` stream (one row per entry of ``rows``): array
+            ``rows[i]`` reads on from its cursor, which moves past what it read."""
+            outlier = stored == 0
+            per_row = outlier.sum(axis=1)
+            first = np.cumsum(per_row) - per_row
+            start = cursor[rows]
+            cursor[rows] = start + per_row
+            values[outlier] = side[name][
+                np.repeat(start - first, per_row) + np.arange(per_row.sum())]
 
-        for region_sl in _region_slices(shape, block_size):
-            region_shape = tuple(s.stop - s.start for s in region_sl)
-            block_shape = _region_block_shape(region_shape, block_size)
-            block_volume = int(np.prod(block_shape))
-            region_volume = int(np.prod(region_shape))
-            nblocks = region_volume // block_volume
+        for shape, members in _group_by_shape(shapes).items():
+            _, regions = _region_plan(shape, self._block_size_for(len(shape)))
+            stack_codes = np.stack([codes[i] for i in members])
+            at_selection, at_anchor, at_lorenzo, at_regression, at_coeff = \
+                starts[members].T.copy()
+            values = np.empty((len(members),) + shape, dtype=np.float64)
+            cell = 0
+            for region in regions:
+                region_codes = stack_codes[:, cell:cell + region.volume]
+                cell += region.volume
+                use_regression = side["selection"][at_selection].astype(bool)
+                at_selection += 1
 
-            region_codes = codes[code_pos:code_pos + region_volume].astype(np.int64)
-            code_pos += region_volume
+                own = np.flatnonzero(~use_regression)
+                stored = region_codes[own]
+                lor = np.subtract(stored, radius, dtype=np.int64)
+                fill_outliers(lor, stored, "lorenzo_outliers", at_lorenzo, own)
+                lor[:, 0] = side["anchors"][at_anchor[own]]
+                at_anchor[own] += 1
+                lor = lor.reshape((-1,) + region.shape)
+                for axis in range(1, lor.ndim):
+                    np.cumsum(lor, axis=axis, out=lor)
+                values[(own,) + region.slices] = lor * two_eb
 
-            use_regression = bool(selection[region_index])
-            region_index += 1
-
-            if use_regression:
-                reg_codes = region_codes.reshape((nblocks,) + block_shape)
-                coeffs = regression_coeffs[coeff_pos:coeff_pos + nblocks]
-                coeff_pos += nblocks
-                model = regression.RegressionModel(coefficients=coeffs, block_shape=block_shape)
-                preds = regression.predict_blocks(model)
-                errors = (reg_codes - radius) * (2.0 * abs_eb)
-                outlier_mask = reg_codes == 0
-                n_out = int(outlier_mask.sum())
-                if n_out:
-                    errors[outlier_mask] = regression_outliers[reg_out_pos:reg_out_pos + n_out]
-                    reg_out_pos += n_out
-                else:
-                    errors[outlier_mask] = 0.0
-                out[region_sl] = _merge_blocks_into_region(
-                    preds + errors, region_shape, block_shape)
-            else:
-                deltas = region_codes.reshape(region_shape) - radius
-                outlier_mask = region_codes.reshape(region_shape) == 0
-                n_out = int(outlier_mask.sum())
-                if n_out:
-                    deltas[outlier_mask] = lorenzo_outliers[lor_out_pos:lor_out_pos + n_out]
-                    lor_out_pos += n_out
-                else:
-                    deltas[outlier_mask] = 0
-                deltas[(0,) * ndim] = anchors[anchor_pos]
-                anchor_pos += 1
-                q = deltas
-                for axis in range(ndim):
-                    q = np.cumsum(q, axis=axis)
-                out[region_sl] = q * (2.0 * abs_eb)
-
+                own = np.flatnonzero(use_regression)
+                if own.size:
+                    stored = region_codes[own]
+                    errors = np.subtract(stored, radius, dtype=np.int64) * two_eb
+                    fill_outliers(errors, stored, "regression_outliers", at_regression, own)
+                    rows = at_coeff[own][:, None] + np.arange(region.nblocks)
+                    at_coeff[own] += region.nblocks
+                    preds = regression.predict_blocks(regression.RegressionModel(
+                        coefficients=side["regression_coeffs"][rows.ravel()],
+                        block_shape=region.block_shape))
+                    values[(own,) + region.slices] = _from_blocks(
+                        preds + errors.reshape(preds.shape), region)
+            for row, index in enumerate(members):
+                out[index] = values[row]
         return out
 
     # ------------------------------------------------------------------
     # serialisation
     # ------------------------------------------------------------------
-    def _serialize(self, encoded: Sequence[_EncodedArray], abs_eb: float,
+    def _serialize(self, shapes: Sequence[Tuple[int, ...]], codes: Sequence[np.ndarray],
+                   side: Dict[str, np.ndarray], counts: np.ndarray, abs_eb: float,
                    shared_encoding: bool, dtype: str,
                    codec: HuffmanCodec | None = None) -> Tuple[bytes, HuffmanCodec | None]:
         meta = {
             "abs_eb": abs_eb,
             "radius": self.radius,
-            "block_size": list(self._block_size_for(len(encoded[0].shape))),
+            "block_size": list(self._block_size_for(len(shapes[0]))),
             "shared": bool(shared_encoding),
             "dtype": dtype,
-            "shapes": [list(e.shape) for e in encoded],
+            "shapes": [list(shape) for shape in shapes],
             "sync_interval": huffman.SYNC_INTERVAL,
         }
         sections: dict = {}
@@ -368,64 +385,51 @@ class SZLRCompressor(Compressor):
             streams = None
             if codec is not None:
                 try:
-                    streams = [codec.encode(e.codes) for e in encoded]
+                    streams = [codec.encode(c) for c in codes]
                 except KeyError:
                     streams = None
             if streams is None:
-                codec = HuffmanCodec.from_multiple([e.codes for e in encoded])
-                streams = [codec.encode(e.codes) for e in encoded]
+                codec = HuffmanCodec.from_multiple(codes)
+                streams = [codec.encode(c) for c in codes]
             sections.update(ctn.pack_huffman(streams, self.lossless_level))
         else:
             # one table + payload per array (the costly non-SLE alternative)
             codec = None
-            streams = [HuffmanCodec.from_data(e.codes).encode(e.codes) for e in encoded]
+            streams = [HuffmanCodec.from_data(c).encode(c) for c in codes]
             sections["huff_individual"] = ctn.pack_huffman_individual(
                 streams, self.lossless_level)
 
         sections["selection"] = ctn.pack_zbytes(
-            np.packbits(np.concatenate([e.selection for e in encoded])).tobytes(),
-            self.lossless_level)
-        sections["anchors"] = ctn.pack_zarray(
-            np.concatenate([e.anchors for e in encoded]), self.lossless_level)
-        sections["lorenzo_outliers"] = ctn.pack_zarray(
-            np.concatenate([e.lorenzo_outliers for e in encoded]), self.lossless_level)
-        sections["regression_outliers"] = ctn.pack_zarray(
-            np.concatenate([e.regression_outliers for e in encoded]), self.lossless_level)
-        coeffs = np.concatenate([e.regression_coeffs for e in encoded], axis=0) \
-            if encoded else np.zeros((0, 1))
+            np.packbits(side["selection"]).tobytes(), self.lossless_level)
+        for name in ("anchors", "lorenzo_outliers", "regression_outliers"):
+            sections[name] = ctn.pack_zarray(side[name], self.lossless_level)
         sections["regression_coeffs"] = ctn.pack_zarray(
-            coeffs.astype(np.float32), self.lossless_level)
+            side["regression_coeffs"].astype(np.float32), self.lossless_level)
         # per-array counts so the decoder can split the concatenated side arrays
-        counts = np.asarray(
-            [[e.selection.size, e.anchors.size, e.lorenzo_outliers.size,
-              e.regression_outliers.size, e.regression_coeffs.shape[0], e.codes.size]
-             for e in encoded], dtype=np.int64)
         sections["counts"] = counts.tobytes()
         return ctn.pack_container(self.name, meta, sections), codec
 
     def _deserialize(self, payload: bytes):
+        """``(meta, codes per array, side streams, counts)`` of a payload."""
         cont = ctn.unpack_container(payload, expect_codec=self.name)
         meta, sections = cont.meta, cont.sections
         counts = np.frombuffer(sections["counts"], dtype=np.int64).reshape(-1, 6)
-
-        selection_all = np.unpackbits(
+        side = {name: ctn.unpack_zarray(sections[name]).astype(dtype)
+                for name, dtype in (("anchors", np.int64), ("lorenzo_outliers", np.int64),
+                                    ("regression_outliers", np.float64),
+                                    ("regression_coeffs", np.float64))}
+        side["selection"] = np.unpackbits(
             np.frombuffer(ctn.unpack_zbytes(sections["selection"]), dtype=np.uint8),
-            count=int(counts[:, 0].sum())).astype(np.uint8)
-        anchors_all = ctn.unpack_zarray(sections["anchors"]).astype(np.int64)
-        lor_out_all = ctn.unpack_zarray(sections["lorenzo_outliers"]).astype(np.int64)
-        reg_out_all = ctn.unpack_zarray(sections["regression_outliers"]).astype(np.float64)
-        coeffs_all = ctn.unpack_zarray(sections["regression_coeffs"]).astype(np.float64)
+            count=int(counts[:, 0].sum()))
 
         # decode Huffman streams back to per-array code arrays
         interval = int(meta.get("sync_interval", 0))
         if meta["shared"]:
-            codes_per_array = ctn.unpack_huffman(sections, sync_interval=interval)
+            codes = ctn.unpack_huffman(sections, sync_interval=interval)
         else:
-            codes_per_array = ctn.unpack_huffman_individual(
+            codes = ctn.unpack_huffman_individual(
                 sections["huff_individual"], counts[:, 5].tolist(), interval)
-
-        return meta, counts, codes_per_array, selection_all, anchors_all, \
-            lor_out_all, reg_out_all, coeffs_all
+        return meta, codes, side, counts
 
     # ------------------------------------------------------------------
     # public API
@@ -456,14 +460,17 @@ class SZLRCompressor(Compressor):
             raise ValueError("need at least one array")
         input_dtype = str(np.asarray(arrays[0]).dtype)
         arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+        if any(a.size == 0 for a in arrays):
+            raise ValueError("cannot compress an empty array")
         if value_range is None:
             gmin = min(float(a.min()) for a in arrays)
             gmax = max(float(a.max()) for a in arrays)
             value_range = gmax - gmin
         abs_eb = self.error_bound.resolve(value_range=value_range)
-        encoded = [self._encode_array(a, abs_eb) for a in arrays]
-        payload, used_codec = self._serialize(encoded, abs_eb, shared_encoding,
-                                              input_dtype, codec=codec)
+        codes, side, counts, reconstructions = self._encode_batch(arrays, abs_eb)
+        payload, used_codec = self._serialize(
+            [a.shape for a in arrays], codes, side, counts, abs_eb, shared_encoding,
+            input_dtype, codec=codec)
         self.last_shared_codec = used_codec
         original_nbytes = sum(
             a.size * np.dtype(input_dtype).itemsize for a in arrays)
@@ -477,7 +484,7 @@ class SZLRCompressor(Compressor):
                   "shared_encoding": bool(shared_encoding),
                   "shapes": [a.shape for a in arrays]},
         )
-        return buffer, [e.reconstruction for e in encoded]
+        return buffer, reconstructions
 
     def decompress(self, buffer: CompressedBuffer | bytes) -> np.ndarray:
         arrays = self.decompress_many(buffer)
@@ -486,27 +493,8 @@ class SZLRCompressor(Compressor):
         return arrays[0]
 
     def decompress_many(self, buffer: CompressedBuffer | bytes) -> List[np.ndarray]:
-        payload = self._payload_of(buffer)
-        meta, counts, codes_per_array, selection_all, anchors_all, lor_out_all, \
-            reg_out_all, coeffs_all = self._deserialize(payload)
-        abs_eb = float(meta["abs_eb"])
-        shapes = [tuple(s) for s in meta["shapes"]]
-
-        out: List[np.ndarray] = []
-        sel_pos = anc_pos = lor_pos = reg_pos = coeff_pos = 0
-        for i, shape in enumerate(shapes):
-            n_sel, n_anc, n_lor, n_reg, n_coeff, _ = (int(c) for c in counts[i])
-            selection = selection_all[sel_pos:sel_pos + n_sel]
-            anchors = anchors_all[anc_pos:anc_pos + n_anc]
-            lor_outliers = lor_out_all[lor_pos:lor_pos + n_lor]
-            reg_outliers = reg_out_all[reg_pos:reg_pos + n_reg]
-            coeffs = coeffs_all[coeff_pos:coeff_pos + n_coeff]
-            sel_pos += n_sel
-            anc_pos += n_anc
-            lor_pos += n_lor
-            reg_pos += n_reg
-            coeff_pos += n_coeff
-            out.append(self._decode_array(shape, abs_eb, codes_per_array[i], selection,
-                                          anchors, lor_outliers, reg_outliers, coeffs))
+        meta, codes, side, counts = self._deserialize(self._payload_of(buffer))
+        out = self._decode_batch([tuple(s) for s in meta["shapes"]], float(meta["abs_eb"]),
+                                 codes, side, counts)
         dtype = np.dtype(meta["dtype"])
         return [a.astype(dtype) if dtype != np.float64 else a for a in out]

@@ -36,7 +36,7 @@ import numpy as np
 from repro.compress.base import CompressedBuffer, Compressor
 from repro.compress.container import pack_container, pack_huffman, unpack_container, unpack_huffman
 from repro.compress.errorbound import ErrorBound
-from repro.compress.huffman import HuffmanCodec
+from repro.compress.huffman import SYNC_INTERVAL, HuffmanCodec
 
 __all__ = [
     "MODE_KEY",
@@ -135,6 +135,7 @@ class TemporalDeltaCodec(Compressor):
             "offset": self.offset,
             "n": int(n),
             "min_code": min_code,
+            "sync_interval": SYNC_INTERVAL,
         }
         if shape is not None:
             meta["shape"] = [int(s) for s in shape]
@@ -155,7 +156,9 @@ class TemporalDeltaCodec(Compressor):
         mode = str(meta.get("mode", ""))
         if mode not in (MODE_KEY, MODE_DELTA):
             raise ValueError(f"corrupt temporal_delta stream: unknown mode {mode!r}")
-        (shifted,) = unpack_huffman(container.sections)
+        # a stream written before the key existed takes the scalar decode loop
+        (shifted,) = unpack_huffman(container.sections,
+                                    sync_interval=int(meta.get("sync_interval", 0)))
         codes = shifted.astype(np.int64) + int(meta.get("min_code", 0))
         n = int(meta.get("n", codes.size))
         if codes.size != n:

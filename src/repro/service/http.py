@@ -89,6 +89,10 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
     """
 
     protocol_version = "HTTP/1.1"
+    #: a response is two small writes (headers, body) on a keep-alive
+    #: connection; with Nagle on, the body waits ~40 ms for the client's
+    #: delayed ACK of the headers
+    disable_nagle_algorithm = True
     server: "HttpServer"
 
     # the default implementation writes an access line per request to

@@ -1,9 +1,13 @@
 """The temporal_delta codec: grids, key/delta streams, corrupt inputs."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.compress.container import pack_container, unpack_container
 from repro.compress.errorbound import ErrorBound
+from repro.compress.huffman import SYNC_INTERVAL, HuffmanCodec
 from repro.compress.registry import available_codecs, create_codec
 from repro.compress.temporal import (
     MODE_DELTA,
@@ -57,6 +61,33 @@ class TestKeyStreams:
         assert np.all(codes == 0)
         values, _ = codec.decode_key(payload)
         assert np.allclose(values, 3.0)
+
+
+class TestDecodePath:
+    """Streams record their sync interval, so they take the lane decoder."""
+
+    @staticmethod
+    def _counted(name):
+        return mock.patch.object(HuffmanCodec, name, autospec=True,
+                                 side_effect=getattr(HuffmanCodec, name))
+
+    def test_new_streams_decode_through_the_lanes(self, codec, data):
+        payload, codes, _ = codec.encode_key(data)
+        assert unpack_container(payload).meta["sync_interval"] == SYNC_INTERVAL
+        with self._counted("_decode_lanes") as lanes, self._counted("_decode_scalar") as scalar:
+            _, back = codec.decode_key(payload)
+        assert lanes.call_count == 1 and scalar.call_count == 0
+        assert np.array_equal(back, codes)
+
+    def test_streams_without_the_key_decode_through_the_scalar_loop(self, codec, data):
+        payload, codes, _ = codec.encode_key(data)
+        container = unpack_container(payload)
+        meta = {k: v for k, v in container.meta.items() if k != "sync_interval"}
+        old = pack_container(container.codec, meta, container.sections)
+        with self._counted("_decode_lanes") as lanes, self._counted("_decode_scalar") as scalar:
+            _, back = codec.decode_key(old)
+        assert lanes.call_count == 0 and scalar.call_count == 1
+        assert np.array_equal(back, codes)
 
 
 class TestDeltaStreams:
