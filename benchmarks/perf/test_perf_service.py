@@ -72,6 +72,20 @@ def test_service_warm_batched(benchmark, queries):
         assert len(results) == NREQUESTS
 
 
+def test_service_warm_single_box_read(benchmark, plotfile):
+    """Timed: one 16^3 level-0 box read over a warm cache — no decode, so hit
+    selection against the plan's box index and the copy loop are the read."""
+    box = Box((4, 4, 4), (19, 19, 19))
+    with QueryEngine() as engine:
+        expected = engine.read_field(plotfile, FIELDS[0], box=box)  # warm
+        plan = engine.handle(plotfile)._scan()
+        benchmark.extra_info["slots"] = len(plan.dataset(0, FIELDS[0]).slots)
+        benchmark.extra_info["fine_boxes"] = len(plan.structure[1].boxarray)
+        result = benchmark.pedantic(engine.read_field, args=(plotfile, FIELDS[0]),
+                                    kwargs={"box": box}, rounds=25, iterations=20)
+        assert np.array_equal(result, expected)
+
+
 def test_service_warm_speedup_at_least_3x(queries):
     """The acceptance bar: batched warm-cache reads >= 3x over cold reads."""
     cold_t = min(_timed(_cold_per_request, queries) for _ in range(3))

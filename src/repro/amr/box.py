@@ -9,6 +9,7 @@ covers an enclosing box.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Tuple
 
@@ -18,17 +19,21 @@ __all__ = ["Box"]
 
 IntVect = Tuple[int, ...]
 
+#: what broadcasts to every dimension (python / numpy numbers, numeric strings)
+_SCALARS = (numbers.Number, np.generic, str, bytes)
+
 
 def _as_intvect(value: Sequence[int] | int, dim: int | None = None) -> IntVect:
     """Normalise ``value`` into a tuple of python ints.
 
     Scalars are broadcast to ``dim`` entries when ``dim`` is given.
     """
-    if np.isscalar(value):
+    # tuples (the hot case: every Box construction) skip the scalar test
+    if type(value) is not tuple and isinstance(value, _SCALARS):
         if dim is None:
             raise ValueError("scalar IntVect requires an explicit dimension")
         return tuple(int(value) for _ in range(dim))
-    vect = tuple(int(v) for v in value)  # type: ignore[union-attr]
+    vect = tuple(map(int, value))  # type: ignore[arg-type]
     if dim is not None and len(vect) != dim:
         raise ValueError(f"expected {dim}-dimensional IntVect, got {vect}")
     return vect
@@ -163,8 +168,8 @@ class Box:
         ratio = _as_intvect(ratio, self.ndim)
         if any(r < 1 for r in ratio):
             raise ValueError(f"refinement ratio must be >= 1, got {ratio}")
-        lo = tuple(int(np.floor(l / r)) for l, r in zip(self.lo, ratio))
-        hi = tuple(int(np.floor(h / r)) for h, r in zip(self.hi, ratio))
+        lo = tuple(l // r for l, r in zip(self.lo, ratio))
+        hi = tuple(h // r for h, r in zip(self.hi, ratio))
         return Box(lo, hi)
 
     def difference(self, other: "Box") -> list["Box"]:

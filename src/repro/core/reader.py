@@ -98,10 +98,7 @@ class BlockSlot:
 
     block: UnitBlock
     offset: int
-
-    @property
-    def size(self) -> int:
-        return self.block.size
+    size: int                                 #: the block's cell count
 
 
 @dataclass
@@ -115,16 +112,24 @@ class DatasetReadPlan:
     nchunks: int
     filter_id: str
     slots: List[BlockSlot]
+    #: the slots' boxes, slot ``i`` <-> box ``i``; one index per level,
+    #: shared by every dataset of that level
+    boxes: BoxArray
 
-    def chunks_for(self, slots: Sequence[BlockSlot]) -> List[int]:
+    def __post_init__(self) -> None:
+        offsets = np.array([s.offset for s in self.slots], dtype=np.int64)
+        sizes = np.array([s.size for s in self.slots], dtype=np.int64)
+        self._first = offsets // self.chunk_elements
+        self._last = (offsets + sizes - 1) // self.chunk_elements
+
+    def chunks_for(self, slot_indices: Sequence[int]) -> List[int]:
         """Which chunk indices the given slots touch (sorted, deduplicated)."""
-        ce = self.chunk_elements
-        needed = set()
-        for slot in slots:
-            first = slot.offset // ce
-            last = (slot.offset + slot.size - 1) // ce
-            needed.update(range(first, last + 1))
-        return sorted(needed)
+        # +1 where a slot's chunk span opens, -1 past where it closes: the
+        # running sum is positive exactly on the touched chunks
+        n = self.nchunks + 1
+        edges = np.bincount(self._first[slot_indices], minlength=n) \
+            - np.bincount(self._last[slot_indices] + 1, minlength=n)
+        return np.flatnonzero(np.cumsum(edges)).tolist()
 
     @property
     def all_chunks(self) -> List[int]:
@@ -144,15 +149,20 @@ class ReadPlan:
     error_bound: float = 1e-3
     error_bound_mode: str = "rel"
 
+    def __post_init__(self) -> None:
+        self._by_key = {(d.level, d.field): d for d in self.datasets}
+        #: per level, the next finer level's boxes coarsened to it — the
+        #: regions a lazy read refills from finer data
+        self.fine_coarsened = [
+            finer.boxarray.coarsen(ratio) for finer, ratio
+            in zip(self.structure.levels[1:], self.structure.ref_ratios)]
+
     @property
     def nranks(self) -> int:
         return max(lvl.multifab.distribution.nranks for lvl in self.structure.levels)
 
     def dataset(self, level: int, fieldname: str) -> Optional[DatasetReadPlan]:
-        for d in self.datasets:
-            if d.level == level and d.field == fieldname:
-                return d
-        return None
+        return self._by_key.get((level, fieldname))
 
 
 def parse_plotfile_header(f: H5LiteFile) -> Optional[PlotfileHeader]:
@@ -223,6 +233,8 @@ def scan_plotfile(f: H5LiteFile, template: Optional[AmrHierarchy] = None,
             continue
         ranks = sorted({b.rank for b in pre.unit_blocks})
         per_rank = {r: pre.blocks_on_rank(r) for r in ranks}
+        # every dataset of the level lays its slots out in this order
+        boxes = BoxArray([b.box for r in ranks for b in per_rank[r]])
         for name in structure.component_names:
             dsname = f"level_{level_index}/{name}"
             if dsname not in f:
@@ -240,8 +252,9 @@ def scan_plotfile(f: H5LiteFile, template: Optional[AmrHierarchy] = None,
                 for i, rank in enumerate(ranks):
                     offset = i * ce
                     for block in per_rank[rank]:
-                        slots.append(BlockSlot(block=block, offset=offset))
-                        offset += block.size
+                        size = block.size
+                        slots.append(BlockSlot(block, offset, size))
+                        offset += size
                     if offset > (i + 1) * ce:
                         raise ValueError(
                             f"{f.path}: rank {rank}'s blocks overflow its "
@@ -263,8 +276,9 @@ def scan_plotfile(f: H5LiteFile, template: Optional[AmrHierarchy] = None,
                 offset = 0
                 for rank in ranks:
                     for block in per_rank[rank]:
-                        slots.append(BlockSlot(block=block, offset=offset))
-                        offset += block.size
+                        size = block.size
+                        slots.append(BlockSlot(block, offset, size))
+                        offset += size
                 if offset != info.nelements:
                     raise ValueError(
                         f"{f.path}: dataset {dsname!r} stores {info.nelements} "
@@ -273,7 +287,7 @@ def scan_plotfile(f: H5LiteFile, template: Optional[AmrHierarchy] = None,
             datasets.append(DatasetReadPlan(
                 level=level_index, field=name, name=dsname,
                 chunk_elements=info.chunk_elements, nchunks=info.nchunks,
-                filter_id=info.filter_id, slots=slots))
+                filter_id=info.filter_id, slots=slots, boxes=boxes))
     return ReadPlan(structure=structure, datasets=datasets,
                     remove_redundancy=remove_redundancy, header=header,
                     codec=codec, error_bound=error_bound,
@@ -764,8 +778,8 @@ class PlotfileHandle:
         if dplan is None:
             return plan, None, []
         region = box if box is not None else plan.structure[level].domain
-        hit = [slot for slot in dplan.slots if slot.block.box.intersects(region)]
-        return plan, dplan, (dplan.chunks_for(hit) if hit else [])
+        return plan, dplan, dplan.chunks_for(
+            [i for i, _ in dplan.boxes.intersections(region)])
 
     def read_field(self, name: str, level: int = 0, box: Optional[Box] = None,
                    refill: bool = True, fill_value: float = 0.0,
@@ -807,24 +821,22 @@ class PlotfileHandle:
         out = np.full(query.shape, fill_value, dtype=np.float64)
 
         dplan = plan.dataset(level, name)
-        if dplan is not None:
-            hit = [slot for slot in dplan.slots if slot.block.box.intersects(query)]
-            if hit:
-                chunks = self._decode_chunks(plan, dplan, dplan.chunks_for(hit))
-                for slot in hit:
-                    data = _gather_slot(slot, chunks, dplan.chunk_elements) \
-                        .reshape(slot.block.box.shape)
-                    overlap = slot.block.box.intersection(query)
-                    out[overlap.slices(origin=query.lo)] = \
-                        data[overlap.slices(origin=slot.block.box.lo)]
+        hits = dplan.boxes.intersections(query) if dplan is not None else []
+        if hits:
+            chunks = self._decode_chunks(
+                plan, dplan, dplan.chunks_for([i for i, _ in hits]))
+            for index, overlap in hits:
+                slot = dplan.slots[index]
+                home = slot.block.box
+                data = _gather_slot(slot, chunks, dplan.chunk_elements) \
+                    .reshape(home.shape)
+                out[overlap.slices(origin=query.lo)] = \
+                    data[overlap.slices(origin=home.lo)]
 
         if (refill and plan.remove_redundancy and level < structure.nlevels - 1
                 and (max_level is None or level + 1 <= max_level)):
             ratio = structure.ref_ratios[level]
-            for fine_box in structure[level + 1].boxarray:
-                overlap = fine_box.coarsen(ratio).intersection(query)
-                if overlap.is_empty():
-                    continue
+            for _, overlap in plan.fine_coarsened[level].intersections(query):
                 fine = self.read_field(name, level=level + 1,
                                        box=overlap.refine(ratio), refill=refill,
                                        fill_value=fill_value,

@@ -256,8 +256,8 @@ class QueryEngine:
                   queries=len(queries)) as sp:
             # -- coalesce: dataset -> union of chunk indices ----------------
             groups: Dict[Tuple[int, str], Tuple[PlotfileHandle, object, object, set]] = {}
-            for query in queries:
-                handle = self._target(query)
+            targets = [self._target(query) for query in queries]
+            for query, handle in zip(queries, targets):
                 plan, dplan, indices = handle.chunks_for_box(
                     query.field, level=query.level, box=query.box)
                 if not indices:
@@ -272,11 +272,11 @@ class QueryEngine:
                 handle._decode_chunks(plan, dplan, sorted(chunk_set),
                                       backend=self._backend)
             # -- assemble each answer from the warm cache -------------------
-            answers = [self._target(q).read_field(q.field, level=q.level,
-                                                  box=q.box, refill=q.refill,
-                                                  fill_value=q.fill_value,
-                                                  max_level=q.max_level)
-                       for q in queries]
+            answers = [handle.read_field(q.field, level=q.level, box=q.box,
+                                         refill=q.refill,
+                                         fill_value=q.fill_value,
+                                         max_level=q.max_level)
+                       for q, handle in zip(queries, targets)]
             sp.add_bytes(sum(int(a.nbytes) for a in answers))
             return answers
 

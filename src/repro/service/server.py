@@ -299,10 +299,12 @@ class ReproServer:
         refusal = self.handler.refuse(request, context) \
             or check_version(request)
         if refusal is not None:
-            writer.write(encode_line(refusal))
-            await writer.drain()
+            # tally before the answer is on the wire (as unary ops do): a
+            # client holding its reply must find the request already counted
             self.handler.tally("subscribe", trace, refusal,
                                time.perf_counter() - start, transport="tcp")
+            writer.write(encode_line(refusal))
+            await writer.drain()
             return None
         try:
             path = request.get("path")
@@ -316,10 +318,10 @@ class ReproServer:
                 self._executor, self.handler.open_subscribed_series, path)
         except Exception as exc:  # noqa: BLE001 - refusal, not a stream
             response = error_envelope(request_id, f"{type(exc).__name__}: {exc}")
-            writer.write(encode_line(response))
-            await writer.drain()
             self.handler.tally("subscribe", trace, response,
                                time.perf_counter() - start, transport="tcp")
+            writer.write(encode_line(response))
+            await writer.drain()
             return None
         key = os.path.abspath(path)
         watcher = await self._acquire_watcher(key, series)
@@ -330,10 +332,10 @@ class ReproServer:
                 "result": {"subscribed": path, "nsteps": watcher.nsteps,
                            "high_water": watcher.nsteps - 1,
                            "live": watcher.live}}
-            writer.write(encode_line(response))
-            await writer.drain()
             self.handler.tally("subscribe", trace, response,
                                time.perf_counter() - start, transport="tcp")
+            writer.write(encode_line(response))
+            await writer.drain()
             read_task = asyncio.ensure_future(reader.readline())
             next_step = from_step
             while True:

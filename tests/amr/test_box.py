@@ -46,6 +46,37 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Box((), ())
 
+    def test_coordinates_coerced_to_python_ints(self):
+        # every sequence flavour normalises to the same hashable box
+        ref = Box((1, -2, 3), (4, 5, 6))
+        for lo, hi in (([1, -2, 3], [4, 5, 6]),
+                       (np.array([1, -2, 3]), np.array([4, 5, 6], dtype=np.int32)),
+                       ((np.int64(1), -2.0, 3), range(4, 7))):
+            b = Box(lo, hi)
+            assert b == ref and hash(b) == hash(ref)
+            assert all(type(v) is int for v in b.lo + b.hi)
+
+    def test_scalar_coordinates_rejected(self):
+        # a bare scalar has no dimension to broadcast to
+        for scalar in (3, np.int64(3), 3.0):
+            with pytest.raises(ValueError, match="explicit dimension"):
+                Box(scalar, (1, 1))
+
+    def test_scalar_arguments_broadcast(self):
+        b = Box((0, 0, 0), (3, 3, 3))
+        for two in (2, np.int64(2), 2.0):
+            assert b.grow(two) == Box((-2, -2, -2), (5, 5, 5))
+            assert b.refine(two) == Box((0, 0, 0), (7, 7, 7))
+            assert b.shift(two).lo == (2, 2, 2)
+        with pytest.raises(ValueError, match="3-dimensional"):
+            b.shift((1, 1))
+
+    def test_non_integer_coordinates_rejected(self):
+        with pytest.raises((TypeError, ValueError)):
+            Box((0, None), (1, 1))
+        with pytest.raises((TypeError, ValueError)):
+            Box((0, "x"), (1, 1))
+
     def test_frozen(self):
         b = Box.from_shape((2, 2))
         with pytest.raises(Exception):
@@ -130,9 +161,33 @@ class TestAlgebra:
         assert c.lo == (-2, -2)
         assert c.hi == (0, 0)
 
+    @pytest.mark.parametrize("lo, hi, ratio", [
+        ((-7, -1, -8), (-1, 0, 7), 2),                    # negative, zero-crossing
+        ((-5, 0, 1), (4, 2, 11), (3, 1, 4)),              # per-axis ratios
+        ((2 ** 53 + 1, -(2 ** 53) - 3, -(2 ** 60) - 1),   # beyond float64's integers
+         (2 ** 53 + 3, -(2 ** 53) - 1, 2 ** 60 + 1), 2),
+        ((3 ** 40, -(3 ** 40)), (3 ** 40 + 1, 3 ** 40), 3),
+    ])
+    def test_coarsen_is_the_mathematical_floor(self, lo, hi, ratio):
+        from fractions import Fraction
+        from math import floor
+
+        c = Box(lo, hi).coarsen(ratio)
+        ratios = ratio if isinstance(ratio, tuple) else (ratio,) * len(lo)
+        assert c.lo == tuple(floor(Fraction(l, r)) for l, r in zip(lo, ratios))
+        assert c.hi == tuple(floor(Fraction(h, r)) for h, r in zip(hi, ratios))
+        assert all(type(v) is int for v in c.lo + c.hi)
+
+    def test_refine_coarsen_roundtrip_beyond_float_precision(self):
+        b = Box((2 ** 53 + 1, -(2 ** 62) - 1), (2 ** 53 + 5, -(2 ** 62) + 1))
+        for ratio in (2, 3, (4, 7)):
+            assert b.refine(ratio).coarsen(ratio) == b
+
     def test_refine_invalid_ratio(self):
         with pytest.raises(ValueError):
             Box.from_shape((2, 2)).refine(0)
+        with pytest.raises(ValueError):
+            Box.from_shape((2, 2)).coarsen(0)
 
     def test_difference_no_overlap(self):
         a = Box((0, 0), (2, 2))

@@ -61,6 +61,125 @@ def multirank_hierarchy():
                    target_fine_density=0.03, seed=303).hierarchy
 
 
+def _three_level_hierarchy():
+    """Three nested levels, several boxes and ranks per level, two fields."""
+    from repro.amr.boxarray import BoxArray
+    from repro.amr.distribution import DistributionMapping
+    from repro.amr.hierarchy import AmrHierarchy, AmrLevel
+    from repro.amr.multifab import MultiFab
+
+    rng = np.random.default_rng(7)
+    names = ("rho", "temp")
+    domain = Box.from_shape((16, 16, 16))
+    boxarrays = [
+        BoxArray.decompose(domain, 8),
+        BoxArray([Box((4, 4, 4), (15, 11, 11)), Box((16, 8, 8), (23, 23, 15)),
+                  Box((0, 24, 24), (7, 31, 31))]),
+        BoxArray([Box((12, 12, 12), (27, 19, 19)), Box((36, 20, 20), (43, 35, 27))]),
+    ]
+    levels = []
+    for index, ba in enumerate(boxarrays):
+        mf = MultiFab(ba, names, DistributionMapping.knapsack([b.size for b in ba], 3))
+        for fab in mf:
+            for comp in range(len(names)):
+                fab.set_component(comp, rng.normal(size=fab.box.shape).cumsum(axis=0))
+        levels.append(AmrLevel(index, domain.refine(2 ** index), ba, mf))
+    return AmrHierarchy(levels, [2, 2])
+
+
+@pytest.fixture(scope="module")
+def three_level_plotfile(tmp_path_factory):
+    """Redundancy-removed, rank-aligned: coarse cells under finer boxes are gone."""
+    path = tmp_path_factory.mktemp("three") / "plt.h5z"
+    repro.write(_three_level_hierarchy(), str(path), error_bound=1e-3,
+                unit_block_size=4)
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def stream_aligned_plotfile(tmp_path_factory):
+    """Raw, stream-aligned: blocks packed back-to-back across 100-element chunks."""
+    from repro.baselines.nocomp import NoCompressionWriter
+
+    path = tmp_path_factory.mktemp("three") / "raw.h5z"
+    NoCompressionWriter(chunk_elements=100).write_plotfile(
+        _three_level_hierarchy(), str(path))
+    return str(path)
+
+
+def _random_boxes(rng, domain, count):
+    """Boxes inside, straddling and (now and then) wholly outside ``domain``."""
+    out = []
+    for _ in range(count):
+        lo = tuple(int(rng.integers(l - 4, h + 4)) for l, h in zip(domain.lo, domain.hi))
+        out.append(Box(lo, tuple(l + int(rng.integers(0, 14)) for l in lo)))
+    return out
+
+
+# -- the pre-index hit selection and assembly, verbatim, as the reference ----
+def _ref_chunks_for(dplan, slots):
+    ce = dplan.chunk_elements
+    needed = set()
+    for slot in slots:
+        first = slot.offset // ce
+        last = (slot.offset + slot.block.size - 1) // ce
+        needed.update(range(first, last + 1))
+    return sorted(needed)
+
+
+def _ref_dataset(plan, level, name):
+    for d in plan.datasets:
+        if d.level == level and d.field == name:
+            return d
+    return None
+
+
+def _ref_chunks_for_box(handle, name, level, box):
+    plan = handle._scan()
+    if not 0 <= level < plan.structure.nlevels:
+        return None, []
+    dplan = _ref_dataset(plan, level, name)
+    if dplan is None:
+        return None, []
+    region = box if box is not None else plan.structure[level].domain
+    hit = [slot for slot in dplan.slots if slot.block.box.intersects(region)]
+    return dplan, (_ref_chunks_for(dplan, hit) if hit else [])
+
+
+def _ref_read_field(handle, name, level, box, refill, fill_value, max_level):
+    from repro.amr.upsample import average_down
+    from repro.core.reader import _gather_slot
+
+    plan = handle._scan()
+    structure = plan.structure
+    query = structure[level].domain if box is None else box
+    out = np.full(query.shape, fill_value, dtype=np.float64)
+    if query.is_empty():
+        return out
+    dplan = _ref_dataset(plan, level, name)
+    if dplan is not None:
+        hit = [slot for slot in dplan.slots if slot.block.box.intersects(query)]
+        if hit:
+            chunks = handle._decode_chunks(plan, dplan, _ref_chunks_for(dplan, hit))
+            for slot in hit:
+                data = _gather_slot(slot, chunks, dplan.chunk_elements) \
+                    .reshape(slot.block.box.shape)
+                overlap = slot.block.box.intersection(query)
+                out[overlap.slices(origin=query.lo)] = \
+                    data[overlap.slices(origin=slot.block.box.lo)]
+    if (refill and plan.remove_redundancy and level < structure.nlevels - 1
+            and (max_level is None or level + 1 <= max_level)):
+        ratio = structure.ref_ratios[level]
+        for fine_box in structure[level + 1].boxarray:
+            overlap = fine_box.coarsen(ratio).intersection(query)
+            if overlap.is_empty():
+                continue
+            fine = _ref_read_field(handle, name, level + 1, overlap.refine(ratio),
+                                   refill, fill_value, max_level)
+            out[overlap.slices(origin=query.lo)] = average_down(fine, ratio)
+    return out
+
+
 @pytest.fixture(scope="module")
 def legacy_plotfile(nyx_hierarchy, tmp_path_factory):
     """A pre-header plotfile (what PR-2 writers produced)."""
@@ -244,6 +363,132 @@ class TestLazyRandomAccess:
         fine = back[1].multifab.to_global("baryon_density", back[1].domain)
         expected = average_down(fine, nyx_hierarchy.ref_ratios[0])
         np.testing.assert_allclose(coarse[mask], expected[mask], rtol=0, atol=1e-12)
+
+    def test_read_field_equals_per_slot_reference(self, three_level_plotfile):
+        rng = np.random.default_rng(11)
+        with repro.open(three_level_plotfile) as handle, \
+                repro.open(three_level_plotfile) as ref:
+            structure = handle._scan().structure
+            assert handle._scan().remove_redundancy and structure.nlevels == 3
+            full = handle.read()
+            for level in range(3):
+                domain = structure[level].domain
+                boxes = _random_boxes(rng, domain, 10) + [None, Box.empty(3)]
+                for box in boxes:
+                    for refill in (True, False):
+                        for max_level in (None, *range(level, 3)):
+                            got = handle.read_field(
+                                "rho", level=level, box=box, refill=refill,
+                                fill_value=-7.5, max_level=max_level)
+                            want = _ref_read_field(ref, "rho", level, box, refill,
+                                                   -7.5, max_level)
+                            assert got.shape == want.shape
+                            assert np.array_equal(got, want)
+                # an uncapped refilling read of in-domain cells that the
+                # level's own grids cover is a slice of the full read
+                dense = full[level].multifab.to_global("temp", domain)
+                covered = full[level].boxarray.coverage_mask(domain)
+                for box in boxes[:10]:
+                    window = box.intersection(domain)
+                    if window.is_empty():
+                        continue
+                    where = window.slices(origin=domain.lo)
+                    got = handle.read_field("temp", level=level, box=window)
+                    assert np.array_equal(got[covered[where]],
+                                          dense[where][covered[where]])
+
+    @pytest.mark.parametrize("which", ["three_level_plotfile",
+                                       "stream_aligned_plotfile"])
+    def test_chunks_for_box_equals_per_slot_reference(self, which, request):
+        path = request.getfixturevalue(which)
+        rng = np.random.default_rng(13)
+        with repro.open(path) as handle:
+            plan = handle._scan()
+            spans = 0
+            for level in range(3):
+                domain = plan.structure[level].domain
+                dplan = plan.dataset(level, "rho")
+                assert dplan is _ref_dataset(plan, level, "rho")
+                # one index per level, shared by the level's datasets
+                assert dplan.boxes is plan.dataset(level, "temp").boxes
+                assert [s.block.box for s in dplan.slots] == list(dplan.boxes)
+                spans += sum(s.offset // dplan.chunk_elements
+                             != (s.offset + s.size - 1) // dplan.chunk_elements
+                             for s in dplan.slots)
+                boxes = _random_boxes(rng, domain, 25) + [
+                    None, domain.shift(100),                  # outside the domain
+                    Box(domain.hi, domain.hi), Box(domain.lo, domain.lo)]
+                if level < 2:       # a region whose cells all live one level up
+                    boxes += [b for b in plan.fine_coarsened[level]]
+                for box in boxes:
+                    for name in ("rho", "temp"):
+                        got = handle.chunks_for_box(name, level=level, box=box)
+                        want_dplan, want = _ref_chunks_for_box(handle, name, level, box)
+                        assert got[0] is plan and got[1] is want_dplan
+                        assert got[2] == want
+                        assert all(type(i) is int for i in got[2])
+            # boxes spanning chunk boundaries exist exactly where chunking is
+            # decoupled from ranks
+            assert (spans > 0) == (which == "stream_aligned_plotfile")
+            if which == "three_level_plotfile":
+                # cells under a finer box were dropped: nothing to decode there
+                covered = plan.fine_coarsened[0][0]
+                assert handle.chunks_for_box("rho", level=0, box=covered)[2] == []
+            assert handle.chunks_for_box("rho", level=3) == (plan, None, [])
+            assert handle.chunks_for_box("rho", level=-1) == (plan, None, [])
+            assert handle.chunks_for_box("absent", level=0) == (plan, None, [])
+
+    def test_stream_aligned_reads_equal_per_slot_reference(self, stream_aligned_plotfile):
+        rng = np.random.default_rng(17)
+        with repro.open(stream_aligned_plotfile) as handle, \
+                repro.open(stream_aligned_plotfile) as ref:
+            for level in range(3):
+                domain = handle._scan().structure[level].domain
+                for box in _random_boxes(rng, domain, 8):
+                    got = handle.read_field("temp", level=level, box=box)
+                    assert np.array_equal(got, _ref_read_field(
+                        ref, "temp", level, box, True, 0.0, None))
+
+    def test_warm_read_scans_no_box_objects(self, three_level_plotfile, monkeypatch):
+        calls = {"intersects": 0, "intersection": 0}
+
+        def counted(name):
+            original = vars(Box)[name]
+
+            def wrapper(self, other):
+                calls[name] += 1
+                return original(self, other)
+            return wrapper
+
+        with repro.open(three_level_plotfile) as handle:
+            box = Box((2, 2, 2), (13, 12, 11))
+            cold = handle.read_field("rho", level=0, box=box)
+            monkeypatch.setattr(Box, "intersects", counted("intersects"))
+            monkeypatch.setattr(Box, "intersection", counted("intersection"))
+            warm = handle.read_field("rho", level=0, box=box)
+            handle.chunks_for_box("rho", level=0, box=box)
+            assert calls == {"intersects": 0, "intersection": 0}
+            assert np.array_equal(cold, warm)
+            box.intersects(box)                     # the counters are live
+            assert calls == {"intersects": 1, "intersection": 1}
+
+    def test_decode_accounting_for_a_fixed_query_list(self, three_level_plotfile):
+        """The numbers the per-slot scan produced at the commit before the
+        index (a hit-selection change that decoded more, or counted cache
+        hits differently, would move them)."""
+        queries = [("rho", 0, Box((0, 0, 0), (7, 7, 7)), True),
+                   ("rho", 0, Box((0, 0, 0), (7, 7, 7)), True),
+                   ("temp", 0, Box((3, 3, 3), (12, 12, 12)), True),
+                   ("rho", 1, Box((10, 10, 10), (25, 25, 25)), True),
+                   ("temp", 2, None, False),
+                   ("rho", 0, None, True),
+                   ("rho", 0, Box((5, 5, 5), (6, 6, 6)), False)]
+        with repro.open(three_level_plotfile) as handle:
+            seen = []
+            for name, level, box, refill in queries:
+                handle.read_field(name, level=level, box=box, refill=refill)
+                seen.append((handle.stats.chunks_decoded, handle.stats.cache_hits))
+        assert seen == [(3, 0), (3, 3), (11, 3), (13, 4), (13, 6), (16, 11), (16, 12)]
 
     def test_read_field_validates_level_and_field(self, nyx_hierarchy, tmp_path):
         path = tmp_path / "plt.h5z"

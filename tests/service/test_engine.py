@@ -97,6 +97,37 @@ class TestBatchCoalescing:
             assert stats["requests"] == 4
             assert stats["batches"] == 2
 
+    def test_each_query_resolves_its_target_once(self, service_plotfile,
+                                                 service_series, monkeypatch):
+        from repro.service import engine as engine_module
+
+        probed = []
+        original = engine_module._is_series_dir
+
+        def counting(path):
+            probed.append(path)
+            return original(path)
+
+        monkeypatch.setattr(engine_module, "_is_series_dir", counting)
+        box = Box((0, 0, 0), (7, 7, 7))
+        queries = [BoxQuery(path=service_plotfile, field="baryon_density", box=box),
+                   BoxQuery(path=service_series, field="baryon_density", box=box,
+                            step=2)]
+        with QueryEngine() as engine:
+            for _ in range(2):                       # cold, then warm
+                probed.clear()
+                answers = engine.read_batch(queries)
+                assert probed == [service_plotfile, service_series]
+            probed.clear()
+            engine.read_batch(queries[:1])
+            assert probed == [service_plotfile]
+        with repro.open(service_plotfile) as direct:
+            assert np.array_equal(answers[0],
+                                  direct.read_field("baryon_density", box=box))
+        with repro.open_series(service_series) as series:
+            assert np.array_equal(
+                answers[1], series.read_field("baryon_density", box=box, step=2))
+
     def test_unknown_field_in_batch_returns_fill(self, service_plotfile):
         # a query for a stored field whose dataset misses this level yields
         # the fill value (read_field itself raises for unknown names)
