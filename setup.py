@@ -1,9 +1,18 @@
-"""Legacy setup shim.
+"""Package metadata (`pip install -e .`; works offline with --no-use-pep517)."""
+import re
+from pathlib import Path
 
-Kept so `pip install -e .` works on machines without the `wheel` package
-(offline environments): pip falls back to `setup.py develop` when invoked with
---no-use-pep517.  All real metadata lives in pyproject.toml.
-"""
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+version = re.search(r'__version__ = "([^"]+)"',
+                    (Path(__file__).parent / "src/repro/_version.py").read_text())
+
+setup(
+    name="repro",
+    version=version.group(1),
+    description="AMRIC-style in situ lossy compression for AMR data (reproduction)",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",      # what CI runs (3.11, 3.12)
+    install_requires=["numpy"],
+)

@@ -47,9 +47,16 @@ class BoxArray:
         if box.ndim != self.ndim:
             raise ValueError("cannot intersect boxes of different dimensions")
         if self._corners is None:
-            self._corners = (
-                np.array([b.lo for b in self._boxes], dtype=np.int64),
-                np.array([b.hi for b in self._boxes], dtype=np.int64))
+            try:
+                self._corners = (
+                    np.array([b.lo for b in self._boxes], dtype=np.int64),
+                    np.array([b.hi for b in self._boxes], dtype=np.int64))
+            except OverflowError:
+                limit = np.iinfo(np.int64)
+                bad = next(b for b in self._boxes
+                           if min(b.lo) < limit.min or max(b.hi) > limit.max)
+                raise ValueError(f"{bad} has a coordinate outside the int64 range "
+                                 "the box index holds") from None
         lo = np.maximum(self._corners[0], box.lo)
         hi = np.minimum(self._corners[1], box.hi)
         hits = np.flatnonzero((hi >= lo).all(axis=1))

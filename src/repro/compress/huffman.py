@@ -12,11 +12,14 @@ codec here exposes exactly that choice:
 
 Both directions are fully vectorized (DESIGN.md §2):
 
-* **encode** packs the per-symbol codewords into 32-bit big-endian words with
-  two ``np.bincount`` scatter passes, so peak temporary memory is O(symbols),
-  not O(bits).  Alongside the bitstream it records *sync offsets* — the bit
-  position of every ``SYNC_INTERVAL``-th symbol — which cost 8 bytes per
-  ``SYNC_INTERVAL`` symbols and are what makes the decoder parallel.
+* **encode** gathers ``code << 6 | length`` per symbol from a dense
+  ``symbol - lo`` table, shifts each code into the 64-bit window that starts
+  at its 32-bit word, sums each word's windows with ``np.add.reduceat`` and
+  folds the low halves into the next word: integers only, temporaries
+  O(symbols).  It also records *sync offsets* — the bit position of every
+  ``SYNC_INTERVAL``-th symbol, 8 bytes each — which make the decoder parallel.
+  One call per stream: batching streams as decode does buys nothing here
+  (DESIGN.md §2).  Code lengths come from a two-queue merge of sorted counts.
 * **decode** splits the payload at the sync offsets into independent lanes
   ``(start bit, end bit, symbol count)`` and advances all lanes in lockstep:
   peek the next ``K`` bits of every lane through a sliding 24-bit byte
@@ -37,7 +40,6 @@ truncated streams and on bit patterns that match no code.
 
 from __future__ import annotations
 
-import heapq
 import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -59,6 +61,9 @@ SYNC_INTERVAL = 256
 #: the longest codeword the vectorized encoder can pack (two 32-bit words)
 _ENCODE_MAX_LEN = 32
 
+#: alphabet spans (max - min) below this, any 16-bit quantiser's, get a dense encode table
+_DENSE_SPAN = 1 << 16
+
 
 @dataclass
 class HuffmanEncoded:
@@ -77,19 +82,6 @@ class HuffmanEncoded:
     #: ``nsymbols`` are then the totals and ``sync`` the streams' offsets
     #: (each relative to its own stream) concatenated
     streams: Optional[np.ndarray] = None
-
-    @property
-    def payload_nbytes(self) -> int:
-        return len(self.payload)
-
-    @property
-    def table_nbytes(self) -> int:
-        """Serialised table size: symbol values (4 B) + code lengths (1 B)."""
-        return int(self.table_symbols.size * 5)
-
-    @property
-    def total_nbytes(self) -> int:
-        return self.payload_nbytes + self.table_nbytes
 
 
 def _limit_lengths(lengths: np.ndarray, max_len: int = MAX_CODE_LEN) -> np.ndarray:
@@ -186,9 +178,7 @@ class HuffmanCodec:
             if float(np.sum(2.0 ** (-self.lengths.astype(np.float64)))) > 1.0 + 1e-9:
                 raise ValueError("invalid Huffman table (Kraft inequality violated)")
         self.codes = _canonical_codes(self.lengths.astype(np.int64))
-        # symbol -> table-position lookup, precomputed once (encode hot path)
-        self._sorter = np.argsort(self.symbols, kind="stable")
-        self._sorted_symbols = self.symbols[self._sorter]
+        self._enc: Optional[Tuple[int, Optional[np.ndarray], np.ndarray]] = None
         # decode structures: symbols sorted canonically
         order = np.lexsort((np.arange(self.symbols.size), self.lengths))
         self._dec_lengths = self.lengths[order].astype(np.int64)
@@ -204,17 +194,13 @@ class HuffmanCodec:
         if data.size == 0:
             return HuffmanCodec(np.zeros(0, dtype=np.uint32), np.zeros(0, dtype=np.uint8))
         symbols, counts = np.unique(data, return_counts=True)
-        lengths = _huffman_code_lengths_from_counts(counts)
-        lengths = _limit_lengths(lengths)
+        lengths = _limit_lengths(_huffman_code_lengths_from_counts(counts))
         return HuffmanCodec(symbols.astype(np.uint32), lengths.astype(np.uint8))
 
     @staticmethod
     def from_multiple(datasets: Iterable[np.ndarray]) -> "HuffmanCodec":
         """Build one shared codec from several code streams (the SLE table)."""
-        arrays = [np.asarray(d).ravel() for d in datasets]
-        arrays = [a for a in arrays if a.size]
-        if not arrays:
-            return HuffmanCodec(np.zeros(0, dtype=np.uint32), np.zeros(0, dtype=np.uint8))
+        arrays = [np.zeros(0, dtype=np.uint32)] + [np.asarray(d).ravel() for d in datasets]
         return HuffmanCodec.from_data(np.concatenate(arrays))
 
     # ------------------------------------------------------------------
@@ -224,71 +210,80 @@ class HuffmanCodec:
 
     @property
     def table_nbytes(self) -> int:
+        """Serialised table size: symbol values (4 B) + code lengths (1 B)."""
         return int(self.symbols.size * 5)
 
     def expected_bits(self, data: np.ndarray) -> int:
         """Exact number of payload bits needed to encode ``data`` with this table."""
-        data = np.asarray(data).ravel()
-        if data.size == 0:
-            return 0
-        positions = self._positions(data)
-        return int(self.lengths.astype(np.int64)[positions].sum())
+        return int((self._entries(np.asarray(data).ravel()) & 63).sum())
 
     def covers(self, data: np.ndarray) -> bool:
         """Whether every symbol of ``data`` is present in this table."""
-        data = np.asarray(data).ravel()
-        if data.size == 0:
-            return True
-        if self._sorted_symbols.size == 0:
-            return False
-        pos = np.searchsorted(self._sorted_symbols, data)
-        pos = np.clip(pos, 0, self._sorted_symbols.size - 1)
-        return bool(np.all(self._sorted_symbols[pos] == data))
+        return bool(self._lookup(np.asarray(data).ravel()).all())
 
-    def _positions(self, data: np.ndarray) -> np.ndarray:
-        """Map each symbol in ``data`` to its index in the table (must exist)."""
-        pos = np.searchsorted(self._sorted_symbols, data)
-        pos = np.clip(pos, 0, self._sorted_symbols.size - 1)
-        if not np.all(self._sorted_symbols[pos] == data):
-            missing = np.unique(data[self._sorted_symbols[pos] != data])[:5]
+    def _lookup(self, data: np.ndarray) -> np.ndarray:
+        """``code << 6 | length`` of each symbol of ``data``; 0 = not in the table.
+
+        Spans below ``_DENSE_SPAN``: one gather from a dense ``symbol - lo``
+        table built on first use (out-of-range symbols clip onto a zero slot at
+        either end); wider alphabets search the sorted symbols.  Codes past 57
+        bits lose their top bits here — :meth:`encode` refuses such tables.
+        """
+        if self._enc is None:
+            order = np.argsort(self.symbols, kind="stable")
+            symbols = self.symbols[order].astype(np.int64)
+            entries = (self.codes[order].astype(np.int64) << 6) | self.lengths[order]
+            lo, hi = (int(symbols[0]), int(symbols[-1])) if symbols.size else (0, -1)
+            if hi - lo < _DENSE_SPAN:
+                dense = np.zeros(hi - lo + 3, dtype=np.int64)
+                dense[symbols - (lo - 1)] = entries
+                symbols, entries = None, dense
+            self._enc = (lo - 1, symbols, entries)
+        base, symbols, entries = self._enc
+        data = data.astype(np.int64, copy=False, casting="same_kind")   # floats: TypeError
+        if symbols is None:
+            return entries.take(data - base, mode="clip")
+        pos = np.minimum(np.searchsorted(symbols, data), symbols.size - 1)
+        return np.where(symbols[pos] == data, entries[pos], 0)
+
+    def _entries(self, data: np.ndarray) -> np.ndarray:
+        """:meth:`_lookup` for symbols that must all be in the table."""
+        entries = self._lookup(data)
+        if not entries.all():
+            missing = np.unique(data[entries == 0])[:5]
             raise KeyError(f"symbols not in Huffman table: {missing}")
-        return self._sorter[pos]
+        return entries
 
     # ------------------------------------------------------------------
     def encode(self, data: np.ndarray) -> HuffmanEncoded:
         """Encode ``data`` (flattened) into a packed bitstream.
 
-        The codewords are scattered into 32-bit big-endian words via two
-        ``np.bincount`` accumulations (fields within a word never overlap, so
-        OR equals ADD); temporaries are O(symbols).
+        Each code (at most 32 bits) is shifted into the 64-bit window starting
+        at the 32-bit word of its first bit; a word's windows are summed (disjoint
+        fields: ADD is OR) and each low half is folded into the next word.
         """
         data = np.asarray(data).ravel()
         if data.size == 0:
             return HuffmanEncoded(b"", 0, 0, self.symbols, self.lengths,
                                   sync=np.zeros(0, dtype=np.int64))
-        positions = self._positions(data)
-        lengths = self.lengths.astype(np.int64)[positions]
+        entries = self._entries(data)
         if int(self.lengths.max()) > _ENCODE_MAX_LEN:
             raise ValueError(f"codes longer than {_ENCODE_MAX_LEN} bits cannot be encoded")
-        codes = self.codes.astype(np.int64)[positions]
+        lengths = entries & 63
         ends = np.cumsum(lengths)
         total_bits = int(ends[-1])
         starts = ends - lengths
-        sync = starts[::SYNC_INTERVAL].astype(np.int64)
-
-        word = (starts >> 5).astype(np.int64)
-        shift = 32 - (starts & 31) - lengths            # may be negative: spill
-        spill = shift < 0
-        hi = np.where(spill, codes >> np.maximum(-shift, 0),
-                      codes << np.maximum(shift, 0))
-        lo = np.where(spill, (codes << np.maximum(32 + shift, 0)) & 0xFFFFFFFF, 0)
-        nwords = (total_bits + 31) // 32
-        # disjoint bit fields: the per-word sums are < 2**32, exact in float64
-        acc = np.bincount(word, weights=hi.astype(np.float64), minlength=nwords)
-        acc[1:] += np.bincount(word[spill] + 1, weights=lo[spill].astype(np.float64),
-                               minlength=nwords)[1:nwords]
-        packed = acc.astype(np.int64).astype(np.uint32)
+        word = starts >> 5
+        # a code ends before bit 64 of its window, so the next one starts in the
+        # same word or the one after: the k-th run of equal ``word`` is word k
+        runs = np.concatenate(([0], np.flatnonzero(word[1:] != word[:-1]) + 1))
+        shift = (64 - (starts & 31) - lengths).view(np.uint64)              # 1..63
+        windows = np.add.reduceat((entries >> 6).view(np.uint64) << shift, runs)
+        packed = np.zeros(runs.size + 1, dtype=np.uint64)
+        packed[:-1] = windows >> np.uint64(32)
+        packed[1:] += windows & np.uint64(0xFFFFFFFF)
         payload = packed.astype(">u4").tobytes()[:(total_bits + 7) // 8]
+        sync = starts[::SYNC_INTERVAL].copy()       # a view would keep ``starts`` alive
         return HuffmanEncoded(payload, total_bits, int(data.size),
                               self.symbols, self.lengths, sync=sync)
 
@@ -438,31 +433,36 @@ class HuffmanCodec:
 def _huffman_code_lengths_from_counts(counts: np.ndarray) -> np.ndarray:
     """Huffman code lengths for symbols with the given positive counts.
 
-    Depths are computed in a single top-down pass over the merge tree (parents
-    are always created after their children, so iterating node ids downward
-    sees every parent's depth first) instead of walking each leaf's parent
-    chain, turning the O(n·depth) per-leaf walk into O(n).
+    Two-queue merge: leaves stably sorted by count, merged nodes in a FIFO
+    (they are created in non-decreasing weight), so the two lightest nodes are
+    at the queue heads.  Ties go to the leaf, and among leaves to the lower
+    index — the order a ``(count, node id)`` heap pops in, so the lengths are
+    that heap's.  Parents have higher ids: one downward pass gives the depths.
     """
     n = counts.size
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if n == 1:
-        return np.ones(1, dtype=np.int64)
-    heap: List[Tuple[int, int, int]] = [(int(c), i, i) for i, c in enumerate(counts)]
-    heapq.heapify(heap)
-    parent = np.zeros(2 * n - 1, dtype=np.int64)
-    next_id = n
-    while len(heap) > 1:
-        f1, _, a = heapq.heappop(heap)
-        f2, _, b = heapq.heappop(heap)
-        parent[a] = next_id
-        parent[b] = next_id
-        heapq.heappush(heap, (f1 + f2, next_id, next_id))
-        next_id += 1
-    depth = np.zeros(2 * n - 1, dtype=np.int64)
+    if n < 2:
+        return np.ones(n, dtype=np.int64)
+    order = np.argsort(counts, kind="stable")
+    weight = counts[order].tolist()         # leaves, then merged nodes as created
+    parent = [0] * (2 * n - 1)
+    leaf, merged = 0, n                     # heads of the two queues
+    for new in range(n, 2 * n - 1):         # new == len(weight): no merged node there yet
+        if leaf < n and (merged == new or weight[leaf] <= weight[merged]):
+            a, leaf = leaf, leaf + 1
+        else:
+            a, merged = merged, merged + 1
+        if leaf < n and (merged == new or weight[leaf] <= weight[merged]):
+            b, leaf = leaf, leaf + 1
+        else:
+            b, merged = merged, merged + 1
+        parent[a] = parent[b] = new
+        weight.append(weight[a] + weight[b])
+    depth = [0] * (2 * n - 1)
     for node in range(2 * n - 3, -1, -1):
         depth[node] = depth[parent[node]] + 1
-    return depth[:n]
+    lengths = np.empty(n, dtype=np.int64)
+    lengths[order] = depth[:n]
+    return lengths
 
 
 # ----------------------------------------------------------------------

@@ -20,8 +20,7 @@ transports stay bit-compatible.
 **Versioning, error envelopes.**  Protocol-version negotiation and the
 structured error vocabulary are *transport policy*, not encoding, and live
 in :mod:`repro.service.core` (:data:`~repro.service.core.PROTOCOL_VERSION`,
-:func:`~repro.service.core.error_envelope`, the ``ERROR_*`` kinds).  The old
-names are still importable from here through deprecation shims.
+:func:`~repro.service.core.error_envelope`, the ``ERROR_*`` kinds).
 
 **Tracing.**  A request may carry an optional ``"trace"`` string — a
 client-minted trace ID (see :func:`repro.obs.new_trace_id`).  The field is
@@ -35,35 +34,14 @@ from __future__ import annotations
 
 import base64
 import json
-import warnings
 from typing import Any
 
 import numpy as np
 
-__all__ = ["to_wire", "from_wire", "encode_line", "decode_line",
-           "error_envelope", "MAX_LINE_BYTES", "PROTOCOL_VERSION",
-           "ERROR_UNKNOWN_OP", "ERROR_UNSUPPORTED_VERSION"]
+__all__ = ["to_wire", "from_wire", "encode_line", "decode_line", "MAX_LINE_BYTES"]
 
 #: refuse lines past this size when reading (a corrupt peer must not OOM us)
 MAX_LINE_BYTES = 512 * 1024 * 1024
-
-#: names that moved to the transport-neutral core in PR 10; importing them
-#: from here still works, with a pointer to the new home
-_MOVED_TO_CORE = ("PROTOCOL_VERSION", "ERROR_UNKNOWN_OP",
-                  "ERROR_UNSUPPORTED_VERSION", "error_envelope")
-
-
-def __getattr__(name: str) -> Any:
-    if name in _MOVED_TO_CORE:
-        warnings.warn(
-            f"repro.service.wire.{name} moved to repro.service.core; "
-            "update the import — this shim will be removed",
-            DeprecationWarning, stacklevel=2)
-        from repro.service import core
-
-        return getattr(core, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def to_wire(obj: Any) -> Any:
     """Recursively convert a result object into JSON-serialisable form."""

@@ -129,6 +129,19 @@ class TestAgainstBoxLoops:
             with pytest.raises(ValueError, match="different dimensions"):
                 ba.intersects(query)
 
+    def test_coordinate_past_int64_names_the_box(self):
+        huge = Box((0, 0, 0), (2 ** 70, 7, 7))
+        for bad in (huge, Box((-2 ** 63 - 1, 0, 0), (0, 7, 7))):
+            ba = BoxArray([Box((0, 0, 0), (7, 7, 7)), bad])
+            for query in (ba.intersections, ba.intersects, ba.coverage_mask):
+                with pytest.raises(ValueError, match="int64") as err:
+                    query(Box((0, 0, 0), (3, 3, 3)))
+                assert repr(bad) in str(err.value)
+            assert ba._corners is None
+        # the query box itself may lie anywhere
+        assert BoxArray([Box((0, 0, 0), (7, 7, 7))]).intersections(huge) == \
+            [(0, Box((0, 0, 0), (7, 7, 7)))]
+
 
 class TestIndexLifetime:
     def test_built_on_first_query_and_reused(self):

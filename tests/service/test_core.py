@@ -288,17 +288,3 @@ class TestErrorEnvelope:
 
     def test_kindless(self):
         assert "kind" not in error_envelope(None, "boom")
-
-
-class TestWireShims:
-    def test_moved_names_still_import_with_deprecation(self):
-        import importlib
-
-        import repro.service.wire as wire
-        importlib.reload(wire)
-        with pytest.warns(DeprecationWarning, match="moved to"):
-            assert wire.PROTOCOL_VERSION == PROTOCOL_VERSION
-        with pytest.warns(DeprecationWarning):
-            assert wire.error_envelope(1, "x")["error"] == "x"
-        with pytest.raises(AttributeError):
-            wire.no_such_name

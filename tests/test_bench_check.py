@@ -291,20 +291,40 @@ class TestRemoteGate:
 
 class TestEntropyGate:
     def _entropy_suite(self, tmp_path, *, long_median=0.030, small_median=0.040,
-                       stamp=True):
+                       encode_median=0.025, stamp=True):
         """A fresh BENCH_entropy.json: one 1M-symbol stream vs 390 small ones."""
         _write_suite(tmp_path / "BENCH_entropy.json", {
             bench_check.ENTROPY_LONG_BENCH:
                 (long_median, {"symbols": 1_000_000} if stamp else {}),
             bench_check.ENTROPY_SMALL_BENCH:
                 (small_median, {"symbols": 1_050_000} if stamp else {}),
+            bench_check.ENTROPY_ENCODE_BENCH:
+                (encode_median, {"symbols": 1_050_000} if stamp else {}),
         })
         return str(tmp_path)
 
     def test_one_lane_pass_per_container_holds(self, tmp_path):
-        lines, _, failures = bench_check.check_entropy(self._entropy_suite(tmp_path))
-        assert failures == 0
-        assert len(lines) == 1 and "ok" in lines[0]
+        lines, notices, failures = bench_check.check_entropy(self._entropy_suite(tmp_path))
+        assert failures == 0 and not notices
+        assert len(lines) == 2 and all("ok" in line for line in lines)
+
+    def test_encode_per_symbol_ceiling(self, tmp_path):
+        # the searchsorted + float64-bincount kernel: ~90 ns/symbol against a
+        # 30 ns/symbol decode
+        fresh = self._entropy_suite(tmp_path, encode_median=0.095)
+        lines, _, failures = bench_check.check_entropy(fresh)
+        assert failures == 1
+        assert "ok" in lines[0] and "decode at" in lines[0]
+        assert "FAIL" in lines[1] and "encode at 3.02x" in lines[1]
+        assert bench_check.main(["--baseline-dir", str(tmp_path / "none"),
+                                 "--fresh-dir", fresh]) == 1
+        # a recording made before the encode benchmark existed is not a failure
+        _write_suite(tmp_path / "BENCH_entropy.json", {
+            bench_check.ENTROPY_LONG_BENCH: (0.030, {"symbols": 1_000_000}),
+            bench_check.ENTROPY_SMALL_BENCH: (0.040, {"symbols": 1_050_000})})
+        lines, notices, failures = bench_check.check_entropy(str(tmp_path))
+        assert failures == 0 and len(lines) == 1
+        assert bench_check.ENTROPY_ENCODE_BENCH in notices[0]
 
     def test_per_stream_loop_cost_fails(self, tmp_path):
         # what one lane loop per stream measured: ~30x the per-symbol cost
