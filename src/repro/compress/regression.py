@@ -40,10 +40,19 @@ class RegressionModel:
         return int(self.coefficients.shape[0] * self.coefficients.shape[1] * 4)
 
 
+def _centred_coordinates(extent: int) -> np.ndarray:
+    """Cell coordinates along one block axis, centred on the block.
+
+    The one definition of the plane's abscissae: the fit, the encoder's
+    prediction and the decoder's per-cell tables all call it, so they cannot
+    drift apart.
+    """
+    return np.arange(extent, dtype=np.float64) - (extent - 1) / 2.0
+
+
 def _design_matrix(block_shape: Tuple[int, ...]) -> np.ndarray:
     """Design matrix [1, i, j, k, ...] for one block, centred coordinates."""
-    coords = np.meshgrid(*[np.arange(s, dtype=np.float64) - (s - 1) / 2.0
-                           for s in block_shape], indexing="ij")
+    coords = np.meshgrid(*[_centred_coordinates(s) for s in block_shape], indexing="ij")
     columns = [np.ones(int(np.prod(block_shape)))]
     columns.extend(c.ravel() for c in coords)
     return np.stack(columns, axis=1)  # (npoints, ndim+1)
@@ -109,8 +118,7 @@ def predict_blocks(model: RegressionModel) -> np.ndarray:
     """
     out = model.coefficients[:, 0]
     for axis, extent in enumerate(model.block_shape):
-        centred = np.arange(extent, dtype=np.float64) - (extent - 1) / 2.0
-        term = model.coefficients[:, axis + 1, None] * centred
+        term = model.coefficients[:, axis + 1, None] * _centred_coordinates(extent)
         out = out[..., None] + term.reshape((-1,) + (1,) * axis + (extent,))
     return out
 

@@ -24,6 +24,18 @@ Public entry points
     block") is predicted independently, while the lossless encoding is either
     shared (``shared_encoding=True`` → unit SLE) or per-array
     (``shared_encoding=False`` → the costly per-block-tree alternative).
+
+How a call is batched (DESIGN.md §1)
+------------------------------------
+``_region_plan(shape, block_size)`` is the one description of "regions of a
+shape".  The encoder stacks the arrays of a shape and walks the plan's regions
+(the Lorenzo-vs-regression choice needs per-(array, region) row sums).  The
+decoder does not walk them: every stored stream is in (array, region, cell)
+order — the order of the concatenated codes — so outliers, anchors and
+coefficient rows are placed by whole-chunk passes, and ``_flat_plan(shape,
+block_size)``, the region plan flattened to per-cell index tables, turns each
+shape group's rows into values in one pass (one gather to array order, one
+``cumsum`` per axis, one plane evaluation).
 """
 
 from __future__ import annotations
@@ -94,6 +106,63 @@ def _region_plan(shape: Tuple[int, ...], block_size: Tuple[int, ...]):
             block_shape=block_shape, grid=grid, nblocks=math.prod(grid),
             volume=math.prod(extent)))
     return tuple(segments), tuple(regions)
+
+
+@dataclass(frozen=True)
+class _FlatPlan:
+    """Per-cell index tables of one array shape (read-only, shared)."""
+
+    region_volume: np.ndarray         # (nregions,) cells per region, stored order
+    region_nblocks: np.ndarray        # (nregions,) SZ blocks per region
+    region_of_cell: np.ndarray        # (cells,) array-order cell -> its region
+    lorenzo_source: np.ndarray        # (cells,) ... -> stored position, region scanned whole
+    regression_source: np.ndarray     # (cells,) ... -> stored position, region scanned by block
+    block_of_cell: np.ndarray         # (cells,) ... -> its block within its region
+    centred: Tuple[np.ndarray, ...]   # per axis, (cells,) ... -> centred coordinate in its block
+    remainder_at: Tuple[int, ...]     # per axis: where the remainder segment starts (0: none)
+
+
+@lru_cache(maxsize=256)
+def _flat_plan(shape: Tuple[int, ...], block_size: Tuple[int, ...]) -> _FlatPlan:
+    """What the decoder needs of :func:`_region_plan`, flattened to one entry
+    per cell of the array so a whole stack is decoded without walking regions.
+
+    A region is stored in C order when Lorenzo predicted it and block by block
+    when regression did; both orders, the cell's region and block, and the
+    plane's abscissae depend only on ``(shape, block_size)``.
+    """
+    segments, regions = _region_plan(shape, block_size)
+    ncells = math.prod(shape)
+    position = np.arange(ncells, dtype=np.int32).reshape((1,) + shape)
+    whole = np.concatenate([position[(0,) + r.slices].ravel() for r in regions])
+    by_block = np.concatenate([_to_blocks(position[(slice(None),) + r.slices], r).ravel()
+                               for r in regions])
+    stored = position.ravel()
+    tables = {name: np.empty(ncells, dtype=np.int32)
+              for name in ("region_of_cell", "lorenzo_source", "regression_source",
+                           "block_of_cell")}
+    tables["lorenzo_source"][whole] = stored
+    tables["regression_source"][by_block] = stored
+    tables["region_of_cell"][whole] = np.repeat(
+        np.arange(len(regions), dtype=np.int32), [r.volume for r in regions])
+    tables["block_of_cell"][by_block] = np.concatenate(
+        [np.repeat(np.arange(r.nblocks, dtype=np.int32), r.volume // r.nblocks)
+         for r in regions])
+    tables["region_volume"] = np.asarray([r.volume for r in regions], dtype=np.int64)
+    tables["region_nblocks"] = np.asarray([r.nblocks for r in regions], dtype=np.int64)
+    centred = []
+    for axis, extent in enumerate(shape):
+        along = np.empty(extent, dtype=np.float64)
+        for r in regions:
+            along[r.slices[axis]] = np.tile(
+                regression._centred_coordinates(r.block_shape[axis]), r.grid[axis])
+        along = along.reshape((extent,) + (1,) * (len(shape) - 1 - axis))
+        centred.append(np.broadcast_to(along, shape).ravel())
+    for table in (*tables.values(), *centred):
+        table.setflags(write=False)
+    return _FlatPlan(centred=tuple(centred),
+                     remainder_at=tuple(s[1][0] if len(s) == 2 else 0 for s in segments),
+                     **tables)
 
 
 def _lorenzo(stack: np.ndarray, segments) -> np.ndarray:
@@ -299,62 +368,110 @@ class SZLRCompressor(Compressor):
     def _decode_batch(self, shapes: Sequence[Tuple[int, ...]], abs_eb: float,
                       codes: Sequence[np.ndarray], side: Dict[str, np.ndarray],
                       counts: np.ndarray) -> List[np.ndarray]:
-        """Invert :meth:`_encode_batch` from the same region plan, one stack
-        per shape; ``side`` and ``counts`` are the stored concatenations."""
+        """Invert :meth:`_encode_batch`; ``side`` and ``counts`` are the stored
+        concatenations.
+
+        Every stream is stored in (array, region, cell) order, which is the
+        order of the concatenated codes, so nothing is walked with a cursor:
+        whole-chunk passes put the outliers, the anchors and each region's
+        first coefficient row where the codes say they belong, and one pass
+        per shape group, under that shape's :func:`_flat_plan`, turns the
+        group's ``(members, cells)`` rows into values.  Every length the
+        streams must agree on is checked first (``ValueError``), before
+        anything is sized from ``shapes``.
+        """
         radius = self.radius
         two_eb = 2.0 * abs_eb
-        starts = np.cumsum(counts[:, :len(_SIDE)], axis=0) - counts[:, :len(_SIDE)]
-        out: List[np.ndarray] = [None] * len(shapes)              # type: ignore[list-item]
+        narrays = len(shapes)
+        cells = [math.prod(shape) for shape in shapes]
+        if not (narrays and narrays == len(codes) == len(counts)
+                and cells == [c.size for c in codes] == counts[:, 5].tolist()
+                and all(extent > 0 for shape in shapes for extent in shape)):
+            raise ValueError("sz_lr payload: shapes, code streams and counts "
+                             "disagree on the cells per array")
+        ndim = len(shapes[0])
+        if any(len(shape) != ndim for shape in shapes):
+            raise ValueError("sz_lr payload: arrays of mixed dimension")
+        block_size = self._block_size_for(ndim)
+        groups = _group_by_shape(shapes)
+        plans = {shape: _flat_plan(shape, block_size) for shape in groups}
 
-        def fill_outliers(values: np.ndarray, stored: np.ndarray, name: str,
-                          cursor: np.ndarray, rows: np.ndarray) -> None:
-            """Overwrite the cells of ``values`` whose ``stored`` code is 0
-            from the ``name`` stream (one row per entry of ``rows``): array
-            ``rows[i]`` reads on from its cursor, which moves past what it read."""
-            outlier = stored == 0
-            per_row = outlier.sum(axis=1)
-            first = np.cumsum(per_row) - per_row
-            start = cursor[rows]
-            cursor[rows] = start + per_row
-            values[outlier] = side[name][
-                np.repeat(start - first, per_row) + np.arange(per_row.sum())]
+        # --- per region of the chunk, in stored order ----------------------
+        region_volume = np.concatenate([plans[shape].region_volume for shape in shapes])
+        region_nblocks = np.concatenate([plans[shape].region_nblocks for shape in shapes])
+        nregions = region_volume.size
+        if side["selection"].size != nregions:
+            raise ValueError("sz_lr payload: selection stream does not match the regions")
+        by_regression = side["selection"].astype(bool)
+        region_end = np.cumsum(region_volume)
+        region_cell = region_end - region_volume
+        quantised = np.concatenate(codes, dtype=np.int64)
+        # outliers are the cells coded 0; which stream holds one is its region's choice
+        outlier_cell = np.flatnonzero(quantised == 0)
+        outlier_region = np.searchsorted(region_end, outlier_cell, side="right")
+        outlier_in_regression = by_regression[outlier_region]
+        outliers = np.bincount(outlier_region, minlength=nregions)
+        coeff_rows = region_nblocks * by_regression
+        # what every region holds of each _SIDE stream, as the codes imply it
+        held = np.stack([np.ones_like(outliers), ~by_regression, outliers * ~by_regression,
+                         outliers * by_regression, coeff_rows], axis=1)
+        for name, expected in zip(_SIDE[1:], held.sum(axis=0)[1:].tolist()):
+            if len(side[name]) != expected:
+                raise ValueError(f"sz_lr payload: {name} holds {len(side[name])} "
+                                 f"entries, the codes imply {expected}")
+        coefficients = side["regression_coeffs"]
+        if coefficients.shape[1:] != (ndim + 1,):
+            raise ValueError("sz_lr payload: regression_coeffs is not (rows, ndim + 1)")
+        regions_per_array = np.asarray([plans[shape].region_volume.size for shape in shapes])
+        array_first_region = np.cumsum(regions_per_array) - regions_per_array
+        if not np.array_equal(np.add.reduceat(held, array_first_region, axis=0), counts[:, :5]):
+            raise ValueError("sz_lr payload: counts disagree with the streams")
 
-        for shape, members in _group_by_shape(shapes).items():
-            _, regions = _region_plan(shape, self._block_size_for(len(shape)))
-            stack_codes = np.stack([codes[i] for i in members])
-            at_selection, at_anchor, at_lorenzo, at_regression, at_coeff = \
-                starts[members].T.copy()
-            values = np.empty((len(members),) + shape, dtype=np.float64)
-            cell = 0
-            for region in regions:
-                region_codes = stack_codes[:, cell:cell + region.volume]
-                cell += region.volume
-                use_regression = side["selection"][at_selection].astype(bool)
-                at_selection += 1
+        # --- whole-chunk placement: stream order is code order --------------
+        quantised -= radius
+        quantised[outlier_cell[~outlier_in_regression]] = side["lorenzo_outliers"]
+        quantised[region_cell[~by_regression]] = side["anchors"]
+        # the k-th of these cells (left at -radius) holds regression_outliers[k]
+        regression_outlier_cell = outlier_cell[outlier_in_regression]
+        region_coeff = np.cumsum(coeff_rows) - coeff_rows
+        coefficients = np.ascontiguousarray(coefficients.T)
+        array_first_cell = np.cumsum(cells) - cells
 
-                own = np.flatnonzero(~use_regression)
-                stored = region_codes[own]
-                lor = np.subtract(stored, radius, dtype=np.int64)
-                fill_outliers(lor, stored, "lorenzo_outliers", at_lorenzo, own)
-                lor[:, 0] = side["anchors"][at_anchor[own]]
-                at_anchor[own] += 1
-                lor = lor.reshape((-1,) + region.shape)
-                for axis in range(1, lor.ndim):
-                    np.cumsum(lor, axis=axis, out=lor)
-                values[(own,) + region.slices] = lor * two_eb
-
-                own = np.flatnonzero(use_regression)
-                if own.size:
-                    stored = region_codes[own]
-                    errors = np.subtract(stored, radius, dtype=np.int64) * two_eb
-                    fill_outliers(errors, stored, "regression_outliers", at_regression, own)
-                    rows = at_coeff[own][:, None] + np.arange(region.nblocks)
-                    at_coeff[own] += region.nblocks
-                    preds = regression.predict_blocks(regression.RegressionModel(
-                        coefficients=side["regression_coeffs"][rows.ravel()],
-                        block_shape=region.block_shape))
-                    values[(own,) + region.slices] = _from_blocks(
-                        preds + errors.reshape(preds.shape), region)
+        out: List[np.ndarray] = [None] * narrays                  # type: ignore[list-item]
+        for shape, members in groups.items():
+            plan = plans[shape]
+            stack_shape = (len(members),) + shape
+            first_cell = array_first_cell[members][:, None]
+            # inverse Lorenzo of every region (regression's cells are
+            # overwritten below): a cumsum per axis restarted at the remainder
+            # segment (int64, so subtracting the running value is exact)
+            values = quantised.take(plan.lorenzo_source + first_cell).reshape(stack_shape)
+            for axis, full in enumerate(plan.remainder_at, start=1):
+                np.cumsum(values, axis=axis, out=values)
+                if full:
+                    lead = (slice(None),) * axis
+                    values[lead + (slice(full, None),)] -= values[lead + (slice(full - 1, full),)]
+            values = values * two_eb
+            regions = array_first_region[members][:, None] + np.arange(plan.region_volume.size)
+            chosen = by_regression[regions]
+            if chosen.any():
+                # regression cells only: the plane from the cell's block's
+                # coefficient row, summed as predict_blocks sums it
+                member, cell = np.nonzero(chosen.take(plan.region_of_cell, axis=1))
+                rows = region_coeff[regions][member, plan.region_of_cell.take(cell)]
+                rows += plan.block_of_cell.take(cell)
+                planes = coefficients.take(rows, axis=1)
+                fitted = planes[0]
+                for axis, centred in enumerate(plan.centred):
+                    fitted = fitted + planes[axis + 1] * centred.take(cell)
+                at = plan.regression_source.take(cell) + array_first_cell[members].take(member)
+                residual = quantised.take(at)
+                errors = residual * two_eb
+                outlier = np.flatnonzero(residual == -radius)
+                errors[outlier] = side["regression_outliers"].take(
+                    np.searchsorted(regression_outlier_cell, at.take(outlier)))
+                fitted += errors
+                values.reshape(len(members), -1)[member, cell] = fitted
             for row, index in enumerate(members):
                 out[index] = values[row]
         return out
@@ -418,9 +535,12 @@ class SZLRCompressor(Compressor):
                 for name, dtype in (("anchors", np.int64), ("lorenzo_outliers", np.int64),
                                     ("regression_outliers", np.float64),
                                     ("regression_coeffs", np.float64))}
-        side["selection"] = np.unpackbits(
-            np.frombuffer(ctn.unpack_zbytes(sections["selection"]), dtype=np.uint8),
-            count=int(counts[:, 0].sum()))
+        packed = np.frombuffer(ctn.unpack_zbytes(sections["selection"]), dtype=np.uint8)
+        nregions = int(counts[:, 0].sum())
+        if nregions < 0 or packed.size != (nregions + 7) // 8:
+            # unpackbits would pad a short stream with zeros ("Lorenzo")
+            raise ValueError("sz_lr payload: selection stream does not match the counts")
+        side["selection"] = np.unpackbits(packed, count=nregions)
 
         # decode Huffman streams back to per-array code arrays
         interval = int(meta.get("sync_interval", 0))

@@ -1,13 +1,19 @@
-"""One predictor pass per call: the batched SZ_L/R against a per-array reference.
+"""One predictor pass per call: the batched SZ_L/R against its references.
 
-The reference below is the encoder as it was before arrays were stacked — one
-array and one corner region at a time, the design matrix and its
+The reference encoder below is the encoder as it was before arrays were
+stacked — one array and one corner region at a time, the design matrix and its
 pseudo-inverse rebuilt on every fit.  The shipped encoder must produce the
 same bytes and the same reconstructions however the arrays of a call are
 grouped, and the shipped decoder must read what the reference wrote.
+
+The reference decoder is the decoder as it was before it worked in whole-chunk
+passes — one (shape group, region) at a time, a cursor per array and side
+stream.  The shipped decoder must return the same bits.
 """
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -155,11 +161,77 @@ def _ref_compress_many(comp, arrays, shared_encoding, value_range, codec):
 
 
 # ----------------------------------------------------------------------
+# the reference decoder: per shape group and region, cursors into the streams
+# (the shipped decoder of the parent commit, kept verbatim)
+# ----------------------------------------------------------------------
+def _ref_decode_batch(self, shapes, abs_eb, codes, side, counts):
+    """Invert :meth:`_encode_batch` from the same region plan, one stack
+    per shape; ``side`` and ``counts`` are the stored concatenations."""
+    radius = self.radius
+    two_eb = 2.0 * abs_eb
+    starts = np.cumsum(counts[:, :len(sz_lr._SIDE)], axis=0) - counts[:, :len(sz_lr._SIDE)]
+    out: list = [None] * len(shapes)
+
+    def fill_outliers(values: np.ndarray, stored: np.ndarray, name: str,
+                      cursor: np.ndarray, rows: np.ndarray) -> None:
+        """Overwrite the cells of ``values`` whose ``stored`` code is 0
+        from the ``name`` stream (one row per entry of ``rows``): array
+        ``rows[i]`` reads on from its cursor, which moves past what it read."""
+        outlier = stored == 0
+        per_row = outlier.sum(axis=1)
+        first = np.cumsum(per_row) - per_row
+        start = cursor[rows]
+        cursor[rows] = start + per_row
+        values[outlier] = side[name][
+            np.repeat(start - first, per_row) + np.arange(per_row.sum())]
+
+    for shape, members in sz_lr._group_by_shape(shapes).items():
+        _, regions = sz_lr._region_plan(shape, self._block_size_for(len(shape)))
+        stack_codes = np.stack([codes[i] for i in members])
+        at_selection, at_anchor, at_lorenzo, at_regression, at_coeff = \
+            starts[members].T.copy()
+        values = np.empty((len(members),) + shape, dtype=np.float64)
+        cell = 0
+        for region in regions:
+            region_codes = stack_codes[:, cell:cell + region.volume]
+            cell += region.volume
+            use_regression = side["selection"][at_selection].astype(bool)
+            at_selection += 1
+
+            own = np.flatnonzero(~use_regression)
+            stored = region_codes[own]
+            lor = np.subtract(stored, radius, dtype=np.int64)
+            fill_outliers(lor, stored, "lorenzo_outliers", at_lorenzo, own)
+            lor[:, 0] = side["anchors"][at_anchor[own]]
+            at_anchor[own] += 1
+            lor = lor.reshape((-1,) + region.shape)
+            for axis in range(1, lor.ndim):
+                np.cumsum(lor, axis=axis, out=lor)
+            values[(own,) + region.slices] = lor * two_eb
+
+            own = np.flatnonzero(use_regression)
+            if own.size:
+                stored = region_codes[own]
+                errors = np.subtract(stored, radius, dtype=np.int64) * two_eb
+                fill_outliers(errors, stored, "regression_outliers", at_regression, own)
+                rows = at_coeff[own][:, None] + np.arange(region.nblocks)
+                at_coeff[own] += region.nblocks
+                preds = regression.predict_blocks(regression.RegressionModel(
+                    coefficients=side["regression_coeffs"][rows.ravel()],
+                    block_shape=region.block_shape))
+                values[(own,) + region.slices] = sz_lr._from_blocks(
+                    preds + errors.reshape(preds.shape), region)
+        for row, index in enumerate(members):
+            out[index] = values[row]
+    return out
+
+
+# ----------------------------------------------------------------------
 # inputs
 # ----------------------------------------------------------------------
 #: extents below, equal to, and not a multiple of the block sizes 4 and 6
 EXTENTS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13]
-KINDS = ["smooth", "noisy", "constant", "outliers", "spiked_plane"]
+KINDS = ["smooth", "noisy", "constant", "outliers", "spiked_plane", "rough_plane"]
 
 
 def _field(kind, shape, rng):
@@ -178,6 +250,12 @@ def _field(kind, shape, rng):
         out = out + 0.05 * rng.standard_normal(shape)
         out.reshape(-1)[rng.integers(0, out.size)] += rng.uniform(20, 60)
         return out
+    if kind == "rough_plane":
+        # noise Lorenzo amplifies and a plane fit does not, plus spikes: regions
+        # that choose regression *and* store outliers, next to ones that do not
+        out = sum(rng.uniform(0.5, 2.0) * s * g for s, g in zip(shape, grids))
+        out = out + 0.5 * rng.standard_normal(shape)
+        return out + (rng.random(shape) < 0.01) * rng.uniform(20, 60)
     spikes = rng.random(shape) < 0.2
     return smooth + spikes * rng.standard_normal(shape) * 50.0
 
@@ -276,6 +354,194 @@ def test_grouping_does_not_change_an_arrays_streams():
         np.testing.assert_array_equal(alone[0], recon)
 
 
+
+# ----------------------------------------------------------------------
+# the whole-chunk decoder against the per-region reference
+# ----------------------------------------------------------------------
+def _bits(arrays):
+    return [np.ascontiguousarray(a).tobytes() for a in arrays]
+
+
+def _decode_both(comp, payload):
+    meta, codes, side, counts = comp._deserialize(payload)
+    args = ([tuple(shape) for shape in meta["shapes"]], float(meta["abs_eb"]),
+            codes, side, counts)
+    return comp._decode_batch(*args), _ref_decode_batch(comp, *args), side
+
+
+@given(calls())
+@settings(max_examples=150, deadline=None)
+def test_whole_chunk_decoder_equals_per_region_reference(call):
+    comp = _compressor(call)
+    buffer = comp.compress_many(call["arrays"], shared_encoding=call["shared"])
+    decoded, reference, _ = _decode_both(comp, buffer.payload)
+    assert [a.shape for a in decoded] == [a.shape for a in call["arrays"]]
+    assert [a.dtype for a in decoded] == [a.dtype for a in reference]
+    assert _bits(decoded) == _bits(reference)
+
+
+@st.composite
+def consistent_streams(draw):
+    """Streams no encoder wrote but every decoder must read alike: the choice
+    drawn per (array, region), zero codes sprinkled over both paths, values
+    large enough that the Lorenzo sums wrap around int64."""
+    ndim = draw(st.integers(1, 3))
+    block_size = draw(st.sampled_from([4, 6, (4, 6, 3)[:ndim], (6, 2, 5)[:ndim]]))
+    radius = draw(st.sampled_from([4, 64, 32768]))
+    pool = draw(st.lists(st.tuples(*[st.sampled_from(EXTENTS)] * ndim),
+                         min_size=1, max_size=3))
+    shapes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    comp = SZLRCompressor(1e-3, block_size=block_size, radius=radius)
+    magnitude = draw(st.sampled_from([2 ** 10, 2 ** 40, 2 ** 62]))
+    codes, side, counts = [], {name: [] for name in sz_lr._SIDE}, []
+    for shape in shapes:
+        _, regions = sz_lr._region_plan(shape, comp._block_size_for(ndim))
+        array_codes = rng.integers(0, 2 * radius, math.prod(shape)).astype(np.uint32)
+        array_codes[rng.random(array_codes.size) < draw(st.sampled_from([0.0, 0.05, 0.5]))] = 0
+        chosen = rng.random(len(regions)) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+        held = np.zeros(5, dtype=np.int64)
+        cell = 0
+        for region, regression_chosen in zip(regions, chosen):
+            zeros = int((array_codes[cell:cell + region.volume] == 0).sum())
+            cell += region.volume
+            mine = {"selection": np.array([regression_chosen], dtype=np.uint8)}
+            if regression_chosen:
+                mine["regression_outliers"] = rng.standard_normal(zeros) * 1e3
+                mine["regression_coeffs"] = (rng.standard_normal((region.nblocks, ndim + 1))
+                                             * 100).astype(np.float32).astype(np.float64)
+            else:
+                mine["anchors"] = rng.integers(-magnitude, magnitude, 1)
+                mine["lorenzo_outliers"] = rng.integers(-magnitude, magnitude, zeros)
+            for column, name in enumerate(sz_lr._SIDE):
+                if name in mine:
+                    side[name].append(mine[name])
+                    held[column] += len(mine[name])
+        codes.append(array_codes)
+        counts.append(held.tolist() + [array_codes.size])
+    empty = {"selection": np.zeros(0, np.uint8), "anchors": np.zeros(0, np.int64),
+             "lorenzo_outliers": np.zeros(0, np.int64),
+             "regression_outliers": np.zeros(0, np.float64),
+             "regression_coeffs": np.zeros((0, ndim + 1), np.float64)}
+    side = {name: np.concatenate(parts + [empty[name]]) for name, parts in side.items()}
+    return comp, shapes, draw(st.sampled_from([1e-3, 0.25, 7.0])), codes, side, \
+        np.asarray(counts, dtype=np.int64)
+
+
+@given(consistent_streams())
+@settings(max_examples=150, deadline=None)
+def test_whole_chunk_decoder_equals_reference_on_any_consistent_streams(streams):
+    comp, *args = streams
+    with np.errstate(over="ignore"):
+        assert _bits(comp._decode_batch(*args)) == _bits(_ref_decode_batch(comp, *args))
+
+
+@pytest.mark.parametrize("block_size", [6, (6, 4, 5)])
+def test_mixed_choices_and_both_outlier_streams_in_one_group(block_size):
+    """The hard case as the encoder writes it: arrays of one shape that choose
+    differently region by region, outliers on the Lorenzo and the regression path."""
+    rng = np.random.default_rng(11)
+    shapes = [(13, 9, 8)] * 6 + [(8, 8, 8)] * 3 + [(13, 9, 8)] * 2
+    kinds = ["rough_plane", "outliers", "noisy", "rough_plane", "smooth", "outliers",
+             "rough_plane", "outliers", "constant", "noisy", "rough_plane"]
+    arrays = [_field(kind, shape, rng) for kind, shape in zip(kinds, shapes)]
+    comp = SZLRCompressor(1e-3, block_size=block_size, radius=64)
+    buffer = comp.compress_many(arrays, value_range=100.0)
+    decoded, reference, side = _decode_both(comp, buffer.payload)
+    assert side["lorenzo_outliers"].size and side["regression_outliers"].size
+    nregions = len(sz_lr._region_plan((13, 9, 8), comp._block_size_for(3))[1])
+    first_group = side["selection"][:6 * nregions].reshape(6, nregions)
+    assert (first_group.min(axis=0) < first_group.max(axis=0)).any()   # mixed within a region
+    assert _bits(decoded) == _bits(reference)
+
+
+def test_flat_plane_equals_predict_blocks_for_every_block_shape():
+    """The decoder evaluates a plane per cell from the flat plan's block index
+    and centred coordinates; ``predict_blocks`` is what the encoder subtracted."""
+    rng = np.random.default_rng(5)
+    block_shapes = [bs for ndim in (1, 2, 3)
+                    for bs in itertools.product(range(1, 9), repeat=ndim)]
+    assert len(block_shapes) == 8 + 64 + 512
+    for block_shape in block_shapes:
+        ndim = len(block_shape)
+        shape = tuple(2 * b for b in block_shape)            # 2^ndim blocks, one region
+        comp = SZLRCompressor(1e-3, block_size=block_shape, radius=64)
+        (region,) = sz_lr._region_plan(shape, block_shape)[1]
+        coeffs = (rng.standard_normal((region.nblocks, ndim + 1)) * 100).astype(np.float32)
+        side = {"selection": np.ones(1, np.uint8), "anchors": np.zeros(0, np.int64),
+                "lorenzo_outliers": np.zeros(0, np.int64),
+                "regression_outliers": np.zeros(0, np.float64),
+                "regression_coeffs": coeffs.astype(np.float64)}
+        codes = rng.integers(1, 128, region.volume).astype(np.uint32)
+        counts = np.array([[1, 0, 0, 0, region.nblocks, region.volume]], dtype=np.int64)
+        (decoded,) = comp._decode_batch([shape], 0.25, [codes], side, counts)
+        planes = regression.predict_blocks(
+            regression.RegressionModel(side["regression_coeffs"], block_shape))
+        errors = (codes.astype(np.int64) - 64) * 0.5
+        expected = sz_lr._from_blocks(planes + errors.reshape(planes.shape), region)[0]
+        assert decoded.tobytes() == expected.tobytes(), block_shape
+
+
+def test_flat_plan_is_read_only_and_built_once_per_shape_and_block_size():
+    sz_lr._flat_plan.cache_clear()
+    plan = sz_lr._flat_plan((16, 8, 13), (6, 6, 6))
+    tables = [getattr(plan, f.name) for f in dataclasses.fields(plan)]
+    tables = [t for t in tables if isinstance(t, np.ndarray)] + list(plan.centred)
+    assert len(tables) == 6 + 3
+    for table in tables:
+        assert table.flags.writeable is False
+        with pytest.raises(ValueError):
+            table[...] = 0
+    assert sz_lr._flat_plan((16, 8, 13), (6, 6, 6)) is plan
+    assert sz_lr._flat_plan((16, 8, 13), (4, 4, 4)) is not plan
+    # the tables are permutations of the cells / cover regions and blocks
+    cells = 16 * 8 * 13
+    for name in ("lorenzo_source", "regression_source"):
+        np.testing.assert_array_equal(np.sort(getattr(plan, name)), np.arange(cells))
+    assert plan.region_volume.sum() == cells and plan.region_of_cell.max() == 7
+
+    rng = np.random.default_rng(2)
+    arrays = [_field("noisy", (16, 8, 13), rng) for _ in range(3)] + \
+        [_field("smooth", (8, 8, 8), rng) for _ in range(2)]
+    comp = SZLRCompressor(1e-3, block_size=6)
+    buffer = comp.compress_many(arrays)
+    before = sz_lr._flat_plan.cache_info().misses
+    comp.decompress_many(buffer)
+    comp.decompress_many(buffer)
+    assert sz_lr._flat_plan.cache_info().misses == before + 1     # (8, 8, 8) only, once
+
+
+def _unit_block_chunk(per_shape, rng):
+    """One rank chunk: unit blocks over the eight 16/8 shape combinations."""
+    shapes = [(a, b, c) for a in (16, 8) for b in (16, 8) for c in (16, 8)] * per_shape
+    return [_field("noisy" if i % 3 else "spiked_plane", shape, rng)
+            for i, shape in enumerate(shapes)]
+
+
+@pytest.mark.parametrize("per_shape", [2, 4])
+def test_cumsum_calls_scale_with_shape_groups_not_regions(monkeypatch, per_shape):
+    comp = SZLRCompressor(1e-3, block_size=6, radius=64)
+    arrays = _unit_block_chunk(per_shape, np.random.default_rng(4))
+    meta, codes, side, counts = comp._deserialize(
+        comp.compress_many(arrays, value_range=50.0).payload)
+    assert 0 < side["selection"].sum() < side["selection"].size == 64 * per_shape
+    seen = []
+    real = np.cumsum
+
+    def counting(*args, **kwargs):
+        seen.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counting)
+    decoded = comp._decode_batch([a.shape for a in arrays], float(meta["abs_eb"]),
+                                 codes, side, counts)
+    monkeypatch.undo()
+    groups, ndim, whole_chunk_passes = 8, 3, 6
+    assert groups * ndim <= len(seen) <= groups * ndim + whole_chunk_passes
+    for array, dec in zip(arrays, decoded):
+        assert np.max(np.abs(dec - array)) <= float(meta["abs_eb"]) * (1 + 1e-9)
+
+
 # ----------------------------------------------------------------------
 # the regression module under the batch
 # ----------------------------------------------------------------------
@@ -342,3 +608,102 @@ def test_empty_member_is_refused_up_front(value_range):
 def test_mixed_dimensions_are_refused():
     with pytest.raises(ValueError, match="same number of dimensions"):
         SZLRCompressor(1e-3).compress_many([np.ones((4, 4)), np.ones((4, 4, 4))])
+
+
+# ----------------------------------------------------------------------
+# malformed payloads: every length disagreement is a ValueError
+# ----------------------------------------------------------------------
+def _honest_parts():
+    """Shapes, codes, streams and counts of a chunk that uses every stream."""
+    rng = np.random.default_rng(9)
+    shapes = [(13, 9, 8)] * 3 + [(8, 8, 8)] * 2
+    kinds = ["rough_plane", "outliers", "noisy", "rough_plane", "outliers"]
+    arrays = [_field(kind, shape, rng) for kind, shape in zip(kinds, shapes)]
+    comp = SZLRCompressor(1e-3, block_size=6, radius=64)
+    abs_eb = comp.error_bound.resolve(value_range=100.0)
+    codes, side, counts, _ = comp._encode_batch(arrays, abs_eb)
+    assert all(side[name].size for name in sz_lr._SIDE)
+    return comp, shapes, codes, side, counts, abs_eb
+
+
+def _decode_parts(comp, shapes, codes, side, counts, abs_eb, shared=True):
+    payload, _ = comp._serialize(shapes, codes, side, counts, abs_eb, shared, "float64")
+    return comp.decompress_many(payload)
+
+
+def test_honest_parts_decode():
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    for shared in (True, False):
+        decoded = _decode_parts(comp, shapes, codes, side, counts, abs_eb, shared)
+        assert [a.shape for a in decoded] == shapes
+
+
+@pytest.mark.parametrize("name", sz_lr._SIDE[1:])
+@pytest.mark.parametrize("change", ["one short", "one over"])
+def test_side_stream_of_the_wrong_length_is_refused(name, change):
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    stream = side[name]
+    side[name] = stream[:-1] if change == "one short" else np.concatenate([stream, stream[:1]])
+    with pytest.raises(ValueError, match=name):
+        _decode_parts(comp, shapes, codes, side, counts, abs_eb)
+
+
+@pytest.mark.parametrize("change", ["one short", "one over"])
+def test_selection_of_the_wrong_length_is_refused(change):
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    meta, codes, side, counts = comp._deserialize(
+        comp._serialize(shapes, codes, side, counts, abs_eb, True, "float64")[0])
+    selection = side["selection"]
+    side["selection"] = selection[:-1] if change == "one short" else np.append(selection, 0)
+    with pytest.raises(ValueError, match="selection"):
+        comp._decode_batch(shapes, abs_eb, codes, side, counts)
+
+
+def test_selection_shorter_than_the_counts_say_is_not_padded():
+    """``unpackbits(count=...)`` would pad a short stream with Lorenzo choices."""
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    lying = counts.copy()
+    lying[0, 0] += 8
+    with pytest.raises(ValueError, match="selection"):
+        _decode_parts(comp, shapes, codes, side, lying, abs_eb)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_fewer_shapes_than_code_streams_is_refused(shared):
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    payload, _ = comp._serialize(shapes, codes, side, counts, abs_eb, shared, "float64")
+    meta, codes, side, counts = comp._deserialize(payload)
+    with pytest.raises(ValueError, match="cells per array"):
+        comp._decode_batch(shapes[:-1], abs_eb, codes, side, counts)
+    with pytest.raises(ValueError, match="cells per array"):
+        comp._decode_batch([], abs_eb, [], side, counts[:0])
+
+
+def test_shapes_that_disagree_with_the_codes_are_refused():
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    swapped = [shapes[-1]] + shapes[1:-1] + [shapes[0]]          # same total, other split
+    for bad in (swapped, [(13, 9, -8)] + shapes[1:], [(13 * 9 * 8,)] + shapes[1:]):
+        with pytest.raises(ValueError, match="cells per array|mixed dimension"):
+            comp._decode_batch(bad, abs_eb, codes, side, counts)
+
+
+@pytest.mark.parametrize("column", range(6))
+def test_counts_row_that_lies_is_refused(column):
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    lying = counts.copy()
+    lying[0, column] += 1
+    lying[1, column] -= 1                                        # the totals still agree
+    with pytest.raises(ValueError, match="counts|cells per array"):
+        comp._decode_batch(shapes, abs_eb, codes, side, lying)
+
+
+def test_hostile_shape_never_reaches_the_plan_cache(monkeypatch):
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    payload, _ = comp._serialize([(10 ** 6,) * 3] + shapes[1:], codes, side, counts,
+                                 abs_eb, True, "float64")
+    planned = []
+    for name in ("_region_plan", "_flat_plan"):
+        monkeypatch.setattr(sz_lr, name, lambda *args, **kwargs: planned.append(args))
+    with pytest.raises(ValueError, match="cells per array"):
+        comp.decompress_many(payload)
+    assert planned == []
