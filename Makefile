@@ -12,8 +12,8 @@
 # drives traced queries against a live server and checks the telemetry the
 # `stats` verb reports about them, and `make smoke-http` exercises the HTTP
 # gateway (auth, limits, /metrics, read parity with TCP) across real
-# processes.  The smoke targets honour REPRO_BACKEND
-# (CI runs them with REPRO_BACKEND=process).
+# processes.  The smoke targets honour REPRO_BACKEND (serial or shm; CI
+# runs them once on each).
 
 PY := PYTHONPATH=src python
 

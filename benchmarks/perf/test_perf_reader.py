@@ -2,7 +2,7 @@
 
 ``make bench`` runs this file separately into ``BENCH_reader.json`` so the
 read-side numbers are tracked per PR next to the writer's
-(``BENCH_writer.json``): the serial staged decode, the thread-pooled decode,
+(``BENCH_writer.json``): the serial staged decode, the shm-pooled decode,
 and single-field box-bounded random access (which must only pay for the
 intersecting chunks).
 """
@@ -12,7 +12,7 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 import repro
-from repro.parallel.backend import ParallelBackend, SharedMemoryBackend
+from repro.parallel.backend import SharedMemoryBackend
 
 POOL_WORKERS = 4
 
@@ -32,20 +32,6 @@ def test_reader_full_serial(benchmark, plotfile, stamp_backend):
             return handle.read()
 
     hierarchy = benchmark.pedantic(full_read, rounds=3, iterations=1)
-    assert hierarchy.nlevels >= 1
-
-
-def test_reader_full_thread_backend(benchmark, plotfile, stamp_backend):
-    """The pooled read path: per-dataset decode jobs on a thread pool."""
-    stamp_backend("thread", POOL_WORKERS)
-    with ParallelBackend("thread", max_workers=POOL_WORKERS) as backend:
-        def full_read():
-            with repro.open(plotfile) as handle:
-                return handle.read(backend=backend)
-
-        # warmup_rounds: time the persistent pool's steady state, not its spawn
-        hierarchy = benchmark.pedantic(full_read, rounds=3, iterations=1,
-                                       warmup_rounds=1)
     assert hierarchy.nlevels >= 1
 
 

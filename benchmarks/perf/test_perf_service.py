@@ -116,7 +116,7 @@ def test_server_identical_to_direct_reads_across_backends(plotfile, queries):
                 for q, arr in zip(queries, served):
                     assert np.array_equal(
                         arr, direct.read_field(q.field, level=q.level, box=q.box))
-            for backend in ("serial", "thread", "process"):
+            for backend in ("serial", "shm"):
                 with repro.open(plotfile, backend=backend) as handle:
                     hierarchy = handle.read()
                 for level in range(hierarchy.nlevels):

@@ -1,8 +1,8 @@
-"""End-to-end writer timing on the nyx_1 preset: serial and parallel paths.
+"""End-to-end writer timing on the nyx_1 preset: serial and pooled paths.
 
 ``make bench`` runs this file separately into ``BENCH_writer.json`` so the
-write-path numbers (staged serial pipeline, thread-pooled backend, the
-shared-memory process pool) are tracked per PR next to the entropy-stage
+write-path numbers (staged serial pipeline, the shared-memory process
+pool) are tracked per PR next to the entropy-stage
 numbers in ``BENCH_entropy.json``.  The shm-vs-serial pair also feeds the
 speedup gate in ``tools/bench_check.py``.
 """
@@ -12,7 +12,7 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 from repro.core import AMRICConfig, AMRICWriter
-from repro.parallel.backend import ParallelBackend, SharedMemoryBackend
+from repro.parallel.backend import SharedMemoryBackend
 
 POOL_WORKERS = 4
 
@@ -26,21 +26,6 @@ def test_writer_plotfile_nyx1(benchmark, midsize_hierarchy, compressor,
                                 rounds=3, iterations=1)
     assert report.compression_ratio > 1.0
     assert report.total_cells > 0
-
-
-@pytest.mark.parametrize("compressor", ["sz_lr", "sz_interp"])
-def test_writer_plotfile_nyx1_thread_backend(benchmark, midsize_hierarchy,
-                                             compressor, stamp_backend):
-    """The pooled write path: per-dataset encode jobs on a thread pool."""
-    stamp_backend("thread", POOL_WORKERS)
-    with ParallelBackend("thread", max_workers=POOL_WORKERS) as backend:
-        writer = AMRICWriter(AMRICConfig(compressor=compressor, error_bound=1e-3),
-                             backend=backend)
-        # warmup_rounds: time the persistent pool's steady state, not its spawn
-        report = benchmark.pedantic(writer.write_plotfile, args=(midsize_hierarchy,),
-                                    rounds=3, iterations=1, warmup_rounds=1)
-    assert report.backend == "parallel"
-    assert report.compression_ratio > 1.0
 
 
 @pytest.mark.parametrize("compressor", ["sz_lr", "sz_interp"])

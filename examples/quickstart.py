@@ -2,8 +2,8 @@
 """Quickstart: compress one AMR snapshot with AMRIC and read it back.
 
 Uses the two-verb facade — ``repro.write`` to produce a self-describing
-plotfile and ``repro.open`` to read it back *without the producing hierarchy*
-(no structural template needed).  Runs in a few seconds on a laptop::
+plotfile and ``repro.open`` to read it back *without the producing
+hierarchy*.  Runs in a few seconds on a laptop::
 
     python examples/quickstart.py
 """
@@ -47,8 +47,8 @@ def main() -> None:
                   f"PSNR={rep.mean_psnr if np.isfinite(rep.mean_psnr) else float('inf'):7.1f}  "
                   f"compressor launches={sum(w.compressor_launches for w in rep.rank_workloads)}")
 
-        # 4. open the AMRIC plotfile from the file alone: the self-describing
-        #    header replaces the old structural-template requirement
+        # 4. open the AMRIC plotfile from the file alone: its header carries
+        #    the structure the chunks map back onto
         with repro.open(path) as plotfile:
             print(f"\nOpened {os.path.basename(path)}: fields={plotfile.fields}, "
                   f"levels={plotfile.levels}, codec={plotfile.codec}")

@@ -80,7 +80,7 @@ def main() -> None:
     print(format_table(rows, title="SZ_Interp: clustered vs linear arrangement (Figure 5)"))
 
     # end-to-end sanity: the same data through the repro.write/repro.open
-    # facade — the plotfile is self-describing, so the read needs no template
+    # facade — the plotfile is self-describing, so the read needs only the path
     import os
     import tempfile
 

@@ -32,7 +32,7 @@ Quick start (the :mod:`repro.facade` two-verb API)::
                          compressor="sz_lr", error_bound=1e-3)
     print(report.compression_ratio, report.psnr["baryon_density"])
 
-    with repro.open("plotfile.h5z") as plotfile:       # no template needed
+    with repro.open("plotfile.h5z") as plotfile:
         density = plotfile.read_field("baryon_density", level=1)
         restored = plotfile.read()
 

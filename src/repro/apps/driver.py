@@ -136,7 +136,7 @@ class SimulationDriver:
     combination the facade does: a pre-built ``writer`` object, a ``method``
     name ("amric", "amrex_1d", "nocomp"), an AMRIC ``config`` and/or keyword
     ``overrides`` — and dumps to disk are self-describing (readable back via
-    :func:`repro.open` with no template).
+    :func:`repro.open`).
 
     With ``series=True`` the dumps instead accumulate into one plotfile
     series under ``output_dir`` (:mod:`repro.series`): consecutive dumps

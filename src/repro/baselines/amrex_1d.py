@@ -17,6 +17,7 @@ The behaviour reproduced here is the one §2.1/§3.3/§5 of the paper describe:
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from typing import List, Optional
 
 import numpy as np
@@ -79,8 +80,9 @@ class AMReXOriginalWriter:
         rank_chunks = np.zeros(nranks, dtype=np.int64)
         ndatasets = 0
 
-        h5file = H5LiteFile(path, "w") if path is not None else None
-        try:
+        # the context removes the target if the body raises (no partial file)
+        with (H5LiteFile(path, "w") if path is not None
+              else nullcontext()) as h5file:
             if h5file is not None:
                 h5file.attrs["method"] = self.method_name
                 h5file.attrs["error_bound"] = self.error_bound
@@ -177,9 +179,6 @@ class AMReXOriginalWriter:
                         filter_calls=int(round(level_calls / hierarchy.ncomp)),
                         nblocks=len(pre.unit_blocks),
                         sq_error=sq, n_elements=n, value_min=lo, value_max=hi))
-        finally:
-            if h5file is not None:
-                h5file.close()
 
         workloads = [RankWorkload(raw_bytes=int(rank_raw[r]),
                                   compressed_bytes=int(rank_compressed[r]),

@@ -8,6 +8,7 @@ writers do so the I/O benchmarks can treat every method uniformly.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from typing import List, Optional
 
 import numpy as np
@@ -40,8 +41,9 @@ class NoCompressionWriter:
         rank_chunks = np.zeros(nranks, dtype=np.int64)
         ndatasets = 0
 
-        h5file = H5LiteFile(path, "w") if path is not None else None
-        try:
+        # the context removes the target if the body raises (no partial file)
+        with (H5LiteFile(path, "w") if path is not None
+              else nullcontext()) as h5file:
             if h5file is not None:
                 h5file.attrs["method"] = self.method_name
                 h5file.attrs["time"] = hierarchy.time
@@ -82,9 +84,6 @@ class NoCompressionWriter:
                         filter_calls=0, nblocks=len(pre.unit_blocks),
                         sq_error=0.0, n_elements=buffer.size,
                         value_min=float(buffer.min()), value_max=float(buffer.max())))
-        finally:
-            if h5file is not None:
-                h5file.close()
 
         workloads = [RankWorkload(raw_bytes=int(rank_raw[r]), compressed_bytes=int(rank_raw[r]),
                                   compressor_launches=0, padded_bytes=0,

@@ -5,17 +5,14 @@ and their series/service counterparts:
 
 ``info PATH``
     Print the self-describing header summary and per-dataset storage table —
-    nothing is decoded.  Legacy pre-header files are refused with a clear
-    message (their structure is simply not in the file).
+    nothing is decoded.
 ``compress OUT``
     Produce a compressed plotfile, either from a synthetic run preset
     (``--preset nyx_1``) or by recompressing an existing plotfile
     (``--input other.h5z``).
 ``decompress IN OUT``
     Fully reconstruct a plotfile and rewrite it uncompressed (method
-    "nocomp"), itself self-describing and re-openable.  For legacy inputs,
-    ``--template`` names a self-describing plotfile with identical structure
-    to stand in for the missing header.
+    "nocomp"), itself self-describing and re-openable.
 ``verify PATH``
     Scan + decode every chunk of a plotfile and check the reconstruction is
     structurally sound; with ``--against RAW`` also check the decoded data
@@ -51,10 +48,11 @@ and their series/service counterparts:
     ``--json`` the raw snapshot.
 
 Every command exits 0 on success and 1 on failure, with errors reported as
-one-line messages (corrupt files surface the underlying ``ValueError``).
+one-line messages (corrupt files — and files without a self-describing
+header — surface the underlying ``ValueError``).
 Subcommands that decode accept ``--backend``; its default honours the
-``REPRO_BACKEND`` environment variable (how CI exercises the process
-backend through ``make smoke``).
+``REPRO_BACKEND`` environment variable (how CI exercises the shm backend
+through ``make smoke``).
 """
 
 from __future__ import annotations
@@ -67,24 +65,21 @@ from typing import List, Optional
 
 import numpy as np
 
-__all__ = ["main", "build_parser"]
+from repro.parallel.backend import BACKENDS
 
-#: every execution backend the CLI can name (mirrors core.config._BACKENDS)
-BACKEND_CHOICES = ("serial", "thread", "process", "shm")
+__all__ = ["main", "build_parser"]
 
 
 def _default_backend() -> str:
-    """Default for every ``--backend`` flag (CI sets ``REPRO_BACKEND=process``
-    or ``REPRO_BACKEND=shm``).
+    """Default for every ``--backend`` flag (CI sets ``REPRO_BACKEND=shm``).
 
-    Validated here because argparse only checks ``choices`` for values given
-    on the command line, never for defaults — a typo'd env var must fail up
-    front, not deep inside a run.
+    Validated here because a default never passes through a flag's own
+    checks — a typo'd env var must fail up front, not deep inside a run.
     """
     value = os.environ.get("REPRO_BACKEND") or "serial"
-    if value not in BACKEND_CHOICES:
+    if value not in BACKENDS:
         raise ValueError(
-            f"REPRO_BACKEND must be one of {', '.join(BACKEND_CHOICES)}, "
+            f"REPRO_BACKEND must be one of {', '.join(BACKENDS)}, "
             f"got {value!r}")
     return value
 
@@ -110,9 +105,9 @@ def _add_source_arg(subparser) -> None:
 
 def _add_backend_args(subparser, backend_default: str) -> None:
     subparser.add_argument("--backend", default=backend_default,
-                           choices=BACKEND_CHOICES)
+                           help=f"execution backend: {' or '.join(BACKENDS)}")
     subparser.add_argument("--max-workers", type=int, default=None,
-                           help="pool width for thread/process/shm backends "
+                           help="pool width for the shm backend "
                                 "(default: the executor's own default)")
 
 
@@ -150,9 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("input")
     p_dec.add_argument("out")
     _add_backend_args(p_dec, backend_default)
-    p_dec.add_argument("--template", default=None,
-                       help="self-describing plotfile whose structure stands "
-                            "in for a legacy (pre-header) input's")
 
     p_ver = sub.add_parser("verify", help="decode everything and check integrity")
     p_ver.add_argument("path")
@@ -188,9 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--cache-bytes", type=int, default=None,
                        help="shared chunk-cache budget in bytes "
                             "(default 128 MiB)")
-    p_srv.add_argument("--backend", default=None, choices=BACKEND_CHOICES,
-                       help="pooled backend for batch decodes "
-                            "(default: decode inline)")
+    p_srv.add_argument("--backend", default=None,
+                       help=f"backend for batch decodes: "
+                            f"{' or '.join(BACKENDS)} (default: decode inline)")
     p_srv.add_argument("--max-workers", type=int, default=None,
                        help="pool width for the serve backend")
     p_srv.add_argument("--watch-interval", type=float, default=None,
@@ -287,15 +279,6 @@ def _cmd_info(args) -> int:
         plotfile_dataset_rows, summarize_plotfile
 
     with repro.open(args.path, source=args.source) as handle:
-        if not handle.is_self_describing:
-            print(f"error: {args.path} is a legacy plotfile (written before "
-                  "format v1); its structure is not recorded in the file. "
-                  "Reconstruct it with a structural template instead: pass "
-                  "--template <self-describing plotfile with identical "
-                  "structure> to `python -m repro decompress`, or "
-                  "repro.open(path).read(template=hierarchy) from Python.",
-                  file=sys.stderr)
-            return 1
         summary = summarize_plotfile(handle)
         rows = plotfile_dataset_rows(handle)
         stats_rows = io_stats_rows(handle) if args.stats else None
@@ -309,12 +292,10 @@ def _cmd_info(args) -> int:
     for key in ("self_describing", "format_version", "method", "codec",
                 "error_bound", "time", "step", "unit_block_size",
                 "remove_redundancy"):
-        if key in summary and summary[key] is not None:
-            print(f"  {key:18s} {summary[key]}")
+        print(f"  {key:18s} {summary[key]}")
     print(f"  {'fields':18s} {', '.join(summary['fields'])}")
-    print(f"  {'levels':18s} {summary['levels']}"
-          + (f" (boxes {summary['boxes_per_level']})"
-             if "boxes_per_level" in summary else ""))
+    print(f"  {'levels':18s} {summary['levels']} "
+          f"(boxes {summary['boxes_per_level']})")
     print(f"  {'stored':18s} {summary['stored_bytes']} bytes "
           f"({summary['compression_ratio']:.1f}x over {summary['logical_bytes']})")
     print()
@@ -372,20 +353,10 @@ def _cmd_compress(args) -> int:
 def _cmd_decompress(args) -> int:
     import repro
 
-    template = None
-    if args.template is not None:
-        from repro.core.header import template_from_header
-
-        with repro.open(args.template) as template_handle:
-            if template_handle.header is None:
-                raise ValueError(
-                    f"--template {args.template} is itself a legacy plotfile; "
-                    "the template must be self-describing")
-            template = template_from_header(template_handle.header)
     backend = _make_cli_backend(args)
     try:
         with repro.open(args.input) as handle:
-            hierarchy = handle.read(template=template, backend=backend)
+            hierarchy = handle.read(backend=backend)
     finally:
         backend.close()
     report = repro.write(hierarchy, args.out, method="nocomp")
@@ -409,10 +380,6 @@ def _run_verify(args, backend) -> int:
 
     stats_rows = None
     with repro.open(args.path, source=args.source) as handle:
-        if not handle.is_self_describing:
-            raise ValueError(
-                f"{args.path} has no self-describing header; verify needs "
-                "format v1 plotfiles")
         hierarchy = handle.read(backend=backend)
         chunks = handle.stats.chunks_decoded
         checks = [
@@ -425,9 +392,8 @@ def _run_verify(args, backend) -> int:
         if args.against:
             with repro.open(args.against) as ref_handle:
                 reference = ref_handle.read(backend=backend)
-            eb = handle.error_bound or 0.0
-            eb_mode = (handle.header.error_bound_mode
-                       if handle.header is not None else "rel")
+            eb = handle.error_bound
+            eb_mode = handle.header.error_bound_mode
             worst = 0.0
             for level in range(hierarchy.nlevels):
                 for name in hierarchy.component_names:

@@ -15,7 +15,7 @@ The pieces map one-to-one onto the paper's design sections:
   in situ writer (:class:`AMRICWriter`) and the staged reader
   (:class:`AMRICReader`, :class:`PlotfileHandle`).
 * :mod:`repro.core.header` — the versioned self-describing plotfile header
-  that lets the reader rebuild the structural template from the file alone.
+  that lets the reader rebuild the hierarchy's structure from the file alone.
 """
 
 from repro.core.config import AMRICConfig

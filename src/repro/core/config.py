@@ -19,10 +19,9 @@ from typing import Optional
 
 from repro.compress.errorbound import ErrorBound
 from repro.compress.registry import create_codec, is_registered, available_codecs
+from repro.parallel.backend import BACKENDS
 
 __all__ = ["AMRICConfig"]
-
-_BACKENDS = ("serial", "thread", "process", "shm")
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,8 @@ class AMRICConfig:
     #: SZ_Interp anchor stride
     interp_anchor_stride: int = 16
 
-    #: execution backend for the per-rank encode jobs ("serial", "thread",
-    #: "process") and the pool size (None = the executor's default)
+    #: execution backend for the per-rank encode jobs ("serial" or "shm")
+    #: and the pool size (None = the executor's default)
     backend: str = "serial"
     backend_workers: Optional[int] = None
 
@@ -67,8 +66,11 @@ class AMRICConfig:
             raise ValueError(
                 f"compressor must be a registered codec {available_codecs()}, "
                 f"got {self.compressor!r}")
-        if self.backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {self.backend!r}")
+        if self.backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
+        if self.backend_workers is not None and self.backend_workers < 1:
+            raise ValueError(
+                f"backend_workers must be >= 1, got {self.backend_workers}")
         if self.unit_block_size < 2:
             raise ValueError("unit_block_size must be >= 2")
         if self.sz_block_size < 2:

@@ -1,15 +1,14 @@
 """Self-describing plotfile headers (the format layer of the read redesign).
 
-A plotfile used to be readable only with the producing hierarchy in memory:
-:class:`~repro.core.reader.AMRICReader` demanded a structural *template* to
-know which boxes, ranks and unit blocks each stored chunk corresponds to.
-This module serialises exactly that structure — boxes, refinement ratios,
-distribution mapping, field names, preprocessing parameters, codec name and
-options — into a versioned JSON header that travels inside the H5Lite
-superblock (:attr:`~repro.h5lite.file.H5LiteFile.header`).  With the header
-present, any consumer can rebuild the structural template from the file alone
-(:func:`template_from_header`) and decode lazily or in full; without it the
-old template-requiring read keeps working as an explicit fallback.
+Reading a plotfile needs to know which boxes, ranks and unit blocks each
+stored chunk corresponds to.  This module serialises exactly that structure —
+boxes, refinement ratios, distribution mapping, field names, preprocessing
+parameters, codec name and options — into a versioned JSON header that
+travels inside the H5Lite superblock
+(:attr:`~repro.h5lite.file.H5LiteFile.header`), so any consumer can rebuild
+the zero-filled output hierarchy from the file alone
+(:func:`template_from_header`) and decode lazily or in full.  Every writer
+commits one; the reader rejects a file without it.
 
 Versioning and compatibility rules (DESIGN.md §5):
 
@@ -349,9 +348,9 @@ def structure_fingerprint(header: PlotfileHeader) -> str:
 def template_from_header(header: PlotfileHeader) -> AmrHierarchy:
     """Rebuild a zero-filled hierarchy with the stored structure.
 
-    The result is what :class:`~repro.core.reader.AMRICReader` used to demand
-    as its ``template`` argument — same boxes, same distribution, same
-    refinement ratios — reconstructed from the file alone.  Structural
+    The result is the structure the read plan places decoded chunks into —
+    same boxes, same distribution, same refinement ratios as the written
+    hierarchy — reconstructed from the file alone.  Structural
     inconsistencies (boxes escaping domains, broken nesting chains) surface as
     :class:`ValueError` from the AMR constructors, never as a silently wrong
     hierarchy.

@@ -29,6 +29,7 @@ conserving largest-remainder byte split).
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -235,8 +236,9 @@ class AMRICWriter:
         records: List[LevelFieldRecord] = []
         tally = WorkloadTally(nranks)
         ndatasets = 0
-        h5file = H5LiteFile(path, "w") if path is not None else None
-        try:
+        # the context removes the target if the body raises (no partial file)
+        with (H5LiteFile(path, "w") if path is not None
+              else nullcontext()) as h5file:
             if h5file is not None:
                 h5file.attrs["method"] = self.method_name
                 h5file.attrs["compressor"] = cfg.compressor
@@ -273,9 +275,6 @@ class AMRICWriter:
                             chunk_elements=dplan.chunk_elements,
                             compressed_bytes=result.compressed_bytes,
                             count_padding=not cfg.modify_filter)
-        finally:
-            if h5file is not None:
-                h5file.close()
         assert tally.total_compressed == sum(r.compressed_bytes for r in records), \
             "per-rank compressed-byte apportionment must conserve the total"
 

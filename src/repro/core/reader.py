@@ -5,16 +5,15 @@ The read side mirrors the writer's staged decomposition
 
 ``scan`` (:func:`scan_plotfile`)
     Rebuild the structural read plan — which unit blocks live at which
-    element offsets of which ``level_<l>/<field>`` dataset — either from the
-    plotfile's self-describing header (:mod:`repro.core.header`) or, for
-    pre-header files, from a caller-supplied template hierarchy (the explicit
-    legacy fallback).  Produces a :class:`ReadPlan` of
+    element offsets of which ``level_<l>/<field>`` dataset — from the
+    plotfile's self-describing header (:mod:`repro.core.header`); a file
+    without one is rejected.  Produces a :class:`ReadPlan` of
     :class:`DatasetReadPlan` entries.
 ``decode`` (:func:`decode_job`)
     Decode one dataset's chunk payloads.  A :class:`DecodeJob` is a plain
     picklable dataclass (raw bytes + filter recipe), so per-dataset decode
     jobs run through any :class:`~repro.parallel.backend.ExecutionBackend`
-    (serial, thread, process) with bit-identical results.
+    (serial, shm) with bit-identical results.
 ``place`` (:func:`place_dataset`)
     Scatter the decoded elements back into the hierarchy's fabs by the
     planned block offsets.
@@ -38,9 +37,7 @@ import numpy as np
 
 from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray
-from repro.amr.distribution import DistributionMapping
-from repro.amr.hierarchy import AmrHierarchy, AmrLevel
-from repro.amr.multifab import MultiFab
+from repro.amr.hierarchy import AmrHierarchy
 from repro.amr.upsample import average_down, fill_covered_from_finer
 from repro.compress.errorbound import ErrorBound
 from repro.compress.registry import create_codec
@@ -131,10 +128,6 @@ class DatasetReadPlan:
             - np.bincount(self._last[slot_indices] + 1, minlength=n)
         return np.flatnonzero(np.cumsum(edges)).tolist()
 
-    @property
-    def all_chunks(self) -> List[int]:
-        return list(range(self.nchunks))
-
 
 @dataclass
 class ReadPlan:
@@ -143,11 +136,7 @@ class ReadPlan:
     structure: AmrHierarchy                   #: zero-filled output hierarchy
     datasets: List[DatasetReadPlan]
     remove_redundancy: bool
-    header: Optional[PlotfileHeader] = None
-    #: codec recipe for filters that need a compressor instance (sz_classic)
-    codec: str = "sz_lr"
-    error_bound: float = 1e-3
-    error_bound_mode: str = "rel"
+    header: PlotfileHeader
 
     def __post_init__(self) -> None:
         self._by_key = {(d.level, d.field): d for d in self.datasets}
@@ -165,65 +154,29 @@ class ReadPlan:
         return self._by_key.get((level, fieldname))
 
 
-def parse_plotfile_header(f: H5LiteFile) -> Optional[PlotfileHeader]:
-    """The file's validated self-description, or None for pre-header files."""
+def parse_plotfile_header(f: H5LiteFile) -> PlotfileHeader:
+    """The file's validated self-description; a file without one is rejected."""
     if f.header is None:
-        return None
+        raise ValueError(
+            f"{f.path} has no self-describing header (written before the "
+            "plotfile format v1)")
     return PlotfileHeader.from_json(f.header)
 
 
-def _empty_like(template: AmrHierarchy) -> AmrHierarchy:
-    """A zero-filled hierarchy sharing the template's structure (not its data)."""
-    levels: List[AmrLevel] = []
-    for lvl in template.levels:
-        ba = BoxArray(list(lvl.boxarray.boxes))
-        dm = DistributionMapping(list(lvl.multifab.distribution.rank_of_box),
-                                 lvl.multifab.distribution.nranks)
-        mf = MultiFab(ba, template.component_names, dm)
-        levels.append(AmrLevel(lvl.level, lvl.domain, ba, mf))
-    return AmrHierarchy(levels, template.ref_ratios,
-                        time=template.time, step=template.step)
-
-
-def scan_plotfile(f: H5LiteFile, template: Optional[AmrHierarchy] = None,
-                  config: Optional[AMRICConfig] = None) -> ReadPlan:
-    """Stage 1: rebuild the structural read plan for one plotfile.
-
-    With ``template`` given, the plan is built from the template's structure
-    and the reader ``config`` (the explicit legacy path for pre-header
-    plotfiles, also usable to override a header).  Otherwise the plotfile
-    must be self-describing; a missing header raises :class:`ValueError`
-    telling the caller to supply a template.
-    """
-    header: Optional[PlotfileHeader] = None
-    if template is not None:
-        cfg = config or AMRICConfig()
-        structure = _empty_like(template)
-        unit_block_size = cfg.unit_block_size
-        remove_redundancy = cfg.remove_redundancy
-        rank_aligned = True
-        strict_actual = cfg.modify_filter
-        codec, error_bound, eb_mode = cfg.compressor, cfg.error_bound, cfg.error_bound_mode
-    else:
-        header = parse_plotfile_header(f)
-        if header is None:
-            raise ValueError(
-                f"{f.path} has no self-describing header (written before the "
-                "plotfile format v1); pass the original hierarchy as the "
-                "structural template to read it")
-        if header.chunk_alignment == CHUNK_ALIGNMENT_BOX_MAJOR:
-            raise ValueError(
-                f"{f.path} stores box-major interleaved level data "
-                f"(method {header.method!r}); the staged reader only "
-                "reconstructs field-major plotfiles — use `repro info` for "
-                "its metadata")
-        structure = template_from_header(header)
-        unit_block_size = header.unit_block_size
-        remove_redundancy = header.remove_redundancy
-        rank_aligned = header.chunk_alignment == CHUNK_ALIGNMENT_RANK
-        strict_actual = bool(header.codec_options.get("modify_filter", True))
-        codec, error_bound, eb_mode = (header.codec, header.error_bound,
-                                       header.error_bound_mode)
+def scan_plotfile(f: H5LiteFile) -> ReadPlan:
+    """Stage 1: rebuild the structural read plan from the plotfile's header."""
+    header = parse_plotfile_header(f)
+    if header.chunk_alignment == CHUNK_ALIGNMENT_BOX_MAJOR:
+        raise ValueError(
+            f"{f.path} stores box-major interleaved level data "
+            f"(method {header.method!r}); the staged reader only "
+            "reconstructs field-major plotfiles — use `repro info` for "
+            "its metadata")
+    structure = template_from_header(header)
+    unit_block_size = header.unit_block_size
+    remove_redundancy = header.remove_redundancy
+    rank_aligned = header.chunk_alignment == CHUNK_ALIGNMENT_RANK
+    strict_actual = bool(header.codec_options.get("modify_filter", True))
 
     datasets: List[DatasetReadPlan] = []
     for level_index in range(structure.nlevels):
@@ -238,7 +191,10 @@ def scan_plotfile(f: H5LiteFile, template: Optional[AmrHierarchy] = None,
         for name in structure.component_names:
             dsname = f"level_{level_index}/{name}"
             if dsname not in f:
-                continue
+                raise ValueError(
+                    f"{f.path}: the header lists unit blocks for {dsname!r} "
+                    "but the file stores no such dataset (an interrupted "
+                    "write?)")
             info = f.datasets[dsname]
             slots: List[BlockSlot] = []
             if rank_aligned:
@@ -246,7 +202,7 @@ def scan_plotfile(f: H5LiteFile, template: Optional[AmrHierarchy] = None,
                     raise ValueError(
                         f"{f.path}: dataset {dsname!r} stores {info.nchunks} "
                         f"chunks but the structure implies {len(ranks)} "
-                        "participating ranks — header/template does not match "
+                        "participating ranks — header does not match "
                         "this file")
                 ce = info.chunk_elements
                 for i, rank in enumerate(ranks):
@@ -259,7 +215,7 @@ def scan_plotfile(f: H5LiteFile, template: Optional[AmrHierarchy] = None,
                         raise ValueError(
                             f"{f.path}: rank {rank}'s blocks overflow its "
                             f"chunk of {ce} elements in {dsname!r} — "
-                            "header/template does not match this file")
+                            "header does not match this file")
                     valid = offset - i * ce
                     stored = info.chunks[i].actual_elements
                     # with the modified filter each chunk records the rank's
@@ -270,7 +226,7 @@ def scan_plotfile(f: H5LiteFile, template: Optional[AmrHierarchy] = None,
                         raise ValueError(
                             f"{f.path}: chunk {i} of {dsname!r} stores "
                             f"{stored} valid elements but the structure "
-                            f"implies {valid} — header/template does not "
+                            f"implies {valid} — header does not "
                             "match this file")
             else:
                 offset = 0
@@ -283,15 +239,13 @@ def scan_plotfile(f: H5LiteFile, template: Optional[AmrHierarchy] = None,
                     raise ValueError(
                         f"{f.path}: dataset {dsname!r} stores {info.nelements} "
                         f"elements but the structure implies {offset} — "
-                        "header/template does not match this file")
+                        "header does not match this file")
             datasets.append(DatasetReadPlan(
                 level=level_index, field=name, name=dsname,
                 chunk_elements=info.chunk_elements, nchunks=info.nchunks,
                 filter_id=info.filter_id, slots=slots, boxes=boxes))
     return ReadPlan(structure=structure, datasets=datasets,
-                    remove_redundancy=remove_redundancy, header=header,
-                    codec=codec, error_bound=error_bound,
-                    error_bound_mode=eb_mode)
+                    remove_redundancy=remove_redundancy, header=header)
 
 
 # ----------------------------------------------------------------------
@@ -301,9 +255,9 @@ def scan_plotfile(f: H5LiteFile, template: Optional[AmrHierarchy] = None,
 class DecodeJob:
     """One dataset's decode work: raw chunk payloads + the filter recipe.
 
-    Everything is picklable (bytes, ints, strings), so the job crosses
-    process-pool boundaries; decoding is deterministic, so every backend
-    produces identical arrays.
+    The payloads cross the shm pool boundary as shared-memory descriptors,
+    the rest pickles (ints, strings); decoding is deterministic, so every
+    backend produces identical arrays.
     """
 
     #: bulk fields the shm backend ships as shared-memory descriptors
@@ -317,15 +271,6 @@ class DecodeJob:
     codec: str = "sz_lr"
     error_bound: float = 1e-3
     error_bound_mode: str = "rel"
-
-    def __getstate__(self) -> dict:
-        # zero-copy sources (mmap/memory) hand out memoryview payloads, which
-        # do not pickle; materialise them at the process-pool boundary (the
-        # shm backend ships them as descriptors and never gets here)
-        state = dict(self.__dict__)
-        if any(isinstance(p, memoryview) for p in state["payloads"]):
-            state["payloads"] = [bytes(p) for p in state["payloads"]]
-        return state
 
 
 @dataclass
@@ -368,31 +313,29 @@ def _decode_filter(filter_id: str, codec: str, error_bound: float,
 
 
 def make_decode_job(f: H5LiteFile, dplan: DatasetReadPlan,
-                    chunk_indices: Optional[Sequence[int]] = None,
-                    plan: Optional[ReadPlan] = None) -> DecodeJob:
-    """Pull the (selected) raw chunk payloads of one dataset into a job."""
-    indices = list(chunk_indices) if chunk_indices is not None else dplan.all_chunks
+                    chunk_indices: Sequence[int], plan: ReadPlan) -> DecodeJob:
+    """Pull the selected raw chunk payloads of one dataset into a job."""
+    indices = list(chunk_indices)
     # one batched (coalescing) source read instead of N seek+read round-trips
     payloads = f.read_chunk_payloads(dplan.name, indices)
-    codec = plan.codec if plan is not None else "sz_lr"
-    eb = plan.error_bound if plan is not None else 1e-3
-    mode = plan.error_bound_mode if plan is not None else "rel"
+    header = plan.header
     return DecodeJob(key=dplan.name, payloads=payloads, chunk_indices=indices,
                      chunk_elements=dplan.chunk_elements,
-                     filter_id=dplan.filter_id, codec=codec,
-                     error_bound=eb, error_bound_mode=mode)
+                     filter_id=dplan.filter_id, codec=header.codec,
+                     error_bound=header.error_bound,
+                     error_bound_mode=header.error_bound_mode)
 
 
 def decode_job(job: DecodeJob) -> DecodeResult:
     """Stage 2: decode one dataset's chunks.
 
     A module-level pure function over picklable inputs — the read-side mirror
-    of :func:`repro.core.stages.encode_job` — so serial, thread and process
-    backends run identical code on identical bytes.  Decode filters are
-    stateless per call, so inside a shm pool worker the instance is reused
-    across jobs via the per-process codec cache (a no-op elsewhere:
+    of :func:`repro.core.stages.encode_job` — so the serial and shm backends
+    run identical code on identical bytes.  Decode filters are stateless per
+    call, so inside a shm pool worker the instance is reused across jobs via
+    the per-process codec cache (a no-op elsewhere:
     :func:`~repro.parallel.shm.worker_codec_cache` returns ``None`` outside
-    a worker, keeping the serial/thread paths exactly as before).
+    a worker).
     """
     from repro.parallel.shm import worker_codec_cache
 
@@ -541,8 +484,8 @@ def execute_read(f: H5LiteFile, plan: ReadPlan, backend: ExecutionBackend,
 class PlotfileHandle:
     """An open plotfile: inspect cheaply, decode lazily, read fully.
 
-    The handle parses the self-describing header (when present) but decodes
-    nothing until asked:
+    The handle parses the self-describing header (a file without one is
+    rejected with :class:`ValueError`) but decodes nothing until asked:
 
     * :attr:`fields`, :attr:`levels`, :attr:`codec`, :meth:`describe` —
       metadata only, no chunk is touched;
@@ -550,12 +493,9 @@ class PlotfileHandle:
       intersect the requested box (cached per chunk; see :attr:`stats`);
     * :meth:`read` — the full staged scan/decode/place/refill pipeline,
       optionally over a pooled execution backend.
-
-    Pre-header plotfiles still open; they report ``is_self_describing ==
-    False`` and require a template for :meth:`read` (the legacy fallback).
     """
 
-    def __init__(self, path: str, config: Optional[AMRICConfig] = None,
+    def __init__(self, path: str,
                  backend: "ExecutionBackend | str | None" = None,
                  cache=None, source=None):
         # a caller may hand several handles one *shared* ByteSource instance;
@@ -570,7 +510,6 @@ class PlotfileHandle:
         except ValueError:
             self._file.close()
             raise
-        self.config = config or AMRICConfig()
         self._backend_spec = backend
         self._plan: Optional[ReadPlan] = None
         # ``cache`` opts the handle into a shared, byte-budgeted chunk cache
@@ -620,8 +559,7 @@ class PlotfileHandle:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        describing = "self-describing" if self.is_self_describing else "legacy"
-        return f"PlotfileHandle({self.path!r}, {describing})"
+        return f"PlotfileHandle({self.path!r})"
 
     # -- metadata (no decoding) ----------------------------------------
     @property
@@ -633,49 +571,26 @@ class PlotfileHandle:
         return self._file.attrs
 
     @property
-    def is_self_describing(self) -> bool:
-        return self.header is not None
-
-    @property
     def fields(self) -> Tuple[str, ...]:
         """Component names stored in the plotfile."""
-        if self.header is not None:
-            return tuple(self.header.components)
-        components = self.attrs.get("components")
-        if components:
-            return tuple(components)
-        names = {n.split("/", 1)[1] for n in self._file.dataset_names() if "/" in n}
-        return tuple(sorted(names))
+        return tuple(self.header.components)
 
     @property
     def levels(self) -> Tuple[int, ...]:
         """Level indices present in the plotfile (coarse → fine)."""
-        if self.header is not None:
-            return tuple(lvl.level for lvl in self.header.levels)
-        nlevels = self.attrs.get("nlevels")
-        if nlevels:
-            return tuple(range(int(nlevels)))
-        indices = {int(n.split("/", 1)[0].removeprefix("level_"))
-                   for n in self._file.dataset_names() if n.startswith("level_")}
-        return tuple(sorted(indices))
+        return tuple(lvl.level for lvl in self.header.levels)
 
     @property
     def nlevels(self) -> int:
         return len(self.levels)
 
     @property
-    def codec(self) -> Optional[str]:
-        if self.header is not None:
-            return self.header.codec
-        value = self.attrs.get("compressor")
-        return str(value) if value is not None else None
+    def codec(self) -> str:
+        return self.header.codec
 
     @property
-    def error_bound(self) -> Optional[float]:
-        if self.header is not None:
-            return self.header.error_bound
-        value = self.attrs.get("error_bound")
-        return float(value) if value is not None else None
+    def error_bound(self) -> float:
+        return self.header.error_bound
 
     def dataset_names(self) -> List[str]:
         return self._file.dataset_names()
@@ -692,12 +607,13 @@ class PlotfileHandle:
         stored = self._file.total_stored_bytes()
         logical = sum(d.nelements * np.dtype(d.dtype).itemsize
                       for d in self._file.datasets.values())
-        out: Dict[str, object] = {
+        return {
             "path": self.path,
-            "self_describing": self.is_self_describing,
-            "format_version": self.header.version if self.header else None,
-            "method": (self.header.method if self.header
-                       else self.attrs.get("method")),
+            # constant since header-less files are rejected at open; kept so
+            # `repro info` and the wire describe op answer key for key
+            "self_describing": True,
+            "format_version": self.header.version,
+            "method": self.header.method,
             "codec": self.codec,
             "error_bound": self.error_bound,
             "fields": list(self.fields),
@@ -706,21 +622,18 @@ class PlotfileHandle:
             "stored_bytes": stored,
             "logical_bytes": logical,
             "compression_ratio": logical / max(stored, 1),
+            "time": self.header.time,
+            "step": self.header.step,
+            "unit_block_size": self.header.unit_block_size,
+            "remove_redundancy": self.header.remove_redundancy,
+            "boxes_per_level": [lvl.nboxes for lvl in self.header.levels],
         }
-        if self.header is not None:
-            out["time"] = self.header.time
-            out["step"] = self.header.step
-            out["unit_block_size"] = self.header.unit_block_size
-            out["remove_redundancy"] = self.header.remove_redundancy
-            out["boxes_per_level"] = [lvl.nboxes for lvl in self.header.levels]
-        return out
 
     # -- scanning -------------------------------------------------------
     def _scan(self) -> ReadPlan:
         """The header-based read plan (cached; used by lazy random access)."""
         if self._plan is None:
-            self._plan = scan_plotfile(self._file, template=None,
-                                       config=self.config)
+            self._plan = scan_plotfile(self._file)
         return self._plan
 
     # -- lazy random access --------------------------------------------
@@ -845,30 +758,22 @@ class PlotfileHandle:
         return out
 
     # -- the full staged read ------------------------------------------
-    def read(self, template: Optional[AmrHierarchy] = None,
-             backend: "ExecutionBackend | str | None" = None,
+    def read(self, backend: "ExecutionBackend | str | None" = None,
              comm: Optional[SimComm] = None) -> AmrHierarchy:
         """Reconstruct the whole hierarchy (scan → decode → place → refill).
 
-        ``template`` forces the legacy template-based scan (required for
-        pre-header files, available as an override everywhere); without it
-        the plan comes from the self-describing header.  ``backend`` follows
-        the writer's convention: a name builds a backend owned (and closed)
-        by this call, an :class:`ExecutionBackend` instance stays the
-        caller's to manage.
+        ``backend`` follows the writer's convention: a name builds a backend
+        owned (and closed) by this call, an :class:`ExecutionBackend`
+        instance stays the caller's to manage.
         """
-        plan = scan_plotfile(self._file, template=template, config=self.config)
+        plan = scan_plotfile(self._file)
         spec = backend if backend is not None else self._backend_spec
         owns = not isinstance(spec, ExecutionBackend)
-        resolved = make_backend(spec if spec is not None else self.config.backend,
-                                self.config.backend_workers)
+        resolved = make_backend(spec)
         try:
-            # chunks read_field already decoded (header-path cache) are
-            # reused; a template scan may imply a different layout, so it
-            # cannot trust them
-            cache = self._cache if template is None else None
+            # chunks read_field already decoded are reused
             return execute_read(self._file, plan, resolved, comm=comm,
-                                stats=self.stats, cache=cache)
+                                stats=self.stats, cache=self._cache)
         finally:
             self._sync_io()
             if owns:
@@ -881,14 +786,13 @@ class PlotfileHandle:
 class AMRICReader:
     """Reads plotfiles written by :class:`~repro.core.pipeline.AMRICWriter`.
 
-    Self-describing plotfiles (format v1, PR 3) need nothing but the path::
+    Plotfiles are self-describing (format v1), so a read needs nothing but
+    the path::
 
         back = AMRICReader().read_plotfile("plotfile.h5z")
 
-    Pre-header plotfiles still read through the explicit template fallback —
-    pass the original hierarchy (or one with identical structure) as
-    ``template``, exactly like before.  Decode jobs run on an execution
-    backend (serial / thread / process), mirroring the writer.
+    Decode jobs run on an execution backend (serial / shm), mirroring the
+    writer.
     """
 
     def __init__(self, config: Optional[AMRICConfig] = None,
@@ -915,13 +819,11 @@ class AMRICReader:
 
     # ------------------------------------------------------------------
     def open(self, path: str, source=None) -> PlotfileHandle:
-        """A lazy handle on ``path`` sharing this reader's config/backend."""
-        return PlotfileHandle(path, config=self.config, backend=self.backend,
-                              source=source)
+        """A lazy handle on ``path`` sharing this reader's backend."""
+        return PlotfileHandle(path, backend=self.backend, source=source)
 
-    def read_plotfile(self, path: str,
-                      template: Optional[AmrHierarchy] = None) -> AmrHierarchy:
-        """Decode ``path`` into a hierarchy; ``template`` only for legacy files."""
+    def read_plotfile(self, path: str) -> AmrHierarchy:
+        """Decode ``path`` into a hierarchy."""
         with H5LiteFile(path, "r") as f:
-            plan = scan_plotfile(f, template=template, config=self.config)
-            return execute_read(f, plan, self.backend, comm=self.comm)
+            return execute_read(f, scan_plotfile(f), self.backend,
+                                comm=self.comm)

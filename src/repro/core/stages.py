@@ -25,8 +25,8 @@ each a pure function over a small dataclass:
     size record the :class:`~repro.core.pipeline.WriteReport` aggregates.
 
 Everything that crosses a backend boundary (:class:`EncodeJob`,
-:class:`EncodeResult`) is a plain picklable dataclass, so process pools work
-as well as threads.
+:class:`EncodeResult`) is a plain picklable dataclass, so it runs in the shm
+backend's worker processes as well as inline.
 """
 
 from __future__ import annotations
@@ -312,8 +312,8 @@ def encode_job(job: EncodeJob) -> EncodeResult:
     """Stage 3: run the AMRIC filter over one dataset's chunks.
 
     A module-level pure function over picklable inputs, so every execution
-    backend (inline, thread pool, process pool) runs the identical code and
-    produces identical bytes.
+    backend (inline, shm pool) runs the identical code and produces
+    identical bytes.
     """
     level_filter = job.filter_spec.make_filter()
     for plan in job.plans:

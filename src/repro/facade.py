@@ -52,15 +52,13 @@ def _canonical_method(method: str) -> str:
     raise ValueError(f"unknown write method {method!r}; expected one of {known}")
 
 
-def open_plotfile(path: str, config: Optional[AMRICConfig] = None,
-                  backend=None, cache=None, source=None) -> PlotfileHandle:
+def open_plotfile(path: str, backend=None, cache=None,
+                  source=None) -> PlotfileHandle:
     """Open a plotfile for lazy reading (exported as :func:`repro.open`).
 
-    Self-describing plotfiles (format v1) need nothing else; pre-header files
-    open for inspection and read through the template fallback
-    (``handle.read(template=...)``).  ``config`` and ``backend`` only matter
-    for decoding: ``config`` supplies the legacy-fallback parameters, and
-    ``backend`` ("serial", "thread", "process" or an
+    Plotfiles are self-describing (format v1), so the path is all a read
+    needs; a file without the header is rejected with :class:`ValueError`.
+    ``backend`` ("serial", "shm" or an
     :class:`~repro.parallel.backend.ExecutionBackend`) runs the full-read
     decode jobs.  ``cache`` opts the handle into a shared
     :class:`~repro.service.cache.ChunkCache` so overlapping consumers decode
@@ -75,8 +73,7 @@ def open_plotfile(path: str, config: Optional[AMRICConfig] = None,
             f"cannot open plotfile {path!r}: no such file"
             + (" (it is a directory — open_series reads series directories)"
                if os.path.isdir(path) else ""))
-    return PlotfileHandle(path, config=config, backend=backend, cache=cache,
-                          source=source)
+    return PlotfileHandle(path, backend=backend, cache=cache, source=source)
 
 
 def write_plotfile(hierarchy: AmrHierarchy, path: Optional[str] = None, *,

@@ -14,9 +14,8 @@ call per chunk, uniform chunk size per dataset, per-chunk byte ranges on disk.
 Besides free-form ``attrs``, the superblock carries an optional first-class
 **header section** (:attr:`H5LiteFile.header`): an arbitrary JSON object a
 writer can attach to make the file self-describing (the AMRIC plotfile header
-of :mod:`repro.core.header` lives there).  Files written before the header
-section existed load with ``header = None`` — the explicit signal for
-template-based fallback reads.
+of :mod:`repro.core.header` lives there).  A file without one loads with
+``header = None``, which the plotfile reader rejects.
 """
 
 from __future__ import annotations
@@ -139,8 +138,15 @@ class H5LiteFile:
     def __enter__(self) -> "H5LiteFile":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is not None and self.mode == "w" and not self._closed:
+            # a write whose body raised is incomplete: committing a
+            # superblock would leave a file that opens and reads back zeros
+            self._fh.close()
+            self._closed = True
+            os.unlink(self.path)
+        else:
+            self.close()
 
     def close(self) -> None:
         if self._closed:

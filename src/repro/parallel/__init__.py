@@ -24,8 +24,8 @@ from repro.parallel.mpi_sim import SimComm
 from repro.parallel.filesystem import ParallelFileSystem
 from repro.parallel.iomodel import IOCostModel, WriteTimeBreakdown, RankWorkload
 from repro.parallel.backend import (
+    BACKENDS,
     ExecutionBackend,
-    ParallelBackend,
     SerialBackend,
     SharedMemoryBackend,
     WorkloadTally,
@@ -41,8 +41,8 @@ __all__ = [
     "RankWorkload",
     "ExecutionBackend",
     "SerialBackend",
-    "ParallelBackend",
     "SharedMemoryBackend",
+    "BACKENDS",
     "make_backend",
     "apportion",
     "WorkloadTally",

@@ -6,17 +6,17 @@ sequence of per-rank chunk encodes — see :mod:`repro.core.stages`).  An
 
 * :class:`SerialBackend` — in-process, in submission order; reproduces the
   pre-backend writer behaviour bit-for-bit and is the default;
-* :class:`ParallelBackend` — a ``concurrent.futures`` pool (threads or
-  processes).  Work functions are module-level pure functions over picklable
-  dataclasses, so both pool kinds work; results come back in submission
-  order, which is what makes the parallel write byte-identical to the serial
-  one;
 * :class:`SharedMemoryBackend` — a persistent process pool whose bulk
   payloads (chunk arrays, compressed byte streams) cross the process
   boundary as ``(segment, offset, shape, dtype)`` descriptors over
   ``multiprocessing.shared_memory`` instead of pickled ndarrays, with
-  per-worker codec caches.  See :mod:`repro.parallel.shm` for the wire
-  format.
+  per-worker codec caches.  Work functions are module-level pure functions
+  over picklable dataclasses and results come back in submission order,
+  which is what makes the pooled write byte-identical to the serial one.
+  See :mod:`repro.parallel.shm` for the wire format.
+
+:data:`BACKENDS` is the one list of backend names; the config and the CLI
+import it.
 
 The module also owns the per-rank accounting that used to be hand-tallied in
 the writer loop:
@@ -35,7 +35,7 @@ import abc
 import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -49,8 +49,8 @@ R = TypeVar("R")
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ParallelBackend",
     "SharedMemoryBackend",
+    "BACKENDS",
     "make_backend",
     "apportion",
     "WorkloadTally",
@@ -131,78 +131,12 @@ class SerialBackend(ExecutionBackend):
             self._tally_map(len(items), time.perf_counter() - t0)
 
 
-class ParallelBackend(ExecutionBackend):
-    """A ``concurrent.futures`` pool over threads or processes.
-
-    ``kind='thread'`` shares memory with the caller (cheap, useful when the
-    work releases the GIL or for testing the submission plumbing);
-    ``kind='process'`` runs workers in separate interpreters and requires the
-    work function and items to be picklable — which the encode-job dataclasses
-    of :mod:`repro.core.stages` are.
-    """
-
-    name = "parallel"
-
-    def __init__(self, kind: str = "thread", max_workers: Optional[int] = None):
-        if kind not in ("thread", "process"):
-            raise ValueError(f"kind must be 'thread' or 'process', got {kind!r}")
-        self.kind = kind
-        self.max_workers = max_workers
-        self._executor = None
-
-    def _ensure_executor(self):
-        if self._executor is None:
-            if self.kind == "thread":
-                self._executor = ThreadPoolExecutor(max_workers=self.max_workers)
-            else:
-                self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._executor
-
-    def _pool_width(self) -> int:
-        if self.max_workers is not None:
-            return int(self.max_workers)
-        return os.cpu_count() or 1
-
-    def parallel_width(self) -> int:
-        return self._pool_width()
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        if not items:
-            return []
-        executor = self._ensure_executor()
-        t0 = time.perf_counter()
-        try:
-            # executor.map preserves submission order regardless of completion
-            # order; a tuned chunksize batches process-pool IPC round-trips
-            # (thread pools ignore it)
-            if self.kind == "process":
-                chunk = _tuned_chunksize(len(items), self._pool_width())
-                return list(executor.map(fn, items, chunksize=chunk))
-            return list(executor.map(fn, items))
-        except BaseException:
-            # a broken pool (worker died, unpicklable payload, startup
-            # failure) would poison every later map; reset so the next call
-            # builds a fresh executor instead of reusing the carcass
-            self.close()
-            raise
-        finally:
-            self._tally_map(len(items), time.perf_counter() - t0)
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ParallelBackend(kind={self.kind!r}, max_workers={self.max_workers})"
-
-
 class SharedMemoryBackend(ExecutionBackend):
     """A persistent process pool fed through shared-memory descriptors.
 
-    Where :class:`ParallelBackend('process')` pickles every job's chunk
-    arrays into the IPC pipe (and the results back out), this backend copies
-    each batch's bulk payloads once into a shared segment and ships only
+    Instead of pickling every job's chunk arrays into the IPC pipe (and the
+    results back out), this backend copies each batch's bulk payloads once
+    into a shared segment and ships only
     ``(segment, offset, shape, dtype)`` descriptors; workers reconstruct
     zero-copy views, run the work function, and return results through
     per-result segments the parent adopts without a further copy.  Jobs whose
@@ -223,17 +157,16 @@ class SharedMemoryBackend(ExecutionBackend):
         if not shm_mod.HAVE_SHARED_MEMORY:  # pragma: no cover - exotic platform
             raise RuntimeError(
                 "multiprocessing.shared_memory is unavailable on this "
-                "platform; use the 'process' backend instead")
+                "platform; use the 'serial' backend instead")
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
         self._executor = None
 
-    def _pool_width(self) -> int:
+    def parallel_width(self) -> int:
         if self.max_workers is not None:
             return int(self.max_workers)
         return os.cpu_count() or 1
-
-    def parallel_width(self) -> int:
-        return self._pool_width()
 
     def _ensure_executor(self):
         if self._executor is None:
@@ -250,7 +183,7 @@ class SharedMemoryBackend(ExecutionBackend):
         t0 = time.perf_counter()
         wire_items, batch_segment = shm_mod.pack_batch(items)
         tasks = [(fn, item) for item in wire_items]
-        chunk = _tuned_chunksize(len(tasks), self._pool_width())
+        chunk = _tuned_chunksize(len(tasks), self.parallel_width())
         try:
             # shm_call returns worker exceptions in-band (WireError), so this
             # list() always consumes every result — no sibling's result
@@ -290,25 +223,21 @@ class SharedMemoryBackend(ExecutionBackend):
         return f"SharedMemoryBackend(max_workers={self.max_workers})"
 
 
+#: every backend name the API, the config and the CLI accept
+BACKENDS = ("serial", "shm")
+
+
 def make_backend(spec: "str | ExecutionBackend | None",
                  max_workers: Optional[int] = None) -> ExecutionBackend:
-    """Build a backend from a name ('serial', 'thread', 'process', 'shm')
-    or pass an instance through."""
-    if spec is None:
+    """Build a backend from a :data:`BACKENDS` name or pass an instance through."""
+    if spec is None or spec == "serial":
         return SerialBackend()
     if isinstance(spec, ExecutionBackend):
         return spec
-    if spec == "serial":
-        return SerialBackend()
-    if spec in ("thread", "threads"):
-        return ParallelBackend("thread", max_workers)
-    if spec in ("process", "processes"):
-        return ParallelBackend("process", max_workers)
-    if spec in ("shm", "shared_memory"):
+    if spec == "shm":
         return SharedMemoryBackend(max_workers)
     raise ValueError(
-        f"unknown backend {spec!r}; expected 'serial', 'thread', 'process' "
-        "or 'shm'")
+        f"unknown backend {spec!r}; expected one of {', '.join(BACKENDS)}")
 
 
 # ----------------------------------------------------------------------

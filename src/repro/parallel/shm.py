@@ -1,10 +1,10 @@
-"""Shared-memory job transport for the pooled execution backends.
+"""Shared-memory job transport for the pooled execution backend.
 
-The plain process backend round-trips every chunk array through pickle: the
+A plain process pool round-trips every chunk array through pickle: the
 parent serialises each :class:`~repro.core.stages.EncodeJob`'s packed buffer
 into the IPC pipe, the worker deserialises it, and the result arrays make the
 same trip back — three full copies plus framing per direction, which is where
-the process pool's speedup went.  This module replaces that round trip for
+a process pool's speedup goes.  This module replaces that round trip for
 the *bulk* payloads (ndarrays and raw ``bytes``) with
 ``multiprocessing.shared_memory`` descriptors:
 
@@ -23,16 +23,14 @@ the *bulk* payloads (ndarrays and raw ``bytes``) with
 Which fields ride shared memory is declared by the job/result dataclasses
 themselves via a ``_shm_fields`` class attribute naming the bulk fields
 (see :class:`~repro.core.stages.EncodeJob` etc.).  Objects without it — and
-whole batches whose bulk payload is empty — fall back to plain pickling,
-which is what keeps the serial/thread/process backends byte-identical to the
-pre-shm code.
+whole batches whose bulk payload is empty — fall back to plain pickling.
 
 Workers also keep a **per-process codec cache** (:func:`worker_codec_cache`):
 decode filters and temporal codecs are stateless per call, so each worker
 constructs one instance per (codec name, options) recipe instead of one per
 job.  The cache is only handed out *inside* a shm pool worker — pool workers
 run their tasks sequentially, so the cached instances are never shared
-between concurrent calls (the thread backend keeps constructing fresh ones).
+between concurrent calls.
 """
 
 from __future__ import annotations
@@ -100,8 +98,8 @@ def worker_codec_cache() -> Optional[Dict]:
     Work functions (:func:`repro.core.reader.decode_job`,
     :func:`repro.series.writer.temporal_encode_job`) consult this to reuse
     stateless codec/filter instances across jobs.  Outside a worker it is
-    ``None`` so the serial and thread backends keep their exact pre-shm
-    behaviour (fresh instances, no cross-thread sharing).
+    ``None``, so the serial backend — which engine threads may call
+    concurrently — builds fresh instances and shares none across threads.
     """
     return _WORKER_CODEC_CACHE if _IN_WORKER else None
 

@@ -215,8 +215,7 @@ class SeriesStepHandle(PlotfileHandle):
         return out
 
     # ------------------------------------------------------------------
-    def read(self, template: Optional[AmrHierarchy] = None,
-             backend=None, comm=None) -> AmrHierarchy:
+    def read(self, backend=None, comm=None) -> AmrHierarchy:
         """Full staged read; delta chains are pre-resolved into the chunk cache.
 
         Chain resolution must run through the series handle (the shared code
@@ -225,13 +224,10 @@ class SeriesStepHandle(PlotfileHandle):
         decode/place/refill pipeline then runs entirely on cache hits, over
         the cached scan plan with a fresh output hierarchy.
         """
-        if template is not None:
-            raise ValueError(
-                "series steps are always self-describing; the template "
-                "override would bypass delta-chain resolution")
         from dataclasses import replace
 
-        from repro.core.reader import _empty_like, execute_read
+        from repro.core.header import template_from_header
+        from repro.core.reader import execute_read
         from repro.parallel.backend import ExecutionBackend, make_backend
 
         plan = self._scan()
@@ -244,11 +240,9 @@ class SeriesStepHandle(PlotfileHandle):
             for index, chunk in decoded.items():
                 resolved_chunks[(dplan.name, index)] = chunk
         owns = not isinstance(backend, ExecutionBackend)
-        resolved = make_backend(backend if backend is not None
-                                else self.config.backend,
-                                self.config.backend_workers)
+        resolved = make_backend(backend)
         try:
-            fresh = replace(plan, structure=_empty_like(plan.structure))
+            fresh = replace(plan, structure=template_from_header(plan.header))
             return execute_read(self._file, fresh, resolved, comm=comm,
                                 stats=self.stats, cache=resolved_chunks)
         finally:

@@ -16,7 +16,7 @@ a plotfile's, then swaps the spatial encode stage for temporal encode jobs:
 
 Jobs are plain picklable dataclasses submitted through
 :meth:`~repro.parallel.mpi_sim.SimComm.run_jobs` to any execution backend
-(serial / thread / process), mirroring the plotfile writer — every backend
+(serial / shm), mirroring the plotfile writer — every backend
 commits byte-identical series.
 """
 
@@ -134,7 +134,7 @@ def temporal_encode_job(job: TemporalEncodeJob) -> TemporalEncodeResult:
     """Encode one dataset's chunks, choosing key or delta by committed size.
 
     A module-level pure function over picklable inputs — the temporal mirror
-    of :func:`repro.core.stages.encode_job` — so serial, thread and process
+    of :func:`repro.core.stages.encode_job` — so the serial and shm
     backends produce identical bytes.  Both candidates reconstruct to the
     same grid values, so the choice never affects decoded data.
 

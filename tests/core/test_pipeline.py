@@ -39,7 +39,7 @@ class TestAMRICWriter:
         path = str(tmp_path / "plt.h5z")
         report = writer.write_plotfile(nyx_hierarchy, path)
         reader = AMRICReader(cfg)
-        back = reader.read_plotfile(path, nyx_hierarchy)
+        back = reader.read_plotfile(path)
         for name in nyx_hierarchy.component_names:
             vrange = nyx_hierarchy[1].multifab.value_range(name)
             orig = nyx_hierarchy[1].multifab.to_global(name, nyx_hierarchy[1].domain)
@@ -53,7 +53,7 @@ class TestAMRICWriter:
         cfg = AMRICConfig(error_bound=1e-3)
         path = str(tmp_path / "plt.h5z")
         AMRICWriter(cfg).write_plotfile(nyx_hierarchy, path)
-        back = AMRICReader(cfg).read_plotfile(path, nyx_hierarchy)
+        back = AMRICReader(cfg).read_plotfile(path)
         mask = covered_mask(nyx_hierarchy, 0)
         rec = back[0].multifab.to_global("baryon_density", back[0].domain)
         orig = nyx_hierarchy[0].multifab.to_global("baryon_density", nyx_hierarchy[0].domain)

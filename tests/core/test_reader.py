@@ -1,15 +1,13 @@
-"""The staged read pipeline: self-describing headers, lazy access, fallbacks.
-
-Covers the PR-3 acceptance criteria:
+"""The staged read pipeline: self-describing headers, lazy access, rejection.
 
 * ``repro.open(path)`` reconstructs a hierarchy from the plotfile alone that
-  is element-wise identical to the template-based read, for every registered
-  codec and every execution backend;
+  holds the error bound against the written one for every registered codec,
+  element-wise identically on every execution backend;
 * ``read_field`` with a box decodes only the intersecting chunks (asserted by
   decode-call counting);
-* pre-header plotfiles still read via the explicit template fallback;
-* corrupt / truncated / version-skewed headers raise :class:`ValueError`,
-  never a garbage hierarchy.
+* header-less, corrupt, truncated or version-skewed files — and headers that
+  list datasets the file lacks — raise :class:`ValueError`, never a garbage
+  hierarchy.
 """
 
 import json
@@ -26,9 +24,9 @@ from repro.core.header import FORMAT_VERSION, PlotfileHeader
 from repro.core.reader import scan_plotfile
 from repro.core import stages
 from repro.h5lite.file import H5LiteFile
-from repro.parallel.backend import ParallelBackend
+from repro.parallel.backend import SharedMemoryBackend
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "shm")
 
 
 def _to_globals(hierarchy):
@@ -180,27 +178,25 @@ def _ref_read_field(handle, name, level, box, refill, fill_value, max_level):
     return out
 
 
-@pytest.fixture(scope="module")
-def legacy_plotfile(nyx_hierarchy, tmp_path_factory):
-    """A pre-header plotfile (what PR-2 writers produced)."""
-    path = tmp_path_factory.mktemp("legacy") / "plt_legacy.h5z"
-    cfg, _ = _write(nyx_hierarchy, path, error_bound=1e-3)
-    _rewrite_superblock(path, lambda sb: sb.__setitem__("header", None))
-    return str(path), cfg
-
-
 class TestSelfDescribingRoundTrip:
     @pytest.mark.parametrize("codec", sorted(available_codecs()))
-    def test_no_template_matches_template_read_all_codecs(
+    def test_header_round_trip_holds_error_bound_all_codecs(
             self, nyx_hierarchy, tmp_path, codec):
+        from repro.amr.upsample import covered_mask
+
         path = tmp_path / f"plt_{codec}.h5z"
-        cfg, _ = _write(nyx_hierarchy, path, compressor=codec, error_bound=1e-3)
-        reader = AMRICReader(cfg)
-        with_template = _to_globals(reader.read_plotfile(str(path), nyx_hierarchy))
-        no_template = _to_globals(reader.read_plotfile(str(path)))
-        assert set(with_template) == set(no_template)
-        for key, expected in with_template.items():
-            np.testing.assert_array_equal(no_template[key], expected, err_msg=str(key))
+        _write(nyx_hierarchy, path, compressor=codec, error_bound=1e-3)
+        back = _to_globals(AMRICReader().read_plotfile(str(path)))
+        assert set(back) == set(_to_globals(nyx_hierarchy))
+        for (lvl, name), rec in back.items():
+            level = nyx_hierarchy[lvl]
+            orig = level.multifab.to_global(name, level.domain)
+            # covered coarse cells are refilled by averaging, not bounded
+            kept = level.boxarray.coverage_mask(level.domain) \
+                & ~covered_mask(nyx_hierarchy, lvl)
+            vrange = level.multifab.value_range(name)
+            assert np.max(np.abs(orig[kept] - rec[kept])) <= \
+                1e-3 * max(vrange, 1e-30) * (1 + 1e-6), (lvl, name)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_backends_bit_identical(self, nyx_hierarchy, tmp_path, backend):
@@ -215,18 +211,18 @@ class TestSelfDescribingRoundTrip:
     def test_caller_supplied_backend_not_closed(self, nyx_hierarchy, tmp_path):
         path = tmp_path / "plt.h5z"
         _write(nyx_hierarchy, path, error_bound=1e-3)
-        with ParallelBackend("thread", max_workers=2) as backend:
+        with SharedMemoryBackend(max_workers=2) as backend:
             reader = AMRICReader(backend=backend)
             reader.read_plotfile(str(path))
             reader.close()                       # must not shut the pool down
-            again = reader = AMRICReader(backend=backend)
-            again.read_plotfile(str(path))       # pool still usable
+            assert backend._executor is not None
+            AMRICReader(backend=backend).read_plotfile(str(path))
 
     def test_header_round_trips_structure_and_metadata(self, nyx_hierarchy, tmp_path):
         path = tmp_path / "plt.h5z"
         _write(nyx_hierarchy, path, error_bound=1e-3)
         with repro.open(str(path)) as handle:
-            assert handle.is_self_describing
+            assert handle.describe()["self_describing"] is True
             header = handle.header
             assert header.version == FORMAT_VERSION
             assert header.components == tuple(nyx_hierarchy.component_names)
@@ -241,17 +237,6 @@ class TestSelfDescribingRoundTrip:
                 list(nyx_hierarchy[lvl].boxarray.boxes)
             assert back[lvl].multifab.distribution == \
                 nyx_hierarchy[lvl].multifab.distribution
-
-    def test_template_read_of_headered_file_ignores_header(self, nyx_hierarchy, tmp_path):
-        """The template fallback is a genuinely independent path."""
-        path = tmp_path / "plt.h5z"
-        _write(nyx_hierarchy, path, error_bound=1e-3)
-        # poison the header: the template read must not even parse it
-        _rewrite_superblock(path, lambda sb: sb.__setitem__(
-            "header", {"format": "amric-plotfile", "version": FORMAT_VERSION + 7}))
-        back = AMRICReader().read_plotfile(str(path), nyx_hierarchy)
-        assert np.isfinite(back[0].multifab.to_global(
-            "baryon_density", back[0].domain)).all()
 
     def test_nocomp_plotfile_opens_without_template(self, nyx_hierarchy, tmp_path):
         path = tmp_path / "raw.h5z"
@@ -500,38 +485,32 @@ class TestLazyRandomAccess:
                 handle.read_field("no_such_field")
 
 
-class TestLegacyFallback:
-    def test_headerless_requires_template(self, legacy_plotfile):
-        path, _ = legacy_plotfile
-        with pytest.raises(ValueError, match="no self-describing header"):
-            AMRICReader().read_plotfile(path)
-
-    def test_headerless_reads_with_template(self, legacy_plotfile, nyx_hierarchy):
-        path, cfg = legacy_plotfile
-        back = AMRICReader(cfg).read_plotfile(path, nyx_hierarchy)
-        for name in nyx_hierarchy.component_names:
-            vrange = nyx_hierarchy[1].multifab.value_range(name)
-            orig = nyx_hierarchy[1].multifab.to_global(name, nyx_hierarchy[1].domain)
-            rec = back[1].multifab.to_global(name, back[1].domain)
-            mask = nyx_hierarchy[1].boxarray.coverage_mask(nyx_hierarchy[1].domain)
-            assert np.max(np.abs(orig[mask] - rec[mask])) <= \
-                1e-3 * max(vrange, 1e-30) * (1 + 1e-6)
-
-    def test_headerless_handle_still_inspects(self, legacy_plotfile, nyx_hierarchy):
-        path, _ = legacy_plotfile
-        with repro.open(path) as handle:
-            assert not handle.is_self_describing
-            assert handle.fields == tuple(nyx_hierarchy.component_names)
-            assert handle.levels == (0, 1)
-            back = handle.read(template=nyx_hierarchy)
-        assert back.nlevels == nyx_hierarchy.nlevels
-
-
 class TestCorruptHeaders:
     def _written(self, nyx_hierarchy, tmp_path):
         path = tmp_path / "plt.h5z"
         _write(nyx_hierarchy, path, error_bound=1e-3)
         return path
+
+    def test_headerless_file_is_rejected(self, nyx_hierarchy, tmp_path):
+        path = self._written(nyx_hierarchy, tmp_path)
+        _rewrite_superblock(path, lambda sb: sb.__setitem__("header", None))
+        with pytest.raises(ValueError, match="no self-describing header") as exc:
+            repro.open(str(path))
+        assert str(path) in str(exc.value) and "template" not in str(exc.value)
+        with pytest.raises(ValueError, match="no self-describing header"):
+            AMRICReader().read_plotfile(str(path))
+
+    def test_header_listing_an_absent_dataset_raises(self, nyx_hierarchy, tmp_path):
+        """What an interrupted write used to leave: full header, no data."""
+        path = self._written(nyx_hierarchy, tmp_path)
+        _rewrite_superblock(path, lambda sb: sb.__setitem__(
+            "datasets", [d for d in sb["datasets"]
+                         if d["name"] != "level_1/temperature"]))
+        with repro.open(str(path)) as handle:
+            with pytest.raises(ValueError, match="level_1/temperature"):
+                handle.read()
+            with pytest.raises(ValueError, match="stores no such dataset"):
+                handle.read_field("baryon_density")
 
     def test_version_skew_raises(self, nyx_hierarchy, tmp_path):
         path = self._written(nyx_hierarchy, tmp_path)

@@ -23,8 +23,7 @@ SPATIAL_CODECS = ("sz_lr", "sz_interp", "sz_1d", "zfp_like")
 #: every non-default way to reach the bytes (None = LocalFileSource baseline)
 SOURCES = ("mmap", "memory", "block:4k,gap:8k,readahead:2")
 
-BACKENDS = ("serial", "thread", "process") + \
-    (("shm",) if shm.HAVE_SHARED_MEMORY else ())
+BACKENDS = ("serial",) + (("shm",) if shm.HAVE_SHARED_MEMORY else ())
 
 
 def _to_globals(hierarchy):
@@ -73,8 +72,8 @@ class TestPlotfileIdentity:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_backends_identical_over_mmap(self, codec_plotfile, baseline,
                                           backend):
-        # mmap hands out memoryview payloads: the process/shm backends must
-        # materialise them at the pool boundary and still decode identically
+        # mmap hands out memoryview payloads: the shm backend ships them as
+        # descriptors across the pool boundary and must decode identically
         with repro.open(codec_plotfile, backend=backend,
                         source="mmap") as handle:
             got = _to_globals(handle.read())

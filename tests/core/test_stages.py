@@ -14,7 +14,7 @@ from repro.core.stages import (
     plan_write,
 )
 from repro.parallel import SimComm
-from repro.parallel.backend import ParallelBackend
+from repro.parallel.backend import SharedMemoryBackend
 
 
 class TestPlanStage:
@@ -78,39 +78,26 @@ class TestBackendEquivalence:
     """Serial and pooled backends must agree to the byte."""
 
     @pytest.mark.parametrize("compressor", ["sz_lr", "sz_interp"])
-    def test_thread_backend_byte_identical(self, nyx_hierarchy, compressor, tmp_path):
+    def test_shm_backend_byte_identical(self, nyx_hierarchy, compressor, tmp_path):
         cfg = AMRICConfig(compressor=compressor, error_bound=1e-3)
         serial_path = str(tmp_path / "serial.h5z")
-        thread_path = str(tmp_path / "thread.h5z")
-        serial = AMRICWriter(cfg).write_plotfile(nyx_hierarchy, serial_path)
-        with ParallelBackend("thread", max_workers=4) as backend:
-            threaded = AMRICWriter(cfg, backend=backend).write_plotfile(
-                nyx_hierarchy, thread_path)
-        assert serial.backend == "serial" and threaded.backend == "parallel"
-        with open(serial_path, "rb") as a, open(thread_path, "rb") as b:
-            assert a.read() == b.read()
-        # identical reports, field by field
-        assert serial.records == threaded.records
-        assert serial.rank_workloads == threaded.rank_workloads
-        assert serial.collectives == threaded.collectives
-
-    @pytest.mark.parametrize("kind", ["process", "thread"])
-    def test_pool_backends_byte_identical_files(self, nyx_hierarchy, kind, tmp_path):
-        """The full pool matrix, down to the file hash (process pools pickle
-        the encode jobs into separate interpreters and must still agree)."""
-        cfg = AMRICConfig(error_bound=1e-3)
-        serial_path = str(tmp_path / "serial.h5z")
         pooled_path = str(tmp_path / "pooled.h5z")
-        AMRICWriter(cfg).write_plotfile(nyx_hierarchy, serial_path)
-        with ParallelBackend(kind, max_workers=2) as backend:
-            AMRICWriter(cfg, backend=backend).write_plotfile(nyx_hierarchy, pooled_path)
+        serial = AMRICWriter(cfg).write_plotfile(nyx_hierarchy, serial_path)
+        with SharedMemoryBackend(max_workers=2) as backend:
+            pooled = AMRICWriter(cfg, backend=backend).write_plotfile(
+                nyx_hierarchy, pooled_path)
+        assert serial.backend == "serial" and pooled.backend == "shm"
         with open(serial_path, "rb") as a, open(pooled_path, "rb") as b:
             assert a.read() == b.read()
+        # identical reports, field by field
+        assert serial.records == pooled.records
+        assert serial.rank_workloads == pooled.rank_workloads
+        assert serial.collectives == pooled.collectives
 
     def test_config_backend_string(self, nyx_hierarchy):
         serial = AMRICWriter(AMRICConfig(error_bound=1e-3)).write_plotfile(nyx_hierarchy)
         # writer-owned pools are released by close() / the context manager
-        with AMRICWriter(AMRICConfig(error_bound=1e-3, backend="thread",
+        with AMRICWriter(AMRICConfig(error_bound=1e-3, backend="shm",
                                      backend_workers=2)) as writer:
             pooled = writer.write_plotfile(nyx_hierarchy)
         assert serial.records == pooled.records
@@ -124,10 +111,12 @@ class TestBackendEquivalence:
             writer.write_plotfile(nyx_hierarchy)
 
     def test_parallel_file_reads_back(self, nyx_hierarchy, tmp_path):
-        cfg = AMRICConfig(error_bound=1e-3, backend="thread")
+        cfg = AMRICConfig(error_bound=1e-3, backend="shm", backend_workers=2)
         path = str(tmp_path / "plt.h5z")
-        AMRICWriter(cfg).write_plotfile(nyx_hierarchy, path)
-        back = AMRICReader(cfg).read_plotfile(path, nyx_hierarchy)
+        with AMRICWriter(cfg) as writer:
+            writer.write_plotfile(nyx_hierarchy, path)
+        with AMRICReader(cfg) as reader:
+            back = reader.read_plotfile(path)
         for name in nyx_hierarchy.component_names:
             vrange = nyx_hierarchy[1].multifab.value_range(name)
             orig = nyx_hierarchy[1].multifab.to_global(name, nyx_hierarchy[1].domain)

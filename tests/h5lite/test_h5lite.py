@@ -50,6 +50,21 @@ class TestFileBasics:
             with pytest.raises(ValueError):
                 f.create_dataset("x", sample_data)
 
+    def test_write_whose_body_raises_leaves_no_file(self, tmp_path, sample_data):
+        path = tmp_path / "torn.h5z"
+        with pytest.raises(RuntimeError, match="mid-write"):
+            with H5LiteFile(path, "w") as f:
+                f.create_dataset("x", sample_data)
+                raise RuntimeError("mid-write")
+        assert not path.exists()
+        # a read-mode body raising must of course leave the file alone
+        with H5LiteFile(path, "w") as f:
+            f.create_dataset("x", sample_data)
+        with pytest.raises(RuntimeError):
+            with H5LiteFile(path, "r"):
+                raise RuntimeError("reader bug")
+        assert path.exists()
+
     def test_read_missing_dataset(self, tmp_path, sample_data):
         path = tmp_path / "m.h5z"
         with H5LiteFile(path, "w") as f:

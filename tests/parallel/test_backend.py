@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from repro.parallel import RankWorkload, SimComm
 from repro.parallel.backend import (
-    ParallelBackend,
+    BACKENDS,
     SerialBackend,
+    SharedMemoryBackend,
     WorkloadTally,
     _tuned_chunksize,
     apportion,
@@ -19,44 +20,46 @@ def _square(x):
     return x * x
 
 
+def _die(_):
+    import os
+
+    os._exit(1)
+
+
 class TestBackends:
     def test_serial_preserves_order(self):
         assert SerialBackend().map(_square, [3, 1, 2]) == [9, 1, 4]
 
-    def test_thread_matches_serial(self):
-        items = list(range(20))
-        with ParallelBackend("thread", max_workers=4) as backend:
-            assert backend.map(_square, items) == SerialBackend().map(_square, items)
-
     def test_process_matches_serial(self):
-        with ParallelBackend("process", max_workers=2) as backend:
+        with SharedMemoryBackend(max_workers=2) as backend:
             assert backend.map(_square, [1, 2, 3]) == [1, 4, 9]
 
     def test_empty_batch(self):
-        with ParallelBackend("thread") as backend:
-            assert backend.map(_square, []) == []
-
-    def test_invalid_kind(self):
-        with pytest.raises(ValueError):
-            ParallelBackend("gpu")
-
-    def test_make_backend_specs(self):
-        assert isinstance(make_backend(None), SerialBackend)
-        assert isinstance(make_backend("serial"), SerialBackend)
-        assert make_backend("thread").kind == "thread"
-        assert make_backend("process").kind == "process"
-        backend = SerialBackend()
-        assert make_backend(backend) is backend
-        with pytest.raises(ValueError):
-            make_backend("quantum")
+        assert SerialBackend().map(_square, []) == []
 
     def test_close_is_idempotent(self):
-        backend = ParallelBackend("thread", max_workers=1)
-        backend.map(_square, [1])
-        backend.close()
-        backend.close()
-        # a closed backend can be reused: the pool is rebuilt lazily
-        assert backend.map(_square, [5]) == [25]
+        with SerialBackend() as backend:
+            backend.close()
+            backend.close()
+            assert backend.map(_square, [5]) == [25]
+
+    def test_make_backend_specs(self):
+        assert BACKENDS == ("serial", "shm")
+        assert isinstance(make_backend(None), SerialBackend)
+        assert isinstance(make_backend("serial"), SerialBackend)
+        assert isinstance(make_backend("shm", 2), SharedMemoryBackend)
+        backend = SerialBackend()
+        assert make_backend(backend) is backend
+        for gone in ("thread", "process", "shared_memory", "quantum"):
+            with pytest.raises(ValueError, match="expected one of serial, shm$"):
+                make_backend(gone)
+
+    def test_pool_width_below_one_rejected_at_construction(self):
+        for build in (lambda: make_backend("shm", 0),
+                      lambda: SharedMemoryBackend(0),
+                      lambda: SharedMemoryBackend(-2)):
+            with pytest.raises(ValueError, match="max_workers must be >= 1"):
+                build()
 
     def test_simcomm_run_jobs_counts_barrier(self):
         comm = SimComm(4)
@@ -73,7 +76,7 @@ class TestBackends:
 
     def test_process_map_uses_tuned_chunksize(self, monkeypatch):
         seen = {}
-        backend = ParallelBackend("process", max_workers=2)
+        backend = SharedMemoryBackend(max_workers=2)
 
         class FakeExecutor:
             def map(self, fn, items, chunksize=None):
@@ -88,13 +91,11 @@ class TestBackends:
         assert seen["chunksize"] == _tuned_chunksize(40, 2)
 
     def test_broken_pool_is_torn_down_and_rebuilt(self):
-        backend = ParallelBackend("thread", max_workers=1)
+        from concurrent.futures.process import BrokenProcessPool
 
-        def boom(_):
-            raise RuntimeError("worker exploded")
-
-        with pytest.raises(RuntimeError, match="worker exploded"):
-            backend.map(boom, [1, 2])
+        backend = SharedMemoryBackend(max_workers=1)
+        with pytest.raises(BrokenProcessPool):
+            backend.map(_die, [1, 2])
         # the failed map must not leave the dead executor behind
         assert backend._executor is None
         assert backend.map(_square, [3]) == [9]
@@ -102,7 +103,7 @@ class TestBackends:
 
     def test_parallel_width(self):
         assert SerialBackend().parallel_width() == 1
-        assert ParallelBackend("thread", max_workers=5).parallel_width() == 5
+        assert SharedMemoryBackend(max_workers=5).parallel_width() == 5
 
 
 class TestApportion:

@@ -164,11 +164,15 @@ class TestResolution:
         assert isinstance(backend, SharedMemoryBackend)
         assert backend.max_workers == 2
         backend.close()
-        assert isinstance(make_backend("shared_memory"), SharedMemoryBackend)
 
     def test_config_accepts_shm(self):
         cfg = AMRICConfig(backend="shm", backend_workers=2)
         assert cfg.backend == "shm"
+        with pytest.raises(ValueError, match="backend_workers must be >= 1"):
+            AMRICConfig(backend="shm", backend_workers=0)
+        for gone in ("thread", "process", "shared_memory"):
+            with pytest.raises(ValueError, match=r"\('serial', 'shm'\)"):
+                AMRICConfig(backend=gone)
 
     def test_cli_honours_repro_backend_shm(self, monkeypatch):
         from repro.cli import build_parser

@@ -106,7 +106,7 @@ class TestSeriesWriter:
 class TestBackendIdentity:
     def test_all_backends_write_identical_bytes(self, hierarchies, tmp_path):
         dirs = {}
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "shm"):
             path = str(tmp_path / backend)
             write_series(hierarchies[:4], path, keyframe_interval=4,
                          error_bound=1e-3, backend=backend)
@@ -131,7 +131,7 @@ class TestSeriesReader:
                     for fab_d, fab_k in zip(lvl_d.multifab, lvl_k.multifab):
                         assert np.array_equal(fab_d.data, fab_k.data)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "shm"])
     def test_full_read_on_every_backend(self, series_dir, backend):
         with open_series(series_dir) as series:
             reference = series.read(step=NSTEPS - 1)
@@ -175,7 +175,7 @@ class TestSeriesReader:
                                         refill=False)
         path = os.path.join(series_dir, key_record.path)
         with repro.open(path) as handle:
-            assert handle.is_self_describing
+            assert handle.describe()["self_describing"] is True
             standalone = handle.read_field("temperature", refill=False)
         assert np.array_equal(chained, standalone)
 

@@ -143,7 +143,7 @@ class TestSeriesCli:
 class TestLegacyInfoSatellite:
     @pytest.fixture()
     def legacy_pair(self, tmp_path):
-        """A pre-header plotfile plus a self-describing twin for --template."""
+        """A header-less plotfile plus its self-describing twin."""
         from repro.core.pipeline import AMRICWriter
         from repro.h5lite.file import H5LiteFile
 
@@ -172,26 +172,22 @@ class TestLegacyInfoSatellite:
         legacy, _, _ = legacy_pair
         assert cli_main(["info", legacy]) == 1
         err = capsys.readouterr().err
-        assert "legacy plotfile" in err
-        assert "--template" in err
+        assert "no self-describing header" in err and legacy in err
+        assert "template" not in err
 
     def test_info_on_modern_file_still_works(self, legacy_pair, capsys):
         _, modern, _ = legacy_pair
         assert cli_main(["info", modern]) == 0
         assert "self_describing" in capsys.readouterr().out
 
-    def test_decompress_template_rescues_legacy(self, legacy_pair, tmp_path,
-                                                capsys):
-        legacy, modern, hierarchy = legacy_pair
-        out = str(tmp_path / "restored.h5z")
-        # without the template the legacy file is unreadable...
-        assert cli_main(["decompress", legacy, str(tmp_path / "x.h5z")]) == 1
-        assert "template" in capsys.readouterr().err
-        # ...with it, the reconstruction matches the modern file's
-        assert cli_main(["decompress", legacy, out, "--template", modern]) == 0
-        # the restored copy carries the refilled coarse cells, so compare
-        # against the refilled read of the self-describing twin
-        with repro.open(out) as restored, repro.open(modern) as reference:
-            a = restored.read_field("baryon_density", refill=False)
-            direct = reference.read_field("baryon_density", refill=True)
-            assert np.array_equal(a, direct)
+    def test_decompress_and_verify_refuse_legacy(self, legacy_pair, tmp_path,
+                                                 capsys):
+        legacy, _, _ = legacy_pair
+        out = tmp_path / "x.h5z"
+        assert cli_main(["decompress", legacy, str(out)]) == 1
+        assert "no self-describing header" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli_main(["verify", legacy]) == 1
+        assert "no self-describing header" in capsys.readouterr().err
+        with pytest.raises(SystemExit):           # the flag is gone
+            cli_main(["decompress", legacy, str(out), "--template", legacy])

@@ -70,15 +70,30 @@ class TestComparator:
         assert "REGRESSED" in table and "+50.0%" in table
 
 
-#: the reader speedup gate pair, used as the exemplar in the tests below
-_READER_PAIR = next(t for t in bench_check.SPEEDUP_TARGETS if t[0] == "reader")
+def _gates(kind, baseline_dir, fresh_dir, tolerance=0.25):
+    """``(result lines, notices, failures)`` of one kind's rows of the table."""
+    results, notices = bench_check.evaluate_gates(str(baseline_dir),
+                                                  str(fresh_dir), tolerance)
+    mine = [(line, held) for gate, line, held in results if gate.kind == kind]
+    return ([line for line, _ in mine], [n for n in notices if kind in n],
+            sum(1 for _, held in mine if not held))
+
+
+def _row(label_part):
+    """The one table row whose label mentions ``label_part``."""
+    (gate,) = [g for g in bench_check.GATES if label_part in g.label]
+    return gate
+
+
+#: the reader speedup row, used as the exemplar in the tests below
+_READER = _row("test_reader_full_shm_backend")
 
 
 class TestSpeedupGate:
     def _reader_suite(self, tmp_path, serial_median, shm_median,
                       fresh_cores, baseline_cores=None):
         """Baseline+fresh dirs holding only the reader speedup pair."""
-        _, shm_name, serial_name, _ = _READER_PAIR
+        serial_name, shm_name = _READER.num[0], _READER.den[0]
         baseline = tmp_path / "baselines"
         baseline.mkdir()
         if baseline_cores is not None:
@@ -91,6 +106,14 @@ class TestSpeedupGate:
             shm_name: (shm_median, {"cpu_count": fresh_cores}),
         })
         return str(baseline), str(tmp_path)
+
+    def test_table_names_every_gate_once(self):
+        kinds = [gate.kind for gate in bench_check.GATES]
+        assert {k: kinds.count(k) for k in kinds} == {
+            "speedup": 3, "remote-read": 3, "streaming": 2,
+            "observability": 1, "http-gateway": 1, "entropy": 2}
+        assert all(g.scale_by_cores == (g.kind == "speedup")
+                   for g in bench_check.GATES)
 
     def test_target_relaxes_to_parity_below_two_cores(self):
         assert bench_check.effective_speedup_target(3.0, 1) == 1.0
@@ -110,14 +133,15 @@ class TestSpeedupGate:
     def test_meets_target_on_reference_machine(self, tmp_path):
         base, fresh = self._reader_suite(tmp_path, serial_median=3.0,
                                          shm_median=0.9, fresh_cores=4)
-        lines, notices, failures = bench_check.check_speedups(base, fresh, 0.25)
+        lines, notices, failures = _gates("speedup", base, fresh)
         assert failures == 0
-        assert any("3.33x" in line and "ok" in line for line in lines)
+        assert any("3.333x" in line and "ok" in line
+                   and "required >= 2.25x" in line for line in lines)
 
     def test_misses_target_on_reference_machine(self, tmp_path):
         base, fresh = self._reader_suite(tmp_path, serial_median=3.0,
                                          shm_median=2.0, fresh_cores=4)
-        lines, notices, failures = bench_check.check_speedups(base, fresh, 0.25)
+        lines, notices, failures = _gates("speedup", base, fresh)
         assert failures == 1
         assert any("FAIL" in line for line in lines)
 
@@ -125,13 +149,13 @@ class TestSpeedupGate:
         # 0.9x of serial on one core passes with the 25% tolerance pad
         base, fresh = self._reader_suite(tmp_path, serial_median=1.0,
                                          shm_median=1.1, fresh_cores=1)
-        _, _, failures = bench_check.check_speedups(base, fresh, 0.25)
+        _, _, failures = _gates("speedup", base, fresh)
         assert failures == 0
 
     def test_single_core_machine_still_fails_when_far_slower(self, tmp_path):
         base, fresh = self._reader_suite(tmp_path, serial_median=1.0,
                                          shm_median=2.0, fresh_cores=1)
-        _, _, failures = bench_check.check_speedups(base, fresh, 0.25)
+        _, _, failures = _gates("speedup", base, fresh)
         assert failures == 1
 
     def test_fewer_cores_than_baseline_skips_with_notice(self, tmp_path):
@@ -140,18 +164,20 @@ class TestSpeedupGate:
         base, fresh = self._reader_suite(tmp_path, serial_median=1.0,
                                          shm_median=5.0, fresh_cores=1,
                                          baseline_cores=4)
-        lines, notices, failures = bench_check.check_speedups(base, fresh, 0.25)
+        lines, notices, failures = _gates("speedup", base, fresh)
         assert failures == 0
         assert not lines
-        assert any("skipping" in n and "core" in n for n in notices)
+        assert any("skipped" in n and "core" in n for n in notices)
 
     def test_missing_fresh_suite_is_a_notice(self, tmp_path):
         baseline = tmp_path / "baselines"
         baseline.mkdir()
-        lines, notices, failures = bench_check.check_speedups(
-            str(baseline), str(tmp_path), 0.25)
+        lines, notices, failures = _gates("speedup", baseline, tmp_path)
         assert failures == 0 and not lines
-        assert any("no fresh" in n for n in notices)
+        # one notice per missing file, not one per row
+        assert sorted(notices) == [
+            "reader speedup: no fresh BENCH_reader.json; skipped",
+            "writer speedup: no fresh BENCH_writer.json; skipped"]
 
     def test_speedup_failure_fails_main(self, tmp_path, capsys):
         base, fresh = self._reader_suite(tmp_path, serial_median=1.0,
@@ -160,7 +186,7 @@ class TestSpeedupGate:
         rc = bench_check.main(["--baseline-dir", base, "--fresh-dir", fresh])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "speedup assertion(s) failed" in out
+        assert "1 speedup assertion(s) failed" in out
 
 
 class TestEndToEnd:
@@ -221,6 +247,9 @@ class TestEndToEnd:
 
 
 class TestRemoteGate:
+    FULL, PROBE = _row("time-to-first-array").den[0], \
+        _row("time-to-first-array").num[0]
+
     def _remote_suite(self, tmp_path, *, full_median=2.0, probe_median=0.2,
                       full_io=(170, 14, 1_000_000), probe_io=(6, 3, 60_000)):
         """A fresh BENCH_remote.json with the full read and the coarse probe."""
@@ -231,52 +260,52 @@ class TestRemoteGate:
                     "io_bytes_read": nbytes}
 
         _write_suite(tmp_path / "BENCH_remote.json", {
-            bench_check.REMOTE_FULL_BENCH: (full_median, extra(full_io)),
-            bench_check.REMOTE_PROBE_BENCH: (probe_median, extra(probe_io)),
+            self.FULL: (full_median, extra(full_io)),
+            self.PROBE: (probe_median, extra(probe_io)),
         })
         return str(tmp_path)
 
     def test_all_targets_hold(self, tmp_path):
         fresh = self._remote_suite(tmp_path)
-        lines, notices, failures = bench_check.check_remote(fresh)
+        lines, notices, failures = _gates("remote-read", tmp_path / "none", fresh)
         assert failures == 0
         assert len(lines) == 3
         assert all("ok" in line for line in lines)
 
     def test_weak_coalescing_fails(self, tmp_path):
         fresh = self._remote_suite(tmp_path, full_io=(28, 14, 1_000_000))
-        lines, _, failures = bench_check.check_remote(fresh)
+        lines, _, failures = _gates("remote-read", tmp_path / "none", fresh)
         assert failures == 1
-        assert any("coalescing" in line and "FAIL" in line for line in lines)
+        assert any("coalescing" in line and "FAIL" in line
+                   and "required >= 3x" in line for line in lines)
 
     def test_heavy_probe_bytes_fail(self, tmp_path):
         fresh = self._remote_suite(tmp_path, probe_io=(6, 3, 400_000))
-        lines, _, failures = bench_check.check_remote(fresh)
+        lines, _, failures = _gates("remote-read", tmp_path / "none", fresh)
         assert failures == 1
-        assert any("bytes" in line and "FAIL" in line for line in lines)
+        assert any("bytes" in line and "FAIL" in line
+                   and "required <= 0.25x" in line for line in lines)
 
     def test_slow_probe_fails(self, tmp_path):
         fresh = self._remote_suite(tmp_path, probe_median=1.5)
-        lines, _, failures = bench_check.check_remote(fresh)
+        lines, _, failures = _gates("remote-read", tmp_path / "none", fresh)
         assert failures == 1
         assert any("time-to-first-array" in line and "FAIL" in line
-                   for line in lines)
+                   and "required <= 0.5x" in line for line in lines)
 
     def test_missing_suite_is_a_notice(self, tmp_path):
-        lines, notices, failures = bench_check.check_remote(str(tmp_path))
+        lines, notices, failures = _gates("remote-read", tmp_path, tmp_path)
         assert failures == 0 and not lines
-        assert any("no fresh" in n for n in notices)
+        assert notices == ["remote remote-read: no fresh BENCH_remote.json; "
+                           "skipped"]
 
     def test_missing_extra_info_is_a_notice(self, tmp_path):
-        _write(tmp_path / "BENCH_remote.json", {
-            bench_check.REMOTE_FULL_BENCH: 2.0,
-            bench_check.REMOTE_PROBE_BENCH: 0.2,
-        })
-        lines, notices, failures = bench_check.check_remote(str(tmp_path))
+        _write(tmp_path / "BENCH_remote.json", {self.FULL: 2.0, self.PROBE: 0.2})
+        lines, notices, failures = _gates("remote-read", tmp_path, tmp_path)
         assert failures == 0
         # byte + coalescing assertions skip; the timing one still runs
-        assert any("skipped" in n for n in notices)
-        assert any("time-to-first-array" in line for line in lines)
+        assert len(notices) == 2 and all("skipped" in n for n in notices)
+        assert len(lines) == 1 and "time-to-first-array" in lines[0]
 
     def test_remote_failure_fails_main(self, tmp_path, capsys):
         baseline = tmp_path / "baselines"
@@ -289,22 +318,109 @@ class TestRemoteGate:
         assert "remote-read assertion(s) failed" in out
 
 
+class TestStreamGate:
+    REOPEN, REFRESH = _row("live refresh").num[0], _row("live refresh").den[0]
+    LAG = _row("commit-to-event lag").num[0]
+
+    def _stream_suite(self, tmp_path, *, reopen=0.64e-3, refresh=8e-6, lag=0.024):
+        _write_suite(tmp_path / "BENCH_stream.json", {
+            self.REOPEN: (reopen, {}), self.REFRESH: (refresh, {}),
+            self.LAG: (0.5, {} if lag is None
+                       else {"mean_event_lag_seconds": lag})})
+        return tmp_path
+
+    def test_both_targets_hold(self, tmp_path):
+        lines, notices, failures = _gates(
+            "streaming", tmp_path / "none", self._stream_suite(tmp_path))
+        assert failures == 0 and not notices
+        assert len(lines) == 2 and all("ok" in line for line in lines)
+        assert "80x" in lines[0] and "required >= 5x" in lines[0]
+        assert "0.024s" in lines[1] and "required <= 2s" in lines[1]
+
+    def test_refresh_as_dear_as_a_reopen_fails(self, tmp_path):
+        fresh = self._stream_suite(tmp_path, refresh=0.3e-3)
+        lines, _, failures = _gates("streaming", tmp_path / "none", fresh)
+        assert failures == 1 and "FAIL" in lines[0] and "ok" in lines[1]
+
+    def test_slow_event_delivery_fails_main(self, tmp_path, capsys):
+        fresh = self._stream_suite(tmp_path, lag=3.5)
+        lines, _, failures = _gates("streaming", tmp_path / "none", fresh)
+        assert failures == 1 and "ok" in lines[0] and "FAIL" in lines[1]
+        assert bench_check.main(["--baseline-dir", str(tmp_path / "none"),
+                                 "--fresh-dir", str(fresh)]) == 1
+        assert "1 streaming assertion(s) failed" in capsys.readouterr().out
+
+    def test_missing_lag_stamp_or_zero_median_is_a_notice(self, tmp_path):
+        fresh = self._stream_suite(tmp_path, refresh=0.0, lag=None)
+        lines, notices, failures = _gates("streaming", tmp_path / "none", fresh)
+        assert failures == 0 and not lines
+        assert "zero median" in notices[0]
+        assert "no mean_event_lag_seconds extra_info" in notices[1]
+
+
+class TestOverheadGates:
+    """The obs and http rows: one stamped ratio each against a ceiling."""
+
+    CASES = {"observability": ("obs", _row("metrics overhead"), "<= 1.05x"),
+             "http-gateway": ("http", _row("gateway over TCP"), "<= 2x")}
+
+    def _suite(self, tmp_path, kind, ratio):
+        suite, gate, _ = self.CASES[kind]
+        bench, stamp = gate.num
+        _write_suite(tmp_path / f"BENCH_{suite}.json", {
+            bench: (0.02, {} if ratio is None else {stamp: ratio})})
+        return tmp_path
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_ratio_under_the_ceiling_holds(self, tmp_path, kind):
+        lines, notices, failures = _gates(
+            kind, tmp_path / "none", self._suite(tmp_path, kind, 1.02))
+        assert failures == 0 and not notices and len(lines) == 1
+        assert "1.02x" in lines[0] and "ok" in lines[0]
+        assert f"required {self.CASES[kind][2]}" in lines[0]
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_ratio_over_the_ceiling_fails_main(self, tmp_path, capsys, kind):
+        fresh = self._suite(tmp_path, kind, 2.4)
+        lines, _, failures = _gates(kind, tmp_path / "none", fresh)
+        assert failures == 1 and "FAIL" in lines[0]
+        assert bench_check.main(["--baseline-dir", str(tmp_path / "none"),
+                                 "--fresh-dir", str(fresh)]) == 1
+        assert f"1 {kind} assertion(s) failed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_missing_suite_benchmark_or_stamp_is_a_notice(self, tmp_path, kind):
+        suite, gate, _ = self.CASES[kind]
+        lines, notices, failures = _gates(kind, tmp_path, tmp_path)
+        assert failures == 0 and not lines and "no fresh" in notices[0]
+        _write(tmp_path / f"BENCH_{suite}.json", {"test_other": 1.0})
+        lines, notices, failures = _gates(kind, tmp_path, tmp_path)
+        assert failures == 0 and not lines
+        assert "not in fresh results" in notices[0]
+        fresh = self._suite(tmp_path, kind, None)
+        lines, notices, failures = _gates(kind, tmp_path / "none", fresh)
+        assert failures == 0 and not lines
+        assert f"no {gate.num[1]} extra_info" in notices[0]
+
+
 class TestEntropyGate:
+    LONG = _row(", decode, over").den[0]
+    SMALL = _row(", decode, over").num[0]
+    ENCODE = _row(", encode, over").num[0]
+
     def _entropy_suite(self, tmp_path, *, long_median=0.030, small_median=0.040,
                        encode_median=0.025, stamp=True):
         """A fresh BENCH_entropy.json: one 1M-symbol stream vs 390 small ones."""
         _write_suite(tmp_path / "BENCH_entropy.json", {
-            bench_check.ENTROPY_LONG_BENCH:
-                (long_median, {"symbols": 1_000_000} if stamp else {}),
-            bench_check.ENTROPY_SMALL_BENCH:
-                (small_median, {"symbols": 1_050_000} if stamp else {}),
-            bench_check.ENTROPY_ENCODE_BENCH:
-                (encode_median, {"symbols": 1_050_000} if stamp else {}),
+            self.LONG: (long_median, {"symbols": 1_000_000} if stamp else {}),
+            self.SMALL: (small_median, {"symbols": 1_050_000} if stamp else {}),
+            self.ENCODE: (encode_median, {"symbols": 1_050_000} if stamp else {}),
         })
         return str(tmp_path)
 
     def test_one_lane_pass_per_container_holds(self, tmp_path):
-        lines, notices, failures = bench_check.check_entropy(self._entropy_suite(tmp_path))
+        lines, notices, failures = _gates(
+            "entropy", tmp_path / "none", self._entropy_suite(tmp_path))
         assert failures == 0 and not notices
         assert len(lines) == 2 and all("ok" in line for line in lines)
 
@@ -312,32 +428,34 @@ class TestEntropyGate:
         # the searchsorted + float64-bincount kernel: ~90 ns/symbol against a
         # 30 ns/symbol decode
         fresh = self._entropy_suite(tmp_path, encode_median=0.095)
-        lines, _, failures = bench_check.check_entropy(fresh)
+        lines, _, failures = _gates("entropy", tmp_path / "none", fresh)
         assert failures == 1
-        assert "ok" in lines[0] and "decode at" in lines[0]
-        assert "FAIL" in lines[1] and "encode at 3.02x" in lines[1]
+        assert "ok" in lines[0] and ", decode, over" in lines[0]
+        assert "FAIL" in lines[1] and ", encode, over" in lines[1]
+        assert "3.016x" in lines[1] and "required <= 2.5x" in lines[1]
         assert bench_check.main(["--baseline-dir", str(tmp_path / "none"),
                                  "--fresh-dir", fresh]) == 1
         # a recording made before the encode benchmark existed is not a failure
         _write_suite(tmp_path / "BENCH_entropy.json", {
-            bench_check.ENTROPY_LONG_BENCH: (0.030, {"symbols": 1_000_000}),
-            bench_check.ENTROPY_SMALL_BENCH: (0.040, {"symbols": 1_050_000})})
-        lines, notices, failures = bench_check.check_entropy(str(tmp_path))
+            self.LONG: (0.030, {"symbols": 1_000_000}),
+            self.SMALL: (0.040, {"symbols": 1_050_000})})
+        lines, notices, failures = _gates("entropy", tmp_path / "none", tmp_path)
         assert failures == 0 and len(lines) == 1
-        assert bench_check.ENTROPY_ENCODE_BENCH in notices[0]
+        assert self.ENCODE in notices[0]
 
     def test_per_stream_loop_cost_fails(self, tmp_path):
         # what one lane loop per stream measured: ~30x the per-symbol cost
         fresh = self._entropy_suite(tmp_path, small_median=0.9)
-        lines, _, failures = bench_check.check_entropy(fresh)
+        lines, _, failures = _gates("entropy", tmp_path / "none", fresh)
         assert failures == 1 and "FAIL" in lines[0]
+        assert "required <= 2x" in lines[0]
         rc = bench_check.main(["--baseline-dir", str(tmp_path / "none"),
                                "--fresh-dir", fresh])
         assert rc == 1
 
     def test_missing_suite_or_stamp_is_a_notice(self, tmp_path):
-        lines, notices, failures = bench_check.check_entropy(str(tmp_path))
+        lines, notices, failures = _gates("entropy", tmp_path, tmp_path)
         assert failures == 0 and not lines and "no fresh" in notices[0]
         fresh = self._entropy_suite(tmp_path, stamp=False)
-        lines, notices, failures = bench_check.check_entropy(fresh)
+        lines, notices, failures = _gates("entropy", tmp_path / "none", fresh)
         assert failures == 0 and not lines and "skipped" in notices[0]

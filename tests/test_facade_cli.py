@@ -75,6 +75,21 @@ class TestWriteFacade:
             assert np.max(np.abs(orig[mask] - rec[mask])) <= \
                 1e-3 * max(vrange, 1e-30) * (1 + 1e-6)
 
+    @pytest.mark.parametrize("method", ["amric", "amrex_1d", "nocomp"])
+    def test_failed_write_leaves_no_file(self, hierarchy, tmp_path, monkeypatch,
+                                         method):
+        from repro.h5lite.file import H5LiteFile
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(H5LiteFile, "create_dataset", boom)
+        monkeypatch.setattr(H5LiteFile, "create_dataset_from_chunks", boom)
+        path = tmp_path / "torn.h5z"
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            repro.write(hierarchy, str(path), method=method)
+        assert not path.exists()
+
 
 class TestOpenErrorPaths:
     def test_open_missing_file_raises_clear_value_error(self, tmp_path):
@@ -143,7 +158,7 @@ class TestDriverOnFacade:
         records = driver.run(1)
         assert len(records) == 1
         with repro.open(records[0].path) as handle:
-            assert handle.is_self_describing
+            assert handle.describe()["self_describing"] is True
             assert handle.read().nlevels >= 1
 
     def test_driver_without_io_config_writes_nothing(self):
@@ -243,7 +258,7 @@ class TestCLI:
         assert "--error-bound does not apply" in capsys.readouterr().err
         assert cli_main(["compress", "--preset", "nyx_1",
                          str(tmp_path / "y.h5z"), "--method", "amrex_1d",
-                         "--backend", "thread"]) == 1
+                         "--backend", "shm"]) == 1
         assert "--backend only applies" in capsys.readouterr().err
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
@@ -259,15 +274,49 @@ class TestCLI:
     def test_backend_default_honours_env(self, plotfile, monkeypatch):
         from repro.cli import build_parser
 
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_BACKEND", "shm")
         args = build_parser().parse_args(["verify", str(plotfile)])
-        assert args.backend == "thread"
+        assert args.backend == "shm"
 
     def test_typoed_repro_backend_fails_up_front(self, plotfile, monkeypatch,
                                                  capsys):
         monkeypatch.setenv("REPRO_BACKEND", "proces")
         assert cli_main(["verify", str(plotfile)]) == 1
         assert "REPRO_BACKEND must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["thread", "process"])
+    def test_removed_backend_names_are_refused(self, plotfile, monkeypatch,
+                                               capsys, name):
+        assert cli_main(["verify", str(plotfile), "--backend", name]) == 1
+        assert f"unknown backend {name!r}; expected one of serial, shm" \
+            in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_BACKEND", name)
+        assert cli_main(["verify", str(plotfile)]) == 1
+        assert f"REPRO_BACKEND must be one of serial, shm, got {name!r}" \
+            in capsys.readouterr().err
+
+    def test_zero_workers_fails_before_creating_the_output(self, tmp_path,
+                                                           capsys):
+        out = tmp_path / "x.h5z"
+        assert self._compress(out, ["--backend", "shm",
+                                    "--max-workers", "0"]) == 1
+        assert "max_workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_fails_on_a_header_without_its_datasets(self, plotfile,
+                                                           tmp_path, capsys):
+        """What an interrupted write used to leave behind passed verify."""
+        import json
+        import struct
+
+        data = plotfile.read_bytes()
+        (offset,) = struct.unpack_from("<Q", data, 4)
+        superblock = json.loads(data[offset:])
+        superblock["datasets"] = []
+        hollow = tmp_path / "hollow.h5z"
+        hollow.write_bytes(data[:offset] + json.dumps(superblock).encode())
+        assert cli_main(["verify", str(hollow)]) == 1
+        assert "stores no such dataset" in capsys.readouterr().err
 
 
 class TestLazyServiceImport:
