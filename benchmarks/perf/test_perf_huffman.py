@@ -6,6 +6,9 @@ hundreds of small streams sharing a table (SLE) in one container.
 encoded, to <= 2x a symbol of the long decode (all three stamp
 ``extra_info.symbols``).  The wide table build has the alphabet of a temporal
 key stream, where the code-length merge — not the histogram — is the cost.
+``test_huffman_decode_many_tables`` is a decode job: four containers, each
+under its own table, decoded in one lane pass or in four — the gate holds the
+one pass to <= 0.7x the four (the pass's 256 Python-level steps are shared).
 """
 
 import numpy as np
@@ -14,6 +17,7 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 from repro.compress import container as ctn
+from repro.compress import huffman
 from repro.compress.huffman import SYNC_INTERVAL, HuffmanCodec
 
 #: nyx_1's stream count, and roughly its symbols per stream
@@ -84,4 +88,39 @@ def test_huffman_decode_many_small_streams(benchmark, small_streams):
                                 kwargs={"sync_interval": SYNC_INTERVAL},
                                 rounds=5, iterations=1)
     for got, array in zip(result, small_streams):
+        np.testing.assert_array_equal(got, array)
+
+
+@pytest.fixture(scope="module")
+def job_containers():
+    """Four chunks of one dataset as the reader parses them: ~108 unit-block
+    streams (~27k symbols) each, LUT widths 12-15 (nyx_1 level 0's shape)."""
+    rng = np.random.default_rng(17)
+    pairs, arrays = [], []
+    for scale in (0.8, 1.2, 2.5, 6.0):
+        sizes = 256 - rng.integers(0, 9, size=108) * (rng.random(108) < 0.2)
+        blocks = [(32768 + np.round(rng.laplace(0, scale, n))).astype(np.uint32)
+                  for n in sizes]
+        codec = HuffmanCodec.from_multiple(blocks)
+        pairs += ctn.parse_huffman(ctn.pack_huffman([codec.encode(b) for b in blocks]),
+                                   sync_interval=SYNC_INTERVAL)
+        arrays.append(np.concatenate(blocks))
+    widths = [codec._build_lut()[0] for codec, _ in pairs]
+    assert min(widths) >= 12 and max(widths) <= 15 and len(set(widths)) >= 3
+    return pairs, arrays
+
+
+@pytest.mark.parametrize("passes", [1, 4])
+def test_huffman_decode_many_tables(benchmark, job_containers, passes):
+    pairs, arrays = job_containers
+    benchmark.extra_info["passes"] = passes
+    benchmark.extra_info["symbols"] = sum(a.size for a in arrays)
+    if passes == 1:
+        def run():
+            return huffman.decode_many(pairs)
+    else:
+        def run():
+            return [codec.decode(encoded) for codec, encoded in pairs]
+    result = benchmark.pedantic(run, rounds=15, iterations=1, warmup_rounds=1)
+    for got, array in zip(result, arrays):
         np.testing.assert_array_equal(got, array)

@@ -17,6 +17,10 @@ offsets of PR 1 touched all four).  This module is the single implementation:
 * :func:`pack_huffman_individual` / :func:`unpack_huffman_individual` — the
   per-array-table alternative (``shared_encoding=False``, the costly non-SLE
   path the paper compares against);
+* :func:`parse_huffman` / :func:`parse_huffman_individual` +
+  :func:`decode_huffman` — the two halves of the unpack functions: sections
+  to ``(codec, encoded)`` pairs, then one entropy pass over the pairs of
+  however many containers a decode job holds;
 * :func:`pack_zarray` / :func:`unpack_zarray` and :func:`pack_zbytes` /
   :func:`unpack_zbytes` — deflated side-array sections.
 
@@ -30,7 +34,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,9 +56,14 @@ __all__ = [
     "pack_container",
     "unpack_container",
     "pack_huffman",
+    "parse_huffman",
     "unpack_huffman",
     "pack_huffman_individual",
+    "parse_huffman_individual",
     "unpack_huffman_individual",
+    "decode_huffman",
+    "HuffmanPair",
+    "required",
     "pack_zarray",
     "unpack_zarray",
     "pack_zbytes",
@@ -69,6 +78,22 @@ class CodecContainer:
     codec: str
     meta: Dict[str, object]
     sections: Dict[str, bytes] = field(default_factory=dict)
+
+
+#: one table and what it decodes: the unit :func:`decode_huffman` batches
+HuffmanPair = Tuple[HuffmanCodec, HuffmanEncoded]
+
+
+def required(mapping: Mapping[str, Any], key: str, what: str) -> Any:
+    """``mapping[key]``, or the :class:`ValueError` naming what ``what`` lacks.
+
+    Every parser of stored bytes reads its sections and meta keys through
+    this, so a stream that lost one fails like any other damaged stream.
+    """
+    try:
+        return mapping[key]
+    except KeyError:
+        raise ValueError(f"{what}: missing {key!r}") from None
 
 
 def pack_container(codec: str, meta: Dict[str, object],
@@ -129,32 +154,54 @@ def pack_huffman(streams: Sequence[HuffmanEncoded], lossless_level: int = 6) -> 
     }
 
 
-def unpack_huffman(sections: Dict[str, bytes], *,
-                   sync_interval: int = 0) -> List[np.ndarray]:
-    """Decode the shared-table Huffman sections back to per-stream code arrays.
+def parse_huffman(sections: Dict[str, bytes], *, sync_interval: int = 0) -> List[HuffmanPair]:
+    """The shared-table Huffman sections as one ``(codec, multi-stream encoded)`` pair.
 
-    The streams share one table, so the concatenated payload goes to the codec
-    once, as one multi-stream :class:`HuffmanEncoded`: all of the container's
-    lanes decode in a single pass and the flat result is split per stream.
-    The codec checks the counts against the bytes present (negative counts, a
-    short payload, more symbols than bits) before sizing anything from them.
+    Everything :func:`unpack_huffman` does short of the entropy decode: the
+    table, the inflated payload, the per-stream counts and the sync offsets (a
+    sync section that does not fit the counts leaves the pair on the scalar
+    path).  The codec checks the counts against the bytes present (negative
+    counts, a short payload, more symbols than bits) when the pair is decoded.
     """
-    for name in ("huff_nbits", "huff_ncodes"):
-        if name not in sections:
-            raise ValueError(f"Huffman sections carry no {name!r}")
-    nbits = np.frombuffer(sections["huff_nbits"], dtype=np.int64)
-    ncodes = np.frombuffer(sections["huff_ncodes"], dtype=np.int64)
+    nbits, ncodes, table, payload = (
+        required(sections, name, "Huffman sections")
+        for name in ("huff_nbits", "huff_ncodes", "huff_table", "huff_payload"))
+    nbits = np.frombuffer(nbits, dtype=np.int64)
+    ncodes = np.frombuffer(ncodes, dtype=np.int64)
     if nbits.size != ncodes.size or nbits.size == 0:
         raise ValueError("Huffman bit/symbol count mismatch")
-    symbols, lengths = unpack_arrays(sections["huff_table"])
-    codec = HuffmanCodec(symbols, lengths)
-    payload = zlib_decompress(sections["huff_payload"])
+    symbols, lengths = unpack_arrays(table)
+    payload = zlib_decompress(payload)
     syncs = huffman.unpack_sync_for(sections.get("huff_sync"), int(sync_interval),
                                     ncodes.tolist())
     sync = None if any(s is None for s in syncs) else np.concatenate(syncs)
     batch = HuffmanEncoded(payload, int(nbits.sum()), int(ncodes.sum()), symbols, lengths,
                            sync=sync, streams=np.stack([nbits, ncodes], axis=1))
-    return np.split(codec.decode(batch), np.cumsum(ncodes)[:-1])
+    return [(HuffmanCodec(symbols, lengths), batch)]
+
+
+def decode_huffman(containers: Sequence[Sequence[HuffmanPair]]) -> List[List[np.ndarray]]:
+    """Per container, one code array per stream — every pair in one lane pass.
+
+    ``containers`` holds what :func:`parse_huffman` /
+    :func:`parse_huffman_individual` returned for each container of a decode
+    job; the pass's cost is shared by all of them (DESIGN.md §2).
+    """
+    decoded = iter(huffman.decode_many([pair for pairs in containers for pair in pairs]))
+    out: List[List[np.ndarray]] = []
+    for pairs in containers:
+        arrays: List[np.ndarray] = []
+        for (_, encoded), symbols in zip(pairs, decoded):
+            arrays.extend([symbols] if encoded.streams is None else
+                          np.split(symbols, np.cumsum(encoded.streams[:, 1])[:-1]))
+        out.append(arrays)
+    return out
+
+
+def unpack_huffman(sections: Dict[str, bytes], *,
+                   sync_interval: int = 0) -> List[np.ndarray]:
+    """Decode the shared-table Huffman sections back to per-stream code arrays."""
+    return decode_huffman([parse_huffman(sections, sync_interval=sync_interval)])[0]
 
 
 def pack_huffman_individual(streams: Sequence[HuffmanEncoded],
@@ -178,26 +225,37 @@ def pack_huffman_individual(streams: Sequence[HuffmanEncoded],
     return zlib_compress(framed, lossless_level)
 
 
-def unpack_huffman_individual(section: bytes, ncodes: Sequence[int],
-                              sync_interval: int = 0) -> List[np.ndarray]:
-    """Invert :func:`pack_huffman_individual` (``ncodes``: symbols per stream)."""
+def parse_huffman_individual(section: bytes, ncodes: Sequence[int],
+                             sync_interval: int = 0) -> List[HuffmanPair]:
+    """The per-array-table section as one ``(codec, encoded)`` pair per stream."""
     framed = zlib_decompress(section)
-    out: List[np.ndarray] = []
+    pairs: List[HuffmanPair] = []
     offset = 0
     for n in ncodes:
+        if offset + 8 > len(framed):
+            raise ValueError("truncated per-array Huffman section")
         (blob_len,) = struct.unpack_from("<Q", framed, offset)
         offset += 8
         blob = unpack_sections(framed[offset:offset + blob_len])
         offset += blob_len
-        symbols = unpack_array(blob["symbols"])
-        lengths = unpack_array(blob["lengths"])
-        (nbits,) = struct.unpack("<q", blob["nbits"])
+        symbols, lengths, payload, raw_nbits = (
+            required(blob, name, "per-array Huffman stream")
+            for name in ("symbols", "lengths", "payload", "nbits"))
+        symbols, lengths = unpack_array(symbols), unpack_array(lengths)
+        if len(raw_nbits) != 8:
+            raise ValueError("per-array Huffman stream: 'nbits' is not one int64")
+        (nbits,) = struct.unpack("<q", raw_nbits)
         sync = huffman.unpack_sync_for(blob.get("sync"), int(sync_interval),
                                        [int(n)])[0]
-        stream = HuffmanEncoded(blob["payload"], nbits, int(n),
-                                symbols, lengths, sync=sync)
-        out.append(HuffmanCodec(symbols, lengths).decode(stream))
-    return out
+        pairs.append((HuffmanCodec(symbols, lengths),
+                      HuffmanEncoded(payload, nbits, int(n), symbols, lengths, sync=sync)))
+    return pairs
+
+
+def unpack_huffman_individual(section: bytes, ncodes: Sequence[int],
+                              sync_interval: int = 0) -> List[np.ndarray]:
+    """Invert :func:`pack_huffman_individual` (``ncodes``: symbols per stream)."""
+    return decode_huffman([parse_huffman_individual(section, ncodes, sync_interval)])[0]
 
 
 # ----------------------------------------------------------------------

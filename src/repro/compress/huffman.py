@@ -26,11 +26,14 @@ Both directions are fully vectorized (DESIGN.md §2):
   window, look all of them up in a flat canonical table
   ``LUT[next_k_bits] -> (symbol, code_len)``, emit, advance.  A
   :class:`HuffmanEncoded` may hold several byte-aligned streams of one table
-  back to back (a container's SLE streams); their lanes then run in the same
-  pass, so the ``SYNC_INTERVAL`` Python-level steps are paid once per
-  container, not once per stream.  Code lengths are limited to
-  ``MAX_CODE_LEN`` (16) by the Kraft repair in :func:`_limit_lengths`, which
-  keeps the LUT at most 2**16 entries.
+  back to back (a container's SLE streams), and a batch of them — each with
+  its own table (:func:`decode_many`: the containers of a decode job) — is a
+  :class:`HuffmanEncoded` too; all their lanes run in the same pass, each
+  lane gathering from its table's slice of the LUTs laid back to back, so the
+  ``SYNC_INTERVAL`` Python-level steps are paid once per decode job, not once
+  per container or stream.  Code lengths are limited to ``MAX_CODE_LEN`` (16)
+  by the Kraft repair in :func:`_limit_lengths`, which keeps a table's LUT at
+  most 2**16 entries.
 
 Streams without sync offsets (hand-built :class:`HuffmanEncoded` objects, or
 tables whose code lengths exceed the LUT width) fall back to an exact
@@ -48,7 +51,7 @@ import numpy as np
 
 from repro.compress.lossless import zlib_decompress
 
-__all__ = ["HuffmanCodec", "encode", "decode", "HuffmanEncoded",
+__all__ = ["HuffmanCodec", "encode", "decode", "decode_many", "HuffmanEncoded",
            "MAX_CODE_LEN", "SYNC_INTERVAL", "pack_sync", "unpack_sync",
            "unpack_sync_for"]
 
@@ -82,6 +85,10 @@ class HuffmanEncoded:
     #: ``nsymbols`` are then the totals and ``sync`` the streams' offsets
     #: (each relative to its own stream) concatenated
     streams: Optional[np.ndarray] = None
+    #: set on a *batch* (built by :func:`decode_many`): the ``(codec, encoded)``
+    #: pairs one decode pass covers, each pair under its own table.  ``nbits``
+    #: and ``nsymbols`` are then the totals and the other fields unused
+    parts: Optional[Sequence[Tuple["HuffmanCodec", "HuffmanEncoded"]]] = None
 
 
 def _limit_lengths(lengths: np.ndarray, max_len: int = MAX_CODE_LEN) -> np.ndarray:
@@ -288,8 +295,9 @@ class HuffmanCodec:
                               self.symbols, self.lengths, sync=sync)
 
     # ------------------------------------------------------------------
-    def _build_lut(self) -> Tuple[int, np.ndarray]:
-        """Flat canonical decode table ``LUT[next_k_bits] -> index << 5 | length``.
+    def _lut_into(self, lut: np.ndarray) -> None:
+        """Fill ``lut`` (zeros, ``2 ** k`` slots, ``k`` the longest code) with
+        the flat canonical decode table ``LUT[next_k_bits] -> index << 5 | length``.
 
         ``index`` is the symbol's canonical rank (into ``_dec_symbols``), so
         one uint32 gather per step yields both the symbol and the advance.
@@ -297,15 +305,45 @@ class HuffmanCodec:
         the table is one ``np.repeat``; unassigned slots stay 0 (length 0),
         which the decoder reports as an invalid stream.
         """
+        k = int(self._dec_lengths.max())
+        reps = np.int64(1) << (k - self._dec_lengths)
+        entries = (np.arange(reps.size, dtype=np.uint32) << np.uint32(5)) \
+            | self._dec_lengths.astype(np.uint32)
+        lut[:int(reps.sum())] = np.repeat(entries, reps)
+
+    def _build_lut(self) -> Tuple[int, np.ndarray]:
+        """``(k, LUT)`` of this table alone, built once per codec."""
         if self._lut is None:
             k = int(self._dec_lengths.max())
-            reps = np.int64(1) << (k - self._dec_lengths)
-            entries = (np.arange(reps.size, dtype=np.uint32) << np.uint32(5)) \
-                | self._dec_lengths.astype(np.uint32)
             lut = np.zeros(1 << k, dtype=np.uint32)
-            lut[:int(reps.sum())] = np.repeat(entries, reps)
+            self._lut_into(lut)
             self._lut = (k, lut)
         return self._lut
+
+    def _streams(self, encoded: HuffmanEncoded) -> Optional[Tuple[np.ndarray, ...]]:
+        """Per-stream ``(byte offset, bytes, bits, symbols)`` of a one-table ``encoded``.
+
+        ``None`` when it holds no symbol.  Every code is at least one bit
+        long, so once the counts pass here everything sized from them is
+        bounded by the bytes present.
+        """
+        rows = np.asarray([[encoded.nbits, encoded.nsymbols]] if encoded.streams is None
+                          else encoded.streams, dtype=np.int64).reshape(-1, 2)
+        if rows.size and int(rows.min()) < 0:
+            raise ValueError("invalid Huffman stream (negative bit or symbol count)")
+        nbits, counts = rows[:, 0], rows[:, 1]
+        if int(counts.sum()) != encoded.nsymbols:
+            raise ValueError("invalid Huffman stream (stream counts do not add up)")
+        if not counts.any():
+            return None
+        nbytes = (nbits + 7) >> 3
+        size = len(encoded.payload)
+        if int(nbits.max()) > 8 * size or int(nbytes.sum()) > size \
+                or bool((counts > nbits).any()):
+            raise ValueError("truncated Huffman stream")
+        if self._dec_lengths.size == 0:
+            raise ValueError("invalid Huffman stream (empty table)")
+        return np.cumsum(nbytes) - nbytes, nbytes, nbits, counts
 
     def decode(self, encoded: HuffmanEncoded) -> np.ndarray:
         """Decode a bitstream produced by :meth:`encode`.
@@ -314,80 +352,134 @@ class HuffmanCodec:
         everything the SZ serializers round-trip) take the vectorized
         multi-lane LUT path; anything else uses the exact scalar fallback.
         A multi-stream ``encoded`` (``encoded.streams`` set) decodes to the
-        concatenation of its streams' symbols, all lanes in one pass.
+        concatenation of its streams' symbols; a batch (``encoded.parts`` set)
+        to the concatenation of its parts', each part under its own table and
+        all their lanes in one pass (a part without usable sync offsets takes
+        the scalar loop alone).  Every part's counts are checked against its
+        bytes before anything is decoded, and one damaged part fails the call.
         """
-        rows = np.asarray([[encoded.nbits, encoded.nsymbols]] if encoded.streams is None
-                          else encoded.streams, dtype=np.int64).reshape(-1, 2)
-        if rows.size and int(rows.min()) < 0:
-            raise ValueError("invalid Huffman stream (negative bit or symbol count)")
-        nbits, counts = rows[:, 0], rows[:, 1]
-        if not counts.any():
-            return np.zeros(0, dtype=np.uint32)
-        payload = encoded.payload
-        nbytes = (nbits + 7) >> 3
-        # every code is at least one bit long, so the symbol counts (and with
-        # them everything allocated below) are bounded by the bytes present
-        if int(nbits.max()) > 8 * len(payload) or int(nbytes.sum()) > len(payload) \
-                or bool((counts > nbits).any()):
-            raise ValueError("truncated Huffman stream")
-        if self._dec_lengths.size == 0:
-            raise ValueError("invalid Huffman stream (empty table)")
-        offsets = np.cumsum(nbytes) - nbytes
-        if encoded.sync is not None and int(self._dec_lengths.max()) <= MAX_CODE_LEN:
-            lanes = _lane_layout(nbits, counts, offsets,
-                                 np.asarray(encoded.sync, dtype=np.int64).ravel())
-            if lanes is not None:
-                return self._decode_lanes(payload, *lanes)
-        return np.concatenate([
-            self._decode_scalar(payload[o:o + b], nb, n)
-            for o, b, nb, n in zip(*(a.tolist() for a in (offsets, nbytes, nbits, counts)))
-            if n])
+        parts = [(self, encoded)] if encoded.parts is None else list(encoded.parts)
+        tables, payloads, lanes, laned, scalar = [], [], [], [], []
+        first_bit = 0           # of the next laned payload, all back to back
+        total = 0               # symbols so far: where the next part's go in the result
+        for codec, part in parts:
+            streams = codec._streams(part)
+            if streams is None:
+                continue
+            offsets, _, nbits, counts = streams
+            where = slice(total, total + int(counts.sum()))
+            total = where.stop
+            layout = None
+            if part.sync is not None and int(codec._dec_lengths.max()) <= MAX_CODE_LEN:
+                layout = _lane_layout(nbits, counts, offsets,
+                                      np.asarray(part.sync, dtype=np.int64).ravel())
+            if layout is None:
+                scalar.append((where, codec, part.payload, streams))
+                continue
+            start, end, count = layout
+            lanes.append((start + first_bit, end + first_bit, count,
+                          np.full(count.size, len(tables), dtype=np.int64)))
+            tables.append(codec)
+            payloads.append(part.payload)
+            laned.append(where)
+            first_bit += 8 * len(part.payload)
+        ranks = HuffmanCodec._decode_lanes(
+            tables, payloads, *(np.concatenate(column) for column in zip(*lanes))) \
+            if laned else []
+        symbols = np.empty(total, dtype=np.uint32)
+        for where, codec, rank in zip(laned, tables, ranks):
+            # (a rank read from the LUT is in range; "clip" only spares take's buffer)
+            np.take(codec._dec_symbols, rank, out=symbols[where], mode="clip")
+        for where, codec, payload, streams in scalar:
+            symbols[where] = np.concatenate([
+                codec._decode_scalar(payload[o:o + b], nb, n)
+                for o, b, nb, n in zip(*(a.tolist() for a in streams)) if n])
+        return symbols
 
-    def _decode_lanes(self, payload: bytes, start: np.ndarray, end: np.ndarray,
-                      count: np.ndarray) -> np.ndarray:
-        """Lock-step LUT decode of lanes ``(start bit, end bit, symbol count)``.
+    @staticmethod
+    def _decode_lanes(tables: Sequence["HuffmanCodec"], payloads: Sequence[bytes],
+                      start: np.ndarray, end: np.ndarray, count: np.ndarray,
+                      table: np.ndarray) -> List[np.ndarray]:
+        """Lock-step LUT decode of lanes ``(start bit, end bit, symbol count, table)``.
 
-        Returns the lanes' symbols concatenated in lane order.  Lanes are
-        visited longest first, so the lanes still active at step ``t`` are a
-        prefix and each step is a handful of whole-array operations whatever
-        the number of streams the lanes came from.
+        Bit positions address ``payloads`` back to back; ``table`` indexes
+        ``tables`` and rises with the lane.  Returns, per table, the canonical
+        rank of every symbol of its lanes, in lane order.  Lanes are visited
+        longest first, so the lanes still active at step ``t`` are a prefix
+        and each step is a handful of whole-array operations whatever the
+        number of streams — or tables — the lanes came from.  Several tables
+        gather from their LUTs back to back: a lane then carries its table's
+        LUT base and width, and the LUT is as large as the tables' own
+        (nothing is padded to the widest).
         """
-        k, lut = self._build_lut()
-        mask = (1 << k) - 1
-        base_shift = 24 - k
-
-        # sliding 24-bit windows: window[j] holds bits 8j..8j+23 of the payload.
+        # sliding 24-bit windows: window[j] holds bits 8j..8j+23 of the payloads.
         # A lane advances at most MAX_CODE_LEN bits per step, so one that runs
-        # off its end stays within 2*SYNC_INTERVAL zero bytes past the payload
-        # (zero bits that match no code stall it; either way the end check fails)
-        b = np.frombuffer(payload, dtype=np.uint8)
-        padded = np.zeros(b.size + 2 * SYNC_INTERVAL + 4, dtype=np.int64)
-        padded[:b.size] = b
-        window = (padded[:-2] << 16) | (padded[1:-1] << 8) | padded[2:]
+        # off its end stays within 2*SYNC_INTERVAL zero bytes past the last
+        # payload (zero bits that match no code stall it; either way the end
+        # check fails — as it does for a lane that ran into the next payload)
+        nbytes = sum(len(payload) for payload in payloads)
+        padded = np.zeros(nbytes + 2 * SYNC_INTERVAL + 4, dtype=np.uint8)
+        np.concatenate([np.frombuffer(payload, dtype=np.uint8) for payload in payloads],
+                       out=padded[:nbytes])
+        window = padded[:-2].astype(np.int32)
+        window <<= 8
+        window |= padded[1:-1]
+        window <<= 8
+        window |= padded[2:]
 
         nlanes = count.size
         order = np.argsort(-count, kind="stable")
         # lanes with more than t symbols, for every step t
         active = nlanes - np.cumsum(np.bincount(count, minlength=SYNC_INTERVAL))
         pos = start[order]
+        if len(tables) == 1:
+            k, lut = tables[0]._build_lut()
+            window_shift, mask, lut_base = 24 - k, (1 << k) - 1, None
+        else:
+            # the job's tables are parsed for this pass and dropped after it:
+            # their LUTs go straight into the joined one, no copy kept per codec
+            width = np.asarray([int(codec._dec_lengths.max()) for codec in tables])
+            bases = np.cumsum(1 << width) - (1 << width)
+            lut = np.zeros(int((1 << width).sum()), dtype=np.uint32)
+            for codec, base, k in zip(tables, bases.tolist(), width.tolist()):
+                codec._lut_into(lut[base:base + (1 << k)])
+            of_lane = table[order]
+            window_shift, mask, lut_base = (
+                per_table[of_lane] for per_table in (24 - width, (1 << width) - 1, bases))
         out = np.empty((SYNC_INTERVAL, nlanes), dtype=np.uint32)
         for t, m in enumerate(active[:SYNC_INTERVAL].tolist()):
             if m == 0:
                 break
             p = pos[:m]
-            shift = base_shift - (p & 7)
-            peek = window[p >> 3]
-            peek >>= shift
-            peek &= mask
+            peek = window[p >> 3]                   # int32; the int64 shift widens it
+            if lut_base is None:
+                peek = peek >> (window_shift - (p & 7))
+                peek &= mask
+            else:
+                peek = peek >> (window_shift[:m] - (p & 7))
+                peek &= mask[:m]
+                peek += lut_base[:m]
             entry = lut[peek]
             out[t, :m] = entry
             p += entry & 31                         # length 0 (no such code) stalls
-        entries = out.T[np.argsort(order)][np.arange(SYNC_INTERVAL) < count[:, None]]
-        if not (entries & 31).all():
+        del window, lut
+        # back to lane order and down to each lane's own symbols, a table at a
+        # time (its lanes are consecutive): the transposed copy is then one
+        # container's worth, not the job's, which keeps the pass's high-water low
+        inverse = np.argsort(order)
+        steps = np.arange(SYNC_INTERVAL)
+        bounds = np.searchsorted(table, np.arange(len(tables) + 1)).tolist()
+        ranks = [out.T[inverse[a:b]][steps < count[a:b, None]]
+                 for a, b in zip(bounds, bounds[1:])]
+        del out
+        # every assigned LUT slot carries a length, so is non-zero
+        if not all(entries.all() for entries in ranks):
             raise ValueError("invalid Huffman stream (unassigned code)")
         if not np.array_equal(pos, end[order]):
             raise ValueError("truncated or corrupt Huffman stream")
-        return self._dec_symbols[entries >> 5]
+        for entries in ranks:
+            entries >>= 5
+        return ranks
 
     def _decode_scalar(self, payload: bytes, nbits: int, n: int) -> np.ndarray:
         """Exact canonical decode, one code at a time (fallback path)."""
@@ -530,6 +622,28 @@ def decode(encoded: HuffmanEncoded) -> np.ndarray:
     """Decode using the table carried inside ``encoded``."""
     codec = HuffmanCodec(encoded.table_symbols, encoded.table_lengths)
     return codec.decode(encoded)
+
+
+def decode_many(pairs: Sequence[Tuple[HuffmanCodec, HuffmanEncoded]]) -> List[np.ndarray]:
+    """The symbols of each ``(codec, encoded)`` pair, all pairs in one lane pass.
+
+    This is how a decode job shares the pass's ``SYNC_INTERVAL`` Python-level
+    steps between its containers: the pairs travel to :meth:`HuffmanCodec.decode`
+    as one batch, each keeping its own table.
+    """
+    if not pairs:
+        return []
+    first = pairs[0][1]
+    batch = HuffmanEncoded(b"", sum(e.nbits for _, e in pairs),
+                           sum(e.nsymbols for _, e in pairs),
+                           first.table_symbols, first.table_lengths, parts=pairs)
+    flat = pairs[0][0].decode(batch)
+    if len(pairs) == 1:
+        return [flat]
+    # copies, not views of ``flat``: whoever works through the pairs one by one
+    # (a job's chunks) can let go of each pair's symbols when done with them
+    return [piece.copy() for piece in
+            np.split(flat, np.cumsum([e.nsymbols for _, e in pairs])[:-1])]
 
 
 def encoded_size_per_block(blocks: Sequence[np.ndarray]) -> int:

@@ -47,8 +47,11 @@ class CodecSpec:
     factory: Callable[..., Compressor]
     #: keyword options the factory accepts beyond (error_bound, mode)
     options: Tuple[str, ...] = ()
-    #: True when the codec offers the multi-array (unit-block) API
-    #: ``compress_many_with_reconstruction`` that unit SLE relies on
+    #: True when the codec offers the multi-array (unit-block) API: on the
+    #: write side ``compress_many_with_reconstruction`` that unit SLE relies
+    #: on, on the read side ``decompress_batch(buffers)`` — an iterable of one
+    #: list of arrays per buffer, in order — which is what
+    #: ``AMRICLevelFilter.decode_many`` calls for every chunk of such a codec
     supports_many: bool = False
     description: str = ""
 

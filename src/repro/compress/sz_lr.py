@@ -24,6 +24,9 @@ Public entry points
     block") is predicted independently, while the lossless encoding is either
     shared (``shared_encoding=True`` → unit SLE) or per-array
     (``shared_encoding=False`` → the costly per-block-tree alternative).
+``decompress_batch``
+    ``decompress_many`` over the buffers of one decode job: parsed one by one,
+    entropy-decoded in one Huffman lane pass, reconstructed one by one.
 
 How a call is batched (DESIGN.md §1)
 ------------------------------------
@@ -44,7 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -526,30 +529,40 @@ class SZLRCompressor(Compressor):
         sections["counts"] = counts.tobytes()
         return ctn.pack_container(self.name, meta, sections), codec
 
-    def _deserialize(self, payload: bytes):
-        """``(meta, codes per array, side streams, counts)`` of a payload."""
+    def _parse(self, payload: bytes):
+        """``(meta, Huffman pairs, side streams, counts)`` of a payload: every
+        section read and checked, the entropy decode left to the caller (who
+        batches it over the payloads of a job)."""
         cont = ctn.unpack_container(payload, expect_codec=self.name)
         meta, sections = cont.meta, cont.sections
-        counts = np.frombuffer(sections["counts"], dtype=np.int64).reshape(-1, 6)
-        side = {name: ctn.unpack_zarray(sections[name]).astype(dtype)
+        for key in ("shared", "shapes", "abs_eb", "dtype"):
+            ctn.required(meta, key, "sz_lr meta")
+
+        def section(name: str) -> bytes:
+            return ctn.required(sections, name, "sz_lr payload")
+
+        raw_counts = section("counts")
+        if len(raw_counts) % 48:
+            raise ValueError("sz_lr payload: counts is not rows of six int64")
+        counts = np.frombuffer(raw_counts, dtype=np.int64).reshape(-1, 6)
+        side = {name: ctn.unpack_zarray(section(name)).astype(dtype)
                 for name, dtype in (("anchors", np.int64), ("lorenzo_outliers", np.int64),
                                     ("regression_outliers", np.float64),
                                     ("regression_coeffs", np.float64))}
-        packed = np.frombuffer(ctn.unpack_zbytes(sections["selection"]), dtype=np.uint8)
+        packed = np.frombuffer(ctn.unpack_zbytes(section("selection")), dtype=np.uint8)
         nregions = int(counts[:, 0].sum())
         if nregions < 0 or packed.size != (nregions + 7) // 8:
             # unpackbits would pad a short stream with zeros ("Lorenzo")
             raise ValueError("sz_lr payload: selection stream does not match the counts")
         side["selection"] = np.unpackbits(packed, count=nregions)
 
-        # decode Huffman streams back to per-array code arrays
         interval = int(meta.get("sync_interval", 0))
         if meta["shared"]:
-            codes = ctn.unpack_huffman(sections, sync_interval=interval)
+            pairs = ctn.parse_huffman(sections, sync_interval=interval)
         else:
-            codes = ctn.unpack_huffman_individual(
-                sections["huff_individual"], counts[:, 5].tolist(), interval)
-        return meta, codes, side, counts
+            pairs = ctn.parse_huffman_individual(
+                section("huff_individual"), counts[:, 5].tolist(), interval)
+        return meta, pairs, side, counts
 
     # ------------------------------------------------------------------
     # public API
@@ -613,8 +626,26 @@ class SZLRCompressor(Compressor):
         return arrays[0]
 
     def decompress_many(self, buffer: CompressedBuffer | bytes) -> List[np.ndarray]:
-        meta, codes, side, counts = self._deserialize(self._payload_of(buffer))
-        out = self._decode_batch([tuple(s) for s in meta["shapes"]], float(meta["abs_eb"]),
-                                 codes, side, counts)
-        dtype = np.dtype(meta["dtype"])
-        return [a.astype(dtype) if dtype != np.float64 else a for a in out]
+        return next(self.decompress_batch([buffer]))
+
+    def decompress_batch(self, buffers: Sequence[CompressedBuffer | bytes]
+                         ) -> Iterator[List[np.ndarray]]:
+        """:meth:`decompress_many` of several buffers, one after the other, their
+        Huffman streams decoded in one lane pass (a decode job's chunks:
+        DESIGN.md §2).
+
+        Every buffer is parsed, and all are entropy-decoded, before the first
+        is reconstructed; each is reconstructed exactly as it would be alone,
+        so the arrays do not depend on the batching, and one damaged buffer
+        fails the call.  A generator: a buffer's sections and codes are dropped
+        once its arrays are out, so the job's high-water is its codes plus one
+        buffer's reconstruction.
+        """
+        parsed = [self._parse(self._payload_of(buffer)) for buffer in buffers]
+        decoded = ctn.decode_huffman([pairs for _, pairs, _, _ in parsed])
+        while parsed:
+            (meta, _, side, counts), codes = parsed.pop(0), decoded.pop(0)
+            arrays = self._decode_batch([tuple(shape) for shape in meta["shapes"]],
+                                        float(meta["abs_eb"]), codes, side, counts)
+            dtype = np.dtype(meta["dtype"])
+            yield [a.astype(dtype) if dtype != np.float64 else a for a in arrays]

@@ -29,12 +29,19 @@ registers in the codec registry as ``temporal_delta``; the series subsystem
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.compress.base import CompressedBuffer, Compressor
-from repro.compress.container import pack_container, pack_huffman, unpack_container, unpack_huffman
+from repro.compress.container import (
+    decode_huffman,
+    pack_container,
+    pack_huffman,
+    parse_huffman,
+    required,
+    unpack_container,
+)
 from repro.compress.errorbound import ErrorBound
 from repro.compress.huffman import SYNC_INTERVAL, HuffmanCodec
 
@@ -151,20 +158,38 @@ class TemporalDeltaCodec(Compressor):
         (adding the reference's absolute codes is the caller's job — see
         :meth:`decode_with_reference`).
         """
-        container = unpack_container(payload, expect_codec=TemporalDeltaCodec.name)
-        meta = container.meta
-        mode = str(meta.get("mode", ""))
-        if mode not in (MODE_KEY, MODE_DELTA):
-            raise ValueError(f"corrupt temporal_delta stream: unknown mode {mode!r}")
-        # a stream written before the key existed takes the scalar decode loop
-        (shifted,) = unpack_huffman(container.sections,
-                                    sync_interval=int(meta.get("sync_interval", 0)))
-        codes = shifted.astype(np.int64) + int(meta.get("min_code", 0))
-        n = int(meta.get("n", codes.size))
-        if codes.size != n:
-            raise ValueError(
-                f"corrupt temporal_delta stream: {codes.size} codes for {n} elements")
-        return mode, codes, meta
+        return TemporalDeltaCodec.unpack_codes_many([payload])[0]
+
+    @staticmethod
+    def unpack_codes_many(payloads: Sequence[bytes]
+                          ) -> List[Tuple[str, np.ndarray, Dict[str, object]]]:
+        """:meth:`unpack_codes` of several streams, entropy-decoded in one pass.
+
+        Every stream is parsed (container, mode, grid) before any is decoded;
+        the series reader hands a decode group's chains here, a bounded
+        number of streams at a time.
+        """
+        parsed = []
+        for payload in payloads:
+            container = unpack_container(payload, expect_codec=TemporalDeltaCodec.name)
+            meta = container.meta
+            mode = str(meta.get("mode", ""))
+            if mode not in (MODE_KEY, MODE_DELTA):
+                raise ValueError(f"corrupt temporal_delta stream: unknown mode {mode!r}")
+            required(meta, "eb", "temporal_delta meta")
+            # a stream written before the key existed takes the scalar decode loop
+            parsed.append((mode, meta, parse_huffman(
+                container.sections, sync_interval=int(meta.get("sync_interval", 0)))))
+        out = []
+        for (mode, meta, _), (shifted,) in zip(
+                parsed, decode_huffman([pairs for _, _, pairs in parsed])):
+            codes = shifted.astype(np.int64) + int(meta.get("min_code", 0))
+            n = int(meta.get("n", codes.size))
+            if codes.size != n:
+                raise ValueError(
+                    f"corrupt temporal_delta stream: {codes.size} codes for {n} elements")
+            out.append((mode, codes, meta))
+        return out
 
     # ------------------------------------------------------------------
     # encoding

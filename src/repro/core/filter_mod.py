@@ -19,10 +19,11 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.compress.container import required
 from repro.compress.registry import create_codec, resolve_codec
 from repro.core.preprocess import (
     PackedArrangement,
@@ -209,32 +210,61 @@ class AMRICLevelFilter(Filter):
 
     # ------------------------------------------------------------------
     def decode(self, payload: bytes, chunk_elements: int) -> np.ndarray:
-        (header_len,) = struct.unpack_from("<Q", payload, 0)
-        header = json.loads(bytes(payload[8:8 + header_len]).decode("utf-8"))
-        body = payload[8 + header_len:]
-        plan = ChunkPlan.from_json(header["plan"])
+        return self.decode_many([payload], chunk_elements)[0]
 
-        spec = resolve_codec(header["mode"])
-        if spec.supports_many:
-            comp = spec.create(header["error_bound"], block_size=header["sz_block_size"])
-            blocks = comp.decompress_many(body)
-        else:
-            arr = header["arrangement"]
+    def decode_many(self, payloads: Sequence[bytes], chunk_elements: int) -> List[np.ndarray]:
+        """Decode a job's chunks; the payloads of one multi-array codec recipe
+        go to the codec as one batch and share its entropy pass (each chunk
+        still decodes to exactly what it would alone)."""
+        chunks: List[Optional[np.ndarray]] = [None] * len(payloads)
+
+        def place(index: int, blocks: Sequence[np.ndarray]) -> None:
+            out = np.zeros(chunk_elements, dtype=np.float64)
+            offset = 0
+            for block in blocks:
+                flat = np.asarray(block, dtype=np.float64).reshape(-1)
+                out[offset:offset + flat.size] = flat
+                offset += flat.size
+            chunks[index] = out
+
+        batches: Dict[Tuple[str, float, int], List[Tuple[int, bytes]]] = {}
+        for index, payload in enumerate(payloads):
+            header, body = _parse_payload(payload)
+            spec = resolve_codec(_need(header, "mode"))
+            if spec.supports_many:
+                recipe = (spec.name, _need(header, "error_bound"), _need(header, "sz_block_size"))
+                batches.setdefault(recipe, []).append((index, body))
+                continue
+            arr = _need(header, "arrangement")
             arrangement = PackedArrangement(
-                mode=arr["mode"], unit_shape=tuple(arr["unit_shape"]),
-                grid_shape=tuple(arr["grid_shape"]),
-                block_shapes=[tuple(s) for s in arr["block_shapes"]],
-                fill_value=float(arr["fill_value"]),
+                mode=_need(arr, "mode"), unit_shape=tuple(_need(arr, "unit_shape")),
+                grid_shape=tuple(_need(arr, "grid_shape")),
+                block_shapes=[tuple(s) for s in _need(arr, "block_shapes")],
+                fill_value=float(_need(arr, "fill_value")),
                 slot_of_block=list(arr.get("slot_of_block", [])))
-            comp = spec.create(header["error_bound"], mode="abs",
-                               anchor_stride=header["interp_anchor_stride"])
-            packed = comp.decompress(body)
-            blocks = unpack_blocks(packed, arrangement)
+            comp = spec.create(_need(header, "error_bound"), mode="abs",
+                               anchor_stride=_need(header, "interp_anchor_stride"))
+            place(index, unpack_blocks(comp.decompress(body), arrangement))
+        for (name, error_bound, block_size), members in batches.items():
+            comp = resolve_codec(name).create(error_bound, block_size=block_size)
+            decoded = comp.decompress_batch([body for _, body in members])
+            for (index, _), blocks in zip(members, decoded):
+                place(index, blocks)
+        return chunks
 
-        out = np.zeros(chunk_elements, dtype=np.float64)
-        offset = 0
-        for block in blocks:
-            flat = np.asarray(block, dtype=np.float64).reshape(-1)
-            out[offset:offset + flat.size] = flat
-            offset += flat.size
-        return out
+
+def _parse_payload(payload: bytes) -> Tuple[dict, bytes]:
+    """``(header, codec body)`` of one self-describing chunk payload."""
+    if len(payload) < 8:
+        raise ValueError("AMRIC chunk payload: shorter than its header length")
+    (header_len,) = struct.unpack_from("<Q", payload, 0)
+    if header_len > len(payload) - 8:
+        raise ValueError("AMRIC chunk payload: header runs past the payload")
+    header = json.loads(bytes(payload[8:8 + header_len]).decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError("AMRIC chunk payload: header is not a JSON object")
+    return header, payload[8 + header_len:]
+
+
+def _need(mapping: dict, key: str):
+    return required(mapping, key, "AMRIC chunk header")

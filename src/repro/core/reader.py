@@ -10,10 +10,13 @@ The read side mirrors the writer's staged decomposition
     without one is rejected.  Produces a :class:`ReadPlan` of
     :class:`DatasetReadPlan` entries.
 ``decode`` (:func:`decode_job`)
-    Decode one dataset's chunk payloads.  A :class:`DecodeJob` is a plain
-    picklable dataclass (raw bytes + filter recipe), so per-dataset decode
-    jobs run through any :class:`~repro.parallel.backend.ExecutionBackend`
-    (serial, shm) with bit-identical results.
+    Decode one dataset's chunk payloads, handed to the filter together
+    (:meth:`~repro.h5lite.filters.Filter.decode_many`) so AMRIC's level filter
+    runs one Huffman lane pass per job instead of one per chunk.  A
+    :class:`DecodeJob` is a plain picklable dataclass (raw bytes + filter
+    recipe), so per-dataset decode jobs run through any
+    :class:`~repro.parallel.backend.ExecutionBackend` (serial, shm) with
+    bit-identical results.
 ``place`` (:func:`place_dataset`)
     Scatter the decoded elements back into the hierarchy's fabs by the
     planned block offsets.
@@ -348,9 +351,10 @@ def decode_job(job: DecodeJob) -> DecodeResult:
                               job.error_bound_mode)
         if cache is not None:
             cache[cache_key] = filt
-    chunks = [np.asarray(filt.decode(payload, job.chunk_elements),
-                         dtype=np.float64).reshape(-1)
-              for payload in job.payloads]
+    # one call per job: a filter whose chunks can share a decode cost (AMRIC's
+    # level filter: one Huffman lane pass for the job) gets them together
+    chunks = [np.asarray(chunk, dtype=np.float64).reshape(-1)
+              for chunk in filt.decode_many(job.payloads, job.chunk_elements)]
     return DecodeResult(key=job.key, chunk_indices=list(job.chunk_indices),
                         chunks=chunks)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -71,6 +71,14 @@ class Filter:
     def decode(self, payload: bytes, chunk_elements: int) -> np.ndarray:
         """Invert :meth:`encode`, returning a 1D array of ``chunk_elements``."""
         raise NotImplementedError
+
+    def decode_many(self, payloads: Sequence[bytes], chunk_elements: int) -> List[np.ndarray]:
+        """:meth:`decode` of each payload — what a decode job calls, once.
+
+        A filter whose decode has a cost the payloads can share overrides this
+        (the arrays must not depend on the batching); the default is the loop.
+        """
+        return [self.decode(payload, chunk_elements) for payload in payloads]
 
     def _account(self, chunk: np.ndarray, actual_elements: Optional[int], out: bytes) -> None:
         self.stats.calls += 1

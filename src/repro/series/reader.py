@@ -4,10 +4,11 @@
 nothing is decoded until a field is asked for.  Per step the handle hands out
 a :class:`SeriesStepHandle` — a :class:`~repro.core.reader.PlotfileHandle`
 whose chunk decode stage resolves temporal references: a key chunk decodes
-directly, a delta chunk first resolves the *same chunk* of its reference
-step (recursively, back to the nearest keyframe) and adds the stored code
-differences.  Resolution is chunk-granular and memoised in the PR-3 style
-chunk caches, so
+directly, a delta chunk needs the *same chunk* of its reference step (and so
+on back to the nearest keyframe) and adds the stored code differences.  The
+chains of a decode group are planned from the manifest, fetched one payload
+batch per step and entropy-decoded several streams to a pass.  Resolution is
+chunk-granular and memoised in the PR-3 style chunk caches, so
 
 * reading a box at step *t* decodes only the chunks intersecting the box —
   at step *t* and along those chunks' reference chains — never a chunk
@@ -24,7 +25,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +42,13 @@ from repro.stream.journal import (
 )
 
 __all__ = ["SeriesHandle", "SeriesStepHandle", "open_series"]
+
+#: streams per entropy pass while chains are resolved: a pass's 256 Python-level
+#: steps are shared by two chunks' chains on a ``keyframe_interval=4`` series
+#: (4 streams cost 3.4 ms in one pass, 6.7 ms alone; past 8 a stream gains
+#: little), and the int64 code arrays alive at once stop growing with the decode
+#: group and the chain length
+_PASS_STREAMS = 8
 
 
 def open_series(directory: str, cache=None, source=None) -> "SeriesHandle":
@@ -63,7 +71,7 @@ class _CodeStreamCache:
     :class:`~repro.service.cache.ChunkCache`, i.e. a long-lived server —
     least-recently-used streams are evicted past the byte budget.  Eviction
     is always safe: a missing stream makes :meth:`SeriesStepHandle._resolve_codes`
-    walk further back (at worst to the keyframe payloads) and re-derive it.
+    plan a longer chain (at worst back to the keyframe payloads) and re-derive it.
     """
 
     def __init__(self, max_bytes: Optional[int] = None):
@@ -115,76 +123,91 @@ class SeriesStepHandle(PlotfileHandle):
     def _record(self) -> SeriesStepRecord:
         return self._series.index.steps[self._step_index]
 
-    def _resolve_codes(self, dsname: str, chunk_index: int,
-                       payload: Optional[bytes] = None
-                       ) -> Tuple[np.ndarray, float, float]:
-        """Absolute grid codes of one chunk: (codes, eb, offset).
+    def _resolve_codes(self, dsname: str, chunk_indices: Sequence[int]
+                       ) -> Iterator[Tuple[int, Tuple[np.ndarray, float, float]]]:
+        """Absolute grid codes of a group of chunks: yields (index, (codes, eb, offset)).
 
-        Walks the reference chain *iteratively* back to the nearest keyframe
-        or cached stream (an arbitrary ``keyframe_interval`` must not hit the
-        interpreter's recursion limit), then folds the collected deltas
-        forward.  Every stream along the chain is decoded at most once per
-        series handle (memoised in the shared code cache) and charged to
-        :attr:`stats`.  ``payload`` short-circuits this step's own chunk read
-        (:meth:`_decode_chunks` prefetches a whole decode group as one
-        coalesced batch); chain steps still read individually — which chain
-        a chunk needs is only known while walking it.
+        Each chunk's reference chain is *planned* first, from the manifest's
+        ``ref`` links back to the nearest keyframe or cached stream — a loop,
+        so an arbitrary ``keyframe_interval`` cannot hit the recursion limit,
+        and no stream has to be decoded to learn where its chain leads.  Then
+        every step the chains touch is read once (one coalesced payload batch
+        per step) and the streams are entropy-decoded chunk by chunk, oldest
+        first, ``_PASS_STREAMS`` to a lane pass, each delta folded onto its
+        chunk's base as it comes out and a chunk handed on when its chain
+        ends — what is alive at once is the compressed payloads, one pass's
+        code arrays and one base per chunk that had a cached one, whatever
+        the group size or the ``keyframe_interval``.  Every stream is decoded
+        at most once per series handle (memoised in the shared code cache)
+        and charged to :attr:`stats` as one chunk.
         """
         series = self._series
-        cached = series._codes.get((self._step_index, dsname, chunk_index))
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached
-        # walk back, newest first, until a key stream or a cached resolution
-        pending: List[Tuple[int, np.ndarray, Dict[str, object]]] = []
-        step = self._step_index
-        while True:
-            cached = series._codes.get((step, dsname, chunk_index))
-            if cached is not None:
-                self.stats.cache_hits += 1
-                entry = cached
-                codes = cached[0]
-                break
-            handle = series.open_step(step)
-            if payload is not None and step == self._step_index:
-                raw, payload = payload, None
+        # held from planning on: a byte-bounded cache may evict them meanwhile
+        bases: Dict[int, Tuple[np.ndarray, float, float]] = {}
+        order: List[Tuple[int, int]] = []          # (step, chunk): chunk by chunk, oldest first
+        for index in chunk_indices:
+            step, chain = self._step_index, []
+            while True:
+                cached = series._codes.get((step, dsname, index))
+                if cached is not None:
+                    self.stats.cache_hits += 1
+                    bases[index] = cached
+                    break
+                chain.append((step, index))
+                record = series.index.steps[step].dataset(dsname)
+                if record is None or record.ref is None:
+                    break
+                step = record.ref
+            if chain:
+                order += reversed(chain)
             else:
-                raw = handle._file.read_chunk_payload(dsname, chunk_index)
-                handle._sync_io()
-            mode, codes, meta = TemporalDeltaCodec.unpack_codes(raw)
-            self.stats.chunks_decoded += 1
-            if mode != MODE_DELTA:
-                entry = (codes, float(meta["eb"]), float(meta["offset"]))
-                series._codes[(step, dsname, chunk_index)] = entry
-                break
-            record = series.index.steps[step].dataset(dsname)
-            if record is None or record.ref is None:
-                raise ValueError(
-                    f"step {step} stores {dsname!r} as a delta stream but "
-                    "the series manifest records no reference step")
-            pending.append((step, codes, meta))
-            step = record.ref
+                yield index, bases.pop(index)
+
+        wanted: Dict[int, List[int]] = {}          # step -> its chunks to fetch
+        for step, index in order:
+            wanted.setdefault(step, []).append(index)
+        payloads: Dict[Tuple[int, int], bytes] = {}
+        for step, indices in wanted.items():
+            handle = self if step == self._step_index else series.open_step(step)
+            payloads.update(zip(((step, index) for index in indices),
+                                handle._file.read_chunk_payloads(dsname, indices)))
+            handle._sync_io()
+
         # fold the deltas forward onto the resolved base, caching each step;
-        # the answer is returned directly — the code cache may be byte-bounded
+        # the answers are handed on directly — the code cache may be byte-bounded
         # and must be allowed to evict what was just inserted
-        for step, deltas, meta in reversed(pending):
-            if deltas.size != codes.size:
-                raise ValueError(
-                    f"delta chunk {chunk_index} of {dsname!r} at step {step} "
-                    f"has {deltas.size} codes but its reference has "
-                    f"{codes.size}; the series is corrupt")
-            codes = codes + deltas
-            entry = (codes, float(meta["eb"]), float(meta["offset"]))
-            series._codes[(step, dsname, chunk_index)] = entry
-        return entry
+        entry = None
+        for at in range(0, len(order), _PASS_STREAMS):
+            keys = order[at:at + _PASS_STREAMS]
+            streams = TemporalDeltaCodec.unpack_codes_many([payloads.pop(key) for key in keys])
+            self.stats.chunks_decoded += len(keys)
+            for (step, index), (mode, codes, meta) in zip(keys, streams):
+                if entry is None:
+                    entry = bases.pop(index, None)
+                if mode == MODE_DELTA:
+                    if entry is None:
+                        raise ValueError(
+                            f"step {step} stores {dsname!r} as a delta stream but "
+                            "the series manifest records no reference step")
+                    if codes.size != entry[0].size:
+                        raise ValueError(
+                            f"delta chunk {index} of {dsname!r} at step {step} "
+                            f"has {codes.size} codes but its reference has "
+                            f"{entry[0].size}; the series is corrupt")
+                    codes = entry[0] + codes
+                entry = (codes, float(meta["eb"]), float(meta.get("offset", 0.0)))
+                series._codes[(step, dsname, index)] = entry
+                if step == self._step_index:       # the chain's newest stream
+                    yield index, entry
+                    entry = None
 
     def _decode_chunks(self, plan: ReadPlan, dplan: DatasetReadPlan,
                        indices: Sequence[int],
                        backend=None) -> Dict[int, np.ndarray]:
         # ``backend`` is accepted for signature compatibility with the base
         # handle (the query engine passes its pool) but deliberately unused:
-        # delta-chain resolution walks the shared per-series code cache
-        # step by step, which is inherently sequential
+        # the group's streams share entropy passes in this process, and what
+        # they resolve to lives in this process's per-series code cache
         out: Dict[int, np.ndarray] = {}
         misses: List[int] = []
         for index in indices:
@@ -194,20 +217,7 @@ class SeriesStepHandle(PlotfileHandle):
                 self.stats.cache_hits += 1
             else:
                 misses.append(index)
-        # prefetch this step's payloads for the whole decode group as one
-        # coalesced batch (chunks whose code stream is already resolved in
-        # the series cache need no payload at all)
-        prefetched: Dict[int, bytes] = {}
-        need = [i for i in misses
-                if self._series._codes.get(
-                    (self._step_index, dplan.name, i)) is None]
-        if need:
-            payloads = self._file.read_chunk_payloads(dplan.name, need)
-            self._sync_io()
-            prefetched = dict(zip(need, payloads))
-        for index in misses:
-            codes, eb, offset = self._resolve_codes(
-                dplan.name, index, payload=prefetched.get(index))
+        for index, (codes, eb, offset) in self._resolve_codes(dplan.name, misses):
             chunk = np.zeros(dplan.chunk_elements, dtype=np.float64)
             chunk[:codes.size] = TemporalDeltaCodec.grid_values(codes, eb, offset)
             self._cache[(dplan.name, index)] = chunk
@@ -494,8 +504,12 @@ class SeriesHandle:
             else [self._step_index(s) for s in steps]
         times = np.asarray([self.index.steps[i].time for i in indices],
                            dtype=np.float64)
-        values = [self.read_field(name, level=level, box=box, step=i,
-                                  refill=refill, fill_value=fill_value,
-                                  max_level=max_level)
-                  for i in indices]
-        return times, np.stack(values) if values else np.zeros((0,))
+        # newest step first: its chunks' chains reach back to the keyframe, so
+        # every step of a keyframe interval shares that read's entropy passes
+        # and the older steps of the interval find their codes resolved
+        values = {i: self.read_field(name, level=level, box=box, step=i,
+                                     refill=refill, fill_value=fill_value,
+                                     max_level=max_level)
+                  for i in sorted(set(indices), reverse=True)}
+        return times, np.stack([values[i] for i in indices]) if indices \
+            else np.zeros((0,))

@@ -1,8 +1,10 @@
-"""One lane pass per container: batched decode of streams sharing a table.
+"""One lane pass per container — and per batch of containers, each under its table.
 
 The batched decode (every stream of a container in one :meth:`HuffmanCodec.decode`
 call) must equal per-stream decode must equal the scalar reference loop, and a
-damaged container must fail with :class:`ValueError` and nothing else.
+damaged container must fail with :class:`ValueError` and nothing else.  The
+same holds one level up: :func:`huffman.decode_many` over several ``(codec,
+encoded)`` pairs, every pair under its own table, equals decoding each alone.
 """
 
 import zlib
@@ -14,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.compress import container as ctn
+from repro.compress import huffman
 from repro.compress.huffman import (
     MAX_CODE_LEN,
     SYNC_INTERVAL,
@@ -239,3 +242,161 @@ class TestDeflateErrors:
                 reader(self.JUNK)
         with pytest.raises(ValueError):
             ctn.unpack_huffman_individual(self.JUNK, [10], SYNC_INTERVAL)
+
+
+# ----------------------------------------------------------------------
+# several tables in one pass
+# ----------------------------------------------------------------------
+@st.composite
+def table_mixes(draw):
+    """1-8 ``(codec, encoded, symbols)`` parts of mixed LUT width ``k``: from a
+    one-symbol table (k = 1) to the clamped 16-bit one, each part one stream or
+    a container's worth, some streams (and whole parts) empty."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(["single", "deep", "uniform", "skewed"]),
+                              min_size=1, max_size=8)):
+        sizes = draw(st.lists(SIZES, min_size=1, max_size=4))
+        if kind == "single":
+            arrays = [np.full(n, 7, dtype=np.uint32) for n in sizes]
+        elif kind == "deep":
+            arrays = [rng.integers(0, 30, size=n).astype(np.uint32) for n in sizes]
+        elif kind == "uniform":
+            arrays = [rng.integers(0, 200, size=n).astype(np.uint32) for n in sizes]
+        else:
+            arrays = [(1000 + np.round(rng.laplace(0, 2.0, size=n))).astype(np.uint32)
+                      for n in sizes]
+        codec = DEEP if kind == "deep" else HuffmanCodec.from_multiple(arrays)
+        streams = [codec.encode(a) for a in arrays]
+        encoded = streams[0] if len(streams) == 1 and draw(st.booleans()) else _batch(streams)
+        parts.append((codec, encoded, np.concatenate(arrays)))
+    return parts
+
+
+def _lane_passes(monkeypatch):
+    """Record the table count of every lane pass from here on."""
+    passes = []
+    real = HuffmanCodec._decode_lanes
+    monkeypatch.setattr(
+        HuffmanCodec, "_decode_lanes",
+        staticmethod(lambda tables, *rest: passes.append(len(tables)) or real(tables, *rest)))
+    return passes
+
+
+def _mid_batch(seed=11):
+    """Three healthy containers of different tables; tests damage the middle one."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for spread, sizes in ((40, (700, 300)), (2, (513, 1, 256)), (3000, (900,))):
+        arrays = [rng.integers(0, spread, size=n).astype(np.uint32) for n in sizes]
+        codec = HuffmanCodec.from_multiple(arrays)
+        pairs.append((codec, _batch([codec.encode(a) for a in arrays])))
+    return pairs
+
+
+class TestManyTablesOnePass:
+    @given(table_mixes())
+    def test_one_multi_table_pass_equals_per_stream_decode(self, parts):
+        pairs = [(codec, encoded) for codec, encoded, _ in parts]
+        with mock.patch.object(HuffmanCodec, "_decode_scalar",
+                               side_effect=AssertionError("scalar path taken")):
+            together = huffman.decode_many(pairs)
+            alone = [codec.decode(encoded) for codec, encoded in pairs]
+        assert len(together) == len(parts)
+        for (_, _, symbols), got, ref in zip(parts, together, alone):
+            assert got.dtype == ref.dtype == np.uint32
+            np.testing.assert_array_equal(got, symbols)
+            np.testing.assert_array_equal(ref, symbols)
+
+    def test_the_widths_really_mix_and_the_pass_is_one(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        wide = rng.integers(0, 30, size=2000).astype(np.uint32)
+        mid = rng.integers(0, 200, size=333).astype(np.uint32)
+        one = np.full(300, 4, dtype=np.uint32)
+        parts = [(DEEP, wide), (HuffmanCodec.from_data(one), one),
+                 (HuffmanCodec.from_data(mid), mid), (DEEP, wide[:0])]
+        assert [codec._build_lut()[0] for codec, _ in parts[:3]] == [MAX_CODE_LEN, 1, 8]
+        passes = _lane_passes(monkeypatch)
+        got = huffman.decode_many([(codec, codec.encode(a)) for codec, a in parts])
+        assert passes == [3]                          # the empty part brings no lanes
+        for (_, array), back in zip(parts, got):
+            np.testing.assert_array_equal(back, array)
+        assert huffman.decode_many([]) == []
+
+    @given(table_mixes(), st.data())
+    def test_a_part_without_sync_takes_the_scalar_loop_alone(self, parts, data):
+        victim = data.draw(st.integers(0, len(parts) - 1))
+        codec, encoded, symbols = parts[victim]
+        if symbols.size == 0:
+            return                                    # nothing to decode either way
+        encoded.sync = None
+        scalar_symbols = []
+        real = HuffmanCodec._decode_scalar
+
+        def scalar(self, payload, nbits, n):
+            assert self is codec
+            scalar_symbols.append(n)
+            return real(self, payload, nbits, n)
+
+        with mock.patch.object(HuffmanCodec, "_decode_scalar", scalar):
+            got = huffman.decode_many([(c, e) for c, e, _ in parts])
+        rows = [[encoded.nbits, encoded.nsymbols]] if encoded.streams is None else encoded.streams
+        assert scalar_symbols == [int(n) for _, n in rows if n]
+        for (_, _, want), back in zip(parts, got):
+            np.testing.assert_array_equal(back, want)
+
+    def test_the_others_still_share_one_pass(self, monkeypatch):
+        pairs = _mid_batch()
+        want = [codec.decode(encoded) for codec, encoded in pairs]
+        pairs[1][1].sync = None
+        passes = _lane_passes(monkeypatch)
+        for back, ref in zip(huffman.decode_many(pairs), want):
+            np.testing.assert_array_equal(back, ref)
+        assert passes == [2]
+
+    @pytest.mark.parametrize("damage", ["truncate", "unassigned", "sync", "nbits"])
+    def test_damage_mid_batch_raises_what_it_raises_alone(self, damage):
+        pairs = _mid_batch()
+        codec, victim = pairs[1]
+        if damage == "truncate":
+            victim.payload = victim.payload[:-3]
+        elif damage == "unassigned":
+            # the 2-symbol table of the middle container is complete (codes 0, 1),
+            # so point its lanes at a table that is not: one code, '0'
+            codec = HuffmanCodec.from_data(np.zeros(4, dtype=np.uint32))
+            victim.payload = b"\xff" * len(victim.payload)
+            pairs[1] = (codec, victim)
+        elif damage == "sync":
+            victim.sync = victim.sync.copy()
+            victim.sync[1] += 1                       # monotone, in range: lanes run, and miss
+        else:
+            victim.streams = victim.streams.copy()
+            victim.streams[0, 0] -= 1
+        with pytest.raises(ValueError) as alone:
+            codec.decode(victim)
+        with pytest.raises(ValueError) as together:
+            huffman.decode_many(pairs)
+        assert str(together.value) == str(alone.value)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("value", [-1, -(2**62), 2**60])
+    @pytest.mark.parametrize("with_sync", [True, False])
+    def test_counts_checked_per_part_before_any_decode(self, column, value, with_sync):
+        pairs = _mid_batch()
+        _, victim = pairs[2]
+        victim.streams = victim.streams.copy()
+        victim.streams[0, column] = value
+        victim.nbits, victim.nsymbols = (int(t) for t in victim.streams.sum(axis=0))
+        if not with_sync:
+            victim.sync = None
+        refuse = AssertionError("decoded before every part was checked")
+        with mock.patch.object(HuffmanCodec, "_decode_lanes", side_effect=refuse), \
+                mock.patch.object(HuffmanCodec, "_decode_scalar", side_effect=refuse), \
+                pytest.raises(ValueError):
+            huffman.decode_many(pairs)
+
+    def test_stream_counts_that_do_not_add_up_are_refused(self):
+        codec, encoded = _mid_batch()[0]
+        encoded.nsymbols += 1
+        with pytest.raises(ValueError, match="add up"):
+            codec.decode(encoded)

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compress import container as ctn
 from repro.compress import regression
 from repro.compress import sz_lr
 from repro.compress.sz_lr import SZLRCompressor
@@ -358,12 +359,18 @@ def test_grouping_does_not_change_an_arrays_streams():
 # ----------------------------------------------------------------------
 # the whole-chunk decoder against the per-region reference
 # ----------------------------------------------------------------------
+def _deserialize(comp, payload):
+    """``(meta, codes per array, side streams, counts)``: parse, then the entropy pass."""
+    meta, pairs, side, counts = comp._parse(payload)
+    return meta, ctn.decode_huffman([pairs])[0], side, counts
+
+
 def _bits(arrays):
     return [np.ascontiguousarray(a).tobytes() for a in arrays]
 
 
 def _decode_both(comp, payload):
-    meta, codes, side, counts = comp._deserialize(payload)
+    meta, codes, side, counts = _deserialize(comp, payload)
     args = ([tuple(shape) for shape in meta["shapes"]], float(meta["abs_eb"]),
             codes, side, counts)
     return comp._decode_batch(*args), _ref_decode_batch(comp, *args), side
@@ -522,7 +529,7 @@ def _unit_block_chunk(per_shape, rng):
 def test_cumsum_calls_scale_with_shape_groups_not_regions(monkeypatch, per_shape):
     comp = SZLRCompressor(1e-3, block_size=6, radius=64)
     arrays = _unit_block_chunk(per_shape, np.random.default_rng(4))
-    meta, codes, side, counts = comp._deserialize(
+    meta, codes, side, counts = _deserialize(comp,
         comp.compress_many(arrays, value_range=50.0).payload)
     assert 0 < side["selection"].sum() < side["selection"].size == 64 * per_shape
     seen = []
@@ -651,7 +658,7 @@ def test_side_stream_of_the_wrong_length_is_refused(name, change):
 @pytest.mark.parametrize("change", ["one short", "one over"])
 def test_selection_of_the_wrong_length_is_refused(change):
     comp, shapes, codes, side, counts, abs_eb = _honest_parts()
-    meta, codes, side, counts = comp._deserialize(
+    meta, codes, side, counts = _deserialize(comp,
         comp._serialize(shapes, codes, side, counts, abs_eb, True, "float64")[0])
     selection = side["selection"]
     side["selection"] = selection[:-1] if change == "one short" else np.append(selection, 0)
@@ -672,7 +679,7 @@ def test_selection_shorter_than_the_counts_say_is_not_padded():
 def test_fewer_shapes_than_code_streams_is_refused(shared):
     comp, shapes, codes, side, counts, abs_eb = _honest_parts()
     payload, _ = comp._serialize(shapes, codes, side, counts, abs_eb, shared, "float64")
-    meta, codes, side, counts = comp._deserialize(payload)
+    meta, codes, side, counts = _deserialize(comp, payload)
     with pytest.raises(ValueError, match="cells per array"):
         comp._decode_batch(shapes[:-1], abs_eb, codes, side, counts)
     with pytest.raises(ValueError, match="cells per array"):
@@ -707,3 +714,58 @@ def test_hostile_shape_never_reaches_the_plan_cache(monkeypatch):
     with pytest.raises(ValueError, match="cells per array"):
         comp.decompress_many(payload)
     assert planned == []
+
+
+# ----------------------------------------------------------------------
+# a payload that lost a section or a meta key is a ValueError naming it
+# ----------------------------------------------------------------------
+def _without(payload, *, section=None, meta_key=None):
+    cont = ctn.unpack_container(payload)
+    sections = {k: v for k, v in cont.sections.items() if k != section}
+    meta = {k: v for k, v in cont.meta.items() if k != meta_key}
+    return ctn.pack_container(cont.codec, meta, sections)
+
+
+@pytest.mark.parametrize("shared, section", [
+    *((True, name) for name in ("counts", "selection", "huff_table", "huff_payload",
+                                "huff_nbits", "huff_ncodes", *sz_lr._SIDE[1:])),
+    (False, "huff_individual"), (False, "counts")])
+def test_payload_missing_a_section_is_a_value_error(shared, section):
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    payload, _ = comp._serialize(shapes, codes, side, counts, abs_eb, shared, "float64")
+    assert len(comp.decompress_many(payload)) == len(shapes)
+    with pytest.raises(ValueError, match=section):
+        comp.decompress_many(_without(payload, section=section))
+    with pytest.raises(ValueError, match=section):          # and inside a batch
+        list(comp.decompress_batch([payload, _without(payload, section=section)]))
+
+
+@pytest.mark.parametrize("key", ["shared", "shapes", "abs_eb", "dtype"])
+def test_payload_missing_a_meta_key_is_a_value_error(key):
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    payload, _ = comp._serialize(shapes, codes, side, counts, abs_eb, True, "float64")
+    with pytest.raises(ValueError, match=key):
+        comp.decompress_many(_without(payload, meta_key=key))
+
+
+def test_counts_that_are_not_rows_of_six_are_refused():
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    payload, _ = comp._serialize(shapes, codes, side, counts, abs_eb, True, "float64")
+    cont = ctn.unpack_container(payload)
+    cont.sections["counts"] = cont.sections["counts"][:-8]
+    with pytest.raises(ValueError, match="counts"):
+        comp.decompress_many(ctn.pack_container(cont.codec, cont.meta, cont.sections))
+
+
+def test_decompress_batch_equals_decompress_many_one_at_a_time():
+    rng = np.random.default_rng(9)
+    comp = SZLRCompressor(1e-3, block_size=6)
+    buffers = [comp.compress_many([_field(kind, shape, rng) for shape in shapes],
+                                  shared_encoding=shared)
+               for kind, shapes, shared in (("noisy", [(16, 8, 13)] * 3, True),
+                                            ("smooth", [(8, 8, 8), (5, 4, 3)], False),
+                                            ("spiked_plane", [(16, 16, 16)], True))]
+    together = list(comp.decompress_batch(buffers))
+    assert list(comp.decompress_batch([])) == []
+    for buffer, arrays in zip(buffers, together):
+        assert _bits(arrays) == _bits(comp.decompress_many(buffer))

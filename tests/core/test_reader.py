@@ -21,10 +21,10 @@ from repro.amr.box import Box
 from repro.compress.registry import available_codecs
 from repro.core import AMRICConfig, AMRICReader, AMRICWriter
 from repro.core.header import FORMAT_VERSION, PlotfileHeader
-from repro.core.reader import scan_plotfile
+from repro.core.reader import decode_job, make_decode_job, place_dataset, scan_plotfile
 from repro.core import stages
 from repro.h5lite.file import H5LiteFile
-from repro.parallel.backend import SharedMemoryBackend
+from repro.parallel.backend import SharedMemoryBackend, make_backend
 
 BACKENDS = ("serial", "shm")
 
@@ -626,3 +626,81 @@ class TestStagedPipelinePieces:
             header = PlotfileHeader.from_json(f.header)
         assert header.codec == cfg.compressor
         assert header.unit_block_size == cfg.unit_block_size
+
+
+class TestOnePassPerJob:
+    """A job's chunks share one Huffman lane pass; each decodes to what it does alone."""
+
+    #: sz_lr batches its chunks' entropy decode; the others ride ``Filter.decode_many``'s loop
+    CODECS = ("sz_lr", "sz_interp", "zfp_like", "sz_1d")
+    PRESETS = {"nyx_1": {"coarse_shape": (16, 16, 16), "max_grid_size": 8},
+               "warpx_1": {"coarse_shape": (8, 8, 32), "max_grid_size": 16}}
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("codec", CODECS)
+    def test_job_of_n_payloads_equals_n_one_payload_jobs(
+            self, multirank_hierarchy, tmp_path, codec, backend):
+        path = tmp_path / "plt.h5z"
+        _write(multirank_hierarchy, path, compressor=codec, error_bound=1e-3)
+        with H5LiteFile(str(path), "r") as f, make_backend(backend) as pool:
+            plan = scan_plotfile(f)
+            whole = [make_decode_job(f, d, range(d.nchunks), plan) for d in plan.datasets]
+            single = [make_decode_job(f, d, [i], plan)
+                      for d in plan.datasets for i in range(d.nchunks)]
+            assert max(len(job.payloads) for job in whole) > 1
+            alone = iter(pool.map(decode_job, single))
+            for result in pool.map(decode_job, whole):
+                for index, chunk in zip(result.chunk_indices, result.chunks):
+                    one = next(alone)
+                    assert (one.key, one.chunk_indices) == (result.key, [index])
+                    np.testing.assert_array_equal(chunk, one.chunks[0])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_preset_read_equals_chunk_at_a_time_reference(self, tmp_path, preset, backend):
+        from repro.amr.upsample import fill_covered_from_finer
+        from repro.apps import RUN_PRESETS, build_run
+
+        hierarchy = build_run(preset, **self.PRESETS[preset]).hierarchy
+        path = str(tmp_path / f"{preset}.h5z")
+        repro.write(hierarchy, path, compressor="sz_lr",
+                    error_bound=RUN_PRESETS[preset].error_bound_amric)
+        with repro.open(path) as handle:
+            got = handle.read(backend=backend)
+        with H5LiteFile(path, "r") as f:
+            plan = scan_plotfile(f)
+            assert max(d.nchunks for d in plan.datasets) > 1
+            for d in plan.datasets:
+                place_dataset(plan.structure, d, {
+                    i: decode_job(make_decode_job(f, d, [i], plan)).chunks[0]
+                    for i in range(d.nchunks)})
+            fill_covered_from_finer(plan.structure)
+        for want, back in zip(plan.structure.levels, got.levels):
+            for fab_want, fab_back in zip(want.multifab, back.multifab):
+                np.testing.assert_array_equal(fab_back.data, fab_want.data)
+
+    def test_one_entropy_pass_per_dataset_and_chunks_still_count_chunks(
+            self, multirank_hierarchy, tmp_path, monkeypatch):
+        from repro.compress.huffman import HuffmanCodec
+
+        path = tmp_path / "plt.h5z"
+        _write(multirank_hierarchy, path, error_bound=1e-3)
+        passes = []
+        decode = HuffmanCodec.decode
+        monkeypatch.setattr(HuffmanCodec, "decode",
+                            lambda self, enc: passes.append(enc.nsymbols) or decode(self, enc))
+        with repro.open(str(path)) as handle:
+            handle.read()
+            plan = handle._scan()
+            nchunks = sum(d.nchunks for d in plan.datasets)
+            assert len(passes) == len(plan.datasets) < nchunks
+            assert handle.stats.chunks_decoded == nchunks
+            assert handle.stats.datasets_decoded == len(plan.datasets)
+            # a box read decodes its chunks in one pass too, and counts them as chunks
+            del passes[:]
+            handle._cache.clear()
+            handle.stats.reset()
+            dplan = max(plan.datasets, key=lambda d: d.nchunks)
+            handle.read_field(dplan.field, level=dplan.level, refill=False)
+            assert len(passes) == 1
+            assert handle.stats.chunks_decoded == dplan.nchunks > 1

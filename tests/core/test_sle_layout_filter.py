@@ -160,6 +160,58 @@ class TestAMRICLevelFilter:
         # error bound holds
         assert np.max(np.abs(decoded[:flat.size] - flat)) <= 1e-3 * plan.value_range * (1 + 1e-9)
 
+    def _payload(self, hierarchy, compressor):
+        _, flat, plan = self._blocks_and_chunk(hierarchy)
+        filt = AMRICLevelFilter(compressor=compressor, error_bound=1e-3)
+        filt.queue_plan(plan)
+        return filt.encode(flat, actual_elements=flat.size), flat.size
+
+    @pytest.mark.parametrize("compressor, key", [
+        ("sz_lr", "mode"), ("sz_lr", "error_bound"), ("sz_lr", "sz_block_size"),
+        ("sz_interp", "mode"), ("sz_interp", "error_bound"), ("sz_interp", "arrangement"),
+        ("sz_interp", "interp_anchor_stride"),
+        *(("sz_interp", f"arrangement.{key}") for key in
+          ("mode", "unit_shape", "grid_shape", "block_shapes", "fill_value"))])
+    def test_header_missing_a_key_is_a_value_error(self, nyx_hierarchy, compressor, key):
+        import json
+        import struct
+
+        payload, n = self._payload(nyx_hierarchy, compressor)
+        (header_len,) = struct.unpack_from("<Q", payload, 0)
+        header = json.loads(payload[8:8 + header_len])
+        holder = header
+        *path, leaf = key.split(".")
+        for part in path:
+            holder = holder[part]
+        del holder[leaf]
+        raw = json.dumps(header).encode("utf-8")
+        damaged = struct.pack("<Q", len(raw)) + raw + payload[8 + header_len:]
+        with pytest.raises(ValueError, match=leaf):
+            AMRICLevelFilter().decode(damaged, n)
+        with pytest.raises(ValueError, match=leaf):
+            AMRICLevelFilter().decode_many([payload, damaged], n)
+
+    @pytest.mark.parametrize("cut", [0, 7, 8, 40])
+    def test_payload_cut_inside_its_header_is_a_value_error(self, nyx_hierarchy, cut):
+        payload, n = self._payload(nyx_hierarchy, "sz_lr")
+        with pytest.raises(ValueError):
+            AMRICLevelFilter().decode(payload[:cut], n)
+
+    def test_decode_many_equals_decode_one_at_a_time(self, nyx_hierarchy):
+        """Mixed codecs and recipes in one call; each chunk is what it is alone."""
+        payloads = []
+        for compressor, bound in (("sz_lr", 1e-3), ("sz_interp", 1e-3), ("sz_lr", 1e-2),
+                                  ("sz_lr", 1e-3)):
+            _, flat, plan = self._blocks_and_chunk(nyx_hierarchy)
+            filt = AMRICLevelFilter(compressor=compressor, error_bound=bound)
+            filt.queue_plan(plan)
+            payloads.append(filt.encode(flat, actual_elements=flat.size))
+        reader = AMRICLevelFilter()
+        together = reader.decode_many(payloads, flat.size + 7)
+        assert reader.decode_many([], 10) == []
+        for payload, chunk in zip(payloads, together):
+            np.testing.assert_array_equal(chunk, reader.decode(payload, flat.size + 7))
+
     def test_encode_without_plan_raises(self):
         filt = AMRICLevelFilter()
         with pytest.raises(RuntimeError):

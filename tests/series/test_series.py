@@ -10,7 +10,13 @@ from repro.amr.box import Box
 from repro.amr.upsample import covered_mask
 from repro.apps.base import build_two_level_hierarchy
 from repro.apps.nyx import NyxSimulation
+from repro.compress.huffman import HuffmanCodec
+from repro.compress.temporal import MODE_DELTA, TemporalDeltaCodec
+from repro.h5lite.file import H5LiteFile
+from repro.h5lite.source import LocalFileSource, RangeSource
 from repro.series import INDEX_FILENAME, SeriesIndex, SeriesWriter, open_series
+from repro.series.reader import _PASS_STREAMS
+from repro.service.cache import ChunkCache
 from repro.series.writer import write_series
 
 NSTEPS = 10                    # the acceptance criterion's series length
@@ -236,6 +242,199 @@ class TestChainLocality:
                 steps=[0, 2, -1], refill=False)
             assert values.shape[0] == 3
             assert times[2] == series.times[-1]
+
+
+class TestGroupedChainDecode:
+    """A decode group's chains share entropy passes, ``_PASS_STREAMS`` streams
+    to a pass; what they resolve to is what one stream at a time resolves to."""
+
+    NSTEPS, INTERVAL = 8, 4
+
+    @pytest.fixture(scope="class")
+    def chained_dir(self, hierarchies, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("series") / "chained")
+        write_series(hierarchies[:self.NSTEPS], path, keyframe_interval=self.INTERVAL,
+                     error_bound=1e-3)
+        return path
+
+    @staticmethod
+    def _reference_chunks(directory, step):
+        """``(dataset, chunk) -> values`` of one step, each stream read and
+        decoded on its own, newest first (how the reader walked before)."""
+        index = SeriesIndex.load(directory)
+        out = {}
+        with H5LiteFile(os.path.join(directory, index.steps[step].path), "r") as f:
+            shape = {name: (info.nchunks, info.chunk_elements)
+                     for name, info in f.datasets.items()}
+        for name, (nchunks, chunk_elements) in shape.items():
+            for chunk in range(nchunks):
+                at, pending = step, []
+                while True:
+                    with H5LiteFile(os.path.join(directory, index.steps[at].path), "r") as f:
+                        mode, codes, meta = TemporalDeltaCodec.unpack_codes(
+                            f.read_chunk_payload(name, chunk))
+                    if mode != MODE_DELTA:
+                        break
+                    pending.append(codes)
+                    at = index.steps[at].dataset(name).ref
+                for deltas in reversed(pending):
+                    codes = codes + deltas
+                values = np.zeros(chunk_elements)
+                values[:codes.size] = TemporalDeltaCodec.grid_values(
+                    codes, meta["eb"], meta["offset"])
+                out[(name, chunk)] = values
+        return out
+
+    @staticmethod
+    def _chunks(series, step):
+        handle = series.open_step(step)
+        plan = handle._scan()
+        return {(d.name, i): chunk for d in plan.datasets
+                for i, chunk in handle._decode_chunks(plan, d, range(d.nchunks)).items()}
+
+    @staticmethod
+    def _same_hierarchy(a, b):
+        return all(np.array_equal(fa.data, fb.data)
+                   for la, lb in zip(a.levels, b.levels)
+                   for fa, fb in zip(la.multifab, lb.multifab))
+
+    @pytest.mark.parametrize("warm", ["cold", "intermediate step resolved",
+                                      "byte-bounded cache"])
+    def test_every_step_equals_one_stream_at_a_time(self, chained_dir, warm):
+        for step in (self.NSTEPS - 1, self.INTERVAL + 1, 0):
+            reference = self._reference_chunks(chained_dir, step)
+            # small enough that a group's entries evict while it is being folded
+            cache = ChunkCache(max_bytes=64 << 10) if warm == "byte-bounded cache" else None
+            with open_series(chained_dir, cache=cache) as series:
+                if warm == "intermediate step resolved" and step % self.INTERVAL:
+                    series.read_field("baryon_density", step=step - 1, refill=False)
+                got = self._chunks(series, step)
+                assert got.keys() == reference.keys()
+                for key, values in reference.items():
+                    np.testing.assert_array_equal(got[key], values, err_msg=str(key))
+
+    @pytest.mark.parametrize("backend", ["serial", "shm"])
+    def test_read_and_time_slice_equal_the_reference(self, chained_dir, backend):
+        """The reference: the same geometry code over chunks decoded one stream
+        at a time, planted in the step handles' chunk caches."""
+        box = Box((2, 2, 2), (9, 9, 9))
+        with open_series(chained_dir) as planted:
+            for step in range(self.NSTEPS):
+                planted.open_step(step)._cache.update(self._reference_chunks(chained_dir, step))
+            want_last = planted.read(step=-1)
+            _, want_slice = planted.time_slice("temperature", box=box, refill=False)
+            assert planted.stats.chunks_decoded == 0
+        with open_series(chained_dir) as series:
+            assert self._same_hierarchy(series.read(step=-1, backend=backend), want_last)
+        with open_series(chained_dir) as series, \
+                open_series(chained_dir, cache=ChunkCache(max_bytes=64 << 10)) as bounded:
+            for handle in (series, bounded):
+                _, values = handle.time_slice("temperature", box=box, refill=False)
+                np.testing.assert_array_equal(values, want_slice)
+            # newest first: a keyframe interval's steps resolve in one pass each
+            assert series.stats.chunks_decoded <= self.NSTEPS * 2
+
+    def test_counters_count_chunks_not_passes(self, chained_dir, monkeypatch):
+        passes = []
+        decode = HuffmanCodec.decode
+        monkeypatch.setattr(HuffmanCodec, "decode",
+                            lambda self, enc: passes.append(enc.nsymbols) or decode(self, enc))
+        with open_series(chained_dir) as series:
+            handle = series.open_step(-1)
+            plan = handle._scan()
+            nchunks = sum(d.nchunks for d in plan.datasets)
+            def chain_length(name, step=self.NSTEPS - 1):
+                ref = series.index.steps[step].dataset(name).ref
+                return 1 if ref is None else 1 + chain_length(name, ref)
+
+            streams = [d.nchunks * chain_length(d.name) for d in plan.datasets]
+            chain = sum(streams)
+            self._chunks(series, -1)
+            # cold: every stream of every chain once, a dataset's streams
+            # _PASS_STREAMS to a pass
+            assert series.stats.chunks_decoded == chain > nchunks
+            assert series.stats.cache_hits == 0
+            assert len(passes) == sum(-(-n // _PASS_STREAMS) for n in streams) < chain / 2
+            # the chain's other steps were resolved on the way: no stream left
+            # to decode, one code-cache hit per chunk
+            del passes[:]
+            self._chunks(series, -2)
+            assert series.stats.chunks_decoded == chain
+            assert series.stats.cache_hits == nchunks
+            assert passes == []
+            # and the decoded chunks themselves are chunk-cache hits on repeat
+            self._chunks(series, -2)
+            assert series.stats.cache_hits == 2 * nchunks
+
+    def test_a_long_chain_is_decoded_a_bounded_pass_at_a_time(self, tmp_path, monkeypatch):
+        """One keyframe, nine deltas (no regrid in between), a code cache
+        smaller than one chain: no pass holds more than ``_PASS_STREAMS``
+        decoded streams, however long the chains or large the group, and the
+        arrays are the reference's."""
+        path = str(tmp_path / "long")
+        sim = NyxSimulation(coarse_shape=(16, 16, 16), nranks=2, target_fine_density=0.03,
+                            max_grid_size=8, seed=42, drift_rate=0.05, growth_rate=0.02,
+                            regrid_interval=NSTEPS + 1)
+        write_series(sim.run(NSTEPS), path, keyframe_interval=NSTEPS, error_bound=1e-3)
+        passes = []
+        unpack = TemporalDeltaCodec.unpack_codes_many
+        monkeypatch.setattr(TemporalDeltaCodec, "unpack_codes_many", staticmethod(
+            lambda payloads: passes.append(len(payloads)) or unpack(payloads)))
+        reference = self._reference_chunks(path, NSTEPS - 1)
+        with open_series(path, cache=ChunkCache(max_bytes=64 << 10)) as series:
+            def chain_length(name, step):
+                ref = series.index.steps[step].dataset(name).ref
+                return 1 if ref is None else 1 + chain_length(name, ref)
+
+            longest = max(chain_length(name, NSTEPS - 1) for name, _ in reference)
+            del passes[:]
+            got = self._chunks(series, NSTEPS - 1)
+            assert series.stats.chunks_decoded == sum(passes)
+        assert longest > _PASS_STREAMS          # a chain spans passes
+        assert max(passes) == _PASS_STREAMS
+        assert got.keys() == reference.keys()
+        for key, values in reference.items():
+            np.testing.assert_array_equal(got[key], values, err_msg=str(key))
+
+    def test_cold_last_step_read_is_one_request_batch_per_dataset_and_step(self, chained_dir):
+        batches = []            # (file, the ranges of one read_many call)
+
+        class Recording(RangeSource):
+            def read_many(self, ranges):
+                batches.append((self.path, [tuple(r) for r in ranges]))
+                return super().read_many(ranges)
+
+        with open_series(chained_dir, source=lambda path: Recording(
+                LocalFileSource(path))) as series:
+            series.read(step=-1)
+            owners = {}         # (file, chunk range) -> dataset
+            for handle in list(series._handles.values()):     # the chains' steps
+                for name, info in handle._file.datasets.items():
+                    for chunk in info.chunks:
+                        owners[(handle.path, (chunk.offset, chunk.nbytes))] = name
+            assert len(series._handles) > 1
+        per_dataset_step = {}
+        for path, ranges in batches:
+            for name in {owners[(path, r)] for r in ranges if (path, r) in owners}:
+                per_dataset_step[(path, name)] = per_dataset_step.get((path, name), 0) + 1
+        assert per_dataset_step and set(per_dataset_step.values()) == {1}
+        multi = [name for (path, name) in per_dataset_step
+                 if sum(1 for (p, _), n in owners.items() if p == path and n == name) > 1]
+        assert multi                    # some dataset has several chunks per step
+
+    def test_stream_contradicting_the_manifest_is_refused(self, chained_dir, tmp_path):
+        import shutil
+
+        broken = str(tmp_path / "broken")
+        shutil.copytree(chained_dir, broken)
+        index = SeriesIndex.load(broken)
+        # the keyframe's file now holds step 1's delta streams: the manifest
+        # still says "key, no reference"
+        shutil.copyfile(os.path.join(broken, index.steps[1].path),
+                        os.path.join(broken, index.steps[0].path))
+        with open_series(broken) as series:
+            with pytest.raises(ValueError, match="records no reference step"):
+                series.read_field("baryon_density", step=1, refill=False)
 
 
 class TestRegridFallback:

@@ -147,6 +147,32 @@ class TestCorruptStreams:
         with pytest.raises(ValueError):
             codec.decode_key(b"not a container at all")
 
+    @pytest.mark.parametrize("dropped", ["eb", "huff_table", "huff_payload",
+                                         "huff_nbits", "huff_ncodes"])
+    def test_stream_missing_a_piece_names_it(self, codec, data, dropped):
+        payload, _, _ = codec.encode_key(data)
+        cont = unpack_container(payload)
+        cont.meta.pop(dropped, None)
+        cont.sections.pop(dropped, None)
+        damaged = pack_container(cont.codec, cont.meta, cont.sections)
+        for decode in (codec.decode_key, codec.decompress,
+                       lambda p: codec.decode_with_reference(p, None)):
+            with pytest.raises(ValueError, match=dropped):
+                decode(damaged)
+
+    def test_unpack_codes_many_equals_one_at_a_time(self, codec, data):
+        key, codes, _ = codec.encode_key(data)
+        delta, _, _ = codec.encode_delta(data + 0.3, codes)
+        empty, _, _ = codec.encode_key(data[:0])
+        payloads = [key, delta, empty, key]
+        together = TemporalDeltaCodec.unpack_codes_many(payloads)
+        assert TemporalDeltaCodec.unpack_codes_many([]) == []
+        for payload, (mode, got, meta) in zip(payloads, together):
+            want_mode, want, want_meta = TemporalDeltaCodec.unpack_codes(payload)
+            assert (mode, meta) == (want_mode, want_meta)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+
 
 class TestFilter:
     def test_encode_decode_with_padding(self, codec, data):

@@ -111,7 +111,7 @@ class TestSpeedupGate:
         kinds = [gate.kind for gate in bench_check.GATES]
         assert {k: kinds.count(k) for k in kinds} == {
             "speedup": 3, "remote-read": 3, "streaming": 2,
-            "observability": 1, "http-gateway": 1, "entropy": 2}
+            "observability": 1, "http-gateway": 1, "entropy": 3}
         assert all(g.scale_by_cores == (g.kind == "speedup")
                    for g in bench_check.GATES)
 
@@ -407,14 +407,19 @@ class TestEntropyGate:
     LONG = _row(", decode, over").den[0]
     SMALL = _row(", decode, over").num[0]
     ENCODE = _row(", encode, over").num[0]
+    ONE_PASS = _row("4-table lane pass").num[0]
+    FOUR_PASSES = _row("4-table lane pass").den[0]
 
     def _entropy_suite(self, tmp_path, *, long_median=0.030, small_median=0.040,
-                       encode_median=0.025, stamp=True):
-        """A fresh BENCH_entropy.json: one 1M-symbol stream vs 390 small ones."""
+                       encode_median=0.025, one_pass_median=0.0035, stamp=True):
+        """A fresh BENCH_entropy.json: one 1M-symbol stream vs 390 small ones,
+        and a 4-container decode job in one lane pass vs four."""
         _write_suite(tmp_path / "BENCH_entropy.json", {
             self.LONG: (long_median, {"symbols": 1_000_000} if stamp else {}),
             self.SMALL: (small_median, {"symbols": 1_050_000} if stamp else {}),
             self.ENCODE: (encode_median, {"symbols": 1_050_000} if stamp else {}),
+            self.ONE_PASS: (one_pass_median, {"passes": 1, "symbols": 110_000}),
+            self.FOUR_PASSES: (0.0072, {"passes": 4, "symbols": 110_000}),
         })
         return str(tmp_path)
 
@@ -422,7 +427,16 @@ class TestEntropyGate:
         lines, notices, failures = _gates(
             "entropy", tmp_path / "none", self._entropy_suite(tmp_path))
         assert failures == 0 and not notices
-        assert len(lines) == 2 and all("ok" in line for line in lines)
+        assert len(lines) == 3 and all("ok" in line for line in lines)
+
+    def test_a_pass_per_container_of_a_job_fails(self, tmp_path):
+        # what four passes cost when nothing is shared: the same as four passes
+        fresh = self._entropy_suite(tmp_path, one_pass_median=0.0070)
+        lines, _, failures = _gates("entropy", tmp_path / "none", fresh)
+        assert failures == 1 and "FAIL" in lines[2] and "4-table lane pass" in lines[2]
+        assert "0.9722x" in lines[2] and "required <= 0.7x" in lines[2]
+        assert bench_check.main(["--baseline-dir", str(tmp_path / "none"),
+                                 "--fresh-dir", fresh]) == 1
 
     def test_encode_per_symbol_ceiling(self, tmp_path):
         # the searchsorted + float64-bincount kernel: ~90 ns/symbol against a
@@ -458,4 +472,6 @@ class TestEntropyGate:
         assert failures == 0 and not lines and "no fresh" in notices[0]
         fresh = self._entropy_suite(tmp_path, stamp=False)
         lines, notices, failures = _gates("entropy", tmp_path / "none", fresh)
-        assert failures == 0 and not lines and "skipped" in notices[0]
+        # the per-symbol rows need the stamp; the shared-pass row is two medians
+        assert failures == 0 and "skipped" in notices[0]
+        assert len(lines) == 1 and "4-table lane pass" in lines[0]
