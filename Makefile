@@ -13,7 +13,8 @@
 # `stats` verb reports about them, and `make smoke-http` exercises the HTTP
 # gateway (auth, limits, /metrics, read parity with TCP) across real
 # processes.  The smoke targets honour REPRO_BACKEND (serial or shm; CI
-# runs them once on each).
+# runs them once on each).  `make loc` prints the Python line count of src/ +
+# tools/ beside the Shrink item's baseline and goal (ROADMAP.md).
 
 PY := PYTHONPATH=src python
 
@@ -29,7 +30,7 @@ BENCH_SUITES := \
 	obs:benchmarks/perf/test_perf_obs.py \
 	http:benchmarks/perf/test_perf_http.py
 
-.PHONY: test lint bench bench-check bench-baseline smoke smoke-series \
+.PHONY: test lint loc bench bench-check bench-baseline smoke smoke-series \
 	smoke-remote smoke-stream smoke-obs smoke-http
 
 test:
@@ -41,6 +42,11 @@ lint:
 	else \
 		echo "ruff not installed; skipping lint"; \
 	fi
+
+loc:
+	@echo "src/ + tools/ Python lines:" \
+		"$$(find src tools -name '*.py' | xargs cat | wc -l)" \
+		"(baseline 20060, goal <= 18054)"
 
 bench:
 	@set -e; \

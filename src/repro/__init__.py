@@ -56,7 +56,7 @@ __all__ = ["__version__", "write", "open_plotfile", "write_plotfile",
 
 def __getattr__(name):
     # repro.ChunkCache resolves lazily: importing it eagerly would drag the
-    # whole service stack (engine, asyncio server, socket client) into every
+    # whole service stack (engine, servers, socket client) into every
     # `import repro`, defeating the package's deliberate lazy-import pattern
     if name == "ChunkCache":
         from repro.service.cache import ChunkCache

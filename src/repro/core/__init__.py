@@ -13,7 +13,7 @@ The pieces map one-to-one onto the paper's design sections:
   per-rank actual sizes passed to the filter.
 * :mod:`repro.core.pipeline` / :mod:`repro.core.reader` — the end-to-end
   in situ writer (:class:`AMRICWriter`) and the staged reader
-  (:class:`AMRICReader`, :class:`PlotfileHandle`).
+  (:class:`PlotfileHandle`, opened through :func:`repro.open`).
 * :mod:`repro.core.header` — the versioned self-describing plotfile header
   that lets the reader rebuild the hierarchy's structure from the file alone.
 """
@@ -21,7 +21,6 @@ The pieces map one-to-one onto the paper's design sections:
 from repro.core.config import AMRICConfig
 from repro.core.pipeline import AMRICWriter, WriteReport, LevelFieldRecord
 from repro.core.reader import (
-    AMRICReader,
     DecodeJob,
     DecodeResult,
     PlotfileHandle,
@@ -47,7 +46,6 @@ from repro.core.stages import (
 __all__ = [
     "AMRICConfig",
     "AMRICWriter",
-    "AMRICReader",
     "PlotfileHandle",
     "PlotfileHeader",
     "build_header",

@@ -44,7 +44,6 @@ from repro.amr.hierarchy import AmrHierarchy
 from repro.amr.upsample import average_down, fill_covered_from_finer
 from repro.compress.errorbound import ErrorBound
 from repro.compress.registry import create_codec
-from repro.core.config import AMRICConfig
 from repro.core.filter_mod import AMRICLevelFilter
 from repro.core.header import (
     CHUNK_ALIGNMENT_BOX_MAJOR,
@@ -66,7 +65,6 @@ from repro.parallel.backend import ExecutionBackend, make_backend
 from repro.parallel.mpi_sim import SimComm
 
 __all__ = [
-    "AMRICReader",
     "PlotfileHandle",
     "ReadStats",
     "BlockSlot",
@@ -782,52 +780,3 @@ class PlotfileHandle:
             self._sync_io()
             if owns:
                 resolved.close()
-
-
-# ----------------------------------------------------------------------
-# the reader facade (kept API, staged internals)
-# ----------------------------------------------------------------------
-class AMRICReader:
-    """Reads plotfiles written by :class:`~repro.core.pipeline.AMRICWriter`.
-
-    Plotfiles are self-describing (format v1), so a read needs nothing but
-    the path::
-
-        back = AMRICReader().read_plotfile("plotfile.h5z")
-
-    Decode jobs run on an execution backend (serial / shm), mirroring the
-    writer.
-    """
-
-    def __init__(self, config: Optional[AMRICConfig] = None,
-                 backend: "ExecutionBackend | str | None" = None,
-                 comm: Optional[SimComm] = None):
-        self.config = config or AMRICConfig()
-        # same ownership convention as the writer: named backends are ours
-        self._owns_backend = not isinstance(backend, ExecutionBackend)
-        self.backend = make_backend(
-            backend if backend is not None else self.config.backend,
-            self.config.backend_workers)
-        self.comm = comm
-
-    def close(self) -> None:
-        """Release the reader-owned backend pool (idempotent)."""
-        if self._owns_backend:
-            self.backend.close()
-
-    def __enter__(self) -> "AMRICReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    def open(self, path: str, source=None) -> PlotfileHandle:
-        """A lazy handle on ``path`` sharing this reader's backend."""
-        return PlotfileHandle(path, backend=self.backend, source=source)
-
-    def read_plotfile(self, path: str) -> AmrHierarchy:
-        """Decode ``path`` into a hierarchy."""
-        with H5LiteFile(path, "r") as f:
-            return execute_read(f, scan_plotfile(f), self.backend,
-                                comm=self.comm)

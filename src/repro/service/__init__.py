@@ -16,17 +16,19 @@ those chunks *shareable*:
   op dispatch, protocol-version negotiation, bearer-token auth, request-size
   and rate limits, trace binding, per-op tallies and the structured request
   log.  Every transport is a thin shell over it.
-* :mod:`repro.service.server` / :mod:`repro.service.client` — the asyncio
+* :mod:`repro.service.server` / :mod:`repro.service.client` — the
   JSON-over-TCP transport and its thin synchronous client
   (``python -m repro serve`` / ``python -m repro query``), plus the
-  streaming ``subscribe`` verb: the server watches live (append-mode)
-  series and pushes step-committed events; :func:`follow_series` pairs
-  each event with a box read, reconnecting and resuming on failure
-  (``python -m repro query --follow``).
+  streaming ``subscribe`` verb: the core polls a live (append-mode) series
+  per subscriber and the transport pushes its step-committed events;
+  :func:`follow_series` pairs each event with a box read, reconnecting and
+  resuming on failure (``python -m repro query --follow``).
 * :mod:`repro.service.http` — the HTTP/1.1 JSON gateway over the same core
   (``repro serve --http``): ``POST /v1/query``, ``GET /metrics`` (Prometheus),
   ``GET /healthz``, chunked ``GET /v1/subscribe``; :class:`HttpClient`
   mirrors :class:`ReproClient`.
+* :mod:`repro.service.lifecycle` — the threaded-server lifecycle
+  (construct / ``run`` / ``start`` / ``stop``) both transports inherit.
 * :mod:`repro.service.fakes` — in-process :class:`FakeTransport` /
   :class:`FakeClient` driving the real core (through the real wire codec)
   with no sockets, for tests and embedding.

@@ -48,6 +48,28 @@ def _box_json(box: Optional[Box]):
     return [list(box.lo), list(box.hi)] if box is not None else None
 
 
+def subscription_events(result, readline, peer: str) -> Iterator[dict]:
+    """What every client's ``subscribe`` yields once the server acknowledged:
+    the ``subscribed`` event carrying the acknowledgement's ``result``, then
+    each event line ``readline`` returns, through the terminal
+    ``finalized`` / ``end`` (an ``error`` event raises instead)."""
+    yield {"event": "subscribed",
+           **(result if isinstance(result, dict) else {})}
+    while True:
+        line = readline()
+        if not line:
+            raise ConnectionError(
+                f"server at {peer} dropped the subscription stream")
+        event = decode_line(line)
+        if not isinstance(event, dict) or "event" not in event:
+            raise ConnectionError(f"malformed event: {event!r}")
+        if event["event"] == "error":
+            raise ServiceError(str(event.get("error", "unknown server error")))
+        yield event
+        if event["event"] in ("finalized", "end"):
+            return
+
+
 class ServiceOps:
     """The service surface, one method per op, over an abstract ``call``.
 
@@ -214,30 +236,13 @@ class ReproClient(ServiceOps):
                     f"subscribe (it speaks a pre-streaming protocol): {error}",
                     kind=kind or ERROR_UNKNOWN_OP)
             raise ServiceError(error, kind=kind)
-        result = response.get("result")
-        yield {"event": "subscribed",
-               **(result if isinstance(result, dict) else {})}
-        while True:
-            try:
-                line = self._rfile.readline()
-            except OSError:
-                self.close()
-                raise
-            if not line:
-                self.close()
-                raise ConnectionError(
-                    f"server at {self.host}:{self.port} dropped the "
-                    "subscription stream")
-            event = decode_line(line)
-            if not isinstance(event, dict) or "event" not in event:
-                self.close()
-                raise ConnectionError(f"malformed event: {event!r}")
-            if event["event"] == "error":
-                raise ServiceError(
-                    str(event.get("error", "unknown server error")))
-            yield event
-            if event["event"] in ("finalized", "end"):
-                return
+        try:
+            yield from subscription_events(response.get("result"),
+                                           self._rfile.readline,
+                                           f"{self.host}:{self.port}")
+        except OSError:
+            self.close()
+            raise
 
 
 def follow_series(path: str, field: Optional[str] = None, *,

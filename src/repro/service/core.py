@@ -1,7 +1,7 @@
 """The transport-neutral request core of the query service.
 
-Every transport — the asyncio JSON-over-TCP server, the HTTP/JSON gateway,
-the in-process fakes — is a thin shell over one :class:`RequestHandler`.
+Every transport — the JSON-over-TCP server, the HTTP/JSON gateway, the
+in-process fakes — is a thin shell over one :class:`RequestHandler`.
 The handler owns everything that must behave identically no matter how a
 request arrived:
 
@@ -19,9 +19,12 @@ request arrived:
   lives here, so adding a transport can never fork auth or limits;
 * **instrumentation** — trace binding around the engine call, per-op request
   counters and latency histograms, error-kind counters, and the structured
-  JSON request log.  The streaming path routes its per-event tallies through
-  :meth:`RequestHandler.tally_event`, so TCP pushes and HTTP chunked streams
-  report identically.
+  JSON request log;
+* **the streaming verb** — :meth:`RequestHandler.subscribe` is the whole
+  ``subscribe`` preamble (admission, version, validation, the tallied
+  acknowledgement) and :meth:`RequestHandler.subscribe_events` the one event
+  loop behind it, so TCP pushes, HTTP chunked streams and the fakes yield and
+  tally the same events.
 
 Transports keep only what is genuinely theirs: newline framing and
 connection lifecycle (TCP), routes/status codes/chunked encoding (HTTP),
@@ -36,9 +39,10 @@ from __future__ import annotations
 
 import hmac
 import os
+import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.obs import make_request_log, trace_scope
 
@@ -52,6 +56,7 @@ __all__ = [
     "DEFAULT_MAX_REQUEST_BYTES",
     "error_envelope",
     "check_version",
+    "request_trace",
     "resolve_auth_token",
     "RateLimiter",
     "RequestContext",
@@ -108,6 +113,12 @@ def check_version(request) -> Optional[dict]:
     return None
 
 
+def request_trace(request) -> Optional[str]:
+    """The client-minted trace ID a request carries (None when absent)."""
+    trace = request.get("trace") if isinstance(request, dict) else None
+    return trace if isinstance(trace, str) and trace else None
+
+
 def resolve_auth_token(spec: Optional[str]) -> Optional[str]:
     """Resolve an ``--auth-token`` spec into the secret itself.
 
@@ -158,8 +169,6 @@ class RateLimiter:
         if self.burst < 1.0:
             raise ValueError("burst must allow at least one request")
         self._clock = clock
-        import threading
-
         self._lock = threading.Lock()
         #: client key -> [tokens, last refill timestamp]
         self._buckets: Dict[str, list] = {}
@@ -328,8 +337,7 @@ class RequestHandler:
         """
         context = context if context is not None else RequestContext()
         op = request.get("op") if isinstance(request, dict) else None
-        trace = request.get("trace") if isinstance(request, dict) else None
-        trace = trace if isinstance(trace, str) and trace else None
+        trace = request_trace(request)
         start = time.perf_counter()
         response = self.refuse(request, context)
         if response is None:
@@ -465,7 +473,7 @@ class RequestHandler:
         self.request_log.log("stream", **payload)
 
     # ------------------------------------------------------------------
-    # the streaming verb (transport-neutral halves)
+    # the streaming verb: one preamble, one event loop, every transport
     # ------------------------------------------------------------------
     def open_subscribed_series(self, path: str):
         """Validate + open + first refresh of a subscription target."""
@@ -478,26 +486,72 @@ class RequestHandler:
         series.refresh()
         return series
 
+    def subscribe(self, request: dict, context: RequestContext,
+                  wait: Optional[Callable[[float], bool]] = None,
+                  poll_interval: float = 0.25
+                  ) -> Tuple[dict, Optional[Iterator[dict]]]:
+        """The ``subscribe`` request, up to and including its answer.
+
+        Admission and version negotiation as for a unary op, then ``path`` /
+        ``from_step`` validation and the first refresh.  Returns the
+        already-tallied envelope to send — the acknowledgement
+        ``{subscribed, nsteps, high_water, live}`` or a refusal — and, when
+        acknowledged, the :meth:`subscribe_events` iterator to stream after
+        it (``wait`` and ``poll_interval`` are that method's).
+        """
+        start = time.perf_counter()
+        trace = request_trace(request)
+        events = None
+        response = self.refuse(request, context) or check_version(request)
+        if response is None:
+            try:
+                path = request.get("path")
+                if not isinstance(path, str):
+                    raise ValueError("subscribe needs a 'path' string")
+                from_step = int(request.get("from_step") or 0)
+                if from_step < 0:
+                    raise ValueError("from_step must be >= 0")
+                series = self.open_subscribed_series(path)
+                response = {
+                    "v": PROTOCOL_VERSION, "id": request.get("id"), "ok": True,
+                    "result": {"subscribed": path, "nsteps": series.nsteps,
+                               "high_water": series.nsteps - 1,
+                               "live": series.live}}
+                events = self.subscribe_events(path, from_step, poll_interval,
+                                               trace, context.transport, wait)
+            except Exception as exc:  # noqa: BLE001 - refusal, not a stream
+                response = error_envelope(request.get("id"),
+                                          f"{type(exc).__name__}: {exc}")
+        # tallied before the answer is on the wire (as unary ops are): a
+        # client holding its reply must find the request already counted
+        self.tally("subscribe", trace, response, time.perf_counter() - start,
+                   transport=context.transport)
+        return response, events
+
     def subscribe_events(self, path: str, from_step: int = 0,
                          poll_interval: float = 0.25,
                          trace: Optional[str] = None,
                          transport: str = "local",
-                         stop: Optional[Callable[[], bool]] = None
+                         wait: Optional[Callable[[float], bool]] = None
                          ) -> Iterator[dict]:
-        """A synchronous stream of one live series' committed-step events.
+        """The one stream of a live series' committed-step events.
 
-        Yields the same ``step``/``finalized``/``error`` payloads the TCP
-        server pushes — strictly ordered, each step exactly once from
-        ``from_step`` — polling :meth:`QueryEngine.refresh` every
-        ``poll_interval`` seconds while the series is live.  Used by the
-        HTTP chunked endpoint and the in-process fakes; ``stop`` lets the
-        caller end the stream (server shutdown, client hangup).  Every
-        event is tallied through :meth:`tally_event`.
+        Yields ``step`` events — strictly ordered, each step exactly once
+        from ``from_step`` — then ``finalized`` when the writer finalizes, or
+        ``error`` when a refresh fails.  While the series is live, each
+        caught-up subscriber calls ``wait(poll_interval)`` and then
+        :meth:`QueryEngine.refresh` (committed steps are immutable, so a poll
+        costs a ``stat``).  ``wait`` has :meth:`threading.Event.wait`'s
+        signature: it sleeps up to the timeout and returns True to end the
+        stream early and silently (server shutdown, a client that spoke or
+        hung up); the default only sleeps.  Every event is tallied through
+        :meth:`tally_event`.
         """
         from_step = int(from_step)
         if from_step < 0:
             raise ValueError("from_step must be >= 0")
         series = self.open_subscribed_series(path)
+        wait = wait if wait is not None else threading.Event().wait
         next_step = from_step
         while True:
             while next_step < series.nsteps:
@@ -511,9 +565,8 @@ class RequestHandler:
                                  nsteps=series.nsteps)
                 yield finalized_event(series.nsteps)
                 return
-            if stop is not None and stop():
+            if wait(poll_interval):
                 return
-            time.sleep(poll_interval)
             try:
                 self.engine.refresh(path)
             except Exception as exc:  # noqa: BLE001 - published to the stream

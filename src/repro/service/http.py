@@ -39,14 +39,17 @@ from __future__ import annotations
 
 import http.client
 import json
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Iterator, Optional
-from urllib.parse import parse_qs, urlsplit
+from typing import Iterator, Optional
+from urllib.parse import parse_qs, quote, urlsplit
 
 from repro.obs import new_trace_id
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, render_prometheus
-from repro.service.client import ServiceError, ServiceOps
+from repro.service.client import (
+    ServiceError,
+    ServiceOps,
+    subscription_events,
+)
 from repro.service.core import (
     ERROR_OVERSIZED_REQUEST,
     ERROR_RATE_LIMITED,
@@ -57,6 +60,7 @@ from repro.service.core import (
     RequestHandler,
     error_envelope,
 )
+from repro.service.lifecycle import ConnectionTracking, ThreadedServer
 from repro.service.wire import encode_line, from_wire, to_wire
 
 __all__ = ["HttpServer", "HttpClient", "DEFAULT_HTTP_PORT"]
@@ -83,9 +87,9 @@ def _status_for(response: dict) -> int:
 class _GatewayRequestHandler(BaseHTTPRequestHandler):
     """One HTTP exchange: route, build a protocol request, answer with JSON.
 
-    ``self.server`` is the :class:`HttpServer`, whose ``handler`` is the
-    shared core.  Instances are per-connection (ThreadingHTTPServer), so no
-    state lives here.
+    ``self.server.owner`` is the :class:`HttpServer`, whose ``handler`` is
+    the shared core.  Instances are per-connection (ThreadingHTTPServer), so
+    no state lives here.
     """
 
     protocol_version = "HTTP/1.1"
@@ -93,7 +97,11 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
     #: connection; with Nagle on, the body waits ~40 ms for the client's
     #: delayed ACK of the headers
     disable_nagle_algorithm = True
-    server: "HttpServer"
+    server: "_GatewayListener"
+
+    @property
+    def core(self) -> RequestHandler:
+        return self.server.owner.handler
 
     # the default implementation writes an access line per request to
     # stderr; the structured request log is the core's job
@@ -125,21 +133,6 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
 
     def _send_envelope(self, response: dict, close: bool = False) -> None:
         self._send_json(_status_for(response), response, close=close)
-
-    def _refuse_admission(self, request: dict,
-                          context: RequestContext) -> bool:
-        """Run the core's admission checks; True when the request was refused
-        (and tallied + answered)."""
-        refusal = self.server.handler.refuse(request, context)
-        if refusal is None:
-            return False
-        # an oversized refusal happens before the body is read: close the
-        # connection rather than trying to resync past an unread body
-        close = refusal.get("kind") == ERROR_OVERSIZED_REQUEST
-        self.server.handler.tally(request.get("op"), None, refusal, 0.0,
-                                  transport="http")
-        self._send_envelope(refusal, close=close)
-        return True
 
     def _read_body(self) -> Optional[dict]:
         """Read and decode the JSON body, or answer the error and return None."""
@@ -181,11 +174,12 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             declared = int(length) if length is not None else None
         except ValueError:
             declared = None
-        if declared is not None \
-                and declared > self.server.handler.max_request_bytes:
-            context = self._context(declared)
-            if self._refuse_admission({}, context):
-                return
+        if declared is not None and declared > self.core.max_request_bytes:
+            # the core's size check comes first, so this is its refusal
+            # (tallied); close rather than resync past the unread body
+            self._send_envelope(
+                self.core.handle({}, self._context(declared)), close=True)
+            return
         body = self._read_body()
         if body is None:
             return
@@ -199,7 +193,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             body["op"] = op
         body.setdefault("v", PROTOCOL_VERSION)
         nbytes = declared if declared is not None else len(json.dumps(body))
-        response = self.server.handler.handle(body, self._context(nbytes))
+        response = self.core.handle(body, self._context(nbytes))
         self._send_envelope(response)
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
@@ -213,14 +207,14 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             return
         if path == "/metrics":
             context = self._context(None)
-            refusal = self.server.handler.refuse({}, context)
+            refusal = self.core.refuse({}, context)
             if refusal is not None:
-                self.server.handler.tally("metrics", None, refusal, 0.0,
-                                          transport="http")
+                self.core.tally("metrics", None, refusal, 0.0,
+                                transport="http")
                 self._send_envelope(refusal)
                 return
             body = render_prometheus(
-                self.server.handler.registry.snapshot()).encode("utf-8")
+                self.core.registry.snapshot()).encode("utf-8")
             self.send_response(200)
             self.send_header("Content-Type", PROMETHEUS_CONTENT_TYPE)
             self.send_header("Content-Length", str(len(body)))
@@ -239,39 +233,21 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
         The first line is the acknowledgement envelope the TCP subscribe
         verb sends; then ``step``/``finalized``/``error`` events follow as
         they commit, each a chunk, so a plain ``curl -N`` shows the stream
-        live.  Admission and per-event tallies go through the same core
-        hooks as TCP, which is what makes the two transports' telemetry
-        identical.
+        live.  Envelope and events are the core's
+        (:meth:`RequestHandler.subscribe`); a refusal is an ordinary JSON
+        response with its status code.
         """
-        handler = self.server.handler
-        paths = query.get("path")
+        owner = self.server.owner
         request = {"op": "subscribe",
-                   "path": paths[0] if paths else None,
-                   "from_step": query.get("from_step", ["0"])[0],
+                   "path": query.get("path", [None])[0],
+                   "from_step": query.get("from_step", [None])[0],
                    "trace": query.get("trace", [None])[0]}
-        context = self._context(None)
-        if self._refuse_admission(request, context):
-            return
-        trace = request["trace"]
-        trace = trace if isinstance(trace, str) and trace else None
-        try:
-            path = request["path"]
-            if not isinstance(path, str):
-                raise ValueError("subscribe needs a ?path= query parameter")
-            from_step = int(request["from_step"])
-            if from_step < 0:
-                raise ValueError("from_step must be >= 0")
-            series = handler.open_subscribed_series(path)
-        except Exception as exc:  # noqa: BLE001 - refusal, not a stream
-            response = error_envelope(None, f"{type(exc).__name__}: {exc}")
-            handler.tally("subscribe", trace, response, 0.0, transport="http")
+        response, events = self.core.subscribe(
+            request, self._context(None), owner.stopping.wait,
+            owner.watch_interval)
+        if events is None:
             self._send_envelope(response)
             return
-        ack = {"v": PROTOCOL_VERSION, "id": None, "ok": True,
-               "result": {"subscribed": path, "nsteps": series.nsteps,
-                          "high_water": series.nsteps - 1,
-                          "live": series.live}}
-        handler.tally("subscribe", trace, ack, 0.0, transport="http")
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson; charset=utf-8")
         self.send_header("Transfer-Encoding", "chunked")
@@ -285,130 +261,26 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
             self.wfile.write(b"\r\n")
             self.wfile.flush()
 
-        try:
-            write_chunk(encode_line(ack))
-            for event in handler.subscribe_events(
-                    path, from_step=from_step,
-                    poll_interval=self.server.watch_interval,
-                    trace=trace, transport="http",
-                    stop=self.server.stopping.is_set):
-                write_chunk(encode_line(event))
-            self.wfile.write(b"0\r\n\r\n")
-        except (BrokenPipeError, ConnectionResetError):
-            # the client hung up; the generator's cleanup already ran
-            pass
+        # a client that hangs up surfaces as an OSError on the next write,
+        # which the listener treats as the end of the connection
+        write_chunk(encode_line(response))
+        for event in events:
+            write_chunk(encode_line(event))
+        self.wfile.write(b"0\r\n\r\n")
 
 
-class HttpServer:
-    """The gateway's lifecycle: a ThreadingHTTPServer over one shared core.
+class _GatewayListener(ConnectionTracking, ThreadingHTTPServer):
+    pass
 
-    Mirrors :class:`~repro.service.server.ReproServer`: construct from an
-    engine, from nothing, or from an explicit ``handler`` (how
-    ``repro serve --http`` shares one core between TCP and HTTP);
-    ``port=0`` binds an ephemeral port published as :attr:`port`;
-    foreground :meth:`run` for the CLI, background :meth:`start` /
-    :meth:`stop` for tests and in-process use.
-    """
 
-    def __init__(self, engine=None, host: str = "127.0.0.1",
-                 port: int = DEFAULT_HTTP_PORT,
-                 watch_interval: float = 0.25,
-                 request_log=None, handler: Optional[RequestHandler] = None,
-                 auth_token: Optional[str] = None,
-                 max_request_bytes: Optional[int] = None,
-                 rate_limit: Optional[float] = None,
-                 rate_burst: Optional[float] = None):
-        if handler is not None:
-            if engine is not None:
-                raise ValueError("pass either engine or handler, not both")
-            self.handler = handler
-            self._owns_handler = False
-        else:
-            self.handler = RequestHandler(
-                engine, auth_token=auth_token,
-                max_request_bytes=max_request_bytes,
-                rate_limit=rate_limit, rate_burst=rate_burst,
-                request_log=request_log)
-            self._owns_handler = True
-        self.engine = self.handler.engine
-        self.host = host
-        self.requested_port = int(port)
-        self.port: Optional[int] = None
-        #: poll cadence of /v1/subscribe streams (same meaning as the TCP
-        #: server's watch_interval)
-        self.watch_interval = float(watch_interval)
-        #: set on stop; live subscribe streams check it between polls so
-        #: shutdown is not held hostage by an open stream
-        self.stopping = threading.Event()
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-        self._stopped = False
+class HttpServer(ThreadedServer):
+    """The gateway: :class:`~repro.service.lifecycle.ThreadedServer`'s
+    constructor and lifecycle (those of
+    :class:`~repro.service.server.ReproServer`) over a ThreadingHTTPServer."""
 
-    # ------------------------------------------------------------------
-    def _bind(self) -> None:
-        gateway = self
-
-        class _Server(ThreadingHTTPServer):
-            # a stuck keep-alive connection must not block process exit
-            daemon_threads = True
-            handler = gateway.handler
-            watch_interval = gateway.watch_interval
-            stopping = gateway.stopping
-
-        self._httpd = _Server((self.host, self.requested_port),
-                              _GatewayRequestHandler)
-        self.port = self._httpd.server_address[1]
-
-    def run(self, on_ready: Optional[Callable[["HttpServer"], None]] = None
-            ) -> None:
-        """Serve in the foreground until interrupted (Ctrl-C returns cleanly)."""
-        self._bind()
-        if on_ready is not None:
-            on_ready(self)
-        try:
-            self._httpd.serve_forever(poll_interval=0.1)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            self.stop()
-
-    def start(self) -> "HttpServer":
-        """Serve on a background thread; returns once the port is bound."""
-        if self._stopped:
-            raise RuntimeError(
-                "this server was stopped and cannot be restarted; "
-                "create a new HttpServer")
-        if self._thread is not None:
-            raise RuntimeError("server is already running")
-        self._bind()
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.1},
-            name="repro-http", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._stopped:
-            return
-        self._stopped = True
-        self.stopping.set()
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=30)
-            self._thread = None
-        if self._owns_handler:
-            self.handler.close()
-
-    def __enter__(self) -> "HttpServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"HttpServer({self.host}:{self.port or self.requested_port})"
+    listener_class = _GatewayListener
+    connection_class = _GatewayRequestHandler
+    default_port = DEFAULT_HTTP_PORT
 
 
 class HttpClient(ServiceOps):
@@ -527,7 +399,8 @@ class HttpClient(ServiceOps):
         trace = None
         if self._trace:
             trace = self.last_trace = new_trace_id()
-        target = f"/v1/subscribe?path={_quote(path)}&from_step={int(from_step)}"
+        target = (f"/v1/subscribe?path={quote(str(path), safe='')}"
+                  f"&from_step={int(from_step)}")
         if trace is not None:
             target += f"&trace={trace}"
         conn = http.client.HTTPConnection(self.host, self.port,
@@ -553,29 +426,7 @@ class HttpClient(ServiceOps):
                 raise ServiceError(str(
                     ack.get("error", "unknown server error")
                     if isinstance(ack, dict) else ack))
-            result = ack.get("result")
-            yield {"event": "subscribed",
-                   **(result if isinstance(result, dict) else {})}
-            while True:
-                line = resp.readline()
-                if not line:
-                    raise ConnectionError(
-                        f"server at {self.host}:{self.port} dropped the "
-                        "subscription stream")
-                event = from_wire(json.loads(line.decode("utf-8")))
-                if not isinstance(event, dict) or "event" not in event:
-                    raise ConnectionError(f"malformed event: {event!r}")
-                if event["event"] == "error":
-                    raise ServiceError(
-                        str(event.get("error", "unknown server error")))
-                yield event
-                if event["event"] in ("finalized", "end"):
-                    return
+            yield from subscription_events(ack.get("result"), resp.readline,
+                                           f"{self.host}:{self.port}")
         finally:
             conn.close()
-
-
-def _quote(value: str) -> str:
-    from urllib.parse import quote
-
-    return quote(str(value), safe="")

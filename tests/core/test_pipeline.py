@@ -5,9 +5,10 @@ import os
 import numpy as np
 import pytest
 
+import repro
 from repro.amr.upsample import covered_mask
 from repro.baselines import AMReXOriginalWriter, NoCompressionWriter, tac_compress, zmesh_compress
-from repro.core import AMRICConfig, AMRICReader, AMRICWriter
+from repro.core import AMRICConfig, AMRICWriter
 
 
 class TestAMRICWriter:
@@ -38,8 +39,8 @@ class TestAMRICWriter:
         writer = AMRICWriter(cfg)
         path = str(tmp_path / "plt.h5z")
         report = writer.write_plotfile(nyx_hierarchy, path)
-        reader = AMRICReader(cfg)
-        back = reader.read_plotfile(path)
+        with repro.open(path) as handle:
+            back = handle.read()
         for name in nyx_hierarchy.component_names:
             vrange = nyx_hierarchy[1].multifab.value_range(name)
             orig = nyx_hierarchy[1].multifab.to_global(name, nyx_hierarchy[1].domain)
@@ -53,7 +54,8 @@ class TestAMRICWriter:
         cfg = AMRICConfig(error_bound=1e-3)
         path = str(tmp_path / "plt.h5z")
         AMRICWriter(cfg).write_plotfile(nyx_hierarchy, path)
-        back = AMRICReader(cfg).read_plotfile(path)
+        with repro.open(path) as handle:
+            back = handle.read()
         mask = covered_mask(nyx_hierarchy, 0)
         rec = back[0].multifab.to_global("baryon_density", back[0].domain)
         orig = nyx_hierarchy[0].multifab.to_global("baryon_density", nyx_hierarchy[0].domain)

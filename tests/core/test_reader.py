@@ -19,11 +19,12 @@ import pytest
 import repro
 from repro.amr.box import Box
 from repro.compress.registry import available_codecs
-from repro.core import AMRICConfig, AMRICReader, AMRICWriter
+from repro.core import AMRICConfig, AMRICWriter
 from repro.core.header import FORMAT_VERSION, PlotfileHeader
 from repro.core.reader import decode_job, make_decode_job, place_dataset, scan_plotfile
 from repro.core import stages
 from repro.h5lite.file import H5LiteFile
+from repro.parallel import SimComm
 from repro.parallel.backend import SharedMemoryBackend, make_backend
 
 BACKENDS = ("serial", "shm")
@@ -33,6 +34,12 @@ def _to_globals(hierarchy):
     return {(lvl, name): hierarchy[lvl].multifab.to_global(name, hierarchy[lvl].domain)
             for lvl in range(hierarchy.nlevels)
             for name in hierarchy.component_names}
+
+
+def _read(path, **open_kwargs):
+    """A full staged read through the one public door."""
+    with repro.open(str(path), **open_kwargs) as handle:
+        return handle.read()
 
 
 def _write(hierarchy, path, **cfg_kwargs):
@@ -186,7 +193,7 @@ class TestSelfDescribingRoundTrip:
 
         path = tmp_path / f"plt_{codec}.h5z"
         _write(nyx_hierarchy, path, compressor=codec, error_bound=1e-3)
-        back = _to_globals(AMRICReader().read_plotfile(str(path)))
+        back = _to_globals(_read(path))
         assert set(back) == set(_to_globals(nyx_hierarchy))
         for (lvl, name), rec in back.items():
             level = nyx_hierarchy[lvl]
@@ -202,9 +209,8 @@ class TestSelfDescribingRoundTrip:
     def test_backends_bit_identical(self, nyx_hierarchy, tmp_path, backend):
         path = tmp_path / "plt.h5z"
         _write(nyx_hierarchy, path, error_bound=1e-3)
-        serial = _to_globals(AMRICReader().read_plotfile(str(path)))
-        with AMRICReader(backend=backend) as reader:
-            other = _to_globals(reader.read_plotfile(str(path)))
+        serial = _to_globals(_read(path))
+        other = _to_globals(_read(path, backend=backend))
         for key, expected in serial.items():
             np.testing.assert_array_equal(other[key], expected, err_msg=str(key))
 
@@ -212,11 +218,36 @@ class TestSelfDescribingRoundTrip:
         path = tmp_path / "plt.h5z"
         _write(nyx_hierarchy, path, error_bound=1e-3)
         with SharedMemoryBackend(max_workers=2) as backend:
-            reader = AMRICReader(backend=backend)
-            reader.read_plotfile(str(path))
-            reader.close()                       # must not shut the pool down
+            _read(path, backend=backend)         # must not shut the pool down
             assert backend._executor is not None
-            AMRICReader(backend=backend).read_plotfile(str(path))
+            _read(path, backend=backend)
+
+    def test_named_backend_is_closed_by_the_read(self, nyx_hierarchy, tmp_path,
+                                                 monkeypatch):
+        import repro.core.reader as reader_mod
+
+        path = tmp_path / "plt.h5z"
+        _write(nyx_hierarchy, path, error_bound=1e-3)
+        built = []
+
+        def recording(spec, *args):
+            built.append(make_backend(spec, *args))
+            return built[-1]
+
+        monkeypatch.setattr(reader_mod, "make_backend", recording)
+        _read(path, backend="shm")
+        assert len(built) == 1 and built[0]._executor is None
+
+    def test_mismatched_comm_rejected(self, nyx_hierarchy, tmp_path):
+        path = tmp_path / "plt.h5z"
+        _write(nyx_hierarchy, path, error_bound=1e-3)
+        nranks = max(lvl.multifab.distribution.nranks
+                     for lvl in nyx_hierarchy.levels)
+        with repro.open(str(path)) as handle:
+            with pytest.raises(ValueError, match="ranks"):
+                handle.read(comm=SimComm(nranks + 3))
+            back = handle.read(comm=SimComm(nranks))
+        assert set(_to_globals(back)) == set(_to_globals(nyx_hierarchy))
 
     def test_header_round_trips_structure_and_metadata(self, nyx_hierarchy, tmp_path):
         path = tmp_path / "plt.h5z"
@@ -498,7 +529,7 @@ class TestCorruptHeaders:
             repro.open(str(path))
         assert str(path) in str(exc.value) and "template" not in str(exc.value)
         with pytest.raises(ValueError, match="no self-describing header"):
-            AMRICReader().read_plotfile(str(path))
+            _read(path)
 
     def test_header_listing_an_absent_dataset_raises(self, nyx_hierarchy, tmp_path):
         """What an interrupted write used to leave: full header, no data."""

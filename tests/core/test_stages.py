@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import AMRICConfig, AMRICReader, AMRICWriter
+import repro
+from repro.core import AMRICConfig, AMRICWriter
 from repro.core.stages import (
     FilterSpec,
     encode_job,
@@ -115,8 +116,8 @@ class TestBackendEquivalence:
         path = str(tmp_path / "plt.h5z")
         with AMRICWriter(cfg) as writer:
             writer.write_plotfile(nyx_hierarchy, path)
-        with AMRICReader(cfg) as reader:
-            back = reader.read_plotfile(path)
+        with repro.open(path, backend="shm") as handle:
+            back = handle.read()
         for name in nyx_hierarchy.component_names:
             vrange = nyx_hierarchy[1].multifab.value_range(name)
             orig = nyx_hierarchy[1].multifab.to_global(name, nyx_hierarchy[1].domain)

@@ -104,3 +104,21 @@ class TestFakeClient:
         steps = [e for e in events if e["event"] == "step"]
         assert [e["step_index"] for e in steps] == list(range(6))
         assert events[-1]["event"] == "finalized"
+
+    def test_tcp_http_and_fake_yield_identical_event_lists(self,
+                                                           service_series):
+        """One core loop behind all three: same events, same payloads."""
+        from repro.service import ReproClient, ReproServer
+        from repro.service.http import HttpClient, HttpServer
+
+        with RequestHandler() as handler:
+            with ReproServer(handler=handler, port=0) as tcp, \
+                    HttpServer(handler=handler, port=0) as http, \
+                    ReproClient(port=tcp.port) as tcp_client, \
+                    HttpClient(port=http.port) as http_client, \
+                    FakeClient(handler=handler) as fake_client:
+                via = [list(client.subscribe(service_series, from_step=1))
+                       for client in (tcp_client, http_client, fake_client)]
+        assert [e["event"] for e in via[0]] \
+            == ["subscribed"] + ["step"] * 5 + ["finalized"]
+        assert via[0] == via[1] == via[2]

@@ -1,7 +1,9 @@
 """The TCP service: wire format, concurrent clients, errors, CLI verbs."""
 
 import json
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -148,13 +150,64 @@ class TestServerErrors:
         assert client.ping() is True
 
     def test_bad_json_line_gets_error_reply(self, server):
-        import socket
-
         with socket.create_connection(("127.0.0.1", server.port), 10) as sock:
             sock.sendall(b"this is not json\n")
             reply = json.loads(sock.makefile("rb").readline())
         assert reply["ok"] is False
         assert "bad request line" in reply["error"]
+
+
+class TestLineFraming:
+    """The threaded shell's own job: newline framing over raw ``recv``."""
+
+    @staticmethod
+    def _connect(server):
+        return socket.create_connection(("127.0.0.1", server.port), 10)
+
+    def test_split_and_pipelined_lines(self, server):
+        with self._connect(server) as sock:
+            lines = sock.makefile("rb")
+            # one request in two segments, then two requests in one segment
+            sock.sendall(b'{"id": 1, "op"')
+            time.sleep(0.05)
+            sock.sendall(b': "ping"}\n')
+            assert json.loads(lines.readline())["id"] == 1
+            sock.sendall(b'{"id": 2, "op": "ping"}\n{"id": 3, "op": "ping"}\n')
+            assert [json.loads(lines.readline())["id"] for _ in range(2)] \
+                == [2, 3]
+
+    def test_unterminated_tail_is_answered_at_eof(self, server):
+        with self._connect(server) as sock:
+            sock.sendall(b'{"id": 7, "op": "ping"}')
+            sock.shutdown(socket.SHUT_WR)
+            lines = sock.makefile("rb")
+            assert json.loads(lines.readline())["id"] == 7
+            assert lines.readline() == b""
+
+    def test_oversized_request_is_refused_unparsed(self):
+        with ReproServer(port=0, max_request_bytes=256) as running, \
+                self._connect(running) as sock:
+            lines = sock.makefile("rb")
+            sock.sendall(b"x" * 1000 + b"\n")        # not even JSON
+            reply = json.loads(lines.readline())
+            assert reply["ok"] is False and reply["id"] is None
+            assert reply["kind"] == "oversized_request"
+            # refused, tallied, and the connection serves on
+            sock.sendall(b'{"id": 2, "op": "ping"}\n')
+            assert json.loads(lines.readline())["id"] == 2
+            errors = running.engine.registry.snapshot()[
+                "repro_server_errors_total"]["samples"]
+            assert [(s["labels"]["kind"], s["value"]) for s in errors] \
+                == [("oversized_request", 1)]
+
+    def test_a_line_past_the_wire_limit_ends_the_connection(self, server,
+                                                            monkeypatch):
+        import repro.service.server as server_mod
+
+        monkeypatch.setattr(server_mod, "MAX_LINE_BYTES", 1024)
+        with self._connect(server) as sock:
+            sock.sendall(b"x" * 4096)                # no newline in sight
+            assert sock.makefile("rb").readline() == b""
 
 
 class TestCLIVerbs:
@@ -217,8 +270,33 @@ class TestServerLifecycle:
         doomed = ReproServer(port=server.port)
         with pytest.raises(OSError):
             doomed.start()
-        assert doomed._thread is None and doomed._loop is None
+        assert doomed._thread is None and doomed.port is None
         doomed.stop()   # a clean no-op, not a hang
+
+    def test_max_workers_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="max_workers"):
+            ReproServer(port=0, max_workers=0)
+
+    def test_more_clients_than_engine_slots_are_all_served(self,
+                                                           service_plotfile):
+        """max_workers bounds concurrent engine calls, not connections."""
+        failures = []
+        with ReproServer(port=0, max_workers=2) as running:
+            def worker():
+                try:
+                    with ReproClient(port=running.port) as mine:
+                        for _ in range(5):
+                            mine.describe(service_plotfile)
+                except Exception as exc:  # noqa: BLE001 - collected
+                    failures.append(repr(exc))
+
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        assert failures == []
 
 
 class TestClientDesyncProtection:

@@ -224,7 +224,10 @@ class TestSubscribeStream:
         assert stopped.is_set(), "the server restart never happened"
         assert seen == list(range(len(hierarchies)))
 
-    def test_two_subscribers_share_one_watcher(self, hierarchies, tmp_path):
+    def test_eight_subscribers_each_see_every_step_once_in_order(
+            self, hierarchies, tmp_path):
+        """Each subscriber polls the series itself; none may miss, repeat or
+        reorder a step whatever the interleaving."""
         directory = str(tmp_path / "live")
         producer = Producer(directory, hierarchies[:4], delay=0.15)
         producer.start()
@@ -241,14 +244,75 @@ class TestSubscribeStream:
                 results[tag] = steps
 
             threads = [threading.Thread(target=subscriber, args=(t,))
-                       for t in range(2)]
+                       for t in range(8)]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
         producer.join(timeout=60)
         assert producer.error is None
-        assert results[0] == results[1] == list(range(4))
+        assert results == {tag: list(range(4)) for tag in range(8)}
+
+
+class TestClientLineDuringStream:
+    """TCP's own rule: a client line ends the stream with one ``end`` event
+    and is then answered as an ordinary request on the same connection."""
+
+    @pytest.fixture()
+    def live_dir(self, hierarchies, tmp_path):
+        directory = str(tmp_path / "live")
+        writer = SeriesWriter(directory, append=True, error_bound=1e-3,
+                              keyframe_interval=KEYFRAME_INTERVAL)
+        writer.append(hierarchies[0])
+        yield directory
+        writer.abort()
+
+    @staticmethod
+    def _line(**request):
+        return (json.dumps(request) + "\n").encode()
+
+    def test_a_line_mid_stream_yields_one_end_and_is_answered(self, live_dir):
+        # a 30 s poll: only the client's line can end the stream in time
+        with make_server(watch_interval=30.0) as server, \
+                socket.create_connection(("127.0.0.1", server.port),
+                                         timeout=10) as sock:
+            lines = sock.makefile("rb")
+            sock.sendall(self._line(id=1, op="subscribe", path=live_dir))
+            ack = json.loads(lines.readline())
+            assert ack["ok"] is True and ack["result"]["live"] is True
+            assert json.loads(lines.readline())["event"] == "step"
+            time.sleep(0.2)              # the stream is parked in its wait
+            begun = time.monotonic()
+            sock.sendall(self._line(id=2, op="ping"))
+            assert json.loads(lines.readline()) \
+                == {"v": PROTOCOL_VERSION, "event": "end"}
+            assert time.monotonic() - begun < 1.0
+            pong = json.loads(lines.readline())
+            assert pong["id"] == 2 and pong["result"]["pong"] is True
+            # exactly one end: the connection is back to request/response
+            sock.sendall(self._line(id=3, op="ping"))
+            assert json.loads(lines.readline())["id"] == 3
+
+    def test_a_line_pipelined_behind_the_subscribe_request(self, live_dir):
+        """The client's line may already sit in the server's read buffer
+        when the stream starts; it must still end it."""
+        with make_server(watch_interval=30.0) as server, \
+                socket.create_connection(("127.0.0.1", server.port),
+                                         timeout=10) as sock:
+            lines = sock.makefile("rb")
+            sock.sendall(self._line(id=1, op="subscribe", path=live_dir)
+                         + self._line(id=2, op="ping"))
+            received = [json.loads(lines.readline()) for _ in range(4)]
+            samples = server.engine.registry.snapshot()[
+                "repro_server_stream_events_total"]["samples"]
+        assert received[0]["id"] == 1 and received[0]["ok"] is True
+        # the committed step is still delivered before the stream ends
+        assert [r.get("event") for r in received[1:3]] == ["step", "end"]
+        assert received[3]["id"] == 2 and received[3]["result"]["pong"] is True
+        # the end event is tallied like the core's own events
+        assert {s["labels"]["event"]: s["value"] for s in samples} \
+            == {"step": 1, "end": 1}
 
 
 class TestRefreshOp:

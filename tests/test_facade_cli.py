@@ -339,3 +339,28 @@ class TestLazyServiceImport:
             env={**os.environ, "PYTHONPATH": os.path.join(repo_root, "src")})
         assert result.returncode == 0, result.stderr
         assert "lazy ok" in result.stdout
+
+    def test_the_serving_stack_does_not_import_asyncio(self):
+        """One threaded concurrency model: a ``repro serve`` process does
+        not pay for an event loop it never runs."""
+        import os
+        import subprocess
+        import sys
+
+        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        src = os.path.join(repo_root, "src")
+        code = ("import sys, repro.service.server, repro.service.http, "
+                "repro.cli; assert 'asyncio' not in sys.modules; "
+                "print('no asyncio')")
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 0, result.stderr
+        assert "no asyncio" in result.stdout
+        # and nothing under src/ mentions it, imports included
+        for folder, _, files in os.walk(src):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(folder, name),
+                              encoding="utf-8") as fh:
+                        assert "asyncio" not in fh.read(), (folder, name)
