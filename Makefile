@@ -14,9 +14,15 @@
 # gateway (auth, limits, /metrics, read parity with TCP) across real
 # processes.  The smoke targets honour REPRO_BACKEND (serial or shm; CI
 # runs them once on each).  `make loc` prints the Python line count of src/ +
-# tools/ beside the Shrink item's baseline and goal (ROADMAP.md).
+# tools/ beside the Shrink item's baseline and goal (ROADMAP.md); `make
+# loc-check` fails when it exceeds LOC_BUDGET — a PR that must grow raises the
+# number below in its own diff, where a reviewer sees it.
 
 PY := PYTHONPATH=src python
+
+# src/ + tools/ Python lines as of the last PR that changed them
+LOC_BUDGET := 19377
+LOC = $$(find src tools -name '*.py' | xargs cat | wc -l)
 
 # suite -> pytest paths ('+'-separated). Adding a benchmark suite is one line.
 BENCH_SUITES := \
@@ -30,7 +36,7 @@ BENCH_SUITES := \
 	obs:benchmarks/perf/test_perf_obs.py \
 	http:benchmarks/perf/test_perf_http.py
 
-.PHONY: test lint loc bench bench-check bench-baseline smoke smoke-series \
+.PHONY: test lint loc loc-check bench bench-check bench-baseline smoke smoke-series \
 	smoke-remote smoke-stream smoke-obs smoke-http
 
 test:
@@ -44,9 +50,14 @@ lint:
 	fi
 
 loc:
-	@echo "src/ + tools/ Python lines:" \
-		"$$(find src tools -name '*.py' | xargs cat | wc -l)" \
-		"(baseline 20060, goal <= 18054)"
+	@echo "src/ + tools/ Python lines: $(LOC)" \
+		"(budget $(LOC_BUDGET), baseline 20060, goal <= 18054)"
+
+loc-check: loc
+	@test $(LOC) -le $(LOC_BUDGET) || { \
+		echo "src/ + tools/ grew past LOC_BUDGET ($(LOC_BUDGET)): delete" \
+			"something, or raise the budget in this PR's Makefile diff"; \
+		exit 1; }
 
 bench:
 	@set -e; \
@@ -89,7 +100,7 @@ smoke-remote:
 		a = h.read_field('baryon_density', level=0, \
 		box=Box((0, 0, 0), (15, 15, 15)), max_level=0); \
 		assert np.isfinite(a).all(); \
-		s = h.stats; \
+		s = h.source_stats; \
 		assert s.requests >= s.coalesced_requests >= 1; \
 		print('remote box read ok:', a.shape, f'{s.coalesced_requests} reads', \
 		f'{s.bytes_read} bytes'); \

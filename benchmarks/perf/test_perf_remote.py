@@ -69,7 +69,7 @@ def test_remote_read_full(benchmark, plotfile):
         # superblock and every chunk fetch, like a cold client would
         with repro.open(plotfile, source=REMOTE_SPEC) as handle:
             hierarchy = handle.read()
-            return hierarchy, handle.stats
+            return hierarchy, handle.source_stats
 
     hierarchy, stats = benchmark.pedantic(full_read, rounds=3, iterations=1)
     _stamp_io(benchmark, stats)
@@ -85,7 +85,7 @@ def test_remote_probe_coarse(benchmark, plotfile, probe_box):
         with repro.open(plotfile, source=REMOTE_SPEC) as handle:
             data = handle.read_field("baryon_density", level=0, box=probe_box,
                                      max_level=0)
-            return data, handle.stats
+            return data, handle.source_stats
 
     data, stats = benchmark.pedantic(probe, rounds=3, iterations=1)
     _stamp_io(benchmark, stats)
@@ -98,7 +98,7 @@ def test_remote_probe_uncapped(benchmark, plotfile, probe_box):
     def probe():
         with repro.open(plotfile, source=REMOTE_SPEC) as handle:
             data = handle.read_field("baryon_density", level=0, box=probe_box)
-            return data, handle.stats
+            return data, handle.source_stats
 
     data, stats = benchmark.pedantic(probe, rounds=3, iterations=1)
     _stamp_io(benchmark, stats)
@@ -111,9 +111,9 @@ def test_probe_cap_fetches_less(plotfile, probe_box):
     with repro.open(plotfile, source=spec) as handle:
         handle.read_field("baryon_density", level=0, box=probe_box,
                           max_level=0)
-        capped = (handle.stats.coalesced_requests, handle.stats.bytes_read)
+        capped = (handle.source_stats.coalesced_requests, handle.source_stats.bytes_read)
     with repro.open(plotfile, source=spec) as handle:
         handle.read_field("baryon_density", level=0, box=probe_box)
-        uncapped = (handle.stats.coalesced_requests, handle.stats.bytes_read)
+        uncapped = (handle.source_stats.coalesced_requests, handle.source_stats.bytes_read)
     assert capped[0] < uncapped[0]
     assert capped[1] < uncapped[1]

@@ -153,12 +153,13 @@ class BoxArray:
         level's BoxArray coarsened to this level, the complement of a coarse
         box is exactly the non-redundant coarse data.
         """
-        remaining: List[Box] = [box] if not box.is_empty() else []
-        for b in self._boxes:
-            next_remaining: List[Box] = []
-            for piece in remaining:
-                next_remaining.extend(piece.difference(b))
-            remaining = next_remaining
+        if box.is_empty():
+            return []
+        remaining: List[Box] = [box]
+        # a box that misses ``box`` misses every piece of it: subtract the hits
+        for index in self._overlaps(box)[0].tolist():
+            b = self._boxes[index]
+            remaining = [rest for piece in remaining for rest in piece.difference(b)]
             if not remaining:
                 break
         return remaining

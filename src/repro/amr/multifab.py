@@ -25,7 +25,9 @@ class FArrayBox:
 
     Data is stored as an array of shape ``(ncomp,) + box.shape`` in C order,
     i.e. each component occupies a contiguous slab — matching AMReX's
-    component-major fab storage.
+    component-major fab storage.  Without ``data`` the array is allocated,
+    zero-filled, when first touched: a hierarchy rebuilt from a plotfile
+    header for its geometry alone (the reader's scan) holds no array memory.
     """
 
     def __init__(self, box: Box, ncomp: int = 1, dtype=np.float64,
@@ -37,25 +39,26 @@ class FArrayBox:
         if self.ncomp < 1:
             raise ValueError("ncomp must be >= 1")
         expected = (self.ncomp,) + box.shape
-        if data is None:
-            self.data = np.zeros(expected, dtype=dtype)
-        else:
+        if data is not None:
             data = np.asarray(data, dtype=dtype)
             if data.shape != expected:
                 raise ValueError(f"data shape {data.shape} != expected {expected}")
-            self.data = data
+        self.dtype = np.dtype(dtype)
+        self._data = data
+
+    @property
+    def data(self) -> np.ndarray:
+        if self._data is None:
+            self._data = np.zeros((self.ncomp,) + self.box.shape, dtype=self.dtype)
+        return self._data
 
     @property
     def shape(self) -> Tuple[int, ...]:
         return self.box.shape
 
     @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
     def nbytes(self) -> int:
-        return self.data.nbytes
+        return self.ncomp * self.box.size * self.dtype.itemsize
 
     def component(self, comp: int) -> np.ndarray:
         """View of component ``comp`` (shape = box.shape)."""

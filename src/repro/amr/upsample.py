@@ -11,11 +11,10 @@ on equal footing (Table 3 / Figure 10 style evaluations).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 import numpy as np
 
-from repro.amr.box import Box
 from repro.amr.hierarchy import AmrHierarchy
 
 __all__ = ["upsample_array", "average_down", "fill_covered_from_finer",
@@ -69,31 +68,24 @@ def fill_covered_from_finer(hierarchy: AmrHierarchy) -> None:
         coarse = hierarchy[level_index]
         fine = hierarchy[level_index + 1]
         ratio = hierarchy.ref_ratios[level_index]
-        for comp in range(hierarchy.ncomp):
-            for fine_fab in fine.multifab:
-                coarse_box = fine_fab.box.coarsen(ratio)
+        for fine_fab in fine.multifab:
+            coarse_box = fine_fab.box.coarsen(ratio)
+            hits = coarse.boxarray.intersections(coarse_box)
+            for comp in range(hierarchy.ncomp):
                 averaged = average_down(fine_fab.component(comp), ratio)
-                for coarse_fab in coarse.multifab:
-                    overlap = coarse_fab.box.intersection(coarse_box)
-                    if overlap.is_empty():
-                        continue
+                for index, overlap in hits:
+                    coarse_fab = coarse.multifab[index]
                     coarse_fab.component(comp)[overlap.slices(origin=coarse_fab.box.lo)] = \
                         averaged[overlap.slices(origin=coarse_box.lo)]
 
 
 def covered_mask(hierarchy: AmrHierarchy, level: int) -> np.ndarray:
     """Boolean mask over level ``level``'s domain: True where finer data covers it."""
-    lvl = hierarchy[level]
-    mask = np.zeros(lvl.domain.shape, dtype=bool)
+    domain = hierarchy[level].domain
     if level >= hierarchy.nlevels - 1:
-        return mask
-    ratio = hierarchy.ref_ratios[level]
-    fine_coarsened = hierarchy[level + 1].boxarray.coarsen(ratio)
-    for box in fine_coarsened:
-        overlap = box.intersection(lvl.domain)
-        if not overlap.is_empty():
-            mask[overlap.slices(origin=lvl.domain.lo)] = True
-    return mask
+        return np.zeros(domain.shape, dtype=bool)
+    fine_coarsened = hierarchy[level + 1].boxarray.coarsen(hierarchy.ref_ratios[level])
+    return fine_coarsened.coverage_mask(domain)
 
 
 def flatten_to_uniform(hierarchy: AmrHierarchy, name: str,

@@ -127,63 +127,35 @@ def plotfile_dataset_rows(path) -> List[Dict[str, object]]:
         return rows_of(handle)
 
 
-def cache_stats_rows(source) -> List[Dict[str, object]]:
-    """Hit/miss/eviction accounting as metric/value rows for :func:`format_table`.
+def cache_stats_rows(cache) -> List[Dict[str, object]]:
+    """A :class:`~repro.service.cache.ChunkCache`'s hit/miss/eviction
+    accounting and occupancy as metric/value rows for :func:`format_table`."""
+    from repro.service.cache import ChunkCache
 
-    ``source`` may be a :class:`~repro.service.engine.QueryEngine` (rendering
-    its flat ``stats()`` snapshot — what ``repro query --op stats`` prints), a
-    :class:`~repro.service.cache.ChunkCache`, or a bare
-    :class:`~repro.service.cache.CacheStats`.
-    """
-    if hasattr(source, "stats") and callable(source.stats):    # QueryEngine
-        counters = source.stats()
-    elif hasattr(source, "max_bytes"):                         # ChunkCache
-        counters = dict(source.stats.as_dict())
-        counters["current_bytes"] = source.current_bytes
-        counters["max_bytes"] = source.max_bytes
-    elif hasattr(source, "as_dict"):                           # CacheStats
-        counters = source.as_dict()
-    else:
+    if not isinstance(cache, ChunkCache):
         raise TypeError(
-            f"cannot extract cache stats from {type(source).__name__}; "
-            "expected a QueryEngine, ChunkCache or CacheStats")
+            f"cannot extract cache stats from {type(cache).__name__}; "
+            "expected a ChunkCache")
+    counters = dict(cache.stats.as_dict(), current_bytes=cache.current_bytes,
+                    max_bytes=cache.max_bytes)
     return [{"metric": name, "value": value}
             for name, value in counters.items()]
 
 
-def io_stats_rows(source) -> List[Dict[str, object]]:
-    """Byte-source traffic as metric/value rows for :func:`format_table`.
+def io_stats_rows(handle) -> List[Dict[str, object]]:
+    """A handle's decode and byte-source counters as metric/value rows.
 
-    ``source`` may be a :class:`~repro.core.reader.PlotfileHandle` or
-    :class:`~repro.series.reader.SeriesHandle` (rendering the handle's
-    :class:`~repro.core.reader.ReadStats`, plus the per-source counters when
-    the handle exposes them), a bare ``ReadStats``, or a
-    :class:`~repro.h5lite.source.SourceStats` — what ``repro info --stats``
-    prints to show coalescing and cache wins.
+    ``handle`` is a :class:`~repro.core.reader.PlotfileHandle` or a
+    :class:`~repro.series.reader.SeriesHandle`: the decode counters of its
+    :class:`~repro.core.reader.ReadStats`, then every counter of its
+    ``source_stats`` (``source_`` prefixed — the source's block cache has
+    hits of its own) — what ``repro info --stats`` prints to show coalescing
+    and cache wins.
     """
-    from repro.core.reader import ReadStats
-
-    if hasattr(source, "hit_rate"):                           # SourceStats
-        counters = source.as_dict()
-    elif isinstance(source, ReadStats):
-        counters = {
-            "requests": source.requests,
-            "coalesced_requests": source.coalesced_requests,
-            "bytes_read": source.bytes_read,
-            "chunks_decoded": source.chunks_decoded,
-            "cache_hits": source.cache_hits,
-        }
-    elif hasattr(source, "stats") and isinstance(source.stats, ReadStats):
-        counters = {row["metric"]: row["value"]
-                    for row in io_stats_rows(source.stats)}
-        src_stats = getattr(source, "source_stats", None)
-        if src_stats is not None:
-            for name, value in src_stats.as_dict().items():
-                counters[f"source_{name}"] = value
-    else:
-        raise TypeError(
-            f"cannot extract I/O stats from {type(source).__name__}; "
-            "expected a handle, ReadStats or SourceStats")
+    counters = {"chunks_decoded": handle.stats.chunks_decoded,
+                "cache_hits": handle.stats.cache_hits}
+    counters.update((f"source_{name}", value)
+                    for name, value in handle.source_stats.as_dict().items())
     return [{"metric": name, "value": value}
             for name, value in counters.items()]
 

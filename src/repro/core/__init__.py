@@ -27,7 +27,6 @@ from repro.core.reader import (
     ReadPlan,
     ReadStats,
     decode_job,
-    execute_read,
     scan_plotfile,
 )
 from repro.core.header import PlotfileHeader, build_header, template_from_header
@@ -67,5 +66,4 @@ __all__ = [
     "DecodeResult",
     "decode_job",
     "scan_plotfile",
-    "execute_read",
 ]

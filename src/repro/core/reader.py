@@ -25,16 +25,19 @@ The read side mirrors the writer's staged decomposition
     conservatively averaging the reconstructed finer level down — the shared
     stencil in :mod:`repro.amr.upsample`, not a private copy.
 
-On top of the staged full read, :class:`PlotfileHandle` (returned by
-:func:`repro.open`) offers lazy random access: ``read_field(name, level=...,
-box=...)`` decodes only the chunks whose unit blocks intersect the request,
-with a per-chunk cache and decode-call statistics.
+:class:`PlotfileHandle` (returned by :func:`repro.open`) runs the stages.
+Every consumer — the full :meth:`~PlotfileHandle.read`, the lazy
+``read_field(name, level=..., box=...)`` that decodes only the chunks whose
+unit blocks intersect the request, the query engine's batches, a series step —
+obtains decoded chunks through one door (:meth:`PlotfileHandle._chunks`): one
+cache lookup per chunk, one decode batch for the misses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (ClassVar, Dict, Iterable, Iterator, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -53,7 +56,6 @@ from repro.core.header import (
 )
 from repro.core.preprocess import UnitBlock, preprocess_level
 from repro.h5lite.file import H5LiteFile
-from repro.h5lite.source import ByteSource
 from repro.h5lite.filters import (
     AMRICChunkFilter,
     Filter,
@@ -61,7 +63,7 @@ from repro.h5lite.filters import (
     NoCompressionFilter,
     SZChunkFilter,
 )
-from repro.parallel.backend import ExecutionBackend, make_backend
+from repro.parallel.backend import ExecutionBackend, SerialBackend, make_backend
 from repro.parallel.mpi_sim import SimComm
 
 __all__ = [
@@ -77,7 +79,6 @@ __all__ = [
     "make_decode_job",
     "decode_job",
     "place_dataset",
-    "execute_read",
 ]
 
 
@@ -99,9 +100,13 @@ class BlockSlot:
     size: int                                 #: the block's cell count
 
 
-@dataclass
+@dataclass(eq=False)
 class DatasetReadPlan:
-    """The decode/placement layout of one ``level_<l>/<field>`` dataset."""
+    """The decode/placement layout of one ``level_<l>/<field>`` dataset.
+
+    Compared and hashed by identity: a plan's datasets key the chunk requests
+    and answers of :meth:`PlotfileHandle._chunks`.
+    """
 
     level: int
     field: str
@@ -284,10 +289,6 @@ class DecodeResult:
     chunk_indices: List[int]
     chunks: List[np.ndarray]
 
-    @property
-    def decode_calls(self) -> int:
-        return len(self.chunks)
-
 
 def _decode_filter(filter_id: str, codec: str, error_bound: float,
                    error_bound_mode: str) -> Filter:
@@ -357,18 +358,13 @@ def decode_job(job: DecodeJob) -> DecodeResult:
                         chunks=chunks)
 
 
-def _split_indices(indices: Sequence[int],
-                   backend: Optional[ExecutionBackend]) -> List[List[int]]:
-    """Partition chunk indices into contiguous per-worker batches.
+def _split_indices(indices: Sequence[int], nparts: int) -> List[List[int]]:
+    """Partition chunk indices into at most ``nparts`` contiguous batches.
 
-    One batch (no split) without a pooled backend or when the batch is too
-    small to amortise a dispatch; otherwise roughly one batch per worker.
+    Chunk decodes within one dataset are independent, so the split changes
+    nothing but wall-clock on a pooled backend.
     """
-    width = backend.parallel_width() if backend is not None else 1
-    if width <= 1 or len(indices) < 2:
-        return [list(indices)]
-    nparts = min(width, len(indices))
-    per = -(-len(indices) // nparts)        # ceil division
+    per = -(-len(indices) // min(nparts, len(indices)))   # ceil division
     return [list(indices[i:i + per]) for i in range(0, len(indices), per)]
 
 
@@ -406,78 +402,37 @@ def place_dataset(structure: AmrHierarchy, dplan: DatasetReadPlan,
 
 
 # ----------------------------------------------------------------------
-# the full staged read
+# accounting and planned box reads
 # ----------------------------------------------------------------------
 @dataclass
 class ReadStats:
-    """Decode + I/O accounting for one handle / reader.
+    """Decode accounting for one handle (shared by a series' step handles).
 
-    The decode counters drive the lazy-read tests; the I/O counters mirror
-    the handle's :class:`~repro.h5lite.source.SourceStats` (wire bytes,
-    ranges requested pre-coalescing, reads issued post-coalescing), so cache
-    hit-rate and transfer cost are observable per handle and per engine.
+    Counted once, in :meth:`PlotfileHandle._chunks` and the miss producer
+    under it.  Bytes and requests are counted where they happen, by the byte
+    source: see :attr:`PlotfileHandle.source_stats`.
     """
 
-    chunks_decoded: int = 0
-    cache_hits: int = 0
-    datasets_decoded: int = 0
-    bytes_read: int = 0             #: bytes fetched from the byte source
-    requests: int = 0               #: ranges requested (pre-coalescing)
-    coalesced_requests: int = 0     #: reads issued to the medium
+    chunks_decoded: int = 0     #: chunk payloads decoded (a series: streams)
+    cache_hits: int = 0         #: chunks (a series: also code streams) a cache held
+    datasets_decoded: int = 0   #: datasets with at least one miss, per request
 
     def reset(self) -> None:
         self.chunks_decoded = 0
         self.cache_hits = 0
         self.datasets_decoded = 0
-        self.bytes_read = 0
-        self.requests = 0
-        self.coalesced_requests = 0
 
 
-def execute_read(f: H5LiteFile, plan: ReadPlan, backend: ExecutionBackend,
-                 comm: Optional[SimComm] = None,
-                 stats: Optional[ReadStats] = None,
-                 cache=None) -> AmrHierarchy:
-    """Run decode → place → refill for a scanned plan; returns the hierarchy.
+class _BoxRead(NamedTuple):
+    """One planned box read of one field: where its cells will come from."""
 
-    Per-dataset decode jobs are submitted through ``comm``
-    (:meth:`~repro.parallel.mpi_sim.SimComm.run_jobs`) to the execution
-    backend — one barrier for the batch, mirroring the writer's encode stage —
-    and the results are placed in plan order, which is what makes every
-    backend produce an element-wise identical hierarchy.  ``cache`` (anything
-    with dict-style ``get``/item assignment over ``(dataset, chunk index)``
-    keys — a handle's private dict or a shared-cache view) lets
-    already-decoded chunks skip their decode job.
-    """
-    if comm is not None and plan.structure.levels and comm.size != plan.nranks:
-        raise ValueError(
-            f"communicator has {comm.size} ranks but the plotfile is "
-            f"distributed over {plan.nranks}")
-    comm = comm if comm is not None else SimComm(plan.nranks)
-    jobs: List[DecodeJob] = []
-    hits: List[Dict[int, np.ndarray]] = []
-    for dplan in plan.datasets:
-        hit: Dict[int, np.ndarray] = {}
-        if cache:
-            for index in range(dplan.nchunks):
-                chunk = cache.get((dplan.name, index))
-                if chunk is not None:
-                    hit[index] = chunk
-        hits.append(hit)
-        missing = [i for i in range(dplan.nchunks) if i not in hit]
-        jobs.append(make_decode_job(f, dplan, missing, plan=plan))
-    results = comm.run_jobs(backend, decode_job, jobs)
-    for dplan, hit, result in zip(plan.datasets, hits, results):
-        chunks = dict(hit)
-        chunks.update(zip(result.chunk_indices, result.chunks))
-        place_dataset(plan.structure, dplan, chunks)
-        if stats is not None:
-            stats.chunks_decoded += result.decode_calls
-            stats.cache_hits += len(hit)
-            stats.datasets_decoded += 1
-    if plan.remove_redundancy:
-        fill_covered_from_finer(plan.structure)
-    return plan.structure
+    query: Box
+    dplan: Optional[DatasetReadPlan]
+    #: (slot index, overlap with the query) of the stored blocks it meets
+    hits: List[Tuple[int, Box]]
+    #: (covered coarse region, the finer read averaged down into it)
+    finer: List[Tuple[Box, "_BoxRead"]]
+    ratio: int                                #: refinement ratio to ``finer``
 
 
 # ----------------------------------------------------------------------
@@ -495,17 +450,18 @@ class PlotfileHandle:
       intersect the requested box (cached per chunk; see :attr:`stats`);
     * :meth:`read` — the full staged scan/decode/place/refill pipeline,
       optionally over a pooled execution backend.
+
+    Decoded chunks live in a :class:`~repro.service.cache.ChunkCache` under
+    ``(path, dataset, chunk)`` keys: the caller's shared one (``cache``), else
+    a private one of the default byte budget.
     """
 
     def __init__(self, path: str,
                  backend: "ExecutionBackend | str | None" = None,
                  cache=None, source=None):
-        # a caller may hand several handles one *shared* ByteSource instance;
-        # watermarking from the source's pre-open totals (not from zero) keeps
-        # each handle billing only the traffic it caused itself — two handles
-        # on one source must never both absorb the same bytes
-        pre_open = source.stats.totals() if isinstance(source, ByteSource) \
-            else (0, 0, 0)
+        # deferred so a bare ``import repro`` loads nothing of repro.service
+        from repro.service.cache import ChunkCache
+
         self._file = H5LiteFile(path, "r", source=source)
         try:
             self.header = parse_plotfile_header(self._file)
@@ -514,38 +470,14 @@ class PlotfileHandle:
             raise
         self._backend_spec = backend
         self._plan: Optional[ReadPlan] = None
-        # ``cache`` opts the handle into a shared, byte-budgeted chunk cache
-        # (repro.service.cache.ChunkCache, keyed by path); the default stays a
-        # private unbounded dict in this handle's (dataset, chunk) key space
-        if cache is not None and hasattr(cache, "bound_view"):
-            self._cache = cache.bound_view(self._file.path)
-        else:
-            self._cache = cache if cache is not None else {}
+        self._cache = cache if cache is not None else ChunkCache()
         self.stats = ReadStats()
-        self._io_seen = pre_open
-        self._sync_io()                     # charges the superblock loads
         self._closed = False
-
-    def _sync_io(self) -> None:
-        """Fold the source's traffic since the last sync into :attr:`stats`.
-
-        Delta-based so :attr:`stats` can be swapped for a shared accumulator
-        (a series hands every step handle its own stats object) without
-        double-counting what an earlier object already absorbed.  The
-        watermark starts at the source's *pre-open* totals, so a handle
-        joining an already-trafficked shared source bills only its own reads
-        (see the shared-source regression tests).
-        """
-        src = self._file.source.stats
-        now = src.totals()
-        self.stats.bytes_read += now[0] - self._io_seen[0]
-        self.stats.requests += now[1] - self._io_seen[1]
-        self.stats.coalesced_requests += now[2] - self._io_seen[2]
-        self._io_seen = now
 
     @property
     def source_stats(self):
-        """The underlying :class:`~repro.h5lite.source.SourceStats`."""
+        """The byte source's :class:`~repro.h5lite.source.SourceStats`: every
+        byte and request this file cost, the superblock loads included."""
         return self._file.source.stats
 
     # -- lifecycle ------------------------------------------------------
@@ -638,63 +570,149 @@ class PlotfileHandle:
             self._plan = scan_plotfile(self._file)
         return self._plan
 
-    # -- lazy random access --------------------------------------------
-    def _decode_chunks(self, plan: ReadPlan, dplan: DatasetReadPlan,
-                       indices: Sequence[int],
-                       backend: Optional[ExecutionBackend] = None,
-                       ) -> Dict[int, np.ndarray]:
-        """Decode the requested chunks (cache-aware).
+    # -- the chunk door -------------------------------------------------
+    def _chunks(self, needed: Mapping[DatasetReadPlan, Iterable[int]],
+                backend: Optional[ExecutionBackend] = None,
+                comm: Optional[SimComm] = None, store: bool = True,
+                ) -> Dict[DatasetReadPlan, Dict[int, np.ndarray]]:
+        """The one door to decoded chunks: ``{dataset: {chunk index: chunk}}``.
 
-        With ``backend`` given (the query engine's batch path), the missing
-        chunks are split into per-worker sub-jobs and decoded through the
-        pool — chunk decodes within one dataset are independent, so the
-        split changes nothing but wall-clock.  Results are identical either
-        way; the serial path stays a single inline :func:`decode_job`.
+        Each needed chunk is looked up once in the handle's cache; only the
+        misses are decoded (:meth:`_decode_missing`, one batch) and — unless
+        ``store`` is off, the full read's rule: it would only flush what
+        random access keeps warm — stored.  The answer is held by the caller,
+        so a chunk the cache evicts or rejects meanwhile costs a later request
+        time, never this one its data.
         """
-        out: Dict[int, np.ndarray] = {}
-        missing: List[int] = []
-        for index in indices:
-            cached = self._cache.get((dplan.name, index))
-            if cached is not None:
-                out[index] = cached
-                self.stats.cache_hits += 1
-            else:
-                missing.append(index)
-        if missing:
-            jobs = [make_decode_job(self._file, dplan, part, plan=plan)
-                    for part in _split_indices(missing, backend)]
-            if backend is not None and len(jobs) > 1:
-                results = backend.map(decode_job, jobs)
-            else:
-                results = [decode_job(job) for job in jobs]
-            for result in results:
-                for index, chunk in zip(result.chunk_indices, result.chunks):
-                    self._cache[(dplan.name, index)] = chunk
-                    out[index] = chunk
-            self.stats.chunks_decoded += len(missing)
-            self._sync_io()
+        path = self.path
+        out: Dict[DatasetReadPlan, Dict[int, np.ndarray]] = {}
+        pending: Dict[DatasetReadPlan, List[int]] = {}
+        for dplan, indices in needed.items():
+            have = out[dplan] = {}
+            missing = []
+            for index in sorted(indices):
+                chunk = self._cache.get((path, dplan.name, index))
+                if chunk is None:
+                    missing.append(index)
+                else:
+                    have[index] = chunk
+            self.stats.cache_hits += len(have)
+            if missing:
+                pending[dplan] = missing
+        if pending:
+            self.stats.datasets_decoded += len(pending)
+            for dplan, index, chunk in self._decode_missing(pending, backend, comm):
+                out[dplan][index] = chunk
+                if store:
+                    self._cache.put((path, dplan.name, index), chunk)
         return out
 
-    def chunks_for_box(self, name: str, level: int = 0,
-                       box: Optional[Box] = None):
-        """What a box read of one field would decode: ``(plan, dplan, indices)``.
+    def _decode_missing(self, pending: Mapping[DatasetReadPlan, List[int]],
+                        backend: Optional[ExecutionBackend],
+                        comm: Optional[SimComm],
+                        ) -> Iterator[Tuple[DatasetReadPlan, int, np.ndarray]]:
+        """Decode the chunks no cache held: yields ``(dataset, index, chunk)``.
 
-        The scouting half of :meth:`read_field`, shared with the query
-        engine's batch coalescing and time-slice prefetch (which union these
-        indices across requests and decode each chunk once).  Unlike
-        :meth:`read_field`, an absent dataset or out-of-range level yields
-        ``(plan, None, [])`` instead of raising — a prefetch skips, it does
-        not fail.
+        One decode job per dataset — cut into per-worker jobs while the batch
+        has fewer datasets than a pooled ``backend`` has workers — submitted
+        through ``comm`` (:meth:`~repro.parallel.mpi_sim.SimComm.run_jobs`) as
+        one batch with one barrier, mirroring the writer's encode stage.  Jobs
+        are pure functions of the stored bytes, so every backend and every
+        split yields identical chunks.
         """
         plan = self._scan()
-        if not 0 <= level < plan.structure.nlevels:
-            return plan, None, []
+        width = backend.parallel_width() if backend is not None else 1
+        nparts = -(-width // len(pending))
+        jobs = [(dplan, make_decode_job(self._file, dplan, part, plan=plan))
+                for dplan, missing in pending.items()
+                for part in _split_indices(missing, nparts)]
+        comm = comm if comm is not None else SimComm(plan.nranks)
+        results = comm.run_jobs(backend if backend is not None else SerialBackend(),
+                                decode_job, [job for _, job in jobs])
+        for (dplan, _), result in zip(jobs, results):
+            self.stats.chunks_decoded += len(result.chunks)
+            for index, chunk in zip(result.chunk_indices, result.chunks):
+                yield dplan, index, chunk
+
+    # -- lazy random access --------------------------------------------
+    def _plan_box(self, name: str, level: int, box: Optional[Box],
+                  refill: bool, max_level: Optional[int],
+                  needed: Dict[DatasetReadPlan, set]) -> _BoxRead:
+        """Plan one :meth:`read_field` request without decoding anything.
+
+        Adds every chunk the read touches — at ``level`` and, for refill, in
+        the finer levels under it — to ``needed``, so one trip through
+        :meth:`_chunks` serves the whole request (or a whole batch of them
+        sharing ``needed``).
+        """
+        plan = self._scan()
+        structure = plan.structure
+        if not 0 <= level < structure.nlevels:
+            raise ValueError(
+                f"level {level} out of range; plotfile has levels "
+                f"0..{structure.nlevels - 1}")
+        if max_level is not None and level > max_level:
+            raise ValueError(
+                f"level {level} is finer than max_level {max_level}; a "
+                "progressive read cannot return data above its cap")
+        if name not in structure.component_names:
+            raise KeyError(
+                f"unknown field {name!r}; plotfile has {structure.component_names}")
+        finest = level                      # the finest level refill reads
+        if refill and plan.remove_redundancy:
+            finest = structure.nlevels - 1 if max_level is None \
+                else min(max_level, structure.nlevels - 1)
+        return self._plan_level(
+            plan, name, level, structure[level].domain if box is None else box,
+            finest, needed)
+
+    def _plan_level(self, plan: ReadPlan, name: str, level: int, query: Box,
+                    finest: int, needed: Dict[DatasetReadPlan, set]) -> _BoxRead:
+        """One level of :meth:`_plan_box`; recurses while ``level < finest``."""
+        if query.is_empty():
+            return _BoxRead(query, None, [], [], 1)
         dplan = plan.dataset(level, name)
-        if dplan is None:
-            return plan, None, []
-        region = box if box is not None else plan.structure[level].domain
-        return plan, dplan, dplan.chunks_for(
-            [i for i, _ in dplan.boxes.intersections(region)])
+        hits = dplan.boxes.intersections(query) if dplan is not None else []
+        if hits:
+            needed.setdefault(dplan, set()).update(
+                dplan.chunks_for([i for i, _ in hits]))
+        if level >= finest:
+            return _BoxRead(query, dplan, hits, [], 1)
+        ratio = plan.structure.ref_ratios[level]
+        return _BoxRead(query, dplan, hits, [
+            (overlap, self._plan_level(plan, name, level + 1, overlap.refine(ratio),
+                                       finest, needed))
+            for _, overlap in plan.fine_coarsened[level].intersections(query)], ratio)
+
+    def _assemble(self, read: _BoxRead,
+                  chunks: Mapping[DatasetReadPlan, Mapping[int, np.ndarray]],
+                  fill_value: float) -> np.ndarray:
+        """The dense array of a planned read, from the chunks it asked for."""
+        query = read.query
+        out = np.full(query.shape, fill_value, dtype=np.float64)
+        for index, overlap in read.hits:
+            slot = read.dplan.slots[index]
+            home = slot.block.box
+            data = _gather_slot(slot, chunks[read.dplan], read.dplan.chunk_elements) \
+                .reshape(home.shape)
+            out[overlap.slices(origin=query.lo)] = \
+                data[overlap.slices(origin=home.lo)]
+        for overlap, fine in read.finer:
+            out[overlap.slices(origin=query.lo)] = average_down(
+                self._assemble(fine, chunks, fill_value), read.ratio)
+        return out
+
+    def _read_boxes(self, requests: Sequence[Tuple],
+                    backend: Optional[ExecutionBackend] = None) -> List[np.ndarray]:
+        """Answer :meth:`read_field` argument tuples ``(name, level, box,
+        refill, fill_value, max_level)`` together: the union of the chunks
+        they touch goes through :meth:`_chunks` once, so requests that overlap
+        in chunks cost one lookup and at most one decode per chunk."""
+        needed: Dict[DatasetReadPlan, set] = {}
+        reads = [(self._plan_box(name, level, box, refill, max_level, needed), fill_value)
+                 for name, level, box, refill, fill_value, max_level in requests]
+        chunks = self._chunks(needed, backend=backend)
+        return [self._assemble(read, chunks, fill_value) for read, fill_value in reads]
 
     def read_field(self, name: str, level: int = 0, box: Optional[Box] = None,
                    refill: bool = True, fill_value: float = 0.0,
@@ -716,48 +734,8 @@ class PlotfileHandle:
         keep ``fill_value``.  Requesting ``level > max_level`` is a
         contradiction and raises :class:`ValueError`.
         """
-        plan = self._scan()
-        structure = plan.structure
-        if not 0 <= level < structure.nlevels:
-            raise ValueError(
-                f"level {level} out of range; plotfile has levels "
-                f"0..{structure.nlevels - 1}")
-        if max_level is not None and level > max_level:
-            raise ValueError(
-                f"level {level} is finer than max_level {max_level}; a "
-                "progressive read cannot return data above its cap")
-        if name not in structure.component_names:
-            raise KeyError(
-                f"unknown field {name!r}; plotfile has {structure.component_names}")
-        lvl = structure[level]
-        query = lvl.domain if box is None else box
-        if query.is_empty():
-            return np.full(query.shape, fill_value, dtype=np.float64)
-        out = np.full(query.shape, fill_value, dtype=np.float64)
-
-        dplan = plan.dataset(level, name)
-        hits = dplan.boxes.intersections(query) if dplan is not None else []
-        if hits:
-            chunks = self._decode_chunks(
-                plan, dplan, dplan.chunks_for([i for i, _ in hits]))
-            for index, overlap in hits:
-                slot = dplan.slots[index]
-                home = slot.block.box
-                data = _gather_slot(slot, chunks, dplan.chunk_elements) \
-                    .reshape(home.shape)
-                out[overlap.slices(origin=query.lo)] = \
-                    data[overlap.slices(origin=home.lo)]
-
-        if (refill and plan.remove_redundancy and level < structure.nlevels - 1
-                and (max_level is None or level + 1 <= max_level)):
-            ratio = structure.ref_ratios[level]
-            for _, overlap in plan.fine_coarsened[level].intersections(query):
-                fine = self.read_field(name, level=level + 1,
-                                       box=overlap.refine(ratio), refill=refill,
-                                       fill_value=fill_value,
-                                       max_level=max_level)
-                out[overlap.slices(origin=query.lo)] = average_down(fine, ratio)
-        return out
+        return self._read_boxes(
+            [(name, level, box, refill, fill_value, max_level)])[0]
 
     # -- the full staged read ------------------------------------------
     def read(self, backend: "ExecutionBackend | str | None" = None,
@@ -766,17 +744,26 @@ class PlotfileHandle:
 
         ``backend`` follows the writer's convention: a name builds a backend
         owned (and closed) by this call, an :class:`ExecutionBackend`
-        instance stays the caller's to manage.
+        instance stays the caller's to manage.  Chunks :meth:`read_field`
+        already decoded are reused; every call returns a fresh hierarchy.
         """
-        plan = scan_plotfile(self._file)
+        plan = self._scan()
+        if comm is not None and plan.structure.levels and comm.size != plan.nranks:
+            raise ValueError(
+                f"communicator has {comm.size} ranks but the plotfile is "
+                f"distributed over {plan.nranks}")
         spec = backend if backend is not None else self._backend_spec
         owns = not isinstance(spec, ExecutionBackend)
         resolved = make_backend(spec)
         try:
-            # chunks read_field already decoded are reused
-            return execute_read(self._file, plan, resolved, comm=comm,
-                                stats=self.stats, cache=self._cache)
+            chunks = self._chunks({d: range(d.nchunks) for d in plan.datasets},
+                                  backend=resolved, comm=comm, store=False)
         finally:
-            self._sync_io()
             if owns:
                 resolved.close()
+        structure = template_from_header(self.header)
+        for dplan in plan.datasets:
+            place_dataset(structure, dplan, chunks.pop(dplan))
+        if plan.remove_redundancy:
+            fill_covered_from_finer(structure)
+        return structure

@@ -62,7 +62,8 @@ def open_plotfile(path: str, backend=None, cache=None,
     :class:`~repro.parallel.backend.ExecutionBackend`) runs the full-read
     decode jobs.  ``cache`` opts the handle into a shared
     :class:`~repro.service.cache.ChunkCache` so overlapping consumers decode
-    each chunk once; by default every handle keeps its private per-chunk dict.
+    each chunk once; by default every handle keeps a private one of the
+    default byte budget.
     ``source`` picks the byte source under the file — None (local file), a
     spec string (``"mmap"``, ``"memory"``, ``"latency:50ms,block:64k"``), a
     :class:`~repro.h5lite.source.ByteSource` instance or a factory callable

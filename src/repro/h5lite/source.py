@@ -31,8 +31,9 @@ This module abstracts "where the bytes live" behind :class:`ByteSource` —
 Every source counts its traffic in a :class:`SourceStats`: ranges requested
 by callers (pre-coalescing), reads actually issued to the backing medium
 (post-coalescing), bytes fetched, block-cache hits/misses/evictions and
-simulated wait time.  :class:`~repro.core.reader.ReadStats` surfaces these
-per handle; the query engine sums them per engine.
+simulated wait time.  It is the one I/O ledger: a handle exposes its source's
+as ``source_stats``, a series and the query engine add up the sources they
+opened (:meth:`SourceStats.sum`).
 
 Sources are picked by spec string (``repro.open(path, source="mmap")``,
 ``repro info --source latency:50ms``) through :func:`make_source`.
@@ -46,8 +47,8 @@ import os
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "ByteSource",
@@ -117,13 +118,15 @@ class SourceStats:
             "coalescing_factor": self.coalescing_factor,
         }
 
-    def totals(self) -> Tuple[int, int, int]:
-        """``(bytes_read, requests, coalesced_requests)`` — the traffic triple
-        consumers watermark against (see
-        :meth:`repro.core.reader.PlotfileHandle._sync_io`).  A handle opening
-        onto an *already-shared* source snapshots this before its first read
-        so it never absorbs traffic another handle caused."""
-        return (self.bytes_read, self.requests, self.coalesced_requests)
+    @classmethod
+    def sum(cls, parts: Iterable["SourceStats"]) -> "SourceStats":
+        """One ledger over several sources: every counter added up, an object
+        that appears twice (handles sharing a source) counted once."""
+        total = cls()
+        for part in {id(p): p for p in parts}.values():
+            for f in fields(cls):
+                setattr(total, f.name, getattr(total, f.name) + getattr(part, f.name))
+        return total
 
     def samples(self, labels: Optional[Dict[str, str]] = None):
         """This source's traffic as registry collector samples.

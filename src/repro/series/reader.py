@@ -8,7 +8,8 @@ directly, a delta chunk needs the *same chunk* of its reference step (and so
 on back to the nearest keyframe) and adds the stored code differences.  The
 chains of a decode group are planned from the manifest, fetched one payload
 batch per step and entropy-decoded several streams to a pass.  Resolution is
-chunk-granular and memoised in the PR-3 style chunk caches, so
+chunk-granular and memoised in two byte-budgeted caches (decoded chunk values,
+resolved code streams), so
 
 * reading a box at step *t* decodes only the chunks intersecting the box —
   at step *t* and along those chunks' reference chains — never a chunk
@@ -24,16 +25,17 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.amr.box import Box
 from repro.amr.hierarchy import AmrHierarchy
 from repro.compress.temporal import MODE_DELTA, TemporalDeltaCodec
-from repro.core.reader import DatasetReadPlan, PlotfileHandle, ReadPlan, ReadStats
+from repro.core.reader import DatasetReadPlan, PlotfileHandle, ReadStats
+from repro.h5lite.source import ByteSource, SourceStats
 from repro.series.index import SeriesIndex, SeriesStepRecord
+from repro.service.cache import ChunkCache
 from repro.stream.journal import (
     JOURNAL_FILENAME,
     load_live_index,
@@ -62,70 +64,38 @@ def open_series(directory: str, cache=None, source=None) -> "SeriesHandle":
     return SeriesHandle(directory, cache=cache, source=source)
 
 
-class _CodeStreamCache:
-    """Resolved absolute code streams, LRU-bounded when a budget is given.
+class _CodeStream(NamedTuple):
+    """One chunk's resolved absolute grid codes at one step, sized for the
+    :class:`~repro.service.cache.ChunkCache` that holds them."""
 
-    Values are ``(codes array, eb, offset)`` tuples keyed by ``(step index,
-    dataset, chunk)``.  Without a budget this is the PR-4 behaviour (memoise
-    for the handle's lifetime); with one — a series opened onto a shared
-    :class:`~repro.service.cache.ChunkCache`, i.e. a long-lived server —
-    least-recently-used streams are evicted past the byte budget.  Eviction
-    is always safe: a missing stream makes :meth:`SeriesStepHandle._resolve_codes`
-    plan a longer chain (at worst back to the keyframe payloads) and re-derive it.
-    """
+    codes: np.ndarray
+    eb: float
+    offset: float
 
-    def __init__(self, max_bytes: Optional[int] = None):
-        self.max_bytes = None if max_bytes is None else int(max_bytes)
-        self._entries: "OrderedDict[Tuple[int, str, int], Tuple[np.ndarray, float, float]]" = OrderedDict()
-        self._bytes = 0
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
-
-    def __setitem__(self, key, value) -> None:
-        with self._lock:
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self._bytes -= int(old[0].nbytes)
-            self._entries[key] = value
-            self._bytes += int(value[0].nbytes)
-            if self.max_bytes is not None:
-                while self._bytes > self.max_bytes and len(self._entries) > 1:
-                    _, evicted = self._entries.popitem(last=False)
-                    self._bytes -= int(evicted[0].nbytes)
+    @property
+    def nbytes(self) -> int:
+        return int(self.codes.nbytes)
 
 
 class SeriesStepHandle(PlotfileHandle):
     """One step of a series: a plotfile handle that can follow delta chains.
 
-    Everything metadata- and geometry-related is inherited; only the chunk
-    decode stage (:meth:`_decode_chunks`) is replaced by temporal chain
-    resolution through the owning :class:`SeriesHandle`.
+    Everything else — metadata, geometry, the cache lookup, placement — is
+    inherited; only the production of missing chunks
+    (:meth:`_decode_missing`) is replaced by temporal chain resolution
+    through the owning :class:`SeriesHandle`.
     """
 
     def __init__(self, series: "SeriesHandle", step_index: int, path: str):
         super().__init__(path, cache=series.cache, source=series._source_spec)
         self._series = series
         self._step_index = step_index
-        # all step handles of a series report into one shared stats object;
-        # the I/O charged during open (the superblock loads) moves with it
-        series.stats.bytes_read += self.stats.bytes_read
-        series.stats.requests += self.stats.requests
-        series.stats.coalesced_requests += self.stats.coalesced_requests
+        # all step handles of a series report into one shared stats object
         self.stats = series.stats
 
-    # ------------------------------------------------------------------
-    def _record(self) -> SeriesStepRecord:
-        return self._series.index.steps[self._step_index]
-
     def _resolve_codes(self, dsname: str, chunk_indices: Sequence[int]
-                       ) -> Iterator[Tuple[int, Tuple[np.ndarray, float, float]]]:
-        """Absolute grid codes of a group of chunks: yields (index, (codes, eb, offset)).
+                       ) -> Iterator[Tuple[int, _CodeStream]]:
+        """Absolute grid codes of a group of chunks: yields (index, code stream).
 
         Each chunk's reference chain is *planned* first, from the manifest's
         ``ref`` links back to the nearest keyframe or cached stream — a loop,
@@ -143,7 +113,7 @@ class SeriesStepHandle(PlotfileHandle):
         """
         series = self._series
         # held from planning on: a byte-bounded cache may evict them meanwhile
-        bases: Dict[int, Tuple[np.ndarray, float, float]] = {}
+        bases: Dict[int, _CodeStream] = {}
         order: List[Tuple[int, int]] = []          # (step, chunk): chunk by chunk, oldest first
         for index in chunk_indices:
             step, chain = self._step_index, []
@@ -171,7 +141,6 @@ class SeriesStepHandle(PlotfileHandle):
             handle = self if step == self._step_index else series.open_step(step)
             payloads.update(zip(((step, index) for index in indices),
                                 handle._file.read_chunk_payloads(dsname, indices)))
-            handle._sync_io()
 
         # fold the deltas forward onto the resolved base, caching each step;
         # the answers are handed on directly — the code cache may be byte-bounded
@@ -189,75 +158,30 @@ class SeriesStepHandle(PlotfileHandle):
                         raise ValueError(
                             f"step {step} stores {dsname!r} as a delta stream but "
                             "the series manifest records no reference step")
-                    if codes.size != entry[0].size:
+                    if codes.size != entry.codes.size:
                         raise ValueError(
                             f"delta chunk {index} of {dsname!r} at step {step} "
                             f"has {codes.size} codes but its reference has "
-                            f"{entry[0].size}; the series is corrupt")
-                    codes = entry[0] + codes
-                entry = (codes, float(meta["eb"]), float(meta.get("offset", 0.0)))
-                series._codes[(step, dsname, index)] = entry
+                            f"{entry.codes.size}; the series is corrupt")
+                    codes = entry.codes + codes
+                entry = _CodeStream(codes, float(meta["eb"]),
+                                    float(meta.get("offset", 0.0)))
+                series._codes.put((step, dsname, index), entry)
                 if step == self._step_index:       # the chain's newest stream
                     yield index, entry
                     entry = None
 
-    def _decode_chunks(self, plan: ReadPlan, dplan: DatasetReadPlan,
-                       indices: Sequence[int],
-                       backend=None) -> Dict[int, np.ndarray]:
-        # ``backend`` is accepted for signature compatibility with the base
-        # handle (the query engine passes its pool) but deliberately unused:
-        # the group's streams share entropy passes in this process, and what
-        # they resolve to lives in this process's per-series code cache
-        out: Dict[int, np.ndarray] = {}
-        misses: List[int] = []
-        for index in indices:
-            cached = self._cache.get((dplan.name, index))
-            if cached is not None:
-                out[index] = cached
-                self.stats.cache_hits += 1
-            else:
-                misses.append(index)
-        for index, (codes, eb, offset) in self._resolve_codes(dplan.name, misses):
-            chunk = np.zeros(dplan.chunk_elements, dtype=np.float64)
-            chunk[:codes.size] = TemporalDeltaCodec.grid_values(codes, eb, offset)
-            self._cache[(dplan.name, index)] = chunk
-            out[index] = chunk
-        return out
-
-    # ------------------------------------------------------------------
-    def read(self, backend=None, comm=None) -> AmrHierarchy:
-        """Full staged read; delta chains are pre-resolved into the chunk cache.
-
-        Chain resolution must run through the series handle (the shared code
-        cache is what keeps chains chunk-granular), so every chunk is
-        materialised into the PR-3 chunk cache in-process first; the staged
-        decode/place/refill pipeline then runs entirely on cache hits, over
-        the cached scan plan with a fresh output hierarchy.
-        """
-        from dataclasses import replace
-
-        from repro.core.header import template_from_header
-        from repro.core.reader import execute_read
-        from repro.parallel.backend import ExecutionBackend, make_backend
-
-        plan = self._scan()
-        # collect the resolved chunks into a local map rather than trusting
-        # the chunk cache to retain them: a shared byte-budgeted cache may
-        # evict between materialisation and placement
-        resolved_chunks: Dict[Tuple[str, int], np.ndarray] = {}
-        for dplan in plan.datasets:
-            decoded = self._decode_chunks(plan, dplan, range(dplan.nchunks))
-            for index, chunk in decoded.items():
-                resolved_chunks[(dplan.name, index)] = chunk
-        owns = not isinstance(backend, ExecutionBackend)
-        resolved = make_backend(backend)
-        try:
-            fresh = replace(plan, structure=template_from_header(plan.header))
-            return execute_read(self._file, fresh, resolved, comm=comm,
-                                stats=self.stats, cache=resolved_chunks)
-        finally:
-            if owns:
-                resolved.close()
+    def _decode_missing(self, pending: Mapping[DatasetReadPlan, List[int]],
+                        backend, comm
+                        ) -> Iterator[Tuple[DatasetReadPlan, int, np.ndarray]]:
+        # ``backend`` and ``comm`` go unused: a group's streams share entropy
+        # passes in this process, and what they resolve to lives in this
+        # process's per-series code cache
+        for dplan, missing in pending.items():
+            for index, stream in self._resolve_codes(dplan.name, missing):
+                chunk = np.zeros(dplan.chunk_elements, dtype=np.float64)
+                chunk[:stream.codes.size] = TemporalDeltaCodec.grid_values(*stream)
+                yield dplan, index, chunk
 
 
 class SeriesHandle:
@@ -271,17 +195,16 @@ class SeriesHandle:
 
     Step handles, decoded chunk values and resolved code streams are all
     cached on the series handle, shared across steps (a keyframe chunk
-    resolved for step 3's chain is a cache hit for step 4's).  By default —
-    like the single-file handle's chunk cache — the caches are unbounded for
-    the handle's lifetime; open a fresh handle to drop them.  With ``cache``
-    (a shared :class:`~repro.service.cache.ChunkCache`) both the decoded
-    chunk values and the resolved code streams are byte-bounded to its
-    budget, so long-lived consumers (the query service) stay bounded too.
+    resolved for step 3's chain is a cache hit for step 4's).  Both caches
+    are byte-budgeted :class:`~repro.service.cache.ChunkCache` instances: the
+    chunk values live in ``cache`` (the caller's shared one, else a private
+    one of the default budget), the code streams in a second instance of the
+    same budget — so a long-lived handle stays bounded either way.  Eviction
+    is always safe: a missing stream makes the next read plan a longer chain
+    (at worst back to the keyframe payloads) and re-derive it.
     """
 
     def __init__(self, directory: str, cache=None, source=None):
-        from repro.h5lite.source import ByteSource
-
         if isinstance(source, ByteSource):
             raise ValueError(
                 "a series opens one file per step; pass a source spec "
@@ -303,17 +226,12 @@ class SeriesHandle:
         self.refreshes = 0
         self.steps_appended = 0
         self.index_reloads = 0
-        #: optional shared :class:`~repro.service.cache.ChunkCache`; every
-        #: step handle stores its decoded chunk values there (keyed by the
-        #: step's own path) instead of a private per-step dict
-        self.cache = cache
+        #: where every step handle stores its decoded chunk values (keyed by
+        #: the step's own path)
+        self.cache = cache if cache is not None else ChunkCache()
         self._handles: Dict[int, SeriesStepHandle] = {}
-        #: (step index, dataset, chunk) -> (absolute codes, eb, offset);
-        #: byte-bounded to the shared cache's budget when one is given, so a
-        #: long-lived server cannot grow it without limit
-        self._codes = _CodeStreamCache(
-            cache.max_bytes if cache is not None
-            and hasattr(cache, "max_bytes") else None)
+        #: (step index, dataset, chunk) -> :class:`_CodeStream`
+        self._codes = ChunkCache(self.cache.max_bytes)
         # guards the step-handle pool: concurrent readers (the query service
         # worker pool) must not race open_step into leaked duplicate handles
         self._handles_lock = threading.Lock()
@@ -340,6 +258,12 @@ class SeriesHandle:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"SeriesHandle({self.directory!r}, nsteps={self.index.nsteps}, "
                 f"codec={self.index.codec!r})")
+
+    @property
+    def source_stats(self) -> SourceStats:
+        """Every byte and request the opened steps' files cost, added up."""
+        with self._handles_lock:
+            return SourceStats.sum(h.source_stats for h in self._handles.values())
 
     # ------------------------------------------------------------------
     # manifest-level metadata (nothing decoded)

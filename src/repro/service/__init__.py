@@ -3,15 +3,14 @@
 Everything the PR-3/PR-4 readers decode is chunk-granular; this package makes
 those chunks *shareable*:
 
-* :mod:`repro.service.cache` — a process-wide, byte-budgeted LRU
-  :class:`ChunkCache` keyed by ``(path, dataset, chunk)``.  Any handle opened
-  through the facade can opt in (``repro.open(path, cache=...)``), replacing
-  its private per-handle dict so overlapping consumers decode each chunk once.
+* :mod:`repro.service.cache` — a byte-budgeted LRU :class:`ChunkCache` keyed
+  by ``(path, dataset, chunk)``.  Every handle has a private one; handles
+  opened onto one shared cache (``repro.open(path, cache=...)``) decode each
+  chunk once between them.
 * :mod:`repro.service.engine` — a :class:`QueryEngine` holding a pool of lazy
-  handles over many plotfiles/series.  It accepts batched box-read requests,
-  coalesces requests hitting the same chunk or delta chain so each chunk is
-  decoded at most once per batch, and prefetches keyframe→delta chains for
-  time slices.
+  handles over many plotfiles/series on one shared cache.  It accepts batched
+  box-read requests and coalesces requests hitting the same chunk or delta
+  chain so each chunk is looked up once and decoded at most once per batch.
 * :mod:`repro.service.core` — the transport-neutral :class:`RequestHandler`:
   op dispatch, protocol-version negotiation, bearer-token auth, request-size
   and rate limits, trace binding, per-op tallies and the structured request

@@ -1,23 +1,19 @@
-"""A process-wide, byte-budgeted LRU cache of decoded chunks.
+"""A byte-budgeted LRU cache of decoded chunks.
 
 Every reader in the stack decodes in chunk units (PR 3) and the series reader
-resolves delta chains in chunk units (PR 4), but until now each handle kept
-its own private ``(dataset, chunk) → array`` dict: two handles on the same
-plotfile — or two analysis clients of the query service — decode the same
-chunk twice, and nothing ever bounds the memory a long-lived handle
-accumulates.
+resolves delta chains in chunk units (PR 4).  :class:`ChunkCache` is where the
+results live: a thread-safe LRU over ``(path, dataset, chunk index)`` keys with
+a byte budget — inserting past the budget evicts least-recently-used entries,
+and every hit/miss/eviction is counted in :class:`CacheStats` (what the
+cache-accounting tests and the ``stats`` rows of the query service assert
+against).  Every handle has one: a private one of the default budget, or the
+one its opener shares (``repro.open(path, cache=...)``), so two handles on the
+same plotfile — or two clients of the query service — decode a chunk once and
+a long-lived handle's memory stays bounded.  The full key carries the path,
+which is what lets one cache serve handles over many files without collisions.
 
-:class:`ChunkCache` fixes both.  It is a thread-safe LRU over
-``(path, dataset, chunk index)`` keys with a byte budget: inserting past the
-budget evicts least-recently-used entries, and every hit/miss/eviction is
-counted in :class:`CacheStats` (what the cache-accounting tests and the
-``stats`` rows of the query service assert against).  Handles opt in through
-the facade (``repro.open(path, cache=...)``); the per-handle dict stays the
-default, so existing consumers are untouched.
-
-A handle addresses its chunks as ``(dataset, chunk)`` — the path prefix is
-added by the :class:`HandleCacheView` the cache hands out per file, which is
-what lets one cache serve handles over many files without key collisions.
+The cache sizes an entry by its ``nbytes``; the series reader keeps its
+resolved code streams in a second instance.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["CacheStats", "ChunkCache", "HandleCacheView", "DEFAULT_CACHE_BYTES"]
+__all__ = ["CacheStats", "ChunkCache", "DEFAULT_CACHE_BYTES"]
 
 #: default byte budget: enough for ~4k chunks of 4096 float64 elements
 DEFAULT_CACHE_BYTES = 128 * 1024 * 1024
@@ -170,35 +166,3 @@ class ChunkCache:
         """A snapshot of the cached keys, LRU first."""
         with self._lock:
             return list(self._entries)
-
-    # ------------------------------------------------------------------
-    def bound_view(self, path: str) -> "HandleCacheView":
-        """This cache addressed in one file's ``(dataset, chunk)`` key space."""
-        return HandleCacheView(self, str(path))
-
-
-class HandleCacheView:
-    """One file's window into a shared :class:`ChunkCache`.
-
-    Presents the mapping surface the handles already use for their private
-    dicts — ``get((dataset, chunk))`` and item assignment — while storing
-    under the full ``(path, dataset, chunk)`` key.  Always truthy: the staged
-    reader treats a falsy cache as "no cache", and a shared cache must be
-    consulted even while still empty.
-    """
-
-    def __init__(self, cache: ChunkCache, path: str):
-        self.cache = cache
-        self.path = path
-
-    def __bool__(self) -> bool:
-        return True
-
-    def get(self, key: Tuple[str, int]) -> Optional[np.ndarray]:
-        return self.cache.get((self.path, key[0], key[1]))
-
-    def __setitem__(self, key: Tuple[str, int], chunk: np.ndarray) -> None:
-        self.cache.put((self.path, key[0], key[1]), chunk)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"HandleCacheView({self.path!r} -> {self.cache!r})"

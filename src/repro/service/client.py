@@ -75,8 +75,45 @@ class ServiceOps:
 
     Mixed into every client (TCP, HTTP, fake); subclasses provide
     ``call(op, **params)`` returning the decoded ``result`` or raising
-    :class:`ServiceError`.
+    :class:`ServiceError` — a transport between :meth:`_request`, which
+    builds the wire request, and :meth:`_result`, which unwraps the response.
     """
+
+    #: whether the bearer token rides in the request itself (a transport
+    #: with a header for it, or none at all, leaves the body alone)
+    _auth_in_body = False
+
+    def _init_requests(self, trace: bool, auth_token: Optional[str]) -> None:
+        self._next_id = 0
+        #: mint a fresh trace ID per request (additive wire field; a server
+        #: that predates it ignores it — see :mod:`repro.service.wire`)
+        self._trace = bool(trace)
+        #: bearer token for a server running with ``--auth-token``; None
+        #: against an open server
+        self.auth_token = auth_token
+        #: the trace ID of the most recent request sent (None before the
+        #: first request, or with tracing off)
+        self.last_trace: Optional[str] = None
+
+    def _request(self, op: str, **params) -> dict:
+        """The next wire request: version, id, op, parameters, trace."""
+        self._next_id += 1
+        request = {"v": PROTOCOL_VERSION, "id": self._next_id, "op": op,
+                   **params}
+        if self._auth_in_body and self.auth_token is not None:
+            request["auth"] = self.auth_token
+        if self._trace:
+            self.last_trace = new_trace_id()
+            request["trace"] = self.last_trace
+        return request
+
+    @staticmethod
+    def _result(response: dict):
+        """A response envelope's ``result``; ``ok: false`` raises."""
+        if not response.get("ok"):
+            raise ServiceError(response.get("error", "unknown server error"),
+                               kind=response.get("kind"))
+        return response.get("result")
 
     def call(self, op: str, **params):  # pragma: no cover - interface
         raise NotImplementedError
@@ -122,6 +159,8 @@ class ServiceOps:
 class ReproClient(ServiceOps):
     """A blocking client for one :class:`~repro.service.server.ReproServer`."""
 
+    _auth_in_body = True        # a request line has no header to carry it
+
     def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT,
                  timeout: float = 120.0, trace: bool = True,
                  auth_token: Optional[str] = None):
@@ -129,17 +168,8 @@ class ReproClient(ServiceOps):
         self.port = int(port)
         self._sock = socket.create_connection((host, self.port), timeout=timeout)
         self._rfile = self._sock.makefile("rb")
-        self._next_id = 0
         self._closed = False
-        #: mint a fresh trace ID per request (additive wire field; a server
-        #: that predates it ignores it — see :mod:`repro.service.wire`)
-        self._trace = bool(trace)
-        #: bearer token sent as the ``"auth"`` field of every request (for a
-        #: server running with ``--auth-token``); None against an open server
-        self.auth_token = auth_token
-        #: the trace ID of the most recent request sent (None before the
-        #: first request, or with tracing off)
-        self.last_trace: Optional[str] = None
+        self._init_requests(trace, auth_token)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -158,17 +188,6 @@ class ReproClient(ServiceOps):
         return f"ReproClient({self.host}:{self.port})"
 
     # ------------------------------------------------------------------
-    def _request(self, op: str, **params) -> dict:
-        self._next_id += 1
-        request = {"v": PROTOCOL_VERSION, "id": self._next_id, "op": op,
-                   **params}
-        if self.auth_token is not None:
-            request["auth"] = self.auth_token
-        if self._trace:
-            self.last_trace = new_trace_id()
-            request["trace"] = self.last_trace
-        return request
-
     def _round_trip(self, request: dict) -> dict:
         """Send one line, read one line, enforce id matching."""
         try:
@@ -201,11 +220,7 @@ class ReproClient(ServiceOps):
         """
         if self._closed:
             raise ValueError("client is closed")
-        response = self._round_trip(self._request(op, **params))
-        if not response.get("ok"):
-            raise ServiceError(response.get("error", "unknown server error"),
-                               kind=response.get("kind"))
-        return response.get("result")
+        return self._result(self._round_trip(self._request(op, **params)))
 
     # ------------------------------------------------------------------
     # the streaming verb

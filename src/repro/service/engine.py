@@ -6,17 +6,17 @@ a pool of lazily-opened handles, binds every one of them to a single shared
 serving layer needs beyond what a lone handle offers:
 
 * **batching with chunk coalescing** — :meth:`read_batch` takes many
-  :class:`BoxQuery` requests at once, groups the ones that land on the same
-  dataset (same file — or same series step — same level, same field), unions
-  the chunk sets their boxes touch, and decodes that union once before
-  assembling any answer.  Requests overlapping in chunks (or, for series
-  steps, in delta chains, which are resolved chunk-by-chunk) therefore cost
-  one decode per chunk per batch instead of one per request.
-* **chain prefetch for time slices** — :meth:`time_slice` walks the requested
-  steps in ascending order and materialises each needed chunk's
-  keyframe→delta chain into the caches *before* assembling the per-step
-  arrays, so the assembly loop runs on cache hits and every stream along the
-  chains is decoded exactly once.
+  :class:`BoxQuery` requests at once and hands the ones that land on the same
+  file (or series step) to its handle together: the handle unions the chunk
+  sets their boxes touch, obtains that union once — one cache lookup and at
+  most one decode per chunk — and assembles every answer from it.  Requests
+  overlapping in chunks (or, for series steps, in delta chains, which are
+  resolved chunk-by-chunk) therefore cost one decode per chunk per batch
+  instead of one per request.
+* **time slices** — :meth:`time_slice` is :meth:`SeriesHandle.time_slice
+  <repro.series.reader.SeriesHandle.time_slice>` on the pooled handle, which
+  reads newest step first so every stream along the chains is decoded exactly
+  once and a keyframe interval shares its entropy passes.
 
 The engine is what the TCP server (:mod:`repro.service.server`) executes
 requests against, and the seam where sharding across many files would slot
@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.amr.box import Box
 from repro.core.reader import PlotfileHandle
+from repro.h5lite.source import SourceStats
 from repro.obs import MetricsRegistry, current_trace_id, get_registry, span
 from repro.parallel.backend import ExecutionBackend, make_backend
 from repro.series.index import INDEX_FILENAME
@@ -241,11 +242,12 @@ class QueryEngine:
     def read_batch(self, queries: Sequence[BoxQuery]) -> List[np.ndarray]:
         """Answer many box reads, decoding every touched chunk at most once.
 
-        Requests are first grouped by the dataset they land on; each group's
-        union of touched chunks is decoded in one shot (a single decode call
-        per missing chunk, straight into the shared cache — for series steps
-        this resolves the delta chains of exactly those chunks).  The answers
-        are then assembled per request from the warm cache, in input order.
+        Requests are grouped by the handle they read from (a file, or one
+        step of a series); each handle plans its group, obtains the union of
+        the touched chunks in one shot (one lookup per chunk in the shared
+        cache, one decode batch for the misses — for series steps this
+        resolves the delta chains of exactly those chunks) and assembles its
+        answers from what it obtained.  Answers come back in input order.
         """
         queries = list(queries)
         with self._lock:
@@ -254,29 +256,17 @@ class QueryEngine:
         self.last_trace = current_trace_id() or self.last_trace
         with span("engine.read_batch", registry=self.registry,
                   queries=len(queries)) as sp:
-            # -- coalesce: dataset -> union of chunk indices ----------------
-            groups: Dict[Tuple[int, str], Tuple[PlotfileHandle, object, object, set]] = {}
-            targets = [self._target(query) for query in queries]
-            for query, handle in zip(queries, targets):
-                plan, dplan, indices = handle.chunks_for_box(
-                    query.field, level=query.level, box=query.box)
-                if not indices:
-                    continue
-                key = (id(handle), dplan.name)
-                entry = groups.get(key)
-                if entry is None:
-                    entry = (handle, plan, dplan, set())
-                    groups[key] = entry
-                entry[3].update(indices)
-            for handle, plan, dplan, chunk_set in groups.values():
-                handle._decode_chunks(plan, dplan, sorted(chunk_set),
-                                      backend=self._backend)
-            # -- assemble each answer from the warm cache -------------------
-            answers = [handle.read_field(q.field, level=q.level, box=q.box,
-                                         refill=q.refill,
-                                         fill_value=q.fill_value,
-                                         max_level=q.max_level)
-                       for q, handle in zip(queries, targets)]
+            groups: Dict[PlotfileHandle, List[int]] = {}
+            for position, query in enumerate(queries):
+                groups.setdefault(self._target(query), []).append(position)
+            answers: List[Optional[np.ndarray]] = [None] * len(queries)
+            for handle, positions in groups.items():
+                group = [queries[position] for position in positions]
+                arrays = handle._read_boxes(
+                    [(q.field, q.level, q.box, q.refill, q.fill_value, q.max_level)
+                     for q in group], backend=self._backend)
+                for position, array in zip(positions, arrays):
+                    answers[position] = array
             sp.add_bytes(sum(int(a.nbytes) for a in answers))
             return answers
 
@@ -285,86 +275,62 @@ class QueryEngine:
                    refill: bool = True, fill_value: float = 0.0,
                    max_level: Optional[int] = None
                    ) -> Tuple[np.ndarray, np.ndarray]:
-        """A region's evolution across steps, with chain prefetch.
-
-        Before assembling any per-step array, the needed chunks'
-        keyframe→delta chains are materialised in ascending step order: each
-        step's resolution stops at the previous step's already-cached codes,
-        so every stream along the chains is decoded exactly once even though
-        the chains run backwards in time.
-        """
+        """A region's evolution across steps (see :meth:`SeriesHandle.time_slice
+        <repro.series.reader.SeriesHandle.time_slice>`), one request per step."""
         series = self.series(directory)
-        indices = list(range(series.nsteps)) if steps is None \
-            else [series._step_index(s) for s in steps]
+        nsteps = series.nsteps if steps is None else len(steps)
         self.last_trace = current_trace_id() or self.last_trace
         with span("engine.time_slice", registry=self.registry,
-                  steps=len(indices)) as sp:
-            for index in sorted(set(indices)):
-                handle = series.open_step(index)
-                plan, dplan, chunk_indices = handle.chunks_for_box(field,
-                                                                   level=level,
-                                                                   box=box)
-                if chunk_indices:
-                    handle._decode_chunks(plan, dplan, chunk_indices)
-            with self._lock:
-                self._requests += len(indices)
+                  steps=nsteps) as sp:
             times, values = series.time_slice(field, box=box, level=level,
                                               steps=steps, refill=refill,
                                               fill_value=fill_value,
                                               max_level=max_level)
+            with self._lock:
+                self._requests += nsteps
             sp.add_bytes(int(values.nbytes))
             return times, values
 
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def _metrics_samples(self):
-        """Snapshot-time collector: fold pooled-handle stats into the registry.
+    def _totals(self):
+        """The pool's counters, read once for either accounting surface:
+        ``(plotfile handles, series, requests, batches, chunks decoded, I/O)``.
 
-        The I/O totals aggregate the underlying
-        :class:`~repro.h5lite.source.SourceStats` deduped by object identity,
-        so two pooled handles over one *shared* ByteSource contribute its
-        wire counters exactly once (the per-handle view dedups the same
-        traffic through its pre-open watermark — see
-        :meth:`PlotfileHandle._sync_io`).
+        I/O is the one ledger: :meth:`SourceStats.sum` over the byte sources
+        of every pooled plotfile handle and opened series step, a source two
+        handles share counted once.
         """
         with self._lock:
             handles = list(self._plotfiles.values())
             series = list(self._series.values())
             requests, batches = self._requests, self._batches
+        decoded = sum(h.stats.chunks_decoded for h in handles + series)
+        steps: List[PlotfileHandle] = []
+        for s in series:
+            with s._handles_lock:
+                steps.extend(s._handles.values())
+        io = SourceStats.sum(h.source_stats for h in handles + steps)
+        return handles, series, requests, batches, decoded, io
+
+    def _metrics_samples(self):
+        """Snapshot-time collector: fold pooled-handle stats into the registry."""
+        handles, series, requests, batches, decoded, io = self._totals()
         rows = [
             ("repro_engine_requests_total", "counter", {}, float(requests)),
             ("repro_engine_batches_total", "counter", {}, float(batches)),
             ("repro_engine_plotfiles_open", "gauge", {}, float(len(handles))),
             ("repro_engine_series_open", "gauge", {}, float(len(series))),
+            ("repro_chunks_decoded_total", "counter", {}, float(decoded)),
+            ("repro_series_refreshes_total", "counter", {},
+             float(sum(s.refreshes for s in series))),
+            ("repro_series_steps_appended_total", "counter", {},
+             float(sum(s.steps_appended for s in series))),
+            ("repro_series_index_reloads_total", "counter", {},
+             float(sum(s.index_reloads for s in series))),
         ]
-        all_stats = [h.stats for h in handles] + [s.stats for s in series]
-        rows.append(("repro_chunks_decoded_total", "counter", {},
-                     float(sum(s.chunks_decoded for s in all_stats))))
-        rows.append(("repro_series_refreshes_total", "counter", {},
-                     float(sum(s.refreshes for s in series))))
-        rows.append(("repro_series_steps_appended_total", "counter", {},
-                     float(sum(s.steps_appended for s in series))))
-        rows.append(("repro_series_index_reloads_total", "counter", {},
-                     float(sum(s.index_reloads for s in series))))
-        # unique byte sources: pooled plotfile handles + pooled series steps
-        sources: Dict[int, object] = {}
-        step_handles: List[PlotfileHandle] = list(handles)
-        for s in series:
-            with s._handles_lock:
-                step_handles.extend(s._handles.values())
-        for h in step_handles:
-            try:
-                ss = h.source_stats
-            except Exception:          # noqa: BLE001 - a closed handle is not data
-                continue
-            sources[id(ss)] = ss
-        io_totals: Dict[Tuple[str, str], float] = {}
-        for ss in sources.values():
-            for name, kind, _labels, value in ss.samples():
-                io_totals[(name, kind)] = io_totals.get((name, kind), 0.0) + value
-        rows.extend((name, kind, {}, value)
-                    for (name, kind), value in sorted(io_totals.items()))
+        rows.extend(io.samples())
         if self._backend is not None:
             tally = self._backend.map_stats()
             labels = {"backend": self._backend.name}
@@ -396,30 +362,22 @@ class QueryEngine:
 
     def stats(self) -> Dict[str, object]:
         """One flat snapshot: engine counters + cache counters + decode totals."""
-        with self._lock:
-            handles = list(self._plotfiles.values())
-            series = list(self._series.values())
-            out: Dict[str, object] = {
-                "plotfiles_open": len(handles),
-                "series_open": len(series),
-                "requests": self._requests,
-                "batches": self._batches,
-            }
-        out["chunks_decoded"] = sum(h.stats.chunks_decoded for h in handles) \
-            + sum(s.stats.chunks_decoded for s in series)
-        # wire-level I/O totals across every pooled handle ("io_" prefixed:
-        # "requests" above counts engine queries, not source ranges)
-        all_stats = [h.stats for h in handles] + [s.stats for s in series]
-        out["io_bytes_read"] = sum(s.bytes_read for s in all_stats)
-        out["io_requests"] = sum(s.requests for s in all_stats)
-        out["io_coalesced_requests"] = sum(s.coalesced_requests for s in all_stats)
-        out["cache_bytes"] = self.cache.current_bytes
-        out["cache_max_bytes"] = self.cache.max_bytes
+        handles, series, requests, batches, decoded, io = self._totals()
+        out: Dict[str, object] = {
+            "plotfiles_open": len(handles), "series_open": len(series),
+            "requests": requests, "batches": batches,
+            "chunks_decoded": decoded,
+            # the registry's repro_io_* rows, flat ("io_" prefixed: "requests"
+            # above counts engine queries, not source ranges)
+            "io_bytes_read": io.bytes_read, "io_requests": io.requests,
+            "io_coalesced_requests": io.coalesced_requests,
+            "cache_bytes": self.cache.current_bytes,
+            "cache_max_bytes": self.cache.max_bytes,
+        }
         out.update({f"cache_{k}": v for k, v in self.cache.stats.as_dict().items()})
         return out
 
     def stats_rows(self) -> List[Dict[str, object]]:
         """The stats snapshot as table rows (for ``format_table``)."""
-        from repro.analysis.reporting import cache_stats_rows
-
-        return cache_stats_rows(self)
+        return [{"metric": name, "value": value}
+                for name, value in self.stats().items()]

@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 
 from repro.obs import new_trace_id
 from repro.service.client import ServiceError, ServiceOps
-from repro.service.core import PROTOCOL_VERSION, RequestContext, RequestHandler
+from repro.service.core import RequestContext, RequestHandler
 from repro.service.wire import decode_line, encode_line
 
 __all__ = ["FakeTransport", "FakeClient"]
@@ -104,11 +104,8 @@ class FakeClient(ServiceOps):
             self.transport = FakeTransport(handler=handler, engine=engine,
                                            **handler_kwargs)
             self._owns_transport = True
-        self._next_id = 0
         self._closed = False
-        self._trace = bool(trace)
-        self.auth_token = auth_token
-        self.last_trace: Optional[str] = None
+        self._init_requests(trace, auth_token)
 
     def close(self) -> None:
         if not self._closed:
@@ -125,17 +122,8 @@ class FakeClient(ServiceOps):
     def call(self, op: str, **params):
         if self._closed:
             raise ValueError("client is closed")
-        self._next_id += 1
-        request = {"v": PROTOCOL_VERSION, "id": self._next_id, "op": op,
-                   **params}
-        if self._trace:
-            self.last_trace = new_trace_id()
-            request["trace"] = self.last_trace
-        response = self.transport.round_trip(request, auth=self.auth_token)
-        if not response.get("ok"):
-            raise ServiceError(response.get("error", "unknown server error"),
-                               kind=response.get("kind"))
-        return response.get("result")
+        return self._result(self.transport.round_trip(
+            self._request(op, **params), auth=self.auth_token))
 
     def subscribe(self, path: str, from_step: int = 0) -> Iterator[dict]:
         """Same yields as the TCP/HTTP clients' ``subscribe``."""

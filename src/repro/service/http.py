@@ -300,11 +300,8 @@ class HttpClient(ServiceOps):
         self.timeout = float(timeout)
         self._conn = http.client.HTTPConnection(host, self.port,
                                                 timeout=timeout)
-        self._next_id = 0
         self._closed = False
-        self._trace = bool(trace)
-        self.auth_token = auth_token
-        self.last_trace: Optional[str] = None
+        self._init_requests(trace, auth_token)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -331,13 +328,7 @@ class HttpClient(ServiceOps):
     def call(self, op: str, **params):
         if self._closed:
             raise ValueError("client is closed")
-        self._next_id += 1
-        request = {"v": PROTOCOL_VERSION, "id": self._next_id, "op": op,
-                   **params}
-        if self._trace:
-            self.last_trace = new_trace_id()
-            request["trace"] = self.last_trace
-        body = json.dumps(to_wire(request),
+        body = json.dumps(to_wire(self._request(op, **params)),
                           separators=(",", ":")).encode("utf-8")
         try:
             self._conn.request("POST", "/v1/query", body=body,
@@ -355,10 +346,7 @@ class HttpClient(ServiceOps):
                 f"(HTTP {resp.status}): {exc}")
         if not isinstance(response, dict):
             raise ConnectionError(f"malformed response: {response!r}")
-        if not response.get("ok"):
-            raise ServiceError(response.get("error", "unknown server error"),
-                               kind=response.get("kind"))
-        return response.get("result")
+        return self._result(response)
 
     # ------------------------------------------------------------------
     def metrics(self) -> str:

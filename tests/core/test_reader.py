@@ -165,7 +165,7 @@ def _ref_read_field(handle, name, level, box, refill, fill_value, max_level):
     if dplan is not None:
         hit = [slot for slot in dplan.slots if slot.block.box.intersects(query)]
         if hit:
-            chunks = handle._decode_chunks(plan, dplan, _ref_chunks_for(dplan, hit))
+            chunks = handle._chunks({dplan: _ref_chunks_for(dplan, hit)})[dplan]
             for slot in hit:
                 data = _gather_slot(slot, chunks, dplan.chunk_elements) \
                     .reshape(slot.block.box.shape)
@@ -415,7 +415,7 @@ class TestLazyRandomAccess:
 
     @pytest.mark.parametrize("which", ["three_level_plotfile",
                                        "stream_aligned_plotfile"])
-    def test_chunks_for_box_equals_per_slot_reference(self, which, request):
+    def test_planned_chunks_equal_per_slot_reference(self, which, request):
         path = request.getfixturevalue(which)
         rng = np.random.default_rng(13)
         with repro.open(path) as handle:
@@ -438,21 +438,30 @@ class TestLazyRandomAccess:
                     boxes += [b for b in plan.fine_coarsened[level]]
                 for box in boxes:
                     for name in ("rho", "temp"):
-                        got = handle.chunks_for_box(name, level=level, box=box)
+                        needed = {}
+                        read = handle._plan_box(name, level, box, False, None, needed)
                         want_dplan, want = _ref_chunks_for_box(handle, name, level, box)
-                        assert got[0] is plan and got[1] is want_dplan
-                        assert got[2] == want
-                        assert all(type(i) is int for i in got[2])
+                        assert read.dplan is want_dplan and not read.finer
+                        assert needed == ({want_dplan: set(want)} if want else {})
+                        assert all(type(i) is int for i in needed.get(want_dplan, ()))
             # boxes spanning chunk boundaries exist exactly where chunking is
             # decoupled from ranks
             assert (spans > 0) == (which == "stream_aligned_plotfile")
             if which == "three_level_plotfile":
                 # cells under a finer box were dropped: nothing to decode there
                 covered = plan.fine_coarsened[0][0]
-                assert handle.chunks_for_box("rho", level=0, box=covered)[2] == []
-            assert handle.chunks_for_box("rho", level=3) == (plan, None, [])
-            assert handle.chunks_for_box("rho", level=-1) == (plan, None, [])
-            assert handle.chunks_for_box("absent", level=0) == (plan, None, [])
+                needed = {}
+                read = handle._plan_box("rho", 0, covered, True, None, needed)
+                assert not read.hits and read.finer
+                # ... while the refill under it needs the finer level's chunks
+                assert needed and all(d.level > 0 for d in needed)
+            # a request the file cannot answer fails in planning, before any decode
+            for bad_level in (3, -1):
+                with pytest.raises(ValueError, match="out of range"):
+                    handle._plan_box("rho", bad_level, None, True, None, {})
+            with pytest.raises(KeyError, match="absent"):
+                handle._plan_box("absent", 0, None, True, None, {})
+            assert handle.stats.chunks_decoded == 0
 
     def test_stream_aligned_reads_equal_per_slot_reference(self, stream_aligned_plotfile):
         rng = np.random.default_rng(17)
@@ -482,7 +491,6 @@ class TestLazyRandomAccess:
             monkeypatch.setattr(Box, "intersects", counted("intersects"))
             monkeypatch.setattr(Box, "intersection", counted("intersection"))
             warm = handle.read_field("rho", level=0, box=box)
-            handle.chunks_for_box("rho", level=0, box=box)
             assert calls == {"intersects": 0, "intersection": 0}
             assert np.array_equal(cold, warm)
             box.intersects(box)                     # the counters are live

@@ -165,29 +165,34 @@ class TestProgressiveReads:
     def test_coarse_probe_fetches_fewer_bytes(self, plotfile):
         with repro.open(plotfile, source="block:1k,cache:64k") as handle:
             handle.read_field("baryon_density", level=0, max_level=0)
-            coarse_bytes = handle.stats.bytes_read
+            coarse_bytes = handle.source_stats.bytes_read
         with repro.open(plotfile, source="block:1k,cache:64k") as handle:
             handle.read_field("baryon_density", level=0)
-            full_bytes = handle.stats.bytes_read
+            full_bytes = handle.source_stats.bytes_read
         assert coarse_bytes < full_bytes
 
 
 class TestIOStats:
     def test_superblock_read_is_charged(self, codec_plotfile):
         with repro.open(codec_plotfile) as handle:
-            assert handle.stats.bytes_read > 0          # preamble + superblock
-            assert handle.stats.requests >= 2
-            assert handle.stats.coalesced_requests >= 1
+            assert handle.source_stats.bytes_read > 0   # preamble + superblock
+            assert handle.source_stats.requests >= 2
+            assert handle.source_stats.coalesced_requests >= 1
 
     def test_full_read_counters(self, codec_plotfile):
         with repro.open(codec_plotfile) as handle:
             handle.read()
-            stats = handle.stats
+            stats = handle.source_stats
             assert stats.requests >= stats.coalesced_requests >= 1
             assert stats.bytes_read > 0
-            rows = {r["metric"]: r["value"] for r in io_stats_rows(handle)}
-            assert rows["bytes_read"] == stats.bytes_read
+            rows = io_stats_rows(handle)
+            # each counter is printed once
+            assert len({r["metric"] for r in rows}) == len(rows)
+            rows = {r["metric"]: r["value"] for r in rows}
+            assert rows["source_bytes_read"] == stats.bytes_read
             assert rows["source_requests"] == stats.requests
+            assert rows["chunks_decoded"] == handle.stats.chunks_decoded > 0
+            assert not {"bytes_read", "requests", "coalesced_requests"} & set(rows)
 
     def test_range_source_rows_carry_cache_counters(self, codec_plotfile):
         with repro.open(codec_plotfile,
@@ -200,10 +205,20 @@ class TestIOStats:
 
     def test_series_accumulates_step_io(self, series_dir):
         with repro.open_series(series_dir, source="memory") as series:
-            opened = series.stats.bytes_read    # superblocks charged at open?
+            assert series.source_stats.bytes_read == 0      # no step opened yet
+            series.open_step(3)
+            opened = series.source_stats.bytes_read
+            assert opened > 0                               # the superblock loads
             series.read_field("baryon_density", step=3)
-            assert series.stats.bytes_read > opened
-            assert series.stats.requests >= series.stats.coalesced_requests
+            total = series.source_stats
+            assert total.bytes_read > opened
+            assert total.requests >= total.coalesced_requests
+            # the ledger is the opened steps' own sources, added up
+            assert len(series._handles) >= 2                # step 3 chains back to a key
+            assert total.bytes_read == sum(
+                h.source_stats.bytes_read for h in series._handles.values())
+            rows = {r["metric"]: r["value"] for r in io_stats_rows(series)}
+            assert rows["source_bytes_read"] == total.bytes_read
 
     def test_engine_surfaces_io_totals(self, codec_plotfile):
         with QueryEngine(source="mmap") as engine:

@@ -288,9 +288,9 @@ class TestGroupedChainDecode:
     @staticmethod
     def _chunks(series, step):
         handle = series.open_step(step)
-        plan = handle._scan()
-        return {(d.name, i): chunk for d in plan.datasets
-                for i, chunk in handle._decode_chunks(plan, d, range(d.nchunks)).items()}
+        got = handle._chunks({d: range(d.nchunks) for d in handle._scan().datasets})
+        return {(d.name, i): chunk for d, chunks in got.items()
+                for i, chunk in chunks.items()}
 
     @staticmethod
     def _same_hierarchy(a, b):
@@ -320,7 +320,9 @@ class TestGroupedChainDecode:
         box = Box((2, 2, 2), (9, 9, 9))
         with open_series(chained_dir) as planted:
             for step in range(self.NSTEPS):
-                planted.open_step(step)._cache.update(self._reference_chunks(chained_dir, step))
+                path = planted.open_step(step).path
+                for (name, chunk), values in self._reference_chunks(chained_dir, step).items():
+                    planted.cache.put((path, name, chunk), values)
             want_last = planted.read(step=-1)
             _, want_slice = planted.time_slice("temperature", box=box, refill=False)
             assert planted.stats.chunks_decoded == 0

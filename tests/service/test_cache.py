@@ -8,7 +8,7 @@ import pytest
 import repro
 from repro.amr.box import Box
 from repro.analysis.reporting import cache_stats_rows, format_table
-from repro.service.cache import ChunkCache, HandleCacheView
+from repro.service.cache import DEFAULT_CACHE_BYTES, ChunkCache
 
 
 def _chunk(n=16, value=0.0):
@@ -74,23 +74,6 @@ class TestLRUSemantics:
     def test_invalid_budget_raises(self):
         with pytest.raises(ValueError, match="max_bytes"):
             ChunkCache(max_bytes=0)
-
-
-class TestHandleCacheView:
-    def test_view_prefixes_the_path(self):
-        cache = ChunkCache(max_bytes=1 << 20)
-        view_a = cache.bound_view("/a.h5z")
-        view_b = cache.bound_view("/b.h5z")
-        view_a[("d", 0)] = _chunk(value=1.0)
-        assert view_b.get(("d", 0)) is None         # no cross-file collision
-        assert view_a.get(("d", 0))[0] == 1.0
-        assert cache.get(("/a.h5z", "d", 0)) is not None
-
-    def test_view_is_always_truthy(self):
-        # the staged reader skips falsy caches; an empty shared view must not be
-        view = ChunkCache(max_bytes=1 << 20).bound_view("/a.h5z")
-        assert isinstance(view, HandleCacheView)
-        assert bool(view)
 
 
 class TestConcurrentAccounting:
@@ -194,13 +177,15 @@ class TestSharedCacheThroughHandles:
                 repro.open_series(service_series, cache=tiny) as cached:
             t1, v1 = plain.time_slice("baryon_density", box=box, refill=False)
             t2, v2 = cached.time_slice("baryon_density", box=box, refill=False)
-            # the resolved-code-stream cache is bounded to the same budget (a
-            # long-lived server must not grow without limit)
-            assert cached._codes.max_bytes == 4096
-            # within budget, or down to a single (oversized) working entry —
-            # the current chain's stream is retained to avoid O(n^2) re-walks
-            assert cached._codes._bytes <= 4096 or len(cached._codes._entries) == 1
-            assert plain._codes.max_bytes is None     # PR-4 default: unbounded
+            # the resolved-code-stream cache is a second cache of the same
+            # budget (a long-lived server must not grow without limit); a
+            # stream larger than the whole budget is rejected, not kept
+            assert cached._codes is not tiny and cached._codes.max_bytes == 4096
+            assert cached._codes.current_bytes <= 4096
+            assert tiny.current_bytes <= 4096
+            # a handle opened without a shared cache is budgeted too
+            assert plain.cache.max_bytes == plain._codes.max_bytes == DEFAULT_CACHE_BYTES
+            assert 0 < plain._codes.current_bytes <= DEFAULT_CACHE_BYTES
         assert np.array_equal(v1, v2)
         # full-step reads must also survive eviction between decode and place
         with repro.open_series(service_series, cache=tiny) as cached:
@@ -218,9 +203,9 @@ class TestCacheStatsRows:
         assert metrics["hits"] == 1
         assert metrics["max_bytes"] == 1 << 20
         assert "hits" in format_table(rows)
-        bare = cache_stats_rows(cache.stats)
-        assert {r["metric"] for r in bare} >= {"hits", "misses", "evictions"}
+        assert set(metrics) >= {"hits", "misses", "evictions", "current_bytes"}
 
     def test_rows_reject_unknown_sources(self):
-        with pytest.raises(TypeError, match="cannot extract cache stats"):
-            cache_stats_rows(42)
+        for not_a_cache in (42, ChunkCache().stats):
+            with pytest.raises(TypeError, match="cannot extract cache stats"):
+                cache_stats_rows(not_a_cache)

@@ -1,4 +1,4 @@
-"""The QueryEngine: pooling, batch coalescing, time-slice prefetch, stats."""
+"""The QueryEngine: pooling, batch coalescing, time slices, stats."""
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ class TestHandlePool:
         with QueryEngine() as engine:
             handle = engine.handle(service_plotfile)
             series = engine.series(service_series)
-            assert handle._cache.cache is engine.cache
+            assert handle._cache is engine.cache
             assert series.cache is engine.cache
 
     def test_describe_dispatches_plotfile_vs_series(self, service_plotfile,
@@ -158,7 +158,7 @@ class TestSeriesQueries:
         assert np.array_equal(t_served, t_direct)
         assert np.array_equal(v_served, v_direct)
 
-    def test_time_slice_prefetch_decodes_each_stream_once(self, service_series):
+    def test_time_slice_decodes_each_stream_once(self, service_series):
         box = Box((0, 0, 0), (3, 3, 3))
         with QueryEngine() as engine:
             engine.time_slice(service_series, "baryon_density", box=box,
@@ -168,10 +168,10 @@ class TestSeriesQueries:
             engine.time_slice(service_series, "baryon_density", box=box,
                               refill=False)
             assert engine.stats()["chunks_decoded"] == first
-        # the prefetch never decodes more streams than a direct slice does
+        # the engine's slice is the series handle's: same streams, same lookups
         with repro.open_series(service_series) as direct:
             direct.time_slice("baryon_density", box=box, refill=False)
-            assert first <= direct.stats.chunks_decoded
+            assert first == direct.stats.chunks_decoded
 
     def test_time_slice_step_subset(self, service_series):
         box = Box((0, 0, 0), (3, 3, 3))
@@ -179,6 +179,31 @@ class TestSeriesQueries:
             times, values = engine.time_slice(service_series, "baryon_density",
                                               box=box, steps=[1, 3], refill=False)
         assert values.shape[0] == 2 and times.shape == (2,)
+
+    def test_time_slice_counts_one_request_per_step_asked_for(self, service_series):
+        box = Box((0, 0, 0), (3, 3, 3))
+        with QueryEngine() as engine:
+            engine.time_slice(service_series, "baryon_density", box=box, refill=False)
+            assert engine.stats()["requests"] == 6
+            engine.time_slice(service_series, "baryon_density", box=box,
+                              steps=[1, -1, 1], refill=False)
+            assert engine.stats()["requests"] == 9
+            with pytest.raises(IndexError, match="out of range"):
+                engine.time_slice(service_series, "baryon_density", box=box, steps=[6])
+            assert engine.stats()["requests"] == 9          # a refused slice is no request
+
+    def test_engine_reaches_chunks_only_through_the_handles(self):
+        """The count above is the caller's step list, and every chunk comes
+        through a handle's read methods: the engine names neither the series'
+        index arithmetic nor a cache lookup of its own."""
+        import inspect
+
+        from repro.service import engine as engine_module
+
+        source = inspect.getsource(engine_module)
+        for private in ("_step_index", "_decode_chunks", "_decode_missing",
+                        "cache.get(", "_codes"):
+            assert private not in source, private
 
 
 class TestConcurrentDecodes:

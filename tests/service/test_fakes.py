@@ -122,3 +122,38 @@ class TestFakeClient:
         assert [e["event"] for e in via[0]] \
             == ["subscribed"] + ["step"] * 5 + ["finalized"]
         assert via[0] == via[1] == via[2]
+
+    def test_tcp_http_and_fake_build_one_request_and_unwrap_one_envelope(self):
+        """``ServiceOps`` owns the request and the envelope: same fields in
+        the same order from every client (the wire bytes the inline copies
+        produced), the bearer token in the body for TCP alone."""
+        from repro.service import ReproClient, ReproServer
+        from repro.service.core import PROTOCOL_VERSION
+        from repro.service.http import HttpClient, HttpServer
+
+        with RequestHandler(auth_token="s3cret") as handler:
+            with ReproServer(handler=handler, port=0) as tcp, \
+                    HttpServer(handler=handler, port=0) as http, \
+                    ReproClient(port=tcp.port, auth_token="s3cret") as tcp_client, \
+                    HttpClient(port=http.port, auth_token="s3cret") as http_client, \
+                    FakeClient(handler=handler, auth_token="s3cret") as fake_client:
+                for client in (tcp_client, http_client, fake_client):
+                    assert client.ping() is True            # id 1, authorised
+                    request = client._request("describe", path="/p")
+                    in_body = client is tcp_client
+                    assert list(request) == ["v", "id", "op", "path"] \
+                        + ["auth"] * in_body + ["trace"]
+                    assert (request["v"], request["id"], request["op"]) \
+                        == (PROTOCOL_VERSION, 2, "describe")
+                    assert request["trace"] == client.last_trace
+                    assert request.get("auth") == ("s3cret" if in_body else None)
+                    with pytest.raises(ServiceError, match="no such") as failure:
+                        client.describe("/no/such/file.h5z")
+                    assert failure.value.kind is None
+                    client.auth_token = "wrong"
+                    with pytest.raises(ServiceError) as refused:
+                        client.ping()
+                    assert refused.value.kind == ERROR_UNAUTHORIZED
+            assert client._result({"ok": True, "result": 7}) == 7
+        with FakeClient(trace=False) as untraced:
+            assert list(untraced._request("ping")) == ["v", "id", "op"]

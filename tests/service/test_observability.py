@@ -1,8 +1,9 @@
 """The observability layer end to end: traces, request logs, the stats op,
-error-envelope counting, and the shared-source double-billing regression."""
+error-envelope counting, and the one I/O ledger over shared sources."""
 
 import io
 import json
+import os
 import socket
 
 import pytest
@@ -181,29 +182,36 @@ class TestEngineRegistry:
 
 
 class TestSharedSourceAccounting:
-    def test_two_handles_on_one_source_never_double_bill(self,
-                                                         service_plotfile):
-        """Regression: a handle joining an already-trafficked shared source
-        must watermark from the source's pre-open totals, not zero —
-        otherwise it absorbs (double-bills) the first handle's traffic."""
+    def test_two_handles_on_one_source_are_counted_once(self, service_plotfile,
+                                                        tmp_path):
+        """Handles sharing a ByteSource share its counters — there is no
+        per-handle copy to keep in step — and the engine's totals, flat and
+        registry, are that source's own counters: once, not once per handle."""
         source = make_source(service_plotfile)
         first = PlotfileHandle(service_plotfile, source=source)
         first.read_field("baryon_density")
-        first_bytes = first.stats.bytes_read
-        assert first_bytes > 0
-
         second = PlotfileHandle(service_plotfile, source=source)
-        # the second handle has only opened (superblock loads): its bill must
-        # be far below the first handle's full-field read, and the two bills
-        # must partition the source's total exactly
-        assert second.stats.bytes_read < first_bytes
         second.read_field("baryon_density", level=0)
-        total = source.stats.bytes_read
-        assert first.stats.bytes_read + second.stats.bytes_read == total
-        assert first.stats.requests + second.stats.requests == \
-            source.stats.requests
+        assert first.source_stats is second.source_stats is source.stats
         first.close()
         second.close()
+
+        alias = str(tmp_path / "alias.h5z")         # two pooled paths, one file
+        os.symlink(service_plotfile, alias)
+        shared = make_source(service_plotfile)
+        with QueryEngine(source=lambda path: shared) as engine:
+            engine.read_field(service_plotfile, "baryon_density")
+            engine.read_field(alias, "baryon_density", level=0)
+            stats = engine.stats()
+            snap = engine.metrics_snapshot(include_global=False)
+            assert stats["plotfiles_open"] == 2
+            assert stats["io_bytes_read"] == shared.stats.bytes_read > 0
+            assert stats["io_requests"] == shared.stats.requests
+            assert stats["io_coalesced_requests"] == shared.stats.coalesced_requests
+            for flat, row in (("io_bytes_read", "repro_io_bytes_read_total"),
+                              ("io_requests", "repro_io_requests_total"),
+                              ("io_coalesced_requests", "repro_io_reads_total")):
+                assert snap[row]["samples"][0]["value"] == float(stats[flat])
 
     def test_engine_io_rollup_matches_source_totals(self, service_plotfile):
         """The registry's io counters aggregate by unique source: no

@@ -218,6 +218,19 @@ class TestCLI:
         assert summary["format_version"] == 1
         assert summary["method"] == "amric"
 
+    def test_info_stats_prints_each_io_counter_once(self, plotfile, capsys):
+        import json
+
+        assert cli_main(["info", str(plotfile), "--stats", "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)["io_stats"]
+        assert stats["source_bytes_read"] > 0
+        assert stats["source_requests"] >= stats["source_coalesced_requests"] >= 1
+        # one ledger: no handle-side copy of the source's counters beside them
+        assert not {"bytes_read", "requests", "coalesced_requests"} & set(stats)
+        assert cli_main(["info", str(plotfile), "--stats"]) == 0
+        table = capsys.readouterr().out.split("byte-source I/O")[1]
+        assert table.count("bytes_read") == 1 and "source_bytes_read" in table
+
     def test_verify_pass(self, plotfile, capsys):
         assert cli_main(["verify", str(plotfile)]) == 0
         assert "PASS" in capsys.readouterr().out
