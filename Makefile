@@ -21,7 +21,7 @@
 PY := PYTHONPATH=src python
 
 # src/ + tools/ Python lines as of the last PR that changed them
-LOC_BUDGET := 19377
+LOC_BUDGET := 19458
 LOC = $$(find src tools -name '*.py' | xargs cat | wc -l)
 
 # suite -> pytest paths ('+'-separated). Adding a benchmark suite is one line.

@@ -1,10 +1,11 @@
 """The thin synchronous client of the query service (``python -m repro query``).
 
 One TCP connection, one request line per call, blocking until the response
-line arrives.  Arrays come back bit-identical to what the server's engine
-decoded (see :mod:`repro.service.wire`).  A server-side failure raises
-:class:`ServiceError` carrying the server's one-line error message; the
-connection stays usable afterwards.
+message arrives.  Arrays come back bit-identical to what the server's engine
+decoded, their bytes read off the socket straight into the arrays returned
+(see :mod:`repro.service.wire`).  A server-side failure raises
+:class:`ServiceError` carrying the server's one-line error message and its
+``kind``; the connection stays usable afterwards.
 
 The one-method-per-op surface (``ping`` ... ``refresh``) lives in the
 :class:`ServiceOps` mixin, shared verbatim with the HTTP client
@@ -23,10 +24,10 @@ import numpy as np
 
 from repro.amr.box import Box
 from repro.obs import new_trace_id
-from repro.service.core import ERROR_UNKNOWN_OP, PROTOCOL_VERSION
+from repro.service.core import PROTOCOL_VERSION
 from repro.service.engine import BoxQuery
 from repro.service.server import DEFAULT_PORT
-from repro.service.wire import decode_line, encode_line
+from repro.service.wire import MAX_LINE_BYTES, encode_line, read_message
 
 __all__ = ["ReproClient", "ServiceError", "ServiceOps", "follow_series"]
 
@@ -34,9 +35,10 @@ __all__ = ["ReproClient", "ServiceError", "ServiceOps", "follow_series"]
 class ServiceError(RuntimeError):
     """The server answered ``ok: false`` (its error string is the message).
 
-    :attr:`kind` carries the server's machine-readable error class when it
-    sent one (e.g. :data:`~repro.service.core.ERROR_UNAUTHORIZED` for a
-    refused bearer token), else ``None``.
+    :attr:`kind` carries the server's machine-readable error class (e.g.
+    :data:`~repro.service.core.ERROR_UNAUTHORIZED` for a refused bearer
+    token, :data:`~repro.service.core.ERROR_NOT_FOUND` for a path that does
+    not exist); every error a protocol-3 server sends has one.
     """
 
     def __init__(self, message: str, kind: Optional[str] = None):
@@ -48,23 +50,36 @@ def _box_json(box: Optional[Box]):
     return [list(box.lo), list(box.hi)] if box is not None else None
 
 
-def subscription_events(result, readline, peer: str) -> Iterator[dict]:
+def read_response(stream, peer: str) -> dict:
+    """The next response on ``stream`` (``readline`` + ``readinto``), arrays
+    filled straight from it.  A closed stream or a message breaking the
+    codec's rules is a :class:`ConnectionError`: the framing is lost."""
+    line = stream.readline(MAX_LINE_BYTES + 1)
+    if not line:
+        raise ConnectionError(f"server at {peer} closed the connection")
+    try:
+        response = read_message(line, stream.readinto)
+    except ValueError as exc:
+        raise ConnectionError(f"malformed response from {peer}: {exc}") from exc
+    if not isinstance(response, dict):
+        raise ConnectionError(f"malformed response from {peer}: {response!r}")
+    return response
+
+
+def subscription_events(result, stream, peer: str) -> Iterator[dict]:
     """What every client's ``subscribe`` yields once the server acknowledged:
     the ``subscribed`` event carrying the acknowledgement's ``result``, then
-    each event line ``readline`` returns, through the terminal
-    ``finalized`` / ``end`` (an ``error`` event raises instead)."""
+    each event message on ``stream``, through the terminal ``finalized`` /
+    ``end`` (an ``error`` event raises instead)."""
     yield {"event": "subscribed",
            **(result if isinstance(result, dict) else {})}
     while True:
-        line = readline()
-        if not line:
-            raise ConnectionError(
-                f"server at {peer} dropped the subscription stream")
-        event = decode_line(line)
-        if not isinstance(event, dict) or "event" not in event:
+        event = read_response(stream, peer)
+        if "event" not in event:
             raise ConnectionError(f"malformed event: {event!r}")
         if event["event"] == "error":
-            raise ServiceError(str(event.get("error", "unknown server error")))
+            raise ServiceError(str(event.get("error", "unknown server error")),
+                               kind=event.get("kind"))
         yield event
         if event["event"] in ("finalized", "end"):
             return
@@ -73,8 +88,8 @@ def subscription_events(result, readline, peer: str) -> Iterator[dict]:
 class ServiceOps:
     """The service surface, one method per op, over an abstract ``call``.
 
-    Mixed into every client (TCP, HTTP, fake); subclasses provide
-    ``call(op, **params)`` returning the decoded ``result`` or raising
+    Mixed into every client (TCP, HTTP, fake); subclasses provide ``close()``
+    and ``call(op, **params)`` returning the decoded ``result`` or raising
     :class:`ServiceError` — a transport between :meth:`_request`, which
     builds the wire request, and :meth:`_result`, which unwraps the response.
     """
@@ -85,8 +100,7 @@ class ServiceOps:
 
     def _init_requests(self, trace: bool, auth_token: Optional[str]) -> None:
         self._next_id = 0
-        #: mint a fresh trace ID per request (additive wire field; a server
-        #: that predates it ignores it — see :mod:`repro.service.wire`)
+        #: mint a fresh trace ID per request (see :mod:`repro.service.wire`)
         self._trace = bool(trace)
         #: bearer token for a server running with ``--auth-token``; None
         #: against an open server
@@ -117,6 +131,16 @@ class ServiceOps:
 
     def call(self, op: str, **params):  # pragma: no cover - interface
         raise NotImplementedError
+
+    @property
+    def _peer(self) -> str:
+        return f"{self.host}:{self.port}"
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def ping(self) -> bool:
         return bool(self.call("ping").get("pong"))
@@ -178,30 +202,18 @@ class ReproClient(ServiceOps):
             self._sock.close()
             self._closed = True
 
-    def __enter__(self) -> "ReproClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ReproClient({self.host}:{self.port})"
+        return f"ReproClient({self._peer})"
 
     # ------------------------------------------------------------------
     def _round_trip(self, request: dict) -> dict:
-        """Send one line, read one line, enforce id matching."""
+        """Send one line, read one message, enforce id matching."""
         try:
             self._sock.sendall(encode_line(request))
-            line = self._rfile.readline()
-        except OSError:
+            response = read_response(self._rfile, self._peer)
+        except OSError:     # ConnectionError included
             self.close()
             raise
-        if not line:
-            raise ConnectionError(
-                f"server at {self.host}:{self.port} closed the connection")
-        response = decode_line(line)
-        if not isinstance(response, dict):
-            raise ConnectionError(f"malformed response: {response!r}")
         if response.get("id") is not None and response["id"] != request["id"]:
             self.close()
             raise ConnectionError(
@@ -233,28 +245,14 @@ class ReproClient(ServiceOps):
         step — strictly ordered from ``from_step``, each exactly once — and
         finally ``{"event": "finalized", ...}`` when the writer finalizes.
         The stream consumes the connection; to stop early, close the client
-        (or use :func:`follow_series`, which also reconnects).  Against a
-        pre-streaming server the generator raises :class:`ServiceError` with
-        a clear "does not support subscribe" message instead of hanging.
+        (or use :func:`follow_series`, which also reconnects).
         """
         if self._closed:
             raise ValueError("client is closed")
-        request = self._request("subscribe", path=str(path),
-                                from_step=int(from_step))
-        response = self._round_trip(request)
-        if not response.get("ok"):
-            error = str(response.get("error", "unknown server error"))
-            kind = response.get("kind")
-            if kind == ERROR_UNKNOWN_OP or "unknown op" in error:
-                raise ServiceError(
-                    f"server at {self.host}:{self.port} does not support "
-                    f"subscribe (it speaks a pre-streaming protocol): {error}",
-                    kind=kind or ERROR_UNKNOWN_OP)
-            raise ServiceError(error, kind=kind)
+        result = self._result(self._round_trip(self._request(
+            "subscribe", path=str(path), from_step=int(from_step))))
         try:
-            yield from subscription_events(response.get("result"),
-                                           self._rfile.readline,
-                                           f"{self.host}:{self.port}")
+            yield from subscription_events(result, self._rfile, self._peer)
         except OSError:
             self.close()
             raise

@@ -8,9 +8,10 @@ request arrived:
 * **op dispatch** (``ping``, ``describe``, ``read_field``, ``read_batch``,
   ``time_slice``, ``stats``, ``refresh``) against one
   :class:`~repro.service.engine.QueryEngine`;
-* **protocol-version negotiation** and the structured
-  :func:`error_envelope` vocabulary (``kind`` =
-  :data:`ERROR_UNKNOWN_OP`, :data:`ERROR_UNSUPPORTED_VERSION`, ...);
+* **the protocol-version rule** and the structured :func:`error_envelope`
+  vocabulary: every failure carries a ``kind`` — a refusal's
+  (:data:`ERROR_UNKNOWN_OP`, :data:`ERROR_UNSUPPORTED_VERSION`, ...) or,
+  from :func:`failure_envelope`, whose fault a failed answer was;
 * **admission control** — request-size limits
   (:data:`ERROR_OVERSIZED_REQUEST`), bearer-token auth with a constant-time
   compare (:data:`ERROR_UNAUTHORIZED`), and a per-client token-bucket rate
@@ -42,9 +43,10 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import make_request_log, trace_scope
+from repro.service.engine import BoxQuery, QueryEngine, _is_series_dir
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -53,8 +55,13 @@ __all__ = [
     "ERROR_UNAUTHORIZED",
     "ERROR_OVERSIZED_REQUEST",
     "ERROR_RATE_LIMITED",
+    "ERROR_BAD_REQUEST",
+    "ERROR_NOT_FOUND",
+    "ERROR_INTERNAL",
     "DEFAULT_MAX_REQUEST_BYTES",
+    "RequestError",
     "error_envelope",
+    "failure_envelope",
     "check_version",
     "request_trace",
     "resolve_auth_token",
@@ -63,12 +70,12 @@ __all__ = [
     "RequestHandler",
     "step_event",
     "finalized_event",
-    "error_event",
 ]
 
-#: version 1: the original PR-5 request/response protocol (no "v" field);
-#: version 2: adds "v", error ``kind``s, and the streaming ``subscribe`` verb
-PROTOCOL_VERSION = 2
+#: version 3: arrays travel as raw frames after the JSON header line (see
+#: :mod:`repro.service.wire`) and every error envelope carries a ``kind``.
+#: Versions are not negotiated: a request naming another one is refused.
+PROTOCOL_VERSION = 3
 
 #: error kinds (the ``kind`` field of an error envelope)
 ERROR_UNKNOWN_OP = "unknown_op"
@@ -76,6 +83,13 @@ ERROR_UNSUPPORTED_VERSION = "unsupported_version"
 ERROR_UNAUTHORIZED = "unauthorized"
 ERROR_OVERSIZED_REQUEST = "oversized_request"
 ERROR_RATE_LIMITED = "rate_limited"
+#: the request itself is wrong: not an object, a missing or ill-typed
+#: parameter, an unknown field / level / step, a malformed box
+ERROR_BAD_REQUEST = "bad_request"
+#: the named plotfile or series directory does not exist
+ERROR_NOT_FOUND = "not_found"
+#: anything else that went wrong while answering
+ERROR_INTERNAL = "internal"
 
 #: default per-request size ceiling.  Requests are queries (JSON objects
 #: naming paths, fields and boxes) — only *responses* carry arrays — so this
@@ -84,33 +98,80 @@ ERROR_RATE_LIMITED = "rate_limited"
 DEFAULT_MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
 
-def error_envelope(request_id, message: str,
-                   kind: Optional[str] = None) -> dict:
-    """A failed-request response (optionally machine-classified by ``kind``)."""
-    response = {"v": PROTOCOL_VERSION, "id": request_id, "ok": False,
-                "error": str(message)}
-    if kind is not None:
-        response["kind"] = kind
-    return response
+def error_envelope(request_id, message: str, kind: str) -> dict:
+    """A failed-request response, machine-classified by ``kind``."""
+    return {"v": PROTOCOL_VERSION, "id": request_id, "ok": False,
+            "error": str(message), "kind": kind}
+
+
+class RequestError(ValueError):
+    """A request the core turns down in its own words: the message goes to
+    the client as written, under ``kind``."""
+
+    def __init__(self, message: str, kind: str = ERROR_BAD_REQUEST):
+        super().__init__(message)
+        self.kind = kind
+
+
+def failure_envelope(request_id, exc: Exception) -> dict:
+    """The envelope of an exception raised while answering a request.
+
+    Below the core, what is wrong with a *request* — an unknown field, level
+    or step, a malformed box or parameter — surfaces as a lookup or value
+    error, so those are :data:`ERROR_BAD_REQUEST`; anything else is
+    :data:`ERROR_INTERNAL`.
+    """
+    if isinstance(exc, RequestError):
+        return error_envelope(request_id, str(exc), exc.kind)
+    kind = ERROR_BAD_REQUEST if isinstance(exc, (LookupError, ValueError)) \
+        else ERROR_INTERNAL
+    return error_envelope(request_id, f"{type(exc).__name__}: {exc}", kind)
+
+
+def existing_path(path, op: str, series: bool = False) -> str:
+    """``path`` as ``op`` received it: a string naming something that exists
+    (a series directory, for the ops only those answer).  The refusal echoes
+    the client's own spelling of it."""
+    if not isinstance(path, str):
+        raise RequestError(f"{op} needs a 'path' string")
+    if not os.path.exists(path):
+        raise RequestError(f"no such file or series directory: {path!r}",
+                           ERROR_NOT_FOUND)
+    if series and not _is_series_dir(path):
+        raise RequestError(
+            f"{path!r} is not a series directory (no manifest or journal)")
+    return path
+
+
+def _queries(items: list) -> List[BoxQuery]:
+    """Wire queries as :class:`BoxQuery` objects over existing paths;
+    whatever is wrong with one is the request's fault."""
+    try:
+        queries = [BoxQuery.from_json(item) for item in items]
+    except (LookupError, TypeError, ValueError) as exc:
+        raise RequestError(f"bad query: {exc}") from None
+    for query in queries:
+        existing_path(query.path, "a query")
+    return queries
 
 
 def check_version(request) -> Optional[dict]:
-    """The negotiation rule shared by every transport and the subscribe path.
+    """The version rule shared by every transport and the subscribe path.
 
-    A request from a *newer* protocol is refused with a structured envelope
-    instead of guessed at; a ``v``-less (version 1) request is served.
-    Returns the refusal, or None when the version is acceptable.
+    A request that names a protocol version other than this server's is
+    refused, not guessed at — the refusal is array-free, so a peer of any
+    version can read it; a ``v``-less request (curl) is served.  Returns the
+    refusal, or None when the version is acceptable.
     """
-    if not isinstance(request, dict):
+    v = request.get("v") if isinstance(request, dict) else None
+    if v is None or (v == PROTOCOL_VERSION and not isinstance(v, bool)):
         return None
-    v = request.get("v")
-    if isinstance(v, int) and not isinstance(v, bool) and v > PROTOCOL_VERSION:
-        return error_envelope(
-            request.get("id"),
-            f"request speaks protocol version {v} but this server "
-            f"speaks {PROTOCOL_VERSION}; upgrade the server",
-            kind=ERROR_UNSUPPORTED_VERSION)
-    return None
+    older = "server" if isinstance(v, int) and v > PROTOCOL_VERSION else "client"
+    return error_envelope(
+        request.get("id"),
+        f"request speaks protocol version {v!r} but this server speaks "
+        f"{PROTOCOL_VERSION}; upgrade the {older}",
+        kind=ERROR_UNSUPPORTED_VERSION)
 
 
 def request_trace(request) -> Optional[str]:
@@ -236,10 +297,6 @@ def finalized_event(nsteps: int) -> dict:
     return {"v": PROTOCOL_VERSION, "event": "finalized", "nsteps": int(nsteps)}
 
 
-def error_event(message: str) -> dict:
-    return {"v": PROTOCOL_VERSION, "event": "error", "error": str(message)}
-
-
 class RequestHandler:
     """Dispatch, validation, auth, limits and telemetry for every transport."""
 
@@ -253,8 +310,6 @@ class RequestHandler:
                  rate_burst: Optional[float] = None,
                  request_log=None,
                  rate_clock: Callable[[], float] = time.monotonic):
-        from repro.service.engine import QueryEngine
-
         self.engine = engine if engine is not None else QueryEngine()
         self._owns_engine = engine is None
         #: the resolved bearer token (None = open service).  Compared
@@ -349,11 +404,10 @@ class RequestHandler:
 
     def dispatch(self, request) -> dict:
         """The op switch: request dict in, response envelope out (never raises)."""
-        request_id = None
+        request_id = request.get("id") if isinstance(request, dict) else None
         try:
             if not isinstance(request, dict):
-                raise ValueError("a request must be a JSON object")
-            request_id = request.get("id")
+                raise RequestError("a request must be a JSON object")
             refusal = check_version(request)
             if refusal is not None:
                 return refusal
@@ -362,36 +416,27 @@ class RequestHandler:
                 result: object = {"pong": True,
                                   "protocol_version": PROTOCOL_VERSION}
             elif op == "describe":
-                result = self.engine.describe(str(request["path"]))
+                result = self.engine.describe(
+                    existing_path(request.get("path"), op))
             elif op == "read_field":
-                from repro.service.engine import BoxQuery
-
-                result = self.engine.read_field(
-                    **vars(BoxQuery.from_json(request)))
+                result = self.engine.read_batch(_queries([request]))[0]
             elif op == "read_batch":
-                from repro.service.engine import BoxQuery
-
                 queries = request.get("queries")
                 if not isinstance(queries, list):
-                    raise ValueError("read_batch needs a 'queries' list")
-                result = self.engine.read_batch(
-                    [BoxQuery.from_json(q) for q in queries])
+                    raise RequestError("read_batch needs a 'queries' list")
+                result = self.engine.read_batch(_queries(queries))
             elif op == "time_slice":
-                from repro.amr.box import Box
-
-                box = request.get("box")
-                if box is not None:
-                    box = Box(tuple(int(v) for v in box[0]),
-                              tuple(int(v) for v in box[1]))
+                (query,) = _queries([request])
+                existing_path(query.path, op, series=True)
                 steps = request.get("steps")
-                max_level = request.get("max_level")
+                if steps is not None and not (
+                        isinstance(steps, list)
+                        and all(type(s) is int for s in steps)):
+                    raise RequestError("time_slice 'steps' must be a list of ints")
                 times, values = self.engine.time_slice(
-                    str(request["path"]), str(request["field"]), box=box,
-                    level=int(request.get("level", 0)),
-                    steps=[int(s) for s in steps] if steps is not None else None,
-                    refill=bool(request.get("refill", True)),
-                    fill_value=float(request.get("fill_value", 0.0)),
-                    max_level=int(max_level) if max_level is not None else None)
+                    query.path, query.field, box=query.box, level=query.level,
+                    steps=steps, refill=query.refill,
+                    fill_value=query.fill_value, max_level=query.max_level)
                 result = {"times": times, "values": values}
             elif op == "stats":
                 # flat engine keys (backwards compatible) + the full metrics
@@ -399,7 +444,7 @@ class RequestHandler:
                 result = dict(self.engine.stats())
                 result["registry"] = self.engine.metrics_snapshot()
             elif op == "refresh":
-                path = str(request["path"])
+                path = existing_path(request.get("path"), op, series=True)
                 appended = self.engine.refresh(path)
                 series = self.engine.series(path)
                 result = {"appended": appended, "nsteps": series.nsteps,
@@ -408,20 +453,17 @@ class RequestHandler:
             elif op == "subscribe":
                 # unary dispatch cannot stream; each transport has a
                 # streaming endpoint that takes this op instead
-                return error_envelope(
-                    request_id,
+                raise RequestError(
                     "subscribe is a streaming op: use the TCP subscribe "
                     "verb or HTTP GET /v1/subscribe")
             else:
-                return error_envelope(
-                    request_id,
+                raise RequestError(
                     f"unknown op {op!r}; this server supports "
-                    f"{', '.join(self.OPS)}",
-                    kind=ERROR_UNKNOWN_OP)
+                    f"{', '.join(self.OPS)}", ERROR_UNKNOWN_OP)
             return {"v": PROTOCOL_VERSION, "id": request_id, "ok": True,
                     "result": result}
         except Exception as exc:  # noqa: BLE001 - every failure becomes a reply
-            return error_envelope(request_id, f"{type(exc).__name__}: {exc}")
+            return failure_envelope(request_id, exc)
 
     # ------------------------------------------------------------------
     # telemetry (also used by the streaming paths of both transports)
@@ -442,7 +484,7 @@ class RequestHandler:
             # get their own label so policy refusals and protocol skew are
             # visible in the snapshot
             registry.counter("repro_server_errors_total",
-                             {"kind": str(error_kind or "exception")}).inc()
+                             {"kind": str(error_kind)}).inc()
         if self.request_log is None:
             return
         fields: Dict[str, object] = {
@@ -477,12 +519,8 @@ class RequestHandler:
     # ------------------------------------------------------------------
     def open_subscribed_series(self, path: str):
         """Validate + open + first refresh of a subscription target."""
-        from repro.service.engine import _is_series_dir
-
-        if not _is_series_dir(path):
-            raise ValueError(
-                f"{path!r} is not a series directory (no manifest or journal)")
-        series = self.engine.series(path)
+        series = self.engine.series(
+            existing_path(path, "subscribe", series=True))
         series.refresh()
         return series
 
@@ -506,11 +544,12 @@ class RequestHandler:
         if response is None:
             try:
                 path = request.get("path")
-                if not isinstance(path, str):
-                    raise ValueError("subscribe needs a 'path' string")
-                from_step = int(request.get("from_step") or 0)
+                try:
+                    from_step = int(request.get("from_step") or 0)
+                except (TypeError, ValueError):
+                    from_step = -1
                 if from_step < 0:
-                    raise ValueError("from_step must be >= 0")
+                    raise RequestError("from_step must be an integer >= 0")
                 series = self.open_subscribed_series(path)
                 response = {
                     "v": PROTOCOL_VERSION, "id": request.get("id"), "ok": True,
@@ -520,8 +559,7 @@ class RequestHandler:
                 events = self.subscribe_events(path, from_step, poll_interval,
                                                trace, context.transport, wait)
             except Exception as exc:  # noqa: BLE001 - refusal, not a stream
-                response = error_envelope(request.get("id"),
-                                          f"{type(exc).__name__}: {exc}")
+                response = failure_envelope(request.get("id"), exc)
         # tallied before the answer is on the wire (as unary ops are): a
         # client holding its reply must find the request already counted
         self.tally("subscribe", trace, response, time.perf_counter() - start,
@@ -570,8 +608,9 @@ class RequestHandler:
             try:
                 self.engine.refresh(path)
             except Exception as exc:  # noqa: BLE001 - published to the stream
-                message = f"{type(exc).__name__}: {exc}"
+                failure = failure_envelope(None, exc)
                 self.tally_event("subscribe", "error", trace, transport,
-                                 error=message)
-                yield error_event(message)
+                                 error=failure["error"])
+                yield {"v": PROTOCOL_VERSION, "event": "error",
+                       "error": failure["error"], "kind": failure["kind"]}
                 return

@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 from repro.obs import new_trace_id
 from repro.service.client import ServiceError, ServiceOps
 from repro.service.core import RequestContext, RequestHandler
-from repro.service.wire import decode_line, encode_line
+from repro.service.wire import decode_line, encode_line, read_message
 
 __all__ = ["FakeTransport", "FakeClient"]
 
@@ -57,7 +57,8 @@ class FakeTransport:
         line = encode_line(request)
         context = RequestContext(transport="fake", client=self.client,
                                  auth=auth, nbytes=len(line))
-        response = self.handler.handle(decode_line(line), context)
+        # parsed as a server parses a request: one JSON line, no arrays
+        response = self.handler.handle(read_message(line), context)
         return decode_line(encode_line(response))
 
     def subscribe_events(self, path: str, from_step: int = 0,
@@ -113,12 +114,6 @@ class FakeClient(ServiceOps):
                 self.transport.close()
             self._closed = True
 
-    def __enter__(self) -> "FakeClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def call(self, op: str, **params):
         if self._closed:
             raise ValueError("client is closed")
@@ -140,5 +135,6 @@ class FakeClient(ServiceOps):
                 str(path), from_step=int(from_step), trace=trace):
             if event.get("event") == "error":
                 raise ServiceError(
-                    str(event.get("error", "unknown server error")))
+                    str(event.get("error", "unknown server error")),
+                    kind=event.get("kind"))
             yield event

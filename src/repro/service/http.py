@@ -17,11 +17,15 @@ Endpoints::
     GET  /v1/subscribe     chunked stream of a live series' step events
                            (?path=...&from_step=N)
 
-Request/response bodies are the wire codec's JSON (arrays travel base64-raw,
-so an HTTP read is element-wise identical to a TCP or direct one).  Error
-envelopes keep their structured ``kind`` and additionally map onto status
-codes: ``unauthorized`` → 401, ``oversized_request`` → 413, ``rate_limited``
-→ 429, ``unknown_op`` → 404, anything else failed → 400.
+A body is one message of the wire codec (:mod:`repro.service.wire`), the
+same bytes TCP carries: a JSON line — ``Content-Type: application/json`` —
+and, when the result holds arrays, their raw bytes after it
+(``application/vnd.repro.frames``; ``Content-Length`` covers both), so an HTTP
+read is element-wise identical to a TCP or direct one.  A request body is
+JSON alone.  Error envelopes keep their structured ``kind`` and additionally
+map onto status codes: ``unauthorized`` → 401, ``oversized_request`` → 413,
+``rate_limited`` → 429, ``unknown_op`` / ``not_found`` → 404, ``internal`` →
+500, anything else failed (``bad_request``, ``unsupported_version``) → 400.
 
 Auth is a standard ``Authorization: Bearer <token>`` header, checked by the
 core with a constant-time compare.  ``/healthz`` stays open (a load balancer
@@ -38,7 +42,6 @@ chunked stream.
 from __future__ import annotations
 
 import http.client
-import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Iterator, Optional
 from urllib.parse import parse_qs, quote, urlsplit
@@ -46,11 +49,14 @@ from urllib.parse import parse_qs, quote, urlsplit
 from repro.obs import new_trace_id
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.service.client import (
-    ServiceError,
     ServiceOps,
+    read_response,
     subscription_events,
 )
 from repro.service.core import (
+    ERROR_BAD_REQUEST,
+    ERROR_INTERNAL,
+    ERROR_NOT_FOUND,
     ERROR_OVERSIZED_REQUEST,
     ERROR_RATE_LIMITED,
     ERROR_UNAUTHORIZED,
@@ -61,7 +67,7 @@ from repro.service.core import (
     error_envelope,
 )
 from repro.service.lifecycle import ConnectionTracking, ThreadedServer
-from repro.service.wire import encode_line, from_wire, to_wire
+from repro.service.wire import encode_frames, encode_line, read_message
 
 __all__ = ["HttpServer", "HttpClient", "DEFAULT_HTTP_PORT"]
 
@@ -73,9 +79,13 @@ _STATUS_BY_KIND = {
     ERROR_OVERSIZED_REQUEST: 413,
     ERROR_RATE_LIMITED: 429,
     ERROR_UNKNOWN_OP: 404,
+    ERROR_NOT_FOUND: 404,
+    ERROR_INTERNAL: 500,
 }
 
 _JSON = "application/json; charset=utf-8"
+#: a body whose JSON line is followed by array payloads
+_FRAMES = "application/vnd.repro.frames"
 
 
 def _status_for(response: dict) -> int:
@@ -93,9 +103,9 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
     """
 
     protocol_version = "HTTP/1.1"
-    #: a response is two small writes (headers, body) on a keep-alive
-    #: connection; with Nagle on, the body waits ~40 ms for the client's
-    #: delayed ACK of the headers
+    #: a response is a few small writes (headers, JSON line, array bytes) on
+    #: a keep-alive connection; with Nagle on, the second waits ~40 ms for
+    #: the client's delayed ACK of the first
     disable_nagle_algorithm = True
     server: "_GatewayListener"
 
@@ -118,83 +128,60 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
                               client=self.client_address[0],
                               auth=auth, nbytes=nbytes)
 
-    def _send_json(self, status: int, payload: dict,
-                   close: bool = False) -> None:
-        body = json.dumps(to_wire(payload),
-                          separators=(",", ":")).encode("utf-8")
+    def _send_message(self, status: int, payload: dict,
+                      close: bool = False) -> None:
+        frames = encode_frames(payload)
         self.send_response(status)
-        self.send_header("Content-Type", _JSON)
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Type", _JSON if len(frames) == 1 else _FRAMES)
+        self.send_header("Content-Length", str(sum(map(len, frames))))
         if close:
             self.send_header("Connection", "close")
             self.close_connection = True
         self.end_headers()
-        self.wfile.write(body)
+        for frame in frames:
+            self.wfile.write(frame)
 
     def _send_envelope(self, response: dict, close: bool = False) -> None:
-        self._send_json(_status_for(response), response, close=close)
+        self._send_message(_status_for(response), response, close=close)
 
-    def _read_body(self) -> Optional[dict]:
-        """Read and decode the JSON body, or answer the error and return None."""
-        length = self.headers.get("Content-Length")
-        if length is None:
-            self._send_json(411, error_envelope(
-                None, "Content-Length required"))
-            return None
-        try:
-            nbytes = int(length)
-        except ValueError:
-            self._send_json(400, error_envelope(
-                None, f"bad Content-Length: {length!r}"))
-            return None
-        raw = self.rfile.read(nbytes)
-        try:
-            body = from_wire(json.loads(raw.decode("utf-8")))
-        except (ValueError, UnicodeDecodeError) as exc:
-            self._send_json(400, error_envelope(
-                None, f"bad request body: {exc}"))
-            return None
-        if not isinstance(body, dict):
-            self._send_json(400, error_envelope(
-                None, "request body must be a JSON object"))
-            return None
-        return body
+    def _refuse(self, message: str, kind: str = ERROR_BAD_REQUEST,
+                request_id=None, status: Optional[int] = None) -> None:
+        """A refusal worded here (``status`` when HTTP has an exacter one)."""
+        envelope = error_envelope(request_id, message, kind)
+        self._send_message(status or _status_for(envelope), envelope)
 
     # ------------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         path = urlsplit(self.path).path
-        if path != "/v1/query" and not path.startswith("/v1/"):
-            self._send_json(404, error_envelope(
-                None, f"no such endpoint: POST {path}", kind=ERROR_UNKNOWN_OP))
-            return
-        # refuse oversized requests from the declared length, before reading:
-        # the limit exists so a huge body costs the server nothing
+        if not path.startswith("/v1/"):
+            return self._refuse(f"no such endpoint: POST {path}",
+                                ERROR_UNKNOWN_OP)
         length = self.headers.get("Content-Length")
+        if length is None:
+            return self._refuse("Content-Length required", status=411)
         try:
-            declared = int(length) if length is not None else None
+            declared = int(length)
         except ValueError:
-            declared = None
-        if declared is not None and declared > self.core.max_request_bytes:
-            # the core's size check comes first, so this is its refusal
-            # (tallied); close rather than resync past the unread body
-            self._send_envelope(
+            return self._refuse(f"bad Content-Length: {length!r}")
+        if declared > self.core.max_request_bytes:
+            # refused from the declared length, before reading: the limit
+            # exists so a huge body costs the server nothing.  The core's
+            # size check comes first, so this is its refusal (tallied);
+            # close rather than resync past the unread body
+            return self._send_envelope(
                 self.core.handle({}, self._context(declared)), close=True)
-            return
-        body = self._read_body()
-        if body is None:
-            return
-        if path != "/v1/query":
-            op = path[len("/v1/"):]
-            if "op" in body and body["op"] != op:
-                self._send_json(400, error_envelope(
-                    body.get("id"),
-                    f"body op {body['op']!r} contradicts endpoint {path!r}"))
-                return
-            body["op"] = op
-        body.setdefault("v", PROTOCOL_VERSION)
-        nbytes = declared if declared is not None else len(json.dumps(body))
-        response = self.core.handle(body, self._context(nbytes))
-        self._send_envelope(response)
+        try:
+            body = read_message(self.rfile.read(declared))
+        except ValueError as exc:
+            return self._refuse(f"bad request body: {exc}")
+        if not isinstance(body, dict):
+            return self._refuse("request body must be a JSON object")
+        op = path[len("/v1/"):]
+        if op != "query" and body.setdefault("op", op) != op:
+            return self._refuse(
+                f"body op {body['op']!r} contradicts endpoint {path!r}",
+                request_id=body.get("id"))
+        self._send_envelope(self.core.handle(body, self._context(declared)))
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         split = urlsplit(self.path)
@@ -202,8 +189,8 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
         if path == "/healthz":
             # liveness must not need the secret: a load balancer health
             # probe is configured long before tokens are distributed
-            self._send_json(200, {"ok": True, "status": "serving",
-                                  "protocol_version": PROTOCOL_VERSION})
+            self._send_message(200, {"ok": True, "status": "serving",
+                                     "protocol_version": PROTOCOL_VERSION})
             return
         if path == "/metrics":
             context = self._context(None)
@@ -224,8 +211,7 @@ class _GatewayRequestHandler(BaseHTTPRequestHandler):
         if path == "/v1/subscribe":
             self._do_subscribe(parse_qs(split.query))
             return
-        self._send_json(404, error_envelope(
-            None, f"no such endpoint: GET {path}", kind=ERROR_UNKNOWN_OP))
+        self._refuse(f"no such endpoint: GET {path}", ERROR_UNKNOWN_OP)
 
     def _do_subscribe(self, query: dict) -> None:
         """The chunked streaming endpoint: one JSON line per event.
@@ -287,8 +273,9 @@ class HttpClient(ServiceOps):
     """A blocking client for one :class:`HttpServer`, mirroring
     :class:`~repro.service.client.ReproClient` method-for-method.
 
-    One keep-alive connection, one ``POST /v1/query`` per call; arrays
-    decode through the same wire codec as TCP, so an HTTP read is
+    One keep-alive connection, one ``POST /v1/query`` per call; a response
+    body is read as the TCP client reads its socket — header line, then each
+    array's bytes straight into the array returned — so an HTTP read is
     element-wise identical to a TCP or direct one.
     """
 
@@ -309,14 +296,8 @@ class HttpClient(ServiceOps):
             self._conn.close()
             self._closed = True
 
-    def __enter__(self) -> "HttpClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"HttpClient({self.host}:{self.port})"
+        return f"HttpClient({self._peer})"
 
     # ------------------------------------------------------------------
     def _headers(self) -> dict:
@@ -328,24 +309,17 @@ class HttpClient(ServiceOps):
     def call(self, op: str, **params):
         if self._closed:
             raise ValueError("client is closed")
-        body = json.dumps(to_wire(self._request(op, **params)),
-                          separators=(",", ":")).encode("utf-8")
         try:
-            self._conn.request("POST", "/v1/query", body=body,
+            self._conn.request("POST", "/v1/query",
+                               body=encode_line(self._request(op, **params)),
                                headers=self._headers())
             resp = self._conn.getresponse()
-            raw = resp.read()
-        except OSError:
+            response = read_response(resp, self._peer)
+            if resp.read(1):
+                raise ConnectionError("bytes after the response message")
+        except OSError:     # ConnectionError included: the framing is lost
             self.close()
             raise
-        try:
-            response = from_wire(json.loads(raw.decode("utf-8")))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise ConnectionError(
-                f"malformed response from {self.host}:{self.port} "
-                f"(HTTP {resp.status}): {exc}")
-        if not isinstance(response, dict):
-            raise ConnectionError(f"malformed response: {response!r}")
         return self._result(response)
 
     # ------------------------------------------------------------------
@@ -355,23 +329,15 @@ class HttpClient(ServiceOps):
             raise ValueError("client is closed")
         self._conn.request("GET", "/metrics", headers=self._headers())
         resp = self._conn.getresponse()
-        raw = resp.read()
-        if resp.status != 200:
-            try:
-                envelope = json.loads(raw.decode("utf-8"))
-            except ValueError:
-                envelope = {}
-            raise ServiceError(
-                envelope.get("error", f"GET /metrics failed: {resp.status}"),
-                kind=envelope.get("kind"))
-        return raw.decode("utf-8")
+        if resp.status != 200:      # a refusal is an envelope, which raises
+            self._result(read_response(resp, self._peer))
+        return resp.read().decode("utf-8")
 
     def healthz(self) -> dict:
         if self._closed:
             raise ValueError("client is closed")
         self._conn.request("GET", "/healthz")
-        resp = self._conn.getresponse()
-        return json.loads(resp.read().decode("utf-8"))
+        return read_response(self._conn.getresponse(), self._peer)
 
     def subscribe(self, path: str, from_step: int = 0) -> Iterator[dict]:
         """Stream a live series' step events over chunked HTTP.
@@ -396,25 +362,10 @@ class HttpClient(ServiceOps):
         try:
             conn.request("GET", target, headers=self._headers())
             resp = conn.getresponse()
-            if resp.status != 200:
-                raw = resp.read()
-                try:
-                    envelope = from_wire(json.loads(raw.decode("utf-8")))
-                except ValueError:
-                    envelope = {}
-                raise ServiceError(
-                    envelope.get("error",
-                                 f"subscribe failed: HTTP {resp.status}"),
-                    kind=envelope.get("kind"))
-            # the ack line first (yielded in the TCP client's shape), then
-            # events as chunks arrive; readline sees through chunked framing
-            line = resp.readline()
-            ack = from_wire(json.loads(line.decode("utf-8")))
-            if not isinstance(ack, dict) or not ack.get("ok"):
-                raise ServiceError(str(
-                    ack.get("error", "unknown server error")
-                    if isinstance(ack, dict) else ack))
-            yield from subscription_events(ack.get("result"), resp.readline,
-                                           f"{self.host}:{self.port}")
+            # one line either way: a refusal's whole body (which raises) or
+            # the ack opening the stream (yielded in the TCP client's shape);
+            # events then arrive as chunks — readline sees through the framing
+            ack = self._result(read_response(resp, self._peer))
+            yield from subscription_events(ack, resp, self._peer)
         finally:
             conn.close()

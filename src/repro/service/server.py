@@ -8,10 +8,11 @@ newline framing and the rule for a client line during a stream.
 
 Like the gateway this is a :mod:`socketserver` threading server: an accept
 loop, and one daemon thread per connection running a blocking read–answer
-loop.  Each connection speaks the newline-delimited JSON protocol of
-:mod:`repro.service.wire`: a request line ``{"id": n, "op": ..., ...params}``
-is answered by ``{"id": n, "ok": true, "result": ...}`` (or ``"ok": false``
-with an ``error`` string; a failed request never tears down the connection).
+loop.  Each connection speaks the messages of :mod:`repro.service.wire`: a
+request — always one JSON line, ``{"id": n, "op": ..., ...params}`` — is
+answered by ``{"id": n, "ok": true, "result": ...}`` followed by the raw bytes
+of the result's arrays (or ``"ok": false`` with an ``error`` string and its
+``kind``; a failed request does not tear down the connection).
 The engine call runs on the connection's own thread — at most ``max_workers``
 of them at once — so a slow decode on one connection does not stall the
 others, and many clients share one
@@ -40,9 +41,15 @@ import socket
 import socketserver
 import threading
 
-from repro.service.core import PROTOCOL_VERSION, RequestContext, request_trace
+from repro.service.core import (
+    ERROR_BAD_REQUEST,
+    PROTOCOL_VERSION,
+    RequestContext,
+    error_envelope,
+    request_trace,
+)
 from repro.service.lifecycle import ConnectionTracking, ThreadedServer
-from repro.service.wire import MAX_LINE_BYTES, decode_line, encode_line
+from repro.service.wire import encode_frames, read_message
 
 __all__ = ["ReproServer", "DEFAULT_PORT"]
 
@@ -59,29 +66,35 @@ class _LineConnection(socketserver.BaseRequestHandler):
         self._spoke = False
 
     def _read_line(self) -> bytes:
-        """The next request line, terminator included; ``b""`` at EOF, on a
-        reset, and on a line past ``MAX_LINE_BYTES`` (the framing is lost, so
-        the connection cannot continue)."""
+        """The next request line, terminator included; ``b""`` at EOF and on
+        a reset.  Reading stops once the line is past the core's request
+        limit: what has arrived comes back unterminated, to be refused by
+        size — the rest of it is never buffered."""
         buf = self._buf
+        limit = self.server.owner.handler.max_request_bytes
         end = buf.find(b"\n")    # a pipelined line may already be buffered
-        while end < 0:
-            if len(buf) > MAX_LINE_BYTES:
-                return b""
+        while end < 0 and len(buf) <= limit:
             try:
                 chunk = self.request.recv(1 << 16)
             except OSError:
                 return b""
             if not chunk:
-                # EOF: an unterminated tail is still answered, as readline()
-                end = len(buf) - 1
                 break
             end = chunk.find(b"\n")
             if end >= 0:
                 end += len(buf)
             buf += chunk
+        if end < 0:
+            # EOF (an unterminated tail is still answered, as readline()) or
+            # a line cut off at the limit
+            end = len(buf) - 1
         line = bytes(buf[:end + 1])
         del buf[:end + 1]
         return line
+
+    def _send(self, message: dict) -> None:
+        for frame in encode_frames(message):
+            self.request.sendall(frame)
 
     def _client_spoke(self, timeout: float) -> bool:
         """The subscribe loop's ``wait``: True as soon as the socket is
@@ -109,10 +122,10 @@ class _LineConnection(socketserver.BaseRequestHandler):
                 response = core.handle(None, context)
             else:
                 try:
-                    request = decode_line(line)
+                    request = read_message(line)
                 except ValueError as exc:
-                    response = {"id": None, "ok": False,
-                                "error": f"bad request line: {exc}"}
+                    response = error_envelope(
+                        None, f"bad request line: {exc}", ERROR_BAD_REQUEST)
                 else:
                     with owner.slots:
                         if isinstance(request, dict) \
@@ -122,16 +135,17 @@ class _LineConnection(socketserver.BaseRequestHandler):
                                 owner.watch_interval)
                         else:
                             response = core.handle(request, context)
-            self.request.sendall(encode_line(response))
+            self._send(response)
+            if len(line) > core.max_request_bytes and line[-1:] != b"\n":
+                return      # cut off mid-line: the framing is lost, hang up
             self._spoke = False
             for event in events or ():
-                self.request.sendall(encode_line(event))
+                self._send(event)
             line = self._read_line()
             if self._spoke and line:
                 # a client line ended the stream: say so, then answer that
                 # line as an ordinary request
-                self.request.sendall(
-                    encode_line({"v": PROTOCOL_VERSION, "event": "end"}))
+                self._send({"v": PROTOCOL_VERSION, "event": "end"})
                 core.tally_event("subscribe", "end", request_trace(request),
                                  "tcp")
 

@@ -9,6 +9,9 @@ import pytest
 import repro
 from repro.amr.box import Box
 from repro.service.core import (
+    ERROR_BAD_REQUEST,
+    ERROR_INTERNAL,
+    ERROR_NOT_FOUND,
     ERROR_OVERSIZED_REQUEST,
     ERROR_RATE_LIMITED,
     ERROR_UNAUTHORIZED,
@@ -66,7 +69,16 @@ class TestDispatch:
         # the shared negotiation rule agrees
         assert check_version({"v": PROTOCOL_VERSION + 1}) is not None
         assert check_version({"v": PROTOCOL_VERSION, "op": "ping"}) is None
-        assert check_version({"op": "ping"}) is None  # version-1 peer
+        assert check_version({"op": "ping"}) is None  # curl sends no "v"
+
+    def test_older_protocol_version_is_refused_too(self):
+        """No negotiation: a v2 peer would misread a framed array, so it gets
+        the (array-free, hence readable) refusal instead."""
+        with RequestHandler() as handler:
+            for v in (PROTOCOL_VERSION - 1, 1, 0, True, "3"):
+                response = handler.handle({"v": v, "id": 3, "op": "ping"})
+                assert response["kind"] == ERROR_UNSUPPORTED_VERSION, v
+                assert response["id"] == 3
 
     def test_subscribe_is_not_a_unary_op(self):
         with RequestHandler() as handler:
@@ -286,5 +298,105 @@ class TestErrorEnvelope:
         assert envelope == {"v": PROTOCOL_VERSION, "id": 7, "ok": False,
                             "error": "boom", "kind": ERROR_UNKNOWN_OP}
 
-    def test_kindless(self):
-        assert "kind" not in error_envelope(None, "boom")
+    def test_a_kind_is_not_optional(self):
+        with pytest.raises(TypeError):
+            error_envelope(None, "boom")
+
+
+class TestErrorKinds:
+    """Every failed request says whose fault it was."""
+
+    @pytest.fixture(scope="class")
+    def handler(self):
+        with RequestHandler() as running:
+            yield running
+
+    def _kind(self, handler, request):
+        response = handler.handle(request)
+        assert response["ok"] is False
+        return response["kind"], response["error"]
+
+    @pytest.mark.parametrize("request_", [
+        "not an object", ["op", "ping"], None,
+        {"op": "describe"}, {"op": "describe", "path": 5},
+        {"op": "read_batch"}, {"op": "read_batch", "queries": [5]},
+        {"op": "subscribe", "path": "x"},
+        {"op": "read_field", "path": "{plotfile}"},
+        {"op": "read_field", "path": "{plotfile}", "field": "nope"},
+        {"op": "read_field", "path": "{plotfile}", "field": "baryon_density",
+         "level": 9},
+        {"op": "read_field", "path": "{plotfile}", "field": "baryon_density",
+         "level": [0]},
+        {"op": "read_field", "path": "{plotfile}", "field": "baryon_density",
+         "step": 1},
+        {"op": "read_field", "path": "{plotfile}", "field": "baryon_density",
+         "box": [[5, 5, 5], [1, 1, 1]]},
+        {"op": "read_field", "path": "{plotfile}", "field": "baryon_density",
+         "box": "0:7"},
+        {"op": "read_field", "path": "{series}", "field": "baryon_density",
+         "step": 99},
+        {"op": "time_slice", "path": "{series}", "field": "baryon_density",
+         "steps": "all"},
+        {"op": "time_slice", "path": "{plotfile}", "field": "baryon_density"},
+        {"op": "refresh", "path": "{plotfile}"},
+    ], ids=repr)
+    def test_bad_request(self, handler, request_, service_plotfile,
+                         service_series):
+        if isinstance(request_, dict) and "path" in request_:
+            request_ = dict(request_, path=str(request_["path"]).format(
+                plotfile=service_plotfile, series=service_series)
+                if isinstance(request_["path"], str) else request_["path"])
+        kind, _ = self._kind(handler, request_)
+        assert kind == ERROR_BAD_REQUEST
+
+    @pytest.mark.parametrize("op", ["describe", "read_field", "time_slice",
+                                    "refresh"])
+    def test_not_found_echoes_the_clients_own_path(self, handler, op,
+                                                   tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        kind, error = self._kind(
+            handler, {"op": op, "path": "runs/nope.h5z", "field": "rho"})
+        assert kind == ERROR_NOT_FOUND
+        assert "'runs/nope.h5z'" in error
+        assert str(tmp_path) not in error       # not the server's absolute path
+
+    def test_not_found_inside_a_batch(self, handler, service_plotfile):
+        kind, error = self._kind(handler, {"op": "read_batch", "queries": [
+            {"path": service_plotfile, "field": "baryon_density"},
+            {"path": "/no/such/file.h5z", "field": "baryon_density"}]})
+        assert (kind, "'/no/such/file.h5z'" in error) == (ERROR_NOT_FOUND, True)
+
+    def test_anything_else_is_internal(self, service_plotfile):
+        with RequestHandler() as handler:
+            handler.engine.describe = lambda path: 1 / 0
+            kind, error = self._kind(
+                handler, {"op": "describe", "path": service_plotfile})
+        assert kind == ERROR_INTERNAL and "ZeroDivisionError" in error
+
+    def test_error_counter_is_labelled_by_kind(self, service_plotfile):
+        with RequestHandler() as handler:
+            handler.handle({"op": "describe", "path": "/no/such/file"})
+            handler.handle({"op": "read_field", "path": service_plotfile})
+            errors = {s["labels"]["kind"]: s["value"] for s in
+                      handler.registry.snapshot()
+                      ["repro_server_errors_total"]["samples"]}
+        assert errors == {ERROR_NOT_FOUND: 1, ERROR_BAD_REQUEST: 1}
+
+    def test_a_failed_refresh_mid_stream_carries_its_kind(self, tmp_path):
+        from repro.apps.nyx import NyxSimulation
+        from repro.series.writer import SeriesWriter
+
+        writer = SeriesWriter(str(tmp_path / "live"), append=True,
+                              error_bound=1e-3)
+        writer.append(next(iter(
+            NyxSimulation(coarse_shape=(8, 8, 8), nranks=1, seed=5).run(1))))
+        try:
+            with RequestHandler() as handler:
+                handler.engine.refresh = lambda path: 1 / 0
+                events = list(handler.subscribe_events(
+                    str(tmp_path / "live"), poll_interval=0.01))
+        finally:
+            writer.close()
+        assert [e["event"] for e in events] == ["step", "error"]
+        assert events[-1]["kind"] == ERROR_INTERNAL
+        assert "ZeroDivisionError" in events[-1]["error"]

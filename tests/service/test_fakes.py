@@ -149,7 +149,7 @@ class TestFakeClient:
                     assert request.get("auth") == ("s3cret" if in_body else None)
                     with pytest.raises(ServiceError, match="no such") as failure:
                         client.describe("/no/such/file.h5z")
-                    assert failure.value.kind is None
+                    assert failure.value.kind == "not_found"
                     client.auth_token = "wrong"
                     with pytest.raises(ServiceError) as refused:
                         client.ping()

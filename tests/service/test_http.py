@@ -111,13 +111,27 @@ class TestEndpoints:
         finally:
             conn.close()
 
-    def test_engine_error_is_400_with_message(self, http_server, tmp_path):
-        status, body, _ = _raw(
-            http_server.port, "POST", "/v1/query",
-            body=json.dumps({"op": "describe", "path": str(tmp_path / "x")}),
-            headers={"Content-Type": "application/json"})
-        assert status == 400
-        assert body["ok"] is False
+    def test_error_kinds_map_to_statuses(self, http_server, service_plotfile,
+                                         tmp_path, monkeypatch):
+        def post(**request):
+            status, body, _ = _raw(
+                http_server.port, "POST", "/v1/query", body=json.dumps(request),
+                headers={"Content-Type": "application/json"})
+            assert body["ok"] is False
+            return status, body["kind"]
+
+        assert post(op="describe", path=str(tmp_path / "x")) \
+            == (404, "not_found")
+        assert post(op="read_field", path=service_plotfile, field="nope") \
+            == (400, "bad_request")
+        assert post(op="ping", v=2) == (400, "unsupported_version")
+        monkeypatch.setattr(http_server.handler.engine, "describe",
+                            lambda path: 1 / 0)
+        assert post(op="describe", path=service_plotfile) == (500, "internal")
+        # HTTP-level refusals are envelopes with a kind too
+        status, body, _ = _raw(http_server.port, "POST", "/v1/query",
+                               body=b"not json")
+        assert (status, body["kind"]) == (400, "bad_request")
 
     def test_metrics_prometheus_exposition(self, client):
         client.ping()
@@ -278,8 +292,10 @@ class TestSubscribe:
         status, body, _ = _raw(
             http_server.port, "GET",
             f"/v1/subscribe?path={tmp_path}/nothing")
-        assert status == 400
-        assert body["ok"] is False
+        assert (status, body["ok"], body["kind"]) == (404, False, "not_found")
+        status, body, _ = _raw(                  # exists, but is no series
+            http_server.port, "GET", f"/v1/subscribe?path={tmp_path}")
+        assert (status, body["ok"], body["kind"]) == (400, False, "bad_request")
 
     def test_subscribe_missing_path_param(self, http_server):
         status, body, _ = _raw(http_server.port, "GET", "/v1/subscribe")

@@ -101,7 +101,7 @@ class TestServerMetrics:
             sock.sendall(encode_line({"v": 1 + 10, "id": 1, "op": "ping"}))
             assert decode_line(rfile.readline())["kind"] == \
                 "unsupported_version"
-            sock.sendall(encode_line({"v": 2, "id": 2, "op": "bogus"}))
+            sock.sendall(encode_line({"v": 3, "id": 2, "op": "bogus"}))
             assert decode_line(rfile.readline())["kind"] == "unknown_op"
         errors = {tuple(s["labels"].items()): s["value"]
                   for s in engine.registry.snapshot()

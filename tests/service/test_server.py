@@ -1,5 +1,6 @@
 """The TCP service: wire format, concurrent clients, errors, CLI verbs."""
 
+import io
 import json
 import socket
 import threading
@@ -13,7 +14,7 @@ from repro.amr.box import Box
 from repro.cli import main as cli_main
 from repro.service import BoxQuery, QueryEngine, ReproClient, ReproServer
 from repro.service.client import ServiceError
-from repro.service.wire import decode_line, encode_line, from_wire, to_wire
+from repro.service.wire import decode_line, encode_line
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,7 @@ class TestWireFormat:
     def test_arrays_round_trip_bit_exact(self):
         rng = np.random.default_rng(0)
         arr = rng.standard_normal((3, 4, 5))
-        back = from_wire(json.loads(json.dumps(to_wire(arr))))
+        back = decode_line(encode_line(arr))
         assert back.dtype == arr.dtype and back.shape == arr.shape
         assert np.array_equal(back, arr)          # bitwise, not approx
 
@@ -141,8 +142,9 @@ class TestServerErrors:
             client.call("frobnicate")
 
     def test_missing_file_is_an_error_reply(self, client, tmp_path):
-        with pytest.raises(ServiceError, match="no such file"):
+        with pytest.raises(ServiceError, match="no such file") as err:
             client.describe(str(tmp_path / "nope.h5z"))
+        assert err.value.kind == "not_found"
 
     def test_connection_survives_an_error(self, client, service_plotfile):
         with pytest.raises(ServiceError):
@@ -153,7 +155,7 @@ class TestServerErrors:
         with socket.create_connection(("127.0.0.1", server.port), 10) as sock:
             sock.sendall(b"this is not json\n")
             reply = json.loads(sock.makefile("rb").readline())
-        assert reply["ok"] is False
+        assert reply["ok"] is False and reply["kind"] == "bad_request"
         assert "bad request line" in reply["error"]
 
 
@@ -200,14 +202,22 @@ class TestLineFraming:
             assert [(s["labels"]["kind"], s["value"]) for s in errors] \
                 == [("oversized_request", 1)]
 
-    def test_a_line_past_the_wire_limit_ends_the_connection(self, server,
-                                                            monkeypatch):
-        import repro.service.server as server_mod
-
-        monkeypatch.setattr(server_mod, "MAX_LINE_BYTES", 1024)
-        with self._connect(server) as sock:
-            sock.sendall(b"x" * 4096)                # no newline in sight
-            assert sock.makefile("rb").readline() == b""
+    def test_a_newline_less_flood_is_refused_at_the_request_limit(self):
+        """Nothing past ``max_request_bytes`` is buffered waiting for a
+        newline: the line is refused by size as it stands and, the framing
+        lost, the connection ends."""
+        with ReproServer(port=0, max_request_bytes=1024) as running, \
+                self._connect(running) as sock:
+            lines = sock.makefile("rb")
+            try:
+                for _ in range(64):                  # 4 MiB, no newline in sight
+                    sock.sendall(b"x" * (1 << 16))
+            except OSError:
+                pass                                 # hung up on mid-flood
+            reply = json.loads(lines.readline())
+            assert reply["ok"] is False and reply["kind"] == "oversized_request"
+            assert "exceeds" in reply["error"]
+            assert lines.readline() == b""
 
 
 class TestCLIVerbs:
@@ -304,14 +314,8 @@ class TestClientDesyncProtection:
         # a stale line (e.g. left over from a timed-out call) must not be
         # returned as the answer to the next request
         with ReproClient(port=server.port) as c:
-            class _StaleFile:
-                def readline(self_inner):
-                    return encode_line({"id": 999, "ok": True, "result": {}})
-
-                def close(self_inner):
-                    pass
-
-            c._rfile = _StaleFile()
+            c._rfile = io.BytesIO(
+                encode_line({"id": 999, "ok": True, "result": {}}))
             with pytest.raises(ConnectionError, match="out-of-sync"):
                 c.ping()
             assert c._closed

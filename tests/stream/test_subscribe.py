@@ -2,7 +2,6 @@
 
 import json
 import socket
-import socketserver
 import threading
 import time
 
@@ -64,7 +63,7 @@ class TestProtocolVersion:
             assert result["protocol_version"] == PROTOCOL_VERSION
 
     def test_version_free_requests_still_work(self, tmp_path):
-        """A v1 client omits "v" entirely; the server must not care."""
+        """curl omits "v" entirely; the server must not care."""
         with make_server() as server:
             with socket.create_connection(("127.0.0.1", server.port),
                                           timeout=30) as sock:
@@ -87,30 +86,6 @@ class TestProtocolVersion:
                 client.call("transmogrify")
             assert err.value.kind == ERROR_UNKNOWN_OP
             assert "subscribe" in str(err.value)     # the op list is in the message
-
-    def test_subscribe_against_a_pre_streaming_server(self):
-        """An old server answers subscribe with its unknown-op error; the
-        client must turn that into a clear upgrade message, not a hang."""
-
-        class OldServer(socketserver.StreamRequestHandler):
-            def handle(self):
-                line = self.rfile.readline()
-                request = json.loads(line)
-                self.wfile.write((json.dumps(
-                    {"id": request["id"], "ok": False,
-                     "error": f"unknown op {request['op']!r}"}) + "\n")
-                    .encode())
-
-        with socketserver.ThreadingTCPServer(("127.0.0.1", 0), OldServer) as srv:
-            threading.Thread(target=srv.serve_forever, daemon=True).start()
-            try:
-                client = ReproClient(port=srv.server_address[1])
-                with pytest.raises(ServiceError, match="pre-streaming"):
-                    for _ in client.subscribe("/nowhere"):
-                        pass
-                client.close()
-            finally:
-                srv.shutdown()
 
 
 class TestSubscribeStream:

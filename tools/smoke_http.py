@@ -9,7 +9,9 @@ The gateway as an operator would deploy it, across real processes:
 * **curl-equivalent requests** (stdlib urllib, no CLI shortcuts) against
   ``/healthz``, ``/v1/query``, ``/v1/describe`` and ``/metrics``;
 * the **query CLI over HTTP** (``python -m repro query --http``) reading a
-  box through the gateway;
+  box through the gateway, and the same box read **raw** — the recipe for
+  clients without this package: split the body at the first newline, the
+  header's ``dtype`` / ``shape`` describe the bytes after it;
 * **negative paths**: a missing token must get 401, a wrong token 401, an
   oversized body 413, an unknown op 404 — each with the structured JSON
   error envelope, and the same refusals on the TCP port.
@@ -30,6 +32,8 @@ import sys
 import tempfile
 import urllib.error
 import urllib.request
+
+import numpy as np
 
 FIELD = "baryon_density"
 BOX = "0:15,0:15,0:15"
@@ -52,7 +56,8 @@ def run(env, *args: str) -> subprocess.CompletedProcess:
 
 def http(port: str, method: str, path: str, body=None, token=None,
          expect: int = 200) -> dict:
-    """One raw HTTP exchange; asserts the status and decodes the JSON body."""
+    """One raw HTTP exchange; asserts the status and decodes the body's JSON
+    line (array bytes after it come back under ``"_payload"``)."""
     request = urllib.request.Request(
         f"http://127.0.0.1:{port}{path}", method=method,
         data=json.dumps(body).encode() if body is not None else None)
@@ -67,8 +72,9 @@ def http(port: str, method: str, path: str, body=None, token=None,
         status, raw = err.code, err.read()
     assert status == expect, \
         f"{method} {path}: HTTP {status}, expected {expect}: {raw[:300]!r}"
+    head, _, payload = raw.partition(b"\n")
     try:
-        return json.loads(raw.decode("utf-8"))
+        return dict(json.loads(head.decode("utf-8")), _payload=payload)
     except ValueError:
         return {"_raw": raw.decode("utf-8", "replace")}
 
@@ -150,6 +156,14 @@ def main() -> int:
                       "--field", FIELD, "--box", BOX, "--json").stdout
         assert json.loads(via_http) == json.loads(via_tcp), \
             "HTTP and TCP reads disagree"
+        raw = http(port, "POST", "/v1/read_field", token=TOKEN,
+                   body={"path": plotfile, "field": FIELD,
+                         "box": [[0, 0, 0], [15, 15, 15]]})    # = BOX
+        tag = raw["result"]["__ndarray__"]
+        assert len(raw["_payload"]) == tag["nbytes"], tag
+        array = np.frombuffer(raw["_payload"], tag["dtype"]).reshape(tag["shape"])
+        assert array.tolist() == json.loads(via_tcp)["values"], \
+            "raw stdlib + numpy read disagrees with the TCP read"
 
         # ---- /metrics: the Prometheus exposition, live -------------------
         request = urllib.request.Request(
@@ -172,7 +186,7 @@ def main() -> int:
 
         print("smoke-http ok: shared-core gateway served health/query/"
               "describe/metrics; 401/413/404 refused with structured "
-              "envelopes; HTTP read identical to TCP read")
+              "envelopes; HTTP and raw reads identical to TCP read")
         return 0
     finally:
         if server is not None and server.poll() is None:
