@@ -460,8 +460,8 @@ def _cmd_series_info(args) -> int:
     print(f"  {'fields':20s} {', '.join(summary['fields'])}")
     print(f"  {'stored':20s} {summary['stored_bytes']} bytes "
           f"({summary['compression_ratio']:.1f}x over {summary['raw_bytes']})")
-    print(f"  {'vs keyframe-only':20s} {summary['keyframe_only_bytes']} bytes "
-          f"({summary['delta_savings_factor']:.2f}x saved "
+    print(f"  {'vs keyframe-only':20s} {summary['keyframe_only_bytes']} bytes implied "
+          f"by its tables ({summary['delta_savings_factor']:.2f}x saved "
           f"{summary['delta_saved_bytes']} bytes)")
     print()
     print(format_table(step_rows))

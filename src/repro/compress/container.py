@@ -56,6 +56,7 @@ __all__ = [
     "pack_container",
     "unpack_container",
     "pack_huffman",
+    "huffman_framing_nbytes",
     "parse_huffman",
     "unpack_huffman",
     "pack_huffman_individual",
@@ -152,6 +153,15 @@ def pack_huffman(streams: Sequence[HuffmanEncoded], lossless_level: int = 6) -> 
         "huff_ncodes": np.asarray([s.nsymbols for s in streams], dtype=np.int64).tobytes(),
         "huff_sync": huffman.pack_sync([s.sync for s in streams]),
     }
+
+
+def huffman_framing_nbytes() -> int:
+    """Bytes of a one-stream Huffman container that its codes do not move (headers, counts,
+    array framing): an empty stream's, less its meta and its deflated payload and sync."""
+    sections = pack_huffman([HuffmanEncoded(b"", 0, 0, np.zeros(0, dtype=np.uint32),
+                                            np.zeros(0, dtype=np.uint8))])
+    return (len(pack_container("", {}, sections)) - len(json.dumps({"codec": ""}))
+            - len(sections["huff_payload"]) - len(sections["huff_sync"]))
 
 
 def parse_huffman(sections: Dict[str, bytes], *, sync_interval: int = 0) -> List[HuffmanPair]:

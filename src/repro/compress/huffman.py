@@ -185,6 +185,7 @@ class HuffmanCodec:
             if float(np.sum(2.0 ** (-self.lengths.astype(np.float64)))) > 1.0 + 1e-9:
                 raise ValueError("invalid Huffman table (Kraft inequality violated)")
         self.codes = _canonical_codes(self.lengths.astype(np.int64))
+        self.data_bits: Optional[int] = None   #: :meth:`from_data`: sum(count x length) of its data
         self._enc: Optional[Tuple[int, Optional[np.ndarray], np.ndarray]] = None
         # decode structures: symbols sorted canonically
         order = np.lexsort((np.arange(self.symbols.size), self.lengths))
@@ -199,10 +200,14 @@ class HuffmanCodec:
         """Build a codec from the codes that will be encoded."""
         data = np.asarray(data).ravel()
         if data.size == 0:
-            return HuffmanCodec(np.zeros(0, dtype=np.uint32), np.zeros(0, dtype=np.uint8))
+            codec = HuffmanCodec(np.zeros(0, dtype=np.uint32), np.zeros(0, dtype=np.uint8))
+            codec.data_bits = 0
+            return codec
         symbols, counts = np.unique(data, return_counts=True)
         lengths = _limit_lengths(_huffman_code_lengths_from_counts(counts))
-        return HuffmanCodec(symbols.astype(np.uint32), lengths.astype(np.uint8))
+        codec = HuffmanCodec(symbols.astype(np.uint32), lengths.astype(np.uint8))
+        codec.data_bits = int(counts @ lengths)
+        return codec
 
     @staticmethod
     def from_multiple(datasets: Iterable[np.ndarray]) -> "HuffmanCodec":

@@ -29,13 +29,14 @@ registers in the codec registry as ``temporal_delta``; the series subsystem
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.compress.base import CompressedBuffer, Compressor
 from repro.compress.container import (
     decode_huffman,
+    huffman_framing_nbytes,
     pack_container,
     pack_huffman,
     parse_huffman,
@@ -48,6 +49,7 @@ from repro.compress.huffman import SYNC_INTERVAL, HuffmanCodec
 __all__ = [
     "MODE_KEY",
     "MODE_DELTA",
+    "StreamCandidate",
     "TemporalDeltaCodec",
     "TemporalDeltaFilter",
     "stream_mode",
@@ -58,6 +60,18 @@ MODE_DELTA = "delta"
 
 #: shifted codes must fit the uint32 alphabet Huffman expects
 _MAX_CODE_SPREAD = np.iinfo(np.uint32).max
+
+#: a stream's code-independent bytes (178; not the ~150 B meta, nor the sync offsets)
+_FRAMING_BYTES = huffman_framing_nbytes()
+
+
+class StreamCandidate(NamedTuple):
+    """One chunk's codes under one mode: tabled and sized, not yet entropy-coded."""
+
+    shifted: np.ndarray           #: ``codes - min_code`` as uint32
+    table: HuffmanCodec           #: built from ``shifted``
+    meta: Dict[str, object]       #: the stream's ``meta`` section
+    nbytes: int                   #: framing + table + the Huffman payload before deflate
 
 
 class TemporalDeltaCodec(Compressor):
@@ -87,11 +101,9 @@ class TemporalDeltaCodec(Compressor):
     # ------------------------------------------------------------------
     # the fixed quantisation grid
     # ------------------------------------------------------------------
-    def _grid_eb(self, data: Optional[np.ndarray] = None) -> float:
-        if self.error_bound.mode == "abs" or data is None:
-            eb = self.error_bound.resolve(value_range=1.0)
-        else:
-            eb = self.error_bound.resolve(data)
+    def _grid_eb(self, data: np.ndarray) -> float:
+        bound = self.error_bound
+        eb = bound.resolve(value_range=1.0) if bound.mode == "abs" else bound.resolve(data)
         if eb <= 0:
             raise ValueError("temporal_delta needs a positive error bound")
         return eb
@@ -100,6 +112,8 @@ class TemporalDeltaCodec(Compressor):
         """Snap values onto the grid: ``code = rint((x - offset) / (2*eb))``."""
         eb = self._grid_eb(np.asarray(data)) if eb is None else float(eb)
         x = np.asarray(data, dtype=np.float64).reshape(-1)
+        if not np.isfinite(x).all():
+            raise ValueError("temporal_delta cannot quantise non-finite values (NaN or Inf)")
         return np.rint((x - self.offset) / (2.0 * eb)).astype(np.int64)
 
     @staticmethod
@@ -112,41 +126,41 @@ class TemporalDeltaCodec(Compressor):
         """
         return float(offset) + np.asarray(codes, dtype=np.int64) * (2.0 * float(eb))
 
-    def dequantize(self, codes: np.ndarray, eb: float,
-                   offset: Optional[float] = None) -> np.ndarray:
-        """The exact reconstruction of a code stream (mode-independent)."""
-        origin = self.offset if offset is None else float(offset)
-        return self.grid_values(codes, eb, origin)
-
     # ------------------------------------------------------------------
     # stream framing (key and delta share it; only the payload codes differ)
     # ------------------------------------------------------------------
-    def _pack_codes(self, codes: np.ndarray, mode: str, eb: float, n: int,
-                    shape: Optional[Tuple[int, ...]] = None) -> bytes:
+    def candidate(self, codes: np.ndarray, eb: float,
+                  ref_codes: Optional[np.ndarray] = None,
+                  shape: Optional[Tuple[int, ...]] = None) -> StreamCandidate:
+        """Table a chunk's absolute ``codes`` as a key stream — or, given the
+        reference's codes, as a delta stream — without entropy-coding them."""
         codes = np.asarray(codes, dtype=np.int64).reshape(-1)
-        if codes.size:
-            min_code = int(codes.min())
-            spread = int(codes.max()) - min_code
-            if spread > _MAX_CODE_SPREAD:
+        n, mode = codes.size, MODE_KEY
+        if ref_codes is not None:
+            ref = np.asarray(ref_codes, dtype=np.int64).reshape(-1)
+            if ref.size != n:
                 raise ValueError(
-                    f"temporal_delta code spread {spread} exceeds the entropy "
-                    "coder's alphabet; the error bound is too tight for this data")
-            shifted = (codes - min_code).astype(np.uint32)
-        else:
-            min_code = 0
-            shifted = np.zeros(0, dtype=np.uint32)
-        stream = HuffmanCodec.from_data(shifted).encode(shifted)
-        meta: Dict[str, object] = {
-            "mode": mode,
-            "eb": float(eb),
-            "offset": self.offset,
-            "n": int(n),
-            "min_code": min_code,
-            "sync_interval": SYNC_INTERVAL,
-        }
+                    f"reference stream has {ref.size} codes, data has {n}; "
+                    "delta encoding needs an identical layout")
+            mode, codes = MODE_DELTA, codes - ref
+        min_code = int(codes.min()) if n else 0
+        if n and int(codes.max()) - min_code > _MAX_CODE_SPREAD:
+            raise ValueError(
+                f"temporal_delta code spread {int(codes.max()) - min_code} exceeds the "
+                "entropy coder's alphabet; the error bound is too tight for this data")
+        shifted = (codes - min_code).astype(np.uint32)
+        table = HuffmanCodec.from_data(shifted)
+        meta: Dict[str, object] = {"mode": mode, "eb": float(eb), "offset": self.offset, "n": n,
+                                   "min_code": min_code, "sync_interval": SYNC_INTERVAL}
         if shape is not None:
             meta["shape"] = [int(s) for s in shape]
-        return pack_container(self.name, meta,
+        return StreamCandidate(shifted, table, meta, _FRAMING_BYTES + table.table_nbytes
+                               + (table.data_bits + 7) // 8)
+
+    def pack(self, candidate: StreamCandidate) -> bytes:
+        """Entropy-code, deflate and frame a candidate: the committed stream."""
+        stream = candidate.table.encode(candidate.shifted)
+        return pack_container(self.name, candidate.meta,
                               pack_huffman([stream], self.lossless_level))
 
     @staticmethod
@@ -194,15 +208,17 @@ class TemporalDeltaCodec(Compressor):
     # ------------------------------------------------------------------
     # encoding
     # ------------------------------------------------------------------
+    def _encode(self, data, eb, ref_codes=None, shape=None) -> Tuple[bytes, np.ndarray, np.ndarray]:
+        """Quantise, table, pack: the one encode path of both stream kinds."""
+        eb = self._grid_eb(np.asarray(data)) if eb is None else float(eb)
+        codes = self.quantize(data, eb)
+        payload = self.pack(self.candidate(codes, eb, ref_codes, shape))
+        return payload, codes, self.grid_values(codes, eb, self.offset)
+
     def encode_key(self, data: np.ndarray,
                    eb: Optional[float] = None) -> Tuple[bytes, np.ndarray, np.ndarray]:
         """Self-contained stream: returns (payload, codes, reconstruction)."""
-        data = np.asarray(data)
-        eb = self._grid_eb(data) if eb is None else float(eb)
-        codes = self.quantize(data, eb)
-        payload = self._pack_codes(codes, MODE_KEY, eb, codes.size,
-                                   shape=data.shape)
-        return payload, codes, self.dequantize(codes, eb)
+        return self._encode(data, eb, shape=np.shape(data))
 
     def encode_delta(self, data: np.ndarray, ref_codes: np.ndarray,
                      eb: Optional[float] = None) -> Tuple[bytes, np.ndarray, np.ndarray]:
@@ -213,31 +229,27 @@ class TemporalDeltaCodec(Compressor):
         entropy-coded.  The reconstruction is identical to what
         :meth:`encode_key` would produce for the same data.
         """
-        eb = self._grid_eb(np.asarray(data)) if eb is None else float(eb)
-        codes = self.quantize(data, eb)
-        ref = np.asarray(ref_codes, dtype=np.int64).reshape(-1)
-        if ref.size != codes.size:
-            raise ValueError(
-                f"reference stream has {ref.size} codes, data has {codes.size}; "
-                "delta encoding needs an identical layout")
-        payload = self._pack_codes(codes - ref, MODE_DELTA, eb, codes.size)
-        return payload, codes, self.dequantize(codes, eb)
+        return self._encode(data, eb, ref_codes=ref_codes)
 
     # ------------------------------------------------------------------
     # decoding
     # ------------------------------------------------------------------
-    def decode_key(self, payload: bytes) -> Tuple[np.ndarray, np.ndarray]:
-        """Decode a key stream to (values, codes); delta streams raise."""
+    def _values(self, codes: np.ndarray, meta: Dict[str, object]) -> np.ndarray:
+        # the grid travels inside the stream, not in this instance's configuration
+        return self.grid_values(codes, meta["eb"], meta.get("offset", 0.0))
+
+    def _decode_standalone(self, payload: bytes):
         mode, codes, meta = self.unpack_codes(payload)
         if mode != MODE_KEY:
             raise ValueError(
                 "temporal_delta stream is a delta against an earlier step and "
                 "cannot be decoded standalone; open the series "
                 "(repro.open_series) so the reference chain can be resolved")
-        # the grid travels inside the stream — decode must not depend on how
-        # this codec instance happens to be configured
-        return self.dequantize(codes, float(meta["eb"]),
-                               offset=float(meta.get("offset", 0.0))), codes
+        return self._values(codes, meta), codes, meta
+
+    def decode_key(self, payload: bytes) -> Tuple[np.ndarray, np.ndarray]:
+        """Decode a key stream to (values, codes); delta streams raise."""
+        return self._decode_standalone(payload)[:2]
 
     def decode_with_reference(self, payload: bytes,
                               ref_codes: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -253,8 +265,7 @@ class TemporalDeltaCodec(Compressor):
                     f"reference stream has {ref.size} codes, delta stream has "
                     f"{codes.size}; the series layout is inconsistent")
             codes = codes + ref
-        return self.dequantize(codes, float(meta["eb"]),
-                               offset=float(meta.get("offset", 0.0))), codes
+        return self._values(codes, meta), codes
 
     # ------------------------------------------------------------------
     # the generic Compressor surface (standalone/registry use: key mode)
@@ -269,21 +280,11 @@ class TemporalDeltaCodec(Compressor):
         return buffer, recon.reshape(data.shape)
 
     def decompress(self, buffer: CompressedBuffer | bytes) -> np.ndarray:
-        payload = self._payload_of(buffer)
-        mode, codes, meta = self.unpack_codes(payload)
-        if mode != MODE_KEY:
-            raise ValueError(
-                "temporal_delta stream is a delta against an earlier step and "
-                "cannot be decoded standalone; open the series "
-                "(repro.open_series) so the reference chain can be resolved")
-        values = self.dequantize(codes, float(meta["eb"]),
-                                 offset=float(meta.get("offset", 0.0)))
+        values, _, meta = self._decode_standalone(self._payload_of(buffer))
         if isinstance(buffer, CompressedBuffer):
             return values.reshape(buffer.original_shape)
         shape = meta.get("shape")
-        if shape is not None:
-            return values.reshape([int(s) for s in shape])
-        return values
+        return values if shape is None else values.reshape([int(s) for s in shape])
 
 
 def stream_mode(payload: bytes) -> str:

@@ -98,15 +98,15 @@ class SeriesDatasetRecord:
     ref: Optional[int]            #: step index the delta references (None for key)
     stored_bytes: int
     raw_bytes: int
-    key_bytes: int                #: what the keyframe encoding cost / would have cost
-    delta_bytes: Optional[int]    #: what the delta encoding cost (None when not tried)
+    key_bytes: int                #: key candidate as compared: what its tables imply (DESIGN §6)
+    delta_bytes: Optional[int]    #: delta candidate (None: not tabled); mode "delta" iff smaller
     psnr: float
     layout: str                   #: layout fingerprint of this dataset's chunk stream
 
     @property
     def delta_saved_bytes(self) -> int:
-        """Bytes the chosen encoding saved over the keyframe candidate."""
-        return self.key_bytes - self.stored_bytes
+        """Bytes the delta candidate saved over the key one, both as compared."""
+        return self.key_bytes - self.delta_bytes if self.mode == "delta" else 0
 
     def to_json(self) -> dict:
         return {
@@ -251,7 +251,7 @@ class SeriesIndex:
 
     @property
     def key_bytes(self) -> int:
-        """Total bytes a keyframe-only encoding of the same series would need."""
+        """Bytes of the same series keyframe-only, as the key candidates' tables imply."""
         return sum(s.key_bytes for s in self.steps)
 
     @property

@@ -4,13 +4,13 @@ Each :meth:`SeriesWriter.append` reuses the staged writer's plan and pack
 stages (:mod:`repro.core.stages`) so a series step's chunk layout is exactly
 a plotfile's, then swaps the spatial encode stage for temporal encode jobs:
 
-* every dataset is always encoded as a **key** candidate (absolute quantised
-  codes on the series' fixed grid);
+* every chunk is quantised once onto the series' fixed grid and its absolute
+  codes tabled as a **key** candidate;
 * a dataset whose layout fingerprint matches the previous step's — same
   boxes, same distribution, same unit blocks, i.e. no regrid touched it —
-  is *also* encoded as a **delta** candidate against the previous step's
-  codes, and the smaller of the two candidates is committed ("when
-  beneficial", never worse than a keyframe);
+  also tables the codes' difference to the previous step's as a **delta**
+  candidate, and the candidate whose Huffman tables imply the smaller stream
+  is the one entropy-coded, deflated and committed (DESIGN.md §6);
 * every ``keyframe_interval``-th step skips the delta candidates entirely,
   so the series always contains self-contained restart points.
 
@@ -101,7 +101,6 @@ class TemporalEncodeJob:
     data: np.ndarray                          #: packed buffer (one chunk per rank)
     chunk_elements: int
     actual_sizes: List[int]                   #: valid elements per chunk
-    block_shapes: List[List[Tuple[int, ...]]]  #: per chunk, its blocks' shapes
     eb_abs: float                             #: the series' fixed grid for this field
     offset: float
     #: previous step's absolute codes per chunk; None forces a keyframe
@@ -120,9 +119,9 @@ class TemporalEncodeResult:
     mode: str                                 #: the committed stream kind
     payloads: List[bytes]
     codes: List[np.ndarray]                   #: absolute codes (the next step's reference)
-    key_bytes: int
-    delta_bytes: Optional[int]
-    reconstructions: List[List[np.ndarray]]
+    key_bytes: int                            #: the key candidate, as its tables imply
+    delta_bytes: Optional[int]                #: the delta candidate (None: not tabled)
+    reconstructions: List[List[np.ndarray]]   #: per chunk, its one flat array
     filter_calls: int
 
     @property
@@ -131,63 +130,36 @@ class TemporalEncodeResult:
 
 
 def temporal_encode_job(job: TemporalEncodeJob) -> TemporalEncodeResult:
-    """Encode one dataset's chunks, choosing key or delta by committed size.
+    """Encode one dataset's chunks as key or delta, whichever its tables favour.
 
-    A module-level pure function over picklable inputs — the temporal mirror
-    of :func:`repro.core.stages.encode_job` — so the serial and shm
-    backends produce identical bytes.  Both candidates reconstruct to the
-    same grid values, so the choice never affects decoded data.
-
-    :class:`TemporalDeltaCodec` is stateless (pure methods over explicit
-    arguments), so inside a shm pool worker one instance per
-    ``(eb_abs, offset, lossless_level)`` recipe is reused across jobs via
-    the per-process codec cache; elsewhere
-    :func:`~repro.parallel.shm.worker_codec_cache` returns ``None`` and a
-    fresh instance is built exactly as before.
+    A module-level pure function over picklable inputs — the temporal mirror of
+    :func:`repro.core.stages.encode_job` — so serial and shm produce identical bytes.
+    Each chunk is quantised once and tabled under both modes; only the dataset's winner is
+    entropy-coded and deflated.  Both decode to the same grid values either way.
     """
-    from repro.parallel.shm import worker_codec_cache
-
-    cache = worker_codec_cache()
-    cache_key = ("temporal_codec", job.eb_abs, job.offset, job.lossless_level)
-    codec = cache.get(cache_key) if cache is not None else None
-    if codec is None:
-        codec = TemporalDeltaCodec(ErrorBound.absolute(job.eb_abs),
-                                   offset=job.offset,
-                                   lossless_level=job.lossless_level)
-        if cache is not None:
-            cache[cache_key] = codec
-    ce = job.chunk_elements
-    key_payloads: List[bytes] = []
-    delta_payloads: Optional[List[bytes]] = [] if job.ref_codes is not None else None
-    codes_out: List[np.ndarray] = []
-    reconstructions: List[List[np.ndarray]] = []
+    codec = TemporalDeltaCodec(ErrorBound.absolute(job.eb_abs), offset=job.offset,
+                               lossless_level=job.lossless_level)
+    ce, eb = job.chunk_elements, job.eb_abs
+    keys, deltas, codes_out = [], [], []
     for i, actual in enumerate(job.actual_sizes):
         chunk = job.data[i * ce:i * ce + int(actual)]
-        payload, codes, recon = codec.encode_key(chunk, eb=job.eb_abs)
-        key_payloads.append(payload)
+        try:
+            codes = codec.quantize(chunk, eb)
+        except ValueError as exc:
+            raise ValueError(f"series dataset {job.key!r}: {exc}") from None
         codes_out.append(codes)
-        if delta_payloads is not None:
-            dpayload, _, _ = codec.encode_delta(chunk, job.ref_codes[i],
-                                                eb=job.eb_abs)
-            delta_payloads.append(dpayload)
-        blocks: List[np.ndarray] = []
-        offset = 0
-        for shape in job.block_shapes[i]:
-            size = int(np.prod(shape))
-            blocks.append(recon[offset:offset + size].reshape(shape))
-            offset += size
-        reconstructions.append(blocks)
-    key_bytes = sum(len(p) for p in key_payloads)
-    delta_bytes = sum(len(p) for p in delta_payloads) \
-        if delta_payloads is not None else None
-    if delta_bytes is not None and delta_bytes < key_bytes:
-        mode, payloads = MODE_DELTA, delta_payloads
-    else:
-        mode, payloads = MODE_KEY, key_payloads
+        keys.append(codec.candidate(codes, eb, shape=chunk.shape))
+        if job.ref_codes is not None:
+            deltas.append(codec.candidate(codes, eb, job.ref_codes[i]))
+    key_bytes = sum(c.nbytes for c in keys)
+    delta_bytes = sum(c.nbytes for c in deltas) if job.ref_codes is not None else None
+    delta_wins = delta_bytes is not None and delta_bytes < key_bytes
     return TemporalEncodeResult(
-        key=job.key, mode=mode, payloads=payloads, codes=codes_out,
-        key_bytes=key_bytes, delta_bytes=delta_bytes,
-        reconstructions=reconstructions, filter_calls=len(job.actual_sizes))
+        key=job.key, mode=MODE_DELTA if delta_wins else MODE_KEY,
+        payloads=[codec.pack(c) for c in (deltas if delta_wins else keys)],
+        codes=codes_out, key_bytes=key_bytes, delta_bytes=delta_bytes,
+        reconstructions=[[codec.grid_values(codes, eb, job.offset)] for codes in codes_out],
+        filter_calls=len(job.actual_sizes))
 
 
 # ----------------------------------------------------------------------
@@ -405,16 +377,13 @@ class SeriesWriter:
             raise ValueError(
                 "this series has been finalized; reopen it with "
                 "SeriesWriter(append=True) to add more steps")
-        if self.index is None:
-            self.index = self._start_index(hierarchy)
-            if self.append_mode:
-                self.journal = SeriesJournal(self.directory)
-                self.journal.create(self.index.to_json(), base=0)
-        elif tuple(hierarchy.component_names) != self.index.components:
+        # a first step that is refused must leave no series behind: the index
+        # (and its journal) become the writer's only once the step is encoded
+        index = self.index or self._start_index(hierarchy)
+        if tuple(hierarchy.component_names) != index.components:
             raise ValueError(
                 f"hierarchy components {hierarchy.component_names} do not match "
-                f"the series components {self.index.components}")
-        index = self.index
+                f"the series components {index.components}")
         step_index = index.nsteps
         force_key = step_index % self.keyframe_interval == 0
         filename = filename or f"plt{hierarchy.step:05d}.h5z"
@@ -470,11 +439,14 @@ class SeriesWriter:
                     key=dplan.name, data=pack.data,
                     chunk_elements=dplan.chunk_elements,
                     actual_sizes=[spec.actual_elements for spec in dplan.rank_specs],
-                    block_shapes=[[tuple(b.box.shape) for b in spec.blocks]
-                                  for spec in dplan.rank_specs],
                     eb_abs=grid.eb_abs, offset=grid.offset,
                     ref_codes=ref_codes))
         results = comm.run_jobs(self.backend, temporal_encode_job, jobs)
+        if self.index is None:
+            self.index = index
+            if self.append_mode:
+                self.journal = SeriesJournal(self.directory)
+                self.journal.create(index.to_json(), base=0)
 
         # ---- commit: container file + manifest ---------------------------
         records: List[LevelFieldRecord] = []
@@ -506,7 +478,11 @@ class SeriesWriter:
                            "series_mode": result.mode,
                            "series_ref": ref_index})
                 comm.record_collective_write()
-                record = dataset_record(dplan, pack.originals, result)
+                # the tally covers the cells a rank owns, not a naive chunk's zero tail
+                ce, valid = dplan.chunk_elements, dplan.per_rank_elements
+                result.reconstructions = [[r[0][:n]] for r, n in zip(result.reconstructions, valid)]
+                record = dataset_record(
+                    dplan, [[pack.data[i * ce:i * ce + n]] for i, n in enumerate(valid)], result)
                 records.append(record)
                 dataset_records.append(SeriesDatasetRecord(
                     name=dplan.name, mode=result.mode, ref=ref_index,

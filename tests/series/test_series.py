@@ -76,14 +76,19 @@ class TestSeriesWriter:
         delta_bytes = SeriesIndex.load(series_dir).stored_bytes
         key_bytes = SeriesIndex.load(keyonly_dir).stored_bytes
         assert delta_bytes < key_bytes
-        # the manifest's keyframe-only accounting matches the real key-only run
-        assert SeriesIndex.load(series_dir).key_bytes == key_bytes
+        # the manifest's keyframe-only accounting is what the key candidates'
+        # tables imply: under the real key-only run, within DESIGN.md §6's band
+        assert 0.85 * key_bytes <= SeriesIndex.load(series_dir).key_bytes <= key_bytes
 
-    def test_delta_never_worse_per_dataset(self, series_dir):
-        index = SeriesIndex.load(series_dir)
-        for step in index.steps:
-            for d in step.datasets:
-                assert d.stored_bytes <= d.key_bytes
+    def test_delta_never_worse_per_dataset(self, series_dir, keyonly_dir):
+        index, keyonly = SeriesIndex.load(series_dir), SeriesIndex.load(keyonly_dir)
+        for step, key_step in zip(index.steps, keyonly.steps):
+            for d, k in zip(step.datasets, key_step.datasets):
+                # the rule, from the manifest alone ...
+                assert (d.mode == "delta") == (d.delta_bytes is not None
+                                               and d.delta_bytes < d.key_bytes)
+                # ... and what it bought, in committed bytes
+                assert d.name == k.name and d.stored_bytes <= k.stored_bytes
 
     def test_reports_look_like_write_reports(self, hierarchies, tmp_path):
         reports = write_series(hierarchies[:2], str(tmp_path / "r"),
