@@ -86,6 +86,35 @@ def test_service_warm_single_box_read(benchmark, plotfile):
         assert np.array_equal(result, expected)
 
 
+def _cold_read(benchmark, plotfile, whole_level):
+    """One level-0 read with nothing cached (the handle open and scanned)."""
+    with repro.open(plotfile) as handle:
+        plan = handle._scan()
+        dplan = plan.dataset(0, FIELDS[0])
+        block = next(slot.block.box for slot in dplan.slots
+                     if slot.block.box.shape == (16, 16, 16)
+                     and not plan.fine_coarsened[0].intersections(slot.block.box))
+        benchmark.extra_info["blocks"] = len(dplan.slots) if whole_level else 1
+        result = benchmark.pedantic(
+            handle.read_field, args=(FIELDS[0],),
+            kwargs={"box": None if whole_level else block, "refill": False},
+            setup=handle._cache.clear, rounds=15, iterations=1)
+        assert result.shape == (plan.structure[0].domain.shape if whole_level
+                                else (16, 16, 16))
+
+
+def test_service_cold_unit_block_read(benchmark, plotfile):
+    """Timed: one uncovered 16^3 unit block, cold — its chunk's payload is
+    fetched and parsed, its own Huffman stream decoded, it alone reconstructed."""
+    _cold_read(benchmark, plotfile, whole_level=False)
+
+
+def test_service_cold_level_read(benchmark, plotfile):
+    """Timed: every unit block of the same field and level, cold (the gate's
+    yardstick: a block read must not cost a chunk, let alone the level)."""
+    _cold_read(benchmark, plotfile, whole_level=True)
+
+
 def test_service_warm_speedup_at_least_3x(queries):
     """The acceptance bar: batched warm-cache reads >= 3x over cold reads."""
     cold_t = min(_timed(_cold_per_request, queries) for _ in range(3))

@@ -350,6 +350,27 @@ class HuffmanCodec:
             raise ValueError("invalid Huffman stream (empty table)")
         return np.cumsum(nbytes) - nbytes, nbytes, nbits, counts
 
+    def select_streams(self, encoded: HuffmanEncoded, keep: np.ndarray) -> HuffmanEncoded:
+        """The multi-stream ``encoded`` narrowed to the streams ``keep`` (one
+        bool per stream) marks: their bytes back to back, their rows, their
+        sync runs.  Streams are byte-aligned and a sync run is relative to its
+        stream, so each decodes to the symbols it has in the whole; the counts
+        are checked against the bytes present before anything is sliced.
+        """
+        checked = self._streams(encoded)
+        if checked is None:
+            return encoded                      # no symbol anywhere: nothing to cut
+        offsets, nbytes, nbits, counts = (column[keep] for column in checked)
+        payload = b"".join(encoded.payload[o:o + b]
+                           for o, b in zip(offsets.tolist(), nbytes.tolist()))
+        sync = None if encoded.sync is None else np.asarray(encoded.sync).ravel()
+        lanes = (checked[3] + SYNC_INTERVAL - 1) // SYNC_INTERVAL
+        if sync is not None:                    # (not one run per stream: the scalar loop)
+            sync = sync[np.repeat(keep, lanes)] if sync.size == int(lanes.sum()) else None
+        return HuffmanEncoded(payload, int(nbits.sum()), int(counts.sum()),
+                              encoded.table_symbols, encoded.table_lengths, sync=sync,
+                              streams=np.stack([nbits, counts], axis=1))
+
     def decode(self, encoded: HuffmanEncoded) -> np.ndarray:
         """Decode a bitstream produced by :meth:`encode`.
 

@@ -49,9 +49,10 @@ class CodecSpec:
     options: Tuple[str, ...] = ()
     #: True when the codec offers the multi-array (unit-block) API: on the
     #: write side ``compress_many_with_reconstruction`` that unit SLE relies
-    #: on, on the read side ``decompress_batch(buffers)`` — an iterable of one
-    #: list of arrays per buffer, in order — which is what
-    #: ``AMRICLevelFilter.decode_many`` calls for every chunk of such a codec
+    #: on, on the read side ``decompress_batch(buffers, select)`` — an iterable
+    #: of one list of arrays per buffer, in order, optionally only the selected
+    #: arrays of each — which is what ``AMRICLevelFilter.decode_blocks`` calls
+    #: for every chunk of such a codec
     supports_many: bool = False
     description: str = ""
 

@@ -26,7 +26,9 @@ Public entry points
     (``shared_encoding=False`` → the costly per-block-tree alternative).
 ``decompress_batch``
     ``decompress_many`` over the buffers of one decode job: parsed one by one,
-    entropy-decoded in one Huffman lane pass, reconstructed one by one.
+    entropy-decoded in one Huffman lane pass, reconstructed one by one —
+    optionally only a selection of each buffer's arrays (the unit blocks a
+    box read meets).
 
 How a call is batched (DESIGN.md §1)
 ------------------------------------
@@ -628,7 +630,44 @@ class SZLRCompressor(Compressor):
     def decompress_many(self, buffer: CompressedBuffer | bytes) -> List[np.ndarray]:
         return next(self.decompress_batch([buffer]))
 
-    def decompress_batch(self, buffers: Sequence[CompressedBuffer | bytes]
+    def _narrow(self, parsed, select):
+        """A parsed payload cut down to the arrays ``select`` names, as if only
+        they had been compressed (under the payload's own tables).
+
+        An array's share of a :data:`_SIDE` stream is located by the ``counts``
+        rows before it, so the whole payload is held to them first: every
+        stream holds exactly what its column sums to, there is a shape and a
+        Huffman stream per row, ``select`` ascends within them (``ValueError``
+        before anything is cut).
+        """
+        meta, pairs, side, counts = parsed
+        narrays = len(counts)
+        select = np.asarray(select)
+        if (select.ndim != 1 or select.size == 0 or select.dtype.kind not in "iu"
+                or int(select[0]) < 0 or int(select[-1]) >= narrays
+                or bool((np.diff(select) <= 0).any())):
+            raise ValueError(f"sz_lr selection: need ascending indices into {narrays} "
+                             f"arrays, at least one; got {select.tolist()}")
+        totals = counts[:, :5].sum(axis=0).tolist()
+        if (int(counts.min()) < 0 or len(meta["shapes"]) != narrays
+                or any(side[name].shape[:1] != (total,) for name, total in zip(_SIDE, totals))):
+            raise ValueError("sz_lr payload: the side streams do not hold what counts claims")
+        keep = np.zeros(narrays, dtype=bool)
+        keep[select] = True
+        if meta["shared"]:
+            codec, encoded = pairs[0]
+            if encoded.streams is None or len(encoded.streams) != narrays:
+                raise ValueError("sz_lr payload: not one Huffman stream per array")
+            pairs = [(codec, codec.select_streams(encoded, keep))]
+        else:
+            pairs = [pairs[index] for index in select.tolist()]
+        side = {name: side[name][np.repeat(keep, counts[:, column])]
+                for column, name in enumerate(_SIDE)}
+        meta = dict(meta, shapes=[meta["shapes"][index] for index in select.tolist()])
+        return meta, pairs, side, counts[select]
+
+    def decompress_batch(self, buffers: Sequence[CompressedBuffer | bytes],
+                         select: Sequence[Sequence[int] | None] | None = None,
                          ) -> Iterator[List[np.ndarray]]:
         """:meth:`decompress_many` of several buffers, one after the other, their
         Huffman streams decoded in one lane pass (a decode job's chunks:
@@ -640,8 +679,16 @@ class SZLRCompressor(Compressor):
         fails the call.  A generator: a buffer's sections and codes are dropped
         once its arrays are out, so the job's high-water is its codes plus one
         buffer's reconstruction.
+
+        ``select[i]`` lists the arrays wanted of buffer ``i`` (ascending;
+        ``None``: all).  Prediction is confined to an array and each is its own
+        byte-aligned Huffman stream, so only those are entropy-decoded and
+        reconstructed (:meth:`_narrow`), to the bytes of the full decode.
         """
         parsed = [self._parse(self._payload_of(buffer)) for buffer in buffers]
+        if select is not None:
+            parsed = [entry if wanted is None else self._narrow(entry, wanted)
+                      for entry, wanted in zip(parsed, select, strict=True)]
         decoded = ctn.decode_huffman([pairs for _, pairs, _, _ in parsed])
         while parsed:
             (meta, _, side, counts), codes = parsed.pop(0), decoded.pop(0)

@@ -16,7 +16,9 @@ Two pieces:
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -210,26 +212,41 @@ class AMRICLevelFilter(Filter):
 
     # ------------------------------------------------------------------
     def decode(self, payload: bytes, chunk_elements: int) -> np.ndarray:
-        return self.decode_many([payload], chunk_elements)[0]
+        """The flat chunk: every block of the payload, in stored order."""
+        sizes = [math.prod(shape) for shape in _block_shapes(_parse_payload(payload)[0])]
+        ends = list(itertools.accumulate(sizes))
+        if not 0 < ends[-1] <= chunk_elements:
+            raise ValueError(f"AMRIC chunk payload: holds {ends[-1]} cells, "
+                             f"the chunk has {chunk_elements}")
+        (blocks,) = self.decode_blocks(
+            [payload], chunk_elements, [[(end - size, size) for end, size in zip(ends, sizes)]],
+            [range(len(sizes))])
+        out = np.zeros(chunk_elements, dtype=np.float64)
+        np.concatenate([block.reshape(-1) for block in blocks.values()], out=out[:ends[-1]])
+        return out
 
-    def decode_many(self, payloads: Sequence[bytes], chunk_elements: int) -> List[np.ndarray]:
-        """Decode a job's chunks; the payloads of one multi-array codec recipe
-        go to the codec as one batch and share its entropy pass (each chunk
-        still decodes to exactly what it would alone)."""
-        chunks: List[Optional[np.ndarray]] = [None] * len(payloads)
+    def decode_blocks(self, payloads: Sequence[bytes], chunk_elements: int,
+                      layouts: Sequence[Sequence[Tuple[int, int]]],
+                      wanted: Sequence[Sequence[int]]) -> List[Dict[int, np.ndarray]]:
+        """The unit blocks of a job's chunks, each in its 3D shape.
 
-        def place(index: int, blocks: Sequence[np.ndarray]) -> None:
-            out = np.zeros(chunk_elements, dtype=np.float64)
-            offset = 0
-            for block in blocks:
-                flat = np.asarray(block, dtype=np.float64).reshape(-1)
-                out[offset:offset + flat.size] = flat
-                offset += flat.size
-            chunks[index] = out
-
+        A payload must hold exactly the blocks its layout places (else it
+        belongs to another dataset or chunk: ``ValueError``).  Payloads of one
+        multi-array codec recipe go to the codec as one batch with their
+        ``wanted`` ordinals: they share its entropy pass and only those blocks
+        are decoded, each to what it is in the whole chunk.  A single-array
+        codec's packed arrangement decodes whole: every block comes back.
+        """
+        out: List[Dict[int, np.ndarray]] = [{} for _ in payloads]
         batches: Dict[Tuple[str, float, int], List[Tuple[int, bytes]]] = {}
-        for index, payload in enumerate(payloads):
+        for index, (payload, layout) in enumerate(zip(payloads, layouts)):
             header, body = _parse_payload(payload)
+            held = [math.prod(shape) for shape in _block_shapes(header)]
+            if held != [size for _, size in layout]:
+                raise ValueError(
+                    f"AMRIC chunk payload {index} of the job holds {len(held)} blocks "
+                    f"of {sum(held)} cells, its place in the dataset {len(layout)} "
+                    f"of {sum(size for _, size in layout)}")
             spec = resolve_codec(_need(header, "mode"))
             if spec.supports_many:
                 recipe = (spec.name, _need(header, "error_bound"), _need(header, "sz_block_size"))
@@ -244,13 +261,16 @@ class AMRICLevelFilter(Filter):
                 slot_of_block=list(arr.get("slot_of_block", [])))
             comp = spec.create(_need(header, "error_bound"), mode="abs",
                                anchor_stride=_need(header, "interp_anchor_stride"))
-            place(index, unpack_blocks(comp.decompress(body), arrangement))
+            out[index] = dict(enumerate(unpack_blocks(comp.decompress(body), arrangement)))
         for (name, error_bound, block_size), members in batches.items():
             comp = resolve_codec(name).create(error_bound, block_size=block_size)
-            decoded = comp.decompress_batch([body for _, body in members])
+            # (a chunk wanted whole — every ordinal, ascending — needs no narrowing)
+            select = [list(wanted[index]) if len(wanted[index]) < len(layouts[index]) else None
+                      for index, _ in members]
+            decoded = comp.decompress_batch([body for _, body in members], select)
             for (index, _), blocks in zip(members, decoded):
-                place(index, blocks)
-        return chunks
+                out[index] = dict(zip(wanted[index], blocks))
+        return out
 
 
 def _parse_payload(payload: bytes) -> Tuple[dict, bytes]:
@@ -268,3 +288,14 @@ def _parse_payload(payload: bytes) -> Tuple[dict, bytes]:
 
 def _need(mapping: dict, key: str):
     return required(mapping, key, "AMRIC chunk header")
+
+
+def _block_shapes(header: dict) -> List[list]:
+    """The unit-block shapes a chunk header says its payload holds, in stored order."""
+    plan = _need(header, "plan")
+    shapes = plan.get("block_shapes") if isinstance(plan, dict) else None
+    if not (isinstance(shapes, list) and shapes and all(
+            isinstance(shape, list) and all(isinstance(n, int) and n > 0 for n in shape)
+            for shape in shapes)):
+        raise ValueError("AMRIC chunk header: block_shapes is not a list of positive extents")
+    return shapes

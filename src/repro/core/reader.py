@@ -10,16 +10,16 @@ The read side mirrors the writer's staged decomposition
     without one is rejected.  Produces a :class:`ReadPlan` of
     :class:`DatasetReadPlan` entries.
 ``decode`` (:func:`decode_job`)
-    Decode one dataset's chunk payloads, handed to the filter together
-    (:meth:`~repro.h5lite.filters.Filter.decode_many`) so AMRIC's level filter
-    runs one Huffman lane pass per job instead of one per chunk.  A
-    :class:`DecodeJob` is a plain picklable dataclass (raw bytes + filter
-    recipe), so per-dataset decode jobs run through any
+    Decode the wanted unit blocks of one dataset's chunk payloads, handed to
+    the filter together (:meth:`~repro.h5lite.filters.Filter.decode_blocks`) so
+    AMRIC's level filter runs one Huffman lane pass per job instead of one per
+    chunk — over the wanted blocks' streams only.  A :class:`DecodeJob` is a
+    plain picklable dataclass (raw bytes + filter recipe), so per-dataset
+    decode jobs run through any
     :class:`~repro.parallel.backend.ExecutionBackend` (serial, shm) with
     bit-identical results.
 ``place`` (:func:`place_dataset`)
-    Scatter the decoded elements back into the hierarchy's fabs by the
-    planned block offsets.
+    Scatter the decoded blocks back into the hierarchy's fabs.
 ``refill`` (:func:`~repro.amr.upsample.fill_covered_from_finer`)
     Restore the redundant coarse cells dropped before compression by
     conservatively averaging the reconstructed finer level down — the shared
@@ -27,10 +27,17 @@ The read side mirrors the writer's staged decomposition
 
 :class:`PlotfileHandle` (returned by :func:`repro.open`) runs the stages.
 Every consumer — the full :meth:`~PlotfileHandle.read`, the lazy
-``read_field(name, level=..., box=...)`` that decodes only the chunks whose
-unit blocks intersect the request, the query engine's batches, a series step —
-obtains decoded chunks through one door (:meth:`PlotfileHandle._chunks`): one
-cache lookup per chunk, one decode batch for the misses.
+``read_field(name, level=..., box=...)``, the query engine's batches, a series
+step — obtains decoded data through one door (:meth:`PlotfileHandle._blocks`),
+in two units.  The **chunk payload is the unit of I/O**: it is fetched whole
+(its deflated sections do not inflate in part).  The **unit block is the unit
+of decode and of cache**: the paper's unit SLE gives every block its own
+byte-aligned Huffman stream under the chunk's shared table and confines
+prediction to the block, so a box read entropy-decodes and reconstructs only
+the blocks it meets — one cache lookup per block, one decode batch for the
+misses.  A filter that cannot decode a block alone (SZ_Interp's packed
+arrangement, the flat baselines, a series' code streams) decodes the chunk and
+every block of it is kept.
 """
 
 from __future__ import annotations
@@ -104,8 +111,11 @@ class BlockSlot:
 class DatasetReadPlan:
     """The decode/placement layout of one ``level_<l>/<field>`` dataset.
 
-    Compared and hashed by identity: a plan's datasets key the chunk requests
-    and answers of :meth:`PlotfileHandle._chunks`.
+    Compared and hashed by identity: a plan's datasets key the block requests
+    and answers of :meth:`PlotfileHandle._blocks`.  Slots are stored in offset
+    order, so chunk ``j`` holds the run of slots from ``_head[j]`` and slot
+    ``i`` is its block of *ordinal* ``i - _head[j]`` (a stream-aligned dataset
+    may cut a block across chunks: it then has one *piece* in each).
     """
 
     level: int
@@ -120,19 +130,35 @@ class DatasetReadPlan:
     boxes: BoxArray
 
     def __post_init__(self) -> None:
-        offsets = np.array([s.offset for s in self.slots], dtype=np.int64)
-        sizes = np.array([s.size for s in self.slots], dtype=np.int64)
-        self._first = offsets // self.chunk_elements
-        self._last = (offsets + sizes - 1) // self.chunk_elements
+        self._offsets = np.array([s.offset for s in self.slots], dtype=np.int64)
+        self._sizes = np.array([s.size for s in self.slots], dtype=np.int64)
+        first = self._offsets // self.chunk_elements
+        last = (self._offsets + self._sizes - 1) // self.chunk_elements
+        #: per slot, the (first, last) chunk it has a piece in
+        self._span = list(zip(first.tolist(), last.tolist()))
+        chunks = np.arange(self.nchunks)
+        #: per chunk, the first slot with a piece in it, and one past the last
+        self._head = np.searchsorted(last, chunks).tolist()
+        self._tail = np.searchsorted(first, chunks, side="right").tolist()
 
-    def chunks_for(self, slot_indices: Sequence[int]) -> List[int]:
-        """Which chunk indices the given slots touch (sorted, deduplicated)."""
-        # +1 where a slot's chunk span opens, -1 past where it closes: the
-        # running sum is positive exactly on the touched chunks
-        n = self.nchunks + 1
-        edges = np.bincount(self._first[slot_indices], minlength=n) \
-            - np.bincount(self._last[slot_indices] + 1, minlength=n)
-        return np.flatnonzero(np.cumsum(edges)).tolist()
+    def layout(self, chunk: int) -> List[Tuple[int, int]]:
+        """``(offset in the chunk, size)`` of every piece chunk ``chunk`` holds,
+        in stored (= ordinal) order."""
+        base = chunk * self.chunk_elements
+        run = slice(self._head[chunk], self._tail[chunk])
+        lo = np.maximum(self._offsets[run], base)
+        hi = np.minimum(self._offsets[run] + self._sizes[run], base + self.chunk_elements)
+        return list(zip((lo - base).tolist(), (hi - lo).tolist()))
+
+    def pieces_of(self, slot_indices: Iterable[int]) -> Dict[int, List[int]]:
+        """``{chunk: ordinals}`` of the pieces that make up the given slots
+        (ascending): the payloads to fetch and what to decode of each."""
+        wanted: Dict[int, List[int]] = {}
+        for index in slot_indices:
+            first, last = self._span[index]
+            for chunk in range(first, last + 1):
+                wanted.setdefault(chunk, []).append(index - self._head[chunk])
+        return wanted
 
 
 @dataclass
@@ -259,7 +285,8 @@ def scan_plotfile(f: H5LiteFile) -> ReadPlan:
 # ----------------------------------------------------------------------
 @dataclass
 class DecodeJob:
-    """One dataset's decode work: raw chunk payloads + the filter recipe.
+    """One dataset's decode work: raw chunk payloads, what is wanted of each,
+    and the filter recipe.
 
     The payloads cross the shm pool boundary as shared-memory descriptors,
     the rest pickles (ints, strings); decoding is deterministic, so every
@@ -272,6 +299,10 @@ class DecodeJob:
     key: str                               #: dataset name (stable identifier)
     payloads: List[bytes]
     chunk_indices: List[int]
+    #: per payload, where each of its blocks sits (:meth:`DatasetReadPlan.layout`)
+    layouts: List[List[Tuple[int, int]]]
+    #: per payload, the ordinals of the blocks to decode (ascending)
+    wanted: List[List[int]]
     chunk_elements: int
     filter_id: str
     codec: str = "sz_lr"
@@ -283,11 +314,10 @@ class DecodeJob:
 class DecodeResult:
     """What one decode job produced (travels back across the backend)."""
 
-    _shm_fields: ClassVar[Tuple[str, ...]] = ("chunks",)
+    _shm_fields: ClassVar[Tuple[str, ...]] = ("blocks",)
 
-    key: str
-    chunk_indices: List[int]
-    chunks: List[np.ndarray]
+    pieces: List[Tuple[int, int]]          #: (chunk, ordinal) of each of ``blocks``
+    blocks: List[np.ndarray]
 
 
 def _decode_filter(filter_id: str, codec: str, error_bound: float,
@@ -315,13 +345,18 @@ def _decode_filter(filter_id: str, codec: str, error_bound: float,
 
 
 def make_decode_job(f: H5LiteFile, dplan: DatasetReadPlan,
-                    chunk_indices: Sequence[int], plan: ReadPlan) -> DecodeJob:
-    """Pull the selected raw chunk payloads of one dataset into a job."""
-    indices = list(chunk_indices)
-    # one batched (coalescing) source read instead of N seek+read round-trips
+                    wanted: Mapping[int, Sequence[int]], plan: ReadPlan) -> DecodeJob:
+    """Pull the raw chunk payloads that hold the wanted blocks of one dataset
+    (``{chunk: ordinals}``, see :meth:`DatasetReadPlan.pieces_of`) into a job."""
+    indices = list(wanted)
+    # one batched (coalescing) source read instead of N seek+read round-trips;
+    # a payload is fetched whole whatever is wanted of it (its deflated
+    # sections do not inflate in part)
     payloads = f.read_chunk_payloads(dplan.name, indices)
     header = plan.header
     return DecodeJob(key=dplan.name, payloads=payloads, chunk_indices=indices,
+                     layouts=[dplan.layout(index) for index in indices],
+                     wanted=[list(wanted[index]) for index in indices],
                      chunk_elements=dplan.chunk_elements,
                      filter_id=dplan.filter_id, codec=header.codec,
                      error_bound=header.error_bound,
@@ -329,7 +364,7 @@ def make_decode_job(f: H5LiteFile, dplan: DatasetReadPlan,
 
 
 def decode_job(job: DecodeJob) -> DecodeResult:
-    """Stage 2: decode one dataset's chunks.
+    """Stage 2: decode the wanted blocks of one dataset's chunks.
 
     A module-level pure function over picklable inputs — the read-side mirror
     of :func:`repro.core.stages.encode_job` — so the serial and shm backends
@@ -352,10 +387,16 @@ def decode_job(job: DecodeJob) -> DecodeResult:
             cache[cache_key] = filt
     # one call per job: a filter whose chunks can share a decode cost (AMRIC's
     # level filter: one Huffman lane pass for the job) gets them together
-    chunks = [np.asarray(chunk, dtype=np.float64).reshape(-1)
-              for chunk in filt.decode_many(job.payloads, job.chunk_elements)]
-    return DecodeResult(key=job.key, chunk_indices=list(job.chunk_indices),
-                        chunks=chunks)
+    try:
+        answers = filt.decode_blocks(job.payloads, job.chunk_elements,
+                                     job.layouts, job.wanted)
+    except ValueError as exc:
+        raise ValueError(f"{job.key}, chunks {job.chunk_indices}: {exc}") from exc
+    return DecodeResult(
+        pieces=[(chunk, ordinal) for chunk, answer in zip(job.chunk_indices, answers)
+                for ordinal in answer],
+        blocks=[np.asarray(block, dtype=np.float64)
+                for answer in answers for block in answer.values()])
 
 
 def _split_indices(indices: Sequence[int], nparts: int) -> List[List[int]]:
@@ -371,34 +412,16 @@ def _split_indices(indices: Sequence[int], nparts: int) -> List[List[int]]:
 # ----------------------------------------------------------------------
 # place
 # ----------------------------------------------------------------------
-def _gather_slot(slot: BlockSlot, chunks: Dict[int, np.ndarray],
-                 chunk_elements: int) -> np.ndarray:
-    """Extract one block's elements from the decoded chunks (may span chunks)."""
-    start, stop = slot.offset, slot.offset + slot.size
-    first = start // chunk_elements
-    last = (stop - 1) // chunk_elements
-    if first == last:
-        local = start - first * chunk_elements
-        return chunks[first][local:local + slot.size]
-    pieces: List[np.ndarray] = []
-    for index in range(first, last + 1):
-        base = index * chunk_elements
-        local_lo = max(start, base) - base
-        local_hi = min(stop, base + chunk_elements) - base
-        pieces.append(chunks[index][local_lo:local_hi])
-    return np.concatenate(pieces)
-
-
 def place_dataset(structure: AmrHierarchy, dplan: DatasetReadPlan,
-                  chunks: Dict[int, np.ndarray]) -> None:
-    """Stage 3: scatter one dataset's decoded elements into the hierarchy."""
+                  blocks: Mapping[int, np.ndarray]) -> None:
+    """Stage 3: scatter one dataset's decoded blocks (by slot) into the hierarchy."""
     level = structure[dplan.level]
     comp = level.multifab.component_index(dplan.field)
-    for slot in dplan.slots:
-        data = _gather_slot(slot, chunks, dplan.chunk_elements)
+    for index, slot in enumerate(dplan.slots):
+        box = slot.block.box
         fab = level.multifab[slot.block.box_index]
-        fab.component(comp)[slot.block.box.slices(origin=fab.box.lo)] = \
-            data.reshape(slot.block.box.shape)
+        fab.component(comp)[box.slices(origin=fab.box.lo)] = \
+            blocks[index].reshape(box.shape)
 
 
 # ----------------------------------------------------------------------
@@ -408,19 +431,19 @@ def place_dataset(structure: AmrHierarchy, dplan: DatasetReadPlan,
 class ReadStats:
     """Decode accounting for one handle (shared by a series' step handles).
 
-    Counted once, in :meth:`PlotfileHandle._chunks` and the miss producer
+    Counted once, in :meth:`PlotfileHandle._blocks` and the miss producer
     under it.  Bytes and requests are counted where they happen, by the byte
     source: see :attr:`PlotfileHandle.source_stats`.
     """
 
-    chunks_decoded: int = 0     #: chunk payloads decoded (a series: streams)
-    cache_hits: int = 0         #: chunks (a series: also code streams) a cache held
+    #: chunk payloads entropy-decoded, in whole or in part (a series: streams)
+    chunks_decoded: int = 0
+    blocks_decoded: int = 0     #: unit blocks reconstructed from them
+    cache_hits: int = 0         #: blocks (a series: also code streams) a cache held
     datasets_decoded: int = 0   #: datasets with at least one miss, per request
 
     def reset(self) -> None:
-        self.chunks_decoded = 0
-        self.cache_hits = 0
-        self.datasets_decoded = 0
+        self.__init__()
 
 
 class _BoxRead(NamedTuple):
@@ -446,13 +469,13 @@ class PlotfileHandle:
 
     * :attr:`fields`, :attr:`levels`, :attr:`codec`, :meth:`describe` —
       metadata only, no chunk is touched;
-    * :meth:`read_field` — decodes exactly the chunks whose unit blocks
-      intersect the requested box (cached per chunk; see :attr:`stats`);
+    * :meth:`read_field` — decodes exactly the unit blocks that intersect
+      the requested box (cached per block; see :attr:`stats`);
     * :meth:`read` — the full staged scan/decode/place/refill pipeline,
       optionally over a pooled execution backend.
 
-    Decoded chunks live in a :class:`~repro.service.cache.ChunkCache` under
-    ``(path, dataset, chunk)`` keys: the caller's shared one (``cache``), else
+    Decoded blocks live in a :class:`~repro.service.cache.ChunkCache` under
+    ``(path, dataset, slot)`` keys: the caller's shared one (``cache``), else
     a private one of the default byte budget.
     """
 
@@ -570,69 +593,93 @@ class PlotfileHandle:
             self._plan = scan_plotfile(self._file)
         return self._plan
 
-    # -- the chunk door -------------------------------------------------
-    def _chunks(self, needed: Mapping[DatasetReadPlan, Iterable[int]],
+    # -- the block door -------------------------------------------------
+    def _blocks(self, needed: Mapping[DatasetReadPlan, Iterable[int]],
                 backend: Optional[ExecutionBackend] = None,
                 comm: Optional[SimComm] = None, store: bool = True,
                 ) -> Dict[DatasetReadPlan, Dict[int, np.ndarray]]:
-        """The one door to decoded chunks: ``{dataset: {chunk index: chunk}}``.
+        """The one door to decoded unit blocks: ``{dataset: {slot: block}}``.
 
-        Each needed chunk is looked up once in the handle's cache; only the
-        misses are decoded (:meth:`_decode_missing`, one batch) and — unless
-        ``store`` is off, the full read's rule: it would only flush what
-        random access keeps warm — stored.  The answer is held by the caller,
-        so a chunk the cache evicts or rejects meanwhile costs a later request
-        time, never this one its data.
+        Each needed block is looked up once in the handle's cache; the misses
+        are grouped by the chunk payload that holds them and decoded
+        (:meth:`_decode_missing`, one batch) — they alone where the filter can
+        decode a block without its chunk, else the chunk's blocks, all kept.
+        Unless ``store`` is off (the full read's rule: it would only flush
+        what random access keeps warm) every decoded block is stored, as an
+        array that owns its memory so the byte budget counts what is held.
+        The caller holds the answer, so a block the cache evicts or rejects
+        meanwhile costs a later request time, never this one its data.
         """
         path = self.path
         out: Dict[DatasetReadPlan, Dict[int, np.ndarray]] = {}
-        pending: Dict[DatasetReadPlan, List[int]] = {}
-        for dplan, indices in needed.items():
+        pending: Dict[DatasetReadPlan, Dict[int, List[int]]] = {}
+        for dplan, slots in needed.items():
             have = out[dplan] = {}
             missing = []
-            for index in sorted(indices):
-                chunk = self._cache.get((path, dplan.name, index))
-                if chunk is None:
-                    missing.append(index)
+            for slot in sorted(slots):
+                block = self._cache.get((path, dplan.name, slot))
+                if block is None:
+                    missing.append(slot)
                 else:
-                    have[index] = chunk
+                    have[slot] = block
             self.stats.cache_hits += len(have)
             if missing:
-                pending[dplan] = missing
-        if pending:
-            self.stats.datasets_decoded += len(pending)
-            for dplan, index, chunk in self._decode_missing(pending, backend, comm):
-                out[dplan][index] = chunk
-                if store:
-                    self._cache.put((path, dplan.name, index), chunk)
+                pending[dplan] = dplan.pieces_of(missing)
+        if not pending:
+            return out
+        self.stats.datasets_decoded += len(pending)
+        # pieces so far of blocks cut across chunks (stream-aligned datasets)
+        partial: Dict[Tuple[DatasetReadPlan, int], List[np.ndarray]] = {}
+        for dplan, chunk, ordinal, block in self._decode_missing(pending, backend, comm):
+            slot = dplan._head[chunk] + ordinal
+            first, last = dplan._span[slot]
+            if first != last:
+                pieces = partial.setdefault((dplan, slot), [])
+                pieces.append(block)
+                if len(pieces) <= last - first:
+                    continue                    # (an unwanted neighbour's may never all come)
+                block = np.concatenate(partial.pop((dplan, slot)))
+            home = dplan.slots[slot]
+            if block.shape != (home.size,) and block.shape != home.block.box.shape:
+                raise ValueError(
+                    f"{path}: block {ordinal} of chunk {chunk} of {dplan.name!r} decoded "
+                    f"to shape {block.shape}, its unit block is {home.block.box.shape}")
+            out[dplan][slot] = block
+            self.stats.blocks_decoded += 1
+            if store:
+                self._cache.put((path, dplan.name, slot),
+                                block if block.base is None else block.copy())
         return out
 
-    def _decode_missing(self, pending: Mapping[DatasetReadPlan, List[int]],
+    def _decode_missing(self, pending: Mapping[DatasetReadPlan, Mapping[int, List[int]]],
                         backend: Optional[ExecutionBackend],
                         comm: Optional[SimComm],
-                        ) -> Iterator[Tuple[DatasetReadPlan, int, np.ndarray]]:
-        """Decode the chunks no cache held: yields ``(dataset, index, chunk)``.
+                        ) -> Iterator[Tuple[DatasetReadPlan, int, int, np.ndarray]]:
+        """Decode the blocks no cache held, given per dataset as ``{chunk:
+        ordinals}``: yields ``(dataset, chunk, ordinal, block)`` for at least
+        those (chunks ascending within a dataset).
 
         One decode job per dataset — cut into per-worker jobs while the batch
         has fewer datasets than a pooled ``backend`` has workers — submitted
         through ``comm`` (:meth:`~repro.parallel.mpi_sim.SimComm.run_jobs`) as
         one batch with one barrier, mirroring the writer's encode stage.  Jobs
         are pure functions of the stored bytes, so every backend and every
-        split yields identical chunks.
+        split yields identical blocks.
         """
         plan = self._scan()
         width = backend.parallel_width() if backend is not None else 1
         nparts = -(-width // len(pending))
-        jobs = [(dplan, make_decode_job(self._file, dplan, part, plan=plan))
-                for dplan, missing in pending.items()
-                for part in _split_indices(missing, nparts)]
+        jobs = [(dplan, make_decode_job(self._file, dplan,
+                                        {chunk: wanted[chunk] for chunk in part}, plan=plan))
+                for dplan, wanted in pending.items()
+                for part in _split_indices(list(wanted), nparts)]
         comm = comm if comm is not None else SimComm(plan.nranks)
         results = comm.run_jobs(backend if backend is not None else SerialBackend(),
                                 decode_job, [job for _, job in jobs])
-        for (dplan, _), result in zip(jobs, results):
-            self.stats.chunks_decoded += len(result.chunks)
-            for index, chunk in zip(result.chunk_indices, result.chunks):
-                yield dplan, index, chunk
+        for (dplan, job), result in zip(jobs, results):
+            self.stats.chunks_decoded += len(job.chunk_indices)
+            for (chunk, ordinal), block in zip(result.pieces, result.blocks):
+                yield dplan, chunk, ordinal, block
 
     # -- lazy random access --------------------------------------------
     def _plan_box(self, name: str, level: int, box: Optional[Box],
@@ -640,10 +687,10 @@ class PlotfileHandle:
                   needed: Dict[DatasetReadPlan, set]) -> _BoxRead:
         """Plan one :meth:`read_field` request without decoding anything.
 
-        Adds every chunk the read touches — at ``level`` and, for refill, in
-        the finer levels under it — to ``needed``, so one trip through
-        :meth:`_chunks` serves the whole request (or a whole batch of them
-        sharing ``needed``).
+        Adds every unit block (slot) the read meets — at ``level`` and, for
+        refill, in the finer levels under it — to ``needed``, so one trip
+        through :meth:`_blocks` serves the whole request (or a whole batch of
+        them sharing ``needed``).
         """
         plan = self._scan()
         structure = plan.structure
@@ -674,8 +721,7 @@ class PlotfileHandle:
         dplan = plan.dataset(level, name)
         hits = dplan.boxes.intersections(query) if dplan is not None else []
         if hits:
-            needed.setdefault(dplan, set()).update(
-                dplan.chunks_for([i for i, _ in hits]))
+            needed.setdefault(dplan, set()).update(index for index, _ in hits)
         if level >= finest:
             return _BoxRead(query, dplan, hits, [], 1)
         ratio = plan.structure.ref_ratios[level]
@@ -685,49 +731,46 @@ class PlotfileHandle:
             for _, overlap in plan.fine_coarsened[level].intersections(query)], ratio)
 
     def _assemble(self, read: _BoxRead,
-                  chunks: Mapping[DatasetReadPlan, Mapping[int, np.ndarray]],
+                  blocks: Mapping[DatasetReadPlan, Mapping[int, np.ndarray]],
                   fill_value: float) -> np.ndarray:
-        """The dense array of a planned read, from the chunks it asked for."""
+        """The dense array of a planned read, from the blocks it asked for."""
         query = read.query
         out = np.full(query.shape, fill_value, dtype=np.float64)
         for index, overlap in read.hits:
-            slot = read.dplan.slots[index]
-            home = slot.block.box
-            data = _gather_slot(slot, chunks[read.dplan], read.dplan.chunk_elements) \
-                .reshape(home.shape)
+            home = read.dplan.slots[index].block.box
             out[overlap.slices(origin=query.lo)] = \
-                data[overlap.slices(origin=home.lo)]
+                blocks[read.dplan][index].reshape(home.shape)[overlap.slices(origin=home.lo)]
         for overlap, fine in read.finer:
             out[overlap.slices(origin=query.lo)] = average_down(
-                self._assemble(fine, chunks, fill_value), read.ratio)
+                self._assemble(fine, blocks, fill_value), read.ratio)
         return out
 
     def _read_boxes(self, requests: Sequence[Tuple],
                     backend: Optional[ExecutionBackend] = None) -> List[np.ndarray]:
         """Answer :meth:`read_field` argument tuples ``(name, level, box,
-        refill, fill_value, max_level)`` together: the union of the chunks
-        they touch goes through :meth:`_chunks` once, so requests that overlap
-        in chunks cost one lookup and at most one decode per chunk."""
+        refill, fill_value, max_level)`` together: the union of the blocks
+        they meet goes through :meth:`_blocks` once, so requests that overlap
+        in blocks cost one lookup and at most one decode per block."""
         needed: Dict[DatasetReadPlan, set] = {}
         reads = [(self._plan_box(name, level, box, refill, max_level, needed), fill_value)
                  for name, level, box, refill, fill_value, max_level in requests]
-        chunks = self._chunks(needed, backend=backend)
-        return [self._assemble(read, chunks, fill_value) for read, fill_value in reads]
+        blocks = self._blocks(needed, backend=backend)
+        return [self._assemble(read, blocks, fill_value) for read, fill_value in reads]
 
     def read_field(self, name: str, level: int = 0, box: Optional[Box] = None,
                    refill: bool = True, fill_value: float = 0.0,
                    max_level: Optional[int] = None) -> np.ndarray:
-        """Decode one field over one region, touching only intersecting chunks.
+        """Decode one field over one region, touching only intersecting blocks.
 
         Returns a dense array covering ``box`` (default: the level's whole
         domain).  Cells no stored block covers keep ``fill_value``; with
         ``refill`` (the default) coarse cells covered by the next finer level
         are restored by conservatively averaging the finer data down — which
-        itself decodes only the intersecting fine chunks.
+        itself decodes only the intersecting fine blocks.
 
         ``max_level`` makes the read *progressive*: refill never recurses
         past level ``max_level``, so a ``max_level=0`` probe touches only
-        coarse chunks and returns immediately — the time-to-first-array path
+        coarse blocks and returns immediately — the time-to-first-array path
         of an interactive viewer, which then re-issues the read with a higher
         (or no) cap to refine.  Cells whose data was dropped at write time
         (``remove_redundancy``) and whose finer source lies above the cap
@@ -744,7 +787,7 @@ class PlotfileHandle:
 
         ``backend`` follows the writer's convention: a name builds a backend
         owned (and closed) by this call, an :class:`ExecutionBackend`
-        instance stays the caller's to manage.  Chunks :meth:`read_field`
+        instance stays the caller's to manage.  Blocks :meth:`read_field`
         already decoded are reused; every call returns a fresh hierarchy.
         """
         plan = self._scan()
@@ -756,14 +799,14 @@ class PlotfileHandle:
         owns = not isinstance(spec, ExecutionBackend)
         resolved = make_backend(spec)
         try:
-            chunks = self._chunks({d: range(d.nchunks) for d in plan.datasets},
+            blocks = self._blocks({d: range(len(d.slots)) for d in plan.datasets},
                                   backend=resolved, comm=comm, store=False)
         finally:
             if owns:
                 resolved.close()
         structure = template_from_header(self.header)
         for dplan in plan.datasets:
-            place_dataset(structure, dplan, chunks.pop(dplan))
+            place_dataset(structure, dplan, blocks.pop(dplan))
         if plan.remove_redundancy:
             fill_covered_from_finer(structure)
         return structure

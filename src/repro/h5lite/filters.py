@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from repro.compress.lossless import zlib_compress, zlib_decompress
 
 __all__ = [
     "FilterStats",
+    "cut_blocks",
     "Filter",
     "NoCompressionFilter",
     "SZChunkFilter",
@@ -37,6 +38,15 @@ __all__ = [
     "FilterRegistry",
     "default_registry",
 ]
+
+
+def cut_blocks(chunk: np.ndarray, layout: Sequence[Tuple[int, int]]) -> List[np.ndarray]:
+    """The blocks of one decoded (flat) chunk, as views of it; ``layout`` is
+    their ``(element offset, size)`` in stored order."""
+    if layout and sum(layout[-1]) > chunk.size:
+        raise ValueError(f"decoded chunk holds {chunk.size} elements, its blocks "
+                         f"run to {sum(layout[-1])}")
+    return [chunk[offset:offset + size] for offset, size in layout]
 
 
 @dataclass
@@ -72,13 +82,20 @@ class Filter:
         """Invert :meth:`encode`, returning a 1D array of ``chunk_elements``."""
         raise NotImplementedError
 
-    def decode_many(self, payloads: Sequence[bytes], chunk_elements: int) -> List[np.ndarray]:
-        """:meth:`decode` of each payload — what a decode job calls, once.
+    def decode_blocks(self, payloads: Sequence[bytes], chunk_elements: int,
+                      layouts: Sequence[Sequence[Tuple[int, int]]],
+                      wanted: Sequence[Sequence[int]]) -> List[Dict[int, np.ndarray]]:
+        """Per payload, decoded blocks by ordinal — what a decode job calls, once.
 
-        A filter whose decode has a cost the payloads can share overrides this
-        (the arrays must not depend on the batching); the default is the loop.
+        ``layouts[i]`` places every block of payload ``i`` in its chunk
+        (:func:`cut_blocks`); ``wanted[i]`` lists the ordinals asked for
+        (ascending).  The default decodes each chunk whole and answers with
+        all its blocks; a filter that can decode a block without its chunk
+        overrides this and answers with the wanted ones (which must not depend
+        on what else was asked for).
         """
-        return [self.decode(payload, chunk_elements) for payload in payloads]
+        return [dict(enumerate(cut_blocks(self.decode(payload, chunk_elements), layout)))
+                for payload, layout in zip(payloads, layouts)]
 
     def _account(self, chunk: np.ndarray, actual_elements: Optional[int], out: bytes) -> None:
         self.stats.calls += 1

@@ -33,6 +33,7 @@ from repro.amr.box import Box
 from repro.amr.hierarchy import AmrHierarchy
 from repro.compress.temporal import MODE_DELTA, TemporalDeltaCodec
 from repro.core.reader import DatasetReadPlan, PlotfileHandle, ReadStats
+from repro.h5lite.filters import cut_blocks
 from repro.h5lite.source import ByteSource, SourceStats
 from repro.series.index import SeriesIndex, SeriesStepRecord
 from repro.service.cache import ChunkCache
@@ -171,17 +172,19 @@ class SeriesStepHandle(PlotfileHandle):
                     yield index, entry
                     entry = None
 
-    def _decode_missing(self, pending: Mapping[DatasetReadPlan, List[int]],
+    def _decode_missing(self, pending: Mapping[DatasetReadPlan, Mapping[int, List[int]]],
                         backend, comm
-                        ) -> Iterator[Tuple[DatasetReadPlan, int, np.ndarray]]:
+                        ) -> Iterator[Tuple[DatasetReadPlan, int, int, np.ndarray]]:
         # ``backend`` and ``comm`` go unused: a group's streams share entropy
         # passes in this process, and what they resolve to lives in this
-        # process's per-series code cache
-        for dplan, missing in pending.items():
-            for index, stream in self._resolve_codes(dplan.name, missing):
-                chunk = np.zeros(dplan.chunk_elements, dtype=np.float64)
-                chunk[:stream.codes.size] = TemporalDeltaCodec.grid_values(*stream)
-                yield dplan, index, chunk
+        # process's per-series code cache.  A code stream is whole-chunk by
+        # nature (a delta adds onto the same chunk of its reference), so every
+        # block of a resolved chunk is handed on, wanted or not
+        for dplan, wanted in pending.items():
+            for index, stream in self._resolve_codes(dplan.name, list(wanted)):
+                values = TemporalDeltaCodec.grid_values(*stream)
+                for ordinal, block in enumerate(cut_blocks(values, dplan.layout(index))):
+                    yield dplan, index, ordinal, block
 
 
 class SeriesHandle:

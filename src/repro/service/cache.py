@@ -1,19 +1,22 @@
-"""A byte-budgeted LRU cache of decoded chunks.
+"""A byte-budgeted LRU cache of decoded unit blocks.
 
-Every reader in the stack decodes in chunk units (PR 3) and the series reader
-resolves delta chains in chunk units (PR 4).  :class:`ChunkCache` is where the
-results live: a thread-safe LRU over ``(path, dataset, chunk index)`` keys with
-a byte budget — inserting past the budget evicts least-recently-used entries,
-and every hit/miss/eviction is counted in :class:`CacheStats` (what the
-cache-accounting tests and the ``stats`` rows of the query service assert
-against).  Every handle has one: a private one of the default budget, or the
-one its opener shares (``repro.open(path, cache=...)``), so two handles on the
-same plotfile — or two clients of the query service — decode a chunk once and
-a long-lived handle's memory stays bounded.  The full key carries the path,
-which is what lets one cache serve handles over many files without collisions.
+The chunk payload is the reader's unit of I/O; the unit block is its unit of
+decode and of cache (:mod:`repro.core.reader`): a box read decodes only the
+blocks it meets and leaves exactly those here.  :class:`ChunkCache` is a
+thread-safe LRU over ``(path, dataset, slot index)`` keys with a byte budget —
+inserting past the budget evicts least-recently-used entries, and every
+hit/miss/eviction is counted in :class:`CacheStats` (what the cache-accounting
+tests and the ``stats`` rows of the query service assert against; per block
+since the block door, so a request's lookups are the blocks it needed).  Every
+handle has one: a private one of the default budget, or the one its opener
+shares (``repro.open(path, cache=...)``), so two handles on the same plotfile
+— or two clients of the query service — decode a block once and a long-lived
+handle's memory stays bounded.  The full key carries the path, which is what
+lets one cache serve handles over many files without collisions.
 
-The cache sizes an entry by its ``nbytes``; the series reader keeps its
-resolved code streams in a second instance.
+The cache sizes an entry by its ``nbytes``, so what is put must own its memory
+(the door copies a block that is a view of a larger decode); the series reader
+keeps its resolved code streams — whole-chunk by nature — in a second instance.
 """
 
 from __future__ import annotations
@@ -27,10 +30,10 @@ import numpy as np
 
 __all__ = ["CacheStats", "ChunkCache", "DEFAULT_CACHE_BYTES"]
 
-#: default byte budget: enough for ~4k chunks of 4096 float64 elements
+#: default byte budget: ~4k unit blocks of 16^3 float64 cells
 DEFAULT_CACHE_BYTES = 128 * 1024 * 1024
 
-#: (file path, dataset name, chunk index)
+#: (file path, dataset name, slot index)
 CacheKey = Tuple[str, str, int]
 
 
@@ -61,7 +64,7 @@ class CacheStats:
 
 
 class ChunkCache:
-    """Byte-budgeted LRU over decoded chunks, shared by any number of handles.
+    """Byte-budgeted LRU over decoded blocks, shared by any number of handles.
 
     ``get``/``put`` are safe to call from concurrent readers (one lock guards
     the LRU order and the counters).  Cached arrays are treated as immutable
@@ -122,7 +125,7 @@ class ChunkCache:
 
     # ------------------------------------------------------------------
     def get(self, key: CacheKey) -> Optional[np.ndarray]:
-        """The cached chunk, refreshed to most-recently-used; None on a miss."""
+        """The cached entry, refreshed to most-recently-used; None on a miss."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -133,9 +136,9 @@ class ChunkCache:
             return entry
 
     def put(self, key: CacheKey, chunk: np.ndarray) -> None:
-        """Insert one decoded chunk, evicting LRU entries past the budget.
+        """Insert one decoded block, evicting LRU entries past the budget.
 
-        A chunk larger than the whole budget is not cached (it would evict
+        An entry larger than the whole budget is not cached (it would evict
         everything and immediately be evicted itself); re-inserting an
         existing key refreshes its recency without double-counting bytes.
         """

@@ -5,13 +5,13 @@ a pool of lazily-opened handles, binds every one of them to a single shared
 :class:`~repro.service.cache.ChunkCache`, and adds the two behaviours a
 serving layer needs beyond what a lone handle offers:
 
-* **batching with chunk coalescing** — :meth:`read_batch` takes many
+* **batching with block coalescing** — :meth:`read_batch` takes many
   :class:`BoxQuery` requests at once and hands the ones that land on the same
-  file (or series step) to its handle together: the handle unions the chunk
-  sets their boxes touch, obtains that union once — one cache lookup and at
-  most one decode per chunk — and assembles every answer from it.  Requests
-  overlapping in chunks (or, for series steps, in delta chains, which are
-  resolved chunk-by-chunk) therefore cost one decode per chunk per batch
+  file (or series step) to its handle together: the handle unions the unit
+  blocks their boxes meet, obtains that union once — one cache lookup and at
+  most one decode per block — and assembles every answer from it.  Requests
+  overlapping in blocks (or, for series steps, in delta chains, which are
+  resolved chunk-by-chunk) therefore cost one decode per block per batch
   instead of one per request.
 * **time slices** — :meth:`time_slice` is :meth:`SeriesHandle.time_slice
   <repro.series.reader.SeriesHandle.time_slice>` on the pooled handle, which
@@ -240,13 +240,13 @@ class QueryEngine:
         return self.read_batch([query])[0]
 
     def read_batch(self, queries: Sequence[BoxQuery]) -> List[np.ndarray]:
-        """Answer many box reads, decoding every touched chunk at most once.
+        """Answer many box reads, decoding every touched block at most once.
 
         Requests are grouped by the handle they read from (a file, or one
         step of a series); each handle plans its group, obtains the union of
-        the touched chunks in one shot (one lookup per chunk in the shared
+        the touched unit blocks in one shot (one lookup per block in the shared
         cache, one decode batch for the misses — for series steps this
-        resolves the delta chains of exactly those chunks) and assembles its
+        resolves the delta chains of exactly their chunks) and assembles its
         answers from what it obtained.  Answers come back in input order.
         """
         queries = list(queries)
@@ -323,6 +323,8 @@ class QueryEngine:
             ("repro_engine_plotfiles_open", "gauge", {}, float(len(handles))),
             ("repro_engine_series_open", "gauge", {}, float(len(series))),
             ("repro_chunks_decoded_total", "counter", {}, float(decoded)),
+            ("repro_blocks_decoded_total", "counter", {},
+             float(sum(h.stats.blocks_decoded for h in handles + series))),
             ("repro_series_refreshes_total", "counter", {},
              float(sum(s.refreshes for s in series))),
             ("repro_series_steps_appended_total", "counter", {},

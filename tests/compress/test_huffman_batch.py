@@ -400,3 +400,48 @@ class TestManyTablesOnePass:
         encoded.nsymbols += 1
         with pytest.raises(ValueError, match="add up"):
             codec.decode(encoded)
+
+
+class TestSelectStreams:
+    """``select_streams``: a kept stream decodes to exactly its own symbols."""
+
+    @given(shared_table_mixes(), st.data())
+    def test_kept_streams_decode_to_their_own_symbols(self, mix, data):
+        codec, arrays = mix
+        keep = np.asarray(data.draw(st.lists(st.booleans(), min_size=len(arrays),
+                                             max_size=len(arrays))), dtype=bool)
+        batch = _batch([codec.encode(a) for a in arrays])
+        for encoded in (batch, HuffmanEncoded(
+                batch.payload, batch.nbits, batch.nsymbols, batch.table_symbols,
+                batch.table_lengths, sync=None, streams=batch.streams)):
+            narrowed = codec.select_streams(encoded, keep)
+            kept = [a for a, k in zip(arrays, keep) if k]
+            if not any(a.size for a in arrays):
+                assert narrowed is encoded      # no symbol anywhere: nothing to cut
+                continue
+            assert narrowed.streams[:, 1].tolist() == [a.size for a in kept]
+            assert narrowed.nsymbols == sum(a.size for a in kept)
+            assert len(narrowed.payload) == int(((narrowed.streams[:, 0] + 7) >> 3).sum())
+            assert np.array_equal(codec.decode(narrowed),
+                                  np.concatenate(kept + [np.zeros(0, np.uint32)]))
+
+    def test_sync_that_is_not_one_run_per_stream_falls_back_to_the_scalar_loop(self):
+        rng = np.random.default_rng(5)
+        arrays = [rng.integers(0, 9, size=n).astype(np.uint32) for n in (300, 20, 513)]
+        codec = HuffmanCodec.from_multiple(arrays)
+        batch = _batch([codec.encode(a) for a in arrays])
+        batch.sync = batch.sync[:-1]
+        narrowed = codec.select_streams(batch, np.array([True, False, True]))
+        assert narrowed.sync is None
+        assert np.array_equal(codec.decode(narrowed), np.concatenate([arrays[0], arrays[2]]))
+
+    @pytest.mark.parametrize("row, value", [(0, -1), (1, 10 ** 12)])
+    def test_counts_are_checked_before_anything_is_sliced(self, row, value):
+        rng = np.random.default_rng(6)
+        arrays = [rng.integers(0, 9, size=300).astype(np.uint32) for _ in range(3)]
+        codec = HuffmanCodec.from_multiple(arrays)
+        batch = _batch([codec.encode(a) for a in arrays])
+        batch.streams[2, row] = value           # a stream that is not kept
+        batch.nsymbols = int(batch.streams[:, 1].sum())
+        with pytest.raises(ValueError, match="Huffman stream"):
+            codec.select_streams(batch, np.array([True, False, False]))

@@ -769,3 +769,162 @@ def test_decompress_batch_equals_decompress_many_one_at_a_time():
     assert list(comp.decompress_batch([])) == []
     for buffer, arrays in zip(buffers, together):
         assert _bits(arrays) == _bits(comp.decompress_many(buffer))
+
+
+# ----------------------------------------------------------------------
+# selected decode: a unit block alone is what it is in its chunk
+# ----------------------------------------------------------------------
+@st.composite
+def unit_block_chunks(draw):
+    """A job's chunks as AMRIC hands them over — unit blocks of 16/8 cells per
+    axis, compressed under one recipe — each with a non-empty ascending
+    selection of its blocks (or ``None``: all)."""
+    comp = SZLRCompressor(1e-3, block_size=draw(st.sampled_from([4, 6])),
+                          radius=draw(st.sampled_from([64, 32768])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    chunks = []
+    for _ in range(draw(st.integers(1, 3))):
+        shapes = draw(st.lists(st.tuples(*[st.sampled_from([16, 8])] * 3),
+                               min_size=1, max_size=6))
+        kinds = draw(st.lists(st.sampled_from(["noisy", "outliers", "constant", "rough_plane"]),
+                              min_size=len(shapes), max_size=len(shapes)))
+        dtype = draw(st.sampled_from([np.float32, np.float64]))
+        arrays = [_field(kind, shape, rng).astype(dtype) for kind, shape in zip(kinds, shapes)]
+        shared = draw(st.booleans())
+        payload = comp.compress_many(arrays, shared_encoding=shared).payload
+        if shared and draw(st.booleans()) and max(map(math.prod, shapes)) <= 1024:
+            # hand-built: no sync offsets, so the streams take the scalar loop
+            payload = _without(payload, section="huff_sync")
+        select = draw(st.one_of(st.none(), st.sets(st.integers(0, len(shapes) - 1),
+                                                   min_size=1).map(sorted)))
+        chunks.append((payload, select))
+    return comp, chunks
+
+
+@given(unit_block_chunks())
+@settings(max_examples=80, deadline=None)
+def test_selected_arrays_equal_the_same_entries_of_the_full_decode(job):
+    comp, chunks = job
+    payloads, selects = zip(*chunks)
+    together = list(comp.decompress_batch(payloads, selects))
+    for payload, select, got in zip(payloads, selects, together, strict=True):
+        full = comp.decompress_many(payload)
+        want = full if select is None else [full[index] for index in select]
+        assert _bits(got) == _bits(want)
+        assert [(a.dtype, a.shape) for a in got] == [(a.dtype, a.shape) for a in want]
+        if select is not None:                  # ... and alone, as in the batch
+            assert _bits(next(comp.decompress_batch([payload], [select]))) == _bits(want)
+
+
+def test_a_sync_less_payload_is_selected_on_the_scalar_loop(monkeypatch):
+    from repro.compress.huffman import HuffmanCodec
+
+    rng = np.random.default_rng(4)
+    comp = SZLRCompressor(1e-3, block_size=4)
+    arrays = [_field(kind, (8, 8, 8), rng) for kind in ("noisy", "outliers", "constant", "noisy")]
+    payload = _without(comp.compress_many(arrays).payload, section="huff_sync")
+    full = comp.decompress_many(payload)
+    scalar = []
+    loop = HuffmanCodec._decode_scalar
+    monkeypatch.setattr(HuffmanCodec, "_decode_scalar",
+                        lambda self, payload, nbits, n: scalar.append(n) or
+                        loop(self, payload, nbits, n))
+    (got,) = comp.decompress_batch([payload], [[1, 3]])
+    assert scalar == [512, 512]
+    assert _bits(got) == _bits([full[1], full[3]])
+
+
+def test_a_selection_per_buffer_or_none_at_all():
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    payload, _ = comp._serialize(shapes, codes, side, counts, abs_eb, True, "float64")
+    with pytest.raises(ValueError):
+        list(comp.decompress_batch([payload, payload], [[0]]))
+
+
+def test_selection_decodes_only_the_selected_streams(monkeypatch):
+    from repro.compress.huffman import HuffmanCodec
+
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    seen = []
+    decode = HuffmanCodec.decode
+    monkeypatch.setattr(HuffmanCodec, "decode",
+                        lambda self, enc: seen.append(enc.nsymbols) or decode(self, enc))
+    for shared in (True, False):
+        payload, _ = comp._serialize(shapes, codes, side, counts, abs_eb, shared, "float64")
+        del seen[:]
+        (got,) = comp.decompress_batch([payload], [[1, 4]])
+        assert seen == [math.prod(shapes[1]) + math.prod(shapes[4])]
+        assert [a.shape for a in got] == [shapes[1], shapes[4]]
+
+
+def _refused_before_any_decode(monkeypatch, comp, payload, select, match):
+    """The call raises ``ValueError`` with no entropy pass and no reconstruction."""
+    reached = []
+    monkeypatch.setattr(ctn, "decode_huffman", lambda *a, **k: reached.append("huffman"))
+    monkeypatch.setattr(SZLRCompressor, "_decode_batch",
+                        lambda *a, **k: reached.append("reconstruct"))
+    with pytest.raises(ValueError, match=match):
+        list(comp.decompress_batch([payload], [select]))
+    assert reached == []
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("select", [[], [2, 1], [1, 1], [-1], [0, 5], [5], [0.0], [[0]]],
+                         ids=["empty", "unsorted", "duplicate", "negative", "past the end",
+                              "only past the end", "not integers", "nested"])
+def test_hostile_selection_is_refused(monkeypatch, shared, select):
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    payload, _ = comp._serialize(shapes, codes, side, counts, abs_eb, shared, "float64")
+    _refused_before_any_decode(monkeypatch, comp, payload, select, "selection")
+
+
+@pytest.mark.parametrize("column", range(1, 5))
+@pytest.mark.parametrize("claim", [1, -1, -10 ** 6], ids=["over", "under", "negative"])
+def test_counts_row_misclaiming_an_unselected_arrays_stream_is_refused(
+        monkeypatch, column, claim):
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    lying = counts.copy()
+    lying[3, column] += claim                   # array 3 is not selected below
+    payload, _ = comp._serialize(shapes, codes, side, lying, abs_eb, True, "float64")
+    _refused_before_any_decode(monkeypatch, comp, payload, [0, 1], "counts claims")
+
+
+def test_selection_counts_misclaim_is_caught_by_the_parse(monkeypatch):
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    lying = counts.copy()
+    lying[3, 0] += 1
+    payload, _ = comp._serialize(shapes, codes, side, lying, abs_eb, True, "float64")
+    _refused_before_any_decode(monkeypatch, comp, payload, [0], "selection stream")
+
+
+@pytest.mark.parametrize("section", ["huff_nbits", "huff_ncodes"])
+def test_truncated_stream_rows_are_refused(monkeypatch, section):
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    payload, _ = comp._serialize(shapes, codes, side, counts, abs_eb, True, "float64")
+    cont = ctn.unpack_container(payload)
+    for name in ("huff_nbits", "huff_ncodes"):  # (one alone is a bit/symbol count mismatch)
+        cont.sections[name] = cont.sections[name][:-8]
+    truncated = ctn.pack_container(cont.codec, cont.meta, cont.sections)
+    _refused_before_any_decode(monkeypatch, comp, truncated, [0], "Huffman stream per array")
+    cont.sections[section] = cont.sections[section][:-8]
+    with pytest.raises(ValueError, match="mismatch"):
+        list(comp.decompress_batch(
+            [ctn.pack_container(cont.codec, cont.meta, cont.sections)], [[0]]))
+
+
+def test_stream_rows_that_overrun_the_payload_are_refused(monkeypatch):
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    payload, _ = comp._serialize(shapes, codes, side, counts, abs_eb, True, "float64")
+    cont = ctn.unpack_container(payload)
+    nbits = np.frombuffer(cont.sections["huff_nbits"], dtype=np.int64).copy()
+    nbits[4] = 10 ** 12                         # an unselected stream's
+    cont.sections["huff_nbits"] = nbits.tobytes()
+    _refused_before_any_decode(
+        monkeypatch, comp, ctn.pack_container(cont.codec, cont.meta, cont.sections),
+        [0], "truncated Huffman stream")
+
+
+def test_fewer_shapes_than_counts_rows_is_refused_under_selection(monkeypatch):
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    payload, _ = comp._serialize(shapes[:-1], codes, side, counts, abs_eb, True, "float64")
+    _refused_before_any_decode(monkeypatch, comp, payload, [0], "counts claims")

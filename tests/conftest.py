@@ -6,6 +6,8 @@ microsecond-fast) and a bounded number of examples so the full suite stays
 quick.
 """
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -15,3 +17,128 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 settings.load_profile("repro")
+
+
+# ----------------------------------------------------------------------
+# the parent's chunk door, kept as the reference of the block door
+# ----------------------------------------------------------------------
+class ParentChunkDoor:
+    """The read path as it was before blocks became the unit of decode and of
+    cache: every chunk a request touches is fetched and decoded *whole and on
+    its own* by its filter's ``decode``, held by chunk index, and blocks are
+    re-sliced out of the flat chunks (``gather``); hits are selected by the
+    per-slot ``Box`` scan.  ``read_field`` / ``read`` built on it are what the
+    block door's answers must equal element for element.
+    """
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.plan = handle._scan()
+        self.held = {}                          # (dataset, chunk) -> flat chunk
+        self.decoded = 0
+
+    def chunks(self, dplan, indices):
+        from repro.core.reader import _decode_filter
+
+        header = self.handle.header
+        filt = _decode_filter(dplan.filter_id, header.codec, header.error_bound,
+                              header.error_bound_mode)
+        out = {}
+        for index in indices:
+            key = (dplan.name, index)
+            if key not in self.held:
+                payload = self.handle._file.read_chunk_payload(dplan.name, index)
+                self.held[key] = np.asarray(filt.decode(payload, dplan.chunk_elements),
+                                            dtype=np.float64).reshape(-1)
+                self.decoded += 1
+            out[index] = self.held[key]
+        return out
+
+    @staticmethod
+    def chunks_for(dplan, slots):
+        ce = dplan.chunk_elements
+        needed = set()
+        for slot in slots:
+            first = slot.offset // ce
+            last = (slot.offset + slot.block.size - 1) // ce
+            needed.update(range(first, last + 1))
+        return sorted(needed)
+
+    @staticmethod
+    def gather(slot, chunks, chunk_elements):
+        """One block's elements from the decoded chunks (may span chunks)."""
+        start, stop = slot.offset, slot.offset + slot.size
+        first = start // chunk_elements
+        last = (stop - 1) // chunk_elements
+        if first == last:
+            local = start - first * chunk_elements
+            return chunks[first][local:local + slot.size]
+        pieces = []
+        for index in range(first, last + 1):
+            base = index * chunk_elements
+            local_lo = max(start, base) - base
+            local_hi = min(stop, base + chunk_elements) - base
+            pieces.append(chunks[index][local_lo:local_hi])
+        return np.concatenate(pieces)
+
+    def dataset(self, level, name):
+        for d in self.plan.datasets:
+            if d.level == level and d.field == name:
+                return d
+        return None
+
+    def read_field(self, name, level=0, box=None, refill=True, fill_value=0.0,
+                   max_level=None):
+        from repro.amr.upsample import average_down
+
+        structure = self.plan.structure
+        query = structure[level].domain if box is None else box
+        out = np.full(query.shape, fill_value, dtype=np.float64)
+        if query.is_empty():
+            return out
+        dplan = self.dataset(level, name)
+        if dplan is not None:
+            hit = [slot for slot in dplan.slots if slot.block.box.intersects(query)]
+            if hit:
+                chunks = self.chunks(dplan, self.chunks_for(dplan, hit))
+                for slot in hit:
+                    data = self.gather(slot, chunks, dplan.chunk_elements) \
+                        .reshape(slot.block.box.shape)
+                    overlap = slot.block.box.intersection(query)
+                    out[overlap.slices(origin=query.lo)] = \
+                        data[overlap.slices(origin=slot.block.box.lo)]
+        if (refill and self.plan.remove_redundancy and level < structure.nlevels - 1
+                and (max_level is None or level + 1 <= max_level)):
+            ratio = structure.ref_ratios[level]
+            for fine_box in structure[level + 1].boxarray:
+                overlap = fine_box.coarsen(ratio).intersection(query)
+                if overlap.is_empty():
+                    continue
+                fine = self.read_field(name, level + 1, overlap.refine(ratio),
+                                       refill, fill_value, max_level)
+                out[overlap.slices(origin=query.lo)] = average_down(fine, ratio)
+        return out
+
+    def read(self):
+        from repro.amr.upsample import fill_covered_from_finer
+        from repro.core.header import template_from_header
+
+        structure = template_from_header(self.handle.header)
+        for dplan in self.plan.datasets:
+            chunks = self.chunks(dplan, range(dplan.nchunks))
+            level = structure[dplan.level]
+            comp = level.multifab.component_index(dplan.field)
+            for slot in dplan.slots:
+                fab = level.multifab[slot.block.box_index]
+                fab.component(comp)[slot.block.box.slices(origin=fab.box.lo)] = \
+                    self.gather(slot, chunks, dplan.chunk_elements) \
+                    .reshape(slot.block.box.shape)
+        if self.plan.remove_redundancy:
+            fill_covered_from_finer(structure)
+        return structure
+
+
+@pytest.fixture(scope="session")
+def parent_chunk_door():
+    """:class:`ParentChunkDoor` (a class: one instance per open handle)."""
+    return ParentChunkDoor

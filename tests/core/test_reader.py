@@ -21,7 +21,7 @@ from repro.amr.box import Box
 from repro.compress.registry import available_codecs
 from repro.core import AMRICConfig, AMRICWriter
 from repro.core.header import FORMAT_VERSION, PlotfileHeader
-from repro.core.reader import decode_job, make_decode_job, place_dataset, scan_plotfile
+from repro.core.reader import decode_job, make_decode_job, scan_plotfile
 from repro.core import stages
 from repro.h5lite.file import H5LiteFile
 from repro.parallel import SimComm
@@ -121,17 +121,8 @@ def _random_boxes(rng, domain, count):
     return out
 
 
-# -- the pre-index hit selection and assembly, verbatim, as the reference ----
-def _ref_chunks_for(dplan, slots):
-    ce = dplan.chunk_elements
-    needed = set()
-    for slot in slots:
-        first = slot.offset // ce
-        last = (slot.offset + slot.block.size - 1) // ce
-        needed.update(range(first, last + 1))
-    return sorted(needed)
-
-
+# -- the pre-index hit selection, verbatim, as the reference (the assembly on
+# -- top of it is ``ParentChunkDoor`` in tests/conftest.py) -------------------
 def _ref_dataset(plan, level, name):
     for d in plan.datasets:
         if d.level == level and d.field == name:
@@ -139,50 +130,16 @@ def _ref_dataset(plan, level, name):
     return None
 
 
-def _ref_chunks_for_box(handle, name, level, box):
+def _ref_slots_for_box(handle, name, level, box):
     plan = handle._scan()
     if not 0 <= level < plan.structure.nlevels:
-        return None, []
+        return None, set()
     dplan = _ref_dataset(plan, level, name)
     if dplan is None:
-        return None, []
+        return None, set()
     region = box if box is not None else plan.structure[level].domain
-    hit = [slot for slot in dplan.slots if slot.block.box.intersects(region)]
-    return dplan, (_ref_chunks_for(dplan, hit) if hit else [])
-
-
-def _ref_read_field(handle, name, level, box, refill, fill_value, max_level):
-    from repro.amr.upsample import average_down
-    from repro.core.reader import _gather_slot
-
-    plan = handle._scan()
-    structure = plan.structure
-    query = structure[level].domain if box is None else box
-    out = np.full(query.shape, fill_value, dtype=np.float64)
-    if query.is_empty():
-        return out
-    dplan = _ref_dataset(plan, level, name)
-    if dplan is not None:
-        hit = [slot for slot in dplan.slots if slot.block.box.intersects(query)]
-        if hit:
-            chunks = handle._chunks({dplan: _ref_chunks_for(dplan, hit)})[dplan]
-            for slot in hit:
-                data = _gather_slot(slot, chunks, dplan.chunk_elements) \
-                    .reshape(slot.block.box.shape)
-                overlap = slot.block.box.intersection(query)
-                out[overlap.slices(origin=query.lo)] = \
-                    data[overlap.slices(origin=slot.block.box.lo)]
-    if (refill and plan.remove_redundancy and level < structure.nlevels - 1
-            and (max_level is None or level + 1 <= max_level)):
-        ratio = structure.ref_ratios[level]
-        for fine_box in structure[level + 1].boxarray:
-            overlap = fine_box.coarsen(ratio).intersection(query)
-            if overlap.is_empty():
-                continue
-            fine = _ref_read_field(handle, name, level + 1, overlap.refine(ratio),
-                                   refill, fill_value, max_level)
-            out[overlap.slices(origin=query.lo)] = average_down(fine, ratio)
-    return out
+    return dplan, {index for index, slot in enumerate(dplan.slots)
+                   if slot.block.box.intersects(region)}
 
 
 class TestSelfDescribingRoundTrip:
@@ -308,23 +265,25 @@ class TestLazyRandomAccess:
                               refill=False)
             assert handle.stats.chunks_decoded == 1
             assert handle.stats.chunks_decoded < info.nchunks
+            # ... and of that chunk, the one unit block the box lies in
+            assert handle.stats.blocks_decoded == 1
 
     def test_full_read_reuses_random_access_cache(self, multirank_hierarchy, tmp_path):
         path = tmp_path / "plt.h5z"
         _write(multirank_hierarchy, path, error_bound=1e-3)
         with repro.open(str(path)) as fresh:
             fresh.read()
-            total = fresh.stats.chunks_decoded
+            total = fresh.stats.blocks_decoded
         with repro.open(str(path)) as handle:
             plan = handle._scan()
             slot = plan.dataset(0, "baryon_density").slots[0]
             handle.read_field("baryon_density", level=0, box=slot.block.box,
                               refill=False)
-            warmed = handle.stats.chunks_decoded
+            warmed = handle.stats.blocks_decoded
             assert warmed >= 1
             back = handle.read()
-            # the full read decoded everything except the cached chunks
-            assert handle.stats.chunks_decoded == total
+            # the full read decoded everything except the cached blocks
+            assert handle.stats.blocks_decoded == total
             assert handle.stats.cache_hits >= warmed
         expected = _to_globals(multirank_hierarchy)
         for (lvl, name), orig in expected.items():
@@ -380,10 +339,12 @@ class TestLazyRandomAccess:
         expected = average_down(fine, nyx_hierarchy.ref_ratios[0])
         np.testing.assert_allclose(coarse[mask], expected[mask], rtol=0, atol=1e-12)
 
-    def test_read_field_equals_per_slot_reference(self, three_level_plotfile):
+    def test_read_field_equals_per_slot_reference(self, three_level_plotfile,
+                                                  parent_chunk_door):
         rng = np.random.default_rng(11)
         with repro.open(three_level_plotfile) as handle, \
-                repro.open(three_level_plotfile) as ref:
+                repro.open(three_level_plotfile) as ref_handle:
+            ref = parent_chunk_door(ref_handle)
             structure = handle._scan().structure
             assert handle._scan().remove_redundancy and structure.nlevels == 3
             full = handle.read()
@@ -396,8 +357,8 @@ class TestLazyRandomAccess:
                             got = handle.read_field(
                                 "rho", level=level, box=box, refill=refill,
                                 fill_value=-7.5, max_level=max_level)
-                            want = _ref_read_field(ref, "rho", level, box, refill,
-                                                   -7.5, max_level)
+                            want = ref.read_field("rho", level, box, refill,
+                                                  -7.5, max_level)
                             assert got.shape == want.shape
                             assert np.array_equal(got, want)
                 # an uncapped refilling read of in-domain cells that the
@@ -415,7 +376,7 @@ class TestLazyRandomAccess:
 
     @pytest.mark.parametrize("which", ["three_level_plotfile",
                                        "stream_aligned_plotfile"])
-    def test_planned_chunks_equal_per_slot_reference(self, which, request):
+    def test_planned_blocks_equal_per_slot_reference(self, which, request):
         path = request.getfixturevalue(which)
         rng = np.random.default_rng(13)
         with repro.open(path) as handle:
@@ -440,9 +401,9 @@ class TestLazyRandomAccess:
                     for name in ("rho", "temp"):
                         needed = {}
                         read = handle._plan_box(name, level, box, False, None, needed)
-                        want_dplan, want = _ref_chunks_for_box(handle, name, level, box)
+                        want_dplan, want = _ref_slots_for_box(handle, name, level, box)
                         assert read.dplan is want_dplan and not read.finer
-                        assert needed == ({want_dplan: set(want)} if want else {})
+                        assert needed == ({want_dplan: want} if want else {})
                         assert all(type(i) is int for i in needed.get(want_dplan, ()))
             # boxes spanning chunk boundaries exist exactly where chunking is
             # decoupled from ranks
@@ -453,7 +414,7 @@ class TestLazyRandomAccess:
                 needed = {}
                 read = handle._plan_box("rho", 0, covered, True, None, needed)
                 assert not read.hits and read.finer
-                # ... while the refill under it needs the finer level's chunks
+                # ... while the refill under it needs the finer level's blocks
                 assert needed and all(d.level > 0 for d in needed)
             # a request the file cannot answer fails in planning, before any decode
             for bad_level in (3, -1):
@@ -463,16 +424,18 @@ class TestLazyRandomAccess:
                 handle._plan_box("absent", 0, None, True, None, {})
             assert handle.stats.chunks_decoded == 0
 
-    def test_stream_aligned_reads_equal_per_slot_reference(self, stream_aligned_plotfile):
+    def test_stream_aligned_reads_equal_per_slot_reference(self, stream_aligned_plotfile,
+                                                           parent_chunk_door):
         rng = np.random.default_rng(17)
         with repro.open(stream_aligned_plotfile) as handle, \
-                repro.open(stream_aligned_plotfile) as ref:
+                repro.open(stream_aligned_plotfile) as ref_handle:
+            ref = parent_chunk_door(ref_handle)
             for level in range(3):
                 domain = handle._scan().structure[level].domain
                 for box in _random_boxes(rng, domain, 8):
                     got = handle.read_field("temp", level=level, box=box)
-                    assert np.array_equal(got, _ref_read_field(
-                        ref, "temp", level, box, True, 0.0, None))
+                    assert np.array_equal(got, ref.read_field(
+                        "temp", level, box, True, 0.0, None))
 
     def test_warm_read_scans_no_box_objects(self, three_level_plotfile, monkeypatch):
         calls = {"intersects": 0, "intersection": 0}
@@ -497,9 +460,10 @@ class TestLazyRandomAccess:
             assert calls == {"intersects": 1, "intersection": 1}
 
     def test_decode_accounting_for_a_fixed_query_list(self, three_level_plotfile):
-        """The numbers the per-slot scan produced at the commit before the
-        index (a hit-selection change that decoded more, or counted cache
-        hits differently, would move them)."""
+        """Per request: one lookup per block the plan names, one decoded block
+        per miss, one chunk payload per chunk that holds a miss — against a
+        model that keeps the cache as a set (a hit-selection change that
+        decoded more, or counted cache hits differently, would move them)."""
         queries = [("rho", 0, Box((0, 0, 0), (7, 7, 7)), True),
                    ("rho", 0, Box((0, 0, 0), (7, 7, 7)), True),
                    ("temp", 0, Box((3, 3, 3), (12, 12, 12)), True),
@@ -507,12 +471,28 @@ class TestLazyRandomAccess:
                    ("temp", 2, None, False),
                    ("rho", 0, None, True),
                    ("rho", 0, Box((5, 5, 5), (6, 6, 6)), False)]
-        with repro.open(three_level_plotfile) as handle:
-            seen = []
+        with repro.open(three_level_plotfile) as handle, \
+                repro.open(three_level_plotfile) as probe:
+            seen, want = [], []
+            cached = set()
+            chunks = blocks = hits = 0
             for name, level, box, refill in queries:
                 handle.read_field(name, level=level, box=box, refill=refill)
-                seen.append((handle.stats.chunks_decoded, handle.stats.cache_hits))
-        assert seen == [(3, 0), (3, 3), (11, 3), (13, 4), (13, 6), (16, 11), (16, 12)]
+                seen.append((handle.stats.chunks_decoded, handle.stats.blocks_decoded,
+                             handle.stats.cache_hits))
+                needed = {}
+                probe._plan_box(name, level, box, refill, None, needed)
+                asked = {(d, slot) for d, slots in needed.items() for slot in slots}
+                misses = asked - cached
+                chunks += len({(d, d._span[slot][0]) for d, slot in misses})
+                blocks += len(misses)
+                hits += len(asked & cached)
+                cached |= asked
+                want.append((chunks, blocks, hits))
+            assert probe.stats.blocks_decoded == 0
+        assert seen == want
+        # the second request is the first again: all hits; the last lies in cached blocks
+        assert seen[1] == (seen[0][0], seen[0][1], seen[0][1]) and seen[-1][:2] == seen[-2][:2]
 
     def test_read_field_validates_level_and_field(self, nyx_hierarchy, tmp_path):
         path = tmp_path / "plt.h5z"
@@ -670,7 +650,8 @@ class TestStagedPipelinePieces:
 class TestOnePassPerJob:
     """A job's chunks share one Huffman lane pass; each decodes to what it does alone."""
 
-    #: sz_lr batches its chunks' entropy decode; the others ride ``Filter.decode_many``'s loop
+    #: sz_lr batches its chunks' entropy decode and decodes a block alone; the
+    #: others ride ``Filter.decode_blocks``'s whole-chunk default
     CODECS = ("sz_lr", "sz_interp", "zfp_like", "sz_1d")
     PRESETS = {"nyx_1": {"coarse_shape": (16, 16, 16), "max_grid_size": 8},
                "warpx_1": {"coarse_shape": (8, 8, 32), "max_grid_size": 16}}
@@ -683,21 +664,40 @@ class TestOnePassPerJob:
         _write(multirank_hierarchy, path, compressor=codec, error_bound=1e-3)
         with H5LiteFile(str(path), "r") as f, make_backend(backend) as pool:
             plan = scan_plotfile(f)
-            whole = [make_decode_job(f, d, range(d.nchunks), plan) for d in plan.datasets]
-            single = [make_decode_job(f, d, [i], plan)
-                      for d in plan.datasets for i in range(d.nchunks)]
+            every = [d.pieces_of(range(len(d.slots))) for d in plan.datasets]
+            whole = [make_decode_job(f, d, wanted, plan)
+                     for d, wanted in zip(plan.datasets, every)]
+            single = [make_decode_job(f, d, {chunk: wanted[chunk]}, plan)
+                      for d, wanted in zip(plan.datasets, every) for chunk in wanted]
             assert max(len(job.payloads) for job in whole) > 1
             alone = iter(pool.map(decode_job, single))
-            for result in pool.map(decode_job, whole):
-                for index, chunk in zip(result.chunk_indices, result.chunks):
+            for job, result in zip(whole, pool.map(decode_job, whole)):
+                pieces, blocks = [], []
+                for _ in job.chunk_indices:
                     one = next(alone)
-                    assert (one.key, one.chunk_indices) == (result.key, [index])
-                    np.testing.assert_array_equal(chunk, one.chunks[0])
+                    pieces += one.pieces
+                    blocks += one.blocks
+                assert result.pieces == pieces == [
+                    (chunk, ordinal) for chunk, ordinals in zip(job.chunk_indices, job.wanted)
+                    for ordinal in ordinals]
+                for block, one in zip(result.blocks, blocks, strict=True):
+                    np.testing.assert_array_equal(block, one)
+            # part of a chunk's blocks: each is what it is in the whole chunk,
+            # and a codec that can decode a block alone decodes only those
+            d, wanted = plan.datasets[0], every[0]
+            some = {chunk: ordinals[::2] for chunk, ordinals in wanted.items()}
+            assert sum(map(len, some.values())) < sum(map(len, wanted.values()))
+            full, part = pool.map(decode_job, [whole[0], make_decode_job(f, d, some, plan)])
+            by_piece = dict(zip(full.pieces, full.blocks))
+            asked = [(chunk, ordinal) for chunk, ordinals in some.items() for ordinal in ordinals]
+            assert part.pieces == (asked if codec == "sz_lr" else full.pieces)
+            for piece, block in zip(part.pieces, part.blocks):
+                assert block.tobytes() == by_piece[piece].tobytes()
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("preset", sorted(PRESETS))
-    def test_preset_read_equals_chunk_at_a_time_reference(self, tmp_path, preset, backend):
-        from repro.amr.upsample import fill_covered_from_finer
+    def test_preset_read_equals_chunk_at_a_time_reference(self, tmp_path, preset, backend,
+                                                          parent_chunk_door):
         from repro.apps import RUN_PRESETS, build_run
 
         hierarchy = build_run(preset, **self.PRESETS[preset]).hierarchy
@@ -706,16 +706,10 @@ class TestOnePassPerJob:
                     error_bound=RUN_PRESETS[preset].error_bound_amric)
         with repro.open(path) as handle:
             got = handle.read(backend=backend)
-        with H5LiteFile(path, "r") as f:
-            plan = scan_plotfile(f)
-            assert max(d.nchunks for d in plan.datasets) > 1
-            for d in plan.datasets:
-                place_dataset(plan.structure, d, {
-                    i: decode_job(make_decode_job(f, d, [i], plan)).chunks[0]
-                    for i in range(d.nchunks)})
-            fill_covered_from_finer(plan.structure)
-        for want, back in zip(plan.structure.levels, got.levels):
-            for fab_want, fab_back in zip(want.multifab, back.multifab):
+            assert max(d.nchunks for d in handle._scan().datasets) > 1
+            want = parent_chunk_door(handle).read()
+        for level_want, level_back in zip(want.levels, got.levels):
+            for fab_want, fab_back in zip(level_want.multifab, level_back.multifab):
                 np.testing.assert_array_equal(fab_back.data, fab_want.data)
 
     def test_one_entropy_pass_per_dataset_and_chunks_still_count_chunks(

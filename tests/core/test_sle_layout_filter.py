@@ -17,6 +17,18 @@ from repro.core.sle import (
 )
 
 
+def _layout_of(payload):
+    """``(offset, size)`` of every block an AMRIC chunk payload's header lists."""
+    import json
+    import struct
+
+    (header_len,) = struct.unpack_from("<Q", payload, 0)
+    sizes = [int(np.prod(shape)) for shape in
+             json.loads(payload[8:8 + header_len])["plan"]["block_shapes"]]
+    ends = np.cumsum(sizes).tolist()
+    return [(end - size, size) for end, size in zip(ends, sizes)]
+
+
 def _unit_blocks_from(hierarchy, level=1, field="baryon_density", unit=16, limit=None):
     from repro.core.preprocess import extract_block_data
 
@@ -131,12 +143,12 @@ class TestChunkPlanning:
 
 
 class TestAMRICLevelFilter:
-    def _blocks_and_chunk(self, hierarchy, field="baryon_density"):
+    def _blocks_and_chunk(self, hierarchy, field="baryon_density", level=1):
         from repro.core.preprocess import extract_block_data
 
-        pre = preprocess_level(hierarchy, 1, unit_block_size=16)
+        pre = preprocess_level(hierarchy, level, unit_block_size=16)
         blocks = pre.blocks_on_rank(pre.unit_blocks[0].rank)
-        data = extract_block_data(hierarchy[1], field, blocks)
+        data = extract_block_data(hierarchy[level], field, blocks)
         flat = np.concatenate([d.reshape(-1) for d in data])
         vrange = float(max(d.max() for d in data) - min(d.min() for d in data))
         plan = ChunkPlan(field=field, block_shapes=[d.shape for d in data],
@@ -160,8 +172,8 @@ class TestAMRICLevelFilter:
         # error bound holds
         assert np.max(np.abs(decoded[:flat.size] - flat)) <= 1e-3 * plan.value_range * (1 + 1e-9)
 
-    def _payload(self, hierarchy, compressor):
-        _, flat, plan = self._blocks_and_chunk(hierarchy)
+    def _payload(self, hierarchy, compressor, level=1):
+        _, flat, plan = self._blocks_and_chunk(hierarchy, level=level)
         filt = AMRICLevelFilter(compressor=compressor, error_bound=1e-3)
         filt.queue_plan(plan)
         return filt.encode(flat, actual_elements=flat.size), flat.size
@@ -188,8 +200,10 @@ class TestAMRICLevelFilter:
         damaged = struct.pack("<Q", len(raw)) + raw + payload[8 + header_len:]
         with pytest.raises(ValueError, match=leaf):
             AMRICLevelFilter().decode(damaged, n)
+        layout = _layout_of(payload)
         with pytest.raises(ValueError, match=leaf):
-            AMRICLevelFilter().decode_many([payload, damaged], n)
+            AMRICLevelFilter().decode_blocks([payload, damaged], n, [layout] * 2,
+                                             [range(len(layout))] * 2)
 
     @pytest.mark.parametrize("cut", [0, 7, 8, 40])
     def test_payload_cut_inside_its_header_is_a_value_error(self, nyx_hierarchy, cut):
@@ -197,20 +211,40 @@ class TestAMRICLevelFilter:
         with pytest.raises(ValueError):
             AMRICLevelFilter().decode(payload[:cut], n)
 
-    def test_decode_many_equals_decode_one_at_a_time(self, nyx_hierarchy):
-        """Mixed codecs and recipes in one call; each chunk is what it is alone."""
+    def test_decode_blocks_equals_decode_one_at_a_time(self, nyx_hierarchy):
+        """Mixed codecs and recipes in one call; each block is what it is in
+        its chunk decoded alone, whatever else is asked for."""
         payloads = []
         for compressor, bound in (("sz_lr", 1e-3), ("sz_interp", 1e-3), ("sz_lr", 1e-2),
                                   ("sz_lr", 1e-3)):
-            _, flat, plan = self._blocks_and_chunk(nyx_hierarchy)
+            _, flat, plan = self._blocks_and_chunk(nyx_hierarchy, level=0)
             filt = AMRICLevelFilter(compressor=compressor, error_bound=bound)
             filt.queue_plan(plan)
             payloads.append(filt.encode(flat, actual_elements=flat.size))
         reader = AMRICLevelFilter()
-        together = reader.decode_many(payloads, flat.size + 7)
-        assert reader.decode_many([], 10) == []
-        for payload, chunk in zip(payloads, together):
-            np.testing.assert_array_equal(chunk, reader.decode(payload, flat.size + 7))
+        layout = _layout_of(payloads[0])
+        assert len(layout) > 2
+        assert reader.decode_blocks([], 10, [], []) == []
+        for wanted in (list(range(len(layout))), [1], [0, len(layout) - 1]):
+            together = reader.decode_blocks(payloads, flat.size + 7, [layout] * 4, [wanted] * 4)
+            for payload, blocks in zip(payloads, together):
+                chunk = reader.decode(payload, flat.size + 7)
+                assert set(wanted) <= set(blocks)
+                for ordinal, block in blocks.items():
+                    offset, size = layout[ordinal]
+                    assert block.shape == tuple(plan.block_shapes[ordinal])
+                    assert block.reshape(-1).tobytes() == chunk[offset:offset + size].tobytes()
+        # sz_lr decodes the wanted blocks only, sz_interp's packed arrangement all
+        assert [len(blocks) for blocks in together] == [2, len(layout), 2, 2]
+
+    def test_payload_of_another_layout_is_a_value_error(self, nyx_hierarchy):
+        payload, n = self._payload(nyx_hierarchy, "sz_lr", level=0)
+        layout = _layout_of(payload)
+        for wrong in (layout[:-1], layout + [(n, 8)], [(0, n)]):
+            with pytest.raises(ValueError, match="payload 0"):
+                AMRICLevelFilter().decode_blocks([payload], n + 8, [wrong], [[0]])
+        with pytest.raises(ValueError, match="the chunk has"):
+            AMRICLevelFilter().decode(payload, n - 1)
 
     def test_encode_without_plan_raises(self):
         filt = AMRICLevelFilter()

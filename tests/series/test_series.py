@@ -292,10 +292,20 @@ class TestGroupedChainDecode:
 
     @staticmethod
     def _chunks(series, step):
+        """Every block of one step through the door, laid back into the flat
+        chunks the reference speaks in (slot offsets address the chunked stream)."""
         handle = series.open_step(step)
-        got = handle._chunks({d: range(d.nchunks) for d in handle._scan().datasets})
-        return {(d.name, i): chunk for d, chunks in got.items()
-                for i, chunk in chunks.items()}
+        datasets = handle._scan().datasets
+        got = handle._blocks({d: range(len(d.slots)) for d in datasets})
+        out = {}
+        for d in datasets:
+            flat = np.zeros(d.nchunks * d.chunk_elements)
+            for index, slot in enumerate(d.slots):
+                flat[slot.offset:slot.offset + slot.size] = got[d][index].reshape(-1)
+            for chunk in range(d.nchunks):
+                out[(d.name, chunk)] = flat[chunk * d.chunk_elements:
+                                            (chunk + 1) * d.chunk_elements]
+        return out
 
     @staticmethod
     def _same_hierarchy(a, b):
@@ -321,16 +331,20 @@ class TestGroupedChainDecode:
     @pytest.mark.parametrize("backend", ["serial", "shm"])
     def test_read_and_time_slice_equal_the_reference(self, chained_dir, backend):
         """The reference: the same geometry code over chunks decoded one stream
-        at a time, planted in the step handles' chunk caches."""
+        at a time, their blocks planted in the step handles' block caches."""
         box = Box((2, 2, 2), (9, 9, 9))
         with open_series(chained_dir) as planted:
             for step in range(self.NSTEPS):
-                path = planted.open_step(step).path
-                for (name, chunk), values in self._reference_chunks(chained_dir, step).items():
-                    planted.cache.put((path, name, chunk), values)
+                handle = planted.open_step(step)
+                reference = self._reference_chunks(chained_dir, step)
+                for d in handle._scan().datasets:
+                    for index, slot in enumerate(d.slots):
+                        chunk, local = divmod(slot.offset, d.chunk_elements)
+                        planted.cache.put((handle.path, d.name, index),
+                                          reference[(d.name, chunk)][local:local + slot.size].copy())
             want_last = planted.read(step=-1)
             _, want_slice = planted.time_slice("temperature", box=box, refill=False)
-            assert planted.stats.chunks_decoded == 0
+            assert planted.stats.chunks_decoded == 0 == planted.stats.blocks_decoded
         with open_series(chained_dir) as series:
             assert self._same_hierarchy(series.read(step=-1, backend=backend), want_last)
         with open_series(chained_dir) as series, \
@@ -350,6 +364,7 @@ class TestGroupedChainDecode:
             handle = series.open_step(-1)
             plan = handle._scan()
             nchunks = sum(d.nchunks for d in plan.datasets)
+            nslots = sum(len(d.slots) for d in plan.datasets)
             def chain_length(name, step=self.NSTEPS - 1):
                 ref = series.index.steps[step].dataset(name).ref
                 return 1 if ref is None else 1 + chain_length(name, ref)
@@ -360,6 +375,7 @@ class TestGroupedChainDecode:
             # cold: every stream of every chain once, a dataset's streams
             # _PASS_STREAMS to a pass
             assert series.stats.chunks_decoded == chain > nchunks
+            assert series.stats.blocks_decoded == nslots > nchunks
             assert series.stats.cache_hits == 0
             assert len(passes) == sum(-(-n // _PASS_STREAMS) for n in streams) < chain / 2
             # the chain's other steps were resolved on the way: no stream left
@@ -369,9 +385,9 @@ class TestGroupedChainDecode:
             assert series.stats.chunks_decoded == chain
             assert series.stats.cache_hits == nchunks
             assert passes == []
-            # and the decoded chunks themselves are chunk-cache hits on repeat
+            # and the decoded blocks themselves are block-cache hits on repeat
             self._chunks(series, -2)
-            assert series.stats.cache_hits == 2 * nchunks
+            assert series.stats.cache_hits == nchunks + nslots
 
     def test_a_long_chain_is_decoded_a_bounded_pass_at_a_time(self, tmp_path, monkeypatch):
         """One keyframe, nine deltas (no regrid in between), a code cache

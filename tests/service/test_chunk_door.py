@@ -1,10 +1,14 @@
-"""The one chunk door (``PlotfileHandle._chunks``) under every consumer.
+"""The one block door (``PlotfileHandle._blocks``) under every consumer.
 
-Whatever the cache budget — 1 byte (every chunk rejected), 64 KiB (constant
-eviction) or the default — ``read_field``, ``read()``, ``time_slice`` and
-``read_batch`` return the same arrays, look each needed chunk up once and
-decode it at most once per request; a full read consults the cache without
-populating it; a request whose chunks are all cached submits no decode job.
+The unit block is the unit of decode and of cache, the chunk payload only of
+I/O.  Whatever the cache budget — 1 byte (every block rejected), 64 KiB
+(constant eviction) or the default — ``read_field``, ``read()``, ``time_slice``
+and ``read_batch`` return the same arrays, look each needed block up once and
+decode it at most once per request; a box inside one unit block entropy-decodes
+that block's stream, not its chunk's; a full read consults the cache without
+populating it; a request whose blocks are all cached submits no decode job; and
+every answer equals the parent's chunk door (``ParentChunkDoor`` in
+tests/conftest.py, whole chunks decoded one at a time) element for element.
 """
 
 import numpy as np
@@ -14,12 +18,14 @@ import repro
 import repro.core.reader as reader_mod
 from repro.amr.box import Box
 from repro.apps import nyx_run
+from repro.compress.huffman import HuffmanCodec
+from repro.compress.temporal import MODE_DELTA, TemporalDeltaCodec
 from repro.service import BoxQuery, ChunkCache, QueryEngine
 
 BUDGETS = (1, 64 << 10, None)                   # None: the default budget
 FIELD = "baryon_density"
 #: (field, level, box, refill): refill reads reach into the finer level, and
-#: the two boxes of one field share chunks
+#: the two boxes of one field share blocks
 READS = [(FIELD, 0, Box((0, 0, 0), (15, 15, 15)), True),
          (FIELD, 0, Box((8, 8, 8), (23, 23, 23)), True),
          ("temperature", 0, None, True),
@@ -37,7 +43,7 @@ def _fabs(hierarchy):
 
 
 def _needed(handle, name, level, box, refill):
-    """How many distinct chunks one read touches, by the handle's own plan."""
+    """How many distinct unit blocks one read meets, by the handle's own plan."""
     needed = {}
     handle._plan_box(name, level, box, refill, None, needed)
     return sum(len(indices) for indices in needed.values())
@@ -102,19 +108,22 @@ class TestOneLookupAtMostOneDecodePerRequest:
                 needed = _needed(handle, name, level, box, refill)
                 assert needed > 0
                 lookups, hits = _lookups(cache), cache.stats.hits
-                decoded, counted = handle.stats.chunks_decoded, handle.stats.cache_hits
+                decoded, counted = handle.stats.blocks_decoded, handle.stats.cache_hits
+                chunks = handle.stats.chunks_decoded
                 handle.read_field(name, level=level, box=box, refill=refill)
                 assert _lookups(cache) - lookups == needed
                 assert handle.stats.cache_hits - counted == cache.stats.hits - hits
-                assert handle.stats.chunks_decoded - decoded \
-                    == needed - (cache.stats.hits - hits)
-            total = sum(d.nchunks for d in handle._scan().datasets)
+                misses = needed - (cache.stats.hits - hits)
+                assert handle.stats.blocks_decoded - decoded == misses
+                # (a payload is entropy-decoded in part: never more payloads than blocks)
+                assert bool(misses) <= handle.stats.chunks_decoded - chunks <= misses
+            total = sum(len(d.slots) for d in handle._scan().datasets)
             lookups, hits = _lookups(cache), cache.stats.hits
-            decoded = handle.stats.chunks_decoded
+            decoded = handle.stats.blocks_decoded
             offered = cache.stats.insertions + cache.stats.rejected
             handle.read()
             assert _lookups(cache) - lookups == total
-            assert handle.stats.chunks_decoded - decoded == total - (cache.stats.hits - hits)
+            assert handle.stats.blocks_decoded - decoded == total - (cache.stats.hits - hits)
             # a full read consults the cache and offers it nothing
             assert cache.stats.insertions + cache.stats.rejected == offered
 
@@ -136,20 +145,24 @@ class TestOneLookupAtMostOneDecodePerRequest:
             handle = engine.handle(service_plotfile)
             for name, level, box, refill in READS * 2:
                 needed = _needed(handle, name, level, box, refill)
-                before = engine.stats()
+                before, blocks = engine.stats(), handle.stats.blocks_decoded
                 engine.read_field(service_plotfile, name, level=level, box=box,
                                   refill=refill)
                 after = engine.stats()
                 delta = {key: after[key] - before[key]
                          for key in ("cache_hits", "cache_misses", "chunks_decoded")}
                 assert delta["cache_hits"] + delta["cache_misses"] == needed
-                assert delta["chunks_decoded"] == delta["cache_misses"] <= needed
+                assert handle.stats.blocks_decoded - blocks == delta["cache_misses"] <= needed
+                assert delta["chunks_decoded"] <= delta["cache_misses"]
+            registry = engine.metrics_snapshot(include_global=False)
+            (sample,) = registry["repro_blocks_decoded_total"]["samples"]
+            assert sample["value"] == handle.stats.blocks_decoded > 0
 
-    def test_a_warm_one_chunk_read_is_one_hit_and_a_rejecting_cache_one_decode(
+    def test_a_warm_one_block_read_is_one_hit_and_a_rejecting_cache_one_decode(
             self, service_plotfile):
         with repro.open(service_plotfile) as probe:
             slot = probe._scan().dataset(0, FIELD).slots[0]
-        box = slot.block.box                    # one unit block: one chunk
+        box = slot.block.box                    # one unit block
         with QueryEngine() as engine:
             engine.read_field(service_plotfile, FIELD, box=box, refill=False)
             engine.read_field(service_plotfile, FIELD, box=box, refill=False)
@@ -163,7 +176,7 @@ class TestOneLookupAtMostOneDecodePerRequest:
             assert stats["chunks_decoded"] == 3 == stats["cache_misses"]
             assert stats["cache_hits"] == 0 and stats["cache_rejected"] == 3
 
-    def test_a_batch_looks_shared_chunks_up_once(self, service_plotfile):
+    def test_a_batch_looks_shared_blocks_up_once(self, service_plotfile):
         queries = [BoxQuery(path=service_plotfile, field=n, level=l, box=b, refill=r)
                    for n, l, b, r in READS]
         cache = ChunkCache()
@@ -174,21 +187,227 @@ class TestOneLookupAtMostOneDecodePerRequest:
                 handle._plan_box(name, level, box, refill, None, union)
             distinct = sum(len(indices) for indices in union.values())
             apart = sum(_needed(handle, *read) for read in READS)
-            assert distinct < apart             # the requests do share chunks
+            assert distinct < apart             # the requests do share blocks
             engine.read_batch(queries)
-            assert _lookups(cache) == distinct == engine.stats()["chunks_decoded"]
+            assert _lookups(cache) == distinct == handle.stats.blocks_decoded
+            # one job per dataset: each payload entropy-decoded once for the batch
+            assert engine.stats()["chunks_decoded"] == sum(
+                len(d.pieces_of(sorted(slots))) for d, slots in union.items())
+
+
+class TestABlockReadDoesNotDecodeItsChunk:
+    @pytest.fixture()
+    def passes(self, monkeypatch):
+        """The symbol count of every entropy pass."""
+        seen = []
+        decode = HuffmanCodec.decode
+        monkeypatch.setattr(HuffmanCodec, "decode",
+                            lambda self, enc: seen.append(enc.nsymbols) or decode(self, enc))
+        return seen
+
+    def test_a_box_inside_one_block_decodes_one_block_per_level_it_touches(
+            self, service_plotfile, passes):
+        with repro.open(service_plotfile) as handle:
+            plan = handle._scan()
+            coarse = plan.dataset(0, FIELD)
+            # an uncovered 16^3 unit block of a chunk that holds more than it
+            index, slot = next(
+                (i, s) for i, s in enumerate(coarse.slots)
+                if s.block.box.shape == (16, 16, 16)
+                and not plan.fine_coarsened[0].intersections(s.block.box))
+            chunk_cells = sum(size for _, size in coarse.layout(coarse._span[index][0]))
+            assert chunk_cells > slot.size == 4096
+            inside = Box(tuple(l + 3 for l in slot.block.box.lo),
+                         tuple(h - 5 for h in slot.block.box.hi))
+            got = handle.read_field(FIELD, box=inside)
+            assert passes == [4096]
+            assert (handle.stats.chunks_decoded, handle.stats.blocks_decoded) == (1, 1)
+            assert handle._cache.keys() == [(handle.path, coarse.name, index)]
+            # two cells across the edge of a refined region: a block of each level
+            del passes[:]
+            domain = plan.structure[0].domain
+            for lo in np.ndindex(*(n - 1 for n in domain.shape)):
+                edge, needed = Box(lo, (lo[0] + 1, lo[1], lo[2])), {}
+                handle._plan_box(FIELD, 0, edge, True, None, needed)
+                if sorted((d.level, len(slots)) for d, slots in needed.items()) \
+                        == [(0, 1), (1, 1)] and not any(
+                            (handle.path, d.name, i) in handle._cache.keys()
+                            for d, slots in needed.items() for i in slots):
+                    break
+            both = handle.read_field(FIELD, box=edge)
+            assert sorted(passes) == sorted(d.slots[i].size for d, slots in needed.items()
+                                            for i in slots)
+            assert handle.stats.blocks_decoded == 3
+        with repro.open(service_plotfile) as whole:
+            dense = whole.read_field(FIELD)
+        assert np.array_equal(got, dense[inside.slices(origin=domain.lo)])
+        assert np.array_equal(both, dense[edge.slices(origin=domain.lo)])
+
+    @pytest.mark.parametrize("backend", [None, "shm"])
+    def test_cached_blocks_own_their_memory_and_the_budget_counts_them(
+            self, service_plotfile, service_series, backend):
+        cache = ChunkCache()
+        with QueryEngine(cache=cache, backend=backend) as engine:
+            engine.read_batch([BoxQuery(path=service_plotfile, field=n, level=l, box=b,
+                                        refill=r) for n, l, b, r in READS])
+            engine.time_slice(service_series, FIELD, box=SLICE_BOX)
+            entries = dict(cache._entries)
+            assert len(entries) > 10
+            assert all(block.base is None and block.flags.owndata
+                       for block in entries.values())
+            assert cache.current_bytes == sum(block.nbytes for block in entries.values())
+            sizes = {block.size for block in entries.values()}
+            assert max(sizes) <= 16 ** 3          # unit blocks, not chunks
+
+
+def _flavour(name, hierarchy, path):
+    """One way of writing ``hierarchy`` that the staged reader reads back."""
+    from repro.baselines.nocomp import NoCompressionWriter
+    from repro.core import AMRICConfig
+
+    if name == "nocomp":                        # stream-aligned: blocks span 100-cell chunks
+        NoCompressionWriter(chunk_elements=100).write_plotfile(hierarchy, path)
+    elif name == "no_sle":                      # one Huffman table per unit block
+        repro.write(hierarchy, path, config=AMRICConfig(error_bound=1e-3, use_sle=False))
+    else:                                       # sz_lr under unit SLE, and the codecs
+        repro.write(hierarchy, path, compressor=name, error_bound=1e-3)   # that decode whole
+
+
+def _series_step_chunk_door(base, series, step):
+    """``ParentChunkDoor`` for one step of a series: a chunk is its chain of
+    streams read and decoded one at a time, newest first, and folded."""
+
+    class Door(base):
+        def chunks(self, dplan, indices):
+            out = {}
+            for index in indices:
+                at, pending = step, []
+                while True:
+                    payload = series.open_step(at)._file.read_chunk_payload(dplan.name, index)
+                    mode, codes, meta = TemporalDeltaCodec.unpack_codes(payload)
+                    if mode != MODE_DELTA:
+                        break
+                    pending.append(codes)
+                    at = series.index.steps[at].dataset(dplan.name).ref
+                for deltas in reversed(pending):
+                    codes = codes + deltas
+                values = np.zeros(dplan.chunk_elements)
+                values[:codes.size] = TemporalDeltaCodec.grid_values(
+                    codes, meta["eb"], meta["offset"])
+                out[index] = values
+            return out
+
+    return Door(series.open_step(step))
+
+
+class TestEveryAnswerEqualsTheParentChunkDoor:
+    FLAVOURS = ("sz_lr", "no_sle", "sz_interp", "sz_1d", "zfp_like", "nocomp")
+
+    @pytest.fixture(scope="class")
+    def hierarchy(self):
+        return nyx_run(coarse_shape=(32, 32, 32), nranks=4, target_fine_density=0.03,
+                       seed=11).hierarchy
+
+    @pytest.mark.parametrize("flavour", FLAVOURS)
+    def test_plotfile(self, hierarchy, tmp_path, parent_chunk_door, flavour):
+        path = str(tmp_path / "plt.h5z")
+        _flavour(flavour, hierarchy, path)
+        queries = [BoxQuery(path=path, field=n, level=l, box=b, refill=r)
+                   for n, l, b, r in READS]
+        with repro.open(path) as ref_handle, repro.open(path) as handle, \
+                QueryEngine(cache_bytes=64 << 10) as engine:
+            ref = parent_chunk_door(ref_handle)
+            want = [ref.read_field(n, l, b, r) for n, l, b, r in READS]
+            for _ in range(2):                  # cold, then from cached blocks
+                for (n, l, b, r), array in zip(READS, want):
+                    assert np.array_equal(handle.read_field(n, level=l, box=b, refill=r), array)
+            for got, array in zip(engine.read_batch(queries), want):
+                assert np.array_equal(got, array)
+            full = _fabs(ref.read())
+            for backend in ("serial", "shm"):
+                for got, array in zip(_fabs(handle.read(backend=backend)), full, strict=True):
+                    assert np.array_equal(got, array)
+
+    def test_series(self, service_series, parent_chunk_door):
+        with repro.open_series(service_series) as ref_series, \
+                repro.open_series(service_series) as series:
+            steps = range(series.nsteps)
+            doors = [_series_step_chunk_door(parent_chunk_door, ref_series, step)
+                     for step in steps]
+            for step in (5, 2, 4):
+                for n, l, b, r in READS:
+                    assert np.array_equal(
+                        series.read_field(n, level=l, box=b, step=step, refill=r),
+                        doors[step].read_field(n, l, b, r))
+            _, values = series.time_slice(FIELD, box=SLICE_BOX)
+            assert np.array_equal(values, np.stack(
+                [door.read_field(FIELD, 0, SLICE_BOX) for door in doors]))
+            for got, array in zip(_fabs(series.read(step=-1)), _fabs(doors[-1].read()),
+                                  strict=True):
+                assert np.array_equal(got, array)
+
+    def test_amrex_1d_box_major_files_are_still_refused_at_the_scan(self, hierarchy, tmp_path):
+        path = str(tmp_path / "amrex.h5z")
+        repro.write(hierarchy, path, method="amrex_1d", error_bound=1e-2)
+        with repro.open(path) as handle:
+            for read in (handle.read, lambda: handle.read_field(FIELD)):
+                with pytest.raises(ValueError, match="box-major"):
+                    read()
+
+
+class TestAPayloadOfAnotherDatasetIsRefused:
+    """Chunk payloads swapped between two datasets of a real plotfile (same
+    field, the other level — so codec, bound and field all match): nothing
+    used to compare what a payload holds with what the dataset lays out, and a
+    4,096-cell chunk read as a larger one came back as silent zeros."""
+
+    @pytest.mark.parametrize("into, other", [("level_0", "level_1"), ("level_1", "level_0")])
+    def test_both_directions(self, service_plotfile, tmp_path, into, other):
+        from repro.h5lite.file import H5LiteFile
+
+        swapped = str(tmp_path / "swapped.h5z")
+        with H5LiteFile(service_plotfile, "r") as src, H5LiteFile(swapped, "w") as dst:
+            dst.attrs.update(src.attrs)
+            dst.header = src.header
+            for name, info in src.datasets.items():
+                payloads = src.read_chunk_payloads(name, range(info.nchunks))
+                if name == f"{into}/{FIELD}":
+                    payloads[0] = src.read_chunk_payload(f"{other}/{FIELD}", 0)
+                dst.create_dataset_from_chunks(
+                    name, payloads, shape=info.shape, dtype=info.dtype,
+                    chunk_elements=info.chunk_elements, filter_id=info.filter_id,
+                    actual_elements_per_chunk=[c.actual_elements for c in info.chunks],
+                    attrs=info.attrs)
+        with repro.open(service_plotfile) as good, repro.open(swapped) as handle:
+            level = int(into[-1])
+            dplan = handle._scan().dataset(level, FIELD)
+            first = dplan.slots[0].block.box      # in chunk 0: the swapped payload
+            for read in (lambda: handle.read_field(FIELD, level=level, box=first, refill=False),
+                         handle.read):
+                with pytest.raises(ValueError, match=rf"{into}/{FIELD}, chunks \[0") as exc:
+                    read()
+                assert "blocks" in str(exc.value)
+            # every other dataset and chunk of the file still reads
+            assert np.array_equal(handle.read_field("temperature", level=level),
+                                  good.read_field("temperature", level=level))
+            for index, (chunk, _) in enumerate(dplan._span):
+                if chunk > 0:
+                    box = dplan.slots[index].block.box
+                    assert np.array_equal(
+                        handle.read_field(FIELD, level=level, box=box, refill=False),
+                        good.read_field(FIELD, level=level, box=box, refill=False))
 
 
 class TestNoWorkForWhatIsCached:
     @pytest.fixture()
     def jobs(self, monkeypatch):
-        """Every decode job built, as its chunk-index list."""
+        """Every decode job built, as the list of chunk payloads it fetches."""
         built = []
         make = reader_mod.make_decode_job
 
-        def recording(f, dplan, chunk_indices, plan):
-            built.append(list(chunk_indices))
-            return make(f, dplan, chunk_indices, plan)
+        def recording(f, dplan, wanted, plan):
+            built.append(list(wanted))
+            return make(f, dplan, wanted, plan)
 
         monkeypatch.setattr(reader_mod, "make_decode_job", recording)
         return built
@@ -241,8 +460,8 @@ class TestNoWorkForWhatIsCached:
 
 class TestOneCacheManyFiles:
     def test_two_files_in_one_cache_never_collide(self, service_plotfile, tmp_path):
-        """Same dataset names, same chunk indices, different data: the full
-        ``(path, dataset, chunk)`` key keeps them apart."""
+        """Same dataset names, same slot indices, different data: the full
+        ``(path, dataset, slot)`` key keeps them apart."""
         other = str(tmp_path / "other.h5z")
         repro.write(nyx_run(coarse_shape=(32, 32, 32), nranks=4,
                             target_fine_density=0.03, seed=12).hierarchy,

@@ -111,7 +111,8 @@ class TestSpeedupGate:
         kinds = [gate.kind for gate in bench_check.GATES]
         assert {k: kinds.count(k) for k in kinds} == {
             "speedup": 3, "remote-read": 3, "streaming": 2,
-            "observability": 1, "http-gateway": 1, "entropy": 3, "series": 1}
+            "observability": 1, "http-gateway": 1, "entropy": 3, "series": 1,
+            "service": 1}
         assert all(g.scale_by_cores == (g.kind == "speedup")
                    for g in bench_check.GATES)
 

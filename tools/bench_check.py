@@ -25,7 +25,8 @@ serial, the **remote-read** targets (request coalescing; bytes and wall time
 of the progressive ``max_level=0`` probe), the **streaming** targets (journal
 refresh vs full reopen, subscriber lag), the **observability** and
 **HTTP-gateway** overhead ceilings, the **entropy** per-symbol and
-shared-pass ceilings and the **series** delta-write ceiling;
+shared-pass ceilings, the **series** delta-write ceiling and the **service**
+cold block-read ceiling;
 the comment on each bound says why it is what it is.  One rule covers
 everything a row cannot find: a missing suite file, benchmark or stamp (or a
 zero denominator) downgrades the row to a printed notice — the median
@@ -196,6 +197,13 @@ ENTROPY_SHARED_PASS_MAX = 0.7
 #: 3-round recordings on this shared box spread 1.00-1.16 (once 1.49): re-record, don't raise
 SERIES_DELTA_WRITE_MAX = 1.25
 
+#: a cold read of one unit block must not cost its chunk: it entropy-decodes and
+#: reconstructs that block alone (1 of nyx_1's 62 level-0 blocks in 4 chunks; what is
+#: left is its payload's parse and the lane pass's fixed steps).  Measures 0.21-0.24,
+#: quiet host and noisy; the chunk door it replaced measured 0.41 (6.0 / 14.5 ms) —
+#: ISSUE 24 asked for <= 0.5, which that would have passed, so the bound sits between
+SERVICE_BLOCK_READ_MAX = 0.33
+
 #: a gated quantity: (benchmark name, "median" or an ``extra_info`` key)
 Quantity = Tuple[str, str]
 
@@ -267,6 +275,9 @@ GATES: Tuple[Gate, ...] = (
     Gate("series", "series", "delta series write over keyframe-only write",
          ("test_series_write_delta", "median"),
          ("test_series_write_keyframes_only", "median"), SERIES_DELTA_WRITE_MAX, False),
+    Gate("service", "service", "cold unit-block read over cold whole-level read",
+         ("test_service_cold_unit_block_read", "median"),
+         ("test_service_cold_level_read", "median"), SERVICE_BLOCK_READ_MAX, False),
 )
 
 
