@@ -20,12 +20,10 @@
 
 PY := PYTHONPATH=src python
 
-# src/ + tools/ Python lines as of the last PR that changed them (PR 24: +179, where its
-# issue allowed +80: the block door adds the selection and its checks in sz_lr/huffman,
-# Filter.decode_blocks and the payload-vs-layout check, the slot <-> (chunk, ordinal)
-# plan and the gate row; _gather_slot, chunks_for, the filter's place() and both
-# decode_many's paid ~60 lines of it — CHANGES.md says why the rest was not found)
-LOC_BUDGET := 19637
+# src/ + tools/ Python lines as of the last PR that changed them (PR 25: -276, h5lite's
+# unused I/O paths went: MmapSource, MemorySource, RangeSource readahead, FilterRegistry,
+# create_dataset's own commit loop, the legacy psnr fallback, cache/engine stats rows)
+LOC_BUDGET := 19361
 LOC = $$(find src tools -name '*.py' | xargs cat | wc -l)
 
 # suite -> pytest paths ('+'-separated). Adding a benchmark suite is one line.

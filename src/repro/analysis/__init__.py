@@ -6,7 +6,6 @@ from repro.analysis.reporting import (
     format_table,
     comparison_record,
     ComparisonRecord,
-    cache_stats_rows,
 )
 from repro.analysis.series_report import (
     series_dataset_rows,
@@ -22,7 +21,6 @@ __all__ = [
     "format_table",
     "comparison_record",
     "ComparisonRecord",
-    "cache_stats_rows",
     "series_dataset_rows",
     "series_step_rows",
     "series_summary",

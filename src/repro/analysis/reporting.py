@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence
 
 __all__ = ["format_table", "ComparisonRecord", "comparison_record",
-           "summarize_plotfile", "plotfile_dataset_rows", "cache_stats_rows",
-           "io_stats_rows", "registry_rows"]
+           "summarize_plotfile", "plotfile_dataset_rows", "io_stats_rows",
+           "registry_rows"]
 
 
 def format_table(rows: Sequence[Mapping[str, object]], columns: Sequence[str] | None = None,
@@ -125,21 +125,6 @@ def plotfile_dataset_rows(path) -> List[Dict[str, object]]:
         return rows_of(path)
     with open_plotfile(path) as handle:
         return rows_of(handle)
-
-
-def cache_stats_rows(cache) -> List[Dict[str, object]]:
-    """A :class:`~repro.service.cache.ChunkCache`'s hit/miss/eviction
-    accounting and occupancy as metric/value rows for :func:`format_table`."""
-    from repro.service.cache import ChunkCache
-
-    if not isinstance(cache, ChunkCache):
-        raise TypeError(
-            f"cannot extract cache stats from {type(cache).__name__}; "
-            "expected a ChunkCache")
-    counters = dict(cache.stats.as_dict(), current_bytes=cache.current_bytes,
-                    max_bytes=cache.max_bytes)
-    return [{"metric": name, "value": value}
-            for name, value in counters.items()]
 
 
 def io_stats_rows(handle) -> List[Dict[str, object]]:

@@ -98,9 +98,10 @@ def _make_cli_backend(args):
 def _add_source_arg(subparser) -> None:
     subparser.add_argument(
         "--source", default=None,
-        help="byte-source spec: local (default), mmap, memory, or "
-             "RangeSource modifiers like latency:50ms,block:64k,readahead:2 "
-             "(simulates a high-latency medium with coalescing + block cache)")
+        help="byte-source spec (default: the local file): RangeSource "
+             "modifiers like latency:50ms,bandwidth:10m,block:64k,gap:128k,"
+             "cache:8m or bare 'range' (simulates a high-latency medium with "
+             "coalescing + block cache)")
 
 
 def _add_backend_args(subparser, backend_default: str) -> None:

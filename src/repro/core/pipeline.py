@@ -69,12 +69,11 @@ class LevelFieldRecord:
     filter_calls: int
     nblocks: int
     #: error-accumulation terms for cell-count-weighted aggregation across
-    #: levels (older call sites may leave them at the neutral defaults, which
-    #: makes the field's aggregate fall back to the per-level minimum)
-    sq_error: float = 0.0
-    n_elements: int = 0
-    value_min: float = np.inf
-    value_max: float = -np.inf
+    #: levels (:attr:`WriteReport.psnr`)
+    sq_error: float
+    n_elements: int
+    value_min: float
+    value_max: float
 
     @property
     def compression_ratio(self) -> float:
@@ -128,16 +127,10 @@ class WriteReport:
 
         The per-level squared errors are pooled (``sum(sq_err) / sum(n)``)
         and referenced to the field's value range across all levels — the
-        PSNR of the whole field as one dataset.  A field with any record
-        written without the accumulation terms falls back to the
-        conservative per-level minimum (see :attr:`worst_psnr`) — pooling
-        only part of a field would silently drop the legacy levels.
+        PSNR of the whole field as one dataset.
         """
         out: Dict[str, float] = {}
         for name, recs in self._records_by_field().items():
-            if any(r.n_elements == 0 for r in recs):
-                out[name] = min(r.psnr for r in recs)
-                continue
             n = sum(r.n_elements for r in recs)
             mse = sum(r.sq_error for r in recs) / n
             vmin = min(r.value_min for r in recs)

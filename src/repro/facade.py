@@ -64,8 +64,8 @@ def open_plotfile(path: str, backend=None, cache=None,
     :class:`~repro.service.cache.ChunkCache` so overlapping consumers decode
     each chunk once; by default every handle keeps a private one of the
     default byte budget.
-    ``source`` picks the byte source under the file — None (local file), a
-    spec string (``"mmap"``, ``"memory"``, ``"latency:50ms,block:64k"``), a
+    ``source`` picks the byte source under the file — None (the local file),
+    a spec string of RangeSource modifiers (``"latency:50ms,block:64k"``), a
     :class:`~repro.h5lite.source.ByteSource` instance or a factory callable
     (see :func:`repro.h5lite.source.make_source`).
     """

@@ -24,18 +24,14 @@ from repro.h5lite.source import (
     ByteSource,
     SourceStats,
     LocalFileSource,
-    MmapSource,
-    MemorySource,
     RangeSource,
     make_source,
 )
 from repro.h5lite.filters import (
     Filter,
-    FilterRegistry,
     NoCompressionFilter,
     SZChunkFilter,
     AMRICChunkFilter,
-    default_registry,
 )
 from repro.h5lite.chunking import amrex_chunk_elements, amric_chunk_elements
 
@@ -45,16 +41,12 @@ __all__ = [
     "ByteSource",
     "SourceStats",
     "LocalFileSource",
-    "MmapSource",
-    "MemorySource",
     "RangeSource",
     "make_source",
     "Filter",
-    "FilterRegistry",
     "NoCompressionFilter",
     "SZChunkFilter",
     "AMRICChunkFilter",
-    "default_registry",
     "amrex_chunk_elements",
     "amric_chunk_elements",
 ]

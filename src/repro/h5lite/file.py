@@ -210,88 +210,58 @@ class H5LiteFile:
     def create_dataset(self, name: str, data: np.ndarray,
                        chunk_elements: Optional[int] = None,
                        filter: Optional[Filter] = None,
-                       actual_elements_per_chunk: Optional[Sequence[int]] = None,
                        attrs: Optional[Dict[str, object]] = None) -> DatasetInfo:
         """Write a dataset, chunked and filtered.
 
-        Parameters
-        ----------
-        data:
-            The array to store; it is flattened for chunking (HDF5 semantics
-            with 1D chunking over the flat element stream).
-        chunk_elements:
-            Elements per chunk; defaults to the whole array in one chunk.
-        filter:
-            The compression filter; defaults to no compression.
-        actual_elements_per_chunk:
-            For AMRIC-style writes: the number of *valid* elements in each
-            chunk (the rest is padding).  Length must equal the chunk count.
+        ``data`` is flattened for chunking (HDF5 semantics with 1D chunking
+        over the flat element stream) into chunks of ``chunk_elements``
+        (default: the whole array in one), the last one zero-padded; the
+        ``filter`` (default: no compression) encodes each and
+        :meth:`create_dataset_from_chunks` commits them.
         """
-        if self.mode != "w":
-            raise ValueError("file is open read-only")
-        if name in self.datasets:
-            raise ValueError(f"dataset {name!r} already exists")
         data = np.asarray(data)
         flat = data.reshape(-1)
-        if flat.size == 0:
-            raise ValueError("cannot store an empty dataset")
-        if chunk_elements is None:
-            chunk_elements = flat.size
-        chunk_elements = int(chunk_elements)
-        if chunk_elements < 1:
-            raise ValueError("chunk_elements must be >= 1")
+        step = max(flat.size, 1) if chunk_elements is None else int(chunk_elements)
         filter = filter or NoCompressionFilter()
-        nchunks = (flat.size + chunk_elements - 1) // chunk_elements
-        if actual_elements_per_chunk is not None and len(actual_elements_per_chunk) != nchunks:
-            raise ValueError("actual_elements_per_chunk must have one entry per chunk")
-
-        info = DatasetInfo(name=name, shape=tuple(int(s) for s in data.shape),
-                           dtype=str(data.dtype), chunk_elements=chunk_elements,
-                           filter_id=filter.filter_id, attrs=dict(attrs or {}))
-        for i in range(nchunks):
-            start = i * chunk_elements
-            piece = flat[start:start + chunk_elements]
-            if piece.size == chunk_elements and piece.dtype == np.float64:
-                chunk = piece                     # full chunk: no staging copy
-            else:
-                chunk = np.zeros(chunk_elements, dtype=np.float64)
+        # empty data or a size below 1 yields no chunks here, and
+        # create_dataset_from_chunks refuses either by name
+        starts = range(0, flat.size, step) if step > 0 else range(0)
+        payloads, actuals = [], []
+        for start in starts:
+            chunk = piece = flat[start:start + step]
+            if piece.size < step or piece.dtype != np.float64:
+                chunk = np.zeros(step, dtype=np.float64)
                 chunk[:piece.size] = piece
-            actual = piece.size
-            if actual_elements_per_chunk is not None:
-                actual = int(actual_elements_per_chunk[i])
-            payload = filter.encode(chunk, actual_elements=actual)
-            offset = self._fh.tell()
-            self._fh.write(payload)
-            info.chunks.append(ChunkRecord(offset=offset, nbytes=len(payload),
-                                           actual_elements=actual))
-        self.datasets[name] = info
-        return info
+            payloads.append(filter.encode(chunk, actual_elements=piece.size))
+            actuals.append(piece.size)
+        return self.create_dataset_from_chunks(
+            name, payloads, shape=data.shape, dtype=str(data.dtype),
+            chunk_elements=step, filter_id=filter.filter_id,
+            actual_elements_per_chunk=actuals, attrs=attrs)
 
     def create_dataset_from_chunks(self, name: str, payloads: Sequence[bytes], *,
                                    shape: Tuple[int, ...], dtype: str,
                                    chunk_elements: int, filter_id: str,
                                    actual_elements_per_chunk: Sequence[int],
                                    attrs: Optional[Dict[str, object]] = None) -> DatasetInfo:
-        """Write a dataset whose chunks were already encoded elsewhere.
+        """Write a dataset whose chunks are already encoded.
 
-        This is the commit half of the staged write pipeline: the filter ran
-        earlier (possibly on another worker — see
+        This is the commit half of every write: the filter ran earlier (in
+        :meth:`create_dataset`, or on another worker — see
         :mod:`repro.parallel.backend`), and this method only appends the
-        pre-encoded chunk payloads and records their byte ranges.  Byte
-        layout is identical to :meth:`create_dataset` encoding the same
-        chunks inline.
+        pre-encoded chunk payloads and records their byte ranges.
         """
         if self.mode != "w":
             raise ValueError("file is open read-only")
         if name in self.datasets:
             raise ValueError(f"dataset {name!r} already exists")
+        chunk_elements = int(chunk_elements)
+        if chunk_elements < 1:
+            raise ValueError("chunk_elements must be >= 1")
         if not payloads:
             raise ValueError("cannot store a dataset with no chunks")
         if len(actual_elements_per_chunk) != len(payloads):
             raise ValueError("actual_elements_per_chunk must have one entry per chunk")
-        chunk_elements = int(chunk_elements)
-        if chunk_elements < 1:
-            raise ValueError("chunk_elements must be >= 1")
         info = DatasetInfo(name=name, shape=tuple(int(s) for s in shape),
                            dtype=str(dtype), chunk_elements=chunk_elements,
                            filter_id=filter_id, attrs=dict(attrs or {}))

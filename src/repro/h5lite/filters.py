@@ -20,8 +20,8 @@ paper's Figures 17/18.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,8 +35,6 @@ __all__ = [
     "NoCompressionFilter",
     "SZChunkFilter",
     "AMRICChunkFilter",
-    "FilterRegistry",
-    "default_registry",
 ]
 
 
@@ -204,33 +202,3 @@ class LosslessFilter(Filter):
         if out.size != chunk_elements:
             raise ValueError("corrupt zlib chunk")
         return out.copy()
-
-
-class FilterRegistry:
-    """Maps filter ids to constructors so files can name their filters."""
-
-    def __init__(self) -> None:
-        self._factories: Dict[str, Callable[..., Filter]] = {}
-
-    def register(self, filter_id: str, factory: Callable[..., Filter]) -> None:
-        if filter_id in self._factories:
-            raise ValueError(f"filter {filter_id!r} already registered")
-        self._factories[filter_id] = factory
-
-    def create(self, filter_id: str, **kwargs) -> Filter:
-        if filter_id not in self._factories:
-            raise KeyError(f"unknown filter {filter_id!r}; registered: {sorted(self._factories)}")
-        return self._factories[filter_id](**kwargs)
-
-    def known(self):
-        return sorted(self._factories)
-
-
-def default_registry() -> FilterRegistry:
-    """Registry with the built-in filters."""
-    registry = FilterRegistry()
-    registry.register("none", NoCompressionFilter)
-    registry.register("zlib", LosslessFilter)
-    registry.register("sz_classic", SZChunkFilter)
-    registry.register("sz_amric", AMRICChunkFilter)
-    return registry

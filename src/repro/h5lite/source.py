@@ -1,32 +1,23 @@
 """Pluggable byte sources under :class:`~repro.h5lite.file.H5LiteFile`.
 
-Every read in the stack used to bottom out in a blocking ``seek``+``read``
-against one local POSIX file handle under one lock.  That is the right call
-for a warm local disk and exactly the wrong one for a high-latency medium
-(NFS, HTTP/S3 range requests), where each round-trip costs tens of
-milliseconds and the staged reader would serialize behind N per-chunk seeks.
-
-This module abstracts "where the bytes live" behind :class:`ByteSource` —
-``read_at(offset, size)``, a vectorized ``read_many(ranges)`` and ``size()``
-— with four implementations:
+A high-latency medium (NFS, HTTP/S3 range requests) costs tens of
+milliseconds per round-trip, so a staged reader that issued one seek per chunk
+would serialize behind N of them.  This module abstracts "where the bytes
+live" behind :class:`ByteSource` — a vectorized ``read_many(ranges)``, its
+one-range form ``read_at(offset, size)`` and ``size()`` — with two
+implementations:
 
 :class:`LocalFileSource`
-    The previous behaviour: seek+read on a local file handle (one lock), with
-    exactly-adjacent ranges in a ``read_many`` batch merged into one syscall.
-:class:`MmapSource`
-    Zero-copy ``memoryview`` slices of a memory-mapped file for warm local
-    reads.  Views handed out survive :meth:`close` (closing defers until the
-    last view dies).
-:class:`MemorySource`
-    Bytes held in memory (tests, in-memory round-trips, pre-fetched files).
+    Seek+read on a local file handle (one lock), with exactly-adjacent ranges
+    in a ``read_many`` batch merged into one syscall.  Every default open.
 :class:`RangeSource`
-    The remote-style adapter: wraps any base source with per-request
+    The remote-style adapter: wraps a base source with per-request
     latency/bandwidth accounting (optionally *simulated* by sleeping, which is
     how the remote benchmark measures time-to-first-array), **request
     coalescing** (near-adjacent ranges within a gap threshold merge into one
-    ranged read), a byte-budgeted **block cache** (fixed-size aligned blocks,
-    LRU, counted with the same eviction-stats idiom as
-    :mod:`repro.service.cache`) and sequential **readahead**.
+    ranged read) and a byte-budgeted **block cache** (fixed-size aligned
+    blocks, LRU, counted with the same eviction-stats idiom as
+    :mod:`repro.service.cache`).
 
 Every source counts its traffic in a :class:`SourceStats`: ranges requested
 by callers (pre-coalescing), reads actually issued to the backing medium
@@ -35,14 +26,14 @@ simulated wait time.  It is the one I/O ledger: a handle exposes its source's
 as ``source_stats``, a series and the query engine add up the sources they
 opened (:meth:`SourceStats.sum`).
 
-Sources are picked by spec string (``repro.open(path, source="mmap")``,
-``repro info --source latency:50ms``) through :func:`make_source`.
+Sources are picked through :func:`make_source`: None is the local file, a
+spec string of RangeSource modifiers (``repro.open(path,
+source="latency:50ms,block:4k")``, ``repro info --source latency:50ms``)
+wraps it in a RangeSource.
 """
 
 from __future__ import annotations
 
-import io
-import mmap
 import os
 import threading
 import time
@@ -54,8 +45,6 @@ __all__ = [
     "ByteSource",
     "SourceStats",
     "LocalFileSource",
-    "MmapSource",
-    "MemorySource",
     "RangeSource",
     "make_source",
     "coalesce_ranges",
@@ -87,7 +76,6 @@ class SourceStats:
     cache_misses: int = 0         #: block-cache misses (RangeSource only)
     evictions: int = 0            #: blocks evicted past the budget
     evicted_bytes: int = 0
-    readahead_blocks: int = 0     #: blocks fetched speculatively
     wait_seconds: float = 0.0     #: simulated latency/bandwidth time accrued
 
     @property
@@ -112,7 +100,6 @@ class SourceStats:
             "cache_misses": self.cache_misses,
             "evictions": self.evictions,
             "evicted_bytes": self.evicted_bytes,
-            "readahead_blocks": self.readahead_blocks,
             "wait_seconds": self.wait_seconds,
             "hit_rate": self.hit_rate,
             "coalescing_factor": self.coalescing_factor,
@@ -144,8 +131,6 @@ class SourceStats:
                  self.cache_misses),
                 ("repro_io_block_cache_evictions_total", "counter",
                  self.evictions),
-                ("repro_io_readahead_blocks_total", "counter",
-                 self.readahead_blocks),
                 ("repro_io_wait_seconds_total", "counter", self.wait_seconds)]
         return [(name, kind, tags, float(value)) for name, kind, value in rows]
 
@@ -190,13 +175,11 @@ class ByteSource:
 
     The contract every implementation honours:
 
-    * :meth:`read_at` returns exactly ``size`` bytes (``bytes`` or a
-      zero-copy ``memoryview``); a range past :meth:`size` raises
+    * :meth:`read_many` answers a batch of ranges in input order, each
+      exactly ``size`` bytes — the seam where coalescing implementations turn
+      N chunk reads into few ranged reads; a range past :meth:`size` raises
       :class:`ValueError` (never a short read), a zero-size range returns an
       empty buffer without touching the medium;
-    * :meth:`read_many` answers a batch of ranges in input order — the seam
-      where coalescing implementations turn N chunk reads into few ranged
-      reads;
     * all traffic is counted in :attr:`stats`.
     """
 
@@ -207,13 +190,13 @@ class ByteSource:
     def size(self) -> int:
         raise NotImplementedError
 
-    def read_at(self, offset: int, size: int):
+    def read_many(self, ranges: Sequence[Range]) -> List[object]:
         raise NotImplementedError
 
     # -- provided ------------------------------------------------------
-    def read_many(self, ranges: Sequence[Range]) -> List[object]:
-        """Batch form of :meth:`read_at` (override to coalesce)."""
-        return [self.read_at(offset, size) for offset, size in ranges]
+    def read_at(self, offset: int, size: int):
+        """One range: a batch of one."""
+        return self.read_many([(offset, size)])[0]
 
     def close(self) -> None:
         pass
@@ -226,7 +209,7 @@ class ByteSource:
 
 
 class LocalFileSource(ByteSource):
-    """Seek+read against a local file (the previous ``H5LiteFile`` behaviour).
+    """Seek+read against a local file.
 
     One lock serializes the seek+read pair so concurrent readers (the query
     service decodes on a worker pool) cannot interleave them.  A
@@ -241,27 +224,9 @@ class LocalFileSource(ByteSource):
         self._fh = open(self.path, "rb")
         self._size = os.fstat(self._fh.fileno()).st_size
         self._lock = threading.Lock()
-        self._closed = False
 
     def size(self) -> int:
         return self._size
-
-    def read_at(self, offset: int, size: int) -> bytes:
-        _check_range(offset, size, self._size, self.path)
-        self.stats.requests += 1
-        if size == 0:
-            return b""
-        with self._lock:
-            self._fh.seek(offset)
-            data = self._fh.read(size)
-        self.stats.coalesced_requests += 1
-        self.stats.bytes_read += len(data)
-        if len(data) != size:
-            raise ValueError(
-                f"{self.path}: short read at offset {offset} "
-                f"({len(data)} of {size} bytes); the file was truncated "
-                "after open")
-        return data
 
     def read_many(self, ranges: Sequence[Range]) -> List[object]:
         for offset, size in ranges:
@@ -285,120 +250,24 @@ class LocalFileSource(ByteSource):
         return out
 
     def close(self) -> None:
-        if not self._closed:
-            self._fh.close()
-            self._closed = True
-
-
-class MmapSource(ByteSource):
-    """Zero-copy ``memoryview`` slices of a memory-mapped local file.
-
-    The fast path for warm local reads: no syscall per chunk, no staging
-    copy — consumers parse compressed payloads straight out of the page
-    cache.  Views handed out stay valid after :meth:`close`: closing the
-    mapping while buffers are exported is deferred (the mapping lives until
-    the last view is garbage-collected), so a decoded handle can outlive its
-    file object.  An empty file cannot be mapped and raises at open.
-    """
-
-    def __init__(self, path: str):
-        super().__init__()
-        self.path = str(path)
-        with open(self.path, "rb") as fh:
-            self._size = os.fstat(fh.fileno()).st_size
-            if self._size == 0:
-                raise ValueError(f"{self.path} is empty; nothing to map")
-            self._mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        self._view = memoryview(self._mm)
-        self._closed = False
-
-    def size(self) -> int:
-        return self._size
-
-    def read_at(self, offset: int, size: int) -> memoryview:
-        if self._closed:
-            raise ValueError(f"{self.path}: source is closed")
-        _check_range(offset, size, self._size, self.path)
-        self.stats.requests += 1
-        if size == 0:
-            return memoryview(b"")
-        self.stats.coalesced_requests += 1
-        self.stats.bytes_read += size
-        return self._view[offset:offset + size]
-
-    def read_many(self, ranges: Sequence[Range]) -> List[object]:
-        return [self.read_at(offset, size) for offset, size in ranges]
-
-    def close(self) -> None:
-        """Stop handing out views; the mapping itself lives while views do.
-
-        ``mmap.close`` refuses (``BufferError``) while memoryviews are
-        exported.  Instead of propagating that — which would make every
-        consumer's teardown order-sensitive — the mapping is simply released
-        to the garbage collector: exported views keep it alive, and the OS
-        unmaps once the last one dies.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self._view.release()
-        try:
-            self._mm.close()
-        except BufferError:
-            # views are still exported; drop our reference and let them
-            # keep the mapping alive until they are collected
-            pass
-        self._mm = None  # type: ignore[assignment]
-
-
-class MemorySource(ByteSource):
-    """A source over bytes already in memory (zero-copy views)."""
-
-    def __init__(self, data: Union[bytes, bytearray, memoryview],
-                 name: str = "<memory>"):
-        super().__init__()
-        self.path = name
-        self._data = memoryview(data).cast("B") if not isinstance(data, bytes) \
-            else memoryview(data)
-        self._size = self._data.nbytes
-
-    @classmethod
-    def from_file(cls, path: str) -> "MemorySource":
-        """Slurp a whole file into memory (every later read is free)."""
-        with open(path, "rb") as fh:
-            return cls(fh.read(), name=str(path))
-
-    def size(self) -> int:
-        return self._size
-
-    def read_at(self, offset: int, size: int) -> memoryview:
-        _check_range(offset, size, self._size, self.path)
-        self.stats.requests += 1
-        if size == 0:
-            return memoryview(b"")
-        self.stats.coalesced_requests += 1
-        self.stats.bytes_read += size
-        return self._data[offset:offset + size]
+        self._fh.close()
 
 
 class RangeSource(ByteSource):
-    """A remote-style adapter: coalescing + block cache + readahead + latency.
+    """A remote-style adapter: coalescing + block cache + latency.
 
     Wraps any base source and models a ranged-read protocol (HTTP/S3 style):
     every read issued to the base costs ``latency`` seconds plus
     ``nbytes / bandwidth``, accrued in ``stats.wait_seconds`` and — with
     ``simulate=True`` — actually slept, so wall-clock benchmarks see the
-    round-trips.  Three mechanisms keep the round-trip count down:
+    round-trips.  Two mechanisms keep the round-trip count down:
 
     * **coalescing** — a :meth:`read_many` batch's missing block runs merge
       when the gap between them is at most ``gap`` bytes (re-fetching a small
       cached gap is cheaper than a second round-trip);
     * **block cache** — fetched bytes land in fixed-size aligned blocks under
       a byte-budgeted LRU, so overlapping and repeated ranges are served
-      locally;
-    * **readahead** — when a batch starts right where the previous one ended
-      (the sequential pattern of a staged full read), the final fetch is
-      extended by ``readahead`` extra blocks.
+      locally.
 
     Thread-safe; assembly never depends on a block surviving the LRU between
     fetch and use (a batch pins its blocks locally), so an arbitrarily small
@@ -411,7 +280,6 @@ class RangeSource(ByteSource):
                  gap: int = DEFAULT_GAP_BYTES,
                  block_bytes: int = DEFAULT_BLOCK_BYTES,
                  cache_bytes: int = DEFAULT_BLOCK_CACHE_BYTES,
-                 readahead: int = 0,
                  simulate: bool = False):
         super().__init__()
         if block_bytes < 1:
@@ -420,8 +288,8 @@ class RangeSource(ByteSource):
             raise ValueError(
                 f"cache_bytes ({cache_bytes}) must hold at least one block "
                 f"({block_bytes})")
-        if gap < 0 or readahead < 0:
-            raise ValueError("gap and readahead must be >= 0")
+        if gap < 0:
+            raise ValueError(f"gap must be >= 0, got {gap}")
         if latency < 0 or (bandwidth is not None and bandwidth <= 0):
             raise ValueError("latency must be >= 0 and bandwidth > 0")
         self.base = base
@@ -431,13 +299,10 @@ class RangeSource(ByteSource):
         self.gap = int(gap)
         self.block_bytes = int(block_bytes)
         self.cache_bytes = int(cache_bytes)
-        self.readahead = int(readahead)
         self.simulate = bool(simulate)
         self._size = base.size()
-        self._nblocks = -(-self._size // self.block_bytes) if self._size else 0
         self._blocks: "OrderedDict[int, bytes]" = OrderedDict()
         self._cached_bytes = 0
-        self._next_block = -1          #: sequential-readahead watermark
         self._lock = threading.RLock()
 
     def size(self) -> int:
@@ -483,9 +348,6 @@ class RangeSource(ByteSource):
             self._insert_block(block, piece)
 
     # -- reads -----------------------------------------------------------
-    def read_at(self, offset: int, size: int) -> bytes:
-        return self.read_many([(offset, size)])[0]
-
     def read_many(self, ranges: Sequence[Range]) -> List[object]:
         for offset, size in ranges:
             _check_range(offset, size, self._size, self.path)
@@ -515,17 +377,8 @@ class RangeSource(ByteSource):
                         runs[-1][1] = block
                     else:
                         runs.append([block, block])
-                # sequential readahead: a batch that starts where the last
-                # one ended extends its final fetch past the request
-                if self.readahead and needed[0] == self._next_block:
-                    first, last = runs[-1]
-                    extended = min(last + self.readahead, self._nblocks - 1)
-                    self.stats.readahead_blocks += extended - last
-                    runs[-1][1] = extended
                 for first, last in runs:
                     self._fetch_run(first, last, local)
-            if needed:
-                self._next_block = needed[-1] + 1
             # assemble each range from the pinned blocks
             out: List[object] = []
             for offset, size in ranges:
@@ -562,15 +415,16 @@ class RangeSource(ByteSource):
 
 
 # ----------------------------------------------------------------------
-# spec parsing: "mmap", "memory", "latency:50ms,block:4k,readahead:2", ...
+# spec parsing: "latency:50ms,block:4k,gap:128k", "range", ...
 # ----------------------------------------------------------------------
 #: anything :func:`make_source` accepts: None (local), a source instance, a
 #: spec string, or a callable ``path -> ByteSource``
 SourceSpec = Union[None, str, ByteSource, Callable[[str], ByteSource]]
 
-_BASES = ("local", "mmap", "memory")
-_MODIFIERS = ("latency", "bandwidth", "gap", "block", "cache", "readahead",
-              "range")
+#: spec token -> RangeSource keyword
+_BYTE_OPTIONS = {"gap": "gap", "block": "block_bytes", "cache": "cache_bytes"}
+_ACCEPTED = ("latency:<value>, bandwidth:<value>, gap:<value>, block:<value>, "
+             "cache:<value> or 'range' (no source at all opens the local file)")
 
 
 def _parse_duration(value: str, token: str) -> float:
@@ -601,53 +455,33 @@ def _parse_bytes(value: str, token: str) -> float:
             "expected e.g. 64k, 8m") from None
 
 
-def parse_source_spec(spec: str) -> Dict[str, object]:
-    """Parse a source spec string into ``{"base": ..., **range options}``.
+def parse_source_spec(spec: str) -> Dict[str, float]:
+    """Parse a source spec string into :class:`RangeSource` keyword options.
 
-    Grammar: comma-separated tokens.  A bare base name (``local``, ``mmap``,
-    ``memory``) picks the byte source; any modifier token (``latency:50ms``,
-    ``bandwidth:100m`` [bytes/s], ``gap:128k``, ``block:4k``, ``cache:8m``,
-    ``readahead:2``, or bare ``range``) wraps the base in a
-    :class:`RangeSource`.
+    Grammar: comma-separated tokens, each a modifier of the RangeSource that
+    wraps the local file — ``latency:50ms``, ``bandwidth:100m`` [bytes/s],
+    ``gap:128k``, ``block:4k``, ``cache:8m`` — or bare ``range`` (every
+    option at its default).
     """
-    out: Dict[str, object] = {"base": "local"}
-    wrapped = False
-    for raw in str(spec).split(","):
-        token = raw.strip()
-        if not token:
-            continue
+    tokens = [raw.strip() for raw in str(spec).split(",") if raw.strip()]
+    if not tokens:
+        raise ValueError(f"empty source spec; expected {_ACCEPTED}")
+    out: Dict[str, float] = {}
+    for token in tokens:
         name, _, value = token.partition(":")
         name = name.strip().lower()
         value = value.strip()
-        if name in _BASES and not value:
-            out["base"] = name
-        elif name == "range" and not value:
-            wrapped = True
-        elif name == "latency":
+        if name == "range" and not value:
+            continue
+        if name == "latency":
             out["latency"] = _parse_duration(value, token)
-            wrapped = True
         elif name == "bandwidth":
             out["bandwidth"] = _parse_bytes(value, token)
-            wrapped = True
-        elif name in ("gap", "block", "cache"):
-            key = {"gap": "gap", "block": "block_bytes", "cache": "cache_bytes"}
-            out[key[name]] = int(_parse_bytes(value, token))
-            wrapped = True
-        elif name == "readahead":
-            try:
-                out["readahead"] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"bad readahead {value!r} in source spec token "
-                    f"{token!r}; expected a block count") from None
-            wrapped = True
+        elif name in _BYTE_OPTIONS:
+            out[_BYTE_OPTIONS[name]] = int(_parse_bytes(value, token))
         else:
             raise ValueError(
-                f"unknown source spec token {token!r}; expected one of "
-                f"{', '.join(_BASES)} or "
-                f"{', '.join(m + ':<value>' for m in _MODIFIERS[:-1])} "
-                "or 'range'")
-    out["range"] = wrapped
+                f"unknown source spec token {token!r}; expected {_ACCEPTED}")
     return out
 
 
@@ -657,7 +491,8 @@ def make_source(path: str, spec: SourceSpec = None) -> ByteSource:
     ``spec`` may be None (a plain :class:`LocalFileSource`), an already-built
     :class:`ByteSource` (used as-is; the caller manages sharing), a callable
     ``path -> ByteSource`` (how a series opens every step through the same
-    recipe), or a spec string — see :func:`parse_source_spec`.
+    recipe), or a spec string: a :class:`RangeSource` over the local file —
+    see :func:`parse_source_spec`.
     """
     if spec is None:
         return LocalFileSource(path)
@@ -671,24 +506,11 @@ def make_source(path: str, spec: SourceSpec = None) -> ByteSource:
                 "not a ByteSource")
         return source
     options = parse_source_spec(spec)
-    base_name = options.pop("base")
-    wrapped = options.pop("range")
-    if base_name == "mmap":
-        base: ByteSource = MmapSource(path)
-    elif base_name == "memory":
-        base = MemorySource.from_file(path)
-    else:
-        base = LocalFileSource(path)
-    if not wrapped:
-        return base
-    return RangeSource(
-        base,
-        latency=float(options.get("latency", 0.0)),
-        bandwidth=options.get("bandwidth"),
-        gap=int(options.get("gap", DEFAULT_GAP_BYTES)),
-        block_bytes=int(options.get("block_bytes", DEFAULT_BLOCK_BYTES)),
-        cache_bytes=int(options.get("cache_bytes", DEFAULT_BLOCK_CACHE_BYTES)),
-        readahead=int(options.get("readahead", 0)),
-        # a spec that asks for latency/bandwidth wants to *feel* it
-        simulate=bool(float(options.get("latency", 0.0)) > 0
-                      or options.get("bandwidth")))
+    # a spec that asks for latency/bandwidth wants to *feel* it
+    simulate = bool(options.get("latency", 0.0) > 0 or options.get("bandwidth"))
+    base = LocalFileSource(path)
+    try:
+        return RangeSource(base, simulate=simulate, **options)
+    except ValueError:
+        base.close()
+        raise

@@ -378,8 +378,3 @@ class QueryEngine:
         }
         out.update({f"cache_{k}": v for k, v in self.cache.stats.as_dict().items()})
         return out
-
-    def stats_rows(self) -> List[Dict[str, object]]:
-        """The stats snapshot as table rows (for ``format_table``)."""
-        return [{"metric": name, "value": value}
-                for name, value in self.stats().items()]

@@ -113,6 +113,20 @@ class TestBaselineWriters:
         expected_calls = int(np.ceil(nyx_hierarchy.nbytes / 8 / 1024))
         assert sum(w.compressor_launches for w in report.rank_workloads) >= expected_calls * 0.9
 
+    @pytest.mark.parametrize("make_writer", [
+        NoCompressionWriter, lambda: AMReXOriginalWriter(error_bound=1e-2)],
+        ids=["nocomp", "amrex_1d"])
+    def test_baseline_records_carry_error_terms(self, nyx_hierarchy, make_writer):
+        report = make_writer().write_plotfile(nyx_hierarchy)
+        for rec in report.records:
+            assert rec.n_elements == rec.raw_bytes // 8 > 0
+            assert rec.value_max >= rec.value_min
+            assert rec.sq_error >= 0.0
+        # the pooled PSNR is built from those terms and never undercuts the
+        # worst level
+        for name, pooled in report.psnr.items():
+            assert pooled >= report.worst_psnr[name] - 1e-9
+
     def test_amrex_chunk_validation(self):
         with pytest.raises(ValueError):
             AMReXOriginalWriter(chunk_elements=1)

@@ -1,8 +1,8 @@
 """Cross-source read identity and progressive (max_level) reads.
 
-The PR-7 acceptance bar: reads through every :class:`ByteSource`
-implementation are element-wise identical to :class:`LocalFileSource`,
-across codecs, for plotfiles and series, with the shm backend included.
+Reads through a coalescing :class:`RangeSource` are element-wise identical to
+the default :class:`LocalFileSource`, across codecs, for plotfiles and series,
+with the shm backend included.
 Plus the progressive-read semantics of ``max_level`` and the I/O counters
 that :class:`~repro.core.reader.ReadStats` now carries.
 """
@@ -13,15 +13,17 @@ import pytest
 import repro
 from repro.amr.box import Box
 from repro.analysis.reporting import io_stats_rows
-from repro.h5lite.source import MemorySource, RangeSource
+from repro.h5lite.source import LocalFileSource, RangeSource
 from repro.parallel import shm
 from repro.series.writer import write_series
 from repro.service.engine import BoxQuery, QueryEngine
 
 SPATIAL_CODECS = ("sz_lr", "sz_interp", "sz_1d", "zfp_like")
 
-#: every non-default way to reach the bytes (None = LocalFileSource baseline)
-SOURCES = ("mmap", "memory", "block:4k,gap:8k,readahead:2")
+#: RangeSource specs read against the default (None = LocalFileSource):
+#: every option at its default, coalescing across gaps, and a budget small
+#: enough to evict mid-read
+SOURCES = ("range", "block:4k,gap:8k", "block:1k,cache:8k,gap:0")
 
 BACKENDS = ("serial",) + (("shm",) if shm.HAVE_SHARED_MEMORY else ())
 
@@ -70,12 +72,10 @@ class TestPlotfileIdentity:
             np.testing.assert_array_equal(got[key], expected, err_msg=str(key))
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backends_identical_over_mmap(self, codec_plotfile, baseline,
-                                          backend):
-        # mmap hands out memoryview payloads: the shm backend ships them as
-        # descriptors across the pool boundary and must decode identically
+    def test_backends_identical_over_range_source(self, codec_plotfile,
+                                                  baseline, backend):
         with repro.open(codec_plotfile, backend=backend,
-                        source="mmap") as handle:
+                        source="block:4k,gap:8k") as handle:
             got = _to_globals(handle.read())
         for key, expected in baseline.items():
             np.testing.assert_array_equal(got[key], expected, err_msg=str(key))
@@ -90,11 +90,21 @@ class TestPlotfileIdentity:
         np.testing.assert_array_equal(got, expected)
 
     def test_source_instance_is_used_as_is(self, codec_plotfile, baseline):
-        source = MemorySource.from_file(codec_plotfile)
+        source = RangeSource(LocalFileSource(codec_plotfile), block_bytes=4096)
         with repro.open(codec_plotfile, source=source) as handle:
             got = _to_globals(handle.read())
+            assert handle.source_stats is source.stats
         for key, expected in baseline.items():
             np.testing.assert_array_equal(got[key], expected, err_msg=str(key))
+
+
+@pytest.mark.parametrize("spec", ["mmap", "memory", "local", "readahead:2"])
+def test_open_refuses_removed_source_tokens(spec):
+    # a spec string holds RangeSource modifiers only; the error names them,
+    # and comes before any byte of the (here: not a plotfile) file is read
+    with pytest.raises(ValueError, match=r"unknown source spec token.*"
+                                         r"latency:<value>.*'range'"):
+        repro.open(__file__, source=spec)
 
 
 class TestSeriesIdentity:
@@ -113,15 +123,15 @@ class TestSeriesIdentity:
             np.testing.assert_array_equal(got_slice, expected_slice)
 
     def test_rejects_single_source_instance(self, series_dir):
-        source = MemorySource(b"x")
-        with pytest.raises(ValueError, match="one file per step"):
-            repro.open_series(series_dir, source=source)
+        with LocalFileSource(__file__) as source:
+            with pytest.raises(ValueError, match="one file per step"):
+                repro.open_series(series_dir, source=source)
 
     def test_factory_opens_every_step(self, series_dir):
         built = []
 
         def factory(path):
-            src = MemorySource.from_file(path)
+            src = LocalFileSource(path)
             built.append(path)
             return src
 
@@ -204,7 +214,7 @@ class TestIOStats:
             assert rows["source_coalescing_factor"] >= 1.0
 
     def test_series_accumulates_step_io(self, series_dir):
-        with repro.open_series(series_dir, source="memory") as series:
+        with repro.open_series(series_dir, source="range") as series:
             assert series.source_stats.bytes_read == 0      # no step opened yet
             series.open_step(3)
             opened = series.source_stats.bytes_read
@@ -221,7 +231,7 @@ class TestIOStats:
             assert rows["source_bytes_read"] == total.bytes_read
 
     def test_engine_surfaces_io_totals(self, codec_plotfile):
-        with QueryEngine(source="mmap") as engine:
+        with QueryEngine(source="range") as engine:
             expected = engine.read_field(codec_plotfile, "baryon_density")
             with repro.open(codec_plotfile) as handle:
                 np.testing.assert_array_equal(

@@ -160,16 +160,14 @@ class TestReportAccounting:
             # pooling can only improve on (or match) the worst level
             assert weighted[name] >= worst[name] - 1e-9
 
-    def test_psnr_falls_back_when_legacy_records_mixed_in(self, nyx_hierarchy):
-        """A field with any record lacking the error terms uses the worst level."""
+    def test_record_requires_error_terms(self):
+        """The pooled PSNR needs every record's accumulation terms."""
         from repro.core.pipeline import LevelFieldRecord
 
-        report = AMRICWriter(AMRICConfig(error_bound=1e-3)).write_plotfile(nyx_hierarchy)
-        name = report.records[0].field
-        report.records.append(LevelFieldRecord(
-            level=99, field=name, raw_bytes=800, compressed_bytes=100,
-            psnr=1.0, max_error=0.5, filter_calls=1, nblocks=1))  # legacy: n_elements=0
-        assert report.psnr[name] == report.worst_psnr[name] == 1.0
+        with pytest.raises(TypeError, match="sq_error"):
+            LevelFieldRecord(level=0, field="f", raw_bytes=800,
+                             compressed_bytes=100, psnr=1.0, max_error=0.5,
+                             filter_calls=1, nblocks=1)
 
     def test_records_carry_error_terms(self, nyx_hierarchy):
         report = AMRICWriter(AMRICConfig(error_bound=1e-3)).write_plotfile(nyx_hierarchy)

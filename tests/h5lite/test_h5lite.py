@@ -11,7 +11,6 @@ from repro.h5lite import (
     SZChunkFilter,
     amrex_chunk_elements,
     amric_chunk_elements,
-    default_registry,
 )
 from repro.h5lite.filters import LosslessFilter
 
@@ -92,6 +91,32 @@ class TestFileBasics:
             with pytest.raises(ValueError):
                 f.create_dataset("x", np.zeros(0))
 
+    def test_bad_chunk_size_rejected(self, tmp_path, sample_data):
+        with H5LiteFile(tmp_path / "c.h5z", "w") as f:
+            for bad in (0, -4):
+                with pytest.raises(ValueError, match="chunk_elements must be >= 1"):
+                    f.create_dataset("x", sample_data, chunk_elements=bad)
+
+    def test_inline_encode_is_a_commit_of_encoded_chunks(self, tmp_path, sample_data):
+        """create_dataset = the filter over zero-padded chunks, then
+        create_dataset_from_chunks: the two files are byte-identical."""
+        comp = SZ1DCompressor(1e-3)
+        inline, committed = tmp_path / "inline.h5z", tmp_path / "committed.h5z"
+        with H5LiteFile(inline, "w") as f:
+            f.create_dataset("x", sample_data, chunk_elements=1024,
+                             filter=SZChunkFilter(comp))
+        flat, filt = sample_data.reshape(-1), SZChunkFilter(comp)
+        starts = range(0, flat.size, 1024)
+        chunks = [np.pad(flat[s:s + 1024], (0, max(0, s + 1024 - flat.size)))
+                  for s in starts]
+        with H5LiteFile(committed, "w") as f:
+            f.create_dataset_from_chunks(
+                "x", [filt.encode(c) for c in chunks], shape=sample_data.shape,
+                dtype=str(sample_data.dtype), chunk_elements=1024,
+                filter_id=filt.filter_id,
+                actual_elements_per_chunk=[min(1024, flat.size - s) for s in starts])
+        assert inline.read_bytes() == committed.read_bytes()
+
     def test_chunk_count(self, tmp_path, sample_data):
         path = tmp_path / "chunks.h5z"
         with H5LiteFile(path, "w") as f:
@@ -139,8 +164,10 @@ class TestFilters:
         filt = AMRICChunkFilter(comp)
         path = tmp_path / "amric.h5z"
         with H5LiteFile(path, "w") as f:
-            f.create_dataset("x", data, chunk_elements=chunk_elements,
-                             filter=filt, actual_elements_per_chunk=[3000])
+            f.create_dataset_from_chunks(
+                "x", [filt.encode(data, actual_elements=3000)], shape=data.shape,
+                dtype=str(data.dtype), chunk_elements=chunk_elements,
+                filter_id=filt.filter_id, actual_elements_per_chunk=[3000])
         assert filt.stats.padded_elements == chunk_elements - 3000
         with H5LiteFile(path, "r") as f:
             back = f.read_dataset("x", filter=AMRICChunkFilter(comp))
@@ -185,16 +212,6 @@ class TestFilters:
         filt.encode(np.zeros(100))
         assert filt.stats.calls == 1
         assert filt.stats.output_bytes == 800
-
-    def test_registry(self):
-        reg = default_registry()
-        assert set(reg.known()) >= {"none", "zlib", "sz_classic", "sz_amric"}
-        filt = reg.create("sz_amric", compressor=SZ1DCompressor(1e-3))
-        assert isinstance(filt, AMRICChunkFilter)
-        with pytest.raises(KeyError):
-            reg.create("bogus")
-        with pytest.raises(ValueError):
-            reg.register("none", NoCompressionFilter)
 
 
 class TestChunking:

@@ -1,8 +1,7 @@
 """The pluggable byte-source layer: contract, coalescing, cache, specs.
 
-Satellite coverage of the PR-7 edge cases — zero-length ranges, ranges past
-EOF, coalescing exactly at the gap threshold, block-cache eviction mid-batch,
-``MmapSource`` views surviving handle close — plus the spec grammar of
+Edge cases — zero-length ranges, ranges past EOF, coalescing exactly at the
+gap threshold, block-cache eviction mid-batch — plus the spec grammar of
 :func:`make_source` and the superblock bounds checks of
 :class:`~repro.h5lite.file.H5LiteFile` now that it reads through a source.
 """
@@ -20,9 +19,8 @@ from repro.h5lite.source import (
     DEFAULT_GAP_BYTES,
     ByteSource,
     LocalFileSource,
-    MemorySource,
-    MmapSource,
     RangeSource,
+    SourceStats,
     coalesce_ranges,
     make_source,
     parse_source_spec,
@@ -41,10 +39,18 @@ def data_file(tmp_path):
 def _factories(data_file):
     return {
         "local": lambda: LocalFileSource(data_file),
-        "mmap": lambda: MmapSource(data_file),
-        "memory": lambda: MemorySource.from_file(data_file),
         "range": lambda: RangeSource(LocalFileSource(data_file),
                                      block_bytes=64, cache_bytes=1024, gap=64),
+        # 100-byte blocks leave a short last block (10240 % 100 == 40), and a
+        # one-block budget evicts while a batch is still being assembled
+        "range-evicting": lambda: RangeSource(LocalFileSource(data_file),
+                                              block_bytes=100, cache_bytes=100,
+                                              gap=0),
+        # a RangeSource wraps any ByteSource, another RangeSource included
+        "range-nested": lambda: RangeSource(
+            RangeSource(LocalFileSource(data_file), block_bytes=64,
+                        cache_bytes=512, gap=0),
+            block_bytes=256, cache_bytes=1024, gap=128),
     }
 
 
@@ -87,9 +93,13 @@ class TestCoalesceRanges:
 # the ByteSource contract, for every implementation
 # ----------------------------------------------------------------------
 class TestContract:
-    @pytest.fixture(params=["local", "mmap", "memory", "range"])
-    def source(self, request, data_file):
-        src = _factories(data_file)[request.param]()
+    @pytest.fixture(params=["local", "range", "range-evicting", "range-nested"])
+    def factory(self, request, data_file):
+        return _factories(data_file)[request.param]
+
+    @pytest.fixture
+    def source(self, factory):
+        src = factory()
         yield src
         src.close()
 
@@ -134,9 +144,18 @@ class TestContract:
         assert source.stats.requests == 3
         assert 1 <= source.stats.coalesced_requests <= 3
 
-    def test_context_manager(self, data_file, source):
-        with _factories(data_file)["memory"]() as src:
+    def test_read_at_is_a_batch_of_one(self, source):
+        assert bytes(source.read_at(300, 500)) == \
+            bytes(source.read_many([(300, 500)])[0]) == PAYLOAD[300:800]
+        assert source.stats.requests == 2
+
+    def test_context_manager(self, factory):
+        with factory() as src:
             assert src.size() == len(PAYLOAD)
+            assert bytes(src.read_at(0, 16)) == PAYLOAD[:16]
+        # leaving the block closes the file underneath
+        with pytest.raises(ValueError):
+            src.read_at(4096, 16)
 
 
 # ----------------------------------------------------------------------
@@ -160,50 +179,6 @@ class TestLocalFileSource:
             os.truncate(data_file, 100)
             with pytest.raises(ValueError, match="short read"):
                 src.read_at(50, 100)
-
-
-class TestMmapSource:
-    def test_views_survive_close(self, data_file):
-        src = MmapSource(data_file)
-        view = src.read_at(500, 100)
-        src.close()
-        # the mapping lives as long as exported views do
-        assert bytes(view) == PAYLOAD[500:600]
-
-    def test_read_after_close_raises(self, data_file):
-        src = MmapSource(data_file)
-        src.close()
-        with pytest.raises(ValueError, match="closed"):
-            src.read_at(0, 10)
-
-    def test_close_idempotent(self, data_file):
-        src = MmapSource(data_file)
-        view = src.read_at(0, 10)
-        src.close()
-        src.close()
-        assert bytes(view) == PAYLOAD[:10]
-
-    def test_zero_copy(self, data_file):
-        with MmapSource(data_file) as src:
-            assert isinstance(src.read_at(0, 10), memoryview)
-
-    def test_empty_file_raises(self, tmp_path):
-        path = tmp_path / "empty.bin"
-        path.write_bytes(b"")
-        with pytest.raises(ValueError, match="empty"):
-            MmapSource(str(path))
-
-
-class TestMemorySource:
-    def test_from_file(self, data_file):
-        with MemorySource.from_file(data_file) as src:
-            assert bytes(src.read_at(10, 20)) == PAYLOAD[10:30]
-            assert src.path == data_file
-
-    def test_accepts_bytearray_and_memoryview(self):
-        for raw in (bytearray(b"abcdef"), memoryview(b"abcdef")):
-            src = MemorySource(raw)
-            assert bytes(src.read_at(1, 3)) == b"bcd"
 
 
 class TestRangeSource:
@@ -244,16 +219,6 @@ class TestRangeSource:
             assert src.stats.bytes_read == fetched     # all from cache
             assert src.stats.cache_hits == 2
 
-    def test_sequential_readahead(self, data_file):
-        with RangeSource(LocalFileSource(data_file), block_bytes=64,
-                         cache_bytes=4096, readahead=2) as src:
-            src.read_at(0, 64)                  # blocks [0]
-            src.read_at(64, 64)                 # sequential: fetches [1..3]
-            assert src.stats.readahead_blocks == 2
-            before = src.stats.bytes_read
-            src.read_at(128, 128)               # blocks [2, 3] already cached
-            assert src.stats.bytes_read == before
-
     def test_latency_and_bandwidth_accounting(self, data_file):
         with RangeSource(LocalFileSource(data_file), block_bytes=64,
                          cache_bytes=4096, latency=0.25, bandwidth=6400.0,
@@ -272,42 +237,76 @@ class TestRangeSource:
             assert bytes(src.read_at(0, 256)) == PAYLOAD[:256]
 
     def test_bad_parameters_raise(self, data_file):
-        base = MemorySource(PAYLOAD)
-        with pytest.raises(ValueError, match="block_bytes"):
-            RangeSource(base, block_bytes=0)
-        with pytest.raises(ValueError, match="cache_bytes"):
-            RangeSource(base, block_bytes=64, cache_bytes=32)
-        with pytest.raises(ValueError, match="gap and readahead"):
-            RangeSource(base, gap=-1)
-        with pytest.raises(ValueError, match="latency"):
-            RangeSource(base, latency=-1.0)
-        with pytest.raises(ValueError, match="bandwidth"):
-            RangeSource(base, bandwidth=0.0)
+        with LocalFileSource(data_file) as base:
+            with pytest.raises(ValueError, match="block_bytes"):
+                RangeSource(base, block_bytes=0)
+            with pytest.raises(ValueError, match="cache_bytes"):
+                RangeSource(base, block_bytes=64, cache_bytes=32)
+            with pytest.raises(ValueError, match="gap"):
+                RangeSource(base, gap=-1)
+            with pytest.raises(ValueError, match="latency"):
+                RangeSource(base, latency=-1.0)
+            with pytest.raises(ValueError, match="bandwidth"):
+                RangeSource(base, bandwidth=0.0)
+
+
+# ----------------------------------------------------------------------
+# SourceStats: the one I/O ledger
+# ----------------------------------------------------------------------
+class TestSourceStats:
+    def test_sum_counts_a_shared_source_once(self):
+        a = SourceStats(requests=3, coalesced_requests=1, bytes_read=100,
+                        wait_seconds=0.5)
+        b = SourceStats(requests=2, coalesced_requests=2, bytes_read=40,
+                        cache_hits=4, evictions=1, evicted_bytes=64)
+        total = SourceStats.sum([a, b, a])
+        assert total == SourceStats(requests=5, coalesced_requests=3,
+                                    bytes_read=140, cache_hits=4, evictions=1,
+                                    evicted_bytes=64, wait_seconds=0.5)
+        assert SourceStats.sum([]) == SourceStats()
+
+    def test_rates_are_safe_on_an_idle_source(self):
+        idle = SourceStats()
+        assert idle.hit_rate == 0.0
+        assert idle.coalescing_factor == 0.0
+        busy = SourceStats(requests=6, coalesced_requests=2, cache_hits=3,
+                           cache_misses=1)
+        assert busy.as_dict()["hit_rate"] == pytest.approx(0.75)
+        assert busy.as_dict()["coalescing_factor"] == pytest.approx(3.0)
+
+    def test_samples_one_row_per_counter(self, data_file):
+        with RangeSource(LocalFileSource(data_file), block_bytes=64) as src:
+            src.read_many([(0, 64), (64, 64), (1024, 8)])
+            rows = src.stats.samples({"path": "p"})
+        names = [name for name, _, _, _ in rows]
+        assert names == ["repro_io_requests_total", "repro_io_reads_total",
+                         "repro_io_bytes_read_total",
+                         "repro_io_block_cache_hits_total",
+                         "repro_io_block_cache_misses_total",
+                         "repro_io_block_cache_evictions_total",
+                         "repro_io_wait_seconds_total"]
+        assert all(kind == "counter" and labels == {"path": "p"}
+                   for _, kind, labels, _ in rows)
+        values = {name: value for name, _, _, value in rows}
+        assert values["repro_io_requests_total"] == 3.0
+        assert values["repro_io_bytes_read_total"] == float(src.stats.bytes_read)
 
 
 # ----------------------------------------------------------------------
 # spec strings and make_source
 # ----------------------------------------------------------------------
 class TestSpecs:
-    def test_parse_bases(self):
-        assert parse_source_spec("mmap") == {"base": "mmap", "range": False}
-        assert parse_source_spec("local") == {"base": "local", "range": False}
-        assert parse_source_spec("memory") == {"base": "memory", "range": False}
-
     def test_parse_modifiers(self):
         opts = parse_source_spec("latency:50ms,bandwidth:100m,gap:128k,"
-                                 "block:4k,cache:8m,readahead:2")
-        assert opts["latency"] == pytest.approx(0.05)
-        assert opts["bandwidth"] == pytest.approx(100 * 1024 ** 2)
-        assert opts["gap"] == 128 * 1024
-        assert opts["block_bytes"] == 4096
-        assert opts["cache_bytes"] == 8 * 1024 ** 2
-        assert opts["readahead"] == 2
-        assert opts["range"] is True
+                                 "block:4k,cache:8m")
+        assert opts == {"latency": pytest.approx(0.05),
+                        "bandwidth": pytest.approx(100 * 1024 ** 2),
+                        "gap": 128 * 1024, "block_bytes": 4096,
+                        "cache_bytes": 8 * 1024 ** 2}
 
-    def test_parse_bare_range_and_base_combo(self):
-        opts = parse_source_spec("mmap,range")
-        assert opts == {"base": "mmap", "range": True}
+    def test_bare_range_is_every_default(self):
+        assert parse_source_spec("range") == {}
+        assert parse_source_spec("range,block:4k") == {"block_bytes": 4096}
 
     def test_duration_and_byte_units(self):
         assert parse_source_spec("latency:100us")["latency"] == \
@@ -317,28 +316,52 @@ class TestSpecs:
         assert parse_source_spec("block:64kib")["block_bytes"] == 64 * 1024
         assert parse_source_spec("block:512")["block_bytes"] == 512
 
-    @pytest.mark.parametrize("bad", ["http", "latency:fast", "block:big",
-                                     "readahead:two"])
+    @pytest.mark.parametrize("bad", ["latency:fast", "block:big", "", " , "])
     def test_bad_tokens_raise(self, bad):
         with pytest.raises(ValueError):
             parse_source_spec(bad)
 
+    @pytest.mark.parametrize("spec", ["mmap", "memory", "local", "readahead:2",
+                                      "http", "block:4k,mmap"])
+    def test_removed_and_unknown_tokens_list_the_accepted_ones(self, data_file,
+                                                               spec):
+        for build in (parse_source_spec, lambda s: make_source(data_file, s)):
+            with pytest.raises(ValueError, match="unknown source spec token") as exc:
+                build(spec)
+            message = str(exc.value)
+            assert "\n" not in message
+            for token in ("latency:<value>", "bandwidth:<value>", "gap:<value>",
+                          "block:<value>", "cache:<value>", "'range'"):
+                assert token in message
+
     def test_make_source_types(self, data_file):
         assert isinstance(make_source(data_file), LocalFileSource)
-        assert isinstance(make_source(data_file, "mmap"), MmapSource)
-        assert isinstance(make_source(data_file, "memory"), MemorySource)
         src = make_source(data_file, "latency:1ms,block:4k")
         assert isinstance(src, RangeSource)
+        assert isinstance(src.base, LocalFileSource)
         assert src.simulate is True            # latency wants to be felt
+        assert src.block_bytes == 4096
         quiet = make_source(data_file, "range,block:4k")
         assert isinstance(quiet, RangeSource)
         assert quiet.simulate is False
+        for built in (src, quiet):
+            built.close()
+
+    def test_bad_option_value_closes_the_file(self, data_file, monkeypatch):
+        closed = []
+        real_close = LocalFileSource.close
+        monkeypatch.setattr(LocalFileSource, "close",
+                            lambda self: closed.append(self.path) or real_close(self))
+        with pytest.raises(ValueError, match="block_bytes"):
+            make_source(data_file, "block:0")
+        assert closed == [data_file]
 
     def test_make_source_passthrough_and_factory(self, data_file):
-        instance = MemorySource(PAYLOAD)
-        assert make_source(data_file, instance) is instance
-        built = make_source(data_file, lambda p: MemorySource.from_file(p))
-        assert isinstance(built, MemorySource)
+        with LocalFileSource(data_file) as instance:
+            assert make_source(data_file, instance) is instance
+        built = make_source(data_file, lambda p: RangeSource(LocalFileSource(p)))
+        assert isinstance(built, RangeSource)
+        built.close()
         with pytest.raises(TypeError, match="ByteSource"):
             make_source(data_file, lambda p: open(p, "rb"))
 
@@ -400,11 +423,10 @@ class TestH5LiteOnSources:
 
     def test_write_mode_rejects_source(self, tmp_path):
         with pytest.raises(ValueError, match="read mode"):
-            H5LiteFile(tmp_path / "w.h5z", "w", source="mmap")
+            H5LiteFile(tmp_path / "w.h5z", "w", source="range")
 
-    @pytest.mark.parametrize("spec", [None, "mmap", "memory",
-                                      "range,block:4k,gap:8k",
-                                      "mmap,block:1k,cache:4k"])
+    @pytest.mark.parametrize("spec", [None, "range,block:4k,gap:8k",
+                                      "block:1k,cache:4k"])
     def test_round_trip_through_every_source(self, tmp_path, spec):
         path = tmp_path / "rt.h5z"
         data = _write_sample(path)

@@ -7,7 +7,6 @@ import pytest
 
 import repro
 from repro.amr.box import Box
-from repro.analysis.reporting import cache_stats_rows, format_table
 from repro.service.cache import DEFAULT_CACHE_BYTES, ChunkCache
 
 
@@ -191,21 +190,3 @@ class TestSharedCacheThroughHandles:
         with repro.open_series(service_series, cache=tiny) as cached:
             hierarchy = cached.read(step=-1)
         assert hierarchy.nlevels >= 1
-
-
-class TestCacheStatsRows:
-    def test_rows_render_for_cache_and_stats(self):
-        cache = ChunkCache(max_bytes=1 << 20)
-        cache.put(("/f", "d", 0), _chunk())
-        cache.get(("/f", "d", 0))
-        rows = cache_stats_rows(cache)
-        metrics = {row["metric"]: row["value"] for row in rows}
-        assert metrics["hits"] == 1
-        assert metrics["max_bytes"] == 1 << 20
-        assert "hits" in format_table(rows)
-        assert set(metrics) >= {"hits", "misses", "evictions", "current_bytes"}
-
-    def test_rows_reject_unknown_sources(self):
-        for not_a_cache in (42, ChunkCache().stats):
-            with pytest.raises(TypeError, match="cannot extract cache stats"):
-                cache_stats_rows(not_a_cache)

@@ -247,12 +247,3 @@ class TestEngineStats:
         assert stats["cache_max_bytes"] == 1 << 20
         assert stats["chunks_decoded"] > 0
         assert 0.0 <= stats["cache_hit_rate"] <= 1.0
-
-    def test_stats_rows_render(self, service_plotfile):
-        from repro.analysis.reporting import format_table
-
-        with QueryEngine() as engine:
-            engine.describe(service_plotfile)
-            rows = engine.stats_rows()
-        assert {"metric", "value"} == set(rows[0])
-        assert "plotfiles_open" in format_table(rows)

@@ -231,6 +231,14 @@ class TestCLI:
         table = capsys.readouterr().out.split("byte-source I/O")[1]
         assert table.count("bytes_read") == 1 and "source_bytes_read" in table
 
+    def test_info_refuses_a_removed_source_in_one_line(self, plotfile, capsys):
+        assert cli_main(["info", str(plotfile), "--source", "mmap"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "'mmap'" in lines[0] and "latency:<value>" in lines[0]
+
     def test_verify_pass(self, plotfile, capsys):
         assert cli_main(["verify", str(plotfile)]) == 0
         assert "PASS" in capsys.readouterr().out
