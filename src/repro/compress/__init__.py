@@ -39,7 +39,6 @@ from repro.compress.metrics import (
 from repro.compress.sz_lr import SZLRCompressor
 from repro.compress.sz_interp import SZInterpCompressor
 from repro.compress.sz1d import SZ1DCompressor
-from repro.compress.zfp_like import ZFPLikeCompressor
 from repro.compress.base import CompressedBuffer, Compressor
 from repro.compress.registry import (
     CodecSpec,
@@ -61,7 +60,6 @@ __all__ = [
     "SZLRCompressor",
     "SZInterpCompressor",
     "SZ1DCompressor",
-    "ZFPLikeCompressor",
     "CompressionStats",
     "compression_ratio",
     "psnr",

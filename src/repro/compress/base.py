@@ -87,6 +87,15 @@ class Compressor(abc.ABC):
         buffer, _ = self.compress_with_reconstruction(data)
         return buffer
 
+    def _as_input(self, data: np.ndarray) -> np.ndarray:
+        """``data`` as float64; no error bound covers an empty array or NaN/Inf."""
+        data = np.asarray(data, dtype=np.float64)
+        if data.size == 0:
+            raise ValueError("cannot compress an empty array")
+        if not np.isfinite(data).all():
+            raise ValueError(f"{self.name} cannot compress non-finite values (NaN or Inf)")
+        return data
+
     def resolve_eb(self, data: np.ndarray, value_range: float | None = None) -> float:
         """Absolute error bound for this input."""
         return self.error_bound.resolve(data, value_range=value_range)

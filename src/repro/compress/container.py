@@ -1,11 +1,11 @@
 """The unified codec container: one serializer for every compressed stream.
 
-Before this module each codec (``sz_lr``, ``sz_interp``, ``sz1d``,
-``zfp_like``) hand-rolled the same serialisation: a JSON ``meta`` section,
-Huffman table/payload/sync sections, zlib-deflated side arrays, all framed
-through :func:`repro.compress.lossless.pack_sections`.  Four copies of that
-code meant four places to keep in sync whenever the framing evolved (the sync
-offsets of PR 1 touched all four).  This module is the single implementation:
+Before this module each codec (``sz_lr``, ``sz_interp``, ``sz1d``) hand-rolled
+the same serialisation: a JSON ``meta`` section, Huffman table/payload/sync
+sections, zlib-deflated side arrays, all framed through
+:func:`repro.compress.lossless.pack_sections`.  A copy of that code per codec
+meant one place per codec to keep in sync whenever the framing evolved.  This
+module is the single implementation:
 
 * :func:`pack_container` / :func:`unpack_container` — the versioned,
   magic-tagged section container (named byte sections with uint64 length

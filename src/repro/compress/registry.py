@@ -12,7 +12,8 @@ place that knows the mapping:
   only the keyword options the codec declares it accepts (so callers can
   offer a superset of options without caring which codec consumes which).
 
-The four built-in codecs are registered at import time; external code can
+The built-in codecs — the paper's (SZ_L/R, SZ_Interp, AMReX's 1D SZ) and the
+series' temporal delta codec — are registered at import time; external code can
 register more (the registry is deliberately process-global, mirroring HDF5's
 filter registry).
 """
@@ -27,7 +28,6 @@ from repro.compress.errorbound import ErrorBound
 from repro.compress.sz_lr import SZLRCompressor
 from repro.compress.sz_interp import SZInterpCompressor
 from repro.compress.sz1d import SZ1DCompressor
-from repro.compress.zfp_like import ZFPLikeCompressor
 
 __all__ = [
     "CodecSpec",
@@ -47,12 +47,16 @@ class CodecSpec:
     factory: Callable[..., Compressor]
     #: keyword options the factory accepts beyond (error_bound, mode)
     options: Tuple[str, ...] = ()
-    #: True when the codec offers the multi-array (unit-block) API: on the
-    #: write side ``compress_many_with_reconstruction`` that unit SLE relies
-    #: on, on the read side ``decompress_batch(buffers, select)`` — an iterable
-    #: of one list of arrays per buffer, in order, optionally only the selected
-    #: arrays of each — which is what ``AMRICLevelFilter.decode_blocks`` calls
-    #: for every chunk of such a codec
+    #: True when the codec offers the multi-array (unit-block) API.  Write
+    #: side: ``compress_many_with_reconstruction(chunks, shared_encoding,
+    #: value_range, codec)``, which unit SLE relies on — ``chunks`` is a list
+    #: of lists of arrays, predicted in one pass, answered with one
+    #: ``(buffer, reconstructions)`` per chunk, the shared table carried from
+    #: chunk to chunk; ``AMRICLevelFilter.encode_many`` calls it once per run
+    #: of a dataset's chunks.  Read side: ``decompress_batch(buffers, select)``
+    #: — an iterable of one list of arrays per buffer, in order, optionally
+    #: only the selected arrays of each — which is what
+    #: ``AMRICLevelFilter.decode_blocks`` calls for every chunk of such a codec
     supports_many: bool = False
     description: str = ""
 
@@ -117,10 +121,6 @@ register_codec(CodecSpec(
     options=("radius", "lossless_level"),
     description="1D Lorenzo codec behind AMReX's original in situ compression"),
     aliases=("sz1d",))
-register_codec(CodecSpec(
-    name="zfp_like", factory=ZFPLikeCompressor,
-    options=("block_size", "radius", "lossless_level"),
-    description="fixed-block orthogonal-transform comparator"))
 
 
 def _temporal_delta_factory(error_bound, mode: str = "rel", **options):

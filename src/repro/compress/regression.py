@@ -71,7 +71,11 @@ def _fit_matrix(block_shape: Tuple[int, ...]) -> np.ndarray:
 
 
 def fit_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Least-squares plane fit for every block: one matrix multiplication.
+    """Least-squares plane fit for every block: one matrix product.
+
+    A fixed-order ``einsum`` rather than a BLAS ``@``, whose rounding depends
+    on how many blocks share the call: a block's coefficients must not depend
+    on which other blocks (chunks, datasets) the encoder batched it with.
 
     Parameters
     ----------
@@ -84,7 +88,7 @@ def fit_blocks(blocks: np.ndarray) -> np.ndarray:
     """
     blocks = np.asarray(blocks, dtype=np.float64)
     flat = blocks.reshape(blocks.shape[0], -1)               # (nblocks, npoints)
-    return flat @ _fit_matrix(tuple(blocks.shape[1:])).T     # (nblocks, ndim+1)
+    return np.einsum("ij,kj->ik", flat, _fit_matrix(tuple(blocks.shape[1:])))
 
 
 def quantize_coefficients(coefficients: np.ndarray, eb: float,

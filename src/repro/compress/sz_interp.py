@@ -162,9 +162,7 @@ class SZInterpCompressor(Compressor):
     def compress_with_reconstruction(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
         input_dtype = str(np.asarray(data).dtype)
         original_nbytes = int(np.asarray(data).nbytes)
-        data = np.asarray(data, dtype=np.float64)
-        if data.size == 0:
-            raise ValueError("cannot compress an empty array")
+        data = self._as_input(data)
         abs_eb = self.resolve_eb(data)
         shape = tuple(int(s) for s in data.shape)
 

@@ -24,6 +24,10 @@ Public entry points
     block") is predicted independently, while the lossless encoding is either
     shared (``shared_encoding=True`` → unit SLE) or per-array
     (``shared_encoding=False`` → the costly per-block-tree alternative).
+``compress_many_with_reconstruction``
+    the one write door, over a list of chunks (each a list of arrays): all of
+    their arrays predicted in one pass, each chunk serialised to its own
+    buffer, in order; ``compress`` and ``compress_many`` are its batch of one.
 ``decompress_batch``
     ``decompress_many`` over the buffers of one decode job: parsed one by one,
     entropy-decoded in one Huffman lane pass, reconstructed one by one —
@@ -232,7 +236,7 @@ class SZLRCompressor(Compressor):
         if self.radius < 2:
             raise ValueError("radius must be >= 2")
         self.lossless_level = int(lossless_level)
-        #: the shared Huffman table used by the most recent compress_many call
+        #: the shared Huffman table the last chunk of the most recent call used
         self.last_shared_codec: HuffmanCodec | None = None
 
     # ------------------------------------------------------------------
@@ -252,7 +256,7 @@ class SZLRCompressor(Compressor):
         return self._block_size_spec
 
     # ------------------------------------------------------------------
-    # core predictor: one batched pass per call
+    # core predictor: one batched pass per call (a dataset's chunks)
     # ------------------------------------------------------------------
     def _encode_batch(self, arrays: Sequence[np.ndarray], abs_eb: float):
         """Predict and quantise a list of (non-empty, float64) arrays.
@@ -570,56 +574,70 @@ class SZLRCompressor(Compressor):
     # public API
     # ------------------------------------------------------------------
     def compress_with_reconstruction(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
-        buffer, recons = self.compress_many_with_reconstruction([data])
-        return buffer, recons[0]
+        ((buffer, (recon,)),) = self.compress_many_with_reconstruction([[data]])
+        return buffer, recon
 
     def compress_many(self, arrays: Sequence[np.ndarray], shared_encoding: bool = True,
                       value_range: float | None = None,
                       codec: HuffmanCodec | None = None) -> CompressedBuffer:
-        buffer, _ = self.compress_many_with_reconstruction(
-            arrays, shared_encoding=shared_encoding, value_range=value_range, codec=codec)
+        ((buffer, _),) = self.compress_many_with_reconstruction(
+            [arrays], shared_encoding=shared_encoding, value_range=value_range, codec=codec)
         return buffer
 
     def compress_many_with_reconstruction(
-            self, arrays: Sequence[np.ndarray], shared_encoding: bool = True,
-            value_range: float | None = None,
-            codec: HuffmanCodec | None = None) -> Tuple[CompressedBuffer, List[np.ndarray]]:
-        """Compress several arrays into one buffer (AMRIC unit-block API).
+            self, chunks: Sequence[Sequence[np.ndarray]], shared_encoding: bool = True,
+            value_range: float | None = None, codec: HuffmanCodec | None = None,
+            ) -> List[Tuple[CompressedBuffer, List[np.ndarray]]]:
+        """Compress each chunk (a list of arrays) into its own buffer (AMRIC
+        unit-block API); one ``(buffer, reconstructions)`` per chunk.
 
-        ``codec`` optionally supplies a pre-built shared Huffman table (SLE
-        across *chunks*); it is used only when it covers every symbol of this
-        call, and the table actually used is exposed as
-        :attr:`last_shared_codec` so callers can carry it to the next chunk.
+        The arrays of all chunks are predicted in one :meth:`_encode_batch`
+        (prediction is confined to an array, so nothing stored depends on
+        which arrays share the pass); each chunk is then serialised on its own,
+        in order.  ``value_range=None`` resolves over every array of every
+        chunk.  ``codec`` optionally supplies a pre-built shared Huffman table
+        (SLE across *chunks*); a chunk uses the table it is handed when that
+        covers its symbols and otherwise builds its own, which the next chunk
+        is handed in turn.  The last chunk's table is exposed as
+        :attr:`last_shared_codec` so callers can carry it to the next call.
         """
-        if not len(arrays):
+        if not len(chunks) or any(not len(arrays) for arrays in chunks):
             raise ValueError("need at least one array")
-        input_dtype = str(np.asarray(arrays[0]).dtype)
-        arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-        if any(a.size == 0 for a in arrays):
-            raise ValueError("cannot compress an empty array")
+        if any(isinstance(arrays, np.ndarray) for arrays in chunks):
+            raise TypeError("chunks must be a list of lists of arrays")
+        dtypes = [str(np.asarray(arrays[0]).dtype) for arrays in chunks]
+        arrays = [self._as_input(a) for chunk in chunks for a in chunk]
         if value_range is None:
             gmin = min(float(a.min()) for a in arrays)
             gmax = max(float(a.max()) for a in arrays)
             value_range = gmax - gmin
         abs_eb = self.error_bound.resolve(value_range=value_range)
         codes, side, counts, reconstructions = self._encode_batch(arrays, abs_eb)
-        payload, used_codec = self._serialize(
-            [a.shape for a in arrays], codes, side, counts, abs_eb, shared_encoding,
-            input_dtype, codec=codec)
-        self.last_shared_codec = used_codec
-        original_nbytes = sum(
-            a.size * np.dtype(input_dtype).itemsize for a in arrays)
-        buffer = CompressedBuffer(
-            payload=payload,
-            original_shape=arrays[0].shape if len(arrays) == 1 else (original_nbytes // 8,),
-            original_dtype=input_dtype,
-            original_nbytes=original_nbytes,
-            codec=self.name,
-            meta={"abs_eb": abs_eb, "narrays": len(arrays),
-                  "shared_encoding": bool(shared_encoding),
-                  "shapes": [a.shape for a in arrays]},
-        )
-        return buffer, reconstructions
+        # where each array's share of every _SIDE stream starts
+        side_at = np.zeros((len(arrays) + 1, len(_SIDE)), dtype=np.int64)
+        np.cumsum(counts[:, :len(_SIDE)], axis=0, out=side_at[1:])
+        out = []
+        hi = 0
+        for chunk, input_dtype in zip(chunks, dtypes):
+            lo, hi = hi, hi + len(chunk)
+            shapes = [a.shape for a in arrays[lo:hi]]
+            chunk_side = {name: side[name][side_at[lo, column]:side_at[hi, column]]
+                          for column, name in enumerate(_SIDE)}
+            payload, codec = self._serialize(shapes, codes[lo:hi], chunk_side, counts[lo:hi],
+                                             abs_eb, shared_encoding, input_dtype, codec=codec)
+            original_nbytes = sum(math.prod(shape) for shape in shapes) \
+                * np.dtype(input_dtype).itemsize
+            out.append((CompressedBuffer(
+                payload=payload,
+                original_shape=shapes[0] if len(shapes) == 1 else (original_nbytes // 8,),
+                original_dtype=input_dtype,
+                original_nbytes=original_nbytes,
+                codec=self.name,
+                meta={"abs_eb": abs_eb, "narrays": len(shapes),
+                      "shared_encoding": bool(shared_encoding), "shapes": shapes},
+            ), reconstructions[lo:hi]))
+        self.last_shared_codec = codec
+        return out
 
     def decompress(self, buffer: CompressedBuffer | bytes) -> np.ndarray:
         arrays = self.decompress_many(buffer)

@@ -79,10 +79,12 @@ class ChunkPlan:
 class AMRICLevelFilter(Filter):
     """The modified compression filter: 3D-aware, actual-size-aware.
 
-    The writer queues one :class:`ChunkPlan` per upcoming ``encode`` call (in
-    write order); the filter consumes them, rebuilds the 3D unit blocks from
-    the flat chunk, compresses them with the configured SZ algorithm and emits
-    a self-describing payload.  ``decode`` needs no side information.
+    The writer queues one :class:`ChunkPlan` per upcoming chunk (in write
+    order) and hands the chunks to ``encode_many`` (``encode`` is its batch
+    of one); the filter consumes the plans, rebuilds the 3D unit blocks from
+    each flat chunk, compresses them with the configured SZ algorithm and
+    emits one self-describing payload per chunk.  ``decode`` needs no side
+    information.
     """
 
     filter_id = "amric_3d"
@@ -90,8 +92,7 @@ class AMRICLevelFilter(Filter):
     def __init__(self, compressor: str = "sz_lr", error_bound: float = 1e-3,
                  use_sle: bool = True, adaptive_block_size: bool = True,
                  sz_block_size: int = 6, interp_arrangement: str = "cluster",
-                 interp_anchor_stride: int = 16, unit_block_size: int = 16,
-                 reuse_codec: bool = True):
+                 interp_anchor_stride: int = 16, unit_block_size: int = 16):
         super().__init__()
         resolve_codec(compressor)        # unknown names fail fast with ValueError
         self.compressor = compressor
@@ -102,10 +103,9 @@ class AMRICLevelFilter(Filter):
         self.interp_arrangement = interp_arrangement
         self.interp_anchor_stride = int(interp_anchor_stride)
         self.unit_block_size = int(unit_block_size)
-        #: carry one shared Huffman table across the chunks (= ranks) of the
-        #: same SLE plan instead of rebuilding it per chunk; a chunk whose
-        #: symbols the table misses transparently rebuilds and re-caches it
-        self.reuse_codec = bool(reuse_codec)
+        #: one shared Huffman table carried across the chunks (= ranks) of the
+        #: same SLE plan instead of rebuilt per chunk; a chunk whose symbols
+        #: the table misses rebuilds it, and the rebuilt table is carried on
         self._shared_codec = None
         self._codec_scope = None      # (field, value_range) the cached table belongs to
         self._many_codec = None       # cached multi-array codec (relative bound)
@@ -129,86 +129,102 @@ class AMRICLevelFilter(Filter):
 
     # ------------------------------------------------------------------
     def encode(self, chunk: np.ndarray, actual_elements: Optional[int] = None) -> bytes:
-        if not self._pending_plans:
-            raise RuntimeError("AMRICLevelFilter.encode called without a queued ChunkPlan")
-        plan = self._pending_plans.pop(0)
-        chunk = np.asarray(chunk, dtype=np.float64).reshape(-1)
-        nvalid = plan.nelements
-        if actual_elements is not None and actual_elements != nvalid:
-            raise ValueError(
-                f"chunk plan expects {nvalid} valid elements, writer passed {actual_elements}")
+        (payload,) = self.encode_many([chunk], [actual_elements])
+        return payload
 
-        # rebuild the 3D unit blocks from the flat (field-major) chunk prefix
-        blocks: List[np.ndarray] = []
-        offset = 0
-        for shape in plan.block_shapes:
-            size = int(np.prod(shape))
-            blocks.append(chunk[offset:offset + size].reshape(shape))
-            offset += size
+    def encode_many(self, chunks: Sequence[np.ndarray],
+                    actual_elements: Sequence[Optional[int]]) -> List[bytes]:
+        """Encode a dataset's chunks, in write order, one queued plan each.
+
+        Consecutive chunks of one ``(field, value_range)`` scope go to a
+        multi-array codec in one call: predicted together, serialised in
+        order, the shared Huffman table carried from chunk to chunk.  A
+        single-array codec encodes chunk by chunk.  Headers, reconstructions
+        and accounting stay per chunk.
+        """
+        if len(self._pending_plans) < len(chunks):
+            raise RuntimeError("AMRICLevelFilter.encode called without a queued ChunkPlan")
+        plans = self._pending_plans[:len(chunks)]
+        del self._pending_plans[:len(chunks)]
+        chunks = [np.asarray(chunk, dtype=np.float64).reshape(-1) for chunk in chunks]
+        blocks = []
+        for chunk, plan, actual in zip(chunks, plans, actual_elements, strict=True):
+            if actual is not None and actual != plan.nelements:
+                raise ValueError(f"chunk plan expects {plan.nelements} valid elements, "
+                                 f"writer passed {actual}")
+            # rebuild the 3D unit blocks from the flat (field-major) chunk prefix
+            ends = itertools.accumulate(math.prod(shape) for shape in plan.block_shapes)
+            blocks.append([chunk[end - math.prod(shape):end].reshape(shape)
+                           for shape, end in zip(plan.block_shapes, ends)])
 
         spec = resolve_codec(self.compressor)
         if spec.supports_many:
-            # multi-array (unit-block) codecs compress the blocks directly,
-            # which is what unit SLE (§3.2 Solution 1) relies on
-            if self._many_codec is None:
-                self._many_codec = spec.create(
-                    self.error_bound, block_size=self._sz_block_size_for())
-            comp = self._many_codec
-            # the cached table is only valid within one SLE plan — chunks of
+            encoded = self._encode_unit_blocks(spec, plans, blocks)
+        else:
+            encoded = [self._encode_packed(spec, plan, chunk_blocks)
+                       for plan, chunk_blocks in zip(plans, blocks)]
+        payloads = []
+        for chunk, plan, (body, recons, arrangement) in zip(chunks, plans, encoded):
+            header = json.dumps({
+                "mode": spec.name,
+                "plan": plan.to_json(),
+                "chunk_elements": int(chunk.size),
+                "error_bound": self.error_bound,
+                "use_sle": self.use_sle,
+                "sz_block_size": self._sz_block_size_for(),
+                "interp_anchor_stride": self.interp_anchor_stride,
+                "arrangement": arrangement,
+            }).encode("utf-8")
+            payload = struct.pack("<Q", len(header)) + header + body
+            self.last_reconstructions.append(recons)
+            self._account(chunk, plan.nelements, payload)
+            payloads.append(payload)
+        return payloads
+
+    def _encode_unit_blocks(self, spec, plans, blocks):
+        """Multi-array (unit-block) codecs compress the blocks directly, which
+        is what unit SLE (§3.2 Solution 1) relies on: one codec call per run
+        of chunks of one scope, ``(body, reconstructions, None)`` per chunk."""
+        if self._many_codec is None:
+            self._many_codec = spec.create(self.error_bound, block_size=self._sz_block_size_for())
+        comp = self._many_codec
+        out = []
+        for scope, run in itertools.groupby(
+                zip(plans, blocks), key=lambda item: (item[0].field, item[0].value_range)):
+            # the carried table is only valid within one SLE plan — chunks of
             # the same field with the same quantisation grid; a different
             # field (or bound) has a different symbol distribution
-            scope = (plan.field, plan.value_range)
-            if self.reuse_codec and self._codec_scope != scope:
+            if self._codec_scope != scope:
                 self._shared_codec = None
                 self._codec_scope = scope
-            buffer, recons = comp.compress_many_with_reconstruction(
-                blocks, shared_encoding=self.use_sle, value_range=plan.value_range,
-                codec=self._shared_codec if self.reuse_codec else None)
-            if self.reuse_codec:
-                self._shared_codec = comp.last_shared_codec
-            body = buffer.payload
-            mode = spec.name
-            arrangement_json = None
+            results = comp.compress_many_with_reconstruction(
+                [chunk_blocks for _, chunk_blocks in run], shared_encoding=self.use_sle,
+                value_range=scope[1], codec=self._shared_codec)
+            self._shared_codec = comp.last_shared_codec
+            out.extend((buffer.payload, recons, None) for buffer, recons in results)
+        return out
+
+    def _encode_packed(self, spec, plan: ChunkPlan, blocks: List[np.ndarray]):
+        """Single-array codecs see one packed 3D arrangement of a chunk's
+        blocks: ``(body, reconstructions, arrangement header)``."""
+        if self.interp_arrangement == "cluster":
+            packed, arrangement = pack_blocks_cluster(blocks, positions=plan.block_positions)
         else:
-            # single-array codecs see one packed 3D arrangement of the blocks
-            if self.interp_arrangement == "cluster":
-                packed, arrangement = pack_blocks_cluster(blocks, positions=plan.block_positions)
-            else:
-                packed, arrangement = pack_blocks_linear(blocks)
-            abs_eb = self.error_bound * plan.value_range
-            if self._packed_codec is None or self._packed_codec_eb != abs_eb:
-                self._packed_codec = spec.create(
-                    abs_eb, mode="abs", anchor_stride=self.interp_anchor_stride)
-                self._packed_codec_eb = abs_eb
-            comp = self._packed_codec
-            buffer, packed_recon = comp.compress_with_reconstruction(packed)
-            recons = unpack_blocks(packed_recon, arrangement)
-            body = buffer.payload
-            mode = spec.name
-            arrangement_json = {
-                "mode": arrangement.mode,
-                "unit_shape": list(arrangement.unit_shape),
-                "grid_shape": list(arrangement.grid_shape),
-                "block_shapes": [list(s) for s in arrangement.block_shapes],
-                "fill_value": arrangement.fill_value,
-                "slot_of_block": list(arrangement.slot_of_block),
-            }
-
-        header = json.dumps({
-            "mode": mode,
-            "plan": plan.to_json(),
-            "chunk_elements": int(chunk.size),
-            "error_bound": self.error_bound,
-            "use_sle": self.use_sle,
-            "sz_block_size": self._sz_block_size_for(),
-            "interp_anchor_stride": self.interp_anchor_stride,
-            "arrangement": arrangement_json,
-        }).encode("utf-8")
-        payload = struct.pack("<Q", len(header)) + header + body
-
-        self.last_reconstructions.append(recons)
-        self._account(chunk, nvalid, payload)
-        return payload
+            packed, arrangement = pack_blocks_linear(blocks)
+        abs_eb = self.error_bound * plan.value_range
+        if self._packed_codec is None or self._packed_codec_eb != abs_eb:
+            self._packed_codec = spec.create(
+                abs_eb, mode="abs", anchor_stride=self.interp_anchor_stride)
+            self._packed_codec_eb = abs_eb
+        buffer, packed_recon = self._packed_codec.compress_with_reconstruction(packed)
+        return buffer.payload, unpack_blocks(packed_recon, arrangement), {
+            "mode": arrangement.mode,
+            "unit_shape": list(arrangement.unit_shape),
+            "grid_shape": list(arrangement.grid_shape),
+            "block_shapes": [list(s) for s in arrangement.block_shapes],
+            "fill_value": arrangement.fill_value,
+            "slot_of_block": list(arrangement.slot_of_block),
+        }
 
     # ------------------------------------------------------------------
     def decode(self, payload: bytes, chunk_elements: int) -> np.ndarray:

@@ -10,7 +10,8 @@ the paper's pipeline separates concerns:
 2. **pack** — build each dataset's field-major write buffer, one chunk slice
    per rank (§3.3 Solution 1, :mod:`repro.core.layout`);
 3. **encode** — push every dataset's chunk sequence through the 3D-aware
-   AMRIC filter.  Each dataset is an independent work item submitted through
+   AMRIC filter: a dataset's chunks are predicted together and serialised in
+   order.  Each dataset is an independent work item submitted through
    :class:`~repro.parallel.mpi_sim.SimComm` to an execution backend
    (:mod:`repro.parallel.backend`): the serial backend reproduces the
    single-process behaviour bit-for-bit, the pooled backends encode datasets

@@ -25,7 +25,6 @@ import numpy as np
 from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray
 from repro.amr.hierarchy import AmrHierarchy, AmrLevel
-from repro.compress.blocks import pad_to_multiple
 
 __all__ = [
     "UnitBlock",

@@ -66,8 +66,8 @@ def compress_blocks_sle(blocks: Sequence[np.ndarray], compressor: SZLRCompressor
     if not blocks:
         raise ValueError("need at least one block")
     value_range = value_range if value_range is not None else _value_range(blocks)
-    buffer, recons = compressor.compress_many_with_reconstruction(
-        blocks, shared_encoding=True, value_range=value_range)
+    ((buffer, recons),) = compressor.compress_many_with_reconstruction(
+        [blocks], shared_encoding=True, value_range=value_range)
     return EncodedBlocks("sle", buffer, list(recons))
 
 
@@ -77,8 +77,8 @@ def compress_blocks_individual(blocks: Sequence[np.ndarray], compressor: SZLRCom
     if not blocks:
         raise ValueError("need at least one block")
     value_range = value_range if value_range is not None else _value_range(blocks)
-    buffer, recons = compressor.compress_many_with_reconstruction(
-        blocks, shared_encoding=False, value_range=value_range)
+    ((buffer, recons),) = compressor.compress_many_with_reconstruction(
+        [blocks], shared_encoding=False, value_range=value_range)
     return EncodedBlocks("individual", buffer, list(recons))
 
 
@@ -100,9 +100,8 @@ def compress_blocks_lm(blocks: Sequence[np.ndarray], compressor: SZLRCompressor,
         pads = [(0, cross[d] - b.shape[d]) for d in range(ndim - 1)] + [(0, 0)]
         padded.append(np.pad(b, pads, mode="edge"))
     merged = np.concatenate(padded, axis=ndim - 1)
-    buffer, merged_recon = compressor.compress_many_with_reconstruction(
-        [merged], shared_encoding=True, value_range=value_range)
-    recon = merged_recon[0]
+    ((buffer, (recon,)),) = compressor.compress_many_with_reconstruction(
+        [[merged]], shared_encoding=True, value_range=value_range)
     out: List[np.ndarray] = []
     offset = 0
     for b in blocks:

@@ -17,9 +17,9 @@ each a pure function over a small dataclass:
     Run the AMRIC filter over one dataset's chunk sequence.  This is the
     independent work item the writer submits to an execution backend
     (:mod:`repro.parallel.backend`): datasets encode in parallel, while the
-    chunks *within* a dataset stay ordered so the shared-Huffman-table reuse
-    across a level's ranks (unit SLE) produces byte-identical payloads on
-    every backend.
+    chunks *within* a dataset are predicted together and serialised in order,
+    so the shared-Huffman-table reuse across a level's ranks (unit SLE)
+    produces byte-identical payloads on every backend.
 ``commit`` (:func:`commit_dataset` / :func:`dataset_record`)
     Append the encoded chunks to the H5Lite file and distil the quality /
     size record the :class:`~repro.core.pipeline.WriteReport` aggregates.
@@ -267,8 +267,9 @@ class EncodeJob:
     """One dataset's encode work: its chunk sequence, in write order.
 
     The job is the unit of backend parallelism.  Chunks within a job are
-    encoded sequentially because unit SLE carries one shared Huffman table
-    across a level's ranks — splitting them would change the bytes.
+    predicted together and serialised in order, because unit SLE carries one
+    shared Huffman table across a level's ranks — splitting them would change
+    the bytes.
     """
 
     #: bulk fields the shm backend ships as shared-memory descriptors
@@ -309,7 +310,9 @@ def make_encode_job(packed: PackedDataset, filter_spec: FilterSpec) -> EncodeJob
 
 
 def encode_job(job: EncodeJob) -> EncodeResult:
-    """Stage 3: run the AMRIC filter over one dataset's chunks.
+    """Stage 3: run the AMRIC filter over one dataset's chunks, in one
+    :meth:`~repro.core.filter_mod.AMRICLevelFilter.encode_many` call: the
+    chunks are predicted together and serialised in order.
 
     A module-level pure function over picklable inputs, so every execution
     backend (inline, shm pool) runs the identical code and produces
@@ -319,11 +322,9 @@ def encode_job(job: EncodeJob) -> EncodeResult:
     for plan in job.plans:
         level_filter.queue_plan(plan)
     ce = job.chunk_elements
-    payloads = [
-        level_filter.encode(job.data[i * ce:(i + 1) * ce],
-                            actual_elements=job.actual_sizes[i])
-        for i in range(len(job.actual_sizes))
-    ]
+    payloads = level_filter.encode_many(
+        [job.data[i * ce:(i + 1) * ce] for i in range(len(job.actual_sizes))],
+        job.actual_sizes)
     return EncodeResult(key=job.key, payloads=payloads,
                         reconstructions=level_filter.last_reconstructions,
                         filter_calls=level_filter.stats.calls)

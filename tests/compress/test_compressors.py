@@ -1,4 +1,4 @@
-"""End-to-end tests for the SZ-family compressors and the ZFP-like codec."""
+"""End-to-end tests for the SZ-family compressors."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,21 @@ from repro.compress import (
     SZ1DCompressor,
     SZInterpCompressor,
     SZLRCompressor,
-    ZFPLikeCompressor,
     psnr,
 )
 from repro.compress.errorbound import ErrorBound
 from repro.testing import make_rough, make_smooth
 
-ALL_COMPRESSORS = [SZLRCompressor, SZInterpCompressor, SZ1DCompressor, ZFPLikeCompressor]
+
+class SZInterpLinearCompressor(SZInterpCompressor):
+    """SZ_Interp in its linear-interpolation mode, held to the same contract."""
+
+    def __init__(self, error_bound, **options):
+        super().__init__(error_bound, cubic=False, **options)
+
+
+ALL_COMPRESSORS = [SZLRCompressor, SZInterpCompressor, SZInterpLinearCompressor,
+                   SZ1DCompressor]
 
 
 @pytest.mark.parametrize("cls", ALL_COMPRESSORS)
@@ -75,6 +83,16 @@ class TestCommonContract:
         assert buf.codec == cls.name
         assert buf.bitrate > 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, cls, bad):
+        """No bound covers NaN/Inf: a relative one would resolve to NaN and an
+        absolute one quantise the cell to garbage, so either is refused."""
+        data = make_smooth((12, 12, 12))
+        data[3, 4, 5] = bad
+        for bound in (1e-3, ErrorBound.absolute(0.01)):
+            with pytest.raises(ValueError, match=f"{cls.name} .*non-finite"):
+                cls(bound).compress(data)
+
 
 class TestErrorBoundScaling:
     @pytest.mark.parametrize("cls", [SZLRCompressor, SZInterpCompressor, SZ1DCompressor])
@@ -124,7 +142,7 @@ class TestSZLRSpecifics:
     def test_compress_many_shared_roundtrip(self):
         arrays = [make_smooth((8, 8, 8), seed=s) for s in range(4)]
         comp = SZLRCompressor(1e-3)
-        buf, recons = comp.compress_many_with_reconstruction(arrays, shared_encoding=True)
+        ((buf, recons),) = comp.compress_many_with_reconstruction([arrays], shared_encoding=True)
         decs = comp.decompress_many(buf)
         assert len(decs) == 4
         for r, d in zip(recons, decs):
@@ -133,7 +151,8 @@ class TestSZLRSpecifics:
     def test_compress_many_individual_roundtrip(self):
         arrays = [make_smooth((8, 8, 8), seed=s) for s in range(3)]
         comp = SZLRCompressor(1e-3)
-        buf, recons = comp.compress_many_with_reconstruction(arrays, shared_encoding=False)
+        ((buf, recons),) = comp.compress_many_with_reconstruction([arrays],
+                                                                  shared_encoding=False)
         decs = comp.decompress_many(buf)
         for r, d in zip(recons, decs):
             np.testing.assert_array_equal(r, d)
@@ -153,7 +172,7 @@ class TestSZLRSpecifics:
     def test_compress_many_error_bound_uses_global_range(self):
         arrays = [np.full((6, 6, 6), 0.0), np.full((6, 6, 6), 100.0)]
         comp = SZLRCompressor(1e-3)
-        buf, recons = comp.compress_many_with_reconstruction(arrays)
+        ((buf, _),) = comp.compress_many_with_reconstruction([arrays])
         assert buf.meta["abs_eb"] == pytest.approx(0.1)
 
     def test_decompress_single_on_multi_buffer_raises(self):
@@ -215,18 +234,6 @@ class TestSZ1DSpecifics:
         comp = SZ1DCompressor(1e-3)
         buf, recon = comp.compress_with_reconstruction(data)
         assert recon.shape == data.shape
-        np.testing.assert_array_equal(comp.decompress(buf), recon)
-
-
-class TestZFPLikeSpecifics:
-    def test_block_size_validation(self):
-        with pytest.raises(ValueError):
-            ZFPLikeCompressor(1e-3, block_size=1)
-
-    def test_2d_roundtrip(self):
-        data = make_smooth((19, 23))
-        comp = ZFPLikeCompressor(1e-3)
-        buf, recon = comp.compress_with_reconstruction(data)
         np.testing.assert_array_equal(comp.decompress(buf), recon)
 
 

@@ -9,7 +9,7 @@ from repro.compress.errorbound import ErrorBound
 from repro.compress.huffman import HuffmanCodec
 from repro.testing import make_smooth
 
-ALL_CODECS = ["sz_lr", "sz_interp", "sz_1d", "zfp_like"]
+ALL_CODECS = ["sz_lr", "sz_interp", "sz_1d"]
 
 
 def _codec(name):
@@ -135,7 +135,9 @@ class TestRegistry:
         for name in ALL_CODECS:
             assert registry.is_registered(name)
         assert registry.is_registered("sz1d")          # alias
-        assert set(ALL_CODECS) <= set(registry.available_codecs())
+        # the paper's codecs plus the series' temporal delta codec, nothing else
+        assert registry.available_codecs() == tuple(sorted(ALL_CODECS + ["temporal_delta"]))
+        assert not registry.is_registered("zfp_like")
 
     def test_unknown_name_lists_known(self):
         with pytest.raises(ValueError, match="sz_lr"):

@@ -1,5 +1,5 @@
-"""Tests for the compression primitives: error bounds, quantiser, blocks,
-Lorenzo, regression, lossless framing."""
+"""Tests for the compression primitives: error bounds, quantiser, Lorenzo,
+regression, lossless framing."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.compress.blocks import BlockPartition, partition_blocks, reassemble_blocks, pad_to_multiple
 from repro.compress.errorbound import ErrorBound
 from repro.compress.lorenzo import (
     lorenzo_decode,
@@ -103,52 +102,6 @@ class TestQuantizer:
         block = quantize(errors, eb=eb)
         recovered = dequantize(block)
         assert np.all(np.abs(recovered - errors) <= eb * (1 + 1e-9))
-
-
-class TestBlocks:
-    def test_pad_to_multiple(self):
-        arr = np.arange(10.0)
-        padded, orig_shape = pad_to_multiple(arr, 4)
-        assert padded.shape == (12,)
-        assert orig_shape == (10,)
-        assert padded[10] == padded[9]  # edge padding
-
-    def test_partition_reassemble_roundtrip(self):
-        rng = np.random.default_rng(0)
-        arr = rng.normal(size=(13, 9, 17))
-        part = partition_blocks(arr, 6)
-        back = reassemble_blocks(part)
-        np.testing.assert_array_equal(back, arr)
-
-    def test_partition_shapes(self):
-        arr = np.zeros((12, 12, 12))
-        part = partition_blocks(arr, 6)
-        assert part.blocks.shape == (8, 6, 6, 6)
-        assert part.grid_shape == (2, 2, 2)
-
-    def test_partition_block_content(self):
-        arr = np.arange(16.0).reshape(4, 4)
-        part = partition_blocks(arr, 2)
-        np.testing.assert_array_equal(part.blocks[0], arr[:2, :2])
-        np.testing.assert_array_equal(part.blocks[-1], arr[2:, 2:])
-
-    def test_reassemble_with_external_blocks(self):
-        arr = np.random.default_rng(1).normal(size=(8, 8))
-        part = partition_blocks(arr, 4)
-        doubled = reassemble_blocks(part, part.blocks * 2)
-        np.testing.assert_allclose(doubled, arr * 2)
-
-    def test_bad_block_size(self):
-        with pytest.raises(ValueError):
-            partition_blocks(np.zeros((4, 4)), (2, 2, 2))
-        with pytest.raises(ValueError):
-            pad_to_multiple(np.zeros((4, 4)), 0)
-
-    @given(st.tuples(st.integers(1, 20), st.integers(1, 20)), st.integers(1, 7))
-    def test_roundtrip_property_2d(self, shape, bsize):
-        arr = np.arange(float(np.prod(shape))).reshape(shape)
-        part = partition_blocks(arr, bsize)
-        np.testing.assert_array_equal(reassemble_blocks(part), arr)
 
 
 class TestLorenzo:

@@ -70,7 +70,10 @@ def _ref_design(block_shape):
 
 def _ref_fit_and_predict(blocks, eb):
     block_shape = blocks.shape[1:]
-    coeffs = blocks.reshape(blocks.shape[0], -1) @ np.linalg.pinv(_ref_design(block_shape)).T
+    # the fixed-order product the shipped fit uses (a BLAS product's rounding
+    # depends on the batch: test_fit_does_not_depend_on_the_batch)
+    coeffs = np.einsum("ij,kj->ik", blocks.reshape(blocks.shape[0], -1),
+                       np.linalg.pinv(_ref_design(block_shape)))
     quantised = regression.quantize_coefficients(coeffs, eb, block_shape)
     model = regression.RegressionModel(coefficients=quantised, block_shape=block_shape)
     return model, regression.predict_blocks(model)
@@ -303,8 +306,8 @@ def test_batched_encoder_equals_per_array_reference(call):
         codec = earlier.last_shared_codec
 
     comp = _compressor(call)
-    buffer, recons = comp.compress_many_with_reconstruction(
-        arrays, shared_encoding=call["shared"], value_range=value_range, codec=codec)
+    ((buffer, recons),) = comp.compress_many_with_reconstruction(
+        [arrays], shared_encoding=call["shared"], value_range=value_range, codec=codec)
     ref_payload, ref_recons, abs_eb = _ref_compress_many(
         _compressor(call), arrays, call["shared"], value_range, codec)
 
@@ -335,7 +338,7 @@ def test_regression_outliers_are_stored_alike():
     comp = SZLRCompressor(1e-3, block_size=6, radius=64)
     _, side, _, _ = comp._encode_batch(arrays, comp.error_bound.resolve(value_range=100.0))
     assert side["regression_outliers"].size > 0
-    buffer, recons = comp.compress_many_with_reconstruction(arrays, value_range=100.0)
+    ((buffer, recons),) = comp.compress_many_with_reconstruction([arrays], value_range=100.0)
     ref_payload, ref_recons, _ = _ref_compress_many(comp, arrays, True, 100.0, None)
     assert buffer.payload == ref_payload
     for recon, ref_recon, dec in zip(recons, ref_recons, comp.decompress_many(buffer)):
@@ -349,10 +352,88 @@ def test_grouping_does_not_change_an_arrays_streams():
     arrays = [_field(kind, (13, 9, 6), rng) for kind in KINDS * 2]
     vrange = float(max(a.max() for a in arrays) - min(a.min() for a in arrays))
     comp = SZLRCompressor(1e-3, block_size=4, radius=64)
-    _, together = comp.compress_many_with_reconstruction(arrays, value_range=vrange)
+    ((_, together),) = comp.compress_many_with_reconstruction([arrays], value_range=vrange)
     for array, recon in zip(arrays, together):
-        _, alone = comp.compress_many_with_reconstruction([array], value_range=vrange)
+        ((_, alone),) = comp.compress_many_with_reconstruction([[array]], value_range=vrange)
         np.testing.assert_array_equal(alone[0], recon)
+
+
+def _successive_calls(comp, chunks, shared_encoding, value_range, codec):
+    """The reference for a batch of chunks: one call per chunk, the table of
+    each carried to the next (what the filter did before the batch door)."""
+    out = []
+    for arrays in chunks:
+        out.append(comp.compress_many_with_reconstruction(
+            [arrays], shared_encoding=shared_encoding, value_range=value_range,
+            codec=codec)[0])
+        codec = comp.last_shared_codec
+    return out, codec
+
+
+@given(calls(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_batch_of_chunks_equals_one_call_per_chunk(call, data):
+    arrays = call["arrays"]
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(arrays) - 1), max_size=3))
+                  if len(arrays) > 1 else [])
+    chunks = [arrays[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(arrays)])]
+    value_range = float(max(a.max() for a in arrays) - min(a.min() for a in arrays))
+    codec = None
+    if call["carried"]:
+        earlier = _compressor(call)
+        earlier.compress_many([a + 0.01 for a in arrays[:2]], value_range=value_range)
+        codec = earlier.last_shared_codec
+
+    comp = _compressor(call)
+    together = comp.compress_many_with_reconstruction(
+        chunks, shared_encoding=call["shared"],
+        value_range=None if call["given_range"] else value_range, codec=codec)
+    reference = _compressor(call)
+    one_by_one, last = _successive_calls(reference, chunks, call["shared"], value_range, codec)
+    assert len(together) == len(chunks)
+    for (buffer, recons), (ref_buffer, ref_recons) in zip(together, one_by_one):
+        assert buffer.payload == ref_buffer.payload
+        assert buffer.meta == ref_buffer.meta
+        assert (buffer.original_shape, buffer.original_nbytes) == \
+            (ref_buffer.original_shape, ref_buffer.original_nbytes)
+        assert _bits(recons) == _bits(ref_recons)
+    assert _table(comp.last_shared_codec) == _table(last)
+
+
+def _table(codec):
+    return None if codec is None else (codec.symbols.tobytes(), codec.lengths.tobytes())
+
+
+def test_the_carried_table_is_rebuilt_mid_batch_and_carried_on(monkeypatch):
+    """A chunk with a symbol the carried table lacks builds its own table, and
+    the chunks after it are handed that one — as successive calls did."""
+    from repro.compress.huffman import HuffmanCodec
+
+    rng = np.random.default_rng(12)
+    calm = [_field("smooth", (8, 8, 8), rng) for _ in range(2)]
+    wild = [_field("outliers", (8, 8, 8), rng) for _ in range(2)]
+    chunks = [calm, wild, [wild[0] + 1e-6, calm[0]]]
+    built = []
+    real = HuffmanCodec.from_multiple
+    monkeypatch.setattr(HuffmanCodec, "from_multiple",
+                        staticmethod(lambda codes: built.append(1) or real(codes)))
+    comp = SZLRCompressor(1e-3, block_size=6, radius=64)
+    together = comp.compress_many_with_reconstruction(chunks, value_range=100.0)
+    assert len(built) == 2                      # chunk 0 builds, chunk 1 rebuilds, 2 reuses
+    del built[:]
+    one_by_one, _ = _successive_calls(SZLRCompressor(1e-3, block_size=6, radius=64),
+                                      chunks, True, 100.0, None)
+    assert len(built) == 2
+    assert [b.payload for b, _ in together] == [b.payload for b, _ in one_by_one]
+
+
+def test_a_flat_list_of_arrays_is_not_a_list_of_chunks():
+    comp = SZLRCompressor(1e-3)
+    arrays = [np.ones((4, 4, 4)), np.zeros((4, 4, 4))]
+    with pytest.raises(TypeError, match="lists of arrays"):
+        comp.compress_many_with_reconstruction(arrays)
+    with pytest.raises(ValueError, match="at least one array"):
+        comp.compress_many_with_reconstruction([arrays, []])
 
 
 
@@ -565,10 +646,20 @@ def test_one_fit_per_shape_group_and_region(monkeypatch):
     # 16/8 unit blocks with block size 6: 16 -> two segments, 8 -> two segments
     shapes = [(16, 16, 16)] * 5 + [(16, 8, 16)] * 3 + [(16, 16, 16)] * 2 + [(6, 6, 6)]
     arrays = [_field("noisy", s, rng) for s in shapes]
-    SZLRCompressor(1e-3, block_size=6).compress_many(arrays)
+    comp = SZLRCompressor(1e-3, block_size=6)
+    comp.compress_many(arrays)
     assert len(calls_seen) == 8 + 8 + 1          # regions per distinct shape
     # every array of a shape went into the same calls
     assert sum(s[0] for s in calls_seen if s[1:] == (6, 6, 6)) == 7 * 8 + 3 * 4 + 1
+    # ... and of every chunk of the call: a dataset's rank chunks share the fits
+    whole = list(calls_seen)
+    del calls_seen[:]
+    comp.compress_many_with_reconstruction([arrays[:4], arrays[4:9], arrays[9:]])
+    assert calls_seen == whole
+    del calls_seen[:]
+    for chunk in (arrays[:4], arrays[4:9], arrays[9:]):
+        comp.compress_many(chunk)
+    assert len(calls_seen) == 8 + (8 + 8) + (8 + 1)         # one call per chunk: per chunk
 
 
 def test_memoised_fit_matrix_is_read_only_and_keyed_by_shape():
@@ -583,6 +674,23 @@ def test_memoised_fit_matrix_is_read_only_and_keyed_by_shape():
         np.testing.assert_array_equal(regression._design_matrix(shape), _ref_design(shape))
         np.testing.assert_array_equal(regression._fit_matrix(shape),
                                       np.linalg.pinv(_ref_design(shape)))
+
+
+@pytest.mark.parametrize("block_shape", [(6,), (4, 3), (6, 6, 6), (4, 4, 4), (1, 4, 2),
+                                         (2, 6, 6)])
+def test_fit_does_not_depend_on_the_batch(block_shape):
+    """A block's unquantised coefficients are the same alone or among
+    thousands: a block shares its fit call with its whole dataset, and a flip
+    at a grid boundary of the quantiser would change the stored bytes."""
+    rng = np.random.default_rng(2)
+    blocks = rng.standard_normal((3000,) + block_shape) * 1e3 + 5e3
+    together = regression.fit_blocks(blocks)
+    assert together.shape == (3000, len(block_shape) + 1)
+    for lo, hi in [(0, 1), (17, 18), (3, 5), (100, 107), (1, 3000), (7, 1500)]:
+        assert regression.fit_blocks(blocks[lo:hi]).tobytes() == together[lo:hi].tobytes()
+    flat = blocks.reshape(3000, -1)
+    np.testing.assert_allclose(together, flat @ np.linalg.pinv(_ref_design(block_shape)).T,
+                               rtol=1e-12, atol=1e-9)
 
 
 @pytest.mark.parametrize("block_shape", [(6,), (4, 3), (6, 6, 6), (1, 4, 2)])

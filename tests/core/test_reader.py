@@ -652,7 +652,7 @@ class TestOnePassPerJob:
 
     #: sz_lr batches its chunks' entropy decode and decodes a block alone; the
     #: others ride ``Filter.decode_blocks``'s whole-chunk default
-    CODECS = ("sz_lr", "sz_interp", "zfp_like", "sz_1d")
+    CODECS = ("sz_lr", "sz_interp", "sz_1d")
     PRESETS = {"nyx_1": {"coarse_shape": (16, 16, 16), "max_grid_size": 8},
                "warpx_1": {"coarse_shape": (8, 8, 32), "max_grid_size": 16}}
 

@@ -270,7 +270,7 @@ class TestAMRICLevelFilter:
 
     def test_invalid_compressor_name(self):
         with pytest.raises(ValueError):
-            AMRICLevelFilter(compressor="zfp")
+            AMRICLevelFilter(compressor="zfp_like")     # deleted: not one of the paper's
 
 
 class TestConfig:

@@ -18,7 +18,7 @@ from repro.parallel import shm
 from repro.series.writer import write_series
 from repro.service.engine import BoxQuery, QueryEngine
 
-SPATIAL_CODECS = ("sz_lr", "sz_interp", "sz_1d", "zfp_like")
+SPATIAL_CODECS = ("sz_lr", "sz_interp", "sz_1d")
 
 #: RangeSource specs read against the default (None = LocalFileSource):
 #: every option at its default, coalescing across gaps, and a budget small

@@ -8,6 +8,8 @@ import pytest
 import repro
 from repro.core import AMRICConfig, AMRICWriter
 from repro.core.stages import (
+    EncodeJob,
+    EncodeResult,
     FilterSpec,
     encode_job,
     make_encode_job,
@@ -73,6 +75,121 @@ class TestPackEncodeStages:
         second = encode_job(job)
         assert first.payloads == second.payloads
         assert first.filter_calls == len(dplan.rank_specs)
+
+
+def _per_chunk_reference(job):
+    """The encode stage as one ``AMRICLevelFilter.encode`` call per chunk."""
+    filt = job.filter_spec.make_filter()
+    ce = job.chunk_elements
+    payloads = []
+    for i, (plan, actual) in enumerate(zip(job.plans, job.actual_sizes)):
+        filt.queue_plan(plan)
+        payloads.append(filt.encode(job.data[i * ce:(i + 1) * ce], actual_elements=actual))
+    return EncodeResult(key=job.key, payloads=payloads,
+                        reconstructions=filt.last_reconstructions,
+                        filter_calls=filt.stats.calls)
+
+
+def _dataset_jobs(hierarchy, config=AMRICConfig(), level=0):
+    plan = plan_write(hierarchy, config)
+    return [make_encode_job(pack_dataset(hierarchy[d.level], d), FilterSpec.from_config(config))
+            for d in plan.datasets if d.level == level]
+
+
+#: the write configurations the encode stage runs under: (name, config,
+#: predictor passes per dataset job — one for sz_lr, none for the others)
+CONFIGS = [
+    ("sle", AMRICConfig(), 1),
+    ("no_sle", AMRICConfig(use_sle=False), 1),
+    ("naive_chunks", AMRICConfig(modify_filter=False), 1),   # padding pseudo-block
+    ("fixed_sz_block", AMRICConfig(adaptive_block_size=False), 1),
+    ("sz_interp", AMRICConfig(compressor="sz_interp"), 0),
+    ("sz_interp_linear", AMRICConfig(compressor="sz_interp", interp_arrangement="linear"), 0),
+    ("sz_1d", AMRICConfig(compressor="sz_1d"), 0),
+]
+
+
+def _job_of(chunks, plans, filter_spec):
+    """One job over the given flat chunks, padded to the largest."""
+    ce = max(chunk.size for chunk in chunks) + 5
+    data = np.zeros(len(chunks) * ce)
+    for i, chunk in enumerate(chunks):
+        data[i * ce:i * ce + chunk.size] = chunk
+    return EncodeJob(key="job", data=data, chunk_elements=ce,
+                     actual_sizes=[plan.nelements for plan in plans], plans=plans,
+                     filter_spec=filter_spec)
+
+
+def _chunks_of(job):
+    ce = job.chunk_elements
+    return [job.data[i * ce:i * ce + actual] for i, actual in enumerate(job.actual_sizes)]
+
+
+class TestOneEncodeManyPerJob:
+    """``encode_job`` predicts a dataset's chunks in one pass and serialises
+    them one by one: payloads, reconstructions and filter calls equal the
+    per-chunk ``encode`` loop byte for byte."""
+
+    @pytest.fixture(scope="class", params=["nyx", "warpx"])
+    def ranked(self, request):
+        """Level 0 split over four ranks: one to four unit blocks per chunk."""
+        from repro.apps import nyx_run, warpx_run
+
+        if request.param == "nyx":
+            return nyx_run(coarse_shape=(32, 32, 32), nranks=4, max_grid_size=16,
+                           target_fine_density=0.03, seed=101).hierarchy
+        return warpx_run(coarse_shape=(16, 16, 64), nranks=4, max_grid_size=16,
+                         target_fine_density=0.03, seed=202).hierarchy
+
+    @staticmethod
+    def _assert_equal_to_the_loop(job, monkeypatch, predictor_passes=None):
+        from repro.compress.sz_lr import SZLRCompressor
+
+        passes = []
+        real = SZLRCompressor._encode_batch
+        monkeypatch.setattr(SZLRCompressor, "_encode_batch",
+                            lambda self, *args: passes.append(1) or real(self, *args))
+        result = encode_job(job)
+        if predictor_passes is not None:
+            assert len(passes) == predictor_passes
+        reference = _per_chunk_reference(job)
+        assert result.payloads == reference.payloads
+        assert result.filter_calls == reference.filter_calls == len(job.plans)
+        assert len(result.reconstructions) == len(reference.reconstructions)
+        for ours, theirs in zip(result.reconstructions, reference.reconstructions):
+            assert [r.tobytes() for r in ours] == [r.tobytes() for r in theirs]
+
+    @pytest.mark.parametrize("config, passes", [c[1:] for c in CONFIGS],
+                             ids=[c[0] for c in CONFIGS])
+    def test_every_dataset(self, ranked, monkeypatch, config, passes):
+        for job in _dataset_jobs(ranked, config):
+            assert len(job.plans) == 4
+            self._assert_equal_to_the_loop(job, monkeypatch, predictor_passes=passes)
+
+    def test_two_scopes_make_two_calls_and_two_tables(self, ranked, monkeypatch):
+        first, second = _dataset_jobs(ranked)[:2]
+        assert first.plans[0].field != second.plans[0].field
+        plans = first.plans + second.plans
+        job = _job_of(_chunks_of(first) + _chunks_of(second), plans, first.filter_spec)
+        self._assert_equal_to_the_loop(job, monkeypatch, predictor_passes=2)
+
+    def test_a_chunk_the_carried_table_misses_rebuilds_it_mid_dataset(self, monkeypatch):
+        from repro.compress.huffman import HuffmanCodec
+        from repro.core.filter_mod import ChunkPlan
+
+        rng = np.random.default_rng(5)
+        calm = np.full(2 * 8 ** 3, 3.0) + rng.standard_normal(2 * 8 ** 3) * 1e-4
+        wild = rng.standard_normal(2 * 8 ** 3) * 10.0
+        plans = [ChunkPlan(field="f", block_shapes=[(8, 8, 8)] * 2, value_range=40.0)
+                 for _ in range(3)]
+        job = _job_of([calm, wild, wild], plans, FilterSpec())
+        built = []
+        real = HuffmanCodec.from_multiple
+        monkeypatch.setattr(HuffmanCodec, "from_multiple",
+                            staticmethod(lambda codes: built.append(1) or real(codes)))
+        encode_job(job)
+        assert len(built) == 2          # chunk 0 builds, 1 rebuilds, 2 reuses chunk 1's
+        self._assert_equal_to_the_loop(job, monkeypatch, predictor_passes=1)
 
 
 class TestBackendEquivalence:

@@ -28,7 +28,7 @@ pytestmark = pytest.mark.skipif(
     reason="multiprocessing.shared_memory unavailable")
 
 WORKERS = 2
-SPATIAL_CODECS = ["sz_lr", "sz_interp", "sz_1d", "zfp_like"]
+SPATIAL_CODECS = ["sz_lr", "sz_interp", "sz_1d"]
 
 
 # ----------------------------------------------------------------------

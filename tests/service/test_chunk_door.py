@@ -301,7 +301,7 @@ def _series_step_chunk_door(base, series, step):
 
 
 class TestEveryAnswerEqualsTheParentChunkDoor:
-    FLAVOURS = ("sz_lr", "no_sle", "sz_interp", "sz_1d", "zfp_like", "nocomp")
+    FLAVOURS = ("sz_lr", "no_sle", "sz_interp", "sz_1d", "nocomp")
 
     @pytest.fixture(scope="class")
     def hierarchy(self):
