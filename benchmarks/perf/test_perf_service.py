@@ -79,8 +79,8 @@ def test_service_warm_single_box_read(benchmark, plotfile):
     with QueryEngine() as engine:
         expected = engine.read_field(plotfile, FIELDS[0], box=box)  # warm
         plan = engine.handle(plotfile)._scan()
-        benchmark.extra_info["slots"] = len(plan.dataset(0, FIELDS[0]).slots)
-        benchmark.extra_info["fine_boxes"] = len(plan.structure[1].boxarray)
+        benchmark.extra_info["slots"] = plan.dataset(0, FIELDS[0]).layout.nblocks
+        benchmark.extra_info["fine_boxes"] = plan.header.levels[1].nboxes
         result = benchmark.pedantic(engine.read_field, args=(plotfile, FIELDS[0]),
                                     kwargs={"box": box}, rounds=25, iterations=20)
         assert np.array_equal(result, expected)
@@ -90,16 +90,16 @@ def _cold_read(benchmark, plotfile, whole_level):
     """One level-0 read with nothing cached (the handle open and scanned)."""
     with repro.open(plotfile) as handle:
         plan = handle._scan()
-        dplan = plan.dataset(0, FIELDS[0])
-        block = next(slot.block.box for slot in dplan.slots
-                     if slot.block.box.shape == (16, 16, 16)
-                     and not plan.fine_coarsened[0].intersections(slot.block.box))
-        benchmark.extra_info["blocks"] = len(dplan.slots) if whole_level else 1
+        layout = plan.dataset(0, FIELDS[0]).layout
+        block = next(layout.box(i) for i in range(layout.nblocks)
+                     if layout.shapes[i] == (16, 16, 16)
+                     and not plan.layouts[0].covered.intersects(layout.box(i)))
+        benchmark.extra_info["blocks"] = layout.nblocks if whole_level else 1
         result = benchmark.pedantic(
             handle.read_field, args=(FIELDS[0],),
             kwargs={"box": None if whole_level else block, "refill": False},
             setup=handle._cache.clear, rounds=15, iterations=1)
-        assert result.shape == (plan.structure[0].domain.shape if whole_level
+        assert result.shape == (plan.header.levels[0].domain().shape if whole_level
                                 else (16, 16, 16))
 
 

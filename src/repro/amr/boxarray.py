@@ -24,7 +24,18 @@ import numpy as np
 
 from repro.amr.box import Box, bounding_box
 
-__all__ = ["BoxArray"]
+__all__ = ["BoxArray", "overlaps"]
+
+
+def overlaps(lo: np.ndarray, hi: np.ndarray,
+             box: Box) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indices, lo, hi)`` of the non-empty overlaps of ``box`` with the
+    boxes whose corners are the ``(n, ndim)`` int64 arrays ``lo`` / ``hi``,
+    ascending — the one comparison every box query uses."""
+    lo = np.maximum(lo, box.lo)
+    hi = np.minimum(hi, box.hi)
+    hits = np.flatnonzero((hi >= lo).all(axis=1))
+    return hits, lo[hits], hi[hits]
 
 
 class BoxArray:
@@ -39,8 +50,7 @@ class BoxArray:
         self._corners: Tuple[np.ndarray, np.ndarray] | None = None
 
     def _overlaps(self, box: Box) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(indices, lo, hi)`` of the non-empty overlaps of ``box`` with the
-        array's boxes, ascending — the one comparison every query uses."""
+        """:func:`overlaps` of ``box`` with the array's boxes."""
         if not self._boxes:
             none = np.empty((0, box.ndim), dtype=np.int64)
             return np.empty(0, dtype=np.intp), none, none
@@ -57,10 +67,7 @@ class BoxArray:
                            if min(b.lo) < limit.min or max(b.hi) > limit.max)
                 raise ValueError(f"{bad} has a coordinate outside the int64 range "
                                  "the box index holds") from None
-        lo = np.maximum(self._corners[0], box.lo)
-        hi = np.minimum(self._corners[1], box.hi)
-        hits = np.flatnonzero((hi >= lo).all(axis=1))
-        return hits, lo[hits], hi[hits]
+        return overlaps(*self._corners, box)
 
     # ------------------------------------------------------------------
     # basic container protocol

@@ -25,9 +25,7 @@ class FArrayBox:
 
     Data is stored as an array of shape ``(ncomp,) + box.shape`` in C order,
     i.e. each component occupies a contiguous slab — matching AMReX's
-    component-major fab storage.  Without ``data`` the array is allocated,
-    zero-filled, when first touched: a hierarchy rebuilt from a plotfile
-    header for its geometry alone (the reader's scan) holds no array memory.
+    component-major fab storage.  Without ``data`` the array is zero-filled.
     """
 
     def __init__(self, box: Box, ncomp: int = 1, dtype=np.float64,
@@ -39,26 +37,25 @@ class FArrayBox:
         if self.ncomp < 1:
             raise ValueError("ncomp must be >= 1")
         expected = (self.ncomp,) + box.shape
-        if data is not None:
+        if data is None:
+            data = np.zeros(expected, dtype=dtype)
+        else:
             data = np.asarray(data, dtype=dtype)
             if data.shape != expected:
                 raise ValueError(f"data shape {data.shape} != expected {expected}")
-        self.dtype = np.dtype(dtype)
-        self._data = data
-
-    @property
-    def data(self) -> np.ndarray:
-        if self._data is None:
-            self._data = np.zeros((self.ncomp,) + self.box.shape, dtype=self.dtype)
-        return self._data
+        self.data = data
 
     @property
     def shape(self) -> Tuple[int, ...]:
         return self.box.shape
 
     @property
+    def dtype(self):
+        return self.data.dtype
+
+    @property
     def nbytes(self) -> int:
-        return self.ncomp * self.box.size * self.dtype.itemsize
+        return self.data.nbytes
 
     def component(self, comp: int) -> np.ndarray:
         """View of component ``comp`` (shape = box.shape)."""

@@ -16,7 +16,7 @@ import numpy as np
 from repro.amr.hierarchy import AmrHierarchy
 from repro.core.header import CHUNK_ALIGNMENT_STREAM, build_header
 from repro.core.pipeline import LevelFieldRecord, WriteReport
-from repro.core.preprocess import extract_block_data, preprocess_level
+from repro.core.preprocess import hierarchy_layouts
 from repro.h5lite.file import H5LiteFile
 from repro.h5lite.filters import NoCompressionFilter
 from repro.parallel.iomodel import RankWorkload
@@ -57,21 +57,15 @@ class NoCompressionWriter:
                     remove_redundancy=False,
                     chunk_alignment=CHUNK_ALIGNMENT_STREAM).to_json()
 
-            for level_index, level in enumerate(hierarchy.levels):
-                # no redundancy removal: AMReX dumps the whole patch-based level
-                pre = preprocess_level(hierarchy, level_index, unit_block_size=10 ** 6,
-                                       remove_redundancy=False)
-                ranks_with_data = sorted({b.rank for b in pre.unit_blocks})
+            # no redundancy removal: AMReX dumps the whole patch-based level
+            layouts = hierarchy_layouts(hierarchy, unit_block_size=10 ** 6,
+                                        remove_redundancy=False)
+            for level_index, (level, layout) in enumerate(zip(hierarchy.levels, layouts)):
                 for name in hierarchy.component_names:
-                    parts = []
-                    for rank in ranks_with_data:
-                        blocks = pre.blocks_on_rank(rank)
-                        data = extract_block_data(level, name, blocks)
-                        flat = np.concatenate([d.reshape(-1) for d in data])
-                        parts.append(flat)
-                        rank_raw[rank] += flat.nbytes
-                        rank_chunks[rank] += 1
-                    buffer = np.concatenate(parts)
+                    # the level's blocks rank by rank, back to back
+                    buffer = np.concatenate([v.reshape(-1) for v in layout.views(level, name)])
+                    rank_raw[layout.ranks] += np.array(layout.rank_elements) * buffer.itemsize
+                    rank_chunks[layout.ranks] += 1
                     raw_bytes = int(buffer.nbytes)
                     if h5file is not None:
                         h5file.create_dataset(f"level_{level_index}/{name}", buffer,
@@ -81,7 +75,7 @@ class NoCompressionWriter:
                     records.append(LevelFieldRecord(
                         level=level_index, field=name, raw_bytes=raw_bytes,
                         compressed_bytes=raw_bytes, psnr=float("inf"), max_error=0.0,
-                        filter_calls=0, nblocks=len(pre.unit_blocks),
+                        filter_calls=0, nblocks=layout.nblocks,
                         sq_error=0.0, n_elements=buffer.size,
                         value_min=float(buffer.min()), value_max=float(buffer.max())))
 

@@ -1,17 +1,15 @@
 """HDF5 filter-side modifications (§3.3 Solution 2).
 
-Two pieces:
-
-* :func:`plan_level_chunks` — the global chunk size for a level's shared
-  dataset is the **largest per-rank contribution**; smaller ranks either pad
-  (naive) or pass their actual size to the filter (AMRIC).
-* :class:`AMRICLevelFilter` — an :class:`~repro.h5lite.filters.Filter` whose
-  ``encode`` understands AMRIC's pre-processed chunk contents: the chunk is a
-  field-major rank buffer made of 3D unit blocks, and the filter compresses it
-  with 3D SZ (SLE or clustered-interpolation) instead of treating it as a flat
-  stream.  The block structure travels inside the compressed payload so a
-  chunk is self-describing, mirroring how the real AMRIC feeds its modified
-  H5Z-SZ filter the metadata it needs.
+The global chunk size of a level's shared dataset is the **largest per-rank
+contribution** (:class:`~repro.core.preprocess.LevelLayout` decides it);
+smaller ranks either pad (naive) or pass their actual size to the filter
+(AMRIC).  :class:`AMRICLevelFilter` is an :class:`~repro.h5lite.filters.Filter`
+whose ``encode`` understands AMRIC's pre-processed chunk contents: the chunk
+is a field-major rank buffer made of 3D unit blocks, and the filter compresses
+it with 3D SZ (SLE or clustered-interpolation) instead of treating it as a
+flat stream.  The block structure travels inside the compressed payload so a
+chunk is self-describing, mirroring how the real AMRIC feeds its modified
+H5Z-SZ filter the metadata it needs.
 """
 
 from __future__ import annotations
@@ -34,15 +32,8 @@ from repro.core.preprocess import (
     unpack_blocks,
 )
 from repro.h5lite.filters import Filter
-from repro.parallel.collective import SharedDatasetLayout, plan_shared_dataset
 
-__all__ = ["plan_level_chunks", "ChunkPlan", "AMRICLevelFilter"]
-
-
-def plan_level_chunks(per_rank_elements: Sequence[int],
-                      modify_filter: bool = True) -> SharedDatasetLayout:
-    """Chunk layout for one level's shared dataset (one chunk per rank)."""
-    return plan_shared_dataset(per_rank_elements, pass_actual_size=modify_filter)
+__all__ = ["ChunkPlan", "AMRICLevelFilter"]
 
 
 @dataclass

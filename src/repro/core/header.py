@@ -6,9 +6,10 @@ boxes, refinement ratios, distribution mapping, field names, preprocessing
 parameters, codec name and options — into a versioned JSON header that
 travels inside the H5Lite superblock
 (:attr:`~repro.h5lite.file.H5LiteFile.header`), so any consumer can rebuild
-the zero-filled output hierarchy from the file alone
-(:func:`template_from_header`) and decode lazily or in full.  Every writer
-commits one; the reader rejects a file without it.
+each level's unit-block layout (:func:`~repro.core.preprocess.level_layouts`)
+and, for a full read, the zero-filled output hierarchy
+(:func:`template_from_header`) from the file alone, and decode lazily or in
+full.  Every writer commits one; the reader rejects a file without it.
 
 Versioning and compatibility rules (DESIGN.md §5):
 
@@ -348,7 +349,7 @@ def structure_fingerprint(header: PlotfileHeader) -> str:
 def template_from_header(header: PlotfileHeader) -> AmrHierarchy:
     """Rebuild a zero-filled hierarchy with the stored structure.
 
-    The result is the structure the read plan places decoded chunks into —
+    The result is the hierarchy a full read places decoded blocks into —
     same boxes, same distribution, same refinement ratios as the written
     hierarchy — reconstructed from the file alone.  Structural
     inconsistencies (boxes escaping domains, broken nesting chains) surface as

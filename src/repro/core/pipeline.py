@@ -4,9 +4,9 @@ The write is four explicit stages (:mod:`repro.core.stages`), mirroring how
 the paper's pipeline separates concerns:
 
 1. **plan** — remove redundant coarse data, truncate into unit blocks
-   (§3.1, :mod:`repro.core.preprocess`) and lay out one chunk per rank per
-   field with the global chunk size from the collective max (§3.3,
-   :mod:`repro.core.filter_mod`);
+   (§3.1) and lay out one chunk per rank per field with the global chunk
+   size from the collective max (§3.3): one
+   :class:`~repro.core.preprocess.LevelLayout` per level;
 2. **pack** — build each dataset's field-major write buffer, one chunk slice
    per rank (§3.3 Solution 1, :mod:`repro.core.layout`);
 3. **encode** — push every dataset's chunk sequence through the 3D-aware
@@ -264,8 +264,8 @@ class AMRICWriter:
                         records.append(
                             dataset_record(dplan, pack.originals, result))
                         tally.add_dataset(
-                            ranks=dplan.ranks,
-                            per_rank_elements=dplan.per_rank_elements,
+                            ranks=dplan.layout.ranks,
+                            per_rank_elements=dplan.layout.rank_elements,
                             chunk_elements=dplan.chunk_elements,
                             compressed_bytes=result.compressed_bytes,
                             count_padding=not cfg.modify_filter)

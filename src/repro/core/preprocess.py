@@ -13,20 +13,33 @@ Three steps, all operating on one AMR level at a time:
    (linearised along the scan order, the cheapest arrangement); SZ_Interp
    consumes a single 3D array, so the blocks are packed into a compact,
    cube-like cluster (or a linear stack, for the Figure 5 comparison).
+
+Steps 1-2 plus the §3.3 storage order — rank by rank, one chunk per rank sized
+to the largest rank — are one record per level, :class:`LevelLayout`, built
+by :func:`level_layout` from the level's boxes, their ranks and the next finer
+level's boxes: the writer builds it from the hierarchy, the reader from the
+plotfile header, and both place every block by it.  :func:`preprocess_level`
+returns the same blocks as :class:`UnitBlock` objects in box order, for the
+studies that compress blocks outside a plotfile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.amr.box import Box
-from repro.amr.boxarray import BoxArray
+from repro.amr.boxarray import BoxArray, overlaps
 from repro.amr.hierarchy import AmrHierarchy, AmrLevel
 
 __all__ = [
+    "LevelLayout",
+    "level_layout",
+    "level_layouts",
+    "hierarchy_layouts",
     "UnitBlock",
     "PreprocessedLevel",
     "kept_regions_for_level",
@@ -74,9 +87,6 @@ class PreprocessedLevel:
         if self.total_cells == 0:
             return 0.0
         return self.removed_cells / self.total_cells
-
-    def blocks_on_rank(self, rank: int) -> List[UnitBlock]:
-        return [b for b in self.unit_blocks if b.rank == rank]
 
 
 # ----------------------------------------------------------------------
@@ -142,6 +152,200 @@ def extract_block_data(level: AmrLevel, component: str,
         fab = level.multifab[block.box_index]
         out.append(fab.component(comp)[block.box.slices(origin=fab.box.lo)])
     return out
+
+
+# ----------------------------------------------------------------------
+# steps 1-2 as stored: one layout record per level
+# ----------------------------------------------------------------------
+#: the most cells a level may hold: every size, offset and corner the layout
+#: derives from its boxes then stays exact in int64
+_MAX_CELLS = 1 << 62
+
+
+@dataclass(eq=False)
+class LevelLayout:
+    """One level's unit blocks as every dataset of the level stores them.
+
+    Redundancy removal and truncation (§3.1) decide which blocks exist; §3.3
+    stores them rank by rank — one chunk per participating rank, each
+    ``chunk_elements`` long, the largest rank's cell count — and within a
+    rank in the order truncation cut them.  Block ``i`` of that stored order
+    is ``[lo[i], hi[i]]``, cut from level box ``box_index[i]`` on ``rank[i]``;
+    a rank-aligned dataset holds it at element ``rank_offsets[i]`` (chunk
+    ``j`` from ``j * chunk_elements``, its tail padded), a stream-aligned one
+    at ``stream_offsets[i]`` (blocks back to back).  Arrays are int64.
+    """
+
+    lo: np.ndarray                 #: (n, ndim) lower corners, stored order
+    hi: np.ndarray                 #: (n, ndim) upper corners
+    sizes: np.ndarray              #: (n,) cells per block
+    box_index: np.ndarray          #: (n,) the level box each block was cut from
+    rank: np.ndarray               #: (n,) the rank that owns it
+    box_lo: np.ndarray             #: (nboxes, ndim) the level boxes' lower corners
+    ranks: List[int]               #: participating ranks, ascending: one chunk each
+    rank_elements: List[int]       #: the cells each of them stores
+    rank_runs: List[slice]         #: per participating rank, the run of its blocks
+    chunk_elements: int            #: ``max(rank_elements)``; 0 when no block survived
+    rank_offsets: np.ndarray       #: (n,) element offset in a rank-aligned dataset
+    stream_offsets: np.ndarray     #: (n,) element offset in a stream-aligned dataset
+    covered: BoxArray              #: the finer level's boxes coarsened to this level
+    total_cells: int               #: the level's cells before redundancy removal
+
+    @property
+    def nblocks(self) -> int:
+        return len(self.lo)
+
+    @property
+    def kept_cells(self) -> int:
+        return sum(self.rank_elements)
+
+    @property
+    def removed_cells(self) -> int:
+        return self.total_cells - self.kept_cells
+
+    @cached_property
+    def shapes(self) -> List[Tuple[int, ...]]:
+        """Per block, its shape."""
+        return [tuple(s) for s in (self.hi - self.lo + 1).tolist()]
+
+    @cached_property
+    def placements(self) -> List[Tuple[int, Tuple[slice, ...]]]:
+        """Per block, ``(box index, slices)``: where it lies in its box's fab."""
+        start = self.lo - self.box_lo[self.box_index]
+        stop = start + self.hi - self.lo + 1
+        return [(box, tuple(map(slice, a, b)))
+                for box, a, b in zip(self.box_index.tolist(), start.tolist(), stop.tolist())]
+
+    def box(self, index: int) -> Box:
+        return Box(tuple(self.lo[index].tolist()), tuple(self.hi[index].tolist()))
+
+    def views(self, level: AmrLevel, component: str) -> List[np.ndarray]:
+        """Every block's data, stored order: views of ``component`` in the
+        level's fabs (no copy)."""
+        comp = level.multifab.component_index(component)
+        fabs = level.multifab.fabs
+        return [fabs[box].data[comp][where] for box, where in self.placements]
+
+    def hits(self, query: Box) -> List[Tuple[int, Tuple[slice, ...], Tuple[slice, ...]]]:
+        """The blocks ``query`` meets, ascending, each with its overlap's
+        slices in an array over ``query`` and in the block — one array
+        comparison (:func:`~repro.amr.boxarray.overlaps`), no :class:`Box`
+        per block."""
+        index, lo, hi = overlaps(self.lo, self.hi, query)
+        stop, own = hi + 1, self.lo[index]
+        return [(i, tuple(map(slice, a, b)), tuple(map(slice, c, d)))
+                for i, a, b, c, d in zip(index.tolist(), (lo - query.lo).tolist(),
+                                         (stop - query.lo).tolist(), (lo - own).tolist(),
+                                         (stop - own).tolist())]
+
+
+def _int64(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{what}: a value lies outside the int64 range") from None
+
+
+def _corners(los, his, what: str) -> Tuple[np.ndarray, np.ndarray]:
+    """A box list's corners as two ``(n, ndim)`` int64 arrays, checked."""
+    lo, hi = _int64(los, what), _int64(his, what)
+    if lo.ndim != 2 or lo.shape != hi.shape or not lo.size:
+        raise ValueError(f"{what}: expected a non-empty list of boxes of one dimension")
+    if (hi < lo).any():
+        raise ValueError(f"{what}: box {int(np.flatnonzero((hi < lo).any(axis=1))[0])} "
+                         "is empty")
+    # counted in floats: an int64 extent could wrap before it is checked
+    cells = np.prod(hi.astype(np.float64) - lo + 1.0, axis=1).sum()
+    if cells >= _MAX_CELLS:
+        raise ValueError(f"{what}: {cells:.3g} cells, more than a level may hold")
+    return lo, hi
+
+
+def level_layout(los: Sequence, his: Sequence, ranks: Sequence[int], unit_block_size: int,
+                 finer: Optional[Tuple[Sequence, Sequence, int]] = None) -> LevelLayout:
+    """The :class:`LevelLayout` of one level.
+
+    ``los`` / ``his`` are its boxes' corners and ``ranks`` their owners;
+    ``finer`` — the next finer level's corners and the refinement ratio to it
+    — drops the cells those cover (``None``: nothing is dropped).  Geometry
+    that cannot describe a level (no box, an empty box, a coordinate past
+    int64, more than 2**62 cells) raises :class:`ValueError`.
+    """
+    box_lo, box_hi = _corners(los, his, "level boxes")
+    nboxes, ndim = box_lo.shape
+    owner = _int64(ranks, "box ranks")
+    if owner.shape != (nboxes,) or (owner < 0).any():
+        raise ValueError(f"{nboxes} boxes need as many non-negative ranks")
+    if unit_block_size < 1:
+        raise ValueError("unit_block_size must be >= 1")
+    covered = BoxArray([])
+    region_box, region_lo, region_hi = np.arange(nboxes), box_lo, box_hi
+    if finer is not None:
+        fine_lo, fine_hi = _corners(finer[0], finer[1], "finer boxes")
+        ratio = _int64(finer[2], "refinement ratio")
+        if ratio < 1:
+            raise ValueError(f"refinement ratio must be >= 1, got {ratio}")
+        covered = BoxArray([Box(tuple(lo), tuple(hi)) for lo, hi
+                            in zip((fine_lo // ratio).tolist(), (fine_hi // ratio).tolist())])
+        # step 1: every box minus what the finer level covers
+        pieces = [(index, piece) for index, (lo, hi)
+                  in enumerate(zip(box_lo.tolist(), box_hi.tolist()))
+                  for piece in covered.complement_in(Box(tuple(lo), tuple(hi)))]
+        region_box = np.array([index for index, _ in pieces], dtype=np.int64)
+        region_lo = np.array([p.lo for _, p in pieces], dtype=np.int64).reshape(-1, ndim)
+        region_hi = np.array([p.hi for _, p in pieces], dtype=np.int64).reshape(-1, ndim)
+    # step 2: cut every region into blocks of at most ``side`` cells a side, in
+    # the order Box.split cuts them (C order over the axes)
+    side = min(unit_block_size, _MAX_CELLS)
+    counts = (region_hi - region_lo) // side + 1
+    per_region = counts.prod(axis=1)
+    region = np.repeat(np.arange(len(per_region)), per_region)
+    rest = np.arange(len(region)) - np.repeat(np.cumsum(per_region) - per_region, per_region)
+    step = np.empty((len(region), ndim), dtype=np.int64)
+    for axis in reversed(range(ndim)):
+        rest, step[:, axis] = np.divmod(rest, counts[region, axis])
+    lo = region_lo[region] + step * side
+    hi = lo + np.minimum(side - 1, region_hi[region] - lo)
+    # §3.3: stored rank by rank, each rank's blocks in the order they were cut
+    order = np.argsort(owner[region_box[region]], kind="stable")
+    lo, hi, box_index = lo[order], hi[order], region_box[region][order]
+    rank = owner[box_index]
+    sizes = (hi - lo + 1).prod(axis=1)
+    ranks_, starts = np.unique(rank, return_index=True)
+    bounds = starts.tolist() + [len(rank)]
+    runs = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    rank_elements = np.add.reduceat(sizes, starts) if len(starts) else sizes[:0]
+    chunk_elements = int(rank_elements.max(initial=0))
+    stream_offsets = np.cumsum(sizes) - sizes
+    rank_offsets = stream_offsets + np.repeat(
+        np.arange(len(starts)) * chunk_elements - stream_offsets[starts], np.diff(bounds))
+    return LevelLayout(
+        lo=lo, hi=hi, sizes=sizes, box_index=box_index, rank=rank, box_lo=box_lo,
+        ranks=ranks_.tolist(), rank_elements=rank_elements.tolist(), rank_runs=runs,
+        chunk_elements=chunk_elements, rank_offsets=rank_offsets,
+        stream_offsets=stream_offsets, covered=covered,
+        total_cells=int((box_hi - box_lo + 1).prod(axis=1).sum()))
+
+
+def level_layouts(levels: Sequence[Tuple[Sequence, Sequence, Sequence[int]]],
+                  ref_ratios: Sequence[int], unit_block_size: int,
+                  remove_redundancy: bool) -> List[LevelLayout]:
+    """:func:`level_layout` of every level, given each level's ``(los, his,
+    ranks)`` coarse to fine: with ``remove_redundancy`` every level but the
+    finest drops what the next one covers."""
+    return [level_layout(los, his, ranks, unit_block_size,
+                         finer=(levels[i + 1][0], levels[i + 1][1], ref_ratios[i])
+                         if remove_redundancy and i + 1 < len(levels) else None)
+            for i, (los, his, ranks) in enumerate(levels)]
+
+
+def hierarchy_layouts(hierarchy: AmrHierarchy, unit_block_size: int,
+                      remove_redundancy: bool) -> List[LevelLayout]:
+    """:func:`level_layouts` of a hierarchy in memory (the writers' side)."""
+    return level_layouts(
+        [([b.lo for b in lvl.boxarray], [b.hi for b in lvl.boxarray],
+          lvl.multifab.distribution.rank_of_box) for lvl in hierarchy.levels],
+        hierarchy.ref_ratios, unit_block_size, remove_redundancy)
 
 
 # ----------------------------------------------------------------------

@@ -4,22 +4,26 @@ The read side mirrors the writer's staged decomposition
 (:mod:`repro.core.stages`) instead of the old serial monolith:
 
 ``scan`` (:func:`scan_plotfile`)
-    Rebuild the structural read plan — which unit blocks live at which
-    element offsets of which ``level_<l>/<field>`` dataset — from the
-    plotfile's self-describing header (:mod:`repro.core.header`); a file
-    without one is rejected.  Produces a :class:`ReadPlan` of
-    :class:`DatasetReadPlan` entries.
+    Rebuild every level's :class:`~repro.core.preprocess.LevelLayout` — which
+    unit blocks exist, where, and at which element offsets of the level's
+    ``level_<l>/<field>`` datasets — from the plotfile's self-describing
+    header (:mod:`repro.core.header`), as int arrays: the same record the
+    writer laid the datasets out by, one per level, shared by the level's
+    fields.  A file without a header is rejected.  Produces a
+    :class:`ReadPlan` of :class:`DatasetReadPlan` entries.
 ``decode`` (:func:`decode_job`)
     Decode the wanted unit blocks of one dataset's chunk payloads, handed to
     the filter together (:meth:`~repro.h5lite.filters.Filter.decode_blocks`) so
     AMRIC's level filter runs one Huffman lane pass per job instead of one per
     chunk — over the wanted blocks' streams only.  A :class:`DecodeJob` is a
-    plain picklable dataclass (raw bytes + filter recipe), so per-dataset
-    decode jobs run through any
+    plain picklable dataclass (raw bytes + the stored filter id), so
+    per-dataset decode jobs run through any
     :class:`~repro.parallel.backend.ExecutionBackend` (serial, shm) with
     bit-identical results.
 ``place`` (:func:`place_dataset`)
-    Scatter the decoded blocks back into the hierarchy's fabs.
+    Scatter the decoded blocks into the hierarchy :func:`PlotfileHandle.read`
+    rebuilds from the header, at the slices the layout precomputes once per
+    level.
 ``refill`` (:func:`~repro.amr.upsample.fill_covered_from_finer`)
     Restore the redundant coarse cells dropped before compression by
     conservatively averaging the reconstructed finer level down — the shared
@@ -49,11 +53,8 @@ from typing import (ClassVar, Dict, Iterable, Iterator, List, Mapping, NamedTupl
 import numpy as np
 
 from repro.amr.box import Box
-from repro.amr.boxarray import BoxArray
 from repro.amr.hierarchy import AmrHierarchy
 from repro.amr.upsample import average_down, fill_covered_from_finer
-from repro.compress.errorbound import ErrorBound
-from repro.compress.registry import create_codec
 from repro.core.filter_mod import AMRICLevelFilter
 from repro.core.header import (
     CHUNK_ALIGNMENT_BOX_MAJOR,
@@ -61,22 +62,15 @@ from repro.core.header import (
     PlotfileHeader,
     template_from_header,
 )
-from repro.core.preprocess import UnitBlock, preprocess_level
-from repro.h5lite.file import H5LiteFile
-from repro.h5lite.filters import (
-    AMRICChunkFilter,
-    Filter,
-    LosslessFilter,
-    NoCompressionFilter,
-    SZChunkFilter,
-)
+from repro.core.preprocess import LevelLayout, level_layouts
+from repro.h5lite.file import DatasetInfo, H5LiteFile
+from repro.h5lite.filters import Filter, NoCompressionFilter
 from repro.parallel.backend import ExecutionBackend, SerialBackend, make_backend
 from repro.parallel.mpi_sim import SimComm
 
 __all__ = [
     "PlotfileHandle",
     "ReadStats",
-    "BlockSlot",
     "DatasetReadPlan",
     "ReadPlan",
     "scan_plotfile",
@@ -92,30 +86,18 @@ __all__ = [
 # ----------------------------------------------------------------------
 # scan
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class BlockSlot:
-    """One unit block's home: its box/fab and its element offset in the dataset.
-
-    The offset addresses the dataset's *chunked element stream*, in which
-    chunk ``j`` occupies ``[j * chunk_elements, (j + 1) * chunk_elements)``
-    (rank-aligned datasets pad each chunk's tail; stream-aligned datasets
-    pack blocks back-to-back and a block may span a chunk boundary).
-    """
-
-    block: UnitBlock
-    offset: int
-    size: int                                 #: the block's cell count
-
-
 @dataclass(eq=False)
 class DatasetReadPlan:
     """The decode/placement layout of one ``level_<l>/<field>`` dataset.
 
     Compared and hashed by identity: a plan's datasets key the block requests
-    and answers of :meth:`PlotfileHandle._blocks`.  Slots are stored in offset
-    order, so chunk ``j`` holds the run of slots from ``_head[j]`` and slot
-    ``i`` is its block of *ordinal* ``i - _head[j]`` (a stream-aligned dataset
-    may cut a block across chunks: it then has one *piece* in each).
+    and answers of :meth:`PlotfileHandle._blocks`.  Slot ``i`` is block ``i``
+    of the level's :class:`~repro.core.preprocess.LevelLayout`, at element
+    ``offsets[i]`` of the dataset's *chunked element stream* (chunk ``j``
+    occupies ``[j * chunk_elements, (j + 1) * chunk_elements)``).  Slots are in
+    offset order, so chunk ``j`` holds the run of slots from ``_head[j]`` and
+    slot ``i`` is its block of *ordinal* ``i - _head[j]`` (a stream-aligned
+    dataset may cut a block across chunks: it then has one *piece* in each).
     """
 
     level: int
@@ -124,16 +106,12 @@ class DatasetReadPlan:
     chunk_elements: int
     nchunks: int
     filter_id: str
-    slots: List[BlockSlot]
-    #: the slots' boxes, slot ``i`` <-> box ``i``; one index per level,
-    #: shared by every dataset of that level
-    boxes: BoxArray
+    layout: LevelLayout                       #: shared by every dataset of the level
+    offsets: np.ndarray                       #: per slot, its element offset
 
     def __post_init__(self) -> None:
-        self._offsets = np.array([s.offset for s in self.slots], dtype=np.int64)
-        self._sizes = np.array([s.size for s in self.slots], dtype=np.int64)
-        first = self._offsets // self.chunk_elements
-        last = (self._offsets + self._sizes - 1) // self.chunk_elements
+        first = self.offsets // self.chunk_elements
+        last = (self.offsets + self.layout.sizes - 1) // self.chunk_elements
         #: per slot, the (first, last) chunk it has a piece in
         self._span = list(zip(first.tolist(), last.tolist()))
         chunks = np.arange(self.nchunks)
@@ -141,13 +119,13 @@ class DatasetReadPlan:
         self._head = np.searchsorted(last, chunks).tolist()
         self._tail = np.searchsorted(first, chunks, side="right").tolist()
 
-    def layout(self, chunk: int) -> List[Tuple[int, int]]:
+    def chunk_layout(self, chunk: int) -> List[Tuple[int, int]]:
         """``(offset in the chunk, size)`` of every piece chunk ``chunk`` holds,
         in stored (= ordinal) order."""
         base = chunk * self.chunk_elements
         run = slice(self._head[chunk], self._tail[chunk])
-        lo = np.maximum(self._offsets[run], base)
-        hi = np.minimum(self._offsets[run] + self._sizes[run], base + self.chunk_elements)
+        lo = np.maximum(self.offsets[run], base)
+        hi = np.minimum(self.offsets[run] + self.layout.sizes[run], base + self.chunk_elements)
         return list(zip((lo - base).tolist(), (hi - lo).tolist()))
 
     def pieces_of(self, slot_indices: Iterable[int]) -> Dict[int, List[int]]:
@@ -165,22 +143,16 @@ class DatasetReadPlan:
 class ReadPlan:
     """Everything the decode/place/refill stages need, decided up front."""
 
-    structure: AmrHierarchy                   #: zero-filled output hierarchy
-    datasets: List[DatasetReadPlan]
-    remove_redundancy: bool
     header: PlotfileHeader
+    layouts: List[LevelLayout]                #: per level, coarse to fine
+    datasets: List[DatasetReadPlan]
 
     def __post_init__(self) -> None:
         self._by_key = {(d.level, d.field): d for d in self.datasets}
-        #: per level, the next finer level's boxes coarsened to it — the
-        #: regions a lazy read refills from finer data
-        self.fine_coarsened = [
-            finer.boxarray.coarsen(ratio) for finer, ratio
-            in zip(self.structure.levels[1:], self.structure.ref_ratios)]
 
     @property
     def nranks(self) -> int:
-        return max(lvl.multifab.distribution.nranks for lvl in self.structure.levels)
+        return max(lvl.nranks for lvl in self.header.levels)
 
     def dataset(self, level: int, fieldname: str) -> Optional[DatasetReadPlan]:
         return self._by_key.get((level, fieldname))
@@ -195,8 +167,34 @@ def parse_plotfile_header(f: H5LiteFile) -> PlotfileHeader:
     return PlotfileHeader.from_json(f.header)
 
 
+def _check_rank_aligned(path: str, dsname: str, info: DatasetInfo, layout: LevelLayout,
+                        strict_actual: bool) -> None:
+    """A rank-aligned dataset must hold one chunk per participating rank, of
+    the largest rank's size, each recording that rank's cell count."""
+    if (info.nchunks, info.chunk_elements) != (len(layout.ranks), layout.chunk_elements):
+        raise ValueError(
+            f"{path}: dataset {dsname!r} stores {info.nchunks} chunks of "
+            f"{info.chunk_elements} elements but the structure implies "
+            f"{len(layout.ranks)} participating ranks, the largest holding "
+            f"{layout.chunk_elements} — header does not match this file")
+    # with the modified filter each chunk records the rank's real element
+    # count; a disagreement means the structure does not describe this file
+    # (naive mode records the padded chunk size instead, which carries no signal)
+    for i, (chunk, valid) in enumerate(zip(info.chunks, layout.rank_elements)):
+        stored = chunk.actual_elements
+        if strict_actual and stored != info.chunk_elements and stored != valid:
+            raise ValueError(
+                f"{path}: chunk {i} of {dsname!r} stores {stored} valid elements "
+                f"but the structure implies {valid} — header does not match this file")
+
+
 def scan_plotfile(f: H5LiteFile) -> ReadPlan:
-    """Stage 1: rebuild the structural read plan from the plotfile's header."""
+    """Stage 1: the read plan, from the plotfile's header alone.
+
+    Every level's :class:`~repro.core.preprocess.LevelLayout` is rebuilt from
+    the header's boxes, ranks and ratios — the same record the writer laid
+    the datasets out by — and each stored dataset is checked against it.
+    """
     header = parse_plotfile_header(f)
     if header.chunk_alignment == CHUNK_ALIGNMENT_BOX_MAJOR:
         raise ValueError(
@@ -204,23 +202,17 @@ def scan_plotfile(f: H5LiteFile) -> ReadPlan:
             f"(method {header.method!r}); the staged reader only "
             "reconstructs field-major plotfiles — use `repro info` for "
             "its metadata")
-    structure = template_from_header(header)
-    unit_block_size = header.unit_block_size
-    remove_redundancy = header.remove_redundancy
+    layouts = level_layouts(
+        [(lvl.box_los, lvl.box_his, lvl.rank_of_box) for lvl in header.levels],
+        header.ref_ratios, header.unit_block_size, header.remove_redundancy)
     rank_aligned = header.chunk_alignment == CHUNK_ALIGNMENT_RANK
     strict_actual = bool(header.codec_options.get("modify_filter", True))
 
     datasets: List[DatasetReadPlan] = []
-    for level_index in range(structure.nlevels):
-        pre = preprocess_level(structure, level_index, unit_block_size,
-                               remove_redundancy=remove_redundancy)
-        if not pre.unit_blocks:
+    for level_index, layout in enumerate(layouts):
+        if not layout.nblocks:
             continue
-        ranks = sorted({b.rank for b in pre.unit_blocks})
-        per_rank = {r: pre.blocks_on_rank(r) for r in ranks}
-        # every dataset of the level lays its slots out in this order
-        boxes = BoxArray([b.box for r in ranks for b in per_rank[r]])
-        for name in structure.component_names:
+        for name in header.components:
             dsname = f"level_{level_index}/{name}"
             if dsname not in f:
                 raise ValueError(
@@ -228,56 +220,19 @@ def scan_plotfile(f: H5LiteFile) -> ReadPlan:
                     "but the file stores no such dataset (an interrupted "
                     "write?)")
             info = f.datasets[dsname]
-            slots: List[BlockSlot] = []
             if rank_aligned:
-                if info.nchunks != len(ranks):
-                    raise ValueError(
-                        f"{f.path}: dataset {dsname!r} stores {info.nchunks} "
-                        f"chunks but the structure implies {len(ranks)} "
-                        "participating ranks — header does not match "
-                        "this file")
-                ce = info.chunk_elements
-                for i, rank in enumerate(ranks):
-                    offset = i * ce
-                    for block in per_rank[rank]:
-                        size = block.size
-                        slots.append(BlockSlot(block, offset, size))
-                        offset += size
-                    if offset > (i + 1) * ce:
-                        raise ValueError(
-                            f"{f.path}: rank {rank}'s blocks overflow its "
-                            f"chunk of {ce} elements in {dsname!r} — "
-                            "header does not match this file")
-                    valid = offset - i * ce
-                    stored = info.chunks[i].actual_elements
-                    # with the modified filter each chunk records the rank's
-                    # real element count; a disagreement means the structure
-                    # does not describe this file (naive mode records the
-                    # padded chunk size instead, which carries no signal)
-                    if strict_actual and stored != ce and stored != valid:
-                        raise ValueError(
-                            f"{f.path}: chunk {i} of {dsname!r} stores "
-                            f"{stored} valid elements but the structure "
-                            f"implies {valid} — header does not "
-                            "match this file")
-            else:
-                offset = 0
-                for rank in ranks:
-                    for block in per_rank[rank]:
-                        size = block.size
-                        slots.append(BlockSlot(block, offset, size))
-                        offset += size
-                if offset != info.nelements:
-                    raise ValueError(
-                        f"{f.path}: dataset {dsname!r} stores {info.nelements} "
-                        f"elements but the structure implies {offset} — "
-                        "header does not match this file")
+                _check_rank_aligned(f.path, dsname, info, layout, strict_actual)
+            elif layout.kept_cells != info.nelements:
+                raise ValueError(
+                    f"{f.path}: dataset {dsname!r} stores {info.nelements} "
+                    f"elements but the structure implies {layout.kept_cells} — "
+                    "header does not match this file")
             datasets.append(DatasetReadPlan(
                 level=level_index, field=name, name=dsname,
                 chunk_elements=info.chunk_elements, nchunks=info.nchunks,
-                filter_id=info.filter_id, slots=slots, boxes=boxes))
-    return ReadPlan(structure=structure, datasets=datasets,
-                    remove_redundancy=remove_redundancy, header=header)
+                filter_id=info.filter_id, layout=layout,
+                offsets=layout.rank_offsets if rank_aligned else layout.stream_offsets))
+    return ReadPlan(header=header, layouts=layouts, datasets=datasets)
 
 
 # ----------------------------------------------------------------------
@@ -286,7 +241,7 @@ def scan_plotfile(f: H5LiteFile) -> ReadPlan:
 @dataclass
 class DecodeJob:
     """One dataset's decode work: raw chunk payloads, what is wanted of each,
-    and the filter recipe.
+    and the stored filter id.
 
     The payloads cross the shm pool boundary as shared-memory descriptors,
     the rest pickles (ints, strings); decoding is deterministic, so every
@@ -299,15 +254,12 @@ class DecodeJob:
     key: str                               #: dataset name (stable identifier)
     payloads: List[bytes]
     chunk_indices: List[int]
-    #: per payload, where each of its blocks sits (:meth:`DatasetReadPlan.layout`)
+    #: per payload, where each of its blocks sits (:meth:`DatasetReadPlan.chunk_layout`)
     layouts: List[List[Tuple[int, int]]]
     #: per payload, the ordinals of the blocks to decode (ascending)
     wanted: List[List[int]]
     chunk_elements: int
     filter_id: str
-    codec: str = "sz_lr"
-    error_bound: float = 1e-3
-    error_bound_mode: str = "rel"
 
 
 @dataclass
@@ -320,21 +272,14 @@ class DecodeResult:
     blocks: List[np.ndarray]
 
 
-def _decode_filter(filter_id: str, codec: str, error_bound: float,
-                   error_bound_mode: str) -> Filter:
-    """Filter instance for one stored ``filter_id`` (decode direction only)."""
+def _decode_filter(filter_id: str) -> Filter:
+    """Filter instance for one stored ``filter_id`` (decode direction only):
+    the ids a field-major plotfile or series step carries.  Their payloads
+    are self-describing, so no codec option is needed."""
     if filter_id == AMRICLevelFilter.filter_id:
-        # AMRIC payloads are fully self-describing; the constructor arguments
-        # only matter for encode
         return AMRICLevelFilter()
     if filter_id == NoCompressionFilter.filter_id:
         return NoCompressionFilter()
-    if filter_id == LosslessFilter.filter_id:
-        return LosslessFilter()
-    if filter_id in (SZChunkFilter.filter_id, AMRICChunkFilter.filter_id):
-        compressor = create_codec(codec, ErrorBound(error_bound, error_bound_mode))
-        cls = SZChunkFilter if filter_id == SZChunkFilter.filter_id else AMRICChunkFilter
-        return cls(compressor)
     if filter_id == "temporal_delta":
         # series keyframe chunks are self-contained (payload carries its own
         # grid); delta chunks raise from decode with a pointer at open_series
@@ -345,7 +290,7 @@ def _decode_filter(filter_id: str, codec: str, error_bound: float,
 
 
 def make_decode_job(f: H5LiteFile, dplan: DatasetReadPlan,
-                    wanted: Mapping[int, Sequence[int]], plan: ReadPlan) -> DecodeJob:
+                    wanted: Mapping[int, Sequence[int]]) -> DecodeJob:
     """Pull the raw chunk payloads that hold the wanted blocks of one dataset
     (``{chunk: ordinals}``, see :meth:`DatasetReadPlan.pieces_of`) into a job."""
     indices = list(wanted)
@@ -353,14 +298,10 @@ def make_decode_job(f: H5LiteFile, dplan: DatasetReadPlan,
     # a payload is fetched whole whatever is wanted of it (its deflated
     # sections do not inflate in part)
     payloads = f.read_chunk_payloads(dplan.name, indices)
-    header = plan.header
     return DecodeJob(key=dplan.name, payloads=payloads, chunk_indices=indices,
-                     layouts=[dplan.layout(index) for index in indices],
+                     layouts=[dplan.chunk_layout(index) for index in indices],
                      wanted=[list(wanted[index]) for index in indices],
-                     chunk_elements=dplan.chunk_elements,
-                     filter_id=dplan.filter_id, codec=header.codec,
-                     error_bound=header.error_bound,
-                     error_bound_mode=header.error_bound_mode)
+                     chunk_elements=dplan.chunk_elements, filter_id=dplan.filter_id)
 
 
 def decode_job(job: DecodeJob) -> DecodeResult:
@@ -377,12 +318,10 @@ def decode_job(job: DecodeJob) -> DecodeResult:
     from repro.parallel.shm import worker_codec_cache
 
     cache = worker_codec_cache()
-    cache_key = ("decode_filter", job.filter_id, job.codec,
-                 job.error_bound, job.error_bound_mode)
+    cache_key = ("decode_filter", job.filter_id)
     filt = cache.get(cache_key) if cache is not None else None
     if filt is None:
-        filt = _decode_filter(job.filter_id, job.codec, job.error_bound,
-                              job.error_bound_mode)
+        filt = _decode_filter(job.filter_id)
         if cache is not None:
             cache[cache_key] = filt
     # one call per job: a filter whose chunks can share a decode cost (AMRIC's
@@ -417,11 +356,10 @@ def place_dataset(structure: AmrHierarchy, dplan: DatasetReadPlan,
     """Stage 3: scatter one dataset's decoded blocks (by slot) into the hierarchy."""
     level = structure[dplan.level]
     comp = level.multifab.component_index(dplan.field)
-    for index, slot in enumerate(dplan.slots):
-        box = slot.block.box
-        fab = level.multifab[slot.block.box_index]
-        fab.component(comp)[box.slices(origin=fab.box.lo)] = \
-            blocks[index].reshape(box.shape)
+    fabs = level.multifab.fabs
+    shapes = dplan.layout.shapes
+    for index, (box, where) in enumerate(dplan.layout.placements):
+        fabs[box].data[comp][where] = blocks[index].reshape(shapes[index])
 
 
 # ----------------------------------------------------------------------
@@ -451,8 +389,8 @@ class _BoxRead(NamedTuple):
 
     query: Box
     dplan: Optional[DatasetReadPlan]
-    #: (slot index, overlap with the query) of the stored blocks it meets
-    hits: List[Tuple[int, Box]]
+    #: (slot, slices in the answer, slices in the block) of the blocks it meets
+    hits: List[Tuple[int, Tuple[slice, ...], Tuple[slice, ...]]]
     #: (covered coarse region, the finer read averaged down into it)
     finer: List[Tuple[Box, "_BoxRead"]]
     ratio: int                                #: refinement ratio to ``finer``
@@ -639,11 +577,11 @@ class PlotfileHandle:
                 if len(pieces) <= last - first:
                     continue                    # (an unwanted neighbour's may never all come)
                 block = np.concatenate(partial.pop((dplan, slot)))
-            home = dplan.slots[slot]
-            if block.shape != (home.size,) and block.shape != home.block.box.shape:
+            shape = dplan.layout.shapes[slot]
+            if block.shape != (dplan.layout.sizes[slot],) and block.shape != shape:
                 raise ValueError(
                     f"{path}: block {ordinal} of chunk {chunk} of {dplan.name!r} decoded "
-                    f"to shape {block.shape}, its unit block is {home.block.box.shape}")
+                    f"to shape {block.shape}, its unit block is {shape}")
             out[dplan][slot] = block
             self.stats.blocks_decoded += 1
             if store:
@@ -670,7 +608,7 @@ class PlotfileHandle:
         width = backend.parallel_width() if backend is not None else 1
         nparts = -(-width // len(pending))
         jobs = [(dplan, make_decode_job(self._file, dplan,
-                                        {chunk: wanted[chunk] for chunk in part}, plan=plan))
+                                        {chunk: wanted[chunk] for chunk in part}))
                 for dplan, wanted in pending.items()
                 for part in _split_indices(list(wanted), nparts)]
         comm = comm if comm is not None else SimComm(plan.nranks)
@@ -693,24 +631,24 @@ class PlotfileHandle:
         them sharing ``needed``).
         """
         plan = self._scan()
-        structure = plan.structure
-        if not 0 <= level < structure.nlevels:
+        header = plan.header
+        if not 0 <= level < header.nlevels:
             raise ValueError(
                 f"level {level} out of range; plotfile has levels "
-                f"0..{structure.nlevels - 1}")
+                f"0..{header.nlevels - 1}")
         if max_level is not None and level > max_level:
             raise ValueError(
                 f"level {level} is finer than max_level {max_level}; a "
                 "progressive read cannot return data above its cap")
-        if name not in structure.component_names:
+        if name not in header.components:
             raise KeyError(
-                f"unknown field {name!r}; plotfile has {structure.component_names}")
+                f"unknown field {name!r}; plotfile has {header.components}")
         finest = level                      # the finest level refill reads
-        if refill and plan.remove_redundancy:
-            finest = structure.nlevels - 1 if max_level is None \
-                else min(max_level, structure.nlevels - 1)
+        if refill and header.remove_redundancy:
+            finest = header.nlevels - 1 if max_level is None \
+                else min(max_level, header.nlevels - 1)
         return self._plan_level(
-            plan, name, level, structure[level].domain if box is None else box,
+            plan, name, level, header.levels[level].domain() if box is None else box,
             finest, needed)
 
     def _plan_level(self, plan: ReadPlan, name: str, level: int, query: Box,
@@ -719,16 +657,16 @@ class PlotfileHandle:
         if query.is_empty():
             return _BoxRead(query, None, [], [], 1)
         dplan = plan.dataset(level, name)
-        hits = dplan.boxes.intersections(query) if dplan is not None else []
+        hits = dplan.layout.hits(query) if dplan is not None else []
         if hits:
-            needed.setdefault(dplan, set()).update(index for index, _ in hits)
+            needed.setdefault(dplan, set()).update(index for index, _, _ in hits)
         if level >= finest:
             return _BoxRead(query, dplan, hits, [], 1)
-        ratio = plan.structure.ref_ratios[level]
+        ratio = plan.header.ref_ratios[level]
         return _BoxRead(query, dplan, hits, [
             (overlap, self._plan_level(plan, name, level + 1, overlap.refine(ratio),
                                        finest, needed))
-            for _, overlap in plan.fine_coarsened[level].intersections(query)], ratio)
+            for _, overlap in plan.layouts[level].covered.intersections(query)], ratio)
 
     def _assemble(self, read: _BoxRead,
                   blocks: Mapping[DatasetReadPlan, Mapping[int, np.ndarray]],
@@ -736,10 +674,10 @@ class PlotfileHandle:
         """The dense array of a planned read, from the blocks it asked for."""
         query = read.query
         out = np.full(query.shape, fill_value, dtype=np.float64)
-        for index, overlap in read.hits:
-            home = read.dplan.slots[index].block.box
-            out[overlap.slices(origin=query.lo)] = \
-                blocks[read.dplan][index].reshape(home.shape)[overlap.slices(origin=home.lo)]
+        if read.hits:
+            shapes, got = read.dplan.layout.shapes, blocks[read.dplan]
+            for index, where, part in read.hits:
+                out[where] = got[index].reshape(shapes[index])[part]
         for overlap, fine in read.finer:
             out[overlap.slices(origin=query.lo)] = average_down(
                 self._assemble(fine, blocks, fill_value), read.ratio)
@@ -791,7 +729,7 @@ class PlotfileHandle:
         already decoded are reused; every call returns a fresh hierarchy.
         """
         plan = self._scan()
-        if comm is not None and plan.structure.levels and comm.size != plan.nranks:
+        if comm is not None and comm.size != plan.nranks:
             raise ValueError(
                 f"communicator has {comm.size} ranks but the plotfile is "
                 f"distributed over {plan.nranks}")
@@ -799,7 +737,7 @@ class PlotfileHandle:
         owns = not isinstance(spec, ExecutionBackend)
         resolved = make_backend(spec)
         try:
-            blocks = self._blocks({d: range(len(d.slots)) for d in plan.datasets},
+            blocks = self._blocks({d: range(d.layout.nblocks) for d in plan.datasets},
                                   backend=resolved, comm=comm, store=False)
         finally:
             if owns:
@@ -807,6 +745,6 @@ class PlotfileHandle:
         structure = template_from_header(self.header)
         for dplan in plan.datasets:
             place_dataset(structure, dplan, blocks.pop(dplan))
-        if plan.remove_redundancy:
+        if self.header.remove_redundancy:
             fill_covered_from_finer(structure)
         return structure

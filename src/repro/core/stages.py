@@ -7,12 +7,15 @@ unexpressed.  This module decomposes the write into four explicit stages,
 each a pure function over a small dataclass:
 
 ``plan`` (:func:`plan_write`)
-    Preprocess every level (§3.1) and lay out one chunk per rank per field
-    with the global chunk size from the collective max (§3.3); produces a
-    :class:`WritePlan` of :class:`DatasetPlan` entries.
+    Build every level's :class:`~repro.core.preprocess.LevelLayout` — the
+    unit blocks redundancy removal and truncation leave (§3.1), stored one
+    chunk per rank with the global chunk size from the collective max (§3.3)
+    — and each field's per-chunk :class:`ChunkPlan`; produces a
+    :class:`WritePlan` of :class:`DatasetPlan` entries.  The reader rebuilds
+    the same layout from the plotfile header.
 ``pack`` (:func:`pack_dataset`)
     Fill one dataset's write buffer (field-major, per-rank chunk slices) from
-    the AMR level; produces a :class:`PackedDataset`.
+    the AMR level at the layout's offsets; produces a :class:`PackedDataset`.
 ``encode`` (:func:`encode_job`)
     Run the AMRIC filter over one dataset's chunk sequence.  This is the
     independent work item the writer submits to an execution backend
@@ -38,13 +41,12 @@ import numpy as np
 
 from repro.amr.hierarchy import AmrHierarchy, AmrLevel
 from repro.core.config import AMRICConfig
-from repro.core.filter_mod import AMRICLevelFilter, ChunkPlan, plan_level_chunks
+from repro.core.filter_mod import AMRICLevelFilter, ChunkPlan
 from repro.core.header import header_from_config
-from repro.core.preprocess import UnitBlock, extract_block_data, preprocess_level
+from repro.core.preprocess import LevelLayout, hierarchy_layouts
 from repro.h5lite.file import DatasetInfo, H5LiteFile
 
 __all__ = [
-    "RankChunkSpec",
     "DatasetPlan",
     "LevelPlan",
     "WritePlan",
@@ -66,48 +68,34 @@ __all__ = [
 # plan
 # ----------------------------------------------------------------------
 @dataclass
-class RankChunkSpec:
-    """One rank's chunk of one dataset: which blocks fill it and how full it is."""
-
-    rank: int
-    blocks: List[UnitBlock]
-    valid_elements: int               #: elements the rank actually owns
-    actual_elements: int              #: what the filter is told (== chunk size when naive)
-    plan: ChunkPlan
-
-
-@dataclass
 class DatasetPlan:
-    """The write layout of one ``level_<l>/<field>`` dataset."""
+    """The write layout of one ``level_<l>/<field>`` dataset: its level's
+    :class:`~repro.core.preprocess.LevelLayout` (one chunk per participating
+    rank) and what the filter is told about each chunk."""
 
     level: int
     field: str
     name: str
     value_range: float
-    chunk_elements: int
-    rank_specs: List[RankChunkSpec]
-    nblocks: int                      #: unit blocks on the level (for the record)
+    layout: LevelLayout                #: shared by every dataset of the level
+    actual_elements: List[int]         #: per chunk, what the filter is told (the chunk size when naive)
+    chunk_plans: List[ChunkPlan]       #: per chunk, its unit blocks for the filter
 
     @property
-    def ranks(self) -> List[int]:
-        return [spec.rank for spec in self.rank_specs]
-
-    @property
-    def per_rank_elements(self) -> List[int]:
-        return [spec.valid_elements for spec in self.rank_specs]
+    def chunk_elements(self) -> int:
+        return self.layout.chunk_elements
 
     @property
     def total_elements(self) -> int:
-        return len(self.rank_specs) * self.chunk_elements
+        return len(self.layout.ranks) * self.chunk_elements
 
 
 @dataclass
 class LevelPlan:
-    """Preprocessing outcome + dataset layouts for one AMR level."""
+    """One AMR level's layout and its datasets (none when no block survived)."""
 
     level: int
-    removed_cells: int
-    total_cells: int
+    layout: LevelLayout
     datasets: List[DatasetPlan] = field(default_factory=list)
 
 
@@ -116,7 +104,6 @@ class WritePlan:
     """Everything the pack/encode/commit stages need, decided up front."""
 
     levels: List[LevelPlan]
-    nranks: int
 
     @property
     def datasets(self) -> List[DatasetPlan]:
@@ -124,77 +111,58 @@ class WritePlan:
 
     @property
     def removed_cells(self) -> int:
-        return sum(lvl.removed_cells for lvl in self.levels)
+        return sum(lvl.layout.removed_cells for lvl in self.levels)
 
     @property
     def total_cells(self) -> int:
-        return sum(lvl.total_cells for lvl in self.levels)
+        return sum(lvl.layout.total_cells for lvl in self.levels)
 
 
 def plan_write(hierarchy: AmrHierarchy, config: AMRICConfig,
                comm=None) -> WritePlan:
-    """Stage 1: preprocess every level and lay out every dataset's chunks.
+    """Stage 1: lay out every level and plan every dataset's chunks.
 
     ``comm`` (a :class:`~repro.parallel.mpi_sim.SimComm`) is charged one
     allreduce per level/field for the global chunk size — the collective the
     real writer performs so all ranks agree on the shared dataset's chunking.
     """
-    nranks = max(lvl.multifab.distribution.nranks for lvl in hierarchy.levels)
     levels: List[LevelPlan] = []
-    for level_index, level in enumerate(hierarchy.levels):
-        pre = preprocess_level(hierarchy, level_index, config.unit_block_size,
-                               remove_redundancy=config.remove_redundancy)
-        level_plan = LevelPlan(level=level_index, removed_cells=pre.removed_cells,
-                               total_cells=pre.total_cells)
+    for level_index, (level, layout) in enumerate(zip(
+            hierarchy.levels, hierarchy_layouts(hierarchy, config.unit_block_size,
+                                                config.remove_redundancy))):
+        level_plan = LevelPlan(level=level_index, layout=layout)
         levels.append(level_plan)
-        if not pre.unit_blocks:
+        if not layout.nblocks:
             continue
-        ranks_with_data = sorted({b.rank for b in pre.unit_blocks})
-        per_rank_blocks = {r: pre.blocks_on_rank(r) for r in ranks_with_data}
-        per_rank_elements = [sum(b.size for b in per_rank_blocks[r])
-                             for r in ranks_with_data]
-
+        # per chunk: (actual elements, block shapes, block positions) — shared
+        # by the level's fields
+        chunks = []
+        for valid, run in zip(layout.rank_elements, layout.rank_runs):
+            shapes = layout.shapes[run]
+            positions = [tuple(p) for p in layout.lo[run].tolist()]
+            actual = valid if config.modify_filter else layout.chunk_elements
+            if actual > valid:
+                # naive large chunk: the padding tail is real work,
+                # represented as one extra pseudo block
+                shapes, positions = shapes + [(1, 1, actual - valid)], None
+            chunks.append((actual, shapes, positions))
         for name in hierarchy.component_names:
             value_range = max(level.multifab.value_range(name), 0.0)
             # the global chunk size is the collective max of the per-rank
             # contributions (one allreduce per shared dataset)
             if comm is not None:
                 sizes = [0] * comm.size
-                for rank, nelem in zip(ranks_with_data, per_rank_elements):
+                for rank, nelem in zip(layout.ranks, layout.rank_elements):
                     sizes[rank] = nelem
                 comm.allreduce(sizes, op=max)
-            layout = plan_level_chunks(per_rank_elements,
-                                       modify_filter=config.modify_filter)
-            chunk_elements = layout.chunk_elements
-
-            specs: List[RankChunkSpec] = []
-            for rank in ranks_with_data:
-                blocks = per_rank_blocks[rank]
-                valid = sum(b.size for b in blocks)
-                plan_positions = [tuple(b.box.lo) for b in blocks]
-                plan_shapes = [tuple(b.box.shape) for b in blocks]
-                if not config.modify_filter:
-                    # naive large chunk: the padding tail is real work,
-                    # represented as one extra pseudo block
-                    actual = chunk_elements
-                    pad = chunk_elements - valid
-                    if pad > 0:
-                        plan_shapes = plan_shapes + [(1, 1, pad)]
-                        plan_positions = None
-                else:
-                    actual = valid
-                specs.append(RankChunkSpec(
-                    rank=rank, blocks=blocks, valid_elements=valid,
-                    actual_elements=actual,
-                    plan=ChunkPlan(field=name, block_shapes=plan_shapes,
-                                   value_range=value_range,
-                                   block_positions=plan_positions)))
             level_plan.datasets.append(DatasetPlan(
-                level=level_index, field=name,
-                name=f"level_{level_index}/{name}",
-                value_range=value_range, chunk_elements=chunk_elements,
-                rank_specs=specs, nblocks=len(pre.unit_blocks)))
-    return WritePlan(levels=levels, nranks=nranks)
+                level=level_index, field=name, name=f"level_{level_index}/{name}",
+                value_range=value_range, layout=layout,
+                actual_elements=[actual for actual, _, _ in chunks],
+                chunk_plans=[ChunkPlan(field=name, block_shapes=shapes,
+                                       value_range=value_range, block_positions=positions)
+                             for _, shapes, positions in chunks]))
+    return WritePlan(levels=levels)
 
 
 # ----------------------------------------------------------------------
@@ -210,20 +178,14 @@ class PackedDataset:
 
 
 def pack_dataset(level: AmrLevel, dplan: DatasetPlan) -> PackedDataset:
-    """Stage 2: copy each rank's blocks into its chunk slice of one buffer."""
-    chunk_elements = dplan.chunk_elements
-    data = np.empty(len(dplan.rank_specs) * chunk_elements, dtype=np.float64)
-    originals: List[List[np.ndarray]] = []
-    for i, spec in enumerate(dplan.rank_specs):
-        blocks_data = extract_block_data(level, dplan.field, spec.blocks)
-        originals.append(blocks_data)
-        buf = data[i * chunk_elements:(i + 1) * chunk_elements]
-        offset = 0
-        for d in blocks_data:
-            buf[offset:offset + d.size].reshape(d.shape)[...] = d
-            offset += d.size
-        buf[offset:] = 0.0                  # padding tail
-    return PackedDataset(plan=dplan, data=data, originals=originals)
+    """Stage 2: copy every block to its layout offset in one zero-padded buffer."""
+    layout = dplan.layout
+    views = layout.views(level, dplan.field)
+    data = np.zeros(dplan.total_elements, dtype=np.float64)
+    for view, offset in zip(views, layout.rank_offsets.tolist()):
+        data[offset:offset + view.size].reshape(view.shape)[...] = view
+    return PackedDataset(plan=dplan, data=data,
+                         originals=[views[run] for run in layout.rank_runs])
 
 
 # ----------------------------------------------------------------------
@@ -304,8 +266,7 @@ def make_encode_job(packed: PackedDataset, filter_spec: FilterSpec) -> EncodeJob
     return EncodeJob(
         key=packed.plan.name, data=packed.data,
         chunk_elements=packed.plan.chunk_elements,
-        actual_sizes=[spec.actual_elements for spec in packed.plan.rank_specs],
-        plans=[spec.plan for spec in packed.plan.rank_specs],
+        actual_sizes=packed.plan.actual_elements, plans=packed.plan.chunk_plans,
         filter_spec=filter_spec)
 
 
@@ -357,7 +318,7 @@ def commit_dataset(h5file: Optional[H5LiteFile], dplan: DatasetPlan,
         shape=(dplan.total_elements,), dtype="float64",
         chunk_elements=dplan.chunk_elements,
         filter_id=AMRICLevelFilter.filter_id,
-        actual_elements_per_chunk=[spec.actual_elements for spec in dplan.rank_specs],
+        actual_elements_per_chunk=dplan.actual_elements,
         attrs={"level": dplan.level, "field": dplan.field,
                "value_range": dplan.value_range})
 
@@ -387,5 +348,5 @@ def dataset_record(dplan: DatasetPlan, originals: Sequence[Sequence[np.ndarray]]
         level=dplan.level, field=dplan.field, raw_bytes=n_elems * 8,
         compressed_bytes=result.compressed_bytes, psnr=field_psnr,
         max_error=max_err, filter_calls=result.filter_calls,
-        nblocks=dplan.nblocks, sq_error=sq_err, n_elements=n_elems,
+        nblocks=dplan.layout.nblocks, sq_error=sq_err, n_elements=n_elems,
         value_min=gmin, value_max=gmax)

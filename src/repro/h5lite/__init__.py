@@ -33,7 +33,7 @@ from repro.h5lite.filters import (
     SZChunkFilter,
     AMRICChunkFilter,
 )
-from repro.h5lite.chunking import amrex_chunk_elements, amric_chunk_elements
+from repro.h5lite.chunking import amrex_chunk_elements
 
 __all__ = [
     "H5LiteFile",
@@ -48,5 +48,4 @@ __all__ = [
     "SZChunkFilter",
     "AMRICChunkFilter",
     "amrex_chunk_elements",
-    "amric_chunk_elements",
 ]

@@ -1,21 +1,16 @@
-"""Chunk-size selection strategies.
+"""AMReX's chunk-size policy.
 
-Two policies from the paper:
-
-* :func:`amrex_chunk_elements` — AMReX's original choice: a small fixed chunk
-  (1024 elements) because the box-major, field-interleaved layout forbids
-  anything larger than the smallest box (§3.3 Challenge 1).
-* :func:`amric_chunk_elements` — AMRIC's choice: one chunk per rank, sized to
-  the **largest** per-rank contribution (§3.3 Solution 2).  Combined with the
-  actual-size-aware filter this maximises the chunk size without a padding
-  penalty.
+:func:`amrex_chunk_elements` is AMReX's original choice: a small fixed chunk
+(1024 elements) because the box-major, field-interleaved layout forbids
+anything larger than the smallest box (§3.3 Challenge 1).  AMRIC's own policy
+— one chunk per rank, sized to the **largest** per-rank contribution (§3.3
+Solution 2) — is part of each level's
+:class:`~repro.core.preprocess.LevelLayout`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-__all__ = ["AMREX_DEFAULT_CHUNK", "amrex_chunk_elements", "amric_chunk_elements"]
+__all__ = ["AMREX_DEFAULT_CHUNK", "amrex_chunk_elements"]
 
 #: The HDF5 chunk size (in elements) AMReX's original compression uses.
 AMREX_DEFAULT_CHUNK = 1024
@@ -33,14 +28,3 @@ def amrex_chunk_elements(smallest_box_elements: int | None = None,
         return default
     return max(2, min(default, int(smallest_box_elements)))
 
-
-def amric_chunk_elements(per_rank_elements: Sequence[int]) -> int:
-    """AMRIC's chunk size: the largest per-rank element count.
-
-    Every rank writes exactly one chunk of this (global) size; ranks with less
-    data tell the filter their actual size instead of padding.
-    """
-    sizes = [int(s) for s in per_rank_elements if s > 0]
-    if not sizes:
-        raise ValueError("no rank holds any data")
-    return max(sizes)

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.compress.base import Compressor
-from repro.compress.lossless import zlib_compress, zlib_decompress
 
 __all__ = [
     "FilterStats",
@@ -186,19 +185,3 @@ class AMRICChunkFilter(Filter):
         out[:actual_elements] = data
         return out
 
-
-class LosslessFilter(Filter):
-    """A zlib filter (the kind of lossless filter HDF5 ships by default)."""
-
-    filter_id = "zlib"
-
-    def encode(self, chunk: np.ndarray, actual_elements: Optional[int] = None) -> bytes:
-        out = zlib_compress(np.asarray(chunk, dtype=np.float64).tobytes())
-        self._account(chunk, actual_elements, out)
-        return out
-
-    def decode(self, payload: bytes, chunk_elements: int) -> np.ndarray:
-        out = np.frombuffer(zlib_decompress(payload), dtype=np.float64)
-        if out.size != chunk_elements:
-            raise ValueError("corrupt zlib chunk")
-        return out.copy()

@@ -183,7 +183,7 @@ class SeriesStepHandle(PlotfileHandle):
         for dplan, wanted in pending.items():
             for index, stream in self._resolve_codes(dplan.name, list(wanted)):
                 values = TemporalDeltaCodec.grid_values(*stream)
-                for ordinal, block in enumerate(cut_blocks(values, dplan.layout(index))):
+                for ordinal, block in enumerate(cut_blocks(values, dplan.chunk_layout(index))):
                     yield dplan, index, ordinal, block
 
 

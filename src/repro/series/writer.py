@@ -71,16 +71,19 @@ def dataset_layout_fingerprint(dplan: DatasetPlan) -> str:
     level's boxes, a fine-level regrid changes the coarse level's fingerprint
     too — exactly the cases that must fall back to a keyframe.
     """
+    layout = dplan.layout
     doc = {
         "chunk_elements": int(dplan.chunk_elements),
         "ranks": [
             {
-                "rank": int(spec.rank),
-                "actual": int(spec.actual_elements),
-                "blocks": [[int(b.box_index), list(b.box.lo), list(b.box.hi)]
-                           for b in spec.blocks],
+                "rank": rank,
+                "actual": actual,
+                "blocks": [list(block) for block in zip(
+                    layout.box_index[run].tolist(), layout.lo[run].tolist(),
+                    layout.hi[run].tolist())],
             }
-            for spec in dplan.rank_specs
+            for rank, actual, run in zip(layout.ranks, dplan.actual_elements,
+                                         layout.rank_runs)
         ],
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -438,7 +441,7 @@ class SeriesWriter:
                 jobs.append(TemporalEncodeJob(
                     key=dplan.name, data=pack.data,
                     chunk_elements=dplan.chunk_elements,
-                    actual_sizes=[spec.actual_elements for spec in dplan.rank_specs],
+                    actual_sizes=dplan.actual_elements,
                     eb_abs=grid.eb_abs, offset=grid.offset,
                     ref_codes=ref_codes))
         results = comm.run_jobs(self.backend, temporal_encode_job, jobs)
@@ -471,15 +474,14 @@ class SeriesWriter:
                     shape=(dplan.total_elements,), dtype="float64",
                     chunk_elements=dplan.chunk_elements,
                     filter_id=TemporalDeltaFilter.filter_id,
-                    actual_elements_per_chunk=[spec.actual_elements
-                                               for spec in dplan.rank_specs],
+                    actual_elements_per_chunk=dplan.actual_elements,
                     attrs={"level": dplan.level, "field": dplan.field,
                            "value_range": dplan.value_range,
                            "series_mode": result.mode,
                            "series_ref": ref_index})
                 comm.record_collective_write()
                 # the tally covers the cells a rank owns, not a naive chunk's zero tail
-                ce, valid = dplan.chunk_elements, dplan.per_rank_elements
+                ce, valid = dplan.chunk_elements, dplan.layout.rank_elements
                 result.reconstructions = [[r[0][:n]] for r, n in zip(result.reconstructions, valid)]
                 record = dataset_record(
                     dplan, [[pack.data[i * ce:i * ce + n]] for i, n in enumerate(valid)], result)
@@ -491,8 +493,8 @@ class SeriesWriter:
                     key_bytes=result.key_bytes, delta_bytes=result.delta_bytes,
                     psnr=record.psnr, layout=layouts[dplan.name]))
                 tally.add_dataset(
-                    ranks=dplan.ranks,
-                    per_rank_elements=dplan.per_rank_elements,
+                    ranks=dplan.layout.ranks,
+                    per_rank_elements=dplan.layout.rank_elements,
                     chunk_elements=dplan.chunk_elements,
                     compressed_bytes=result.compressed_bytes)
                 next_ref[dplan.name] = (layouts[dplan.name], result.codes)

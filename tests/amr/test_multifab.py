@@ -15,13 +15,11 @@ class TestFArrayBox:
         assert fab.data.shape == (3, 4, 5, 6)
         assert fab.nbytes == 3 * 4 * 5 * 6 * 8
 
-    def test_array_is_allocated_on_first_touch(self):
+    def test_array_is_allocated_zero_filled(self):
         fab = FArrayBox(Box.from_shape((4, 5, 6)), ncomp=3, dtype=np.float32)
-        # structure-only use costs no array: shape, size and dtype are known
         assert (fab.shape, fab.nbytes, fab.dtype) == ((4, 5, 6), 3 * 4 * 5 * 6 * 4, np.float32)
-        assert fab._data is None
         assert fab.data.dtype == np.float32 and not fab.data.any()
-        assert fab.data is fab.data                     # one array from then on
+        assert fab.data is fab.data                     # one array, zero-filled
         given = np.ones((1, 2, 2))
         assert FArrayBox(Box.from_shape((2, 2)), data=given).data is given
 

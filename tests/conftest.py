@@ -6,6 +6,8 @@ microsecond-fast) and a bounded number of examples so the full suite stays
 quick.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -29,20 +31,48 @@ class ParentChunkDoor:
     re-sliced out of the flat chunks (``gather``); hits are selected by the
     per-slot ``Box`` scan.  ``read_field`` / ``read`` built on it are what the
     block door's answers must equal element for element.
+
+    Its slots are derived apart from the reader's layout record: the header's
+    hierarchy (``template_from_header``), its unit blocks (``preprocess_level``)
+    grouped by rank, and offsets counted here — one chunk per rank from
+    ``j * chunk_elements`` when rank-aligned, back to back otherwise.
     """
 
     def __init__(self, handle):
+        from repro.core.header import CHUNK_ALIGNMENT_RANK, template_from_header
+        from repro.core.preprocess import preprocess_level
+
         self.handle = handle
-        self.plan = handle._scan()
+        header = handle.header
+        self.structure = template_from_header(header)
+        self.remove_redundancy = header.remove_redundancy
+        self.datasets = {}
+        stored = handle._file.datasets
+        for level in range(self.structure.nlevels):
+            pre = preprocess_level(self.structure, level, header.unit_block_size,
+                                   remove_redundancy=header.remove_redundancy)
+            blocks = sorted(pre.unit_blocks, key=lambda b: b.rank)      # stable
+            for name in header.components:
+                info = stored.get(f"level_{level}/{name}")
+                if not blocks or info is None:
+                    continue
+                slots, offset, chunk, rank = [], 0, -1, None
+                for block in blocks:
+                    if header.chunk_alignment == CHUNK_ALIGNMENT_RANK and block.rank != rank:
+                        chunk, rank = chunk + 1, block.rank
+                        offset = chunk * info.chunk_elements
+                    slots.append(SimpleNamespace(block=block, offset=offset, size=block.size))
+                    offset += block.size
+                self.datasets[level, name] = SimpleNamespace(
+                    name=info.name, chunk_elements=info.chunk_elements,
+                    nchunks=info.nchunks, filter_id=info.filter_id, slots=slots)
         self.held = {}                          # (dataset, chunk) -> flat chunk
         self.decoded = 0
 
     def chunks(self, dplan, indices):
         from repro.core.reader import _decode_filter
 
-        header = self.handle.header
-        filt = _decode_filter(dplan.filter_id, header.codec, header.error_bound,
-                              header.error_bound_mode)
+        filt = _decode_filter(dplan.filter_id)
         out = {}
         for index in indices:
             key = (dplan.name, index)
@@ -82,16 +112,13 @@ class ParentChunkDoor:
         return np.concatenate(pieces)
 
     def dataset(self, level, name):
-        for d in self.plan.datasets:
-            if d.level == level and d.field == name:
-                return d
-        return None
+        return self.datasets.get((level, name))
 
     def read_field(self, name, level=0, box=None, refill=True, fill_value=0.0,
                    max_level=None):
         from repro.amr.upsample import average_down
 
-        structure = self.plan.structure
+        structure = self.structure
         query = structure[level].domain if box is None else box
         out = np.full(query.shape, fill_value, dtype=np.float64)
         if query.is_empty():
@@ -107,7 +134,7 @@ class ParentChunkDoor:
                     overlap = slot.block.box.intersection(query)
                     out[overlap.slices(origin=query.lo)] = \
                         data[overlap.slices(origin=slot.block.box.lo)]
-        if (refill and self.plan.remove_redundancy and level < structure.nlevels - 1
+        if (refill and self.remove_redundancy and level < structure.nlevels - 1
                 and (max_level is None or level + 1 <= max_level)):
             ratio = structure.ref_ratios[level]
             for fine_box in structure[level + 1].boxarray:
@@ -124,16 +151,16 @@ class ParentChunkDoor:
         from repro.core.header import template_from_header
 
         structure = template_from_header(self.handle.header)
-        for dplan in self.plan.datasets:
+        for (level_index, field), dplan in self.datasets.items():
             chunks = self.chunks(dplan, range(dplan.nchunks))
-            level = structure[dplan.level]
-            comp = level.multifab.component_index(dplan.field)
+            level = structure[level_index]
+            comp = level.multifab.component_index(field)
             for slot in dplan.slots:
                 fab = level.multifab[slot.block.box_index]
                 fab.component(comp)[slot.block.box.slices(origin=fab.box.lo)] = \
                     self.gather(slot, chunks, dplan.chunk_elements) \
                     .reshape(slot.block.box.shape)
-        if self.plan.remove_redundancy:
+        if self.remove_redundancy:
             fill_covered_from_finer(structure)
         return structure
 

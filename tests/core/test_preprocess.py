@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.amr.box import Box
 from repro.core.adaptive import residue_block_shapes, select_sz_block_size
 from repro.core.preprocess import (
     extract_block_data,
+    hierarchy_layouts,
     kept_regions_for_level,
+    level_layout,
     pack_blocks_cluster,
     pack_blocks_linear,
     preprocess_level,
@@ -64,6 +69,114 @@ class TestRedundancyRemoval:
             comp = level.multifab.component_index("baryon_density")
             np.testing.assert_array_equal(
                 arr, fab.component(comp)[block.box.slices(origin=fab.box.lo)])
+
+
+def _row_of_boxes(shapes, ranks, unit_block_size=10 ** 6, finer=None):
+    """A level of boxes side by side along the first axis, 100 cells apart."""
+    los = [(100 * i, 0, 0) for i in range(len(shapes))]
+    his = [tuple(l + n - 1 for l, n in zip(lo, shape)) for lo, shape in zip(los, shapes)]
+    return level_layout(los, his, ranks, unit_block_size, finer=finer)
+
+
+class TestLevelLayout:
+    """One record per level: §3.1's blocks in §3.3's storage order."""
+
+    @pytest.mark.parametrize("remove_redundancy", [True, False])
+    @pytest.mark.parametrize("unit_block_size", [4, 16])
+    def test_blocks_are_preprocess_level_grouped_by_rank(
+            self, nyx_hierarchy, unit_block_size, remove_redundancy):
+        layouts = hierarchy_layouts(nyx_hierarchy, unit_block_size, remove_redundancy)
+        for level, layout in enumerate(layouts):
+            pre = preprocess_level(nyx_hierarchy, level, unit_block_size,
+                                   remove_redundancy=remove_redundancy)
+            want = sorted(pre.unit_blocks, key=lambda b: b.rank)        # stable
+            assert [layout.box(i) for i in range(layout.nblocks)] == [b.box for b in want]
+            assert layout.box_index.tolist() == [b.box_index for b in want]
+            assert layout.rank.tolist() == [b.rank for b in want]
+            assert (layout.total_cells, layout.removed_cells) == \
+                (pre.total_cells, pre.removed_cells)
+
+    def test_chunk_is_the_largest_rank(self):
+        layout = _row_of_boxes([(10, 10, 10), (10, 20, 20), (10, 10, 25)], [0, 1, 2])
+        assert layout.ranks == [0, 1, 2]
+        assert layout.rank_elements == [1000, 4000, 2500]
+        assert layout.chunk_elements == 4000
+
+    def test_naive_padding_counts(self):
+        """A naive global chunk pads every smaller rank up to the largest."""
+        layout = _row_of_boxes([(10, 10, 10), (10, 20, 20), (10, 10, 25)], [0, 1, 2])
+        padded = len(layout.ranks) * layout.chunk_elements - layout.kept_cells
+        assert padded == 3000 + 0 + 1500
+        even = _row_of_boxes([(1, 1, 100), (1, 1, 100)], [0, 1])
+        assert len(even.ranks) * even.chunk_elements == even.kept_cells
+        skewed = _row_of_boxes([(1, 1, 100), (1, 1, 300)], [0, 1])
+        padded = len(skewed.ranks) * skewed.chunk_elements - skewed.kept_cells
+        assert padded / skewed.kept_cells == pytest.approx(200 / 400)
+
+    @given(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=50))
+    def test_padding_nonnegative_property(self, sizes):
+        layout = _row_of_boxes([(1, 1, n) for n in sizes], list(range(len(sizes))))
+        assert layout.chunk_elements == max(sizes)
+        assert len(layout.ranks) * layout.chunk_elements >= layout.kept_cells
+
+    def test_refuses_empty_or_negative_input(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            level_layout([], [], [], 4)
+        with pytest.raises(ValueError, match="empty"):
+            _row_of_boxes([(4, 4, 0)], [0])                 # hi = lo - 1
+        with pytest.raises(ValueError, match="empty"):
+            level_layout([(0, 0, 0)], [(-5, -5, -5)], [0], 4)
+        with pytest.raises(ValueError, match="ranks"):
+            _row_of_boxes([(4, 4, 4)], [-1])
+        with pytest.raises(ValueError, match="unit_block_size"):
+            _row_of_boxes([(4, 4, 4)], [0], unit_block_size=0)
+        with pytest.raises(ValueError, match="ratio"):
+            _row_of_boxes([(4, 4, 4)], [0], finer=([(0, 0, 0)], [(1, 1, 1)], 0))
+
+    def test_a_level_the_finer_one_covers_stores_nothing(self):
+        layout = _row_of_boxes([(4, 4, 4)], [0], finer=([(0, 0, 0)], [(7, 7, 7)], 2))
+        assert (layout.nblocks, layout.ranks, layout.chunk_elements) == (0, [], 0)
+        assert layout.removed_cells == layout.total_cells == 64
+
+    def test_interleaved_ranks_store_stably_by_rank(self):
+        """Ranks interleave across box indices and boxes cut into several
+        blocks: stored order groups by rank and keeps the cut order within a
+        rank; rank-aligned offsets restart at each chunk, stream-aligned ones
+        run back to back."""
+        shapes = [(4, 4, 4), (2, 2, 3), (4, 2, 2), (2, 2, 2), (3, 2, 2)]
+        ranks = [2, 0, 1, 0, 2]
+        layout = _row_of_boxes(shapes, ranks, unit_block_size=2)
+        # box 0 cuts into 8 blocks, 1 into 2, 2 into 2, 3 into 1, 4 into 2
+        assert layout.box_index.tolist() == [1, 1, 3, 2, 2] + [0] * 8 + [4, 4]
+        assert layout.box(0) == Box((100, 0, 0), (101, 1, 1))
+        assert layout.box(1) == Box((100, 0, 2), (101, 1, 2))
+        assert layout.sizes.tolist() == [8, 4, 8, 8, 8] + [8] * 8 + [8, 4]
+        assert layout.ranks == [0, 1, 2]
+        assert layout.rank_runs == [slice(0, 3), slice(3, 5), slice(5, 15)]
+        assert layout.rank_elements == [20, 16, 76] and layout.chunk_elements == 76
+        assert layout.rank_offsets.tolist() == \
+            [0, 8, 12] + [76, 84] + [152 + 8 * i for i in range(9)] + [224]
+        assert layout.stream_offsets.tolist() == \
+            np.concatenate([[0], np.cumsum(layout.sizes)[:-1]]).tolist()
+        assert layout.stream_offsets[-1] + layout.sizes[-1] == layout.kept_cells == 112
+
+    def test_placements_and_hits_address_the_blocks(self, nyx_hierarchy):
+        layout = hierarchy_layouts(nyx_hierarchy, 8, True)[0]
+        level = nyx_hierarchy[0]
+        for view, (box, where), index in zip(layout.views(level, "baryon_density"),
+                                             layout.placements, range(layout.nblocks)):
+            fab = level.multifab[box]
+            assert view.shape == layout.shapes[index]
+            assert np.shares_memory(view, fab.data)
+            assert fab.box.contains(layout.box(index))
+        query = Box((3, 5, 7), (20, 11, 30))
+        hits = layout.hits(query)
+        assert [i for i, _, _ in hits] == [
+            i for i in range(layout.nblocks) if layout.box(i).intersects(query)]
+        for i, where, part in hits:
+            overlap = layout.box(i).intersection(query)
+            assert where == overlap.slices(origin=query.lo)
+            assert part == overlap.slices(origin=layout.box(i).lo)
 
 
 class TestPacking:

@@ -121,25 +121,15 @@ def _random_boxes(rng, domain, count):
     return out
 
 
-# -- the pre-index hit selection, verbatim, as the reference (the assembly on
-# -- top of it is ``ParentChunkDoor`` in tests/conftest.py) -------------------
-def _ref_dataset(plan, level, name):
-    for d in plan.datasets:
-        if d.level == level and d.field == name:
-            return d
-    return None
-
-
-def _ref_slots_for_box(handle, name, level, box):
-    plan = handle._scan()
-    if not 0 <= level < plan.structure.nlevels:
-        return None, set()
-    dplan = _ref_dataset(plan, level, name)
+# -- the pre-index hit selection, verbatim, as the reference: a per-slot Box
+# -- scan over the slots ``ParentChunkDoor`` (tests/conftest.py) derives itself
+def _ref_slots_for_box(door, name, level, box):
+    dplan = door.dataset(level, name)
     if dplan is None:
-        return None, set()
-    region = box if box is not None else plan.structure[level].domain
-    return dplan, {index for index, slot in enumerate(dplan.slots)
-                   if slot.block.box.intersects(region)}
+        return set()
+    region = box if box is not None else door.structure[level].domain
+    return {index for index, slot in enumerate(dplan.slots)
+            if slot.block.box.intersects(region)}
 
 
 class TestSelfDescribingRoundTrip:
@@ -260,9 +250,8 @@ class TestLazyRandomAccess:
         with repro.open(str(path)) as handle:
             # one unit block of one rank: strictly fewer chunks than the dataset
             plan = handle._scan()
-            slot = plan.dataset(0, "baryon_density").slots[0]
-            handle.read_field("baryon_density", level=0, box=slot.block.box,
-                              refill=False)
+            block = plan.dataset(0, "baryon_density").layout.box(0)
+            handle.read_field("baryon_density", level=0, box=block, refill=False)
             assert handle.stats.chunks_decoded == 1
             assert handle.stats.chunks_decoded < info.nchunks
             # ... and of that chunk, the one unit block the box lies in
@@ -276,9 +265,8 @@ class TestLazyRandomAccess:
             total = fresh.stats.blocks_decoded
         with repro.open(str(path)) as handle:
             plan = handle._scan()
-            slot = plan.dataset(0, "baryon_density").slots[0]
-            handle.read_field("baryon_density", level=0, box=slot.block.box,
-                              refill=False)
+            block = plan.dataset(0, "baryon_density").layout.box(0)
+            handle.read_field("baryon_density", level=0, box=block, refill=False)
             warmed = handle.stats.blocks_decoded
             assert warmed >= 1
             back = handle.read()
@@ -320,7 +308,7 @@ class TestLazyRandomAccess:
             dense = handle.read_field("xmom", level=0)
             box = Box((5, 3, 7), (20, 17, 30))
             window = handle.read_field("xmom", level=0, box=box)
-            domain = handle._scan().structure[0].domain
+            domain = handle.header.levels[0].domain()
             np.testing.assert_array_equal(
                 window, dense[box.slices(origin=domain.lo)])
 
@@ -345,11 +333,11 @@ class TestLazyRandomAccess:
         with repro.open(three_level_plotfile) as handle, \
                 repro.open(three_level_plotfile) as ref_handle:
             ref = parent_chunk_door(ref_handle)
-            structure = handle._scan().structure
-            assert handle._scan().remove_redundancy and structure.nlevels == 3
+            header = handle.header
+            assert header.remove_redundancy and header.nlevels == 3
             full = handle.read()
             for level in range(3):
-                domain = structure[level].domain
+                domain = header.levels[level].domain()
                 boxes = _random_boxes(rng, domain, 10) + [None, Box.empty(3)]
                 for box in boxes:
                     for refill in (True, False):
@@ -376,41 +364,45 @@ class TestLazyRandomAccess:
 
     @pytest.mark.parametrize("which", ["three_level_plotfile",
                                        "stream_aligned_plotfile"])
-    def test_planned_blocks_equal_per_slot_reference(self, which, request):
+    def test_planned_blocks_equal_per_slot_reference(self, which, request,
+                                                     parent_chunk_door):
         path = request.getfixturevalue(which)
         rng = np.random.default_rng(13)
         with repro.open(path) as handle:
             plan = handle._scan()
+            door = parent_chunk_door(handle)
             spans = 0
             for level in range(3):
-                domain = plan.structure[level].domain
-                dplan = plan.dataset(level, "rho")
-                assert dplan is _ref_dataset(plan, level, "rho")
-                # one index per level, shared by the level's datasets
-                assert dplan.boxes is plan.dataset(level, "temp").boxes
-                assert [s.block.box for s in dplan.slots] == list(dplan.boxes)
+                domain = plan.header.levels[level].domain()
+                dplan, ref = plan.dataset(level, "rho"), door.dataset(level, "rho")
+                # one layout per level, shared by the level's datasets ...
+                assert dplan.layout is plan.dataset(level, "temp").layout
+                # ... and block for block the slots the door derives itself
+                assert [dplan.layout.box(i) for i in range(dplan.layout.nblocks)] \
+                    == [s.block.box for s in ref.slots]
+                assert dplan.offsets.tolist() == [s.offset for s in ref.slots]
                 spans += sum(s.offset // dplan.chunk_elements
                              != (s.offset + s.size - 1) // dplan.chunk_elements
-                             for s in dplan.slots)
+                             for s in ref.slots)
                 boxes = _random_boxes(rng, domain, 25) + [
                     None, domain.shift(100),                  # outside the domain
                     Box(domain.hi, domain.hi), Box(domain.lo, domain.lo)]
                 if level < 2:       # a region whose cells all live one level up
-                    boxes += [b for b in plan.fine_coarsened[level]]
+                    boxes += list(plan.layouts[level].covered)
                 for box in boxes:
                     for name in ("rho", "temp"):
                         needed = {}
                         read = handle._plan_box(name, level, box, False, None, needed)
-                        want_dplan, want = _ref_slots_for_box(handle, name, level, box)
-                        assert read.dplan is want_dplan and not read.finer
-                        assert needed == ({want_dplan: want} if want else {})
-                        assert all(type(i) is int for i in needed.get(want_dplan, ()))
+                        want = _ref_slots_for_box(door, name, level, box)
+                        assert read.dplan is plan.dataset(level, name) and not read.finer
+                        assert needed == ({read.dplan: want} if want else {})
+                        assert all(type(i) is int for i in needed.get(read.dplan, ()))
             # boxes spanning chunk boundaries exist exactly where chunking is
             # decoupled from ranks
             assert (spans > 0) == (which == "stream_aligned_plotfile")
             if which == "three_level_plotfile":
                 # cells under a finer box were dropped: nothing to decode there
-                covered = plan.fine_coarsened[0][0]
+                covered = plan.layouts[0].covered[0]
                 needed = {}
                 read = handle._plan_box("rho", 0, covered, True, None, needed)
                 assert not read.hits and read.finer
@@ -431,7 +423,7 @@ class TestLazyRandomAccess:
                 repro.open(stream_aligned_plotfile) as ref_handle:
             ref = parent_chunk_door(ref_handle)
             for level in range(3):
-                domain = handle._scan().structure[level].domain
+                domain = handle.header.levels[level].domain()
                 for box in _random_boxes(rng, domain, 8):
                     got = handle.read_field("temp", level=level, box=box)
                     assert np.array_equal(got, ref.read_field(
@@ -567,6 +559,40 @@ class TestCorruptHeaders:
         with pytest.raises(ValueError):
             repro.open(str(path)).read()
 
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("garble, message", [
+        (lambda lo, hi: [[v + 2 ** 70 for v in lo], [v + 2 ** 70 for v in hi]], "int64"),
+        (lambda lo, hi: [lo, [v - 1 for v in lo]], "empty")])
+    def test_hostile_box_raises_value_error(self, nyx_hierarchy, tmp_path, level, garble,
+                                            message):
+        """A box past int64 or an empty box: a ValueError where header ints
+        become arrays — never an OverflowError, never a numpy error."""
+        path = self._written(nyx_hierarchy, tmp_path)
+
+        def hostile(sb):
+            boxes = sb["header"]["levels"][level]["boxes"]
+            boxes[0] = garble(*boxes[0])
+
+        _rewrite_superblock(path, hostile)
+        with repro.open(str(path)) as handle:
+            for read in (handle.read, lambda: handle.read_field("baryon_density")):
+                with pytest.raises(ValueError, match=message):
+                    read()
+
+    @pytest.mark.parametrize("filter_id", ["zlib", "sz_classic", "sz_amric"])
+    def test_filter_id_no_writer_emits_is_unknown(self, nyx_hierarchy, tmp_path, filter_id):
+        path = self._written(nyx_hierarchy, tmp_path)
+
+        def retag(sb):
+            for dataset in sb["datasets"]:
+                dataset["filter_id"] = filter_id
+
+        _rewrite_superblock(path, retag)
+        with repro.open(str(path)) as handle:
+            for read in (handle.read, lambda: handle.read_field("baryon_density")):
+                with pytest.raises(ValueError, match=f"unknown filter '{filter_id}'"):
+                    read()
+
     def test_rank_out_of_range_raises(self, nyx_hierarchy, tmp_path):
         path = self._written(nyx_hierarchy, tmp_path)
 
@@ -621,11 +647,11 @@ class TestStagedPipelinePieces:
             for dplan in plan.datasets:
                 info = f.datasets[dplan.name]
                 assert dplan.nchunks == info.nchunks
-                assert sum(s.size for s in dplan.slots) <= info.nelements
+                assert dplan.layout.sizes.sum() <= info.nelements
                 # rank-aligned plotfiles: every slot stays inside its chunk
-                for slot in dplan.slots:
-                    chunk = slot.offset // dplan.chunk_elements
-                    assert (slot.offset + slot.size - 1) // dplan.chunk_elements == chunk
+                last = dplan.offsets + dplan.layout.sizes - 1
+                assert np.array_equal(dplan.offsets // dplan.chunk_elements,
+                                      last // dplan.chunk_elements)
 
     def test_in_memory_write_has_no_header_to_scan(self, nyx_hierarchy):
         # commit_header is a no-op without a file; nothing to assert beyond
@@ -664,10 +690,10 @@ class TestOnePassPerJob:
         _write(multirank_hierarchy, path, compressor=codec, error_bound=1e-3)
         with H5LiteFile(str(path), "r") as f, make_backend(backend) as pool:
             plan = scan_plotfile(f)
-            every = [d.pieces_of(range(len(d.slots))) for d in plan.datasets]
-            whole = [make_decode_job(f, d, wanted, plan)
+            every = [d.pieces_of(range(d.layout.nblocks)) for d in plan.datasets]
+            whole = [make_decode_job(f, d, wanted)
                      for d, wanted in zip(plan.datasets, every)]
-            single = [make_decode_job(f, d, {chunk: wanted[chunk]}, plan)
+            single = [make_decode_job(f, d, {chunk: wanted[chunk]})
                       for d, wanted in zip(plan.datasets, every) for chunk in wanted]
             assert max(len(job.payloads) for job in whole) > 1
             alone = iter(pool.map(decode_job, single))
@@ -687,7 +713,7 @@ class TestOnePassPerJob:
             d, wanted = plan.datasets[0], every[0]
             some = {chunk: ordinals[::2] for chunk, ordinals in wanted.items()}
             assert sum(map(len, some.values())) < sum(map(len, wanted.values()))
-            full, part = pool.map(decode_job, [whole[0], make_decode_job(f, d, some, plan)])
+            full, part = pool.map(decode_job, [whole[0], make_decode_job(f, d, some)])
             by_piece = dict(zip(full.pieces, full.blocks))
             asked = [(chunk, ordinal) for chunk, ordinals in some.items() for ordinal in ordinals]
             assert part.pieces == (asked if codec == "sz_lr" else full.pieces)

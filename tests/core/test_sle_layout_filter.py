@@ -6,7 +6,7 @@ import pytest
 from repro.compress.metrics import psnr
 from repro.compress.sz_lr import SZLRCompressor
 from repro.core.config import AMRICConfig
-from repro.core.filter_mod import AMRICLevelFilter, ChunkPlan, plan_level_chunks
+from repro.core.filter_mod import AMRICLevelFilter, ChunkPlan
 from repro.core.layout import build_rank_buffer_box_major, build_rank_buffer_field_major
 from repro.core.preprocess import preprocess_level
 from repro.core.sle import (
@@ -131,23 +131,12 @@ class TestLayout:
         assert bm.smallest_segment < field_elems
 
 
-class TestChunkPlanning:
-    def test_plan_level_chunks_modified(self):
-        layout = plan_level_chunks([1000, 4000, 2500], modify_filter=True)
-        assert layout.chunk_elements == 4000
-        assert layout.total_padded_elements == 0
-
-    def test_plan_level_chunks_naive(self):
-        layout = plan_level_chunks([1000, 4000, 2500], modify_filter=False)
-        assert layout.total_padded_elements == 3000 + 0 + 1500
-
-
 class TestAMRICLevelFilter:
     def _blocks_and_chunk(self, hierarchy, field="baryon_density", level=1):
         from repro.core.preprocess import extract_block_data
 
         pre = preprocess_level(hierarchy, level, unit_block_size=16)
-        blocks = pre.blocks_on_rank(pre.unit_blocks[0].rank)
+        blocks = [b for b in pre.unit_blocks if b.rank == pre.unit_blocks[0].rank]
         data = extract_block_data(hierarchy[level], field, blocks)
         flat = np.concatenate([d.reshape(-1) for d in data])
         vrange = float(max(d.max() for d in data) - min(d.min() for d in data))

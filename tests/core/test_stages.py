@@ -30,17 +30,19 @@ class TestPlanStage:
         # one dataset per level per field
         assert len(plan.datasets) == nyx_hierarchy.nlevels * nyx_hierarchy.ncomp
         for dplan in plan.datasets:
-            assert dplan.chunk_elements == max(dplan.per_rank_elements)
-            for spec in dplan.rank_specs:
-                assert spec.valid_elements == sum(b.size for b in spec.blocks)
-                assert spec.actual_elements == spec.valid_elements  # modify_filter on
+            layout = dplan.layout
+            assert dplan.chunk_elements == max(layout.rank_elements)
+            for run, valid, plan_ in zip(layout.rank_runs, layout.rank_elements,
+                                         dplan.chunk_plans):
+                assert valid == layout.sizes[run].sum() == plan_.nelements
+            # modify_filter on: the filter is told what each rank holds
+            assert dplan.actual_elements == layout.rank_elements
 
     def test_plan_naive_filter_pads(self, nyx_hierarchy):
         cfg = AMRICConfig(error_bound=1e-3, modify_filter=False)
         plan = plan_write(nyx_hierarchy, cfg)
         for dplan in plan.datasets:
-            for spec in dplan.rank_specs:
-                assert spec.actual_elements == dplan.chunk_elements
+            assert dplan.actual_elements == [dplan.chunk_elements] * len(dplan.layout.ranks)
 
     def test_plan_charges_allreduce_per_dataset(self, nyx_hierarchy):
         cfg = AMRICConfig(error_bound=1e-3)
@@ -58,11 +60,11 @@ class TestPackEncodeStages:
         packed = pack_dataset(nyx_hierarchy[dplan.level], dplan)
         assert packed.data.size == dplan.total_elements
         ce = dplan.chunk_elements
-        for i, spec in enumerate(dplan.rank_specs):
+        for i, valid in enumerate(dplan.layout.rank_elements):
             chunk = packed.data[i * ce:(i + 1) * ce]
-            assert np.all(chunk[spec.valid_elements:] == 0.0)   # padding tail
+            assert np.all(chunk[valid:] == 0.0)                  # padding tail
             flat = np.concatenate([d.reshape(-1) for d in packed.originals[i]])
-            np.testing.assert_array_equal(chunk[:spec.valid_elements], flat)
+            np.testing.assert_array_equal(chunk[:valid], flat)
 
     def test_encode_job_is_pure(self, nyx_hierarchy):
         """The same job encodes to the same bytes every time (no hidden state)."""
@@ -74,7 +76,7 @@ class TestPackEncodeStages:
         first = encode_job(job)
         second = encode_job(job)
         assert first.payloads == second.payloads
-        assert first.filter_calls == len(dplan.rank_specs)
+        assert first.filter_calls == len(dplan.layout.ranks)
 
 
 def _per_chunk_reference(job):

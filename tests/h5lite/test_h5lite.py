@@ -10,9 +10,7 @@ from repro.h5lite import (
     NoCompressionFilter,
     SZChunkFilter,
     amrex_chunk_elements,
-    amric_chunk_elements,
 )
-from repro.h5lite.filters import LosslessFilter
 
 
 @pytest.fixture
@@ -199,14 +197,6 @@ class TestFilters:
         with pytest.raises(ValueError):
             filt.encode(np.zeros(10), actual_elements=0)
 
-    def test_lossless_filter_roundtrip(self, tmp_path, sample_data):
-        path = tmp_path / "z.h5z"
-        with H5LiteFile(path, "w") as f:
-            f.create_dataset("x", sample_data, chunk_elements=2048, filter=LosslessFilter())
-        with H5LiteFile(path, "r") as f:
-            back = f.read_dataset("x", filter=LosslessFilter())
-        np.testing.assert_array_equal(back, sample_data)
-
     def test_nocompression_stats(self):
         filt = NoCompressionFilter()
         filt.encode(np.zeros(100))
@@ -219,11 +209,6 @@ class TestChunking:
         assert amrex_chunk_elements() == 1024
         assert amrex_chunk_elements(smallest_box_elements=500) == 500
         assert amrex_chunk_elements(smallest_box_elements=10**6) == 1024
-
-    def test_amric_chunk_is_max_rank_size(self):
-        assert amric_chunk_elements([100, 5000, 2300]) == 5000
-        with pytest.raises(ValueError):
-            amric_chunk_elements([0, 0])
 
     def test_file_size_reflects_compression(self, tmp_path, sample_data):
         comp = SZ1DCompressor(1e-3)

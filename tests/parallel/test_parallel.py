@@ -1,11 +1,8 @@
 """Tests for the simulated MPI communicator, file-system model and I/O cost model."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.parallel import IOCostModel, ParallelFileSystem, RankWorkload, SimComm
-from repro.parallel.collective import padding_overhead, plan_shared_dataset
 
 
 class TestSimComm:
@@ -67,37 +64,6 @@ class TestFilesystem:
             fs.aggregate_bandwidth(0)
         with pytest.raises(ValueError):
             fs.write_seconds(-1, 1)
-
-
-class TestSharedDatasetLayout:
-    def test_plan_basics(self):
-        layout = plan_shared_dataset([100, 300, 200], pass_actual_size=True)
-        assert layout.chunk_elements == 300
-        assert layout.total_padded_elements == 0
-        assert layout.padded_elements_for_rank(0) == 0
-
-    def test_padding_without_actual_size(self):
-        layout = plan_shared_dataset([100, 300, 200], pass_actual_size=False)
-        assert layout.total_padded_elements == (300 - 100) + 0 + (300 - 200)
-        assert layout.padded_elements_for_rank(0) == 200
-
-    def test_padding_overhead_fraction(self):
-        assert padding_overhead([100, 100]) == 0.0
-        assert padding_overhead([100, 300]) == pytest.approx(200 / 400)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            plan_shared_dataset([])
-        with pytest.raises(ValueError):
-            plan_shared_dataset([0, 0])
-        with pytest.raises(ValueError):
-            plan_shared_dataset([-1, 5])
-
-    @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=50))
-    def test_padding_nonnegative_property(self, sizes):
-        layout = plan_shared_dataset(sizes, pass_actual_size=False)
-        assert layout.total_padded_elements >= 0
-        assert layout.chunk_elements >= max(sizes)
 
 
 class TestIOCostModel:

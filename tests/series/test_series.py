@@ -296,12 +296,13 @@ class TestGroupedChainDecode:
         chunks the reference speaks in (slot offsets address the chunked stream)."""
         handle = series.open_step(step)
         datasets = handle._scan().datasets
-        got = handle._blocks({d: range(len(d.slots)) for d in datasets})
+        got = handle._blocks({d: range(d.layout.nblocks) for d in datasets})
         out = {}
         for d in datasets:
             flat = np.zeros(d.nchunks * d.chunk_elements)
-            for index, slot in enumerate(d.slots):
-                flat[slot.offset:slot.offset + slot.size] = got[d][index].reshape(-1)
+            for index, (offset, size) in enumerate(zip(d.offsets.tolist(),
+                                                       d.layout.sizes.tolist())):
+                flat[offset:offset + size] = got[d][index].reshape(-1)
             for chunk in range(d.nchunks):
                 out[(d.name, chunk)] = flat[chunk * d.chunk_elements:
                                             (chunk + 1) * d.chunk_elements]
@@ -338,10 +339,11 @@ class TestGroupedChainDecode:
                 handle = planted.open_step(step)
                 reference = self._reference_chunks(chained_dir, step)
                 for d in handle._scan().datasets:
-                    for index, slot in enumerate(d.slots):
-                        chunk, local = divmod(slot.offset, d.chunk_elements)
+                    for index, (offset, size) in enumerate(zip(d.offsets.tolist(),
+                                                               d.layout.sizes.tolist())):
+                        chunk, local = divmod(offset, d.chunk_elements)
                         planted.cache.put((handle.path, d.name, index),
-                                          reference[(d.name, chunk)][local:local + slot.size].copy())
+                                          reference[(d.name, chunk)][local:local + size].copy())
             want_last = planted.read(step=-1)
             _, want_slice = planted.time_slice("temperature", box=box, refill=False)
             assert planted.stats.chunks_decoded == 0 == planted.stats.blocks_decoded
@@ -364,7 +366,7 @@ class TestGroupedChainDecode:
             handle = series.open_step(-1)
             plan = handle._scan()
             nchunks = sum(d.nchunks for d in plan.datasets)
-            nslots = sum(len(d.slots) for d in plan.datasets)
+            nslots = sum(d.layout.nblocks for d in plan.datasets)
             def chain_length(name, step=self.NSTEPS - 1):
                 ref = series.index.steps[step].dataset(name).ref
                 return 1 if ref is None else 1 + chain_length(name, ref)

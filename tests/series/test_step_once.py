@@ -152,14 +152,17 @@ def test_flat_chunk_tally_matches_the_per_block_tally(tmp_path, modify_filter):
             grid = grids[dplan.field]
             result = temporal_encode_job(TemporalEncodeJob(
                 key=dplan.name, data=pack.data, chunk_elements=dplan.chunk_elements,
-                actual_sizes=[spec.actual_elements for spec in dplan.rank_specs],
+                actual_sizes=dplan.actual_elements,
                 eb_abs=grid.eb_abs, offset=grid.offset))
             blocked = []
-            for (recon,), spec in zip(result.reconstructions, dplan.rank_specs):
-                padded += recon.size - spec.valid_elements
-                bounds = np.cumsum([0] + [b.box.size for b in spec.blocks])
-                blocked.append([recon[a:b].reshape(blk.box.shape)
-                                for a, b, blk in zip(bounds, bounds[1:], spec.blocks)])
+            layout = dplan.layout
+            for (recon,), valid, run in zip(result.reconstructions, layout.rank_elements,
+                                            layout.rank_runs):
+                padded += recon.size - valid
+                shapes = layout.shapes[run]
+                bounds = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
+                blocked.append([recon[a:b].reshape(shape)
+                                for a, b, shape in zip(bounds, bounds[1:], shapes)])
             result.reconstructions = blocked
             flat, ref = next(records), dataset_record(dplan, pack.originals, result)
             assert abs(flat.psnr - ref.psnr) < 1e-9

@@ -117,7 +117,7 @@ class TestOneLookupAtMostOneDecodePerRequest:
                 assert handle.stats.blocks_decoded - decoded == misses
                 # (a payload is entropy-decoded in part: never more payloads than blocks)
                 assert bool(misses) <= handle.stats.chunks_decoded - chunks <= misses
-            total = sum(len(d.slots) for d in handle._scan().datasets)
+            total = sum(d.layout.nblocks for d in handle._scan().datasets)
             lookups, hits = _lookups(cache), cache.stats.hits
             decoded = handle.stats.blocks_decoded
             offered = cache.stats.insertions + cache.stats.rejected
@@ -161,8 +161,7 @@ class TestOneLookupAtMostOneDecodePerRequest:
     def test_a_warm_one_block_read_is_one_hit_and_a_rejecting_cache_one_decode(
             self, service_plotfile):
         with repro.open(service_plotfile) as probe:
-            slot = probe._scan().dataset(0, FIELD).slots[0]
-        box = slot.block.box                    # one unit block
+            box = probe._scan().dataset(0, FIELD).layout.box(0)     # one unit block
         with QueryEngine() as engine:
             engine.read_field(service_plotfile, FIELD, box=box, refill=False)
             engine.read_field(service_plotfile, FIELD, box=box, refill=False)
@@ -211,21 +210,20 @@ class TestABlockReadDoesNotDecodeItsChunk:
             plan = handle._scan()
             coarse = plan.dataset(0, FIELD)
             # an uncovered 16^3 unit block of a chunk that holds more than it
-            index, slot = next(
-                (i, s) for i, s in enumerate(coarse.slots)
-                if s.block.box.shape == (16, 16, 16)
-                and not plan.fine_coarsened[0].intersections(s.block.box))
-            chunk_cells = sum(size for _, size in coarse.layout(coarse._span[index][0]))
-            assert chunk_cells > slot.size == 4096
-            inside = Box(tuple(l + 3 for l in slot.block.box.lo),
-                         tuple(h - 5 for h in slot.block.box.hi))
+            index, block = next(
+                (i, coarse.layout.box(i)) for i in range(coarse.layout.nblocks)
+                if coarse.layout.shapes[i] == (16, 16, 16)
+                and not plan.layouts[0].covered.intersects(coarse.layout.box(i)))
+            chunk_cells = sum(size for _, size in coarse.chunk_layout(coarse._span[index][0]))
+            assert chunk_cells > coarse.layout.sizes[index] == 4096
+            inside = Box(tuple(l + 3 for l in block.lo), tuple(h - 5 for h in block.hi))
             got = handle.read_field(FIELD, box=inside)
             assert passes == [4096]
             assert (handle.stats.chunks_decoded, handle.stats.blocks_decoded) == (1, 1)
             assert handle._cache.keys() == [(handle.path, coarse.name, index)]
             # two cells across the edge of a refined region: a block of each level
             del passes[:]
-            domain = plan.structure[0].domain
+            domain = plan.header.levels[0].domain()
             for lo in np.ndindex(*(n - 1 for n in domain.shape)):
                 edge, needed = Box(lo, (lo[0] + 1, lo[1], lo[2])), {}
                 handle._plan_box(FIELD, 0, edge, True, None, needed)
@@ -235,7 +233,7 @@ class TestABlockReadDoesNotDecodeItsChunk:
                             for d, slots in needed.items() for i in slots):
                     break
             both = handle.read_field(FIELD, box=edge)
-            assert sorted(passes) == sorted(d.slots[i].size for d, slots in needed.items()
+            assert sorted(passes) == sorted(d.layout.sizes[i] for d, slots in needed.items()
                                             for i in slots)
             assert handle.stats.blocks_decoded == 3
         with repro.open(service_plotfile) as whole:
@@ -381,7 +379,7 @@ class TestAPayloadOfAnotherDatasetIsRefused:
         with repro.open(service_plotfile) as good, repro.open(swapped) as handle:
             level = int(into[-1])
             dplan = handle._scan().dataset(level, FIELD)
-            first = dplan.slots[0].block.box      # in chunk 0: the swapped payload
+            first = dplan.layout.box(0)           # in chunk 0: the swapped payload
             for read in (lambda: handle.read_field(FIELD, level=level, box=first, refill=False),
                          handle.read):
                 with pytest.raises(ValueError, match=rf"{into}/{FIELD}, chunks \[0") as exc:
@@ -392,7 +390,7 @@ class TestAPayloadOfAnotherDatasetIsRefused:
                                   good.read_field("temperature", level=level))
             for index, (chunk, _) in enumerate(dplan._span):
                 if chunk > 0:
-                    box = dplan.slots[index].block.box
+                    box = dplan.layout.box(index)
                     assert np.array_equal(
                         handle.read_field(FIELD, level=level, box=box, refill=False),
                         good.read_field(FIELD, level=level, box=box, refill=False))
@@ -405,9 +403,9 @@ class TestNoWorkForWhatIsCached:
         built = []
         make = reader_mod.make_decode_job
 
-        def recording(f, dplan, wanted, plan):
+        def recording(f, dplan, wanted):
             built.append(list(wanted))
-            return make(f, dplan, wanted, plan)
+            return make(f, dplan, wanted)
 
         monkeypatch.setattr(reader_mod, "make_decode_job", recording)
         return built
@@ -446,16 +444,13 @@ class TestNoWorkForWhatIsCached:
             first, second = handle.read(), handle.read()
             handle.read_field(FIELD)
             assert len(scans) == 1
-            assert first is not second and first is not handle._scan().structure
+            assert first is not second
             for a, b in zip(_fabs(first), _fabs(second)):
                 assert np.array_equal(a, b) and not np.shares_memory(a, b)
             _fabs(first)[0][...] = -1.0         # the caller's to scribble on
             third = handle.read()
             for b, c in zip(_fabs(second), _fabs(third)):
                 assert np.array_equal(b, c)
-            # the scan's hierarchy is geometry only: no read ever touched its arrays
-            assert all(fab._data is None for level in handle._scan().structure.levels
-                       for fab in level.multifab)
 
 
 class TestOneCacheManyFiles:
