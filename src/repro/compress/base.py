@@ -96,6 +96,14 @@ class Compressor(abc.ABC):
             raise ValueError(f"{self.name} cannot compress non-finite values (NaN or Inf)")
         return data
 
+    def _check_magnitude(self, data: np.ndarray, abs_eb: float) -> None:
+        """Refuse ``data`` whose codes ``rint(x / (2·eb))`` would not fit int64:
+        the cast would wrap and the reconstruction silently miss the bound."""
+        largest = float(np.abs(data).max())
+        if largest / (2.0 * abs_eb) >= 2.0 ** 62:
+            raise ValueError(f"{self.name} cannot quantise magnitude {largest:.6g} at error "
+                             f"bound {abs_eb:.6g}: |x| / (2·eb) must stay below 2**62")
+
     def resolve_eb(self, data: np.ndarray, value_range: float | None = None) -> float:
         """Absolute error bound for this input."""
         return self.error_bound.resolve(data, value_range=value_range)

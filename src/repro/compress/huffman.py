@@ -608,17 +608,18 @@ def unpack_sync(blob: bytes, lane_counts: Sequence[int]) -> List[Optional[np.nda
     """Invert :func:`pack_sync`; ``lane_counts`` gives lanes per stream.
 
     Returns ``None`` entries (→ scalar decode fallback) if the blob does not
-    hold exactly the expected number of deltas.
+    hold exactly the expected number of deltas.  One running sum over all
+    streams, each stream's share less the (exact, int64) sum in front of it.
     """
-    deltas = np.frombuffer(zlib_decompress(blob), dtype=np.uint16).astype(np.int64)
-    if deltas.size != int(sum(lane_counts)):
+    deltas = np.frombuffer(zlib_decompress(blob), dtype=np.uint16)
+    counts = np.asarray(lane_counts, dtype=np.int64)
+    if (counts < 0).any() or deltas.size != int(counts.sum()):
         return [None] * len(lane_counts)
-    out: List[Optional[np.ndarray]] = []
-    pos = 0
-    for count in lane_counts:
-        out.append(np.cumsum(deltas[pos:pos + count]))
-        pos += count
-    return out
+    offsets = np.cumsum(deltas, dtype=np.int64)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    offsets -= np.repeat(np.concatenate(([0], offsets))[starts], counts)
+    return [offsets[lo:hi] for lo, hi in zip(starts.tolist(), ends.tolist())]
 
 
 def unpack_sync_for(blob: Optional[bytes], interval: int,

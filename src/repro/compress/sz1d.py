@@ -44,6 +44,7 @@ class SZ1DCompressor(Compressor):
         original_shape = tuple(int(s) for s in data.shape)
         flat = data.reshape(-1)
         abs_eb = self.resolve_eb(flat)
+        self._check_magnitude(flat, abs_eb)
 
         q = np.rint(flat / (2.0 * abs_eb)).astype(np.int64)
         deltas = np.diff(q, prepend=np.int64(0))

@@ -164,6 +164,7 @@ class SZInterpCompressor(Compressor):
         original_nbytes = int(np.asarray(data).nbytes)
         data = self._as_input(data)
         abs_eb = self.resolve_eb(data)
+        self._check_magnitude(data, abs_eb)
         shape = tuple(int(s) for s in data.shape)
 
         recon = np.zeros(shape, dtype=np.float64)

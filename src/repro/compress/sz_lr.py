@@ -30,7 +30,8 @@ Public entry points
     buffer, in order; ``compress`` and ``compress_many`` are its batch of one.
 ``decompress_batch``
     ``decompress_many`` over the buffers of one decode job: parsed one by one,
-    entropy-decoded in one Huffman lane pass, reconstructed one by one —
+    entropy-decoded in one Huffman lane pass, reconstructed in one pass per
+    run of buffers under one bound and dtype (in practice the whole job) —
     optionally only a selection of each buffer's arrays (the unit blocks a
     box read meets).
 
@@ -43,8 +44,9 @@ decoder does not walk them: every stored stream is in (array, region, cell)
 order — the order of the concatenated codes — so outliers, anchors and
 coefficient rows are placed by whole-chunk passes, and ``_flat_plan(shape,
 block_size)``, the region plan flattened to per-cell index tables, turns each
-shape group's rows into values in one pass (one gather to array order, one
-``cumsum`` per axis, one plane evaluation).
+shape group's rows into values in one pass (one gather to array order, a
+slab-wise prefix sum per axis, one plane evaluation) — the shape groups of a
+whole decode job's run of buffers, not of one buffer.
 """
 
 from __future__ import annotations
@@ -191,6 +193,21 @@ def _lorenzo(stack: np.ndarray, segments) -> np.ndarray:
     return stack
 
 
+def _prefix_sum(values: np.ndarray, remainder_at: Sequence[int]) -> np.ndarray:
+    """Inverse of :func:`_lorenzo`, in place: along each axis of the stacked
+    arrays (axis 0 indexes them) a running sum restarted where the remainder
+    segment starts (``remainder_at``; 0: none) — one ``+=`` per slab, where
+    numpy's int64 ``cumsum`` is a strided loop (DESIGN.md §1).  int64 addition
+    wraps alike in any order, so this is the segmented ``cumsum`` bit for bit.
+    """
+    for axis, restart in enumerate(remainder_at, start=1):
+        lead = (slice(None),) * axis
+        for i in range(1, values.shape[axis]):
+            if i != restart:
+                values[lead + (i,)] += values[lead + (i - 1,)]
+    return values
+
+
 def _to_blocks(stacked_region: np.ndarray, region: _Region) -> np.ndarray:
     """``(m,) + region.shape`` -> ``(m * nblocks,) + block_shape``, array-major."""
     ndim = len(region.shape)
@@ -304,6 +321,7 @@ class SZLRCompressor(Compressor):
         for shape, members in _group_by_shape(shapes).items():
             segments, regions = _region_plan(shape, block_size)
             stack = np.stack([arrays[i] for i in members])
+            self._check_magnitude(stack, abs_eb)
             m = len(members)
             quantised = np.rint(stack / two_eb).astype(np.int64)
             recon = quantised * two_eb          # Lorenzo's; regression regions overwrite
@@ -378,7 +396,8 @@ class SZLRCompressor(Compressor):
                       codes: Sequence[np.ndarray], side: Dict[str, np.ndarray],
                       counts: np.ndarray) -> List[np.ndarray]:
         """Invert :meth:`_encode_batch`; ``side`` and ``counts`` are the stored
-        concatenations.
+        concatenations — of one buffer, or of several put end to end
+        (:meth:`decompress_batch` hands over a decode job's run at once).
 
         Every stream is stored in (array, region, cell) order, which is the
         order of the concatenated codes, so nothing is walked with a cursor:
@@ -452,15 +471,9 @@ class SZLRCompressor(Compressor):
             stack_shape = (len(members),) + shape
             first_cell = array_first_cell[members][:, None]
             # inverse Lorenzo of every region (regression's cells are
-            # overwritten below): a cumsum per axis restarted at the remainder
-            # segment (int64, so subtracting the running value is exact)
+            # overwritten below)
             values = quantised.take(plan.lorenzo_source + first_cell).reshape(stack_shape)
-            for axis, full in enumerate(plan.remainder_at, start=1):
-                np.cumsum(values, axis=axis, out=values)
-                if full:
-                    lead = (slice(None),) * axis
-                    values[lead + (slice(full, None),)] -= values[lead + (slice(full - 1, full),)]
-            values = values * two_eb
+            values = _prefix_sum(values, plan.remainder_at) * two_eb
             regions = array_first_region[members][:, None] + np.arange(plan.region_volume.size)
             chosen = by_regression[regions]
             if chosen.any():
@@ -538,7 +551,10 @@ class SZLRCompressor(Compressor):
     def _parse(self, payload: bytes):
         """``(meta, Huffman pairs, side streams, counts)`` of a payload: every
         section read and checked, the entropy decode left to the caller (who
-        batches it over the payloads of a job)."""
+        batches it over the payloads of a job).  The payload is held to its
+        ``counts`` rows — a shape and a Huffman stream per row, each
+        :data:`_SIDE` stream what its column sums to — since :meth:`_narrow`
+        locates arrays by them and a run put end to end is checked whole."""
         cont = ctn.unpack_container(payload, expect_codec=self.name)
         meta, sections = cont.meta, cont.sections
         for key in ("shared", "shapes", "abs_eb", "dtype"):
@@ -551,6 +567,10 @@ class SZLRCompressor(Compressor):
         if len(raw_counts) % 48:
             raise ValueError("sz_lr payload: counts is not rows of six int64")
         counts = np.frombuffer(raw_counts, dtype=np.int64).reshape(-1, 6)
+        narrays = len(counts)
+        if not narrays or len(meta["shapes"]) != narrays or int(counts.min()) < 0:
+            raise ValueError(f"sz_lr payload: counts claims {narrays} arrays (none negative), "
+                             f"meta lists {len(meta['shapes'])} shapes")
         side = {name: ctn.unpack_zarray(section(name)).astype(dtype)
                 for name, dtype in (("anchors", np.int64), ("lorenzo_outliers", np.int64),
                                     ("regression_outliers", np.float64),
@@ -561,10 +581,16 @@ class SZLRCompressor(Compressor):
             # unpackbits would pad a short stream with zeros ("Lorenzo")
             raise ValueError("sz_lr payload: selection stream does not match the counts")
         side["selection"] = np.unpackbits(packed, count=nregions)
+        for name, total in zip(_SIDE, counts[:, :len(_SIDE)].sum(axis=0).tolist()):
+            if side[name].shape[:1] != (total,):
+                raise ValueError(f"sz_lr payload: {name} has shape {side[name].shape}, "
+                                 f"counts claims {total} entries")
 
         interval = int(meta.get("sync_interval", 0))
         if meta["shared"]:
             pairs = ctn.parse_huffman(sections, sync_interval=interval)
+            if len(pairs[0][1].streams) != narrays:
+                raise ValueError("sz_lr payload: not one Huffman stream per array")
         else:
             pairs = ctn.parse_huffman_individual(
                 section("huff_individual"), counts[:, 5].tolist(), interval)
@@ -653,10 +679,9 @@ class SZLRCompressor(Compressor):
         they had been compressed (under the payload's own tables).
 
         An array's share of a :data:`_SIDE` stream is located by the ``counts``
-        rows before it, so the whole payload is held to them first: every
-        stream holds exactly what its column sums to, there is a shape and a
-        Huffman stream per row, ``select`` ascends within them (``ValueError``
-        before anything is cut).
+        rows before it, which :meth:`_parse` has held the payload to;
+        ``select`` must ascend within them (``ValueError`` before anything is
+        cut).
         """
         meta, pairs, side, counts = parsed
         narrays = len(counts)
@@ -666,16 +691,10 @@ class SZLRCompressor(Compressor):
                 or bool((np.diff(select) <= 0).any())):
             raise ValueError(f"sz_lr selection: need ascending indices into {narrays} "
                              f"arrays, at least one; got {select.tolist()}")
-        totals = counts[:, :5].sum(axis=0).tolist()
-        if (int(counts.min()) < 0 or len(meta["shapes"]) != narrays
-                or any(side[name].shape[:1] != (total,) for name, total in zip(_SIDE, totals))):
-            raise ValueError("sz_lr payload: the side streams do not hold what counts claims")
         keep = np.zeros(narrays, dtype=bool)
         keep[select] = True
         if meta["shared"]:
             codec, encoded = pairs[0]
-            if encoded.streams is None or len(encoded.streams) != narrays:
-                raise ValueError("sz_lr payload: not one Huffman stream per array")
             pairs = [(codec, codec.select_streams(encoded, keep))]
         else:
             pairs = [pairs[index] for index in select.tolist()]
@@ -687,30 +706,44 @@ class SZLRCompressor(Compressor):
     def decompress_batch(self, buffers: Sequence[CompressedBuffer | bytes],
                          select: Sequence[Sequence[int] | None] | None = None,
                          ) -> Iterator[List[np.ndarray]]:
-        """:meth:`decompress_many` of several buffers, one after the other, their
-        Huffman streams decoded in one lane pass (a decode job's chunks:
-        DESIGN.md §2).
+        """:meth:`decompress_many` of several buffers (a decode job's chunks:
+        DESIGN.md §2), yielded in order: all parsed, then their Huffman
+        streams decoded in one lane pass, then each run of consecutive buffers
+        under one ``(abs_eb, dtype, ndim)`` — in practice the whole job —
+        reconstructed in one :meth:`_decode_batch`.
 
-        Every buffer is parsed, and all are entropy-decoded, before the first
-        is reconstructed; each is reconstructed exactly as it would be alone,
-        so the arrays do not depend on the batching, and one damaged buffer
-        fails the call.  A generator: a buffer's sections and codes are dropped
-        once its arrays are out, so the job's high-water is its codes plus one
-        buffer's reconstruction.
+        A run's shapes, codes, side streams and ``counts`` rows are put end to
+        end in buffer order (stream order is code order, so nothing is
+        re-indexed) and its arrays split back per buffer.  Prediction is
+        confined to an array, so each comes out exactly as it would alone, and
+        one damaged buffer fails the call, its run yielding nothing.  The
+        job's high-water is its codes plus one run's reconstruction.
 
         ``select[i]`` lists the arrays wanted of buffer ``i`` (ascending;
-        ``None``: all).  Prediction is confined to an array and each is its own
-        byte-aligned Huffman stream, so only those are entropy-decoded and
-        reconstructed (:meth:`_narrow`), to the bytes of the full decode.
+        ``None``: all).  Each array is its own byte-aligned Huffman stream, so
+        only those are entropy-decoded and reconstructed (:meth:`_narrow`), to
+        the bytes of the full decode.
         """
         parsed = [self._parse(self._payload_of(buffer)) for buffer in buffers]
         if select is not None:
             parsed = [entry if wanted is None else self._narrow(entry, wanted)
                       for entry, wanted in zip(parsed, select, strict=True)]
         decoded = ctn.decode_huffman([pairs for _, pairs, _, _ in parsed])
-        while parsed:
-            (meta, _, side, counts), codes = parsed.pop(0), decoded.pop(0)
-            arrays = self._decode_batch([tuple(shape) for shape in meta["shapes"]],
-                                        float(meta["abs_eb"]), codes, side, counts)
-            dtype = np.dtype(meta["dtype"])
-            yield [a.astype(dtype) if dtype != np.float64 else a for a in arrays]
+
+        def run_key(item):
+            meta = item[0][0]
+            return float(meta["abs_eb"]), meta["dtype"], len(meta["shapes"][0])
+
+        for (abs_eb, dtype, _), run in itertools.groupby(zip(parsed, decoded), key=run_key):
+            run = list(run)
+            arrays = self._decode_batch(
+                [tuple(shape) for (meta, *_), _ in run for shape in meta["shapes"]], abs_eb,
+                [c for _, codes in run for c in codes],
+                {name: np.concatenate([side[name] for (_, _, side, _), _ in run])
+                 for name in _SIDE},
+                np.concatenate([counts for (*_, counts), _ in run]))
+            dtype = np.dtype(dtype)
+            hi = 0
+            for (meta, *_), _ in run:
+                lo, hi = hi, hi + len(meta["shapes"])
+                yield [a.astype(dtype) if dtype != np.float64 else a for a in arrays[lo:hi]]

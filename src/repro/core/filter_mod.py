@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.compress.container import required
+from repro.compress.errorbound import ErrorBound
 from repro.compress.registry import create_codec, resolve_codec
 from repro.core.preprocess import (
     PackedArrangement,
@@ -81,13 +82,15 @@ class AMRICLevelFilter(Filter):
     filter_id = "amric_3d"
 
     def __init__(self, compressor: str = "sz_lr", error_bound: float = 1e-3,
-                 use_sle: bool = True, adaptive_block_size: bool = True,
-                 sz_block_size: int = 6, interp_arrangement: str = "cluster",
-                 interp_anchor_stride: int = 16, unit_block_size: int = 16):
+                 error_bound_mode: str = "rel", use_sle: bool = True,
+                 adaptive_block_size: bool = True, sz_block_size: int = 6,
+                 interp_arrangement: str = "cluster", interp_anchor_stride: int = 16,
+                 unit_block_size: int = 16):
         super().__init__()
         resolve_codec(compressor)        # unknown names fail fast with ValueError
         self.compressor = compressor
         self.error_bound = float(error_bound)
+        self._bound = ErrorBound(self.error_bound, error_bound_mode)   # rel: per plan's range
         self.use_sle = bool(use_sle)
         self.adaptive_block_size = bool(adaptive_block_size)
         self.sz_block_size = int(sz_block_size)
@@ -99,7 +102,7 @@ class AMRICLevelFilter(Filter):
         #: the table misses rebuilds it, and the rebuilt table is carried on
         self._shared_codec = None
         self._codec_scope = None      # (field, value_range) the cached table belongs to
-        self._many_codec = None       # cached multi-array codec (relative bound)
+        self._many_codec = None       # cached multi-array codec (the filter's bound)
         self._packed_codec = None     # cached single-array codec (absolute bound)
         self._packed_codec_eb: Optional[float] = None
         self._pending_plans: List[ChunkPlan] = []
@@ -177,7 +180,7 @@ class AMRICLevelFilter(Filter):
         is what unit SLE (§3.2 Solution 1) relies on: one codec call per run
         of chunks of one scope, ``(body, reconstructions, None)`` per chunk."""
         if self._many_codec is None:
-            self._many_codec = spec.create(self.error_bound, block_size=self._sz_block_size_for())
+            self._many_codec = spec.create(self._bound, block_size=self._sz_block_size_for())
         comp = self._many_codec
         out = []
         for scope, run in itertools.groupby(
@@ -202,7 +205,7 @@ class AMRICLevelFilter(Filter):
             packed, arrangement = pack_blocks_cluster(blocks, positions=plan.block_positions)
         else:
             packed, arrangement = pack_blocks_linear(blocks)
-        abs_eb = self.error_bound * plan.value_range
+        abs_eb = self._bound.resolve(value_range=plan.value_range)
         if self._packed_codec is None or self._packed_codec_eb != abs_eb:
             self._packed_codec = spec.create(
                 abs_eb, mode="abs", anchor_stride=self.interp_anchor_stride)

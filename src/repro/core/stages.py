@@ -197,6 +197,7 @@ class FilterSpec:
 
     compressor: str = "sz_lr"
     error_bound: float = 1e-3
+    error_bound_mode: str = "rel"
     use_sle: bool = True
     adaptive_block_size: bool = True
     sz_block_size: int = 6
@@ -208,8 +209,8 @@ class FilterSpec:
     def from_config(config: AMRICConfig) -> "FilterSpec":
         return FilterSpec(
             compressor=config.compressor, error_bound=config.error_bound,
-            use_sle=config.use_sle, adaptive_block_size=config.adaptive_block_size,
-            sz_block_size=config.sz_block_size,
+            error_bound_mode=config.error_bound_mode, use_sle=config.use_sle,
+            adaptive_block_size=config.adaptive_block_size, sz_block_size=config.sz_block_size,
             interp_arrangement=config.interp_arrangement,
             interp_anchor_stride=config.interp_anchor_stride,
             unit_block_size=config.unit_block_size)
@@ -217,8 +218,8 @@ class FilterSpec:
     def make_filter(self) -> AMRICLevelFilter:
         return AMRICLevelFilter(
             compressor=self.compressor, error_bound=self.error_bound,
-            use_sle=self.use_sle, adaptive_block_size=self.adaptive_block_size,
-            sz_block_size=self.sz_block_size,
+            error_bound_mode=self.error_bound_mode, use_sle=self.use_sle,
+            adaptive_block_size=self.adaptive_block_size, sz_block_size=self.sz_block_size,
             interp_arrangement=self.interp_arrangement,
             interp_anchor_stride=self.interp_anchor_stride,
             unit_block_size=self.unit_block_size)

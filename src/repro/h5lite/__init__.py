@@ -31,7 +31,6 @@ from repro.h5lite.filters import (
     Filter,
     NoCompressionFilter,
     SZChunkFilter,
-    AMRICChunkFilter,
 )
 from repro.h5lite.chunking import amrex_chunk_elements
 
@@ -46,6 +45,5 @@ __all__ = [
     "Filter",
     "NoCompressionFilter",
     "SZChunkFilter",
-    "AMRICChunkFilter",
     "amrex_chunk_elements",
 ]

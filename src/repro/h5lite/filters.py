@@ -1,25 +1,19 @@
 """Compression filters for chunked datasets (the H5Z layer).
 
-Two lossy filters are provided:
+:class:`SZChunkFilter` is the classic behaviour AMReX's compression relies
+on: every chunk buffer handed to the filter is compressed in full, *including
+any padding* needed to fill the last (or an oversized) chunk.  The filter has
+no idea how much of the chunk is real data.  The paper's §3.3 modification —
+the writer passes the actual number of valid elements — is
+:class:`repro.core.filter_mod.AMRICLevelFilter`.
 
-* :class:`SZChunkFilter` — the classic behaviour AMReX's compression relies
-  on: every chunk buffer handed to the filter is compressed in full,
-  *including any padding* needed to fill the last (or an oversized) chunk.
-  The filter has no idea how much of the chunk is real data.
-
-* :class:`AMRICChunkFilter` — the paper's §3.3 modification: the writer passes
-  the **actual number of valid elements** for the chunk, the filter compresses
-  only those and records the count so decompression can re-pad.  This is what
-  lets AMRIC use one big chunk per rank without paying for the padding.
-
-Both keep per-call statistics (`FilterStats`) so the I/O cost model can count
+Filters keep per-call statistics (`FilterStats`) so the I/O cost model can count
 compressor launches and padded bytes — the two quantities that drive the
 paper's Figures 17/18.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,7 +27,6 @@ __all__ = [
     "Filter",
     "NoCompressionFilter",
     "SZChunkFilter",
-    "AMRICChunkFilter",
 ]
 
 
@@ -146,42 +139,3 @@ class SZChunkFilter(Filter):
             raise ValueError(
                 f"decompressed chunk has {out.size} elements, expected {chunk_elements}")
         return out
-
-
-class AMRICChunkFilter(Filter):
-    """AMRIC's modified filter: compress only the valid prefix of the chunk.
-
-    The writer passes ``actual_elements`` (the rank's real data size).  The
-    filter compresses only that prefix and stores the count in a tiny header so
-    the decoder can restore the chunk to its nominal size (the tail is padding
-    whose values are irrelevant and restored as zeros).
-    """
-
-    filter_id = "sz_amric"
-
-    def __init__(self, compressor: Compressor):
-        super().__init__()
-        self.compressor = compressor
-
-    def encode(self, chunk: np.ndarray, actual_elements: Optional[int] = None) -> bytes:
-        chunk = np.asarray(chunk, dtype=np.float64).reshape(-1)
-        if actual_elements is None:
-            actual_elements = chunk.size
-        actual_elements = int(actual_elements)
-        if not 0 < actual_elements <= chunk.size:
-            raise ValueError(
-                f"actual_elements {actual_elements} out of range for chunk of {chunk.size}")
-        buffer = self.compressor.compress(chunk[:actual_elements])
-        out = struct.pack("<QQ", actual_elements, chunk.size) + buffer.payload
-        self._account(chunk, actual_elements, out)
-        return out
-
-    def decode(self, payload: bytes, chunk_elements: int) -> np.ndarray:
-        actual_elements, nominal = struct.unpack_from("<QQ", payload, 0)
-        data = np.asarray(self.compressor.decompress(payload[16:]), dtype=np.float64).reshape(-1)
-        if data.size != actual_elements:
-            raise ValueError("corrupt AMRIC chunk: actual-element mismatch")
-        out = np.zeros(chunk_elements, dtype=np.float64)
-        out[:actual_elements] = data
-        return out
-

@@ -94,8 +94,51 @@ class TestCommonContract:
                 cls(bound).compress(data)
 
 
+SPATIAL = [SZLRCompressor, SZInterpCompressor, SZ1DCompressor]
+
+
+@pytest.mark.parametrize("cls", SPATIAL)
+class TestMagnitudeContract:
+    """Quantisation codes ``rint(x / (2·eb))`` are int64: a magnitude whose
+    codes would leave it is refused by name, where the cast used to wrap and
+    the reconstruction miss the bound by ~1e300 with only RuntimeWarnings."""
+
+    FIELD = np.random.default_rng(0).standard_normal((24, 24, 24))
+
+    def test_codes_past_int64_are_refused(self, cls):
+        with pytest.raises(ValueError, match=rf"{cls.name} cannot quantise magnitude "
+                                             r"\S+e\+300 at error bound 0\.001"):
+            cls(ErrorBound.absolute(1e-3)).compress(self.FIELD * 1e300)
+
+    def test_a_magnitude_the_codes_hold_still_round_trips(self, cls):
+        data = self.FIELD * 1e15
+        comp = cls(ErrorBound.absolute(4.0))         # codes up to ~2**49
+        buffer, recon = comp.compress_with_reconstruction(data)
+        assert np.max(np.abs(recon - data)) <= 4.0 * (1 + 1e-9)
+        np.testing.assert_array_equal(comp.decompress(buffer), recon)
+
+    def test_repro_write_holds_an_absolute_bound_and_refuses_past_it(self, cls, tmp_path):
+        import repro
+        from repro.apps import nyx_run
+
+        hierarchy = nyx_run(coarse_shape=(16, 16, 16), nranks=2, max_grid_size=8,
+                            seed=1).hierarchy
+        # the absolute bound is honoured: every dataset within 1e-3 of its input
+        report = repro.write(hierarchy, None, compressor=cls.name, error_bound=1e-3,
+                             error_bound_mode="abs")
+        assert max(record.max_error for record in report.records) <= 1e-3 * (1 + 1e-9)
+        for level in hierarchy.levels:
+            for fab in level.multifab:
+                fab.data *= 1e295                    # |x| up to ~1.7e300
+        path = tmp_path / "huge.h5z"
+        with pytest.raises(ValueError, match=f"{cls.name} cannot quantise magnitude"):
+            repro.write(hierarchy, str(path), compressor=cls.name, error_bound=1e-3,
+                        error_bound_mode="abs")
+        assert not path.exists()
+
+
 class TestErrorBoundScaling:
-    @pytest.mark.parametrize("cls", [SZLRCompressor, SZInterpCompressor, SZ1DCompressor])
+    @pytest.mark.parametrize("cls", SPATIAL)
     def test_smaller_bound_higher_psnr_lower_cr(self, cls, smooth_field):
         loose = cls(1e-2)
         tight = cls(1e-4)

@@ -1,5 +1,7 @@
 """Tests for the canonical Huffman codec."""
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -173,6 +175,28 @@ class TestAdversarial:
         assert len(blob) < 0.05 * sum(len(s.payload) for s in streams)
         # a blob of the wrong size degrades to None (scalar fallback), not garbage
         assert unpack_sync(blob, [lanes[0]]) == [None]
+
+    @given(st.lists(st.lists(st.integers(0, 2 ** 16 - 1), max_size=40), max_size=12),
+           st.integers(-2, 2))
+    def test_unpack_sync_equals_one_cumsum_per_stream(self, deltas, miscount):
+        """One running sum split per stream gives the offsets a cumsum per
+        stream gave, empty streams included; a count that disagrees with the
+        blob is the ``None`` fallback for every stream."""
+        blob = zlib.compress(np.asarray([d for stream in deltas for d in stream],
+                                        dtype=np.uint16).tobytes())
+        counts = [len(stream) for stream in deltas]
+        got = unpack_sync(blob, counts)
+        assert len(got) == len(deltas)
+        for stream, offsets in zip(deltas, got):
+            expected = np.cumsum(np.asarray(stream, dtype=np.int64))
+            assert offsets.dtype == np.int64 and offsets.tobytes() == expected.tobytes()
+        if counts and miscount:
+            wrong = counts[:-1] + [max(counts[-1] + miscount, 0)]
+            if wrong != counts:
+                assert unpack_sync(blob, wrong) == [None] * len(counts)
+        if len(counts) > 1:                     # a negative count is not a shorter stream
+            lying = [-1, counts[0] + counts[1] + 1] + counts[2:]
+            assert unpack_sync(blob, lying) == [None] * len(counts)
 
     def test_scalar_fallback_matches_lut_path(self):
         """A stream stripped of its sync offsets decodes identically (slow path)."""

@@ -607,27 +607,37 @@ def _unit_block_chunk(per_shape, rng):
 
 
 @pytest.mark.parametrize("per_shape", [2, 4])
-def test_cumsum_calls_scale_with_shape_groups_not_regions(monkeypatch, per_shape):
-    comp = SZLRCompressor(1e-3, block_size=6, radius=64)
-    arrays = _unit_block_chunk(per_shape, np.random.default_rng(4))
-    meta, codes, side, counts = _deserialize(comp,
-        comp.compress_many(arrays, value_range=50.0).payload)
-    assert 0 < side["selection"].sum() < side["selection"].size == 64 * per_shape
-    seen = []
-    real = np.cumsum
+def test_one_reconstruction_pass_per_run_and_one_plan_per_shape(monkeypatch, per_shape):
+    """A ``decompress_batch`` call reconstructs each run of buffers under one
+    ``(abs_eb, dtype)`` in one ``_decode_batch``, which takes one pass (one
+    flat plan) per distinct shape of the run — however many buffers share it."""
+    rng = np.random.default_rng(4)
+    tight, loose = (SZLRCompressor(eb, mode="abs", block_size=6, radius=64)
+                    for eb in (1e-3, 1e-2))
+    arrays = _unit_block_chunk(per_shape, rng)
+    buffers = [tight.compress_many(arrays[k::3]) for k in range(3)]       # one run
+    buffers.append(loose.compress_many([arrays[0], arrays[8]]))         # another bound
+    buffers.append(loose.compress_many([a.astype(np.float32) for a in arrays[1:3]]))
+    runs = [arrays, [arrays[0], arrays[8]], arrays[1:3]]
+    assert 0 < sum(_deserialize(tight, b.payload)[2]["selection"].sum() for b in buffers[:3])
 
-    def counting(*args, **kwargs):
-        seen.append(1)
-        return real(*args, **kwargs)
+    passes, plans = [], []
+    real_decode, real_plan = SZLRCompressor._decode_batch, sz_lr._flat_plan
 
-    monkeypatch.setattr(np, "cumsum", counting)
-    decoded = comp._decode_batch([a.shape for a in arrays], float(meta["abs_eb"]),
-                                 codes, side, counts)
+    def decode(self, shapes, *args):
+        del plans[:]
+        out = real_decode(self, shapes, *args)
+        passes.append((len(shapes), sorted(plans)))
+        return out
+
+    monkeypatch.setattr(sz_lr, "_flat_plan", lambda shape, bs: plans.append(shape)
+                        or real_plan(shape, bs))
+    monkeypatch.setattr(SZLRCompressor, "_decode_batch", decode)
+    together = list(tight.decompress_batch(buffers))
+    assert passes == [(len(run), sorted({a.shape for a in run})) for run in runs]
     monkeypatch.undo()
-    groups, ndim, whole_chunk_passes = 8, 3, 6
-    assert groups * ndim <= len(seen) <= groups * ndim + whole_chunk_passes
-    for array, dec in zip(arrays, decoded):
-        assert np.max(np.abs(dec - array)) <= float(meta["abs_eb"]) * (1 + 1e-9)
+    for buffer, got in zip(buffers, together, strict=True):
+        assert _bits(got) == _bits(tight.decompress_many(buffer))
 
 
 # ----------------------------------------------------------------------
@@ -660,6 +670,40 @@ def test_one_fit_per_shape_group_and_region(monkeypatch):
     for chunk in (arrays[:4], arrays[4:9], arrays[9:]):
         comp.compress_many(chunk)
     assert len(calls_seen) == 8 + (8 + 8) + (8 + 1)         # one call per chunk: per chunk
+
+
+# ----------------------------------------------------------------------
+# the slab prefix sum against the segmented cumsum it replaced
+# ----------------------------------------------------------------------
+def _segmented_cumsum(values, remainder_at):
+    """The decoder's inverse Lorenzo before the slab pass: ``np.cumsum`` per
+    axis, then the running value in front of the remainder subtracted."""
+    for axis, full in enumerate(remainder_at, start=1):
+        np.cumsum(values, axis=axis, out=values)
+        if full:
+            lead = (slice(None),) * axis
+            values[lead + (slice(full, None),)] -= values[lead + (slice(full - 1, full),)]
+    return values
+
+
+@given(st.integers(1, 3), st.sampled_from([4, 6]), st.integers(1, 4),
+       st.sampled_from([2 ** 10, 2 ** 40, 2 ** 62]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_slab_prefix_sum_equals_the_segmented_cumsum(ndim, block, members, magnitude, data):
+    """Bit for bit, through int64 wrap-around (each segment's first cell an
+    anchor near ±2**62) and over remainder segments one cell thick (extents
+    5, 9, 13 under block 4; 7, 13 under block 6)."""
+    shape = tuple(data.draw(st.lists(st.sampled_from(EXTENTS), min_size=ndim, max_size=ndim)))
+    remainder_at = sz_lr._flat_plan(shape, (block,) * ndim).remainder_at
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.integers(-magnitude, magnitude, (members,) + shape, dtype=np.int64)
+    starts = [[0] + ([r] if r else []) for r in remainder_at]
+    for corner in itertools.product(*starts):
+        values[(slice(None),) + corner] = rng.choice([2 ** 62 - 3, -2 ** 62 + 5], members)
+    expected = _segmented_cumsum(values.copy(), remainder_at)
+    got = values.copy()
+    assert sz_lr._prefix_sum(got, remainder_at) is got
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_memoised_fit_matrix_is_read_only_and_keyed_by_shape():
@@ -877,6 +921,72 @@ def test_decompress_batch_equals_decompress_many_one_at_a_time():
     assert list(comp.decompress_batch([])) == []
     for buffer, arrays in zip(buffers, together):
         assert _bits(arrays) == _bits(comp.decompress_many(buffer))
+
+
+@st.composite
+def decode_jobs(draw):
+    """A decode job of 1-4 buffers for one decoder: each buffer's unit blocks
+    compressed under one of two absolute bounds, as float32 or float64, with
+    SLE on or off, and wanted whole or by an ascending selection."""
+    block_size = draw(st.sampled_from([4, 6]))
+    radius = draw(st.sampled_from([64, 32768]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    buffers, selects = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        shapes = draw(st.lists(st.tuples(*[st.sampled_from([16, 8, 5])] * 3),
+                               min_size=1, max_size=5))
+        kinds = draw(st.lists(st.sampled_from(["noisy", "outliers", "smooth", "rough_plane"]),
+                              min_size=len(shapes), max_size=len(shapes)))
+        dtype = draw(st.sampled_from([np.float32, np.float64]))
+        comp = SZLRCompressor(draw(st.sampled_from([1e-3, 1e-2])), mode="abs",
+                              block_size=block_size, radius=radius)
+        arrays = [_field(kind, shape, rng).astype(dtype) for kind, shape in zip(kinds, shapes)]
+        buffers.append(comp.compress_many(arrays, shared_encoding=draw(st.booleans())))
+        selects.append(draw(st.one_of(st.none(), st.sets(st.integers(0, len(shapes) - 1),
+                                                          min_size=1).map(sorted))))
+    return SZLRCompressor(1e-3, block_size=block_size, radius=radius), buffers, selects
+
+
+@given(decode_jobs())
+@settings(max_examples=60, deadline=None)
+def test_a_job_decodes_as_its_buffers_do_one_at_a_time(job):
+    comp, buffers, selects = job
+    together = list(comp.decompress_batch(buffers, selects))
+    alone = [next(comp.decompress_batch([b], [s])) for b, s in zip(buffers, selects)]
+    assert len(together) == len(alone) == len(buffers)
+    for got, want in zip(together, alone):
+        assert _bits(got) == _bits(want)
+        assert [(a.dtype, a.shape) for a in got] == [(a.dtype, a.shape) for a in want]
+    if all(select is None for select in selects):
+        assert [_bits(got) for got in comp.decompress_batch(buffers)] == \
+            [_bits(want) for want in alone]
+
+
+def test_buffers_of_another_dimension_are_a_run_of_their_own():
+    rng = np.random.default_rng(6)
+    comp = SZLRCompressor(1e-3, mode="abs", block_size=4)
+    flat = comp.compress_many([_field("noisy", (12, 9), rng)])
+    cube = comp.compress_many([_field("noisy", (8, 8, 8), rng)])
+    together = list(comp.decompress_batch([flat, cube, flat]))
+    assert [_bits(got) for got in together] == \
+        [_bits(comp.decompress_many(b)) for b in (flat, cube, flat)]
+
+
+def test_a_damaged_buffer_mid_job_fails_the_call_and_its_run_yields_nothing():
+    comp, shapes, codes, side, counts, abs_eb = _honest_parts()
+    good, _ = comp._serialize(shapes, codes, side, counts, abs_eb, True, "float64")
+    # shapes that disagree with the codes: the parse passes, the reconstruction refuses
+    swapped = [shapes[-1]] + shapes[1:-1] + [shapes[0]]
+    bad, _ = comp._serialize(swapped, codes, side, counts, abs_eb, True, "float64")
+    job = comp.decompress_batch([good, bad, good])
+    with pytest.raises(ValueError, match="cells per array"):
+        next(job)
+    # under another bound the first buffer is a run of its own, and is out first
+    other, _ = comp._serialize(shapes, codes, side, counts, 2 * abs_eb, False, "float32")
+    job = comp.decompress_batch([other, bad, good])
+    assert _bits(next(job)) == _bits(comp.decompress_many(other))
+    with pytest.raises(ValueError, match="cells per array"):
+        next(job)
 
 
 # ----------------------------------------------------------------------

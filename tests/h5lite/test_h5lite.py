@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.compress import SZ1DCompressor, SZLRCompressor
+from repro.compress import SZ1DCompressor
 from repro.h5lite import (
-    AMRICChunkFilter,
     H5LiteFile,
     NoCompressionFilter,
     SZChunkFilter,
@@ -150,52 +149,6 @@ class TestFilters:
             f.create_dataset("x", sample_data, chunk_elements=1024, filter=filt)
         assert filt.stats.calls == int(np.ceil(sample_data.size / 1024))
         assert filt.stats.output_bytes > 0
-
-    def test_amric_filter_roundtrip_with_padding(self, tmp_path):
-        """AMRIC filter compresses only the valid prefix and restores padding."""
-        rng = np.random.default_rng(1)
-        valid = np.cumsum(rng.normal(size=3000))
-        chunk_elements = 4096
-        data = np.zeros(chunk_elements)
-        data[:3000] = valid
-        comp = SZLRCompressor(1e-4)
-        filt = AMRICChunkFilter(comp)
-        path = tmp_path / "amric.h5z"
-        with H5LiteFile(path, "w") as f:
-            f.create_dataset_from_chunks(
-                "x", [filt.encode(data, actual_elements=3000)], shape=data.shape,
-                dtype=str(data.dtype), chunk_elements=chunk_elements,
-                filter_id=filt.filter_id, actual_elements_per_chunk=[3000])
-        assert filt.stats.padded_elements == chunk_elements - 3000
-        with H5LiteFile(path, "r") as f:
-            back = f.read_dataset("x", filter=AMRICChunkFilter(comp))
-        abs_eb = 1e-4 * (valid.max() - valid.min())
-        assert np.max(np.abs(back[:3000] - valid)) <= abs_eb * (1 + 1e-9)
-
-    def test_amric_filter_smaller_than_classic_on_padded_chunk(self):
-        """The point of the modification: padding is not compressed/stored.
-
-        The tail of an oversized chunk is whatever happens to sit in the write
-        buffer (stale values), which the classic filter compresses along with
-        the data while the AMRIC filter skips it entirely.
-        """
-        rng = np.random.default_rng(2)
-        chunk = rng.uniform(-500, 500, size=8192)  # stale buffer contents
-        chunk[:1000] = np.cumsum(rng.normal(size=1000)) + 50.0
-        comp = SZ1DCompressor(1e-4)
-        classic = SZChunkFilter(comp).encode(chunk)
-        amric = AMRICChunkFilter(comp).encode(chunk, actual_elements=1000)
-        assert len(amric) < len(classic)
-        # and the classic filter also had to touch 8x more elements
-        assert SZChunkFilter(comp).stats.input_elements == 0  # fresh filter untouched
-
-    def test_amric_filter_validates_actual(self):
-        comp = SZ1DCompressor(1e-3)
-        filt = AMRICChunkFilter(comp)
-        with pytest.raises(ValueError):
-            filt.encode(np.zeros(10), actual_elements=20)
-        with pytest.raises(ValueError):
-            filt.encode(np.zeros(10), actual_elements=0)
 
     def test_nocompression_stats(self):
         filt = NoCompressionFilter()
