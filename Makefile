@@ -20,11 +20,11 @@
 
 PY := PYTHONPATH=src python
 
-# src/ + tools/ Python lines as of the last change to them (-13: one unit-block layout
-# record per level replaced the read plan's hierarchy, BlockSlot, parallel/collective.py,
-# the three chunk-size helpers and three dead decode branches; it carries the int64
-# geometry checks the deleted hierarchy rebuild used to make)
-LOC_BUDGET := 19123
+# src/ + tools/ Python lines as of the last change to them (-87: one write ledger — every
+# writer records its datasets through core.stages.dataset_record and bills its ranks
+# through WorkloadTally; FilterStats, h5lite's SZChunkFilter, the baselines' rank arrays
+# and three copies of the PSNR formula went)
+LOC_BUDGET := 19036
 LOC = $$(find src tools -name '*.py' | xargs cat | wc -l)
 
 # suite -> pytest paths ('+'-separated). Adding a benchmark suite is one line.
@@ -90,6 +90,8 @@ smoke:
 	$(PY) -m repro verify .smoke/plt.h5z
 	$(PY) -m repro decompress .smoke/plt.h5z .smoke/raw.h5z
 	$(PY) -m repro verify .smoke/plt.h5z --against .smoke/raw.h5z
+	$(PY) -m repro compress --method amrex_1d --preset nyx_1 .smoke/amrex.h5z
+	$(PY) -m repro info .smoke/amrex.h5z
 	@rm -rf .smoke
 
 smoke-remote:

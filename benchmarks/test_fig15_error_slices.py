@@ -12,7 +12,6 @@ import pytest
 from repro.analysis.error_slices import compare_error_slices, error_slice
 from repro.analysis.reporting import format_table
 from repro.apps import RUN_PRESETS
-from repro.baselines.amrex_1d import AMReXOriginalWriter, RecordingSZChunkFilter
 from repro.compress.errorbound import ErrorBound
 from repro.compress.sz1d import SZ1DCompressor
 from repro.compress.sz_lr import SZLRCompressor

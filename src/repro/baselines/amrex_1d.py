@@ -6,55 +6,75 @@ The behaviour reproduced here is the one §2.1/§3.3/§5 of the paper describe:
 * **box-major layout** — each box's fields are contiguous, so a chunk may not
   span more than one field segment; AMReX therefore uses a small fixed HDF5
   chunk (1024 elements);
-* **1D compression** — every chunk is handed to SZ as a flat stream;
+* **1D compression** — every chunk is handed to SZ as a flat stream, padding
+  included (:class:`ClassicSZFilter`, the filter with no side channel for the
+  real size);
 * **one filter launch per chunk** — thousands of launches per rank for the
   paper-scale runs, the dominant cost in Figures 17/18;
 * each chunk gets its own error bound relative to its own value range and its
   own Huffman table (low encoding efficiency — the compression-ratio penalty
   of Table 2).
+
+A level is encoded once, chunk by chunk, and the payloads are committed as
+they are when there is a file, so an in-memory write reports what the file
+holds.  The report is kept like every other writer's
+(:mod:`repro.core.pipeline`): one :func:`~repro.core.stages.dataset_record`
+per field over its box segments, rank by rank, and one
+:class:`~repro.parallel.backend.WorkloadTally` billing each rank
+``ceil(elements / chunk)`` chunks and launches — none for a rank with no box.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.amr.hierarchy import AmrHierarchy
+from repro.compress.base import Compressor
 from repro.compress.errorbound import ErrorBound
 from repro.compress.registry import create_codec
 from repro.core.header import CHUNK_ALIGNMENT_BOX_MAJOR, build_header
-from repro.core.pipeline import LevelFieldRecord, WriteReport
 from repro.core.layout import build_rank_buffer_box_major
-from repro.core.preprocess import UnitBlock, preprocess_level
+from repro.core.pipeline import LevelFieldRecord, WriteReport, writer_comm
+from repro.core.preprocess import preprocess_level
+from repro.core.stages import dataset_record
 from repro.h5lite.chunking import AMREX_DEFAULT_CHUNK, amrex_chunk_elements
 from repro.h5lite.file import H5LiteFile
-from repro.h5lite.filters import SZChunkFilter
-from repro.parallel.backend import apportion
-from repro.parallel.iomodel import RankWorkload
+from repro.h5lite.filters import Filter
+from repro.parallel.backend import WorkloadTally, apportion
 
-__all__ = ["AMReXOriginalWriter", "RecordingSZChunkFilter"]
+__all__ = ["AMReXOriginalWriter", "ClassicSZFilter"]
 
 
-class RecordingSZChunkFilter(SZChunkFilter):
-    """Classic SZ chunk filter that also keeps each chunk's reconstruction.
+class ClassicSZFilter(Filter):
+    """AMReX's H5Z-SZ filter: compresses each chunk buffer as handed over.
 
-    The reconstructions let the writer report PSNR without re-reading and
-    decoding the file (the compression itself is bit-identical either way).
+    ``actual_elements`` is ignored — padding is compressed along with the
+    data, as by a filter with no side channel for the real size.  Each
+    chunk's reconstruction is kept so the writer measures PSNR without
+    decoding the file (the bytes are the same either way).
     """
 
-    def __init__(self, compressor):
-        super().__init__(compressor)
+    filter_id = "sz_classic"
+
+    def __init__(self, compressor: Compressor):
+        self.compressor = compressor
         self.reconstructions: List[np.ndarray] = []
 
     def encode(self, chunk: np.ndarray, actual_elements: Optional[int] = None) -> bytes:
-        chunk = np.asarray(chunk, dtype=np.float64).reshape(-1)
-        buffer, recon = self.compressor.compress_with_reconstruction(chunk)
+        buffer, recon = self.compressor.compress_with_reconstruction(
+            np.asarray(chunk, dtype=np.float64).reshape(-1))
         self.reconstructions.append(recon)
-        out = buffer.payload
-        self._account(chunk, actual_elements if actual_elements is not None else chunk.size, out)
+        return buffer.payload
+
+    def decode(self, payload: bytes, chunk_elements: int) -> np.ndarray:
+        out = np.asarray(self.compressor.decompress(payload), dtype=np.float64).reshape(-1)
+        if out.size != chunk_elements:
+            raise ValueError(
+                f"decompressed chunk has {out.size} elements, expected {chunk_elements}")
         return out
 
 
@@ -73,12 +93,8 @@ class AMReXOriginalWriter:
     def write_plotfile(self, hierarchy: AmrHierarchy, path: Optional[str] = None) -> WriteReport:
         start = time.perf_counter()
         records: List[LevelFieldRecord] = []
-        nranks = max(lvl.multifab.distribution.nranks for lvl in hierarchy.levels)
-        rank_raw = np.zeros(nranks, dtype=np.int64)
-        rank_compressed = np.zeros(nranks, dtype=np.int64)
-        rank_launches = np.zeros(nranks, dtype=np.int64)
-        rank_chunks = np.zeros(nranks, dtype=np.int64)
-        ndatasets = 0
+        tally = WorkloadTally(writer_comm(hierarchy).size)
+        components = hierarchy.component_names
 
         # the context removes the target if the body raises (no partial file)
         with (H5LiteFile(path, "w") if path is not None
@@ -99,95 +115,57 @@ class AMReXOriginalWriter:
                 # whole boxes, no redundancy removal, box-major (field-interleaved)
                 pre = preprocess_level(hierarchy, level_index, unit_block_size=10 ** 6,
                                        remove_redundancy=False)
-                ranks_with_data = sorted({b.rank for b in pre.unit_blocks})
+                ranks = sorted({b.rank for b in pre.unit_blocks})
+                rank_buffers = [build_rank_buffer_box_major(level, pre.unit_blocks, rank,
+                                                            components) for rank in ranks]
+                level_data = np.concatenate([rb.data for rb in rank_buffers])
 
-                # the chunk must not exceed the smallest per-box field segment
-                smallest_segment = min(b.size for b in pre.unit_blocks)
-                chunk_elements = amrex_chunk_elements(smallest_segment, self.chunk_elements)
-
-                # accumulate the level's data (all fields interleaved per box)
-                per_field_error: dict = {name: [0.0, 0.0, 0, np.inf, -np.inf]
-                                         for name in hierarchy.component_names}
-                level_compressed = 0
-                level_calls = 0
-                rank_buffers = []
-                for rank in ranks_with_data:
-                    rb = build_rank_buffer_box_major(level, pre.unit_blocks, rank,
-                                                     hierarchy.component_names)
-                    rank_buffers.append((rank, rb))
-
-                level_data = np.concatenate([rb.data for _, rb in rank_buffers])
-                filt = RecordingSZChunkFilter(
+                # the chunk must not exceed the smallest per-box field segment;
+                # the level's stream is cut into zero-padded chunks, one filter
+                # call each
+                chunk_elements = amrex_chunk_elements(min(b.size for b in pre.unit_blocks),
+                                                      self.chunk_elements)
+                nchunks = -(-level_data.size // chunk_elements)
+                chunks = np.zeros((nchunks, chunk_elements))
+                chunks.reshape(-1)[:level_data.size] = level_data
+                filt = ClassicSZFilter(
                     create_codec("sz_1d", ErrorBound.relative(self.error_bound)))
+                payloads = [filt.encode(chunk) for chunk in chunks]
                 if h5file is not None:
-                    info = h5file.create_dataset(f"level_{level_index}/cell_data", level_data,
-                                                 chunk_elements=chunk_elements, filter=filt)
-                    level_compressed = info.stored_nbytes
-                else:
-                    nchunks = (level_data.size + chunk_elements - 1) // chunk_elements
-                    for i in range(nchunks):
-                        chunk = np.zeros(chunk_elements)
-                        seg = level_data[i * chunk_elements:(i + 1) * chunk_elements]
-                        chunk[:seg.size] = seg
-                        level_compressed += len(filt.encode(chunk))
-                ndatasets += 1
-                level_calls = filt.stats.calls
+                    h5file.create_dataset_from_chunks(
+                        f"level_{level_index}/cell_data", payloads,
+                        shape=level_data.shape, dtype=str(level_data.dtype),
+                        chunk_elements=chunk_elements, filter_id=filt.filter_id,
+                        actual_elements_per_chunk=[
+                            min(chunk_elements, level_data.size - i * chunk_elements)
+                            for i in range(nchunks)])
+                level_compressed = sum(len(p) for p in payloads)
+                tally.add_dataset(ranks=ranks,
+                                  per_rank_elements=[rb.nelements for rb in rank_buffers],
+                                  chunk_elements=chunk_elements,
+                                  compressed_bytes=level_compressed)
 
-                # reassemble the reconstruction to measure per-field quality
-                recon_flat = np.concatenate(filt.reconstructions)[:level_data.size]
-                # split the level's compressed bytes between the ranks
-                # proportionally to raw size, conserving the total exactly
-                rank_shares = apportion(level_compressed,
-                                        [rb.nelements for _, rb in rank_buffers])
+                # each field's (original, reconstruction) segments, rank by rank
+                recon = np.concatenate(filt.reconstructions)
+                pairs: Dict[str, List[Tuple[np.ndarray, np.ndarray]]] = \
+                    {name: [] for name in components}
                 offset = 0
-                for (rank, rb), share in zip(rank_buffers, rank_shares):
-                    rank_raw[rank] += rb.nbytes
-                    rank_elems = rb.nelements
-                    rank_nchunks = int(np.ceil(rank_elems / chunk_elements))
-                    rank_launches[rank] += rank_nchunks
-                    rank_chunks[rank] += rank_nchunks
-                    rank_compressed[rank] += share
-                    recon_rank = recon_flat[offset:offset + rank_elems]
-                    seg_offset = 0
+                for rb in rank_buffers:
                     for name, _, count in rb.segments:
-                        orig = rb.data[seg_offset:seg_offset + count]
-                        rec = recon_rank[seg_offset:seg_offset + count]
-                        acc = per_field_error[name]
-                        diff = orig - rec
-                        acc[0] += float(np.sum(diff * diff))
-                        acc[1] = max(acc[1], float(np.max(np.abs(diff))) if count else 0.0)
-                        acc[2] += count
-                        acc[3] = min(acc[3], float(orig.min()) if count else np.inf)
-                        acc[4] = max(acc[4], float(orig.max()) if count else -np.inf)
-                        seg_offset += count
-                    offset += rank_elems
-
+                        pairs[name].append((level_data[offset:offset + count],
+                                            recon[offset:offset + count]))
+                        offset += count
                 # per-field compressed bytes: conserving split of the level total
-                field_items = [(name, acc) for name, acc in per_field_error.items()
-                               if acc[2] > 0]
-                field_shares = apportion(level_compressed,
-                                         [acc[2] for _, acc in field_items])
-                for (name, (sq, mx, n, lo, hi)), share in zip(field_items, field_shares):
-                    mse = sq / n
-                    vrange = (hi - lo) if hi > lo else 1.0
-                    psnr = float("inf") if mse == 0 else \
-                        20.0 * np.log10(vrange) - 10.0 * np.log10(mse)
-                    records.append(LevelFieldRecord(
-                        level=level_index, field=name, raw_bytes=n * 8,
-                        compressed_bytes=share,
-                        psnr=psnr, max_error=mx,
-                        filter_calls=int(round(level_calls / hierarchy.ncomp)),
-                        nblocks=len(pre.unit_blocks),
-                        sq_error=sq, n_elements=n, value_min=lo, value_max=hi))
+                shares = apportion(level_compressed,
+                                   [sum(orig.size for orig, _ in pairs[name])
+                                    for name in components])
+                for name, share in zip(components, shares):
+                    records.append(dataset_record(
+                        level_index, name, pairs[name], share,
+                        round(len(payloads) / hierarchy.ncomp), len(pre.unit_blocks)))
 
-        workloads = [RankWorkload(raw_bytes=int(rank_raw[r]),
-                                  compressed_bytes=int(rank_compressed[r]),
-                                  compressor_launches=int(rank_launches[r]),
-                                  padded_bytes=0,
-                                  chunks_written=int(max(rank_chunks[r], 1)))
-                     for r in range(nranks)]
         return WriteReport(method=self.method_name, path=path, records=records,
-                           rank_workloads=workloads, removed_cells=0,
-                           total_cells=hierarchy.num_cells, ndatasets=ndatasets,
+                           rank_workloads=tally.workloads(), removed_cells=0,
+                           total_cells=hierarchy.num_cells, ndatasets=hierarchy.nlevels,
                            elapsed_seconds=time.perf_counter() - start,
                            error_bound=self.error_bound)

@@ -1,8 +1,13 @@
 """The no-compression writer (the "NoComp" configuration of Figures 17/18).
 
-Data is written box-major, uncompressed, one dataset per level.  The writer
-produces the same :class:`~repro.core.pipeline.WriteReport` the compressed
-writers do so the I/O benchmarks can treat every method uniformly.
+Data is written uncompressed, one dataset per level and field, each level's
+blocks rank by rank.  The report is kept like every other writer's
+(:mod:`repro.core.pipeline`), so the I/O benchmarks treat every method
+uniformly: :func:`~repro.core.stages.dataset_record` measures each buffer as
+its own reconstruction (zero error, infinite PSNR), and
+:class:`~repro.parallel.backend.WorkloadTally` bills each participating rank
+one chunk write per dataset and no compressor launch — a rank with no box is
+billed nothing.
 """
 
 from __future__ import annotations
@@ -15,11 +20,12 @@ import numpy as np
 
 from repro.amr.hierarchy import AmrHierarchy
 from repro.core.header import CHUNK_ALIGNMENT_STREAM, build_header
-from repro.core.pipeline import LevelFieldRecord, WriteReport
+from repro.core.pipeline import LevelFieldRecord, WriteReport, writer_comm
 from repro.core.preprocess import hierarchy_layouts
+from repro.core.stages import dataset_record
 from repro.h5lite.file import H5LiteFile
 from repro.h5lite.filters import NoCompressionFilter
-from repro.parallel.iomodel import RankWorkload
+from repro.parallel.backend import WorkloadTally
 
 __all__ = ["NoCompressionWriter"]
 
@@ -30,16 +36,13 @@ class NoCompressionWriter:
     method_name = "nocomp"
 
     def __init__(self, chunk_elements: Optional[int] = None):
-        #: chunk size for the raw write; None = one chunk per rank
+        #: chunk size for the raw write; None = one chunk per dataset
         self.chunk_elements = chunk_elements
 
     def write_plotfile(self, hierarchy: AmrHierarchy, path: Optional[str] = None) -> WriteReport:
         start = time.perf_counter()
         records: List[LevelFieldRecord] = []
-        nranks = max(lvl.multifab.distribution.nranks for lvl in hierarchy.levels)
-        rank_raw = np.zeros(nranks, dtype=np.int64)
-        rank_chunks = np.zeros(nranks, dtype=np.int64)
-        ndatasets = 0
+        tally = WorkloadTally(writer_comm(hierarchy).size)
 
         # the context removes the target if the body raises (no partial file)
         with (H5LiteFile(path, "w") if path is not None
@@ -64,26 +67,18 @@ class NoCompressionWriter:
                 for name in hierarchy.component_names:
                     # the level's blocks rank by rank, back to back
                     buffer = np.concatenate([v.reshape(-1) for v in layout.views(level, name)])
-                    rank_raw[layout.ranks] += np.array(layout.rank_elements) * buffer.itemsize
-                    rank_chunks[layout.ranks] += 1
-                    raw_bytes = int(buffer.nbytes)
                     if h5file is not None:
                         h5file.create_dataset(f"level_{level_index}/{name}", buffer,
                                               chunk_elements=self.chunk_elements,
                                               filter=NoCompressionFilter())
-                    ndatasets += 1
-                    records.append(LevelFieldRecord(
-                        level=level_index, field=name, raw_bytes=raw_bytes,
-                        compressed_bytes=raw_bytes, psnr=float("inf"), max_error=0.0,
-                        filter_calls=0, nblocks=layout.nblocks,
-                        sq_error=0.0, n_elements=buffer.size,
-                        value_min=float(buffer.min()), value_max=float(buffer.max())))
+                    records.append(dataset_record(level_index, name, [(buffer, buffer)],
+                                                  buffer.nbytes, 0, layout.nblocks))
+                    tally.add_dataset(ranks=layout.ranks,
+                                      per_rank_elements=layout.rank_elements,
+                                      chunk_elements=layout.chunk_elements,
+                                      compressed_bytes=buffer.nbytes, launches_per_chunk=0)
 
-        workloads = [RankWorkload(raw_bytes=int(rank_raw[r]), compressed_bytes=int(rank_raw[r]),
-                                  compressor_launches=0, padded_bytes=0,
-                                  chunks_written=int(max(rank_chunks[r], 1)))
-                     for r in range(nranks)]
         return WriteReport(method=self.method_name, path=path, records=records,
-                           rank_workloads=workloads, removed_cells=0,
-                           total_cells=hierarchy.num_cells, ndatasets=ndatasets,
+                           rank_workloads=tally.workloads(), removed_cells=0,
+                           total_cells=hierarchy.num_cells, ndatasets=len(records),
                            elapsed_seconds=time.perf_counter() - start, error_bound=0.0)

@@ -19,6 +19,7 @@ __all__ = [
     "mse",
     "nrmse",
     "psnr",
+    "psnr_from_mse",
     "max_abs_error",
     "compression_ratio",
     "bitrate",
@@ -63,16 +64,21 @@ def nrmse(original: np.ndarray, reconstructed: np.ndarray) -> float:
     return float(np.sqrt(mse(original, reconstructed)) / r)
 
 
+def psnr_from_mse(mse: float, vrange: float) -> float:
+    """PSNR in dB of a mean squared error over a value range (footnote 2):
+    inf when there is no error; a constant field (``vrange`` 0) is referenced
+    to 1.  Every PSNR the package reports goes through here."""
+    if mse == 0:
+        return float("inf")
+    if vrange == 0:
+        vrange = 1.0
+    return float(20.0 * np.log10(vrange) - 10.0 * np.log10(mse))
+
+
 def psnr(original: np.ndarray, reconstructed: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB (paper definition, footnote 2)."""
     original, reconstructed = _check(original, reconstructed)
-    r = value_range(original)
-    err = mse(original, reconstructed)
-    if err == 0:
-        return float("inf")
-    if r == 0:
-        r = 1.0
-    return float(20.0 * np.log10(r) - 10.0 * np.log10(err))
+    return psnr_from_mse(mse(original, reconstructed), value_range(original))
 
 
 def compression_ratio(original_nbytes: int, compressed_nbytes: int) -> float:

@@ -314,7 +314,6 @@ class TemporalDeltaFilter(Filter):
     filter_id = "temporal_delta"
 
     def __init__(self, codec: Optional[TemporalDeltaCodec] = None):
-        super().__init__()
         self.codec = codec or TemporalDeltaCodec(ErrorBound.relative(1e-3))
 
     def encode(self, chunk: np.ndarray, actual_elements: Optional[int] = None) -> bytes:
@@ -324,7 +323,6 @@ class TemporalDeltaFilter(Filter):
             raise ValueError(
                 f"actual_elements {n} out of range for chunk of {chunk.size}")
         payload, _, _ = self.codec.encode_key(chunk[:n])
-        self._account(chunk, n, payload)
         return payload
 
     def decode(self, payload: bytes, chunk_elements: int) -> np.ndarray:

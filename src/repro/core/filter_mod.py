@@ -86,7 +86,6 @@ class AMRICLevelFilter(Filter):
                  adaptive_block_size: bool = True, sz_block_size: int = 6,
                  interp_arrangement: str = "cluster", interp_anchor_stride: int = 16,
                  unit_block_size: int = 16):
-        super().__init__()
         resolve_codec(compressor)        # unknown names fail fast with ValueError
         self.compressor = compressor
         self.error_bound = float(error_bound)
@@ -133,8 +132,8 @@ class AMRICLevelFilter(Filter):
         Consecutive chunks of one ``(field, value_range)`` scope go to a
         multi-array codec in one call: predicted together, serialised in
         order, the shared Huffman table carried from chunk to chunk.  A
-        single-array codec encodes chunk by chunk.  Headers, reconstructions
-        and accounting stay per chunk.
+        single-array codec encodes chunk by chunk.  Headers and
+        reconstructions stay per chunk.
         """
         if len(self._pending_plans) < len(chunks):
             raise RuntimeError("AMRICLevelFilter.encode called without a queued ChunkPlan")
@@ -171,7 +170,6 @@ class AMRICLevelFilter(Filter):
             }).encode("utf-8")
             payload = struct.pack("<Q", len(header)) + header + body
             self.last_reconstructions.append(recons)
-            self._account(chunk, plan.nelements, payload)
             payloads.append(payload)
         return payloads
 

@@ -22,21 +22,27 @@ the paper's pipeline separates concerns:
 
 The writer returns a :class:`WriteReport` carrying, per level and field, the
 raw/compressed sizes, the reconstruction quality (PSNR over the kept data),
-the filter-call counts and the per-rank workloads the I/O cost model consumes
-(tallied by :class:`~repro.parallel.backend.WorkloadTally` with an exactly
-conserving largest-remainder byte split).
+the filter-call counts and the per-rank workloads the I/O cost model consumes.
+Every writer — this one, the series writer and both baselines — keeps that
+ledger one way: :func:`~repro.core.stages.dataset_record` measures each
+dataset from its ``(original, reconstruction)`` pairs, and
+:class:`~repro.parallel.backend.WorkloadTally` bills each rank the chunks it
+writes (none for a rank that owns no cell) with an exactly conserving
+largest-remainder byte split.  :func:`writer_comm` and :func:`stamp_attrs` are
+the prologue this writer and the series writer share.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.amr.hierarchy import AmrHierarchy
+from repro.compress.metrics import psnr_from_mse
 from repro.core.config import AMRICConfig
 from repro.core.stages import (
     FilterSpec,
@@ -54,7 +60,7 @@ from repro.parallel.backend import ExecutionBackend, WorkloadTally, make_backend
 from repro.parallel.iomodel import RankWorkload
 from repro.parallel.mpi_sim import SimComm
 
-__all__ = ["AMRICWriter", "WriteReport", "LevelFieldRecord"]
+__all__ = ["AMRICWriter", "WriteReport", "LevelFieldRecord", "writer_comm", "stamp_attrs"]
 
 
 @dataclass
@@ -130,16 +136,10 @@ class WriteReport:
         and referenced to the field's value range across all levels — the
         PSNR of the whole field as one dataset.
         """
-        out: Dict[str, float] = {}
-        for name, recs in self._records_by_field().items():
-            n = sum(r.n_elements for r in recs)
-            mse = sum(r.sq_error for r in recs) / n
-            vmin = min(r.value_min for r in recs)
-            vmax = max(r.value_max for r in recs)
-            vrange = (vmax - vmin) if vmax > vmin else 1.0
-            out[name] = float("inf") if mse == 0 else \
-                float(20.0 * np.log10(vrange) - 10.0 * np.log10(mse))
-        return out
+        return {name: psnr_from_mse(
+                    sum(r.sq_error for r in recs) / sum(r.n_elements for r in recs),
+                    max(r.value_max for r in recs) - min(r.value_min for r in recs))
+                for name, recs in self._records_by_field().items()}
 
     @property
     def worst_psnr(self) -> Dict[str, float]:
@@ -166,6 +166,27 @@ class WriteReport:
             "raw_bytes": self.raw_bytes,
             "compressed_bytes": self.compressed_bytes,
         }
+
+
+def writer_comm(hierarchy: AmrHierarchy, comm: Optional[SimComm] = None) -> SimComm:
+    """The communicator a write runs on: ``comm``, which must span the ranks
+    the hierarchy is distributed over, or a fresh one over them."""
+    nranks = max(lvl.multifab.distribution.nranks for lvl in hierarchy.levels)
+    if comm is None:
+        return SimComm(nranks)
+    if comm.size != nranks:
+        raise ValueError(f"communicator has {comm.size} ranks but the hierarchy "
+                         f"is distributed over {nranks}")
+    return comm
+
+
+def stamp_attrs(h5file: H5LiteFile, hierarchy: AmrHierarchy, method: str,
+                compressor: str, error_bound: float) -> None:
+    """The file attributes every staged writer's plotfile carries."""
+    h5file.attrs.update(
+        method=method, compressor=compressor, error_bound=error_bound,
+        time=hierarchy.time, step=hierarchy.step, nlevels=hierarchy.nlevels,
+        ref_ratios=list(hierarchy.ref_ratios), components=list(hierarchy.component_names))
 
 
 class AMRICWriter:
@@ -210,12 +231,7 @@ class AMRICWriter:
         start = time.perf_counter()
 
         # ---- plan: preprocess + chunk layout (collective maxes) ----------
-        nranks = max(lvl.multifab.distribution.nranks for lvl in hierarchy.levels)
-        if self.comm is not None and self.comm.size != nranks:
-            raise ValueError(
-                f"communicator has {self.comm.size} ranks but the hierarchy "
-                f"is distributed over {nranks}")
-        comm = self.comm if self.comm is not None else SimComm(nranks)
+        comm = writer_comm(hierarchy, self.comm)
         # writer-stage spans report into the process-wide registry (an in
         # situ writer has no query engine whose registry could collect them)
         with span("write.plan"):
@@ -228,20 +244,13 @@ class AMRICWriter:
         # hierarchy's — matching the in situ write pattern of the real code.
         filter_spec = FilterSpec.from_config(cfg)
         records: List[LevelFieldRecord] = []
-        tally = WorkloadTally(nranks)
-        ndatasets = 0
+        tally = WorkloadTally(comm.size)
         # the context removes the target if the body raises (no partial file)
         with (H5LiteFile(path, "w") if path is not None
               else nullcontext()) as h5file:
             if h5file is not None:
-                h5file.attrs["method"] = self.method_name
-                h5file.attrs["compressor"] = cfg.compressor
-                h5file.attrs["error_bound"] = cfg.error_bound
-                h5file.attrs["time"] = hierarchy.time
-                h5file.attrs["step"] = hierarchy.step
-                h5file.attrs["nlevels"] = hierarchy.nlevels
-                h5file.attrs["ref_ratios"] = list(hierarchy.ref_ratios)
-                h5file.attrs["components"] = list(hierarchy.component_names)
+                stamp_attrs(h5file, hierarchy, self.method_name, cfg.compressor,
+                            cfg.error_bound)
                 # the self-describing header: structure + codec, so the file
                 # can be opened without the producing hierarchy in memory
                 commit_header(h5file, hierarchy, cfg, method=self.method_name)
@@ -260,9 +269,13 @@ class AMRICWriter:
                                                    results):
                         commit_dataset(h5file, dplan, result)
                         comm.record_collective_write()
-                        ndatasets += 1
-                        records.append(
-                            dataset_record(dplan, pack.originals, result))
+                        records.append(dataset_record(
+                            dplan.level, dplan.field,
+                            [(orig, rec) for blocks, recons in zip(pack.originals,
+                                                                   result.reconstructions)
+                             for orig, rec in zip(blocks, recons)],
+                            result.compressed_bytes, result.filter_calls,
+                            dplan.layout.nblocks))
                         tally.add_dataset(
                             ranks=dplan.layout.ranks,
                             per_rank_elements=dplan.layout.rank_elements,
@@ -276,11 +289,8 @@ class AMRICWriter:
             method=f"{self.method_name}({cfg.compressor})",
             path=path, records=records, rank_workloads=tally.workloads(),
             removed_cells=plan.removed_cells, total_cells=plan.total_cells,
-            ndatasets=ndatasets,
+            ndatasets=len(records),
             elapsed_seconds=time.perf_counter() - start,
             error_bound=cfg.error_bound,
             backend=self.backend.name,
-            collectives={"barriers": comm.counters.barriers,
-                         "reductions": comm.counters.reductions,
-                         "gathers": comm.counters.gathers,
-                         "collective_writes": comm.counters.collective_writes})
+            collectives=asdict(comm.counters))

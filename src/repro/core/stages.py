@@ -25,7 +25,8 @@ each a pure function over a small dataclass:
     produces byte-identical payloads on every backend.
 ``commit`` (:func:`commit_dataset` / :func:`dataset_record`)
     Append the encoded chunks to the H5Lite file and distil the quality /
-    size record the :class:`~repro.core.pipeline.WriteReport` aggregates.
+    size record the :class:`~repro.core.pipeline.WriteReport` aggregates —
+    the one record function every writer, baselines included, measures with.
 
 Everything that crosses a backend boundary (:class:`EncodeJob`,
 :class:`EncodeResult`) is a plain picklable dataclass, so it runs in the shm
@@ -35,11 +36,12 @@ backend's worker processes as well as inline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.amr.hierarchy import AmrHierarchy, AmrLevel
+from repro.compress.metrics import psnr_from_mse
 from repro.core.config import AMRICConfig
 from repro.core.filter_mod import AMRICLevelFilter, ChunkPlan
 from repro.core.header import header_from_config
@@ -289,7 +291,7 @@ def encode_job(job: EncodeJob) -> EncodeResult:
         job.actual_sizes)
     return EncodeResult(key=job.key, payloads=payloads,
                         reconstructions=level_filter.last_reconstructions,
-                        filter_calls=level_filter.stats.calls)
+                        filter_calls=len(payloads))
 
 
 # ----------------------------------------------------------------------
@@ -324,30 +326,32 @@ def commit_dataset(h5file: Optional[H5LiteFile], dplan: DatasetPlan,
                "value_range": dplan.value_range})
 
 
-def dataset_record(dplan: DatasetPlan, originals: Sequence[Sequence[np.ndarray]],
-                   result: EncodeResult):
-    """Stage 4b: distil one dataset's quality/size record from the encode output."""
+def dataset_record(level: int, field: str,
+                   pairs: Iterable[Tuple[np.ndarray, np.ndarray]],
+                   compressed_bytes: int, filter_calls: int, nblocks: int):
+    """Stage 4b: one dataset's quality/size record.
+
+    Every writer measures its datasets here: ``pairs`` are the dataset's
+    ``(original, reconstruction)`` pieces in write order (a raw writer passes
+    each buffer as its own reconstruction), and the squared errors are summed
+    in that order.
+    """
     from repro.core.pipeline import LevelFieldRecord
 
     sq_err = 0.0
     max_err = 0.0
     n_elems = 0
     gmin, gmax = np.inf, -np.inf
-    for data, recons in zip(originals, result.reconstructions):
-        for orig, rec in zip(data, recons):
-            diff = orig - rec
-            sq_err += float(np.sum(diff * diff))
-            max_err = max(max_err, float(np.max(np.abs(diff))))
-            n_elems += orig.size
-            gmin = min(gmin, float(orig.min()))
-            gmax = max(gmax, float(orig.max()))
-    mse = sq_err / max(n_elems, 1)
-    vrange = (gmax - gmin) if gmax > gmin else 1.0
-    field_psnr = float("inf") if mse == 0 else \
-        20.0 * np.log10(vrange) - 10.0 * np.log10(mse)
+    for orig, rec in pairs:
+        diff = orig - rec
+        sq_err += float(np.sum(diff * diff))
+        max_err = max(max_err, float(np.max(np.abs(diff))))
+        n_elems += orig.size
+        gmin = min(gmin, float(orig.min()))
+        gmax = max(gmax, float(orig.max()))
     return LevelFieldRecord(
-        level=dplan.level, field=dplan.field, raw_bytes=n_elems * 8,
-        compressed_bytes=result.compressed_bytes, psnr=field_psnr,
-        max_error=max_err, filter_calls=result.filter_calls,
-        nblocks=dplan.layout.nblocks, sq_error=sq_err, n_elements=n_elems,
-        value_min=gmin, value_max=gmax)
+        level=level, field=field, raw_bytes=n_elems * 8,
+        compressed_bytes=compressed_bytes,
+        psnr=psnr_from_mse(sq_err / max(n_elems, 1), gmax - gmin),
+        max_error=max_err, filter_calls=filter_calls, nblocks=nblocks,
+        sq_error=sq_err, n_elements=n_elems, value_min=gmin, value_max=gmax)

@@ -27,11 +27,7 @@ from repro.h5lite.source import (
     RangeSource,
     make_source,
 )
-from repro.h5lite.filters import (
-    Filter,
-    NoCompressionFilter,
-    SZChunkFilter,
-)
+from repro.h5lite.filters import Filter, NoCompressionFilter
 from repro.h5lite.chunking import amrex_chunk_elements
 
 __all__ = [
@@ -44,6 +40,5 @@ __all__ = [
     "make_source",
     "Filter",
     "NoCompressionFilter",
-    "SZChunkFilter",
     "amrex_chunk_elements",
 ]

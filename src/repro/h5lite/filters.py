@@ -1,32 +1,28 @@
 """Compression filters for chunked datasets (the H5Z layer).
 
-:class:`SZChunkFilter` is the classic behaviour AMReX's compression relies
-on: every chunk buffer handed to the filter is compressed in full, *including
-any padding* needed to fill the last (or an oversized) chunk.  The filter has
-no idea how much of the chunk is real data.  The paper's §3.3 modification —
-the writer passes the actual number of valid elements — is
-:class:`repro.core.filter_mod.AMRICLevelFilter`.
+A :class:`Filter` turns one chunk buffer into bytes and back; the file names
+it by ``filter_id``.  This module holds the base class and the pass-through
+:class:`NoCompressionFilter`.  The filters that compress live with their
+writers: AMReX's classic one, which compresses every chunk in full *including
+any padding*, is :class:`repro.baselines.amrex_1d.ClassicSZFilter`, and the
+paper's §3.3 modification — the writer passes the actual number of valid
+elements — is :class:`repro.core.filter_mod.AMRICLevelFilter`.
 
-Filters keep per-call statistics (`FilterStats`) so the I/O cost model can count
-compressor launches and padded bytes — the two quantities that drive the
-paper's Figures 17/18.
+Filters keep no counters: a writer counts launches as the payloads it got
+back, and padded bytes and chunk writes per rank through
+:class:`repro.parallel.backend.WorkloadTally`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compress.base import Compressor
-
 __all__ = [
-    "FilterStats",
     "cut_blocks",
     "Filter",
     "NoCompressionFilter",
-    "SZChunkFilter",
 ]
 
 
@@ -39,29 +35,10 @@ def cut_blocks(chunk: np.ndarray, layout: Sequence[Tuple[int, int]]) -> List[np.
     return [chunk[offset:offset + size] for offset, size in layout]
 
 
-@dataclass
-class FilterStats:
-    """Cumulative statistics across filter invocations."""
-
-    calls: int = 0
-    input_elements: int = 0
-    padded_elements: int = 0
-    output_bytes: int = 0
-
-    def reset(self) -> None:
-        self.calls = 0
-        self.input_elements = 0
-        self.padded_elements = 0
-        self.output_bytes = 0
-
-
 class Filter:
     """Base chunk filter: bytes-in / bytes-out, one call per chunk."""
 
     filter_id = "identity"
-
-    def __init__(self) -> None:
-        self.stats = FilterStats()
 
     # -- interface -----------------------------------------------------
     def encode(self, chunk: np.ndarray, actual_elements: Optional[int] = None) -> bytes:
@@ -87,55 +64,17 @@ class Filter:
         return [dict(enumerate(cut_blocks(self.decode(payload, chunk_elements), layout)))
                 for payload, layout in zip(payloads, layouts)]
 
-    def _account(self, chunk: np.ndarray, actual_elements: Optional[int], out: bytes) -> None:
-        self.stats.calls += 1
-        self.stats.input_elements += int(chunk.size)
-        if actual_elements is not None:
-            self.stats.padded_elements += int(chunk.size) - int(actual_elements)
-        self.stats.output_bytes += len(out)
-
 
 class NoCompressionFilter(Filter):
-    """Pass-through (used by the no-compression writer); still counts calls."""
+    """Pass-through (used by the no-compression writer)."""
 
     filter_id = "none"
 
     def encode(self, chunk: np.ndarray, actual_elements: Optional[int] = None) -> bytes:
-        out = np.asarray(chunk, dtype=np.float64).tobytes()
-        self._account(chunk, actual_elements, out)
-        return out
+        return np.asarray(chunk, dtype=np.float64).tobytes()
 
     def decode(self, payload: bytes, chunk_elements: int) -> np.ndarray:
         out = np.frombuffer(payload, dtype=np.float64)
         if out.size != chunk_elements:
             raise ValueError("corrupt chunk: element count mismatch")
         return out.copy()
-
-
-class SZChunkFilter(Filter):
-    """Classic compression filter: compresses the chunk buffer as handed over.
-
-    ``actual_elements`` is ignored — padding (if any) is compressed along with
-    the data, exactly like a filter that has no side channel for the real
-    size.  This is the AMReX-original behaviour.
-    """
-
-    filter_id = "sz_classic"
-
-    def __init__(self, compressor: Compressor):
-        super().__init__()
-        self.compressor = compressor
-
-    def encode(self, chunk: np.ndarray, actual_elements: Optional[int] = None) -> bytes:
-        chunk = np.asarray(chunk, dtype=np.float64).reshape(-1)
-        buffer = self.compressor.compress(chunk)
-        out = buffer.payload
-        self._account(chunk, actual_elements if actual_elements is not None else chunk.size, out)
-        return out
-
-    def decode(self, payload: bytes, chunk_elements: int) -> np.ndarray:
-        out = np.asarray(self.compressor.decompress(payload), dtype=np.float64).reshape(-1)
-        if out.size != chunk_elements:
-            raise ValueError(
-                f"decompressed chunk has {out.size} elements, expected {chunk_elements}")
-        return out

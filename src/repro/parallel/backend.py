@@ -23,10 +23,11 @@ the writer loop:
 
 * :func:`apportion` — largest-remainder split of an integer total across
   weights; unlike per-share rounding it conserves the total exactly;
-* :class:`WorkloadTally` — accumulates per-rank raw/compressed/padded bytes
-  and launch counts across datasets and emits the
+* :class:`WorkloadTally` — accumulates per-rank raw/compressed/padded bytes,
+  chunk writes and launch counts across datasets and emits the
   :class:`~repro.parallel.iomodel.RankWorkload` list the I/O cost model
-  consumes.
+  consumes; every writer (AMRIC, series, AMReX, NoComp) bills its ranks
+  through it.
 """
 
 from __future__ import annotations
@@ -291,9 +292,13 @@ class WorkloadTally:
     def add_dataset(self, ranks: Sequence[int], per_rank_elements: Sequence[int],
                     chunk_elements: int, compressed_bytes: int,
                     count_padding: bool = False,
-                    launches_per_rank: int = 1) -> None:
+                    launches_per_chunk: int = 1) -> None:
         """Charge one dataset's write to the ranks that participated.
 
+        A rank writes ``ceil(elements / chunk_elements)`` chunks — one when a
+        chunk holds its whole contribution, many under a small fixed chunk —
+        and launches the compressor ``launches_per_chunk`` times per chunk (0
+        for a raw write); a rank not in ``ranks`` is charged nothing.
         Compressed bytes are split between the ranks proportionally to their
         raw contribution with exact conservation
         (``sum(per-rank compressed) == compressed_bytes``).
@@ -302,20 +307,17 @@ class WorkloadTally:
             raise ValueError("ranks and per_rank_elements must align")
         shares = apportion(compressed_bytes, per_rank_elements)
         for rank, elements, share in zip(ranks, per_rank_elements, shares):
+            chunks = -(-int(elements) // int(chunk_elements))
             self.raw[rank] += int(elements) * 8
             self.compressed[rank] += share
-            self.launches[rank] += int(launches_per_rank)
-            self.chunks[rank] += 1
+            self.launches[rank] += chunks * int(launches_per_chunk)
+            self.chunks[rank] += chunks
             if count_padding:
                 self.padded[rank] += (int(chunk_elements) - int(elements)) * 8
 
     @property
     def total_compressed(self) -> int:
         return int(self.compressed.sum())
-
-    @property
-    def total_raw(self) -> int:
-        return int(self.raw.sum())
 
     def workloads(self) -> List[RankWorkload]:
         return [RankWorkload(raw_bytes=int(self.raw[r]),

@@ -26,7 +26,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import ClassVar, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -36,7 +36,7 @@ from repro.compress.errorbound import ErrorBound
 from repro.compress.temporal import MODE_DELTA, MODE_KEY, TemporalDeltaCodec, TemporalDeltaFilter
 from repro.core.config import AMRICConfig
 from repro.core.header import build_header, structure_fingerprint
-from repro.core.pipeline import LevelFieldRecord, WriteReport
+from repro.core.pipeline import LevelFieldRecord, WriteReport, stamp_attrs, writer_comm
 from repro.core.stages import DatasetPlan, dataset_record, pack_dataset, plan_write
 from repro.h5lite.file import H5LiteFile
 from repro.parallel.backend import ExecutionBackend, WorkloadTally, make_backend
@@ -402,12 +402,7 @@ class SeriesWriter:
                     "hierarchy needs a distinct step counter")
 
         # ---- plan + pack: the staged writer's layout, unchanged ----------
-        nranks = max(lvl.multifab.distribution.nranks for lvl in hierarchy.levels)
-        if self.comm is not None and self.comm.size != nranks:
-            raise ValueError(
-                f"communicator has {self.comm.size} ranks but the hierarchy "
-                f"is distributed over {nranks}")
-        comm = self.comm if self.comm is not None else SimComm(nranks)
+        comm = writer_comm(hierarchy, self.comm)
         plan = plan_write(hierarchy, cfg, comm)
         header = build_header(
             hierarchy, method=self.method_name, codec=TemporalDeltaCodec.name,
@@ -454,17 +449,11 @@ class SeriesWriter:
         # ---- commit: container file + manifest ---------------------------
         records: List[LevelFieldRecord] = []
         dataset_records: List[SeriesDatasetRecord] = []
-        tally = WorkloadTally(nranks)
+        tally = WorkloadTally(comm.size)
         next_ref: Dict[str, Tuple[str, List[np.ndarray]]] = {}
         with H5LiteFile(path, "w") as h5file:
-            h5file.attrs["method"] = self.method_name
-            h5file.attrs["compressor"] = TemporalDeltaCodec.name
-            h5file.attrs["error_bound"] = cfg.error_bound
-            h5file.attrs["time"] = hierarchy.time
-            h5file.attrs["step"] = hierarchy.step
-            h5file.attrs["nlevels"] = hierarchy.nlevels
-            h5file.attrs["ref_ratios"] = list(hierarchy.ref_ratios)
-            h5file.attrs["components"] = list(hierarchy.component_names)
+            stamp_attrs(h5file, hierarchy, self.method_name, TemporalDeltaCodec.name,
+                        cfg.error_bound)
             h5file.attrs["series_step_index"] = step_index
             h5file.header = header.to_json()
             for dplan, pack, result in zip(dplans, packed, results):
@@ -480,11 +469,13 @@ class SeriesWriter:
                            "series_mode": result.mode,
                            "series_ref": ref_index})
                 comm.record_collective_write()
-                # the tally covers the cells a rank owns, not a naive chunk's zero tail
-                ce, valid = dplan.chunk_elements, dplan.layout.rank_elements
-                result.reconstructions = [[r[0][:n]] for r, n in zip(result.reconstructions, valid)]
+                # the record covers the cells a rank owns, not a naive chunk's zero tail
+                ce = dplan.chunk_elements
                 record = dataset_record(
-                    dplan, [[pack.data[i * ce:i * ce + n]] for i, n in enumerate(valid)], result)
+                    dplan.level, dplan.field,
+                    [(pack.data[i * ce:i * ce + n], recons[0][:n]) for i, (recons, n)
+                     in enumerate(zip(result.reconstructions, dplan.layout.rank_elements))],
+                    result.compressed_bytes, result.filter_calls, dplan.layout.nblocks)
                 records.append(record)
                 dataset_records.append(SeriesDatasetRecord(
                     name=dplan.name, mode=result.mode, ref=ref_index,
@@ -531,10 +522,7 @@ class SeriesWriter:
             elapsed_seconds=time.perf_counter() - start,
             error_bound=cfg.error_bound,
             backend=self.backend.name,
-            collectives={"barriers": comm.counters.barriers,
-                         "reductions": comm.counters.reductions,
-                         "gathers": comm.counters.gathers,
-                         "collective_writes": comm.counters.collective_writes})
+            collectives=asdict(comm.counters))
         self.reports.append(report)
         return report
 

@@ -247,16 +247,6 @@ class TestAMRICLevelFilter:
         with pytest.raises(ValueError):
             filt.encode(np.zeros(flat.size + 10), actual_elements=flat.size + 5)
 
-    def test_filter_stats_track_padding(self, nyx_hierarchy):
-        data, flat, plan = self._blocks_and_chunk(nyx_hierarchy)
-        filt = AMRICLevelFilter()
-        filt.queue_plan(plan)
-        chunk = np.zeros(flat.size + 500)
-        chunk[:flat.size] = flat
-        filt.encode(chunk, actual_elements=flat.size)
-        assert filt.stats.calls == 1
-        assert filt.stats.padded_elements == 500
-
     def test_invalid_compressor_name(self):
         with pytest.raises(ValueError):
             AMRICLevelFilter(compressor="zfp_like")     # deleted: not one of the paper's

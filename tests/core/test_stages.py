@@ -89,7 +89,7 @@ def _per_chunk_reference(job):
         payloads.append(filt.encode(job.data[i * ce:(i + 1) * ce], actual_elements=actual))
     return EncodeResult(key=job.key, payloads=payloads,
                         reconstructions=filt.last_reconstructions,
-                        filter_calls=filt.stats.calls)
+                        filter_calls=len(payloads))
 
 
 def _dataset_jobs(hierarchy, config=AMRICConfig(), level=0):
@@ -252,6 +252,21 @@ class TestReportAccounting:
         report = AMRICWriter(AMRICConfig(error_bound=1e-3)).write_plotfile(nyx_hierarchy)
         assert sum(w.compressed_bytes for w in report.rank_workloads) == \
             report.compressed_bytes
+
+    def test_naive_chunks_bill_their_padding(self, warpx_hierarchy):
+        """Padding is the tally's to count: a naive chunk pads every rank up to
+        the dataset's chunk size, the modified filter pads nothing."""
+        naive_cfg = AMRICConfig(error_bound=1e-3, modify_filter=False)
+        naive = AMRICWriter(naive_cfg).write_plotfile(warpx_hierarchy)
+        datasets = plan_write(warpx_hierarchy, naive_cfg).datasets
+        padding = sum((d.chunk_elements - n) * 8
+                      for d in datasets for n in d.layout.rank_elements)
+        assert sum(w.padded_bytes for w in naive.rank_workloads) == padding > 0
+        modified = AMRICWriter(AMRICConfig(error_bound=1e-3)).write_plotfile(warpx_hierarchy)
+        assert all(w.padded_bytes == 0 for w in modified.rank_workloads)
+        # one filter call per chunk either way: the payloads a job produced
+        assert naive.total_filter_calls == modified.total_filter_calls == \
+            sum(len(d.layout.ranks) for d in datasets)
 
     def test_collective_counters(self, nyx_hierarchy, tmp_path):
         report = AMRICWriter(AMRICConfig(error_bound=1e-3)).write_plotfile(

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.baselines.amrex_1d import ClassicSZFilter
 from repro.compress import SZ1DCompressor
-from repro.h5lite import (
-    H5LiteFile,
-    NoCompressionFilter,
-    SZChunkFilter,
-    amrex_chunk_elements,
-)
+from repro.h5lite import H5LiteFile, NoCompressionFilter, amrex_chunk_elements
 
 
 @pytest.fixture
@@ -101,8 +97,8 @@ class TestFileBasics:
         inline, committed = tmp_path / "inline.h5z", tmp_path / "committed.h5z"
         with H5LiteFile(inline, "w") as f:
             f.create_dataset("x", sample_data, chunk_elements=1024,
-                             filter=SZChunkFilter(comp))
-        flat, filt = sample_data.reshape(-1), SZChunkFilter(comp)
+                             filter=ClassicSZFilter(comp))
+        flat, filt = sample_data.reshape(-1), ClassicSZFilter(comp)
         starts = range(0, flat.size, 1024)
         chunks = [np.pad(flat[s:s + 1024], (0, max(0, s + 1024 - flat.size)))
                   for s in starts]
@@ -124,7 +120,7 @@ class TestFileBasics:
         path = tmp_path / "wf.h5z"
         comp = SZ1DCompressor(1e-3)
         with H5LiteFile(path, "w") as f:
-            f.create_dataset("x", sample_data, filter=SZChunkFilter(comp))
+            f.create_dataset("x", sample_data, filter=ClassicSZFilter(comp))
         with H5LiteFile(path, "r") as f:
             with pytest.raises(ValueError):
                 f.read_dataset("x")  # default NoCompression filter mismatches
@@ -136,25 +132,28 @@ class TestFilters:
         eb_abs = 1e-3 * (sample_data.max() - sample_data.min())
         comp = SZ1DCompressor(eb_abs, mode="abs")
         with H5LiteFile(path, "w") as f:
-            f.create_dataset("x", sample_data, chunk_elements=1024, filter=SZChunkFilter(comp))
+            f.create_dataset("x", sample_data, chunk_elements=1024, filter=ClassicSZFilter(comp))
         with H5LiteFile(path, "r") as f:
-            back = f.read_dataset("x", filter=SZChunkFilter(comp))
+            back = f.read_dataset("x", filter=ClassicSZFilter(comp))
         assert back.shape == sample_data.shape
         assert np.max(np.abs(back - sample_data)) <= eb_abs * (1 + 1e-9)
 
-    def test_sz_classic_counts_calls(self, sample_data, tmp_path):
-        comp = SZ1DCompressor(1e-3)
-        filt = SZChunkFilter(comp)
+    def test_sz_classic_keeps_each_chunks_reconstruction(self, sample_data, tmp_path):
+        """One reconstruction per filter call, each what the chunk decodes to."""
+        filt = ClassicSZFilter(SZ1DCompressor(1e-3))
         with H5LiteFile(tmp_path / "c.h5z", "w") as f:
-            f.create_dataset("x", sample_data, chunk_elements=1024, filter=filt)
-        assert filt.stats.calls == int(np.ceil(sample_data.size / 1024))
-        assert filt.stats.output_bytes > 0
+            info = f.create_dataset("x", sample_data, chunk_elements=1024, filter=filt)
+        with H5LiteFile(tmp_path / "c.h5z", "r") as f:
+            payloads = f.read_chunk_payloads("x", range(info.nchunks))
+        assert len(filt.reconstructions) == info.nchunks == int(np.ceil(sample_data.size / 1024))
+        for payload, recon in zip(payloads, filt.reconstructions):
+            np.testing.assert_array_equal(filt.decode(payload, 1024), recon)
 
-    def test_nocompression_stats(self):
+    def test_nocompression_is_the_raw_bytes(self):
         filt = NoCompressionFilter()
-        filt.encode(np.zeros(100))
-        assert filt.stats.calls == 1
-        assert filt.stats.output_bytes == 800
+        payload = filt.encode(np.arange(100.0))
+        assert len(payload) == 800
+        np.testing.assert_array_equal(filt.decode(payload, 100), np.arange(100.0))
 
 
 class TestChunking:
@@ -169,5 +168,5 @@ class TestChunking:
         with H5LiteFile(p1, "w") as f:
             f.create_dataset("x", sample_data)
         with H5LiteFile(p2, "w") as f:
-            f.create_dataset("x", sample_data, filter=SZChunkFilter(comp))
+            f.create_dataset("x", sample_data, filter=ClassicSZFilter(comp))
         assert p2.stat().st_size < p1.stat().st_size

@@ -180,6 +180,16 @@ class TestWorkloadTally:
         assert workloads[0].chunks_written == 1
         assert workloads[2].chunks_written == 1
 
+    def test_a_rank_writes_each_of_its_chunks(self):
+        tally = WorkloadTally(3)
+        tally.add_dataset(ranks=[0, 1], per_rank_elements=[2048, 1025],
+                          chunk_elements=1024, compressed_bytes=300)
+        tally.add_dataset(ranks=[1], per_rank_elements=[10], chunk_elements=1024,
+                          compressed_bytes=80, launches_per_chunk=0)     # a raw write
+        workloads = tally.workloads()
+        assert [w.chunks_written for w in workloads] == [2, 3, 0]
+        assert [w.compressor_launches for w in workloads] == [2, 2, 0]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             WorkloadTally(0)

@@ -163,8 +163,12 @@ def test_flat_chunk_tally_matches_the_per_block_tally(tmp_path, modify_filter):
                 bounds = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
                 blocked.append([recon[a:b].reshape(shape)
                                 for a, b, shape in zip(bounds, bounds[1:], shapes)])
-            result.reconstructions = blocked
-            flat, ref = next(records), dataset_record(dplan, pack.originals, result)
+            ref = dataset_record(
+                dplan.level, dplan.field,
+                [(orig, rec) for blocks, recons in zip(pack.originals, blocked)
+                 for orig, rec in zip(blocks, recons)],
+                result.compressed_bytes, result.filter_calls, layout.nblocks)
+            flat = next(records)
             assert abs(flat.psnr - ref.psnr) < 1e-9
             assert flat.sq_error == pytest.approx(ref.sq_error, rel=1e-12)
             assert (flat.max_error, flat.n_elements, flat.raw_bytes, flat.value_min,

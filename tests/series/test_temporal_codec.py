@@ -182,8 +182,6 @@ class TestFilter:
         back = filt.decode(payload, chunk.size)
         assert np.abs(back[:data.size] - data).max() <= 1e-2 * (1 + 1e-12)
         assert np.all(back[data.size:] == 0.0)
-        assert filt.stats.calls == 1
-        assert filt.stats.padded_elements == 128
 
     def test_oversized_payload_rejected(self, codec, data):
         filt = TemporalDeltaFilter(codec)
