@@ -20,11 +20,10 @@
 
 PY := PYTHONPATH=src python
 
-# src/ + tools/ Python lines as of the last change to them (-87: one write ledger — every
-# writer records its datasets through core.stages.dataset_record and bills its ranks
-# through WorkloadTally; FilterStats, h5lite's SZChunkFilter, the baselines' rank arrays
-# and three copies of the PSNR formula went)
-LOC_BUDGET := 19036
+# src/ + tools/ Python lines as of the last change to them (+11: sz_lr fits regression
+# only for the rows whose Lorenzo estimate is above regression's floor — the trial
+# gather, its indices and typed empty regression streams for a call that fits nothing)
+LOC_BUDGET := 19047
 LOC = $$(find src tools -name '*.py' | xargs cat | wc -l)
 
 # suite -> pytest paths ('+'-separated). Adding a benchmark suite is one line.

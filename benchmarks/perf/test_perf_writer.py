@@ -1,31 +1,44 @@
-"""End-to-end writer timing on the nyx_1 preset: serial and pooled paths.
+"""End-to-end writer timing on the nyx_1 and warpx_1 presets: serial and
+pooled paths.
 
 ``make bench`` runs this file separately into ``BENCH_writer.json`` so the
 write-path numbers (staged serial pipeline, the shared-memory process
 pool) are tracked per PR next to the entropy-stage
 numbers in ``BENCH_entropy.json``.  The shm-vs-serial pair also feeds the
-speedup gate in ``tools/bench_check.py``.
+speedup gate in ``tools/bench_check.py``.  warpx_1 is the smooth preset,
+where most regions stay under regression's floor and are never fitted
+(DESIGN.md §1); nyx_1 is the one where nearly every region is.
 """
 
 import pytest
 
 pytest.importorskip("pytest_benchmark")
 
+from repro.apps.driver import build_run
 from repro.core import AMRICConfig, AMRICWriter
 from repro.parallel.backend import SharedMemoryBackend
 
 POOL_WORKERS = 4
 
 
-@pytest.mark.parametrize("compressor", ["sz_lr", "sz_interp"])
-def test_writer_plotfile_nyx1(benchmark, midsize_hierarchy, compressor,
-                              stamp_backend):
+def _time_serial_write(benchmark, hierarchy, compressor, stamp_backend):
     stamp_backend("serial", 1)
     writer = AMRICWriter(AMRICConfig(compressor=compressor, error_bound=1e-3))
-    report = benchmark.pedantic(writer.write_plotfile, args=(midsize_hierarchy,),
+    report = benchmark.pedantic(writer.write_plotfile, args=(hierarchy,),
                                 rounds=3, iterations=1)
     assert report.compression_ratio > 1.0
     assert report.total_cells > 0
+
+
+@pytest.mark.parametrize("compressor", ["sz_lr", "sz_interp"])
+def test_writer_plotfile_nyx1(benchmark, midsize_hierarchy, compressor,
+                              stamp_backend):
+    _time_serial_write(benchmark, midsize_hierarchy, compressor, stamp_backend)
+
+
+@pytest.mark.parametrize("compressor", ["sz_lr"])
+def test_writer_plotfile_warpx1(benchmark, compressor, stamp_backend):
+    _time_serial_write(benchmark, build_run("warpx_1").hierarchy, compressor, stamp_backend)
 
 
 @pytest.mark.parametrize("compressor", ["sz_lr", "sz_interp"])

@@ -593,15 +593,17 @@ def pack_sync(syncs: Sequence[Optional[np.ndarray]]) -> bytes:
     by ``SYNC_INTERVAL * _ENCODE_MAX_LEN`` bits (8192 < 2**16) and nearly
     uniform, so uint16 deltas + deflate cost a tiny fraction of raw int64
     offsets (sync offsets are an acceleration structure — they must not eat
-    into the compression ratio they exist to speed up).
+    into the compression ratio they exist to speed up).  One ``diff`` over all
+    streams' offsets, each non-empty stream's first delta then put back to its
+    first offset: the deltas a ``diff`` per stream gives.
     """
-    parts: List[np.ndarray] = []
-    for sync in syncs:
-        arr = np.zeros(0, dtype=np.int64) if sync is None \
-            else np.asarray(sync, dtype=np.int64).ravel()
-        parts.append(np.diff(arr, prepend=np.int64(0)).astype(np.uint16))
-    cat = np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint16)
-    return zlib.compress(cat.tobytes(), 6)
+    offsets = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        np.asarray(sync, dtype=np.int64).ravel() for sync in syncs if sync is not None])
+    deltas = np.diff(offsets, prepend=np.int64(0))
+    lanes = np.asarray([0 if sync is None else np.size(sync) for sync in syncs], dtype=np.int64)
+    firsts = (np.cumsum(lanes) - lanes)[lanes > 0]
+    deltas[firsts] = offsets[firsts]
+    return zlib.compress(deltas.astype(np.uint16).tobytes(), 6)
 
 
 def unpack_sync(blob: bytes, lane_counts: Sequence[int]) -> List[Optional[np.ndarray]]:

@@ -294,9 +294,9 @@ class SZLRCompressor(Compressor):
         ("residue blocks", Fig. 8 of the paper) predict poorly.
 
         Arrays of equal shape are stacked and share each numpy pass: one
-        Lorenzo transform per stack, one regression fit per region of the
-        stack.  Every value is computed by the arithmetic a per-array loop
-        would use, so the streams do not depend on how arrays are grouped.
+        Lorenzo transform per stack, one regression fit per region over the
+        arrays it could win for.  Every value is computed by the arithmetic a
+        per-array loop would use, so the streams do not depend on grouping.
 
         Returns ``(codes, side, counts, reconstructions)``: uint32 codes per
         array (one per cell, region/block order), the :data:`_SIDE` streams of
@@ -315,8 +315,11 @@ class SZLRCompressor(Compressor):
         reconstructions: List[np.ndarray] = [None] * len(arrays)  # type: ignore[list-item]
         # side values are produced per (stack, region) as (owning array of
         # each value, values); a stable sort on the owner at the end puts
-        # them in the stored (array, region, cell) order
+        # them in the stored (array, region, cell) order; the regression
+        # streams start typed and empty, since a call may try no region
         pieces: Dict[str, list] = {name: [] for name in _SIDE}
+        pieces["regression_outliers"].append((np.zeros(0, np.int64), np.zeros(0)))
+        pieces["regression_coeffs"].append((np.zeros(0, np.int64), np.zeros((0, ndim + 1))))
 
         for shape, members in _group_by_shape(shapes).items():
             segments, regions = _region_plan(shape, block_size)
@@ -336,27 +339,47 @@ class SZLRCompressor(Compressor):
                 anchor = lor[:, 0].copy()
                 lor[:, 0] = 0
                 lorenzo_bits = _residual_bits(lor) + 64.0
-
-                # --- Regression path: per SZ-block plane fit ----------------
-                blocks = _to_blocks(stack[where], region)
-                model, preds = regression.fit_and_predict(blocks, abs_eb)
-                residuals = blocks - preds
-                reg = np.rint(residuals / two_eb).astype(np.int64)
-                reg_err = reg * two_eb
-                reg_outlier = (np.abs(reg) >= radius) | \
-                    (np.abs(reg_err - residuals) > abs_eb * (1 + 1e-12))
-                reg[reg_outlier] = 0
-                reg = reg.reshape(m, -1)
-                reg_outlier_rows = reg_outlier.reshape(m, -1)
-                regression_bits = (_residual_bits(reg) + 64.0 * reg_outlier_rows.sum(axis=1)
-                                   + 32.0 * (ndim + 1) * region.nblocks)
-
-                # --- per-(array, region) choice; each path stores its rows --
-                use_regression = regression_bits < lorenzo_bits
-                pieces["selection"].append((members, use_regression.astype(np.uint8)))
                 region_codes = stack_codes[:, cell:cell + region.volume]
                 cell += region.volume
 
+                # --- Regression path: per SZ-block plane fit, only for rows
+                # whose Lorenzo estimate is above regression's floor of a bit
+                # per cell plus the coefficients (DESIGN.md §1) -------------
+                coefficient_bits = 32.0 * (ndim + 1) * region.nblocks
+                trial = np.flatnonzero(lorenzo_bits > region.volume + coefficient_bits)
+                use_regression = np.zeros(m, dtype=bool)
+                if t := trial.size:
+                    blocks = _to_blocks(stack[where] if t == m else
+                                        stack[(trial,) + region.slices], region)
+                    model, preds = regression.fit_and_predict(blocks, abs_eb)
+                    residuals = blocks - preds
+                    reg = np.rint(residuals / two_eb).astype(np.int64)
+                    reg_err = reg * two_eb
+                    reg_outlier = (np.abs(reg) >= radius) | \
+                        (np.abs(reg_err - residuals) > abs_eb * (1 + 1e-12))
+                    reg[reg_outlier] = 0
+                    reg = reg.reshape(t, -1)
+                    reg_outlier_rows = reg_outlier.reshape(t, -1)
+                    regression_bits = (_residual_bits(reg) + 64.0 * reg_outlier_rows.sum(axis=1)
+                                       + coefficient_bits)
+                    won = np.flatnonzero(regression_bits < lorenzo_bits[trial])
+                    own = trial[won]
+                    use_regression[own] = True
+                    outlier = reg_outlier_rows[won]
+                    region_codes[own] = np.where(outlier, 0, reg[won] + radius)
+                    row, col = np.nonzero(outlier)
+                    pieces["regression_outliers"].append(
+                        (members[own[row]], residuals.reshape(t, -1)[won[row], col]))
+                    coeffs = model.coefficients.reshape(t, region.nblocks, ndim + 1)[won]
+                    pieces["regression_coeffs"].append(
+                        (np.repeat(members[own], region.nblocks), coeffs.reshape(-1, ndim + 1)))
+                    if own.size:
+                        fitted = _from_blocks(
+                            preds + np.where(reg_outlier, residuals, reg_err), region)
+                        recon[(own,) + region.slices] = fitted[won]
+
+                # --- per-(array, region) choice; Lorenzo stores the rest ----
+                pieces["selection"].append((members, use_regression.astype(np.uint8)))
                 own = np.flatnonzero(~use_regression)
                 lor = lor[own]
                 outlier = np.abs(lor) >= radius
@@ -364,20 +387,6 @@ class SZLRCompressor(Compressor):
                 pieces["anchors"].append((members[own], anchor[own]))
                 row, col = np.nonzero(outlier)
                 pieces["lorenzo_outliers"].append((members[own[row]], lor[row, col]))
-
-                own = np.flatnonzero(use_regression)
-                outlier = reg_outlier_rows[own]
-                region_codes[own] = np.where(outlier, 0, reg[own] + radius)
-                row, col = np.nonzero(outlier)
-                pieces["regression_outliers"].append(
-                    (members[own[row]], residuals.reshape(m, -1)[own[row], col]))
-                coeffs = model.coefficients.reshape(m, region.nblocks, ndim + 1)[own]
-                pieces["regression_coeffs"].append(
-                    (np.repeat(members[own], region.nblocks), coeffs.reshape(-1, ndim + 1)))
-                if own.size:
-                    fitted = _from_blocks(
-                        preds + np.where(reg_outlier, residuals, reg_err), region)
-                    recon[(own,) + region.slices] = fitted[own]
             for row, index in enumerate(members):
                 codes[index] = stack_codes[row]
                 reconstructions[index] = recon[row]
@@ -651,11 +660,11 @@ class SZLRCompressor(Compressor):
                           for column, name in enumerate(_SIDE)}
             payload, codec = self._serialize(shapes, codes[lo:hi], chunk_side, counts[lo:hi],
                                              abs_eb, shared_encoding, input_dtype, codec=codec)
-            original_nbytes = sum(math.prod(shape) for shape in shapes) \
-                * np.dtype(input_dtype).itemsize
+            ncells = sum(math.prod(shape) for shape in shapes)
+            original_nbytes = ncells * np.dtype(input_dtype).itemsize
             out.append((CompressedBuffer(
                 payload=payload,
-                original_shape=shapes[0] if len(shapes) == 1 else (original_nbytes // 8,),
+                original_shape=shapes[0] if len(shapes) == 1 else (ncells,),
                 original_dtype=input_dtype,
                 original_nbytes=original_nbytes,
                 codec=self.name,

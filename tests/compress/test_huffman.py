@@ -198,6 +198,32 @@ class TestAdversarial:
             lying = [-1, counts[0] + counts[1] + 1] + counts[2:]
             assert unpack_sync(blob, lying) == [None] * len(counts)
 
+    @staticmethod
+    def _pack_sync_per_stream(syncs):
+        """``pack_sync`` as it was: one ``diff`` per stream."""
+        parts = [np.diff(np.zeros(0, np.int64) if sync is None
+                         else np.asarray(sync, dtype=np.int64).ravel(),
+                         prepend=np.int64(0)).astype(np.uint16) for sync in syncs]
+        cat = np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint16)
+        return zlib.compress(cat.tobytes(), 6)
+
+    @given(st.lists(st.one_of(st.none(),
+                              st.lists(st.integers(0, 2 ** 16 - 1), max_size=1),
+                              st.lists(st.integers(0, 2 ** 16 - 1), max_size=30)),
+                    max_size=12))
+    def test_pack_sync_equals_one_diff_per_stream(self, deltas):
+        """One ``diff`` over all streams, each stream's first delta put back,
+        is byte for byte the per-stream packing — ``None``, empty and
+        one-lane streams among them — and unpacks to every stream's offsets."""
+        syncs = [None if d is None else np.cumsum(np.asarray(d, dtype=np.int64))
+                 for d in deltas]
+        blob = pack_sync(syncs)
+        assert blob == self._pack_sync_per_stream(syncs)
+        back = unpack_sync(blob, [0 if s is None else s.size for s in syncs])
+        for sync, offsets in zip(syncs, back, strict=True):
+            expected = np.zeros(0, np.int64) if sync is None else sync
+            assert offsets.tobytes() == expected.tobytes()
+
     def test_scalar_fallback_matches_lut_path(self):
         """A stream stripped of its sync offsets decodes identically (slow path)."""
         rng = np.random.default_rng(9)

@@ -81,9 +81,14 @@ def _ref_fit_and_predict(blocks, eb):
 
 def _ref_encode_array(data, abs_eb, block_size, radius):
     """One array -> (codes, selection, anchors, lorenzo outliers, regression
-    outliers, regression coefficients, reconstruction)."""
+    outliers, regression coefficients, reconstruction, SZ blocks of the
+    regions whose Lorenzo estimate is above regression's floor).
+
+    Both paths are evaluated for every region; the floor (a bit per cell plus
+    the coefficients) is only checked against, never used to skip."""
     ndim = data.ndim
     codes_parts, selection, anchors, lor_out, reg_out, reg_coeffs = [], [], [], [], [], []
+    trial_blocks = 0
     reconstruction = np.empty_like(data)
     for region_sl in _ref_region_slices(data.shape, block_size):
         region = data[region_sl]
@@ -114,6 +119,9 @@ def _ref_encode_array(data, abs_eb, block_size, radius):
             np.sum(2.0 * np.log2(1.0 + np.abs(np.where(reg_outlier_mask, 0, reg_raw))) + 1.0)
             + 64.0 * reg_outlier_mask.sum()
             + 32.0 * (ndim + 1) * blocks.shape[0])
+        floor = region.size + 32.0 * (ndim + 1) * blocks.shape[0]
+        assert regression_bits >= floor
+        trial_blocks += blocks.shape[0] if lorenzo_bits > floor else 0
 
         use_regression = bool(regression_bits < lorenzo_bits)
         selection.append(use_regression)
@@ -140,7 +148,8 @@ def _ref_encode_array(data, abs_eb, block_size, radius):
             cat(lor_out, np.zeros(0, np.int64)),
             cat(reg_out, np.zeros(0, np.float64)),
             cat(reg_coeffs, np.zeros((0, ndim + 1), np.float64)),
-            reconstruction)
+            reconstruction,
+            trial_blocks)
 
 
 def _ref_compress_many(comp, arrays, shared_encoding, value_range, codec):
@@ -670,6 +679,113 @@ def test_one_fit_per_shape_group_and_region(monkeypatch):
     for chunk in (arrays[:4], arrays[4:9], arrays[9:]):
         comp.compress_many(chunk)
     assert len(calls_seen) == 8 + (8 + 8) + (8 + 1)         # one call per chunk: per chunk
+
+
+# ----------------------------------------------------------------------
+# regression is fitted only where its floor lies below the Lorenzo estimate
+# ----------------------------------------------------------------------
+def _fitted_blocks(monkeypatch):
+    """The SZ blocks each ``fit_and_predict`` call is handed."""
+    seen = []
+    real = regression.fit_and_predict
+    monkeypatch.setattr(regression, "fit_and_predict",
+                        lambda blocks, eb: seen.append(blocks.shape[0]) or real(blocks, eb))
+    return seen
+
+
+@pytest.mark.parametrize("kind", ["constant", "smooth"])
+def test_regions_under_the_floor_are_not_fitted(monkeypatch, kind):
+    rng = np.random.default_rng(8)
+    shapes = [(16, 16, 16), (8, 16, 8), (16, 16, 16), (6, 6, 6), (13, 9, 8)]
+    arrays = [_field(kind, shape, rng) for shape in shapes]
+    comp = SZLRCompressor(1e-3, block_size=6, radius=64)
+    fitted = _fitted_blocks(monkeypatch)
+    buffer = comp.compress_many(arrays, value_range=10.0)
+    payload, _, abs_eb = _ref_compress_many(comp, arrays, True, 10.0, None)
+    assert buffer.payload == payload
+    tried = sum(_ref_encode_array(a, abs_eb, (6, 6, 6), 64)[7] for a in arrays)
+    assert sum(fitted) == tried
+    if kind == "constant":
+        assert fitted == []
+    else:
+        every_block = sum(r.nblocks for s in shapes for r in sz_lr._region_plan(s, (6, 6, 6))[1])
+        assert 0 < tried < every_block
+
+
+def _from_lorenzo_deltas(deltas):
+    """The quantised field whose Lorenzo differences are ``deltas``."""
+    values = deltas.copy()
+    for axis in range(values.ndim):
+        np.cumsum(values, axis=axis, out=values)
+    return values
+
+
+def test_a_row_exactly_on_the_floor_is_lorenzo_and_never_fitted(monkeypatch):
+    """One 6³ block: regression's floor is 216 cells + 4 × 32 coefficient bits
+    = 344.  Lorenzo costs 216 + 64 (anchor) + 2 more per delta of magnitude 1,
+    so 32 such deltas sit exactly on the floor and 33 lie above it."""
+    rng = np.random.default_rng(13)
+    abs_eb = 1e-2
+
+    def with_unit_deltas(k):
+        deltas = np.zeros(216, dtype=np.int64)
+        deltas[1 + rng.choice(215, k, replace=False)] = rng.choice([-1, 1], k)
+        deltas[0] = 40                                              # the anchor
+        return _from_lorenzo_deltas(deltas.reshape(6, 6, 6)) * (2 * abs_eb)
+
+    i, j, k = np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij")
+    arrays = [with_unit_deltas(32), with_unit_deltas(33), 2.0 + 0.3 * i - 0.7 * j + 0.11 * k,
+              np.full((6, 6, 6), 1.5), with_unit_deltas(32)]
+    comp = SZLRCompressor(abs_eb, mode="abs", block_size=6, radius=64)
+    fitted = _fitted_blocks(monkeypatch)
+    _, side, _, _ = comp._encode_batch(arrays, abs_eb)
+    assert fitted == [2]                        # the 33-delta row and the plane, in one fit
+    selection = side["selection"].tolist()
+    assert selection[2] == 1 and selection[0] == selection[3] == selection[4] == 0
+    buffer = comp.compress_many(arrays)
+    payload, _, _ = _ref_compress_many(comp, arrays, True, None, None)
+    assert buffer.payload == payload
+    assert [e[7] for e in (_ref_encode_array(a, abs_eb, (6, 6, 6), 64) for a in arrays)] == \
+        [0, 1, 1, 0, 0]
+
+
+@pytest.mark.parametrize("shapes", [[(8,), (6,), (8,)], [(8, 7), (6, 6)],
+                                    [(8, 8, 8), (6, 6, 6), (8, 8, 8)]])
+def test_a_call_that_fits_nothing_stores_typed_empty_regression_streams(monkeypatch, shapes):
+    fitted = _fitted_blocks(monkeypatch)
+    arrays = [np.full(shape, 3.25) for shape in shapes]
+    ndim = len(shapes[0])
+    comp = SZLRCompressor(1e-3, block_size=6)
+    _, side, counts, recons = comp._encode_batch(arrays, 1e-3)
+    assert fitted == [] and not side["selection"].any()
+    assert (side["regression_outliers"].shape, side["regression_outliers"].dtype) == \
+        ((0,), np.float64)
+    assert (side["regression_coeffs"].shape, side["regression_coeffs"].dtype) == \
+        ((0, ndim + 1), np.float64)
+    assert not counts[:, 3:5].any()
+    buffer = comp.compress_many(arrays, value_range=1.0)
+    assert _bits(comp.decompress_many(buffer)) == _bits(recons)
+
+
+@given(st.integers(1, 6), st.integers(1, 300), st.sampled_from([0.0, 0.5, 0.95, 1.0]),
+       st.sampled_from([1, 2 ** 10, 2 ** 62]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_residual_bits_are_at_least_one_per_cell(rows, cols, zeros, magnitude, seed):
+    """The inequality the floor rests on: every term is >= 1, and a float sum
+    of k terms >= 1 rounds to >= k (k is exact and rounding is monotone)."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(-magnitude, magnitude, (rows, cols), endpoint=True)
+    values[rng.random((rows, cols)) < zeros] = 0
+    assert (sz_lr._residual_bits(values) >= cols).all()
+
+
+def test_a_multi_array_buffer_reports_its_cells():
+    """``original_shape`` of a multi-array buffer is its cell count, whatever
+    the dtype, so ``bitrate`` is bits per cell."""
+    cube = np.random.default_rng(0).standard_normal((10, 10, 10)).astype(np.float32)
+    buffer = SZLRCompressor(1e-3).compress_many([cube, cube])
+    assert (buffer.original_shape, buffer.original_nbytes) == ((2000,), 8000)
+    assert buffer.bitrate == 8.0 * buffer.compressed_nbytes / 2000
 
 
 # ----------------------------------------------------------------------
