@@ -11,9 +11,14 @@ Paper values (for reference, Summit-scale runs):
     Nyx_3        8.7          16.3             13.6
 
 The absolute numbers cannot transfer to synthetic laptop-scale data; the
-*shape* must: AMRIC beats AMReX's original compression on every run, the gain
-is far larger on WarpX than on Nyx, and SZ_Interp's advantage over SZ_L/R is a
-WarpX (smooth data) phenomenon.
+*shape* must: AMRIC beats AMReX's original compression on every run and the
+gain is far larger on WarpX than on Nyx.  The paper's third claim — SZ_Interp
+ahead of SZ_L/R on WarpX — does not hold here: on the synthetic ``warpx_1``
+field AMRIC(SZ_Interp) measures about 0.4x AMRIC(SZ_L/R) (40.8 vs 100.8 with
+format v2), because its predictor emits about twice SZ_L/R's code bits before
+any lossless stage (ROADMAP item 6), so the test asserts only that both beat
+AMReX there.  ``AMRIC_SZLR_FLOORS`` holds the two runs the lean chunk record
+(format v2) was measured on to its gains.
 """
 
 import pytest
@@ -31,6 +36,10 @@ PAPER_TABLE2 = {
 }
 
 METHODS = ("amrex", "amric_szlr", "amric_szinterp")
+
+#: AMRIC(SZ_L/R) floors: 59.7 and 9.10 before the lean chunk record (format v1),
+#: 100.8 and 10.9 with it
+AMRIC_SZLR_FLOORS = {"warpx_1": 80.0, "nyx_1": 9.8}
 
 
 @pytest.mark.paper
@@ -51,6 +60,7 @@ def test_table2_compression_ratio(benchmark, write_report, run):
     # shape checks (see EXPERIMENTS.md for the discussion of tolerances)
     assert measured["amric_szlr"] > measured["amrex"] * 0.95, \
         "AMRIC(SZ_L/R) must at least match AMReX's original compression ratio"
+    assert measured["amric_szlr"] >= AMRIC_SZLR_FLOORS.get(run, 0.0)
     if run.startswith("warpx"):
         # smooth data: both AMRIC variants beat AMReX by a wide margin
         assert measured["amric_szlr"] / measured["amrex"] > 2.0

@@ -41,6 +41,7 @@ The same verbs drive the ``python -m repro`` CLI (``info``, ``compress``,
 """
 
 from repro._version import __version__
+from repro.errors import CorruptFileError
 from repro.facade import open_plotfile, open_series, write_plotfile, write_series
 
 #: the public two-verb facade: ``repro.open(path)`` / ``repro.write(h, path)``,
@@ -51,7 +52,7 @@ write = write_plotfile
 #: ``open`` is deliberately NOT in __all__: ``from repro import *`` must not
 #: shadow the builtin in the importing module (repro.open still works)
 __all__ = ["__version__", "write", "open_plotfile", "write_plotfile",
-           "open_series", "write_series", "ChunkCache"]
+           "open_series", "write_series", "ChunkCache", "CorruptFileError"]
 
 
 def __getattr__(name):

@@ -96,7 +96,9 @@ def summarize_plotfile(path) -> Dict[str, object]:
 
 
 def plotfile_dataset_rows(path) -> List[Dict[str, object]]:
-    """Per-dataset size/compression rows for :func:`format_table`.
+    """Per-dataset rows for :func:`format_table`: what each dataset stores
+    and its ratio, from the chunk index alone (no chunk is read) — the valid
+    elements each chunk records over the bytes its chunks occupy.
 
     ``path`` may also be an already-open handle, like
     :func:`summarize_plotfile`.
@@ -110,13 +112,13 @@ def plotfile_dataset_rows(path) -> List[Dict[str, object]]:
         rows: List[Dict[str, object]] = []
         for name in handle.dataset_names():
             info = handle.dataset_info(name)
-            raw = info.nelements * np.dtype(info.dtype).itemsize
+            elements = sum(chunk.actual_elements for chunk in info.chunks)
             rows.append({
                 "dataset": name,
                 "chunks": info.nchunks,
-                "elements": info.nelements,
+                "elements": elements,
                 "stored_bytes": info.stored_nbytes,
-                "CR": raw / max(info.stored_nbytes, 1),
+                "ratio": elements * np.dtype(info.dtype).itemsize / max(info.stored_nbytes, 1),
                 "filter": info.filter_id,
             })
         return rows

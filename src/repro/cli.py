@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     backend_default = _default_backend()
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="AMRIC plotfile tooling (self-describing format v1)")
+        description="AMRIC plotfile tooling (self-describing format v2)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_info = sub.add_parser("info", help="print plotfile metadata (no decoding)")
@@ -287,6 +287,7 @@ def _cmd_info(args) -> int:
         if stats_rows is not None:
             summary["io_stats"] = {row["metric"]: row["value"]
                                    for row in stats_rows}
+        summary["dataset_rows"] = rows
         print(json.dumps(summary, indent=2))
         return 0
     print(f"plotfile {summary['path']}")

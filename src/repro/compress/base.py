@@ -104,6 +104,22 @@ class Compressor(abc.ABC):
             raise ValueError(f"{self.name} cannot quantise magnitude {largest:.6g} at error "
                              f"bound {abs_eb:.6g}: |x| / (2·eb) must stay below 2**62")
 
+    # -- records: one array, decoded against a shape under a recipe --------
+    def recipe(self, abs_eb: float, dtype: str = "float64") -> dict:
+        """What :meth:`decode_record` needs besides the shape (stored once per
+        dataset by the AMRIC filter); a codec with a lean record adds to it."""
+        return {"codec": self.name, "abs_eb": float(abs_eb), "dtype": str(dtype)}
+
+    def encode_record(self, data: np.ndarray, context: bytes = b"") -> Tuple[bytes, np.ndarray]:
+        """``(record, reconstruction)`` of one array; by default the record is
+        the standalone payload (``context``: what a checksummed record covers)."""
+        buffer, recon = self.compress_with_reconstruction(data)
+        return buffer.payload, recon
+
+    def decode_record(self, record: bytes, shape: Tuple[int, ...],
+                      sync_interval: int | None = None, context: bytes = b"") -> np.ndarray:
+        return self.decompress(record).reshape(shape)
+
     def resolve_eb(self, data: np.ndarray, value_range: float | None = None) -> float:
         """Absolute error bound for this input."""
         return self.error_bound.resolve(data, value_range=value_range)

@@ -14,25 +14,30 @@ module is the single implementation:
 * :func:`pack_huffman` / :func:`unpack_huffman` — the shared-table Huffman
   stream sections (table, deflated payload, per-stream bit counts, packed
   sync offsets) used by every codec's entropy stage;
-* :func:`pack_huffman_individual` / :func:`unpack_huffman_individual` — the
-  per-array-table alternative (``shared_encoding=False``, the costly non-SLE
-  path the paper compares against);
-* :func:`parse_huffman` / :func:`parse_huffman_individual` +
-  :func:`decode_huffman` — the two halves of the unpack functions: sections
-  to ``(codec, encoded)`` pairs, then one entropy pass over the pairs of
-  however many containers a decode job holds;
+* :func:`parse_huffman` + :func:`decode_huffman` — the two halves of
+  :func:`unpack_huffman`: sections to ``(codec, encoded)`` pairs, then one
+  entropy pass over the pairs of however many containers a decode job holds;
 * :func:`pack_zarray` / :func:`unpack_zarray` and :func:`pack_zbytes` /
-  :func:`unpack_zbytes` — deflated side-array sections.
+  :func:`unpack_zbytes` — deflated side-array sections;
+* :func:`pack_record` / :func:`parse_record` — the format-v2 chunk record
+  (SZ_L/R and SZ_Interp): a CRC32, the array count, the deflated codes and
+  one deflated side blob, with nothing the array shapes or the codec recipe
+  imply; a standalone buffer wraps it in a container whose meta is the recipe
+  and the shapes, the AMRIC filter stores it bare;
+  :func:`pack_huffman_individual` / :func:`unpack_huffman_individual` are the
+  per-array-table (non-SLE) streams alone in that form.
 
 Every container carries its codec name inside ``meta`` so a stream handed to
 the wrong decompressor is rejected with :class:`ValueError` instead of being
-misinterpreted.
+misinterpreted.  Stored bytes that fail to parse raise
+:class:`~repro.errors.CorruptFileError`.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -50,6 +55,7 @@ from repro.compress.lossless import (
     zlib_compress,
     zlib_decompress,
 )
+from repro.errors import CorruptFileError
 
 __all__ = [
     "CodecContainer",
@@ -60,7 +66,6 @@ __all__ = [
     "parse_huffman",
     "unpack_huffman",
     "pack_huffman_individual",
-    "parse_huffman_individual",
     "unpack_huffman_individual",
     "decode_huffman",
     "HuffmanPair",
@@ -69,6 +74,11 @@ __all__ = [
     "unpack_zarray",
     "pack_zbytes",
     "unpack_zbytes",
+    "recipe_context",
+    "shapes_seed",
+    "SideReader",
+    "pack_record",
+    "parse_record",
 ]
 
 
@@ -86,7 +96,7 @@ HuffmanPair = Tuple[HuffmanCodec, HuffmanEncoded]
 
 
 def required(mapping: Mapping[str, Any], key: str, what: str) -> Any:
-    """``mapping[key]``, or the :class:`ValueError` naming what ``what`` lacks.
+    """``mapping[key]``, or the :class:`CorruptFileError` naming what ``what`` lacks.
 
     Every parser of stored bytes reads its sections and meta keys through
     this, so a stream that lost one fails like any other damaged stream.
@@ -94,7 +104,7 @@ def required(mapping: Mapping[str, Any], key: str, what: str) -> Any:
     try:
         return mapping[key]
     except KeyError:
-        raise ValueError(f"{what}: missing {key!r}") from None
+        raise CorruptFileError(f"{what}: missing {key!r}") from None
 
 
 def pack_container(codec: str, meta: Dict[str, object],
@@ -193,9 +203,9 @@ def parse_huffman(sections: Dict[str, bytes], *, sync_interval: int = 0) -> List
 def decode_huffman(containers: Sequence[Sequence[HuffmanPair]]) -> List[List[np.ndarray]]:
     """Per container, one code array per stream — every pair in one lane pass.
 
-    ``containers`` holds what :func:`parse_huffman` /
-    :func:`parse_huffman_individual` returned for each container of a decode
-    job; the pass's cost is shared by all of them (DESIGN.md §2).
+    ``containers`` holds what :func:`parse_huffman` / :func:`parse_record`
+    returned for each container or record of a decode job; the pass's cost is
+    shared by all of them (DESIGN.md §2).
     """
     decoded = iter(huffman.decode_many([pair for pairs in containers for pair in pairs]))
     out: List[List[np.ndarray]] = []
@@ -212,60 +222,6 @@ def unpack_huffman(sections: Dict[str, bytes], *,
                    sync_interval: int = 0) -> List[np.ndarray]:
     """Decode the shared-table Huffman sections back to per-stream code arrays."""
     return decode_huffman([parse_huffman(sections, sync_interval=sync_interval)])[0]
-
-
-def pack_huffman_individual(streams: Sequence[HuffmanEncoded],
-                            lossless_level: int = 6) -> bytes:
-    """One table + payload per stream, length-framed and deflated together.
-
-    This is the non-shared-encoding alternative (each array pays for its own
-    Huffman table — the cost unit SLE removes).
-    """
-    blobs: List[bytes] = []
-    for stream in streams:
-        blob = pack_sections({
-            "symbols": pack_array(stream.table_symbols),
-            "lengths": pack_array(stream.table_lengths),
-            "payload": stream.payload,
-            "nbits": struct.pack("<q", stream.nbits),
-            "sync": huffman.pack_sync([stream.sync]),
-        })
-        blobs.append(blob)
-    framed = b"".join(struct.pack("<Q", len(b)) + b for b in blobs)
-    return zlib_compress(framed, lossless_level)
-
-
-def parse_huffman_individual(section: bytes, ncodes: Sequence[int],
-                             sync_interval: int = 0) -> List[HuffmanPair]:
-    """The per-array-table section as one ``(codec, encoded)`` pair per stream."""
-    framed = zlib_decompress(section)
-    pairs: List[HuffmanPair] = []
-    offset = 0
-    for n in ncodes:
-        if offset + 8 > len(framed):
-            raise ValueError("truncated per-array Huffman section")
-        (blob_len,) = struct.unpack_from("<Q", framed, offset)
-        offset += 8
-        blob = unpack_sections(framed[offset:offset + blob_len])
-        offset += blob_len
-        symbols, lengths, payload, raw_nbits = (
-            required(blob, name, "per-array Huffman stream")
-            for name in ("symbols", "lengths", "payload", "nbits"))
-        symbols, lengths = unpack_array(symbols), unpack_array(lengths)
-        if len(raw_nbits) != 8:
-            raise ValueError("per-array Huffman stream: 'nbits' is not one int64")
-        (nbits,) = struct.unpack("<q", raw_nbits)
-        sync = huffman.unpack_sync_for(blob.get("sync"), int(sync_interval),
-                                       [int(n)])[0]
-        pairs.append((HuffmanCodec(symbols, lengths),
-                      HuffmanEncoded(payload, nbits, int(n), symbols, lengths, sync=sync)))
-    return pairs
-
-
-def unpack_huffman_individual(section: bytes, ncodes: Sequence[int],
-                              sync_interval: int = 0) -> List[np.ndarray]:
-    """Invert :func:`pack_huffman_individual` (``ncodes``: symbols per stream)."""
-    return decode_huffman([parse_huffman_individual(section, ncodes, sync_interval)])[0]
 
 
 # ----------------------------------------------------------------------
@@ -287,3 +243,165 @@ def pack_zbytes(payload: bytes, lossless_level: int = 6) -> bytes:
 
 def unpack_zbytes(section: bytes) -> bytes:
     return zlib_decompress(section)
+
+
+# ----------------------------------------------------------------------
+# the format-v2 chunk record (DESIGN.md §5, "Format v2 chunk record")
+# ----------------------------------------------------------------------
+#: crc32 of everything after it, arrays held, bytes of the deflated codes
+_RECORD = struct.Struct("<IIQ")
+
+
+def recipe_context(recipe: Mapping[str, Any], keys: Sequence[str], what: str) -> bytes:
+    """The recipe values a record decodes under, as its checksum covers them:
+    a recipe changed or damaged in the superblock fails the record's CRC."""
+    return json.dumps([required(recipe, key, what) for key in keys]).encode("utf-8")
+
+
+def shapes_seed(shapes: Sequence[Sequence[int]], context: bytes = b"") -> int:
+    """The seed of a record's CRC32: the array shapes it decodes against and
+    the caller's ``context``, so a record read where others belong fails."""
+    return zlib.crc32(context, zlib.crc32(np.asarray(shapes, dtype="<i8").tobytes()))
+
+
+class SideReader:
+    """Typed arrays taken in turn from an inflated side blob; running short or
+    leaving bytes over is a :class:`CorruptFileError`."""
+
+    def __init__(self, raw: bytes, what: str):
+        self._raw, self._at, self.what = raw, 0, what
+
+    def take(self, dtype, count: int) -> np.ndarray:
+        dtype, count = np.dtype(dtype), int(count)
+        if count < 0 or self._at + count * dtype.itemsize > len(self._raw):
+            raise CorruptFileError(f"{self.what}: side streams end before {count} {dtype}")
+        self._at += count * dtype.itemsize
+        return np.frombuffer(self._raw, dtype, count, self._at - count * dtype.itemsize)
+
+    def done(self) -> None:
+        if self._at != len(self._raw):
+            raise CorruptFileError(f"{self.what}: bytes past its side streams")
+
+
+def _table_arrays(tables: Sequence[HuffmanCodec]) -> List[np.ndarray]:
+    """Tables as stored: a row ``(lo, span, length of symbol 0)`` each, then
+    their code lengths over ``[lo, lo + span)`` (0: absent).  Codes cluster
+    around the radius and 0 marks an outlier, so spans stay short."""
+    rows, dense = [], [np.zeros(0, "u1")]
+    for table in tables:
+        symbols = table.symbols.astype(np.int64)
+        if (np.diff(symbols) <= 0).any():
+            raise ValueError("a stored Huffman table lists its symbols in ascending order")
+        rest = symbols > 0
+        lo = int(symbols[rest][0]) if rest.any() else 1
+        rows.append((lo, int(symbols[-1]) - lo + 1 if rest.any() else 0,
+                     0 if rest.all() else int(table.lengths[0])))
+        dense.append(np.zeros(rows[-1][1], "u1"))
+        dense[-1][symbols[rest] - lo] = table.lengths[rest]
+    return [np.asarray(rows, dtype="<i8").reshape(-1, 3), np.concatenate(dense)]
+
+
+def _take_tables(side: SideReader, ntables: int) -> List[HuffmanCodec]:
+    """Invert :func:`_table_arrays`: symbols ascending, as ``from_data`` builds them."""
+    rows = side.take("<i8", 3 * ntables).reshape(-1, 3).astype(np.int64)
+    lo, span, zero = rows.T
+    if (lo < 1).any() or (span < 0).any() or (lo + span > 1 << 32).any() \
+            or (zero < 0).any() or (zero > 255).any():
+        raise CorruptFileError(f"{side.what}: a Huffman table row out of range")
+    dense, tables = side.take("u1", span.sum()), []
+    for start, (first, count, zero_length) in zip((np.cumsum(span) - span).tolist(),
+                                                  rows.tolist()):
+        present = np.flatnonzero(dense[start:start + count])
+        symbols = np.concatenate(([0] if zero_length else [], present + first))
+        lengths = np.concatenate(([zero_length] if zero_length else [],
+                                  dense[start + present]))
+        try:
+            tables.append(HuffmanCodec(symbols.astype(np.uint32), lengths.astype(np.uint8)))
+        except ValueError as exc:
+            raise CorruptFileError(f"{side.what}: {exc}") from exc
+    return tables
+
+
+def pack_record(shapes: Sequence[Sequence[int]], streams: Sequence[HuffmanEncoded],
+                tables: Sequence[HuffmanCodec], side: Sequence[np.ndarray],
+                lossless_level: int = 6, context: bytes = b"") -> bytes:
+    """One chunk record: ``crc32 | arrays | codes length | codes | side blob``.
+
+    ``streams`` holds one byte-aligned Huffman stream per array, their codes
+    deflated together.  The side blob deflates each stream's bit count, the
+    ``tables`` (one shared, or one per stream), the sync deltas and then the
+    codec's ``side`` arrays (typed little-endian by the caller): nothing the
+    shapes and the codec recipe imply.  The CRC is seeded by :func:`shapes_seed`.
+    """
+    blob = b"".join(np.ascontiguousarray(a).tobytes() for a in (
+        np.asarray([s.nbits for s in streams], dtype="<i8"), *_table_arrays(tables),
+        huffman.sync_deltas([s.sync for s in streams]), *side))
+    codes = zlib_compress(b"".join(s.payload for s in streams), lossless_level)
+    body = struct.pack("<IQ", len(streams), len(codes)) + codes \
+        + zlib_compress(blob, lossless_level)
+    return struct.pack("<I", zlib.crc32(body, shapes_seed(shapes, context))) + body
+
+
+def parse_record(record: bytes, shapes: Sequence[Sequence[int]], nsymbols: Sequence[int],
+                 shared: bool, sync_interval: int, what: str, context: bytes = b""
+                 ) -> Tuple[List[HuffmanPair], SideReader]:
+    """Invert :func:`pack_record` short of the entropy decode: the Huffman
+    pairs (one multi-stream pair under a shared table, else one per stream)
+    and the side blob, positioned at the codec's own arrays.
+
+    ``nsymbols`` (per array) and ``sync_interval`` come from the shapes and the
+    recipe.  The array count, then the checksum, then every length is checked
+    before anything is sized from it: any failure is :class:`CorruptFileError`.
+    """
+    if len(record) < _RECORD.size:
+        raise CorruptFileError(f"{what}: {len(record)} bytes, shorter than a record header")
+    crc, narrays, ncodes = _RECORD.unpack_from(record)
+    if narrays != len(shapes):
+        raise CorruptFileError(f"{what} holds {narrays} blocks, its place {len(shapes)}")
+    if zlib.crc32(memoryview(record)[4:], shapes_seed(shapes, context)) != crc:
+        raise CorruptFileError(f"{what}: checksum mismatch (damaged, or read where "
+                               "it was not written)")
+    if ncodes > len(record) - _RECORD.size:
+        raise CorruptFileError(f"{what}: its codes run past the record")
+    payload = zlib_decompress(record[_RECORD.size:_RECORD.size + ncodes])
+    side = SideReader(zlib_decompress(record[_RECORD.size + ncodes:]), what)
+    nsymbols = np.asarray(nsymbols, dtype=np.int64)
+    nbits = side.take("<i8", narrays).astype(np.int64)
+    if (nbits < nsymbols).any():
+        raise CorruptFileError(f"{what}: fewer code bits than symbols")
+    tables = _take_tables(side, 1 if shared else narrays)
+    lanes = -(-nsymbols // max(int(sync_interval), 1))
+    syncs = huffman.sync_offsets(side.take("<u2", lanes.sum()), lanes)
+    if sync_interval != huffman.SYNC_INTERVAL:
+        syncs = [None] * narrays
+    nbytes = (nbits + 7) >> 3
+    if int(nbytes.sum()) != len(payload):
+        raise CorruptFileError(f"{what}: {len(payload)} bytes of codes, its streams "
+                               f"hold {int(nbytes.sum())}")
+    if shared:
+        sync = None if syncs[0] is None else np.concatenate(syncs)
+        return [(tables[0], HuffmanEncoded(
+            payload, int(nbits.sum()), int(nsymbols.sum()), tables[0].symbols,
+            tables[0].lengths, sync=sync, streams=np.stack([nbits, nsymbols], axis=1)))], side
+    starts = (np.cumsum(nbytes) - nbytes).tolist()
+    return [(table, HuffmanEncoded(payload[start:start + size], bits, count, table.symbols,
+                                   table.lengths, sync=sync))
+            for table, start, size, bits, count, sync in zip(
+                tables, starts, nbytes.tolist(), nbits.tolist(), nsymbols.tolist(), syncs)], side
+
+
+def pack_huffman_individual(streams: Sequence[HuffmanEncoded], lossless_level: int = 6) -> bytes:
+    """One table per stream (the costly non-SLE alternative, the cost unit SLE
+    removes): the streams alone as a record of 1D arrays."""
+    return pack_record([(s.nsymbols,) for s in streams], streams,
+                       [HuffmanCodec(s.table_symbols, s.table_lengths) for s in streams], [],
+                       lossless_level)
+
+
+def unpack_huffman_individual(section: bytes, ncodes: Sequence[int],
+                              sync_interval: int = huffman.SYNC_INTERVAL) -> List[np.ndarray]:
+    """Invert :func:`pack_huffman_individual` (``ncodes``: symbols per stream)."""
+    pairs, side = parse_record(section, [(n,) for n in ncodes], ncodes, False, sync_interval,
+                               "per-array Huffman streams")
+    side.done()
+    return decode_huffman([pairs])[0]

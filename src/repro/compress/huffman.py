@@ -53,7 +53,7 @@ from repro.compress.lossless import zlib_decompress
 
 __all__ = ["HuffmanCodec", "encode", "decode", "decode_many", "HuffmanEncoded",
            "MAX_CODE_LEN", "SYNC_INTERVAL", "pack_sync", "unpack_sync",
-           "unpack_sync_for"]
+           "unpack_sync_for", "sync_deltas", "sync_offsets"]
 
 #: default code-length limit — keeps the decode LUT at 2**16 entries
 MAX_CODE_LEN = 16
@@ -586,8 +586,8 @@ def _huffman_code_lengths_from_counts(counts: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # compact sync-offset serialization
 # ----------------------------------------------------------------------
-def pack_sync(syncs: Sequence[Optional[np.ndarray]]) -> bytes:
-    """Serialise sync offsets of one or more streams compactly.
+def sync_deltas(syncs: Sequence[Optional[np.ndarray]]) -> np.ndarray:
+    """Sync offsets of one or more streams as compact uint16 deltas.
 
     Absolute offsets grow with the stream, but per-lane *deltas* are bounded
     by ``SYNC_INTERVAL * _ENCODE_MAX_LEN`` bits (8192 < 2**16) and nearly
@@ -603,17 +603,21 @@ def pack_sync(syncs: Sequence[Optional[np.ndarray]]) -> bytes:
     lanes = np.asarray([0 if sync is None else np.size(sync) for sync in syncs], dtype=np.int64)
     firsts = (np.cumsum(lanes) - lanes)[lanes > 0]
     deltas[firsts] = offsets[firsts]
-    return zlib.compress(deltas.astype(np.uint16).tobytes(), 6)
+    return deltas.astype("<u2")
 
 
-def unpack_sync(blob: bytes, lane_counts: Sequence[int]) -> List[Optional[np.ndarray]]:
-    """Invert :func:`pack_sync`; ``lane_counts`` gives lanes per stream.
+def pack_sync(syncs: Sequence[Optional[np.ndarray]]) -> bytes:
+    """:func:`sync_deltas`, deflated: one serialised section."""
+    return zlib.compress(sync_deltas(syncs).tobytes(), 6)
 
-    Returns ``None`` entries (→ scalar decode fallback) if the blob does not
-    hold exactly the expected number of deltas.  One running sum over all
+
+def sync_offsets(deltas: np.ndarray, lane_counts: Sequence[int]) -> List[Optional[np.ndarray]]:
+    """Invert :func:`sync_deltas`; ``lane_counts`` gives lanes per stream.
+
+    Returns ``None`` entries (→ scalar decode fallback) if ``deltas`` does not
+    hold exactly the expected number of lanes.  One running sum over all
     streams, each stream's share less the (exact, int64) sum in front of it.
     """
-    deltas = np.frombuffer(zlib_decompress(blob), dtype=np.uint16)
     counts = np.asarray(lane_counts, dtype=np.int64)
     if (counts < 0).any() or deltas.size != int(counts.sum()):
         return [None] * len(lane_counts)
@@ -622,6 +626,11 @@ def unpack_sync(blob: bytes, lane_counts: Sequence[int]) -> List[Optional[np.nda
     starts = ends - counts
     offsets -= np.repeat(np.concatenate(([0], offsets))[starts], counts)
     return [offsets[lo:hi] for lo, hi in zip(starts.tolist(), ends.tolist())]
+
+
+def unpack_sync(blob: bytes, lane_counts: Sequence[int]) -> List[Optional[np.ndarray]]:
+    """Invert :func:`pack_sync` (see :func:`sync_offsets`)."""
+    return sync_offsets(np.frombuffer(zlib_decompress(blob), dtype="<u2"), lane_counts)
 
 
 def unpack_sync_for(blob: Optional[bytes], interval: int,

@@ -15,6 +15,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.errors import CorruptFileError
+
 __all__ = [
     "zlib_compress",
     "zlib_decompress",
@@ -36,11 +38,11 @@ def zlib_compress(payload: bytes, level: int = 6) -> bytes:
 
 
 def zlib_decompress(payload: bytes) -> bytes:
-    """Inflate ``payload``; a damaged stream is a :class:`ValueError`."""
+    """Inflate ``payload``; a damaged stream is a :class:`CorruptFileError`."""
     try:
         return zlib.decompress(payload)
     except zlib.error as exc:
-        raise ValueError(f"corrupt deflate stream: {exc}") from exc
+        raise CorruptFileError(f"corrupt deflate stream: {exc}") from exc
 
 
 def pack_sections(sections: Dict[str, bytes]) -> bytes:

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from repro.compress.base import Compressor
+from repro.compress.container import required
+from repro.errors import CorruptFileError
 from repro.compress.errorbound import ErrorBound
 from repro.compress.sz_lr import SZLRCompressor
 from repro.compress.sz_interp import SZInterpCompressor
@@ -34,6 +36,7 @@ __all__ = [
     "register_codec",
     "resolve_codec",
     "create_codec",
+    "codec_from_recipe",
     "available_codecs",
     "is_registered",
 ]
@@ -53,10 +56,12 @@ class CodecSpec:
     #: of lists of arrays, predicted in one pass, answered with one
     #: ``(buffer, reconstructions)`` per chunk, the shared table carried from
     #: chunk to chunk; ``AMRICLevelFilter.encode_many`` calls it once per run
-    #: of a dataset's chunks.  Read side: ``decompress_batch(buffers, select)``
-    #: — an iterable of one list of arrays per buffer, in order, optionally
-    #: only the selected arrays of each — which is what
-    #: ``AMRICLevelFilter.decode_blocks`` calls for every chunk of such a codec
+    #: of a dataset's chunks (``framed=False``: bare records).  Read side:
+    #: ``decode_records(records, shapes, recipe, select)`` — an iterable of
+    #: one list of arrays per record, in order, optionally only the selected
+    #: arrays of each — which is what ``AMRICLevelFilter.decode_blocks``
+    #: calls for every chunk of such a codec (``decompress_batch(buffers,
+    #: select)`` is the same over standalone buffers)
     supports_many: bool = False
     description: str = ""
 
@@ -98,6 +103,21 @@ def create_codec(name: str, error_bound: ErrorBound | float, mode: str = "rel",
                  **options) -> Compressor:
     """Construct a codec by name (see :meth:`CodecSpec.create`)."""
     return resolve_codec(name).create(error_bound, mode=mode, **options)
+
+
+def codec_from_recipe(recipe: dict) -> Compressor:
+    """The decoder of records written under ``recipe`` (a codec's
+    ``recipe()``): its absolute bound and the options the codec declares.
+    A recipe lacking a key the codec writes, or one it refuses, is a
+    ``CorruptFileError``."""
+    try:
+        comp = resolve_codec(required(recipe, "codec", "codec recipe")).create(
+            required(recipe, "abs_eb", "codec recipe"), mode="abs", **recipe)
+        for key in comp.recipe(0.0):
+            required(recipe, key, f"{comp.name} recipe")
+    except (TypeError, OverflowError, ValueError) as exc:
+        raise CorruptFileError(f"codec recipe: {exc}") from exc
+    return comp
 
 
 def available_codecs() -> Tuple[str, ...]:

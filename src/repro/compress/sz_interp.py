@@ -20,6 +20,7 @@ cube of §3.1) — which is precisely the effect Figure 5 of the paper measures.
 
 from __future__ import annotations
 
+import math
 from typing import List, Tuple
 
 import numpy as np
@@ -30,8 +31,12 @@ from repro.compress.errorbound import ErrorBound
 from repro.compress import huffman
 from repro.compress.huffman import HuffmanCodec
 from repro.compress.quantizer import DEFAULT_RADIUS
+from repro.errors import CorruptFileError
 
 __all__ = ["SZInterpCompressor"]
+
+#: what a record decodes under besides its shape (:meth:`SZInterpCompressor.recipe`)
+_RECIPE = ("abs_eb", "radius", "anchor_stride", "cubic", "sync_interval", "dtype")
 
 
 def _level_plan(shape: Tuple[int, ...], anchor_stride: int) -> List[Tuple[int, int]]:
@@ -157,68 +162,88 @@ class SZInterpCompressor(Compressor):
         return None
 
     # ------------------------------------------------------------------
-    # public API
+    # the record (DESIGN.md §5) and the public API around it
     # ------------------------------------------------------------------
-    def compress_with_reconstruction(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
-        input_dtype = str(np.asarray(data).dtype)
-        original_nbytes = int(np.asarray(data).nbytes)
+    def recipe(self, abs_eb: float, dtype: str = "float64") -> dict:
+        """Everything a record is decoded under besides its shape."""
+        return {"codec": self.name, "abs_eb": float(abs_eb), "radius": self.radius,
+                "anchor_stride": self.anchor_stride, "cubic": self.cubic,
+                "sync_interval": huffman.SYNC_INTERVAL, "dtype": str(dtype)}
+
+    def _anchor_sel(self, shape: Tuple[int, ...]) -> Tuple[slice, ...]:
+        return tuple(slice(None, None, self.anchor_stride) for _ in shape)
+
+    def encode_record(self, data: np.ndarray, context: bytes = b"") -> Tuple[bytes, np.ndarray]:
+        """``(record, reconstruction)``: the codes, then the outlier count, the
+        anchors and the outliers (the code count and anchor lattice follow
+        from the shape; the checksum also covers ``context``)."""
         data = self._as_input(data)
         abs_eb = self.resolve_eb(data)
         self._check_magnitude(data, abs_eb)
         shape = tuple(int(s) for s in data.shape)
-
         recon = np.zeros(shape, dtype=np.float64)
-        anchor_sel = tuple(slice(None, None, self.anchor_stride) for _ in shape)
-        anchors = np.ascontiguousarray(data[anchor_sel])
-        recon[anchor_sel] = anchors
-
+        anchors = np.ascontiguousarray(data[self._anchor_sel(shape)])
+        recon[self._anchor_sel(shape)] = anchors
         codes, outliers = self._sweep(shape, recon, abs_eb, data, None, None)
+        codec = HuffmanCodec.from_data(codes)
+        record = ctn.pack_record([shape], [codec.encode(codes)], [codec], [
+            np.asarray([outliers.size], dtype="<i8"), anchors.astype("<f8"),
+            outliers.astype("<f8")], self.lossless_level, context)
+        return record, recon
 
-        codec = HuffmanCodec.from_data(codes) if codes.size else \
-            HuffmanCodec(np.zeros(0, np.uint32), np.zeros(0, np.uint8))
-        stream = codec.encode(codes)
-        meta = {
-            "abs_eb": abs_eb,
-            "radius": self.radius,
-            "anchor_stride": self.anchor_stride,
-            "cubic": self.cubic,
-            "shape": list(shape),
-            "dtype": input_dtype,
-            "sync_interval": huffman.SYNC_INTERVAL,
-        }
-        sections = ctn.pack_huffman([stream], self.lossless_level)
-        sections["anchors"] = ctn.pack_zarray(anchors, self.lossless_level)
-        sections["outliers"] = ctn.pack_zarray(outliers, self.lossless_level)
-        payload = ctn.pack_container(self.name, meta, sections)
-        buffer = CompressedBuffer(
-            payload=payload,
-            original_shape=shape,
-            original_dtype=input_dtype,
-            original_nbytes=original_nbytes,
-            codec=self.name,
-            meta={"abs_eb": abs_eb, "anchor_cells": int(anchors.size)},
-        )
-        return buffer, recon
+    def decode_record(self, record: bytes, shape: Tuple[int, ...],
+                      sync_interval: int | None = huffman.SYNC_INTERVAL,
+                      context: bytes = b"") -> np.ndarray:
+        """Invert :meth:`encode_record` (float64) under this compressor's
+        bound, stride and radius: :class:`CorruptFileError` if inconsistent."""
+        shape = tuple(int(s) for s in shape)
+        nanchors = math.prod(len(range(0, n, self.anchor_stride)) for n in shape)
+        pairs, reader = ctn.parse_record(record, [shape], [math.prod(shape) - nanchors],
+                                         True, sync_interval, "sz_interp record", context)
+        (noutliers,) = reader.take("<i8", 1).tolist()
+        anchors = reader.take("<f8", nanchors)
+        outliers = reader.take("<f8", noutliers)
+        reader.done()
+        (codes,) = ctn.decode_huffman([pairs])[0]
+        if int(np.count_nonzero(codes == 0)) != noutliers:
+            raise CorruptFileError("sz_interp record: outlier count disagrees with the codes")
+        recon = np.zeros(shape, dtype=np.float64)
+        recon[self._anchor_sel(shape)] = anchors.reshape(recon[self._anchor_sel(shape)].shape)
+        self._sweep(shape, recon, self.error_bound.resolve(), None, codes, outliers)
+        return recon
+
+    def compress_with_reconstruction(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
+        """The record wrapped with the recipe and the shape: a standalone buffer."""
+        abs_eb = self.resolve_eb(self._as_input(data))
+        meta = self.recipe(abs_eb, str(np.asarray(data).dtype))
+        record, recon = self.encode_record(
+            data, ctn.recipe_context(meta, _RECIPE, "sz_interp meta"))
+        meta["shape"] = list(recon.shape)
+        return CompressedBuffer(
+            payload=ctn.pack_container(self.name, meta, {"record": record}),
+            original_shape=recon.shape, original_dtype=meta["dtype"],
+            original_nbytes=int(np.asarray(data).nbytes), codec=self.name,
+            meta={"abs_eb": abs_eb}), recon
 
     def decompress(self, buffer: CompressedBuffer | bytes) -> np.ndarray:
         cont = ctn.unpack_container(self._payload_of(buffer), expect_codec=self.name)
-        meta, sections = cont.meta, cont.sections
-        shape = tuple(meta["shape"])
-        abs_eb = float(meta["abs_eb"])
-        if meta["radius"] != self.radius or meta["anchor_stride"] != self.anchor_stride:
-            # decoding parameters travel with the stream; honour them
-            decoder = SZInterpCompressor(self.error_bound, anchor_stride=meta["anchor_stride"],
-                                         radius=meta["radius"], cubic=meta["cubic"])
-            return decoder.decompress(buffer)
+        meta = cont.meta
 
-        codes = ctn.unpack_huffman(
-            sections, sync_interval=int(meta.get("sync_interval", 0)))[0]
-        anchors = ctn.unpack_zarray(sections["anchors"])
-        outliers = ctn.unpack_zarray(sections["outliers"])
+        def need(key):
+            return ctn.required(meta, key, "sz_interp meta")
 
-        recon = np.zeros(shape, dtype=np.float64)
-        anchor_sel = tuple(slice(None, None, self.anchor_stride) for _ in shape)
-        recon[anchor_sel] = anchors
-        self._sweep(shape, recon, abs_eb, None, codes, outliers)
-        dtype = np.dtype(meta["dtype"])
+        shape = need("shape")
+        if not (isinstance(shape, list) and shape
+                and all(isinstance(n, int) and n > 0 for n in shape)):
+            raise CorruptFileError("sz_interp meta: shape is not a list of positive extents")
+        # decoding parameters travel with the stream (under its checksum); honour them
+        try:
+            decoder = SZInterpCompressor(need("abs_eb"), mode="abs", radius=need("radius"),
+                                         anchor_stride=need("anchor_stride"), cubic=need("cubic"))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise CorruptFileError(f"sz_interp meta: {exc}") from exc
+        recon = decoder.decode_record(ctn.required(cont.sections, "record", "sz_interp payload"),
+                                      shape, need("sync_interval"),
+                                      ctn.recipe_context(meta, _RECIPE, "sz_interp meta"))
+        dtype = np.dtype(need("dtype"))
         return recon.astype(dtype) if dtype != np.float64 else recon

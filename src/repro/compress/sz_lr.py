@@ -27,13 +27,21 @@ Public entry points
 ``compress_many_with_reconstruction``
     the one write door, over a list of chunks (each a list of arrays): all of
     their arrays predicted in one pass, each chunk serialised to its own
-    buffer, in order; ``compress`` and ``compress_many`` are its batch of one.
-``decompress_batch``
-    ``decompress_many`` over the buffers of one decode job: parsed one by one,
-    entropy-decoded in one Huffman lane pass, reconstructed in one pass per
-    run of buffers under one bound and dtype (in practice the whole job) —
-    optionally only a selection of each buffer's arrays (the unit blocks a
-    box read meets).
+    record, in order — wrapped with the codec recipe and the shapes into a
+    standalone buffer, or bare for the AMRIC filter, which stores the recipe
+    once per dataset and derives the shapes from the level layout;
+    ``compress`` and ``compress_many`` are its batch of one.
+``decode_records`` / ``decompress_batch``
+    the arrays of one decode job's records (bare, or standalone buffers):
+    parsed one by one, entropy-decoded in one Huffman lane pass,
+    reconstructed in one pass per run of records under one bound and dtype
+    (in practice the whole job) — optionally only a selection of each
+    record's arrays (the unit blocks a box read meets).
+
+The record (DESIGN.md §5, "Format v2 chunk record") keeps per array only what
+its shape cannot give — its code bits and its two outlier counts — besides the
+codes, the table and the side streams; selection bits, anchors and regression
+coefficient rows are counted from the shapes and the selection.
 
 How a call is batched (DESIGN.md §1)
 ------------------------------------
@@ -66,6 +74,7 @@ from repro.compress import huffman
 from repro.compress.huffman import HuffmanCodec
 from repro.compress.quantizer import DEFAULT_RADIUS
 from repro.compress import regression
+from repro.errors import CorruptFileError
 
 __all__ = ["SZLRCompressor"]
 
@@ -75,6 +84,9 @@ __all__ = ["SZLRCompressor"]
 #: ``(n_regression_blocks, ndim + 1)``
 _SIDE = ("selection", "anchors", "lorenzo_outliers", "regression_outliers",
          "regression_coeffs")
+
+#: what a record decodes under besides its shapes (:meth:`SZLRCompressor.recipe`)
+_RECIPE = ("abs_eb", "radius", "block_size", "shared", "sync_interval", "dtype")
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +426,7 @@ class SZLRCompressor(Compressor):
         first coefficient row where the codes say they belong, and one pass
         per shape group, under that shape's :func:`_flat_plan`, turns the
         group's ``(members, cells)`` rows into values.  Every length the
-        streams must agree on is checked first (``ValueError``), before
+        streams must agree on is checked first (:class:`CorruptFileError`), before
         anything is sized from ``shapes``.
         """
         radius = self.radius
@@ -424,11 +436,11 @@ class SZLRCompressor(Compressor):
         if not (narrays and narrays == len(codes) == len(counts)
                 and cells == [c.size for c in codes] == counts[:, 5].tolist()
                 and all(extent > 0 for shape in shapes for extent in shape)):
-            raise ValueError("sz_lr payload: shapes, code streams and counts "
+            raise CorruptFileError("sz_lr payload: shapes, code streams and counts "
                              "disagree on the cells per array")
         ndim = len(shapes[0])
         if any(len(shape) != ndim for shape in shapes):
-            raise ValueError("sz_lr payload: arrays of mixed dimension")
+            raise CorruptFileError("sz_lr payload: arrays of mixed dimension")
         block_size = self._block_size_for(ndim)
         groups = _group_by_shape(shapes)
         plans = {shape: _flat_plan(shape, block_size) for shape in groups}
@@ -438,7 +450,7 @@ class SZLRCompressor(Compressor):
         region_nblocks = np.concatenate([plans[shape].region_nblocks for shape in shapes])
         nregions = region_volume.size
         if side["selection"].size != nregions:
-            raise ValueError("sz_lr payload: selection stream does not match the regions")
+            raise CorruptFileError("sz_lr payload: selection stream does not match the regions")
         by_regression = side["selection"].astype(bool)
         region_end = np.cumsum(region_volume)
         region_cell = region_end - region_volume
@@ -454,15 +466,15 @@ class SZLRCompressor(Compressor):
                          outliers * by_regression, coeff_rows], axis=1)
         for name, expected in zip(_SIDE[1:], held.sum(axis=0)[1:].tolist()):
             if len(side[name]) != expected:
-                raise ValueError(f"sz_lr payload: {name} holds {len(side[name])} "
+                raise CorruptFileError(f"sz_lr payload: {name} holds {len(side[name])} "
                                  f"entries, the codes imply {expected}")
         coefficients = side["regression_coeffs"]
         if coefficients.shape[1:] != (ndim + 1,):
-            raise ValueError("sz_lr payload: regression_coeffs is not (rows, ndim + 1)")
+            raise CorruptFileError("sz_lr payload: regression_coeffs is not (rows, ndim + 1)")
         regions_per_array = np.asarray([plans[shape].region_volume.size for shape in shapes])
         array_first_region = np.cumsum(regions_per_array) - regions_per_array
         if not np.array_equal(np.add.reduceat(held, array_first_region, axis=0), counts[:, :5]):
-            raise ValueError("sz_lr payload: counts disagree with the streams")
+            raise CorruptFileError("sz_lr payload: counts disagree with the streams")
 
         # --- whole-chunk placement: stream order is code order --------------
         quantised -= radius
@@ -508,102 +520,94 @@ class SZLRCompressor(Compressor):
         return out
 
     # ------------------------------------------------------------------
-    # serialisation
+    # serialisation: one lean record per chunk (DESIGN.md §5)
     # ------------------------------------------------------------------
+    def recipe(self, abs_eb: float, dtype: str = "float64",
+               shared_encoding: bool = True) -> dict:
+        """What a record decodes under besides its shapes (the AMRIC filter
+        stores it once per dataset; a standalone buffer, as its meta)."""
+        spec = self._block_size_spec
+        return {"codec": self.name, "abs_eb": float(abs_eb), "radius": self.radius,
+                "block_size": int(spec) if np.isscalar(spec) else [int(b) for b in spec],
+                "shared": bool(shared_encoding), "sync_interval": huffman.SYNC_INTERVAL,
+                "dtype": str(dtype)}
+
     def _serialize(self, shapes: Sequence[Tuple[int, ...]], codes: Sequence[np.ndarray],
-                   side: Dict[str, np.ndarray], counts: np.ndarray, abs_eb: float,
-                   shared_encoding: bool, dtype: str,
+                   side: Dict[str, np.ndarray], counts: np.ndarray, recipe: dict,
                    codec: HuffmanCodec | None = None) -> Tuple[bytes, HuffmanCodec | None]:
-        meta = {
-            "abs_eb": abs_eb,
-            "radius": self.radius,
-            "block_size": list(self._block_size_for(len(shapes[0]))),
-            "shared": bool(shared_encoding),
-            "dtype": dtype,
-            "shapes": [list(shape) for shape in shapes],
-            "sync_interval": huffman.SYNC_INTERVAL,
-        }
-        sections: dict = {}
+        """One chunk's record under ``recipe`` (its checksum covers the recipe
+        too) and the shared table it was encoded under.
 
-        if shared_encoding:
-            # reuse a caller-provided codec (one SLE table across chunks) when
-            # it covers this chunk's symbols; otherwise build one from scratch.
-            # encode() itself detects missing symbols (KeyError), so coverage
-            # costs no extra lookup pass on the hot path.
-            streams = None
-            if codec is not None:
-                try:
-                    streams = [codec.encode(c) for c in codes]
-                except KeyError:
-                    streams = None
-            if streams is None:
-                codec = HuffmanCodec.from_multiple(codes)
-                streams = [codec.encode(c) for c in codes]
-            sections.update(ctn.pack_huffman(streams, self.lossless_level))
-        else:
-            # one table + payload per array (the costly non-SLE alternative)
+        A carried ``codec`` (one SLE table across chunks) is used when it
+        covers every stream of the chunk — checked before any is encoded, so
+        each stream is encoded exactly once — and otherwise rebuilt from the
+        chunk.  Per array the record keeps only what its shape cannot give:
+        the code bits and the two outlier counts.
+        """
+        if not recipe["shared"]:
+            tables = [HuffmanCodec.from_data(c) for c in codes]
+            streams = [table.encode(c) for table, c in zip(tables, codes)]
             codec = None
-            streams = [HuffmanCodec.from_data(c).encode(c) for c in codes]
-            sections["huff_individual"] = ctn.pack_huffman_individual(
-                streams, self.lossless_level)
-
-        sections["selection"] = ctn.pack_zbytes(
-            np.packbits(side["selection"]).tobytes(), self.lossless_level)
-        for name in ("anchors", "lorenzo_outliers", "regression_outliers"):
-            sections[name] = ctn.pack_zarray(side[name], self.lossless_level)
-        sections["regression_coeffs"] = ctn.pack_zarray(
-            side["regression_coeffs"].astype(np.float32), self.lossless_level)
-        # per-array counts so the decoder can split the concatenated side arrays
-        sections["counts"] = counts.tobytes()
-        return ctn.pack_container(self.name, meta, sections), codec
-
-    def _parse(self, payload: bytes):
-        """``(meta, Huffman pairs, side streams, counts)`` of a payload: every
-        section read and checked, the entropy decode left to the caller (who
-        batches it over the payloads of a job).  The payload is held to its
-        ``counts`` rows — a shape and a Huffman stream per row, each
-        :data:`_SIDE` stream what its column sums to — since :meth:`_narrow`
-        locates arrays by them and a run put end to end is checked whole."""
-        cont = ctn.unpack_container(payload, expect_codec=self.name)
-        meta, sections = cont.meta, cont.sections
-        for key in ("shared", "shapes", "abs_eb", "dtype"):
-            ctn.required(meta, key, "sz_lr meta")
-
-        def section(name: str) -> bytes:
-            return ctn.required(sections, name, "sz_lr payload")
-
-        raw_counts = section("counts")
-        if len(raw_counts) % 48:
-            raise ValueError("sz_lr payload: counts is not rows of six int64")
-        counts = np.frombuffer(raw_counts, dtype=np.int64).reshape(-1, 6)
-        narrays = len(counts)
-        if not narrays or len(meta["shapes"]) != narrays or int(counts.min()) < 0:
-            raise ValueError(f"sz_lr payload: counts claims {narrays} arrays (none negative), "
-                             f"meta lists {len(meta['shapes'])} shapes")
-        side = {name: ctn.unpack_zarray(section(name)).astype(dtype)
-                for name, dtype in (("anchors", np.int64), ("lorenzo_outliers", np.int64),
-                                    ("regression_outliers", np.float64),
-                                    ("regression_coeffs", np.float64))}
-        packed = np.frombuffer(ctn.unpack_zbytes(section("selection")), dtype=np.uint8)
-        nregions = int(counts[:, 0].sum())
-        if nregions < 0 or packed.size != (nregions + 7) // 8:
-            # unpackbits would pad a short stream with zeros ("Lorenzo")
-            raise ValueError("sz_lr payload: selection stream does not match the counts")
-        side["selection"] = np.unpackbits(packed, count=nregions)
-        for name, total in zip(_SIDE, counts[:, :len(_SIDE)].sum(axis=0).tolist()):
-            if side[name].shape[:1] != (total,):
-                raise ValueError(f"sz_lr payload: {name} has shape {side[name].shape}, "
-                                 f"counts claims {total} entries")
-
-        interval = int(meta.get("sync_interval", 0))
-        if meta["shared"]:
-            pairs = ctn.parse_huffman(sections, sync_interval=interval)
-            if len(pairs[0][1].streams) != narrays:
-                raise ValueError("sz_lr payload: not one Huffman stream per array")
         else:
-            pairs = ctn.parse_huffman_individual(
-                section("huff_individual"), counts[:, 5].tolist(), interval)
-        return meta, pairs, side, counts
+            if codec is None or not all(codec.covers(c) for c in codes):
+                codec = HuffmanCodec.from_multiple(codes)
+            tables, streams = [codec], [codec.encode(c) for c in codes]
+        record = ctn.pack_record(shapes, streams, tables, [
+            counts[:, 2].astype("<i8"), counts[:, 3].astype("<i8"),
+            np.packbits(side["selection"]), side["anchors"].astype("<i8"),
+            side["lorenzo_outliers"].astype("<i8"), side["regression_outliers"].astype("<f8"),
+            side["regression_coeffs"].astype("<f4")], self.lossless_level,
+            ctn.recipe_context(recipe, _RECIPE, "sz_lr recipe"))
+        return record, codec
+
+    def _parse(self, record: bytes, shapes: Sequence[Tuple[int, ...]], recipe: dict):
+        """``(shapes, Huffman pairs, side streams, counts)`` of a record: every
+        stream read and checked (:class:`CorruptFileError`), the entropy decode
+        left to the caller (who batches it over the records of a job).
+        ``counts`` rebuilds the per-array ``(selection, anchors, outliers x 2,
+        coefficient rows, cells)`` rows from the shapes and the selection, since
+        :meth:`_narrow` locates arrays by them."""
+        ndim = len(shapes[0])
+        if any(len(shape) != ndim for shape in shapes):
+            raise CorruptFileError("sz_lr payload: arrays of mixed dimension")
+        block_size = self._block_size_for(ndim)
+        cells = np.asarray([math.prod(shape) for shape in shapes], dtype=np.int64)
+        pairs, reader = ctn.parse_record(
+            record, shapes, cells, recipe["shared"], recipe["sync_interval"], "sz_lr record",
+            ctn.recipe_context(recipe, _RECIPE, "sz_lr recipe"))
+        narrays = len(shapes)
+        outliers = [reader.take("<i8", narrays).astype(np.int64) for _ in range(2)]
+        plans = [_region_plan(tuple(shape), block_size)[1] for shape in shapes]
+        nregions = np.asarray([len(regions) for regions in plans], dtype=np.int64)
+        total = int(nregions.sum())
+        selection = np.unpackbits(reader.take("u1", (total + 7) // 8), count=total)
+        first = np.cumsum(nregions) - nregions
+        chosen = selection.astype(np.int64)
+        lorenzo = nregions - np.add.reduceat(chosen, first)
+        nblocks = np.asarray([r.nblocks for regions in plans for r in regions], dtype=np.int64)
+        coeff_rows = np.add.reduceat(nblocks * chosen, first)
+        counts = np.stack([nregions, lorenzo, *outliers, coeff_rows, cells], axis=1)
+        if (counts < 0).any():
+            raise CorruptFileError("sz_lr record: a negative outlier count")
+        side = {"selection": selection}
+        for name, dtype in (("anchors", "<i8"), ("lorenzo_outliers", "<i8"),
+                            ("regression_outliers", "<f8")):
+            side[name] = reader.take(dtype, counts[:, _SIDE.index(name)].sum())
+        side["regression_coeffs"] = reader.take(
+            "<f4", coeff_rows.sum() * (ndim + 1)).astype(np.float64).reshape(-1, ndim + 1)
+        reader.done()
+        return list(shapes), pairs, side, counts
+
+    def _unwrap(self, buffer: CompressedBuffer | bytes):
+        """``(recipe, shapes, record)`` of a standalone buffer."""
+        cont = ctn.unpack_container(self._payload_of(buffer), expect_codec=self.name)
+        shapes = ctn.required(cont.meta, "shapes", "sz_lr meta")
+        if not (isinstance(shapes, list) and shapes and all(
+                isinstance(shape, list) and shape and all(
+                    isinstance(n, int) and n > 0 for n in shape) for shape in shapes)):
+            raise CorruptFileError("sz_lr meta: shapes is not a list of positive extents")
+        return cont.meta, [tuple(shape) for shape in shapes], \
+            ctn.required(cont.sections, "record", "sz_lr payload")
 
     # ------------------------------------------------------------------
     # public API
@@ -622,7 +626,7 @@ class SZLRCompressor(Compressor):
     def compress_many_with_reconstruction(
             self, chunks: Sequence[Sequence[np.ndarray]], shared_encoding: bool = True,
             value_range: float | None = None, codec: HuffmanCodec | None = None,
-            ) -> List[Tuple[CompressedBuffer, List[np.ndarray]]]:
+            framed: bool = True) -> List[Tuple[CompressedBuffer, List[np.ndarray]]]:
         """Compress each chunk (a list of arrays) into its own buffer (AMRIC
         unit-block API); one ``(buffer, reconstructions)`` per chunk.
 
@@ -635,6 +639,11 @@ class SZLRCompressor(Compressor):
         covers its symbols and otherwise builds its own, which the next chunk
         is handed in turn.  The last chunk's table is exposed as
         :attr:`last_shared_codec` so callers can carry it to the next call.
+
+        A buffer's payload is its record wrapped with the recipe and the
+        shapes; ``framed=False`` leaves the bare record (the AMRIC filter
+        stores the recipe once per dataset, ``buffer.meta["recipe"]``, and
+        takes the shapes from the level layout).
         """
         if not len(chunks) or any(not len(arrays) for arrays in chunks):
             raise ValueError("need at least one array")
@@ -658,17 +667,20 @@ class SZLRCompressor(Compressor):
             shapes = [a.shape for a in arrays[lo:hi]]
             chunk_side = {name: side[name][side_at[lo, column]:side_at[hi, column]]
                           for column, name in enumerate(_SIDE)}
+            recipe = self.recipe(abs_eb, input_dtype, shared_encoding)
             payload, codec = self._serialize(shapes, codes[lo:hi], chunk_side, counts[lo:hi],
-                                             abs_eb, shared_encoding, input_dtype, codec=codec)
+                                             recipe, codec=codec)
+            if framed:
+                payload = ctn.pack_container(self.name, dict(
+                    recipe, shapes=[list(shape) for shape in shapes]), {"record": payload})
             ncells = sum(math.prod(shape) for shape in shapes)
-            original_nbytes = ncells * np.dtype(input_dtype).itemsize
             out.append((CompressedBuffer(
                 payload=payload,
                 original_shape=shapes[0] if len(shapes) == 1 else (ncells,),
                 original_dtype=input_dtype,
-                original_nbytes=original_nbytes,
+                original_nbytes=ncells * np.dtype(input_dtype).itemsize,
                 codec=self.name,
-                meta={"abs_eb": abs_eb, "narrays": len(shapes),
+                meta={"abs_eb": abs_eb, "narrays": len(shapes), "recipe": recipe,
                       "shared_encoding": bool(shared_encoding), "shapes": shapes},
             ), reconstructions[lo:hi]))
         self.last_shared_codec = codec
@@ -683,16 +695,15 @@ class SZLRCompressor(Compressor):
     def decompress_many(self, buffer: CompressedBuffer | bytes) -> List[np.ndarray]:
         return next(self.decompress_batch([buffer]))
 
-    def _narrow(self, parsed, select):
-        """A parsed payload cut down to the arrays ``select`` names, as if only
-        they had been compressed (under the payload's own tables).
+    def _narrow(self, parsed, select, shared: bool):
+        """A parsed record cut down to the arrays ``select`` names, as if only
+        they had been compressed (under the record's own tables).
 
         An array's share of a :data:`_SIDE` stream is located by the ``counts``
-        rows before it, which :meth:`_parse` has held the payload to;
-        ``select`` must ascend within them (``ValueError`` before anything is
-        cut).
+        rows before it; ``select`` must ascend within them (``ValueError``
+        before anything is cut).
         """
-        meta, pairs, side, counts = parsed
+        shapes, pairs, side, counts = parsed
         narrays = len(counts)
         select = np.asarray(select)
         if (select.ndim != 1 or select.size == 0 or select.dtype.kind not in "iu"
@@ -702,57 +713,77 @@ class SZLRCompressor(Compressor):
                              f"arrays, at least one; got {select.tolist()}")
         keep = np.zeros(narrays, dtype=bool)
         keep[select] = True
-        if meta["shared"]:
+        if shared:
             codec, encoded = pairs[0]
             pairs = [(codec, codec.select_streams(encoded, keep))]
         else:
             pairs = [pairs[index] for index in select.tolist()]
         side = {name: side[name][np.repeat(keep, counts[:, column])]
                 for column, name in enumerate(_SIDE)}
-        meta = dict(meta, shapes=[meta["shapes"][index] for index in select.tolist()])
-        return meta, pairs, side, counts[select]
+        return [shapes[index] for index in select.tolist()], pairs, side, counts[select]
 
     def decompress_batch(self, buffers: Sequence[CompressedBuffer | bytes],
                          select: Sequence[Sequence[int] | None] | None = None,
                          ) -> Iterator[List[np.ndarray]]:
-        """:meth:`decompress_many` of several buffers (a decode job's chunks:
-        DESIGN.md §2), yielded in order: all parsed, then their Huffman
-        streams decoded in one lane pass, then each run of consecutive buffers
-        under one ``(abs_eb, dtype, ndim)`` — in practice the whole job —
-        reconstructed in one :meth:`_decode_batch`.
+        """:meth:`decompress_many` of several standalone buffers, yielded in
+        order (see :meth:`decode_records`, which each buffer's recipe and
+        shapes lead to)."""
+        return self._decode_entries([self._unwrap(buffer) for buffer in buffers], select)
+
+    def decode_records(self, records: Sequence[bytes],
+                       shapes: Sequence[Sequence[Tuple[int, ...]]], recipe: dict,
+                       select: Sequence[Sequence[int] | None] | None = None,
+                       ) -> Iterator[List[np.ndarray]]:
+        """The arrays of bare records (a decode job's chunks: DESIGN.md §2),
+        each decoded against its ``shapes`` under one ``recipe``, yielded in
+        order: all parsed, then their Huffman streams decoded in one lane pass,
+        then each run of consecutive records under one ``(abs_eb, dtype,
+        ndim)`` — in practice the whole job — reconstructed in one
+        :meth:`_decode_batch`.
 
         A run's shapes, codes, side streams and ``counts`` rows are put end to
-        end in buffer order (stream order is code order, so nothing is
-        re-indexed) and its arrays split back per buffer.  Prediction is
+        end in record order (stream order is code order, so nothing is
+        re-indexed) and its arrays split back per record.  Prediction is
         confined to an array, so each comes out exactly as it would alone, and
-        one damaged buffer fails the call, its run yielding nothing.  The
-        job's high-water is its codes plus one run's reconstruction.
+        one damaged record fails the call, its run yielding nothing.
 
-        ``select[i]`` lists the arrays wanted of buffer ``i`` (ascending;
+        ``select[i]`` lists the arrays wanted of record ``i`` (ascending;
         ``None``: all).  Each array is its own byte-aligned Huffman stream, so
         only those are entropy-decoded and reconstructed (:meth:`_narrow`), to
         the bytes of the full decode.
         """
-        parsed = [self._parse(self._payload_of(buffer)) for buffer in buffers]
-        if select is not None:
-            parsed = [entry if wanted is None else self._narrow(entry, wanted)
-                      for entry, wanted in zip(parsed, select, strict=True)]
-        decoded = ctn.decode_huffman([pairs for _, pairs, _, _ in parsed])
+        return self._decode_entries([(recipe, s, r) for s, r in zip(shapes, records,
+                                                                    strict=True)], select)
 
-        def run_key(item):
-            meta = item[0][0]
-            return float(meta["abs_eb"]), meta["dtype"], len(meta["shapes"][0])
-
-        for (abs_eb, dtype, _), run in itertools.groupby(zip(parsed, decoded), key=run_key):
+    def _decode_entries(self, entries, select):
+        """``(recipe, shapes, record)`` entries: the body of :meth:`decode_records`."""
+        if select is not None and len(select) != len(entries):
+            raise ValueError("one selection per record")
+        parsed = []
+        for index, (recipe, shapes, record) in enumerate(entries):
+            abs_eb, radius, block_size, shared, _, dtype = (
+                ctn.required(recipe, key, "sz_lr recipe") for key in _RECIPE)
+            try:
+                decoder = SZLRCompressor(abs_eb, mode="abs", block_size=block_size, radius=radius)
+                key = (float(abs_eb), str(dtype), len(shapes[0]), radius,
+                       decoder._block_size_for(len(shapes[0])))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise CorruptFileError(f"sz_lr recipe: {exc}") from exc
+            entry = decoder._parse(record, shapes, recipe)
+            if select is not None and select[index] is not None:
+                entry = decoder._narrow(entry, select[index], shared)
+            parsed.append((decoder, key, entry))
+        decoded = ctn.decode_huffman([pairs for _, _, (_, pairs, _, _) in parsed])
+        for key, run in itertools.groupby(zip(parsed, decoded), key=lambda item: item[0][1]):
             run = list(run)
-            arrays = self._decode_batch(
-                [tuple(shape) for (meta, *_), _ in run for shape in meta["shapes"]], abs_eb,
+            arrays = run[0][0][0]._decode_batch(
+                [shape for (_, _, (shapes, *_)), _ in run for shape in shapes], key[0],
                 [c for _, codes in run for c in codes],
-                {name: np.concatenate([side[name] for (_, _, side, _), _ in run])
+                {name: np.concatenate([side[name] for (_, _, (_, _, side, _)), _ in run])
                  for name in _SIDE},
-                np.concatenate([counts for (*_, counts), _ in run]))
-            dtype = np.dtype(dtype)
+                np.concatenate([counts for (_, _, (*_, counts)), _ in run]))
+            dtype = np.dtype(key[1])
             hi = 0
-            for (meta, *_), _ in run:
-                lo, hi = hi, hi + len(meta["shapes"])
+            for (_, _, (shapes, *_)), _ in run:
+                lo, hi = hi, hi + len(shapes)
                 yield [a.astype(dtype) if dtype != np.float64 else a for a in arrays[lo:hi]]

@@ -7,65 +7,76 @@ smaller ranks either pad (naive) or pass their actual size to the filter
 whose ``encode`` understands AMRIC's pre-processed chunk contents: the chunk
 is a field-major rank buffer made of 3D unit blocks, and the filter compresses
 it with 3D SZ (SLE or clustered-interpolation) instead of treating it as a
-flat stream.  The block structure travels inside the compressed payload so a
-chunk is self-describing, mirroring how the real AMRIC feeds its modified
-H5Z-SZ filter the metadata it needs.
+flat stream.
+
+A chunk's payload is a lean record (format v2, DESIGN.md §5): it holds only
+what the level layout cannot give.  The blocks a chunk holds — shapes,
+positions, the clustered arrangement — are the writer's :class:`ChunkPlan`,
+which :func:`chunk_plan` derives from the layout on both sides; the codec
+recipe (codec, resolved bound, block size, SLE, ...) is stored once per
+dataset (:attr:`AMRICLevelFilter.recipe`, the dataset's ``codec`` attribute).
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compress.container import required
+from repro.compress.container import recipe_context, required
 from repro.compress.errorbound import ErrorBound
-from repro.compress.registry import create_codec, resolve_codec
-from repro.core.preprocess import (
-    PackedArrangement,
-    pack_blocks_cluster,
-    pack_blocks_linear,
-    unpack_blocks,
-)
+from repro.compress.registry import codec_from_recipe, resolve_codec
+from repro.core.preprocess import LevelLayout, arrange_blocks, pack_blocks, unpack_blocks
+from repro.errors import CorruptFileError
 from repro.h5lite.filters import Filter
 
-__all__ = ["ChunkPlan", "AMRICLevelFilter"]
+__all__ = ["ChunkPlan", "chunk_plan", "AMRICLevelFilter"]
 
 
 @dataclass
 class ChunkPlan:
     """Block structure of one chunk (= one rank's field data)."""
 
-    field: str
-    block_shapes: List[Tuple[int, int, int]]   #: unit-block shapes, in buffer order
-    value_range: float                          #: field value range (for the relative bound)
+    block_shapes: List[Tuple[int, ...]]         #: unit-block shapes, in buffer order
     #: unit-block lower corners in the level's index space (lets the clustered
     #: SZ_Interp arrangement keep spatial neighbours adjacent)
-    block_positions: Optional[List[Tuple[int, int, int]]] = None
+    block_positions: Optional[List[Tuple[int, ...]]] = None
+    field: str = ""
+    value_range: float = 0.0                    #: field value range (for the relative bound)
 
     @property
     def nelements(self) -> int:
-        return int(sum(int(np.prod(s)) for s in self.block_shapes))
+        return int(sum(math.prod(s) for s in self.block_shapes))
 
-    def to_json(self) -> dict:
-        return {"field": self.field, "block_shapes": [list(s) for s in self.block_shapes],
-                "value_range": self.value_range,
-                "block_positions": ([list(p) for p in self.block_positions]
-                                    if self.block_positions is not None else None)}
 
-    @staticmethod
-    def from_json(obj: dict) -> "ChunkPlan":
-        positions = obj.get("block_positions")
-        return ChunkPlan(field=obj["field"],
-                         block_shapes=[tuple(s) for s in obj["block_shapes"]],
-                         value_range=float(obj["value_range"]),
-                         block_positions=([tuple(p) for p in positions]
-                                          if positions is not None else None))
+def chunk_plan(layout: LevelLayout, chunk: int, padded: bool = False, field: str = "",
+               value_range: float = 0.0) -> ChunkPlan:
+    """The blocks chunk ``chunk`` of a level's datasets holds, in stored order:
+    what the writer tells the filter and what the reader decodes against.
+
+    A ``padded`` chunk (the naive filter, ``modify_filter`` off) is encoded
+    whole: its zero tail is one more pseudo block and the chunk keeps no
+    block positions.
+    """
+    run = layout.rank_runs[chunk]
+    shapes = layout.shapes[run]
+    positions = [tuple(p) for p in layout.lo[run].tolist()]
+    tail = layout.chunk_elements - layout.rank_elements[chunk]
+    if padded and tail:
+        shapes, positions = shapes + [(1, 1, tail)], None
+    return ChunkPlan(shapes, positions, field, value_range)
+
+
+def _packed_context(recipe: dict, arrangement) -> bytes:
+    """What a packed record's checksum covers besides the packed shape: the
+    recipe and where each block sits, so a record read under another recipe
+    or against another chunk's blocks fails."""
+    return recipe_context(recipe, sorted(recipe), "AMRIC recipe") + np.asarray(
+        [list(shape) + [slot] for shape, slot in zip(
+            arrangement.block_shapes, arrangement.slot_of_block)], dtype="<i8").tobytes()
 
 
 class AMRICLevelFilter(Filter):
@@ -75,8 +86,9 @@ class AMRICLevelFilter(Filter):
     order) and hands the chunks to ``encode_many`` (``encode`` is its batch
     of one); the filter consumes the plans, rebuilds the 3D unit blocks from
     each flat chunk, compresses them with the configured SZ algorithm and
-    emits one self-describing payload per chunk.  ``decode`` needs no side
-    information.
+    emits one record per chunk, leaving the dataset's :attr:`recipe`.  A
+    reader builds the filter with :meth:`reading` from that recipe and hands
+    it each chunk's plan.
     """
 
     filter_id = "amric_3d"
@@ -105,9 +117,19 @@ class AMRICLevelFilter(Filter):
         self._packed_codec = None     # cached single-array codec (absolute bound)
         self._packed_codec_eb: Optional[float] = None
         self._pending_plans: List[ChunkPlan] = []
+        #: what the chunk encoded last was written under (a dataset stores it
+        #: once); what a reading filter decodes under
+        self.recipe: Optional[dict] = None
         #: reconstructions of the blocks of every encoded chunk (encode order),
         #: kept so the writer can compute PSNR without re-reading the file
         self.last_reconstructions: List[List[np.ndarray]] = []
+
+    @classmethod
+    def reading(cls, recipe: dict) -> "AMRICLevelFilter":
+        """The filter that decodes a dataset stored under ``recipe``."""
+        filt = cls()
+        filt.recipe = dict(recipe)
+        return filt
 
     # ------------------------------------------------------------------
     def queue_plan(self, plan: ChunkPlan) -> None:
@@ -132,8 +154,9 @@ class AMRICLevelFilter(Filter):
         Consecutive chunks of one ``(field, value_range)`` scope go to a
         multi-array codec in one call: predicted together, serialised in
         order, the shared Huffman table carried from chunk to chunk.  A
-        single-array codec encodes chunk by chunk.  Headers and
-        reconstructions stay per chunk.
+        single-array codec encodes chunk by chunk.  Reconstructions stay per
+        chunk; :attr:`recipe` is the last chunk's (a dataset's chunks share
+        one: one field, one value range).
         """
         if len(self._pending_plans) < len(chunks):
             raise RuntimeError("AMRICLevelFilter.encode called without a queued ChunkPlan")
@@ -156,27 +179,14 @@ class AMRICLevelFilter(Filter):
         else:
             encoded = [self._encode_packed(spec, plan, chunk_blocks)
                        for plan, chunk_blocks in zip(plans, blocks)]
-        payloads = []
-        for chunk, plan, (body, recons, arrangement) in zip(chunks, plans, encoded):
-            header = json.dumps({
-                "mode": spec.name,
-                "plan": plan.to_json(),
-                "chunk_elements": int(chunk.size),
-                "error_bound": self.error_bound,
-                "use_sle": self.use_sle,
-                "sz_block_size": self._sz_block_size_for(),
-                "interp_anchor_stride": self.interp_anchor_stride,
-                "arrangement": arrangement,
-            }).encode("utf-8")
-            payload = struct.pack("<Q", len(header)) + header + body
-            self.last_reconstructions.append(recons)
-            payloads.append(payload)
-        return payloads
+        self.recipe = encoded[-1][2]
+        self.last_reconstructions.extend(recons for _, recons, _ in encoded)
+        return [record for record, _, _ in encoded]
 
     def _encode_unit_blocks(self, spec, plans, blocks):
         """Multi-array (unit-block) codecs compress the blocks directly, which
         is what unit SLE (§3.2 Solution 1) relies on: one codec call per run
-        of chunks of one scope, ``(body, reconstructions, None)`` per chunk."""
+        of chunks of one scope, ``(record, reconstructions, recipe)`` per chunk."""
         if self._many_codec is None:
             self._many_codec = spec.create(self._bound, block_size=self._sz_block_size_for())
         comp = self._many_codec
@@ -191,119 +201,81 @@ class AMRICLevelFilter(Filter):
                 self._codec_scope = scope
             results = comp.compress_many_with_reconstruction(
                 [chunk_blocks for _, chunk_blocks in run], shared_encoding=self.use_sle,
-                value_range=scope[1], codec=self._shared_codec)
+                value_range=scope[1], codec=self._shared_codec, framed=False)
             self._shared_codec = comp.last_shared_codec
-            out.extend((buffer.payload, recons, None) for buffer, recons in results)
+            out.extend((buffer.payload, recons, buffer.meta["recipe"])
+                       for buffer, recons in results)
         return out
 
     def _encode_packed(self, spec, plan: ChunkPlan, blocks: List[np.ndarray]):
         """Single-array codecs see one packed 3D arrangement of a chunk's
-        blocks: ``(body, reconstructions, arrangement header)``."""
-        if self.interp_arrangement == "cluster":
-            packed, arrangement = pack_blocks_cluster(blocks, positions=plan.block_positions)
-        else:
-            packed, arrangement = pack_blocks_linear(blocks)
+        blocks: ``(record, reconstructions, recipe)``."""
+        arrangement = arrange_blocks(plan.block_shapes, plan.block_positions,
+                                     self.interp_arrangement)
         abs_eb = self._bound.resolve(value_range=plan.value_range)
         if self._packed_codec is None or self._packed_codec_eb != abs_eb:
             self._packed_codec = spec.create(
                 abs_eb, mode="abs", anchor_stride=self.interp_anchor_stride)
             self._packed_codec_eb = abs_eb
-        buffer, packed_recon = self._packed_codec.compress_with_reconstruction(packed)
-        return buffer.payload, unpack_blocks(packed_recon, arrangement), {
-            "mode": arrangement.mode,
-            "unit_shape": list(arrangement.unit_shape),
-            "grid_shape": list(arrangement.grid_shape),
-            "block_shapes": [list(s) for s in arrangement.block_shapes],
-            "fill_value": arrangement.fill_value,
-            "slot_of_block": list(arrangement.slot_of_block),
-        }
+        recipe = dict(self._packed_codec.recipe(abs_eb), arrangement=self.interp_arrangement)
+        record, packed_recon = self._packed_codec.encode_record(
+            pack_blocks(blocks, arrangement), _packed_context(recipe, arrangement))
+        return record, unpack_blocks(packed_recon, arrangement), recipe
 
     # ------------------------------------------------------------------
-    def decode(self, payload: bytes, chunk_elements: int) -> np.ndarray:
-        """The flat chunk: every block of the payload, in stored order."""
-        sizes = [math.prod(shape) for shape in _block_shapes(_parse_payload(payload)[0])]
+    def decode(self, payload: bytes, chunk_elements: int,
+               plan: Optional[ChunkPlan] = None) -> np.ndarray:
+        """The flat chunk: every block of ``plan``, in stored order."""
+        if plan is None:
+            raise ValueError("an AMRIC chunk decodes against its ChunkPlan "
+                             "(chunk_plan of the level layout)")
+        sizes = [math.prod(shape) for shape in plan.block_shapes]
         ends = list(itertools.accumulate(sizes))
         if not 0 < ends[-1] <= chunk_elements:
-            raise ValueError(f"AMRIC chunk payload: holds {ends[-1]} cells, "
+            raise ValueError(f"AMRIC chunk plan: holds {ends[-1]} cells, "
                              f"the chunk has {chunk_elements}")
         (blocks,) = self.decode_blocks(
             [payload], chunk_elements, [[(end - size, size) for end, size in zip(ends, sizes)]],
-            [range(len(sizes))])
+            [range(len(sizes))], [plan])
         out = np.zeros(chunk_elements, dtype=np.float64)
         np.concatenate([block.reshape(-1) for block in blocks.values()], out=out[:ends[-1]])
         return out
 
     def decode_blocks(self, payloads: Sequence[bytes], chunk_elements: int,
                       layouts: Sequence[Sequence[Tuple[int, int]]],
-                      wanted: Sequence[Sequence[int]]) -> List[Dict[int, np.ndarray]]:
+                      wanted: Sequence[Sequence[int]],
+                      plans: Optional[Sequence[ChunkPlan]] = None,
+                      ) -> List[Dict[int, np.ndarray]]:
         """The unit blocks of a job's chunks, each in its 3D shape.
 
-        A payload must hold exactly the blocks its layout places (else it
-        belongs to another dataset or chunk: ``ValueError``).  Payloads of one
-        multi-array codec recipe go to the codec as one batch with their
-        ``wanted`` ordinals: they share its entropy pass and only those blocks
+        Each record is decoded against its chunk's plan (a record of another
+        place fails its block count or checksum: ``CorruptFileError``).  A
+        multi-array codec gets the job as one batch with the ``wanted``
+        ordinals: the records share its entropy pass and only those blocks
         are decoded, each to what it is in the whole chunk.  A single-array
-        codec's packed arrangement decodes whole: every block comes back.
+        codec's packed arrangement decodes whole: every block ``layouts``
+        places comes back.
         """
-        out: List[Dict[int, np.ndarray]] = [{} for _ in payloads]
-        batches: Dict[Tuple[str, float, int], List[Tuple[int, bytes]]] = {}
-        for index, (payload, layout) in enumerate(zip(payloads, layouts)):
-            header, body = _parse_payload(payload)
-            held = [math.prod(shape) for shape in _block_shapes(header)]
-            if held != [size for _, size in layout]:
-                raise ValueError(
-                    f"AMRIC chunk payload {index} of the job holds {len(held)} blocks "
-                    f"of {sum(held)} cells, its place in the dataset {len(layout)} "
-                    f"of {sum(size for _, size in layout)}")
-            spec = resolve_codec(_need(header, "mode"))
-            if spec.supports_many:
-                recipe = (spec.name, _need(header, "error_bound"), _need(header, "sz_block_size"))
-                batches.setdefault(recipe, []).append((index, body))
-                continue
-            arr = _need(header, "arrangement")
-            arrangement = PackedArrangement(
-                mode=_need(arr, "mode"), unit_shape=tuple(_need(arr, "unit_shape")),
-                grid_shape=tuple(_need(arr, "grid_shape")),
-                block_shapes=[tuple(s) for s in _need(arr, "block_shapes")],
-                fill_value=float(_need(arr, "fill_value")),
-                slot_of_block=list(arr.get("slot_of_block", [])))
-            comp = spec.create(_need(header, "error_bound"), mode="abs",
-                               anchor_stride=_need(header, "interp_anchor_stride"))
-            out[index] = dict(enumerate(unpack_blocks(comp.decompress(body), arrangement)))
-        for (name, error_bound, block_size), members in batches.items():
-            comp = resolve_codec(name).create(error_bound, block_size=block_size)
+        if self.recipe is None or plans is None:
+            raise ValueError("an AMRIC chunk decodes under its dataset's recipe "
+                             "(AMRICLevelFilter.reading) against its ChunkPlan")
+        recipe = self.recipe
+        comp = codec_from_recipe(recipe)
+        if resolve_codec(comp.name).supports_many:
             # (a chunk wanted whole — every ordinal, ascending — needs no narrowing)
-            select = [list(wanted[index]) if len(wanted[index]) < len(layouts[index]) else None
-                      for index, _ in members]
-            decoded = comp.decompress_batch([body for _, body in members], select)
-            for (index, _), blocks in zip(members, decoded):
-                out[index] = dict(zip(wanted[index], blocks))
+            select = [list(want) if len(want) < len(plan.block_shapes) else None
+                      for want, plan in zip(wanted, plans, strict=True)]
+            decoded = comp.decode_records(payloads, [plan.block_shapes for plan in plans],
+                                          recipe, select)
+            return [dict(zip(want, blocks)) for want, blocks in zip(wanted, decoded)]
+        mode = required(recipe, "arrangement", "AMRIC recipe")
+        if mode not in ("cluster", "linear"):
+            raise CorruptFileError(f"AMRIC recipe: unknown block arrangement {mode!r}")
+        out: List[Dict[int, np.ndarray]] = []
+        for payload, plan, layout in zip(payloads, plans, layouts, strict=True):
+            arrangement = arrange_blocks(plan.block_shapes, plan.block_positions, mode)
+            blocks = unpack_blocks(comp.decode_record(
+                payload, arrangement.packed_shape, recipe.get("sync_interval"),
+                _packed_context(recipe, arrangement)), arrangement)
+            out.append(dict(enumerate(blocks[:len(layout)])))
         return out
-
-
-def _parse_payload(payload: bytes) -> Tuple[dict, bytes]:
-    """``(header, codec body)`` of one self-describing chunk payload."""
-    if len(payload) < 8:
-        raise ValueError("AMRIC chunk payload: shorter than its header length")
-    (header_len,) = struct.unpack_from("<Q", payload, 0)
-    if header_len > len(payload) - 8:
-        raise ValueError("AMRIC chunk payload: header runs past the payload")
-    header = json.loads(bytes(payload[8:8 + header_len]).decode("utf-8"))
-    if not isinstance(header, dict):
-        raise ValueError("AMRIC chunk payload: header is not a JSON object")
-    return header, payload[8 + header_len:]
-
-
-def _need(mapping: dict, key: str):
-    return required(mapping, key, "AMRIC chunk header")
-
-
-def _block_shapes(header: dict) -> List[list]:
-    """The unit-block shapes a chunk header says its payload holds, in stored order."""
-    plan = _need(header, "plan")
-    shapes = plan.get("block_shapes") if isinstance(plan, dict) else None
-    if not (isinstance(shapes, list) and shapes and all(
-            isinstance(shape, list) and all(isinstance(n, int) and n > 0 for n in shape)
-            for shape in shapes)):
-        raise ValueError("AMRIC chunk header: block_shapes is not a list of positive extents")
-    return shapes

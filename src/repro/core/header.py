@@ -13,13 +13,16 @@ full.  Every writer commits one; the reader rejects a file without it.
 
 Versioning and compatibility rules (DESIGN.md §5):
 
-* ``format`` must equal :data:`FORMAT_NAME` and ``version`` must be an
-  integer ``<=`` :data:`FORMAT_VERSION`; a newer version raises
-  :class:`ValueError` (never a silently garbled hierarchy).
+* ``format`` must equal :data:`FORMAT_NAME` and ``version`` must equal
+  :data:`FORMAT_VERSION`: version 2 stores AMRIC chunks as lean records
+  decoded against the layout this header implies, and no older reader is
+  kept, so any other version is refused by number (never a silently garbled
+  hierarchy).
 * Unknown *extra* keys are ignored, so older readers tolerate additive
   evolution within a major version.
 * Every structural field is validated on parse; a corrupt or truncated
-  header raises :class:`ValueError` with a message naming the bad field.
+  header raises :class:`~repro.errors.CorruptFileError` (a ``ValueError``)
+  with a message naming the bad field.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from repro.amr.boxarray import BoxArray
 from repro.amr.distribution import DistributionMapping
 from repro.amr.hierarchy import AmrHierarchy, AmrLevel
 from repro.amr.multifab import MultiFab
+from repro.errors import CorruptFileError
 
 __all__ = [
     "FORMAT_NAME",
@@ -47,7 +51,7 @@ __all__ = [
 ]
 
 FORMAT_NAME = "amric-plotfile"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: one padded chunk per participating rank (the AMRIC field-major layout)
 CHUNK_ALIGNMENT_RANK = "rank"
@@ -60,8 +64,8 @@ _ALIGNMENTS = (CHUNK_ALIGNMENT_RANK, CHUNK_ALIGNMENT_STREAM,
                CHUNK_ALIGNMENT_BOX_MAJOR)
 
 
-class _HeaderError(ValueError):
-    """Raised for any malformed header (a ValueError so callers need one except)."""
+class _HeaderError(CorruptFileError):
+    """Raised for any malformed or unsupported header."""
 
 
 def _require(obj: dict, key: str, kind, context: str):
@@ -217,10 +221,12 @@ class PlotfileHeader:
             raise _HeaderError(
                 f"malformed plotfile header: format is {fmt!r}, expected {FORMAT_NAME!r}")
         version = _require(obj, "version", int, "header")
-        if version < 1 or version > FORMAT_VERSION:
+        if version != FORMAT_VERSION:
             raise _HeaderError(
-                f"plotfile header version {version} is not supported by this reader "
-                f"(supports 1..{FORMAT_VERSION}); upgrade repro to read this file")
+                f"plotfile format version {version} is not supported by this reader, "
+                f"which reads version {FORMAT_VERSION} only"
+                + ("; rewrite the file with this repro" if version < FORMAT_VERSION
+                   else "; upgrade repro to read this file"))
         components = _require(obj, "components", (list, tuple), "header")
         if not components or not all(isinstance(c, str) for c in components):
             raise _HeaderError(

@@ -45,6 +45,8 @@ __all__ = [
     "kept_regions_for_level",
     "truncate_regions",
     "preprocess_level",
+    "arrange_blocks",
+    "pack_blocks",
     "pack_blocks_cluster",
     "pack_blocks_linear",
     "unpack_blocks",
@@ -353,13 +355,14 @@ def hierarchy_layouts(hierarchy: AmrHierarchy, unit_block_size: int,
 # ----------------------------------------------------------------------
 @dataclass
 class PackedArrangement:
-    """How a list of unit blocks was packed into one 3D array."""
+    """How a list of unit blocks is packed into one 3D array: a function of
+    their shapes and positions alone (:func:`arrange_blocks`), so a reader
+    derives it from the level layout instead of reading it back."""
 
     mode: str                                  #: "cluster" or "linear"
     unit_shape: Tuple[int, int, int]           #: the padded per-block cell shape
     grid_shape: Tuple[int, int, int]           #: blocks along each axis of the packing
     block_shapes: List[Tuple[int, ...]]        #: original (pre-padding) shapes
-    fill_value: float
     slot_of_block: List[int] = field(default_factory=list)  #: packing slot per block
 
     def __post_init__(self) -> None:
@@ -370,6 +373,10 @@ class PackedArrangement:
     def nblocks(self) -> int:
         return len(self.block_shapes)
 
+    @property
+    def packed_shape(self) -> Tuple[int, int, int]:
+        return tuple(g * u for g, u in zip(self.grid_shape, self.unit_shape))
+
 
 def _slot_corner(slot: int, grid_shape, unit_shape):
     gi = slot // (grid_shape[1] * grid_shape[2])
@@ -378,34 +385,20 @@ def _slot_corner(slot: int, grid_shape, unit_shape):
     return (gi * unit_shape[0], gj * unit_shape[1], gk * unit_shape[2])
 
 
-def _pack(blocks: Sequence[np.ndarray], grid_shape: Tuple[int, int, int],
-          mode: str, slot_of_block: List[int] | None = None
-          ) -> Tuple[np.ndarray, PackedArrangement]:
-    if not blocks:
-        raise ValueError("cannot pack an empty block list")
-    unit_shape = tuple(int(max(b.shape[d] for b in blocks)) for d in range(3))
+def pack_blocks(blocks: Sequence[np.ndarray], arrangement: PackedArrangement) -> np.ndarray:
+    """The packed array of ``blocks`` under ``arrangement``: each block
+    edge-padded to the unit shape in its slot, empty slots at the blocks' mean."""
+    us = arrangement.unit_shape
     fill_value = float(np.mean([float(b.mean()) for b in blocks]))
-    packed = np.full((grid_shape[0] * unit_shape[0],
-                      grid_shape[1] * unit_shape[1],
-                      grid_shape[2] * unit_shape[2]), fill_value, dtype=np.float64)
-    if slot_of_block is None:
-        slot_of_block = list(range(len(blocks)))
-    shapes: List[Tuple[int, ...]] = []
-    for index, block in enumerate(blocks):
-        corner = _slot_corner(slot_of_block[index], grid_shape, unit_shape)
+    packed = np.full(arrangement.packed_shape, fill_value, dtype=np.float64)
+    for slot, block in zip(arrangement.slot_of_block, blocks):
+        corner = _slot_corner(slot, arrangement.grid_shape, us)
         # pad the block (edge mode) to the unit shape so interpolation does not
         # see artificial discontinuities inside a slot
-        padded = np.pad(block, [(0, unit_shape[d] - block.shape[d]) for d in range(3)],
-                        mode="edge")
-        packed[corner[0]:corner[0] + unit_shape[0],
-               corner[1]:corner[1] + unit_shape[1],
-               corner[2]:corner[2] + unit_shape[2]] = padded
-        shapes.append(tuple(block.shape))
-    arrangement = PackedArrangement(mode=mode, unit_shape=unit_shape,
-                                    grid_shape=grid_shape, block_shapes=shapes,
-                                    fill_value=fill_value,
-                                    slot_of_block=list(slot_of_block))
-    return packed, arrangement
+        packed[corner[0]:corner[0] + us[0], corner[1]:corner[1] + us[1],
+               corner[2]:corner[2] + us[2]] = np.pad(
+                   block, [(0, us[d] - block.shape[d]) for d in range(3)], mode="edge")
+    return packed
 
 
 def _spatial_slots(positions: Sequence[Tuple[int, ...]]
@@ -432,50 +425,61 @@ def _spatial_slots(positions: Sequence[Tuple[int, ...]]
     return grid_shape, slots
 
 
-def pack_blocks_cluster(blocks: Sequence[np.ndarray],
-                        positions: Sequence[Tuple[int, ...]] | None = None
-                        ) -> Tuple[np.ndarray, PackedArrangement]:
-    """Pack unit blocks into a compact cube-like cluster (§3.1, Figure 4 bottom).
+def arrange_blocks(shapes: Sequence[Tuple[int, ...]],
+                   positions: Sequence[Tuple[int, ...]] | None = None,
+                   mode: str = "cluster") -> PackedArrangement:
+    """Where each block of ``shapes`` goes in the packed array (§3.1).
 
-    When ``positions`` (the blocks' lower corners in the level's index space)
-    are provided and form a complete rectangular grid, the packing reproduces
-    the blocks' spatial arrangement so the global interpolation sees real
-    neighbours; otherwise the blocks are packed into the most cube-like grid
-    in (position-sorted) order.
+    ``"linear"`` stacks the blocks along the last axis.  ``"cluster"`` packs
+    them into a compact cube-like grid (Figure 4 bottom): when ``positions``
+    (the blocks' lower corners in the level's index space) form a complete
+    rectangular grid the packing reproduces the blocks' spatial arrangement,
+    so the global interpolation sees real neighbours; otherwise the blocks
+    fill the most cube-like grid in (position-sorted) order.
     """
-    n = len(blocks)
+    n = len(shapes)
     if n == 0:
         raise ValueError("cannot pack an empty block list")
+    unit_shape = tuple(int(max(shape[d] for shape in shapes)) for d in range(3))
+    shapes = [tuple(shape) for shape in shapes]
+    if mode == "linear":
+        return PackedArrangement("linear", unit_shape, (1, 1, n), shapes)
+    if mode != "cluster":
+        raise ValueError(f"unknown block arrangement {mode!r}")
+    slots = None
     if positions is not None and len(positions) == n:
-        spatial = _spatial_slots([tuple(int(v) for v in p) for p in positions])
+        positions = [tuple(int(v) for v in p) for p in positions]
+        spatial = _spatial_slots(positions)
         if spatial is not None:
-            grid_shape, slots = spatial
-            return _pack(blocks, grid_shape, "cluster", slots)
+            return PackedArrangement("cluster", unit_shape, spatial[0], shapes, spatial[1])
+        # sort by spatial position so nearby blocks land in nearby slots
+        slots = [0] * n
+        for slot, block_index in enumerate(sorted(range(n), key=positions.__getitem__)):
+            slots[block_index] = slot
     gx = int(np.ceil(n ** (1.0 / 3.0)))
     gy = int(np.ceil(np.sqrt(n / gx)))
     gz = int(np.ceil(n / (gx * gy)))
-    slots = None
-    if positions is not None and len(positions) == n:
-        # sort by spatial position so nearby blocks land in nearby slots
-        ranked = sorted(range(n), key=lambda i: tuple(int(v) for v in positions[i]))
-        slots = [0] * n
-        for slot, block_index in enumerate(ranked):
-            slots[block_index] = slot
-    return _pack(blocks, (gx, gy, gz), "cluster", slots)
+    return PackedArrangement("cluster", unit_shape, (gx, gy, gz), shapes, slots or [])
+
+
+def pack_blocks_cluster(blocks: Sequence[np.ndarray],
+                        positions: Sequence[Tuple[int, ...]] | None = None
+                        ) -> Tuple[np.ndarray, PackedArrangement]:
+    """Pack unit blocks into a compact cube-like cluster (:func:`arrange_blocks`)."""
+    arrangement = arrange_blocks([b.shape for b in blocks], positions, "cluster")
+    return pack_blocks(blocks, arrangement), arrangement
 
 
 def pack_blocks_linear(blocks: Sequence[np.ndarray],
                        positions: Sequence[Tuple[int, ...]] | None = None
                        ) -> Tuple[np.ndarray, PackedArrangement]:
     """Stack unit blocks along the last axis (the cheap linear arrangement)."""
-    n = len(blocks)
-    if n == 0:
-        raise ValueError("cannot pack an empty block list")
-    return _pack(blocks, (1, 1, n), "linear")
+    arrangement = arrange_blocks([b.shape for b in blocks], mode="linear")
+    return pack_blocks(blocks, arrangement), arrangement
 
 
 def unpack_blocks(packed: np.ndarray, arrangement: PackedArrangement) -> List[np.ndarray]:
-    """Invert :func:`pack_blocks_cluster` / :func:`pack_blocks_linear`."""
+    """Invert :func:`pack_blocks`."""
     us = arrangement.unit_shape
     gs = arrangement.grid_shape
     out: List[np.ndarray] = []

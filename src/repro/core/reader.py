@@ -15,9 +15,12 @@ The read side mirrors the writer's staged decomposition
     Decode the wanted unit blocks of one dataset's chunk payloads, handed to
     the filter together (:meth:`~repro.h5lite.filters.Filter.decode_blocks`) so
     AMRIC's level filter runs one Huffman lane pass per job instead of one per
-    chunk — over the wanted blocks' streams only.  A :class:`DecodeJob` is a
-    plain picklable dataclass (raw bytes + the stored filter id), so
-    per-dataset decode jobs run through any
+    chunk — over the wanted blocks' streams only.  An AMRIC chunk is a lean
+    record (format v2): it is decoded under the dataset's stored codec recipe
+    against the blocks the layout puts in its chunk (a
+    :class:`~repro.core.filter_mod.ChunkPlan`).  A :class:`DecodeJob` is a
+    plain picklable dataclass (raw bytes, the stored filter id, recipe and
+    plans), so per-dataset decode jobs run through any
     :class:`~repro.parallel.backend.ExecutionBackend` (serial, shm) with
     bit-identical results.
 ``place`` (:func:`place_dataset`)
@@ -55,7 +58,7 @@ import numpy as np
 from repro.amr.box import Box
 from repro.amr.hierarchy import AmrHierarchy
 from repro.amr.upsample import average_down, fill_covered_from_finer
-from repro.core.filter_mod import AMRICLevelFilter
+from repro.core.filter_mod import AMRICLevelFilter, ChunkPlan, chunk_plan
 from repro.core.header import (
     CHUNK_ALIGNMENT_BOX_MAJOR,
     CHUNK_ALIGNMENT_RANK,
@@ -66,6 +69,7 @@ from repro.core.preprocess import LevelLayout, level_layouts
 from repro.h5lite.file import DatasetInfo, H5LiteFile
 from repro.h5lite.filters import Filter, NoCompressionFilter
 from repro.parallel.backend import ExecutionBackend, SerialBackend, make_backend
+from repro.errors import CorruptFileError
 from repro.parallel.mpi_sim import SimComm
 
 __all__ = [
@@ -108,6 +112,9 @@ class DatasetReadPlan:
     filter_id: str
     layout: LevelLayout                       #: shared by every dataset of the level
     offsets: np.ndarray                       #: per slot, its element offset
+    #: what an AMRIC dataset's records decode under (its ``codec`` attribute)
+    recipe: Optional[dict] = None
+    padded: bool = False                      #: naive chunks: encoded with their tail
 
     def __post_init__(self) -> None:
         first = self.offsets // self.chunk_elements
@@ -161,7 +168,7 @@ class ReadPlan:
 def parse_plotfile_header(f: H5LiteFile) -> PlotfileHeader:
     """The file's validated self-description; a file without one is rejected."""
     if f.header is None:
-        raise ValueError(
+        raise CorruptFileError(
             f"{f.path} has no self-describing header (written before the "
             "plotfile format v1)")
     return PlotfileHeader.from_json(f.header)
@@ -231,7 +238,10 @@ def scan_plotfile(f: H5LiteFile) -> ReadPlan:
                 level=level_index, field=name, name=dsname,
                 chunk_elements=info.chunk_elements, nchunks=info.nchunks,
                 filter_id=info.filter_id, layout=layout,
-                offsets=layout.rank_offsets if rank_aligned else layout.stream_offsets))
+                offsets=layout.rank_offsets if rank_aligned else layout.stream_offsets,
+                recipe=info.attrs.get("codec", {})
+                if info.filter_id == AMRICLevelFilter.filter_id else None,
+                padded=not strict_actual))
     return ReadPlan(header=header, layouts=layouts, datasets=datasets)
 
 
@@ -260,6 +270,9 @@ class DecodeJob:
     wanted: List[List[int]]
     chunk_elements: int
     filter_id: str
+    #: an AMRIC dataset's recipe, and per payload the blocks its record holds
+    recipe: Optional[dict] = None
+    plans: Optional[List[ChunkPlan]] = None
 
 
 @dataclass
@@ -272,12 +285,13 @@ class DecodeResult:
     blocks: List[np.ndarray]
 
 
-def _decode_filter(filter_id: str) -> Filter:
+def _decode_filter(filter_id: str, recipe: Optional[dict] = None) -> Filter:
     """Filter instance for one stored ``filter_id`` (decode direction only):
-    the ids a field-major plotfile or series step carries.  Their payloads
-    are self-describing, so no codec option is needed."""
+    the ids a field-major plotfile or series step carries.  An AMRIC
+    dataset's chunks decode under its ``recipe``; the others' payloads are
+    self-describing."""
     if filter_id == AMRICLevelFilter.filter_id:
-        return AMRICLevelFilter()
+        return AMRICLevelFilter.reading(recipe or {})
     if filter_id == NoCompressionFilter.filter_id:
         return NoCompressionFilter()
     if filter_id == "temporal_delta":
@@ -301,7 +315,9 @@ def make_decode_job(f: H5LiteFile, dplan: DatasetReadPlan,
     return DecodeJob(key=dplan.name, payloads=payloads, chunk_indices=indices,
                      layouts=[dplan.chunk_layout(index) for index in indices],
                      wanted=[list(wanted[index]) for index in indices],
-                     chunk_elements=dplan.chunk_elements, filter_id=dplan.filter_id)
+                     chunk_elements=dplan.chunk_elements, filter_id=dplan.filter_id,
+                     recipe=dplan.recipe, plans=None if dplan.recipe is None else
+                     [chunk_plan(dplan.layout, index, dplan.padded) for index in indices])
 
 
 def decode_job(job: DecodeJob) -> DecodeResult:
@@ -309,28 +325,18 @@ def decode_job(job: DecodeJob) -> DecodeResult:
 
     A module-level pure function over picklable inputs — the read-side mirror
     of :func:`repro.core.stages.encode_job` — so the serial and shm backends
-    run identical code on identical bytes.  Decode filters are stateless per
-    call, so inside a shm pool worker the instance is reused across jobs via
-    the per-process codec cache (a no-op elsewhere:
-    :func:`~repro.parallel.shm.worker_codec_cache` returns ``None`` outside
-    a worker).
+    run identical code on identical bytes.  A damaged chunk is a
+    :class:`~repro.errors.CorruptFileError` naming the dataset and chunks.
     """
-    from repro.parallel.shm import worker_codec_cache
-
-    cache = worker_codec_cache()
-    cache_key = ("decode_filter", job.filter_id)
-    filt = cache.get(cache_key) if cache is not None else None
-    if filt is None:
-        filt = _decode_filter(job.filter_id)
-        if cache is not None:
-            cache[cache_key] = filt
     # one call per job: a filter whose chunks can share a decode cost (AMRIC's
     # level filter: one Huffman lane pass for the job) gets them together
+    filt = _decode_filter(job.filter_id, job.recipe)
     try:
         answers = filt.decode_blocks(job.payloads, job.chunk_elements,
-                                     job.layouts, job.wanted)
+                                     job.layouts, job.wanted, job.plans)
     except ValueError as exc:
-        raise ValueError(f"{job.key}, chunks {job.chunk_indices}: {exc}") from exc
+        kind = CorruptFileError if isinstance(exc, CorruptFileError) else ValueError
+        raise kind(f"{job.key}, chunks {job.chunk_indices}: {exc}") from exc
     return DecodeResult(
         pieces=[(chunk, ordinal) for chunk, answer in zip(job.chunk_indices, answers)
                 for ordinal in answer],

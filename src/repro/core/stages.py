@@ -43,7 +43,7 @@ import numpy as np
 from repro.amr.hierarchy import AmrHierarchy, AmrLevel
 from repro.compress.metrics import psnr_from_mse
 from repro.core.config import AMRICConfig
-from repro.core.filter_mod import AMRICLevelFilter, ChunkPlan
+from repro.core.filter_mod import AMRICLevelFilter, ChunkPlan, chunk_plan
 from repro.core.header import header_from_config
 from repro.core.preprocess import LevelLayout, hierarchy_layouts
 from repro.h5lite.file import DatasetInfo, H5LiteFile
@@ -136,18 +136,7 @@ def plan_write(hierarchy: AmrHierarchy, config: AMRICConfig,
         levels.append(level_plan)
         if not layout.nblocks:
             continue
-        # per chunk: (actual elements, block shapes, block positions) — shared
-        # by the level's fields
-        chunks = []
-        for valid, run in zip(layout.rank_elements, layout.rank_runs):
-            shapes = layout.shapes[run]
-            positions = [tuple(p) for p in layout.lo[run].tolist()]
-            actual = valid if config.modify_filter else layout.chunk_elements
-            if actual > valid:
-                # naive large chunk: the padding tail is real work,
-                # represented as one extra pseudo block
-                shapes, positions = shapes + [(1, 1, actual - valid)], None
-            chunks.append((actual, shapes, positions))
+        padded = not config.modify_filter
         for name in hierarchy.component_names:
             value_range = max(level.multifab.value_range(name), 0.0)
             # the global chunk size is the collective max of the per-rank
@@ -157,13 +146,14 @@ def plan_write(hierarchy: AmrHierarchy, config: AMRICConfig,
                 for rank, nelem in zip(layout.ranks, layout.rank_elements):
                     sizes[rank] = nelem
                 comm.allreduce(sizes, op=max)
+            # naive large chunks: the padding tail is real work (a pseudo block)
             level_plan.datasets.append(DatasetPlan(
                 level=level_index, field=name, name=f"level_{level_index}/{name}",
                 value_range=value_range, layout=layout,
-                actual_elements=[actual for actual, _, _ in chunks],
-                chunk_plans=[ChunkPlan(field=name, block_shapes=shapes,
-                                       value_range=value_range, block_positions=positions)
-                             for _, shapes, positions in chunks]))
+                actual_elements=([layout.chunk_elements] * len(layout.ranks) if padded
+                                 else list(layout.rank_elements)),
+                chunk_plans=[chunk_plan(layout, chunk, padded, name, value_range)
+                             for chunk in range(len(layout.ranks))]))
     return WritePlan(levels=levels)
 
 
@@ -259,6 +249,7 @@ class EncodeResult:
     payloads: List[bytes]
     reconstructions: List[List[np.ndarray]]
     filter_calls: int
+    recipe: dict                           #: the codec recipe the dataset stores once
 
     @property
     def compressed_bytes(self) -> int:
@@ -291,7 +282,7 @@ def encode_job(job: EncodeJob) -> EncodeResult:
         job.actual_sizes)
     return EncodeResult(key=job.key, payloads=payloads,
                         reconstructions=level_filter.last_reconstructions,
-                        filter_calls=len(payloads))
+                        filter_calls=len(payloads), recipe=level_filter.recipe)
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +304,8 @@ def commit_header(h5file: Optional[H5LiteFile], hierarchy: AmrHierarchy,
 
 def commit_dataset(h5file: Optional[H5LiteFile], dplan: DatasetPlan,
                    result: EncodeResult) -> Optional[DatasetInfo]:
-    """Stage 4a: append one dataset's encoded chunks to the container file."""
+    """Stage 4a: append one dataset's encoded chunks to the container file,
+    with the codec recipe its records decode under (stored once, here)."""
     if h5file is None:
         return None
     return h5file.create_dataset_from_chunks(
@@ -323,7 +315,7 @@ def commit_dataset(h5file: Optional[H5LiteFile], dplan: DatasetPlan,
         filter_id=AMRICLevelFilter.filter_id,
         actual_elements_per_chunk=dplan.actual_elements,
         attrs={"level": dplan.level, "field": dplan.field,
-               "value_range": dplan.value_range})
+               "value_range": dplan.value_range, "codec": result.recipe})
 
 
 def dataset_record(level: int, field: str,

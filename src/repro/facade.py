@@ -56,8 +56,9 @@ def open_plotfile(path: str, backend=None, cache=None,
                   source=None) -> PlotfileHandle:
     """Open a plotfile for lazy reading (exported as :func:`repro.open`).
 
-    Plotfiles are self-describing (format v1), so the path is all a read
-    needs; a file without the header is rejected with :class:`ValueError`.
+    Plotfiles are self-describing (format v2), so the path is all a read
+    needs; a file without the header, or of another format version, is
+    rejected with :class:`~repro.errors.CorruptFileError` (a ``ValueError``).
     ``backend`` ("serial", "shm" or an
     :class:`~repro.parallel.backend.ExecutionBackend`) runs the full-read
     decode jobs.  ``cache`` opts the handle into a shared

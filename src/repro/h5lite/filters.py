@@ -51,15 +51,18 @@ class Filter:
 
     def decode_blocks(self, payloads: Sequence[bytes], chunk_elements: int,
                       layouts: Sequence[Sequence[Tuple[int, int]]],
-                      wanted: Sequence[Sequence[int]]) -> List[Dict[int, np.ndarray]]:
+                      wanted: Sequence[Sequence[int]],
+                      plans: Optional[Sequence[object]] = None) -> List[Dict[int, np.ndarray]]:
         """Per payload, decoded blocks by ordinal — what a decode job calls, once.
 
         ``layouts[i]`` places every block of payload ``i`` in its chunk
         (:func:`cut_blocks`); ``wanted[i]`` lists the ordinals asked for
-        (ascending).  The default decodes each chunk whole and answers with
-        all its blocks; a filter that can decode a block without its chunk
-        overrides this and answers with the wanted ones (which must not depend
-        on what else was asked for).
+        (ascending); ``plans[i]`` is what a filter whose payloads are not
+        self-describing decodes chunk ``i`` against (AMRIC's
+        :class:`~repro.core.filter_mod.ChunkPlan`; unused here).  The default
+        decodes each chunk whole and answers with all its blocks; a filter
+        that can decode a block without its chunk overrides this and answers
+        with the wanted ones (which must not depend on what else was asked for).
         """
         return [dict(enumerate(cut_blocks(self.decode(payload, chunk_elements), layout)))
                 for payload, layout in zip(payloads, layouts)]

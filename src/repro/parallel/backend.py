@@ -145,10 +145,7 @@ class SharedMemoryBackend(ExecutionBackend):
     payload — fall back to plain pickling transparently.
 
     The pool is persistent across :meth:`map` calls (spawn cost is paid
-    once), and workers keep per-process codec caches
-    (:func:`repro.parallel.shm.worker_codec_cache`) so stateless decode
-    filters and temporal codecs are constructed once per worker rather than
-    once per job.  :meth:`close` shuts the pool down and sweeps any orphaned
+    once).  :meth:`close` shuts the pool down and sweeps any orphaned
     ``/dev/shm`` segments of this run.
     """
 

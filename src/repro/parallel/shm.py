@@ -24,13 +24,6 @@ Which fields ride shared memory is declared by the job/result dataclasses
 themselves via a ``_shm_fields`` class attribute naming the bulk fields
 (see :class:`~repro.core.stages.EncodeJob` etc.).  Objects without it — and
 whole batches whose bulk payload is empty — fall back to plain pickling.
-
-Workers also keep a **per-process codec cache** (:func:`worker_codec_cache`):
-decode filters and temporal codecs are stateless per call, so each worker
-constructs one instance per (codec name, options) recipe instead of one per
-job.  The cache is only handed out *inside* a shm pool worker — pool workers
-run their tasks sequentially, so the cached instances are never shared
-between concurrent calls.
 """
 
 from __future__ import annotations
@@ -64,7 +57,6 @@ __all__ = [
     "pack_batch",
     "shm_call",
     "adopt_result",
-    "worker_codec_cache",
     "segment_prefix",
     "sweep_segments",
     "live_segments",
@@ -83,8 +75,6 @@ _ALIGN = 64
 MIN_RESULT_SHM_BYTES = 32 * 1024
 
 # -- worker-process state (set by the pool initializer) -----------------
-_IN_WORKER = False
-_WORKER_CODEC_CACHE: Dict = {}
 
 
 def segment_prefix(token: Optional[str] = None) -> str:
@@ -92,24 +82,10 @@ def segment_prefix(token: Optional[str] = None) -> str:
     return f"{_SEGMENT_NAMESPACE}{token or _PROCESS_TOKEN}"
 
 
-def worker_codec_cache() -> Optional[Dict]:
-    """The per-process codec cache, or ``None`` outside a shm pool worker.
-
-    Work functions (:func:`repro.core.reader.decode_job`,
-    :func:`repro.series.writer.temporal_encode_job`) consult this to reuse
-    stateless codec/filter instances across jobs.  Outside a worker it is
-    ``None``, so the serial backend — which engine threads may call
-    concurrently — builds fresh instances and shares none across threads.
-    """
-    return _WORKER_CODEC_CACHE if _IN_WORKER else None
-
-
 def _worker_init(parent_token: str) -> None:
     """Pool initializer: mark this process as a shm worker."""
-    global _IN_WORKER, _PARENT_TOKEN
-    _IN_WORKER = True
+    global _PARENT_TOKEN
     _PARENT_TOKEN = parent_token
-    _WORKER_CODEC_CACHE.clear()
 
 
 _PARENT_TOKEN = _PROCESS_TOKEN

@@ -45,6 +45,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.errors import CorruptFileError
 from repro.obs import make_request_log, trace_scope
 from repro.service.engine import BoxQuery, QueryEngine, _is_series_dir
 
@@ -88,6 +89,9 @@ ERROR_RATE_LIMITED = "rate_limited"
 ERROR_BAD_REQUEST = "bad_request"
 #: the named plotfile or series directory does not exist
 ERROR_NOT_FOUND = "not_found"
+#: the file exists but its bytes cannot be what a writer wrote (a damaged
+#: chunk, a failed checksum, an unsupported format version)
+ERROR_CORRUPT_DATA = "corrupt_data"
 #: anything else that went wrong while answering
 ERROR_INTERNAL = "internal"
 
@@ -116,6 +120,8 @@ class RequestError(ValueError):
 def failure_envelope(request_id, exc: Exception) -> dict:
     """The envelope of an exception raised while answering a request.
 
+    Stored bytes that fail to parse raise
+    :class:`~repro.errors.CorruptFileError`: :data:`ERROR_CORRUPT_DATA`.
     Below the core, what is wrong with a *request* — an unknown field, level
     or step, a malformed box or parameter — surfaces as a lookup or value
     error, so those are :data:`ERROR_BAD_REQUEST`; anything else is
@@ -123,8 +129,11 @@ def failure_envelope(request_id, exc: Exception) -> dict:
     """
     if isinstance(exc, RequestError):
         return error_envelope(request_id, str(exc), exc.kind)
-    kind = ERROR_BAD_REQUEST if isinstance(exc, (LookupError, ValueError)) \
-        else ERROR_INTERNAL
+    if isinstance(exc, CorruptFileError):
+        kind = ERROR_CORRUPT_DATA
+    else:
+        kind = ERROR_BAD_REQUEST if isinstance(exc, (LookupError, ValueError)) \
+            else ERROR_INTERNAL
     return error_envelope(request_id, f"{type(exc).__name__}: {exc}", kind)
 
 

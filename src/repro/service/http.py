@@ -24,8 +24,9 @@ and, when the result holds arrays, their raw bytes after it
 read is element-wise identical to a TCP or direct one.  A request body is
 JSON alone.  Error envelopes keep their structured ``kind`` and additionally
 map onto status codes: ``unauthorized`` → 401, ``oversized_request`` → 413,
-``rate_limited`` → 429, ``unknown_op`` / ``not_found`` → 404, ``internal`` →
-500, anything else failed (``bad_request``, ``unsupported_version``) → 400.
+``rate_limited`` → 429, ``unknown_op`` / ``not_found`` → 404, ``corrupt_data``
+→ 422, ``internal`` → 500, anything else failed (``bad_request``,
+``unsupported_version``) → 400.
 
 Auth is a standard ``Authorization: Bearer <token>`` header, checked by the
 core with a constant-time compare.  ``/healthz`` stays open (a load balancer
@@ -55,6 +56,7 @@ from repro.service.client import (
 )
 from repro.service.core import (
     ERROR_BAD_REQUEST,
+    ERROR_CORRUPT_DATA,
     ERROR_INTERNAL,
     ERROR_NOT_FOUND,
     ERROR_OVERSIZED_REQUEST,
@@ -80,6 +82,7 @@ _STATUS_BY_KIND = {
     ERROR_RATE_LIMITED: 429,
     ERROR_UNKNOWN_OP: 404,
     ERROR_NOT_FOUND: 404,
+    ERROR_CORRUPT_DATA: 422,
     ERROR_INTERNAL: 500,
 }
 

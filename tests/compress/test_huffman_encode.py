@@ -201,8 +201,10 @@ class TestPinnedWriterBytes:
     """
 
     TINY = {"coarse_shape": (16, 16, 16), "max_grid_size": 8}
-    PLOTFILE = "1e0ff69faddafbce325e3d1d5f7adf3f9a27be1070a6b33358e1cf1194848bab"
-    DELTA_STEP = "52f613276c51807a110a6da6e1be8ef49853c22192087656e4438f1144e75abe"
+    #: format v2 (lean chunk records; the step files' only change is their
+    #: header's version number, one byte)
+    PLOTFILE = "650eb6154f89770ee90ae87e0e7e0d75892377e94858a25454ff8b103e02b213"
+    DELTA_STEP = "3bedb66df88de9304e50b05a075930ce27a7fc013bf4b12d656f21d2801b90eb"
 
     @staticmethod
     def sha256(path):

@@ -65,21 +65,30 @@ class ParentChunkDoor:
                     offset += block.size
                 self.datasets[level, name] = SimpleNamespace(
                     name=info.name, chunk_elements=info.chunk_elements,
-                    nchunks=info.nchunks, filter_id=info.filter_id, slots=slots)
+                    nchunks=info.nchunks, filter_id=info.filter_id, slots=slots,
+                    recipe=info.attrs.get("codec"))
         self.held = {}                          # (dataset, chunk) -> flat chunk
         self.decoded = 0
 
     def chunks(self, dplan, indices):
+        from repro.core.filter_mod import AMRICLevelFilter, ChunkPlan
         from repro.core.reader import _decode_filter
 
-        filt = _decode_filter(dplan.filter_id)
+        filt = _decode_filter(dplan.filter_id, dplan.recipe)
         out = {}
         for index in indices:
             key = (dplan.name, index)
             if key not in self.held:
                 payload = self.handle._file.read_chunk_payload(dplan.name, index)
-                self.held[key] = np.asarray(filt.decode(payload, dplan.chunk_elements),
-                                            dtype=np.float64).reshape(-1)
+                if dplan.filter_id == AMRICLevelFilter.filter_id:
+                    # an AMRIC record decodes against the blocks its chunk holds
+                    blocks = [slot.block.box for slot in dplan.slots
+                              if slot.offset // dplan.chunk_elements == index]
+                    decoded = filt.decode(payload, dplan.chunk_elements, ChunkPlan(
+                        [box.shape for box in blocks], [box.lo for box in blocks]))
+                else:
+                    decoded = filt.decode(payload, dplan.chunk_elements)
+                self.held[key] = np.asarray(decoded, dtype=np.float64).reshape(-1)
                 self.decoded += 1
             out[index] = self.held[key]
         return out

@@ -9,6 +9,7 @@ from repro.core.config import AMRICConfig
 from repro.core.filter_mod import AMRICLevelFilter, ChunkPlan
 from repro.core.layout import build_rank_buffer_box_major, build_rank_buffer_field_major
 from repro.core.preprocess import preprocess_level
+from repro.errors import CorruptFileError
 from repro.core.sle import (
     STRATEGIES,
     compress_blocks_individual,
@@ -17,14 +18,9 @@ from repro.core.sle import (
 )
 
 
-def _layout_of(payload):
-    """``(offset, size)`` of every block an AMRIC chunk payload's header lists."""
-    import json
-    import struct
-
-    (header_len,) = struct.unpack_from("<Q", payload, 0)
-    sizes = [int(np.prod(shape)) for shape in
-             json.loads(payload[8:8 + header_len])["plan"]["block_shapes"]]
+def _layout_of(plan):
+    """``(offset, size)`` of every block of a chunk plan, back to back."""
+    sizes = [int(np.prod(shape)) for shape in plan.block_shapes]
     ends = np.cumsum(sizes).tolist()
     return [(end - size, size) for end, size in zip(ends, sizes)]
 
@@ -153,7 +149,7 @@ class TestAMRICLevelFilter:
         filt = AMRICLevelFilter(compressor=compressor, error_bound=1e-3)
         filt.queue_plan(plan)
         payload = filt.encode(chunk, actual_elements=flat.size)
-        decoded = filt.decode(payload, chunk_elements)
+        decoded = AMRICLevelFilter.reading(filt.recipe).decode(payload, chunk_elements, plan)
         # decoded valid prefix matches the recorded reconstructions
         recons = filt.last_reconstructions[0]
         rec_flat = np.concatenate([r.reshape(-1) for r in recons])
@@ -165,75 +161,83 @@ class TestAMRICLevelFilter:
         _, flat, plan = self._blocks_and_chunk(hierarchy, level=level)
         filt = AMRICLevelFilter(compressor=compressor, error_bound=1e-3)
         filt.queue_plan(plan)
-        return filt.encode(flat, actual_elements=flat.size), flat.size
+        return filt.encode(flat, actual_elements=flat.size), flat.size, plan, filt.recipe
+
+    def test_the_record_holds_no_json_and_the_recipe_what_decode_needs(self, nyx_hierarchy):
+        payload, _, plan, recipe = self._payload(nyx_hierarchy, "sz_lr")
+        assert b"{" not in payload[:16] and b"block_shapes" not in payload
+        assert recipe == {"codec": "sz_lr", "abs_eb": recipe["abs_eb"], "radius": 32768,
+                          "block_size": 6, "shared": True, "sync_interval": 256,
+                          "dtype": "float64"}
+        assert recipe["abs_eb"] == pytest.approx(1e-3 * plan.value_range)
 
     @pytest.mark.parametrize("compressor, key", [
-        ("sz_lr", "mode"), ("sz_lr", "error_bound"), ("sz_lr", "sz_block_size"),
-        ("sz_interp", "mode"), ("sz_interp", "error_bound"), ("sz_interp", "arrangement"),
-        ("sz_interp", "interp_anchor_stride"),
-        *(("sz_interp", f"arrangement.{key}") for key in
-          ("mode", "unit_shape", "grid_shape", "block_shapes", "fill_value"))])
-    def test_header_missing_a_key_is_a_value_error(self, nyx_hierarchy, compressor, key):
-        import json
-        import struct
+        *(("sz_lr", key) for key in ("codec", "abs_eb", "radius", "block_size", "shared",
+                                     "sync_interval", "dtype")),
+        *(("sz_interp", key) for key in ("codec", "abs_eb", "radius", "anchor_stride",
+                                         "cubic", "sync_interval", "arrangement"))])
+    def test_recipe_missing_a_key_is_corrupt(self, nyx_hierarchy, compressor, key):
+        payload, n, plan, recipe = self._payload(nyx_hierarchy, compressor)
+        del recipe[key]
+        with pytest.raises(CorruptFileError, match=key):
+            AMRICLevelFilter.reading(recipe).decode(payload, n, plan)
 
-        payload, n = self._payload(nyx_hierarchy, compressor)
-        (header_len,) = struct.unpack_from("<Q", payload, 0)
-        header = json.loads(payload[8:8 + header_len])
-        holder = header
-        *path, leaf = key.split(".")
-        for part in path:
-            holder = holder[part]
-        del holder[leaf]
-        raw = json.dumps(header).encode("utf-8")
-        damaged = struct.pack("<Q", len(raw)) + raw + payload[8 + header_len:]
-        with pytest.raises(ValueError, match=leaf):
-            AMRICLevelFilter().decode(damaged, n)
-        layout = _layout_of(payload)
-        with pytest.raises(ValueError, match=leaf):
-            AMRICLevelFilter().decode_blocks([payload, damaged], n, [layout] * 2,
-                                             [range(len(layout))] * 2)
+    @pytest.mark.parametrize("cut", [0, 7, 8, 40, -1])
+    def test_payload_cut_short_is_corrupt(self, nyx_hierarchy, cut):
+        payload, n, plan, recipe = self._payload(nyx_hierarchy, "sz_lr")
+        with pytest.raises(CorruptFileError):
+            AMRICLevelFilter.reading(recipe).decode(payload[:cut], n, plan)
 
-    @pytest.mark.parametrize("cut", [0, 7, 8, 40])
-    def test_payload_cut_inside_its_header_is_a_value_error(self, nyx_hierarchy, cut):
-        payload, n = self._payload(nyx_hierarchy, "sz_lr")
-        with pytest.raises(ValueError):
-            AMRICLevelFilter().decode(payload[:cut], n)
+    def test_decode_needs_the_recipe_and_the_plan(self, nyx_hierarchy):
+        payload, n, plan, recipe = self._payload(nyx_hierarchy, "sz_lr")
+        with pytest.raises(ValueError, match="ChunkPlan"):
+            AMRICLevelFilter.reading(recipe).decode(payload, n)
+        with pytest.raises(ValueError, match="recipe"):
+            AMRICLevelFilter().decode_blocks([payload], n, [_layout_of(plan)], [[0]], [plan])
 
-    def test_decode_blocks_equals_decode_one_at_a_time(self, nyx_hierarchy):
-        """Mixed codecs and recipes in one call; each block is what it is in
-        its chunk decoded alone, whatever else is asked for."""
+    @pytest.mark.parametrize("compressor, bound", [("sz_lr", 1e-3), ("sz_interp", 1e-3),
+                                                   ("sz_lr", 1e-2)])
+    def test_decode_blocks_equals_decode_one_at_a_time(self, nyx_hierarchy, compressor, bound):
+        """A job's chunks decoded together; each block is what it is in its
+        chunk decoded alone, whatever else is asked for."""
+        _, flat, plan = self._blocks_and_chunk(nyx_hierarchy, level=0)
+        filt = AMRICLevelFilter(compressor=compressor, error_bound=bound)
         payloads = []
-        for compressor, bound in (("sz_lr", 1e-3), ("sz_interp", 1e-3), ("sz_lr", 1e-2),
-                                  ("sz_lr", 1e-3)):
-            _, flat, plan = self._blocks_and_chunk(nyx_hierarchy, level=0)
-            filt = AMRICLevelFilter(compressor=compressor, error_bound=bound)
+        for scale in (1.0, 2.0):
             filt.queue_plan(plan)
-            payloads.append(filt.encode(flat, actual_elements=flat.size))
-        reader = AMRICLevelFilter()
-        layout = _layout_of(payloads[0])
+            payloads.append(filt.encode(flat * scale, actual_elements=flat.size))
+        reader = AMRICLevelFilter.reading(filt.recipe)
+        layout = _layout_of(plan)
         assert len(layout) > 2
-        assert reader.decode_blocks([], 10, [], []) == []
+        assert reader.decode_blocks([], 10, [], [], []) == []
         for wanted in (list(range(len(layout))), [1], [0, len(layout) - 1]):
-            together = reader.decode_blocks(payloads, flat.size + 7, [layout] * 4, [wanted] * 4)
+            together = reader.decode_blocks(payloads, flat.size + 7, [layout] * 2,
+                                            [wanted] * 2, [plan] * 2)
             for payload, blocks in zip(payloads, together):
-                chunk = reader.decode(payload, flat.size + 7)
+                chunk = reader.decode(payload, flat.size + 7, plan)
                 assert set(wanted) <= set(blocks)
                 for ordinal, block in blocks.items():
                     offset, size = layout[ordinal]
                     assert block.shape == tuple(plan.block_shapes[ordinal])
                     assert block.reshape(-1).tobytes() == chunk[offset:offset + size].tobytes()
-        # sz_lr decodes the wanted blocks only, sz_interp's packed arrangement all
-        assert [len(blocks) for blocks in together] == [2, len(layout), 2, 2]
+            # sz_lr decodes the wanted blocks only, sz_interp's packed arrangement all
+            expected = len(wanted) if compressor == "sz_lr" else len(layout)
+            assert [len(blocks) for blocks in together] == [expected] * 2
 
-    def test_payload_of_another_layout_is_a_value_error(self, nyx_hierarchy):
-        payload, n = self._payload(nyx_hierarchy, "sz_lr", level=0)
-        layout = _layout_of(payload)
-        for wrong in (layout[:-1], layout + [(n, 8)], [(0, n)]):
-            with pytest.raises(ValueError, match="payload 0"):
-                AMRICLevelFilter().decode_blocks([payload], n + 8, [wrong], [[0]])
+    @pytest.mark.parametrize("compressor", ["sz_lr", "sz_interp"])
+    def test_payload_of_another_plan_is_corrupt(self, nyx_hierarchy, compressor):
+        payload, n, plan, recipe = self._payload(nyx_hierarchy, compressor, level=0)
+        reader = AMRICLevelFilter.reading(recipe)
+        shapes = plan.block_shapes
+        swapped = list(reversed(shapes)) if shapes[0] != shapes[-1] else \
+            [tuple(reversed(shapes[0]))] + shapes[1:]
+        for wrong in (shapes[:-1], shapes + [(1, 1, 8)], swapped):
+            other = ChunkPlan(wrong, plan.block_positions and
+                              plan.block_positions[:len(wrong)] + [(0, 0, 0)] * (len(wrong) - len(shapes)))
+            with pytest.raises(CorruptFileError, match="blocks|checksum"):
+                reader.decode_blocks([payload], n + 8, [_layout_of(other)], [[0]], [other])
         with pytest.raises(ValueError, match="the chunk has"):
-            AMRICLevelFilter().decode(payload, n - 1)
+            reader.decode(payload, n - 1, plan)
 
     def test_encode_without_plan_raises(self):
         filt = AMRICLevelFilter()

@@ -89,7 +89,7 @@ def _per_chunk_reference(job):
         payloads.append(filt.encode(job.data[i * ce:(i + 1) * ce], actual_elements=actual))
     return EncodeResult(key=job.key, payloads=payloads,
                         reconstructions=filt.last_reconstructions,
-                        filter_calls=len(payloads))
+                        filter_calls=len(payloads), recipe=filt.recipe)
 
 
 def _dataset_jobs(hierarchy, config=AMRICConfig(), level=0):
