@@ -20,13 +20,10 @@
 
 PY := PYTHONPATH=src python
 
-# src/ + tools/ Python lines as of the last change to them (+204: plotfile format v2 —
-# the chunk record with its CRC, span-form tables and side-blob reader, the codec
-# recipes (checksummed, hostile values refused) and the CorruptFileError type cost
-# more than the per-chunk JSON header, its parser, the packed-arrangement JSON and the
-# shm codec cache they replace; the e2e tracer's table still names the per-array-table
-# Huffman helpers, so they stay)
-LOC_BUDGET := 19251
+# src/ + tools/ Python lines as of the last change to them (-98: `info` / `verify`
+# take a series directory too, so the series-info / series-verify verbs, the second
+# series summary, summarize_plotfile and FilterSpec went)
+LOC_BUDGET := 19153
 LOC = $$(find src tools -name '*.py' | xargs cat | wc -l)
 
 # suite -> pytest paths ('+'-separated). Adding a benchmark suite is one line.
@@ -125,8 +122,8 @@ smoke-series:
 		repro.write_series(sim.run(5), '.smoke-series/run', \
 		keyframe_interval=4, error_bound=1e-3, \
 		backend=os.environ.get('REPRO_BACKEND'))"
-	$(PY) -m repro series-info .smoke-series/run
-	$(PY) -m repro series-verify .smoke-series/run
+	$(PY) -m repro info .smoke-series/run --step 1
+	$(PY) -m repro verify .smoke-series/run
 	$(PY) -c "import numpy as np; import repro; from repro.amr.box import Box; \
 		s = repro.open_series('.smoke-series/run'); \
 		t, v = s.time_slice('baryon_density', box=Box((0, 0, 0), (3, 3, 3)), refill=False); \

@@ -10,7 +10,6 @@ from repro.analysis.reporting import (
 from repro.analysis.series_report import (
     series_dataset_rows,
     series_step_rows,
-    series_summary,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "ComparisonRecord",
     "series_dataset_rows",
     "series_step_rows",
-    "series_summary",
 ]

@@ -3,17 +3,17 @@
 Benchmarks print their results with :func:`format_table` (so the harness
 output looks like the paper's tables) and collect
 :class:`ComparisonRecord` entries that EXPERIMENTS.md summarises.
-:func:`summarize_plotfile` reads a plotfile's metadata through the
-:func:`repro.open` facade — it is what ``python -m repro info`` renders.
+:func:`plotfile_dataset_rows` and :func:`io_stats_rows` tabulate an open
+handle — what ``python -m repro info`` renders beside ``handle.describe()``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 __all__ = ["format_table", "ComparisonRecord", "comparison_record",
-           "summarize_plotfile", "plotfile_dataset_rows", "io_stats_rows",
+           "plotfile_dataset_rows", "io_stats_rows",
            "registry_rows"]
 
 
@@ -77,56 +77,29 @@ def comparison_record(experiment: str, quantity: str, paper_value: float,
 
 
 # ----------------------------------------------------------------------
-# plotfile summaries (via the repro.open facade)
+# plotfile tables (of an open handle)
 # ----------------------------------------------------------------------
-def summarize_plotfile(path) -> Dict[str, object]:
-    """Flat metadata summary of one plotfile — no chunk is decoded.
-
-    ``path`` may also be an already-open
-    :class:`~repro.core.reader.PlotfileHandle` (avoids a reopen when the
-    caller, like the CLI, needs several summaries of the same file).
-    """
-    from repro.core.reader import PlotfileHandle
-    from repro.facade import open_plotfile
-
-    if isinstance(path, PlotfileHandle):
-        return path.describe()
-    with open_plotfile(path) as handle:
-        return handle.describe()
-
-
-def plotfile_dataset_rows(path) -> List[Dict[str, object]]:
-    """Per-dataset rows for :func:`format_table`: what each dataset stores
-    and its ratio, from the chunk index alone (no chunk is read) — the valid
-    elements each chunk records over the bytes its chunks occupy.
-
-    ``path`` may also be an already-open handle, like
-    :func:`summarize_plotfile`.
+def plotfile_dataset_rows(handle) -> List[Dict[str, object]]:
+    """Per-dataset rows of an open :class:`~repro.core.reader.PlotfileHandle`
+    for :func:`format_table`: what each dataset stores and its ratio, from
+    the chunk index alone (no chunk is read) — the valid elements each chunk
+    records over the bytes its chunks occupy.
     """
     import numpy as np
 
-    from repro.core.reader import PlotfileHandle
-    from repro.facade import open_plotfile
-
-    def rows_of(handle) -> List[Dict[str, object]]:
-        rows: List[Dict[str, object]] = []
-        for name in handle.dataset_names():
-            info = handle.dataset_info(name)
-            elements = sum(chunk.actual_elements for chunk in info.chunks)
-            rows.append({
-                "dataset": name,
-                "chunks": info.nchunks,
-                "elements": elements,
-                "stored_bytes": info.stored_nbytes,
-                "ratio": elements * np.dtype(info.dtype).itemsize / max(info.stored_nbytes, 1),
-                "filter": info.filter_id,
-            })
-        return rows
-
-    if isinstance(path, PlotfileHandle):
-        return rows_of(path)
-    with open_plotfile(path) as handle:
-        return rows_of(handle)
+    rows: List[Dict[str, object]] = []
+    for name in handle.dataset_names():
+        info = handle.dataset_info(name)
+        elements = sum(chunk.actual_elements for chunk in info.chunks)
+        rows.append({
+            "dataset": name,
+            "chunks": info.nchunks,
+            "elements": elements,
+            "stored_bytes": info.stored_nbytes,
+            "ratio": elements * np.dtype(info.dtype).itemsize / max(info.stored_nbytes, 1),
+            "filter": info.filter_id,
+        })
+    return rows
 
 
 def io_stats_rows(handle) -> List[Dict[str, object]]:

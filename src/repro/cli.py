@@ -1,11 +1,15 @@
 """The ``python -m repro`` command line: plotfile tooling over the facade.
 
-Nine subcommands, all thin shells over :func:`repro.open` / :func:`repro.write`
-and their series/service counterparts:
+Seven subcommands, all thin shells over :func:`repro.open` / :func:`repro.write`
+and their series/service counterparts.  ``info`` and ``verify`` take a
+plotfile or a series directory (:func:`repro.series.is_series_dir` tells
+them apart):
 
 ``info PATH``
-    Print the self-describing header summary and per-dataset storage table —
-    nothing is decoded.
+    Print the self-describing header summary and per-dataset storage table
+    of a plotfile — or a series' manifest summary and per-step temporal
+    rate-distortion table (``--step N`` adds that step's datasets).  Nothing
+    is decoded.
 ``compress OUT``
     Produce a compressed plotfile, either from a synthetic run preset
     (``--preset nyx_1``) or by recompressing an existing plotfile
@@ -16,13 +20,9 @@ and their series/service counterparts:
 ``verify PATH``
     Scan + decode every chunk of a plotfile and check the reconstruction is
     structurally sound; with ``--against RAW`` also check the decoded data
-    stays within the header's error bound of the reference copy.
-``series-info DIR``
-    Print a series manifest summary and the per-step temporal
-    rate-distortion table — nothing is decoded.
-``series-verify DIR``
-    Decode every step of a series (resolving all delta chains) and check
-    manifest/file consistency, keyframe cadence and finiteness.
+    stays within the header's error bound of the reference copy.  On a
+    series, decode every step (resolving all delta chains) and check
+    keyframe cadence, manifest/file consistency, fields and finiteness.
 ``serve``
     Run the query service (:mod:`repro.service`): one shared chunk cache and
     query engine serving describe/read_field/time_slice to concurrent
@@ -49,7 +49,8 @@ and their series/service counterparts:
 
 Every command exits 0 on success and 1 on failure, with errors reported as
 one-line messages (corrupt files — and files without a self-describing
-header — surface the underlying ``ValueError``).
+header — surface the underlying ``ValueError``; so does a flag that does not
+apply to the given path or method, which is refused rather than dropped).
 Subcommands that decode accept ``--backend``; its default honours the
 ``REPRO_BACKEND`` environment variable (how CI exercises the shm backend
 through ``make smoke``).
@@ -119,10 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="AMRIC plotfile tooling (self-describing format v2)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_info = sub.add_parser("info", help="print plotfile metadata (no decoding)")
-    p_info.add_argument("path")
+    p_info = sub.add_parser("info", help="print plotfile or series metadata "
+                                         "(no decoding)")
+    p_info.add_argument("path", help="plotfile or series directory")
     p_info.add_argument("--json", action="store_true", dest="as_json",
                         help="emit the summary as JSON")
+    p_info.add_argument("--step", type=int, default=None,
+                        help="series only: also print this step's "
+                             "per-dataset table")
     _add_source_arg(p_info)
     p_info.add_argument("--stats", action="store_true",
                         help="also print the open's byte-source I/O counters")
@@ -137,7 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--codec", default="sz_lr",
                         help="codec registry name (default sz_lr)")
     p_comp.add_argument("--error-bound", type=float, default=1e-3)
-    _add_backend_args(p_comp, backend_default)
+    # None = not given: the REPRO_BACKEND default must not count as a flag
+    # the baseline methods refuse
+    _add_backend_args(p_comp, None)
     p_comp.add_argument("--method", default="amric",
                         help="writer method: amric (default), amrex_1d, nocomp")
 
@@ -148,29 +155,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_args(p_dec, backend_default)
 
     p_ver = sub.add_parser("verify", help="decode everything and check integrity")
-    p_ver.add_argument("path")
+    p_ver.add_argument("path", help="plotfile or series directory")
     p_ver.add_argument("--against", default=None,
-                       help="reference plotfile (e.g. the nocomp copy) to "
-                            "check the error bound against")
+                       help="plotfile only: reference plotfile (e.g. the "
+                            "nocomp copy) to check the error bound against")
     _add_backend_args(p_ver, backend_default)
     _add_source_arg(p_ver)
     p_ver.add_argument("--stats", action="store_true",
                        help="also print the decode's byte-source I/O counters")
-
-    p_sinfo = sub.add_parser("series-info",
-                             help="print series manifest + per-step table "
-                                  "(no decoding)")
-    p_sinfo.add_argument("directory")
-    p_sinfo.add_argument("--json", action="store_true", dest="as_json",
-                         help="emit the summary as JSON")
-    p_sinfo.add_argument("--step", type=int, default=None,
-                         help="also print this step's per-dataset table")
-
-    p_sver = sub.add_parser("series-verify",
-                            help="decode every step of a series and check "
-                                 "chains, cadence and manifest consistency")
-    p_sver.add_argument("directory")
-    _add_backend_args(p_sver, backend_default)
 
     p_srv = sub.add_parser("serve",
                            help="run the JSON-over-TCP query service")
@@ -274,22 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
-def _cmd_info(args) -> int:
-    import repro
-    from repro.analysis.reporting import format_table, io_stats_rows, \
-        plotfile_dataset_rows, summarize_plotfile
-
-    with repro.open(args.path, source=args.source) as handle:
-        summary = summarize_plotfile(handle)
-        rows = plotfile_dataset_rows(handle)
-        stats_rows = io_stats_rows(handle) if args.stats else None
-    if args.as_json:
-        if stats_rows is not None:
-            summary["io_stats"] = {row["metric"]: row["value"]
-                                   for row in stats_rows}
-        summary["dataset_rows"] = rows
-        print(json.dumps(summary, indent=2))
-        return 0
+def _print_plotfile_summary(summary: dict) -> None:
     print(f"plotfile {summary['path']}")
     for key in ("self_describing", "format_version", "method", "codec",
                 "error_bound", "time", "step", "unit_block_size",
@@ -300,11 +277,60 @@ def _cmd_info(args) -> int:
           f"(boxes {summary['boxes_per_level']})")
     print(f"  {'stored':18s} {summary['stored_bytes']} bytes "
           f"({summary['compression_ratio']:.1f}x over {summary['logical_bytes']})")
-    print()
-    print(format_table(rows))
+
+
+def _print_series_summary(summary: dict) -> None:
+    print(f"series {summary['directory']}")
+    for key in ("nsteps", "keyframes", "codec", "error_bound",
+                "error_bound_mode", "keyframe_interval"):
+        print(f"  {key:20s} {summary[key]}")
+    print(f"  {'fields':20s} {', '.join(summary['fields'])}")
+    print(f"  {'stored':20s} {summary['stored_bytes']} bytes "
+          f"({summary['compression_ratio']:.1f}x over {summary['raw_bytes']})")
+    print(f"  {'vs keyframe-only':20s} {summary['keyframe_only_bytes']} bytes implied "
+          f"by its tables ({summary['delta_savings_factor']:.2f}x saved "
+          f"{summary['delta_saved_bytes']} bytes)")
+
+
+def _cmd_info(args) -> int:
+    import repro
+    from repro.analysis.reporting import format_table, io_stats_rows, \
+        plotfile_dataset_rows
+    from repro.analysis.series_report import series_dataset_rows, \
+        series_step_rows
+    from repro.series import is_series_dir
+
+    series = is_series_dir(args.path)
+    if args.step is not None and not series:
+        raise ValueError(
+            f"--step only applies to a series directory, not {args.path!r}")
+    with (repro.open_series if series else repro.open)(
+            args.path, source=args.source) as handle:
+        summary = handle.describe()
+        step_rows = series_step_rows(handle) if series else None
+        if series:
+            rows = series_dataset_rows(handle, args.step) \
+                if args.step is not None else None
+        else:
+            rows = plotfile_dataset_rows(handle)
+        stats_rows = io_stats_rows(handle) if args.stats else None
+    if args.as_json:
+        if stats_rows is not None:
+            summary["io_stats"] = {row["metric"]: row["value"]
+                                   for row in stats_rows}
+        if rows is not None:
+            summary["dataset_rows"] = rows
+        print(json.dumps(summary, indent=2))
+        return 0
+    (_print_series_summary if series else _print_plotfile_summary)(summary)
+    tables = [(None, step_rows)] if series else []
+    if rows is not None:
+        tables.append((f"step {args.step}" if series else None, rows))
     if stats_rows is not None:
+        tables.append(("byte-source I/O", stats_rows))
+    for title, table in tables:
         print()
-        print(format_table(stats_rows, title="byte-source I/O"))
+        print(format_table(table, title=title))
     return 0
 
 
@@ -316,9 +342,10 @@ def _cmd_compress(args) -> int:
         if args.codec != "sz_lr":
             raise ValueError(
                 f"--codec only applies to --method amric, not {args.method!r}")
-        if args.backend != "serial":
+        if args.backend not in (None, "serial"):
             raise ValueError(
                 f"--backend only applies to --method amric, not {args.method!r}")
+    args.backend = args.backend or _default_backend()
     backend = _make_cli_backend(args)
     try:
         if args.input is not None:
@@ -369,151 +396,104 @@ def _cmd_decompress(args) -> int:
 
 def _cmd_verify(args) -> int:
     import repro
+    from repro.analysis.reporting import format_table, io_stats_rows
+    from repro.series import is_series_dir
 
+    series = is_series_dir(args.path)
+    if args.against is not None and series:
+        raise ValueError(
+            f"--against only applies to a plotfile, not {args.path!r}")
     backend = _make_cli_backend(args)
     try:
-        return _run_verify(args, backend)
+        with (repro.open_series if series else repro.open)(
+                args.path, source=args.source) as handle:
+            if series:
+                checks, bound_check = _series_checks(handle, backend), None
+                counted = f"{len(handle.steps())} steps, "
+            else:
+                checks, bound_check = _plotfile_checks(handle, args.against,
+                                                       backend)
+                counted = ""
+            counted += f"{handle.stats.chunks_decoded} chunks decoded"
+            stats_rows = io_stats_rows(handle) if args.stats else None
     finally:
         backend.close()
-
-
-def _run_verify(args, backend) -> int:
-    import repro
-
-    stats_rows = None
-    with repro.open(args.path, source=args.source) as handle:
-        hierarchy = handle.read(backend=backend)
-        chunks = handle.stats.chunks_decoded
-        checks = [
-            ("levels", hierarchy.nlevels == handle.nlevels),
-            ("fields", tuple(hierarchy.component_names) == handle.fields),
-            ("finite", all(np.isfinite(fab.data).all()
-                           for lvl in hierarchy.levels for fab in lvl.multifab)),
-        ]
-        bound_check: Optional[str] = None
-        if args.against:
-            with repro.open(args.against) as ref_handle:
-                reference = ref_handle.read(backend=backend)
-            eb = handle.error_bound
-            eb_mode = handle.header.error_bound_mode
-            worst = 0.0
-            for level in range(hierarchy.nlevels):
-                for name in hierarchy.component_names:
-                    ref = reference[level].multifab.to_global(
-                        name, reference[level].domain)
-                    rec = hierarchy[level].multifab.to_global(
-                        name, hierarchy[level].domain)
-                    mask = reference[level].boxarray.coverage_mask(
-                        reference[level].domain)
-                    # the writer resolves the relative bound against the whole
-                    # level's range (covered cells included) — use the same
-                    # range here or a correctly-bounded file can FAIL
-                    vrange = max(float(ref[mask].max() - ref[mask].min()), 1e-30)
-                    covered = reference.covered_cells(level)
-                    if covered and level < hierarchy.nlevels - 1:
-                        # refilled coarse cells are averaged, not bounded;
-                        # restrict the bound check to the kept cells
-                        from repro.amr.upsample import covered_mask
-
-                        mask = mask & ~covered_mask(reference, level)
-                    err = float(np.max(np.abs(ref[mask] - rec[mask])))
-                    worst = max(worst, err if eb_mode == "abs" else err / vrange)
-            ok = worst <= eb * (1 + 1e-6)
-            checks.append(("error_bound", ok))
-            kind = "absolute" if eb_mode == "abs" else "relative"
-            bound_check = (f"worst {kind} error {worst:.3e} "
-                           f"{'<=' if ok else '>'} bound {eb:.3e}")
-        if args.stats:
-            from repro.analysis.reporting import format_table, io_stats_rows
-
-            stats_rows = format_table(io_stats_rows(handle),
-                                      title="byte-source I/O")
     passed = all(ok for _, ok in checks)
     status = "PASS" if passed else "FAIL"
     detail = ", ".join(f"{name}={'ok' if ok else 'FAIL'}" for name, ok in checks)
-    print(f"verify {args.path}: {status} ({detail}; {chunks} chunks decoded)"
+    print(f"verify {args.path}: {status} ({detail}; {counted})"
           + (f"\n  {bound_check}" if bound_check else ""))
     if stats_rows is not None:
-        print(stats_rows)
+        print(format_table(stats_rows, title="byte-source I/O"))
     return 0 if passed else 1
 
 
-def _cmd_series_info(args) -> int:
-    import repro
-    from repro.analysis.reporting import format_table
-    from repro.analysis.series_report import (
-        series_dataset_rows,
-        series_step_rows,
-        series_summary,
-    )
-
-    with repro.open_series(args.directory) as series:
-        summary = {**series.describe(), **series_summary(series)}
-        step_rows = series_step_rows(series)
-        dataset_rows = series_dataset_rows(series, args.step) \
-            if args.step is not None else None
-    if args.as_json:
-        print(json.dumps(summary, indent=2))
-        return 0
-    print(f"series {summary['directory']}")
-    for key in ("nsteps", "keyframes", "codec", "error_bound",
-                "error_bound_mode", "keyframe_interval"):
-        print(f"  {key:20s} {summary[key]}")
-    print(f"  {'fields':20s} {', '.join(summary['fields'])}")
-    print(f"  {'stored':20s} {summary['stored_bytes']} bytes "
-          f"({summary['compression_ratio']:.1f}x over {summary['raw_bytes']})")
-    print(f"  {'vs keyframe-only':20s} {summary['keyframe_only_bytes']} bytes implied "
-          f"by its tables ({summary['delta_savings_factor']:.2f}x saved "
-          f"{summary['delta_saved_bytes']} bytes)")
-    print()
-    print(format_table(step_rows))
-    if dataset_rows is not None:
-        print()
-        print(format_table(dataset_rows, title=f"step {args.step}"))
-    return 0
+def _decoded_checks(hierarchies, fields) -> List[tuple]:
+    """The checks every decoded hierarchy must pass — a plotfile's one, or
+    each step of a series (consumed one at a time): the fields the header
+    promises, and finite values."""
+    fields_ok = finite_ok = True
+    for hierarchy in hierarchies:
+        fields_ok &= tuple(hierarchy.component_names) == tuple(fields)
+        finite_ok &= all(np.isfinite(fab.data).all()
+                         for lvl in hierarchy.levels for fab in lvl.multifab)
+    return [("fields", fields_ok), ("finite", finite_ok)]
 
 
-def _cmd_series_verify(args) -> int:
+def _plotfile_checks(handle, against: Optional[str], backend) -> tuple:
+    """(checks, bound line) of one plotfile: its structure, and with a
+    reference copy ``against`` the error bound."""
     import repro
 
-    backend = _make_cli_backend(args)
-    try:
-        return _run_series_verify(args, backend)
-    finally:
-        backend.close()
+    hierarchy = handle.read(backend=backend)
+    checks = [("levels", hierarchy.nlevels == handle.nlevels),
+              *_decoded_checks([hierarchy], handle.fields)]
+    if not against:
+        return checks, None
+    with repro.open(against) as ref_handle:
+        reference = ref_handle.read(backend=backend)
+    eb = handle.error_bound
+    eb_mode = handle.header.error_bound_mode
+    worst = 0.0
+    for level in range(hierarchy.nlevels):
+        for name in hierarchy.component_names:
+            ref = reference[level].multifab.to_global(name, reference[level].domain)
+            rec = hierarchy[level].multifab.to_global(name, hierarchy[level].domain)
+            mask = reference[level].boxarray.coverage_mask(reference[level].domain)
+            # the writer resolves the relative bound against the whole
+            # level's range (covered cells included) — use the same
+            # range here or a correctly-bounded file can FAIL
+            vrange = max(float(ref[mask].max() - ref[mask].min()), 1e-30)
+            covered = reference.covered_cells(level)
+            if covered and level < hierarchy.nlevels - 1:
+                # refilled coarse cells are averaged, not bounded;
+                # restrict the bound check to the kept cells
+                from repro.amr.upsample import covered_mask
+
+                mask = mask & ~covered_mask(reference, level)
+            err = float(np.max(np.abs(ref[mask] - rec[mask])))
+            worst = max(worst, err if eb_mode == "abs" else err / vrange)
+    ok = worst <= eb * (1 + 1e-6)
+    checks.append(("error_bound", ok))
+    kind = "absolute" if eb_mode == "abs" else "relative"
+    return checks, (f"worst {kind} error {worst:.3e} "
+                     f"{'<=' if ok else '>'} bound {eb:.3e}")
 
 
-def _run_series_verify(args, backend) -> int:
-    import repro
-
-    with repro.open_series(args.directory) as series:
-        interval = series.index.keyframe_interval
-        cadence_ok = all(rec.kind == "key"
-                         for rec in series.steps() if rec.index % interval == 0)
-        bytes_ok = True
-        finite_ok = True
-        fields_ok = True
-        for rec in series.steps():
-            handle = series.open_step(rec.index)
-            for dataset in rec.datasets:
-                stored = handle.dataset_info(dataset.name).stored_nbytes
-                if stored != dataset.stored_bytes:
-                    bytes_ok = False
-            hierarchy = series.read(step=rec.index, backend=backend)
-            if tuple(hierarchy.component_names) != series.fields:
-                fields_ok = False
-            if not all(np.isfinite(fab.data).all()
-                       for lvl in hierarchy.levels for fab in lvl.multifab):
-                finite_ok = False
-        chunks = series.stats.chunks_decoded
-        checks = [("keyframe_cadence", cadence_ok), ("manifest_bytes", bytes_ok),
-                  ("fields", fields_ok), ("finite", finite_ok)]
-    passed = all(ok for _, ok in checks)
-    status = "PASS" if passed else "FAIL"
-    detail = ", ".join(f"{name}={'ok' if ok else 'FAIL'}" for name, ok in checks)
-    print(f"series-verify {args.directory}: {status} ({detail}; "
-          f"{len(series.steps())} steps, {chunks} chunks decoded)")
-    return 0 if passed else 1
+def _series_checks(series, backend) -> List[tuple]:
+    """The checks of a series: keyframe cadence, the manifest's sizes against
+    the step files, then every step decoded (all delta chains resolved)."""
+    steps = series.steps()
+    interval = series.index.keyframe_interval
+    return [
+        ("keyframe_cadence", all(rec.kind == "key" for rec in steps
+                                 if rec.index % interval == 0)),
+        ("manifest_bytes", all(
+            series.open_step(rec.index).dataset_info(d.name).stored_nbytes
+            == d.stored_bytes for rec in steps for d in rec.datasets)),
+        *_decoded_checks((series.read(step=rec.index, backend=backend)
+                          for rec in steps), series.fields),
+    ]
 
 
 def _cmd_serve(args) -> int:
@@ -768,8 +748,6 @@ def _cmd_query(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     handlers = {"info": _cmd_info, "compress": _cmd_compress,
                 "decompress": _cmd_decompress, "verify": _cmd_verify,
-                "series-info": _cmd_series_info,
-                "series-verify": _cmd_series_verify,
                 "serve": _cmd_serve, "query": _cmd_query,
                 "stats": _cmd_stats}
     from repro.service.client import ServiceError

@@ -35,7 +35,6 @@ from repro.core.stages import (
     DatasetPlan,
     EncodeJob,
     EncodeResult,
-    FilterSpec,
     WritePlan,
     encode_job,
     pack_dataset,
@@ -54,7 +53,6 @@ __all__ = [
     "select_sz_block_size",
     "WritePlan",
     "DatasetPlan",
-    "FilterSpec",
     "EncodeJob",
     "EncodeResult",
     "plan_write",

@@ -45,7 +45,6 @@ from repro.amr.hierarchy import AmrHierarchy
 from repro.compress.metrics import psnr_from_mse
 from repro.core.config import AMRICConfig
 from repro.core.stages import (
-    FilterSpec,
     commit_dataset,
     commit_header,
     dataset_record,
@@ -242,7 +241,6 @@ class AMRICWriter:
         # concurrently on the backend (one barrier per level) and commit in
         # plan order, so peak memory is one level's buffers — not the whole
         # hierarchy's — matching the in situ write pattern of the real code.
-        filter_spec = FilterSpec.from_config(cfg)
         records: List[LevelFieldRecord] = []
         tally = WorkloadTally(comm.size)
         # the context removes the target if the body raises (no partial file)
@@ -261,7 +259,7 @@ class AMRICWriter:
                 with span("write.pack"):
                     packed = [pack_dataset(level, d) for d in level_plan.datasets]
                 with span("write.encode") as sp:
-                    jobs = [make_encode_job(p, filter_spec) for p in packed]
+                    jobs = [make_encode_job(p, cfg) for p in packed]
                     results = comm.run_jobs(self.backend, encode_job, jobs)
                     sp.add_bytes(sum(r.compressed_bytes for r in results))
                 with span("write.commit"):

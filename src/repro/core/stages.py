@@ -55,10 +55,10 @@ __all__ = [
     "plan_write",
     "PackedDataset",
     "pack_dataset",
-    "FilterSpec",
     "EncodeJob",
     "EncodeResult",
     "make_encode_job",
+    "level_filter",
     "encode_job",
     "commit_header",
     "commit_dataset",
@@ -183,40 +183,6 @@ def pack_dataset(level: AmrLevel, dplan: DatasetPlan) -> PackedDataset:
 # ----------------------------------------------------------------------
 # encode
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FilterSpec:
-    """The :class:`AMRICLevelFilter` construction recipe (picklable)."""
-
-    compressor: str = "sz_lr"
-    error_bound: float = 1e-3
-    error_bound_mode: str = "rel"
-    use_sle: bool = True
-    adaptive_block_size: bool = True
-    sz_block_size: int = 6
-    interp_arrangement: str = "cluster"
-    interp_anchor_stride: int = 16
-    unit_block_size: int = 16
-
-    @staticmethod
-    def from_config(config: AMRICConfig) -> "FilterSpec":
-        return FilterSpec(
-            compressor=config.compressor, error_bound=config.error_bound,
-            error_bound_mode=config.error_bound_mode, use_sle=config.use_sle,
-            adaptive_block_size=config.adaptive_block_size, sz_block_size=config.sz_block_size,
-            interp_arrangement=config.interp_arrangement,
-            interp_anchor_stride=config.interp_anchor_stride,
-            unit_block_size=config.unit_block_size)
-
-    def make_filter(self) -> AMRICLevelFilter:
-        return AMRICLevelFilter(
-            compressor=self.compressor, error_bound=self.error_bound,
-            error_bound_mode=self.error_bound_mode, use_sle=self.use_sle,
-            adaptive_block_size=self.adaptive_block_size, sz_block_size=self.sz_block_size,
-            interp_arrangement=self.interp_arrangement,
-            interp_anchor_stride=self.interp_anchor_stride,
-            unit_block_size=self.unit_block_size)
-
-
 @dataclass
 class EncodeJob:
     """One dataset's encode work: its chunk sequence, in write order.
@@ -236,7 +202,7 @@ class EncodeJob:
     chunk_elements: int
     actual_sizes: List[int]
     plans: List[ChunkPlan]
-    filter_spec: FilterSpec
+    config: AMRICConfig                    #: the filter's settings (frozen)
 
 
 @dataclass
@@ -256,12 +222,24 @@ class EncodeResult:
         return sum(len(p) for p in self.payloads)
 
 
-def make_encode_job(packed: PackedDataset, filter_spec: FilterSpec) -> EncodeJob:
+def make_encode_job(packed: PackedDataset, config: AMRICConfig) -> EncodeJob:
     return EncodeJob(
         key=packed.plan.name, data=packed.data,
         chunk_elements=packed.plan.chunk_elements,
         actual_sizes=packed.plan.actual_elements, plans=packed.plan.chunk_plans,
-        filter_spec=filter_spec)
+        config=config)
+
+
+def level_filter(config: AMRICConfig) -> AMRICLevelFilter:
+    """The AMRIC filter ``config`` writes with."""
+    return AMRICLevelFilter(
+        compressor=config.compressor, error_bound=config.error_bound,
+        error_bound_mode=config.error_bound_mode, use_sle=config.use_sle,
+        adaptive_block_size=config.adaptive_block_size,
+        sz_block_size=config.sz_block_size,
+        interp_arrangement=config.interp_arrangement,
+        interp_anchor_stride=config.interp_anchor_stride,
+        unit_block_size=config.unit_block_size)
 
 
 def encode_job(job: EncodeJob) -> EncodeResult:
@@ -273,16 +251,16 @@ def encode_job(job: EncodeJob) -> EncodeResult:
     backend (inline, shm pool) runs the identical code and produces
     identical bytes.
     """
-    level_filter = job.filter_spec.make_filter()
+    filt = level_filter(job.config)
     for plan in job.plans:
-        level_filter.queue_plan(plan)
+        filt.queue_plan(plan)
     ce = job.chunk_elements
-    payloads = level_filter.encode_many(
+    payloads = filt.encode_many(
         [job.data[i * ce:(i + 1) * ce] for i in range(len(job.actual_sizes))],
         job.actual_sizes)
     return EncodeResult(key=job.key, payloads=payloads,
-                        reconstructions=level_filter.last_reconstructions,
-                        filter_calls=len(payloads), recipe=level_filter.recipe)
+                        reconstructions=filt.last_reconstructions,
+                        filter_calls=len(payloads), recipe=filt.recipe)
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,12 @@ from repro.series.index import (
     SeriesIndex,
     SeriesStepRecord,
 )
-from repro.series.reader import SeriesHandle, SeriesStepHandle, open_series
+from repro.series.reader import (
+    SeriesHandle,
+    SeriesStepHandle,
+    is_series_dir,
+    open_series,
+)
 from repro.series.writer import SeriesWriter, write_series
 
 __all__ = [
@@ -37,6 +42,7 @@ __all__ = [
     "SeriesHandle",
     "SeriesStepHandle",
     "SeriesWriter",
+    "is_series_dir",
     "open_series",
     "write_series",
 ]

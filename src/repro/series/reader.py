@@ -35,7 +35,7 @@ from repro.compress.temporal import MODE_DELTA, TemporalDeltaCodec
 from repro.core.reader import DatasetReadPlan, PlotfileHandle, ReadStats
 from repro.h5lite.filters import cut_blocks
 from repro.h5lite.source import ByteSource, SourceStats
-from repro.series.index import SeriesIndex, SeriesStepRecord
+from repro.series.index import INDEX_FILENAME, SeriesIndex, SeriesStepRecord
 from repro.service.cache import ChunkCache
 from repro.stream.journal import (
     JOURNAL_FILENAME,
@@ -44,7 +44,7 @@ from repro.stream.journal import (
     tail_journal,
 )
 
-__all__ = ["SeriesHandle", "SeriesStepHandle", "open_series"]
+__all__ = ["SeriesHandle", "SeriesStepHandle", "is_series_dir", "open_series"]
 
 #: streams per entropy pass while chains are resolved: a pass's 256 Python-level
 #: steps are shared by two chunks' chains on a ``keyframe_interval=4`` series
@@ -52,6 +52,17 @@ __all__ = ["SeriesHandle", "SeriesStepHandle", "open_series"]
 #: little), and the int64 code arrays alive at once stop growing with the decode
 #: group and the chain length
 _PASS_STREAMS = 8
+
+
+def is_series_dir(path: str) -> bool:
+    """Whether ``path`` is a series directory rather than a plotfile.
+
+    A live series may not have been compacted into a manifest yet — its
+    journal alone makes the directory a readable series.
+    """
+    return os.path.isdir(path) and (
+        os.path.isfile(os.path.join(path, INDEX_FILENAME))
+        or os.path.isfile(os.path.join(path, JOURNAL_FILENAME)))
 
 
 def open_series(directory: str, cache=None, source=None) -> "SeriesHandle":
@@ -357,8 +368,17 @@ class SeriesHandle:
             return self.index.nsteps - before
 
     def describe(self) -> Dict[str, object]:
-        """A flat summary (what ``python -m repro series-info`` prints)."""
+        """A flat summary (what ``python -m repro info DIR`` prints).
+
+        ``keyframe_only_bytes`` is the sum of the recorded key candidates:
+        what their Huffman tables imply, a few percent under a real
+        keyframe-only series (DESIGN.md §6).  ``delta_savings_factor``
+        compares like with like: that sum over the sum of the candidates that
+        were committed.
+        """
         index = self.index
+        psnrs = [d.psnr for s in index.steps for d in s.datasets
+                 if np.isfinite(d.psnr)]
         return {
             "directory": self.directory,
             "nsteps": index.nsteps,
@@ -375,6 +395,11 @@ class SeriesHandle:
             "keyframe_only_bytes": index.key_bytes,
             "delta_saved_bytes": index.delta_saved_bytes,
             "keyframes": sum(1 for s in index.steps if s.kind == "key"),
+            "delta_steps": sum(1 for s in index.steps if s.kind == "delta"),
+            "delta_savings_factor":
+                index.key_bytes / max(index.key_bytes - index.delta_saved_bytes, 1),
+            "mean_psnr_db": float(np.mean(psnrs)) if psnrs else float("inf"),
+            "worst_psnr_db": float(min(psnrs)) if psnrs else float("inf"),
         }
 
     # ------------------------------------------------------------------

@@ -47,7 +47,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import CorruptFileError
 from repro.obs import make_request_log, trace_scope
-from repro.service.engine import BoxQuery, QueryEngine, _is_series_dir
+from repro.series.reader import is_series_dir
+from repro.service.engine import BoxQuery, QueryEngine
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -146,7 +147,7 @@ def existing_path(path, op: str, series: bool = False) -> str:
     if not os.path.exists(path):
         raise RequestError(f"no such file or series directory: {path!r}",
                            ERROR_NOT_FOUND)
-    if series and not _is_series_dir(path):
+    if series and not is_series_dir(path):
         raise RequestError(
             f"{path!r} is not a series directory (no manifest or journal)")
     return path

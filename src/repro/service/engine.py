@@ -38,10 +38,8 @@ from repro.core.reader import PlotfileHandle
 from repro.h5lite.source import SourceStats
 from repro.obs import MetricsRegistry, current_trace_id, get_registry, span
 from repro.parallel.backend import ExecutionBackend, make_backend
-from repro.series.index import INDEX_FILENAME
-from repro.series.reader import SeriesHandle
+from repro.series.reader import SeriesHandle, is_series_dir
 from repro.service.cache import DEFAULT_CACHE_BYTES, ChunkCache
-from repro.stream.journal import JOURNAL_FILENAME
 
 __all__ = ["BoxQuery", "QueryEngine"]
 
@@ -94,14 +92,6 @@ class BoxQuery:
             refill=bool(obj.get("refill", True)),
             fill_value=float(obj.get("fill_value", 0.0)),
             max_level=int(max_level) if max_level is not None else None)
-
-
-def _is_series_dir(path: str) -> bool:
-    # a live series may not have been compacted into a manifest yet — its
-    # journal alone makes the directory a readable series
-    return os.path.isdir(path) and (
-        os.path.isfile(os.path.join(path, INDEX_FILENAME))
-        or os.path.isfile(os.path.join(path, JOURNAL_FILENAME)))
 
 
 class QueryEngine:
@@ -211,7 +201,7 @@ class QueryEngine:
 
     def _target(self, query: BoxQuery) -> PlotfileHandle:
         """The plotfile handle a query reads from (a step handle for series)."""
-        if _is_series_dir(query.path):
+        if is_series_dir(query.path):
             series = self.series(query.path)
             return series.open_step(query.step if query.step is not None else -1)
         if query.step is not None:
@@ -225,7 +215,7 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def describe(self, path: str) -> Dict[str, object]:
         """Metadata of one plotfile or series (nothing decoded)."""
-        if _is_series_dir(path):
+        if is_series_dir(path):
             return self.series(path).describe()
         return self.handle(path).describe()
 

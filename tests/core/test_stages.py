@@ -10,8 +10,8 @@ from repro.core import AMRICConfig, AMRICWriter
 from repro.core.stages import (
     EncodeJob,
     EncodeResult,
-    FilterSpec,
     encode_job,
+    level_filter,
     make_encode_job,
     pack_dataset,
     plan_write,
@@ -72,7 +72,7 @@ class TestPackEncodeStages:
         plan = plan_write(nyx_hierarchy, cfg)
         dplan = plan.datasets[0]
         packed = pack_dataset(nyx_hierarchy[dplan.level], dplan)
-        job = make_encode_job(packed, FilterSpec.from_config(cfg))
+        job = make_encode_job(packed, cfg)
         first = encode_job(job)
         second = encode_job(job)
         assert first.payloads == second.payloads
@@ -81,7 +81,7 @@ class TestPackEncodeStages:
 
 def _per_chunk_reference(job):
     """The encode stage as one ``AMRICLevelFilter.encode`` call per chunk."""
-    filt = job.filter_spec.make_filter()
+    filt = level_filter(job.config)
     ce = job.chunk_elements
     payloads = []
     for i, (plan, actual) in enumerate(zip(job.plans, job.actual_sizes)):
@@ -94,7 +94,7 @@ def _per_chunk_reference(job):
 
 def _dataset_jobs(hierarchy, config=AMRICConfig(), level=0):
     plan = plan_write(hierarchy, config)
-    return [make_encode_job(pack_dataset(hierarchy[d.level], d), FilterSpec.from_config(config))
+    return [make_encode_job(pack_dataset(hierarchy[d.level], d), config)
             for d in plan.datasets if d.level == level]
 
 
@@ -111,7 +111,7 @@ CONFIGS = [
 ]
 
 
-def _job_of(chunks, plans, filter_spec):
+def _job_of(chunks, plans, config):
     """One job over the given flat chunks, padded to the largest."""
     ce = max(chunk.size for chunk in chunks) + 5
     data = np.zeros(len(chunks) * ce)
@@ -119,7 +119,7 @@ def _job_of(chunks, plans, filter_spec):
         data[i * ce:i * ce + chunk.size] = chunk
     return EncodeJob(key="job", data=data, chunk_elements=ce,
                      actual_sizes=[plan.nelements for plan in plans], plans=plans,
-                     filter_spec=filter_spec)
+                     config=config)
 
 
 def _chunks_of(job):
@@ -172,7 +172,7 @@ class TestOneEncodeManyPerJob:
         first, second = _dataset_jobs(ranked)[:2]
         assert first.plans[0].field != second.plans[0].field
         plans = first.plans + second.plans
-        job = _job_of(_chunks_of(first) + _chunks_of(second), plans, first.filter_spec)
+        job = _job_of(_chunks_of(first) + _chunks_of(second), plans, first.config)
         self._assert_equal_to_the_loop(job, monkeypatch, predictor_passes=2)
 
     def test_a_chunk_the_carried_table_misses_rebuilds_it_mid_dataset(self, monkeypatch):
@@ -184,7 +184,7 @@ class TestOneEncodeManyPerJob:
         wild = rng.standard_normal(2 * 8 ** 3) * 10.0
         plans = [ChunkPlan(field="f", block_shapes=[(8, 8, 8)] * 2, value_range=40.0)
                  for _ in range(3)]
-        job = _job_of([calm, wild, wild], plans, FilterSpec())
+        job = _job_of([calm, wild, wild], plans, AMRICConfig())
         built = []
         real = HuffmanCodec.from_multiple
         monkeypatch.setattr(HuffmanCodec, "from_multiple",

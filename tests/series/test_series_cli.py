@@ -1,4 +1,4 @@
-"""Series wiring: CLI subcommands, driver series mode, facade verbs, analysis."""
+"""Series wiring: CLI info/verify on a series, driver series mode, facade verbs, analysis."""
 
 import json
 
@@ -79,51 +79,78 @@ class TestDriverSeriesMode:
 
 
 class TestAnalysisRows:
-    def test_step_rows_and_summary(self, series_dir):
-        from repro.analysis import series_step_rows, series_summary
+    def test_step_rows_and_describe(self, series_dir):
+        from repro.analysis import series_step_rows
 
-        rows = series_step_rows(series_dir)
+        with repro.open_series(series_dir) as series:
+            rows = series_step_rows(series)
+            summary = series.describe()
         assert len(rows) == 4
         assert rows[0]["kind"] == "key"
         assert all(row["CR"] > 1 for row in rows)
-        summary = series_summary(series_dir)
         assert summary["nsteps"] == 4
+        assert summary["keyframes"] + summary["delta_steps"] == 4
         assert summary["keyframe_only_bytes"] >= summary["stored_bytes"]
         assert summary["delta_savings_factor"] >= 1.0
         assert np.isfinite(summary["mean_psnr_db"])
+        assert summary["worst_psnr_db"] <= summary["mean_psnr_db"]
 
     def test_dataset_rows(self, series_dir):
         from repro.analysis import series_dataset_rows
 
-        rows = series_dataset_rows(series_dir, step=1)
+        with repro.open_series(series_dir) as series:
+            rows = series_dataset_rows(series, step=1)
         assert {row["mode"] for row in rows} <= {"key", "delta"}
         assert any(row["mode"] == "delta" for row in rows)
 
 
 class TestSeriesCli:
-    def test_series_info(self, series_dir, capsys):
-        assert cli_main(["series-info", series_dir]) == 0
+    """``info`` / ``verify`` on a series directory."""
+
+    def test_info(self, series_dir, capsys):
+        assert cli_main(["info", series_dir]) == 0
         out = capsys.readouterr().out
         assert "temporal_delta" in out
         assert "vs keyframe-only" in out
         assert "delta_saved" in out
 
-    def test_series_info_json(self, series_dir, capsys):
-        assert cli_main(["series-info", series_dir, "--json"]) == 0
+    def test_info_json_is_describe(self, series_dir, capsys):
+        assert cli_main(["info", series_dir, "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["nsteps"] == 4
         assert summary["delta_savings_factor"] >= 1.0
+        with repro.open_series(series_dir) as series:
+            assert summary == series.describe()
 
-    def test_series_info_step_table(self, series_dir, capsys):
-        assert cli_main(["series-info", series_dir, "--step", "1"]) == 0
-        assert "level_0/baryon_density" in capsys.readouterr().out
+    def test_info_step_table(self, series_dir, capsys):
+        assert cli_main(["info", series_dir, "--step", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "step 1" in out and "level_0/baryon_density" in out
+        assert cli_main(["info", series_dir, "--step", "1", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["dataset_rows"]
+        assert any(row["mode"] == "delta" for row in rows)
 
-    def test_series_verify_passes(self, series_dir, capsys):
-        assert cli_main(["series-verify", series_dir]) == 0
+    def test_info_source_and_stats(self, series_dir, capsys):
+        assert cli_main(["info", series_dir, "--source", "block:4k",
+                         "--stats", "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)["io_stats"]
+        assert stats["chunks_decoded"] == 0          # info decodes nothing
+
+    def test_verify_passes(self, series_dir, capsys):
+        assert cli_main(["verify", series_dir]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "chunks decoded" in out
+        assert "keyframe_cadence=ok" in out and "4 steps" in out
 
-    def test_series_verify_detects_corruption(self, series_dir, tmp_path, capsys):
+    def test_verify_source_and_stats(self, series_dir, capsys):
+        assert cli_main(["verify", series_dir, "--source", "block:4k",
+                         "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out and "byte-source I/O" in out
+        table = out.split("byte-source I/O")[1]
+        assert "source_bytes_read" in table
+
+    def test_verify_detects_corruption(self, series_dir, tmp_path, capsys):
         import shutil
 
         broken = str(tmp_path / "broken")
@@ -132,12 +159,47 @@ class TestSeriesCli:
         # lie about a stored size: manifest/file consistency must fail
         index.steps[1].datasets[0].stored_bytes += 1
         index.save(broken)
-        assert cli_main(["series-verify", broken]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        assert cli_main(["verify", broken]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "manifest_bytes=FAIL" in out
 
-    def test_series_commands_on_missing_dir(self, tmp_path, capsys):
-        assert cli_main(["series-info", str(tmp_path / "nope")]) == 1
-        assert cli_main(["series-verify", str(tmp_path / "nope")]) == 1
+    def test_commands_on_missing_dir(self, tmp_path, capsys):
+        assert cli_main(["info", str(tmp_path / "nope")]) == 1
+        assert cli_main(["verify", str(tmp_path / "nope")]) == 1
+
+    def test_against_is_refused_on_a_series(self, series_dir, capsys):
+        assert cli_main(["verify", series_dir, "--against", series_dir]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--against only applies to a plotfile" in captured.err
+
+    @pytest.mark.parametrize("verb", ["series-info", "series-verify"])
+    def test_the_series_verbs_are_gone(self, series_dir, verb):
+        with pytest.raises(SystemExit):
+            cli_main([verb, series_dir])
+
+    def test_a_live_series(self, tmp_path, capsys):
+        """A journal-only directory (append mode, before finalize) is a series."""
+        from repro.series import INDEX_FILENAME, SeriesWriter, is_series_dir
+
+        directory = str(tmp_path / "live")
+        writer = SeriesWriter(directory, keyframe_interval=2, error_bound=1e-3,
+                              append=True, compact_interval=100)
+        try:
+            for hierarchy in make_sim(seed=41).run(3):
+                writer.append(hierarchy)
+            assert not (tmp_path / "live" / INDEX_FILENAME).exists()
+            assert is_series_dir(directory)
+            assert cli_main(["info", directory, "--json"]) == 0
+            summary = json.loads(capsys.readouterr().out)
+            assert summary["live"] is True and summary["nsteps"] == 3
+            assert cli_main(["info", directory, "--step", "2"]) == 0
+            assert "step 2" in capsys.readouterr().out
+            assert cli_main(["verify", directory]) == 0
+            out = capsys.readouterr().out
+            assert "PASS" in out and "3 steps" in out
+        finally:
+            writer.close()
 
 
 class TestLegacyInfoSatellite:

@@ -102,13 +102,13 @@ class TestBatchCoalescing:
         from repro.service import engine as engine_module
 
         probed = []
-        original = engine_module._is_series_dir
+        original = engine_module.is_series_dir
 
         def counting(path):
             probed.append(path)
             return original(path)
 
-        monkeypatch.setattr(engine_module, "_is_series_dir", counting)
+        monkeypatch.setattr(engine_module, "is_series_dir", counting)
         box = Box((0, 0, 0), (7, 7, 7))
         queries = [BoxQuery(path=service_plotfile, field="baryon_density", box=box),
                    BoxQuery(path=service_series, field="baryon_density", box=box,

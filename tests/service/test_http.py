@@ -9,6 +9,7 @@ import pytest
 
 import repro
 from repro.amr.box import Box
+from repro.apps.nyx import NyxSimulation
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.service import ReproClient, ReproServer
 from repro.service.client import ServiceError
@@ -181,6 +182,35 @@ class TestReadParity:
         stats = client.stats()
         assert "requests" in stats
         assert "registry" in stats
+
+    def test_series_describe_is_the_handle_summary(self, http_server,
+                                                   service_series, tmp_path):
+        """The ``describe`` op returns exactly ``SeriesHandle.describe()`` —
+        what ``info DIR --json`` prints — on both transports, an infinite
+        PSNR (a series whose every dataset is exact) included."""
+        sim = NyxSimulation(coarse_shape=(16, 16, 16), nranks=2,
+                            target_fine_density=0.05, max_grid_size=8, seed=3)
+        exact = list(sim.run(2))
+        for hierarchy in exact:
+            for level in hierarchy.levels:
+                for fab in level.multifab:
+                    fab.data[...] = 1.0
+        constant = str(tmp_path / "constant")
+        repro.write_series(exact, constant, error_bound=1e-3)
+        tcp_server = ReproServer(handler=http_server.handler, port=0).start()
+        try:
+            with HttpClient(port=http_server.port) as hc, \
+                    ReproClient(port=tcp_server.port) as tc:
+                for directory in (service_series, constant):
+                    with repro.open_series(directory) as direct:
+                        expected = direct.describe()
+                    assert http_server.handler.engine.describe(directory) \
+                        == expected
+                    assert hc.describe(directory) == expected
+                    assert tc.describe(directory) == expected
+        finally:
+            tcp_server.stop()
+        assert expected["mean_psnr_db"] == expected["worst_psnr_db"] == np.inf
 
 
 class TestAuth:

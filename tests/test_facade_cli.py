@@ -180,16 +180,17 @@ class TestDriverOnFacade:
 
 
 class TestReportingOnFacade:
-    def test_summarize_and_dataset_rows(self, hierarchy, tmp_path):
-        from repro.analysis.reporting import plotfile_dataset_rows, summarize_plotfile
+    def test_describe_and_dataset_rows(self, hierarchy, tmp_path):
+        from repro.analysis.reporting import plotfile_dataset_rows
 
         path = str(tmp_path / "s.h5z")
         repro.write(hierarchy, path, error_bound=1e-3)
-        summary = summarize_plotfile(path)
+        with repro.open(path) as handle:
+            summary = handle.describe()
+            rows = plotfile_dataset_rows(handle)
         assert summary["self_describing"] is True
         assert summary["codec"] == "sz_lr"
         assert summary["compression_ratio"] > 1
-        rows = plotfile_dataset_rows(path)
         assert len(rows) == summary["datasets"]
         assert all(row["filter"] == "amric_3d" for row in rows)
 
@@ -281,6 +282,24 @@ class TestCLI:
                          str(tmp_path / "y.h5z"), "--method", "amrex_1d",
                          "--backend", "shm"]) == 1
         assert "--backend only applies" in capsys.readouterr().err
+
+    def test_env_backend_is_not_a_flag_baselines_refuse(self, tmp_path,
+                                                        monkeypatch, capsys):
+        """REPRO_BACKEND=shm is a default, not an explicit --backend: the
+        baseline writers still run under it (``REPRO_BACKEND=shm make smoke``)."""
+        monkeypatch.setenv("REPRO_BACKEND", "shm")
+        out_path = tmp_path / "ax.h5z"
+        assert cli_main(["compress", "--preset", "nyx_1", str(out_path),
+                         "--method", "amrex_1d"]) == 0
+        assert "method=amrex_1d" in capsys.readouterr().out
+        with repro.open(str(out_path)) as handle:
+            assert handle.header.method == "amrex_1d"
+
+    def test_info_step_is_refused_on_a_plotfile(self, plotfile, capsys):
+        assert cli_main(["info", str(plotfile), "--step", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--step only applies to a series directory" in captured.err
 
     def test_missing_file_fails_cleanly(self, tmp_path, capsys):
         assert cli_main(["info", str(tmp_path / "nope.h5z")]) == 1

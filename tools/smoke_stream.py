@@ -11,7 +11,7 @@ Three real processes, the in situ deployment shape:
   line per committed step, each paired with a box read.
 
 The driver asserts the subscriber saw every step exactly once in order plus
-the finalized event, then runs ``repro series-verify`` over the finalized
+the finalized event, then runs ``repro verify`` over the finalized
 directory — proving the journal left a byte-compatible plain series behind.
 """
 
@@ -118,10 +118,10 @@ def main() -> int:
 
         # ---- the finalized directory is a plain, verifiable series ------
         verify = subprocess.run(
-            python_cmd("-m", "repro", "series-verify", directory),
+            python_cmd("-m", "repro", "verify", directory),
             env=env, capture_output=True, text=True, timeout=300)
         if verify.returncode != 0:
-            print(f"series-verify failed:\n{verify.stdout}\n{verify.stderr}",
+            print(f"verify failed:\n{verify.stdout}\n{verify.stderr}",
                   file=sys.stderr)
             return 1
         print(f"smoke-stream ok: {NSTEPS} steps streamed exactly once, "
