@@ -23,7 +23,7 @@ PY := PYTHONPATH=src python
 # src/ + tools/ Python lines as of the last change to them (-98: `info` / `verify`
 # take a series directory too, so the series-info / series-verify verbs, the second
 # series summary, summarize_plotfile and FilterSpec went)
-LOC_BUDGET := 19153
+LOC_BUDGET := 18984
 LOC = $$(find src tools -name '*.py' | xargs cat | wc -l)
 
 # suite -> pytest paths ('+'-separated). Adding a benchmark suite is one line.

@@ -38,10 +38,10 @@ def bench_hierarchies():
 
 @pytest.fixture(scope="module")
 def live_dir(bench_hierarchies, tmp_path_factory):
-    """A journal-only live series (the writer 'crashed' before finalize)."""
+    """A live series (the writer 'crashed' before finalize)."""
     directory = str(tmp_path_factory.mktemp("stream") / "live")
     writer = SeriesWriter(directory, keyframe_interval=8, error_bound=1e-3,
-                          append=True, compact_interval=1000)
+                          append=True)
     for h in bench_hierarchies:
         writer.append(h)
     writer.abort()
@@ -66,7 +66,7 @@ def test_stream_append_commit(benchmark, bench_hierarchies, tmp_path):
 
 def test_stream_reopen_live(benchmark, live_dir):
     """Timed: what a poller without the journal tail would pay per poll —
-    a full open (manifest + journal replay) of the live directory."""
+    a full open (journal replay) of the live directory."""
 
     def reopen():
         handle = SeriesHandle(live_dir)

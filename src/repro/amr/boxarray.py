@@ -197,16 +197,3 @@ class BoxArray:
         Mirrors AMReX's domain decomposition used to build level 0.
         """
         return BoxArray([domain]).max_size(max_grid_size)
-
-    @staticmethod
-    def from_mask(mask: np.ndarray, origin: Sequence[int] | None = None,
-                  max_grid_size: int = 32) -> "BoxArray":
-        """Cover the True cells of ``mask`` with boxes (greedy box growing).
-
-        Used by the regridder to convert tagged cells into a BoxArray; all True
-        cells are covered, some False cells may be included (AMR grids always
-        over-cover tags).
-        """
-        from repro.amr.regrid import cluster_tags  # local import to avoid a cycle
-
-        return cluster_tags(mask, origin=origin, max_grid_size=max_grid_size)

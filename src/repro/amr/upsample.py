@@ -11,8 +11,6 @@ on equal footing (Table 3 / Figure 10 style evaluations).
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.amr.hierarchy import AmrHierarchy
@@ -113,10 +111,3 @@ def flatten_to_uniform(hierarchy: AmrHierarchy, name: str,
             out[overlap.slices(origin=fine_domain.lo)] = \
                 up[overlap.slices(origin=fine_box.lo)]
     return out
-
-
-def flatten_all_components(hierarchy: AmrHierarchy,
-                           fill_value: float = 0.0) -> Dict[str, np.ndarray]:
-    """Flatten every component of the hierarchy onto the finest uniform grid."""
-    return {name: flatten_to_uniform(hierarchy, name, fill_value=fill_value)
-            for name in hierarchy.component_names}

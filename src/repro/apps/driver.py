@@ -144,19 +144,18 @@ class SimulationDriver:
     every ``keyframe_interval``-th dump stays self-contained, and the run is
     read back time-indexed via :func:`repro.open_series`.
 
-    ``stream=True`` (implies series mode) commits every dump through the
-    append-mode journal (:mod:`repro.stream`), so readers and ``repro serve``
-    subscribers observe each step the moment it lands rather than at
-    finalize; a crash mid-run leaves a resumable directory instead of a
-    half-written manifest.
+    Every series dump is committed through the journal (:mod:`repro.stream`),
+    so readers and ``repro serve`` subscribers observe each step the moment
+    it lands rather than at finalize.  ``stream=True`` (implies series mode)
+    also resumes a series ``output_dir`` already holds — live after a crash,
+    or finalized — instead of refusing it.
     """
 
     def __init__(self, simulation: SyntheticAMRSimulation, writer=None,
                  output_dir: Optional[str] = None, plot_interval: int = 1,
                  method: Optional[str] = None, config=None,
                  series: bool = False, keyframe_interval: int = 8,
-                 stream: bool = False, compact_interval: Optional[int] = None,
-                 **overrides):
+                 stream: bool = False, **overrides):
         if writer is not None and (config is not None or overrides):
             # write_plotfile would reject this at the first dump; fail at
             # construction instead of mid-run
@@ -179,7 +178,6 @@ class SimulationDriver:
         self.series = bool(series)
         self.stream = bool(stream)
         self.keyframe_interval = int(keyframe_interval)
-        self.compact_interval = compact_interval
         self.overrides = overrides
         self.output_dir = output_dir
         self.plot_interval = max(1, int(plot_interval))
@@ -202,7 +200,6 @@ class SimulationDriver:
             series_writer = SeriesWriter(self.output_dir, config=self.config,
                                          keyframe_interval=self.keyframe_interval,
                                          append=self.stream,
-                                         compact_interval=self.compact_interval,
                                          **self.overrides)
         try:
             for step in range(nsteps):

@@ -26,7 +26,7 @@ them apart):
 ``serve``
     Run the query service (:mod:`repro.service`): one shared chunk cache and
     query engine serving describe/read_field/time_slice to concurrent
-    clients, and watching live (append-mode) series for subscribers.  By
+    clients, and watching live series for subscribers.  By
     default a JSON-over-TCP listener; ``--http PORT`` adds (or, with
     ``--http-only``, substitutes) the HTTP/JSON gateway — ``POST /v1/query``,
     ``GET /metrics``, ``GET /healthz``, chunked ``GET /v1/subscribe`` — over

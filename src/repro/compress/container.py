@@ -55,7 +55,7 @@ from repro.compress.lossless import (
     zlib_compress,
     zlib_decompress,
 )
-from repro.errors import CorruptFileError
+from repro.errors import CorruptFileError, required
 
 __all__ = [
     "CodecContainer",
@@ -69,7 +69,6 @@ __all__ = [
     "unpack_huffman_individual",
     "decode_huffman",
     "HuffmanPair",
-    "required",
     "pack_zarray",
     "unpack_zarray",
     "pack_zbytes",
@@ -93,18 +92,6 @@ class CodecContainer:
 
 #: one table and what it decodes: the unit :func:`decode_huffman` batches
 HuffmanPair = Tuple[HuffmanCodec, HuffmanEncoded]
-
-
-def required(mapping: Mapping[str, Any], key: str, what: str) -> Any:
-    """``mapping[key]``, or the :class:`CorruptFileError` naming what ``what`` lacks.
-
-    Every parser of stored bytes reads its sections and meta keys through
-    this, so a stream that lost one fails like any other damaged stream.
-    """
-    try:
-        return mapping[key]
-    except KeyError:
-        raise CorruptFileError(f"{what}: missing {key!r}") from None
 
 
 def pack_container(codec: str, meta: Dict[str, object],

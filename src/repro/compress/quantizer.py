@@ -14,7 +14,6 @@ the same convention SZ uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -36,10 +35,6 @@ class QuantizedBlock:
     @property
     def num_outliers(self) -> int:
         return int(self.outliers.size)
-
-    @property
-    def num_codes(self) -> int:
-        return int(self.codes.size)
 
 
 def quantize(errors: np.ndarray, eb: float, radius: int = DEFAULT_RADIUS) -> QuantizedBlock:
@@ -81,11 +76,3 @@ def dequantize(block: QuantizedBlock) -> np.ndarray:
     else:
         errors[outlier_mask] = 0.0
     return errors
-
-
-def dequantize_codes(codes: np.ndarray, outliers: np.ndarray, eb: float,
-                     radius: int = DEFAULT_RADIUS) -> np.ndarray:
-    """Like :func:`dequantize` but from raw arrays (used by the decoders)."""
-    return dequantize(QuantizedBlock(codes=np.asarray(codes, dtype=np.uint32),
-                                     outliers=np.asarray(outliers, dtype=np.float64),
-                                     radius=radius, eb=eb))

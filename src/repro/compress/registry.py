@@ -24,8 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 from repro.compress.base import Compressor
-from repro.compress.container import required
-from repro.errors import CorruptFileError
+from repro.errors import CorruptFileError, required
 from repro.compress.errorbound import ErrorBound
 from repro.compress.sz_lr import SZLRCompressor
 from repro.compress.sz_interp import SZInterpCompressor

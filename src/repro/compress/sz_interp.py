@@ -31,7 +31,7 @@ from repro.compress.errorbound import ErrorBound
 from repro.compress import huffman
 from repro.compress.huffman import HuffmanCodec
 from repro.compress.quantizer import DEFAULT_RADIUS
-from repro.errors import CorruptFileError
+from repro.errors import CorruptFileError, required
 
 __all__ = ["SZInterpCompressor"]
 
@@ -230,7 +230,7 @@ class SZInterpCompressor(Compressor):
         meta = cont.meta
 
         def need(key):
-            return ctn.required(meta, key, "sz_interp meta")
+            return required(meta, key, "sz_interp meta")
 
         shape = need("shape")
         if not (isinstance(shape, list) and shape
@@ -242,7 +242,7 @@ class SZInterpCompressor(Compressor):
                                          anchor_stride=need("anchor_stride"), cubic=need("cubic"))
         except (TypeError, ValueError, OverflowError) as exc:
             raise CorruptFileError(f"sz_interp meta: {exc}") from exc
-        recon = decoder.decode_record(ctn.required(cont.sections, "record", "sz_interp payload"),
+        recon = decoder.decode_record(required(cont.sections, "record", "sz_interp payload"),
                                       shape, need("sync_interval"),
                                       ctn.recipe_context(meta, _RECIPE, "sz_interp meta"))
         dtype = np.dtype(need("dtype"))

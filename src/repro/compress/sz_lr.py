@@ -74,7 +74,7 @@ from repro.compress import huffman
 from repro.compress.huffman import HuffmanCodec
 from repro.compress.quantizer import DEFAULT_RADIUS
 from repro.compress import regression
-from repro.errors import CorruptFileError
+from repro.errors import CorruptFileError, required
 
 __all__ = ["SZLRCompressor"]
 
@@ -601,13 +601,13 @@ class SZLRCompressor(Compressor):
     def _unwrap(self, buffer: CompressedBuffer | bytes):
         """``(recipe, shapes, record)`` of a standalone buffer."""
         cont = ctn.unpack_container(self._payload_of(buffer), expect_codec=self.name)
-        shapes = ctn.required(cont.meta, "shapes", "sz_lr meta")
+        shapes = required(cont.meta, "shapes", "sz_lr meta")
         if not (isinstance(shapes, list) and shapes and all(
                 isinstance(shape, list) and shape and all(
                     isinstance(n, int) and n > 0 for n in shape) for shape in shapes)):
             raise CorruptFileError("sz_lr meta: shapes is not a list of positive extents")
         return cont.meta, [tuple(shape) for shape in shapes], \
-            ctn.required(cont.sections, "record", "sz_lr payload")
+            required(cont.sections, "record", "sz_lr payload")
 
     # ------------------------------------------------------------------
     # public API
@@ -762,7 +762,7 @@ class SZLRCompressor(Compressor):
         parsed = []
         for index, (recipe, shapes, record) in enumerate(entries):
             abs_eb, radius, block_size, shared, _, dtype = (
-                ctn.required(recipe, key, "sz_lr recipe") for key in _RECIPE)
+                required(recipe, key, "sz_lr recipe") for key in _RECIPE)
             try:
                 decoder = SZLRCompressor(abs_eb, mode="abs", block_size=block_size, radius=radius)
                 key = (float(abs_eb), str(dtype), len(shapes[0]), radius,

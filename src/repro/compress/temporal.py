@@ -40,11 +40,11 @@ from repro.compress.container import (
     pack_container,
     pack_huffman,
     parse_huffman,
-    required,
     unpack_container,
 )
 from repro.compress.errorbound import ErrorBound
 from repro.compress.huffman import SYNC_INTERVAL, HuffmanCodec
+from repro.errors import required
 
 __all__ = [
     "MODE_KEY",

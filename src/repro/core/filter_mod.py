@@ -26,11 +26,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compress.container import recipe_context, required
+from repro.compress.container import recipe_context
 from repro.compress.errorbound import ErrorBound
 from repro.compress.registry import codec_from_recipe, resolve_codec
 from repro.core.preprocess import LevelLayout, arrange_blocks, pack_blocks, unpack_blocks
-from repro.errors import CorruptFileError
+from repro.errors import CorruptFileError, required
 from repro.h5lite.filters import Filter
 
 __all__ = ["ChunkPlan", "chunk_plan", "AMRICLevelFilter"]

@@ -35,7 +35,7 @@ from repro.amr.boxarray import BoxArray
 from repro.amr.distribution import DistributionMapping
 from repro.amr.hierarchy import AmrHierarchy, AmrLevel
 from repro.amr.multifab import MultiFab
-from repro.errors import CorruptFileError
+from repro.errors import CorruptFileError, required
 
 __all__ = [
     "FORMAT_NAME",
@@ -64,37 +64,13 @@ _ALIGNMENTS = (CHUNK_ALIGNMENT_RANK, CHUNK_ALIGNMENT_STREAM,
                CHUNK_ALIGNMENT_BOX_MAJOR)
 
 
-class _HeaderError(CorruptFileError):
-    """Raised for any malformed or unsupported header."""
-
-
-def _require(obj: dict, key: str, kind, context: str):
-    if key not in obj:
-        raise _HeaderError(f"malformed plotfile header: {context} is missing {key!r}")
-    value = obj[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise _HeaderError(
-                f"malformed plotfile header: {context}[{key!r}] must be a number, "
-                f"got {type(value).__name__}")
-        return float(value)
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise _HeaderError(
-                f"malformed plotfile header: {context}[{key!r}] must be an int, "
-                f"got {type(value).__name__}")
-        return int(value)
-    if not isinstance(value, kind):
-        raise _HeaderError(
-            f"malformed plotfile header: {context}[{key!r}] must be "
-            f"{getattr(kind, '__name__', kind)}, got {type(value).__name__}")
-    return value
+_RECORD = "plotfile header"
 
 
 def _intvect(value, context: str) -> Tuple[int, ...]:
     if not isinstance(value, (list, tuple)) or not value or \
             not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
-        raise _HeaderError(
+        raise CorruptFileError(
             f"malformed plotfile header: {context} must be a non-empty list of ints")
     return tuple(int(v) for v in value)
 
@@ -135,30 +111,30 @@ class LevelStructure:
     def from_json(obj: dict, index: int) -> "LevelStructure":
         ctx = f"levels[{index}]"
         if not isinstance(obj, dict):
-            raise _HeaderError(f"malformed plotfile header: {ctx} must be an object")
-        level = _require(obj, "level", int, ctx)
-        domain = _require(obj, "domain", (list, tuple), ctx)
+            raise CorruptFileError(f"malformed plotfile header: {ctx} must be an object")
+        level = required(obj, "level", _RECORD, int, ctx)
+        domain = required(obj, "domain", _RECORD, (list, tuple), ctx)
         if len(domain) != 2:
-            raise _HeaderError(f"malformed plotfile header: {ctx}['domain'] must be [lo, hi]")
-        boxes = _require(obj, "boxes", (list, tuple), ctx)
+            raise CorruptFileError(f"malformed plotfile header: {ctx}['domain'] must be [lo, hi]")
+        boxes = required(obj, "boxes", _RECORD, (list, tuple), ctx)
         if not boxes:
-            raise _HeaderError(f"malformed plotfile header: {ctx} has no boxes")
+            raise CorruptFileError(f"malformed plotfile header: {ctx} has no boxes")
         box_los, box_his = [], []
         for b, entry in enumerate(boxes):
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise _HeaderError(
+                raise CorruptFileError(
                     f"malformed plotfile header: {ctx}['boxes'][{b}] must be [lo, hi]")
             box_los.append(_intvect(entry[0], f"{ctx}.boxes[{b}].lo"))
             box_his.append(_intvect(entry[1], f"{ctx}.boxes[{b}].hi"))
-        rank_of_box = _intvect(_require(obj, "rank_of_box", (list, tuple), ctx),
+        rank_of_box = _intvect(required(obj, "rank_of_box", _RECORD, (list, tuple), ctx),
                                f"{ctx}.rank_of_box")
-        nranks = _require(obj, "nranks", int, ctx)
+        nranks = required(obj, "nranks", _RECORD, int, ctx)
         if len(rank_of_box) != len(box_los):
-            raise _HeaderError(
+            raise CorruptFileError(
                 f"malformed plotfile header: {ctx} has {len(box_los)} boxes but "
                 f"{len(rank_of_box)} rank assignments")
         if nranks < 1 or any(r < 0 or r >= nranks for r in rank_of_box):
-            raise _HeaderError(
+            raise CorruptFileError(
                 f"malformed plotfile header: {ctx} rank assignments escape [0, {nranks})")
         return LevelStructure(
             level=level,
@@ -214,58 +190,58 @@ class PlotfileHeader:
     @staticmethod
     def from_json(obj) -> "PlotfileHeader":
         if not isinstance(obj, dict):
-            raise _HeaderError(
+            raise CorruptFileError(
                 f"malformed plotfile header: expected an object, got {type(obj).__name__}")
         fmt = obj.get("format")
         if fmt != FORMAT_NAME:
-            raise _HeaderError(
+            raise CorruptFileError(
                 f"malformed plotfile header: format is {fmt!r}, expected {FORMAT_NAME!r}")
-        version = _require(obj, "version", int, "header")
+        version = required(obj, "version", _RECORD, int, "header")
         if version != FORMAT_VERSION:
-            raise _HeaderError(
+            raise CorruptFileError(
                 f"plotfile format version {version} is not supported by this reader, "
                 f"which reads version {FORMAT_VERSION} only"
                 + ("; rewrite the file with this repro" if version < FORMAT_VERSION
                    else "; upgrade repro to read this file"))
-        components = _require(obj, "components", (list, tuple), "header")
+        components = required(obj, "components", _RECORD, (list, tuple), "header")
         if not components or not all(isinstance(c, str) for c in components):
-            raise _HeaderError(
+            raise CorruptFileError(
                 "malformed plotfile header: components must be a non-empty list of names")
-        levels_json = _require(obj, "levels", (list, tuple), "header")
+        levels_json = required(obj, "levels", _RECORD, (list, tuple), "header")
         if not levels_json:
-            raise _HeaderError("malformed plotfile header: no levels recorded")
+            raise CorruptFileError("malformed plotfile header: no levels recorded")
         levels = tuple(LevelStructure.from_json(lvl, i)
                        for i, lvl in enumerate(levels_json))
-        ref_ratios_json = _require(obj, "ref_ratios", (list, tuple), "header")
+        ref_ratios_json = required(obj, "ref_ratios", _RECORD, (list, tuple), "header")
         ref_ratios = tuple(int(r) for r in ref_ratios_json) if ref_ratios_json else ()
         if len(ref_ratios) != len(levels) - 1:
-            raise _HeaderError(
+            raise CorruptFileError(
                 f"malformed plotfile header: {len(levels)} levels need "
                 f"{len(levels) - 1} ref_ratios, got {len(ref_ratios)}")
-        chunk_alignment = _require(obj, "chunk_alignment", str, "header")
+        chunk_alignment = required(obj, "chunk_alignment", _RECORD, str, "header")
         if chunk_alignment not in _ALIGNMENTS:
-            raise _HeaderError(
+            raise CorruptFileError(
                 f"malformed plotfile header: unknown chunk_alignment "
                 f"{chunk_alignment!r}; expected one of {_ALIGNMENTS}")
-        unit_block_size = _require(obj, "unit_block_size", int, "header")
+        unit_block_size = required(obj, "unit_block_size", _RECORD, int, "header")
         if unit_block_size < 1:
-            raise _HeaderError("malformed plotfile header: unit_block_size must be >= 1")
+            raise CorruptFileError("malformed plotfile header: unit_block_size must be >= 1")
         codec_options = obj.get("codec_options", {})
         if not isinstance(codec_options, dict):
-            raise _HeaderError("malformed plotfile header: codec_options must be an object")
+            raise CorruptFileError("malformed plotfile header: codec_options must be an object")
         return PlotfileHeader(
             version=version,
-            method=_require(obj, "method", str, "header"),
-            codec=_require(obj, "codec", str, "header"),
-            error_bound=_require(obj, "error_bound", float, "header"),
-            error_bound_mode=_require(obj, "error_bound_mode", str, "header"),
+            method=required(obj, "method", _RECORD, str, "header"),
+            codec=required(obj, "codec", _RECORD, str, "header"),
+            error_bound=required(obj, "error_bound", _RECORD, float, "header"),
+            error_bound_mode=required(obj, "error_bound_mode", _RECORD, str, "header"),
             unit_block_size=unit_block_size,
-            remove_redundancy=bool(_require(obj, "remove_redundancy", bool, "header")),
+            remove_redundancy=bool(required(obj, "remove_redundancy", _RECORD, bool, "header")),
             chunk_alignment=chunk_alignment,
             components=tuple(components),
             ref_ratios=ref_ratios,
-            time=_require(obj, "time", float, "header"),
-            step=_require(obj, "step", int, "header"),
+            time=required(obj, "time", _RECORD, float, "header"),
+            step=required(obj, "step", _RECORD, int, "header"),
             levels=levels,
             codec_options=dict(codec_options))
 

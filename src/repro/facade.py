@@ -141,8 +141,8 @@ def open_series(directory: str, cache=None, source=None) -> "SeriesHandle":
     ``source`` (a spec string or factory callable) picks the byte source each
     step file is opened through, as in :func:`open_plotfile`.
 
-    A directory still being written by an append-mode writer opens *live*:
-    the handle merges the manifest with the commit journal, ``refresh()``
+    A directory still being written opens *live*: the handle reads the
+    commit journal, ``refresh()``
     picks up newly committed steps without touching already-decoded state,
     and ``handle.live`` flips to False once the writer finalizes (see
     :mod:`repro.stream`).
@@ -155,8 +155,7 @@ def open_series(directory: str, cache=None, source=None) -> "SeriesHandle":
 def write_series(hierarchies: Iterable[AmrHierarchy], directory: str, *,
                  config: Optional[AMRICConfig] = None,
                  keyframe_interval: int = 8, backend=None,
-                 append: bool = False, compact_interval: Optional[int] = None,
-                 **overrides) -> List[WriteReport]:
+                 append: bool = False, **overrides) -> List[WriteReport]:
     """Write a sequence of snapshots as one delta-compressed series.
 
     A thin shell over :class:`~repro.series.writer.SeriesWriter` (exported as
@@ -164,16 +163,14 @@ def write_series(hierarchies: Iterable[AmrHierarchy], directory: str, *,
     self-contained, the rest delta-encode against their predecessor when that
     is smaller.  Returns the per-step write reports.
 
-    ``append=True`` commits each step through the crash-safe journal
-    (:mod:`repro.stream`) so concurrent readers and ``subscribe`` clients
-    see steps as they land, and an interrupted run resumes by calling again
-    with ``append=True`` on the same directory; ``compact_interval`` bounds
-    how many journal records accumulate before they are folded into the
-    manifest (default: one compaction per keyframe interval).
+    Each step is committed through the crash-safe journal
+    (:mod:`repro.stream`), so concurrent readers and ``subscribe`` clients
+    see steps as they land; the manifest is written once, when the last step
+    is in.  An interrupted run resumes by calling again with ``append=True``
+    on the same directory.
     """
     from repro.series.writer import write_series as _write_series
 
     return _write_series(hierarchies, directory, config=config,
                          keyframe_interval=keyframe_interval,
-                         backend=backend, append=append,
-                         compact_interval=compact_interval, **overrides)
+                         backend=backend, append=append, **overrides)

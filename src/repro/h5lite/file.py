@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import CorruptFileError
 from repro.h5lite.filters import Filter, NoCompressionFilter
 from repro.h5lite.source import ByteSource, SourceSpec, make_source
 
@@ -171,29 +172,31 @@ class H5LiteFile:
 
         The superblock sits at the end of the file, so its size is known from
         the recorded offset and the source's total size — no ``read()``-to-EOF,
-        which on a remote source would be an unbounded transfer.
+        which on a remote source would be an unbounded transfer.  Anything
+        that is not a whole superblock raises
+        :class:`~repro.errors.CorruptFileError`.
         """
         total = self.source.size()
         header_len = len(_MAGIC) + 8
         if total < header_len:
-            raise ValueError(f"{self.path} is truncated: no superblock offset")
+            raise CorruptFileError(f"{self.path} is truncated: no superblock offset")
         preamble = self.source.read_at(0, header_len)
         if preamble[:4] != _MAGIC:
-            raise ValueError(f"{self.path} is not an H5Lite file")
+            raise CorruptFileError(f"{self.path} is not an H5Lite file")
         (superblock_offset,) = struct.unpack_from("<Q", preamble, 4)
         if superblock_offset >= total:
-            raise ValueError(
+            raise CorruptFileError(
                 f"{self.path} has a corrupt or truncated superblock: offset "
                 f"{superblock_offset} points past EOF (file is {total} bytes)")
         if superblock_offset < header_len:
-            raise ValueError(
+            raise CorruptFileError(
                 f"{self.path} has a corrupt or truncated superblock: offset "
                 f"{superblock_offset} points into the file preamble")
         raw = self.source.read_at(superblock_offset, total - superblock_offset)
         try:
             superblock = json.loads(bytes(raw).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValueError(
+            raise CorruptFileError(
                 f"{self.path} has a corrupt or truncated superblock: {exc}") from exc
         try:
             self.attrs = superblock["attrs"]
@@ -201,7 +204,7 @@ class H5LiteFile:
             self.datasets = {d["name"]: DatasetInfo.from_json(d)
                              for d in superblock["datasets"]}
         except (KeyError, TypeError, IndexError) as exc:
-            raise ValueError(
+            raise CorruptFileError(
                 f"{self.path} has a malformed superblock: {exc!r}") from exc
 
     # ------------------------------------------------------------------
@@ -347,7 +350,3 @@ class H5LiteFile:
 
     def total_stored_bytes(self) -> int:
         return sum(d.stored_nbytes for d in self.datasets.values())
-
-    def file_nbytes(self) -> int:
-        """Actual size of the container on disk (only valid after close)."""
-        return os.path.getsize(self.path)

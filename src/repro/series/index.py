@@ -10,9 +10,10 @@ step of a delta stream, both candidate sizes (what the step *would* have cost
 as a keyframe) and the quality record.
 
 Validation mirrors the plotfile header's rules: unknown *extra* keys are
-ignored (additive evolution within a major version), a newer major version
-raises :class:`ValueError`, and every structural field is checked on parse so
-a corrupt manifest fails loudly instead of mis-resolving a delta chain.
+ignored (additive evolution within a major version), and a newer major
+version, a missing or mistyped structural field, or a superblock that does
+not parse raises :class:`~repro.errors.CorruptFileError`, so a corrupt
+manifest fails loudly instead of mis-resolving a delta chain.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import CorruptFileError, required
 from repro.h5lite.file import H5LiteFile
 
 __all__ = [
@@ -42,31 +44,7 @@ INDEX_FILENAME = "series.h5z"
 _MODES = ("key", "delta")
 
 
-class _IndexError(ValueError):
-    """Raised for any malformed manifest (a ValueError so callers need one except)."""
-
-
-def _require(obj: dict, key: str, kind, context: str):
-    if key not in obj:
-        raise _IndexError(f"malformed series index: {context} is missing {key!r}")
-    value = obj[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise _IndexError(
-                f"malformed series index: {context}[{key!r}] must be a number, "
-                f"got {type(value).__name__}")
-        return float(value)
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise _IndexError(
-                f"malformed series index: {context}[{key!r}] must be an int, "
-                f"got {type(value).__name__}")
-        return int(value)
-    if not isinstance(value, kind):
-        raise _IndexError(
-            f"malformed series index: {context}[{key!r}] must be "
-            f"{getattr(kind, '__name__', kind)}, got {type(value).__name__}")
-    return value
+_RECORD = "series index"
 
 
 @dataclass(frozen=True)
@@ -82,11 +60,11 @@ class FieldGrid:
     @staticmethod
     def from_json(obj, context: str) -> "FieldGrid":
         if not isinstance(obj, dict):
-            raise _IndexError(f"malformed series index: {context} must be an object")
-        eb = _require(obj, "eb_abs", float, context)
+            raise CorruptFileError(f"malformed series index: {context} must be an object")
+        eb = required(obj, "eb_abs", _RECORD, float, context)
         if eb <= 0:
-            raise _IndexError(f"malformed series index: {context}.eb_abs must be > 0")
-        return FieldGrid(eb_abs=eb, offset=_require(obj, "offset", float, context))
+            raise CorruptFileError(f"malformed series index: {context}.eb_abs must be > 0")
+        return FieldGrid(eb_abs=eb, offset=required(obj, "offset", _RECORD, float, context))
 
 
 @dataclass
@@ -119,31 +97,31 @@ class SeriesDatasetRecord:
     @staticmethod
     def from_json(obj, context: str) -> "SeriesDatasetRecord":
         if not isinstance(obj, dict):
-            raise _IndexError(f"malformed series index: {context} must be an object")
-        mode = _require(obj, "mode", str, context)
+            raise CorruptFileError(f"malformed series index: {context} must be an object")
+        mode = required(obj, "mode", _RECORD, str, context)
         if mode not in _MODES:
-            raise _IndexError(
+            raise CorruptFileError(
                 f"malformed series index: {context} has unknown mode {mode!r}; "
                 f"expected one of {_MODES}")
         ref = obj.get("ref")
         if mode == "delta":
             if not isinstance(ref, int) or isinstance(ref, bool) or ref < 0:
-                raise _IndexError(
+                raise CorruptFileError(
                     f"malformed series index: {context} is a delta stream but has "
                     f"no valid reference step (got {ref!r})")
         else:
             ref = None
         delta_bytes = obj.get("delta_bytes")
         if delta_bytes is not None:
-            delta_bytes = _require(obj, "delta_bytes", int, context)
+            delta_bytes = required(obj, "delta_bytes", _RECORD, int, context)
         return SeriesDatasetRecord(
-            name=_require(obj, "name", str, context), mode=mode, ref=ref,
-            stored_bytes=_require(obj, "stored_bytes", int, context),
-            raw_bytes=_require(obj, "raw_bytes", int, context),
-            key_bytes=_require(obj, "key_bytes", int, context),
+            name=required(obj, "name", _RECORD, str, context), mode=mode, ref=ref,
+            stored_bytes=required(obj, "stored_bytes", _RECORD, int, context),
+            raw_bytes=required(obj, "raw_bytes", _RECORD, int, context),
+            key_bytes=required(obj, "key_bytes", _RECORD, int, context),
             delta_bytes=delta_bytes,
-            psnr=_require(obj, "psnr", float, context),
-            layout=_require(obj, "layout", str, context))
+            psnr=required(obj, "psnr", _RECORD, float, context),
+            layout=required(obj, "layout", _RECORD, str, context))
 
 
 @dataclass
@@ -196,29 +174,29 @@ class SeriesStepRecord:
     def from_json(obj, position: int) -> "SeriesStepRecord":
         ctx = f"steps[{position}]"
         if not isinstance(obj, dict):
-            raise _IndexError(f"malformed series index: {ctx} must be an object")
-        index = _require(obj, "index", int, ctx)
+            raise CorruptFileError(f"malformed series index: {ctx} must be an object")
+        index = required(obj, "index", _RECORD, int, ctx)
         if index != position:
-            raise _IndexError(
+            raise CorruptFileError(
                 f"malformed series index: {ctx} records index {index} — the "
                 "step list must be dense and ordered")
-        kind = _require(obj, "kind", str, ctx)
+        kind = required(obj, "kind", _RECORD, str, ctx)
         if kind not in _MODES:
-            raise _IndexError(
+            raise CorruptFileError(
                 f"malformed series index: {ctx} has unknown kind {kind!r}")
-        datasets_json = _require(obj, "datasets", (list, tuple), ctx)
+        datasets_json = required(obj, "datasets", _RECORD, (list, tuple), ctx)
         datasets = [SeriesDatasetRecord.from_json(d, f"{ctx}.datasets[{i}]")
                     for i, d in enumerate(datasets_json)]
         for d in datasets:
             if d.ref is not None and d.ref >= index:
-                raise _IndexError(
+                raise CorruptFileError(
                     f"malformed series index: {ctx} dataset {d.name!r} references "
                     f"step {d.ref}, which is not earlier than {index}")
         return SeriesStepRecord(
-            index=index, step=_require(obj, "step", int, ctx),
-            time=_require(obj, "time", float, ctx),
-            path=_require(obj, "path", str, ctx), kind=kind,
-            fingerprint=_require(obj, "fingerprint", str, ctx),
+            index=index, step=required(obj, "step", _RECORD, int, ctx),
+            time=required(obj, "time", _RECORD, float, ctx),
+            path=required(obj, "path", _RECORD, str, ctx), kind=kind,
+            fingerprint=required(obj, "fingerprint", _RECORD, str, ctx),
             datasets=datasets)
 
 
@@ -285,44 +263,44 @@ class SeriesIndex:
     @staticmethod
     def from_json(obj) -> "SeriesIndex":
         if not isinstance(obj, dict):
-            raise _IndexError(
+            raise CorruptFileError(
                 f"malformed series index: expected an object, got {type(obj).__name__}")
         fmt = obj.get("format")
         if fmt != SERIES_FORMAT_NAME:
-            raise _IndexError(
+            raise CorruptFileError(
                 f"malformed series index: format is {fmt!r}, expected "
                 f"{SERIES_FORMAT_NAME!r}")
-        version = _require(obj, "version", int, "index")
+        version = required(obj, "version", _RECORD, int, "index")
         if version < 1 or version > SERIES_FORMAT_VERSION:
-            raise _IndexError(
+            raise CorruptFileError(
                 f"series index version {version} is not supported by this reader "
                 f"(supports 1..{SERIES_FORMAT_VERSION}); upgrade repro to read it")
-        components = _require(obj, "components", (list, tuple), "index")
+        components = required(obj, "components", _RECORD, (list, tuple), "index")
         if not components or not all(isinstance(c, str) for c in components):
-            raise _IndexError(
+            raise CorruptFileError(
                 "malformed series index: components must be a non-empty list of names")
-        grids_json = _require(obj, "field_grids", dict, "index")
+        grids_json = required(obj, "field_grids", _RECORD, dict, "index")
         field_grids = {str(name): FieldGrid.from_json(g, f"field_grids[{name!r}]")
                        for name, g in grids_json.items()}
         for name in components:
             if name not in field_grids:
-                raise _IndexError(
+                raise CorruptFileError(
                     f"malformed series index: component {name!r} has no "
                     "quantisation grid")
-        steps_json = _require(obj, "steps", (list, tuple), "index")
+        steps_json = required(obj, "steps", _RECORD, (list, tuple), "index")
         steps = [SeriesStepRecord.from_json(s, i) for i, s in enumerate(steps_json)]
-        keyframe_interval = _require(obj, "keyframe_interval", int, "index")
+        keyframe_interval = required(obj, "keyframe_interval", _RECORD, int, "index")
         if keyframe_interval < 1:
-            raise _IndexError(
+            raise CorruptFileError(
                 "malformed series index: keyframe_interval must be >= 1")
         return SeriesIndex(
             version=version,
-            codec=_require(obj, "codec", str, "index"),
-            error_bound=_require(obj, "error_bound", float, "index"),
-            error_bound_mode=_require(obj, "error_bound_mode", str, "index"),
+            codec=required(obj, "codec", _RECORD, str, "index"),
+            error_bound=required(obj, "error_bound", _RECORD, float, "index"),
+            error_bound_mode=required(obj, "error_bound_mode", _RECORD, str, "index"),
             keyframe_interval=keyframe_interval,
-            unit_block_size=_require(obj, "unit_block_size", int, "index"),
-            remove_redundancy=bool(_require(obj, "remove_redundancy", bool, "index")),
+            unit_block_size=required(obj, "unit_block_size", _RECORD, int, "index"),
+            remove_redundancy=bool(required(obj, "remove_redundancy", _RECORD, bool, "index")),
             components=tuple(components),
             field_grids=field_grids,
             steps=steps)
@@ -370,6 +348,6 @@ class SeriesIndex:
         with H5LiteFile(path, "r") as f:
             header = f.header
         if header is None:
-            raise _IndexError(
+            raise CorruptFileError(
                 f"{path} carries no series manifest in its header section")
         return SeriesIndex.from_json(header)

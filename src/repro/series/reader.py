@@ -35,7 +35,7 @@ from repro.compress.temporal import MODE_DELTA, TemporalDeltaCodec
 from repro.core.reader import DatasetReadPlan, PlotfileHandle, ReadStats
 from repro.h5lite.filters import cut_blocks
 from repro.h5lite.source import ByteSource, SourceStats
-from repro.series.index import INDEX_FILENAME, SeriesIndex, SeriesStepRecord
+from repro.series.index import INDEX_FILENAME, SeriesStepRecord
 from repro.service.cache import ChunkCache
 from repro.stream.journal import (
     JOURNAL_FILENAME,
@@ -57,8 +57,8 @@ _PASS_STREAMS = 8
 def is_series_dir(path: str) -> bool:
     """Whether ``path`` is a series directory rather than a plotfile.
 
-    A live series may not have been compacted into a manifest yet — its
-    journal alone makes the directory a readable series.
+    A live series has no manifest until it is finalized — its journal alone
+    makes the directory a readable series.
     """
     return os.path.isdir(path) and (
         os.path.isfile(os.path.join(path, INDEX_FILENAME))
@@ -68,7 +68,7 @@ def is_series_dir(path: str) -> bool:
 def open_series(directory: str, cache=None, source=None) -> "SeriesHandle":
     """Open a series directory for lazy reading (exported as :func:`repro.open_series`).
 
-    A directory still being written by an append-mode
+    A directory still being written by a
     :class:`~repro.series.writer.SeriesWriter` opens too (``handle.live`` is
     true): the handle sees every journal-committed step, and
     :meth:`SeriesHandle.refresh` picks up new ones as they land.
@@ -235,8 +235,8 @@ class SeriesHandle:
         self._source_spec = source
         self.stats = ReadStats()
         #: refresh accounting (mirrored into the engine's metrics registry):
-        #: polls issued, steps picked up live, and full manifest reloads
-        #: (compaction/finalize generation switches)
+        #: polls issued, steps picked up live, and full index reloads
+        #: (finalize/resume generation switches)
         self.refreshes = 0
         self.steps_appended = 0
         self.index_reloads = 0
@@ -324,10 +324,10 @@ class SeriesHandle:
         resolved code streams all stay valid and warm.  The steady-state cost
         when nothing changed is one ``stat`` plus a 24-byte journal head
         probe; new steps cost exactly their own journal records.  When the
-        writer compacted (journal rewritten) or finalized (journal gone) the
-        handle falls back to one manifest reload — still merged append-only
-        into the same index object.  Once the series finalizes, refresh
-        settles to a free no-op.
+        writer finalized (journal gone) or resumed a finalized series (a new
+        journal generation) the handle falls back to one full reload — still
+        merged append-only into the same index object.  Once the series
+        finalizes, refresh settles to a free no-op.
         """
         if not self._live:
             return 0
@@ -342,20 +342,17 @@ class SeriesHandle:
                 self._journal_offset = tail.end_offset
                 self.steps_appended += appended
                 return appended
-            # compaction or finalize switched generations: full reload,
-            # merged by appending the unseen suffix onto the live index
+            # finalize or resume switched generations: full reload, merged by
+            # appending the unseen suffix onto the live index
             self.index_reloads += 1
             before = self.index.nsteps
-            if tail.status == "gone":
-                fresh, view = SeriesIndex.load(self.directory), None
-            else:
-                fresh, view = load_live_index(self.directory)
+            fresh, view = load_live_index(self.directory)
             if fresh.nsteps < before:
                 raise ValueError(
                     f"series {self.directory!r} lost steps ({before} -> "
                     f"{fresh.nsteps}); committed steps are immutable — the "
                     "directory was rewritten by something other than the "
-                    "append-mode writer")
+                    "series writer")
             self.index.steps.extend(fresh.steps[before:])
             if view is None:
                 self._live = False

@@ -42,14 +42,14 @@ from repro.h5lite.file import H5LiteFile
 from repro.parallel.backend import ExecutionBackend, WorkloadTally, make_backend
 from repro.parallel.mpi_sim import SimComm
 from repro.series.index import (
-    INDEX_FILENAME,
     SERIES_FORMAT_VERSION,
     FieldGrid,
     SeriesDatasetRecord,
     SeriesIndex,
     SeriesStepRecord,
 )
-from repro.stream.journal import JOURNAL_FILENAME, SeriesJournal, replay_journal
+from repro.series.reader import is_series_dir
+from repro.stream.journal import SeriesJournal, load_live_index
 
 __all__ = [
     "SeriesWriter",
@@ -178,25 +178,26 @@ class SeriesWriter:
             for hierarchy in simulation.run(nsteps):
                 report = series.append(hierarchy)
 
-    The directory accumulates ``plt<step>.h5z`` files plus the ``series.h5z``
-    manifest (rewritten atomically after every append, so an interrupted run
-    leaves a readable prefix).  Each step file is itself a self-describing
-    format-v1 plotfile; keyframe steps open with plain :func:`repro.open`,
-    delta steps need :func:`repro.open_series` to resolve their references.
+    The directory accumulates ``plt<step>.h5z`` files.  Each step file is
+    itself a self-describing plotfile; keyframe steps open with plain
+    :func:`repro.open`, delta steps need :func:`repro.open_series` to resolve
+    their references.
 
-    **Append mode** (``append=True``) turns the directory into a *live*
-    series.  Each step is committed through the manifest journal
+    Every step is committed through the series journal
     (:mod:`repro.stream.journal`): step file fsync'd first, then one fsync'd
     journal record — a crash can only lose the step being written, never a
-    committed one.  Every ``compact_interval`` committed records the journal
-    is folded into ``series.h5z`` (snapshot + atomic journal rewrite).
-    Readers follow the run with :meth:`~repro.series.reader.SeriesHandle.refresh`;
-    :meth:`finalize` (called by :meth:`close`) compacts one last time and
-    drops the journal, leaving a directory byte-compatible with non-append
-    series.  Reopening an existing live (crashed) or finalized directory with
-    ``append=True`` resumes it: committed steps are recovered, a torn journal
-    tail is truncated, and the first resumed step is a keyframe (the rolling
-    delta reference does not survive a restart).
+    committed one.  Until it is finalized the directory is a *live* series
+    that readers follow with
+    :meth:`~repro.series.reader.SeriesHandle.refresh`.  :meth:`finalize`
+    (called by :meth:`close`) writes the ``series.h5z`` manifest once and
+    drops the journal; a writer that raises or is never closed leaves the
+    live directory behind.
+
+    ``append`` is whether an existing series directory may be resumed; a
+    plain writer refuses one.  Resuming a live (crashed) or finalized
+    directory recovers its committed steps, truncates a torn journal tail,
+    and makes the first resumed step a keyframe (the rolling delta reference
+    does not survive a restart).
     """
 
     method_name = "series"
@@ -205,7 +206,7 @@ class SeriesWriter:
                  keyframe_interval: int = 8,
                  backend: "ExecutionBackend | str | None" = None,
                  comm: Optional[SimComm] = None, append: bool = False,
-                 compact_interval: Optional[int] = None, **overrides):
+                 **overrides):
         config = config or AMRICConfig()
         if overrides:
             config = config.with_overrides(**overrides)
@@ -213,37 +214,21 @@ class SeriesWriter:
         self.keyframe_interval = int(keyframe_interval)
         if self.keyframe_interval < 1:
             raise ValueError("keyframe_interval must be >= 1")
-        self.append_mode = bool(append)
-        if compact_interval is not None and not self.append_mode:
-            raise ValueError("compact_interval only applies to append=True")
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
         self.index: Optional[SeriesIndex] = None
-        self.journal: Optional[SeriesJournal] = None
+        self.journal = SeriesJournal(self.directory)
+        self._resumed = is_series_dir(self.directory)
         self._finalized = False
         self._aborted = False
         #: dataset name -> (layout fingerprint, absolute codes per chunk)
         self._ref: Dict[str, Tuple[str, List[np.ndarray]]] = {}
-        has_manifest = os.path.exists(os.path.join(self.directory, INDEX_FILENAME))
-        has_journal = os.path.exists(os.path.join(self.directory, JOURNAL_FILENAME))
-        if self.append_mode:
-            if has_manifest or has_journal:
-                self._recover()
-        else:
-            if has_manifest:
+        if self._resumed:
+            if not append:
                 raise ValueError(
-                    f"{self.directory!r} already holds a series manifest; "
-                    "write each series into a fresh directory, or resume it "
-                    "with append=True")
-            if has_journal:
-                raise ValueError(
-                    f"{self.directory!r} holds a live series journal; "
-                    "resume it with append=True")
-        if compact_interval is None:
-            compact_interval = self.keyframe_interval
-        self.compact_interval = int(compact_interval)
-        if self.compact_interval < 1:
-            raise ValueError("compact_interval must be >= 1")
+                    f"{self.directory!r} already holds a series; write each "
+                    "series into a fresh directory, or resume it with append=True")
+            self._recover()
         self._owns_backend = not isinstance(backend, ExecutionBackend)
         self.backend = make_backend(backend if backend is not None else config.backend,
                                     config.backend_workers)
@@ -251,28 +236,19 @@ class SeriesWriter:
         self.reports: List[WriteReport] = []
 
     def _recover(self) -> None:
-        """Resume an append-mode series: replay the journal, truncate torn tail.
+        """Resume a series: a live one behind its last complete journal record,
+        a finalized one into a new journal generation holding every manifest step.
 
-        The recovered manifest is authoritative for the series-wide knobs —
-        the grids were frozen at the original step 0 and delta chains depend
-        on them — so constructor arguments that disagree are overridden.
+        The recovered index is authoritative for the series-wide knobs — the
+        grids were frozen at the original step 0 and delta chains depend on
+        them — so constructor arguments that disagree are overridden.
         """
-        if os.path.exists(os.path.join(self.directory, JOURNAL_FILENAME)):
-            journal, view = SeriesJournal.open_existing(self.directory)
-            if os.path.exists(os.path.join(self.directory, INDEX_FILENAME)):
-                index = SeriesIndex.load(self.directory)
-            else:
-                config = dict(view.config)
-                config["steps"] = []
-                index = SeriesIndex.from_json(config)
-            replay_journal(index, view, path=journal.path)
+        index, view = load_live_index(self.directory)
+        if view is None:
+            self.journal.create(index.to_json())
         else:
-            # a finalized series reopened for more steps: fresh generation
-            index = SeriesIndex.load(self.directory)
-            journal = SeriesJournal(self.directory)
-            journal.create(index.to_json(), base=index.nsteps)
+            self.journal.resume(view)
         self.index = index
-        self.journal = journal
         self.keyframe_interval = index.keyframe_interval
         self.config = self.config.with_overrides(
             error_bound=index.error_bound,
@@ -281,24 +257,16 @@ class SeriesWriter:
             remove_redundancy=index.remove_redundancy)
 
     # ------------------------------------------------------------------
-    def _compact(self) -> None:
-        """Fold the journal into the manifest (snapshot, then fresh generation)."""
-        self.index.save(self.directory)
-        self.journal.rewrite(self.index.to_json(), base=self.index.nsteps)
-
     def finalize(self) -> None:
-        """Compact everything and drop the journal (idempotent).
+        """Write the manifest once, atomically, then drop the journal (idempotent).
 
-        After this the directory is indistinguishable from one written
-        without append mode — any pre-stream reader opens it.
+        A crash between the two leaves both, holding the same steps; readers
+        use the journal.  Afterwards any manifest reader opens the directory.
         """
-        if not self.append_mode:
-            raise ValueError("finalize() only applies to append=True writers")
         if self._finalized:
             return
         if self.index is not None:
             self.index.save(self.directory)
-        if self.journal is not None:
             self.journal.remove()
         self._finalized = True
 
@@ -310,17 +278,15 @@ class SeriesWriter:
         readable through :func:`repro.open_series`.
         """
         self._aborted = True
-        if self.journal is not None:
-            self.journal.close()
+        self.journal.close()
         if self._owns_backend:
             self.backend.close()
 
     def close(self) -> None:
-        """Finalize (append mode) and release the writer-owned backend pool."""
-        if self.append_mode and not self._aborted:
+        """Finalize and release the writer-owned backend pool."""
+        if not self._aborted:
             self.finalize()
-        if self.journal is not None:
-            self.journal.close()
+        self.journal.close()
         if self._owns_backend:
             self.backend.close()
 
@@ -330,7 +296,7 @@ class SeriesWriter:
     def __exit__(self, exc_type, *exc) -> None:
         # on an exception, leave the journal in place: the committed prefix
         # stays live-readable and the run is resumable with append=True
-        if exc_type is not None and self.append_mode:
+        if exc_type is not None:
             self.abort()
         else:
             self.close()
@@ -376,7 +342,7 @@ class SeriesWriter:
         """Write one step of the series; returns the step's write report."""
         cfg = self.config
         start = time.perf_counter()
-        if self.append_mode and self._finalized:
+        if self._finalized:
             raise ValueError(
                 "this series has been finalized; reopen it with "
                 "SeriesWriter(append=True) to add more steps")
@@ -392,9 +358,9 @@ class SeriesWriter:
         filename = filename or f"plt{hierarchy.step:05d}.h5z"
         path = os.path.join(self.directory, filename)
         if os.path.exists(path):
-            # an append-mode restart may find the file a crashed commit wrote
-            # but never journaled — an orphan no committed step references
-            if self.append_mode and all(s.path != filename for s in index.steps):
+            # a resumed series may hold the file a crashed commit wrote but
+            # never journaled — an orphan no committed step references
+            if self._resumed and all(s.path != filename for s in index.steps):
                 os.unlink(path)
             else:
                 raise ValueError(
@@ -442,11 +408,9 @@ class SeriesWriter:
         results = comm.run_jobs(self.backend, temporal_encode_job, jobs)
         if self.index is None:
             self.index = index
-            if self.append_mode:
-                self.journal = SeriesJournal(self.directory)
-                self.journal.create(index.to_json(), base=0)
+            self.journal.create(index.to_json())
 
-        # ---- commit: container file + manifest ---------------------------
+        # ---- commit: container file, then its journal record --------------
         records: List[LevelFieldRecord] = []
         dataset_records: List[SeriesDatasetRecord] = []
         tally = WorkloadTally(comm.size)
@@ -499,20 +463,15 @@ class SeriesWriter:
             index=step_index, step=int(hierarchy.step), time=float(hierarchy.time),
             path=filename, kind=kind, fingerprint=fingerprint,
             datasets=dataset_records)
+        # durable commit order: data file first, then the journal record
+        # naming it — a crash between the two leaves only an orphan file
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        self.journal.append_step(record_step.to_json())
         index.steps.append(record_step)
-        if self.append_mode:
-            # durable commit order: data file first, then the journal record
-            # naming it — a crash between the two leaves only an orphan file
-            fd = os.open(path, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            self.journal.append_step(record_step.to_json())
-            if index.nsteps - self.journal.base >= self.compact_interval:
-                self._compact()
-        else:
-            index.save(self.directory)
 
         report = WriteReport(
             method=f"{self.method_name}({TemporalDeltaCodec.name})",
@@ -532,19 +491,18 @@ def write_series(hierarchies: Iterable[AmrHierarchy], directory: str, *,
                  keyframe_interval: int = 8,
                  backend: "ExecutionBackend | str | None" = None,
                  append: bool = False,
-                 compact_interval: Optional[int] = None,
                  **overrides) -> List[WriteReport]:
     """Write a whole series in one call (exported as :func:`repro.write_series`).
 
     ``hierarchies`` is any iterable of snapshots — a list, or a generator like
     :meth:`~repro.apps.base.SyntheticAMRSimulation.run` so dumps stream
     through without holding every step in memory.  Returns the per-step
-    write reports.  With ``append=True`` every step is journal-committed as
-    it lands (live readers can follow the run) and the series is finalized
-    on normal exit — an exception leaves the committed prefix resumable.
+    write reports.  Every step is journal-committed as it lands (live readers
+    can follow the run) and the series is finalized on normal exit — an
+    exception leaves the committed prefix live and resumable.  ``append=True``
+    resumes an existing series directory instead of refusing it.
     """
     with SeriesWriter(directory, config=config,
                       keyframe_interval=keyframe_interval, backend=backend,
-                      append=append, compact_interval=compact_interval,
-                      **overrides) as writer:
+                      append=append, **overrides) as writer:
         return [writer.append(h) for h in hierarchies]

@@ -18,7 +18,7 @@ those chunks *shareable*:
 * :mod:`repro.service.server` / :mod:`repro.service.client` — the
   JSON-over-TCP transport and its thin synchronous client
   (``python -m repro serve`` / ``python -m repro query``), plus the
-  streaming ``subscribe`` verb: the core polls a live (append-mode) series
+  streaming ``subscribe`` verb: the core polls a live series
   per subscriber and the transport pushes its step-committed events;
   :func:`follow_series` pairs each event with a box read, reconnecting and
   resuming on failure (``python -m repro query --follow``).

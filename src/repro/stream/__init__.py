@@ -1,17 +1,15 @@
-"""Live in situ streaming: the append-mode series journal and its readers.
+"""Live in situ streaming: the series journal and its readers.
 
-The PR-4 series subsystem finalizes a manifest (``series.h5z``) before
-:func:`repro.open_series` can read anything — post-mortem analysis only.
-This package is what makes a series **appendable and watchable** while the
-producing simulation is still running:
+A series is readable while the producing simulation is still running,
+because every step is committed through a journal before a manifest exists:
 
-* :mod:`repro.stream.journal` — the versioned manifest *journal*
+* :mod:`repro.stream.journal` — the versioned *journal*
   (``series.journal``): append-only framed records, one fsync'd commit per
   step, crash-recoverable by replaying complete records and truncating a
-  torn tail.  :class:`~repro.series.writer.SeriesWriter` in ``append=True``
-  mode commits each step through it and periodically *compacts* into the
-  ordinary ``series.h5z`` manifest, so a finalized series is byte-compatible
-  with pre-stream readers.
+  torn tail.  :class:`~repro.series.writer.SeriesWriter` commits every step
+  through it; finalizing writes the ordinary ``series.h5z`` manifest once
+  and removes the journal.  A journal holds the whole series from step 0,
+  so a directory is read from its journal alone when one is present.
 * the read side lives where the readers live:
   :meth:`repro.series.reader.SeriesHandle.refresh` re-reads only the journal
   tail (committed steps are immutable, so nothing warm is ever invalidated),

@@ -1,9 +1,8 @@
-"""The series manifest journal: crash-safe append-mode commits, one per step.
+"""The series journal: the one way a series step is committed.
 
-``series.h5z`` is a whole-manifest snapshot — rewriting it per step is an
-O(nsteps) commit and a reader polling it must re-parse every step it already
-knows.  The journal (``series.journal``) is the incremental complement: an
-append-only file of framed records, each one a step commit, fsync'd before
+``series.h5z`` is a whole-manifest snapshot, written once when the writer
+finalizes.  Until then a series *is* its journal (``series.journal``): an
+append-only file of framed records, one per step, each fsync'd before
 :meth:`~repro.series.writer.SeriesWriter.append` returns.
 
 Layout::
@@ -17,14 +16,18 @@ Every payload is the unified codec container
 (:func:`repro.compress.container.pack_container`, codec ``series_journal``)
 whose ``meta`` carries the record JSON.  Record 0 is always a **genesis**
 record — the series configuration (a manifest without its step list) plus
-``base``, the number of steps already compacted into ``series.h5z`` when this
-journal generation was written.  Every later record is a **step** record
-holding one :class:`~repro.series.index.SeriesStepRecord`.
+``resumed``, the number of steps the generation was written with.  Every
+later record is a **step** record holding one
+:class:`~repro.series.index.SeriesStepRecord`.  A journal holds every step of
+the series from step 0, so a directory is read from its journal alone when
+one is present, and from its manifest otherwise; after a crash inside
+finalize both are present and hold the same steps.
 
 Crash-recovery invariants:
 
-* a journal is *created* and *rewritten* (compaction) via write-temp + fsync
-  + atomic rename + directory fsync, so a generation switch is all-or-nothing;
+* a generation is written whole — write-temp + fsync + atomic rename +
+  directory fsync — at a series' first step (genesis only) and when a
+  finalized series is resumed (genesis plus every manifest step);
 * a step commit is a single ``write`` + fsync, so a crash can only tear the
   **tail**: recovery replays complete records and truncates at the first
   record whose header, length, CRC or payload fails to parse;
@@ -32,14 +35,13 @@ Crash-recovery invariants:
   up to byte offset *k* only ever needs bytes ``[k:]`` plus a 24-byte head
   probe (:func:`tail_journal`) to learn what is new.
 
-The genesis record's CRC doubles as the journal *generation id*: compaction
-rewrites the file with a new genesis (different ``base``, hence different
-CRC), and a tail reader detecting a CRC change falls back to a full reload.
+The genesis record's CRC doubles as the journal *generation id*: generations
+that hold different steps have different ``resumed`` counts, hence different
+CRCs, and a tail reader detecting a CRC change falls back to a full reload.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import zlib
@@ -47,7 +49,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.compress.container import pack_container, unpack_container
-from repro.series.index import INDEX_FILENAME, SeriesIndex, SeriesStepRecord
+from repro.errors import CorruptFileError
+from repro.series.index import SeriesIndex, SeriesStepRecord
 
 __all__ = [
     "JOURNAL_FILENAME",
@@ -64,7 +67,7 @@ __all__ = [
 
 #: journal file name inside a series directory
 JOURNAL_FILENAME = "series.journal"
-JOURNAL_FORMAT_VERSION = 1
+JOURNAL_FORMAT_VERSION = 2
 #: codec tag of every record payload (unified container format)
 JOURNAL_CODEC = "series_journal"
 
@@ -101,10 +104,27 @@ def _parse_record(buf: bytes, offset: int) -> Optional[Tuple[dict, int]]:
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         return None
     try:
-        container = unpack_container(bytes(payload), expect_codec=JOURNAL_CODEC)
+        meta = dict(unpack_container(bytes(payload), expect_codec=JOURNAL_CODEC).meta)
     except ValueError:
         return None
-    return dict(container.meta), end + length
+    if meta.get("record") == "step" and not isinstance(meta.get("step"), dict):
+        return None
+    return meta, end + length
+
+
+def _scan(buf: bytes, offset: int) -> Tuple[List[dict], int]:
+    """The step records from ``offset`` up to the first torn or unparsable
+    record, and the offset just past the last complete one.
+
+    Unknown record kinds are skipped (additive evolution within a format
+    version, like the manifest's extra-key rule).
+    """
+    steps = []
+    while (parsed := _parse_record(buf, offset)) is not None:
+        obj, offset = parsed
+        if obj.get("record") == "step":
+            steps.append(obj["step"])
+    return steps, offset
 
 
 def _fsync_dir(directory: str) -> None:
@@ -126,8 +146,6 @@ def _fsync_dir(directory: str) -> None:
 class JournalView:
     """One full read of a journal: its generation identity and step records."""
 
-    version: int                  #: journal format version from the preamble
-    base: int                     #: steps compacted into series.h5z at genesis
     config: dict                  #: manifest JSON minus its step list
     steps: List[dict] = field(default_factory=list)  #: step record JSON objects
     genesis_crc: int = 0          #: generation id (crc32 of the genesis payload)
@@ -146,62 +164,38 @@ class JournalTail:
     end_offset: int = 0
 
 
-def _genesis_from_view(obj: dict, path: str) -> Tuple[int, dict]:
-    if obj.get("record") != "genesis":
-        raise ValueError(
-            f"{path}: first journal record is {obj.get('record')!r}, "
-            "expected 'genesis'")
-    base = obj.get("base")
-    if not isinstance(base, int) or isinstance(base, bool) or base < 0:
-        raise ValueError(f"{path}: genesis record has invalid base {base!r}")
-    config = obj.get("config")
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: genesis record carries no config object")
-    return base, config
-
-
 def read_journal(path: str) -> JournalView:
     """Scan one journal file, stopping cleanly at a torn tail.
 
-    Raises :class:`ValueError` only for damage that cannot be a torn tail —
-    a bad preamble or a malformed genesis record, i.e. a file that was never
-    a complete journal generation (generation switches are atomic).
+    Raises :class:`~repro.errors.CorruptFileError` for damage that cannot be
+    a torn tail — a bad preamble, another format version, a malformed genesis
+    record, or fewer steps than the generation was written with (generations
+    are written whole and atomically).
     """
     with open(path, "rb") as fh:
         buf = fh.read()
     if len(buf) < _PREAMBLE.size:
-        raise ValueError(f"{path} is too short to be a series journal")
+        raise CorruptFileError(f"{path} is too short to be a series journal")
     magic, version = _PREAMBLE.unpack_from(buf, 0)
     if magic != _PREAMBLE_MAGIC:
-        raise ValueError(f"{path} is not a series journal (bad magic)")
-    if version < 1 or version > JOURNAL_FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: journal format version {version} is not supported "
-            f"(supports 1..{JOURNAL_FORMAT_VERSION}); upgrade repro to read it")
-    parsed = _parse_record(buf, GENESIS_OFFSET)
-    if parsed is None:
-        raise ValueError(f"{path} has no complete genesis record")
-    genesis, offset = parsed
-    base, config = _genesis_from_view(genesis, path)
+        raise CorruptFileError(f"{path} is not a series journal (bad magic)")
+    if version != JOURNAL_FORMAT_VERSION:
+        raise CorruptFileError(
+            f"{path}: journal format version {version} is not supported by this "
+            f"reader, which reads version {JOURNAL_FORMAT_VERSION} only")
+    genesis, offset = _parse_record(buf, GENESIS_OFFSET) or ({}, GENESIS_OFFSET)
+    resumed = genesis.get("resumed")
+    if genesis.get("record") != "genesis" or not isinstance(genesis.get("config"), dict) \
+            or not isinstance(resumed, int) or isinstance(resumed, bool):
+        raise CorruptFileError(f"{path} has no complete genesis record")
+    steps, end = _scan(buf, offset)
+    if len(steps) < resumed:
+        raise CorruptFileError(
+            f"{path} holds {len(steps)} complete steps, fewer than the {resumed} "
+            "its generation was written with — the journal is damaged")
     _, _, genesis_crc = _RECORD_HEADER.unpack_from(buf, GENESIS_OFFSET)
-    view = JournalView(version=version, base=base, config=config,
-                       genesis_crc=genesis_crc)
-    while offset < len(buf):
-        parsed = _parse_record(buf, offset)
-        if parsed is None:
-            view.truncated = True
-            break
-        obj, offset = parsed
-        if obj.get("record") == "step":
-            step = obj.get("step")
-            if not isinstance(step, dict):
-                view.truncated = True
-                break
-            view.steps.append(step)
-        # unknown record kinds are skipped (additive evolution within a
-        # major version, like the manifest's extra-key rule)
-    view.end_offset = offset
-    return view
+    return JournalView(config=genesis["config"], steps=steps, genesis_crc=genesis_crc,
+                       end_offset=end, truncated=end < len(buf))
 
 
 def tail_journal(path: str, offset: int, genesis_crc: int) -> JournalTail:
@@ -211,7 +205,7 @@ def tail_journal(path: str, offset: int, genesis_crc: int) -> JournalTail:
     :class:`JournalView`/:class:`JournalTail`.  The steady-state cost when
     nothing changed is one ``stat`` plus a 24-byte head probe; new records
     cost exactly their own bytes.  A "rebuilt" or "gone" status tells the
-    caller to fall back to a full reload (compaction or finalize happened).
+    caller to fall back to a full reload (a resume or a finalize happened).
     """
     try:
         size = os.stat(path).st_size
@@ -235,45 +229,26 @@ def tail_journal(path: str, offset: int, genesis_crc: int) -> JournalTail:
             buf = fh.read()
     except FileNotFoundError:
         return JournalTail(status="gone")
-    tail = JournalTail(status="ok")
-    pos = 0
-    while pos < len(buf):
-        parsed = _parse_record(buf, pos)
-        if parsed is None:
-            break  # torn (or still being written) tail — next call retries it
-        obj, pos = parsed
-        if obj.get("record") == "step":
-            step = obj.get("step")
-            if isinstance(step, dict):
-                tail.steps.append(step)
-    tail.end_offset = offset + pos
-    return tail
+    # a torn (or still being written) tail stops the scan; the next call retries it
+    steps, pos = _scan(buf, 0)
+    return JournalTail(status="ok", steps=steps, end_offset=offset + pos)
 
 
 def load_live_index(directory: str) -> Tuple[SeriesIndex, Optional[JournalView]]:
     """Materialize the current index of a live (or finalized) series.
 
-    Merges the compacted manifest (when present) with the journal's step
-    records.  Replay is idempotent: journal steps the manifest already holds
-    are skipped, the next expected step is appended, and a gap — a journal
-    claiming step *k+2* when only *k* steps are known — raises
-    :class:`ValueError` because it can only mean a damaged directory.
-
+    A live series is its journal alone: genesis plus every step since step 0.
+    Without a journal the series is finalized and its manifest describes it.
     Returns ``(index, view)`` where ``view`` is ``None`` for a finalized
-    series (no journal — exactly a PR-4 directory).
+    series.
     """
-    journal_path = os.path.join(directory, JOURNAL_FILENAME)
-    manifest_path = os.path.join(directory, INDEX_FILENAME)
-    if not os.path.exists(journal_path):
+    path = os.path.join(directory, JOURNAL_FILENAME)
+    try:
+        view = read_journal(path)
+    except FileNotFoundError:
         return SeriesIndex.load(directory), None
-    view = read_journal(journal_path)
-    if os.path.exists(manifest_path):
-        index = SeriesIndex.load(directory)
-    else:
-        config = dict(view.config)
-        config["steps"] = []
-        index = SeriesIndex.from_json(config)
-    replay_journal(index, view, path=journal_path)
+    index = SeriesIndex.from_json(dict(view.config, steps=[]))
+    replay_journal(index, view, path=path)
     return index, view
 
 
@@ -283,18 +258,20 @@ def replay_journal(index: SeriesIndex, view: "JournalView | JournalTail", *,
 
     Mutates ``index.steps`` only by appending — existing
     :class:`~repro.series.index.SeriesStepRecord` objects are never replaced,
-    which is what lets a live reader keep its caches across a refresh.
-    Returns the number of steps appended.
+    which is what lets a live reader keep its caches across a refresh.  A gap
+    — a journal claiming step *k+2* when only *k* steps are known — raises
+    :class:`~repro.errors.CorruptFileError`, because it can only mean a
+    damaged directory.  Returns the number of steps appended.
     """
     appended = 0
     for obj in view.steps:
         idx = obj.get("index")
         if not isinstance(idx, int) or isinstance(idx, bool):
-            raise ValueError(f"{path}: step record with invalid index {idx!r}")
+            raise CorruptFileError(f"{path}: step record with invalid index {idx!r}")
         if idx < index.nsteps:
-            continue  # already compacted into the manifest (or replayed)
+            continue  # already replayed
         if idx > index.nsteps:
-            raise ValueError(
+            raise CorruptFileError(
                 f"{path}: journal records step {idx} but only "
                 f"{index.nsteps} steps are known — the series directory "
                 "is damaged (missing commits)")
@@ -307,12 +284,13 @@ def replay_journal(index: SeriesIndex, view: "JournalView | JournalTail", *,
 # the writer's handle
 # ----------------------------------------------------------------------
 class SeriesJournal:
-    """The append-mode writer's journal handle.
+    """The series writer's journal handle.
 
     Owns the open file descriptor; every mutation is durable when the method
-    returns.  :meth:`create` and :meth:`rewrite` switch generations
-    atomically; :meth:`append_step` is the per-step commit;
-    :meth:`remove` finalizes (the manifest alone now describes the series).
+    returns.  :meth:`create` writes a generation atomically; :meth:`resume`
+    reopens a live one behind its last complete record; :meth:`append_step`
+    is the per-step commit; :meth:`remove` finalizes (the manifest, saved
+    just before, now describes the series).
     """
 
     def __init__(self, directory: str):
@@ -320,21 +298,24 @@ class SeriesJournal:
         self.path = os.path.join(self.directory, JOURNAL_FILENAME)
         self._fh = None
         self.genesis_crc = 0
-        self.base = 0
         self.end_offset = 0
-        #: producer-side accounting, also pushed to the process-wide metrics
-        #: registry (an in situ writer has no query engine to collect through)
-        self.appends = 0
-        self.compactions = 0
 
-    # -- generation switches (atomic) ----------------------------------
-    def _write_generation(self, config: dict, base: int) -> None:
-        config = dict(config)
-        config.pop("steps", None)
-        record = _frame_record({"record": "genesis",
-                               "journal_version": JOURNAL_FORMAT_VERSION,
-                               "base": int(base), "config": config})
-        blob = _PREAMBLE.pack(_PREAMBLE_MAGIC, JOURNAL_FORMAT_VERSION) + record
+    def create(self, manifest: dict) -> None:
+        """Write a fresh generation: the genesis plus one record per step of
+        ``manifest`` (a :meth:`~repro.series.index.SeriesIndex.to_json`; a
+        finalized series being resumed brings its steps, a new one none).
+
+        Refuses to clobber an existing journal.
+        """
+        if os.path.exists(self.path):
+            raise ValueError(
+                f"{self.path!r} already exists; reopen it with resume()")
+        config = dict(manifest)
+        steps = config.pop("steps", [])
+        genesis = _frame_record({"record": "genesis", "resumed": len(steps),
+                                 "config": config})
+        blob = b"".join([_PREAMBLE.pack(_PREAMBLE_MAGIC, JOURNAL_FORMAT_VERSION), genesis]
+                        + [_frame_record({"record": "step", "step": s}) for s in steps])
         tmp = self.path + ".tmp"
         with open(tmp, "wb") as fh:
             fh.write(blob)
@@ -342,51 +323,21 @@ class SeriesJournal:
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
         _fsync_dir(self.directory)
-        self.close()
         self._fh = open(self.path, "ab")
-        _, _, self.genesis_crc = _RECORD_HEADER.unpack_from(record, 0)
-        self.base = int(base)
+        _, _, self.genesis_crc = _RECORD_HEADER.unpack_from(genesis, 0)
         self.end_offset = len(blob)
 
-    def create(self, config: dict, base: int = 0) -> None:
-        """Start a fresh journal generation (refuses to clobber an old one)."""
-        if os.path.exists(self.path):
-            raise ValueError(
-                f"{self.path!r} already exists; recover with open_existing() "
-                "or compact with rewrite()")
-        self._write_generation(config, base)
-
-    def rewrite(self, config: dict, base: int) -> None:
-        """Compact: atomically replace the journal with a step-free genesis.
-
-        Call only *after* the manifest snapshot through step ``base - 1`` is
-        durably on disk — the old generation's step records vanish here.
-        """
-        self._write_generation(config, base)
-        self.compactions += 1
-        from repro.obs import get_registry
-
-        get_registry().counter("repro_journal_compactions_total").inc()
-
-    @classmethod
-    def open_existing(cls, directory: str) -> Tuple["SeriesJournal", JournalView]:
-        """Recover a journal after a crash: truncate the torn tail, reopen.
-
-        Returns the handle plus the :class:`JournalView` of every record
-        that survived, so the caller can rebuild its in-memory index.
-        """
-        journal = cls(directory)
-        view = read_journal(journal.path)
+    def resume(self, view: JournalView) -> None:
+        """Reopen a live journal after a crash: truncate the torn tail that
+        followed ``view`` (this journal's :func:`read_journal`), append after it."""
         if view.truncated:
-            with open(journal.path, "r+b") as fh:
+            with open(self.path, "r+b") as fh:
                 fh.truncate(view.end_offset)
                 fh.flush()
                 os.fsync(fh.fileno())
-        journal._fh = open(journal.path, "ab")
-        journal.genesis_crc = view.genesis_crc
-        journal.base = view.base
-        journal.end_offset = view.end_offset
-        return journal, view
+        self._fh = open(self.path, "ab")
+        self.genesis_crc = view.genesis_crc
+        self.end_offset = view.end_offset
 
     # -- the per-step commit -------------------------------------------
     def append_step(self, step_json: dict) -> None:
@@ -398,7 +349,7 @@ class SeriesJournal:
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self.end_offset += len(record)
-        self.appends += 1
+        # an in situ writer has no query engine to collect through
         from repro.obs import get_registry
 
         get_registry().counter("repro_journal_appends_total").inc()

@@ -184,7 +184,7 @@ class TestSeriesCli:
 
         directory = str(tmp_path / "live")
         writer = SeriesWriter(directory, keyframe_interval=2, error_bound=1e-3,
-                              append=True, compact_interval=100)
+                              append=True)
         try:
             for hierarchy in make_sim(seed=41).run(3):
                 writer.append(hierarchy)

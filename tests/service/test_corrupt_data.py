@@ -1,17 +1,23 @@
-"""A damaged chunk is ``corrupt_data`` on both transports (HTTP 422), not a
-``bad_request``: the format's one exception type is classified by the core."""
+"""A damaged chunk, manifest or journal is ``corrupt_data`` on every
+transport (HTTP 422), not a ``bad_request``: the format's one exception type
+is classified by the core."""
 
 import http.client
 import json
+import os
+import shutil
 
 import pytest
 
 import repro
 from repro.h5lite.file import H5LiteFile
+from repro.series.index import INDEX_FILENAME, SeriesIndex
 from repro.service import ReproClient, ReproServer
 from repro.service.client import ServiceError
 from repro.service.core import ERROR_CORRUPT_DATA
+from repro.service.fakes import FakeClient
 from repro.service.http import HttpClient, HttpServer
+from repro.stream.journal import JOURNAL_FILENAME, SeriesJournal
 
 FIELD = "baryon_density"
 
@@ -68,3 +74,45 @@ def test_http_answers_corrupt_data_with_422(damaged):
             with pytest.raises(ServiceError) as err:
                 client.read_field(damaged, FIELD, level=0, refill=False)
             assert err.value.kind == ERROR_CORRUPT_DATA
+
+
+def _flip(path, offset):
+    with open(path, "r+b") as f:
+        f.seek(offset)
+        byte = f.read(1)
+        f.seek(offset)
+        f.write(bytes([byte[0] ^ 0x80]))
+
+
+@pytest.fixture(scope="module")
+def damaged_series(service_series, tmp_path_factory):
+    """Two damaged copies of the service series: a finalized one with one
+    byte in the middle of its manifest flipped, and a live (journal-only) one
+    with a byte of its journal preamble flipped."""
+    root = tmp_path_factory.mktemp("corrupt_series")
+    manifest = str(root / "manifest")
+    shutil.copytree(service_series, manifest)
+    path = os.path.join(manifest, INDEX_FILENAME)
+    _flip(path, os.path.getsize(path) // 2)
+    journal = str(root / "journal")
+    shutil.copytree(service_series, journal)
+    index = SeriesIndex.load(journal)
+    os.unlink(os.path.join(journal, INDEX_FILENAME))
+    with SeriesJournal(journal) as live:
+        live.create(index.to_json())
+    _flip(os.path.join(journal, JOURNAL_FILENAME), 1)
+    return {"manifest": manifest, "journal": journal}
+
+
+@pytest.mark.parametrize("damage", ["manifest", "journal"])
+def test_a_damaged_series_is_corrupt_data_on_every_transport(damaged_series, damage):
+    directory = damaged_series[damage]
+    with pytest.raises(repro.CorruptFileError):
+        repro.open_series(directory)
+    with ReproServer(port=0) as tcp, HttpServer(port=0) as gateway, \
+            FakeClient() as fake, ReproClient(port=tcp.port) as tcp_client, \
+            HttpClient(port=gateway.port) as http_client:
+        for client in (fake, tcp_client, http_client):
+            with pytest.raises(ServiceError) as err:
+                client.describe(directory)
+            assert err.value.kind == ERROR_CORRUPT_DATA, type(client).__name__

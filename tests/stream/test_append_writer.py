@@ -1,5 +1,7 @@
-"""Append-mode series writing: crash recovery, compaction, finalize compat."""
+"""Series writing through the journal: one commit path, crash recovery,
+resume, finalize compat."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 import repro
 from repro.series.index import INDEX_FILENAME, SeriesIndex
 from repro.series.writer import SeriesWriter, write_series
-from repro.stream.journal import JOURNAL_FILENAME, read_journal
+from repro.stream.journal import JOURNAL_FILENAME
 
 NSTEPS = 7                  # matches the conftest simulation run
 KEYFRAME_INTERVAL = 3
@@ -23,6 +25,15 @@ def assert_series_equal(directory, reference_dir, field="baryon_density"):
             a = got.read_field(field, step=i)
             b = want.read_field(field, step=i)
             assert np.array_equal(a, b), f"step {i} differs"
+
+
+def file_digests(directory):
+    """sha256 of every file in ``directory``, by name."""
+    digests = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
 
 
 class TestFinalizedCompatibility:
@@ -45,19 +56,78 @@ class TestFinalizedCompatibility:
         """Same snapshots, same bounds => identical decoded values."""
         directory = str(tmp_path / "live")
         with SeriesWriter(directory, keyframe_interval=KEYFRAME_INTERVAL,
-                          error_bound=1e-3, append=True,
-                          compact_interval=2) as writer:
+                          error_bound=1e-3, append=True) as writer:
             for h in hierarchies:
                 writer.append(h)
         assert_series_equal(directory, reference_dir)
+
+
+class TestOneCommitPath:
+    """``append`` only decides whether an existing directory may be resumed:
+    a plain writer commits every step through the journal too."""
+
+    def test_plain_and_append_writes_leave_the_same_files(self, hierarchies,
+                                                          tmp_path):
+        plain, resumable = str(tmp_path / "plain"), str(tmp_path / "append")
+        writers = [SeriesWriter(directory, keyframe_interval=KEYFRAME_INTERVAL,
+                                error_bound=1e-3, append=append)
+                   for directory, append in ((plain, False), (resumable, True))]
+        try:
+            for h in hierarchies:
+                for writer in writers:
+                    writer.append(h)
+                # mid-run both are the same live series: step files + journal
+                digests = file_digests(plain)
+                assert JOURNAL_FILENAME in digests and INDEX_FILENAME not in digests
+                assert digests == file_digests(resumable)
+        finally:
+            for writer in writers:
+                writer.close()
+        digests = file_digests(plain)
+        assert INDEX_FILENAME in digests and JOURNAL_FILENAME not in digests
+        assert digests == file_digests(resumable)
+
+    def test_a_plain_write_that_raises_is_resumable(self, hierarchies,
+                                                    reference_dir, tmp_path):
+        directory = str(tmp_path / "plain")
+        with pytest.raises(RuntimeError, match="sim blew up"):
+            with SeriesWriter(directory, keyframe_interval=KEYFRAME_INTERVAL,
+                              error_bound=1e-3) as writer:
+                for h in hierarchies[:4]:
+                    writer.append(h)
+                raise RuntimeError("sim blew up")
+        names = os.listdir(directory)
+        assert JOURNAL_FILENAME in names and INDEX_FILENAME not in names
+        with SeriesWriter(directory, append=True) as writer:
+            assert writer.nsteps == 4
+            for h in hierarchies[4:]:
+                writer.append(h)
+        assert_series_equal(directory, reference_dir)
+
+    def test_a_crash_inside_finalize_reads_the_journal(self, hierarchies,
+                                                       tmp_path):
+        """Manifest saved, journal not yet removed: both hold the same steps
+        and the journal is what readers and a resume use."""
+        directory = str(tmp_path / "live")
+        writer = SeriesWriter(directory, keyframe_interval=KEYFRAME_INTERVAL,
+                              error_bound=1e-3)
+        for h in hierarchies[:3]:
+            writer.append(h)
+        writer.index.save(directory)         # finalize's first half only
+        writer.abort()
+        with repro.open_series(directory) as handle:
+            assert handle.live and len(handle.steps()) == 3
+        with SeriesWriter(directory, append=True) as writer:
+            writer.append(hierarchies[3])
+        assert JOURNAL_FILENAME not in os.listdir(directory)
+        assert SeriesIndex.load(directory).nsteps == 4
 
 
 class TestLiveDirectory:
     def test_mid_run_directory_opens_live(self, hierarchies, tmp_path):
         directory = str(tmp_path / "live")
         writer = SeriesWriter(directory, keyframe_interval=KEYFRAME_INTERVAL,
-                              error_bound=1e-3, append=True,
-                              compact_interval=100)    # journal-only commits
+                              error_bound=1e-3, append=True)
         try:
             for h in hierarchies[:3]:
                 writer.append(h)
@@ -70,30 +140,11 @@ class TestLiveDirectory:
         finally:
             writer.abort()
 
-    def test_compaction_preserves_readability(self, hierarchies, tmp_path):
-        directory = str(tmp_path / "live")
-        with SeriesWriter(directory, keyframe_interval=KEYFRAME_INTERVAL,
-                          error_bound=1e-3, append=True,
-                          compact_interval=2) as writer:
-            for i, h in enumerate(hierarchies[:4]):
-                writer.append(h)
-                if i == 3:
-                    # 4 commits, compact_interval=2: manifest holds a prefix,
-                    # journal the rest; a live open merges both
-                    index = SeriesIndex.load(directory)
-                    assert index.nsteps >= 2
-                    view = read_journal(
-                        os.path.join(directory, JOURNAL_FILENAME))
-                    assert view.base == index.nsteps
-                    handle = repro.open_series(directory)
-                    assert len(handle.steps()) == 4
-
 
 class TestCrashRecovery:
     def write_partial(self, hierarchies, directory, upto):
         writer = SeriesWriter(directory, keyframe_interval=KEYFRAME_INTERVAL,
-                              error_bound=1e-3, append=True,
-                              compact_interval=100)
+                              error_bound=1e-3, append=True)
         for h in hierarchies[:upto]:
             writer.append(h)
         writer.abort()      # leaves the journal exactly as a crash would
@@ -194,10 +245,6 @@ class TestGuards:
         writer.abort()
         with pytest.raises(ValueError, match="append=True"):
             SeriesWriter(directory)
-
-    def test_compact_interval_requires_append(self, tmp_path):
-        with pytest.raises(ValueError, match="append=True"):
-            SeriesWriter(str(tmp_path / "x"), compact_interval=4)
 
     def test_append_after_finalize_raises(self, hierarchies, tmp_path):
         directory = str(tmp_path / "live")

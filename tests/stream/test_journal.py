@@ -5,6 +5,7 @@ import struct
 
 import pytest
 
+from repro.errors import CorruptFileError
 from repro.series.index import SeriesIndex
 from repro.stream.journal import (
     GENESIS_OFFSET,
@@ -62,7 +63,7 @@ class TestFraming:
             for i in range(5):
                 j.append_step(step_json(i))
         view = read_journal(os.path.join(journal_dir, JOURNAL_FILENAME))
-        assert view.base == 0 and not view.truncated
+        assert not view.truncated
         assert [s["step"] for s in view.steps] == list(range(5))
         assert view.config["keyframe_interval"] == 4
         assert "steps" not in view.config       # genesis strips the step list
@@ -118,18 +119,19 @@ class TestTornTail:
         assert view.truncated
         assert [s["step"] for s in view.steps] == [0, 1]
 
-    def test_open_existing_truncates_the_torn_tail(self, journal_dir):
+    def test_resume_truncates_the_torn_tail(self, journal_dir):
         path, offsets = self.make_journal(journal_dir)
         with open(path, "r+b") as f:
             f.truncate(offsets[-1] - 3)
-        journal, view = SeriesJournal.open_existing(journal_dir)
-        journal.close()
+        view = read_journal(path)
+        with SeriesJournal(journal_dir) as journal:
+            journal.resume(view)
         assert [s["step"] for s in view.steps] == [0, 1, 2]
         assert os.path.getsize(path) == offsets[-2]
         # the repaired journal appends cleanly
-        journal, _ = SeriesJournal.open_existing(journal_dir)
-        journal.append_step(step_json(3))
-        journal.close()
+        with SeriesJournal(journal_dir) as journal:
+            journal.resume(read_journal(path))
+            journal.append_step(step_json(3))
         assert [s["step"] for s in read_journal(path).steps] == [0, 1, 2, 3]
 
     def test_headless_file_is_an_error_not_a_tail(self, journal_dir):
@@ -155,16 +157,6 @@ class TestTailFastPath:
             assert tail.status == "ok"
             assert [s["step"] for s in tail.steps] == [1, 2]
             assert tail.end_offset == j.end_offset
-
-    def test_rewrite_flips_the_generation(self, journal_dir):
-        with SeriesJournal(journal_dir) as j:
-            j.create(CONFIG)
-            j.append_step(step_json(0))
-            offset, crc = j.end_offset, j.genesis_crc
-            j.rewrite(CONFIG, base=1)
-            assert j.base == 1
-            tail = tail_journal(j.path, offset, crc)
-            assert tail.status == "rebuilt"
 
     def test_removed_journal_reports_gone(self, journal_dir):
         with SeriesJournal(journal_dir) as j:
@@ -215,7 +207,8 @@ class TestReplay:
                 j.append_step(step_json(i))
         index, view = load_live_index(journal_dir)
         before = list(index.steps)
-        with SeriesJournal.open_existing(journal_dir)[0] as j:
+        with SeriesJournal(journal_dir) as j:
+            j.resume(read_journal(j.path))
             j.append_step(step_json(2))
         tail = tail_journal(os.path.join(journal_dir, JOURNAL_FILENAME),
                             view.end_offset, view.genesis_crc)
@@ -224,3 +217,67 @@ class TestReplay:
         assert appended == 1 and index.nsteps == 3
         for a, b in zip(before, index.steps):
             assert a is b
+
+
+class TestOneScanner:
+    def test_both_scans_stop_at_a_step_record_that_is_not_an_object(
+            self, journal_dir):
+        """A full read and a tail read agree record for record."""
+        with SeriesJournal(journal_dir) as j:
+            j.create(CONFIG)
+            offset, crc = j.end_offset, j.genesis_crc
+            j.append_step(step_json(0))
+            j._fh.write(_frame_record({"record": "step", "step": 5}))
+            j._fh.flush()
+            j.append_step(step_json(1))
+        view = read_journal(j.path)
+        tail = tail_journal(j.path, offset, crc)
+        assert [s["step"] for s in view.steps] == [0]
+        assert [s["step"] for s in tail.steps] == [0]
+        assert view.truncated and tail.end_offset == view.end_offset
+
+
+class TestGenerations:
+    def test_a_resumed_generation_holds_every_step_under_a_new_id(
+            self, journal_dir):
+        with SeriesJournal(journal_dir) as j:
+            j.create(CONFIG)
+            fresh_crc = j.genesis_crc
+            j.remove()
+        with SeriesJournal(journal_dir) as j:
+            j.create(dict(CONFIG, steps=[step_json(i) for i in range(3)]))
+            assert j.genesis_crc != fresh_crc
+            j.append_step(step_json(3))
+        index, view = load_live_index(journal_dir)
+        assert index.nsteps == 4 and not view.truncated
+        assert view.genesis_crc == j.genesis_crc
+
+    def test_damage_inside_a_written_generation_is_not_a_torn_tail(
+            self, journal_dir):
+        """Steps a generation was written with are never cut off as a tail."""
+        with SeriesJournal(journal_dir) as j:
+            j.create(dict(CONFIG, steps=[step_json(i) for i in range(3)]))
+            size = j.end_offset
+        with open(j.path, "r+b") as f:
+            f.seek(size - 1)
+            byte = f.read(1)
+            f.seek(size - 1)
+            f.write(bytes([byte[0] ^ 0xFF]))     # inside step 2's payload
+        with pytest.raises(CorruptFileError, match="fewer than the 3"):
+            read_journal(j.path)
+
+
+class TestFormatVersion:
+    def test_a_v1_journal_is_refused_by_number(self, journal_dir):
+        config = {k: v for k, v in CONFIG.items() if k != "steps"}
+        v1 = (struct.pack("<4sI", b"SJNL", 1)
+              + _frame_record({"record": "genesis", "journal_version": 1,
+                               "base": 0, "config": config})
+              + _frame_record({"record": "step", "step": step_json(0)}))
+        path = os.path.join(journal_dir, JOURNAL_FILENAME)
+        with open(path, "wb") as f:
+            f.write(v1)
+        with pytest.raises(CorruptFileError, match="version 1 is not supported"):
+            read_journal(path)
+        with pytest.raises(CorruptFileError, match="version 1"):
+            load_live_index(journal_dir)

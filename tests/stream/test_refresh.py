@@ -27,23 +27,46 @@ class TestRefresh:
         finally:
             writer.abort()
 
-    def test_refresh_survives_compaction(self, hierarchies, tmp_path):
-        """A generation switch (journal rewrite) must not lose or repeat steps."""
-        directory = str(tmp_path / "live")
+    def test_an_unfinished_plain_write_is_live(self, hierarchies, tmp_path):
+        directory = str(tmp_path / "plain")
         writer = SeriesWriter(directory, keyframe_interval=KEYFRAME_INTERVAL,
-                              error_bound=1e-3, append=True,
-                              compact_interval=2)
+                              error_bound=1e-3)
         try:
             writer.append(hierarchies[0])
-            handle = repro.open_series(directory)
-            seen = len(handle.steps())
-            for h in hierarchies[1:5]:          # crosses 2 compactions
-                writer.append(h)
-                seen += handle.refresh()
-            assert seen == 5
-            assert [s.index for s in handle.index.steps] == list(range(5))
+            with repro.open_series(directory) as handle:
+                assert handle.live and len(handle.steps()) == 1
+                for nsteps, h in enumerate(hierarchies[1:4], start=2):
+                    writer.append(h)
+                    assert handle.refresh() == 1
+                    assert len(handle.steps()) == nsteps
         finally:
             writer.abort()
+
+    def test_refresh_across_finalize_and_resume(self, hierarchies, tmp_path):
+        """Finalize, then resume, between two polls: the handle reloads the
+        new journal generation and neither loses nor repeats a step."""
+        directory = str(tmp_path / "live")
+        writer = SeriesWriter(directory, keyframe_interval=KEYFRAME_INTERVAL,
+                              error_bound=1e-3)
+        writer.append(hierarchies[0])
+        handle = repro.open_series(directory)
+        try:
+            writer.append(hierarchies[1])
+            assert handle.refresh() == 1
+            writer.close()                       # manifest written, journal gone
+            writer = SeriesWriter(directory, append=True)   # a new generation
+            writer.append(hierarchies[2])
+            writer.append(hierarchies[3])
+            assert handle.refresh() == 2
+            assert handle.live
+            assert [s.index for s in handle.index.steps] == list(range(4))
+            assert [s.path for s in handle.index.steps] == \
+                [f"plt{h.step:05d}.h5z" for h in hierarchies[:4]]
+            writer.close()
+            assert handle.refresh() == 0 and not handle.live
+        finally:
+            writer.abort()
+            handle.close()
 
     def test_refresh_keeps_decoded_state_warm(self, hierarchies, tmp_path):
         """Committed steps are immutable: refresh must not invalidate them."""
@@ -114,8 +137,7 @@ class TestConcurrentRefresh:
         """Readers hammering refresh()+reads while the writer commits."""
         directory = str(tmp_path / "live")
         writer = SeriesWriter(directory, keyframe_interval=KEYFRAME_INTERVAL,
-                              error_bound=1e-3, append=True,
-                              compact_interval=2)
+                              error_bound=1e-3, append=True)
         writer.append(hierarchies[0])
         handle = repro.open_series(directory)
         stop = threading.Event()
