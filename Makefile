@@ -12,18 +12,17 @@
 # drives traced queries against a live server and checks the telemetry the
 # `stats` verb reports about them, and `make smoke-http` exercises the HTTP
 # gateway (auth, limits, /metrics, read parity with TCP) across real
-# processes.  The smoke targets honour REPRO_BACKEND (serial or shm; CI
-# runs them once on each).  `make loc` prints the Python line count of src/ +
+# processes.  `make loc` prints the Python line count of src/ +
 # tools/ beside the Shrink item's baseline and goal (ROADMAP.md); `make
 # loc-check` fails when it exceeds LOC_BUDGET — a PR that must grow raises the
 # number below in its own diff, where a reviewer sees it.
 
 PY := PYTHONPATH=src python
 
-# src/ + tools/ Python lines as of the last change to them (-98: `info` / `verify`
-# take a series directory too, so the series-info / series-verify verbs, the second
-# series summary, summarize_plotfile and FilterSpec went)
-LOC_BUDGET := 18984
+# src/ + tools/ Python lines as of the last change to them (-159: a backend is
+# passed as an instance the caller owns, so backend names, the environment
+# default, the config / CLI / engine pool settings and the ownership forks went)
+LOC_BUDGET := 18825
 LOC = $$(find src tools -name '*.py' | xargs cat | wc -l)
 
 # suite -> pytest paths ('+'-separated). Adding a benchmark suite is one line.
@@ -115,13 +114,12 @@ smoke-remote:
 
 smoke-series:
 	@rm -rf .smoke-series && mkdir -p .smoke-series
-	$(PY) -c "import os; import repro; from repro.apps.nyx import NyxSimulation; \
+	$(PY) -c "import repro; from repro.apps.nyx import NyxSimulation; \
 		sim = NyxSimulation(coarse_shape=(24, 24, 24), nranks=2, \
 		target_fine_density=0.03, max_grid_size=12, seed=7, \
 		drift_rate=0.05, growth_rate=0.02, regrid_interval=4); \
 		repro.write_series(sim.run(5), '.smoke-series/run', \
-		keyframe_interval=4, error_bound=1e-3, \
-		backend=os.environ.get('REPRO_BACKEND'))"
+		keyframe_interval=4, error_bound=1e-3)"
 	$(PY) -m repro info .smoke-series/run --step 1
 	$(PY) -m repro verify .smoke-series/run
 	$(PY) -c "import numpy as np; import repro; from repro.amr.box import Box; \

@@ -43,8 +43,8 @@ def test_reader_full_shm_backend(benchmark, plotfile, stamp_backend):
     stamp_backend("shm", POOL_WORKERS)
     with SharedMemoryBackend(max_workers=POOL_WORKERS) as backend:
         def full_read():
-            with repro.open(plotfile) as handle:
-                return handle.read(backend=backend)
+            with repro.open(plotfile, backend=backend) as handle:
+                return handle.read()
 
         # warmup_rounds: time the persistent pool's steady state, not its spawn
         hierarchy = benchmark.pedantic(full_read, rounds=3, iterations=1,

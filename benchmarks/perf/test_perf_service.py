@@ -22,6 +22,7 @@ pytest.importorskip("pytest_benchmark")
 
 import repro
 from repro.amr.box import Box
+from repro.parallel.backend import SharedMemoryBackend
 from repro.service import BoxQuery, QueryEngine, ReproClient, ReproServer
 
 NREQUESTS = 24
@@ -137,7 +138,7 @@ def _timed(fn, arg):
 
 def test_server_identical_to_direct_reads_across_backends(plotfile, queries):
     """Server-mediated results == direct repro.open reads, element-wise,
-    with the direct side decoded on every execution backend."""
+    with the direct side decoded inline and on a shared-memory pool."""
     with ReproServer(port=0) as server:
         with ReproClient(port=server.port) as client:
             served = client.read_batch(queries)
@@ -145,12 +146,13 @@ def test_server_identical_to_direct_reads_across_backends(plotfile, queries):
                 for q, arr in zip(queries, served):
                     assert np.array_equal(
                         arr, direct.read_field(q.field, level=q.level, box=q.box))
-            for backend in ("serial", "shm"):
-                with repro.open(plotfile, backend=backend) as handle:
-                    hierarchy = handle.read()
-                for level in range(hierarchy.nlevels):
-                    domain = hierarchy[level].domain
-                    for name in FIELDS:
-                        dense = hierarchy[level].multifab.to_global(name, domain)
-                        assert np.array_equal(
-                            dense, client.read_field(plotfile, name, level=level))
+            with SharedMemoryBackend(max_workers=2) as pool:
+                for backend in (None, pool):
+                    with repro.open(plotfile, backend=backend) as handle:
+                        hierarchy = handle.read()
+                    for level in range(hierarchy.nlevels):
+                        domain = hierarchy[level].domain
+                        for name in FIELDS:
+                            dense = hierarchy[level].multifab.to_global(name, domain)
+                            assert np.array_equal(
+                                dense, client.read_field(plotfile, name, level=level))

@@ -51,49 +51,20 @@ Every command exits 0 on success and 1 on failure, with errors reported as
 one-line messages (corrupt files — and files without a self-describing
 header — surface the underlying ``ValueError``; so does a flag that does not
 apply to the given path or method, which is refused rather than dropped).
-Subcommands that decode accept ``--backend``; its default honours the
-``REPRO_BACKEND`` environment variable (how CI exercises the shm backend
-through ``make smoke``).
+Every subcommand decodes and encodes inline; a process pool is an API choice
+(``backend=`` on :func:`repro.write` / :func:`repro.open`), not a flag.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
 import numpy as np
 
-from repro.parallel.backend import BACKENDS
-
 __all__ = ["main", "build_parser"]
-
-
-def _default_backend() -> str:
-    """Default for every ``--backend`` flag (CI sets ``REPRO_BACKEND=shm``).
-
-    Validated here because a default never passes through a flag's own
-    checks — a typo'd env var must fail up front, not deep inside a run.
-    """
-    value = os.environ.get("REPRO_BACKEND") or "serial"
-    if value not in BACKENDS:
-        raise ValueError(
-            f"REPRO_BACKEND must be one of {', '.join(BACKENDS)}, "
-            f"got {value!r}")
-    return value
-
-
-def _make_cli_backend(args):
-    """The backend instance a decoding subcommand runs on.
-
-    Built here (rather than passing the name through) so ``--max-workers``
-    reaches the pool; the caller owns it and must ``close()`` it.
-    """
-    from repro.parallel.backend import make_backend
-
-    return make_backend(args.backend, getattr(args, "max_workers", None))
 
 
 def _add_source_arg(subparser) -> None:
@@ -105,16 +76,7 @@ def _add_source_arg(subparser) -> None:
              "coalescing + block cache)")
 
 
-def _add_backend_args(subparser, backend_default: str) -> None:
-    subparser.add_argument("--backend", default=backend_default,
-                           help=f"execution backend: {' or '.join(BACKENDS)}")
-    subparser.add_argument("--max-workers", type=int, default=None,
-                           help="pool width for the shm backend "
-                                "(default: the executor's own default)")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    backend_default = _default_backend()
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="AMRIC plotfile tooling (self-describing format v2)")
@@ -142,9 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--codec", default="sz_lr",
                         help="codec registry name (default sz_lr)")
     p_comp.add_argument("--error-bound", type=float, default=1e-3)
-    # None = not given: the REPRO_BACKEND default must not count as a flag
-    # the baseline methods refuse
-    _add_backend_args(p_comp, None)
     p_comp.add_argument("--method", default="amric",
                         help="writer method: amric (default), amrex_1d, nocomp")
 
@@ -152,14 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="reconstruct a plotfile and store it raw")
     p_dec.add_argument("input")
     p_dec.add_argument("out")
-    _add_backend_args(p_dec, backend_default)
 
     p_ver = sub.add_parser("verify", help="decode everything and check integrity")
     p_ver.add_argument("path", help="plotfile or series directory")
     p_ver.add_argument("--against", default=None,
                        help="plotfile only: reference plotfile (e.g. the "
                             "nocomp copy) to check the error bound against")
-    _add_backend_args(p_ver, backend_default)
     _add_source_arg(p_ver)
     p_ver.add_argument("--stats", action="store_true",
                        help="also print the decode's byte-source I/O counters")
@@ -173,11 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--cache-bytes", type=int, default=None,
                        help="shared chunk-cache budget in bytes "
                             "(default 128 MiB)")
-    p_srv.add_argument("--backend", default=None,
-                       help=f"backend for batch decodes: "
-                            f"{' or '.join(BACKENDS)} (default: decode inline)")
-    p_srv.add_argument("--max-workers", type=int, default=None,
-                       help="pool width for the serve backend")
+    p_srv.add_argument("--max-workers", type=int, default=8,
+                       help="engine calls in flight across all TCP "
+                            "connections (default 8)")
     p_srv.add_argument("--watch-interval", type=float, default=None,
                        help="poll period (seconds) for live series watched "
                             "by subscribers (default 0.25)")
@@ -342,52 +297,38 @@ def _cmd_compress(args) -> int:
         if args.codec != "sz_lr":
             raise ValueError(
                 f"--codec only applies to --method amric, not {args.method!r}")
-        if args.backend not in (None, "serial"):
-            raise ValueError(
-                f"--backend only applies to --method amric, not {args.method!r}")
-    args.backend = args.backend or _default_backend()
-    backend = _make_cli_backend(args)
-    try:
-        if args.input is not None:
-            with repro.open(args.input) as handle:
-                hierarchy = handle.read(backend=backend)
-            source = args.input
-        else:
-            from repro.apps.driver import build_run
+    if args.input is not None:
+        with repro.open(args.input) as handle:
+            hierarchy = handle.read()
+        source = args.input
+    else:
+        from repro.apps.driver import build_run
 
-            hierarchy = build_run(args.preset).hierarchy
-            source = f"preset {args.preset}"
-        if args.method == "amric":
-            report = repro.write(hierarchy, args.out, backend=backend,
-                                 compressor=args.codec,
-                                 error_bound=args.error_bound)
-        else:
-            kwargs = {}
-            if args.method in ("amrex", "amrex_1d"):
-                kwargs["error_bound"] = args.error_bound
-            elif args.error_bound != 1e-3:
-                raise ValueError(
-                    f"--error-bound does not apply to --method {args.method!r}")
-            report = repro.write(hierarchy, args.out, method=args.method,
-                                 **kwargs)
-    finally:
-        backend.close()
+        hierarchy = build_run(args.preset).hierarchy
+        source = f"preset {args.preset}"
+    if args.method == "amric":
+        report = repro.write(hierarchy, args.out, compressor=args.codec,
+                             error_bound=args.error_bound)
+    else:
+        kwargs = {}
+        if args.method in ("amrex", "amrex_1d"):
+            kwargs["error_bound"] = args.error_bound
+        elif args.error_bound != 1e-3:
+            raise ValueError(
+                f"--error-bound does not apply to --method {args.method!r}")
+        report = repro.write(hierarchy, args.out, method=args.method, **kwargs)
     print(f"compressed {source} -> {args.out}: method={report.method} "
           f"CR={report.compression_ratio:.1f}x "
           f"mean_psnr={report.mean_psnr:.1f}dB "
-          f"datasets={report.ndatasets} backend={report.backend}")
+          f"datasets={report.ndatasets}")
     return 0
 
 
 def _cmd_decompress(args) -> int:
     import repro
 
-    backend = _make_cli_backend(args)
-    try:
-        with repro.open(args.input) as handle:
-            hierarchy = handle.read(backend=backend)
-    finally:
-        backend.close()
+    with repro.open(args.input) as handle:
+        hierarchy = handle.read()
     report = repro.write(hierarchy, args.out, method="nocomp")
     print(f"decompressed {args.input} -> {args.out}: "
           f"{report.raw_bytes} bytes over {report.ndatasets} datasets")
@@ -403,21 +344,16 @@ def _cmd_verify(args) -> int:
     if args.against is not None and series:
         raise ValueError(
             f"--against only applies to a plotfile, not {args.path!r}")
-    backend = _make_cli_backend(args)
-    try:
-        with (repro.open_series if series else repro.open)(
-                args.path, source=args.source) as handle:
-            if series:
-                checks, bound_check = _series_checks(handle, backend), None
-                counted = f"{len(handle.steps())} steps, "
-            else:
-                checks, bound_check = _plotfile_checks(handle, args.against,
-                                                       backend)
-                counted = ""
-            counted += f"{handle.stats.chunks_decoded} chunks decoded"
-            stats_rows = io_stats_rows(handle) if args.stats else None
-    finally:
-        backend.close()
+    with (repro.open_series if series else repro.open)(
+            args.path, source=args.source) as handle:
+        if series:
+            checks, bound_check = _series_checks(handle), None
+            counted = f"{len(handle.steps())} steps, "
+        else:
+            checks, bound_check = _plotfile_checks(handle, args.against)
+            counted = ""
+        counted += f"{handle.stats.chunks_decoded} chunks decoded"
+        stats_rows = io_stats_rows(handle) if args.stats else None
     passed = all(ok for _, ok in checks)
     status = "PASS" if passed else "FAIL"
     detail = ", ".join(f"{name}={'ok' if ok else 'FAIL'}" for name, ok in checks)
@@ -440,18 +376,18 @@ def _decoded_checks(hierarchies, fields) -> List[tuple]:
     return [("fields", fields_ok), ("finite", finite_ok)]
 
 
-def _plotfile_checks(handle, against: Optional[str], backend) -> tuple:
+def _plotfile_checks(handle, against: Optional[str]) -> tuple:
     """(checks, bound line) of one plotfile: its structure, and with a
     reference copy ``against`` the error bound."""
     import repro
 
-    hierarchy = handle.read(backend=backend)
+    hierarchy = handle.read()
     checks = [("levels", hierarchy.nlevels == handle.nlevels),
               *_decoded_checks([hierarchy], handle.fields)]
     if not against:
         return checks, None
     with repro.open(against) as ref_handle:
-        reference = ref_handle.read(backend=backend)
+        reference = ref_handle.read()
     eb = handle.error_bound
     eb_mode = handle.header.error_bound_mode
     worst = 0.0
@@ -480,7 +416,7 @@ def _plotfile_checks(handle, against: Optional[str], backend) -> tuple:
                      f"{'<=' if ok else '>'} bound {eb:.3e}")
 
 
-def _series_checks(series, backend) -> List[tuple]:
+def _series_checks(series) -> List[tuple]:
     """The checks of a series: keyframe cadence, the manifest's sizes against
     the step files, then every step decoded (all delta chains resolved)."""
     steps = series.steps()
@@ -491,8 +427,8 @@ def _series_checks(series, backend) -> List[tuple]:
         ("manifest_bytes", all(
             series.open_step(rec.index).dataset_info(d.name).stored_nbytes
             == d.stored_bytes for rec in steps for d in rec.datasets)),
-        *_decoded_checks((series.read(step=rec.index, backend=backend)
-                          for rec in steps), series.fields),
+        *_decoded_checks((series.read(step=rec.index) for rec in steps),
+                         series.fields),
     ]
 
 
@@ -506,7 +442,6 @@ def _cmd_serve(args) -> int:
         raise ValueError("--http-only needs --http PORT")
     engine = QueryEngine(cache_bytes=args.cache_bytes
                          if args.cache_bytes is not None else DEFAULT_CACHE_BYTES,
-                         backend=args.backend, max_workers=args.max_workers,
                          source=args.source)
     # one shared core: op dispatch, auth, size/rate limits and telemetry are
     # identical no matter which transport a request arrives on.  The request
@@ -546,7 +481,7 @@ def _cmd_serve(args) -> int:
         server = ReproServer(
             handler=handler, host=args.host,
             port=args.port if args.port is not None else DEFAULT_PORT,
-            max_workers=args.max_workers if args.max_workers is not None else 8,
+            max_workers=args.max_workers,
             watch_interval=watch_interval)
         server.run(on_ready=on_ready)
     finally:

@@ -7,9 +7,9 @@ removal on/off) and so the AMReX-original behaviour can be expressed in the
 same vocabulary.
 
 The compressor is any name in the codec registry
-(:mod:`repro.compress.registry`) — the config never touches codec classes —
-and ``backend`` picks the execution backend the writer submits its encode
-jobs to (:mod:`repro.parallel.backend`).
+(:mod:`repro.compress.registry`) — the config never touches codec classes.
+Where the encode jobs run is not configuration: a writer takes an
+:class:`~repro.parallel.backend.ExecutionBackend` instance as ``backend=``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Optional
 
 from repro.compress.errorbound import ErrorBound
 from repro.compress.registry import create_codec, is_registered, available_codecs
-from repro.parallel.backend import BACKENDS
 
 __all__ = ["AMRICConfig"]
 
@@ -56,21 +55,11 @@ class AMRICConfig:
     #: SZ_Interp anchor stride
     interp_anchor_stride: int = 16
 
-    #: execution backend for the per-rank encode jobs ("serial" or "shm")
-    #: and the pool size (None = the executor's default)
-    backend: str = "serial"
-    backend_workers: Optional[int] = None
-
     def __post_init__(self) -> None:
         if not is_registered(self.compressor):
             raise ValueError(
                 f"compressor must be a registered codec {available_codecs()}, "
                 f"got {self.compressor!r}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.backend_workers is not None and self.backend_workers < 1:
-            raise ValueError(
-                f"backend_workers must be >= 1, got {self.backend_workers}")
         if self.unit_block_size < 2:
             raise ValueError("unit_block_size must be >= 2")
         if self.sz_block_size < 2:

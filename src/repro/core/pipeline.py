@@ -12,10 +12,10 @@ the paper's pipeline separates concerns:
 3. **encode** — push every dataset's chunk sequence through the 3D-aware
    AMRIC filter: a dataset's chunks are predicted together and serialised in
    order.  Each dataset is an independent work item submitted through
-   :class:`~repro.parallel.mpi_sim.SimComm` to an execution backend
-   (:mod:`repro.parallel.backend`): the serial backend reproduces the
-   single-process behaviour bit-for-bit, the pooled backends encode datasets
-   concurrently and still produce byte-identical plotfiles;
+   :class:`~repro.parallel.mpi_sim.SimComm` to the caller's execution
+   backend (:mod:`repro.parallel.backend`; inline when none is given): a
+   pooled backend encodes datasets concurrently and still produces a
+   byte-identical plotfile;
 4. **commit** — append the encoded chunks to one shared
    :class:`~repro.h5lite.file.H5LiteFile` dataset per level/field (a
    collective write per dataset) and aggregate the report.
@@ -55,7 +55,7 @@ from repro.core.stages import (
 )
 from repro.h5lite.file import H5LiteFile
 from repro.obs import span
-from repro.parallel.backend import ExecutionBackend, WorkloadTally, make_backend
+from repro.parallel.backend import ExecutionBackend, WorkloadTally, as_backend
 from repro.parallel.iomodel import RankWorkload
 from repro.parallel.mpi_sim import SimComm
 
@@ -194,30 +194,15 @@ class AMRICWriter:
     method_name = "amric"
 
     def __init__(self, config: AMRICConfig | None = None,
-                 backend: "ExecutionBackend | str | None" = None,
+                 backend: Optional[ExecutionBackend] = None,
                  comm: Optional[SimComm] = None, **overrides):
         config = config or AMRICConfig()
         if overrides:
             config = config.with_overrides(**overrides)
         self.config = config
-        # a backend the writer built from config it also owns (and closes);
-        # a caller-supplied ExecutionBackend stays the caller's to manage
-        self._owns_backend = not isinstance(backend, ExecutionBackend)
-        self.backend = make_backend(backend if backend is not None else config.backend,
-                                    config.backend_workers)
+        #: where the encode jobs run; the caller's, never closed here
+        self.backend = as_backend(backend)
         self.comm = comm
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release the writer-owned backend pool (idempotent)."""
-        if self._owns_backend:
-            self.backend.close()
-
-    def __enter__(self) -> "AMRICWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     def write_plotfile(self, hierarchy: AmrHierarchy, path: Optional[str] = None) -> WriteReport:

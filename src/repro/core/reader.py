@@ -21,8 +21,8 @@ The read side mirrors the writer's staged decomposition
     :class:`~repro.core.filter_mod.ChunkPlan`).  A :class:`DecodeJob` is a
     plain picklable dataclass (raw bytes, the stored filter id, recipe and
     plans), so per-dataset decode jobs run through any
-    :class:`~repro.parallel.backend.ExecutionBackend` (serial, shm) with
-    bit-identical results.
+    :class:`~repro.parallel.backend.ExecutionBackend` with bit-identical
+    results.
 ``place`` (:func:`place_dataset`)
     Scatter the decoded blocks into the hierarchy :func:`PlotfileHandle.read`
     rebuilds from the header, at the slices the layout precomputes once per
@@ -68,7 +68,7 @@ from repro.core.header import (
 from repro.core.preprocess import LevelLayout, level_layouts
 from repro.h5lite.file import DatasetInfo, H5LiteFile
 from repro.h5lite.filters import Filter, NoCompressionFilter
-from repro.parallel.backend import ExecutionBackend, SerialBackend, make_backend
+from repro.parallel.backend import ExecutionBackend, as_backend
 from repro.errors import CorruptFileError
 from repro.parallel.mpi_sim import SimComm
 
@@ -415,27 +415,28 @@ class PlotfileHandle:
       metadata only, no chunk is touched;
     * :meth:`read_field` — decodes exactly the unit blocks that intersect
       the requested box (cached per block; see :attr:`stats`);
-    * :meth:`read` — the full staged scan/decode/place/refill pipeline,
-      optionally over a pooled execution backend.
+    * :meth:`read` — the full staged scan/decode/place/refill pipeline.
+
+    Every decode job runs on the ``backend`` the handle was opened with: the
+    caller's instance, never closed here (None decodes inline).
 
     Decoded blocks live in a :class:`~repro.service.cache.ChunkCache` under
     ``(path, dataset, slot)`` keys: the caller's shared one (``cache``), else
     a private one of the default byte budget.
     """
 
-    def __init__(self, path: str,
-                 backend: "ExecutionBackend | str | None" = None,
+    def __init__(self, path: str, backend: Optional[ExecutionBackend] = None,
                  cache=None, source=None):
         # deferred so a bare ``import repro`` loads nothing of repro.service
         from repro.service.cache import ChunkCache
 
+        self._backend = as_backend(backend)
         self._file = H5LiteFile(path, "r", source=source)
         try:
             self.header = parse_plotfile_header(self._file)
         except ValueError:
             self._file.close()
             raise
-        self._backend_spec = backend
         self._plan: Optional[ReadPlan] = None
         self._cache = cache if cache is not None else ChunkCache()
         self.stats = ReadStats()
@@ -539,7 +540,6 @@ class PlotfileHandle:
 
     # -- the block door -------------------------------------------------
     def _blocks(self, needed: Mapping[DatasetReadPlan, Iterable[int]],
-                backend: Optional[ExecutionBackend] = None,
                 comm: Optional[SimComm] = None, store: bool = True,
                 ) -> Dict[DatasetReadPlan, Dict[int, np.ndarray]]:
         """The one door to decoded unit blocks: ``{dataset: {slot: block}}``.
@@ -574,7 +574,7 @@ class PlotfileHandle:
         self.stats.datasets_decoded += len(pending)
         # pieces so far of blocks cut across chunks (stream-aligned datasets)
         partial: Dict[Tuple[DatasetReadPlan, int], List[np.ndarray]] = {}
-        for dplan, chunk, ordinal, block in self._decode_missing(pending, backend, comm):
+        for dplan, chunk, ordinal, block in self._decode_missing(pending, comm):
             slot = dplan._head[chunk] + ordinal
             first, last = dplan._span[slot]
             if first != last:
@@ -596,7 +596,6 @@ class PlotfileHandle:
         return out
 
     def _decode_missing(self, pending: Mapping[DatasetReadPlan, Mapping[int, List[int]]],
-                        backend: Optional[ExecutionBackend],
                         comm: Optional[SimComm],
                         ) -> Iterator[Tuple[DatasetReadPlan, int, int, np.ndarray]]:
         """Decode the blocks no cache held, given per dataset as ``{chunk:
@@ -604,22 +603,21 @@ class PlotfileHandle:
         those (chunks ascending within a dataset).
 
         One decode job per dataset — cut into per-worker jobs while the batch
-        has fewer datasets than a pooled ``backend`` has workers — submitted
+        has fewer datasets than the handle's backend has workers — submitted
         through ``comm`` (:meth:`~repro.parallel.mpi_sim.SimComm.run_jobs`) as
         one batch with one barrier, mirroring the writer's encode stage.  Jobs
         are pure functions of the stored bytes, so every backend and every
         split yields identical blocks.
         """
         plan = self._scan()
-        width = backend.parallel_width() if backend is not None else 1
+        width = self._backend.parallel_width()
         nparts = -(-width // len(pending))
         jobs = [(dplan, make_decode_job(self._file, dplan,
                                         {chunk: wanted[chunk] for chunk in part}))
                 for dplan, wanted in pending.items()
                 for part in _split_indices(list(wanted), nparts)]
         comm = comm if comm is not None else SimComm(plan.nranks)
-        results = comm.run_jobs(backend if backend is not None else SerialBackend(),
-                                decode_job, [job for _, job in jobs])
+        results = comm.run_jobs(self._backend, decode_job, [job for _, job in jobs])
         for (dplan, job), result in zip(jobs, results):
             self.stats.chunks_decoded += len(job.chunk_indices)
             for (chunk, ordinal), block in zip(result.pieces, result.blocks):
@@ -689,8 +687,7 @@ class PlotfileHandle:
                 self._assemble(fine, blocks, fill_value), read.ratio)
         return out
 
-    def _read_boxes(self, requests: Sequence[Tuple],
-                    backend: Optional[ExecutionBackend] = None) -> List[np.ndarray]:
+    def _read_boxes(self, requests: Sequence[Tuple]) -> List[np.ndarray]:
         """Answer :meth:`read_field` argument tuples ``(name, level, box,
         refill, fill_value, max_level)`` together: the union of the blocks
         they meet goes through :meth:`_blocks` once, so requests that overlap
@@ -698,7 +695,7 @@ class PlotfileHandle:
         needed: Dict[DatasetReadPlan, set] = {}
         reads = [(self._plan_box(name, level, box, refill, max_level, needed), fill_value)
                  for name, level, box, refill, fill_value, max_level in requests]
-        blocks = self._blocks(needed, backend=backend)
+        blocks = self._blocks(needed)
         return [self._assemble(read, blocks, fill_value) for read, fill_value in reads]
 
     def read_field(self, name: str, level: int = 0, box: Optional[Box] = None,
@@ -725,29 +722,19 @@ class PlotfileHandle:
             [(name, level, box, refill, fill_value, max_level)])[0]
 
     # -- the full staged read ------------------------------------------
-    def read(self, backend: "ExecutionBackend | str | None" = None,
-             comm: Optional[SimComm] = None) -> AmrHierarchy:
+    def read(self, comm: Optional[SimComm] = None) -> AmrHierarchy:
         """Reconstruct the whole hierarchy (scan → decode → place → refill).
 
-        ``backend`` follows the writer's convention: a name builds a backend
-        owned (and closed) by this call, an :class:`ExecutionBackend`
-        instance stays the caller's to manage.  Blocks :meth:`read_field`
-        already decoded are reused; every call returns a fresh hierarchy.
+        Blocks :meth:`read_field` already decoded are reused; every call
+        returns a fresh hierarchy.
         """
         plan = self._scan()
         if comm is not None and comm.size != plan.nranks:
             raise ValueError(
                 f"communicator has {comm.size} ranks but the plotfile is "
                 f"distributed over {plan.nranks}")
-        spec = backend if backend is not None else self._backend_spec
-        owns = not isinstance(spec, ExecutionBackend)
-        resolved = make_backend(spec)
-        try:
-            blocks = self._blocks({d: range(d.layout.nblocks) for d in plan.datasets},
-                                  backend=resolved, comm=comm, store=False)
-        finally:
-            if owns:
-                resolved.close()
+        blocks = self._blocks({d: range(d.layout.nblocks) for d in plan.datasets},
+                              comm=comm, store=False)
         structure = template_from_header(self.header)
         for dplan in plan.datasets:
             place_dataset(structure, dplan, blocks.pop(dplan))

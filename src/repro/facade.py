@@ -29,6 +29,7 @@ from repro.amr.hierarchy import AmrHierarchy
 from repro.core.config import AMRICConfig
 from repro.core.pipeline import AMRICWriter, WriteReport
 from repro.core.reader import PlotfileHandle
+from repro.parallel.backend import as_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.series.reader import SeriesHandle
@@ -59,9 +60,9 @@ def open_plotfile(path: str, backend=None, cache=None,
     Plotfiles are self-describing (format v2), so the path is all a read
     needs; a file without the header, or of another format version, is
     rejected with :class:`~repro.errors.CorruptFileError` (a ``ValueError``).
-    ``backend`` ("serial", "shm" or an
-    :class:`~repro.parallel.backend.ExecutionBackend`) runs the full-read
-    decode jobs.  ``cache`` opts the handle into a shared
+    ``backend`` — None (inline) or an
+    :class:`~repro.parallel.backend.ExecutionBackend` instance the caller
+    builds and closes — runs the handle's decode jobs.  ``cache`` opts the handle into a shared
     :class:`~repro.service.cache.ChunkCache` so overlapping consumers decode
     each chunk once; by default every handle keeps a private one of the
     default byte budget.
@@ -98,14 +99,18 @@ def write_plotfile(hierarchy: AmrHierarchy, path: Optional[str] = None, *,
     writer:
         An already-configured writer object (anything with
         ``write_plotfile``); ``method`` is then ignored, and combining it
-        with ``config``/overrides raises (they could not take effect).
+        with ``config``/``backend``/overrides raises (they could not take
+        effect).
     backend:
-        Execution backend for the AMRIC encode jobs (name or instance).
+        None (inline) or an
+        :class:`~repro.parallel.backend.ExecutionBackend` instance for the
+        AMRIC encode jobs; the caller builds it and closes it.
     """
+    as_backend(backend)                     # a name is a TypeError on every path
     if writer is not None:
-        if config is not None or overrides:
-            conflicting = ["config"] if config is not None else []
-            conflicting += sorted(overrides)
+        conflicting = [name for name, value in (("config", config), ("backend", backend))
+                       if value is not None] + sorted(overrides)
+        if conflicting:
             raise ValueError(
                 f"writer= already carries its configuration; "
                 f"{', '.join(conflicting)} would be silently ignored")
@@ -115,8 +120,7 @@ def write_plotfile(hierarchy: AmrHierarchy, path: Optional[str] = None, *,
         cfg = config or AMRICConfig()
         if overrides:
             cfg = cfg.with_overrides(**overrides)
-        with AMRICWriter(cfg, backend=backend) as amric:
-            return amric.write_plotfile(hierarchy, path)
+        return AMRICWriter(cfg, backend=backend).write_plotfile(hierarchy, path)
     if config is not None or backend is not None:
         raise ValueError(
             f"method {canonical!r} accepts neither an AMRIC config nor a backend")
@@ -167,7 +171,7 @@ def write_series(hierarchies: Iterable[AmrHierarchy], directory: str, *,
     (:mod:`repro.stream`), so concurrent readers and ``subscribe`` clients
     see steps as they land; the manifest is written once, when the last step
     is in.  An interrupted run resumes by calling again with ``append=True``
-    on the same directory.
+    on the same directory.  ``backend`` is as in :func:`write_plotfile`.
     """
     from repro.series.writer import write_series as _write_series
 

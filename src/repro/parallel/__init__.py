@@ -24,13 +24,11 @@ from repro.parallel.mpi_sim import SimComm
 from repro.parallel.filesystem import ParallelFileSystem
 from repro.parallel.iomodel import IOCostModel, WriteTimeBreakdown, RankWorkload
 from repro.parallel.backend import (
-    BACKENDS,
     ExecutionBackend,
     SerialBackend,
     SharedMemoryBackend,
     WorkloadTally,
     apportion,
-    make_backend,
 )
 
 __all__ = [
@@ -42,8 +40,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "SharedMemoryBackend",
-    "BACKENDS",
-    "make_backend",
     "apportion",
     "WorkloadTally",
 ]

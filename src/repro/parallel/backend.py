@@ -15,8 +15,10 @@ sequence of per-rank chunk encodes — see :mod:`repro.core.stages`).  An
   which is what makes the pooled write byte-identical to the serial one.
   See :mod:`repro.parallel.shm` for the wire format.
 
-:data:`BACKENDS` is the one list of backend names; the config and the CLI
-import it.
+:func:`as_backend` is the one rule for every ``backend=`` parameter: None
+runs inline, an instance runs there, and nothing else is accepted.  A backend
+is passed, never named — the caller builds it and the caller closes it; the
+library never closes a backend it was given.
 
 The module also owns the per-rank accounting that used to be hand-tallied in
 the writer loop:
@@ -34,10 +36,8 @@ from __future__ import annotations
 
 import abc
 import os
-import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -51,8 +51,7 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "SharedMemoryBackend",
-    "BACKENDS",
-    "make_backend",
+    "as_backend",
     "apportion",
     "WorkloadTally",
 ]
@@ -75,28 +74,9 @@ class ExecutionBackend(abc.ABC):
 
     name: str = "base"
 
-    # map-call accounting (class attrs double as zero defaults so subclasses
-    # need no __init__ cooperation; the first += creates instance attrs).
-    # One shared lock is fine — it is taken once per map() call, not per item.
-    maps: int = 0
-    items_mapped: int = 0
-    map_seconds: float = 0.0
-    _tally_lock = threading.Lock()
-
     @abc.abstractmethod
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
         """Run ``fn`` over ``items``, returning results in submission order."""
-
-    def _tally_map(self, nitems: int, seconds: float) -> None:
-        with self._tally_lock:
-            self.maps += 1
-            self.items_mapped += nitems
-            self.map_seconds += seconds
-
-    def map_stats(self) -> Dict[str, float]:
-        """Lifetime map-call accounting: calls, items, wall seconds."""
-        return {"maps": self.maps, "items": self.items_mapped,
-                "seconds": self.map_seconds}
 
     def parallel_width(self) -> int:
         """How many items can genuinely make progress at once (1 = inline).
@@ -125,11 +105,7 @@ class SerialBackend(ExecutionBackend):
     name = "serial"
 
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        t0 = time.perf_counter()
-        try:
-            return [fn(item) for item in items]
-        finally:
-            self._tally_map(len(items), time.perf_counter() - t0)
+        return [fn(item) for item in items]
 
 
 class SharedMemoryBackend(ExecutionBackend):
@@ -155,7 +131,7 @@ class SharedMemoryBackend(ExecutionBackend):
         if not shm_mod.HAVE_SHARED_MEMORY:  # pragma: no cover - exotic platform
             raise RuntimeError(
                 "multiprocessing.shared_memory is unavailable on this "
-                "platform; use the 'serial' backend instead")
+                "platform; pass backend=None to run inline instead")
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
@@ -178,7 +154,6 @@ class SharedMemoryBackend(ExecutionBackend):
         if not items:
             return []
         executor = self._ensure_executor()
-        t0 = time.perf_counter()
         wire_items, batch_segment = shm_mod.pack_batch(items)
         tasks = [(fn, item) for item in wire_items]
         chunk = _tuned_chunksize(len(tasks), self.parallel_width())
@@ -204,7 +179,6 @@ class SharedMemoryBackend(ExecutionBackend):
                 results.append(shm_mod.adopt_result(wire))
             except BaseException as exc:     # adopt the rest before raising
                 error = error or exc
-        self._tally_map(len(items), time.perf_counter() - t0)
         if error is not None:
             raise error
         return results
@@ -221,21 +195,20 @@ class SharedMemoryBackend(ExecutionBackend):
         return f"SharedMemoryBackend(max_workers={self.max_workers})"
 
 
-#: every backend name the API, the config and the CLI accept
-BACKENDS = ("serial", "shm")
+def as_backend(backend: Optional[ExecutionBackend]) -> ExecutionBackend:
+    """The backend a ``backend=`` parameter runs on: a :class:`SerialBackend`
+    for None, else the caller's own instance — which the caller closes.
 
-
-def make_backend(spec: "str | ExecutionBackend | None",
-                 max_workers: Optional[int] = None) -> ExecutionBackend:
-    """Build a backend from a :data:`BACKENDS` name or pass an instance through."""
-    if spec is None or spec == "serial":
+    Anything else is refused with :class:`TypeError`, a name like ``"shm"``
+    included: build the instance, e.g. ``SharedMemoryBackend(max_workers=2)``.
+    """
+    if backend is None:
         return SerialBackend()
-    if isinstance(spec, ExecutionBackend):
-        return spec
-    if spec == "shm":
-        return SharedMemoryBackend(max_workers)
-    raise ValueError(
-        f"unknown backend {spec!r}; expected one of {', '.join(BACKENDS)}")
+    if not isinstance(backend, ExecutionBackend):
+        raise TypeError(
+            "backend must be None or an ExecutionBackend instance the caller "
+            f"builds and closes (e.g. SharedMemoryBackend()), got {backend!r}")
+    return backend
 
 
 # ----------------------------------------------------------------------

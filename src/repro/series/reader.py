@@ -184,9 +184,8 @@ class SeriesStepHandle(PlotfileHandle):
                     entry = None
 
     def _decode_missing(self, pending: Mapping[DatasetReadPlan, Mapping[int, List[int]]],
-                        backend, comm
-                        ) -> Iterator[Tuple[DatasetReadPlan, int, int, np.ndarray]]:
-        # ``backend`` and ``comm`` go unused: a group's streams share entropy
+                        comm) -> Iterator[Tuple[DatasetReadPlan, int, int, np.ndarray]]:
+        # no backend runs here and ``comm`` goes unused: a group's streams share entropy
         # passes in this process, and what they resolve to lives in this
         # process's per-series code cache.  A code stream is whole-chunk by
         # nature (a delta adds onto the same chunk of its reference), so every
@@ -433,9 +432,9 @@ class SeriesHandle:
                                                fill_value=fill_value,
                                                max_level=max_level)
 
-    def read(self, step: int = -1, backend=None) -> AmrHierarchy:
+    def read(self, step: int = -1) -> AmrHierarchy:
         """Fully reconstruct one step's hierarchy."""
-        return self.open_step(step).read(backend=backend)
+        return self.open_step(step).read()
 
     def time_slice(self, name: str, box: Optional[Box] = None, level: int = 0,
                    steps: Optional[Sequence[int]] = None, refill: bool = True,

@@ -15,9 +15,9 @@ a plotfile's, then swaps the spatial encode stage for temporal encode jobs:
   so the series always contains self-contained restart points.
 
 Jobs are plain picklable dataclasses submitted through
-:meth:`~repro.parallel.mpi_sim.SimComm.run_jobs` to any execution backend
-(serial / shm), mirroring the plotfile writer — every backend
-commits byte-identical series.
+:meth:`~repro.parallel.mpi_sim.SimComm.run_jobs` to the caller's execution
+backend (inline when none is given), mirroring the plotfile writer — every
+backend commits byte-identical series.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from repro.core.header import build_header, structure_fingerprint
 from repro.core.pipeline import LevelFieldRecord, WriteReport, stamp_attrs, writer_comm
 from repro.core.stages import DatasetPlan, dataset_record, pack_dataset, plan_write
 from repro.h5lite.file import H5LiteFile
-from repro.parallel.backend import ExecutionBackend, WorkloadTally, make_backend
+from repro.parallel.backend import ExecutionBackend, WorkloadTally, as_backend
 from repro.parallel.mpi_sim import SimComm
 from repro.series.index import (
     SERIES_FORMAT_VERSION,
@@ -204,9 +204,11 @@ class SeriesWriter:
 
     def __init__(self, directory: str, config: Optional[AMRICConfig] = None,
                  keyframe_interval: int = 8,
-                 backend: "ExecutionBackend | str | None" = None,
+                 backend: Optional[ExecutionBackend] = None,
                  comm: Optional[SimComm] = None, append: bool = False,
                  **overrides):
+        #: where the temporal encode jobs run; the caller's, never closed here
+        self.backend = as_backend(backend)
         config = config or AMRICConfig()
         if overrides:
             config = config.with_overrides(**overrides)
@@ -229,9 +231,6 @@ class SeriesWriter:
                     f"{self.directory!r} already holds a series; write each "
                     "series into a fresh directory, or resume it with append=True")
             self._recover()
-        self._owns_backend = not isinstance(backend, ExecutionBackend)
-        self.backend = make_backend(backend if backend is not None else config.backend,
-                                    config.backend_workers)
         self.comm = comm
         self.reports: List[WriteReport] = []
 
@@ -279,16 +278,12 @@ class SeriesWriter:
         """
         self._aborted = True
         self.journal.close()
-        if self._owns_backend:
-            self.backend.close()
 
     def close(self) -> None:
-        """Finalize and release the writer-owned backend pool."""
+        """Finalize (unless aborted) and close the journal."""
         if not self._aborted:
             self.finalize()
         self.journal.close()
-        if self._owns_backend:
-            self.backend.close()
 
     def __enter__(self) -> "SeriesWriter":
         return self
@@ -489,7 +484,7 @@ class SeriesWriter:
 def write_series(hierarchies: Iterable[AmrHierarchy], directory: str, *,
                  config: Optional[AMRICConfig] = None,
                  keyframe_interval: int = 8,
-                 backend: "ExecutionBackend | str | None" = None,
+                 backend: Optional[ExecutionBackend] = None,
                  append: bool = False,
                  **overrides) -> List[WriteReport]:
     """Write a whole series in one call (exported as :func:`repro.write_series`).

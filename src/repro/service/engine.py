@@ -37,7 +37,6 @@ from repro.amr.box import Box
 from repro.core.reader import PlotfileHandle
 from repro.h5lite.source import SourceStats
 from repro.obs import MetricsRegistry, current_trace_id, get_registry, span
-from repro.parallel.backend import ExecutionBackend, make_backend
 from repro.series.reader import SeriesHandle, is_series_dir
 from repro.service.cache import DEFAULT_CACHE_BYTES, ChunkCache
 
@@ -99,8 +98,6 @@ class QueryEngine:
 
     def __init__(self, cache: Optional[ChunkCache] = None,
                  cache_bytes: int = DEFAULT_CACHE_BYTES,
-                 backend: "ExecutionBackend | str | None" = None,
-                 max_workers: Optional[int] = None,
                  source=None, registry: Optional[MetricsRegistry] = None):
         self.cache = cache if cache is not None else ChunkCache(cache_bytes)
         #: this engine's metrics spine.  Private by default so a server's
@@ -114,13 +111,6 @@ class QueryEngine:
         #: byte-source recipe (spec string / factory) every pooled handle
         #: opens its file through; None = plain local files
         self._source_spec = source
-        # ``backend`` hands each batch's decode groups to a pooled execution
-        # backend (e.g. 'shm'); None keeps every decode inline.  The usual
-        # ownership convention: a name builds a pool the engine closes, an
-        # instance stays the caller's.
-        self._owns_backend = not isinstance(backend, ExecutionBackend)
-        self._backend: Optional[ExecutionBackend] = \
-            None if backend is None else make_backend(backend, max_workers)
         self._plotfiles: Dict[str, PlotfileHandle] = {}
         self._series: Dict[str, SeriesHandle] = {}
         self._lock = threading.Lock()
@@ -141,8 +131,6 @@ class QueryEngine:
                 series.close()
             self._plotfiles.clear()
             self._series.clear()
-            if self._backend is not None and self._owns_backend:
-                self._backend.close()
             self._closed = True
 
     def __enter__(self) -> "QueryEngine":
@@ -254,7 +242,7 @@ class QueryEngine:
                 group = [queries[position] for position in positions]
                 arrays = handle._read_boxes(
                     [(q.field, q.level, q.box, q.refill, q.fill_value, q.max_level)
-                     for q in group], backend=self._backend)
+                     for q in group])
                 for position, array in zip(positions, arrays):
                     answers[position] = array
             sp.add_bytes(sum(int(a.nbytes) for a in answers))
@@ -323,15 +311,6 @@ class QueryEngine:
              float(sum(s.index_reloads for s in series))),
         ]
         rows.extend(io.samples())
-        if self._backend is not None:
-            tally = self._backend.map_stats()
-            labels = {"backend": self._backend.name}
-            rows.append(("repro_backend_maps_total", "counter", labels,
-                         float(tally["maps"])))
-            rows.append(("repro_backend_items_total", "counter", labels,
-                         float(tally["items"])))
-            rows.append(("repro_backend_map_seconds_total", "counter", labels,
-                         float(tally["seconds"])))
         return rows
 
     def metrics_snapshot(self, include_global: bool = True) -> Dict[str, object]:

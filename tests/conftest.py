@@ -178,3 +178,21 @@ class ParentChunkDoor:
 def parent_chunk_door():
     """:class:`ParentChunkDoor` (a class: one instance per open handle)."""
     return ParentChunkDoor
+
+
+# ----------------------------------------------------------------------
+# execution backends, passed as the instances the library takes
+# ----------------------------------------------------------------------
+@pytest.fixture
+def backend(request):
+    """The backend an indirect ``backend`` parameter names — None (inline),
+    ``"serial"`` or ``"shm"`` (a 2-worker shared-memory pool) — built as the
+    instance every ``backend=`` takes.  The test owns it; it is closed after."""
+    from repro.parallel.backend import SerialBackend, SharedMemoryBackend
+
+    if request.param is None:
+        yield None
+        return
+    with (SharedMemoryBackend(max_workers=2) if request.param == "shm"
+          else SerialBackend()) as instance:
+        yield instance

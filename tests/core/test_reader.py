@@ -25,8 +25,9 @@ from repro.core.reader import decode_job, make_decode_job, scan_plotfile
 from repro.core import stages
 from repro.h5lite.file import H5LiteFile
 from repro.parallel import SimComm
-from repro.parallel.backend import SharedMemoryBackend, make_backend
+from repro.parallel.backend import SharedMemoryBackend
 
+#: names of the backend instances the shared ``backend`` fixture builds
 BACKENDS = ("serial", "shm")
 
 
@@ -152,7 +153,7 @@ class TestSelfDescribingRoundTrip:
             assert np.max(np.abs(orig[kept] - rec[kept])) <= \
                 1e-3 * max(vrange, 1e-30) * (1 + 1e-6), (lvl, name)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
     def test_backends_bit_identical(self, nyx_hierarchy, tmp_path, backend):
         path = tmp_path / "plt.h5z"
         _write(nyx_hierarchy, path, error_bound=1e-3)
@@ -168,22 +169,6 @@ class TestSelfDescribingRoundTrip:
             _read(path, backend=backend)         # must not shut the pool down
             assert backend._executor is not None
             _read(path, backend=backend)
-
-    def test_named_backend_is_closed_by_the_read(self, nyx_hierarchy, tmp_path,
-                                                 monkeypatch):
-        import repro.core.reader as reader_mod
-
-        path = tmp_path / "plt.h5z"
-        _write(nyx_hierarchy, path, error_bound=1e-3)
-        built = []
-
-        def recording(spec, *args):
-            built.append(make_backend(spec, *args))
-            return built[-1]
-
-        monkeypatch.setattr(reader_mod, "make_backend", recording)
-        _read(path, backend="shm")
-        assert len(built) == 1 and built[0]._executor is None
 
     def test_mismatched_comm_rejected(self, nyx_hierarchy, tmp_path):
         path = tmp_path / "plt.h5z"
@@ -682,13 +667,13 @@ class TestOnePassPerJob:
     PRESETS = {"nyx_1": {"coarse_shape": (16, 16, 16), "max_grid_size": 8},
                "warpx_1": {"coarse_shape": (8, 8, 32), "max_grid_size": 16}}
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
     @pytest.mark.parametrize("codec", CODECS)
     def test_job_of_n_payloads_equals_n_one_payload_jobs(
             self, multirank_hierarchy, tmp_path, codec, backend):
         path = tmp_path / "plt.h5z"
         _write(multirank_hierarchy, path, compressor=codec, error_bound=1e-3)
-        with H5LiteFile(str(path), "r") as f, make_backend(backend) as pool:
+        with H5LiteFile(str(path), "r") as f:
             plan = scan_plotfile(f)
             every = [d.pieces_of(range(d.layout.nblocks)) for d in plan.datasets]
             whole = [make_decode_job(f, d, wanted)
@@ -696,8 +681,8 @@ class TestOnePassPerJob:
             single = [make_decode_job(f, d, {chunk: wanted[chunk]})
                       for d, wanted in zip(plan.datasets, every) for chunk in wanted]
             assert max(len(job.payloads) for job in whole) > 1
-            alone = iter(pool.map(decode_job, single))
-            for job, result in zip(whole, pool.map(decode_job, whole)):
+            alone = iter(backend.map(decode_job, single))
+            for job, result in zip(whole, backend.map(decode_job, whole)):
                 pieces, blocks = [], []
                 for _ in job.chunk_indices:
                     one = next(alone)
@@ -713,14 +698,14 @@ class TestOnePassPerJob:
             d, wanted = plan.datasets[0], every[0]
             some = {chunk: ordinals[::2] for chunk, ordinals in wanted.items()}
             assert sum(map(len, some.values())) < sum(map(len, wanted.values()))
-            full, part = pool.map(decode_job, [whole[0], make_decode_job(f, d, some)])
+            full, part = backend.map(decode_job, [whole[0], make_decode_job(f, d, some)])
             by_piece = dict(zip(full.pieces, full.blocks))
             asked = [(chunk, ordinal) for chunk, ordinals in some.items() for ordinal in ordinals]
             assert part.pieces == (asked if codec == "sz_lr" else full.pieces)
             for piece, block in zip(part.pieces, part.blocks):
                 assert block.tobytes() == by_piece[piece].tobytes()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_preset_read_equals_chunk_at_a_time_reference(self, tmp_path, preset, backend,
                                                           parent_chunk_door):
@@ -730,8 +715,8 @@ class TestOnePassPerJob:
         path = str(tmp_path / f"{preset}.h5z")
         repro.write(hierarchy, path, compressor="sz_lr",
                     error_bound=RUN_PRESETS[preset].error_bound_amric)
-        with repro.open(path) as handle:
-            got = handle.read(backend=backend)
+        with repro.open(path, backend=backend) as handle:
+            got = handle.read()
             assert max(d.nchunks for d in handle._scan().datasets) > 1
             want = parent_chunk_door(handle).read()
         for level_want, level_back in zip(want.levels, got.levels):

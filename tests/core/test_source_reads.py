@@ -71,7 +71,7 @@ class TestPlotfileIdentity:
         for key, expected in baseline.items():
             np.testing.assert_array_equal(got[key], expected, err_msg=str(key))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
     def test_backends_identical_over_range_source(self, codec_plotfile,
                                                   baseline, backend):
         with repro.open(codec_plotfile, backend=backend,

@@ -214,14 +214,6 @@ class TestBackendEquivalence:
         assert serial.rank_workloads == pooled.rank_workloads
         assert serial.collectives == pooled.collectives
 
-    def test_config_backend_string(self, nyx_hierarchy):
-        serial = AMRICWriter(AMRICConfig(error_bound=1e-3)).write_plotfile(nyx_hierarchy)
-        # writer-owned pools are released by close() / the context manager
-        with AMRICWriter(AMRICConfig(error_bound=1e-3, backend="shm",
-                                     backend_workers=2)) as writer:
-            pooled = writer.write_plotfile(nyx_hierarchy)
-        assert serial.records == pooled.records
-
     def test_mismatched_comm_rejected(self, nyx_hierarchy):
         nranks = max(lvl.multifab.distribution.nranks
                      for lvl in nyx_hierarchy.levels)
@@ -231,12 +223,12 @@ class TestBackendEquivalence:
             writer.write_plotfile(nyx_hierarchy)
 
     def test_parallel_file_reads_back(self, nyx_hierarchy, tmp_path):
-        cfg = AMRICConfig(error_bound=1e-3, backend="shm", backend_workers=2)
         path = str(tmp_path / "plt.h5z")
-        with AMRICWriter(cfg) as writer:
-            writer.write_plotfile(nyx_hierarchy, path)
-        with repro.open(path, backend="shm") as handle:
-            back = handle.read()
+        with SharedMemoryBackend(max_workers=2) as backend:
+            AMRICWriter(AMRICConfig(error_bound=1e-3), backend=backend).write_plotfile(
+                nyx_hierarchy, path)
+            with repro.open(path, backend=backend) as handle:
+                back = handle.read()
         for name in nyx_hierarchy.component_names:
             vrange = nyx_hierarchy[1].multifab.value_range(name)
             orig = nyx_hierarchy[1].multifab.to_global(name, nyx_hierarchy[1].domain)

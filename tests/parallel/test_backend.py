@@ -1,19 +1,23 @@
-"""Execution backends, byte apportionment and the workload tally."""
+"""Execution backends, who owns them, byte apportionment and the workload tally."""
+
+import os
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
+from repro.core import AMRICWriter
 from repro.parallel import RankWorkload, SimComm
 from repro.parallel.backend import (
-    BACKENDS,
     SerialBackend,
     SharedMemoryBackend,
     WorkloadTally,
     _tuned_chunksize,
     apportion,
-    make_backend,
+    as_backend,
 )
+from repro.series import SeriesWriter
 
 
 def _square(x):
@@ -43,23 +47,18 @@ class TestBackends:
             backend.close()
             assert backend.map(_square, [5]) == [25]
 
-    def test_make_backend_specs(self):
-        assert BACKENDS == ("serial", "shm")
-        assert isinstance(make_backend(None), SerialBackend)
-        assert isinstance(make_backend("serial"), SerialBackend)
-        assert isinstance(make_backend("shm", 2), SharedMemoryBackend)
-        backend = SerialBackend()
-        assert make_backend(backend) is backend
-        for gone in ("thread", "process", "shared_memory", "quantum"):
-            with pytest.raises(ValueError, match="expected one of serial, shm$"):
-                make_backend(gone)
+    def test_as_backend_takes_none_or_an_instance(self):
+        assert isinstance(as_backend(None), SerialBackend)
+        backend = SharedMemoryBackend(2)
+        assert as_backend(backend) is backend
+        for name in ("serial", "shm", "quantum", 2):
+            with pytest.raises(TypeError, match="ExecutionBackend instance"):
+                as_backend(name)
 
     def test_pool_width_below_one_rejected_at_construction(self):
-        for build in (lambda: make_backend("shm", 0),
-                      lambda: SharedMemoryBackend(0),
-                      lambda: SharedMemoryBackend(-2)):
+        for workers in (0, -2):
             with pytest.raises(ValueError, match="max_workers must be >= 1"):
-                build()
+                SharedMemoryBackend(workers)
 
     def test_simcomm_run_jobs_counts_barrier(self):
         comm = SimComm(4)
@@ -104,6 +103,71 @@ class TestBackends:
     def test_parallel_width(self):
         assert SerialBackend().parallel_width() == 1
         assert SharedMemoryBackend(max_workers=5).parallel_width() == 5
+
+
+class CountingBackend(SerialBackend):
+    """A caller's backend that counts what the library does with it."""
+
+    def __init__(self):
+        self.maps = self.closes = 0
+
+    def map(self, fn, items):
+        self.maps += 1
+        return super().map(fn, items)
+
+    def close(self):
+        self.closes += 1
+
+
+class TestOwnership:
+    """The library runs its jobs on the caller's backend and never closes it;
+    a backend is passed, never named."""
+
+    def test_write_uses_it_and_leaves_it_open(self, nyx_hierarchy, tmp_path):
+        backend = CountingBackend()
+        repro.write(nyx_hierarchy, str(tmp_path / "plt.h5z"), error_bound=1e-3,
+                    backend=backend)
+        assert backend.maps == nyx_hierarchy.nlevels and backend.closes == 0
+
+    def test_open_read_uses_it_and_leaves_it_open(self, nyx_hierarchy, tmp_path):
+        path = str(tmp_path / "plt.h5z")
+        repro.write(nyx_hierarchy, path, error_bound=1e-3)
+        backend = CountingBackend()
+        with repro.open(path, backend=backend) as handle:
+            handle.read()
+            handle.read()
+        assert backend.maps == 2 and backend.closes == 0
+
+    def test_write_series_uses_it_and_leaves_it_open(self, tmp_path):
+        from repro.apps.nyx import NyxSimulation
+
+        sim = NyxSimulation(coarse_shape=(16, 16, 16), nranks=2, target_fine_density=0.03,
+                            max_grid_size=8, seed=7)
+        backend = CountingBackend()
+        reports = repro.write_series(sim.run(3), str(tmp_path / "run"),
+                                     error_bound=1e-3, backend=backend)
+        assert len(reports) == 3
+        assert backend.maps == 3 and backend.closes == 0
+
+    @pytest.mark.parametrize("name", ["shm", "serial"])
+    def test_a_name_is_a_type_error_and_leaves_no_file(self, nyx_hierarchy, tmp_path,
+                                                       name):
+        path, directory = str(tmp_path / "plt.h5z"), str(tmp_path / "run")
+        for call in (lambda: repro.write(nyx_hierarchy, path, backend=name),
+                     lambda: repro.write(nyx_hierarchy, path, method="nocomp",
+                                         backend=name),
+                     lambda: repro.write(nyx_hierarchy, path, writer=AMRICWriter(),
+                                         backend=name),
+                     lambda: AMRICWriter(backend=name),
+                     lambda: repro.write_series([nyx_hierarchy], directory,
+                                                backend=name),
+                     lambda: SeriesWriter(directory, backend=name)):
+            with pytest.raises(TypeError, match="ExecutionBackend instance"):
+                call()
+        assert os.listdir(tmp_path) == []
+        repro.write(nyx_hierarchy, path, error_bound=1e-3)
+        with pytest.raises(TypeError, match="ExecutionBackend instance"):
+            repro.open(path, backend=name)
 
 
 class TestApportion:

@@ -17,11 +17,7 @@ import pytest
 import repro
 from repro.core import AMRICConfig, AMRICWriter
 from repro.parallel import shm
-from repro.parallel.backend import (
-    SerialBackend,
-    SharedMemoryBackend,
-    make_backend,
-)
+from repro.parallel.backend import SerialBackend, SharedMemoryBackend
 
 pytestmark = pytest.mark.skipif(
     not shm.HAVE_SHARED_MEMORY,
@@ -156,33 +152,6 @@ class TestLifecycle:
 
 
 # ----------------------------------------------------------------------
-# resolution
-# ----------------------------------------------------------------------
-class TestResolution:
-    def test_make_backend_shm(self):
-        backend = make_backend("shm", 2)
-        assert isinstance(backend, SharedMemoryBackend)
-        assert backend.max_workers == 2
-        backend.close()
-
-    def test_config_accepts_shm(self):
-        cfg = AMRICConfig(backend="shm", backend_workers=2)
-        assert cfg.backend == "shm"
-        with pytest.raises(ValueError, match="backend_workers must be >= 1"):
-            AMRICConfig(backend="shm", backend_workers=0)
-        for gone in ("thread", "process", "shared_memory"):
-            with pytest.raises(ValueError, match=r"\('serial', 'shm'\)"):
-                AMRICConfig(backend=gone)
-
-    def test_cli_honours_repro_backend_shm(self, monkeypatch):
-        from repro.cli import build_parser
-
-        monkeypatch.setenv("REPRO_BACKEND", "shm")
-        args = build_parser().parse_args(["verify", "whatever.h5z"])
-        assert args.backend == "shm"
-
-
-# ----------------------------------------------------------------------
 # identity against serial (the acceptance bar)
 # ----------------------------------------------------------------------
 class TestIdentity:
@@ -209,8 +178,8 @@ class TestIdentity:
         with repro.open(path) as handle:
             serial = handle.read()
         with SharedMemoryBackend(max_workers=WORKERS) as backend:
-            with repro.open(path) as handle:
-                pooled = handle.read(backend=backend)
+            with repro.open(path, backend=backend) as handle:
+                pooled = handle.read()
         for level in range(serial.nlevels):
             for name in serial.component_names:
                 np.testing.assert_array_equal(
@@ -246,21 +215,21 @@ class TestIdentity:
                 (shm_dir / name).read_bytes(), name
         assert shm.live_segments() == []
 
-    def test_engine_box_reads_identical_to_inline(self, nyx_hierarchy, tmp_path):
-        """The query engine's pooled decode path (``backend='shm'``) answers
-        box queries element-wise identically to the inline default."""
-        from repro.service.engine import BoxQuery, QueryEngine
-
+    def test_box_reads_identical_to_inline(self, nyx_hierarchy, tmp_path):
+        """A handle opened on a pool decodes its box reads there, and answers
+        them element-wise identically to the inline default."""
         path = str(tmp_path / "plt.h5z")
         repro.write(nyx_hierarchy, path, compressor="sz_interp",
                     error_bound=1e-3)
         name = nyx_hierarchy.component_names[0]
-        queries = [BoxQuery(path=path, field=name, level=0, box=box)
-                   for box in nyx_hierarchy[0].boxarray.boxes[:3]]
-        with QueryEngine() as inline_engine:
-            inline = inline_engine.read_batch(queries)
-        with QueryEngine(backend="shm", max_workers=WORKERS) as shm_engine:
-            pooled = shm_engine.read_batch(queries)
-        for a, b in zip(inline, pooled):
+        requests = [(name, 0, box, True, 0.0, None)
+                    for box in nyx_hierarchy[0].boxarray.boxes[:3]]
+        with repro.open(path) as handle:
+            inline = handle._read_boxes(requests)
+        with SharedMemoryBackend(max_workers=WORKERS) as backend, \
+                repro.open(path, backend=backend) as handle:
+            pooled = handle._read_boxes(requests)
+            assert backend._executor is not None
+        for a, b in zip(inline, pooled, strict=True):
             np.testing.assert_array_equal(a, b)
         assert shm.live_segments() == []

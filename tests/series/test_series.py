@@ -14,6 +14,7 @@ from repro.compress.huffman import HuffmanCodec
 from repro.compress.temporal import MODE_DELTA, TemporalDeltaCodec
 from repro.h5lite.file import H5LiteFile
 from repro.h5lite.source import LocalFileSource, RangeSource
+from repro.parallel.backend import SharedMemoryBackend
 from repro.series import INDEX_FILENAME, SeriesIndex, SeriesWriter, open_series
 from repro.series.reader import _PASS_STREAMS
 from repro.service.cache import ChunkCache
@@ -117,11 +118,12 @@ class TestSeriesWriter:
 class TestBackendIdentity:
     def test_all_backends_write_identical_bytes(self, hierarchies, tmp_path):
         dirs = {}
-        for backend in ("serial", "shm"):
-            path = str(tmp_path / backend)
-            write_series(hierarchies[:4], path, keyframe_interval=4,
-                         error_bound=1e-3, backend=backend)
-            dirs[backend] = path
+        with SharedMemoryBackend(max_workers=2) as pool:
+            for name, backend in (("serial", None), ("shm", pool)):
+                path = str(tmp_path / name)
+                write_series(hierarchies[:4], path, keyframe_interval=4,
+                             error_bound=1e-3, backend=backend)
+                dirs[name] = path
         reference = dirs.pop("serial")
         files = sorted(f for f in os.listdir(reference) if f.endswith(".h5z")
                        and f != INDEX_FILENAME)
@@ -141,16 +143,6 @@ class TestSeriesReader:
                 for lvl_d, lvl_k in zip(hd.levels, hk.levels):
                     for fab_d, fab_k in zip(lvl_d.multifab, lvl_k.multifab):
                         assert np.array_equal(fab_d.data, fab_k.data)
-
-    @pytest.mark.parametrize("backend", ["serial", "shm"])
-    def test_full_read_on_every_backend(self, series_dir, backend):
-        with open_series(series_dir) as series:
-            reference = series.read(step=NSTEPS - 1)
-        with open_series(series_dir) as series:
-            hierarchy = series.read(step=NSTEPS - 1, backend=backend)
-        for lvl_a, lvl_b in zip(reference.levels, hierarchy.levels):
-            for fab_a, fab_b in zip(lvl_a.multifab, lvl_b.multifab):
-                assert np.array_equal(fab_a.data, fab_b.data)
 
     def test_error_bound_on_kept_cells(self, series_dir, hierarchies):
         with open_series(series_dir) as series:
@@ -329,8 +321,7 @@ class TestGroupedChainDecode:
                 for key, values in reference.items():
                     np.testing.assert_array_equal(got[key], values, err_msg=str(key))
 
-    @pytest.mark.parametrize("backend", ["serial", "shm"])
-    def test_read_and_time_slice_equal_the_reference(self, chained_dir, backend):
+    def test_read_and_time_slice_equal_the_reference(self, chained_dir):
         """The reference: the same geometry code over chunks decoded one stream
         at a time, their blocks planted in the step handles' block caches."""
         box = Box((2, 2, 2), (9, 9, 9))
@@ -348,7 +339,7 @@ class TestGroupedChainDecode:
             _, want_slice = planted.time_slice("temperature", box=box, refill=False)
             assert planted.stats.chunks_decoded == 0 == planted.stats.blocks_decoded
         with open_series(chained_dir) as series:
-            assert self._same_hierarchy(series.read(step=-1, backend=backend), want_last)
+            assert self._same_hierarchy(series.read(step=-1), want_last)
         with open_series(chained_dir) as series, \
                 open_series(chained_dir, cache=ChunkCache(max_bytes=64 << 10)) as bounded:
             for handle in (series, bounded):

@@ -211,8 +211,7 @@ class TestLegacyInfoSatellite:
 
         hierarchy = make_sim(seed=31).hierarchy
         modern = str(tmp_path / "modern.h5z")
-        with AMRICWriter(error_bound=1e-3) as writer:
-            writer.write_plotfile(hierarchy, modern)
+        AMRICWriter(error_bound=1e-3).write_plotfile(hierarchy, modern)
         legacy = str(tmp_path / "legacy.h5z")
         with H5LiteFile(modern, "r") as src, H5LiteFile(legacy, "w") as dst:
             dst.attrs.update(src.attrs)

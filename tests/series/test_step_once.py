@@ -109,8 +109,7 @@ def test_a_delta_step_does_each_stage_once_per_chunk(hierarchies, tmp_path, monk
     counts = {}
     for name, job in (("once", temporal_encode_job), ("both", _ref_temporal_encode_job)):
         monkeypatch.setattr(writer_mod, "temporal_encode_job", job)
-        with SeriesWriter(str(tmp_path / name), keyframe_interval=4, error_bound=1e-3,
-                          backend="serial") as writer:
+        with SeriesWriter(str(tmp_path / name), keyframe_interval=4, error_bound=1e-3) as writer:
             writer.append(hierarchies[0])
             counts[name] = _counted_append(monkeypatch, writer, hierarchies[1])
             step = writer.index.steps[1]
@@ -125,7 +124,7 @@ def test_a_delta_step_does_each_stage_once_per_chunk(hierarchies, tmp_path, monk
 
 
 def test_a_keyframe_step_tables_each_chunk_once(hierarchies, tmp_path, monkeypatch):
-    with SeriesWriter(str(tmp_path / "k"), error_bound=1e-3, backend="serial") as writer:
+    with SeriesWriter(str(tmp_path / "k"), error_bound=1e-3) as writer:
         calls = _counted_append(monkeypatch, writer, hierarchies[0])
         nchunks = sum(len(codes) for _, codes in writer._ref.values())
     assert calls == {name: nchunks for name in calls}
@@ -142,7 +141,7 @@ def test_flat_chunk_tally_matches_the_per_block_tally(tmp_path, modify_filter):
 
     hierarchy = next(iter(make_sim(nranks=3).run(1)))      # 8 coarse boxes on 3 ranks: uneven
     config = AMRICConfig(error_bound=1e-3, modify_filter=modify_filter)
-    with SeriesWriter(str(tmp_path / "s"), config=config, backend="serial") as writer:
+    with SeriesWriter(str(tmp_path / "s"), config=config) as writer:
         records = iter(writer.append(hierarchy).records)
         grids = writer.index.field_grids
     padded = 0
@@ -190,7 +189,7 @@ def test_recorded_candidate_sizes_sit_in_the_stated_band(hierarchies, tmp_path, 
     monkeypatch.setattr(writer_mod, "temporal_encode_job", both)
     directory = str(tmp_path / "band")
     writer_mod.write_series(hierarchies, directory, keyframe_interval=3,
-                            error_bound=1e-3, backend="serial")
+                            error_bound=1e-3)
     recorded = [d for step in SeriesIndex.load(directory).steps for d in step.datasets]
     assert len(recorded) == len(real)
     assert any(d.mode == MODE_DELTA for d in recorded)
@@ -368,7 +367,7 @@ def _poisoned(hierarchy, bad=np.nan):
 
 
 @pytest.mark.parametrize("append", [False, True])
-@pytest.mark.parametrize("backend", ["serial", "shm"])
+@pytest.mark.parametrize("backend", ["serial", "shm"], indirect=True)
 def test_refused_append_leaves_no_step_file_and_an_unchanged_manifest(tmp_path, append,
                                                                        backend):
     steps = list(make_sim(seed=5).run(3))

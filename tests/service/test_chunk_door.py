@@ -20,6 +20,7 @@ from repro.amr.box import Box
 from repro.apps import nyx_run
 from repro.compress.huffman import HuffmanCodec
 from repro.compress.temporal import MODE_DELTA, TemporalDeltaCodec
+from repro.parallel.backend import SharedMemoryBackend
 from repro.service import BoxQuery, ChunkCache, QueryEngine
 
 BUDGETS = (1, 64 << 10, None)                   # None: the default budget
@@ -241,14 +242,15 @@ class TestABlockReadDoesNotDecodeItsChunk:
         assert np.array_equal(got, dense[inside.slices(origin=domain.lo)])
         assert np.array_equal(both, dense[edge.slices(origin=domain.lo)])
 
-    @pytest.mark.parametrize("backend", [None, "shm"])
+    @pytest.mark.parametrize("backend", [None, "shm"], indirect=True)
     def test_cached_blocks_own_their_memory_and_the_budget_counts_them(
             self, service_plotfile, service_series, backend):
         cache = ChunkCache()
-        with QueryEngine(cache=cache, backend=backend) as engine:
-            engine.read_batch([BoxQuery(path=service_plotfile, field=n, level=l, box=b,
-                                        refill=r) for n, l, b, r in READS])
-            engine.time_slice(service_series, FIELD, box=SLICE_BOX)
+        with repro.open(service_plotfile, backend=backend, cache=cache) as handle, \
+                repro.open_series(service_series, cache=cache) as series:
+            for n, l, b, r in READS:
+                handle.read_field(n, level=l, box=b, refill=r)
+            series.time_slice(FIELD, box=SLICE_BOX)
             entries = dict(cache._entries)
             assert len(entries) > 10
             assert all(block.base is None and block.flags.owndata
@@ -312,7 +314,8 @@ class TestEveryAnswerEqualsTheParentChunkDoor:
         _flavour(flavour, hierarchy, path)
         queries = [BoxQuery(path=path, field=n, level=l, box=b, refill=r)
                    for n, l, b, r in READS]
-        with repro.open(path) as ref_handle, repro.open(path) as handle, \
+        cache = ChunkCache()
+        with repro.open(path) as ref_handle, repro.open(path, cache=cache) as handle, \
                 QueryEngine(cache_bytes=64 << 10) as engine:
             ref = parent_chunk_door(ref_handle)
             want = [ref.read_field(n, l, b, r) for n, l, b, r in READS]
@@ -322,9 +325,12 @@ class TestEveryAnswerEqualsTheParentChunkDoor:
             for got, array in zip(engine.read_batch(queries), want):
                 assert np.array_equal(got, array)
             full = _fabs(ref.read())
-            for backend in ("serial", "shm"):
-                for got, array in zip(_fabs(handle.read(backend=backend)), full, strict=True):
-                    assert np.array_equal(got, array)
+            with SharedMemoryBackend(max_workers=2) as pool:
+                for backend in (None, pool):
+                    # over the warm cache: the full read reuses the box reads' blocks
+                    with repro.open(path, backend=backend, cache=cache) as again:
+                        for got, array in zip(_fabs(again.read()), full, strict=True):
+                            assert np.array_equal(got, array)
 
     def test_series(self, service_series, parent_chunk_door):
         with repro.open_series(service_series) as ref_series, \

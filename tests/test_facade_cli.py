@@ -278,15 +278,11 @@ class TestCLI:
                          str(tmp_path / "x.h5z"), "--method", "nocomp",
                          "--error-bound", "1e-6"]) == 1
         assert "--error-bound does not apply" in capsys.readouterr().err
-        assert cli_main(["compress", "--preset", "nyx_1",
-                         str(tmp_path / "y.h5z"), "--method", "amrex_1d",
-                         "--backend", "shm"]) == 1
-        assert "--backend only applies" in capsys.readouterr().err
 
     def test_env_backend_is_not_a_flag_baselines_refuse(self, tmp_path,
                                                         monkeypatch, capsys):
-        """REPRO_BACKEND=shm is a default, not an explicit --backend: the
-        baseline writers still run under it (``REPRO_BACKEND=shm make smoke``)."""
+        """A leftover REPRO_BACKEND is not read: the baseline writers run
+        under it exactly as without it."""
         monkeypatch.setenv("REPRO_BACKEND", "shm")
         out_path = tmp_path / "ax.h5z"
         assert cli_main(["compress", "--preset", "nyx_1", str(out_path),
@@ -311,37 +307,57 @@ class TestCLI:
         assert cli_main(["verify", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_backend_default_honours_env(self, plotfile, monkeypatch):
-        from repro.cli import build_parser
-
-        monkeypatch.setenv("REPRO_BACKEND", "shm")
-        args = build_parser().parse_args(["verify", str(plotfile)])
-        assert args.backend == "shm"
-
-    def test_typoed_repro_backend_fails_up_front(self, plotfile, monkeypatch,
-                                                 capsys):
-        monkeypatch.setenv("REPRO_BACKEND", "proces")
-        assert cli_main(["verify", str(plotfile)]) == 1
-        assert "REPRO_BACKEND must be" in capsys.readouterr().err
-
     @pytest.mark.parametrize("name", ["thread", "process"])
-    def test_removed_backend_names_are_refused(self, plotfile, monkeypatch,
-                                               capsys, name):
-        assert cli_main(["verify", str(plotfile), "--backend", name]) == 1
-        assert f"unknown backend {name!r}; expected one of serial, shm" \
-            in capsys.readouterr().err
+    def test_removed_backend_names_are_refused(self, plotfile, hierarchy,
+                                               tmp_path, monkeypatch, capsys,
+                                               name):
+        """No door takes a backend name: the flag is gone, the variable is
+        not read, and the API raises TypeError before writing anything."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["verify", str(plotfile), "--backend", name])
+        assert exc.value.code == 2
+        capsys.readouterr()
         monkeypatch.setenv("REPRO_BACKEND", name)
-        assert cli_main(["verify", str(plotfile)]) == 1
-        assert f"REPRO_BACKEND must be one of serial, shm, got {name!r}" \
-            in capsys.readouterr().err
-
-    def test_zero_workers_fails_before_creating_the_output(self, tmp_path,
-                                                           capsys):
+        assert cli_main(["verify", str(plotfile)]) == 0
+        with pytest.raises(TypeError):
+            repro.open(str(plotfile), backend=name)
         out = tmp_path / "x.h5z"
-        assert self._compress(out, ["--backend", "shm",
-                                    "--max-workers", "0"]) == 1
-        assert "max_workers must be >= 1" in capsys.readouterr().err
+        with pytest.raises(TypeError):
+            repro.write(hierarchy, str(out), backend=name)
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["compress", "x.h5z", "--backend", "shm"],
+        ["compress", "x.h5z", "--max-workers", "2"],
+        ["decompress", "x.h5z", "y.h5z", "--backend", "shm"],
+        ["verify", "x.h5z", "--backend", "shm"],
+        ["verify", "x.h5z", "--max-workers", "2"],
+        ["serve", "--backend", "shm"]],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_no_verb_takes_a_backend(self, argv, capsys):
+        """A pool is an API choice (``backend=`` instances), not a flag."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_serve_max_workers_only_bounds_engine_calls(self, monkeypatch):
+        import repro.service as service
+
+        seen = {}
+
+        class RecordingServer:
+            def __init__(self, **kwargs):
+                seen.update(kwargs)
+
+            def run(self, on_ready=None):
+                pass
+
+        monkeypatch.setattr(service, "ReproServer", RecordingServer)
+        assert cli_main(["serve", "--port", "0", "--max-workers", "3"]) == 0
+        assert seen["max_workers"] == 3
+        assert cli_main(["serve", "--port", "0"]) == 0
+        assert seen["max_workers"] == 8
 
     def test_verify_fails_on_a_header_without_its_datasets(self, plotfile,
                                                            tmp_path, capsys):

@@ -30,7 +30,7 @@ NSTEPS = 5
 FIELD = "baryon_density"
 
 PRODUCER = """
-import os, time
+import time
 from repro.apps.nyx import NyxSimulation
 from repro.series.writer import SeriesWriter
 
@@ -38,8 +38,7 @@ sim = NyxSimulation(coarse_shape=(24, 24, 24), nranks=2,
                     target_fine_density=0.03, max_grid_size=12, seed=7,
                     drift_rate=0.05, growth_rate=0.02, regrid_interval=4)
 with SeriesWriter({directory!r}, keyframe_interval=3, error_bound=1e-3,
-                  append=True,
-                  backend=os.environ.get("REPRO_BACKEND")) as writer:
+                  append=True) as writer:
     for hierarchy in sim.run({nsteps}):
         writer.append(hierarchy)
         print("committed step", writer.nsteps - 1, flush=True)
