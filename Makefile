@@ -19,10 +19,10 @@
 
 PY := PYTHONPATH=src python
 
-# src/ + tools/ Python lines as of the last change to them (-159: a backend is
-# passed as an instance the caller owns, so backend names, the environment
-# default, the config / CLI / engine pool settings and the ownership forks went)
-LOC_BUDGET := 18825
+# src/ + tools/ Python lines as of the last change to them (-231: the baselines
+# and studies read LevelLayout, so preprocess_level / UnitBlock, core/layout.py,
+# the pack_blocks_* wrappers, AMRICConfig.change_layout and `query --follow` went)
+LOC_BUDGET := 18594
 LOC = $$(find src tools -name '*.py' | xargs cat | wc -l)
 
 # suite -> pytest paths ('+'-separated). Adding a benchmark suite is one line.

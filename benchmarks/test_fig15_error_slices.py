@@ -15,7 +15,7 @@ from repro.apps import RUN_PRESETS
 from repro.compress.errorbound import ErrorBound
 from repro.compress.sz1d import SZ1DCompressor
 from repro.compress.sz_lr import SZLRCompressor
-from repro.core.preprocess import extract_block_data, preprocess_level
+from repro.core.preprocess import hierarchy_layouts
 from repro.core.sle import compress_blocks_sle
 
 
@@ -27,8 +27,8 @@ def test_fig15_amric_vs_amrex_error_fields(benchmark, preset_hierarchy):
     domain = hierarchy[0].domain
     orig = hierarchy[0].multifab.to_global(field, domain)
 
-    pre = preprocess_level(hierarchy, 0, unit_block_size=32)
-    blocks = extract_block_data(hierarchy[0], field, pre.unit_blocks)
+    layout = hierarchy_layouts(hierarchy, 32, remove_redundancy=True)[0]
+    blocks = layout.views(hierarchy[0], field)
 
     def run():
         # AMRIC: 3D SZ_L/R with SLE at the AMRIC error bound
@@ -45,12 +45,11 @@ def test_fig15_amric_vs_amrex_error_fields(benchmark, preset_hierarchy):
     err_amric = np.zeros(domain.shape)
     err_amrex = np.zeros(domain.shape)
     offset = 0
-    for block, rec in zip(pre.unit_blocks, amric.reconstructions):
-        sl = block.box.slices(origin=domain.lo)
-        data = orig[sl]
-        err_amric[sl] = np.abs(data - rec)
-        amrex_rec_block = amrex_recon_flat[offset:offset + block.size].reshape(block.box.shape)
-        err_amrex[sl] = np.abs(data - amrex_rec_block)
+    for index, (block, rec) in enumerate(zip(blocks, amric.reconstructions)):
+        sl = layout.box(index).slices(origin=domain.lo)
+        err_amric[sl] = np.abs(block - rec)
+        amrex_rec_block = amrex_recon_flat[offset:offset + block.size].reshape(block.shape)
+        err_amrex[sl] = np.abs(block - amrex_rec_block)
         offset += block.size
 
     amrex_bytes = sum(b.compressed_nbytes for b in amrex_buffers)

@@ -16,7 +16,7 @@ from repro.analysis.reporting import format_table
 from repro.baselines.tac import tac_compress
 from repro.compress.sz_lr import SZLRCompressor
 from repro.core.adaptive import select_sz_block_size
-from repro.core.preprocess import extract_block_data, preprocess_level
+from repro.core.preprocess import hierarchy_layouts
 from repro.core.sle import compress_blocks_sle
 
 ERROR_BOUNDS = (2e-2, 1e-2, 5e-3, 1e-3)
@@ -33,11 +33,10 @@ def test_fig16_amric_vs_tac(benchmark, preset_hierarchy):
         originals = []
         recons = []
         compressed = 0
-        for level in range(hierarchy.nlevels):
-            pre = preprocess_level(hierarchy, level, unit_block_size=unit)
-            if not pre.unit_blocks:
+        for level, layout in enumerate(hierarchy_layouts(hierarchy, unit, True)):
+            if not layout.nblocks:
                 continue
-            blocks = extract_block_data(hierarchy[level], field, pre.unit_blocks)
+            blocks = layout.views(hierarchy[level], field)
             enc = compress_blocks_sle(
                 blocks, SZLRCompressor(eb, block_size=select_sz_block_size(unit)))
             compressed += enc.compressed_nbytes

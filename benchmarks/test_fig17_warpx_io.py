@@ -102,8 +102,7 @@ def test_ablation_layout_filter(benchmark, preset_hierarchy):
       every smaller rank up to the largest rank's size.
     """
     from repro.core import AMRICConfig, AMRICWriter
-    from repro.core.layout import build_rank_buffer_box_major, build_rank_buffer_field_major
-    from repro.core.preprocess import preprocess_level
+    from repro.core.preprocess import hierarchy_layouts
     from repro.h5lite.chunking import amrex_chunk_elements
 
     hierarchy = preset_hierarchy("warpx_1")
@@ -124,17 +123,14 @@ def test_ablation_layout_filter(benchmark, preset_hierarchy):
     assert padded_naive > 0
 
     # layout ablation: the box-major layout caps the chunk at the smallest
-    # field segment, which implies far more filter launches per rank
-    pre = preprocess_level(hierarchy, 0, unit_block_size=16)
-    rank = pre.unit_blocks[0].rank
-    bm = build_rank_buffer_box_major(hierarchy[0], pre.unit_blocks, rank,
-                                     hierarchy.component_names)
-    fm = build_rank_buffer_field_major(hierarchy[0], pre.unit_blocks, rank,
-                                       hierarchy.component_names)
-    box_major_chunk = amrex_chunk_elements(bm.smallest_segment)
-    field_major_chunk = fm.nelements // len(hierarchy.component_names)
-    launches_box_major = -(-bm.nelements // box_major_chunk)
-    launches_field_major = len(hierarchy.component_names)
+    # field segment (one block's field), which implies far more filter
+    # launches per rank; the first rank's buffer holds every field of its blocks
+    layout = hierarchy_layouts(hierarchy, 16, remove_redundancy=True)[0]
+    ncomp = len(hierarchy.component_names)
+    box_major_chunk = amrex_chunk_elements(int(layout.sizes[layout.rank_runs[0]].min()))
+    field_major_chunk = layout.rank_elements[0]
+    launches_box_major = -(-ncomp * field_major_chunk // box_major_chunk)
+    launches_field_major = ncomp
     print(f"layout ablation: chunk {box_major_chunk} vs {field_major_chunk} elements, "
           f"launches/rank {launches_box_major} vs {launches_field_major}")
     assert field_major_chunk > box_major_chunk

@@ -13,28 +13,22 @@ import pytest
 from repro.analysis.rate_distortion import rate_distortion_sweep, curve
 from repro.analysis.reporting import format_table
 from repro.compress import SZInterpCompressor
-from repro.core.preprocess import (
-    extract_block_data,
-    pack_blocks_cluster,
-    pack_blocks_linear,
-    preprocess_level,
-    unpack_blocks,
-)
+from repro.core.preprocess import arrange_blocks, hierarchy_layouts, pack_blocks, unpack_blocks
 
 ERROR_BOUNDS = (2e-2, 1e-2, 5e-3, 1e-3, 3e-4)
 
 
 def _blocks(hierarchy, level, unit):
-    pre = preprocess_level(hierarchy, level, unit_block_size=unit)
-    return extract_block_data(hierarchy[level], hierarchy.component_names[0],
-                              pre.unit_blocks)
+    layout = hierarchy_layouts(hierarchy, unit, remove_redundancy=True)[level]
+    return layout.views(hierarchy[level], hierarchy.component_names[0])
 
 
-def _method(blocks, packer):
+def _method(blocks, mode):
     flat = np.concatenate([b.reshape(-1) for b in blocks])
 
     def fn(eb):
-        packed, arrangement = packer(blocks)
+        arrangement = arrange_blocks([b.shape for b in blocks], mode=mode)
+        packed = pack_blocks(blocks, arrangement)
         comp = SZInterpCompressor(eb)
         buf, recon = comp.compress_with_reconstruction(packed)
         rec_blocks = unpack_blocks(recon, arrangement)
@@ -52,8 +46,8 @@ def test_fig5_cluster_vs_linear(benchmark, preset_hierarchy, level, unit, label)
 
     points = benchmark.pedantic(
         lambda: rate_distortion_sweep(
-            {"cluster": _method(blocks, pack_blocks_cluster),
-             "linear": _method(blocks, pack_blocks_linear)},
+            {"cluster": _method(blocks, "cluster"),
+             "linear": _method(blocks, "linear")},
             error_bounds=ERROR_BOUNDS),
         rounds=1, iterations=1)
 
@@ -71,6 +65,6 @@ def test_fig5_cluster_vs_linear(benchmark, preset_hierarchy, level, unit, label)
     by_eb_linear = {p.error_bound: p for p in points if p.method == "linear"}
     wins = sum(1 for eb in ERROR_BOUNDS
                if by_eb_cluster[eb].compression_ratio >= by_eb_linear[eb].compression_ratio * 0.9)
-    # known deviation (EXPERIMENTS.md): on the rough synthetic fine level the
+    # known deviation of this reproduction: on the rough synthetic fine level the
     # clustered arrangement only matches (rather than beats) the linear one
     assert wins >= len(ERROR_BOUNDS) // 2

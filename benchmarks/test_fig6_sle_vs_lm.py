@@ -12,15 +12,15 @@ import pytest
 from repro.analysis.error_slices import compare_error_slices, error_slice
 from repro.analysis.reporting import format_table
 from repro.compress.sz_lr import SZLRCompressor
-from repro.core.preprocess import extract_block_data, preprocess_level
+from repro.core.preprocess import hierarchy_layouts
 from repro.core.sle import compress_blocks_lm, compress_blocks_sle
 
 
 @pytest.mark.paper
 def test_fig6_sle_vs_linear_merging(benchmark, preset_hierarchy):
     hierarchy = preset_hierarchy("nyx_1")
-    pre = preprocess_level(hierarchy, 1, unit_block_size=16)
-    blocks = extract_block_data(hierarchy[1], "baryon_density", pre.unit_blocks)
+    blocks = hierarchy_layouts(hierarchy, 16, remove_redundancy=True)[1] \
+        .views(hierarchy[1], "baryon_density")
     eb = 1e-2
     comp = SZLRCompressor(eb)
 

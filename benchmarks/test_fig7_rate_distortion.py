@@ -17,7 +17,7 @@ from repro.analysis.reporting import format_table
 from repro.compress.sz1d import SZ1DCompressor
 from repro.compress.sz_lr import SZLRCompressor
 from repro.core.adaptive import select_sz_block_size
-from repro.core.preprocess import extract_block_data, preprocess_level
+from repro.core.preprocess import hierarchy_layouts
 from repro.core.sle import compress_blocks_lm, compress_blocks_sle
 
 ERROR_BOUNDS = (2e-2, 1e-2, 5e-3, 1e-3)
@@ -53,8 +53,8 @@ def _methods(blocks):
 @pytest.mark.paper
 def test_fig7a_fine_level(benchmark, preset_hierarchy):
     hierarchy = preset_hierarchy("nyx_1")
-    pre = preprocess_level(hierarchy, 1, unit_block_size=16)
-    blocks = extract_block_data(hierarchy[1], "baryon_density", pre.unit_blocks)
+    blocks = hierarchy_layouts(hierarchy, 16, remove_redundancy=True)[1] \
+        .views(hierarchy[1], "baryon_density")
 
     points = benchmark.pedantic(
         lambda: rate_distortion_sweep(_methods(blocks), error_bounds=ERROR_BOUNDS),
@@ -79,8 +79,8 @@ def test_fig7a_fine_level(benchmark, preset_hierarchy):
 @pytest.mark.paper
 def test_fig7b_coarse_level(benchmark, preset_hierarchy):
     hierarchy = preset_hierarchy("nyx_1")
-    pre = preprocess_level(hierarchy, 0, unit_block_size=8)
-    blocks = extract_block_data(hierarchy[0], "baryon_density", pre.unit_blocks)
+    blocks = hierarchy_layouts(hierarchy, 8, remove_redundancy=True)[0] \
+        .views(hierarchy[0], "baryon_density")
 
     points = benchmark.pedantic(
         lambda: rate_distortion_sweep(_methods(blocks), error_bounds=ERROR_BOUNDS),
@@ -91,14 +91,14 @@ def test_fig7b_coarse_level(benchmark, preset_hierarchy):
 
     # the adaptive 4^3 block size differs from plain SLE here and must not lose
     assert dominates(points, "Adp", "1D", min_fraction=0.75)
-    # known deviation (EXPERIMENTS.md): on synthetic coarse data LM is not
+    # known deviation of this reproduction: on synthetic coarse data LM is not
     # dominated in ratio; the adaptive choice must still beat it in accuracy
     by_eb_pts = {(p.method, p.error_bound): p for p in points}
     adp_psnr_wins = sum(1 for eb in ERROR_BOUNDS
                         if by_eb_pts[("Adp", eb)].psnr >= by_eb_pts[("LM", eb)].psnr - 0.1)
     assert adp_psnr_wins >= len(ERROR_BOUNDS) - 1
-    # known deviation (EXPERIMENTS.md): the region-based Lorenzo of this
-    # reproduction does not suffer the residue-block penalty as strongly as the
+    # known deviation: the region-based Lorenzo of this reproduction
+    # (DESIGN.md §1) does not suffer the residue-block penalty as strongly as the
     # original SZ scan, so the 4^3 block size is only required to stay
     # ratio-competitive with the 6^3 choice rather than beat it
     by_eb = {(p.method, p.error_bound): p for p in points}

@@ -12,15 +12,15 @@ from repro.analysis.error_slices import compare_error_slices
 from repro.analysis.reporting import format_table
 from repro.compress.sz_lr import SZLRCompressor
 from repro.core.adaptive import select_sz_block_size
-from repro.core.preprocess import extract_block_data, preprocess_level
+from repro.core.preprocess import hierarchy_layouts
 from repro.core.sle import compress_blocks_sle
 
 
 @pytest.mark.paper
 def test_fig9_adaptive_vs_sle(benchmark, preset_hierarchy):
     hierarchy = preset_hierarchy("nyx_1")
-    pre = preprocess_level(hierarchy, 0, unit_block_size=8)
-    blocks = extract_block_data(hierarchy[0], "baryon_density", pre.unit_blocks)
+    blocks = hierarchy_layouts(hierarchy, 8, remove_redundancy=True)[0] \
+        .views(hierarchy[0], "baryon_density")
     eb = 1e-2
 
     def run():
@@ -45,7 +45,7 @@ def test_fig9_adaptive_vs_sle(benchmark, preset_hierarchy):
     print(format_table(rows, title="Figure 9 — coarse level, unit block 8", floatfmt=".4g"))
     print("paper reference: CR 39.8 (adaptive) vs 38.8 (SLE), adaptive has lower error")
 
-    # shape claim (weak form, see EXPERIMENTS.md): on this synthetic coarse
+    # shape claim (weak form, a known deviation): on this synthetic coarse
     # level the adaptive 4^3 choice stays close to the 6^3 configuration in
     # both error and ratio rather than improving on it — the residue-block
     # penalty it is designed to remove is milder in this reproduction

@@ -57,7 +57,7 @@ def test_table2_compression_ratio(benchmark, write_report, run):
     print(format_table(rows, title=f"Table 2 — {run}"))
     print(format_table([r.as_row() for r in records]))
 
-    # shape checks (see EXPERIMENTS.md for the discussion of tolerances)
+    # shape checks (the module docstring says which of the paper's claims hold)
     assert measured["amric_szlr"] > measured["amrex"] * 0.95, \
         "AMRIC(SZ_L/R) must at least match AMReX's original compression ratio"
     assert measured["amric_szlr"] >= AMRIC_SZLR_FLOORS.get(run, 0.0)
@@ -68,7 +68,7 @@ def test_table2_compression_ratio(benchmark, write_report, run):
     else:
         # rough Nyx data: SZ_L/R wins (paper: 15-16 vs 14); the global
         # interpolation pays for the block seams on this synthetic data, so it
-        # is only required not to collapse (known deviation, EXPERIMENTS.md)
+        # is only required not to collapse (a known deviation of this reproduction)
         assert measured["amric_szlr"] > 0.85 * measured["amric_szinterp"]
         assert measured["amric_szinterp"] > 0.5 * measured["amrex"]
 

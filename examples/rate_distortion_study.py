@@ -23,7 +23,7 @@ from repro.analysis.reporting import format_table
 from repro.apps import nyx_run
 from repro.compress import SZ1DCompressor, SZInterpCompressor, SZLRCompressor
 from repro.core.adaptive import select_sz_block_size
-from repro.core.preprocess import extract_block_data, pack_blocks_cluster, pack_blocks_linear, preprocess_level
+from repro.core.preprocess import arrange_blocks, hierarchy_layouts, pack_blocks
 from repro.core.sle import compress_blocks_lm, compress_blocks_sle
 
 
@@ -35,8 +35,8 @@ def main() -> None:
 
     sim = nyx_run(coarse_shape=(args.size,) * 3, nranks=2, target_fine_density=0.03, seed=17)
     hierarchy = sim.hierarchy
-    pre = preprocess_level(hierarchy, 0, unit_block_size=args.unit)
-    blocks = extract_block_data(hierarchy[0], "baryon_density", pre.unit_blocks)
+    layout = hierarchy_layouts(hierarchy, args.unit, remove_redundancy=True)[0]
+    blocks = layout.views(hierarchy[0], "baryon_density")
     flat = np.concatenate([b.reshape(-1) for b in blocks])
 
     def lm(eb):
@@ -68,8 +68,8 @@ def main() -> None:
     # SZ_Interp arrangement comparison (Figure 5)
     rows = []
     for eb in (2e-2, 1e-2, 1e-3):
-        for name, packer in (("cluster", pack_blocks_cluster), ("linear", pack_blocks_linear)):
-            packed, _ = packer(blocks)
+        for name in ("cluster", "linear"):
+            packed = pack_blocks(blocks, arrange_blocks([b.shape for b in blocks], mode=name))
             comp = SZInterpCompressor(eb)
             buf, recon = comp.compress_with_reconstruction(packed)
             from repro.compress.metrics import psnr

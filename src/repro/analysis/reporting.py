@@ -2,7 +2,7 @@
 
 Benchmarks print their results with :func:`format_table` (so the harness
 output looks like the paper's tables) and collect
-:class:`ComparisonRecord` entries that EXPERIMENTS.md summarises.
+:class:`ComparisonRecord` entries, each a paper value beside the measured one.
 :func:`plotfile_dataset_rows` and :func:`io_stats_rows` tabulate an open
 handle — what ``python -m repro info`` renders beside ``handle.describe()``.
 """

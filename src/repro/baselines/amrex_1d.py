@@ -37,9 +37,8 @@ from repro.compress.base import Compressor
 from repro.compress.errorbound import ErrorBound
 from repro.compress.registry import create_codec
 from repro.core.header import CHUNK_ALIGNMENT_BOX_MAJOR, build_header
-from repro.core.layout import build_rank_buffer_box_major
 from repro.core.pipeline import LevelFieldRecord, WriteReport, writer_comm
-from repro.core.preprocess import preprocess_level
+from repro.core.preprocess import hierarchy_layouts
 from repro.core.stages import dataset_record
 from repro.h5lite.chunking import AMREX_DEFAULT_CHUNK, amrex_chunk_elements
 from repro.h5lite.file import H5LiteFile
@@ -111,19 +110,22 @@ class AMReXOriginalWriter:
                     remove_redundancy=False,
                     chunk_alignment=CHUNK_ALIGNMENT_BOX_MAJOR).to_json()
 
-            for level_index, level in enumerate(hierarchy.levels):
-                # whole boxes, no redundancy removal, box-major (field-interleaved)
-                pre = preprocess_level(hierarchy, level_index, unit_block_size=10 ** 6,
-                                       remove_redundancy=False)
-                ranks = sorted({b.rank for b in pre.unit_blocks})
-                rank_buffers = [build_rank_buffer_box_major(level, pre.unit_blocks, rank,
-                                                            components) for rank in ranks]
-                level_data = np.concatenate([rb.data for rb in rank_buffers])
+            # whole boxes, no redundancy removal
+            layouts = hierarchy_layouts(hierarchy, unit_block_size=10 ** 6,
+                                        remove_redundancy=False)
+            for level_index, (level, layout) in enumerate(zip(hierarchy.levels, layouts)):
+                # box-major (field-interleaved): block by block in stored
+                # order, rank by rank, each block's fields back to back
+                views = [layout.views(level, name) for name in components]
+                segments = [(name, field[i].reshape(-1))
+                            for i in range(layout.nblocks)
+                            for name, field in zip(components, views)]
+                level_data = np.concatenate([flat for _, flat in segments])
 
                 # the chunk must not exceed the smallest per-box field segment;
                 # the level's stream is cut into zero-padded chunks, one filter
                 # call each
-                chunk_elements = amrex_chunk_elements(min(b.size for b in pre.unit_blocks),
+                chunk_elements = amrex_chunk_elements(int(layout.sizes.min()),
                                                       self.chunk_elements)
                 nchunks = -(-level_data.size // chunk_elements)
                 chunks = np.zeros((nchunks, chunk_elements))
@@ -140,8 +142,9 @@ class AMReXOriginalWriter:
                             min(chunk_elements, level_data.size - i * chunk_elements)
                             for i in range(nchunks)])
                 level_compressed = sum(len(p) for p in payloads)
-                tally.add_dataset(ranks=ranks,
-                                  per_rank_elements=[rb.nelements for rb in rank_buffers],
+                tally.add_dataset(ranks=layout.ranks,
+                                  per_rank_elements=[hierarchy.ncomp * n
+                                                     for n in layout.rank_elements],
                                   chunk_elements=chunk_elements,
                                   compressed_bytes=level_compressed)
 
@@ -150,11 +153,9 @@ class AMReXOriginalWriter:
                 pairs: Dict[str, List[Tuple[np.ndarray, np.ndarray]]] = \
                     {name: [] for name in components}
                 offset = 0
-                for rb in rank_buffers:
-                    for name, _, count in rb.segments:
-                        pairs[name].append((level_data[offset:offset + count],
-                                            recon[offset:offset + count]))
-                        offset += count
+                for name, flat in segments:
+                    pairs[name].append((flat, recon[offset:offset + flat.size]))
+                    offset += flat.size
                 # per-field compressed bytes: conserving split of the level total
                 shares = apportion(level_compressed,
                                    [sum(orig.size for orig, _ in pairs[name])
@@ -162,7 +163,7 @@ class AMReXOriginalWriter:
                 for name, share in zip(components, shares):
                     records.append(dataset_record(
                         level_index, name, pairs[name], share,
-                        round(len(payloads) / hierarchy.ncomp), len(pre.unit_blocks)))
+                        round(len(payloads) / hierarchy.ncomp), layout.nblocks))
 
         return WriteReport(method=self.method_name, path=path, records=records,
                            rank_workloads=tally.workloads(), removed_cells=0,

@@ -23,7 +23,7 @@ from repro.amr.hierarchy import AmrHierarchy
 from repro.compress.errorbound import ErrorBound
 from repro.compress.metrics import CompressionStats
 from repro.compress.registry import create_codec
-from repro.core.preprocess import extract_block_data, preprocess_level
+from repro.core.preprocess import hierarchy_layouts
 
 __all__ = ["tac_compress"]
 
@@ -48,12 +48,9 @@ def tac_compress(hierarchy: AmrHierarchy, component: str, error_bound: float = 1
     originals: List[np.ndarray] = []
     recons: List[np.ndarray] = []
     compressed = 0
+    layouts = hierarchy_layouts(hierarchy, partition_size, remove_redundancy=True)
     for level_index in levels:
-        pre = preprocess_level(hierarchy, level_index, partition_size, remove_redundancy=True)
-        if not pre.unit_blocks:
-            continue
-        data = extract_block_data(hierarchy[level_index], component, pre.unit_blocks)
-        for block in data:
+        for block in layouts[level_index].views(hierarchy[level_index], component):
             # pad irregular partitions up to the regular cube (TAC's padding step)
             pads = [(0, partition_size - min(s, partition_size)) if s < partition_size else (0, 0)
                     for s in block.shape]

@@ -36,10 +36,9 @@ them apart):
 ``query``
     One request against a running ``serve`` instance (describe, read-field,
     time-slice, stats, ping, refresh) — or a *stream*: ``query follow DIR``
-    (equivalently ``query --follow DIR``) subscribes to a live series and
-    prints one JSON line per committed step as it lands, pairing each with a
-    box read when ``--field`` is given, reconnecting and resuming from the
-    next unseen step if the server drops.
+    subscribes to a live series and prints one JSON line per committed step
+    as it lands, pairing each with a box read when ``--field`` is given,
+    reconnecting and resuming from the next unseen step if the server drops.
 ``stats [HOST:PORT]``
     One live telemetry snapshot from a running ``serve`` instance: engine
     counters plus the full metrics registry (cache hits, I/O bytes and
@@ -181,8 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_q = sub.add_parser("query",
                          help="one request against a running serve instance")
     p_q.add_argument("op", help="describe | read-field | time-slice | stats "
-                                "| ping | refresh | follow (validated in the "
-                                "handler so `query --follow DIR` also parses)")
+                                "| ping | refresh | follow")
     p_q.add_argument("path", nargs="?", default=None,
                      help="plotfile or series directory (describe/read-field/"
                           "time-slice/refresh/follow)")
@@ -201,9 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--max-level", type=int, default=None,
                      help="progressive-read cap: refill never recurses past "
                           "this level (read-field/time-slice)")
-    p_q.add_argument("--follow", action="store_true",
-                     help="subscribe to a live series and stream one JSON "
-                          "line per committed step (same as the follow op)")
     p_q.add_argument("--from-step", type=int, default=0,
                      help="first step index to stream when following "
                           "(default 0: catch up from the start)")
@@ -605,10 +600,6 @@ def _cmd_query(args) -> int:
     from repro.service.core import resolve_auth_token
     from repro.service.server import DEFAULT_PORT
 
-    # `query --follow DIR` parses the directory into the op slot; normalise
-    # it to the spelled-out `query follow DIR` form
-    if args.follow and args.op not in _QUERY_OPS:
-        args.op, args.path = "follow", args.op
     if args.op not in _QUERY_OPS:
         raise ValueError(
             f"unknown query op {args.op!r}; expected one of "
@@ -623,7 +614,7 @@ def _cmd_query(args) -> int:
     if args.http:
         from repro.service.http import DEFAULT_HTTP_PORT, HttpClient
 
-        if args.op == "follow" or args.follow:
+        if args.op == "follow":
             raise ValueError(
                 "query follow streams over the TCP service; use it without "
                 "--http (the gateway's stream is GET /v1/subscribe)")
@@ -634,7 +625,7 @@ def _cmd_query(args) -> int:
         port = args.port if args.port is not None else DEFAULT_PORT
         make_client = lambda: ReproClient(host=args.host, port=port,  # noqa: E731
                                           auth_token=auth_token)
-    if args.op == "follow" or args.follow:
+    if args.op == "follow":
         return _cmd_follow(args, port, auth_token)
     with make_client() as client:
         if args.op == "ping":

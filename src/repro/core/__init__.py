@@ -3,12 +3,15 @@
 The pieces map one-to-one onto the paper's design sections:
 
 * :mod:`repro.core.preprocess` — §3.1 pre-processing: redundancy removal,
-  uniform truncation into unit blocks, compressor-specific reorganisation
-  (linear for SZ_L/R, clustered cube for SZ_Interp).
+  uniform truncation into unit blocks and their §3.3 rank-by-rank storage
+  order (one :class:`~repro.core.preprocess.LevelLayout` per level),
+  compressor-specific reorganisation (linear for SZ_L/R, clustered cube for
+  SZ_Interp).
 * :mod:`repro.core.sle` — §3.2 Solution 1: unit Shared Lossless Encoding.
 * :mod:`repro.core.adaptive` — §3.2 Solution 2 (Equation 1): adaptive SZ
   block size.
-* :mod:`repro.core.layout` — §3.3 Solution 1: box-major → field-major layout.
+* :mod:`repro.core.stages` — §3.3 Solution 1: the field-major layout, one
+  dataset per level and field (``pack_dataset``).
 * :mod:`repro.core.filter_mod` — §3.3 Solution 2: global chunk size with
   per-rank actual sizes passed to the filter.
 * :mod:`repro.core.pipeline` / :mod:`repro.core.reader` — the end-to-end

@@ -2,9 +2,9 @@
 
 Every optimisation the paper introduces has an independent toggle so the
 benchmarks can run the ablations DESIGN.md lists (SLE on/off, adaptive block
-size on/off, layout change on/off, filter modification on/off, redundancy
-removal on/off) and so the AMReX-original behaviour can be expressed in the
-same vocabulary.
+size on/off, filter modification on/off, redundancy removal on/off).  The
+§3.3 field-major layout has no toggle: every AMRIC dataset is one field, and
+the box-major side of that ablation is the ``amrex_1d`` baseline writer.
 
 The compressor is any name in the codec registry
 (:mod:`repro.compress.registry`) — the config never touches codec classes.
@@ -47,8 +47,6 @@ class AMRICConfig:
     #: base SZ_L/R block size when the adaptive rule is off / chooses the default
     sz_block_size: int = 6
 
-    #: §3.3 Solution 1 — group same-field data together (field-major layout)
-    change_layout: bool = True
     #: §3.3 Solution 2 — pass per-rank actual sizes to the filter
     modify_filter: bool = True
 

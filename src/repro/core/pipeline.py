@@ -8,7 +8,7 @@ the paper's pipeline separates concerns:
    size from the collective max (§3.3): one
    :class:`~repro.core.preprocess.LevelLayout` per level;
 2. **pack** — build each dataset's field-major write buffer, one chunk slice
-   per rank (§3.3 Solution 1, :mod:`repro.core.layout`);
+   per rank (§3.3 Solution 1, :func:`~repro.core.stages.pack_dataset`);
 3. **encode** — push every dataset's chunk sequence through the 3D-aware
    AMRIC filter: a dataset's chunks are predicted together and serialised in
    order.  Each dataset is an independent work item submitted through

@@ -18,16 +18,16 @@ Steps 1-2 plus the §3.3 storage order — rank by rank, one chunk per rank size
 to the largest rank — are one record per level, :class:`LevelLayout`, built
 by :func:`level_layout` from the level's boxes, their ranks and the next finer
 level's boxes: the writer builds it from the hierarchy, the reader from the
-plotfile header, and both place every block by it.  :func:`preprocess_level`
-returns the same blocks as :class:`UnitBlock` objects in box order, for the
-studies that compress blocks outside a plotfile.
+plotfile header, and both place every block by it.  The baselines and the
+studies that compress blocks outside a plotfile read the same record
+(:func:`hierarchy_layouts`, then :meth:`LevelLayout.views`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,120 +40,11 @@ __all__ = [
     "level_layout",
     "level_layouts",
     "hierarchy_layouts",
-    "UnitBlock",
-    "PreprocessedLevel",
-    "kept_regions_for_level",
-    "truncate_regions",
-    "preprocess_level",
     "arrange_blocks",
     "pack_blocks",
-    "pack_blocks_cluster",
-    "pack_blocks_linear",
     "unpack_blocks",
     "PackedArrangement",
 ]
-
-
-@dataclass
-class UnitBlock:
-    """One truncated unit block: where it lives and which box it came from."""
-
-    box: Box                  #: region in the level's index space
-    box_index: int            #: index of the originating AMR box
-    rank: int                 #: owning MPI rank
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return self.box.shape
-
-    @property
-    def size(self) -> int:
-        return self.box.size
-
-
-@dataclass
-class PreprocessedLevel:
-    """The §3.1 output for one level: kept regions truncated into unit blocks."""
-
-    level: int
-    unit_blocks: List[UnitBlock]
-    removed_cells: int            #: redundant coarse cells dropped
-    total_cells: int              #: cells of the level before removal
-
-    @property
-    def kept_cells(self) -> int:
-        return sum(b.size for b in self.unit_blocks)
-
-    @property
-    def removed_fraction(self) -> float:
-        if self.total_cells == 0:
-            return 0.0
-        return self.removed_cells / self.total_cells
-
-
-# ----------------------------------------------------------------------
-# step 1: redundancy removal
-# ----------------------------------------------------------------------
-def kept_regions_for_level(hierarchy: AmrHierarchy, level: int,
-                           remove_redundancy: bool = True) -> List[List[Box]]:
-    """Per box of ``level``: the disjoint sub-boxes that survive redundancy removal.
-
-    With ``remove_redundancy`` off (or on the finest level) every box survives
-    whole.
-    """
-    lvl = hierarchy[level]
-    if not remove_redundancy or level >= hierarchy.nlevels - 1:
-        return [[box] for box in lvl.boxarray]
-    ratio = hierarchy.ref_ratios[level]
-    finer_coarsened = hierarchy[level + 1].boxarray.coarsen(ratio)
-    kept: List[List[Box]] = []
-    for box in lvl.boxarray:
-        kept.append(finer_coarsened.complement_in(box))
-    return kept
-
-
-# ----------------------------------------------------------------------
-# step 2: uniform truncation
-# ----------------------------------------------------------------------
-def truncate_regions(kept: Sequence[Sequence[Box]], distribution,
-                     unit_block_size: int) -> List[UnitBlock]:
-    """Cut every kept region into unit blocks of at most ``unit_block_size`` per side."""
-    if unit_block_size < 1:
-        raise ValueError("unit_block_size must be >= 1")
-    out: List[UnitBlock] = []
-    for box_index, regions in enumerate(kept):
-        rank = distribution[box_index]
-        for region in regions:
-            for unit in region.split(unit_block_size):
-                out.append(UnitBlock(box=unit, box_index=box_index, rank=rank))
-    return out
-
-
-def preprocess_level(hierarchy: AmrHierarchy, level: int, unit_block_size: int,
-                     remove_redundancy: bool = True) -> PreprocessedLevel:
-    """Run steps 1–2 for one level."""
-    lvl = hierarchy[level]
-    kept = kept_regions_for_level(hierarchy, level, remove_redundancy)
-    blocks = truncate_regions(kept, lvl.multifab.distribution, unit_block_size)
-    total = lvl.num_cells
-    kept_cells = sum(b.size for b in blocks)
-    return PreprocessedLevel(level=level, unit_blocks=blocks,
-                             removed_cells=total - kept_cells, total_cells=total)
-
-
-def extract_block_data(level: AmrLevel, component: str,
-                       blocks: Sequence[UnitBlock]) -> List[np.ndarray]:
-    """Pull the field data of each unit block out of the level's fabs.
-
-    Returns views into the fab storage (no gather copy); consumers that need
-    contiguous memory copy at their own boundary, and none of them write.
-    """
-    comp = level.multifab.component_index(component)
-    out: List[np.ndarray] = []
-    for block in blocks:
-        fab = level.multifab[block.box_index]
-        out.append(fab.component(comp)[block.box.slices(origin=fab.box.lo)])
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -460,22 +351,6 @@ def arrange_blocks(shapes: Sequence[Tuple[int, ...]],
     gy = int(np.ceil(np.sqrt(n / gx)))
     gz = int(np.ceil(n / (gx * gy)))
     return PackedArrangement("cluster", unit_shape, (gx, gy, gz), shapes, slots or [])
-
-
-def pack_blocks_cluster(blocks: Sequence[np.ndarray],
-                        positions: Sequence[Tuple[int, ...]] | None = None
-                        ) -> Tuple[np.ndarray, PackedArrangement]:
-    """Pack unit blocks into a compact cube-like cluster (:func:`arrange_blocks`)."""
-    arrangement = arrange_blocks([b.shape for b in blocks], positions, "cluster")
-    return pack_blocks(blocks, arrangement), arrangement
-
-
-def pack_blocks_linear(blocks: Sequence[np.ndarray],
-                       positions: Sequence[Tuple[int, ...]] | None = None
-                       ) -> Tuple[np.ndarray, PackedArrangement]:
-    """Stack unit blocks along the last axis (the cheap linear arrangement)."""
-    arrangement = arrange_blocks([b.shape for b in blocks], mode="linear")
-    return pack_blocks(blocks, arrangement), arrangement
 
 
 def unpack_blocks(packed: np.ndarray, arrangement: PackedArrangement) -> List[np.ndarray]:

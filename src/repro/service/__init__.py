@@ -21,7 +21,7 @@ those chunks *shareable*:
   streaming ``subscribe`` verb: the core polls a live series
   per subscriber and the transport pushes its step-committed events;
   :func:`follow_series` pairs each event with a box read, reconnecting and
-  resuming on failure (``python -m repro query --follow``).
+  resuming on failure (``python -m repro query follow DIR``).
 * :mod:`repro.service.http` — the HTTP/1.1 JSON gateway over the same core
   (``repro serve --http``): ``POST /v1/query``, ``GET /metrics`` (Prometheus),
   ``GET /healthz``, chunked ``GET /v1/subscribe``; :class:`HttpClient`

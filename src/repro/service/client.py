@@ -269,7 +269,7 @@ def follow_series(path: str, field: Optional[str] = None, *,
                   ) -> Iterator[Tuple[dict, Optional[np.ndarray]]]:
     """Follow a live series end to end: ``(event, array)`` per committed step.
 
-    The client half of ``repro query --follow``.  Two connections are used —
+    The client half of ``repro query follow DIR``.  Two connections are used —
     one carries the subscription stream, the other the box reads — so a slow
     read can never desynchronise the event stream.  With ``field`` set, each
     step event is paired with that step's box read (element-wise identical to

@@ -14,7 +14,7 @@ because every step is committed through a journal before a manifest exists:
   :meth:`repro.series.reader.SeriesHandle.refresh` re-reads only the journal
   tail (committed steps are immutable, so nothing warm is ever invalidated),
   and the query service (:mod:`repro.service`) exposes a ``subscribe`` verb
-  pushing step-committed events to ``repro query --follow`` clients.
+  pushing step-committed events to ``repro query follow DIR`` clients.
 """
 
 from repro.stream.journal import (

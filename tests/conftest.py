@@ -22,6 +22,25 @@ settings.load_profile("repro")
 
 
 # ----------------------------------------------------------------------
+# §3.1 from the amr primitives alone: the reference of the layout record
+# ----------------------------------------------------------------------
+def unit_blocks_by_box(boxes, ranks, unit_block_size, covered=None):
+    """Every box minus what ``covered`` (a ``BoxArray`` at the boxes' level,
+    or None) covers — ``BoxArray.complement_in`` — cut by ``Box.split``, in box
+    order: one ``(box, box_index, rank, size)`` record per unit block."""
+    return [SimpleNamespace(box=unit, box_index=index, rank=ranks[index], size=unit.size)
+            for index, box in enumerate(boxes)
+            for region in (covered.complement_in(box) if covered is not None else [box])
+            for unit in region.split(unit_block_size)]
+
+
+@pytest.fixture(scope="session")
+def reference_blocks():
+    """:func:`unit_blocks_by_box` (a function: what ``LevelLayout`` must hold)."""
+    return unit_blocks_by_box
+
+
+# ----------------------------------------------------------------------
 # the parent's chunk door, kept as the reference of the block door
 # ----------------------------------------------------------------------
 class ParentChunkDoor:
@@ -33,14 +52,14 @@ class ParentChunkDoor:
     block door's answers must equal element for element.
 
     Its slots are derived apart from the reader's layout record: the header's
-    hierarchy (``template_from_header``), its unit blocks (``preprocess_level``)
-    grouped by rank, and offsets counted here — one chunk per rank from
-    ``j * chunk_elements`` when rank-aligned, back to back otherwise.
+    hierarchy (``template_from_header``), its unit blocks
+    (:func:`unit_blocks_by_box`) grouped by rank, and offsets counted here —
+    one chunk per rank from ``j * chunk_elements`` when rank-aligned, back to
+    back otherwise.
     """
 
     def __init__(self, handle):
         from repro.core.header import CHUNK_ALIGNMENT_RANK, template_from_header
-        from repro.core.preprocess import preprocess_level
 
         self.handle = handle
         header = handle.header
@@ -49,9 +68,13 @@ class ParentChunkDoor:
         self.datasets = {}
         stored = handle._file.datasets
         for level in range(self.structure.nlevels):
-            pre = preprocess_level(self.structure, level, header.unit_block_size,
-                                   remove_redundancy=header.remove_redundancy)
-            blocks = sorted(pre.unit_blocks, key=lambda b: b.rank)      # stable
+            lvl, finer = self.structure[level], level + 1 < self.structure.nlevels
+            covered = self.structure[level + 1].boxarray.coarsen(
+                self.structure.ref_ratios[level]) \
+                if header.remove_redundancy and finer else None
+            blocks = sorted(unit_blocks_by_box(
+                list(lvl.boxarray), lvl.multifab.distribution.rank_of_box,
+                header.unit_block_size, covered), key=lambda b: b.rank)      # stable
             for name in header.components:
                 info = stored.get(f"level_{level}/{name}")
                 if not blocks or info is None:

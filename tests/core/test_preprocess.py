@@ -6,69 +6,86 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.amr.box import Box
+from repro.amr.boxarray import BoxArray
+from repro.baselines.tac import tac_compress
 from repro.core.adaptive import residue_block_shapes, select_sz_block_size
 from repro.core.preprocess import (
-    extract_block_data,
+    arrange_blocks,
     hierarchy_layouts,
-    kept_regions_for_level,
     level_layout,
-    pack_blocks_cluster,
-    pack_blocks_linear,
-    preprocess_level,
-    truncate_regions,
+    pack_blocks,
     unpack_blocks,
 )
 
 
+def _pack(blocks, mode):
+    arrangement = arrange_blocks([b.shape for b in blocks], mode=mode)
+    return pack_blocks(blocks, arrangement), arrangement
+
+
+def _layout(hierarchy, level, unit_block_size=16, remove_redundancy=True):
+    return hierarchy_layouts(hierarchy, unit_block_size, remove_redundancy)[level]
+
+
 class TestRedundancyRemoval:
     def test_coarse_level_loses_covered_cells(self, nyx_hierarchy):
-        pre = preprocess_level(nyx_hierarchy, 0, unit_block_size=16, remove_redundancy=True)
+        layout = _layout(nyx_hierarchy, 0)
         covered = nyx_hierarchy.covered_cells(0)
-        assert pre.removed_cells == covered
-        assert pre.kept_cells == nyx_hierarchy[0].num_cells - covered
-        assert 0 < pre.removed_fraction < 1
+        assert layout.removed_cells == covered
+        assert layout.kept_cells == nyx_hierarchy[0].num_cells - covered
+        assert 0 < layout.removed_cells / layout.total_cells < 1
 
     def test_finest_level_keeps_everything(self, nyx_hierarchy):
-        pre = preprocess_level(nyx_hierarchy, 1, unit_block_size=16, remove_redundancy=True)
-        assert pre.removed_cells == 0
-        assert pre.kept_cells == nyx_hierarchy[1].num_cells
+        layout = _layout(nyx_hierarchy, 1)
+        assert layout.removed_cells == 0
+        assert layout.kept_cells == nyx_hierarchy[1].num_cells
 
     def test_removal_disabled(self, nyx_hierarchy):
-        pre = preprocess_level(nyx_hierarchy, 0, unit_block_size=16, remove_redundancy=False)
-        assert pre.removed_cells == 0
-        assert pre.kept_cells == nyx_hierarchy[0].num_cells
+        layout = _layout(nyx_hierarchy, 0, remove_redundancy=False)
+        assert layout.removed_cells == 0
+        assert layout.kept_cells == nyx_hierarchy[0].num_cells
 
-    def test_kept_regions_disjoint_from_fine(self, nyx_hierarchy):
-        kept = kept_regions_for_level(nyx_hierarchy, 0, True)
+    def test_kept_blocks_disjoint_from_fine(self, nyx_hierarchy):
+        layout = _layout(nyx_hierarchy, 0)
         fine_coarsened = nyx_hierarchy[1].boxarray.coarsen(nyx_hierarchy.ref_ratios[0])
-        for regions in kept:
-            for region in regions:
-                assert not fine_coarsened.intersects(region)
+        for i in range(layout.nblocks):
+            assert not fine_coarsened.intersects(layout.box(i))
 
     def test_unit_blocks_respect_size_and_ownership(self, nyx_hierarchy):
-        pre = preprocess_level(nyx_hierarchy, 0, unit_block_size=8)
+        layout = _layout(nyx_hierarchy, 0, unit_block_size=8)
         dm = nyx_hierarchy[0].multifab.distribution
-        for block in pre.unit_blocks:
-            assert all(s <= 8 for s in block.box.shape)
-            assert block.rank == dm[block.box_index]
+        for i in range(layout.nblocks):
+            assert all(s <= 8 for s in layout.shapes[i])
+            assert layout.rank[i] == dm[layout.box_index[i]]
             # the block must live inside its parent box
-            assert nyx_hierarchy[0].boxarray[block.box_index].contains(block.box)
+            assert nyx_hierarchy[0].boxarray[layout.box_index[i]].contains(layout.box(i))
 
-    def test_truncate_invalid_unit_size(self, nyx_hierarchy):
-        kept = kept_regions_for_level(nyx_hierarchy, 0, True)
-        with pytest.raises(ValueError):
-            truncate_regions(kept, nyx_hierarchy[0].multifab.distribution, 0)
-
-    def test_extract_block_data_matches_source(self, nyx_hierarchy):
-        pre = preprocess_level(nyx_hierarchy, 1, unit_block_size=16)
+    def test_views_match_source(self, nyx_hierarchy):
+        layout = _layout(nyx_hierarchy, 1)
         level = nyx_hierarchy[1]
-        data = extract_block_data(level, "baryon_density", pre.unit_blocks[:5])
-        for block, arr in zip(pre.unit_blocks[:5], data):
-            assert arr.shape == block.box.shape
-            fab = level.multifab[block.box_index]
-            comp = level.multifab.component_index("baryon_density")
+        comp = level.multifab.component_index("baryon_density")
+        for i, arr in enumerate(layout.views(level, "baryon_density")[:5]):
+            fab = level.multifab[layout.box_index[i]]
             np.testing.assert_array_equal(
-                arr, fab.component(comp)[block.box.slices(origin=fab.box.lo)])
+                arr, fab.component(comp)[layout.box(i).slices(origin=fab.box.lo)])
+
+
+@st.composite
+def _levels(draw, with_finer):
+    """Disjoint boxes with their ranks, and with ``with_finer`` a finer
+    level's disjoint boxes (refinement ratio 2)."""
+    def disjoint(extent, most):
+        boxes = []
+        for _ in range(draw(st.integers(1, most))):
+            lo = tuple(draw(st.integers(0, extent - 1)) for _ in range(3))
+            box = Box(lo, tuple(v + draw(st.integers(0, 7)) for v in lo))
+            if not any(box.intersects(other) for other in boxes):
+                boxes.append(box)
+        return boxes
+
+    boxes = disjoint(16, 6)
+    ranks = draw(st.lists(st.integers(0, 3), min_size=len(boxes), max_size=len(boxes)))
+    return boxes, ranks, disjoint(32, 4) if with_finer else None
 
 
 def _row_of_boxes(shapes, ranks, unit_block_size=10 ** 6, finer=None):
@@ -81,20 +98,40 @@ def _row_of_boxes(shapes, ranks, unit_block_size=10 ** 6, finer=None):
 class TestLevelLayout:
     """One record per level: §3.1's blocks in §3.3's storage order."""
 
-    @pytest.mark.parametrize("remove_redundancy", [True, False])
-    @pytest.mark.parametrize("unit_block_size", [4, 16])
-    def test_blocks_are_preprocess_level_grouped_by_rank(
-            self, nyx_hierarchy, unit_block_size, remove_redundancy):
-        layouts = hierarchy_layouts(nyx_hierarchy, unit_block_size, remove_redundancy)
-        for level, layout in enumerate(layouts):
-            pre = preprocess_level(nyx_hierarchy, level, unit_block_size,
-                                   remove_redundancy=remove_redundancy)
-            want = sorted(pre.unit_blocks, key=lambda b: b.rank)        # stable
-            assert [layout.box(i) for i in range(layout.nblocks)] == [b.box for b in want]
-            assert layout.box_index.tolist() == [b.box_index for b in want]
-            assert layout.rank.tolist() == [b.rank for b in want]
-            assert (layout.total_cells, layout.removed_cells) == \
-                (pre.total_cells, pre.removed_cells)
+    @pytest.mark.parametrize("with_finer", [False, True])
+    @given(data=st.data(), unit_block_size=st.integers(1, 9))
+    def test_blocks_are_the_reference_grouped_by_rank(self, reference_blocks, with_finer,
+                                                      data, unit_block_size):
+        boxes, ranks, fine = data.draw(_levels(with_finer))
+        covered = BoxArray(fine).coarsen(2) if fine else None
+        want = sorted(reference_blocks(boxes, ranks, unit_block_size, covered),
+                      key=lambda b: b.rank)                                 # stable
+        layout = level_layout([b.lo for b in boxes], [b.hi for b in boxes], ranks,
+                              unit_block_size,
+                              finer=([b.lo for b in fine], [b.hi for b in fine], 2)
+                              if fine else None)
+        assert [layout.box(i) for i in range(layout.nblocks)] == [b.box for b in want]
+        assert layout.box_index.tolist() == [b.box_index for b in want]
+        assert layout.rank.tolist() == [b.rank for b in want]
+        assert layout.sizes.tolist() == [b.size for b in want]
+        total = sum(box.size for box in boxes)
+        assert (layout.total_cells, layout.removed_cells) == \
+            (total, total - sum(b.size for b in want))
+        # offsets recounted: back to back, or from chunk j * (largest rank)
+        per_rank = {}
+        for b in want:
+            per_rank[b.rank] = per_rank.get(b.rank, 0) + b.size
+        chunk = max(per_rank.values(), default=0)
+        stream, aligned, filled, offset = [], [], dict.fromkeys(per_rank, 0), 0
+        for b in want:
+            stream.append(offset)
+            aligned.append(list(per_rank).index(b.rank) * chunk + filled[b.rank])
+            offset += b.size
+            filled[b.rank] += b.size
+        assert layout.stream_offsets.tolist() == stream
+        assert layout.rank_offsets.tolist() == aligned
+        assert (layout.ranks, layout.rank_elements, layout.chunk_elements) == \
+            (list(per_rank), list(per_rank.values()), chunk)
 
     def test_chunk_is_the_largest_rank(self):
         layout = _row_of_boxes([(10, 10, 10), (10, 20, 20), (10, 10, 25)], [0, 1, 2])
@@ -179,6 +216,26 @@ class TestLevelLayout:
             assert part == overlap.slices(origin=layout.box(i).lo)
 
 
+class TestTACReadsTheLayout:
+    @pytest.mark.parametrize("fixture, level", [("nyx_hierarchy", None), ("nyx_hierarchy", 0),
+                                                ("warpx_hierarchy", None)])
+    def test_one_partition_per_kept_unit_block(self, request, reference_blocks, fixture,
+                                               level):
+        """TAC compresses every unit block that survives redundancy removal
+        once, padded to the partition cube, within the global bound."""
+        h = request.getfixturevalue(fixture)
+        blocks = [b for i in (range(h.nlevels) if level is None else [level])
+                  for b in reference_blocks(
+                      list(h[i].boxarray), h[i].multifab.distribution.rank_of_box, 16,
+                      h[i + 1].boxarray.coarsen(h.ref_ratios[i]) if i + 1 < h.nlevels
+                      else None)]
+        field = h.component_names[0]
+        stats = tac_compress(h, field, 1e-3, partition_size=16, level=level)
+        assert stats.extra["partitions"] == len(blocks)
+        assert stats.original_nbytes == 8 * sum(b.size for b in blocks)
+        assert stats.max_error <= 1e-3 * h.value_range(field) * (1 + 1e-9)
+
+
 class TestPacking:
     def _blocks(self, n=7, shape=(8, 8, 8), seed=0):
         rng = np.random.default_rng(seed)
@@ -186,7 +243,7 @@ class TestPacking:
 
     def test_cluster_roundtrip(self):
         blocks = self._blocks(10)
-        packed, arrangement = pack_blocks_cluster(blocks)
+        packed, arrangement = _pack(blocks, "cluster")
         back = unpack_blocks(packed, arrangement)
         assert len(back) == 10
         for a, b in zip(blocks, back):
@@ -196,15 +253,15 @@ class TestPacking:
         rng = np.random.default_rng(1)
         blocks = [rng.normal(size=(8, 8, 8)), rng.normal(size=(8, 8, 4)),
                   rng.normal(size=(4, 8, 8))]
-        packed, arrangement = pack_blocks_linear(blocks)
+        packed, arrangement = _pack(blocks, "linear")
         back = unpack_blocks(packed, arrangement)
         for a, b in zip(blocks, back):
             np.testing.assert_array_equal(a, b)
 
     def test_cluster_is_more_cubic_than_linear(self):
         blocks = self._blocks(27)
-        cluster, arr_c = pack_blocks_cluster(blocks)
-        linear, arr_l = pack_blocks_linear(blocks)
+        cluster, _ = _pack(blocks, "cluster")
+        linear, _ = _pack(blocks, "linear")
         def aspect(shape):
             return max(shape) / min(shape)
         assert aspect(cluster.shape) < aspect(linear.shape)
@@ -213,9 +270,9 @@ class TestPacking:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            pack_blocks_cluster([])
+            _pack([], "cluster")
         with pytest.raises(ValueError):
-            pack_blocks_linear([])
+            _pack([], "linear")
 
 
 class TestAdaptiveBlockSize:

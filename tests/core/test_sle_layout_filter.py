@@ -1,4 +1,4 @@
-"""Tests for SLE strategies, layout change, chunk planning and the AMRIC filter."""
+"""Tests for SLE strategies, chunk planning and the AMRIC filter."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,7 @@ from repro.compress.metrics import psnr
 from repro.compress.sz_lr import SZLRCompressor
 from repro.core.config import AMRICConfig
 from repro.core.filter_mod import AMRICLevelFilter, ChunkPlan
-from repro.core.layout import build_rank_buffer_box_major, build_rank_buffer_field_major
-from repro.core.preprocess import preprocess_level
+from repro.core.preprocess import hierarchy_layouts
 from repro.errors import CorruptFileError
 from repro.core.sle import (
     STRATEGIES,
@@ -25,12 +24,9 @@ def _layout_of(plan):
     return [(end - size, size) for end, size in zip(ends, sizes)]
 
 
-def _unit_blocks_from(hierarchy, level=1, field="baryon_density", unit=16, limit=None):
-    from repro.core.preprocess import extract_block_data
-
-    pre = preprocess_level(hierarchy, level, unit_block_size=unit)
-    blocks = pre.unit_blocks if limit is None else pre.unit_blocks[:limit]
-    return extract_block_data(hierarchy[level], field, blocks)
+def _unit_blocks_from(hierarchy, level=1, field="baryon_density", unit=16):
+    return hierarchy_layouts(hierarchy, unit, remove_redundancy=True)[level] \
+        .views(hierarchy[level], field)
 
 
 class TestSLEStrategies:
@@ -83,57 +79,10 @@ class TestSLEStrategies:
                 fn([], comp)
 
 
-class TestLayout:
-    def test_field_major_groups_fields(self, nyx_hierarchy):
-        pre = preprocess_level(nyx_hierarchy, 0, unit_block_size=16)
-        rank = pre.unit_blocks[0].rank
-        names = nyx_hierarchy.component_names
-        fm = build_rank_buffer_field_major(nyx_hierarchy[0], pre.unit_blocks, rank, names)
-        assert fm.layout == "field_major"
-        # field ranges are contiguous, ordered, and cover the buffer
-        stops = [fm.field_ranges[n][1] for n in names]
-        starts = [fm.field_ranges[n][0] for n in names]
-        assert starts[0] == 0 and stops[-1] == fm.nelements
-        assert all(stops[i] == starts[i + 1] for i in range(len(names) - 1))
-        # the per-field slice matches the level data
-        field0 = fm.field_slice(names[0])
-        assert field0.size == fm.nelements // len(names)
-
-    def test_box_major_interleaves_fields(self, nyx_hierarchy):
-        pre = preprocess_level(nyx_hierarchy, 0, unit_block_size=16)
-        rank = pre.unit_blocks[0].rank
-        names = nyx_hierarchy.component_names
-        bm = build_rank_buffer_box_major(nyx_hierarchy[0], pre.unit_blocks, rank, names)
-        fm = build_rank_buffer_field_major(nyx_hierarchy[0], pre.unit_blocks, rank, names)
-        assert bm.nelements == fm.nelements
-        # same multiset of values, different order
-        np.testing.assert_allclose(np.sort(bm.data), np.sort(fm.data))
-        # box-major: consecutive segments cycle through the fields
-        seg_fields = [s[0] for s in bm.segments[:len(names)]]
-        assert seg_fields == list(names)
-        # field-major has no contiguous range bookkeeping for box-major
-        with pytest.raises(KeyError):
-            bm.field_slice(names[0])
-
-    def test_box_major_smallest_segment_caps_chunk(self, nyx_hierarchy):
-        """The §3.3 constraint: the chunk cannot exceed the smallest field segment."""
-        pre = preprocess_level(nyx_hierarchy, 0, unit_block_size=16)
-        rank = pre.unit_blocks[0].rank
-        bm = build_rank_buffer_box_major(nyx_hierarchy[0], pre.unit_blocks, rank,
-                                         nyx_hierarchy.component_names)
-        fm = build_rank_buffer_field_major(nyx_hierarchy[0], pre.unit_blocks, rank,
-                                           nyx_hierarchy.component_names)
-        field_elems = fm.nelements // len(nyx_hierarchy.component_names)
-        assert bm.smallest_segment < field_elems
-
-
 class TestAMRICLevelFilter:
     def _blocks_and_chunk(self, hierarchy, field="baryon_density", level=1):
-        from repro.core.preprocess import extract_block_data
-
-        pre = preprocess_level(hierarchy, level, unit_block_size=16)
-        blocks = [b for b in pre.unit_blocks if b.rank == pre.unit_blocks[0].rank]
-        data = extract_block_data(hierarchy[level], field, blocks)
+        layout = hierarchy_layouts(hierarchy, 16, remove_redundancy=True)[level]
+        data = layout.views(hierarchy[level], field)[layout.rank_runs[0]]
         flat = np.concatenate([d.reshape(-1) for d in data])
         vrange = float(max(d.max() for d in data) - min(d.min() for d in data))
         plan = ChunkPlan(field=field, block_shapes=[d.shape for d in data],
@@ -286,6 +235,12 @@ class TestConfig:
         assert lr8.block_size == 8
         interp = cfg.make_codec("sz_interp", anchor_stride=cfg.interp_anchor_stride)
         assert interp.anchor_stride == cfg.interp_anchor_stride
+
+    def test_no_layout_toggle(self):
+        # every AMRIC dataset is one field; the box-major side of the §3.3
+        # ablation is the amrex_1d writer, not a switch on this config
+        with pytest.raises(TypeError):
+            AMRICConfig(change_layout=False)
 
     def test_legacy_make_helpers_removed(self):
         # the deprecated make_sz_lr/make_sz_interp shims are gone; everything

@@ -16,8 +16,7 @@ from repro.baselines.amrex_1d import AMReXOriginalWriter, ClassicSZFilter
 from repro.compress.metrics import max_abs_error, psnr
 from repro.compress.sz1d import SZ1DCompressor
 from repro.core import AMRICConfig
-from repro.core.layout import build_rank_buffer_box_major
-from repro.core.preprocess import hierarchy_layouts, preprocess_level
+from repro.core.preprocess import hierarchy_layouts
 from repro.core.stages import dataset_record
 from repro.h5lite import H5LiteFile
 
@@ -77,6 +76,18 @@ class TestTheBaselineReportsWhatItsFileHolds:
             assert record.filter_calls == round(stored[record.level].nchunks / nyx_hierarchy.ncomp)
 
 
+    def test_a_chunk_never_spans_two_field_segments(self, nyx_1, tmp_path, reference_blocks):
+        """§3.3: in the box-major stream a field segment is one box's field, so
+        the chunk is capped at the smallest box, however large it is asked to be."""
+        repro.write(nyx_1, str(tmp_path / "a.h5z"), method="amrex_1d", chunk_elements=10 ** 6)
+        with H5LiteFile(str(tmp_path / "a.h5z"), "r") as f:
+            for index, level in enumerate(nyx_1.levels):
+                boxes = reference_blocks(list(level.boxarray),
+                                         level.multifab.distribution.rank_of_box, 10 ** 6)
+                chunk = f.datasets[f"level_{index}/cell_data"].chunk_elements
+                assert chunk == min(b.size for b in boxes) < 10 ** 6
+
+
 class TestRecordsFollowThePapersDefinition:
     """Each record's PSNR / max error is footnote 2 over the level's cells as
     the file reads them back."""
@@ -99,7 +110,7 @@ class TestRecordsFollowThePapersDefinition:
         assert record.max_error == pytest.approx(max_abs_error(orig, back), rel=1e-9)
         assert record.psnr == pytest.approx(psnr(orig, back), rel=1e-9)
 
-    def test_amrex_1d(self, nyx_1, tmp_path):
+    def test_amrex_1d(self, nyx_1, tmp_path, reference_blocks):
         eb = RUN_PRESETS["nyx_1"].error_bound_amrex
         path = str(tmp_path / "amrex.h5z")
         report = repro.write(nyx_1, path, method="amrex_1d", error_bound=eb)
@@ -110,14 +121,18 @@ class TestRecordsFollowThePapersDefinition:
             for level_index, level in enumerate(nyx_1.levels):
                 back = f.read_dataset(f"level_{level_index}/cell_data",
                                       filter=ClassicSZFilter(SZ1DCompressor(eb)))
-                # the level's box-major stream, and which field each cell is
-                pre = preprocess_level(nyx_1, level_index, unit_block_size=10 ** 6,
-                                       remove_redundancy=False)
-                buffers = [build_rank_buffer_box_major(level, pre.unit_blocks, rank, names)
-                           for rank in sorted({b.rank for b in pre.unit_blocks})]
-                orig = np.concatenate([rb.data for rb in buffers])
-                field_of = np.concatenate([np.full(count, names.index(name))
-                                           for rb in buffers for name, _, count in rb.segments])
+                # the level's box-major stream — whole boxes rank by rank, each
+                # box's fields back to back — and which field each cell is
+                mf = level.multifab
+                blocks = sorted(reference_blocks(list(level.boxarray),
+                                                 mf.distribution.rank_of_box, 10 ** 6),
+                                key=lambda b: b.rank)                       # stable
+                orig = np.concatenate([
+                    mf[b.box_index].component(mf.component_index(name))
+                    [b.box.slices(origin=mf[b.box_index].box.lo)].reshape(-1)
+                    for b in blocks for name in names])
+                field_of = np.concatenate([np.full(b.size, index)
+                                           for b in blocks for index in range(len(names))])
                 assert orig.size == back.size == field_of.size
                 for index, name in enumerate(names):
                     cells = field_of == index

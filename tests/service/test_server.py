@@ -255,6 +255,10 @@ class TestCLIVerbs:
         assert cli_main(["query", "read-field", "x.h5z", "--field", "rho",
                          "--box", "0-7", *port]) == 1
         assert "bad --box" in capsys.readouterr().err
+        assert cli_main(["query", "frobnicate", *port]) == 1
+        assert "unknown query op" in capsys.readouterr().err
+        assert cli_main(["query", "follow", "series_dir", "--http", *port]) == 1
+        assert "streams over the TCP service" in capsys.readouterr().err
 
     def test_query_cli_unreachable_server_fails_cleanly(self, capsys):
         assert cli_main(["query", "ping", "--port", "1"]) == 1

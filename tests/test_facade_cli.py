@@ -332,10 +332,12 @@ class TestCLI:
         ["decompress", "x.h5z", "y.h5z", "--backend", "shm"],
         ["verify", "x.h5z", "--backend", "shm"],
         ["verify", "x.h5z", "--max-workers", "2"],
-        ["serve", "--backend", "shm"]],
+        ["serve", "--backend", "shm"],
+        ["query", "--follow", "series_dir"]],
         ids=lambda argv: f"{argv[0]}{argv[-2]}")
     def test_no_verb_takes_a_backend(self, argv, capsys):
-        """A pool is an API choice (``backend=`` instances), not a flag."""
+        """A pool is an API choice (``backend=`` instances), not a flag; and
+        following a series is the ``query follow DIR`` op, not a flag."""
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
         assert exc.value.code == 2
