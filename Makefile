@@ -19,10 +19,10 @@
 
 PY := PYTHONPATH=src python
 
-# src/ + tools/ Python lines as of the last change to them (-231: the baselines
-# and studies read LevelLayout, so preprocess_level / UnitBlock, core/layout.py,
-# the pack_blocks_* wrappers, AMRICConfig.change_layout and `query --follow` went)
-LOC_BUDGET := 18594
+# src/ + tools/ Python lines as of the last change to them (+32: the Huffman
+# lane pass's per-bit LUT peek for passes <= 64 KiB, beside the byte window that
+# larger passes keep, and the exact integer Kraft check; ROADMAP item 13)
+LOC_BUDGET := 18626
 LOC = $$(find src tools -name '*.py' | xargs cat | wc -l)
 
 # suite -> pytest paths ('+'-separated). Adding a benchmark suite is one line.

@@ -9,6 +9,8 @@ key stream, where the code-length merge — not the histogram — is the cost.
 ``test_huffman_decode_many_tables`` is a decode job: four containers, each
 under its own table, decoded in one lane pass or in four — the gate holds the
 one pass to <= 0.7x the four (the pass's 256 Python-level steps are shared).
+``test_huffman_decode_cold_pass`` is the small pass a cold served box read
+decodes, where the decoder peeks through its per-bit LUT index.
 """
 
 import numpy as np
@@ -91,22 +93,29 @@ def test_huffman_decode_many_small_streams(benchmark, small_streams):
         np.testing.assert_array_equal(got, array)
 
 
-@pytest.fixture(scope="module")
-def job_containers():
-    """Four chunks of one dataset as the reader parses them: ~108 unit-block
-    streams (~27k symbols) each, LUT widths 12-15 (nyx_1 level 0's shape)."""
-    rng = np.random.default_rng(17)
+def _containers(seed, scales, nstreams):
+    """Chunks of one dataset as the reader parses them: ``nstreams`` unit-block
+    streams of ~256 symbols each per chunk, one table per chunk, LUT widths
+    12-15 (nyx_1 level 0's shape)."""
+    rng = np.random.default_rng(seed)
     pairs, arrays = [], []
-    for scale in (0.8, 1.2, 2.5, 6.0):
-        sizes = 256 - rng.integers(0, 9, size=108) * (rng.random(108) < 0.2)
+    for scale in scales:
+        sizes = 256 - rng.integers(0, 9, size=nstreams) * (rng.random(nstreams) < 0.2)
         blocks = [(32768 + np.round(rng.laplace(0, scale, n))).astype(np.uint32)
                   for n in sizes]
         codec = HuffmanCodec.from_multiple(blocks)
         pairs += ctn.parse_huffman(ctn.pack_huffman([codec.encode(b) for b in blocks]),
                                    sync_interval=SYNC_INTERVAL)
         arrays.append(np.concatenate(blocks))
-    widths = [codec._build_lut()[0] for codec, _ in pairs]
-    assert min(widths) >= 12 and max(widths) <= 15 and len(set(widths)) >= 3
+    assert all(12 <= codec._build_lut()[0] <= 15 for codec, _ in pairs)
+    return pairs, arrays
+
+
+@pytest.fixture(scope="module")
+def job_containers():
+    """Four chunks of ~108 streams (~27k symbols) each."""
+    pairs, arrays = _containers(17, (0.8, 1.2, 2.5, 6.0), 108)
+    assert len({codec._build_lut()[0] for codec, _ in pairs}) >= 3
     return pairs, arrays
 
 
@@ -122,5 +131,17 @@ def test_huffman_decode_many_tables(benchmark, job_containers, passes):
         def run():
             return [codec.decode(encoded) for codec, encoded in pairs]
     result = benchmark.pedantic(run, rounds=15, iterations=1, warmup_rounds=1)
+    for got, array in zip(result, arrays):
+        np.testing.assert_array_equal(got, array)
+
+
+def test_huffman_decode_cold_pass(benchmark):
+    """The pass a cold served box read decodes: three chunks' tables, ~70
+    lanes, ~9 KB of codes.  Its 256 steps, not its symbols, are the cost."""
+    pairs, arrays = _containers(25, (1.2, 2.5, 6.0), 23)
+    benchmark.extra_info["lanes"] = sum(-(-e.nsymbols // SYNC_INTERVAL) for _, e in pairs)
+    benchmark.extra_info["payload_bytes"] = sum(len(e.payload) for _, e in pairs)
+    result = benchmark.pedantic(huffman.decode_many, args=(pairs,),
+                                rounds=30, iterations=1, warmup_rounds=2)
     for got, array in zip(result, arrays):
         np.testing.assert_array_equal(got, array)

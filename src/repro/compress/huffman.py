@@ -22,9 +22,12 @@ Both directions are fully vectorized (DESIGN.md §2):
   (DESIGN.md §2).  Code lengths come from a two-queue merge of sorted counts.
 * **decode** splits the payload at the sync offsets into independent lanes
   ``(start bit, end bit, symbol count)`` and advances all lanes in lockstep:
-  peek the next ``K`` bits of every lane through a sliding 24-bit byte
-  window, look all of them up in a flat canonical table
-  ``LUT[next_k_bits] -> (symbol, code_len)``, emit, advance.  A
+  peek the next ``K`` bits of every lane, look all of them up in a flat
+  canonical table ``LUT[next_k_bits] -> (symbol, code_len)``, emit, advance.
+  A pass of at most ``_PER_BIT_BYTES`` (64 KiB) first builds the LUT slot of
+  every bit position (<= ~2 MiB), so a step is four numpy calls; a larger
+  one peeks through a sliding 24-bit byte window (10-13 calls a step), as
+  building that index costs it more than the calls save (DESIGN.md §2).  A
   :class:`HuffmanEncoded` may hold several byte-aligned streams of one table
   back to back (a container's SLE streams), and a batch of them — each with
   its own table (:func:`decode_many`: the containers of a decode job) — is a
@@ -63,6 +66,10 @@ SYNC_INTERVAL = 256
 
 #: the longest codeword the vectorized encoder can pack (two 32-bit words)
 _ENCODE_MAX_LEN = 32
+
+#: a lane pass whose payloads join to at most this many bytes peeks through a
+#: per-bit LUT index (4 numpy calls a step); larger ones through the byte window
+_PER_BIT_BYTES = 1 << 16
 
 #: alphabet spans (max - min) below this, any 16-bit quantiser's, get a dense encode table
 _DENSE_SPAN = 1 << 16
@@ -182,7 +189,10 @@ class HuffmanCodec:
             # not a prefix code at all
             if int(self.lengths.max()) >= 64 or int(self.lengths.min()) < 1:
                 raise ValueError("invalid Huffman table (code length out of range)")
-            if float(np.sum(2.0 ** (-self.lengths.astype(np.float64)))) > 1.0 + 1e-9:
+            # in Python ints: a float sum lets [1, 1, 30] through ('1', '100...0')
+            top = int(self.lengths.max())
+            if sum(n << (top - length) for length, n in
+                   enumerate(np.bincount(self.lengths).tolist())) > 1 << top:
                 raise ValueError("invalid Huffman table (Kraft inequality violated)")
         self.codes = _canonical_codes(self.lengths.astype(np.int64))
         self.data_bits: Optional[int] = None   #: :meth:`from_data`: sum(count x length) of its data
@@ -436,14 +446,16 @@ class HuffmanCodec:
         number of streams — or tables — the lanes came from.  Several tables
         gather from their LUTs back to back: a lane then carries its table's
         LUT base and width, and the LUT is as large as the tables' own
-        (nothing is padded to the widest).
+        (nothing is padded to the widest).  A small pass takes each step's
+        slots from a per-bit index instead (module docstring).
         """
         # sliding 24-bit windows: window[j] holds bits 8j..8j+23 of the payloads.
         # A lane advances at most MAX_CODE_LEN bits per step, so one that runs
         # off its end stays within 2*SYNC_INTERVAL zero bytes past the last
         # payload (zero bits that match no code stall it; either way the end
         # check fails — as it does for a lane that ran into the next payload)
-        nbytes = sum(len(payload) for payload in payloads)
+        sizes = [len(payload) for payload in payloads]
+        nbytes = sum(sizes)
         padded = np.zeros(nbytes + 2 * SYNC_INTERVAL + 4, dtype=np.uint8)
         np.concatenate([np.frombuffer(payload, dtype=np.uint8) for payload in payloads],
                        out=padded[:nbytes])
@@ -458,36 +470,56 @@ class HuffmanCodec:
         # lanes with more than t symbols, for every step t
         active = nlanes - np.cumsum(np.bincount(count, minlength=SYNC_INTERVAL))
         pos = start[order]
+        width = np.asarray([int(codec._dec_lengths.max()) for codec in tables])
+        bases = np.cumsum(1 << width) - (1 << width)
         if len(tables) == 1:
-            k, lut = tables[0]._build_lut()
-            window_shift, mask, lut_base = 24 - k, (1 << k) - 1, None
+            lut = tables[0]._build_lut()[1]
         else:
             # the job's tables are parsed for this pass and dropped after it:
             # their LUTs go straight into the joined one, no copy kept per codec
-            width = np.asarray([int(codec._dec_lengths.max()) for codec in tables])
-            bases = np.cumsum(1 << width) - (1 << width)
             lut = np.zeros(int((1 << width).sum()), dtype=np.uint32)
             for codec, base, k in zip(tables, bases.tolist(), width.tolist()):
                 codec._lut_into(lut[base:base + (1 << k)])
-            of_lane = table[order]
-            window_shift, mask, lut_base = (
-                per_table[of_lane] for per_table in (24 - width, (1 << width) - 1, bases))
         out = np.empty((SYNC_INTERVAL, nlanes), dtype=np.uint32)
-        for t, m in enumerate(active[:SYNC_INTERVAL].tolist()):
-            if m == 0:
-                break
-            p = pos[:m]
-            peek = window[p >> 3]                   # int32; the int64 shift widens it
-            if lut_base is None:
-                peek = peek >> (window_shift - (p & 7))
-                peek &= mask
+        # lanes still decoding at step t (non-increasing: the non-zero counts lead)
+        running = [m for m in active[:SYNC_INTERVAL].tolist() if m]
+        if nbytes <= _PER_BIT_BYTES:
+            # index[8j + b]: the LUT slot a code starting at bit 8j + b reads, under
+            # the table whose payload holds byte j (the zero tail: the last one's).
+            # A lane peeks in another table's bytes only once past its own end
+            index = np.empty((window.size, 8), dtype=np.int32)
+            lo = (np.cumsum(sizes) - sizes).tolist()
+            for a, b, k, base in zip(lo, lo[1:] + [window.size], width.tolist(),
+                                     bases.tolist()):
+                for bit in range(8):
+                    np.right_shift(window[a:b], 24 - k - bit, out=index[a:b, bit])
+                index[a:b] &= (1 << k) - 1
+                index[a:b] += base
+            index = index.reshape(-1)
+            for t, m in enumerate(running):
+                p, entry = pos[:m], out[t, :m]
+                lut.take(index.take(p), out=entry, mode="clip")
+                p += entry & 31                     # length 0 (no such code) stalls
+            del index
+        else:
+            if len(tables) == 1:
+                window_shift, mask, lut_base = 24 - int(width[0]), (1 << int(width[0])) - 1, None
             else:
-                peek = peek >> (window_shift[:m] - (p & 7))
-                peek &= mask[:m]
-                peek += lut_base[:m]
-            entry = lut[peek]
-            out[t, :m] = entry
-            p += entry & 31                         # length 0 (no such code) stalls
+                window_shift, mask, lut_base = (
+                    per_table[table[order]] for per_table in (24 - width, (1 << width) - 1, bases))
+            for t, m in enumerate(running):
+                p = pos[:m]
+                peek = window[p >> 3]               # int32; the int64 shift widens it
+                if lut_base is None:
+                    peek = peek >> (window_shift - (p & 7))
+                    peek &= mask
+                else:
+                    peek = peek >> (window_shift[:m] - (p & 7))
+                    peek &= mask[:m]
+                    peek += lut_base[:m]
+                entry = lut[peek]
+                out[t, :m] = entry
+                p += entry & 31                     # length 0 (no such code) stalls
         del window, lut
         # back to lane order and down to each lane's own symbols, a table at a
         # time (its lanes are consecutive): the transposed copy is then one

@@ -1,12 +1,15 @@
 """The unified codec container and the codec registry."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.compress import container as ctn
 from repro.compress import registry
 from repro.compress.errorbound import ErrorBound
-from repro.compress.huffman import HuffmanCodec
+from repro.compress.huffman import SYNC_INTERVAL, HuffmanCodec
+from repro.errors import CorruptFileError
 from repro.testing import make_smooth
 
 ALL_CODECS = ["sz_lr", "sz_interp", "sz_1d"]
@@ -14,6 +17,19 @@ ALL_CODECS = ["sz_lr", "sz_interp", "sz_1d"]
 
 def _codec(name):
     return registry.create_codec(name, ErrorBound.relative(1e-3))
+
+
+class TestStoredTables:
+    @pytest.mark.parametrize("lengths", [[1, 1, 30], [1, 2, 2, 31]])
+    def test_a_table_that_is_not_a_prefix_code_is_corrupt(self, lengths):
+        """Over Kraft's bound by 2**-30 or less: the record is corrupt."""
+        symbols = np.arange(1, len(lengths) + 1, dtype=np.uint32)
+        stream = HuffmanCodec.from_data(symbols).encode(symbols)
+        stored = SimpleNamespace(symbols=symbols, lengths=np.asarray(lengths, dtype=np.uint8))
+        record = ctn.pack_record([symbols.shape], [stream], [stored], [])
+        with pytest.raises(CorruptFileError, match="Kraft"):
+            ctn.parse_record(record, [symbols.shape], [symbols.size], True, SYNC_INTERVAL,
+                             "chunk 0")
 
 
 class TestContainerFraming:

@@ -5,6 +5,7 @@ call) must equal per-stream decode must equal the scalar reference loop, and a
 damaged container must fail with :class:`ValueError` and nothing else.  The
 same holds one level up: :func:`huffman.decode_many` over several ``(codec,
 encoded)`` pairs, every pair under its own table, equals decoding each alone.
+The lane-pass classes run once per peek (the ``peek`` fixture).
 """
 
 import zlib
@@ -73,6 +74,7 @@ def _batch(streams) -> HuffmanEncoded:
         streams=np.asarray([[s.nbits, s.nsymbols] for s in streams], dtype=np.int64))
 
 
+@pytest.mark.usefixtures("peek")
 class TestBatchedEqualsPerStream:
     @given(shared_table_mixes())
     def test_batched_equals_per_stream_equals_scalar(self, mix):
@@ -125,6 +127,7 @@ def _sections(arrays, codec=None):
     return ctn.pack_huffman([codec.encode(a) for a in arrays])
 
 
+@pytest.mark.usefixtures("peek")
 class TestCorruptionMatrix:
     """Damage either raises ValueError or (sync only) falls back to exact data."""
 
@@ -294,6 +297,7 @@ def _mid_batch(seed=11):
     return pairs
 
 
+@pytest.mark.usefixtures("peek")
 class TestManyTablesOnePass:
     @given(table_mixes())
     def test_one_multi_table_pass_equals_per_stream_decode(self, parts):
@@ -353,6 +357,26 @@ class TestManyTablesOnePass:
         for back, ref in zip(huffman.decode_many(pairs), want):
             np.testing.assert_array_equal(back, ref)
         assert passes == [2]
+
+    def test_a_lane_ending_on_the_next_tables_first_byte(self):
+        """Table A's last lane ends on a byte boundary, where table B's payload
+        starts.  A's last code is short, so it starts in A's last byte and its
+        peek reaches into B's bytes: it must read A's slots, B's first code B's."""
+        rng = np.random.default_rng(3)
+        a = (1000 + np.round(rng.laplace(0, 8.0, size=SYNC_INTERVAL + 77))).astype(np.uint32)
+        a[-1] = 1000                                  # the commonest symbol: a short code
+        first = HuffmanCodec.from_data(a)
+        while first.expected_bits(a) % 8:
+            a = np.append(a[1:], a[-1])              # one symbol moved: another bit count
+            first = HuffmanCodec.from_data(a)
+        end = first.encode(a)
+        assert end.nbits == 8 * len(end.payload)
+        assert int(first.lengths[first.symbols == 1000][0]) < 8 <= first._build_lut()[0]
+        b = rng.integers(0, 200, size=300).astype(np.uint32)
+        second = HuffmanCodec.from_data(b)
+        got = huffman.decode_many([(first, end), (second, second.encode(b))])
+        np.testing.assert_array_equal(got[0], a)
+        np.testing.assert_array_equal(got[1], b)
 
     @pytest.mark.parametrize("damage", ["truncate", "unassigned", "sync", "nbits"])
     def test_damage_mid_batch_raises_what_it_raises_alone(self, damage):
