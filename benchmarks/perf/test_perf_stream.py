@@ -21,7 +21,7 @@ pytest.importorskip("pytest_benchmark")
 import repro
 from repro.apps.nyx import NyxSimulation
 from repro.series.reader import SeriesHandle
-from repro.series.writer import SeriesWriter, write_series
+from repro.series.writer import SeriesWriter
 from repro.service import ReproServer
 from repro.service.client import follow_series
 
@@ -50,8 +50,8 @@ def live_dir(bench_hierarchies, tmp_path_factory):
 
 def _write_append(hierarchies, directory):
     shutil.rmtree(directory, ignore_errors=True)
-    return write_series(hierarchies, str(directory), keyframe_interval=8,
-                        error_bound=1e-3, append=True)
+    return repro.write_series(hierarchies, str(directory), keyframe_interval=8,
+                              error_bound=1e-3, append=True)
 
 
 def test_stream_append_commit(benchmark, bench_hierarchies, tmp_path):

@@ -12,13 +12,17 @@ stand-ins reproduce the data characteristics the paper leans on:
   workload: six smooth electromagnetic field components on an elongated
   domain; very compressible (paper CRs in the hundreds-to-thousands);
   refinement follows the laser pulse.
-* :class:`~repro.apps.driver.SimulationDriver` and
-  :data:`~repro.apps.driver.RUN_PRESETS` — the scaled-down Table 1 run matrix.
+* :data:`~repro.apps.driver.RUN_PRESETS` and
+  :func:`~repro.apps.driver.build_run` — the scaled-down Table 1 run matrix.
+
+A simulation's dump loop is the facade's: ``repro.write_series(sim.run(n),
+directory)`` for a delta-compressed series, or ``repro.write(sim.hierarchy,
+path)`` per dump.
 """
 
 from repro.apps.nyx import NyxSimulation, nyx_run
 from repro.apps.warpx import WarpXSimulation, warpx_run
-from repro.apps.driver import RunPreset, RUN_PRESETS, SimulationDriver, build_run
+from repro.apps.driver import RunPreset, RUN_PRESETS, build_run
 
 __all__ = [
     "NyxSimulation",
@@ -27,6 +31,5 @@ __all__ = [
     "warpx_run",
     "RunPreset",
     "RUN_PRESETS",
-    "SimulationDriver",
     "build_run",
 ]

@@ -1,4 +1,4 @@
-"""Run presets mirroring Table 1 of the paper (scaled down) and a driver loop.
+"""Run presets mirroring Table 1 of the paper (scaled down).
 
 The paper's six runs use grids from 256³ up to 2048×2048×16384 on 64–4096 MPI
 ranks; a laptop-scale reproduction keeps the *structure* of each run — two AMR
@@ -12,7 +12,7 @@ data sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from repro.apps.nyx import NyxSimulation
 from repro.apps.warpx import WarpXSimulation
 from repro.apps.base import SyntheticAMRSimulation
 
-__all__ = ["RunPreset", "RUN_PRESETS", "build_run", "SimulationDriver"]
+__all__ = ["RunPreset", "RUN_PRESETS", "build_run"]
 
 
 @dataclass(frozen=True)
@@ -117,111 +117,3 @@ def build_run(preset: RunPreset | str, **overrides) -> SyntheticAMRSimulation:
     if preset.app == "warpx":
         return WarpXSimulation(**common)
     raise ValueError(f"unknown app {preset.app!r}")
-
-
-@dataclass
-class StepRecord:
-    """What the driver reports per plotfile dump."""
-
-    step: int
-    time: float
-    report: object            #: whatever the writer's write_plotfile returned
-    path: Optional[str]
-
-
-class SimulationDriver:
-    """Step / regrid / dump loop tying an application to the in situ facade.
-
-    Plotfile dumps go through :func:`repro.write`, so the driver accepts any
-    combination the facade does: a pre-built ``writer`` object, a ``method``
-    name ("amric", "amrex_1d", "nocomp"), an AMRIC ``config`` and/or keyword
-    ``overrides`` — and dumps to disk are self-describing (readable back via
-    :func:`repro.open`).
-
-    With ``series=True`` the dumps instead accumulate into one plotfile
-    series under ``output_dir`` (:mod:`repro.series`): consecutive dumps
-    delta-compress against each other through the ``temporal_delta`` codec,
-    every ``keyframe_interval``-th dump stays self-contained, and the run is
-    read back time-indexed via :func:`repro.open_series`.
-
-    Every series dump is committed through the journal (:mod:`repro.stream`),
-    so readers and ``repro serve`` subscribers observe each step the moment
-    it lands rather than at finalize.  ``stream=True`` (implies series mode)
-    also resumes a series ``output_dir`` already holds — live after a crash,
-    or finalized — instead of refusing it.
-    """
-
-    def __init__(self, simulation: SyntheticAMRSimulation, writer=None,
-                 output_dir: Optional[str] = None, plot_interval: int = 1,
-                 method: Optional[str] = None, config=None,
-                 series: bool = False, keyframe_interval: int = 8,
-                 stream: bool = False, **overrides):
-        if writer is not None and (config is not None or overrides):
-            # write_plotfile would reject this at the first dump; fail at
-            # construction instead of mid-run
-            raise ValueError(
-                "writer= already carries its configuration; do not also pass "
-                "config=/writer overrides to SimulationDriver")
-        if stream and not series:
-            raise ValueError("stream=True is a series mode; pass series=True")
-        if series:
-            if output_dir is None:
-                raise ValueError("series=True needs an output_dir to accumulate into")
-            if writer is not None or method is not None:
-                raise ValueError(
-                    "series=True always writes through the series writer; "
-                    "writer=/method= cannot apply")
-        self.simulation = simulation
-        self.writer = writer
-        self.method = method
-        self.config = config
-        self.series = bool(series)
-        self.stream = bool(stream)
-        self.keyframe_interval = int(keyframe_interval)
-        self.overrides = overrides
-        self.output_dir = output_dir
-        self.plot_interval = max(1, int(plot_interval))
-        self.records: list[StepRecord] = []
-        #: dump only when I/O was configured (a writer, method, config,
-        #: overrides — or the series mode, which is always a dump request)
-        self._dumps = (writer is not None or method is not None
-                       or config is not None or bool(overrides) or self.series)
-
-    def run(self, nsteps: int, dt: float = 1.0) -> list[StepRecord]:
-        """Advance ``nsteps`` steps, dumping a plotfile every ``plot_interval`` steps."""
-        import os
-
-        from repro.facade import write_plotfile
-
-        series_writer = None
-        if self.series and self._dumps:
-            from repro.series.writer import SeriesWriter
-
-            series_writer = SeriesWriter(self.output_dir, config=self.config,
-                                         keyframe_interval=self.keyframe_interval,
-                                         append=self.stream,
-                                         **self.overrides)
-        try:
-            for step in range(nsteps):
-                hierarchy = self.simulation.hierarchy
-                if step % self.plot_interval == 0 and self._dumps:
-                    if series_writer is not None:
-                        report = series_writer.append(hierarchy)
-                        path = report.path
-                    else:
-                        path = None
-                        if self.output_dir is not None:
-                            os.makedirs(self.output_dir, exist_ok=True)
-                            path = os.path.join(
-                                self.output_dir, f"plt{self.simulation.step:05d}.h5z")
-                        report = write_plotfile(hierarchy, path, writer=self.writer,
-                                                method=self.method or "amric",
-                                                config=self.config, **self.overrides)
-                    self.records.append(StepRecord(step=self.simulation.step,
-                                                   time=self.simulation.time,
-                                                   report=report, path=path))
-                self.simulation.advance(dt)
-        finally:
-            if series_writer is not None:
-                series_writer.close()
-        return self.records

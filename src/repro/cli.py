@@ -306,7 +306,7 @@ def _cmd_compress(args) -> int:
                              error_bound=args.error_bound)
     else:
         kwargs = {}
-        if args.method in ("amrex", "amrex_1d"):
+        if args.method == "amrex_1d":
             kwargs["error_bound"] = args.error_bound
         elif args.error_bound != 1e-3:
             raise ValueError(

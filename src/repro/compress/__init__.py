@@ -23,8 +23,10 @@ decode cost (the encoder already knows the reconstruction) and is what the
 analysis/benchmark layer uses for PSNR at scale.
 
 The codec registry (:mod:`repro.compress.registry`) resolves codecs by name
-and the unified container (:mod:`repro.compress.container`) is the one
-serializer every codec's byte stream goes through.
+and :mod:`repro.compress.container` holds every codec's serialisation: the
+section container a standalone buffer travels in (``sz_1d`` and
+``temporal_delta`` streams, and SZ_L/R / SZ_Interp buffers outside a
+plotfile), and the format-v2 chunk record the AMRIC filter stores bare.
 """
 
 from repro.compress.errorbound import ErrorBound

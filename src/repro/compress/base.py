@@ -10,7 +10,13 @@ import numpy as np
 
 from repro.compress.errorbound import ErrorBound
 
-__all__ = ["CompressedBuffer", "Compressor"]
+__all__ = ["CompressedBuffer", "Compressor", "DEFAULT_RADIUS"]
+
+#: Default quantisation radius of the SZ-family codecs (SZ's 2^16-entry
+#: interval table): a prediction error quantises to ``round(err / (2*eb))``,
+#: stored shifted by the radius so codes are non-negative, with code 0
+#: reserved for an unpredictable value (``|code| >= radius``) kept verbatim.
+DEFAULT_RADIUS = 32768
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """The unified codec container: one serializer for every compressed stream.
 
-Before this module each codec (``sz_lr``, ``sz_interp``, ``sz1d``) hand-rolled
+Before this module each codec (``sz_lr``, ``sz_interp``, ``sz_1d``) hand-rolled
 the same serialisation: a JSON ``meta`` section, Huffman table/payload/sync
 sections, zlib-deflated side arrays, all framed through
 :func:`repro.compress.lossless.pack_sections`.  A copy of that code per codec

@@ -72,30 +72,25 @@ class CodecSpec:
 
 
 _REGISTRY: Dict[str, CodecSpec] = {}
-_ALIASES: Dict[str, str] = {}
 
 
-def register_codec(spec: CodecSpec, aliases: Tuple[str, ...] = ()) -> None:
-    """Add a codec to the registry (name and aliases must be unused)."""
-    for name in (spec.name, *aliases):
-        if name in _REGISTRY or name in _ALIASES:
-            raise ValueError(f"codec name {name!r} already registered")
+def register_codec(spec: CodecSpec) -> None:
+    """Add a codec to the registry (its name must be unused)."""
+    if spec.name in _REGISTRY:
+        raise ValueError(f"codec name {spec.name!r} already registered")
     _REGISTRY[spec.name] = spec
-    for alias in aliases:
-        _ALIASES[alias] = spec.name
 
 
 def is_registered(name: str) -> bool:
-    return name in _REGISTRY or name in _ALIASES
+    return name in _REGISTRY
 
 
 def resolve_codec(name: str) -> CodecSpec:
-    """Name (or alias) → spec; ValueError listing known codecs on a miss."""
-    canonical = _ALIASES.get(name, name)
-    if canonical not in _REGISTRY:
+    """Name → spec; ValueError listing known codecs on a miss."""
+    if name not in _REGISTRY:
         raise ValueError(
             f"unknown codec {name!r}; registered codecs: {available_codecs()}")
-    return _REGISTRY[canonical]
+    return _REGISTRY[name]
 
 
 def create_codec(name: str, error_bound: ErrorBound | float, mode: str = "rel",
@@ -138,8 +133,7 @@ register_codec(CodecSpec(
 register_codec(CodecSpec(
     name="sz_1d", factory=SZ1DCompressor,
     options=("radius", "lossless_level"),
-    description="1D Lorenzo codec behind AMReX's original in situ compression"),
-    aliases=("sz1d",))
+    description="1D Lorenzo codec behind AMReX's original in situ compression"))
 
 
 def _temporal_delta_factory(error_bound, mode: str = "rel", **options):

@@ -16,13 +16,15 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.compress import container as ctn
-from repro.compress.base import CompressedBuffer, Compressor
+from repro.compress.base import CompressedBuffer, Compressor, DEFAULT_RADIUS
 from repro.compress.errorbound import ErrorBound
 from repro.compress import huffman
 from repro.compress.huffman import HuffmanCodec
-from repro.compress.quantizer import DEFAULT_RADIUS
+from repro.errors import required
 
 __all__ = ["SZ1DCompressor"]
+
+_RECORD = "sz_1d meta"
 
 
 class SZ1DCompressor(Compressor):
@@ -82,12 +84,16 @@ class SZ1DCompressor(Compressor):
     def decompress(self, buffer: CompressedBuffer | bytes) -> np.ndarray:
         cont = ctn.unpack_container(self._payload_of(buffer), expect_codec=self.name)
         meta, sections = cont.meta, cont.sections
-        abs_eb = float(meta["abs_eb"])
-        radius = int(meta["radius"])
+        abs_eb = required(meta, "abs_eb", _RECORD, float)
+        radius = required(meta, "radius", _RECORD, int)
+        shape = required(meta, "shape", _RECORD, list)
+        dtype = np.dtype(required(meta, "dtype", _RECORD, str))
+        anchor = required(meta, "anchor", _RECORD, int)
 
-        codes = ctn.unpack_huffman(
-            sections, sync_interval=int(meta.get("sync_interval", 0)))[0].astype(np.int64)
-        outliers = ctn.unpack_zarray(sections["outliers"]).astype(np.int64)
+        codes = ctn.unpack_huffman(sections, sync_interval=required(
+            meta, "sync_interval", _RECORD, int))[0].astype(np.int64)
+        outliers = ctn.unpack_zarray(
+            required(sections, "outliers", "sz_1d sections")).astype(np.int64)
 
         deltas = codes - radius
         outlier_mask = codes == 0
@@ -95,10 +101,9 @@ class SZ1DCompressor(Compressor):
             deltas[outlier_mask] = outliers
         else:
             deltas[outlier_mask] = 0
-        deltas[0] = int(meta["anchor"])
+        deltas[0] = anchor
         q = np.cumsum(deltas)
-        recon = (q * (2.0 * abs_eb)).reshape(tuple(meta["shape"]))
-        dtype = np.dtype(meta["dtype"])
+        recon = (q * (2.0 * abs_eb)).reshape(tuple(shape))
         return recon.astype(dtype) if dtype != np.float64 else recon
 
     # ------------------------------------------------------------------

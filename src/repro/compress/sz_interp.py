@@ -26,11 +26,10 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.compress import container as ctn
-from repro.compress.base import CompressedBuffer, Compressor
+from repro.compress.base import CompressedBuffer, Compressor, DEFAULT_RADIUS
 from repro.compress.errorbound import ErrorBound
 from repro.compress import huffman
 from repro.compress.huffman import HuffmanCodec
-from repro.compress.quantizer import DEFAULT_RADIUS
 from repro.errors import CorruptFileError, required
 
 __all__ = ["SZInterpCompressor"]

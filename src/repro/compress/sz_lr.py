@@ -8,9 +8,9 @@ optimises:
    source of the "residue block" problem the adaptive-block-size optimisation
    addresses;
 2. every block is predicted either by the Lorenzo predictor (dual-quantisation
-   form, see :mod:`repro.compress.lorenzo`) or by a first-order regression
-   plane (:mod:`repro.compress.regression`), whichever is estimated to encode
-   smaller;
+   form: :func:`_lorenzo` / :func:`_prefix_sum`, DESIGN.md §1) or by a
+   first-order regression plane (:mod:`repro.compress.regression`), whichever
+   is estimated to encode smaller;
 3. the per-block quantisation codes are Huffman-encoded — with a **single
    shared table** per call (this is exactly what the paper's unit SLE relies
    on when AMRIC hands SZ a list of unit blocks) — and deflated with zlib.
@@ -68,11 +68,10 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from repro.compress import container as ctn
-from repro.compress.base import CompressedBuffer, Compressor
+from repro.compress.base import CompressedBuffer, Compressor, DEFAULT_RADIUS
 from repro.compress.errorbound import ErrorBound
 from repro.compress import huffman
 from repro.compress.huffman import HuffmanCodec
-from repro.compress.quantizer import DEFAULT_RADIUS
 from repro.compress import regression
 from repro.errors import CorruptFileError, required
 

@@ -44,7 +44,7 @@ from repro.compress.container import (
 )
 from repro.compress.errorbound import ErrorBound
 from repro.compress.huffman import SYNC_INTERVAL, HuffmanCodec
-from repro.errors import required
+from repro.errors import CorruptFileError, required
 
 __all__ = [
     "MODE_KEY",
@@ -52,7 +52,6 @@ __all__ = [
     "StreamCandidate",
     "TemporalDeltaCodec",
     "TemporalDeltaFilter",
-    "stream_mode",
 ]
 
 MODE_KEY = "key"
@@ -63,6 +62,8 @@ _MAX_CODE_SPREAD = np.iinfo(np.uint32).max
 
 #: a stream's code-independent bytes (178; not the ~150 B meta, nor the sync offsets)
 _FRAMING_BYTES = huffman_framing_nbytes()
+
+_RECORD = "temporal_delta meta"
 
 
 class StreamCandidate(NamedTuple):
@@ -169,8 +170,10 @@ class TemporalDeltaCodec(Compressor):
 
         For a key stream the codes are the absolute grid codes; for a delta
         stream they are the code *differences* against the reference stream
-        (adding the reference's absolute codes is the caller's job — see
-        :meth:`decode_with_reference`).
+        (adding the reference's absolute codes is the caller's job — the
+        series reader's chain walk).  Every key :meth:`candidate` writes but
+        ``shape`` is required: a meta that lost one is a
+        :class:`~repro.errors.CorruptFileError` naming it.
         """
         return TemporalDeltaCodec.unpack_codes_many([payload])[0]
 
@@ -187,18 +190,20 @@ class TemporalDeltaCodec(Compressor):
         for payload in payloads:
             container = unpack_container(payload, expect_codec=TemporalDeltaCodec.name)
             meta = container.meta
-            mode = str(meta.get("mode", ""))
+            mode = required(meta, "mode", _RECORD, str)
             if mode not in (MODE_KEY, MODE_DELTA):
-                raise ValueError(f"corrupt temporal_delta stream: unknown mode {mode!r}")
-            required(meta, "eb", "temporal_delta meta")
-            # a stream written before the key existed takes the scalar decode loop
+                raise CorruptFileError(f"corrupt temporal_delta stream: unknown mode {mode!r}")
+            for key in ("eb", "offset"):
+                required(meta, key, _RECORD, float)
+            for key in ("n", "min_code"):
+                required(meta, key, _RECORD, int)
             parsed.append((mode, meta, parse_huffman(
-                container.sections, sync_interval=int(meta.get("sync_interval", 0)))))
+                container.sections, sync_interval=required(meta, "sync_interval", _RECORD, int))))
         out = []
         for (mode, meta, _), (shifted,) in zip(
                 parsed, decode_huffman([pairs for _, _, pairs in parsed])):
-            codes = shifted.astype(np.int64) + int(meta.get("min_code", 0))
-            n = int(meta.get("n", codes.size))
+            codes = shifted.astype(np.int64) + meta["min_code"]
+            n = meta["n"]
             if codes.size != n:
                 raise ValueError(
                     f"corrupt temporal_delta stream: {codes.size} codes for {n} elements")
@@ -208,35 +213,25 @@ class TemporalDeltaCodec(Compressor):
     # ------------------------------------------------------------------
     # encoding
     # ------------------------------------------------------------------
-    def _encode(self, data, eb, ref_codes=None, shape=None) -> Tuple[bytes, np.ndarray, np.ndarray]:
-        """Quantise, table, pack: the one encode path of both stream kinds."""
-        eb = self._grid_eb(np.asarray(data)) if eb is None else float(eb)
-        codes = self.quantize(data, eb)
-        payload = self.pack(self.candidate(codes, eb, ref_codes, shape))
-        return payload, codes, self.grid_values(codes, eb, self.offset)
-
     def encode_key(self, data: np.ndarray,
                    eb: Optional[float] = None) -> Tuple[bytes, np.ndarray, np.ndarray]:
-        """Self-contained stream: returns (payload, codes, reconstruction)."""
-        return self._encode(data, eb, shape=np.shape(data))
+        """Self-contained stream: returns (payload, codes, reconstruction).
 
-    def encode_delta(self, data: np.ndarray, ref_codes: np.ndarray,
-                     eb: Optional[float] = None) -> Tuple[bytes, np.ndarray, np.ndarray]:
-        """Delta stream against ``ref_codes``: returns (payload, codes, reconstruction).
-
-        The returned ``codes`` are the *absolute* codes of ``data`` (what the
-        next step deltas against); only their difference to the reference is
-        entropy-coded.  The reconstruction is identical to what
-        :meth:`encode_key` would produce for the same data.
+        The series writer's quantise → :meth:`candidate` → :meth:`pack` for
+        one array; a delta stream is the same three calls with the
+        reference's codes passed to :meth:`candidate`.
         """
-        return self._encode(data, eb, ref_codes=ref_codes)
+        eb = self._grid_eb(np.asarray(data)) if eb is None else float(eb)
+        codes = self.quantize(data, eb)
+        payload = self.pack(self.candidate(codes, eb, shape=np.shape(data)))
+        return payload, codes, self.grid_values(codes, eb, self.offset)
 
     # ------------------------------------------------------------------
     # decoding
     # ------------------------------------------------------------------
     def _values(self, codes: np.ndarray, meta: Dict[str, object]) -> np.ndarray:
         # the grid travels inside the stream, not in this instance's configuration
-        return self.grid_values(codes, meta["eb"], meta.get("offset", 0.0))
+        return self.grid_values(codes, meta["eb"], meta["offset"])
 
     def _decode_standalone(self, payload: bytes):
         mode, codes, meta = self.unpack_codes(payload)
@@ -250,22 +245,6 @@ class TemporalDeltaCodec(Compressor):
     def decode_key(self, payload: bytes) -> Tuple[np.ndarray, np.ndarray]:
         """Decode a key stream to (values, codes); delta streams raise."""
         return self._decode_standalone(payload)[:2]
-
-    def decode_with_reference(self, payload: bytes,
-                              ref_codes: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-        """Decode either stream kind to (values, absolute codes)."""
-        mode, codes, meta = self.unpack_codes(payload)
-        if mode == MODE_DELTA:
-            if ref_codes is None:
-                raise ValueError(
-                    "delta stream needs its reference codes; none were supplied")
-            ref = np.asarray(ref_codes, dtype=np.int64).reshape(-1)
-            if ref.size != codes.size:
-                raise ValueError(
-                    f"reference stream has {ref.size} codes, delta stream has "
-                    f"{codes.size}; the series layout is inconsistent")
-            codes = codes + ref
-        return self._values(codes, meta), codes
 
     # ------------------------------------------------------------------
     # the generic Compressor surface (standalone/registry use: key mode)
@@ -285,15 +264,6 @@ class TemporalDeltaCodec(Compressor):
             return values.reshape(buffer.original_shape)
         shape = meta.get("shape")
         return values if shape is None else values.reshape([int(s) for s in shape])
-
-
-def stream_mode(payload: bytes) -> str:
-    """Peek a stream's kind ("key" or "delta") without decoding its codes."""
-    container = unpack_container(payload, expect_codec=TemporalDeltaCodec.name)
-    mode = str(container.meta.get("mode", ""))
-    if mode not in (MODE_KEY, MODE_DELTA):
-        raise ValueError(f"corrupt temporal_delta stream: unknown mode {mode!r}")
-    return mode
 
 
 # ----------------------------------------------------------------------

@@ -105,7 +105,7 @@ class WriteReport:
     error_bound: float
     #: which execution backend encoded the chunks
     backend: str = "serial"
-    #: collective-operation counts (barriers/reductions/gathers/writes)
+    #: collective-operation counts (barriers/reductions/writes)
     collectives: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------

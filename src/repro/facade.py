@@ -37,20 +37,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["open_plotfile", "write_plotfile", "open_series", "write_series",
            "WRITE_METHODS"]
 
-#: method name (and aliases) → how :func:`write_plotfile` builds the writer
-WRITE_METHODS = {
-    "amric": ("amric",),
-    "amrex_1d": ("amrex_1d", "amrex"),
-    "nocomp": ("nocomp", "none", "raw"),
-}
-
-
-def _canonical_method(method: str) -> str:
-    for canonical, aliases in WRITE_METHODS.items():
-        if method in aliases:
-            return canonical
-    known = sorted(alias for aliases in WRITE_METHODS.values() for alias in aliases)
-    raise ValueError(f"unknown write method {method!r}; expected one of {known}")
+#: the writer methods :func:`write_plotfile` builds
+WRITE_METHODS = ("amric", "amrex_1d", "nocomp")
 
 
 def open_plotfile(path: str, backend=None, cache=None,
@@ -81,7 +69,7 @@ def open_plotfile(path: str, backend=None, cache=None,
 
 def write_plotfile(hierarchy: AmrHierarchy, path: Optional[str] = None, *,
                    config: Optional[AMRICConfig] = None, method: str = "amric",
-                   writer=None, backend=None, **overrides) -> WriteReport:
+                   backend=None, **overrides) -> WriteReport:
     """Write one plotfile (exported as :func:`repro.write`); returns the report.
 
     Parameters
@@ -93,38 +81,26 @@ def write_plotfile(hierarchy: AmrHierarchy, path: Optional[str] = None, *,
         The AMRIC configuration (``method="amric"`` only); keyword overrides
         are applied on top, e.g. ``repro.write(h, p, error_bound=1e-4)``.
     method:
-        "amric" (default), "amrex_1d"/"amrex" (the original 1D baseline,
-        honouring an ``error_bound``/``chunk_elements`` override) or
-        "nocomp"/"none"/"raw".
-    writer:
-        An already-configured writer object (anything with
-        ``write_plotfile``); ``method`` is then ignored, and combining it
-        with ``config``/``backend``/overrides raises (they could not take
-        effect).
+        "amric" (default), "amrex_1d" (the original 1D baseline, honouring
+        an ``error_bound``/``chunk_elements`` override) or "nocomp".
     backend:
         None (inline) or an
         :class:`~repro.parallel.backend.ExecutionBackend` instance for the
         AMRIC encode jobs; the caller builds it and closes it.
     """
     as_backend(backend)                     # a name is a TypeError on every path
-    if writer is not None:
-        conflicting = [name for name, value in (("config", config), ("backend", backend))
-                       if value is not None] + sorted(overrides)
-        if conflicting:
-            raise ValueError(
-                f"writer= already carries its configuration; "
-                f"{', '.join(conflicting)} would be silently ignored")
-        return writer.write_plotfile(hierarchy, path)
-    canonical = _canonical_method(method)
-    if canonical == "amric":
+    if method not in WRITE_METHODS:
+        raise ValueError(f"unknown write method {method!r}; "
+                         f"expected one of {', '.join(WRITE_METHODS)}")
+    if method == "amric":
         cfg = config or AMRICConfig()
         if overrides:
             cfg = cfg.with_overrides(**overrides)
         return AMRICWriter(cfg, backend=backend).write_plotfile(hierarchy, path)
     if config is not None or backend is not None:
         raise ValueError(
-            f"method {canonical!r} accepts neither an AMRIC config nor a backend")
-    if canonical == "amrex_1d":
+            f"method {method!r} accepts neither an AMRIC config nor a backend")
+    if method == "amrex_1d":
         from repro.baselines.amrex_1d import AMReXOriginalWriter
 
         return AMReXOriginalWriter(**overrides).write_plotfile(hierarchy, path)
@@ -165,16 +141,21 @@ def write_series(hierarchies: Iterable[AmrHierarchy], directory: str, *,
     A thin shell over :class:`~repro.series.writer.SeriesWriter` (exported as
     :func:`repro.write_series`); every ``keyframe_interval``-th dump is
     self-contained, the rest delta-encode against their predecessor when that
-    is smaller.  Returns the per-step write reports.
+    is smaller.  ``hierarchies`` is any iterable of snapshots — a list, or a
+    generator like :meth:`~repro.apps.base.SyntheticAMRSimulation.run`, so a
+    simulation's dump loop is ``repro.write_series(sim.run(n), directory)``
+    and no step is held in memory after it is written.  Returns the per-step
+    write reports.
 
     Each step is committed through the crash-safe journal
     (:mod:`repro.stream`), so concurrent readers and ``subscribe`` clients
     see steps as they land; the manifest is written once, when the last step
-    is in.  An interrupted run resumes by calling again with ``append=True``
-    on the same directory.  ``backend`` is as in :func:`write_plotfile`.
+    is in.  An exception leaves the committed prefix live; calling again with
+    ``append=True`` on the same directory resumes it.  ``backend`` is as in
+    :func:`write_plotfile`.
     """
-    from repro.series.writer import write_series as _write_series
+    from repro.series.writer import SeriesWriter
 
-    return _write_series(hierarchies, directory, config=config,
-                         keyframe_interval=keyframe_interval,
-                         backend=backend, append=append, **overrides)
+    with SeriesWriter(directory, config=config, keyframe_interval=keyframe_interval,
+                      backend=backend, append=append, **overrides) as writer:
+        return [writer.append(h) for h in hierarchies]

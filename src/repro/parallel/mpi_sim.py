@@ -4,14 +4,15 @@ The in situ writers in this package are structured the way the real AMRIC
 code is structured — "for each rank: gather my boxes, build my buffer, call
 the filter" — but execute the per-rank work serially in one process.
 ``SimComm`` supplies the communicator surface those writers need (sizes,
-per-rank iteration, reductions, gathers) plus counters for the collective
-operations so the I/O cost model can charge for them.
+per-rank iteration, reductions, the encode batch and its barrier) plus
+counters for the collective operations so the I/O cost model can charge for
+them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -22,7 +23,6 @@ __all__ = ["SimComm"]
 class _CollectiveCounters:
     barriers: int = 0
     reductions: int = 0
-    gathers: int = 0
     collective_writes: int = 0
 
 
@@ -54,15 +54,6 @@ class SimComm:
         self.counters.reductions += 1
         return op(per_rank_values)
 
-    def allgather(self, per_rank_values: Sequence[T]) -> List[T]:
-        if len(per_rank_values) != self._nranks:
-            raise ValueError(f"expected {self._nranks} values, got {len(per_rank_values)}")
-        self.counters.gathers += 1
-        return list(per_rank_values)
-
-    def barrier(self) -> None:
-        self.counters.barriers += 1
-
     def record_collective_write(self, count: int = 1) -> None:
         """Account for a collective dataset write (all ranks participate)."""
         self.counters.collective_writes += int(count)
@@ -80,14 +71,6 @@ class SimComm:
         results = backend.map(fn, jobs)
         self.counters.barriers += 1
         return results
-
-    # ------------------------------------------------------------------
-    def scatter_boxes(self, nboxes: int) -> Dict[int, List[int]]:
-        """Round-robin box ownership map (rank -> box indices)."""
-        out: Dict[int, List[int]] = {r: [] for r in self.ranks()}
-        for i in range(nboxes):
-            out[i % self._nranks].append(i)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimComm(size={self._nranks})"

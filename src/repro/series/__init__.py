@@ -32,7 +32,7 @@ from repro.series.reader import (
     is_series_dir,
     open_series,
 )
-from repro.series.writer import SeriesWriter, write_series
+from repro.series.writer import SeriesWriter
 
 __all__ = [
     "INDEX_FILENAME",
@@ -44,5 +44,4 @@ __all__ = [
     "SeriesWriter",
     "is_series_dir",
     "open_series",
-    "write_series",
 ]

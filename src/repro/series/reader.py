@@ -176,8 +176,7 @@ class SeriesStepHandle(PlotfileHandle):
                             f"has {codes.size} codes but its reference has "
                             f"{entry.codes.size}; the series is corrupt")
                     codes = entry.codes + codes
-                entry = _CodeStream(codes, float(meta["eb"]),
-                                    float(meta.get("offset", 0.0)))
+                entry = _CodeStream(codes, float(meta["eb"]), float(meta["offset"]))
                 series._codes.put((step, dsname, index), entry)
                 if step == self._step_index:       # the chain's newest stream
                     yield index, entry

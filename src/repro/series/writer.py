@@ -27,7 +27,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import ClassVar, Dict, Iterable, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +53,6 @@ from repro.stream.journal import SeriesJournal, load_live_index
 
 __all__ = [
     "SeriesWriter",
-    "write_series",
     "TemporalEncodeJob",
     "TemporalEncodeResult",
     "temporal_encode_job",
@@ -479,25 +478,3 @@ class SeriesWriter:
             collectives=asdict(comm.counters))
         self.reports.append(report)
         return report
-
-
-def write_series(hierarchies: Iterable[AmrHierarchy], directory: str, *,
-                 config: Optional[AMRICConfig] = None,
-                 keyframe_interval: int = 8,
-                 backend: Optional[ExecutionBackend] = None,
-                 append: bool = False,
-                 **overrides) -> List[WriteReport]:
-    """Write a whole series in one call (exported as :func:`repro.write_series`).
-
-    ``hierarchies`` is any iterable of snapshots — a list, or a generator like
-    :meth:`~repro.apps.base.SyntheticAMRSimulation.run` so dumps stream
-    through without holding every step in memory.  Returns the per-step
-    write reports.  Every step is journal-committed as it lands (live readers
-    can follow the run) and the series is finalized on normal exit — an
-    exception leaves the committed prefix live and resumable.  ``append=True``
-    resumes an existing series directory instead of refusing it.
-    """
-    with SeriesWriter(directory, config=config,
-                      keyframe_interval=keyframe_interval, backend=backend,
-                      append=append, **overrides) as writer:
-        return [writer.append(h) for h in hierarchies]

@@ -7,7 +7,6 @@ from repro.amr.upsample import flatten_to_uniform
 from repro.apps import (
     RUN_PRESETS,
     NyxSimulation,
-    SimulationDriver,
     WarpXSimulation,
     build_run,
     nyx_run,
@@ -215,27 +214,3 @@ class TestPresetsAndDriver:
         coarse, fine = p.paper_cells_per_level
         assert coarse == 256 ** 3
         assert fine == pytest.approx(512 ** 3 * 0.014, rel=1e-6)
-
-    def test_driver_without_writer(self):
-        sim = nyx_run(coarse_shape=(16, 16, 16), nranks=2, seed=1)
-        driver = SimulationDriver(sim, writer=None)
-        records = driver.run(2)
-        assert records == []
-        assert sim.step == 2
-
-    def test_driver_with_writer(self, tmp_path):
-        class DummyWriter:
-            def __init__(self):
-                self.calls = 0
-
-            def write_plotfile(self, hierarchy, path):
-                self.calls += 1
-                return {"nbytes": hierarchy.nbytes}
-
-        sim = nyx_run(coarse_shape=(16, 16, 16), nranks=2, seed=1)
-        writer = DummyWriter()
-        driver = SimulationDriver(sim, writer=writer, output_dir=str(tmp_path), plot_interval=2)
-        records = driver.run(4)
-        assert writer.calls == 2
-        assert len(records) == 2
-        assert records[0].report["nbytes"] > 0

@@ -11,7 +11,9 @@ from repro.compress import (
     SZLRCompressor,
     psnr,
 )
+from repro.compress import container as ctn
 from repro.compress.errorbound import ErrorBound
+from repro.errors import CorruptFileError
 from repro.testing import make_rough, make_smooth
 
 
@@ -61,6 +63,11 @@ class TestCommonContract:
     def test_empty_rejected(self, cls):
         with pytest.raises(ValueError):
             cls(1e-3).compress(np.zeros((0, 3)))
+
+    def test_a_bound_that_is_not_positive_is_refused(self, cls):
+        for value in (0.0, -1e-3, float("nan")):
+            with pytest.raises(ValueError, match="positive finite"):
+                cls(value, mode="abs")
 
     def test_constant_field(self, cls):
         data = np.full((12, 12, 12), 7.5)
@@ -278,6 +285,38 @@ class TestSZ1DSpecifics:
         buf, recon = comp.compress_with_reconstruction(data)
         assert recon.shape == data.shape
         np.testing.assert_array_equal(comp.decompress(buf), recon)
+
+    @pytest.mark.parametrize("dropped", ["abs_eb", "radius", "shape", "dtype", "anchor",
+                                         "sync_interval", "outliers"])
+    def test_stream_missing_a_piece_names_it(self, dropped):
+        """Every key and section the encoder writes is read through
+        ``required``: a stream that lost one is corrupt, never a KeyError or
+        a silent scalar decode."""
+        comp = SZ1DCompressor(1e-3)
+        buf = comp.compress(make_smooth((6, 7, 8)))
+        cont = ctn.unpack_container(buf.payload)
+        cont.meta.pop(dropped, None)
+        cont.sections.pop(dropped, None)
+        damaged = ctn.pack_container(cont.codec, cont.meta, cont.sections)
+        with pytest.raises(CorruptFileError, match=f"sz_1d .* is missing '{dropped}'"):
+            comp.decompress(damaged)
+
+
+@pytest.mark.parametrize("cls", ALL_COMPRESSORS)
+def test_values_past_the_radius_round_trip_within_bound(cls):
+    """A prediction error the quantisation codes cannot hold (radius 4) is
+    stored as an outlier and still reads back within the bound."""
+    data = make_smooth((12, 12, 12))
+    data[3, 4, 5], data[8, 1, 2], data[11, 11, 11] = 1e6, -1e6, 5e5
+    comp = cls(1e-3, mode="abs", radius=4)
+    buf, recon = comp.compress_with_reconstruction(data)
+    assert np.max(np.abs(recon - data)) <= 1e-3 * (1 + 1e-9)
+    np.testing.assert_array_equal(comp.decompress(buf), recon)
+
+
+def test_szlr_refuses_a_radius_below_two():
+    with pytest.raises(ValueError, match="radius"):
+        SZLRCompressor(1e-3, radius=1)
 
 
 class TestPropertyBased:

@@ -150,7 +150,6 @@ class TestRegistry:
     def test_builtins_registered(self):
         for name in ALL_CODECS:
             assert registry.is_registered(name)
-        assert registry.is_registered("sz1d")          # alias
         # the paper's codecs plus the series' temporal delta codec, nothing else
         assert registry.available_codecs() == tuple(sorted(ALL_CODECS + ["temporal_delta"]))
         assert not registry.is_registered("zfp_like")
@@ -159,10 +158,12 @@ class TestRegistry:
         with pytest.raises(ValueError, match="sz_lr"):
             registry.resolve_codec("lz4")
 
-    def test_alias_resolves_to_canonical(self):
-        assert registry.resolve_codec("sz1d").name == "sz_1d"
-        comp = registry.create_codec("sz1d", 1e-3)
-        assert comp.name == "sz_1d"
+    def test_a_codec_has_one_name(self):
+        """``sz1d`` was a second spelling of ``sz_1d``; no stored file holds it."""
+        assert not registry.is_registered("sz1d")
+        with pytest.raises(ValueError, match="registered codecs") as exc:
+            registry.create_codec("sz1d", 1e-3)
+        assert all(name in str(exc.value) for name in registry.available_codecs())
 
     def test_create_filters_unknown_options(self):
         # option meant for another codec is silently dropped, not an error

@@ -1,21 +1,12 @@
-"""Tests for the compression primitives: error bounds, quantiser, Lorenzo,
+"""Tests for the compression primitives: error bounds, SZ_L/R's Lorenzo,
 regression, lossless framing."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from repro.compress.errorbound import ErrorBound
-from repro.compress.lorenzo import (
-    lorenzo_decode,
-    lorenzo_encode,
-    lorenzo_inverse,
-    lorenzo_transform,
-    prequantize,
-    postquantize,
-)
 from repro.compress.lossless import (
     pack_array,
     pack_arrays,
@@ -26,8 +17,8 @@ from repro.compress.lossless import (
     zlib_compress,
     zlib_decompress,
 )
-from repro.compress.quantizer import QuantizedBlock, dequantize, quantize
 from repro.compress import regression
+from repro.compress import sz_lr
 
 
 class TestErrorBound:
@@ -66,78 +57,40 @@ class TestErrorBound:
             ErrorBound.relative(1e-3).resolve()
 
 
-class TestQuantizer:
-    def test_roundtrip_within_bound(self):
-        rng = np.random.default_rng(0)
-        errors = rng.normal(scale=0.1, size=1000)
-        block = quantize(errors, eb=1e-3)
-        recovered = dequantize(block)
-        assert np.all(np.abs(recovered - errors) <= 1e-3 * (1 + 1e-12))
-
-    def test_outliers_recovered_exactly(self):
-        errors = np.array([0.0, 1e6, -1e6, 0.01])
-        block = quantize(errors, eb=1e-3, radius=16)
-        assert block.num_outliers == 2
-        recovered = dequantize(block)
-        np.testing.assert_allclose(recovered[[1, 2]], [1e6, -1e6])
-
-    def test_zero_code_reserved_for_outliers(self):
-        errors = np.array([0.0, -1e9])
-        block = quantize(errors, eb=1.0, radius=4)
-        assert block.codes[0] != 0
-        assert block.codes[1] == 0
-
-    def test_invalid_eb(self):
-        with pytest.raises(ValueError):
-            quantize(np.zeros(3), eb=0.0)
-
-    def test_invalid_radius(self):
-        with pytest.raises(ValueError):
-            quantize(np.zeros(3), eb=1.0, radius=1)
-
-    @given(hnp.arrays(np.float64, st.integers(1, 200),
-                      elements=st.floats(-1e6, 1e6, allow_nan=False)),
-           st.floats(1e-6, 1.0))
-    def test_property_bound(self, errors, eb):
-        block = quantize(errors, eb=eb)
-        recovered = dequantize(block)
-        assert np.all(np.abs(recovered - errors) <= eb * (1 + 1e-9))
-
-
 class TestLorenzo:
-    def test_transform_inverse_roundtrip(self):
-        rng = np.random.default_rng(0)
-        q = rng.integers(-1000, 1000, size=(7, 9, 5))
-        np.testing.assert_array_equal(lorenzo_inverse(lorenzo_transform(q)), q)
+    """SZ_L/R's Lorenzo pair: ``_lorenzo`` differences each region of each
+    stacked array, ``_prefix_sum`` undoes it."""
 
-    def test_prequantize_bound(self):
-        rng = np.random.default_rng(1)
-        data = rng.normal(size=1000) * 50
-        eb = 1e-2
-        recon = postquantize(prequantize(data, eb), eb)
-        assert np.max(np.abs(recon - data)) <= eb
+    @staticmethod
+    def _deltas(stack, block):
+        segments, _ = sz_lr._region_plan(stack.shape[1:], (block,) * (stack.ndim - 1))
+        return sz_lr._lorenzo(stack.copy(), segments)
 
-    def test_encode_decode_roundtrip(self):
-        rng = np.random.default_rng(2)
-        data = rng.normal(size=(9, 6, 4))
-        deltas, recon = lorenzo_encode(data, 1e-3)
-        decoded = lorenzo_decode(deltas, 1e-3)
-        np.testing.assert_array_equal(decoded, recon)
-        assert np.max(np.abs(recon - data)) <= 1e-3
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=3), st.sampled_from([2, 4, 6]),
+           st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+    @settings(deadline=None)
+    def test_prefix_sum_inverts_lorenzo(self, shape, block, members, seed):
+        q = np.random.default_rng(seed).integers(-10 ** 6, 10 ** 6, (members,) + tuple(shape))
+        remainder_at = sz_lr._flat_plan(tuple(shape), (block,) * len(shape)).remainder_at
+        restored = sz_lr._prefix_sum(self._deltas(q, block), remainder_at)
+        np.testing.assert_array_equal(restored, q)
 
-    def test_transform_first_element_is_value(self):
-        q = np.array([[5, 7], [9, 13]])
-        d = lorenzo_transform(q)
-        assert d[0, 0] == 5
+    def test_each_regions_first_cell_is_its_value(self):
+        q = np.random.default_rng(0).integers(-1000, 1000, (2, 7, 9, 5))
+        deltas = self._deltas(q, 6)
+        for corner in [(0, 0, 0), (6, 0, 0), (0, 6, 0), (6, 6, 0)]:
+            np.testing.assert_array_equal(deltas[(slice(None),) + corner],
+                                          q[(slice(None),) + corner])
 
-    def test_invalid_eb(self):
-        with pytest.raises(ValueError):
-            prequantize(np.zeros(3), 0.0)
-
-    @given(hnp.arrays(np.int64, st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
-                      elements=st.integers(-10**6, 10**6)))
-    def test_property_roundtrip(self, q):
-        np.testing.assert_array_equal(lorenzo_inverse(lorenzo_transform(q)), q)
+    def test_a_plane_leaves_nothing_inside_a_region(self):
+        """Lorenzo predicts a multilinear ramp exactly: only the cells on a
+        region's leading faces carry a difference."""
+        i, j, k = np.meshgrid(*[np.arange(12)] * 3, indexing="ij")
+        q = (3 * i - 5 * j + 7 * k)[None]
+        deltas = self._deltas(q, 6)
+        for lo in [(0, 0, 0), (6, 6, 6), (0, 6, 0)]:
+            inside = (0,) + tuple(slice(a + 1, a + 6) for a in lo)
+            assert not deltas[inside].any()
 
 
 class TestRegression:

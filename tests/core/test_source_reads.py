@@ -15,7 +15,6 @@ from repro.amr.box import Box
 from repro.analysis.reporting import io_stats_rows
 from repro.h5lite.source import LocalFileSource, RangeSource
 from repro.parallel import shm
-from repro.series.writer import write_series
 from repro.service.engine import BoxQuery, QueryEngine
 
 SPATIAL_CODECS = ("sz_lr", "sz_interp", "sz_1d")
@@ -56,8 +55,8 @@ def series_dir(tmp_path_factory):
                         target_fine_density=0.03, max_grid_size=12, seed=42,
                         drift_rate=0.05)
     path = str(tmp_path_factory.mktemp("src_series") / "run")
-    write_series(list(sim.run(4)), path, keyframe_interval=2,
-                 error_bound=1e-3)
+    repro.write_series(list(sim.run(4)), path, keyframe_interval=2,
+                       error_bound=1e-3)
     return path
 
 

@@ -156,8 +156,6 @@ class TestOwnership:
         for call in (lambda: repro.write(nyx_hierarchy, path, backend=name),
                      lambda: repro.write(nyx_hierarchy, path, method="nocomp",
                                          backend=name),
-                     lambda: repro.write(nyx_hierarchy, path, writer=AMRICWriter(),
-                                         backend=name),
                      lambda: AMRICWriter(backend=name),
                      lambda: repro.write_series([nyx_hierarchy], directory,
                                                 backend=name),

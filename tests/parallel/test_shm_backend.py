@@ -191,7 +191,7 @@ class TestIdentity:
         """Temporal encode jobs ride the same descriptor path: every step
         file of a delta-compressed series must hash identically."""
         from repro.apps.nyx import NyxSimulation
-        from repro.series.writer import write_series
+        from repro import write_series
 
         def steps():
             sim = NyxSimulation(coarse_shape=(24, 24, 24), nranks=2,

@@ -18,7 +18,6 @@ from repro.parallel.backend import SharedMemoryBackend
 from repro.series import INDEX_FILENAME, SeriesIndex, SeriesWriter, open_series
 from repro.series.reader import _PASS_STREAMS
 from repro.service.cache import ChunkCache
-from repro.series.writer import write_series
 
 NSTEPS = 10                    # the acceptance criterion's series length
 KEYFRAME_INTERVAL = 3
@@ -38,15 +37,15 @@ def hierarchies():
 @pytest.fixture(scope="module")
 def series_dir(hierarchies, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("series") / "run")
-    write_series(hierarchies, path, keyframe_interval=KEYFRAME_INTERVAL,
-                 error_bound=1e-3)
+    repro.write_series(hierarchies, path, keyframe_interval=KEYFRAME_INTERVAL,
+                       error_bound=1e-3)
     return path
 
 
 @pytest.fixture(scope="module")
 def keyonly_dir(hierarchies, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("series") / "keyonly")
-    write_series(hierarchies, path, keyframe_interval=1, error_bound=1e-3)
+    repro.write_series(hierarchies, path, keyframe_interval=1, error_bound=1e-3)
     return path
 
 
@@ -92,8 +91,8 @@ class TestSeriesWriter:
                 assert d.name == k.name and d.stored_bytes <= k.stored_bytes
 
     def test_reports_look_like_write_reports(self, hierarchies, tmp_path):
-        reports = write_series(hierarchies[:2], str(tmp_path / "r"),
-                               keyframe_interval=2, error_bound=1e-3)
+        reports = repro.write_series(hierarchies[:2], str(tmp_path / "r"),
+                                     keyframe_interval=2, error_bound=1e-3)
         assert len(reports) == 2
         assert reports[0].method == "series(temporal_delta)"
         assert reports[0].compression_ratio > 2
@@ -121,8 +120,8 @@ class TestBackendIdentity:
         with SharedMemoryBackend(max_workers=2) as pool:
             for name, backend in (("serial", None), ("shm", pool)):
                 path = str(tmp_path / name)
-                write_series(hierarchies[:4], path, keyframe_interval=4,
-                             error_bound=1e-3, backend=backend)
+                repro.write_series(hierarchies[:4], path, keyframe_interval=4,
+                                   error_bound=1e-3, backend=backend)
                 dirs[name] = path
         reference = dirs.pop("serial")
         files = sorted(f for f in os.listdir(reference) if f.endswith(".h5z")
@@ -250,8 +249,8 @@ class TestGroupedChainDecode:
     @pytest.fixture(scope="class")
     def chained_dir(self, hierarchies, tmp_path_factory):
         path = str(tmp_path_factory.mktemp("series") / "chained")
-        write_series(hierarchies[:self.NSTEPS], path, keyframe_interval=self.INTERVAL,
-                     error_bound=1e-3)
+        repro.write_series(hierarchies[:self.NSTEPS], path, keyframe_interval=self.INTERVAL,
+                           error_bound=1e-3)
         return path
 
     @staticmethod
@@ -391,7 +390,7 @@ class TestGroupedChainDecode:
         sim = NyxSimulation(coarse_shape=(16, 16, 16), nranks=2, target_fine_density=0.03,
                             max_grid_size=8, seed=42, drift_rate=0.05, growth_rate=0.02,
                             regrid_interval=NSTEPS + 1)
-        write_series(sim.run(NSTEPS), path, keyframe_interval=NSTEPS, error_bound=1e-3)
+        repro.write_series(sim.run(NSTEPS), path, keyframe_interval=NSTEPS, error_bound=1e-3)
         passes = []
         unpack = TemporalDeltaCodec.unpack_codes_many
         monkeypatch.setattr(TemporalDeltaCodec, "unpack_codes_many", staticmethod(
@@ -473,8 +472,8 @@ class TestRegridFallback:
         h2 = self._blob_hierarchy(2)                          # regridded
         assert tuple(h2[1].boxarray.boxes) != tuple(frozen.boxes)
         path = str(tmp_path / "regrid")
-        write_series([h0, h1, h2], path, keyframe_interval=100,
-                     error_bound=1e-3)
+        repro.write_series([h0, h1, h2], path, keyframe_interval=100,
+                           error_bound=1e-3)
         index = SeriesIndex.load(path)
         assert index.steps[0].kind == "key"
         # step 1 shares the structure: the smooth blob drift deltas well
@@ -502,7 +501,7 @@ class TestRegridFallback:
                                        nranks=2, seed=9, step=1, time=1.0)
         h2 = self._blob_hierarchy(2)
         path = str(tmp_path / "vanish")
-        write_series([h0, h1, h2], path, keyframe_interval=100, error_bound=1e-3)
+        repro.write_series([h0, h1, h2], path, keyframe_interval=100, error_bound=1e-3)
         index = SeriesIndex.load(path)
         assert index.steps[1].fingerprint != index.steps[0].fingerprint
         with open_series(path) as series:

@@ -1,4 +1,4 @@
-"""Series wiring: CLI info/verify on a series, driver series mode, facade verbs, analysis."""
+"""Series wiring: CLI info/verify on a series, facade verbs, analysis."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 
 import repro
 from repro.amr.box import Box
-from repro.apps.driver import SimulationDriver
 from repro.apps.nyx import NyxSimulation
 from repro.cli import main as cli_main
 from repro.series import SeriesIndex
@@ -47,35 +46,16 @@ class TestFacade:
         assert "open_series" in repro.__all__ and "write_series" in repro.__all__
 
 
-class TestDriverSeriesMode:
-    def test_series_run_builds_a_series(self, tmp_path):
-        out = str(tmp_path / "driver_series")
-        driver = SimulationDriver(make_sim(seed=23), output_dir=out,
-                                  series=True, keyframe_interval=3,
-                                  error_bound=1e-3)
-        records = driver.run(3)
-        assert len(records) == 3
-        assert all(r.path and r.path.endswith(".h5z") for r in records)
+class TestSimulationLoop:
+    def test_a_run_streams_into_a_series(self, tmp_path):
+        """A simulation's dump loop is one ``write_series`` over its run."""
+        out = str(tmp_path / "loop")
+        reports = repro.write_series(make_sim(seed=23).run(3), out,
+                                     keyframe_interval=3, error_bound=1e-3)
+        assert len(reports) == 3
         index = SeriesIndex.load(out)
         assert index.nsteps == 3
         assert index.steps[0].kind == "key"
-
-    def test_plot_interval_thins_the_series(self, tmp_path):
-        out = str(tmp_path / "thin")
-        driver = SimulationDriver(make_sim(seed=29), output_dir=out,
-                                  series=True, plot_interval=2,
-                                  error_bound=1e-3)
-        driver.run(4)
-        assert SeriesIndex.load(out).nsteps == 2
-
-    def test_series_requires_output_dir(self):
-        with pytest.raises(ValueError, match="output_dir"):
-            SimulationDriver(make_sim(), series=True)
-
-    def test_series_rejects_writer_and_method(self, tmp_path):
-        with pytest.raises(ValueError, match="series"):
-            SimulationDriver(make_sim(), series=True,
-                             output_dir=str(tmp_path), method="nocomp")
 
 
 class TestAnalysisRows:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 import repro.compress.temporal as temporal_mod
 import repro.series.writer as writer_mod
 from repro.apps.nyx import NyxSimulation
@@ -45,8 +46,8 @@ def _ref_temporal_encode_job(job: TemporalEncodeJob) -> TemporalEncodeResult:
         codes_out.append(codes)
         recons.append([recon])
         if job.ref_codes is not None:
-            delta_payloads.append(codec.encode_delta(chunk, job.ref_codes[i],
-                                                     eb=job.eb_abs)[0])
+            delta_payloads.append(codec.pack(codec.candidate(
+                codec.quantize(chunk, job.eb_abs), job.eb_abs, job.ref_codes[i])))
     key_bytes = sum(len(p) for p in key_payloads)
     delta_bytes = sum(len(p) for p in delta_payloads) if job.ref_codes is not None else None
     if delta_bytes is not None and delta_bytes < key_bytes:
@@ -188,8 +189,7 @@ def test_recorded_candidate_sizes_sit_in_the_stated_band(hierarchies, tmp_path, 
 
     monkeypatch.setattr(writer_mod, "temporal_encode_job", both)
     directory = str(tmp_path / "band")
-    writer_mod.write_series(hierarchies, directory, keyframe_interval=3,
-                            error_bound=1e-3)
+    repro.write_series(hierarchies, directory, keyframe_interval=3, error_bound=1e-3)
     recorded = [d for step in SeriesIndex.load(directory).steps for d in step.datasets]
     assert len(recorded) == len(real)
     assert any(d.mode == MODE_DELTA for d in recorded)
@@ -259,9 +259,14 @@ def _job(pairs, which, ref_codes=None):
 
 
 def _decoded(result, ref_codes):
-    codec = TemporalDeltaCodec(ErrorBound.absolute(EB))
-    return [codec.decode_with_reference(payload, ref)[0]
-            for payload, ref in zip(result.payloads, ref_codes)]
+    """Each stream resolved the way the series reader does: unpacked, a delta
+    added onto its reference's codes, reconstructed on the stream's grid."""
+    out = []
+    for (mode, codes, meta), ref in zip(
+            TemporalDeltaCodec.unpack_codes_many(result.payloads), ref_codes):
+        codes = codes + ref if mode == MODE_DELTA else codes
+        out.append(TemporalDeltaCodec.grid_values(codes, meta["eb"], meta["offset"]))
+    return out
 
 
 def _both(pairs):
@@ -354,8 +359,7 @@ def test_quantize_refuses_non_finite_values(bad):
     data[17] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for encode in (lambda: codec.quantize(data, EB), lambda: codec.encode_key(data, EB),
-                       lambda: codec.encode_delta(data, np.zeros(50, dtype=np.int64), EB)):
+        for encode in (lambda: codec.quantize(data, EB), lambda: codec.encode_key(data, EB)):
             with pytest.raises(ValueError, match="non-finite"):
                 encode()
 

@@ -9,18 +9,31 @@ from repro.compress.container import pack_container, unpack_container
 from repro.compress.errorbound import ErrorBound
 from repro.compress.huffman import SYNC_INTERVAL, HuffmanCodec
 from repro.compress.registry import available_codecs, create_codec
-from repro.compress.temporal import (
-    MODE_DELTA,
-    MODE_KEY,
-    TemporalDeltaCodec,
-    TemporalDeltaFilter,
-    stream_mode,
-)
+from repro.compress.temporal import MODE_DELTA, MODE_KEY, TemporalDeltaCodec, TemporalDeltaFilter
+from repro.errors import CorruptFileError
+
+EB = 1e-2
 
 
 @pytest.fixture()
 def codec():
-    return TemporalDeltaCodec(ErrorBound.absolute(1e-2), offset=3.0)
+    return TemporalDeltaCodec(ErrorBound.absolute(EB), offset=3.0)
+
+
+def _delta(codec, data, ref_codes):
+    """The series writer's delta stream: quantise, table against the
+    reference's codes, pack.  Returns (payload, absolute codes)."""
+    codes = codec.quantize(data, EB)
+    return codec.pack(codec.candidate(codes, EB, ref_codes)), codes
+
+
+def _resolve(payload, ref_codes=None):
+    """The series reader's chain step: unpack, add a delta onto its
+    reference's codes, reconstruct on the stream's grid."""
+    ((mode, codes, meta),) = TemporalDeltaCodec.unpack_codes_many([payload])
+    if mode == MODE_DELTA:
+        codes = ref_codes + codes
+    return TemporalDeltaCodec.grid_values(codes, meta["eb"], meta["offset"]), codes
 
 
 @pytest.fixture()
@@ -47,7 +60,7 @@ class TestKeyStreams:
         values, back_codes = codec.decode_key(payload)
         assert np.array_equal(values, recon)
         assert np.array_equal(back_codes, codes)
-        assert stream_mode(payload) == MODE_KEY
+        assert codec.unpack_codes(payload)[0] == MODE_KEY
 
     def test_compressor_interface(self, data):
         codec = create_codec("temporal_delta", 1e-3)
@@ -79,56 +92,51 @@ class TestDecodePath:
         assert lanes.call_count == 1 and scalar.call_count == 0
         assert np.array_equal(back, codes)
 
-    def test_streams_without_the_key_decode_through_the_scalar_loop(self, codec, data):
-        payload, codes, _ = codec.encode_key(data)
+    def test_streams_without_the_key_are_corrupt(self, codec, data):
+        """No writer omits the sync interval: a stream without it is damaged,
+        refused before any decode, never read through the scalar loop."""
+        payload, _, _ = codec.encode_key(data)
         container = unpack_container(payload)
         meta = {k: v for k, v in container.meta.items() if k != "sync_interval"}
-        old = pack_container(container.codec, meta, container.sections)
+        damaged = pack_container(container.codec, meta, container.sections)
         with self._counted("_decode_lanes") as lanes, self._counted("_decode_scalar") as scalar:
-            _, back = codec.decode_key(old)
-        assert lanes.call_count == 0 and scalar.call_count == 1
-        assert np.array_equal(back, codes)
+            with pytest.raises(CorruptFileError, match="sync_interval"):
+                codec.decode_key(damaged)
+        assert lanes.call_count == 0 and scalar.call_count == 0
 
 
 class TestDeltaStreams:
     def test_reconstruction_identical_to_key(self, codec, data):
+        """A delta stream resolved onto its reference is the key encoding of
+        the same data, bit for bit."""
         _, ref_codes, _ = codec.encode_key(data)
         drifted = data + 0.03 * np.sin(np.arange(data.size) / 50.0)
-        delta_payload, codes, recon = codec.encode_delta(drifted, ref_codes)
+        delta_payload, codes = _delta(codec, drifted, ref_codes)
         key_payload, key_codes, key_recon = codec.encode_key(drifted)
-        assert np.array_equal(recon, key_recon)
         assert np.array_equal(codes, key_codes)
-        assert stream_mode(delta_payload) == MODE_DELTA
+        for payload in (delta_payload, key_payload):
+            values, back = _resolve(payload, ref_codes)
+            assert np.array_equal(values, key_recon)
+            assert np.array_equal(back, key_codes)
+        assert codec.unpack_codes(delta_payload)[0] == MODE_DELTA
 
     def test_delta_smaller_for_smooth_drift(self, codec, data):
         _, ref_codes, _ = codec.encode_key(data)
         drifted = data + 0.02
-        delta_payload, _, _ = codec.encode_delta(drifted, ref_codes)
+        delta_payload, _ = _delta(codec, drifted, ref_codes)
         key_payload, _, _ = codec.encode_key(drifted)
         assert len(delta_payload) < len(key_payload)
 
-    def test_decode_with_reference(self, codec, data):
-        _, ref_codes, _ = codec.encode_key(data)
-        payload, codes, recon = codec.encode_delta(data + 0.05, ref_codes)
-        values, back = codec.decode_with_reference(payload, ref_codes)
-        assert np.array_equal(values, recon)
-        assert np.array_equal(back, codes)
-
     def test_delta_standalone_refused(self, codec, data):
         _, ref_codes, _ = codec.encode_key(data)
-        payload, _, _ = codec.encode_delta(data, ref_codes)
+        payload, _ = _delta(codec, data, ref_codes)
         with pytest.raises(ValueError, match="open_series"):
             codec.decode_key(payload)
-        with pytest.raises(ValueError, match="reference"):
-            codec.decode_with_reference(payload, None)
 
     def test_mismatched_reference_sizes(self, codec, data):
         _, ref_codes, _ = codec.encode_key(data)
         with pytest.raises(ValueError, match="identical layout"):
-            codec.encode_delta(data[:-1], ref_codes)
-        payload, _, _ = codec.encode_delta(data, ref_codes)
-        with pytest.raises(ValueError, match="inconsistent"):
-            codec.decode_with_reference(payload, ref_codes[:-2])
+            _delta(codec, data[:-1], ref_codes)
 
 
 class TestCorruptStreams:
@@ -147,7 +155,8 @@ class TestCorruptStreams:
         with pytest.raises(ValueError):
             codec.decode_key(b"not a container at all")
 
-    @pytest.mark.parametrize("dropped", ["eb", "huff_table", "huff_payload",
+    @pytest.mark.parametrize("dropped", ["eb", "offset", "min_code", "n", "sync_interval",
+                                         "mode", "huff_table", "huff_payload",
                                          "huff_nbits", "huff_ncodes"])
     def test_stream_missing_a_piece_names_it(self, codec, data, dropped):
         payload, _, _ = codec.encode_key(data)
@@ -156,13 +165,13 @@ class TestCorruptStreams:
         cont.sections.pop(dropped, None)
         damaged = pack_container(cont.codec, cont.meta, cont.sections)
         for decode in (codec.decode_key, codec.decompress,
-                       lambda p: codec.decode_with_reference(p, None)):
-            with pytest.raises(ValueError, match=dropped):
+                       lambda p: TemporalDeltaCodec.unpack_codes_many([p])):
+            with pytest.raises(CorruptFileError, match=dropped):
                 decode(damaged)
 
     def test_unpack_codes_many_equals_one_at_a_time(self, codec, data):
         key, codes, _ = codec.encode_key(data)
-        delta, _, _ = codec.encode_delta(data + 0.3, codes)
+        delta, _ = _delta(codec, data + 0.3, codes)
         empty, _, _ = codec.encode_key(data[:0])
         payloads = [key, delta, empty, key]
         together = TemporalDeltaCodec.unpack_codes_many(payloads)

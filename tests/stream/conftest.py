@@ -22,7 +22,7 @@ def hierarchies():
 @pytest.fixture(scope="session")
 def reference_dir(hierarchies, tmp_path_factory):
     """The same snapshots written the plain (non-append) way."""
-    from repro.series.writer import write_series
+    from repro import write_series
 
     path = str(tmp_path_factory.mktemp("stream") / "reference")
     write_series(hierarchies, path, keyframe_interval=KEYFRAME_INTERVAL,

@@ -9,7 +9,7 @@ import pytest
 
 import repro
 from repro.series.index import INDEX_FILENAME, SeriesIndex
-from repro.series.writer import SeriesWriter, write_series
+from repro.series.writer import SeriesWriter
 from repro.stream.journal import JOURNAL_FILENAME
 
 NSTEPS = 7                  # matches the conftest simulation run
@@ -40,9 +40,9 @@ class TestFinalizedCompatibility:
     def test_finalized_append_series_is_a_plain_series(self, hierarchies,
                                                        reference_dir, tmp_path):
         directory = str(tmp_path / "live")
-        write_series(hierarchies, directory,
-                     keyframe_interval=KEYFRAME_INTERVAL, error_bound=1e-3,
-                     append=True)
+        repro.write_series(hierarchies, directory,
+                           keyframe_interval=KEYFRAME_INTERVAL, error_bound=1e-3,
+                           append=True)
         names = os.listdir(directory)
         assert INDEX_FILENAME in names
         assert JOURNAL_FILENAME not in names         # finalize dropped it
@@ -206,9 +206,9 @@ class TestCrashRecovery:
     def test_reopening_a_finalized_series_appends_more_steps(
             self, hierarchies, tmp_path):
         directory = str(tmp_path / "live")
-        write_series(hierarchies[:4], directory,
-                     keyframe_interval=KEYFRAME_INTERVAL, error_bound=1e-3,
-                     append=True)
+        repro.write_series(hierarchies[:4], directory,
+                           keyframe_interval=KEYFRAME_INTERVAL, error_bound=1e-3,
+                           append=True)
         assert not os.path.exists(os.path.join(directory, JOURNAL_FILENAME))
         with SeriesWriter(directory, append=True) as writer:
             assert writer.nsteps == 4
@@ -234,7 +234,7 @@ class TestCrashRecovery:
 class TestGuards:
     def test_non_append_refuses_existing_manifest(self, hierarchies, tmp_path):
         directory = str(tmp_path / "done")
-        write_series(hierarchies[:2], directory, error_bound=1e-3)
+        repro.write_series(hierarchies[:2], directory, error_bound=1e-3)
         with pytest.raises(ValueError, match="append=True"):
             SeriesWriter(directory)
 
@@ -259,7 +259,7 @@ class TestGuards:
 class TestAtomicManifestSave:
     def test_save_leaves_no_temp_files(self, hierarchies, tmp_path):
         directory = str(tmp_path / "plain")
-        write_series(hierarchies[:3], directory, error_bound=1e-3)
+        repro.write_series(hierarchies[:3], directory, error_bound=1e-3)
         leftovers = [n for n in os.listdir(directory) if n.endswith(".tmp")]
         assert leftovers == []
         assert SeriesIndex.load(directory).nsteps == 3

@@ -10,8 +10,8 @@ import pytest
 
 import repro
 from repro.amr.box import Box
-from repro.series.writer import SeriesWriter, write_series
-from repro.service import QueryEngine, ReproClient, ReproServer
+from repro.series.writer import SeriesWriter
+from repro.service import ReproClient, ReproServer
 from repro.service.client import ServiceError, follow_series
 from repro.service.core import (
     ERROR_UNKNOWN_OP,
@@ -100,8 +100,8 @@ class TestSubscribeStream:
     def test_finalized_series_catch_up_then_finalized(self, hierarchies,
                                                       tmp_path):
         directory = str(tmp_path / "done")
-        write_series(hierarchies[:3], directory,
-                     keyframe_interval=KEYFRAME_INTERVAL, error_bound=1e-3)
+        repro.write_series(hierarchies[:3], directory,
+                           keyframe_interval=KEYFRAME_INTERVAL, error_bound=1e-3)
         with make_server() as server, ReproClient(port=server.port) as client:
             events = list(client.subscribe(directory))
             kinds = [e["event"] for e in events]
@@ -140,8 +140,8 @@ class TestSubscribeStream:
 
     def test_from_step_skips_the_prefix(self, hierarchies, tmp_path):
         directory = str(tmp_path / "done")
-        write_series(hierarchies[:4], directory,
-                     keyframe_interval=KEYFRAME_INTERVAL, error_bound=1e-3)
+        repro.write_series(hierarchies[:4], directory,
+                           keyframe_interval=KEYFRAME_INTERVAL, error_bound=1e-3)
         with make_server() as server, ReproClient(port=server.port) as client:
             events = [e for e in client.subscribe(directory, from_step=2)
                       if e["event"] == "step"]

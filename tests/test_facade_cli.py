@@ -30,9 +30,9 @@ class TestWriteFacade:
 
     def test_method_dispatch(self, hierarchy, tmp_path):
         amrex = repro.write(hierarchy, str(tmp_path / "x.h5z"),
-                            method="amrex", error_bound=1e-2)
+                            method="amrex_1d", error_bound=1e-2)
         assert amrex.method == "amrex_1d"
-        raw = repro.write(hierarchy, str(tmp_path / "r.h5z"), method="raw")
+        raw = repro.write(hierarchy, str(tmp_path / "r.h5z"), method="nocomp")
         assert raw.method == "nocomp"
         assert raw.compression_ratio == pytest.approx(1.0)
 
@@ -40,27 +40,29 @@ class TestWriteFacade:
         with pytest.raises(ValueError, match="unknown write method"):
             repro.write(hierarchy, None, method="gzip")
 
+    @pytest.mark.parametrize("method", ["amrex", "none", "raw"])
+    def test_a_method_has_one_name(self, hierarchy, method):
+        """The old spellings of ``amrex_1d`` / ``nocomp`` are refused like any
+        other unknown name, and the refusal lists the three methods."""
+        with pytest.raises(ValueError, match="unknown write method") as exc:
+            repro.write(hierarchy, None, method=method)
+        assert "amric, amrex_1d, nocomp" in str(exc.value)
+
     def test_baseline_methods_reject_amric_config(self, hierarchy):
         with pytest.raises(ValueError, match="neither an AMRIC config"):
             repro.write(hierarchy, None, method="nocomp",
                         config=AMRICConfig())
 
-    def test_explicit_writer_object_wins(self, hierarchy, tmp_path):
+    @pytest.mark.parametrize("method", ["amric", "nocomp"])
+    def test_a_writer_object_is_not_a_parameter(self, hierarchy, tmp_path, method):
+        """``method=``, ``config=`` and the overrides build every writer."""
         from repro.baselines import NoCompressionWriter
 
-        report = repro.write(hierarchy, str(tmp_path / "w.h5z"),
-                             writer=NoCompressionWriter())
-        assert report.method == "nocomp"
-
-    def test_writer_with_conflicting_config_raises(self, hierarchy):
-        from repro.baselines import NoCompressionWriter
-
-        with pytest.raises(ValueError, match="silently ignored"):
-            repro.write(hierarchy, None, writer=NoCompressionWriter(),
-                        error_bound=1e-4)
-        with pytest.raises(ValueError, match="silently ignored"):
-            repro.write(hierarchy, None, writer=NoCompressionWriter(),
-                        config=AMRICConfig())
+        path = tmp_path / "w.h5z"
+        with pytest.raises(TypeError):
+            repro.write(hierarchy, str(path), method=method,
+                        writer=NoCompressionWriter())
+        assert not path.exists()
 
     def test_write_then_open_round_trip(self, hierarchy, tmp_path):
         path = str(tmp_path / "rt.h5z")
@@ -145,38 +147,6 @@ class TestReadStatsAccounting:
                 b = shared.read_field(name, level=0, box=box)
                 assert a.tobytes() == b.tobytes()
         assert cache.stats.insertions > 0
-
-
-class TestDriverOnFacade:
-    def test_driver_method_dispatch_writes_self_describing(self, tmp_path):
-        from repro.apps import SimulationDriver, nyx_run
-
-        sim = nyx_run(coarse_shape=(16, 16, 16), nranks=2,
-                      target_fine_density=0.05, seed=5)
-        driver = SimulationDriver(sim, output_dir=str(tmp_path),
-                                  method="amric", error_bound=1e-2)
-        records = driver.run(1)
-        assert len(records) == 1
-        with repro.open(records[0].path) as handle:
-            assert handle.describe()["self_describing"] is True
-            assert handle.read().nlevels >= 1
-
-    def test_driver_without_io_config_writes_nothing(self):
-        from repro.apps import SimulationDriver, nyx_run
-
-        sim = nyx_run(coarse_shape=(16, 16, 16), nranks=2,
-                      target_fine_density=0.05, seed=5)
-        assert SimulationDriver(sim).run(1) == []
-
-    def test_driver_rejects_writer_plus_config_at_construction(self):
-        from repro.apps import SimulationDriver, nyx_run
-        from repro.baselines import NoCompressionWriter
-
-        sim = nyx_run(coarse_shape=(16, 16, 16), nranks=2,
-                      target_fine_density=0.05, seed=5)
-        with pytest.raises(ValueError, match="already carries"):
-            SimulationDriver(sim, writer=NoCompressionWriter(),
-                             error_bound=1e-4)
 
 
 class TestReportingOnFacade:
@@ -266,6 +236,13 @@ class TestCLI:
         with repro.open(str(out_path)) as handle:
             assert handle.header.method == "amrex_1d"
             assert handle.error_bound == pytest.approx(5e-2)
+
+    def test_compress_refuses_a_method_spelling(self, plotfile, tmp_path, capsys):
+        out_path = tmp_path / "ax.h5z"
+        assert cli_main(["compress", "--input", str(plotfile), str(out_path),
+                         "--method", "amrex"]) == 1
+        assert "unknown write method 'amrex'" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_compress_rejects_codec_for_non_amric(self, tmp_path, capsys):
         assert cli_main(["compress", "--preset", "nyx_1",
