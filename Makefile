@@ -23,7 +23,7 @@ PY := PYTHONPATH=src python
 # write doors went -- SimulationDriver, repro.write(writer=), the method and codec
 # spellings, series.writer.write_series -- with compress/lorenzo.py, the
 # quantizer module and SimComm's unused collectives; ROADMAP item 13)
-LOC_BUDGET := 18273
+LOC_BUDGET := 18165
 LOC = $$(find src tools -name '*.py' | xargs cat | wc -l)
 
 # suite -> pytest paths ('+'-separated). Adding a benchmark suite is one line.
@@ -113,13 +113,14 @@ smoke-remote:
 		h.close()"
 	@rm -rf .smoke-remote
 
+SMOKE_SIM := NyxSimulation(coarse_shape=(24, 24, 24), nranks=2, \
+		target_fine_density=0.03, max_grid_size=12, seed=7, \
+		drift_rate=0.05, growth_rate=0.02, regrid_interval=4)
+
 smoke-series:
 	@rm -rf .smoke-series && mkdir -p .smoke-series
 	$(PY) -c "import repro; from repro.apps.nyx import NyxSimulation; \
-		sim = NyxSimulation(coarse_shape=(24, 24, 24), nranks=2, \
-		target_fine_density=0.03, max_grid_size=12, seed=7, \
-		drift_rate=0.05, growth_rate=0.02, regrid_interval=4); \
-		repro.write_series(sim.run(5), '.smoke-series/run', \
+		repro.write_series($(SMOKE_SIM).run(5), '.smoke-series/run', \
 		keyframe_interval=4, error_bound=1e-3)"
 	$(PY) -m repro info .smoke-series/run --step 1
 	$(PY) -m repro verify .smoke-series/run
@@ -129,6 +130,13 @@ smoke-series:
 		assert v.shape[0] == 5 and np.isfinite(v).all(); \
 		print('time_slice ok:', v.shape, f'{s.stats.chunks_decoded} chunks decoded'); \
 		s.close()"
+	$(PY) -c "import itertools, repro; from repro.apps.nyx import NyxSimulation; \
+		repro.write_series(itertools.islice($(SMOKE_SIM).run(7), 5, None), \
+		'.smoke-series/run', append=True)"
+	$(PY) -m repro info .smoke-series/run --json | $(PY) -c "import json, sys; \
+		n = json.load(sys.stdin)['nsteps']; assert n == 7, n; \
+		print('resumed after final: nsteps', n)"
+	$(PY) -m repro verify .smoke-series/run
 	@rm -rf .smoke-series
 
 smoke-stream:

@@ -149,10 +149,10 @@ def write_series(hierarchies: Iterable[AmrHierarchy], directory: str, *,
 
     Each step is committed through the crash-safe journal
     (:mod:`repro.stream`), so concurrent readers and ``subscribe`` clients
-    see steps as they land; the manifest is written once, when the last step
-    is in.  An exception leaves the committed prefix live; calling again with
-    ``append=True`` on the same directory resumes it.  ``backend`` is as in
-    :func:`write_plotfile`.
+    see steps as they land; a ``final`` record closes the journal when the
+    last step is in.  An exception leaves the committed prefix live; calling
+    again with ``append=True`` on the same directory resumes it.  ``backend``
+    is as in :func:`write_plotfile`.
     """
     from repro.series.writer import SeriesWriter
 

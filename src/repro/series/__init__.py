@@ -1,7 +1,7 @@
 """The plotfile-series subsystem: delta compression across timesteps.
 
-A *series* is a directory of per-step plotfiles plus a versioned manifest
-(``series.h5z``) tying them together:
+A *series* is a directory of per-step plotfiles plus the series journal
+(``series.journal``, :mod:`repro.stream.journal`) tying them together:
 
 * :class:`~repro.series.writer.SeriesWriter` wraps the staged writer's
   plan/pack stages, keeps a rolling reference of the previous dump per
@@ -10,9 +10,9 @@ A *series* is a directory of per-step plotfiles plus a versioned manifest
   ``temporal_delta`` codec (:mod:`repro.compress.temporal`).  Every Nth dump
   is a self-contained keyframe, and a regrid (detected via the structure
   fingerprint of :mod:`repro.core.header`) forces one per affected dataset.
-* :class:`~repro.series.index.SeriesIndex` is the manifest: per-step paths,
-  simulation times, hierarchy fingerprints, per-dataset stream modes and
-  stats, validated like the plotfile header.
+* :class:`~repro.series.index.SeriesIndex` is the manifest the journal
+  holds: per-step paths, simulation times, hierarchy fingerprints,
+  per-dataset stream modes and stats, validated like the plotfile header.
 * :class:`~repro.series.reader.SeriesHandle` (returned by
   :func:`repro.open_series`) reads lazily: ``read_field(..., step=...)``
   resolves delta chains chunk-by-chunk through the PR-3 chunk cache, and
@@ -21,7 +21,6 @@ A *series* is a directory of per-step plotfiles plus a versioned manifest
 """
 
 from repro.series.index import (
-    INDEX_FILENAME,
     SeriesDatasetRecord,
     SeriesIndex,
     SeriesStepRecord,
@@ -35,7 +34,6 @@ from repro.series.reader import (
 from repro.series.writer import SeriesWriter
 
 __all__ = [
-    "INDEX_FILENAME",
     "SeriesDatasetRecord",
     "SeriesIndex",
     "SeriesStepRecord",

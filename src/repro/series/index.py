@@ -1,34 +1,30 @@
-"""The series manifest: a versioned, validated JSON index in a container.
+"""The series manifest: a versioned, validated JSON index.
 
-``series.h5z`` is an :class:`~repro.h5lite.file.H5LiteFile` holding no
-datasets — only the superblock's first-class header section, exactly like the
-plotfile header of :mod:`repro.core.header` — so the manifest travels in the
-same container format as the data it describes.  The JSON records, per step:
-path, simulation time/step, the hierarchy structure fingerprint, and per
-``level_<l>/<field>`` dataset the stream mode (key or delta), the reference
-step of a delta stream, both candidate sizes (what the step *would* have cost
-as a keyframe) and the quality record.
+The manifest lives in the series journal (:mod:`repro.stream.journal`): its
+genesis record carries the series-wide configuration and every step record
+one :class:`SeriesStepRecord`.  The JSON records, per step: path, simulation
+time/step, the hierarchy structure fingerprint, and per ``level_<l>/<field>``
+dataset the stream mode (key or delta), the reference step of a delta
+stream, both candidate sizes (what the step *would* have cost as a keyframe)
+and the quality record.
 
 Validation mirrors the plotfile header's rules: unknown *extra* keys are
 ignored (additive evolution within a major version), and a newer major
-version, a missing or mistyped structural field, or a superblock that does
-not parse raises :class:`~repro.errors.CorruptFileError`, so a corrupt
-manifest fails loudly instead of mis-resolving a delta chain.
+version or a missing or mistyped structural field raises
+:class:`~repro.errors.CorruptFileError`, so a corrupt manifest fails loudly
+instead of mis-resolving a delta chain.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CorruptFileError, required
-from repro.h5lite.file import H5LiteFile
 
 __all__ = [
     "SERIES_FORMAT_NAME",
     "SERIES_FORMAT_VERSION",
-    "INDEX_FILENAME",
     "FieldGrid",
     "SeriesDatasetRecord",
     "SeriesStepRecord",
@@ -37,9 +33,6 @@ __all__ = [
 
 SERIES_FORMAT_NAME = "amric-series"
 SERIES_FORMAT_VERSION = 1
-
-#: manifest file name inside a series directory
-INDEX_FILENAME = "series.h5z"
 
 _MODES = ("key", "delta")
 
@@ -305,49 +298,9 @@ class SeriesIndex:
             field_grids=field_grids,
             steps=steps)
 
-    # ------------------------------------------------------------------
-    # container I/O
-    # ------------------------------------------------------------------
-    def save(self, directory: str) -> str:
-        """Write the manifest container into ``directory``.
-
-        The commit is crash-atomic: the container is written to a temp file,
-        fsync'd, renamed over the manifest, and the directory entry fsync'd —
-        a crash at any point leaves either the old manifest or the new one,
-        never a torn ``series.h5z``.
-        """
-        path = os.path.join(directory, INDEX_FILENAME)
-        tmp = path + ".tmp"
-        with H5LiteFile(tmp, "w") as f:
-            f.header = self.to_json()
-        fd = os.open(tmp, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
-        try:
-            dfd = os.open(directory, os.O_RDONLY)
-        except OSError:
-            return path
-        try:
-            os.fsync(dfd)
-        except OSError:
-            pass
-        finally:
-            os.close(dfd)
-        return path
-
     @staticmethod
     def load(directory: str) -> "SeriesIndex":
-        """Parse and validate the manifest of one series directory."""
-        path = os.path.join(directory, INDEX_FILENAME)
-        if not os.path.exists(path):
-            raise FileNotFoundError(
-                f"{directory!r} is not a plotfile series: no {INDEX_FILENAME} manifest")
-        with H5LiteFile(path, "r") as f:
-            header = f.header
-        if header is None:
-            raise CorruptFileError(
-                f"{path} carries no series manifest in its header section")
-        return SeriesIndex.from_json(header)
+        """Parse and validate one series directory's manifest, from its journal."""
+        from repro.stream.journal import load_journal
+
+        return load_journal(directory)[0]

@@ -1,6 +1,6 @@
 """Lazy, time-indexed reads over a plotfile series.
 
-:func:`open_series` parses the manifest and returns a :class:`SeriesHandle`;
+:func:`open_series` parses the series journal and returns a :class:`SeriesHandle`;
 nothing is decoded until a field is asked for.  Per step the handle hands out
 a :class:`SeriesStepHandle` — a :class:`~repro.core.reader.PlotfileHandle`
 whose chunk decode stage resolves temporal references: a key chunk decodes
@@ -35,11 +35,11 @@ from repro.compress.temporal import MODE_DELTA, TemporalDeltaCodec
 from repro.core.reader import DatasetReadPlan, PlotfileHandle, ReadStats
 from repro.h5lite.filters import cut_blocks
 from repro.h5lite.source import ByteSource, SourceStats
-from repro.series.index import INDEX_FILENAME, SeriesStepRecord
+from repro.series.index import SeriesStepRecord
 from repro.service.cache import ChunkCache
 from repro.stream.journal import (
     JOURNAL_FILENAME,
-    load_live_index,
+    load_journal,
     replay_journal,
     tail_journal,
 )
@@ -55,14 +55,9 @@ _PASS_STREAMS = 8
 
 
 def is_series_dir(path: str) -> bool:
-    """Whether ``path`` is a series directory rather than a plotfile.
-
-    A live series has no manifest until it is finalized — its journal alone
-    makes the directory a readable series.
-    """
-    return os.path.isdir(path) and (
-        os.path.isfile(os.path.join(path, INDEX_FILENAME))
-        or os.path.isfile(os.path.join(path, JOURNAL_FILENAME)))
+    """Whether ``path`` is a series directory (it holds a series journal)
+    rather than a plotfile."""
+    return os.path.isfile(os.path.join(path, JOURNAL_FILENAME))
 
 
 def open_series(directory: str, cache=None, source=None) -> "SeriesHandle":
@@ -70,8 +65,9 @@ def open_series(directory: str, cache=None, source=None) -> "SeriesHandle":
 
     A directory still being written by a
     :class:`~repro.series.writer.SeriesWriter` opens too (``handle.live`` is
-    true): the handle sees every journal-committed step, and
-    :meth:`SeriesHandle.refresh` picks up new ones as they land.
+    true until the journal's last record is ``final``): the handle sees every
+    journal-committed step, and :meth:`SeriesHandle.refresh` picks up new
+    ones as they land.
     """
     return SeriesHandle(directory, cache=cache, source=source)
 
@@ -222,22 +218,20 @@ class SeriesHandle:
                 "a series opens one file per step; pass a source spec "
                 "string or a factory callable, not a single ByteSource")
         self.directory = str(directory)
-        self.index, view = load_live_index(self.directory)
-        #: the series is still being appended to (a journal is present);
+        self.index, view = load_journal(self.directory)
+        #: the series is still being appended to (no ``final`` record last);
         #: :meth:`refresh` keeps the handle current until it finalizes
-        self._live = view is not None
-        self._journal_offset = 0 if view is None else view.end_offset
-        self._journal_crc = 0 if view is None else view.genesis_crc
+        self._live = not view.final
+        self._journal_offset = view.end_offset
+        self._journal_crc = view.genesis_crc
         self._refresh_lock = threading.Lock()
         #: the recipe every step handle opens its file through
         self._source_spec = source
         self.stats = ReadStats()
         #: refresh accounting (mirrored into the engine's metrics registry):
-        #: polls issued, steps picked up live, and full index reloads
-        #: (finalize/resume generation switches)
+        #: polls issued and steps picked up live
         self.refreshes = 0
         self.steps_appended = 0
-        self.index_reloads = 0
         #: where every step handle stores its decoded chunk values (keyed by
         #: the step's own path)
         self.cache = cache if cache is not None else ChunkCache()
@@ -306,7 +300,7 @@ class SeriesHandle:
 
     @property
     def live(self) -> bool:
-        """Whether the series is still being appended to (journal present)."""
+        """Whether the series is still being appended to (not finalized)."""
         return self._live
 
     @property
@@ -321,11 +315,10 @@ class SeriesHandle:
         the in-memory index — open step handles, decoded chunk values and
         resolved code streams all stay valid and warm.  The steady-state cost
         when nothing changed is one ``stat`` plus a 24-byte journal head
-        probe; new steps cost exactly their own journal records.  When the
-        writer finalized (journal gone) or resumed a finalized series (a new
-        journal generation) the handle falls back to one full reload — still
-        merged append-only into the same index object.  Once the series
-        finalizes, refresh settles to a free no-op.
+        probe; new steps cost exactly their own journal records.  A journal
+        that no longer holds what the handle read raises
+        :class:`~repro.errors.CorruptFileError`.  Once the handle reads a
+        ``final`` record, refresh settles to a free no-op.
         """
         if not self._live:
             return 0
@@ -335,32 +328,11 @@ class SeriesHandle:
             self.refreshes += 1
             path = os.path.join(self.directory, JOURNAL_FILENAME)
             tail = tail_journal(path, self._journal_offset, self._journal_crc)
-            if tail.status == "ok":
-                appended = replay_journal(self.index, tail, path=path)
-                self._journal_offset = tail.end_offset
-                self.steps_appended += appended
-                return appended
-            # finalize or resume switched generations: full reload, merged by
-            # appending the unseen suffix onto the live index
-            self.index_reloads += 1
-            before = self.index.nsteps
-            fresh, view = load_live_index(self.directory)
-            if fresh.nsteps < before:
-                raise ValueError(
-                    f"series {self.directory!r} lost steps ({before} -> "
-                    f"{fresh.nsteps}); committed steps are immutable — the "
-                    "directory was rewritten by something other than the "
-                    "series writer")
-            self.index.steps.extend(fresh.steps[before:])
-            if view is None:
-                self._live = False
-                self._journal_offset = 0
-                self._journal_crc = 0
-            else:
-                self._journal_offset = view.end_offset
-                self._journal_crc = view.genesis_crc
-            self.steps_appended += self.index.nsteps - before
-            return self.index.nsteps - before
+            appended = replay_journal(self.index, tail, path=path)
+            self._journal_offset = tail.end_offset
+            self._live = not tail.final
+            self.steps_appended += appended
+            return appended
 
     def describe(self) -> Dict[str, object]:
         """A flat summary (what ``python -m repro info DIR`` prints).

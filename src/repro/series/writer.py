@@ -49,7 +49,7 @@ from repro.series.index import (
     SeriesStepRecord,
 )
 from repro.series.reader import is_series_dir
-from repro.stream.journal import SeriesJournal, load_live_index
+from repro.stream.journal import SeriesJournal, load_journal
 
 __all__ = [
     "SeriesWriter",
@@ -188,15 +188,15 @@ class SeriesWriter:
     committed one.  Until it is finalized the directory is a *live* series
     that readers follow with
     :meth:`~repro.series.reader.SeriesHandle.refresh`.  :meth:`finalize`
-    (called by :meth:`close`) writes the ``series.h5z`` manifest once and
-    drops the journal; a writer that raises or is never closed leaves the
-    live directory behind.
+    (called by :meth:`close`) appends the journal's ``final`` record; a
+    writer that raises or is never closed leaves the live directory behind.
 
-    ``append`` is whether an existing series directory may be resumed; a
+    ``append`` is whether an existing series directory may be reopened; a
     plain writer refuses one.  Resuming a live (crashed) or finalized
-    directory recovers its committed steps, truncates a torn journal tail,
-    and makes the first resumed step a keyframe (the rolling delta reference
-    does not survive a restart).
+    directory is the same: it recovers the committed steps, truncates a torn
+    journal tail, appends after the last complete record, and makes the
+    first step after it a keyframe (the rolling delta reference does not
+    survive a restart).
     """
 
     method_name = "series"
@@ -219,12 +219,12 @@ class SeriesWriter:
         os.makedirs(self.directory, exist_ok=True)
         self.index: Optional[SeriesIndex] = None
         self.journal = SeriesJournal(self.directory)
-        self._resumed = is_series_dir(self.directory)
+        self._recovered = is_series_dir(self.directory)
         self._finalized = False
         self._aborted = False
         #: dataset name -> (layout fingerprint, absolute codes per chunk)
         self._ref: Dict[str, Tuple[str, List[np.ndarray]]] = {}
-        if self._resumed:
+        if self._recovered:
             if not append:
                 raise ValueError(
                     f"{self.directory!r} already holds a series; write each "
@@ -234,18 +234,14 @@ class SeriesWriter:
         self.reports: List[WriteReport] = []
 
     def _recover(self) -> None:
-        """Resume a series: a live one behind its last complete journal record,
-        a finalized one into a new journal generation holding every manifest step.
+        """Resume a series behind its last complete journal record.
 
         The recovered index is authoritative for the series-wide knobs — the
         grids were frozen at the original step 0 and delta chains depend on
         them — so constructor arguments that disagree are overridden.
         """
-        index, view = load_live_index(self.directory)
-        if view is None:
-            self.journal.create(index.to_json())
-        else:
-            self.journal.resume(view)
+        index, view = load_journal(self.directory)
+        self.journal.resume(view)
         self.index = index
         self.keyframe_interval = index.keyframe_interval
         self.config = self.config.with_overrides(
@@ -256,16 +252,11 @@ class SeriesWriter:
 
     # ------------------------------------------------------------------
     def finalize(self) -> None:
-        """Write the manifest once, atomically, then drop the journal (idempotent).
-
-        A crash between the two leaves both, holding the same steps; readers
-        use the journal.  Afterwards any manifest reader opens the directory.
-        """
+        """Append the journal's fsync'd ``final`` record (idempotent)."""
         if self._finalized:
             return
         if self.index is not None:
-            self.index.save(self.directory)
-            self.journal.remove()
+            self.journal.append_final()
         self._finalized = True
 
     def abort(self) -> None:
@@ -352,9 +343,9 @@ class SeriesWriter:
         filename = filename or f"plt{hierarchy.step:05d}.h5z"
         path = os.path.join(self.directory, filename)
         if os.path.exists(path):
-            # a resumed series may hold the file a crashed commit wrote but
+            # a recovered series may hold the file a crashed commit wrote but
             # never journaled — an orphan no committed step references
-            if self._resumed and all(s.path != filename for s in index.steps):
+            if self._recovered and all(s.path != filename for s in index.steps):
                 os.unlink(path)
             else:
                 raise ValueError(

@@ -149,7 +149,7 @@ def existing_path(path, op: str, series: bool = False) -> str:
                            ERROR_NOT_FOUND)
     if series and not is_series_dir(path):
         raise RequestError(
-            f"{path!r} is not a series directory (no manifest or journal)")
+            f"{path!r} is not a series directory (no series journal)")
     return path
 
 

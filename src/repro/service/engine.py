@@ -307,8 +307,6 @@ class QueryEngine:
              float(sum(s.refreshes for s in series))),
             ("repro_series_steps_appended_total", "counter", {},
              float(sum(s.steps_appended for s in series))),
-            ("repro_series_index_reloads_total", "counter", {},
-             float(sum(s.index_reloads for s in series))),
         ]
         rows.extend(io.samples())
         return rows

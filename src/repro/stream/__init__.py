@@ -1,15 +1,14 @@
 """Live in situ streaming: the series journal and its readers.
 
 A series is readable while the producing simulation is still running,
-because every step is committed through a journal before a manifest exists:
+because every step is committed through the series journal as it lands:
 
 * :mod:`repro.stream.journal` — the versioned *journal*
   (``series.journal``): append-only framed records, one fsync'd commit per
   step, crash-recoverable by replaying complete records and truncating a
   torn tail.  :class:`~repro.series.writer.SeriesWriter` commits every step
-  through it; finalizing writes the ordinary ``series.h5z`` manifest once
-  and removes the journal.  A journal holds the whole series from step 0,
-  so a directory is read from its journal alone when one is present.
+  through it and finalizes by appending a ``final`` record.  The journal is
+  the series directory's only index, from step 0, live or finalized.
 * the read side lives where the readers live:
   :meth:`repro.series.reader.SeriesHandle.refresh` re-reads only the journal
   tail (committed steps are immutable, so nothing warm is ever invalidated),
@@ -23,7 +22,7 @@ from repro.stream.journal import (
     JournalTail,
     JournalView,
     SeriesJournal,
-    load_live_index,
+    load_journal,
     read_journal,
     replay_journal,
     tail_journal,
@@ -35,7 +34,7 @@ __all__ = [
     "JournalTail",
     "JournalView",
     "SeriesJournal",
-    "load_live_index",
+    "load_journal",
     "read_journal",
     "replay_journal",
     "tail_journal",

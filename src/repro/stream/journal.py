@@ -1,9 +1,7 @@
-"""The series journal: the one way a series step is committed.
+"""The series journal: a series directory's one index.
 
-``series.h5z`` is a whole-manifest snapshot, written once when the writer
-finalizes.  Until then a series *is* its journal (``series.journal``): an
-append-only file of framed records, one per step, each fsync'd before
-:meth:`~repro.series.writer.SeriesWriter.append` returns.
+A series *is* its journal (``series.journal``): an append-only file of
+framed records, each fsync'd before the call that wrote it returns.
 
 Layout::
 
@@ -12,64 +10,57 @@ Layout::
     [4s b"SJRC"][<Q payload len>][<I crc32(payload)>][payload]   # record 1
     ...
 
-Every payload is the unified codec container
-(:func:`repro.compress.container.pack_container`, codec ``series_journal``)
-whose ``meta`` carries the record JSON.  Record 0 is always a **genesis**
-record — the series configuration (a manifest without its step list) plus
-``resumed``, the number of steps the generation was written with.  Every
-later record is a **step** record holding one
-:class:`~repro.series.index.SeriesStepRecord`.  A journal holds every step of
-the series from step 0, so a directory is read from its journal alone when
-one is present, and from its manifest otherwise; after a crash inside
-finalize both are present and hold the same steps.
+Every payload is one UTF-8 JSON object.  Record 0 is always the **genesis**
+record — the series configuration (a manifest without its step list).  A
+**step** record holds one :class:`~repro.series.index.SeriesStepRecord`, and
+:meth:`~repro.series.writer.SeriesWriter.finalize` appends a **final**
+record: a series is finalized exactly when its last complete record is
+``final``.  Resuming a finalized series appends its next steps after that
+record, exactly as resuming a crashed one does — no record is ever rewritten.
 
 Crash-recovery invariants:
 
-* a generation is written whole — write-temp + fsync + atomic rename +
-  directory fsync — at a series' first step (genesis only) and when a
-  finalized series is resumed (genesis plus every manifest step);
-* a step commit is a single ``write`` + fsync, so a crash can only tear the
-  **tail**: recovery replays complete records and truncates at the first
-  record whose header, length, CRC or payload fails to parse;
+* the genesis is published whole — write-temp + fsync + atomic rename +
+  directory fsync — when the series' first step commits;
+* every later record is a single ``write`` + fsync, so a crash can only tear
+  the **tail**.  A record is a torn tail only when it reaches end of file:
+  its declared end is past EOF, or it fails its CRC and no bytes follow it.
+  Recovery replays the records before it and truncates it; any other record
+  that fails to parse is damage and raises
+  :class:`~repro.errors.CorruptFileError`;
 * records are immutable once written — a reader that has consumed the journal
   up to byte offset *k* only ever needs bytes ``[k:]`` plus a 24-byte head
-  probe (:func:`tail_journal`) to learn what is new.
-
-The genesis record's CRC doubles as the journal *generation id*: generations
-that hold different steps have different ``resumed`` counts, hence different
-CRCs, and a tail reader detecting a CRC change falls back to a full reload.
+  probe (:func:`tail_journal`) to learn what is new.  A journal shorter than
+  *k*, or whose genesis CRC changed, is damage too.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.compress.container import pack_container, unpack_container
 from repro.errors import CorruptFileError
 from repro.series.index import SeriesIndex, SeriesStepRecord
 
 __all__ = [
     "JOURNAL_FILENAME",
     "JOURNAL_FORMAT_VERSION",
-    "JOURNAL_CODEC",
     "JournalView",
     "JournalTail",
     "SeriesJournal",
     "read_journal",
     "tail_journal",
-    "load_live_index",
+    "load_journal",
     "replay_journal",
 ]
 
 #: journal file name inside a series directory
 JOURNAL_FILENAME = "series.journal"
-JOURNAL_FORMAT_VERSION = 2
-#: codec tag of every record payload (unified container format)
-JOURNAL_CODEC = "series_journal"
+JOURNAL_FORMAT_VERSION = 3
 
 _PREAMBLE = struct.Struct("<4sI")          # magic, format version
 _PREAMBLE_MAGIC = b"SJNL"
@@ -77,54 +68,63 @@ _RECORD_HEADER = struct.Struct("<4sQI")    # magic, payload length, crc32(payloa
 _RECORD_MAGIC = b"SJRC"
 #: offset of the first record header (== preamble size)
 GENESIS_OFFSET = _PREAMBLE.size
-#: bytes needed to identify a journal generation: preamble + genesis header
+#: bytes that identify a journal: preamble + genesis header
 HEAD_PROBE_BYTES = _PREAMBLE.size + _RECORD_HEADER.size
-#: a record payload larger than this is treated as a torn tail, not a record
-_MAX_PAYLOAD_BYTES = 1 << 30
 
 
 def _frame_record(obj: dict) -> bytes:
-    """One complete record: container payload behind a CRC'd length header."""
-    payload = pack_container(JOURNAL_CODEC, obj, {})
+    """One complete record: a JSON payload behind a CRC'd length header."""
+    payload = json.dumps(obj, separators=(",", ":")).encode("utf-8")
     return _RECORD_HEADER.pack(_RECORD_MAGIC, len(payload),
                                zlib.crc32(payload) & 0xFFFFFFFF) + payload
 
 
-def _parse_record(buf: bytes, offset: int) -> Optional[Tuple[dict, int]]:
-    """Parse the record at ``offset``; ``None`` means a torn/absent tail."""
+def _parse_record(buf: bytes, offset: int, path: str) -> Optional[Tuple[dict, int]]:
+    """Parse the record at ``offset``; ``None`` means a torn tail or EOF.
+
+    Raises :class:`~repro.errors.CorruptFileError` for a record that fails to
+    parse but does not reach end of file, and for one that passes its CRC but
+    is not a journal record object.
+    """
     end = offset + _RECORD_HEADER.size
     if end > len(buf):
         return None
     magic, length, crc = _RECORD_HEADER.unpack_from(buf, offset)
-    if magic != _RECORD_MAGIC or length > _MAX_PAYLOAD_BYTES:
-        return None
     if end + length > len(buf):
         return None
     payload = buf[end:end + length]
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        return None
+    if magic != _RECORD_MAGIC or zlib.crc32(payload) & 0xFFFFFFFF != crc:
+        if end + length == len(buf):
+            return None
+        raise CorruptFileError(
+            f"{path}: the record at byte {offset} fails its CRC with "
+            f"{len(buf) - end - length} bytes after it — the journal is damaged")
     try:
-        meta = dict(unpack_container(bytes(payload), expect_codec=JOURNAL_CODEC).meta)
+        obj = json.loads(payload)
     except ValueError:
-        return None
-    if meta.get("record") == "step" and not isinstance(meta.get("step"), dict):
-        return None
-    return meta, end + length
+        obj = None
+    if not isinstance(obj, dict) or (
+            obj.get("record") == "step" and not isinstance(obj.get("step"), dict)):
+        raise CorruptFileError(
+            f"{path}: the record at byte {offset} passes its CRC but is not a "
+            "journal record")
+    return obj, end + length
 
 
-def _scan(buf: bytes, offset: int) -> Tuple[List[dict], int]:
-    """The step records from ``offset`` up to the first torn or unparsable
-    record, and the offset just past the last complete one.
+def _scan(buf: bytes, offset: int, path: str) -> Tuple[List[dict], int, bool]:
+    """The step records from ``offset`` up to the torn tail or EOF, the offset
+    just past the last complete record, and whether that record is ``final``.
 
     Unknown record kinds are skipped (additive evolution within a format
     version, like the manifest's extra-key rule).
     """
-    steps = []
-    while (parsed := _parse_record(buf, offset)) is not None:
+    steps, final = [], False
+    while (parsed := _parse_record(buf, offset, path)) is not None:
         obj, offset = parsed
         if obj.get("record") == "step":
             steps.append(obj["step"])
-    return steps, offset
+        final = obj.get("record") == "final"
+    return steps, offset, final
 
 
 def _fsync_dir(directory: str) -> None:
@@ -144,24 +144,23 @@ def _fsync_dir(directory: str) -> None:
 
 @dataclass
 class JournalView:
-    """One full read of a journal: its generation identity and step records."""
+    """One full read of a journal: its identity and step records."""
 
     config: dict                  #: manifest JSON minus its step list
     steps: List[dict] = field(default_factory=list)  #: step record JSON objects
-    genesis_crc: int = 0          #: generation id (crc32 of the genesis payload)
+    genesis_crc: int = 0          #: journal identity (crc32 of the genesis payload)
     end_offset: int = 0           #: byte offset just past the last complete record
     truncated: bool = False       #: a torn tail followed ``end_offset``
+    final: bool = False           #: the last complete record is ``final``
 
 
 @dataclass
 class JournalTail:
     """What :func:`tail_journal` learned without re-reading committed records."""
 
-    #: "ok" (``steps`` holds the new records), "rebuilt" (generation changed —
-    #: full reload required) or "gone" (journal removed: series finalized)
-    status: str
     steps: List[dict] = field(default_factory=list)
     end_offset: int = 0
+    final: bool = False           #: the last new record is ``final``
 
 
 def read_journal(path: str) -> JournalView:
@@ -169,8 +168,7 @@ def read_journal(path: str) -> JournalView:
 
     Raises :class:`~repro.errors.CorruptFileError` for damage that cannot be
     a torn tail — a bad preamble, another format version, a malformed genesis
-    record, or fewer steps than the generation was written with (generations
-    are written whole and atomically).
+    record, or a damaged record with bytes after it.
     """
     with open(path, "rb") as fh:
         buf = fh.read()
@@ -183,19 +181,13 @@ def read_journal(path: str) -> JournalView:
         raise CorruptFileError(
             f"{path}: journal format version {version} is not supported by this "
             f"reader, which reads version {JOURNAL_FORMAT_VERSION} only")
-    genesis, offset = _parse_record(buf, GENESIS_OFFSET) or ({}, GENESIS_OFFSET)
-    resumed = genesis.get("resumed")
-    if genesis.get("record") != "genesis" or not isinstance(genesis.get("config"), dict) \
-            or not isinstance(resumed, int) or isinstance(resumed, bool):
+    genesis, offset = _parse_record(buf, GENESIS_OFFSET, path) or ({}, GENESIS_OFFSET)
+    if genesis.get("record") != "genesis" or not isinstance(genesis.get("config"), dict):
         raise CorruptFileError(f"{path} has no complete genesis record")
-    steps, end = _scan(buf, offset)
-    if len(steps) < resumed:
-        raise CorruptFileError(
-            f"{path} holds {len(steps)} complete steps, fewer than the {resumed} "
-            "its generation was written with — the journal is damaged")
+    steps, end, final = _scan(buf, offset, path)
     _, _, genesis_crc = _RECORD_HEADER.unpack_from(buf, GENESIS_OFFSET)
     return JournalView(config=genesis["config"], steps=steps, genesis_crc=genesis_crc,
-                       end_offset=end, truncated=end < len(buf))
+                       end_offset=end, truncated=end < len(buf), final=final)
 
 
 def tail_journal(path: str, offset: int, genesis_crc: int) -> JournalTail:
@@ -204,49 +196,43 @@ def tail_journal(path: str, offset: int, genesis_crc: int) -> JournalTail:
     ``offset``/``genesis_crc`` come from the caller's last
     :class:`JournalView`/:class:`JournalTail`.  The steady-state cost when
     nothing changed is one ``stat`` plus a 24-byte head probe; new records
-    cost exactly their own bytes.  A "rebuilt" or "gone" status tells the
-    caller to fall back to a full reload (a resume or a finalize happened).
+    cost exactly their own bytes.  A journal that is gone, shorter than
+    ``offset`` or headed by another genesis no longer holds what the caller
+    read: :class:`~repro.errors.CorruptFileError`.
     """
     try:
-        size = os.stat(path).st_size
-    except FileNotFoundError:
-        return JournalTail(status="gone")
-    if size < offset:
-        return JournalTail(status="rebuilt")
-    try:
         with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
             head = fh.read(HEAD_PROBE_BYTES)
-            if len(head) < HEAD_PROBE_BYTES \
+            if size < offset or len(head) < HEAD_PROBE_BYTES \
                     or head[:4] != _PREAMBLE_MAGIC \
-                    or head[GENESIS_OFFSET:GENESIS_OFFSET + 4] != _RECORD_MAGIC:
-                return JournalTail(status="rebuilt")
-            _, _, crc = _RECORD_HEADER.unpack_from(head, GENESIS_OFFSET)
-            if crc != genesis_crc:
-                return JournalTail(status="rebuilt")
-            if size == offset:
-                return JournalTail(status="ok", end_offset=offset)
+                    or _RECORD_HEADER.unpack_from(head, GENESIS_OFFSET)[2] != genesis_crc:
+                raise CorruptFileError(
+                    f"{path} no longer holds the {offset} bytes this reader has "
+                    "read (it shrank or has another genesis) — committed records "
+                    "are immutable, so the journal is damaged")
             fh.seek(offset)
             buf = fh.read()
     except FileNotFoundError:
-        return JournalTail(status="gone")
+        raise CorruptFileError(f"{path} vanished under a live reader") from None
     # a torn (or still being written) tail stops the scan; the next call retries it
-    steps, pos = _scan(buf, 0)
-    return JournalTail(status="ok", steps=steps, end_offset=offset + pos)
+    steps, pos, final = _scan(buf, 0, path)
+    return JournalTail(steps=steps, end_offset=offset + pos, final=final)
 
 
-def load_live_index(directory: str) -> Tuple[SeriesIndex, Optional[JournalView]]:
-    """Materialize the current index of a live (or finalized) series.
+def load_journal(directory: str) -> Tuple[SeriesIndex, JournalView]:
+    """Materialize a series directory's index from its journal.
 
-    A live series is its journal alone: genesis plus every step since step 0.
-    Without a journal the series is finalized and its manifest describes it.
-    Returns ``(index, view)`` where ``view`` is ``None`` for a finalized
-    series.
+    Returns ``(index, view)``; a directory without a journal is not a series
+    (:class:`FileNotFoundError`).
     """
     path = os.path.join(directory, JOURNAL_FILENAME)
     try:
         view = read_journal(path)
     except FileNotFoundError:
-        return SeriesIndex.load(directory), None
+        raise FileNotFoundError(
+            f"{directory!r} is not a plotfile series: no {JOURNAL_FILENAME} journal"
+        ) from None
     index = SeriesIndex.from_json(dict(view.config, steps=[]))
     replay_journal(index, view, path=path)
     return index, view
@@ -287,10 +273,9 @@ class SeriesJournal:
     """The series writer's journal handle.
 
     Owns the open file descriptor; every mutation is durable when the method
-    returns.  :meth:`create` writes a generation atomically; :meth:`resume`
-    reopens a live one behind its last complete record; :meth:`append_step`
-    is the per-step commit; :meth:`remove` finalizes (the manifest, saved
-    just before, now describes the series).
+    returns.  :meth:`create` publishes the genesis atomically; :meth:`resume`
+    reopens a journal behind its last complete record; :meth:`append_step` is
+    the per-step commit and :meth:`append_final` the finalize.
     """
 
     def __init__(self, directory: str):
@@ -301,9 +286,8 @@ class SeriesJournal:
         self.end_offset = 0
 
     def create(self, manifest: dict) -> None:
-        """Write a fresh generation: the genesis plus one record per step of
-        ``manifest`` (a :meth:`~repro.series.index.SeriesIndex.to_json`; a
-        finalized series being resumed brings its steps, a new one none).
+        """Publish a new journal holding the genesis of ``manifest`` (a
+        :meth:`~repro.series.index.SeriesIndex.to_json` with no steps yet).
 
         Refuses to clobber an existing journal.
         """
@@ -311,11 +295,10 @@ class SeriesJournal:
             raise ValueError(
                 f"{self.path!r} already exists; reopen it with resume()")
         config = dict(manifest)
-        steps = config.pop("steps", [])
-        genesis = _frame_record({"record": "genesis", "resumed": len(steps),
-                                 "config": config})
-        blob = b"".join([_PREAMBLE.pack(_PREAMBLE_MAGIC, JOURNAL_FORMAT_VERSION), genesis]
-                        + [_frame_record({"record": "step", "step": s}) for s in steps])
+        if config.pop("steps", None):
+            raise ValueError("a new journal holds no steps; commit them with append_step()")
+        genesis = _frame_record({"record": "genesis", "config": config})
+        blob = _PREAMBLE.pack(_PREAMBLE_MAGIC, JOURNAL_FORMAT_VERSION) + genesis
         tmp = self.path + ".tmp"
         with open(tmp, "wb") as fh:
             fh.write(blob)
@@ -328,8 +311,8 @@ class SeriesJournal:
         self.end_offset = len(blob)
 
     def resume(self, view: JournalView) -> None:
-        """Reopen a live journal after a crash: truncate the torn tail that
-        followed ``view`` (this journal's :func:`read_journal`), append after it."""
+        """Reopen a journal after a crash or a finalize: truncate the torn tail
+        that followed ``view`` (this journal's :func:`read_journal`), append after it."""
         if view.truncated:
             with open(self.path, "r+b") as fh:
                 fh.truncate(view.end_offset)
@@ -339,30 +322,27 @@ class SeriesJournal:
         self.genesis_crc = view.genesis_crc
         self.end_offset = view.end_offset
 
-    # -- the per-step commit -------------------------------------------
-    def append_step(self, step_json: dict) -> None:
-        """Commit one step record: a single write + fsync."""
+    def _append(self, obj: dict) -> None:
+        """One record: a single write + fsync."""
         if self._fh is None:
             raise ValueError("journal is not open")
-        record = _frame_record({"record": "step", "step": step_json})
+        record = _frame_record(obj)
         self._fh.write(record)
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self.end_offset += len(record)
+
+    def append_step(self, step_json: dict) -> None:
+        """Commit one step record."""
+        self._append({"record": "step", "step": step_json})
         # an in situ writer has no query engine to collect through
         from repro.obs import get_registry
 
         get_registry().counter("repro_journal_appends_total").inc()
 
-    # -- lifecycle ------------------------------------------------------
-    def remove(self) -> None:
-        """Finalize: drop the journal (the manifest must already be current)."""
-        self.close()
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
-        _fsync_dir(self.directory)
+    def append_final(self) -> None:
+        """Finalize: the series is finalized while this is its last record."""
+        self._append({"record": "final"})
 
     def close(self) -> None:
         if self._fh is not None:

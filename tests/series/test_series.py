@@ -15,7 +15,8 @@ from repro.compress.temporal import MODE_DELTA, TemporalDeltaCodec
 from repro.h5lite.file import H5LiteFile
 from repro.h5lite.source import LocalFileSource, RangeSource
 from repro.parallel.backend import SharedMemoryBackend
-from repro.series import INDEX_FILENAME, SeriesIndex, SeriesWriter, open_series
+from repro.series import SeriesIndex, SeriesWriter, open_series
+from repro.stream.journal import JOURNAL_FILENAME
 from repro.series.reader import _PASS_STREAMS
 from repro.service.cache import ChunkCache
 
@@ -51,10 +52,9 @@ def keyonly_dir(hierarchies, tmp_path_factory):
 
 class TestSeriesWriter:
     def test_directory_layout(self, series_dir, hierarchies):
-        names = sorted(os.listdir(series_dir))
-        assert INDEX_FILENAME in names
-        for h in hierarchies:
-            assert f"plt{h.step:05d}.h5z" in names
+        names = set(os.listdir(series_dir))
+        assert names == {JOURNAL_FILENAME} | {f"plt{h.step:05d}.h5z"
+                                              for h in hierarchies}
 
     def test_manifest_round_trips(self, series_dir):
         index = SeriesIndex.load(series_dir)
@@ -124,8 +124,7 @@ class TestBackendIdentity:
                                    error_bound=1e-3, backend=backend)
                 dirs[name] = path
         reference = dirs.pop("serial")
-        files = sorted(f for f in os.listdir(reference) if f.endswith(".h5z")
-                       and f != INDEX_FILENAME)
+        files = sorted(f for f in os.listdir(reference) if f.endswith(".h5z"))
         for backend, path in dirs.items():
             for name in files:
                 with open(os.path.join(reference, name), "rb") as a, \
@@ -555,6 +554,6 @@ class TestManifestValidation:
         with pytest.raises(ValueError, match="unknown mode"):
             SeriesIndex.from_json(self._tampered(series_dir, mutate, tmp_path))
 
-    def test_missing_manifest(self, tmp_path):
+    def test_missing_journal(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="not a plotfile series"):
             open_series(str(tmp_path / "nowhere"))

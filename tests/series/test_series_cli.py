@@ -1,6 +1,7 @@
 """Series wiring: CLI info/verify on a series, facade verbs, analysis."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from repro.amr.box import Box
 from repro.apps.nyx import NyxSimulation
 from repro.cli import main as cli_main
 from repro.series import SeriesIndex
+from repro.stream.journal import JOURNAL_FILENAME, SeriesJournal
 
 
 def make_sim(seed=17):
@@ -138,7 +140,12 @@ class TestSeriesCli:
         index = SeriesIndex.load(broken)
         # lie about a stored size: manifest/file consistency must fail
         index.steps[1].datasets[0].stored_bytes += 1
-        index.save(broken)
+        os.unlink(os.path.join(broken, JOURNAL_FILENAME))
+        with SeriesJournal(broken) as journal:
+            journal.create(dict(index.to_json(), steps=[]))
+            for step in index.steps:
+                journal.append_step(step.to_json())
+            journal.append_final()
         assert cli_main(["verify", broken]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "manifest_bytes=FAIL" in out
@@ -160,7 +167,7 @@ class TestSeriesCli:
 
     def test_a_live_series(self, tmp_path, capsys):
         """A journal-only directory (append mode, before finalize) is a series."""
-        from repro.series import INDEX_FILENAME, SeriesWriter, is_series_dir
+        from repro.series import SeriesWriter, is_series_dir
 
         directory = str(tmp_path / "live")
         writer = SeriesWriter(directory, keyframe_interval=2, error_bound=1e-3,
@@ -168,7 +175,6 @@ class TestSeriesCli:
         try:
             for hierarchy in make_sim(seed=41).run(3):
                 writer.append(hierarchy)
-            assert not (tmp_path / "live" / INDEX_FILENAME).exists()
             assert is_series_dir(directory)
             assert cli_main(["info", directory, "--json"]) == 0
             summary = json.loads(capsys.readouterr().out)

@@ -24,7 +24,7 @@ from repro.apps.nyx import NyxSimulation
 from repro.compress.errorbound import ErrorBound
 from repro.compress.huffman import HuffmanCodec
 from repro.compress.temporal import MODE_DELTA, MODE_KEY, TemporalDeltaCodec
-from repro.series import INDEX_FILENAME, SeriesIndex, SeriesWriter
+from repro.series import SeriesIndex, SeriesWriter
 from repro.series.writer import TemporalEncodeJob, TemporalEncodeResult, temporal_encode_job
 from repro.stream.journal import JOURNAL_FILENAME
 
@@ -78,7 +78,7 @@ def _snapshot(directory):
 
 def _step_files(directory):
     return {name: data for name, data in _snapshot(directory).items()
-            if name.endswith(".h5z") and name != INDEX_FILENAME}
+            if name.endswith(".h5z")}
 
 
 # ----------------------------------------------------------------------
@@ -372,7 +372,7 @@ def _poisoned(hierarchy, bad=np.nan):
 
 @pytest.mark.parametrize("append", [False, True])
 @pytest.mark.parametrize("backend", ["serial", "shm"], indirect=True)
-def test_refused_append_leaves_no_step_file_and_an_unchanged_manifest(tmp_path, append,
+def test_refused_append_leaves_no_step_file_and_an_unchanged_journal(tmp_path, append,
                                                                        backend):
     steps = list(make_sim(seed=5).run(3))
     field = steps[0].component_names[0]
@@ -381,8 +381,8 @@ def test_refused_append_leaves_no_step_file_and_an_unchanged_manifest(tmp_path, 
                           append=append, backend=backend)
     writer.append(steps[0])
     before = _snapshot(directory)
-    # plain or not, a series is its journal until it is finalized
-    assert JOURNAL_FILENAME in before and INDEX_FILENAME not in before
+    # plain or not, a series is its step files and its journal
+    assert set(before) == {JOURNAL_FILENAME, f"plt{steps[0].step:05d}.h5z"}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"{field}.*non-finite"):

@@ -1,4 +1,4 @@
-"""A damaged chunk, manifest or journal is ``corrupt_data`` on every
+"""A damaged chunk or series journal is ``corrupt_data`` on every
 transport (HTTP 422), not a ``bad_request``: the format's one exception type
 is classified by the core."""
 
@@ -11,13 +11,12 @@ import pytest
 
 import repro
 from repro.h5lite.file import H5LiteFile
-from repro.series.index import INDEX_FILENAME, SeriesIndex
 from repro.service import ReproClient, ReproServer
 from repro.service.client import ServiceError
 from repro.service.core import ERROR_CORRUPT_DATA
 from repro.service.fakes import FakeClient
 from repro.service.http import HttpClient, HttpServer
-from repro.stream.journal import JOURNAL_FILENAME, SeriesJournal
+from repro.stream.journal import JOURNAL_FILENAME
 
 FIELD = "baryon_density"
 
@@ -86,25 +85,20 @@ def _flip(path, offset):
 
 @pytest.fixture(scope="module")
 def damaged_series(service_series, tmp_path_factory):
-    """Two damaged copies of the service series: a finalized one with one
-    byte in the middle of its manifest flipped, and a live (journal-only) one
+    """Two damaged copies of the service series: one with a byte in the
+    middle of its journal flipped (a step record with records after it), one
     with a byte of its journal preamble flipped."""
     root = tmp_path_factory.mktemp("corrupt_series")
-    manifest = str(root / "manifest")
-    shutil.copytree(service_series, manifest)
-    path = os.path.join(manifest, INDEX_FILENAME)
-    _flip(path, os.path.getsize(path) // 2)
-    journal = str(root / "journal")
-    shutil.copytree(service_series, journal)
-    index = SeriesIndex.load(journal)
-    os.unlink(os.path.join(journal, INDEX_FILENAME))
-    with SeriesJournal(journal) as live:
-        live.create(index.to_json())
-    _flip(os.path.join(journal, JOURNAL_FILENAME), 1)
-    return {"manifest": manifest, "journal": journal}
+    damaged = {}
+    for damage in ("step_record", "journal"):
+        directory = damaged[damage] = str(root / damage)
+        shutil.copytree(service_series, directory)
+        path = os.path.join(directory, JOURNAL_FILENAME)
+        _flip(path, os.path.getsize(path) // 2 if damage == "step_record" else 1)
+    return damaged
 
 
-@pytest.mark.parametrize("damage", ["manifest", "journal"])
+@pytest.mark.parametrize("damage", ["step_record", "journal"])
 def test_a_damaged_series_is_corrupt_data_on_every_transport(damaged_series, damage):
     directory = damaged_series[damage]
     with pytest.raises(repro.CorruptFileError):

@@ -1,5 +1,5 @@
 """Series writing through the journal: one commit path, crash recovery,
-resume, finalize compat."""
+resume, finalize."""
 
 import hashlib
 import os
@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import repro
-from repro.series.index import INDEX_FILENAME, SeriesIndex
+from repro.errors import CorruptFileError
+from repro.series.index import SeriesIndex
 from repro.series.writer import SeriesWriter
-from repro.stream.journal import JOURNAL_FILENAME
+from repro.stream.journal import JOURNAL_FILENAME, read_journal
 
 NSTEPS = 7                  # matches the conftest simulation run
 KEYFRAME_INTERVAL = 3
@@ -36,19 +37,24 @@ def file_digests(directory):
     return digests
 
 
-class TestFinalizedCompatibility:
-    def test_finalized_append_series_is_a_plain_series(self, hierarchies,
-                                                       reference_dir, tmp_path):
+def journal_path(directory):
+    return os.path.join(directory, JOURNAL_FILENAME)
+
+
+class TestFinalize:
+    def test_a_finalized_series_is_step_files_and_its_journal(
+            self, hierarchies, reference_dir, tmp_path):
         directory = str(tmp_path / "live")
         repro.write_series(hierarchies, directory,
                            keyframe_interval=KEYFRAME_INTERVAL, error_bound=1e-3,
                            append=True)
-        names = os.listdir(directory)
-        assert INDEX_FILENAME in names
-        assert JOURNAL_FILENAME not in names         # finalize dropped it
-        # a pre-stream reader path: the manifest alone describes the series
-        index = SeriesIndex.load(directory)
-        assert index.nsteps == NSTEPS
+        names = set(os.listdir(directory))
+        assert names == {JOURNAL_FILENAME} | {f"plt{h.step:05d}.h5z"
+                                              for h in hierarchies}
+        assert read_journal(journal_path(directory)).final
+        assert SeriesIndex.load(directory).nsteps == NSTEPS
+        with repro.open_series(directory) as handle:
+            assert handle.live is False
         assert_series_equal(directory, reference_dir)
 
     def test_every_committed_value_matches_non_append(self, hierarchies,
@@ -78,14 +84,12 @@ class TestOneCommitPath:
                     writer.append(h)
                 # mid-run both are the same live series: step files + journal
                 digests = file_digests(plain)
-                assert JOURNAL_FILENAME in digests and INDEX_FILENAME not in digests
+                assert JOURNAL_FILENAME in digests
                 assert digests == file_digests(resumable)
         finally:
             for writer in writers:
                 writer.close()
-        digests = file_digests(plain)
-        assert INDEX_FILENAME in digests and JOURNAL_FILENAME not in digests
-        assert digests == file_digests(resumable)
+        assert file_digests(plain) == file_digests(resumable)
 
     def test_a_plain_write_that_raises_is_resumable(self, hierarchies,
                                                     reference_dir, tmp_path):
@@ -96,31 +100,33 @@ class TestOneCommitPath:
                 for h in hierarchies[:4]:
                     writer.append(h)
                 raise RuntimeError("sim blew up")
-        names = os.listdir(directory)
-        assert JOURNAL_FILENAME in names and INDEX_FILENAME not in names
+        assert not read_journal(journal_path(directory)).final
         with SeriesWriter(directory, append=True) as writer:
             assert writer.nsteps == 4
             for h in hierarchies[4:]:
                 writer.append(h)
         assert_series_equal(directory, reference_dir)
 
-    def test_a_crash_inside_finalize_reads_the_journal(self, hierarchies,
-                                                       tmp_path):
-        """Manifest saved, journal not yet removed: both hold the same steps
-        and the journal is what readers and a resume use."""
+    def test_a_crash_inside_finalize_leaves_a_live_series(self, hierarchies,
+                                                          tmp_path):
+        """A torn ``final`` record is a torn tail: the series stays live and
+        a resume drops the torn bytes and finalizes again."""
         directory = str(tmp_path / "live")
         writer = SeriesWriter(directory, keyframe_interval=KEYFRAME_INTERVAL,
                               error_bound=1e-3)
         for h in hierarchies[:3]:
             writer.append(h)
-        writer.index.save(directory)         # finalize's first half only
-        writer.abort()
+        committed = writer.journal.end_offset
+        writer.close()
+        with open(journal_path(directory), "r+b") as f:
+            f.truncate(os.path.getsize(journal_path(directory)) - 2)
         with repro.open_series(directory) as handle:
             assert handle.live and len(handle.steps()) == 3
         with SeriesWriter(directory, append=True) as writer:
+            assert writer.journal.end_offset == committed
             writer.append(hierarchies[3])
-        assert JOURNAL_FILENAME not in os.listdir(directory)
-        assert SeriesIndex.load(directory).nsteps == 4
+        view = read_journal(journal_path(directory))
+        assert view.final and len(view.steps) == 4
 
 
 class TestLiveDirectory:
@@ -131,7 +137,6 @@ class TestLiveDirectory:
         try:
             for h in hierarchies[:3]:
                 writer.append(h)
-            assert not os.path.exists(os.path.join(directory, INDEX_FILENAME))
             handle = repro.open_series(directory)
             assert handle.live is True
             assert handle.high_water == 2
@@ -209,13 +214,43 @@ class TestCrashRecovery:
         repro.write_series(hierarchies[:4], directory,
                            keyframe_interval=KEYFRAME_INTERVAL, error_bound=1e-3,
                            append=True)
-        assert not os.path.exists(os.path.join(directory, JOURNAL_FILENAME))
+        with open(journal_path(directory), "rb") as f:
+            finalized = f.read()
         with SeriesWriter(directory, append=True) as writer:
             assert writer.nsteps == 4
             for h in hierarchies[4:]:
                 writer.append(h)
+        # the steps land after the final record; no record is rewritten
+        with open(journal_path(directory), "rb") as f:
+            assert f.read(len(finalized)) == finalized
         with repro.open_series(directory) as handle:
-            assert len(handle.steps()) == NSTEPS
+            assert len(handle.steps()) == NSTEPS and not handle.live
+
+    def test_mid_journal_damage_is_refused_not_truncated(self, hierarchies,
+                                                         tmp_path):
+        """A damaged record with committed records after it is not a torn
+        tail: readers and a resume raise, and the journal keeps every byte."""
+        directory = str(tmp_path / "live")
+        writer = SeriesWriter(directory, keyframe_interval=KEYFRAME_INTERVAL,
+                              error_bound=1e-3, append=True)
+        offsets = []
+        for h in hierarchies[:6]:
+            offsets.append(writer.journal.end_offset)
+            writer.append(h)
+        writer.abort()
+        path = journal_path(directory)
+        size = os.path.getsize(path)
+        at = (offsets[2] + offsets[3]) // 2          # inside step record 2
+        with open(path, "r+b") as f:
+            f.seek(at)
+            byte = f.read(1)
+            f.seek(at)
+            f.write(bytes([byte[0] ^ 0x01]))
+        with pytest.raises(CorruptFileError):
+            repro.open_series(directory)
+        with pytest.raises(CorruptFileError):
+            SeriesWriter(directory, append=True)
+        assert os.path.getsize(path) == size
 
     def test_exception_mid_run_leaves_a_resumable_directory(
             self, hierarchies, tmp_path):
@@ -232,7 +267,7 @@ class TestCrashRecovery:
 
 
 class TestGuards:
-    def test_non_append_refuses_existing_manifest(self, hierarchies, tmp_path):
+    def test_non_append_refuses_a_finalized_series(self, hierarchies, tmp_path):
         directory = str(tmp_path / "done")
         repro.write_series(hierarchies[:2], directory, error_bound=1e-3)
         with pytest.raises(ValueError, match="append=True"):
@@ -256,8 +291,8 @@ class TestGuards:
         writer.close()
 
 
-class TestAtomicManifestSave:
-    def test_save_leaves_no_temp_files(self, hierarchies, tmp_path):
+class TestAtomicGenesis:
+    def test_create_leaves_no_temp_files(self, hierarchies, tmp_path):
         directory = str(tmp_path / "plain")
         repro.write_series(hierarchies[:3], directory, error_bound=1e-3)
         leftovers = [n for n in os.listdir(directory) if n.endswith(".tmp")]

@@ -1,4 +1,4 @@
-"""The commit journal alone: framing, torn tails, replay, generations."""
+"""The commit journal alone: framing, torn tails, damage, replay, finalize."""
 
 import os
 import struct
@@ -12,7 +12,7 @@ from repro.stream.journal import (
     JOURNAL_FILENAME,
     SeriesJournal,
     _frame_record,
-    load_live_index,
+    load_journal,
     read_journal,
     replay_journal,
     tail_journal,
@@ -47,6 +47,15 @@ def step_json(i):
             "psnr": 60.0, "layout": "sfc",
         }],
     }
+
+
+def flip(path, offset):
+    """Flip every bit of the byte at ``offset``."""
+    with open(path, "r+b") as f:
+        f.seek(offset)
+        byte = f.read(1)
+        f.seek(offset)
+        f.write(bytes([byte[0] ^ 0xFF]))
 
 
 @pytest.fixture()
@@ -107,17 +116,13 @@ class TestTornTail:
         assert [s["step"] for s in view.steps] == [0, 1, 2]
         assert view.end_offset == offsets[-2]
 
-    def test_corrupt_crc_stops_replay_at_the_bad_record(self, journal_dir):
+    def test_a_bad_crc_on_the_last_record_is_a_torn_tail(self, journal_dir):
         path, offsets = self.make_journal(journal_dir)
-        # flip a payload byte of the third step record (past its header)
-        with open(path, "r+b") as f:
-            f.seek(offsets[1] + _RECORD_HEADER_SIZE + 10)
-            byte = f.read(1)
-            f.seek(offsets[1] + _RECORD_HEADER_SIZE + 10)
-            f.write(bytes([byte[0] ^ 0xFF]))
+        flip(path, offsets[-1] - 2)             # inside the last step's payload
         view = read_journal(path)
         assert view.truncated
-        assert [s["step"] for s in view.steps] == [0, 1]
+        assert [s["step"] for s in view.steps] == [0, 1, 2]
+        assert view.end_offset == offsets[-2]
 
     def test_resume_truncates_the_torn_tail(self, journal_dir):
         path, offsets = self.make_journal(journal_dir)
@@ -149,32 +154,51 @@ class TestTailFastPath:
             j.append_step(step_json(0))
             offset, crc = j.end_offset, j.genesis_crc
             tail = tail_journal(j.path, offset, crc)
-            assert tail.status == "ok" and tail.steps == []
+            assert tail.steps == [] and not tail.final
             assert tail.end_offset == offset
             j.append_step(step_json(1))
             j.append_step(step_json(2))
             tail = tail_journal(j.path, offset, crc)
-            assert tail.status == "ok"
             assert [s["step"] for s in tail.steps] == [1, 2]
-            assert tail.end_offset == j.end_offset
+            assert tail.end_offset == j.end_offset and not tail.final
+            j.append_final()
+            tail = tail_journal(j.path, tail.end_offset, crc)
+            assert tail.steps == [] and tail.final
 
-    def test_removed_journal_reports_gone(self, journal_dir):
+    def test_a_journal_that_shrank_is_corrupt(self, journal_dir):
+        with SeriesJournal(journal_dir) as j:
+            j.create(CONFIG)
+            j.append_step(step_json(0))
+            offset, crc = j.end_offset, j.genesis_crc
+        with open(j.path, "r+b") as f:
+            f.truncate(offset - 1)
+        with pytest.raises(CorruptFileError, match="no longer holds"):
+            tail_journal(j.path, offset, crc)
+
+    def test_another_genesis_is_corrupt(self, journal_dir):
         with SeriesJournal(journal_dir) as j:
             j.create(CONFIG)
             offset, crc = j.end_offset, j.genesis_crc
-            path = j.path
-            j.remove()
-        assert tail_journal(path, offset, crc).status == "gone"
+        with pytest.raises(CorruptFileError, match="no longer holds"):
+            tail_journal(j.path, offset, crc ^ 1)
+
+    def test_a_removed_journal_is_corrupt(self, journal_dir):
+        with SeriesJournal(journal_dir) as j:
+            j.create(CONFIG)
+            offset, crc = j.end_offset, j.genesis_crc
+        os.unlink(j.path)
+        with pytest.raises(CorruptFileError, match="vanished"):
+            tail_journal(j.path, offset, crc)
 
 
 class TestReplay:
-    def test_load_live_index_merges_journal_only_directories(self, journal_dir):
+    def test_load_journal_builds_the_index(self, journal_dir):
         with SeriesJournal(journal_dir) as j:
             j.create(CONFIG)
             for i in range(3):
                 j.append_step(step_json(i))
-        index, view = load_live_index(journal_dir)
-        assert view is not None
+        index, view = load_journal(journal_dir)
+        assert not view.final
         assert index.nsteps == 3
         assert index.keyframe_interval == 4
         assert [s.kind for s in index.steps] == ["key", "delta", "delta"]
@@ -185,7 +209,7 @@ class TestReplay:
             for i in range(3):
                 j.append_step(step_json(i))
             path = j.path
-        index, view = load_live_index(journal_dir)
+        index, view = load_journal(journal_dir)
         appended = replay_journal(index, view, path=path)
         assert appended == 0 and index.nsteps == 3
 
@@ -205,79 +229,103 @@ class TestReplay:
             j.create(CONFIG)
             for i in range(2):
                 j.append_step(step_json(i))
-        index, view = load_live_index(journal_dir)
+        index, view = load_journal(journal_dir)
         before = list(index.steps)
         with SeriesJournal(journal_dir) as j:
             j.resume(read_journal(j.path))
             j.append_step(step_json(2))
         tail = tail_journal(os.path.join(journal_dir, JOURNAL_FILENAME),
                             view.end_offset, view.genesis_crc)
-        assert tail.status == "ok"
         appended = replay_journal(index, tail, path=journal_dir)
         assert appended == 1 and index.nsteps == 3
         for a, b in zip(before, index.steps):
             assert a is b
 
 
-class TestOneScanner:
-    def test_both_scans_stop_at_a_step_record_that_is_not_an_object(
-            self, journal_dir):
-        """A full read and a tail read agree record for record."""
+class TestDamageIsNotATail:
+    """A record is a torn tail only when it reaches end of file."""
+
+    def journal(self, journal_dir, nsteps=4):
+        with SeriesJournal(journal_dir) as j:
+            j.create(CONFIG)
+            offsets = [j.end_offset]
+            for i in range(nsteps):
+                j.append_step(step_json(i))
+                offsets.append(j.end_offset)
+        return j, offsets
+
+    def test_a_bad_crc_with_records_after_it_is_corrupt(self, journal_dir):
+        j, offsets = self.journal(journal_dir)
+        flip(j.path, offsets[2] + _RECORD_HEADER_SIZE + 10)   # inside step 2
+        offset, crc = offsets[0], j.genesis_crc
+        with pytest.raises(CorruptFileError, match="fails its CRC"):
+            read_journal(j.path)
+        with pytest.raises(CorruptFileError, match="fails its CRC"):
+            tail_journal(j.path, offset, crc)
+
+    @pytest.mark.parametrize("payload", [[1, 2], "x", {"record": "step", "step": 5}])
+    def test_a_record_that_is_not_a_journal_record_is_corrupt(self, journal_dir,
+                                                              payload):
+        """Both scans agree: a payload passing its CRC is never a tail."""
         with SeriesJournal(journal_dir) as j:
             j.create(CONFIG)
             offset, crc = j.end_offset, j.genesis_crc
             j.append_step(step_json(0))
-            j._fh.write(_frame_record({"record": "step", "step": 5}))
-            j._fh.flush()
-            j.append_step(step_json(1))
-        view = read_journal(j.path)
-        tail = tail_journal(j.path, offset, crc)
-        assert [s["step"] for s in view.steps] == [0]
-        assert [s["step"] for s in tail.steps] == [0]
-        assert view.truncated and tail.end_offset == view.end_offset
+            j._append(payload)
+        with pytest.raises(CorruptFileError, match="not a journal record"):
+            read_journal(j.path)
+        with pytest.raises(CorruptFileError, match="not a journal record"):
+            tail_journal(j.path, offset, crc)
 
 
-class TestGenerations:
-    def test_a_resumed_generation_holds_every_step_under_a_new_id(
-            self, journal_dir):
+class TestFinal:
+    def test_finalized_exactly_when_final_is_the_last_record(self, journal_dir):
         with SeriesJournal(journal_dir) as j:
             j.create(CONFIG)
-            fresh_crc = j.genesis_crc
-            j.remove()
+            j.append_step(step_json(0))
+            assert not read_journal(j.path).final
+            j.append_final()
+            assert read_journal(j.path).final
+        # resuming appends after the final record; nothing is rewritten
+        with open(j.path, "rb") as f:
+            before = f.read()
         with SeriesJournal(journal_dir) as j:
-            j.create(dict(CONFIG, steps=[step_json(i) for i in range(3)]))
-            assert j.genesis_crc != fresh_crc
-            j.append_step(step_json(3))
-        index, view = load_live_index(journal_dir)
-        assert index.nsteps == 4 and not view.truncated
-        assert view.genesis_crc == j.genesis_crc
+            j.resume(read_journal(j.path))
+            j.append_step(step_json(1))
+        view = read_journal(j.path)
+        assert not view.final and [s["index"] for s in view.steps] == [0, 1]
+        index, _ = load_journal(journal_dir)
+        assert index.nsteps == 2
+        with open(j.path, "rb") as f:
+            assert f.read(len(before)) == before
 
-    def test_damage_inside_a_written_generation_is_not_a_torn_tail(
-            self, journal_dir):
-        """Steps a generation was written with are never cut off as a tail."""
+    def test_create_writes_the_genesis_only(self, journal_dir):
         with SeriesJournal(journal_dir) as j:
-            j.create(dict(CONFIG, steps=[step_json(i) for i in range(3)]))
-            size = j.end_offset
-        with open(j.path, "r+b") as f:
-            f.seek(size - 1)
-            byte = f.read(1)
-            f.seek(size - 1)
-            f.write(bytes([byte[0] ^ 0xFF]))     # inside step 2's payload
-        with pytest.raises(CorruptFileError, match="fewer than the 3"):
-            read_journal(j.path)
+            with pytest.raises(ValueError, match="no steps"):
+                j.create(dict(CONFIG, steps=[step_json(0)]))
+            j.create(CONFIG)
+        view = read_journal(j.path)
+        assert view.steps == [] and not view.truncated and not view.final
+        assert os.listdir(journal_dir) == [JOURNAL_FILENAME]
 
 
 class TestFormatVersion:
-    def test_a_v1_journal_is_refused_by_number(self, journal_dir):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_an_older_journal_is_refused_by_number(self, journal_dir, version):
         config = {k: v for k, v in CONFIG.items() if k != "steps"}
-        v1 = (struct.pack("<4sI", b"SJNL", 1)
-              + _frame_record({"record": "genesis", "journal_version": 1,
-                               "base": 0, "config": config})
-              + _frame_record({"record": "step", "step": step_json(0)}))
+        old = (struct.pack("<4sI", b"SJNL", version)
+               + _frame_record({"record": "genesis", "resumed": 0, "config": config})
+               + _frame_record({"record": "step", "step": step_json(0)}))
         path = os.path.join(journal_dir, JOURNAL_FILENAME)
         with open(path, "wb") as f:
-            f.write(v1)
-        with pytest.raises(CorruptFileError, match="version 1 is not supported"):
+            f.write(old)
+        with pytest.raises(CorruptFileError, match=f"version {version} is not supported"):
             read_journal(path)
-        with pytest.raises(CorruptFileError, match="version 1"):
-            load_live_index(journal_dir)
+        with pytest.raises(CorruptFileError, match=f"version {version}"):
+            load_journal(journal_dir)
+
+    def test_a_directory_without_a_journal_is_not_a_series(self, journal_dir):
+        with open(os.path.join(journal_dir, "series.h5z"), "wb") as f:
+            f.write(b"a manifest of an older format")
+        with pytest.raises(FileNotFoundError, match=JOURNAL_FILENAME):
+            load_journal(journal_dir)

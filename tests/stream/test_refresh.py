@@ -3,9 +3,12 @@
 import threading
 
 import numpy as np
+import pytest
 
 import repro
+from repro.errors import CorruptFileError
 from repro.series.writer import SeriesWriter
+from repro.stream.journal import JOURNAL_FILENAME
 
 KEYFRAME_INTERVAL = 3
 
@@ -43,8 +46,8 @@ class TestRefresh:
             writer.abort()
 
     def test_refresh_across_finalize_and_resume(self, hierarchies, tmp_path):
-        """Finalize, then resume, between two polls: the handle reloads the
-        new journal generation and neither loses nor repeats a step."""
+        """Finalize, then resume, between two polls: the steps after the
+        ``final`` record are a tail like any other, neither lost nor repeated."""
         directory = str(tmp_path / "live")
         writer = SeriesWriter(directory, keyframe_interval=KEYFRAME_INTERVAL,
                               error_bound=1e-3)
@@ -53,8 +56,8 @@ class TestRefresh:
         try:
             writer.append(hierarchies[1])
             assert handle.refresh() == 1
-            writer.close()                       # manifest written, journal gone
-            writer = SeriesWriter(directory, append=True)   # a new generation
+            writer.close()                       # appends the final record
+            writer = SeriesWriter(directory, append=True)   # steps after it
             writer.append(hierarchies[2])
             writer.append(hierarchies[3])
             assert handle.refresh() == 2
@@ -102,11 +105,37 @@ class TestRefresh:
         handle = repro.open_series(directory)
         assert handle.live
         writer.append(hierarchies[1])
-        writer.close()                           # finalizes: journal removed
+        writer.close()                           # finalizes: a final record
         assert handle.refresh() == 1
         assert handle.live is False
         assert handle.refresh() == 0             # settled: free no-ops forever
         assert handle.describe()["live"] is False
+
+    @pytest.mark.parametrize("damage", ["shrink", "genesis"])
+    def test_a_journal_changed_under_the_handle_is_corrupt(self, hierarchies,
+                                                           tmp_path, damage):
+        directory = str(tmp_path / "live")
+        writer = SeriesWriter(directory, keyframe_interval=KEYFRAME_INTERVAL,
+                              error_bound=1e-3, append=True)
+        for h in hierarchies[:2]:
+            writer.append(h)
+        writer.abort()
+        handle = repro.open_series(directory)
+        path = f"{directory}/{JOURNAL_FILENAME}"
+        with open(path, "r+b") as f:
+            if damage == "shrink":
+                f.truncate(handle._journal_offset - 1)
+            else:
+                f.seek(20)                       # the genesis record's CRC
+                crc = f.read(1)
+                f.seek(20)
+                f.write(bytes([crc[0] ^ 0x01]))
+        try:
+            with pytest.raises(CorruptFileError, match="no longer holds"):
+                handle.refresh()
+            assert handle.nsteps == 2
+        finally:
+            handle.close()
 
     def test_catch_up_read_equals_post_finalize_read(self, hierarchies,
                                                      reference_dir, tmp_path):

@@ -12,7 +12,8 @@ Three real processes, the in situ deployment shape:
 
 The driver asserts the subscriber saw every step exactly once in order plus
 the finalized event, then runs ``repro verify`` over the finalized
-directory — proving the journal left a byte-compatible plain series behind.
+directory — proving the journal, closed by its ``final`` record, is a
+verifiable series.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def main() -> int:
                   file=sys.stderr)
             return 1
 
-        # ---- the finalized directory is a plain, verifiable series ------
+        # ---- the finalized directory is a verifiable series -------------
         verify = subprocess.run(
             python_cmd("-m", "repro", "verify", directory),
             env=env, capture_output=True, text=True, timeout=300)
