@@ -167,6 +167,13 @@ class PlotfileHeader:
     def nlevels(self) -> int:
         return len(self.levels)
 
+    @property
+    def geometry(self) -> tuple:
+        """Exactly what the level layouts are a function of, hashable, as
+        :func:`~repro.core.preprocess.level_layouts` takes it."""
+        return (tuple((lvl.box_los, lvl.box_his, lvl.rank_of_box) for lvl in self.levels),
+                self.ref_ratios, self.unit_block_size, self.remove_redundancy)
+
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
         return {

@@ -66,7 +66,8 @@ class LevelLayout:
     is ``[lo[i], hi[i]]``, cut from level box ``box_index[i]`` on ``rank[i]``;
     a rank-aligned dataset holds it at element ``rank_offsets[i]`` (chunk
     ``j`` from ``j * chunk_elements``, its tail padded), a stream-aligned one
-    at ``stream_offsets[i]`` (blocks back to back).  Arrays are int64.
+    at ``stream_offsets[i]`` (blocks back to back).  Arrays are int64 and
+    read-only: a series shares one layout among all the steps of a geometry.
     """
 
     lo: np.ndarray                 #: (n, ndim) lower corners, stored order
@@ -83,6 +84,8 @@ class LevelLayout:
     stream_offsets: np.ndarray     #: (n,) element offset in a stream-aligned dataset
     covered: BoxArray              #: the finer level's boxes coarsened to this level
     total_cells: int               #: the level's cells before redundancy removal
+    #: where the blocks fall per dataset chunking, kept by the reader's plans
+    chunk_maps: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def nblocks(self) -> int:
@@ -133,8 +136,8 @@ class LevelLayout:
 
 
 def _int64(values, what: str) -> np.ndarray:
-    try:
-        return np.asarray(values, dtype=np.int64)
+    try:                               # a copy: a layout freezes the arrays it keeps
+        return np.array(values, dtype=np.int64)
     except OverflowError:
         raise ValueError(f"{what}: a value lies outside the int64 range") from None
 
@@ -212,6 +215,8 @@ def level_layout(los: Sequence, his: Sequence, ranks: Sequence[int], unit_block_
     stream_offsets = np.cumsum(sizes) - sizes
     rank_offsets = stream_offsets + np.repeat(
         np.arange(len(starts)) * chunk_elements - stream_offsets[starts], np.diff(bounds))
+    for array in (lo, hi, sizes, box_index, rank, box_lo, rank_offsets, stream_offsets):
+        array.setflags(write=False)
     return LevelLayout(
         lo=lo, hi=hi, sizes=sizes, box_index=box_index, rank=rank, box_lo=box_lo,
         ranks=ranks_.tolist(), rank_elements=rank_elements.tolist(), rank_runs=runs,

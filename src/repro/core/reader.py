@@ -50,7 +50,7 @@ every block of it is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (ClassVar, Dict, Iterable, Iterator, List, Mapping, NamedTuple,
+from typing import (Callable, ClassVar, Dict, Iterable, Iterator, List, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
 
 import numpy as np
@@ -117,14 +117,20 @@ class DatasetReadPlan:
     padded: bool = False                      #: naive chunks: encoded with their tail
 
     def __post_init__(self) -> None:
-        first = self.offsets // self.chunk_elements
-        last = (self.offsets + self.layout.sizes - 1) // self.chunk_elements
-        #: per slot, the (first, last) chunk it has a piece in
-        self._span = list(zip(first.tolist(), last.tolist()))
-        chunks = np.arange(self.nchunks)
-        #: per chunk, the first slot with a piece in it, and one past the last
-        self._head = np.searchsorted(last, chunks).tolist()
-        self._tail = np.searchsorted(first, chunks, side="right").tolist()
+        # a function of the layout, its offsets and the chunking alone: built
+        # once per layout for every dataset (and series step) that shares them
+        key = (self.offsets is self.layout.rank_offsets, self.chunk_elements, self.nchunks)
+        if key not in self.layout.chunk_maps:
+            first = self.offsets // self.chunk_elements
+            last = (self.offsets + self.layout.sizes - 1) // self.chunk_elements
+            chunks = np.arange(self.nchunks)
+            self.layout.chunk_maps[key] = (
+                list(zip(first.tolist(), last.tolist())),
+                np.searchsorted(last, chunks).tolist(),
+                np.searchsorted(first, chunks, side="right").tolist())
+        #: per slot, the (first, last) chunk it has a piece in; per chunk, the
+        #: first slot with a piece in it, and one past the last
+        self._span, self._head, self._tail = self.layout.chunk_maps[key]
 
     def chunk_layout(self, chunk: int) -> List[Tuple[int, int]]:
         """``(offset in the chunk, size)`` of every piece chunk ``chunk`` holds,
@@ -195,23 +201,26 @@ def _check_rank_aligned(path: str, dsname: str, info: DatasetInfo, layout: Level
                 f"but the structure implies {valid} — header does not match this file")
 
 
-def scan_plotfile(f: H5LiteFile) -> ReadPlan:
+def scan_plotfile(f: H5LiteFile, header: Optional[PlotfileHeader] = None,
+                  layouts_of: Optional[Callable[[PlotfileHeader], List[LevelLayout]]] = None,
+                  ) -> ReadPlan:
     """Stage 1: the read plan, from the plotfile's header alone.
 
-    Every level's :class:`~repro.core.preprocess.LevelLayout` is rebuilt from
-    the header's boxes, ranks and ratios — the same record the writer laid
-    the datasets out by — and each stored dataset is checked against it.
+    ``header`` is the file's own, already parsed (default: parse it).  Every
+    level's :class:`~repro.core.preprocess.LevelLayout` is rebuilt from the
+    header's boxes, ranks and ratios — the same record the writer laid the
+    datasets out by — or, given ``layouts_of``, taken from it for that header
+    (a series shares one set per geometry).  Each stored dataset is checked
+    against them either way.
     """
-    header = parse_plotfile_header(f)
+    header = header or parse_plotfile_header(f)
     if header.chunk_alignment == CHUNK_ALIGNMENT_BOX_MAJOR:
         raise ValueError(
             f"{f.path} stores box-major interleaved level data "
             f"(method {header.method!r}); the staged reader only "
             "reconstructs field-major plotfiles — use `repro info` for "
             "its metadata")
-    layouts = level_layouts(
-        [(lvl.box_los, lvl.box_his, lvl.rank_of_box) for lvl in header.levels],
-        header.ref_ratios, header.unit_block_size, header.remove_redundancy)
+    layouts = layouts_of(header) if layouts_of else level_layouts(*header.geometry)
     rank_aligned = header.chunk_alignment == CHUNK_ALIGNMENT_RANK
     strict_actual = bool(header.codec_options.get("modify_filter", True))
 

@@ -32,7 +32,9 @@ import numpy as np
 from repro.amr.box import Box
 from repro.amr.hierarchy import AmrHierarchy
 from repro.compress.temporal import MODE_DELTA, TemporalDeltaCodec
-from repro.core.reader import DatasetReadPlan, PlotfileHandle, ReadStats
+from repro.core.header import PlotfileHeader
+from repro.core.preprocess import LevelLayout, level_layouts
+from repro.core.reader import DatasetReadPlan, PlotfileHandle, ReadPlan, ReadStats, scan_plotfile
 from repro.h5lite.filters import cut_blocks
 from repro.h5lite.source import ByteSource, SourceStats
 from repro.series.index import SeriesStepRecord
@@ -88,10 +90,11 @@ class _CodeStream(NamedTuple):
 class SeriesStepHandle(PlotfileHandle):
     """One step of a series: a plotfile handle that can follow delta chains.
 
-    Everything else — metadata, geometry, the cache lookup, placement — is
-    inherited; only the production of missing chunks
-    (:meth:`_decode_missing`) is replaced by temporal chain resolution
-    through the owning :class:`SeriesHandle`.
+    Metadata, the cache lookup and placement are inherited.  Two things go
+    through the owning :class:`SeriesHandle`: the level layouts of the read
+    plan (:meth:`_scan`: one set per geometry, shared by every step whose
+    own header declares it) and the production of missing chunks
+    (:meth:`_decode_missing`: temporal chain resolution).
     """
 
     def __init__(self, series: "SeriesHandle", step_index: int, path: str):
@@ -100,6 +103,11 @@ class SeriesStepHandle(PlotfileHandle):
         self._step_index = step_index
         # all step handles of a series report into one shared stats object
         self.stats = series.stats
+
+    def _scan(self) -> ReadPlan:
+        if self._plan is None:
+            self._plan = scan_plotfile(self._file, self.header, self._series._layouts)
+        return self._plan
 
     def _resolve_codes(self, dsname: str, chunk_indices: Sequence[int]
                        ) -> Iterator[Tuple[int, _CodeStream]]:
@@ -241,6 +249,9 @@ class SeriesHandle:
         # guards the step-handle pool: concurrent readers (the query service
         # worker pool) must not race open_step into leaked duplicate handles
         self._handles_lock = threading.Lock()
+        #: a step header's geometry -> its level layouts (see :meth:`_layouts`)
+        self._geometries: Dict[tuple, List[LevelLayout]] = {}
+        self._geometries_lock = threading.Lock()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -376,6 +387,18 @@ class SeriesHandle:
             raise IndexError(
                 f"step {step} out of range for a series of {nsteps} steps")
         return step % nsteps if nsteps else 0
+
+    def _layouts(self, header: PlotfileHeader) -> List[LevelLayout]:
+        """The level layouts of one step file's own parsed header, built the
+        first time its geometry is met and shared (read-only) by every later
+        step that declares the same — never looked up by the journal's
+        fingerprint, so no step is decoded under geometry it did not declare."""
+        key = header.geometry
+        with self._geometries_lock:
+            layouts = self._geometries.get(key)
+            if layouts is None:
+                layouts = self._geometries[key] = level_layouts(*key)
+            return layouts
 
     def open_step(self, step: int = -1) -> SeriesStepHandle:
         """The (cached) plotfile handle of one step; negative indices count back."""

@@ -41,10 +41,12 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.errors import CorruptFileError
-from repro.series.index import SeriesIndex, SeriesStepRecord
+
+if TYPE_CHECKING:
+    from repro.series.index import SeriesIndex
 
 __all__ = [
     "JOURNAL_FILENAME",
@@ -226,6 +228,10 @@ def load_journal(directory: str) -> Tuple[SeriesIndex, JournalView]:
     Returns ``(index, view)``; a directory without a journal is not a series
     (:class:`FileNotFoundError`).
     """
+    # imported at call time: importing repro.series loads its reader, which
+    # imports this module, so an import-time edge back to it is a cycle
+    from repro.series.index import SeriesIndex
+
     path = os.path.join(directory, JOURNAL_FILENAME)
     try:
         view = read_journal(path)
@@ -249,6 +255,8 @@ def replay_journal(index: SeriesIndex, view: "JournalView | JournalTail", *,
     :class:`~repro.errors.CorruptFileError`, because it can only mean a
     damaged directory.  Returns the number of steps appended.
     """
+    from repro.series.index import SeriesStepRecord
+
     appended = 0
     for obj in view.steps:
         idx = obj.get("index")

@@ -197,6 +197,20 @@ class TestLevelLayout:
             np.concatenate([[0], np.cumsum(layout.sizes)[:-1]]).tolist()
         assert layout.stream_offsets[-1] + layout.sizes[-1] == layout.kept_cells == 112
 
+    def test_layout_arrays_are_read_only(self):
+        """A series shares one layout among the steps of a geometry: a stray
+        in-place write must raise, not corrupt every step.  The caller's own
+        arrays stay writable."""
+        los = np.array([(0, 0, 0), (4, 0, 0)])
+        his = los + 3
+        layout = level_layout(los, his, [0, 1], 2, finer=([(0, 0, 0)], [(3, 3, 3)], 2))
+        for name in ("lo", "hi", "sizes", "box_index", "rank", "box_lo",
+                     "rank_offsets", "stream_offsets"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(layout, name)[...] = 0
+        los[0, 0] = -1
+        assert layout.box_lo[0, 0] == 0
+
     def test_placements_and_hits_address_the_blocks(self, nyx_hierarchy):
         layout = hierarchy_layouts(nyx_hierarchy, 8, True)[0]
         level = nyx_hierarchy[0]

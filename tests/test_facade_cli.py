@@ -375,6 +375,21 @@ class TestLazyServiceImport:
         assert result.returncode == 0, result.stderr
         assert "lazy ok" in result.stdout
 
+    @pytest.mark.parametrize("module", ["repro.stream", "repro.stream.journal",
+                                        "repro.series", "repro.series.index",
+                                        "repro.service"])
+    def test_a_package_imports_first_in_a_fresh_interpreter(self, module):
+        """No import cycle that only resolves when another package came first."""
+        import os
+        import subprocess
+        import sys
+
+        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        result = subprocess.run(
+            [sys.executable, "-c", f"import {module}"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.join(repo_root, "src")})
+        assert result.returncode == 0, result.stderr
+
     def test_the_serving_stack_does_not_import_asyncio(self):
         """One threaded concurrency model: a ``repro serve`` process does
         not pay for an event loop it never runs."""
