@@ -18,9 +18,9 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from repro import write_series
+from repro import open_series, write_series
 from repro.apps.nyx import NyxSimulation
-from repro.series import SeriesIndex, open_series
+from repro.series import SeriesIndex
 
 NSTEPS = 10
 

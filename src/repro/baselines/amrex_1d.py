@@ -99,8 +99,6 @@ class AMReXOriginalWriter:
         with (H5LiteFile(path, "w") if path is not None
               else nullcontext()) as h5file:
             if h5file is not None:
-                h5file.attrs["method"] = self.method_name
-                h5file.attrs["error_bound"] = self.error_bound
                 # self-describing metadata; the box-major interleaved layout
                 # is declared so the staged reader refuses cleanly instead of
                 # misplacing data (`repro info` still works from the header)

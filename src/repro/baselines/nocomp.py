@@ -48,9 +48,6 @@ class NoCompressionWriter:
         with (H5LiteFile(path, "w") if path is not None
               else nullcontext()) as h5file:
             if h5file is not None:
-                h5file.attrs["method"] = self.method_name
-                h5file.attrs["time"] = hierarchy.time
-                h5file.attrs["step"] = hierarchy.step
                 # raw plotfiles are self-describing too: repro.open reads
                 # them back without the producing hierarchy (rank data is
                 # packed back-to-back, so chunking is decoupled from ranks)

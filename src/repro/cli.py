@@ -1,6 +1,6 @@
 """The ``python -m repro`` command line: plotfile tooling over the facade.
 
-Seven subcommands, all thin shells over :func:`repro.open` / :func:`repro.write`
+Six subcommands, all thin shells over :func:`repro.open` / :func:`repro.write`
 and their series/service counterparts.  ``info`` and ``verify`` take a
 plotfile or a series directory (:func:`repro.series.is_series_dir` tells
 them apart):
@@ -39,12 +39,11 @@ them apart):
     subscribes to a live series and prints one JSON line per committed step
     as it lands, pairing each with a box read when ``--field`` is given,
     reconnecting and resuming from the next unseen step if the server drops.
-``stats [HOST:PORT]``
-    One live telemetry snapshot from a running ``serve`` instance: engine
-    counters plus the full metrics registry (cache hits, I/O bytes and
-    coalescing, per-op latency histograms with derived p50/p99, span
-    timings).  ``--prom`` renders the Prometheus text exposition format,
-    ``--json`` the raw snapshot.
+    ``query stats`` is one live telemetry snapshot: engine counters plus the
+    full metrics registry (cache hits, I/O bytes and coalescing, per-op
+    latency histograms with derived p50/p99, span timings) as two tables;
+    ``--prom`` renders the registry in the Prometheus text exposition format,
+    ``--json`` prints ``{"engine", "registry"}``.
 
 Every command exits 0 on success and 1 on failure, with errors reported as
 one-line messages (corrupt files — and files without a self-describing
@@ -157,26 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="token-bucket depth (default: max(1, rate))")
     _add_source_arg(p_srv)
 
-    p_stats = sub.add_parser("stats",
-                             help="telemetry snapshot from a running serve "
-                                  "instance")
-    p_stats.add_argument("addr", nargs="?", default=None,
-                         help="server address as HOST:PORT (default "
-                              "127.0.0.1:9753; ':PORT' keeps the default "
-                              "host)")
-    p_stats.add_argument("--host", default=None,
-                         help="server host (overrides addr)")
-    p_stats.add_argument("--port", type=int, default=None,
-                         help="server port (overrides addr)")
-    p_stats.add_argument("--prom", action="store_true",
-                         help="render the registry in the Prometheus text "
-                              "exposition format")
-    p_stats.add_argument("--json", action="store_true", dest="as_json",
-                         help="emit the raw snapshot as JSON")
-    p_stats.add_argument("--auth-token", default=None, metavar="SPEC",
-                         help="bearer token for a server running with "
-                              "--auth-token (literal, env:NAME, or file:PATH)")
-
     p_q = sub.add_parser("query",
                          help="one request against a running serve instance")
     p_q.add_argument("op", help="describe | read-field | time-slice | stats "
@@ -204,6 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default 0: catch up from the start)")
     p_q.add_argument("--json", action="store_true", dest="as_json",
                      help="emit the full result (arrays included) as JSON")
+    p_q.add_argument("--prom", action="store_true",
+                     help="stats: render the registry in the Prometheus text "
+                          "exposition format")
     p_q.add_argument("--http", action="store_true",
                      help="talk to the HTTP gateway instead of the TCP "
                           "service (default port 9754)")
@@ -486,55 +468,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _parse_addr(addr: Optional[str], host: Optional[str],
-                port: Optional[int]) -> tuple:
-    """Resolve ``repro stats`` addressing: positional HOST:PORT plus flags."""
-    from repro.service.server import DEFAULT_PORT
-
-    resolved_host, resolved_port = "127.0.0.1", DEFAULT_PORT
-    if addr:
-        if ":" in addr:
-            host_part, port_part = addr.rsplit(":", 1)
-            if host_part:
-                resolved_host = host_part
-            if port_part:
-                resolved_port = int(port_part)
-        else:
-            resolved_host = addr
-    if host is not None:
-        resolved_host = host
-    if port is not None:
-        resolved_port = port
-    return resolved_host, resolved_port
-
-
-def _cmd_stats(args) -> int:
-    from repro.service import ReproClient
-    from repro.service.core import resolve_auth_token
-
-    host, port = _parse_addr(args.addr, args.host, args.port)
-    with ReproClient(host=host, port=port,
-                     auth_token=resolve_auth_token(args.auth_token)) as client:
-        stats = client.stats()
-    registry = stats.pop("registry", {}) if isinstance(stats, dict) else {}
-    if args.prom:
-        from repro.obs import render_prometheus
-
-        sys.stdout.write(render_prometheus(registry))
-        return 0
-    if args.as_json:
-        print(json.dumps({"engine": stats, "registry": registry}, indent=2))
-        return 0
-    from repro.analysis.reporting import format_table, registry_rows
-
-    rows = [{"metric": k, "value": v} for k, v in stats.items()]
-    print(format_table(rows, title=f"engine @ {host}:{port}", floatfmt=".4g"))
-    print()
-    print(format_table(registry_rows(registry), title="metrics registry",
-                       floatfmt=".4g"))
-    return 0
-
-
 def _parse_box(spec: Optional[str]):
     if spec is None:
         return None
@@ -610,6 +543,8 @@ def _cmd_query(args) -> int:
         raise ValueError(f"query {args.op} needs a path argument")
     if args.op in ("read-field", "time-slice") and args.field is None:
         raise ValueError(f"query {args.op} needs --field")
+    if args.prom and args.op != "stats":
+        raise ValueError(f"--prom applies to query stats, not query {args.op}")
     auth_token = resolve_auth_token(args.auth_token)
     if args.http:
         from repro.service.http import DEFAULT_HTTP_PORT, HttpClient
@@ -657,25 +592,35 @@ def _cmd_query(args) -> int:
                       f"max={values.max():.6g}")
         elif args.op == "refresh":
             print(json.dumps(client.refresh(args.path)))
-        else:  # stats
-            from repro.analysis.reporting import format_table
-
-            stats = client.stats()
-            if args.as_json:
-                print(json.dumps(stats, indent=2))
-            else:
-                # the flat engine keys; `repro stats` renders the registry
-                stats.pop("registry", None)
-                rows = [{"metric": k, "value": v} for k, v in stats.items()]
-                print(format_table(rows))
+        else:
+            _print_stats(client.stats(), f"{args.host}:{port}", args)
     return 0
+
+
+def _print_stats(stats: dict, where: str, args) -> None:
+    """The flat engine keys and the registry snapshot: two tables, JSON, or
+    the registry as Prometheus text."""
+    registry = stats.pop("registry", {})
+    if args.prom:
+        from repro.obs import render_prometheus
+
+        sys.stdout.write(render_prometheus(registry))
+    elif args.as_json:
+        print(json.dumps({"engine": stats, "registry": registry}, indent=2))
+    else:
+        from repro.analysis.reporting import format_table, registry_rows
+
+        rows = [{"metric": k, "value": v} for k, v in stats.items()]
+        print(format_table(rows, title=f"engine @ {where}", floatfmt=".4g"))
+        print()
+        print(format_table(registry_rows(registry), title="metrics registry",
+                           floatfmt=".4g"))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     handlers = {"info": _cmd_info, "compress": _cmd_compress,
                 "decompress": _cmd_decompress, "verify": _cmd_verify,
-                "serve": _cmd_serve, "query": _cmd_query,
-                "stats": _cmd_stats}
+                "serve": _cmd_serve, "query": _cmd_query}
     from repro.service.client import ServiceError
 
     try:

@@ -130,7 +130,7 @@ def unpack_container(payload: bytes, expect_codec: Optional[str] = None) -> Code
 # ----------------------------------------------------------------------
 # Huffman stream sections (one shared table, any number of streams)
 # ----------------------------------------------------------------------
-def pack_huffman(streams: Sequence[HuffmanEncoded], lossless_level: int = 6) -> Dict[str, bytes]:
+def pack_huffman(streams: Sequence[HuffmanEncoded]) -> Dict[str, bytes]:
     """Sections for Huffman streams sharing one canonical table.
 
     All streams must carry the same table (true for the shared-encoding/SLE
@@ -144,8 +144,7 @@ def pack_huffman(streams: Sequence[HuffmanEncoded], lossless_level: int = 6) -> 
     s0 = streams[0]
     return {
         "huff_table": pack_arrays(s0.table_symbols, s0.table_lengths),
-        "huff_payload": zlib_compress(b"".join(s.payload for s in streams),
-                                      lossless_level),
+        "huff_payload": zlib_compress(b"".join(s.payload for s in streams)),
         "huff_nbits": np.asarray([s.nbits for s in streams], dtype=np.int64).tobytes(),
         "huff_ncodes": np.asarray([s.nsymbols for s in streams], dtype=np.int64).tobytes(),
         "huff_sync": huffman.pack_sync([s.sync for s in streams]),
@@ -214,18 +213,18 @@ def unpack_huffman(sections: Dict[str, bytes], *,
 # ----------------------------------------------------------------------
 # deflated side-array sections
 # ----------------------------------------------------------------------
-def pack_zarray(array: np.ndarray, lossless_level: int = 6) -> bytes:
+def pack_zarray(array: np.ndarray) -> bytes:
     """A numpy array as one deflated section."""
-    return zlib_compress(pack_array(array), lossless_level)
+    return zlib_compress(pack_array(array))
 
 
 def unpack_zarray(section: bytes) -> np.ndarray:
     return unpack_array(zlib_decompress(section))
 
 
-def pack_zbytes(payload: bytes, lossless_level: int = 6) -> bytes:
+def pack_zbytes(payload: bytes) -> bytes:
     """Raw bytes as one deflated section."""
-    return zlib_compress(payload, lossless_level)
+    return zlib_compress(payload)
 
 
 def unpack_zbytes(section: bytes) -> bytes:
@@ -311,7 +310,7 @@ def _take_tables(side: SideReader, ntables: int) -> List[HuffmanCodec]:
 
 def pack_record(shapes: Sequence[Sequence[int]], streams: Sequence[HuffmanEncoded],
                 tables: Sequence[HuffmanCodec], side: Sequence[np.ndarray],
-                lossless_level: int = 6, context: bytes = b"") -> bytes:
+                context: bytes = b"") -> bytes:
     """One chunk record: ``crc32 | arrays | codes length | codes | side blob``.
 
     ``streams`` holds one byte-aligned Huffman stream per array, their codes
@@ -323,9 +322,8 @@ def pack_record(shapes: Sequence[Sequence[int]], streams: Sequence[HuffmanEncode
     blob = b"".join(np.ascontiguousarray(a).tobytes() for a in (
         np.asarray([s.nbits for s in streams], dtype="<i8"), *_table_arrays(tables),
         huffman.sync_deltas([s.sync for s in streams]), *side))
-    codes = zlib_compress(b"".join(s.payload for s in streams), lossless_level)
-    body = struct.pack("<IQ", len(streams), len(codes)) + codes \
-        + zlib_compress(blob, lossless_level)
+    codes = zlib_compress(b"".join(s.payload for s in streams))
+    body = struct.pack("<IQ", len(streams), len(codes)) + codes + zlib_compress(blob)
     return struct.pack("<I", zlib.crc32(body, shapes_seed(shapes, context))) + body
 
 
@@ -377,12 +375,11 @@ def parse_record(record: bytes, shapes: Sequence[Sequence[int]], nsymbols: Seque
                 tables, starts, nbytes.tolist(), nbits.tolist(), nsymbols.tolist(), syncs)], side
 
 
-def pack_huffman_individual(streams: Sequence[HuffmanEncoded], lossless_level: int = 6) -> bytes:
+def pack_huffman_individual(streams: Sequence[HuffmanEncoded]) -> bytes:
     """One table per stream (the costly non-SLE alternative, the cost unit SLE
     removes): the streams alone as a record of 1D arrays."""
     return pack_record([(s.nsymbols,) for s in streams], streams,
-                       [HuffmanCodec(s.table_symbols, s.table_lengths) for s in streams], [],
-                       lossless_level)
+                       [HuffmanCodec(s.table_symbols, s.table_lengths) for s in streams], [])
 
 
 def unpack_huffman_individual(section: bytes, ncodes: Sequence[int],

@@ -32,9 +32,9 @@ _MAGIC = b"RPRZ"
 _VERSION = 1
 
 
-def zlib_compress(payload: bytes, level: int = 6) -> bytes:
-    """Deflate ``payload`` (the SZ lossless stage)."""
-    return zlib.compress(payload, level)
+def zlib_compress(payload: bytes) -> bytes:
+    """Deflate ``payload`` at level 6 (the SZ lossless stage)."""
+    return zlib.compress(payload, 6)
 
 
 def zlib_decompress(payload: bytes) -> bytes:

@@ -123,16 +123,16 @@ def available_codecs() -> Tuple[str, ...]:
 # ----------------------------------------------------------------------
 register_codec(CodecSpec(
     name="sz_lr", factory=SZLRCompressor,
-    options=("block_size", "radius", "lossless_level"),
+    options=("block_size", "radius"),
     supports_many=True,
     description="SZ 2.x-style Lorenzo + per-block linear regression"))
 register_codec(CodecSpec(
     name="sz_interp", factory=SZInterpCompressor,
-    options=("anchor_stride", "radius", "lossless_level", "cubic"),
+    options=("anchor_stride", "radius", "cubic"),
     description="SZ3-style multi-level interpolation prediction"))
 register_codec(CodecSpec(
     name="sz_1d", factory=SZ1DCompressor,
-    options=("radius", "lossless_level"),
+    options=("radius",),
     description="1D Lorenzo codec behind AMReX's original in situ compression"))
 
 
@@ -146,5 +146,5 @@ def _temporal_delta_factory(error_bound, mode: str = "rel", **options):
 
 register_codec(CodecSpec(
     name="temporal_delta", factory=_temporal_delta_factory,
-    options=("offset", "lossless_level"),
+    options=("offset",),
     description="fixed-grid value quantisation, delta-coded across timesteps"))

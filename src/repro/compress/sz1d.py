@@ -33,10 +33,9 @@ class SZ1DCompressor(Compressor):
     name = "sz_1d"
 
     def __init__(self, error_bound: ErrorBound | float, mode: str = "rel",
-                 radius: int = DEFAULT_RADIUS, lossless_level: int = 6):
+                 radius: int = DEFAULT_RADIUS):
         super().__init__(error_bound, mode)
         self.radius = int(radius)
-        self.lossless_level = int(lossless_level)
 
     # ------------------------------------------------------------------
     def compress_with_reconstruction(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
@@ -68,8 +67,8 @@ class SZ1DCompressor(Compressor):
             "anchor": anchor,
             "sync_interval": huffman.SYNC_INTERVAL,
         }
-        sections = ctn.pack_huffman([stream], self.lossless_level)
-        sections["outliers"] = ctn.pack_zarray(outliers, self.lossless_level)
+        sections = ctn.pack_huffman([stream])
+        sections["outliers"] = ctn.pack_zarray(outliers)
         payload = ctn.pack_container(self.name, meta, sections)
         buffer = CompressedBuffer(
             payload=payload,

@@ -56,13 +56,12 @@ class SZInterpCompressor(Compressor):
 
     def __init__(self, error_bound: ErrorBound | float, anchor_stride: int = 16,
                  mode: str = "rel", radius: int = DEFAULT_RADIUS,
-                 lossless_level: int = 6, cubic: bool = True):
+                 cubic: bool = True):
         super().__init__(error_bound, mode)
         if anchor_stride < 2 or (anchor_stride & (anchor_stride - 1)) != 0:
             raise ValueError("anchor_stride must be a power of two >= 2")
         self.anchor_stride = int(anchor_stride)
         self.radius = int(radius)
-        self.lossless_level = int(lossless_level)
         self.cubic = bool(cubic)
 
     # ------------------------------------------------------------------
@@ -187,7 +186,7 @@ class SZInterpCompressor(Compressor):
         codec = HuffmanCodec.from_data(codes)
         record = ctn.pack_record([shape], [codec.encode(codes)], [codec], [
             np.asarray([outliers.size], dtype="<i8"), anchors.astype("<f8"),
-            outliers.astype("<f8")], self.lossless_level, context)
+            outliers.astype("<f8")], context)
         return record, recon
 
     def decode_record(self, record: bytes, shape: Tuple[int, ...],

@@ -256,14 +256,12 @@ class SZLRCompressor(Compressor):
     name = "sz_lr"
 
     def __init__(self, error_bound: ErrorBound | float, block_size: int | Sequence[int] = 6,
-                 mode: str = "rel", radius: int = DEFAULT_RADIUS,
-                 lossless_level: int = 6):
+                 mode: str = "rel", radius: int = DEFAULT_RADIUS):
         super().__init__(error_bound, mode)
         self._block_size_spec = block_size
         self.radius = int(radius)
         if self.radius < 2:
             raise ValueError("radius must be >= 2")
-        self.lossless_level = int(lossless_level)
         #: the shared Huffman table the last chunk of the most recent call used
         self.last_shared_codec: HuffmanCodec | None = None
 
@@ -555,7 +553,7 @@ class SZLRCompressor(Compressor):
             counts[:, 2].astype("<i8"), counts[:, 3].astype("<i8"),
             np.packbits(side["selection"]), side["anchors"].astype("<i8"),
             side["lorenzo_outliers"].astype("<i8"), side["regression_outliers"].astype("<f8"),
-            side["regression_coeffs"].astype("<f4")], self.lossless_level,
+            side["regression_coeffs"].astype("<f4")],
             ctn.recipe_context(recipe, _RECIPE, "sz_lr recipe"))
         return record, codec
 

@@ -94,10 +94,9 @@ class TemporalDeltaCodec(Compressor):
     name = "temporal_delta"
 
     def __init__(self, error_bound: ErrorBound | float, mode: str = "rel",
-                 offset: float = 0.0, lossless_level: int = 6):
+                 offset: float = 0.0):
         super().__init__(error_bound, mode)
         self.offset = float(offset)
-        self.lossless_level = int(lossless_level)
 
     # ------------------------------------------------------------------
     # the fixed quantisation grid
@@ -161,8 +160,7 @@ class TemporalDeltaCodec(Compressor):
     def pack(self, candidate: StreamCandidate) -> bytes:
         """Entropy-code, deflate and frame a candidate: the committed stream."""
         stream = candidate.table.encode(candidate.shifted)
-        return pack_container(self.name, candidate.meta,
-                              pack_huffman([stream], self.lossless_level))
+        return pack_container(self.name, candidate.meta, pack_huffman([stream]))
 
     @staticmethod
     def unpack_codes(payload: bytes) -> Tuple[str, np.ndarray, Dict[str, object]]:

@@ -27,8 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.compress.container import recipe_context
-from repro.compress.errorbound import ErrorBound
 from repro.compress.registry import codec_from_recipe, resolve_codec
+from repro.core.config import AMRICConfig
 from repro.core.preprocess import LevelLayout, arrange_blocks, pack_blocks, unpack_blocks
 from repro.errors import CorruptFileError, required
 from repro.h5lite.filters import Filter
@@ -93,21 +93,10 @@ class AMRICLevelFilter(Filter):
 
     filter_id = "amric_3d"
 
-    def __init__(self, compressor: str = "sz_lr", error_bound: float = 1e-3,
-                 error_bound_mode: str = "rel", use_sle: bool = True,
-                 adaptive_block_size: bool = True, sz_block_size: int = 6,
-                 interp_arrangement: str = "cluster", interp_anchor_stride: int = 16,
-                 unit_block_size: int = 16):
-        resolve_codec(compressor)        # unknown names fail fast with ValueError
-        self.compressor = compressor
-        self.error_bound = float(error_bound)
-        self._bound = ErrorBound(self.error_bound, error_bound_mode)   # rel: per plan's range
-        self.use_sle = bool(use_sle)
-        self.adaptive_block_size = bool(adaptive_block_size)
-        self.sz_block_size = int(sz_block_size)
-        self.interp_arrangement = interp_arrangement
-        self.interp_anchor_stride = int(interp_anchor_stride)
-        self.unit_block_size = int(unit_block_size)
+    def __init__(self, config: Optional[AMRICConfig] = None):
+        #: the settings it writes under (the config validated them)
+        self.config = config = config or AMRICConfig()
+        self._bound = config.error_bound_obj          # rel: per plan's range
         #: one shared Huffman table carried across the chunks (= ranks) of the
         #: same SLE plan instead of rebuilt per chunk; a chunk whose symbols
         #: the table misses rebuilds it, and the rebuilt table is carried on
@@ -138,9 +127,10 @@ class AMRICLevelFilter(Filter):
     def _sz_block_size_for(self) -> int:
         from repro.core.adaptive import select_sz_block_size
 
-        if not self.adaptive_block_size:
-            return self.sz_block_size
-        return select_sz_block_size(self.unit_block_size, base_block_size=self.sz_block_size)
+        cfg = self.config
+        if not cfg.adaptive_block_size:
+            return cfg.sz_block_size
+        return select_sz_block_size(cfg.unit_block_size, base_block_size=cfg.sz_block_size)
 
     # ------------------------------------------------------------------
     def encode(self, chunk: np.ndarray, actual_elements: Optional[int] = None) -> bytes:
@@ -173,7 +163,7 @@ class AMRICLevelFilter(Filter):
             blocks.append([chunk[end - math.prod(shape):end].reshape(shape)
                            for shape, end in zip(plan.block_shapes, ends)])
 
-        spec = resolve_codec(self.compressor)
+        spec = resolve_codec(self.config.compressor)
         if spec.supports_many:
             encoded = self._encode_unit_blocks(spec, plans, blocks)
         else:
@@ -200,7 +190,7 @@ class AMRICLevelFilter(Filter):
                 self._shared_codec = None
                 self._codec_scope = scope
             results = comp.compress_many_with_reconstruction(
-                [chunk_blocks for _, chunk_blocks in run], shared_encoding=self.use_sle,
+                [chunk_blocks for _, chunk_blocks in run], shared_encoding=self.config.use_sle,
                 value_range=scope[1], codec=self._shared_codec, framed=False)
             self._shared_codec = comp.last_shared_codec
             out.extend((buffer.payload, recons, buffer.meta["recipe"])
@@ -210,14 +200,15 @@ class AMRICLevelFilter(Filter):
     def _encode_packed(self, spec, plan: ChunkPlan, blocks: List[np.ndarray]):
         """Single-array codecs see one packed 3D arrangement of a chunk's
         blocks: ``(record, reconstructions, recipe)``."""
+        cfg = self.config
         arrangement = arrange_blocks(plan.block_shapes, plan.block_positions,
-                                     self.interp_arrangement)
+                                     cfg.interp_arrangement)
         abs_eb = self._bound.resolve(value_range=plan.value_range)
         if self._packed_codec is None or self._packed_codec_eb != abs_eb:
             self._packed_codec = spec.create(
-                abs_eb, mode="abs", anchor_stride=self.interp_anchor_stride)
+                abs_eb, mode="abs", anchor_stride=cfg.interp_anchor_stride)
             self._packed_codec_eb = abs_eb
-        recipe = dict(self._packed_codec.recipe(abs_eb), arrangement=self.interp_arrangement)
+        recipe = dict(self._packed_codec.recipe(abs_eb), arrangement=cfg.interp_arrangement)
         record, packed_recon = self._packed_codec.encode_record(
             pack_blocks(blocks, arrangement), _packed_context(recipe, arrangement))
         return record, unpack_blocks(packed_recon, arrangement), recipe

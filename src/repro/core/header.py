@@ -46,7 +46,6 @@ __all__ = [
     "LevelStructure",
     "PlotfileHeader",
     "build_header",
-    "structure_fingerprint",
     "template_from_header",
 ]
 
@@ -308,31 +307,6 @@ def header_from_config(hierarchy: AmrHierarchy, config, method: str = "amric"
             "interp_anchor_stride": config.interp_anchor_stride,
             "modify_filter": config.modify_filter,
         })
-
-
-def structure_fingerprint(header: PlotfileHeader) -> str:
-    """A stable digest of everything that determines a plotfile's layout.
-
-    Two plotfiles share a fingerprint exactly when their boxes, refinement
-    ratios, distribution mappings, components and preprocessing parameters
-    coincide — i.e. when their chunked element streams are laid out
-    identically.  The series subsystem compares consecutive steps'
-    fingerprints to detect regrids (a changed fingerprint forces a keyframe;
-    delta streams would otherwise misalign).
-    """
-    import hashlib
-    import json
-
-    doc = {
-        "levels": [lvl.to_json() for lvl in header.levels],
-        "ref_ratios": list(header.ref_ratios),
-        "components": list(header.components),
-        "unit_block_size": header.unit_block_size,
-        "remove_redundancy": header.remove_redundancy,
-        "chunk_alignment": header.chunk_alignment,
-    }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
 
 
 def template_from_header(header: PlotfileHeader) -> AmrHierarchy:

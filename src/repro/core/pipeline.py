@@ -28,8 +28,8 @@ ledger one way: :func:`~repro.core.stages.dataset_record` measures each
 dataset from its ``(original, reconstruction)`` pairs, and
 :class:`~repro.parallel.backend.WorkloadTally` bills each rank the chunks it
 writes (none for a rank that owns no cell) with an exactly conserving
-largest-remainder byte split.  :func:`writer_comm` and :func:`stamp_attrs` are
-the prologue this writer and the series writer share.
+largest-remainder byte split.  :func:`writer_comm` is the prologue this
+writer and the series writer share.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from repro.parallel.backend import ExecutionBackend, WorkloadTally, as_backend
 from repro.parallel.iomodel import RankWorkload
 from repro.parallel.mpi_sim import SimComm
 
-__all__ = ["AMRICWriter", "WriteReport", "LevelFieldRecord", "writer_comm", "stamp_attrs"]
+__all__ = ["AMRICWriter", "WriteReport", "LevelFieldRecord", "writer_comm"]
 
 
 @dataclass
@@ -179,15 +179,6 @@ def writer_comm(hierarchy: AmrHierarchy, comm: Optional[SimComm] = None) -> SimC
     return comm
 
 
-def stamp_attrs(h5file: H5LiteFile, hierarchy: AmrHierarchy, method: str,
-                compressor: str, error_bound: float) -> None:
-    """The file attributes every staged writer's plotfile carries."""
-    h5file.attrs.update(
-        method=method, compressor=compressor, error_bound=error_bound,
-        time=hierarchy.time, step=hierarchy.step, nlevels=hierarchy.nlevels,
-        ref_ratios=list(hierarchy.ref_ratios), components=list(hierarchy.component_names))
-
-
 class AMRICWriter:
     """In situ compressed plotfile writer implementing the AMRIC pipeline."""
 
@@ -231,12 +222,9 @@ class AMRICWriter:
         # the context removes the target if the body raises (no partial file)
         with (H5LiteFile(path, "w") if path is not None
               else nullcontext()) as h5file:
-            if h5file is not None:
-                stamp_attrs(h5file, hierarchy, self.method_name, cfg.compressor,
-                            cfg.error_bound)
-                # the self-describing header: structure + codec, so the file
-                # can be opened without the producing hierarchy in memory
-                commit_header(h5file, hierarchy, cfg, method=self.method_name)
+            # the self-describing header: structure + codec, so the file can
+            # be opened without the producing hierarchy in memory
+            commit_header(h5file, hierarchy, cfg, method=self.method_name)
             for level_plan in plan.levels:
                 if not level_plan.datasets:
                     continue

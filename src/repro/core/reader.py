@@ -478,10 +478,6 @@ class PlotfileHandle:
         return self._file.path
 
     @property
-    def attrs(self) -> Dict[str, object]:
-        return self._file.attrs
-
-    @property
     def fields(self) -> Tuple[str, ...]:
         """Component names stored in the plotfile."""
         return tuple(self.header.components)

@@ -58,7 +58,6 @@ __all__ = [
     "EncodeJob",
     "EncodeResult",
     "make_encode_job",
-    "level_filter",
     "encode_job",
     "commit_header",
     "commit_dataset",
@@ -230,18 +229,6 @@ def make_encode_job(packed: PackedDataset, config: AMRICConfig) -> EncodeJob:
         config=config)
 
 
-def level_filter(config: AMRICConfig) -> AMRICLevelFilter:
-    """The AMRIC filter ``config`` writes with."""
-    return AMRICLevelFilter(
-        compressor=config.compressor, error_bound=config.error_bound,
-        error_bound_mode=config.error_bound_mode, use_sle=config.use_sle,
-        adaptive_block_size=config.adaptive_block_size,
-        sz_block_size=config.sz_block_size,
-        interp_arrangement=config.interp_arrangement,
-        interp_anchor_stride=config.interp_anchor_stride,
-        unit_block_size=config.unit_block_size)
-
-
 def encode_job(job: EncodeJob) -> EncodeResult:
     """Stage 3: run the AMRIC filter over one dataset's chunks, in one
     :meth:`~repro.core.filter_mod.AMRICLevelFilter.encode_many` call: the
@@ -251,7 +238,7 @@ def encode_job(job: EncodeJob) -> EncodeResult:
     backend (inline, shm pool) runs the identical code and produces
     identical bytes.
     """
-    filt = level_filter(job.config)
+    filt = AMRICLevelFilter(job.config)
     for plan in job.plans:
         filt.queue_plan(plan)
     ce = job.chunk_elements
@@ -292,8 +279,7 @@ def commit_dataset(h5file: Optional[H5LiteFile], dplan: DatasetPlan,
         chunk_elements=dplan.chunk_elements,
         filter_id=AMRICLevelFilter.filter_id,
         actual_elements_per_chunk=dplan.actual_elements,
-        attrs={"level": dplan.level, "field": dplan.field,
-               "value_range": dplan.value_range, "codec": result.recipe})
+        attrs={"value_range": dplan.value_range, "codec": result.recipe})
 
 
 def dataset_record(level: int, field: str,

@@ -8,11 +8,13 @@ A *series* is a directory of per-step plotfiles plus the series journal
   (level, field) dataset and — when it actually saves bytes — stores the
   quantised delta against the prior step through the registered
   ``temporal_delta`` codec (:mod:`repro.compress.temporal`).  Every Nth dump
-  is a self-contained keyframe, and a regrid (detected via the structure
-  fingerprint of :mod:`repro.core.header`) forces one per affected dataset.
+  is a self-contained keyframe, and a regrid (any change to a dataset's
+  unit blocks, ranks or chunking) forces one per affected dataset.
 * :class:`~repro.series.index.SeriesIndex` is the manifest the journal
-  holds: per-step paths, simulation times, hierarchy fingerprints,
-  per-dataset stream modes and stats, validated like the plotfile header.
+  holds: per-step paths, simulation times, per-dataset stream modes
+  (key, or delta and its reference step) and stats, validated like the
+  plotfile header.  A step file's own header holds its geometry; nothing
+  restates either.
 * :class:`~repro.series.reader.SeriesHandle` (returned by
   :func:`repro.open_series`) reads lazily: ``read_field(..., step=...)``
   resolves delta chains chunk-by-chunk through the PR-3 chunk cache, and
@@ -29,7 +31,6 @@ from repro.series.reader import (
     SeriesHandle,
     SeriesStepHandle,
     is_series_dir,
-    open_series,
 )
 from repro.series.writer import SeriesWriter
 
@@ -41,5 +42,4 @@ __all__ = [
     "SeriesStepHandle",
     "SeriesWriter",
     "is_series_dir",
-    "open_series",
 ]

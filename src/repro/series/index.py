@@ -3,10 +3,9 @@
 The manifest lives in the series journal (:mod:`repro.stream.journal`): its
 genesis record carries the series-wide configuration and every step record
 one :class:`SeriesStepRecord`.  The JSON records, per step: path, simulation
-time/step, the hierarchy structure fingerprint, and per ``level_<l>/<field>``
-dataset the stream mode (key or delta), the reference step of a delta
-stream, both candidate sizes (what the step *would* have cost as a keyframe)
-and the quality record.
+time/step, and per ``level_<l>/<field>`` dataset the stream mode (key or
+delta), the reference step of a delta stream, both candidate sizes (what the
+step *would* have cost as a keyframe) and the quality record.
 
 Validation mirrors the plotfile header's rules: unknown *extra* keys are
 ignored (additive evolution within a major version), and a newer major
@@ -72,7 +71,6 @@ class SeriesDatasetRecord:
     key_bytes: int                #: key candidate as compared: what its tables imply (DESIGN §6)
     delta_bytes: Optional[int]    #: delta candidate (None: not tabled); mode "delta" iff smaller
     psnr: float
-    layout: str                   #: layout fingerprint of this dataset's chunk stream
 
     @property
     def delta_saved_bytes(self) -> int:
@@ -84,7 +82,7 @@ class SeriesDatasetRecord:
             "name": self.name, "mode": self.mode, "ref": self.ref,
             "stored_bytes": self.stored_bytes, "raw_bytes": self.raw_bytes,
             "key_bytes": self.key_bytes, "delta_bytes": self.delta_bytes,
-            "psnr": self.psnr, "layout": self.layout,
+            "psnr": self.psnr,
         }
 
     @staticmethod
@@ -113,8 +111,7 @@ class SeriesDatasetRecord:
             raw_bytes=required(obj, "raw_bytes", _RECORD, int, context),
             key_bytes=required(obj, "key_bytes", _RECORD, int, context),
             delta_bytes=delta_bytes,
-            psnr=required(obj, "psnr", _RECORD, float, context),
-            layout=required(obj, "layout", _RECORD, str, context))
+            psnr=required(obj, "psnr", _RECORD, float, context))
 
 
 @dataclass
@@ -126,7 +123,6 @@ class SeriesStepRecord:
     time: float
     path: str                     #: plotfile path relative to the series directory
     kind: str                     #: "key" when every dataset is self-contained
-    fingerprint: str              #: structure fingerprint of the hierarchy
     datasets: List[SeriesDatasetRecord] = field(default_factory=list)
 
     @property
@@ -159,7 +155,6 @@ class SeriesStepRecord:
         return {
             "index": self.index, "step": self.step, "time": self.time,
             "path": self.path, "kind": self.kind,
-            "fingerprint": self.fingerprint,
             "datasets": [d.to_json() for d in self.datasets],
         }
 
@@ -189,7 +184,6 @@ class SeriesStepRecord:
             index=index, step=required(obj, "step", _RECORD, int, ctx),
             time=required(obj, "time", _RECORD, float, ctx),
             path=required(obj, "path", _RECORD, str, ctx), kind=kind,
-            fingerprint=required(obj, "fingerprint", _RECORD, str, ctx),
             datasets=datasets)
 
 

@@ -1,15 +1,16 @@
 """Lazy, time-indexed reads over a plotfile series.
 
-:func:`open_series` parses the series journal and returns a :class:`SeriesHandle`;
-nothing is decoded until a field is asked for.  Per step the handle hands out
-a :class:`SeriesStepHandle` — a :class:`~repro.core.reader.PlotfileHandle`
-whose chunk decode stage resolves temporal references: a key chunk decodes
-directly, a delta chunk needs the *same chunk* of its reference step (and so
-on back to the nearest keyframe) and adds the stored code differences.  The
-chains of a decode group are planned from the manifest, fetched one payload
-batch per step and entropy-decoded several streams to a pass.  Resolution is
-chunk-granular and memoised in two byte-budgeted caches (decoded chunk values,
-resolved code streams), so
+:func:`repro.open_series` parses the series journal and returns a
+:class:`SeriesHandle`; nothing is decoded until a field is asked for.  Per
+step the handle hands out a :class:`SeriesStepHandle` — a
+:class:`~repro.core.reader.PlotfileHandle` whose chunk decode stage resolves
+temporal references: a key chunk decodes directly, a delta chunk needs the
+*same chunk* of its reference step (and so on back to the nearest keyframe)
+and adds the stored code differences.  The chains of a decode group are
+planned from the manifest, fetched one payload batch per step and
+entropy-decoded several streams to a pass.  Resolution is chunk-granular and
+memoised in two byte-budgeted caches (decoded chunk values, resolved code
+streams), so
 
 * reading a box at step *t* decodes only the chunks intersecting the box —
   at step *t* and along those chunks' reference chains — never a chunk
@@ -46,7 +47,7 @@ from repro.stream.journal import (
     tail_journal,
 )
 
-__all__ = ["SeriesHandle", "SeriesStepHandle", "is_series_dir", "open_series"]
+__all__ = ["SeriesHandle", "SeriesStepHandle", "is_series_dir"]
 
 #: streams per entropy pass while chains are resolved: a pass's 256 Python-level
 #: steps are shared by two chunks' chains on a ``keyframe_interval=4`` series
@@ -60,18 +61,6 @@ def is_series_dir(path: str) -> bool:
     """Whether ``path`` is a series directory (it holds a series journal)
     rather than a plotfile."""
     return os.path.isfile(os.path.join(path, JOURNAL_FILENAME))
-
-
-def open_series(directory: str, cache=None, source=None) -> "SeriesHandle":
-    """Open a series directory for lazy reading (exported as :func:`repro.open_series`).
-
-    A directory still being written by a
-    :class:`~repro.series.writer.SeriesWriter` opens too (``handle.live`` is
-    true until the journal's last record is ``final``): the handle sees every
-    journal-committed step, and :meth:`SeriesHandle.refresh` picks up new
-    ones as they land.
-    """
-    return SeriesHandle(directory, cache=cache, source=source)
 
 
 class _CodeStream(NamedTuple):
@@ -391,8 +380,8 @@ class SeriesHandle:
     def _layouts(self, header: PlotfileHeader) -> List[LevelLayout]:
         """The level layouts of one step file's own parsed header, built the
         first time its geometry is met and shared (read-only) by every later
-        step that declares the same — never looked up by the journal's
-        fingerprint, so no step is decoded under geometry it did not declare."""
+        step that declares the same, so no step is decoded under geometry it
+        did not declare."""
         key = header.geometry
         with self._geometries_lock:
             layouts = self._geometries.get(key)

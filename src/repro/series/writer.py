@@ -6,7 +6,7 @@ a plotfile's, then swaps the spatial encode stage for temporal encode jobs:
 
 * every chunk is quantised once onto the series' fixed grid and its absolute
   codes tabled as a **key** candidate;
-* a dataset whose layout fingerprint matches the previous step's — same
+* a dataset whose stream layout matches the previous step's — same
   boxes, same distribution, same unit blocks, i.e. no regrid touched it —
   also tables the codes' difference to the previous step's as a **delta**
   candidate, and the candidate whose Huffman tables imply the smaller stream
@@ -22,8 +22,6 @@ backend commits byte-identical series.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import time
 from dataclasses import asdict, dataclass
@@ -35,8 +33,8 @@ from repro.amr.hierarchy import AmrHierarchy
 from repro.compress.errorbound import ErrorBound
 from repro.compress.temporal import MODE_DELTA, MODE_KEY, TemporalDeltaCodec, TemporalDeltaFilter
 from repro.core.config import AMRICConfig
-from repro.core.header import build_header, structure_fingerprint
-from repro.core.pipeline import LevelFieldRecord, WriteReport, stamp_attrs, writer_comm
+from repro.core.header import build_header
+from repro.core.pipeline import LevelFieldRecord, WriteReport, writer_comm
 from repro.core.stages import DatasetPlan, dataset_record, pack_dataset, plan_write
 from repro.h5lite.file import H5LiteFile
 from repro.parallel.backend import ExecutionBackend, WorkloadTally, as_backend
@@ -56,37 +54,22 @@ __all__ = [
     "TemporalEncodeJob",
     "TemporalEncodeResult",
     "temporal_encode_job",
-    "dataset_layout_fingerprint",
 ]
 
 
-def dataset_layout_fingerprint(dplan: DatasetPlan) -> str:
-    """Digest of one dataset's chunked element stream layout.
+def _stream_key(dplan: DatasetPlan) -> tuple:
+    """One dataset's chunked element stream layout, exactly.
 
     Delta encoding subtracts the reference stream element-by-element, so it
     is only valid when both steps packed the dataset identically: same chunk
-    size, same participating ranks, same unit blocks in the same order.
-    Because redundancy removal carves a level's blocks around the *next*
-    level's boxes, a fine-level regrid changes the coarse level's fingerprint
-    too — exactly the cases that must fall back to a keyframe.
+    size, same valid prefix per chunk, same unit blocks on the same ranks in
+    the same order.  Because redundancy removal carves a level's blocks
+    around the *next* level's boxes, a fine-level regrid changes the coarse
+    level's key too — exactly the cases that must fall back to a keyframe.
     """
     layout = dplan.layout
-    doc = {
-        "chunk_elements": int(dplan.chunk_elements),
-        "ranks": [
-            {
-                "rank": rank,
-                "actual": actual,
-                "blocks": [list(block) for block in zip(
-                    layout.box_index[run].tolist(), layout.lo[run].tolist(),
-                    layout.hi[run].tolist())],
-            }
-            for rank, actual, run in zip(layout.ranks, dplan.actual_elements,
-                                         layout.rank_runs)
-        ],
-    }
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
+    return (dplan.chunk_elements, tuple(dplan.actual_elements),
+            *(a.tobytes() for a in (layout.rank, layout.box_index, layout.lo, layout.hi)))
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +90,6 @@ class TemporalEncodeJob:
     offset: float
     #: previous step's absolute codes per chunk; None forces a keyframe
     ref_codes: Optional[List[np.ndarray]] = None
-    lossless_level: int = 6
 
 
 @dataclass
@@ -139,8 +121,7 @@ def temporal_encode_job(job: TemporalEncodeJob) -> TemporalEncodeResult:
     Each chunk is quantised once and tabled under both modes; only the dataset's winner is
     entropy-coded and deflated.  Both decode to the same grid values either way.
     """
-    codec = TemporalDeltaCodec(ErrorBound.absolute(job.eb_abs), offset=job.offset,
-                               lossless_level=job.lossless_level)
+    codec = TemporalDeltaCodec(ErrorBound.absolute(job.eb_abs), offset=job.offset)
     ce, eb = job.chunk_elements, job.eb_abs
     keys, deltas, codes_out = [], [], []
     for i, actual in enumerate(job.actual_sizes):
@@ -222,8 +203,8 @@ class SeriesWriter:
         self._recovered = is_series_dir(self.directory)
         self._finalized = False
         self._aborted = False
-        #: dataset name -> (layout fingerprint, absolute codes per chunk)
-        self._ref: Dict[str, Tuple[str, List[np.ndarray]]] = {}
+        #: dataset name -> (stream key, absolute codes per chunk)
+        self._ref: Dict[str, Tuple[tuple, List[np.ndarray]]] = {}
         if self._recovered:
             if not append:
                 raise ValueError(
@@ -360,30 +341,26 @@ class SeriesWriter:
             error_bound=cfg.error_bound, error_bound_mode=cfg.error_bound_mode,
             unit_block_size=cfg.unit_block_size,
             remove_redundancy=cfg.remove_redundancy,
-            codec_options={"modify_filter": True,
-                           "series": {"step_index": step_index,
-                                      "keyframe_interval": self.keyframe_interval}})
-        fingerprint = structure_fingerprint(header)
+            codec_options={"modify_filter": True})
 
         # ---- encode: temporal jobs through the backend -------------------
         dplans: List[DatasetPlan] = []
         packed = []
         jobs: List[TemporalEncodeJob] = []
-        layouts: Dict[str, str] = {}
+        keys: Dict[str, tuple] = {}
         for level_plan in plan.levels:
             level = hierarchy[level_plan.level]
             for dplan in level_plan.datasets:
                 pack = pack_dataset(level, dplan)
-                layout = dataset_layout_fingerprint(dplan)
+                keys[dplan.name] = key = _stream_key(dplan)
                 grid = index.field_grids[dplan.field]
                 ref_codes: Optional[List[np.ndarray]] = None
                 if not force_key:
                     ref = self._ref.get(dplan.name)
-                    if ref is not None and ref[0] == layout:
+                    if ref is not None and ref[0] == key:
                         ref_codes = ref[1]
                 dplans.append(dplan)
                 packed.append(pack)
-                layouts[dplan.name] = layout
                 jobs.append(TemporalEncodeJob(
                     key=dplan.name, data=pack.data,
                     chunk_elements=dplan.chunk_elements,
@@ -399,11 +376,8 @@ class SeriesWriter:
         records: List[LevelFieldRecord] = []
         dataset_records: List[SeriesDatasetRecord] = []
         tally = WorkloadTally(comm.size)
-        next_ref: Dict[str, Tuple[str, List[np.ndarray]]] = {}
+        next_ref: Dict[str, Tuple[tuple, List[np.ndarray]]] = {}
         with H5LiteFile(path, "w") as h5file:
-            stamp_attrs(h5file, hierarchy, self.method_name, TemporalDeltaCodec.name,
-                        cfg.error_bound)
-            h5file.attrs["series_step_index"] = step_index
             h5file.header = header.to_json()
             for dplan, pack, result in zip(dplans, packed, results):
                 ref_index = step_index - 1 if result.mode == MODE_DELTA else None
@@ -413,10 +387,7 @@ class SeriesWriter:
                     chunk_elements=dplan.chunk_elements,
                     filter_id=TemporalDeltaFilter.filter_id,
                     actual_elements_per_chunk=dplan.actual_elements,
-                    attrs={"level": dplan.level, "field": dplan.field,
-                           "value_range": dplan.value_range,
-                           "series_mode": result.mode,
-                           "series_ref": ref_index})
+                    attrs={"value_range": dplan.value_range})
                 comm.record_collective_write()
                 # the record covers the cells a rank owns, not a naive chunk's zero tail
                 ce = dplan.chunk_elements
@@ -431,13 +402,13 @@ class SeriesWriter:
                     stored_bytes=result.compressed_bytes,
                     raw_bytes=record.raw_bytes,
                     key_bytes=result.key_bytes, delta_bytes=result.delta_bytes,
-                    psnr=record.psnr, layout=layouts[dplan.name]))
+                    psnr=record.psnr))
                 tally.add_dataset(
                     ranks=dplan.layout.ranks,
                     per_rank_elements=dplan.layout.rank_elements,
                     chunk_elements=dplan.chunk_elements,
                     compressed_bytes=result.compressed_bytes)
-                next_ref[dplan.name] = (layouts[dplan.name], result.codes)
+                next_ref[dplan.name] = (keys[dplan.name], result.codes)
         # the rolling reference is always exactly the previous dump — stale
         # datasets (e.g. a level that vanished this step) drop out with it
         self._ref = next_ref
@@ -446,8 +417,7 @@ class SeriesWriter:
             else MODE_DELTA
         record_step = SeriesStepRecord(
             index=step_index, step=int(hierarchy.step), time=float(hierarchy.time),
-            path=filename, kind=kind, fingerprint=fingerprint,
-            datasets=dataset_records)
+            path=filename, kind=kind, datasets=dataset_records)
         # durable commit order: data file first, then the journal record
         # naming it — a crash between the two leaves only an orphan file
         fd = os.open(path, os.O_RDONLY)

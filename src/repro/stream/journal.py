@@ -62,7 +62,7 @@ __all__ = [
 
 #: journal file name inside a series directory
 JOURNAL_FILENAME = "series.journal"
-JOURNAL_FORMAT_VERSION = 3
+JOURNAL_FORMAT_VERSION = 4
 
 _PREAMBLE = struct.Struct("<4sI")          # magic, format version
 _PREAMBLE_MAGIC = b"SJNL"

@@ -1,8 +1,8 @@
 """Direct coverage for :mod:`repro.amr.regrid` (tagging + clustering).
 
 The series subsystem leans on regridding twice: a regrid mid-series changes
-the hierarchy fingerprint (forcing the delta writer's keyframe fallback),
-and ``regrid_interval`` keeps grids fixed between regrids.  These tests pin
+the step's geometry (forcing the delta writer's keyframe fallback), and
+``regrid_interval`` keeps grids fixed between regrids.  These tests pin
 the clustering invariants both behaviours rely on.
 """
 

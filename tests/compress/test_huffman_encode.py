@@ -201,10 +201,11 @@ class TestPinnedWriterBytes:
     """
 
     TINY = {"coarse_shape": (16, 16, 16), "max_grid_size": 8}
-    #: format v2 (lean chunk records; the step files' only change is their
-    #: header's version number, one byte)
-    PLOTFILE = "650eb6154f89770ee90ae87e0e7e0d75892377e94858a25454ff8b103e02b213"
-    DELTA_STEP = "3bedb66df88de9304e50b05a075930ce27a7fc013bf4b12d656f21d2801b90eb"
+    #: format v2 without restated metadata: no file attrs, dataset attrs
+    #: only the codec recipe and value range (chunk payloads, chunk tables and
+    #: reconstructions unchanged from the v2 pins)
+    PLOTFILE = "537f71eb294fa02ad134c1d11b2d6122f4a548a95b3a58d55a7cbf8060d83295"
+    DELTA_STEP = "0f15bd06a239da6d65b4c47c12210e71ccd01f1d3ca20901a842bcbf769dae39"
 
     @staticmethod
     def sha256(path):

@@ -75,6 +75,26 @@ class TestTheRecord:
                 for payload in f.read_chunk_payloads(name, range(info.nchunks)):
                     assert b"block_shapes" not in payload and b'{"' not in payload
 
+    @pytest.mark.parametrize("method, dataset_attrs", [
+        ("amric", {"codec", "value_range"}), ("amrex_1d", set()), ("nocomp", set()),
+        ("series", {"value_range"})])
+    def test_the_header_and_journal_are_not_restated(self, hierarchy, tmp_path,
+                                                     method, dataset_attrs):
+        """Method, bound, time, levels, ratios, fields live in the header, a
+        step's mode and reference in the journal: no file attr restates them."""
+        if method == "series":
+            repro.write_series([hierarchy], str(tmp_path), error_bound=1e-3)
+            path = str(tmp_path / f"plt{hierarchy.step:05d}.h5z")
+        else:
+            path = str(tmp_path / "p.h5z")
+            repro.write(hierarchy, path, method=method,
+                        **({} if method == "nocomp" else {"error_bound": 1e-3}))
+        with H5LiteFile(path, "r") as f:
+            assert f.header is not None and f.attrs == {}
+            assert f.datasets
+            for info in f.datasets.values():
+                assert set(info.attrs) == dataset_attrs
+
     @pytest.mark.parametrize("config", [
         AMRICConfig(error_bound=1e-3), AMRICConfig(error_bound=1e-3, use_sle=False),
         AMRICConfig(error_bound=1e-3, compressor="sz_interp"),

@@ -95,7 +95,7 @@ class TestAMRICLevelFilter:
         chunk_elements = flat.size + 100  # oversized global chunk
         chunk = np.zeros(chunk_elements)
         chunk[:flat.size] = flat
-        filt = AMRICLevelFilter(compressor=compressor, error_bound=1e-3)
+        filt = AMRICLevelFilter(AMRICConfig(compressor=compressor, error_bound=1e-3))
         filt.queue_plan(plan)
         payload = filt.encode(chunk, actual_elements=flat.size)
         decoded = AMRICLevelFilter.reading(filt.recipe).decode(payload, chunk_elements, plan)
@@ -108,7 +108,7 @@ class TestAMRICLevelFilter:
 
     def _payload(self, hierarchy, compressor, level=1):
         _, flat, plan = self._blocks_and_chunk(hierarchy, level=level)
-        filt = AMRICLevelFilter(compressor=compressor, error_bound=1e-3)
+        filt = AMRICLevelFilter(AMRICConfig(compressor=compressor, error_bound=1e-3))
         filt.queue_plan(plan)
         return filt.encode(flat, actual_elements=flat.size), flat.size, plan, filt.recipe
 
@@ -150,7 +150,7 @@ class TestAMRICLevelFilter:
         """A job's chunks decoded together; each block is what it is in its
         chunk decoded alone, whatever else is asked for."""
         _, flat, plan = self._blocks_and_chunk(nyx_hierarchy, level=0)
-        filt = AMRICLevelFilter(compressor=compressor, error_bound=bound)
+        filt = AMRICLevelFilter(AMRICConfig(compressor=compressor, error_bound=bound))
         payloads = []
         for scale in (1.0, 2.0):
             filt.queue_plan(plan)
@@ -202,7 +202,7 @@ class TestAMRICLevelFilter:
 
     def test_invalid_compressor_name(self):
         with pytest.raises(ValueError):
-            AMRICLevelFilter(compressor="zfp_like")     # deleted: not one of the paper's
+            AMRICConfig(compressor="zfp_like")     # deleted: not one of the paper's
 
 
 class TestConfig:

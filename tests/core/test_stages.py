@@ -7,11 +7,11 @@ import pytest
 
 import repro
 from repro.core import AMRICConfig, AMRICWriter
+from repro.core.filter_mod import AMRICLevelFilter
 from repro.core.stages import (
     EncodeJob,
     EncodeResult,
     encode_job,
-    level_filter,
     make_encode_job,
     pack_dataset,
     plan_write,
@@ -81,7 +81,7 @@ class TestPackEncodeStages:
 
 def _per_chunk_reference(job):
     """The encode stage as one ``AMRICLevelFilter.encode`` call per chunk."""
-    filt = level_filter(job.config)
+    filt = AMRICLevelFilter(job.config)
     ce = job.chunk_elements
     payloads = []
     for i, (plan, actual) in enumerate(zip(job.plans, job.actual_sizes)):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import repro
+from repro import open_series
 from repro.amr.box import Box
+from repro.amr.distribution import DistributionMapping
 from repro.amr.upsample import covered_mask
 from repro.apps.base import build_two_level_hierarchy
 from repro.apps.nyx import NyxSimulation
@@ -15,7 +17,7 @@ from repro.compress.temporal import MODE_DELTA, TemporalDeltaCodec
 from repro.h5lite.file import H5LiteFile
 from repro.h5lite.source import LocalFileSource, RangeSource
 from repro.parallel.backend import SharedMemoryBackend
-from repro.series import SeriesIndex, SeriesWriter, open_series
+from repro.series import SeriesIndex, SeriesWriter
 from repro.stream.journal import JOURNAL_FILENAME
 from repro.series.reader import _PASS_STREAMS
 from repro.service.cache import ChunkCache
@@ -479,10 +481,10 @@ class TestRegridFallback:
         assert any(d.mode == "delta" for d in index.steps[1].datasets)
         # step 2 regridded: every dataset must fall back to a keyframe
         # (including level 0, whose blocks are carved around the fine boxes)
-        assert index.steps[1].fingerprint != index.steps[2].fingerprint
         assert all(d.mode == "key" for d in index.steps[2].datasets)
         # and the decoded data is still right everywhere
         with open_series(path) as series:
+            assert series.open_step(1).header.geometry != series.open_step(2).header.geometry
             for i, original in enumerate([h0, h1, h2]):
                 decoded = series.read(step=i)
                 name = "density"
@@ -501,11 +503,43 @@ class TestRegridFallback:
         h2 = self._blob_hierarchy(2)
         path = str(tmp_path / "vanish")
         repro.write_series([h0, h1, h2], path, keyframe_interval=100, error_bound=1e-3)
-        index = SeriesIndex.load(path)
-        assert index.steps[1].fingerprint != index.steps[0].fingerprint
         with open_series(path) as series:
+            assert series.open_step(1).header.geometry != series.open_step(0).header.geometry
             for i in range(3):
                 series.read(step=i)  # chains resolve without error
+
+    @pytest.mark.parametrize("move", ["one_box", "every_rank_renamed"])
+    def test_a_box_moved_to_another_rank_forces_a_keyframe(self, tmp_path, move):
+        # the same boxes, a coarse box on another rank: level 0's chunks hold
+        # other blocks, so its delta would subtract misaligned cells.  Ranks
+        # renamed one up keep every block in place, and still keyframe: the
+        # stream key is exact, never looser than the ranks it was built on.
+        h0 = self._blob_hierarchy(0)
+        h1 = self._blob_hierarchy(1, fine_boxarray=h0[1].boxarray)
+        mapping = h1[0].multifab.distribution
+        ranks, nranks = list(mapping.rank_of_box), mapping.nranks
+        if move == "one_box":
+            ranks[0] = (ranks[0] + 1) % nranks
+        else:
+            ranks, nranks = [r + 1 for r in ranks], nranks + 1
+        h1[0].multifab.distribution = DistributionMapping(ranks, nranks)
+        assert list(h1[0].boxarray) == list(h0[0].boxarray)
+        path = str(tmp_path / "moved")
+        repro.write_series([h0, h1], path, keyframe_interval=100, error_bound=1e-3)
+        step = SeriesIndex.load(path).steps[1]
+        # level 0 is not even tabled as a delta; level 1 kept its blocks
+        assert step.dataset("level_0/density").delta_bytes is None
+        assert step.dataset("level_0/density").mode == "key"
+        assert step.dataset("level_1/density").mode == "delta"
+        with open_series(path) as series:
+            eb_abs = series.index.field_grids["density"].eb_abs
+            decoded = series.read(step=1)
+            for level in (0, 1):
+                ref = h1[level].multifab.to_global("density", h1[level].domain)
+                got = decoded[level].multifab.to_global("density", h1[level].domain)
+                mask = (h1[level].boxarray.coverage_mask(h1[level].domain)
+                        & ~covered_mask(h1, level))
+                assert np.abs(ref[mask] - got[mask]).max() <= eb_abs * (1 + 1e-9)
 
 
 class TestManifestValidation:

@@ -35,8 +35,7 @@ BAND = (0.85, 1.0)
 def _ref_temporal_encode_job(job: TemporalEncodeJob) -> TemporalEncodeResult:
     """The encode-both job: every chunk fully encoded under both modes (two
     quantise passes, two entropy encodes, two deflates), smaller total kept."""
-    codec = TemporalDeltaCodec(ErrorBound.absolute(job.eb_abs), offset=job.offset,
-                               lossless_level=job.lossless_level)
+    codec = TemporalDeltaCodec(ErrorBound.absolute(job.eb_abs), offset=job.offset)
     ce = job.chunk_elements
     key_payloads, delta_payloads, codes_out, recons = [], [], [], []
     for i, actual in enumerate(job.actual_sizes):

@@ -148,20 +148,24 @@ class TestStatsOp:
         text = render_prometheus(registry)
         assert "repro_server_request_seconds_bucket" in text
 
-    def test_stats_cli_verb(self, observed_server, service_plotfile, capsys):
+    def test_query_stats_cli(self, observed_server, service_plotfile, capsys):
         server, _, _ = observed_server
         with ReproClient(port=server.port) as client:
             client.read_field(service_plotfile, "baryon_density")
-        assert cli_main(["stats", f"127.0.0.1:{server.port}"]) == 0
+        port = ["--port", str(server.port)]
+        assert cli_main(["query", "stats", "--host", "127.0.0.1", *port]) == 0
         table = capsys.readouterr().out
         assert "metrics registry" in table
         assert "repro_cache_hits_total" in table
-        assert cli_main(["stats", "--port", str(server.port), "--prom"]) == 0
+        assert cli_main(["query", "stats", *port, "--prom"]) == 0
         prom = capsys.readouterr().out
         assert "# TYPE repro_server_request_seconds histogram" in prom
-        assert cli_main(["stats", f":{server.port}", "--json"]) == 0
+        assert cli_main(["query", "stats", *port, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "repro_engine_requests_total" in payload["registry"]
+        assert payload["engine"]["requests"] >= 1
+        assert cli_main(["query", "ping", *port, "--prom"]) == 1
+        assert "--prom applies to query stats" in capsys.readouterr().err
 
 
 class TestEngineRegistry:

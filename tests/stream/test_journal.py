@@ -38,13 +38,12 @@ def step_json(i):
         "index": i, "step": i, "time": float(i),
         "path": f"plt{i:05d}.h5z",
         "kind": "key" if i % 4 == 0 else "delta",
-        "fingerprint": f"fp{i}",
         "datasets": [{
             "name": "rho", "mode": "key" if i % 4 == 0 else "delta",
             "ref": None if i % 4 == 0 else i - 1,
             "stored_bytes": 100 + i, "raw_bytes": 1000,
             "key_bytes": 200, "delta_bytes": None if i % 4 == 0 else 100 + i,
-            "psnr": 60.0, "layout": "sfc",
+            "psnr": 60.0,
         }],
     }
 
@@ -310,7 +309,7 @@ class TestFinal:
 
 
 class TestFormatVersion:
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_an_older_journal_is_refused_by_number(self, journal_dir, version):
         config = {k: v for k, v in CONFIG.items() if k != "steps"}
         old = (struct.pack("<4sI", b"SJNL", version)

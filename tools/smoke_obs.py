@@ -7,8 +7,8 @@ The telemetry loop as an operator would drive it, across real processes:
   log on stderr;
 * a few **clients** (``python -m repro query``) issuing traced requests —
   the same box read twice, so the second lands in the warm chunk cache;
-* the **stats verb** (``python -m repro stats``) pulling the live registry
-  snapshot over the wire, once as JSON and once as Prometheus text.
+* ``python -m repro query stats`` pulling the live registry snapshot over
+  the wire, once as JSON and once as Prometheus text.
 
 The driver asserts the snapshot shows the traffic it just generated
 (nonzero cache hits, IO bytes, per-op latency bucket counts), that the
@@ -74,9 +74,9 @@ def main() -> int:
                 "--field", FIELD, "--box", BOX)
         run(env, "query", "ping", "--port", port)
 
-        # ---- the stats verb, JSON form ----------------------------------
+        # ---- query stats, JSON form -------------------------------------
         snapshot = json.loads(
-            run(env, "stats", f":{port}", "--json").stdout)
+            run(env, "query", "stats", "--port", port, "--json").stdout)
         registry = snapshot["registry"]
         assert registry["repro_cache_hits_total"]["samples"][0]["value"] > 0, \
             "warm repeat read produced no cache hits"
@@ -89,7 +89,7 @@ def main() -> int:
             "read_field latency landed in no bucket"
 
         # ---- and the Prometheus text form -------------------------------
-        prom = run(env, "stats", f":{port}", "--prom").stdout
+        prom = run(env, "query", "stats", "--port", port, "--prom").stdout
         assert "# TYPE repro_server_request_seconds histogram" in prom
         assert re.search(
             r'repro_server_request_seconds_bucket\{op="read_field",le="[^"]+"}',
