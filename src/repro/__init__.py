@@ -18,8 +18,8 @@ the full stack the paper depends on:
 * :mod:`repro.core` — AMRIC itself: pre-processing, SZ optimisations
   (unit SLE, adaptive block size), HDF5 filter modifications and the
   end-to-end in situ write/read pipelines.
-* :mod:`repro.baselines` — AMReX's original 1D in situ compression, zMesh,
-  TAC and the no-compression writer.
+* :mod:`repro.baselines` — AMReX's original 1D in situ compression, TAC
+  and the no-compression writer.
 * :mod:`repro.analysis` — rate-distortion sweeps, error slices, reporting.
 
 Quick start (the :mod:`repro.facade` two-verb API)::

@@ -6,21 +6,16 @@
   situ compression: box-major layout, 1D SZ through the classic filter with a
   1024-element chunk, no redundancy removal (the "AMReX" column of Tables 2/3
   and bars of Figures 17/18).
-* :func:`~repro.baselines.zmesh.zmesh_compress` — zMesh-style offline 1D
-  reordering across levels (related work, §5).
 * :func:`~repro.baselines.tac.tac_compress` — TAC-style offline adaptive 3D
   per-box compression (Figure 16).
 """
 
 from repro.baselines.nocomp import NoCompressionWriter
 from repro.baselines.amrex_1d import AMReXOriginalWriter
-from repro.baselines.zmesh import zmesh_compress, zmesh_reorder
 from repro.baselines.tac import tac_compress
 
 __all__ = [
     "NoCompressionWriter",
     "AMReXOriginalWriter",
-    "zmesh_compress",
-    "zmesh_reorder",
     "tac_compress",
 ]

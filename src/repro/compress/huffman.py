@@ -96,6 +96,11 @@ class HuffmanEncoded:
     #: pairs one decode pass covers, each pair under its own table.  ``nbits``
     #: and ``nsymbols`` are then the totals and the other fields unused
     parts: Optional[Sequence[Tuple["HuffmanCodec", "HuffmanEncoded"]]] = None
+    #: set on a stream narrowed to some of its lanes (built by
+    #: :meth:`HuffmanCodec.select_lanes`): one ``(start bit, end bit, symbols)``
+    #: row per lane, addressing ``payload``.  ``nbits`` and ``nsymbols`` are
+    #: then the lanes' totals and ``sync`` and ``streams`` unused
+    lanes: Optional[np.ndarray] = None
 
 
 def _limit_lengths(lengths: np.ndarray, max_len: int = MAX_CODE_LEN) -> np.ndarray:
@@ -381,6 +386,47 @@ class HuffmanCodec:
                               encoded.table_symbols, encoded.table_lengths, sync=sync,
                               streams=np.stack([nbits, counts], axis=1))
 
+    def select_lanes(self, encoded: HuffmanEncoded,
+                     keep: np.ndarray) -> Optional[HuffmanEncoded]:
+        """The one-table ``encoded`` narrowed to the decoder lanes ``keep``
+        (ascending lane numbers over its streams' lanes, ``SYNC_INTERVAL``
+        symbols each): the bytes of each run of kept lanes back to back, each
+        lane's bits re-based onto them.  A lane decodes on its own from its
+        sync offset, so each yields the symbols it has in the whole, and only
+        the kept lanes' bytes enter the pass.  The counts are checked against
+        the bytes and the sync offsets for well-formedness on the whole
+        stream first.  ``None`` when the stream has no lane layout (no or
+        malformed sync offsets, codes wider than the LUT): decode it whole.
+        """
+        checked = self._streams(encoded)
+        if checked is None or encoded.sync is None \
+                or int(self._dec_lengths.max()) > MAX_CODE_LEN:
+            return None
+        offsets, _, nbits, counts = checked
+        layout = _lane_layout(nbits, counts, offsets,
+                              np.asarray(encoded.sync, dtype=np.int64).ravel())
+        if layout is None:
+            return None
+        keep = np.asarray(keep, dtype=np.int64)
+        if keep.size and (int(keep[0]) < 0 or int(keep[-1]) >= layout[0].size
+                          or bool((keep[1:] <= keep[:-1]).any())):
+            raise ValueError(f"lanes {keep.tolist()} are not ascending lanes of a "
+                             f"stream of {layout[0].size}")
+        start, end, count = (column[keep] for column in layout)
+        lo, hi = start >> 3, (end + 7) >> 3
+        # consecutive lanes share their boundary byte: one cut per run of them
+        first = np.flatnonzero(np.concatenate(([True], lo[1:] >= hi[:-1]))[:keep.size])
+        runs = np.diff(np.append(first, keep.size))
+        cut_lo, cut_hi = lo[first], hi[first + runs - 1]
+        payload = b"".join(encoded.payload[a:b]
+                           for a, b in zip(cut_lo.tolist(), cut_hi.tolist()))
+        size = cut_hi - cut_lo
+        shift = np.repeat(8 * (cut_lo - (np.cumsum(size) - size)), runs)     # old - new bit
+        start, end = start - shift, end - shift
+        return HuffmanEncoded(payload, int((end - start).sum()), int(count.sum()),
+                              encoded.table_symbols, encoded.table_lengths,
+                              lanes=np.stack([start, end, count], axis=1))
+
     def decode(self, encoded: HuffmanEncoded) -> np.ndarray:
         """Decode a bitstream produced by :meth:`encode`.
 
@@ -391,8 +437,10 @@ class HuffmanCodec:
         concatenation of its streams' symbols; a batch (``encoded.parts`` set)
         to the concatenation of its parts', each part under its own table and
         all their lanes in one pass (a part without usable sync offsets takes
-        the scalar loop alone).  Every part's counts are checked against its
-        bytes before anything is decoded, and one damaged part fails the call.
+        the scalar loop alone).  A stream narrowed by :meth:`select_lanes`
+        decodes to its lanes' symbols.  Every part's counts are checked
+        against its bytes before anything is decoded, and one damaged part
+        fails the call.
         """
         parts = [(self, encoded)] if encoded.parts is None else list(encoded.parts)
         tables, payloads, lanes, laned, scalar = [], [], [], [], []
@@ -406,7 +454,9 @@ class HuffmanCodec:
             where = slice(total, total + int(counts.sum()))
             total = where.stop
             layout = None
-            if part.sync is not None and int(codec._dec_lengths.max()) <= MAX_CODE_LEN:
+            if part.lanes is not None:
+                layout = tuple(np.asarray(part.lanes, dtype=np.int64).T)
+            elif part.sync is not None and int(codec._dec_lengths.max()) <= MAX_CODE_LEN:
                 layout = _lane_layout(nbits, counts, offsets,
                                       np.asarray(part.sync, dtype=np.int64).ravel())
             if layout is None:

@@ -176,16 +176,28 @@ class TemporalDeltaCodec(Compressor):
         return TemporalDeltaCodec.unpack_codes_many([payload])[0]
 
     @staticmethod
-    def unpack_codes_many(payloads: Sequence[bytes]
+    def lane_cells(lanes: np.ndarray, n: int) -> np.ndarray:
+        """The positions of the codes of decoder ``lanes`` (ascending) in an
+        ``n``-code stream: ``SYNC_INTERVAL`` each, the last lane the rest."""
+        cells = (np.asarray(lanes, dtype=np.int64)[:, None] * SYNC_INTERVAL
+                 + np.arange(SYNC_INTERVAL)).ravel()
+        return cells[cells < n]
+
+    @staticmethod
+    def unpack_codes_many(payloads: Sequence[bytes],
+                          lanes: Optional[Sequence[Optional[np.ndarray]]] = None,
                           ) -> List[Tuple[str, np.ndarray, Dict[str, object]]]:
         """:meth:`unpack_codes` of several streams, entropy-decoded in one pass.
 
         Every stream is parsed (container, mode, grid) before any is decoded;
         the series reader hands a decode group's chains here, a bounded
-        number of streams at a time.
+        number of streams at a time.  ``lanes`` names, per stream, the decoder
+        lanes to decode (:meth:`lane_cells`; ``None``: all of them): that
+        stream's codes are then those lanes' codes back to back, and only
+        their bytes are entropy-decoded (:meth:`HuffmanCodec.select_lanes`).
         """
         parsed = []
-        for payload in payloads:
+        for payload, keep in zip(payloads, lanes or [None] * len(payloads)):
             container = unpack_container(payload, expect_codec=TemporalDeltaCodec.name)
             meta = container.meta
             mode = required(meta, "mode", _RECORD, str)
@@ -195,17 +207,25 @@ class TemporalDeltaCodec(Compressor):
                 required(meta, key, _RECORD, float)
             for key in ("n", "min_code"):
                 required(meta, key, _RECORD, int)
-            parsed.append((mode, meta, parse_huffman(
-                container.sections, sync_interval=required(meta, "sync_interval", _RECORD, int))))
+            pairs = parse_huffman(
+                container.sections, sync_interval=required(meta, "sync_interval", _RECORD, int))
+            (codec, encoded), cut = pairs[0], None
+            if encoded.nsymbols != meta["n"]:
+                raise ValueError(f"corrupt temporal_delta stream: {encoded.nsymbols} "
+                                 f"codes for {meta['n']} elements")
+            if keep is not None:
+                narrowed = codec.select_lanes(encoded, keep)
+                if narrowed is None:            # no lane layout: decoded whole, then cut
+                    cut = TemporalDeltaCodec.lane_cells(keep, encoded.nsymbols)
+                else:
+                    pairs = [(codec, narrowed)]
+            parsed.append((mode, meta, pairs, cut))
         out = []
-        for (mode, meta, _), (shifted,) in zip(
-                parsed, decode_huffman([pairs for _, _, pairs in parsed])):
-            codes = shifted.astype(np.int64) + meta["min_code"]
-            n = meta["n"]
-            if codes.size != n:
-                raise ValueError(
-                    f"corrupt temporal_delta stream: {codes.size} codes for {n} elements")
-            out.append((mode, codes, meta))
+        for (mode, meta, _, cut), (shifted,) in zip(
+                parsed, decode_huffman([pairs for _, _, pairs, _ in parsed])):
+            if cut is not None:
+                shifted = shifted[cut]
+            out.append((mode, shifted.astype(np.int64) + meta["min_code"], meta))
         return out
 
     # ------------------------------------------------------------------

@@ -559,6 +559,17 @@ class PlotfileHandle:
         The caller holds the answer, so a block the cache evicts or rejects
         meanwhile costs a later request time, never this one its data.
         """
+        out, pending = self._lookup(needed)
+        if pending:
+            self._fill(out, self._decode_missing(pending, comm), store)
+        return out
+
+    def _lookup(self, needed: Mapping[DatasetReadPlan, Iterable[int]]
+                ) -> Tuple[Dict[DatasetReadPlan, Dict[int, np.ndarray]],
+                           Dict[DatasetReadPlan, Dict[int, List[int]]]]:
+        """The cache half of :meth:`_blocks`: the blocks the cache holds, and
+        the misses as ``{dataset: {chunk: ordinals}}`` (counted as datasets
+        decoded)."""
         path = self.path
         out: Dict[DatasetReadPlan, Dict[int, np.ndarray]] = {}
         pending: Dict[DatasetReadPlan, Dict[int, List[int]]] = {}
@@ -574,12 +585,18 @@ class PlotfileHandle:
             self.stats.cache_hits += len(have)
             if missing:
                 pending[dplan] = dplan.pieces_of(missing)
-        if not pending:
-            return out
         self.stats.datasets_decoded += len(pending)
+        return out, pending
+
+    def _fill(self, out: Dict[DatasetReadPlan, Dict[int, np.ndarray]],
+              decoded: Iterable[Tuple[DatasetReadPlan, int, int, np.ndarray]],
+              store: bool = True) -> None:
+        """The decode half of :meth:`_blocks`: the ``(dataset, chunk, ordinal,
+        piece)`` of the misses, joined into blocks, into ``out`` (and the cache)."""
+        path = self.path
         # pieces so far of blocks cut across chunks (stream-aligned datasets)
         partial: Dict[Tuple[DatasetReadPlan, int], List[np.ndarray]] = {}
-        for dplan, chunk, ordinal, block in self._decode_missing(pending, comm):
+        for dplan, chunk, ordinal, block in decoded:
             slot = dplan._head[chunk] + ordinal
             first, last = dplan._span[slot]
             if first != last:
@@ -598,7 +615,6 @@ class PlotfileHandle:
             if store:
                 self._cache.put((path, dplan.name, slot),
                                 block if block.base is None else block.copy())
-        return out
 
     def _decode_missing(self, pending: Mapping[DatasetReadPlan, Mapping[int, List[int]]],
                         comm: Optional[SimComm],

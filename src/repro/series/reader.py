@@ -8,15 +8,19 @@ temporal references: a key chunk decodes directly, a delta chunk needs the
 *same chunk* of its reference step (and so on back to the nearest keyframe)
 and adds the stored code differences.  The chains of a decode group are
 planned from the manifest, fetched one payload batch per step and
-entropy-decoded several streams to a pass.  Resolution is chunk-granular and
-memoised in two byte-budgeted caches (decoded chunk values, resolved code
-streams), so
+entropy-decoded several streams to a pass.  A delta is element-wise and every
+stream carries a sync offset per ``SYNC_INTERVAL`` codes, so resolution is
+lane-granular: a chain decodes only the decoder lanes that hold the blocks
+asked for (a full read asks for all of them and decodes whole streams).
+What it resolves to is memoised in two byte-budgeted caches (decoded block
+values, resolved code streams), so
 
-* reading a box at step *t* decodes only the chunks intersecting the box —
-  at step *t* and along those chunks' reference chains — never a chunk
-  outside the request;
-* :meth:`SeriesHandle.time_slice` walks a box through every step while each
-  chunk's chain is decoded exactly once (shared code cache across steps).
+* reading a box at step *t* decodes only the lanes of the chunks
+  intersecting the box — at step *t* and along those chunks' reference
+  chains — never a chunk outside the request;
+* :meth:`SeriesHandle.time_slice` plans every step first and resolves their
+  chains together, newest first, so each chain element is decoded once and
+  a keyframe interval's steps share its entropy passes.
 
 All decode work is counted in one shared :class:`~repro.core.reader.ReadStats`
 (`handle.stats`), which is what the chain-locality tests assert against.
@@ -32,6 +36,7 @@ import numpy as np
 
 from repro.amr.box import Box
 from repro.amr.hierarchy import AmrHierarchy
+from repro.compress.huffman import SYNC_INTERVAL
 from repro.compress.temporal import MODE_DELTA, TemporalDeltaCodec
 from repro.core.header import PlotfileHeader
 from repro.core.preprocess import LevelLayout, level_layouts
@@ -50,10 +55,10 @@ from repro.stream.journal import (
 __all__ = ["SeriesHandle", "SeriesStepHandle", "is_series_dir"]
 
 #: streams per entropy pass while chains are resolved: a pass's 256 Python-level
-#: steps are shared by two chunks' chains on a ``keyframe_interval=4`` series
-#: (4 streams cost 3.4 ms in one pass, 6.7 ms alone; past 8 a stream gains
-#: little), and the int64 code arrays alive at once stop growing with the decode
-#: group and the chain length
+#: steps are shared by two chains on a ``keyframe_interval=4`` series — all
+#: eight steps of a one-chunk probe's time slice (4 streams cost 3.4 ms in one
+#: pass, 6.7 ms alone; past 8 a stream gains little), and the int64 code arrays
+#: alive at once stop growing with the decode group and the chain length
 _PASS_STREAMS = 8
 
 
@@ -64,16 +69,70 @@ def is_series_dir(path: str) -> bool:
 
 
 class _CodeStream(NamedTuple):
-    """One chunk's resolved absolute grid codes at one step, sized for the
+    """One chunk's resolved absolute grid codes at one step — every code, or
+    those of some decoder lanes back to back — sized for the
     :class:`~repro.service.cache.ChunkCache` that holds them."""
 
     codes: np.ndarray
     eb: float
     offset: float
+    size: int                       #: codes in the whole stream
+    #: the decoder lanes ``codes`` holds (ascending); None: the whole stream
+    lanes: Optional[np.ndarray] = None
 
     @property
     def nbytes(self) -> int:
         return int(self.codes.nbytes)
+
+    def narrow(self, lanes: Optional[np.ndarray]) -> "_CodeStream":
+        """The codes of ``lanes``, which this stream covers."""
+        if lanes is None or (self.lanes is not None and np.array_equal(lanes, self.lanes)):
+            return self
+        at = lanes if self.lanes is None else np.searchsorted(self.lanes, lanes)
+        return self._replace(codes=self.codes[TemporalDeltaCodec.lane_cells(at, self.codes.size)],
+                             lanes=lanes)
+
+
+class _Chain(NamedTuple):
+    """One planned reference chain of :meth:`SeriesHandle._resolve`."""
+
+    base: Optional[_CodeStream]     #: the cached codes under its oldest stream
+    lanes: Optional[np.ndarray]     #: what is decoded of each stream (None: all)
+    streams: List[Tuple[int, int]]  #: ``(step, chunk)``, oldest first
+    answers: set                    #: the streams asked for
+
+
+def _covers(have: Optional[np.ndarray], want: Optional[np.ndarray]) -> bool:
+    """Whether lanes ``have`` include lanes ``want`` (None: every lane)."""
+    return have is None or (want is not None and bool(np.isin(want, have).all()))
+
+
+def _lanes_of(pieces: Sequence[Tuple[int, int]], ordinals: Sequence[int]
+              ) -> Optional[np.ndarray]:
+    """The decoder lanes of a chunk's stream that hold the pieces ``ordinals``
+    of its ``pieces`` (ascending); None when that is every lane."""
+    if len(ordinals) == len(pieces):
+        return None
+    hit = np.zeros(-(-sum(pieces[-1]) // SYNC_INTERVAL), dtype=bool)
+    for ordinal in ordinals:
+        offset, size = pieces[ordinal]
+        hit[offset // SYNC_INTERVAL:(offset + size - 1) // SYNC_INTERVAL + 1] = True
+    return None if hit.all() else np.flatnonzero(hit)
+
+
+def _cut(stream: _CodeStream, pieces: Sequence[Tuple[int, int]], ordinals: Sequence[int]
+         ) -> Iterator[Tuple[int, np.ndarray]]:
+    """``(ordinal, values)`` of a chunk's pieces from its resolved codes: every
+    piece of a whole stream (wanted or not), the wanted ones of a narrowed one."""
+    values = TemporalDeltaCodec.grid_values(stream.codes, stream.eb, stream.offset)
+    if stream.lanes is None:
+        yield from enumerate(cut_blocks(values, pieces))
+        return
+    for ordinal in ordinals:
+        offset, size = pieces[ordinal]
+        lane, within = divmod(offset, SYNC_INTERVAL)
+        at = int(np.searchsorted(stream.lanes, lane)) * SYNC_INTERVAL + within
+        yield ordinal, values[at:at + size]
 
 
 class SeriesStepHandle(PlotfileHandle):
@@ -98,95 +157,17 @@ class SeriesStepHandle(PlotfileHandle):
             self._plan = scan_plotfile(self._file, self.header, self._series._layouts)
         return self._plan
 
-    def _resolve_codes(self, dsname: str, chunk_indices: Sequence[int]
-                       ) -> Iterator[Tuple[int, _CodeStream]]:
-        """Absolute grid codes of a group of chunks: yields (index, code stream).
-
-        Each chunk's reference chain is *planned* first, from the manifest's
-        ``ref`` links back to the nearest keyframe or cached stream — a loop,
-        so an arbitrary ``keyframe_interval`` cannot hit the recursion limit,
-        and no stream has to be decoded to learn where its chain leads.  Then
-        every step the chains touch is read once (one coalesced payload batch
-        per step) and the streams are entropy-decoded chunk by chunk, oldest
-        first, ``_PASS_STREAMS`` to a lane pass, each delta folded onto its
-        chunk's base as it comes out and a chunk handed on when its chain
-        ends — what is alive at once is the compressed payloads, one pass's
-        code arrays and one base per chunk that had a cached one, whatever
-        the group size or the ``keyframe_interval``.  Every stream is decoded
-        at most once per series handle (memoised in the shared code cache)
-        and charged to :attr:`stats` as one chunk.
-        """
-        series = self._series
-        # held from planning on: a byte-bounded cache may evict them meanwhile
-        bases: Dict[int, _CodeStream] = {}
-        order: List[Tuple[int, int]] = []          # (step, chunk): chunk by chunk, oldest first
-        for index in chunk_indices:
-            step, chain = self._step_index, []
-            while True:
-                cached = series._codes.get((step, dsname, index))
-                if cached is not None:
-                    self.stats.cache_hits += 1
-                    bases[index] = cached
-                    break
-                chain.append((step, index))
-                record = series.index.steps[step].dataset(dsname)
-                if record is None or record.ref is None:
-                    break
-                step = record.ref
-            if chain:
-                order += reversed(chain)
-            else:
-                yield index, bases.pop(index)
-
-        wanted: Dict[int, List[int]] = {}          # step -> its chunks to fetch
-        for step, index in order:
-            wanted.setdefault(step, []).append(index)
-        payloads: Dict[Tuple[int, int], bytes] = {}
-        for step, indices in wanted.items():
-            handle = self if step == self._step_index else series.open_step(step)
-            payloads.update(zip(((step, index) for index in indices),
-                                handle._file.read_chunk_payloads(dsname, indices)))
-
-        # fold the deltas forward onto the resolved base, caching each step;
-        # the answers are handed on directly — the code cache may be byte-bounded
-        # and must be allowed to evict what was just inserted
-        entry = None
-        for at in range(0, len(order), _PASS_STREAMS):
-            keys = order[at:at + _PASS_STREAMS]
-            streams = TemporalDeltaCodec.unpack_codes_many([payloads.pop(key) for key in keys])
-            self.stats.chunks_decoded += len(keys)
-            for (step, index), (mode, codes, meta) in zip(keys, streams):
-                if entry is None:
-                    entry = bases.pop(index, None)
-                if mode == MODE_DELTA:
-                    if entry is None:
-                        raise ValueError(
-                            f"step {step} stores {dsname!r} as a delta stream but "
-                            "the series manifest records no reference step")
-                    if codes.size != entry.codes.size:
-                        raise ValueError(
-                            f"delta chunk {index} of {dsname!r} at step {step} "
-                            f"has {codes.size} codes but its reference has "
-                            f"{entry.codes.size}; the series is corrupt")
-                    codes = entry.codes + codes
-                entry = _CodeStream(codes, float(meta["eb"]), float(meta["offset"]))
-                series._codes.put((step, dsname, index), entry)
-                if step == self._step_index:       # the chain's newest stream
-                    yield index, entry
-                    entry = None
-
     def _decode_missing(self, pending: Mapping[DatasetReadPlan, Mapping[int, List[int]]],
                         comm) -> Iterator[Tuple[DatasetReadPlan, int, int, np.ndarray]]:
         # no backend runs here and ``comm`` goes unused: a group's streams share entropy
         # passes in this process, and what they resolve to lives in this
-        # process's per-series code cache.  A code stream is whole-chunk by
-        # nature (a delta adds onto the same chunk of its reference), so every
-        # block of a resolved chunk is handed on, wanted or not
-        for dplan, wanted in pending.items():
-            for index, stream in self._resolve_codes(dplan.name, list(wanted)):
-                values = TemporalDeltaCodec.grid_values(*stream)
-                for ordinal, block in enumerate(cut_blocks(values, dplan.chunk_layout(index))):
-                    yield dplan, index, ordinal, block
+        # process's per-series code cache.  A delta adds onto the same cells
+        # of its reference, so each chain decodes only the lanes that hold
+        # the wanted pieces; a chunk wanted whole is decoded whole and hands on
+        # every piece
+        for _, dplan, index, ordinal, block in self._series._decode_pending(
+                {self._step_index: pending}):
+            yield dplan, index, ordinal, block
 
 
 class SeriesHandle:
@@ -389,6 +370,121 @@ class SeriesHandle:
                 layouts = self._geometries[key] = level_layouts(*key)
             return layouts
 
+    def _resolve(self, name: str, wanted: Sequence[Tuple[int, int, Optional[np.ndarray]]]
+                 ) -> Iterator[Tuple[Tuple[int, int], _CodeStream]]:
+        """Absolute grid codes of one dataset's chunks at some steps: for each
+        ``(step, chunk, lanes)`` of ``wanted`` yields ``((step, chunk), codes)``,
+        codes that cover those decoder lanes (``lanes`` None: all of them).
+
+        Each chunk's reference chain is *planned* first, from the manifest's
+        ``ref`` links back to the nearest keyframe or to a cached stream that
+        covers the lanes — a loop, so an arbitrary ``keyframe_interval``
+        cannot hit the recursion limit, and no stream has to be decoded to
+        learn where its chain leads.  A chunk whose stream an earlier (newer)
+        request's chain already decodes is answered by it: ask newest step
+        first and a keyframe interval's steps share one chain.  Then every
+        step the chains touch is read once (one coalesced payload batch per
+        step) and the streams are entropy-decoded chain by chain, oldest
+        first, ``_PASS_STREAMS`` to a lane pass, only their chain's lanes of
+        each, each delta folded onto its chain's base as it comes out and a
+        chunk handed on when its stream is folded — what is alive at once is
+        the compressed payloads, one pass's code arrays and one base per
+        chain that had a cached one, whatever the request or the
+        ``keyframe_interval``.  Every stream is decoded at most once per
+        series handle for given lanes (memoised in the shared code cache)
+        and charged to :attr:`stats` as one chunk.
+        """
+        chains: List[_Chain] = []
+        planned: Dict[Tuple[int, int], _Chain] = {}     # stream -> the chain decoding it
+        for step, index, lanes in wanted:
+            key = (step, index)
+            chain = planned.get(key)
+            if chain is not None and _covers(chain.lanes, lanes):
+                chain.answers.add(key)
+                continue
+            base, streams = None, []
+            while True:
+                cached = self._codes.get((key[0], name, index))
+                if cached is not None and _covers(cached.lanes, lanes):
+                    self.stats.cache_hits += 1
+                    # held from planning on: a byte-bounded cache may evict it meanwhile
+                    base = cached.narrow(lanes)
+                    break
+                streams.append(key)
+                record = self.index.steps[key[0]].dataset(name)
+                if record is None or record.ref is None:
+                    break
+                key = (record.ref, index)
+            if not streams:
+                yield (step, index), base
+                continue
+            chain = _Chain(base, lanes, streams[::-1], {(step, index)})
+            chains.append(chain)
+            planned.update(dict.fromkeys(streams, chain))
+
+        order = [(chain, key) for chain in chains for key in chain.streams]
+        fetch: Dict[int, List[int]] = {}                # step -> its chunks to fetch
+        for _, (step, index) in order:
+            fetch.setdefault(step, []).append(index)
+        payloads: Dict[Tuple[int, int], bytes] = {}
+        for step, indices in fetch.items():
+            payloads.update(zip(((step, index) for index in indices),
+                                self.open_step(step)._file.read_chunk_payloads(name, indices)))
+
+        # fold the deltas forward onto each chain's base, caching each step;
+        # the answers are handed on directly — the code cache may be byte-bounded
+        # and must be allowed to evict what was just inserted
+        entry = None
+        for at in range(0, len(order), _PASS_STREAMS):
+            batch = order[at:at + _PASS_STREAMS]
+            streams = TemporalDeltaCodec.unpack_codes_many(
+                [payloads[key] for _, key in batch], [chain.lanes for chain, _ in batch])
+            self.stats.chunks_decoded += len(batch)
+            for (chain, (step, index)), (mode, codes, meta) in zip(batch, streams):
+                if (step, index) == chain.streams[0]:
+                    entry = chain.base
+                if mode == MODE_DELTA:
+                    if entry is None:
+                        raise ValueError(
+                            f"step {step} stores {name!r} as a delta stream but "
+                            "the series manifest records no reference step")
+                    if meta["n"] != entry.size:
+                        raise ValueError(
+                            f"delta chunk {index} of {name!r} at step {step} "
+                            f"has {meta['n']} codes but its reference has "
+                            f"{entry.size}; the series is corrupt")
+                    codes = entry.codes + codes
+                entry = _CodeStream(codes, float(meta["eb"]), float(meta["offset"]),
+                                    meta["n"], chain.lanes)
+                self._codes.put((step, name, index), entry)
+                if (step, index) in chain.answers:
+                    yield (step, index), entry
+
+    def _decode_pending(self, pending: Mapping[int, Mapping[DatasetReadPlan,
+                                                            Mapping[int, List[int]]]]
+                        ) -> Iterator[Tuple[int, DatasetReadPlan, int, int, np.ndarray]]:
+        """The missing pieces of some steps' reads, ``{step: {dataset: {chunk:
+        ordinals}}}``: yields ``(step, dataset, chunk, ordinal, values)``.
+
+        A dataset's chunks are resolved together across the steps, newest
+        first (:meth:`_resolve`), each narrowed to the decoder lanes that hold
+        its wanted pieces — unless that is all of them, as on a full read,
+        which decodes each stream whole and hands on every piece.
+        """
+        groups: Dict[str, Dict[Tuple[int, int], tuple]] = {}
+        for step in sorted(pending, reverse=True):
+            for dplan, chunks in pending[step].items():
+                group = groups.setdefault(dplan.name, {})
+                for index, ordinals in chunks.items():
+                    group[(step, index)] = (dplan, dplan.chunk_layout(index), ordinals)
+        for name, group in groups.items():
+            wanted = [(step, index, _lanes_of(pieces, ordinals))
+                      for (step, index), (_, pieces, ordinals) in group.items()]
+            for (step, index), stream in self._resolve(name, wanted):
+                dplan, pieces, ordinals = group[(step, index)]
+                for ordinal, values in _cut(stream, pieces, ordinals):
+                    yield step, dplan, index, ordinal, values
+
     def open_step(self, step: int = -1) -> SeriesStepHandle:
         """The (cached) plotfile handle of one step; negative indices count back."""
         index = self._step_index(step)
@@ -427,20 +523,34 @@ class SeriesHandle:
         """A region's evolution: (times, values of shape ``(nsteps, *box.shape)``).
 
         Only the chunks whose unit blocks intersect ``box`` are decoded — at
-        each requested step and along those chunks' delta chains — so
-        extracting a small probe region from a long series stays far cheaper
-        than decoding the plotfiles in full.
+        each requested step and along those chunks' delta chains, and of each
+        stream only the decoder lanes that hold those blocks — so extracting a
+        small probe region from a long series stays far cheaper than decoding
+        the plotfiles in full.  Every step is planned and looked up in the
+        block cache first; then all their chains are resolved together,
+        newest step first, so a keyframe interval's steps share one chain and
+        its entropy passes.  ``box`` None is the level's whole domain.
         """
         indices = list(range(self.index.nsteps)) if steps is None \
             else [self._step_index(s) for s in steps]
         times = np.asarray([self.index.steps[i].time for i in indices],
                            dtype=np.float64)
-        # newest step first: its chunks' chains reach back to the keyframe, so
-        # every step of a keyframe interval shares that read's entropy passes
-        # and the older steps of the interval find their codes resolved
-        values = {i: self.read_field(name, level=level, box=box, step=i,
-                                     refill=refill, fill_value=fill_value,
-                                     max_level=max_level)
-                  for i in sorted(set(indices), reverse=True)}
-        return times, np.stack([values[i] for i in indices]) if indices \
-            else np.zeros((0,))
+        if not indices:
+            if box is None and self.index.nsteps:
+                box = self.open_step(-1).header.levels[level].domain()
+            return times, np.zeros((0, *(() if box is None else box.shape)))
+        reads, pending = {}, {}
+        for i in sorted(set(indices), reverse=True):
+            handle = self.open_step(i)
+            needed: Dict[DatasetReadPlan, set] = {}
+            read = handle._plan_box(name, level, box, refill, max_level, needed)
+            out, pending[i] = handle._lookup(needed)
+            reads[i] = (handle, read, out)
+        decoded: Dict[int, list] = {i: [] for i in reads}
+        for i, *piece in self._decode_pending(pending):
+            decoded[i].append(piece)
+        values = {}
+        for i, (handle, read, out) in reads.items():
+            handle._fill(out, decoded.pop(i))
+            values[i] = handle._assemble(read, out, fill_value)
+        return times, np.stack([values[i] for i in indices])

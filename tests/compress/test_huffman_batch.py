@@ -469,3 +469,65 @@ class TestSelectStreams:
         batch.nsymbols = int(batch.streams[:, 1].sum())
         with pytest.raises(ValueError, match="Huffman stream"):
             codec.select_streams(batch, np.array([True, False, False]))
+
+
+@pytest.mark.usefixtures("peek")
+class TestSelectLanes:
+    @given(table_mixes(), st.data())
+    def test_kept_lanes_decode_to_their_symbols_in_one_pass(self, parts, data):
+        pairs, want = [], []
+        for codec, encoded, symbols in parts:
+            counts = [encoded.nsymbols] if encoded.streams is None else encoded.streams[:, 1]
+            lanes = [lane for stream in np.split(symbols, np.cumsum(counts)[:-1])
+                     for lane in np.split(stream, np.arange(SYNC_INTERVAL, stream.size,
+                                                            SYNC_INTERVAL)) if lane.size]
+            keep = np.asarray(sorted(data.draw(st.sets(st.integers(0, max(len(lanes) - 1, 0)),
+                                                       max_size=len(lanes)))), dtype=np.int64)
+            narrowed = codec.select_lanes(encoded, keep)
+            if encoded.nsymbols == 0:
+                assert narrowed is None
+                continue
+            assert narrowed.nsymbols == sum(lanes[k].size for k in keep)
+            assert len(narrowed.payload) <= len(encoded.payload)
+            pairs.append((codec, narrowed))
+            want.append(np.concatenate([np.zeros(0, np.uint32)] + [lanes[k] for k in keep]))
+        with mock.patch.object(HuffmanCodec, "_decode_scalar",
+                               side_effect=AssertionError("scalar path taken")):
+            got = huffman.decode_many(pairs)
+        for back, symbols in zip(got, want):
+            np.testing.assert_array_equal(back, symbols)
+
+    def test_only_the_kept_lanes_bytes_are_cut(self):
+        rng = np.random.default_rng(8)
+        data = rng.integers(0, 200, size=10 * SYNC_INTERVAL - 5).astype(np.uint32)
+        codec = HuffmanCodec.from_data(data)
+        encoded = codec.encode(data)
+        bounds = np.append(encoded.sync, encoded.nbits)
+        narrowed = codec.select_lanes(encoded, np.array([2, 3, 9]))
+        # lanes 2-3 are one run of bytes, lane 9 (the short last one) another
+        assert len(narrowed.payload) == (((bounds[4] + 7) >> 3) - (bounds[2] >> 3)
+                                         + ((bounds[10] + 7) >> 3) - (bounds[9] >> 3))
+        np.testing.assert_array_equal(codec.decode(narrowed),
+                                      data[np.r_[2 * SYNC_INTERVAL:4 * SYNC_INTERVAL,
+                                                 9 * SYNC_INTERVAL:data.size]])
+        # every lane must still end exactly at its end bit
+        narrowed.lanes[0, 1] += 1
+        with pytest.raises(ValueError, match="truncated or corrupt"):
+            codec.decode(narrowed)
+
+    def test_checks_stay_on_the_whole_stream(self):
+        rng = np.random.default_rng(9)
+        data = rng.integers(0, 9, size=900).astype(np.uint32)
+        codec = HuffmanCodec.from_data(data)
+        with pytest.raises(ValueError, match="ascending lanes"):
+            codec.select_lanes(codec.encode(data), np.array([1, 4]))
+        with pytest.raises(ValueError, match="ascending lanes"):
+            codec.select_lanes(codec.encode(data), np.array([2, 1]))
+        encoded = codec.encode(data)
+        encoded.nbits = 8 * len(encoded.payload) + 1
+        with pytest.raises(ValueError, match="truncated Huffman stream"):
+            codec.select_lanes(encoded, np.array([0]))
+        for sync in (None, np.array([0, 5, 3, 9])):         # no lane layout: decode it whole
+            encoded = codec.encode(data)
+            encoded.sync = sync
+            assert codec.select_lanes(encoded, np.array([0])) is None

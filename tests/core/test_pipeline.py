@@ -7,7 +7,7 @@ import pytest
 
 import repro
 from repro.amr.upsample import covered_mask
-from repro.baselines import AMReXOriginalWriter, NoCompressionWriter, tac_compress, zmesh_compress
+from repro.baselines import AMReXOriginalWriter, NoCompressionWriter, tac_compress
 from repro.core import AMRICConfig, AMRICWriter
 
 
@@ -143,20 +143,6 @@ class TestBaselineWriters:
 
 
 class TestOfflineBaselines:
-    def test_zmesh_stats(self, nyx_hierarchy):
-        stats = zmesh_compress(nyx_hierarchy, "baryon_density", 1e-3)
-        assert stats.method == "zmesh"
-        assert stats.compression_ratio > 2
-        assert np.isfinite(stats.psnr)
-
-    def test_zmesh_reorder_length(self, nyx_hierarchy):
-        from repro.baselines import zmesh_reorder
-
-        stream = zmesh_reorder(nyx_hierarchy, "baryon_density")
-        covered = nyx_hierarchy.covered_cells(0)
-        expected = (nyx_hierarchy[0].num_cells - covered) + covered * 8
-        assert stream.size == expected
-
     def test_tac_stats(self, nyx_hierarchy):
         stats = tac_compress(nyx_hierarchy, "baryon_density", 1e-3, partition_size=16)
         assert stats.method == "tac"

@@ -395,7 +395,7 @@ class TestGroupedChainDecode:
         passes = []
         unpack = TemporalDeltaCodec.unpack_codes_many
         monkeypatch.setattr(TemporalDeltaCodec, "unpack_codes_many", staticmethod(
-            lambda payloads: passes.append(len(payloads)) or unpack(payloads)))
+            lambda payloads, *lanes: passes.append(len(payloads)) or unpack(payloads, *lanes)))
         reference = self._reference_chunks(path, NSTEPS - 1)
         with open_series(path, cache=ChunkCache(max_bytes=64 << 10)) as series:
             def chain_length(name, step):

@@ -182,6 +182,35 @@ class TestCorruptStreams:
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("sync", ["lane layout", "no sync section"])
+    def test_lanes_decode_to_the_same_codes_of_the_whole(self, codec, data, sync):
+        key, codes, _ = codec.encode_key(data[:4000])
+        delta, _ = _delta(codec, data[:4000] + 0.3, codes)
+        if sync == "no sync section":           # the whole stream is decoded, then cut
+            cont = unpack_container(key)
+            del cont.sections["huff_sync"]
+            key = pack_container(cont.codec, cont.meta, cont.sections)
+        lanes = [np.array([0, 3, 4, 15]), None, np.array([15]), np.zeros(0, dtype=np.int64)]
+        payloads = [key, delta, delta, key]
+        narrowed = TemporalDeltaCodec.unpack_codes_many(payloads, lanes)
+        for payload, keep, (mode, got, meta) in zip(payloads, lanes, narrowed):
+            want_mode, want, want_meta = TemporalDeltaCodec.unpack_codes(payload)
+            if keep is not None:
+                want = want[TemporalDeltaCodec.lane_cells(keep, want.size)]
+            assert (mode, meta) == (want_mode, want_meta)
+            np.testing.assert_array_equal(got, want)
+        assert narrowed[2][1].size == 4000 - 15 * SYNC_INTERVAL
+        with pytest.raises(ValueError, match="ascending lanes"):
+            TemporalDeltaCodec.unpack_codes_many([delta], [np.array([16])])
+
+    def test_a_stream_whose_code_count_contradicts_its_meta_is_refused(self, codec, data):
+        cont = unpack_container(codec.encode_key(data)[0])
+        cont.meta["n"] += 1
+        damaged = pack_container(cont.codec, cont.meta, cont.sections)
+        for lanes in (None, [np.array([0])]):
+            with pytest.raises(ValueError, match="codes for"):
+                TemporalDeltaCodec.unpack_codes_many([damaged], lanes)
+
 
 class TestFilter:
     def test_encode_decode_with_padding(self, codec, data):
