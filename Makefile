@@ -19,12 +19,14 @@
 
 PY := PYTHONPATH=src python
 
-# src/ + tools/ Python lines as of the last change to them (+118: a series
-# box read decodes only the Huffman lanes its blocks lie in and a time slice
-# resolves all of its steps' chains together -- lane selection, lane-granular
-# code streams, a planned slice -- less baselines/zmesh.py, which nothing used;
-# the round-2 shrink goal, ROADMAP item 15, is <= 17200 from 18036)
-LOC_BUDGET := 18154
+# src/ + tools/ Python lines as of the last change to them (-58: nocomp
+# stores one chunk per rank through the staged writer's layout and commit, so
+# the stream-aligned layout (CHUNK_ALIGNMENT_STREAM, LevelLayout.stream_offsets,
+# DatasetReadPlan.offsets, the reader's joining of blocks cut across chunks,
+# scan_plotfile's element-count check) and H5LiteFile.create_dataset /
+# read_dataset went; the round-2 shrink goal, ROADMAP item 15, is <= 17200
+# from 18036)
+LOC_BUDGET := 18096
 LOC = $$(find src tools -name '*.py' | xargs cat | wc -l)
 
 # suite -> pytest paths ('+'-separated). Adding a benchmark suite is one line.
@@ -85,13 +87,19 @@ bench-baseline:
 
 smoke:
 	@rm -rf .smoke && mkdir -p .smoke
-	$(PY) -m repro compress --preset nyx_1 .smoke/plt.h5z
+	$(PY) -m repro compress --preset nyx_1 .smoke/plt.h5z | tee .smoke/compress.txt
 	$(PY) -m repro info .smoke/plt.h5z | tee .smoke/info.txt
 	@grep -Eq "^ *dataset .* ratio " .smoke/info.txt || \
 		{ echo "repro info printed no per-dataset ratio column"; exit 1; }
+	@cr=$$(sed -n 's/.* CR=\([0-9.]*x\) .*/\1/p' .smoke/compress.txt); \
+		grep -q "($$cr over" .smoke/info.txt || \
+		{ echo "repro info's ratio is not the write report's $$cr"; exit 1; }
 	$(PY) -m repro verify .smoke/plt.h5z
 	$(PY) -m repro decompress .smoke/plt.h5z .smoke/raw.h5z
 	$(PY) -m repro verify .smoke/plt.h5z --against .smoke/raw.h5z
+	$(PY) -m repro info .smoke/raw.h5z | tee .smoke/raw-info.txt
+	@grep -q "(1.0x over" .smoke/raw-info.txt || \
+		{ echo "repro info of the nocomp copy did not print 1.0x"; exit 1; }
 	$(PY) -m repro compress --method amrex_1d --preset nyx_1 .smoke/amrex.h5z
 	$(PY) -m repro info .smoke/amrex.h5z
 	@rm -rf .smoke

@@ -90,13 +90,13 @@ def plotfile_dataset_rows(handle) -> List[Dict[str, object]]:
     rows: List[Dict[str, object]] = []
     for name in handle.dataset_names():
         info = handle.dataset_info(name)
-        elements = sum(chunk.actual_elements for chunk in info.chunks)
         rows.append({
             "dataset": name,
             "chunks": info.nchunks,
-            "elements": elements,
+            "elements": info.valid_elements,
             "stored_bytes": info.stored_nbytes,
-            "ratio": elements * np.dtype(info.dtype).itemsize / max(info.stored_nbytes, 1),
+            "ratio": info.valid_elements * np.dtype(info.dtype).itemsize
+            / max(info.stored_nbytes, 1),
             "filter": info.filter_id,
         })
     return rows

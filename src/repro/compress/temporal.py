@@ -291,7 +291,8 @@ from repro.h5lite.filters import Filter  # noqa: E402  (no cycle: h5lite only us
 
 
 class TemporalDeltaFilter(Filter):
-    """Chunk filter for temporal streams: valid prefix coded, tail re-padded.
+    """Chunk filter for temporal streams: the valid prefix is coded, and
+    decodes back without the chunk's padding tail.
 
     ``decode`` is what the staged reader uses for *key* chunks — they are
     self-contained like every other filter's payloads.  Delta chunks raise a
@@ -319,6 +320,4 @@ class TemporalDeltaFilter(Filter):
             raise ValueError(
                 f"temporal_delta chunk holds {values.size} elements but the "
                 f"dataset's chunks hold {chunk_elements}")
-        out = np.zeros(chunk_elements, dtype=np.float64)
-        out[:values.size] = values
-        return out
+        return values

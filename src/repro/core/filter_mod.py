@@ -236,6 +236,7 @@ class AMRICLevelFilter(Filter):
                       layouts: Sequence[Sequence[Tuple[int, int]]],
                       wanted: Sequence[Sequence[int]],
                       plans: Optional[Sequence[ChunkPlan]] = None,
+                      stored: Optional[Sequence[int]] = None,
                       ) -> List[Dict[int, np.ndarray]]:
         """The unit blocks of a job's chunks, each in its 3D shape.
 
@@ -245,7 +246,7 @@ class AMRICLevelFilter(Filter):
         ordinals: the records share its entropy pass and only those blocks
         are decoded, each to what it is in the whole chunk.  A single-array
         codec's packed arrangement decodes whole: every block ``layouts``
-        places comes back.
+        places comes back.  (``stored`` is unused: a plan names its chunk's cells.)
         """
         if self.recipe is None or plans is None:
             raise ValueError("an AMRIC chunk decodes under its dataset's recipe "

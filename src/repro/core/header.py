@@ -41,7 +41,6 @@ __all__ = [
     "FORMAT_NAME",
     "FORMAT_VERSION",
     "CHUNK_ALIGNMENT_RANK",
-    "CHUNK_ALIGNMENT_STREAM",
     "CHUNK_ALIGNMENT_BOX_MAJOR",
     "LevelStructure",
     "PlotfileHeader",
@@ -52,15 +51,13 @@ __all__ = [
 FORMAT_NAME = "amric-plotfile"
 FORMAT_VERSION = 2
 
-#: one padded chunk per participating rank (the AMRIC field-major layout)
+#: one chunk per participating rank: the field-major layout every AMRIC,
+#: series and ``nocomp`` file stores (:class:`~repro.core.preprocess.LevelLayout`)
 CHUNK_ALIGNMENT_RANK = "rank"
-#: chunking decoupled from ranks; rank data concatenated back-to-back
-CHUNK_ALIGNMENT_STREAM = "stream"
 #: box-major field-interleaved level datasets (the AMReX-original baseline)
 CHUNK_ALIGNMENT_BOX_MAJOR = "box_major"
 
-_ALIGNMENTS = (CHUNK_ALIGNMENT_RANK, CHUNK_ALIGNMENT_STREAM,
-               CHUNK_ALIGNMENT_BOX_MAJOR)
+_ALIGNMENTS = (CHUNK_ALIGNMENT_RANK, CHUNK_ALIGNMENT_BOX_MAJOR)
 
 
 _RECORD = "plotfile header"
@@ -298,7 +295,6 @@ def header_from_config(hierarchy: AmrHierarchy, config, method: str = "amric"
         error_bound=config.error_bound, error_bound_mode=config.error_bound_mode,
         unit_block_size=config.unit_block_size,
         remove_redundancy=config.remove_redundancy,
-        chunk_alignment=CHUNK_ALIGNMENT_RANK,
         codec_options={
             "use_sle": config.use_sle,
             "adaptive_block_size": config.adaptive_block_size,

@@ -44,6 +44,7 @@ import numpy as np
 from repro.amr.hierarchy import AmrHierarchy
 from repro.compress.metrics import psnr_from_mse
 from repro.core.config import AMRICConfig
+from repro.core.filter_mod import AMRICLevelFilter
 from repro.core.stages import (
     commit_dataset,
     commit_header,
@@ -238,7 +239,10 @@ class AMRICWriter:
                 with span("write.commit"):
                     for dplan, pack, result in zip(level_plan.datasets, packed,
                                                    results):
-                        commit_dataset(h5file, dplan, result)
+                        commit_dataset(h5file, dplan.name, dplan.layout, result.payloads,
+                                       AMRICLevelFilter.filter_id,
+                                       {"value_range": dplan.value_range,
+                                        "codec": result.recipe}, dplan.actual_elements)
                         comm.record_collective_write()
                         records.append(dataset_record(
                             dplan.level, dplan.field,

@@ -63,11 +63,12 @@ class LevelLayout:
     stores them rank by rank — one chunk per participating rank, each
     ``chunk_elements`` long, the largest rank's cell count — and within a
     rank in the order truncation cut them.  Block ``i`` of that stored order
-    is ``[lo[i], hi[i]]``, cut from level box ``box_index[i]`` on ``rank[i]``;
-    a rank-aligned dataset holds it at element ``rank_offsets[i]`` (chunk
-    ``j`` from ``j * chunk_elements``, its tail padded), a stream-aligned one
-    at ``stream_offsets[i]`` (blocks back to back).  Arrays are int64 and
-    read-only: a series shares one layout among all the steps of a geometry.
+    is ``[lo[i], hi[i]]``, cut from level box ``box_index[i]`` on ``rank[i]``,
+    and every field-major dataset (AMRIC, series step, ``nocomp``) holds it
+    at element ``rank_offsets[i]``: chunk ``j`` starts at ``j *
+    chunk_elements`` and holds the blocks of ``rank_runs[j]`` back to back,
+    padded past the rank's cells.  Arrays are int64 and read-only: a series
+    shares one layout among all the steps of a geometry.
     """
 
     lo: np.ndarray                 #: (n, ndim) lower corners, stored order
@@ -80,12 +81,9 @@ class LevelLayout:
     rank_elements: List[int]       #: the cells each of them stores
     rank_runs: List[slice]         #: per participating rank, the run of its blocks
     chunk_elements: int            #: ``max(rank_elements)``; 0 when no block survived
-    rank_offsets: np.ndarray       #: (n,) element offset in a rank-aligned dataset
-    stream_offsets: np.ndarray     #: (n,) element offset in a stream-aligned dataset
+    rank_offsets: np.ndarray       #: (n,) element offset in the level's datasets
     covered: BoxArray              #: the finer level's boxes coarsened to this level
     total_cells: int               #: the level's cells before redundancy removal
-    #: where the blocks fall per dataset chunking, kept by the reader's plans
-    chunk_maps: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def nblocks(self) -> int:
@@ -103,6 +101,11 @@ class LevelLayout:
     def shapes(self) -> List[Tuple[int, ...]]:
         """Per block, its shape."""
         return [tuple(s) for s in (self.hi - self.lo + 1).tolist()]
+
+    @cached_property
+    def chunk_of(self) -> List[int]:
+        """Per block, the chunk that holds it: its rank's."""
+        return np.searchsorted(self.ranks, self.rank).tolist()
 
     @cached_property
     def placements(self) -> List[Tuple[int, Tuple[slice, ...]]]:
@@ -212,16 +215,16 @@ def level_layout(los: Sequence, his: Sequence, ranks: Sequence[int], unit_block_
     runs = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     rank_elements = np.add.reduceat(sizes, starts) if len(starts) else sizes[:0]
     chunk_elements = int(rank_elements.max(initial=0))
-    stream_offsets = np.cumsum(sizes) - sizes
-    rank_offsets = stream_offsets + np.repeat(
-        np.arange(len(starts)) * chunk_elements - stream_offsets[starts], np.diff(bounds))
-    for array in (lo, hi, sizes, box_index, rank, box_lo, rank_offsets, stream_offsets):
+    # each block's offset back to back, restarted at its rank's chunk
+    packed = np.cumsum(sizes) - sizes
+    rank_offsets = packed + np.repeat(
+        np.arange(len(starts)) * chunk_elements - packed[starts], np.diff(bounds))
+    for array in (lo, hi, sizes, box_index, rank, box_lo, rank_offsets):
         array.setflags(write=False)
     return LevelLayout(
         lo=lo, hi=hi, sizes=sizes, box_index=box_index, rank=rank, box_lo=box_lo,
         ranks=ranks_.tolist(), rank_elements=rank_elements.tolist(), rank_runs=runs,
-        chunk_elements=chunk_elements, rank_offsets=rank_offsets,
-        stream_offsets=stream_offsets, covered=covered,
+        chunk_elements=chunk_elements, rank_offsets=rank_offsets, covered=covered,
         total_cells=int((box_hi - box_lo + 1).prod(axis=1).sum()))
 
 

@@ -59,12 +59,7 @@ from repro.amr.box import Box
 from repro.amr.hierarchy import AmrHierarchy
 from repro.amr.upsample import average_down, fill_covered_from_finer
 from repro.core.filter_mod import AMRICLevelFilter, ChunkPlan, chunk_plan
-from repro.core.header import (
-    CHUNK_ALIGNMENT_BOX_MAJOR,
-    CHUNK_ALIGNMENT_RANK,
-    PlotfileHeader,
-    template_from_header,
-)
+from repro.core.header import CHUNK_ALIGNMENT_RANK, PlotfileHeader, template_from_header
 from repro.core.preprocess import LevelLayout, level_layouts
 from repro.h5lite.file import DatasetInfo, H5LiteFile
 from repro.h5lite.filters import Filter, NoCompressionFilter
@@ -97,11 +92,9 @@ class DatasetReadPlan:
     Compared and hashed by identity: a plan's datasets key the block requests
     and answers of :meth:`PlotfileHandle._blocks`.  Slot ``i`` is block ``i``
     of the level's :class:`~repro.core.preprocess.LevelLayout`, at element
-    ``offsets[i]`` of the dataset's *chunked element stream* (chunk ``j``
-    occupies ``[j * chunk_elements, (j + 1) * chunk_elements)``).  Slots are in
-    offset order, so chunk ``j`` holds the run of slots from ``_head[j]`` and
-    slot ``i`` is its block of *ordinal* ``i - _head[j]`` (a stream-aligned
-    dataset may cut a block across chunks: it then has one *piece* in each).
+    ``layout.rank_offsets[i]`` of the dataset: chunk ``j`` holds the run of
+    slots ``layout.rank_runs[j]``, and slot ``i`` is its block of *ordinal*
+    ``i - layout.rank_runs[j].start``.
     """
 
     level: int
@@ -111,44 +104,27 @@ class DatasetReadPlan:
     nchunks: int
     filter_id: str
     layout: LevelLayout                       #: shared by every dataset of the level
-    offsets: np.ndarray                       #: per slot, its element offset
+    #: per chunk, the element count its record names (``actual_elements``)
+    stored: Tuple[int, ...]
     #: what an AMRIC dataset's records decode under (its ``codec`` attribute)
     recipe: Optional[dict] = None
     padded: bool = False                      #: naive chunks: encoded with their tail
 
-    def __post_init__(self) -> None:
-        # a function of the layout, its offsets and the chunking alone: built
-        # once per layout for every dataset (and series step) that shares them
-        key = (self.offsets is self.layout.rank_offsets, self.chunk_elements, self.nchunks)
-        if key not in self.layout.chunk_maps:
-            first = self.offsets // self.chunk_elements
-            last = (self.offsets + self.layout.sizes - 1) // self.chunk_elements
-            chunks = np.arange(self.nchunks)
-            self.layout.chunk_maps[key] = (
-                list(zip(first.tolist(), last.tolist())),
-                np.searchsorted(last, chunks).tolist(),
-                np.searchsorted(first, chunks, side="right").tolist())
-        #: per slot, the (first, last) chunk it has a piece in; per chunk, the
-        #: first slot with a piece in it, and one past the last
-        self._span, self._head, self._tail = self.layout.chunk_maps[key]
-
     def chunk_layout(self, chunk: int) -> List[Tuple[int, int]]:
-        """``(offset in the chunk, size)`` of every piece chunk ``chunk`` holds,
+        """``(offset in the chunk, size)`` of every block chunk ``chunk`` holds,
         in stored (= ordinal) order."""
-        base = chunk * self.chunk_elements
-        run = slice(self._head[chunk], self._tail[chunk])
-        lo = np.maximum(self.offsets[run], base)
-        hi = np.minimum(self.offsets[run] + self.layout.sizes[run], base + self.chunk_elements)
-        return list(zip((lo - base).tolist(), (hi - lo).tolist()))
+        run = self.layout.rank_runs[chunk]
+        offsets = self.layout.rank_offsets[run] - chunk * self.chunk_elements
+        return list(zip(offsets.tolist(), self.layout.sizes[run].tolist()))
 
     def pieces_of(self, slot_indices: Iterable[int]) -> Dict[int, List[int]]:
-        """``{chunk: ordinals}`` of the pieces that make up the given slots
-        (ascending): the payloads to fetch and what to decode of each."""
+        """``{chunk: ordinals}`` of the given slots (ascending): the payloads
+        to fetch and what to decode of each."""
+        chunk_of, runs = self.layout.chunk_of, self.layout.rank_runs
         wanted: Dict[int, List[int]] = {}
         for index in slot_indices:
-            first, last = self._span[index]
-            for chunk in range(first, last + 1):
-                wanted.setdefault(chunk, []).append(index - self._head[chunk])
+            chunk = chunk_of[index]
+            wanted.setdefault(chunk, []).append(index - runs[chunk].start)
         return wanted
 
 
@@ -182,7 +158,7 @@ def parse_plotfile_header(f: H5LiteFile) -> PlotfileHeader:
 
 def _check_rank_aligned(path: str, dsname: str, info: DatasetInfo, layout: LevelLayout,
                         strict_actual: bool) -> None:
-    """A rank-aligned dataset must hold one chunk per participating rank, of
+    """A field-major dataset must hold one chunk per participating rank, of
     the largest rank's size, each recording that rank's cell count."""
     if (info.nchunks, info.chunk_elements) != (len(layout.ranks), layout.chunk_elements):
         raise ValueError(
@@ -214,14 +190,13 @@ def scan_plotfile(f: H5LiteFile, header: Optional[PlotfileHeader] = None,
     against them either way.
     """
     header = header or parse_plotfile_header(f)
-    if header.chunk_alignment == CHUNK_ALIGNMENT_BOX_MAJOR:
+    if header.chunk_alignment != CHUNK_ALIGNMENT_RANK:
         raise ValueError(
             f"{f.path} stores box-major interleaved level data "
             f"(method {header.method!r}); the staged reader only "
             "reconstructs field-major plotfiles — use `repro info` for "
             "its metadata")
     layouts = layouts_of(header) if layouts_of else level_layouts(*header.geometry)
-    rank_aligned = header.chunk_alignment == CHUNK_ALIGNMENT_RANK
     strict_actual = bool(header.codec_options.get("modify_filter", True))
 
     datasets: List[DatasetReadPlan] = []
@@ -236,18 +211,12 @@ def scan_plotfile(f: H5LiteFile, header: Optional[PlotfileHeader] = None,
                     "but the file stores no such dataset (an interrupted "
                     "write?)")
             info = f.datasets[dsname]
-            if rank_aligned:
-                _check_rank_aligned(f.path, dsname, info, layout, strict_actual)
-            elif layout.kept_cells != info.nelements:
-                raise ValueError(
-                    f"{f.path}: dataset {dsname!r} stores {info.nelements} "
-                    f"elements but the structure implies {layout.kept_cells} — "
-                    "header does not match this file")
+            _check_rank_aligned(f.path, dsname, info, layout, strict_actual)
             datasets.append(DatasetReadPlan(
                 level=level_index, field=name, name=dsname,
                 chunk_elements=info.chunk_elements, nchunks=info.nchunks,
                 filter_id=info.filter_id, layout=layout,
-                offsets=layout.rank_offsets if rank_aligned else layout.stream_offsets,
+                stored=tuple(chunk.actual_elements for chunk in info.chunks),
                 recipe=info.attrs.get("codec", {})
                 if info.filter_id == AMRICLevelFilter.filter_id else None,
                 padded=not strict_actual))
@@ -277,6 +246,8 @@ class DecodeJob:
     layouts: List[List[Tuple[int, int]]]
     #: per payload, the ordinals of the blocks to decode (ascending)
     wanted: List[List[int]]
+    #: per payload, the element count its chunk record names
+    stored: List[int]
     chunk_elements: int
     filter_id: str
     #: an AMRIC dataset's recipe, and per payload the blocks its record holds
@@ -324,6 +295,7 @@ def make_decode_job(f: H5LiteFile, dplan: DatasetReadPlan,
     return DecodeJob(key=dplan.name, payloads=payloads, chunk_indices=indices,
                      layouts=[dplan.chunk_layout(index) for index in indices],
                      wanted=[list(wanted[index]) for index in indices],
+                     stored=[dplan.stored[index] for index in indices],
                      chunk_elements=dplan.chunk_elements, filter_id=dplan.filter_id,
                      recipe=dplan.recipe, plans=None if dplan.recipe is None else
                      [chunk_plan(dplan.layout, index, dplan.padded) for index in indices])
@@ -342,7 +314,7 @@ def decode_job(job: DecodeJob) -> DecodeResult:
     filt = _decode_filter(job.filter_id, job.recipe)
     try:
         answers = filt.decode_blocks(job.payloads, job.chunk_elements,
-                                     job.layouts, job.wanted, job.plans)
+                                     job.layouts, job.wanted, job.plans, job.stored)
     except ValueError as exc:
         kind = CorruptFileError if isinstance(exc, CorruptFileError) else ValueError
         raise kind(f"{job.key}, chunks {job.chunk_indices}: {exc}") from exc
@@ -512,7 +484,8 @@ class PlotfileHandle:
     def describe(self) -> Dict[str, object]:
         """A flat metadata summary (what ``python -m repro info`` prints)."""
         stored = self._file.total_stored_bytes()
-        logical = sum(d.nelements * np.dtype(d.dtype).itemsize
+        # what the chunks record as data, as the per-dataset rows count it
+        logical = sum(d.valid_elements * np.dtype(d.dtype).itemsize
                       for d in self._file.datasets.values())
         return {
             "path": self.path,
@@ -592,19 +565,10 @@ class PlotfileHandle:
               decoded: Iterable[Tuple[DatasetReadPlan, int, int, np.ndarray]],
               store: bool = True) -> None:
         """The decode half of :meth:`_blocks`: the ``(dataset, chunk, ordinal,
-        piece)`` of the misses, joined into blocks, into ``out`` (and the cache)."""
+        block)`` of the misses, into ``out`` (and the cache)."""
         path = self.path
-        # pieces so far of blocks cut across chunks (stream-aligned datasets)
-        partial: Dict[Tuple[DatasetReadPlan, int], List[np.ndarray]] = {}
         for dplan, chunk, ordinal, block in decoded:
-            slot = dplan._head[chunk] + ordinal
-            first, last = dplan._span[slot]
-            if first != last:
-                pieces = partial.setdefault((dplan, slot), [])
-                pieces.append(block)
-                if len(pieces) <= last - first:
-                    continue                    # (an unwanted neighbour's may never all come)
-                block = np.concatenate(partial.pop((dplan, slot)))
+            slot = dplan.layout.rank_runs[chunk].start + ordinal
             shape = dplan.layout.shapes[slot]
             if block.shape != (dplan.layout.sizes[slot],) and block.shape != shape:
                 raise ValueError(

@@ -26,7 +26,9 @@ each a pure function over a small dataclass:
 ``commit`` (:func:`commit_dataset` / :func:`dataset_record`)
     Append the encoded chunks to the H5Lite file and distil the quality /
     size record the :class:`~repro.core.pipeline.WriteReport` aggregates —
-    the one record function every writer, baselines included, measures with.
+    the one commit of every field-major writer (AMRIC, series, ``nocomp``)
+    and the one record function every writer, baselines included, measures
+    with.
 
 Everything that crosses a backend boundary (:class:`EncodeJob`,
 :class:`EncodeResult`) is a plain picklable dataclass, so it runs in the shm
@@ -36,7 +38,7 @@ backend's worker processes as well as inline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, List, Optional, Tuple
+from typing import ClassVar, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -267,19 +269,24 @@ def commit_header(h5file: Optional[H5LiteFile], hierarchy: AmrHierarchy,
     h5file.header = header_from_config(hierarchy, config, method=method).to_json()
 
 
-def commit_dataset(h5file: Optional[H5LiteFile], dplan: DatasetPlan,
-                   result: EncodeResult) -> Optional[DatasetInfo]:
-    """Stage 4a: append one dataset's encoded chunks to the container file,
-    with the codec recipe its records decode under (stored once, here)."""
+def commit_dataset(h5file: Optional[H5LiteFile], name: str, layout: LevelLayout,
+                   payloads: Sequence[bytes], filter_id: str,
+                   attrs: Optional[dict] = None,
+                   actual_elements: Optional[Sequence[int]] = None) -> Optional[DatasetInfo]:
+    """Stage 4a: append one dataset's encoded chunks, one per participating
+    rank, to the container file under the layout's chunking — the commit
+    of every field-major writer (AMRIC, series step, ``nocomp``), each
+    naming its filter and the attrs its chunks decode under.  Each chunk
+    records ``actual_elements`` (a :class:`DatasetPlan`'s; default: its
+    rank's cell count)."""
     if h5file is None:
         return None
     return h5file.create_dataset_from_chunks(
-        dplan.name, result.payloads,
-        shape=(dplan.total_elements,), dtype="float64",
-        chunk_elements=dplan.chunk_elements,
-        filter_id=AMRICLevelFilter.filter_id,
-        actual_elements_per_chunk=dplan.actual_elements,
-        attrs={"value_range": dplan.value_range, "codec": result.recipe})
+        name, payloads,
+        shape=(len(layout.ranks) * layout.chunk_elements,), dtype="float64",
+        chunk_elements=layout.chunk_elements, filter_id=filter_id,
+        actual_elements_per_chunk=list(actual_elements or layout.rank_elements),
+        attrs=attrs)
 
 
 def dataset_record(level: int, field: str,

@@ -82,7 +82,9 @@ def write_plotfile(hierarchy: AmrHierarchy, path: Optional[str] = None, *,
         are applied on top, e.g. ``repro.write(h, p, error_bound=1e-4)``.
     method:
         "amric" (default), "amrex_1d" (the original 1D baseline, honouring
-        an ``error_bound``/``chunk_elements`` override) or "nocomp".
+        an ``error_bound``/``chunk_elements`` override) or "nocomp" (one raw
+        chunk per rank, as the AMRIC layout stores it: it takes no override,
+        and any keyword is a :class:`TypeError`).
     backend:
         None (inline) or an
         :class:`~repro.parallel.backend.ExecutionBackend` instance for the

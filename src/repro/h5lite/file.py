@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import CorruptFileError
-from repro.h5lite.filters import Filter, NoCompressionFilter
 from repro.h5lite.source import ByteSource, SourceSpec, make_source
 
 __all__ = ["H5LiteFile", "DatasetInfo", "ChunkRecord"]
@@ -61,6 +60,11 @@ class DatasetInfo:
     @property
     def nelements(self) -> int:
         return int(np.prod(self.shape)) if self.shape else 1
+
+    @property
+    def valid_elements(self) -> int:
+        """The elements the chunks record as data: their padding not counted."""
+        return sum(c.actual_elements for c in self.chunks)
 
     @property
     def stored_nbytes(self) -> int:
@@ -97,14 +101,17 @@ class DatasetInfo:
 class H5LiteFile:
     """A single-file chunked container with a filter pipeline.
 
-    Usage::
+    Usage (a writer encodes the chunks, the file stores and returns them)::
 
         with H5LiteFile(path, "w") as f:
             f.attrs["time"] = 0.5
-            f.create_dataset("level_0/data", data=array, chunk_elements=4096,
-                             filter=my_filter)
+            f.create_dataset_from_chunks(
+                "level_0/data", [my_filter.encode(c) for c in chunks],
+                shape=(len(chunks) * 4096,), dtype="float64", chunk_elements=4096,
+                filter_id=my_filter.filter_id,
+                actual_elements_per_chunk=[c.size for c in chunks])
         with H5LiteFile(path, "r") as f:
-            back = f.read_dataset("level_0/data", filter=my_filter)
+            payloads = f.read_chunk_payloads("level_0/data", range(len(chunks)))
     """
 
     def __init__(self, path: str, mode: str = "r", *,
@@ -210,38 +217,6 @@ class H5LiteFile:
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
-    def create_dataset(self, name: str, data: np.ndarray,
-                       chunk_elements: Optional[int] = None,
-                       filter: Optional[Filter] = None,
-                       attrs: Optional[Dict[str, object]] = None) -> DatasetInfo:
-        """Write a dataset, chunked and filtered.
-
-        ``data`` is flattened for chunking (HDF5 semantics with 1D chunking
-        over the flat element stream) into chunks of ``chunk_elements``
-        (default: the whole array in one), the last one zero-padded; the
-        ``filter`` (default: no compression) encodes each and
-        :meth:`create_dataset_from_chunks` commits them.
-        """
-        data = np.asarray(data)
-        flat = data.reshape(-1)
-        step = max(flat.size, 1) if chunk_elements is None else int(chunk_elements)
-        filter = filter or NoCompressionFilter()
-        # empty data or a size below 1 yields no chunks here, and
-        # create_dataset_from_chunks refuses either by name
-        starts = range(0, flat.size, step) if step > 0 else range(0)
-        payloads, actuals = [], []
-        for start in starts:
-            chunk = piece = flat[start:start + step]
-            if piece.size < step or piece.dtype != np.float64:
-                chunk = np.zeros(step, dtype=np.float64)
-                chunk[:piece.size] = piece
-            payloads.append(filter.encode(chunk, actual_elements=piece.size))
-            actuals.append(piece.size)
-        return self.create_dataset_from_chunks(
-            name, payloads, shape=data.shape, dtype=str(data.dtype),
-            chunk_elements=step, filter_id=filter.filter_id,
-            actual_elements_per_chunk=actuals, attrs=attrs)
-
     def create_dataset_from_chunks(self, name: str, payloads: Sequence[bytes], *,
                                    shape: Tuple[int, ...], dtype: str,
                                    chunk_elements: int, filter_id: str,
@@ -249,10 +224,10 @@ class H5LiteFile:
                                    attrs: Optional[Dict[str, object]] = None) -> DatasetInfo:
         """Write a dataset whose chunks are already encoded.
 
-        This is the commit half of every write: the filter ran earlier (in
-        :meth:`create_dataset`, or on another worker — see
-        :mod:`repro.parallel.backend`), and this method only appends the
-        pre-encoded chunk payloads and records their byte ranges.
+        This is the commit half of every write: the filter ran earlier (on
+        this process or another worker — see :mod:`repro.parallel.backend`),
+        and this method only appends the pre-encoded chunk payloads and
+        records their byte ranges.
         """
         if self.mode != "w":
             raise ValueError("file is open read-only")
@@ -319,25 +294,6 @@ class H5LiteFile:
                 f"{self.path} is truncated: a chunk of {name!r} reads past "
                 f"EOF ({exc})") from exc
         return list(payloads)
-
-    def read_dataset(self, name: str, filter: Optional[Filter] = None) -> np.ndarray:
-        """Read a dataset back, applying ``filter`` to decode each chunk."""
-        if name not in self.datasets:
-            raise KeyError(f"no dataset named {name!r}; have {sorted(self.datasets)}")
-        info = self.datasets[name]
-        filter = filter or NoCompressionFilter()
-        if filter.filter_id != info.filter_id:
-            raise ValueError(
-                f"dataset was written with filter {info.filter_id!r}, not {filter.filter_id!r}")
-        out = np.empty(info.nelements, dtype=np.float64)
-        payloads = self.read_chunk_payloads(name, range(len(info.chunks)))
-        pos = 0
-        for payload in payloads:
-            decoded = filter.decode(payload, info.chunk_elements)
-            take = min(info.nelements - pos, info.chunk_elements)
-            out[pos:pos + take] = decoded[:take]
-            pos += take
-        return out.reshape(info.shape).astype(np.dtype(info.dtype))
 
     # ------------------------------------------------------------------
     # queries

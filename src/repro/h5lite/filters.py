@@ -26,12 +26,18 @@ __all__ = [
 ]
 
 
-def cut_blocks(chunk: np.ndarray, layout: Sequence[Tuple[int, int]]) -> List[np.ndarray]:
+def cut_blocks(chunk: np.ndarray, layout: Sequence[Tuple[int, int]],
+               stored: Optional[int] = None) -> List[np.ndarray]:
     """The blocks of one decoded (flat) chunk, as views of it; ``layout`` is
-    their ``(element offset, size)`` in stored order."""
-    if layout and sum(layout[-1]) > chunk.size:
-        raise ValueError(f"decoded chunk holds {chunk.size} elements, its blocks "
-                         f"run to {sum(layout[-1])}")
+    their ``(element offset, size)`` in stored order.  The chunk must hold
+    exactly the ``stored`` elements its record names (default: up to its last
+    block's end; a chunk coded with its padding records the padded size): an
+    element more or less means a damaged payload."""
+    if layout:
+        end = sum(layout[-1])
+        if chunk.size != (end if stored is None else stored) or chunk.size < end:
+            raise ValueError(f"decoded chunk holds {chunk.size} elements, its blocks "
+                             f"run to {end} and its record names {stored or end}")
     return [chunk[offset:offset + size] for offset, size in layout]
 
 
@@ -46,30 +52,37 @@ class Filter:
         raise NotImplementedError
 
     def decode(self, payload: bytes, chunk_elements: int) -> np.ndarray:
-        """Invert :meth:`encode`, returning a 1D array of ``chunk_elements``."""
+        """Invert :meth:`encode`: a 1D array of what the chunk stores — its
+        valid elements, or all ``chunk_elements`` for a filter that encodes
+        the padding."""
         raise NotImplementedError
 
     def decode_blocks(self, payloads: Sequence[bytes], chunk_elements: int,
                       layouts: Sequence[Sequence[Tuple[int, int]]],
                       wanted: Sequence[Sequence[int]],
-                      plans: Optional[Sequence[object]] = None) -> List[Dict[int, np.ndarray]]:
+                      plans: Optional[Sequence[object]] = None,
+                      stored: Optional[Sequence[int]] = None) -> List[Dict[int, np.ndarray]]:
         """Per payload, decoded blocks by ordinal — what a decode job calls, once.
 
         ``layouts[i]`` places every block of payload ``i`` in its chunk
         (:func:`cut_blocks`); ``wanted[i]`` lists the ordinals asked for
         (ascending); ``plans[i]`` is what a filter whose payloads are not
         self-describing decodes chunk ``i`` against (AMRIC's
-        :class:`~repro.core.filter_mod.ChunkPlan`; unused here).  The default
+        :class:`~repro.core.filter_mod.ChunkPlan`; unused here); ``stored[i]``
+        is the element count chunk ``i``'s record names (default: up to its
+        last block), which its decode must hold exactly.  The default
         decodes each chunk whole and answers with all its blocks; a filter
         that can decode a block without its chunk overrides this and answers
         with the wanted ones (which must not depend on what else was asked for).
         """
-        return [dict(enumerate(cut_blocks(self.decode(payload, chunk_elements), layout)))
-                for payload, layout in zip(payloads, layouts)]
+        stored = stored or [None] * len(payloads)
+        return [dict(enumerate(cut_blocks(self.decode(payload, chunk_elements), layout, n)))
+                for payload, layout, n in zip(payloads, layouts, stored)]
 
 
 class NoCompressionFilter(Filter):
-    """Pass-through (used by the no-compression writer)."""
+    """Pass-through (used by the no-compression writer, which hands it each
+    rank's cells without the padding tail, so stored bytes equal raw bytes)."""
 
     filter_id = "none"
 
@@ -77,7 +90,4 @@ class NoCompressionFilter(Filter):
         return np.asarray(chunk, dtype=np.float64).tobytes()
 
     def decode(self, payload: bytes, chunk_elements: int) -> np.ndarray:
-        out = np.frombuffer(payload, dtype=np.float64)
-        if out.size != chunk_elements:
-            raise ValueError("corrupt chunk: element count mismatch")
-        return out.copy()
+        return np.frombuffer(payload, dtype=np.float64).copy()

@@ -120,13 +120,14 @@ def _lanes_of(pieces: Sequence[Tuple[int, int]], ordinals: Sequence[int]
     return None if hit.all() else np.flatnonzero(hit)
 
 
-def _cut(stream: _CodeStream, pieces: Sequence[Tuple[int, int]], ordinals: Sequence[int]
-         ) -> Iterator[Tuple[int, np.ndarray]]:
+def _cut(stream: _CodeStream, pieces: Sequence[Tuple[int, int]], ordinals: Sequence[int],
+         stored: int) -> Iterator[Tuple[int, np.ndarray]]:
     """``(ordinal, values)`` of a chunk's pieces from its resolved codes: every
-    piece of a whole stream (wanted or not), the wanted ones of a narrowed one."""
+    piece of a whole stream (wanted or not; it must hold the ``stored``
+    elements its chunk record names), the wanted ones of a narrowed one."""
     values = TemporalDeltaCodec.grid_values(stream.codes, stream.eb, stream.offset)
     if stream.lanes is None:
-        yield from enumerate(cut_blocks(values, pieces))
+        yield from enumerate(cut_blocks(values, pieces, stored))
         return
     for ordinal in ordinals:
         offset, size = pieces[ordinal]
@@ -482,7 +483,7 @@ class SeriesHandle:
                       for (step, index), (_, pieces, ordinals) in group.items()]
             for (step, index), stream in self._resolve(name, wanted):
                 dplan, pieces, ordinals = group[(step, index)]
-                for ordinal, values in _cut(stream, pieces, ordinals):
+                for ordinal, values in _cut(stream, pieces, ordinals, dplan.stored[index]):
                     yield step, dplan, index, ordinal, values
 
     def open_step(self, step: int = -1) -> SeriesStepHandle:

@@ -35,7 +35,8 @@ from repro.compress.temporal import MODE_DELTA, MODE_KEY, TemporalDeltaCodec, Te
 from repro.core.config import AMRICConfig
 from repro.core.header import build_header
 from repro.core.pipeline import LevelFieldRecord, WriteReport, writer_comm
-from repro.core.stages import DatasetPlan, dataset_record, pack_dataset, plan_write
+from repro.core.stages import (DatasetPlan, commit_dataset, dataset_record, pack_dataset,
+                                plan_write)
 from repro.h5lite.file import H5LiteFile
 from repro.parallel.backend import ExecutionBackend, WorkloadTally, as_backend
 from repro.parallel.mpi_sim import SimComm
@@ -381,13 +382,9 @@ class SeriesWriter:
             h5file.header = header.to_json()
             for dplan, pack, result in zip(dplans, packed, results):
                 ref_index = step_index - 1 if result.mode == MODE_DELTA else None
-                h5file.create_dataset_from_chunks(
-                    dplan.name, result.payloads,
-                    shape=(dplan.total_elements,), dtype="float64",
-                    chunk_elements=dplan.chunk_elements,
-                    filter_id=TemporalDeltaFilter.filter_id,
-                    actual_elements_per_chunk=dplan.actual_elements,
-                    attrs={"value_range": dplan.value_range})
+                commit_dataset(h5file, dplan.name, dplan.layout, result.payloads,
+                               TemporalDeltaFilter.filter_id,
+                               {"value_range": dplan.value_range}, dplan.actual_elements)
                 comm.record_collective_write()
                 # the record covers the cells a rank owns, not a naive chunk's zero tail
                 ce = dplan.chunk_elements

@@ -54,12 +54,11 @@ class ParentChunkDoor:
     Its slots are derived apart from the reader's layout record: the header's
     hierarchy (``template_from_header``), its unit blocks
     (:func:`unit_blocks_by_box`) grouped by rank, and offsets counted here —
-    one chunk per rank from ``j * chunk_elements`` when rank-aligned, back to
-    back otherwise.
+    one chunk per rank from ``j * chunk_elements``, its blocks back to back.
     """
 
     def __init__(self, handle):
-        from repro.core.header import CHUNK_ALIGNMENT_RANK, template_from_header
+        from repro.core.header import template_from_header
 
         self.handle = handle
         header = handle.header
@@ -81,10 +80,11 @@ class ParentChunkDoor:
                     continue
                 slots, offset, chunk, rank = [], 0, -1, None
                 for block in blocks:
-                    if header.chunk_alignment == CHUNK_ALIGNMENT_RANK and block.rank != rank:
+                    if block.rank != rank:
                         chunk, rank = chunk + 1, block.rank
                         offset = chunk * info.chunk_elements
-                    slots.append(SimpleNamespace(block=block, offset=offset, size=block.size))
+                    slots.append(SimpleNamespace(block=block, chunk=chunk, offset=offset,
+                                                 size=block.size))
                     offset += block.size
                 self.datasets[level, name] = SimpleNamespace(
                     name=info.name, chunk_elements=info.chunk_elements,
@@ -105,8 +105,7 @@ class ParentChunkDoor:
                 payload = self.handle._file.read_chunk_payload(dplan.name, index)
                 if dplan.filter_id == AMRICLevelFilter.filter_id:
                     # an AMRIC record decodes against the blocks its chunk holds
-                    blocks = [slot.block.box for slot in dplan.slots
-                              if slot.offset // dplan.chunk_elements == index]
+                    blocks = [slot.block.box for slot in dplan.slots if slot.chunk == index]
                     decoded = filt.decode(payload, dplan.chunk_elements, ChunkPlan(
                         [box.shape for box in blocks], [box.lo for box in blocks]))
                 else:
@@ -118,30 +117,13 @@ class ParentChunkDoor:
 
     @staticmethod
     def chunks_for(dplan, slots):
-        ce = dplan.chunk_elements
-        needed = set()
-        for slot in slots:
-            first = slot.offset // ce
-            last = (slot.offset + slot.block.size - 1) // ce
-            needed.update(range(first, last + 1))
-        return sorted(needed)
+        return sorted({slot.chunk for slot in slots})
 
     @staticmethod
     def gather(slot, chunks, chunk_elements):
-        """One block's elements from the decoded chunks (may span chunks)."""
-        start, stop = slot.offset, slot.offset + slot.size
-        first = start // chunk_elements
-        last = (stop - 1) // chunk_elements
-        if first == last:
-            local = start - first * chunk_elements
-            return chunks[first][local:local + slot.size]
-        pieces = []
-        for index in range(first, last + 1):
-            base = index * chunk_elements
-            local_lo = max(start, base) - base
-            local_hi = min(stop, base + chunk_elements) - base
-            pieces.append(chunks[index][local_lo:local_hi])
-        return np.concatenate(pieces)
+        """One block's elements from its rank's decoded chunk."""
+        local = slot.offset - slot.chunk * chunk_elements
+        return chunks[slot.chunk][local:local + slot.size]
 
     def dataset(self, level, name):
         return self.datasets.get((level, name))

@@ -235,3 +235,21 @@ class TestInfo:
         header = [line for line in capsys.readouterr().out.splitlines()
                   if line.lstrip().startswith("dataset")]
         assert header and "stored_bytes" in header[0] and "ratio" in header[0]
+
+    @pytest.mark.parametrize("method", ["amric", "amrex_1d", "nocomp"])
+    def test_the_summary_counts_what_the_rows_count(self, hierarchy, tmp_path, method):
+        """``describe()`` (``repro info``'s summary line) counts the elements
+        the chunks record as data, as the per-dataset rows do: a rank chunk's
+        zero padding is no logical byte, so its ratio is the write report's."""
+        from repro.analysis.reporting import plotfile_dataset_rows
+
+        path = str(tmp_path / "p.h5z")
+        report = repro.write(hierarchy, path, method=method,
+                             **({} if method == "nocomp" else {"error_bound": 1e-3}))
+        with repro.open(path) as handle:
+            summary = handle.describe()
+            rows = plotfile_dataset_rows(handle)
+        assert summary["logical_bytes"] == 8 * sum(row["elements"] for row in rows) \
+            == report.raw_bytes
+        assert summary["stored_bytes"] == report.compressed_bytes
+        assert summary["compression_ratio"] == report.compression_ratio

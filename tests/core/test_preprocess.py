@@ -117,19 +117,17 @@ class TestLevelLayout:
         total = sum(box.size for box in boxes)
         assert (layout.total_cells, layout.removed_cells) == \
             (total, total - sum(b.size for b in want))
-        # offsets recounted: back to back, or from chunk j * (largest rank)
+        # offsets recounted: back to back from chunk j * (largest rank)
         per_rank = {}
         for b in want:
             per_rank[b.rank] = per_rank.get(b.rank, 0) + b.size
         chunk = max(per_rank.values(), default=0)
-        stream, aligned, filled, offset = [], [], dict.fromkeys(per_rank, 0), 0
+        aligned, filled = [], dict.fromkeys(per_rank, 0)
         for b in want:
-            stream.append(offset)
             aligned.append(list(per_rank).index(b.rank) * chunk + filled[b.rank])
-            offset += b.size
             filled[b.rank] += b.size
-        assert layout.stream_offsets.tolist() == stream
         assert layout.rank_offsets.tolist() == aligned
+        assert layout.chunk_of == [list(per_rank).index(b.rank) for b in want]
         assert (layout.ranks, layout.rank_elements, layout.chunk_elements) == \
             (list(per_rank), list(per_rank.values()), chunk)
 
@@ -178,8 +176,8 @@ class TestLevelLayout:
     def test_interleaved_ranks_store_stably_by_rank(self):
         """Ranks interleave across box indices and boxes cut into several
         blocks: stored order groups by rank and keeps the cut order within a
-        rank; rank-aligned offsets restart at each chunk, stream-aligned ones
-        run back to back."""
+        rank; offsets run back to back within a rank's chunk and restart at
+        the next."""
         shapes = [(4, 4, 4), (2, 2, 3), (4, 2, 2), (2, 2, 2), (3, 2, 2)]
         ranks = [2, 0, 1, 0, 2]
         layout = _row_of_boxes(shapes, ranks, unit_block_size=2)
@@ -193,9 +191,8 @@ class TestLevelLayout:
         assert layout.rank_elements == [20, 16, 76] and layout.chunk_elements == 76
         assert layout.rank_offsets.tolist() == \
             [0, 8, 12] + [76, 84] + [152 + 8 * i for i in range(9)] + [224]
-        assert layout.stream_offsets.tolist() == \
-            np.concatenate([[0], np.cumsum(layout.sizes)[:-1]]).tolist()
-        assert layout.stream_offsets[-1] + layout.sizes[-1] == layout.kept_cells == 112
+        assert layout.chunk_of == [0] * 3 + [1] * 2 + [2] * 10
+        assert layout.kept_cells == 112
 
     def test_layout_arrays_are_read_only(self):
         """A series shares one layout among the steps of a geometry: a stray
@@ -205,7 +202,7 @@ class TestLevelLayout:
         his = los + 3
         layout = level_layout(los, his, [0, 1], 2, finer=([(0, 0, 0)], [(3, 3, 3)], 2))
         for name in ("lo", "hi", "sizes", "box_index", "rank", "box_lo",
-                     "rank_offsets", "stream_offsets"):
+                     "rank_offsets"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(layout, name)[...] = 0
         los[0, 0] = -1

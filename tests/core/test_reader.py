@@ -21,8 +21,10 @@ from repro.amr.box import Box
 from repro.compress.registry import available_codecs
 from repro.core import AMRICConfig, AMRICWriter
 from repro.core.header import FORMAT_VERSION, PlotfileHeader
+from repro.core.preprocess import hierarchy_layouts
 from repro.core.reader import decode_job, make_decode_job, scan_plotfile
 from repro.core import stages
+from repro.errors import CorruptFileError
 from repro.h5lite.file import H5LiteFile
 from repro.parallel import SimComm
 from repro.parallel.backend import SharedMemoryBackend
@@ -103,13 +105,10 @@ def three_level_plotfile(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def stream_aligned_plotfile(tmp_path_factory):
-    """Raw, stream-aligned: blocks packed back-to-back across 100-element chunks."""
-    from repro.baselines.nocomp import NoCompressionWriter
-
+def raw_plotfile(tmp_path_factory):
+    """Raw (``nocomp``): every box one block, one uncompressed chunk per rank."""
     path = tmp_path_factory.mktemp("three") / "raw.h5z"
-    NoCompressionWriter(chunk_elements=100).write_plotfile(
-        _three_level_hierarchy(), str(path))
+    repro.write(_three_level_hierarchy(), str(path), method="nocomp")
     return str(path)
 
 
@@ -219,6 +218,50 @@ class TestSelfDescribingRoundTrip:
             assert handle.describe()["codec"] == "sz_1d"
             with pytest.raises(ValueError, match="box-major"):
                 handle.read()
+
+
+class TestRawFilesStoreOneChunkPerRank:
+    """``nocomp`` writes the AMRIC layout uncompressed: one chunk per
+    participating rank, each exactly that rank's cells (every box one block)."""
+
+    @pytest.fixture(scope="class")
+    def raw(self, multirank_hierarchy, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("raw") / "raw.h5z")
+        return path, repro.write(multirank_hierarchy, path, method="nocomp")
+
+    def test_chunk_i_is_rank_i_cells(self, multirank_hierarchy, raw):
+        path, report = raw
+        layouts = hierarchy_layouts(multirank_hierarchy, 10 ** 6, False)
+        assert len(layouts[0].ranks) == 4
+        with H5LiteFile(path, "r") as f:
+            assert f.header["chunk_alignment"] == "rank"
+            assert f.total_stored_bytes() == report.raw_bytes
+            for level, layout in enumerate(layouts):
+                for name in multirank_hierarchy.component_names:
+                    info = f.datasets[f"level_{level}/{name}"]
+                    assert info.chunk_elements == layout.chunk_elements
+                    assert [c.nbytes for c in info.chunks] == \
+                        [8 * n for n in layout.rank_elements]
+                    assert [c.actual_elements for c in info.chunks] == layout.rank_elements
+
+    def test_read_returns_the_input_bit_for_bit(self, multirank_hierarchy, raw):
+        back = _read(raw[0])
+        for level in range(multirank_hierarchy.nlevels):
+            for want, got in zip(multirank_hierarchy[level].multifab.fabs,
+                                 back[level].multifab.fabs, strict=True):
+                assert got.data.tobytes() == want.data.tobytes()
+
+    def test_a_one_block_read_fetches_less_than_the_dataset(self, multirank_hierarchy, raw):
+        name = multirank_hierarchy.component_names[0]
+        with repro.open(raw[0]) as handle:
+            dplan = handle._scan().dataset(0, name)
+            box = dplan.layout.box(dplan.layout.nblocks - 1)     # the last rank's
+            before = handle.source_stats.bytes_read
+            got = handle.read_field(name, level=0, box=box, refill=False)
+            fetched = handle.source_stats.bytes_read - before
+            stored = handle.dataset_info(dplan.name).stored_nbytes
+        assert 0 < fetched < stored
+        assert np.array_equal(got, multirank_hierarchy[0].multifab.to_global(name, box))
 
 
 class TestLazyRandomAccess:
@@ -347,8 +390,7 @@ class TestLazyRandomAccess:
                     assert np.array_equal(got[covered[where]],
                                           dense[where][covered[where]])
 
-    @pytest.mark.parametrize("which", ["three_level_plotfile",
-                                       "stream_aligned_plotfile"])
+    @pytest.mark.parametrize("which", ["three_level_plotfile", "raw_plotfile"])
     def test_planned_blocks_equal_per_slot_reference(self, which, request,
                                                      parent_chunk_door):
         path = request.getfixturevalue(which)
@@ -365,7 +407,7 @@ class TestLazyRandomAccess:
                 # ... and block for block the slots the door derives itself
                 assert [dplan.layout.box(i) for i in range(dplan.layout.nblocks)] \
                     == [s.block.box for s in ref.slots]
-                assert dplan.offsets.tolist() == [s.offset for s in ref.slots]
+                assert dplan.layout.rank_offsets.tolist() == [s.offset for s in ref.slots]
                 spans += sum(s.offset // dplan.chunk_elements
                              != (s.offset + s.size - 1) // dplan.chunk_elements
                              for s in ref.slots)
@@ -382,9 +424,8 @@ class TestLazyRandomAccess:
                         assert read.dplan is plan.dataset(level, name) and not read.finer
                         assert needed == ({read.dplan: want} if want else {})
                         assert all(type(i) is int for i in needed.get(read.dplan, ()))
-            # boxes spanning chunk boundaries exist exactly where chunking is
-            # decoupled from ranks
-            assert (spans > 0) == (which == "stream_aligned_plotfile")
+            # every field-major file stores a block inside its rank's chunk
+            assert spans == 0
             if which == "three_level_plotfile":
                 # cells under a finer box were dropped: nothing to decode there
                 covered = plan.layouts[0].covered[0]
@@ -401,11 +442,9 @@ class TestLazyRandomAccess:
                 handle._plan_box("absent", 0, None, True, None, {})
             assert handle.stats.chunks_decoded == 0
 
-    def test_stream_aligned_reads_equal_per_slot_reference(self, stream_aligned_plotfile,
-                                                           parent_chunk_door):
+    def test_raw_reads_equal_per_slot_reference(self, raw_plotfile, parent_chunk_door):
         rng = np.random.default_rng(17)
-        with repro.open(stream_aligned_plotfile) as handle, \
-                repro.open(stream_aligned_plotfile) as ref_handle:
+        with repro.open(raw_plotfile) as handle, repro.open(raw_plotfile) as ref_handle:
             ref = parent_chunk_door(ref_handle)
             for level in range(3):
                 domain = handle.header.levels[level].domain()
@@ -461,7 +500,7 @@ class TestLazyRandomAccess:
                 probe._plan_box(name, level, box, refill, None, needed)
                 asked = {(d, slot) for d, slots in needed.items() for slot in slots}
                 misses = asked - cached
-                chunks += len({(d, d._span[slot][0]) for d, slot in misses})
+                chunks += len({(d, d.layout.chunk_of[slot]) for d, slot in misses})
                 blocks += len(misses)
                 hits += len(asked & cached)
                 cached |= asked
@@ -516,6 +555,15 @@ class TestCorruptHeaders:
 
         _rewrite_superblock(path, skew)
         with pytest.raises(ValueError, match="not supported"):
+            repro.open(str(path))
+
+    def test_a_stream_chunk_alignment_is_corrupt(self, nyx_hierarchy, tmp_path):
+        """Every field-major file stores one chunk per rank: the retired
+        "stream" layout is no alignment a reader accepts, refused by name."""
+        path = self._written(nyx_hierarchy, tmp_path)
+        _rewrite_superblock(path, lambda sb: sb["header"].__setitem__(
+            "chunk_alignment", "stream"))
+        with pytest.raises(CorruptFileError, match="unknown chunk_alignment 'stream'"):
             repro.open(str(path))
 
     def test_wrong_format_tag_raises(self, nyx_hierarchy, tmp_path):
@@ -633,10 +681,12 @@ class TestStagedPipelinePieces:
                 info = f.datasets[dplan.name]
                 assert dplan.nchunks == info.nchunks
                 assert dplan.layout.sizes.sum() <= info.nelements
-                # rank-aligned plotfiles: every slot stays inside its chunk
-                last = dplan.offsets + dplan.layout.sizes - 1
-                assert np.array_equal(dplan.offsets // dplan.chunk_elements,
+                # every slot stays inside its rank's chunk
+                offsets = dplan.layout.rank_offsets
+                last = offsets + dplan.layout.sizes - 1
+                assert np.array_equal(offsets // dplan.chunk_elements,
                                       last // dplan.chunk_elements)
+                assert dplan.layout.chunk_of == (offsets // dplan.chunk_elements).tolist()
 
     def test_in_memory_write_has_no_header_to_scan(self, nyx_hierarchy):
         # commit_header is a no-op without a file; nothing to assert beyond
@@ -651,7 +701,9 @@ class TestStagedPipelinePieces:
         cfg = AMRICConfig(error_bound=1e-3)
         with H5LiteFile(str(path), "w") as f:
             stages.commit_header(f, nyx_hierarchy, cfg)
-            f.create_dataset("x", np.arange(8.0))
+            f.create_dataset_from_chunks("x", [np.arange(8.0).tobytes()], shape=(8,),
+                                         dtype="float64", chunk_elements=8,
+                                         filter_id="none", actual_elements_per_chunk=[8])
         with H5LiteFile(str(path), "r") as f:
             header = PlotfileHeader.from_json(f.header)
         assert header.codec == cfg.compressor

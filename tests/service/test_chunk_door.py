@@ -215,7 +215,8 @@ class TestABlockReadDoesNotDecodeItsChunk:
                 (i, coarse.layout.box(i)) for i in range(coarse.layout.nblocks)
                 if coarse.layout.shapes[i] == (16, 16, 16)
                 and not plan.layouts[0].covered.intersects(coarse.layout.box(i)))
-            chunk_cells = sum(size for _, size in coarse.chunk_layout(coarse._span[index][0]))
+            chunk = coarse.layout.chunk_of[index]
+            chunk_cells = sum(size for _, size in coarse.chunk_layout(chunk))
             assert chunk_cells > coarse.layout.sizes[index] == 4096
             inside = Box(tuple(l + 3 for l in block.lo), tuple(h - 5 for h in block.hi))
             got = handle.read_field(FIELD, box=inside)
@@ -265,8 +266,8 @@ def _flavour(name, hierarchy, path):
     from repro.baselines.nocomp import NoCompressionWriter
     from repro.core import AMRICConfig
 
-    if name == "nocomp":                        # stream-aligned: blocks span 100-cell chunks
-        NoCompressionWriter(chunk_elements=100).write_plotfile(hierarchy, path)
+    if name == "nocomp":                        # raw: one uncompressed chunk per rank
+        NoCompressionWriter().write_plotfile(hierarchy, path)
     elif name == "no_sle":                      # one Huffman table per unit block
         repro.write(hierarchy, path, config=AMRICConfig(error_bound=1e-3, use_sle=False))
     else:                                       # sz_lr under unit SLE, and the codecs
@@ -359,47 +360,82 @@ class TestEveryAnswerEqualsTheParentChunkDoor:
                     read()
 
 
+def _with_payload(src_path, dst_path, dsname, chunk, payload_of):
+    """A copy of a plotfile whose chunk ``chunk`` of ``dsname`` stores
+    ``payload_of(file, payload)`` instead; its chunk table is otherwise kept."""
+    from repro.h5lite.file import H5LiteFile
+
+    with H5LiteFile(src_path, "r") as src, H5LiteFile(dst_path, "w") as dst:
+        dst.attrs.update(src.attrs)
+        dst.header = src.header
+        for name, info in src.datasets.items():
+            payloads = src.read_chunk_payloads(name, range(info.nchunks))
+            if name == dsname:
+                payloads[chunk] = payload_of(src, payloads[chunk])
+            dst.create_dataset_from_chunks(
+                name, payloads, shape=info.shape, dtype=info.dtype,
+                chunk_elements=info.chunk_elements, filter_id=info.filter_id,
+                actual_elements_per_chunk=[c.actual_elements for c in info.chunks],
+                attrs=info.attrs)
+    return dst_path
+
+
+@pytest.fixture(scope="module")
+def raw_service_plotfile(tmp_path_factory):
+    """``service_plotfile``'s hierarchy written raw (``nocomp``)."""
+    hierarchy = nyx_run(coarse_shape=(32, 32, 32), nranks=4, target_fine_density=0.03,
+                        seed=11).hierarchy
+    path = str(tmp_path_factory.mktemp("raw") / "raw.h5z")
+    repro.write(hierarchy, path, method="nocomp")
+    return path
+
+
 class TestAPayloadOfAnotherDatasetIsRefused:
     """Chunk payloads swapped between two datasets of a real plotfile (same
     field, the other level — so codec, bound and field all match): nothing
     used to compare what a payload holds with what the dataset lays out, and a
-    4,096-cell chunk read as a larger one came back as silent zeros."""
+    4,096-cell chunk read as a larger one came back as silent zeros.  A raw
+    (``nocomp``) chunk must decode to exactly its blocks' cells."""
 
-    @pytest.mark.parametrize("into, other", [("level_0", "level_1"), ("level_1", "level_0")])
-    def test_both_directions(self, service_plotfile, tmp_path, into, other):
-        from repro.h5lite.file import H5LiteFile
-
-        swapped = str(tmp_path / "swapped.h5z")
-        with H5LiteFile(service_plotfile, "r") as src, H5LiteFile(swapped, "w") as dst:
-            dst.attrs.update(src.attrs)
-            dst.header = src.header
-            for name, info in src.datasets.items():
-                payloads = src.read_chunk_payloads(name, range(info.nchunks))
-                if name == f"{into}/{FIELD}":
-                    payloads[0] = src.read_chunk_payload(f"{other}/{FIELD}", 0)
-                dst.create_dataset_from_chunks(
-                    name, payloads, shape=info.shape, dtype=info.dtype,
-                    chunk_elements=info.chunk_elements, filter_id=info.filter_id,
-                    actual_elements_per_chunk=[c.actual_elements for c in info.chunks],
-                    attrs=info.attrs)
-        with repro.open(service_plotfile) as good, repro.open(swapped) as handle:
-            level = int(into[-1])
+    @staticmethod
+    def _refused_only_there(path, good_path, level, chunk):
+        with repro.open(good_path) as good, repro.open(path) as handle:
             dplan = handle._scan().dataset(level, FIELD)
-            first = dplan.layout.box(0)           # in chunk 0: the swapped payload
+            first = dplan.layout.box(dplan.layout.rank_runs[chunk].start)
             for read in (lambda: handle.read_field(FIELD, level=level, box=first, refill=False),
                          handle.read):
-                with pytest.raises(ValueError, match=rf"{into}/{FIELD}, chunks \[0") as exc:
+                with pytest.raises(ValueError,
+                                   match=rf"level_{level}/{FIELD}, chunks \[{chunk}") as exc:
                     read()
                 assert "blocks" in str(exc.value)
             # every other dataset and chunk of the file still reads
             assert np.array_equal(handle.read_field("temperature", level=level),
                                   good.read_field("temperature", level=level))
-            for index, (chunk, _) in enumerate(dplan._span):
-                if chunk > 0:
+            for index, at in enumerate(dplan.layout.chunk_of):
+                if at != chunk:
                     box = dplan.layout.box(index)
                     assert np.array_equal(
                         handle.read_field(FIELD, level=level, box=box, refill=False),
                         good.read_field(FIELD, level=level, box=box, refill=False))
+
+    @pytest.mark.parametrize("flavour", ["sz_lr", "nocomp"])
+    @pytest.mark.parametrize("into, other", [("level_0", "level_1"), ("level_1", "level_0")])
+    def test_both_directions(self, service_plotfile, raw_service_plotfile, tmp_path,
+                             flavour, into, other):
+        good = raw_service_plotfile if flavour == "nocomp" else service_plotfile
+        swapped = _with_payload(good, str(tmp_path / "swapped.h5z"), f"{into}/{FIELD}", 0,
+                                lambda f, _: f.read_chunk_payload(f"{other}/{FIELD}", 0))
+        self._refused_only_there(swapped, good, int(into[-1]), 0)
+
+    @pytest.mark.parametrize("change", ["8 bytes short", "8 bytes long"])
+    def test_a_raw_payload_of_another_length(self, raw_service_plotfile, tmp_path, change):
+        """Stored bytes are raw bytes: one element fewer or more is damage."""
+        with repro.open(raw_service_plotfile) as handle:
+            assert handle.dataset_info(f"level_1/{FIELD}").nchunks > 1
+        damaged = _with_payload(
+            raw_service_plotfile, str(tmp_path / "damaged.h5z"), f"level_1/{FIELD}", 0,
+            lambda _, raw: raw[:-8] if change == "8 bytes short" else raw + raw[:8])
+        self._refused_only_there(damaged, raw_service_plotfile, 1, 0)
 
 
 class TestNoWorkForWhatIsCached:

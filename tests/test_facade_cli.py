@@ -53,6 +53,14 @@ class TestWriteFacade:
             repro.write(hierarchy, None, method="nocomp",
                         config=AMRICConfig())
 
+    def test_nocomp_takes_no_chunk_size(self, hierarchy, tmp_path):
+        """``nocomp`` stores the AMRIC layout, one chunk per rank: its chunking
+        is no option, and asking for one is refused before any file exists."""
+        path = tmp_path / "r.h5z"
+        with pytest.raises(TypeError):
+            repro.write(hierarchy, str(path), method="nocomp", chunk_elements=100)
+        assert not path.exists()
+
     @pytest.mark.parametrize("method", ["amric", "nocomp"])
     def test_a_writer_object_is_not_a_parameter(self, hierarchy, tmp_path, method):
         """``method=``, ``config=`` and the overrides build every writer."""
@@ -85,7 +93,6 @@ class TestWriteFacade:
         def boom(*args, **kwargs):
             raise RuntimeError("disk on fire")
 
-        monkeypatch.setattr(H5LiteFile, "create_dataset", boom)
         monkeypatch.setattr(H5LiteFile, "create_dataset_from_chunks", boom)
         path = tmp_path / "torn.h5z"
         with pytest.raises(RuntimeError, match="disk on fire"):
