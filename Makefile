@@ -19,14 +19,12 @@
 
 PY := PYTHONPATH=src python
 
-# src/ + tools/ Python lines as of the last change to them (-58: nocomp
-# stores one chunk per rank through the staged writer's layout and commit, so
-# the stream-aligned layout (CHUNK_ALIGNMENT_STREAM, LevelLayout.stream_offsets,
-# DatasetReadPlan.offsets, the reader's joining of blocks cut across chunks,
-# scan_plotfile's element-count check) and H5LiteFile.create_dataset /
-# read_dataset went; the round-2 shrink goal, ROADMAP item 15, is <= 17200
-# from 18036)
-LOC_BUDGET := 18096
+# src/ + tools/ Python lines as of the last change to them (+62: a series
+# step pays only for what it stores — the raw codes section behind its CRC32
+# and its exactly-one-section check, the bincount histogram, the lazily built
+# canonical codes and decode rows, and the fixed-order average_down; the
+# round-2 shrink goal, ROADMAP item 15, is <= 17200 from 18036)
+LOC_BUDGET := 18158
 LOC = $$(find src tools -name '*.py' | xargs cat | wc -l)
 
 # suite -> pytest paths ('+'-separated). Adding a benchmark suite is one line.

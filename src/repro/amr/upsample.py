@@ -46,11 +46,16 @@ def average_down(array: np.ndarray, ratio: int) -> np.ndarray:
     if any(s % ratio for s in array.shape):
         raise ValueError(
             f"array shape {array.shape} is not divisible by ratio {ratio}")
-    split_shape = []
-    for s in array.shape:
-        split_shape.extend((s // ratio, ratio))
-    mean_axes = tuple(range(1, 2 * array.ndim, 2))
-    return array.reshape(split_shape).mean(axis=mean_axes)
+    # one axis at a time, each cell's children added in index order: a coarse
+    # cell's sum is then the same whatever the array's shape, so a ratio-aligned
+    # sub-box averages to the whole array's cells bit for bit (a multi-axis
+    # ``mean`` picks its summation order by shape)
+    out = array
+    for axis in range(array.ndim):
+        lead = (slice(None),) * axis
+        out = sum((out[lead + (slice(k, None, ratio),)] for k in range(1, ratio)),
+                  out[lead + (slice(0, None, ratio),)])
+    return out / ratio ** array.ndim
 
 
 def fill_covered_from_finer(hierarchy: AmrHierarchy) -> None:

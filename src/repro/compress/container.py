@@ -12,8 +12,9 @@ module is the single implementation:
   framing, inherited unchanged from :mod:`repro.compress.lossless` so streams
   written before this refactor still deserialize);
 * :func:`pack_huffman` / :func:`unpack_huffman` — the shared-table Huffman
-  stream sections (table, deflated payload, per-stream bit counts, packed
-  sync offsets) used by every codec's entropy stage;
+  stream sections (table, codes — raw behind a CRC32 at >= 2 bits a symbol,
+  else deflated —, per-stream bit counts, packed sync offsets) used by the
+  ``sz_1d`` and ``temporal_delta`` entropy stages;
 * :func:`parse_huffman` + :func:`decode_huffman` — the two halves of
   :func:`unpack_huffman`: sections to ``(codec, encoded)`` pairs, then one
   entropy pass over the pairs of however many containers a decode job holds;
@@ -130,54 +131,81 @@ def unpack_container(payload: bytes, expect_codec: Optional[str] = None) -> Code
 # ----------------------------------------------------------------------
 # Huffman stream sections (one shared table, any number of streams)
 # ----------------------------------------------------------------------
+#: the codes section, deflated or raw behind a CRC32 (as long a name as the
+#: deflated one's, so the framing is the same either way)
+_DEFLATED, _RAW = "huff_payload", "huff_raw_crc"
+
+#: bits a symbol from which the codes are stored raw: deflate's gain on
+#: Huffman codes is measured at <= 0.6% above it (DESIGN.md §4)
+_RAW_BITS = 2
+
 def pack_huffman(streams: Sequence[HuffmanEncoded]) -> Dict[str, bytes]:
     """Sections for Huffman streams sharing one canonical table.
 
     All streams must carry the same table (true for the shared-encoding/SLE
-    path and trivially for a single stream).  Emits ``huff_table``,
-    ``huff_payload`` (deflated concatenation), ``huff_nbits`` /
-    ``huff_ncodes`` (int64 per stream) and ``huff_sync`` (packed sync
-    offsets, the parallel-decode acceleration structure).
+    path and trivially for a single stream).  Emits ``huff_table``, the
+    concatenated codes, ``huff_nbits`` / ``huff_ncodes`` (int64 per stream)
+    and ``huff_sync`` (packed sync offsets, the parallel-decode acceleration
+    structure).  The codes go raw behind their CRC32 (``huff_raw_crc``) when
+    the table spends at least ``_RAW_BITS`` bits a symbol, where deflate
+    buys next to nothing, and deflated (``huff_payload``) below that
+    (DESIGN.md §4).
     """
     if not streams:
         raise ValueError("need at least one Huffman stream")
     s0 = streams[0]
-    return {
-        "huff_table": pack_arrays(s0.table_symbols, s0.table_lengths),
-        "huff_payload": zlib_compress(b"".join(s.payload for s in streams)),
-        "huff_nbits": np.asarray([s.nbits for s in streams], dtype=np.int64).tobytes(),
-        "huff_ncodes": np.asarray([s.nsymbols for s in streams], dtype=np.int64).tobytes(),
-        "huff_sync": huffman.pack_sync([s.sync for s in streams]),
-    }
+    nbits = np.asarray([s.nbits for s in streams], dtype=np.int64)
+    ncodes = np.asarray([s.nsymbols for s in streams], dtype=np.int64)
+    codes = b"".join(s.payload for s in streams)
+    if int(nbits.sum()) >= _RAW_BITS * int(ncodes.sum()):
+        section = {_RAW: struct.pack("<I", zlib.crc32(codes)) + codes}
+    else:
+        section = {_DEFLATED: zlib_compress(codes)}
+    return {"huff_table": pack_arrays(s0.table_symbols, s0.table_lengths), **section,
+            "huff_nbits": nbits.tobytes(), "huff_ncodes": ncodes.tobytes(),
+            "huff_sync": huffman.pack_sync([s.sync for s in streams])}
+
+
+def _stored_codes(sections: Dict[str, bytes]) -> bytes:
+    """The codes of :func:`pack_huffman`'s sections: exactly one of the raw
+    and the deflated section, the raw one matching its CRC."""
+    if (_RAW in sections) == (_DEFLATED in sections):
+        raise CorruptFileError(f"Huffman sections hold {'both' if _RAW in sections else 'neither'}"
+                               f" of {_RAW!r} and {_DEFLATED!r}")
+    if _DEFLATED in sections:
+        return zlib_decompress(sections[_DEFLATED])
+    raw = sections[_RAW]
+    if len(raw) < 4 or struct.unpack_from("<I", raw)[0] != zlib.crc32(memoryview(raw)[4:]):
+        raise CorruptFileError(f"Huffman section {_RAW!r}: checksum mismatch")
+    return raw[4:]
 
 
 def huffman_framing_nbytes() -> int:
     """Bytes of a one-stream Huffman container that its codes do not move (headers, counts,
-    array framing): an empty stream's, less its meta and its deflated payload and sync."""
+    array framing): an empty stream's, less its meta, its codes section and its sync."""
     sections = pack_huffman([HuffmanEncoded(b"", 0, 0, np.zeros(0, dtype=np.uint32),
                                             np.zeros(0, dtype=np.uint8))])
     return (len(pack_container("", {}, sections)) - len(json.dumps({"codec": ""}))
-            - len(sections["huff_payload"]) - len(sections["huff_sync"]))
+            - len(sections[_RAW]) - len(sections["huff_sync"]))
 
 
 def parse_huffman(sections: Dict[str, bytes], *, sync_interval: int = 0) -> List[HuffmanPair]:
     """The shared-table Huffman sections as one ``(codec, multi-stream encoded)`` pair.
 
     Everything :func:`unpack_huffman` does short of the entropy decode: the
-    table, the inflated payload, the per-stream counts and the sync offsets (a
+    table, the codes (checked or inflated), the per-stream counts and the sync offsets (a
     sync section that does not fit the counts leaves the pair on the scalar
     path).  The codec checks the counts against the bytes present (negative
     counts, a short payload, more symbols than bits) when the pair is decoded.
     """
-    nbits, ncodes, table, payload = (
-        required(sections, name, "Huffman sections")
-        for name in ("huff_nbits", "huff_ncodes", "huff_table", "huff_payload"))
+    nbits, ncodes, table = (required(sections, name, "Huffman sections")
+                            for name in ("huff_nbits", "huff_ncodes", "huff_table"))
     nbits = np.frombuffer(nbits, dtype=np.int64)
     ncodes = np.frombuffer(ncodes, dtype=np.int64)
     if nbits.size != ncodes.size or nbits.size == 0:
         raise ValueError("Huffman bit/symbol count mismatch")
     symbols, lengths = unpack_arrays(table)
-    payload = zlib_decompress(payload)
+    payload = _stored_codes(sections)
     syncs = huffman.unpack_sync_for(sections.get("huff_sync"), int(sync_interval),
                                     ncodes.tolist())
     sync = None if any(s is None for s in syncs) else np.concatenate(syncs)

@@ -199,15 +199,28 @@ class HuffmanCodec:
             if sum(n << (top - length) for length, n in
                    enumerate(np.bincount(self.lengths).tolist())) > 1 << top:
                 raise ValueError("invalid Huffman table (Kraft inequality violated)")
-        self.codes = _canonical_codes(self.lengths.astype(np.int64))
         self.data_bits: Optional[int] = None   #: :meth:`from_data`: sum(count x length) of its data
+        # built on first use, like the encode table and the LUT: a table that
+        # only sizes a candidate (the series writer's losing mode) never needs them
+        self._codes: Optional[np.ndarray] = None
+        self._dec: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._enc: Optional[Tuple[int, Optional[np.ndarray], np.ndarray]] = None
-        # decode structures: symbols sorted canonically
-        order = np.lexsort((np.arange(self.symbols.size), self.lengths))
-        self._dec_lengths = self.lengths[order].astype(np.int64)
-        self._dec_symbols = self.symbols[order]
-        self._dec_codes = self.codes[order].astype(np.int64)
         self._lut: Optional[Tuple[int, np.ndarray]] = None
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The canonical code of each symbol (uint64), built on first use."""
+        if self._codes is None:
+            self._codes = _canonical_codes(self.lengths.astype(np.int64))
+        return self._codes
+
+    def _canonical(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The decode rows, built on first use: code lengths (int64) and
+        symbols in canonical order, so a decoded rank indexes both."""
+        if self._dec is None:
+            order = np.lexsort((np.arange(self.symbols.size), self.lengths))
+            self._dec = (self.lengths[order].astype(np.int64), self.symbols[order])
+        return self._dec
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -218,7 +231,7 @@ class HuffmanCodec:
             codec = HuffmanCodec(np.zeros(0, dtype=np.uint32), np.zeros(0, dtype=np.uint8))
             codec.data_bits = 0
             return codec
-        symbols, counts = np.unique(data, return_counts=True)
+        symbols, counts = _histogram(data)
         lengths = _limit_lengths(_huffman_code_lengths_from_counts(counts))
         codec = HuffmanCodec(symbols.astype(np.uint32), lengths.astype(np.uint8))
         codec.data_bits = int(counts @ lengths)
@@ -319,22 +332,23 @@ class HuffmanCodec:
         """Fill ``lut`` (zeros, ``2 ** k`` slots, ``k`` the longest code) with
         the flat canonical decode table ``LUT[next_k_bits] -> index << 5 | length``.
 
-        ``index`` is the symbol's canonical rank (into ``_dec_symbols``), so
+        ``index`` is the symbol's canonical rank (into :meth:`_canonical`'s), so
         one uint32 gather per step yields both the symbol and the advance.
         Canonical codes occupy a contiguous prefix of the k-bit code space, so
         the table is one ``np.repeat``; unassigned slots stay 0 (length 0),
         which the decoder reports as an invalid stream.
         """
-        k = int(self._dec_lengths.max())
-        reps = np.int64(1) << (k - self._dec_lengths)
+        lengths = self._canonical()[0]
+        k = int(lengths.max())
+        reps = np.int64(1) << (k - lengths)
         entries = (np.arange(reps.size, dtype=np.uint32) << np.uint32(5)) \
-            | self._dec_lengths.astype(np.uint32)
+            | lengths.astype(np.uint32)
         lut[:int(reps.sum())] = np.repeat(entries, reps)
 
     def _build_lut(self) -> Tuple[int, np.ndarray]:
         """``(k, LUT)`` of this table alone, built once per codec."""
         if self._lut is None:
-            k = int(self._dec_lengths.max())
+            k = int(self.lengths.max())
             lut = np.zeros(1 << k, dtype=np.uint32)
             self._lut_into(lut)
             self._lut = (k, lut)
@@ -361,7 +375,7 @@ class HuffmanCodec:
         if int(nbits.max()) > 8 * size or int(nbytes.sum()) > size \
                 or bool((counts > nbits).any()):
             raise ValueError("truncated Huffman stream")
-        if self._dec_lengths.size == 0:
+        if self.lengths.size == 0:
             raise ValueError("invalid Huffman stream (empty table)")
         return np.cumsum(nbytes) - nbytes, nbytes, nbits, counts
 
@@ -400,7 +414,7 @@ class HuffmanCodec:
         """
         checked = self._streams(encoded)
         if checked is None or encoded.sync is None \
-                or int(self._dec_lengths.max()) > MAX_CODE_LEN:
+                or int(self.lengths.max()) > MAX_CODE_LEN:
             return None
         offsets, _, nbits, counts = checked
         layout = _lane_layout(nbits, counts, offsets,
@@ -456,7 +470,7 @@ class HuffmanCodec:
             layout = None
             if part.lanes is not None:
                 layout = tuple(np.asarray(part.lanes, dtype=np.int64).T)
-            elif part.sync is not None and int(codec._dec_lengths.max()) <= MAX_CODE_LEN:
+            elif part.sync is not None and int(codec.lengths.max()) <= MAX_CODE_LEN:
                 layout = _lane_layout(nbits, counts, offsets,
                                       np.asarray(part.sync, dtype=np.int64).ravel())
             if layout is None:
@@ -475,7 +489,7 @@ class HuffmanCodec:
         symbols = np.empty(total, dtype=np.uint32)
         for where, codec, rank in zip(laned, tables, ranks):
             # (a rank read from the LUT is in range; "clip" only spares take's buffer)
-            np.take(codec._dec_symbols, rank, out=symbols[where], mode="clip")
+            np.take(codec._canonical()[1], rank, out=symbols[where], mode="clip")
         for where, codec, payload, streams in scalar:
             symbols[where] = np.concatenate([
                 codec._decode_scalar(payload[o:o + b], nb, n)
@@ -520,7 +534,7 @@ class HuffmanCodec:
         # lanes with more than t symbols, for every step t
         active = nlanes - np.cumsum(np.bincount(count, minlength=SYNC_INTERVAL))
         pos = start[order]
-        width = np.asarray([int(codec._dec_lengths.max()) for codec in tables])
+        width = np.asarray([int(codec.lengths.max()) for codec in tables])
         bases = np.cumsum(1 << width) - (1 << width)
         if len(tables) == 1:
             lut = tables[0]._build_lut()[1]
@@ -592,9 +606,8 @@ class HuffmanCodec:
     def _decode_scalar(self, payload: bytes, nbits: int, n: int) -> np.ndarray:
         """Exact canonical decode, one code at a time (fallback path)."""
         bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits)
-        lengths = self._dec_lengths
-        codes = self._dec_codes
-        symbols = self._dec_symbols
+        lengths, symbols = self._canonical()
+        codes = _canonical_codes(lengths)           # canonical order: its own order
         max_len = int(lengths.max())
         first_code: Dict[int, int] = {}
         first_index: Dict[int, int] = {}
@@ -628,6 +641,18 @@ class HuffmanCodec:
         if pos != nbits:
             raise ValueError("truncated or corrupt Huffman stream")
         return out
+
+
+def _histogram(data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct values of non-empty ``data`` (ascending, its dtype) and
+    their counts: a ``bincount`` of ``data - min`` when the span is at most the
+    data's length (and fits its dtype), else ``np.unique``'s sort."""
+    lo, hi = data.min(), data.max()
+    if data.dtype.kind in "iu" and int(hi) - int(lo) <= min(data.size, np.iinfo(data.dtype).max):
+        counts = np.bincount((data - lo).astype(np.intp, copy=False))
+        present = np.flatnonzero(counts)
+        return present.astype(data.dtype) + lo, counts[present]
+    return np.unique(data, return_counts=True)
 
 
 def _huffman_code_lengths_from_counts(counts: np.ndarray) -> np.ndarray:

@@ -22,7 +22,9 @@ verify against keyframe-only writes bit for bit.
 
 Streams travel in the unified codec container
 (:mod:`repro.compress.container`): a JSON ``meta`` section (mode, grid,
-element count) plus the shared Huffman sections every codec uses.  The codec
+element count) plus the sectioned Huffman streams ``sz_1d`` uses too, whose
+codes are stored raw behind a CRC32 at 2 bits a symbol and more — every
+stream of a simulation series — and deflated only below that.  The codec
 registers in the codec registry as ``temporal_delta``; the series subsystem
 (:mod:`repro.series`) owns the rolling references and keyframe cadence.
 """
@@ -72,7 +74,7 @@ class StreamCandidate(NamedTuple):
     shifted: np.ndarray           #: ``codes - min_code`` as uint32
     table: HuffmanCodec           #: built from ``shifted``
     meta: Dict[str, object]       #: the stream's ``meta`` section
-    nbytes: int                   #: framing + table + the Huffman payload before deflate
+    nbytes: int                   #: framing + table + the Huffman payload, undeflated
 
 
 class TemporalDeltaCodec(Compressor):
@@ -158,7 +160,8 @@ class TemporalDeltaCodec(Compressor):
                                + (table.data_bits + 7) // 8)
 
     def pack(self, candidate: StreamCandidate) -> bytes:
-        """Entropy-code, deflate and frame a candidate: the committed stream."""
+        """Entropy-code and frame a candidate (its codes raw or deflated, by
+        their bits a symbol): the committed stream."""
         stream = candidate.table.encode(candidate.shifted)
         return pack_container(self.name, candidate.meta, pack_huffman([stream]))
 

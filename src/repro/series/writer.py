@@ -10,7 +10,7 @@ a plotfile's, then swaps the spatial encode stage for temporal encode jobs:
   boxes, same distribution, same unit blocks, i.e. no regrid touched it —
   also tables the codes' difference to the previous step's as a **delta**
   candidate, and the candidate whose Huffman tables imply the smaller stream
-  is the one entropy-coded, deflated and committed (DESIGN.md §6);
+  is the one entropy-coded and committed (DESIGN.md §6);
 * every ``keyframe_interval``-th step skips the delta candidates entirely,
   so the series always contains self-contained restart points.
 
@@ -120,7 +120,7 @@ def temporal_encode_job(job: TemporalEncodeJob) -> TemporalEncodeResult:
     A module-level pure function over picklable inputs — the temporal mirror of
     :func:`repro.core.stages.encode_job` — so serial and shm produce identical bytes.
     Each chunk is quantised once and tabled under both modes; only the dataset's winner is
-    entropy-coded and deflated.  Both decode to the same grid values either way.
+    entropy-coded and packed.  Both decode to the same grid values either way.
     """
     codec = TemporalDeltaCodec(ErrorBound.absolute(job.eb_abs), offset=job.offset)
     ce, eb = job.chunk_elements, job.eb_abs
@@ -342,7 +342,7 @@ class SeriesWriter:
             error_bound=cfg.error_bound, error_bound_mode=cfg.error_bound_mode,
             unit_block_size=cfg.unit_block_size,
             remove_redundancy=cfg.remove_redundancy,
-            codec_options={"modify_filter": True})
+            codec_options={"modify_filter": cfg.modify_filter})
 
         # ---- encode: temporal jobs through the backend -------------------
         dplans: List[DatasetPlan] = []

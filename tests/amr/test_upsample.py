@@ -8,6 +8,8 @@ average_down is the identity) and the covered-cell bookkeeping.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray
@@ -71,6 +73,26 @@ class TestUpsampleAverageDown:
         # total mass is preserved: each coarse cell is the exact block mean
         assert np.isclose(down.sum() * 4, a.sum())
         assert np.isclose(down[0, 0], a[0:2, 0:2].mean())
+
+    @settings(max_examples=200, deadline=None)
+    @given(ratio=st.sampled_from([2, 3, 4, 8]), data=st.data(),
+           coarse=st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    def test_a_sub_box_averages_to_the_whole_arrays_cells(self, ratio, data, coarse):
+        """Bit for bit: a refilled box read averages its slice of a fine level
+        down, a whole read averages the level, and both must agree."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        fine = rng.normal(size=[ratio * n for n in coarse]) \
+            * 10.0 ** rng.integers(-3, 12, size=[ratio * n for n in coarse])
+        lo = [data.draw(st.integers(0, n - 1)) for n in coarse]
+        hi = [data.draw(st.integers(a, n - 1)) for a, n in zip(lo, coarse)]
+        sub = tuple(slice(ratio * a, ratio * (b + 1)) for a, b in zip(lo, hi))
+        cells = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
+        whole = average_down(fine, ratio)
+        part = average_down(fine[sub], ratio)
+        assert part.tobytes() == whole[cells].tobytes()
+        np.testing.assert_allclose(whole[cells], fine[sub].reshape(
+            [d for n in part.shape for d in (n, ratio)]).mean(
+                axis=tuple(range(1, 2 * part.ndim, 2))), rtol=0, atol=1e-12 * np.abs(fine).max())
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="ratio"):

@@ -1,14 +1,19 @@
 """The unified codec container and the codec registry."""
 
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compress import container as ctn
 from repro.compress import registry
 from repro.compress.errorbound import ErrorBound
 from repro.compress.huffman import SYNC_INTERVAL, HuffmanCodec
+from repro.compress.sz1d import SZ1DCompressor
+from repro.compress.temporal import TemporalDeltaCodec
 from repro.errors import CorruptFileError
 from repro.testing import make_smooth
 
@@ -98,9 +103,87 @@ class TestHuffmanSections:
         for a, b in zip(arrays, back):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("alphabet, form", [(2, "huff_payload"), (3, "huff_payload"),
+                                                 (4, "huff_raw_crc"), (50, "huff_raw_crc")])
+    def test_codes_are_raw_from_two_bits_a_symbol(self, alphabet, form):
+        """One codes section, by the table's bits a symbol: 1 and 1.67 deflate,
+        exactly 2 (four equal symbols) and more are stored raw."""
+        arrays = [np.arange(n, dtype=np.uint32) % alphabet for n in (1200, 5, 0)]
+        codec = HuffmanCodec.from_multiple(arrays)
+        sections = ctn.pack_huffman([codec.encode(a) for a in arrays])
+        assert {"huff_payload", "huff_raw_crc"} & set(sections) == {form}
+        for a, b in zip(arrays, ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)):
+            np.testing.assert_array_equal(a, b)
+
     def test_zarray_roundtrip(self):
         arr = np.linspace(0, 1, 37).reshape(1, 37)
         np.testing.assert_array_equal(ctn.unpack_zarray(ctn.pack_zarray(arr)), arr)
+
+
+def _raw_streams():
+    """A ``temporal_delta`` and an ``sz_1d`` stream of codes stored raw, each
+    with the decode that must refuse it once damaged."""
+    data = np.cumsum(np.random.default_rng(5).normal(size=3000))
+    key, _, _ = TemporalDeltaCodec(ErrorBound.absolute(1e-3)).encode_key(data)
+    sz1d = SZ1DCompressor(ErrorBound.absolute(1e-3))
+    return [(key, lambda p: TemporalDeltaCodec.unpack_codes_many([p])),
+            (sz1d.compress_with_reconstruction(data)[0].payload, sz1d.decompress)]
+
+
+RAW_STREAMS = _raw_streams()
+
+
+class TestRawCodesSection:
+    """Codes stored raw sit behind a CRC32: any damage to them, and a container
+    holding both codes sections or neither, is a CorruptFileError."""
+
+    @staticmethod
+    def _damaged(payload, change):
+        cont = ctn.unpack_container(payload)
+        assert "huff_raw_crc" in cont.sections and "huff_payload" not in cont.sections
+        change(cont.sections)
+        return ctn.pack_container(cont.codec, cont.meta, cont.sections)
+
+    @staticmethod
+    def _refused(payload, decode, match=None):
+        with pytest.raises(CorruptFileError, match=match):
+            decode(payload)
+
+    @pytest.mark.parametrize("which", range(len(RAW_STREAMS)))
+    def test_both_sections(self, which):
+        payload, decode = RAW_STREAMS[which]
+
+        def both(sections):
+            sections["huff_payload"] = zlib.compress(sections["huff_raw_crc"][4:])
+        self._refused(self._damaged(payload, both), decode, "both")
+
+    @pytest.mark.parametrize("which", range(len(RAW_STREAMS)))
+    def test_neither_section(self, which):
+        payload, decode = RAW_STREAMS[which]
+        self._refused(self._damaged(payload, lambda s: s.pop("huff_raw_crc")), decode,
+                      "neither")
+
+    @settings(max_examples=60, deadline=None)
+    @given(which=st.integers(0, len(RAW_STREAMS) - 1), keep=st.integers(0, 10**6))
+    def test_truncated_raw_section(self, which, keep):
+        payload, decode = RAW_STREAMS[which]
+
+        def cut(sections):
+            raw = sections["huff_raw_crc"]
+            sections["huff_raw_crc"] = raw[:keep % len(raw)]
+        self._refused(self._damaged(payload, cut), decode)
+
+    @settings(max_examples=200, deadline=None)
+    @given(which=st.integers(0, len(RAW_STREAMS) - 1), bit=st.integers(0, 10**7))
+    def test_one_flipped_bit_in_the_raw_section(self, which, bit):
+        payload, decode = RAW_STREAMS[which]
+
+        def flip(sections):
+            raw = bytearray(sections["huff_raw_crc"])
+            at = bit % (8 * len(raw))
+            raw[at // 8] ^= 0x80 >> (at % 8)
+            sections["huff_raw_crc"] = bytes(raw)
+        self._refused(self._damaged(payload, flip), decode, "checksum")
 
 
 class TestCodecsThroughContainer:

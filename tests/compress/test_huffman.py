@@ -1,12 +1,14 @@
 """Tests for the canonical Huffman codec."""
 
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compress import huffman
 from repro.compress.huffman import (
     MAX_CODE_LEN,
     SYNC_INTERVAL,
@@ -335,3 +337,80 @@ class TestProperties:
                     continue
                 if li <= lj:
                     assert (cj >> (lj - li)) != ci, "code i is a prefix of code j"
+
+
+@st.composite
+def histogram_inputs(draw):
+    """uint32 or int64 symbols, negatives included, whose span is below, at or
+    far above their count; empty arrays too."""
+    dtype = draw(st.sampled_from([np.uint32, np.int64]))
+    n = draw(st.integers(0, 300))
+    lo = draw(st.integers(0, 2**32 - 1) if dtype is np.uint32 else st.integers(-2**40, 2**40))
+    span = draw(st.sampled_from([0, 1, max(n - 1, 0), n, n + 1, 10 * n + 7, 2**20]))
+    top = min(lo + span, 2**32 - 1) if dtype is np.uint32 else lo + span
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = rng.integers(lo, top, size=n, endpoint=True).astype(dtype)
+    if n and draw(st.booleans()):
+        data[rng.integers(n)] = top                     # the span reached exactly
+    return data
+
+
+class TestHistogram:
+    """``from_data`` counts by ``bincount`` when the span is at most the data's
+    length and by ``np.unique`` otherwise: the same symbols, counts and table."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(histogram_inputs())
+    def test_bincount_and_unique_agree(self, data):
+        if data.size:
+            symbols, counts = huffman._histogram(data)
+            want_symbols, want_counts = np.unique(data, return_counts=True)
+            assert symbols.dtype == want_symbols.dtype
+            np.testing.assert_array_equal(symbols, want_symbols)
+            np.testing.assert_array_equal(counts, want_counts)
+        codec = HuffmanCodec.from_data(data)
+        with mock.patch.object(huffman, "_histogram",
+                               lambda d: np.unique(d, return_counts=True)):
+            sorted_codec = HuffmanCodec.from_data(data)
+        np.testing.assert_array_equal(codec.symbols, sorted_codec.symbols)
+        np.testing.assert_array_equal(codec.lengths, sorted_codec.lengths)
+        assert codec.data_bits == sorted_codec.data_bits
+
+    def test_both_paths_are_taken(self):
+        with mock.patch.object(huffman.np, "unique", wraps=np.unique) as unique:
+            HuffmanCodec.from_data(np.arange(-5, 95, dtype=np.int64) % 40)   # span 39 of 100
+            assert unique.call_count == 0
+            HuffmanCodec.from_data(np.asarray([0, 2**31, 7], dtype=np.uint32))
+            assert unique.call_count == 1
+
+
+class TestLazyTables:
+    """A table builds its canonical codes, encode lookup and decode structures
+    on first use, and they are the ones an eager build gives."""
+
+    @staticmethod
+    def _eager(codec):
+        """Every structure built up front, before anything uses it."""
+        assert codec.codes is not None and codec._canonical() and codec._build_lut()
+        codec._lookup(codec.symbols[:1])
+        return codec
+
+    def test_from_data_builds_none_of_them(self):
+        codec = HuffmanCodec.from_data(np.arange(1000, dtype=np.uint32) % 37)
+        assert (codec._codes, codec._dec, codec._enc, codec._lut) == (None,) * 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 3000), min_size=1, max_size=600))
+    def test_lazy_equals_eager(self, values):
+        data = np.asarray(values, dtype=np.uint32)
+        eager = self._eager(HuffmanCodec.from_data(data))
+        lazy = HuffmanCodec.from_data(data)
+        first = lazy.encode(data)                   # encode first, then the rest
+        assert lazy._dec is None and lazy._lut is None
+        again = eager.encode(data)
+        assert (first.payload, first.nbits) == (again.payload, again.nbits)
+        np.testing.assert_array_equal(first.sync, again.sync)
+        np.testing.assert_array_equal(lazy.codes, eager.codes)
+        assert lazy._build_lut()[0] == eager._build_lut()[0]
+        np.testing.assert_array_equal(lazy._build_lut()[1], eager._build_lut()[1])
+        np.testing.assert_array_equal(HuffmanCodec.from_data(data).decode(first), data)

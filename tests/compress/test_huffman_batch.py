@@ -127,6 +127,22 @@ def _sections(arrays, codec=None):
     return ctn.pack_huffman([codec.encode(a) for a in arrays])
 
 
+def _codes(sections) -> bytes:
+    """The codes section's bytes, in whichever form ``pack_huffman`` chose."""
+    if "huff_payload" in sections:
+        return zlib.decompress(sections["huff_payload"])
+    return sections["huff_raw_crc"][4:]
+
+
+def _put_codes(sections, codes: bytes) -> None:
+    """Replace the codes in their form, consistently (a raw section's CRC
+    recomputed), so the damage reaches the decoder's own checks."""
+    if "huff_payload" in sections:
+        sections["huff_payload"] = zlib.compress(codes)
+    else:
+        sections["huff_raw_crc"] = zlib.crc32(codes).to_bytes(4, "little") + codes
+
+
 @pytest.mark.usefixtures("peek")
 class TestCorruptionMatrix:
     """Damage either raises ValueError or (sync only) falls back to exact data."""
@@ -139,8 +155,7 @@ class TestCorruptionMatrix:
     @given(st.integers(0, 50), st.integers(1, 400))
     def test_truncated_payload(self, seed, cut):
         sections = _sections(self._arrays(seed))
-        payload = zlib.decompress(sections["huff_payload"])
-        sections["huff_payload"] = zlib.compress(payload[:-cut])
+        _put_codes(sections, _codes(sections)[:-cut])
         with pytest.raises(ValueError):
             ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
 
@@ -172,11 +187,11 @@ class TestCorruptionMatrix:
         # a one-symbol table assigns only code '0': any 1 bit matches nothing
         arrays = [np.full(n, 9, dtype=np.uint32) for n in (600, 40, 257, 256)]
         sections = _sections(arrays)
-        payload = bytearray(zlib.decompress(sections["huff_payload"]))
+        payload = bytearray(_codes(sections))
         start = sum((a.size + 7) // 8 for a in arrays[:which])
         bit = where % arrays[which].size
         payload[start + bit // 8] |= 0x80 >> (bit % 8)
-        sections["huff_payload"] = zlib.compress(bytes(payload))
+        _put_codes(sections, bytes(payload))
         with pytest.raises(ValueError, match="unassigned code"):
             ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
 
@@ -234,7 +249,7 @@ class TestDeflateErrors:
 
     @pytest.mark.parametrize("section", ["huff_payload", "huff_sync"])
     def test_unpack_huffman(self, section):
-        sections = _sections([np.arange(300, dtype=np.uint32) % 11])
+        sections = _sections([np.arange(300, dtype=np.uint32) % 2])    # 1 bit a code: deflated
         sections[section] = self.JUNK
         with pytest.raises(ValueError):
             ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)

@@ -205,7 +205,9 @@ class TestPinnedWriterBytes:
     #: only the codec recipe and value range (chunk payloads, chunk tables and
     #: reconstructions unchanged from the v2 pins)
     PLOTFILE = "537f71eb294fa02ad134c1d11b2d6122f4a548a95b3a58d55a7cbf8060d83295"
-    DELTA_STEP = "0f15bd06a239da6d65b4c47c12210e71ccd01f1d3ca20901a842bcbf769dae39"
+    #: a stream's codes stored raw behind a CRC32 at >= 2 bits a symbol (the
+    #: codes, modes and reconstructions are the deflated-only pin's)
+    DELTA_STEP = "c23ed55869ecaabfaae03e2fb87e8e510307431ed731abcf04a52abff27c0418"
 
     @staticmethod
     def sha256(path):

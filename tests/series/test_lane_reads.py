@@ -9,7 +9,7 @@ handle that sliced equals a fresh handle's bit for bit.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -73,6 +73,8 @@ class TestSliceEqualsWholeReads:
     @settings(max_examples=12)
     @given(name=st.sampled_from(["interval 1", "interval 2", "interval 4", "regrid"]),
            request=slices())
+    # a refilled box whose average-down once summed in another order than the whole level's
+    @example(name="regrid", request=(0, Box((3, 0, 0), (14, 0, 10)), None, True))
     def test_slice_then_read(self, series_dirs, name, request):
         directory = series_dirs[name]
         level, box, steps, refill = request

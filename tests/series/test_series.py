@@ -144,8 +144,13 @@ class TestNaiveSeries:
                 assert np.array_equal(values[i], raw[4:10, 4:10, 4:10])
             key_path = os.path.join(path, series.steps()[0].path)
             chained = series.read_field("temperature", step=0, refill=False)
+            for i in range(len(hierarchies)):     # the header says what the chunks hold
+                step = series.open_step(i)
+                assert step.header.codec_options["modify_filter"] is False
+                assert all(d.padded for d in step._scan().datasets)
         with repro.open(key_path) as handle:      # a keyframe decodes on its own too
             assert np.array_equal(handle.read_field("temperature", refill=False), chained)
+            assert handle.header.codec_options["modify_filter"] is False
 
 
 class TestBackendIdentity:

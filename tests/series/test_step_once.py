@@ -275,8 +275,10 @@ def _both(pairs):
     return temporal_encode_job(job), _ref_temporal_encode_job(job), ref_codes
 
 
-#: where the 1.10x bar is not held there is no derived bound, only a tripwire: 32 of 6,000
-#: sampled drift pairs committed over 1.10x the smaller stream, 8 over 1.20x, worst 1.48x
+#: where the 1.10x bar is not held there is no derived bound, only a tripwire: of 3,000
+#: drift pairs (seeds 0-1499, 4,096 and 20,000 cells) 8 committed over 1.10x the smaller
+#: stream, none over 1.20x, worst 1.16x (32 / 8 / 1.48x of 6,000 while every stream was
+#: deflated)
 DRIFT_CEILING = 2.0
 
 
@@ -301,18 +303,30 @@ def test_choice_against_the_encode_both_reference(pairs):
 
 
 def test_noise_free_drift_can_commit_the_stream_that_is_larger_after_deflate():
-    """ISSUE 23's test (2) is NOT met on this family, and this pins how: a noise-free
+    """The choice test's 1.10x bar is NOT met on this family, and this pins how: a noise-free
     sinusoid a few grid steps in amplitude (an error bound of percents of the range,
-    no cell-scale texture).  Deflate takes the key stream to a ninth and the delta to a
-    third of what their tables imply (7,231 / 2,934 implied, 781 / 940 real), so the
-    implied order is not the real one; the job keeps the delta, 20% over the key
-    stream (0.1% of the raw chunk)."""
-    pairs = [("drift",) + _smooth_pair(np.random.default_rng(585), 20000, False)]
+    no cell-scale texture).  Both candidates spend under 2 bits a symbol, so both are
+    deflated, the key to a seventh and the delta to a fifth of what their tables imply
+    (4,186 / 3,074 implied, 567 / 657 real): the implied order is not the real one,
+    and the job keeps the delta, 16% over the key stream (0.1% of the raw chunk)."""
+    pairs = [("drift",) + _smooth_pair(np.random.default_rng(346), 20000, False)]
     ours, ref, _ = _both(pairs)
     assert (ours.mode, ref.mode) == (MODE_DELTA, MODE_KEY)
     assert ours.delta_bytes < ours.key_bytes and ref.key_bytes < ref.delta_bytes
     assert ours.key_bytes > 5 * ref.key_bytes and ours.delta_bytes > 2 * ref.delta_bytes
     assert 1.10 * ref.key_bytes < ours.compressed_bytes < 1.30 * ref.key_bytes
+
+
+def test_a_stream_stored_raw_is_ranked_by_its_implied_size():
+    """At 2 bits a symbol and more the codes are stored raw, so deflate cannot
+    reorder the candidates: this drift key (7,231 implied, 2.9 bits a symbol) was
+    781 B deflated and committed the delta 20% over it; raw it is 7,455 B, and the
+    job's delta (940 B, deflated) is the smaller real stream too."""
+    pairs = [("drift",) + _smooth_pair(np.random.default_rng(585), 20000, False)]
+    ours, ref, _ = _both(pairs)
+    assert (ours.mode, ref.mode) == (MODE_DELTA, MODE_DELTA)
+    assert ours.payloads == ref.payloads
+    assert 0 < ref.key_bytes - ours.key_bytes < 400      # raw: implied plus meta, CRC, sync
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +350,8 @@ def test_degenerate_streams_round_trip(codes, delta):
 @pytest.mark.parametrize("n", [0, 1, 300, 5000])
 def test_implied_size_is_the_stream_with_its_payload_undeflated_less_meta_and_sync(n):
     """The framing term is the container module's (``huffman_framing_nbytes``): a
-    format change moves it with the format, and this identity says what it counts."""
+    format change moves it with the format, and this identity says what it counts
+    (the codes section is left out whole, raw or deflated)."""
     from repro.compress.lossless import unpack_sections
 
     codec = TemporalDeltaCodec(ErrorBound.absolute(EB))
@@ -344,7 +359,8 @@ def test_implied_size_is_the_stream_with_its_payload_undeflated_less_meta_and_sy
     candidate = codec.candidate(codes, EB, shape=(n,))
     payload = codec.pack(candidate)
     sections = unpack_sections(payload)
-    left_out = sum(len(sections[name]) for name in ("meta", "huff_payload", "huff_sync"))
+    left_out = sum(len(sections[name]) for name in sections
+                   if name in ("meta", "huff_payload", "huff_raw_crc", "huff_sync"))
     assert candidate.nbytes == len(payload) - left_out + (candidate.table.data_bits + 7) // 8
 
 
@@ -410,3 +426,24 @@ def test_refused_first_append_leaves_no_series(tmp_path, append):
                for g in writer.index.field_grids.values())
     writer.close()
     assert SeriesIndex.load(directory).nsteps == 1
+
+
+@pytest.mark.parametrize("seed, key_bytes, delta_bytes",
+                         [(0, 4_947_517, 2_260_034), (3, 5_265_312, 2_458_081)])
+def test_storing_codes_raw_moves_no_choice(tmp_path, seed, key_bytes, delta_bytes):
+    """The 8-step nyx_1 series of the benchmark's ``series_stream`` (seeds 0 and 3):
+    every dataset's mode and both candidates' implied sizes, as they were while every
+    stream was deflated.  The framing term is one constant on both candidates, so
+    which form the codes are stored in changes no choice."""
+    from repro.apps import RUN_PRESETS, build_run
+
+    preset = RUN_PRESETS["nyx_1"]
+    sim = build_run("nyx_1", seed=preset.seed + seed, regrid_interval=4)
+    repro.write_series(list(sim.run(8)), str(tmp_path), keyframe_interval=4,
+                       error_bound=preset.error_bound_amric)
+    with repro.open_series(str(tmp_path)) as series:
+        steps = series.steps()
+    assert ["".join(d.mode[0] for d in step.datasets) for step in steps] == \
+        2 * (["k" * 12] + 3 * ["d" * 12])
+    assert sum(d.key_bytes for step in steps for d in step.datasets) == key_bytes
+    assert sum(d.delta_bytes or 0 for step in steps for d in step.datasets) == delta_bytes

@@ -156,11 +156,12 @@ class TestCorruptStreams:
             codec.decode_key(b"not a container at all")
 
     @pytest.mark.parametrize("dropped", ["eb", "offset", "min_code", "n", "sync_interval",
-                                         "mode", "huff_table", "huff_payload",
+                                         "mode", "huff_table", "huff_raw_crc",
                                          "huff_nbits", "huff_ncodes"])
     def test_stream_missing_a_piece_names_it(self, codec, data, dropped):
         payload, _, _ = codec.encode_key(data)
         cont = unpack_container(payload)
+        assert dropped in cont.meta or dropped in cont.sections
         cont.meta.pop(dropped, None)
         cont.sections.pop(dropped, None)
         damaged = pack_container(cont.codec, cont.meta, cont.sections)
