@@ -8,7 +8,8 @@ encoded, to <= 2x a symbol of the long decode (all three stamp
 key stream, where the code-length merge — not the histogram — is the cost.
 ``test_huffman_decode_many_tables`` is a decode job: four containers, each
 under its own table, decoded in one lane pass or in four — the gate holds the
-one pass to <= 0.7x the four (the pass's 256 Python-level steps are shared).
+one pass to <= 0.7x the four (the pass's ``SYNC_INTERVAL`` Python-level
+steps are shared).
 ``test_huffman_decode_cold_pass`` is the small pass a cold served box read
 decodes, where the decoder peeks through its per-bit LUT index.
 """
@@ -87,7 +88,6 @@ def test_huffman_decode_many_small_streams(benchmark, small_streams):
     benchmark.extra_info["symbols"] = sum(a.size for a in small_streams)
     benchmark.extra_info["streams"] = SMALL_STREAMS
     result = benchmark.pedantic(ctn.unpack_huffman, args=(sections,),
-                                kwargs={"sync_interval": SYNC_INTERVAL},
                                 rounds=5, iterations=1)
     for got, array in zip(result, small_streams):
         np.testing.assert_array_equal(got, array)
@@ -104,8 +104,7 @@ def _containers(seed, scales, nstreams):
         blocks = [(32768 + np.round(rng.laplace(0, scale, n))).astype(np.uint32)
                   for n in sizes]
         codec = HuffmanCodec.from_multiple(blocks)
-        pairs += ctn.parse_huffman(ctn.pack_huffman([codec.encode(b) for b in blocks]),
-                                   sync_interval=SYNC_INTERVAL)
+        pairs += ctn.parse_huffman(ctn.pack_huffman([codec.encode(b) for b in blocks]))
         arrays.append(np.concatenate(blocks))
     assert all(12 <= codec._build_lut()[0] <= 15 for codec, _ in pairs)
     return pairs, arrays
@@ -136,8 +135,8 @@ def test_huffman_decode_many_tables(benchmark, job_containers, passes):
 
 
 def test_huffman_decode_cold_pass(benchmark):
-    """The pass a cold served box read decodes: three chunks' tables, ~70
-    lanes, ~9 KB of codes.  Its 256 steps, not its symbols, are the cost."""
+    """The pass a cold served box read decodes: three chunks' tables, ~9 KB
+    of codes.  Its ``SYNC_INTERVAL`` steps, not its symbols, are the cost."""
     pairs, arrays = _containers(25, (1.2, 2.5, 6.0), 23)
     benchmark.extra_info["lanes"] = sum(-(-e.nsymbols // SYNC_INTERVAL) for _, e in pairs)
     benchmark.extra_info["payload_bytes"] = sum(len(e.payload) for _, e in pairs)

@@ -82,20 +82,22 @@ def comparison_record(experiment: str, quantity: str, paper_value: float,
 def plotfile_dataset_rows(handle) -> List[Dict[str, object]]:
     """Per-dataset rows of an open :class:`~repro.core.reader.PlotfileHandle`
     for :func:`format_table`: what each dataset stores and its ratio, from
-    the chunk index alone (no chunk is read) — the valid elements each chunk
-    records over the bytes its chunks occupy.
+    the header and the chunk index alone (no chunk is read) — the cells the
+    layout places in it (``handle.placed_elements()``) over the bytes its
+    chunks occupy.
     """
     import numpy as np
 
     rows: List[Dict[str, object]] = []
+    placed = handle.placed_elements()
     for name in handle.dataset_names():
         info = handle.dataset_info(name)
         rows.append({
             "dataset": name,
             "chunks": info.nchunks,
-            "elements": info.valid_elements,
+            "elements": placed[name],
             "stored_bytes": info.stored_nbytes,
-            "ratio": info.valid_elements * np.dtype(info.dtype).itemsize
+            "ratio": placed[name] * np.dtype(info.dtype).itemsize
             / max(info.stored_nbytes, 1),
             "filter": info.filter_id,
         })

@@ -353,11 +353,36 @@ def _decoded_checks(hierarchies, fields) -> List[tuple]:
     return [("fields", fields_ok), ("finite", finite_ok)]
 
 
+def _box_major_checks(handle) -> List[tuple]:
+    """The checks of an ``amrex_1d`` (box-major) file, which no reader
+    places: every chunk decoded through its filter, each level holding its
+    boxes' cells once per field, and finite values."""
+    from repro.baselines.amrex_1d import ClassicSZFilter
+    from repro.compress.sz1d import SZ1DCompressor
+    from repro.core.preprocess import level_layouts
+
+    filt = ClassicSZFilter(SZ1DCompressor(handle.error_bound))
+    cells_ok = finite_ok = True
+    for level, layout in enumerate(level_layouts(*handle.header.geometry)):
+        name = f"level_{level}/cell_data"
+        info = handle.dataset_info(name)
+        values = [filt.decode(payload, info.chunk_elements)[:chunk.actual_elements]
+                  for payload, chunk in zip(handle._file.read_chunk_payloads(
+                      name, range(info.nchunks)), info.chunks)]
+        handle.stats.chunks_decoded += info.nchunks
+        cells_ok &= sum(v.size for v in values) == layout.kept_cells * len(handle.fields)
+        finite_ok &= all(np.isfinite(v).all() for v in values)
+    return [("cells", cells_ok), ("finite", finite_ok)]
+
+
 def _plotfile_checks(handle, against: Optional[str]) -> tuple:
     """(checks, bound line) of one plotfile: its structure, and with a
     reference copy ``against`` the error bound."""
     import repro
+    from repro.core.header import CHUNK_ALIGNMENT_BOX_MAJOR
 
+    if handle.header.chunk_alignment == CHUNK_ALIGNMENT_BOX_MAJOR and against is None:
+        return _box_major_checks(handle), None
     hierarchy = handle.read()
     checks = [("levels", hierarchy.nlevels == handle.nlevels),
               *_decoded_checks([hierarchy], handle.fields)]

@@ -123,7 +123,7 @@ class Compressor(abc.ABC):
         return buffer.payload, recon
 
     def decode_record(self, record: bytes, shape: Tuple[int, ...],
-                      sync_interval: int | None = None, context: bytes = b"") -> np.ndarray:
+                      context: bytes = b"") -> np.ndarray:
         return self.decompress(record).reshape(shape)
 
     def resolve_eb(self, data: np.ndarray, value_range: float | None = None) -> float:

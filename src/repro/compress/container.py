@@ -13,7 +13,7 @@ module is the single implementation:
   written before this refactor still deserialize);
 * :func:`pack_huffman` / :func:`unpack_huffman` — the shared-table Huffman
   stream sections (table, codes — raw behind a CRC32 at >= 2 bits a symbol,
-  else deflated —, per-stream bit counts, packed sync offsets) used by the
+  else deflated —, per-stream bit counts, deflated sync residuals) used by the
   ``sz_1d`` and ``temporal_delta`` entropy stages;
 * :func:`parse_huffman` + :func:`decode_huffman` — the two halves of
   :func:`unpack_huffman`: sections to ``(codec, encoded)`` pairs, then one
@@ -145,11 +145,12 @@ def pack_huffman(streams: Sequence[HuffmanEncoded]) -> Dict[str, bytes]:
     All streams must carry the same table (true for the shared-encoding/SLE
     path and trivially for a single stream).  Emits ``huff_table``, the
     concatenated codes, ``huff_nbits`` / ``huff_ncodes`` (int64 per stream)
-    and ``huff_sync`` (packed sync offsets, the parallel-decode acceleration
-    structure).  The codes go raw behind their CRC32 (``huff_raw_crc``) when
-    the table spends at least ``_RAW_BITS`` bits a symbol, where deflate
-    buys next to nothing, and deflated (``huff_payload``) below that
-    (DESIGN.md §4).
+    and ``huff_sync`` (the deflated
+    :func:`~repro.compress.huffman.sync_residuals`, the parallel-decode
+    acceleration structure).  The codes go raw behind their CRC32
+    (``huff_raw_crc``) when the table spends at least ``_RAW_BITS`` bits a
+    symbol, where deflate buys next to nothing, and deflated
+    (``huff_payload``) below that (DESIGN.md §4).
     """
     if not streams:
         raise ValueError("need at least one Huffman stream")
@@ -163,7 +164,8 @@ def pack_huffman(streams: Sequence[HuffmanEncoded]) -> Dict[str, bytes]:
         section = {_DEFLATED: zlib_compress(codes)}
     return {"huff_table": pack_arrays(s0.table_symbols, s0.table_lengths), **section,
             "huff_nbits": nbits.tobytes(), "huff_ncodes": ncodes.tobytes(),
-            "huff_sync": huffman.pack_sync([s.sync for s in streams])}
+            "huff_sync": zlib_compress(b"".join(
+                a.tobytes() for a in huffman.sync_residuals(streams)))}
 
 
 def _stored_codes(sections: Dict[str, bytes]) -> bytes:
@@ -189,26 +191,29 @@ def huffman_framing_nbytes() -> int:
             - len(sections[_RAW]) - len(sections["huff_sync"]))
 
 
-def parse_huffman(sections: Dict[str, bytes], *, sync_interval: int = 0) -> List[HuffmanPair]:
+def parse_huffman(sections: Dict[str, bytes]) -> List[HuffmanPair]:
     """The shared-table Huffman sections as one ``(codec, multi-stream encoded)`` pair.
 
     Everything :func:`unpack_huffman` does short of the entropy decode: the
-    table, the codes (checked or inflated), the per-stream counts and the sync offsets (a
-    sync section that does not fit the counts leaves the pair on the scalar
-    path).  The codec checks the counts against the bytes present (negative
-    counts, a short payload, more symbols than bits) when the pair is decoded.
+    table, the codes (checked or inflated), the per-stream counts — checked
+    against the codes' bytes before the sync offsets are sized from them —
+    and the sync offsets.  Damage is a :class:`CorruptFileError`.
     """
-    nbits, ncodes, table = (required(sections, name, "Huffman sections")
-                            for name in ("huff_nbits", "huff_ncodes", "huff_table"))
+    nbits, ncodes, table, sync = (required(sections, name, "Huffman sections") for name in
+                                  ("huff_nbits", "huff_ncodes", "huff_table", "huff_sync"))
     nbits = np.frombuffer(nbits, dtype=np.int64)
     ncodes = np.frombuffer(ncodes, dtype=np.int64)
     if nbits.size != ncodes.size or nbits.size == 0:
-        raise ValueError("Huffman bit/symbol count mismatch")
+        raise CorruptFileError("Huffman bit/symbol count mismatch")
     symbols, lengths = unpack_arrays(table)
     payload = _stored_codes(sections)
-    syncs = huffman.unpack_sync_for(sections.get("huff_sync"), int(sync_interval),
-                                    ncodes.tolist())
-    sync = None if any(s is None for s in syncs) else np.concatenate(syncs)
+    if (ncodes < 0).any() or (nbits < ncodes).any() \
+            or int(((nbits + 7) >> 3).sum()) != len(payload):
+        raise CorruptFileError(f"Huffman sections: {len(payload)} bytes of codes do not "
+                               "hold the streams' bit and symbol counts")
+    side = SideReader(zlib_decompress(sync), "Huffman section 'huff_sync'")
+    sync = _take_sync(side, nbits, ncodes)
+    side.done()
     batch = HuffmanEncoded(payload, int(nbits.sum()), int(ncodes.sum()), symbols, lengths,
                            sync=sync, streams=np.stack([nbits, ncodes], axis=1))
     return [(HuffmanCodec(symbols, lengths), batch)]
@@ -232,10 +237,9 @@ def decode_huffman(containers: Sequence[Sequence[HuffmanPair]]) -> List[List[np.
     return out
 
 
-def unpack_huffman(sections: Dict[str, bytes], *,
-                   sync_interval: int = 0) -> List[np.ndarray]:
+def unpack_huffman(sections: Dict[str, bytes]) -> List[np.ndarray]:
     """Decode the shared-table Huffman sections back to per-stream code arrays."""
-    return decode_huffman([parse_huffman(sections, sync_interval=sync_interval)])[0]
+    return decode_huffman([parse_huffman(sections)])[0]
 
 
 # ----------------------------------------------------------------------
@@ -297,6 +301,18 @@ class SideReader:
             raise CorruptFileError(f"{self.what}: bytes past its side streams")
 
 
+def _take_sync(side: SideReader, nbits: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The streams' sync offsets (concatenated) from their stored residuals
+    and escapes (:func:`~repro.compress.huffman.sync_residuals`)."""
+    lanes = -(-counts // huffman.SYNC_INTERVAL)
+    residuals = side.take("u1", np.maximum(lanes - 1, 0).sum())
+    escapes = side.take("<u2", np.count_nonzero(residuals == 255))
+    try:
+        return huffman.sync_offsets(residuals, escapes, nbits, counts)
+    except CorruptFileError as exc:
+        raise CorruptFileError(f"{side.what}: {exc}") from exc
+
+
 def _table_arrays(tables: Sequence[HuffmanCodec]) -> List[np.ndarray]:
     """Tables as stored: a row ``(lo, span, length of symbol 0)`` each, then
     their code lengths over ``[lo, lo + span)`` (0: absent).  Codes cluster
@@ -343,28 +359,28 @@ def pack_record(shapes: Sequence[Sequence[int]], streams: Sequence[HuffmanEncode
 
     ``streams`` holds one byte-aligned Huffman stream per array, their codes
     deflated together.  The side blob deflates each stream's bit count, the
-    ``tables`` (one shared, or one per stream), the sync deltas and then the
+    ``tables`` (one shared, or one per stream), the sync residuals and then the
     codec's ``side`` arrays (typed little-endian by the caller): nothing the
     shapes and the codec recipe imply.  The CRC is seeded by :func:`shapes_seed`.
     """
     blob = b"".join(np.ascontiguousarray(a).tobytes() for a in (
         np.asarray([s.nbits for s in streams], dtype="<i8"), *_table_arrays(tables),
-        huffman.sync_deltas([s.sync for s in streams]), *side))
+        *huffman.sync_residuals(streams), *side))
     codes = zlib_compress(b"".join(s.payload for s in streams))
     body = struct.pack("<IQ", len(streams), len(codes)) + codes + zlib_compress(blob)
     return struct.pack("<I", zlib.crc32(body, shapes_seed(shapes, context))) + body
 
 
 def parse_record(record: bytes, shapes: Sequence[Sequence[int]], nsymbols: Sequence[int],
-                 shared: bool, sync_interval: int, what: str, context: bytes = b""
+                 shared: bool, what: str, context: bytes = b""
                  ) -> Tuple[List[HuffmanPair], SideReader]:
     """Invert :func:`pack_record` short of the entropy decode: the Huffman
     pairs (one multi-stream pair under a shared table, else one per stream)
     and the side blob, positioned at the codec's own arrays.
 
-    ``nsymbols`` (per array) and ``sync_interval`` come from the shapes and the
-    recipe.  The array count, then the checksum, then every length is checked
-    before anything is sized from it: any failure is :class:`CorruptFileError`.
+    ``nsymbols`` (per array) comes from the shapes and the recipe.  The array
+    count, then the checksum, then every length is checked before anything is
+    sized from it: any failure is :class:`CorruptFileError`.
     """
     if len(record) < _RECORD.size:
         raise CorruptFileError(f"{what}: {len(record)} bytes, shorter than a record header")
@@ -383,20 +399,17 @@ def parse_record(record: bytes, shapes: Sequence[Sequence[int]], nsymbols: Seque
     if (nbits < nsymbols).any():
         raise CorruptFileError(f"{what}: fewer code bits than symbols")
     tables = _take_tables(side, 1 if shared else narrays)
-    lanes = -(-nsymbols // max(int(sync_interval), 1))
-    syncs = huffman.sync_offsets(side.take("<u2", lanes.sum()), lanes)
-    if sync_interval != huffman.SYNC_INTERVAL:
-        syncs = [None] * narrays
     nbytes = (nbits + 7) >> 3
     if int(nbytes.sum()) != len(payload):
         raise CorruptFileError(f"{what}: {len(payload)} bytes of codes, its streams "
                                f"hold {int(nbytes.sum())}")
+    sync = _take_sync(side, nbits, nsymbols)
     if shared:
-        sync = None if syncs[0] is None else np.concatenate(syncs)
         return [(tables[0], HuffmanEncoded(
             payload, int(nbits.sum()), int(nsymbols.sum()), tables[0].symbols,
             tables[0].lengths, sync=sync, streams=np.stack([nbits, nsymbols], axis=1)))], side
     starts = (np.cumsum(nbytes) - nbytes).tolist()
+    syncs = np.split(sync, np.cumsum(-(-nsymbols // huffman.SYNC_INTERVAL))[:-1])
     return [(table, HuffmanEncoded(payload[start:start + size], bits, count, table.symbols,
                                    table.lengths, sync=sync))
             for table, start, size, bits, count, sync in zip(
@@ -410,10 +423,9 @@ def pack_huffman_individual(streams: Sequence[HuffmanEncoded]) -> bytes:
                        [HuffmanCodec(s.table_symbols, s.table_lengths) for s in streams], [])
 
 
-def unpack_huffman_individual(section: bytes, ncodes: Sequence[int],
-                              sync_interval: int = huffman.SYNC_INTERVAL) -> List[np.ndarray]:
+def unpack_huffman_individual(section: bytes, ncodes: Sequence[int]) -> List[np.ndarray]:
     """Invert :func:`pack_huffman_individual` (``ncodes``: symbols per stream)."""
-    pairs, side = parse_record(section, [(n,) for n in ncodes], ncodes, False, sync_interval,
+    pairs, side = parse_record(section, [(n,) for n in ncodes], ncodes, False,
                                "per-array Huffman streams")
     side.done()
     return decode_huffman([pairs])[0]

@@ -17,15 +17,20 @@ Both directions are fully vectorized (DESIGN.md §2):
   at its 32-bit word, sums each word's windows with ``np.add.reduceat`` and
   folds the low halves into the next word: integers only, temporaries
   O(symbols).  It also records *sync offsets* — the bit position of every
-  ``SYNC_INTERVAL``-th symbol, 8 bytes each — which make the decoder parallel.
+  ``SYNC_INTERVAL``-th (64th) symbol — which make the decoder parallel.
+  They are stored (:func:`sync_residuals`) as each lane's bit length less
+  the stream's mean lane length, zigzag bytes with rare ``<u2`` escapes: a
+  stream's first offset (0) and its last lane (implied by its bit count)
+  are not stored, so about one byte per 64 symbols before deflate.
   One call per stream: batching streams as decode does buys nothing here
   (DESIGN.md §2).  Code lengths come from a two-queue merge of sorted counts.
 * **decode** splits the payload at the sync offsets into independent lanes
   ``(start bit, end bit, symbol count)`` and advances all lanes in lockstep:
   peek the next ``K`` bits of every lane, look all of them up in a flat
   canonical table ``LUT[next_k_bits] -> (symbol, code_len)``, emit, advance.
-  A pass of at most ``_PER_BIT_BYTES`` (64 KiB) first builds the LUT slot of
-  every bit position (<= ~2 MiB), so a step is four numpy calls; a larger
+  A pass runs at most ``SYNC_INTERVAL`` steps, however many lanes it holds.
+  A pass of at most ``_PER_BIT_BYTES`` (32 KiB) first builds the LUT slot of
+  every bit position (<= ~1 MiB), so a step is four numpy calls; a larger
   one peeks through a sliding 24-bit byte window (10-13 calls a step), as
   building that index costs it more than the calls save (DESIGN.md §2).  A
   :class:`HuffmanEncoded` may hold several byte-aligned streams of one table
@@ -40,36 +45,37 @@ Both directions are fully vectorized (DESIGN.md §2):
 
 Streams without sync offsets (hand-built :class:`HuffmanEncoded` objects, or
 tables whose code lengths exceed the LUT width) fall back to an exact
-table-driven scalar loop with identical error behaviour: a ``ValueError`` on
-truncated streams and on bit patterns that match no code.
+table-driven scalar loop with identical error behaviour: a
+:class:`~repro.errors.CorruptFileError` on truncated streams and on bit
+patterns that match no code.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compress.lossless import zlib_decompress
+from repro.errors import CorruptFileError
 
 __all__ = ["HuffmanCodec", "encode", "decode", "decode_many", "HuffmanEncoded",
-           "MAX_CODE_LEN", "SYNC_INTERVAL", "pack_sync", "unpack_sync",
-           "unpack_sync_for", "sync_deltas", "sync_offsets"]
+           "MAX_CODE_LEN", "SYNC_INTERVAL", "sync_residuals", "sync_offsets"]
 
 #: default code-length limit — keeps the decode LUT at 2**16 entries
 MAX_CODE_LEN = 16
 
-#: symbols per decoder lane; encode records one sync offset per interval
-SYNC_INTERVAL = 256
+#: symbols per decoder lane; encode records one sync offset per interval.  A
+#: format constant (plotfile format v3): the stored offsets imply it
+SYNC_INTERVAL = 64
 
 #: the longest codeword the vectorized encoder can pack (two 32-bit words)
 _ENCODE_MAX_LEN = 32
 
 #: a lane pass whose payloads join to at most this many bytes peeks through a
-#: per-bit LUT index (4 numpy calls a step); larger ones through the byte window
-_PER_BIT_BYTES = 1 << 16
+#: per-bit LUT index (4 numpy calls a step); larger ones through the byte window.
+#: With 64-step passes the index pays for itself up to about 31 KiB (DESIGN.md §2)
+_PER_BIT_BYTES = 1 << 15
 
 #: alphabet spans (max - min) below this, any 16-bit quantiser's, get a dense encode table
 _DENSE_SPAN = 1 << 16
@@ -364,19 +370,19 @@ class HuffmanCodec:
         rows = np.asarray([[encoded.nbits, encoded.nsymbols]] if encoded.streams is None
                           else encoded.streams, dtype=np.int64).reshape(-1, 2)
         if rows.size and int(rows.min()) < 0:
-            raise ValueError("invalid Huffman stream (negative bit or symbol count)")
+            raise CorruptFileError("invalid Huffman stream (negative bit or symbol count)")
         nbits, counts = rows[:, 0], rows[:, 1]
         if int(counts.sum()) != encoded.nsymbols:
-            raise ValueError("invalid Huffman stream (stream counts do not add up)")
+            raise CorruptFileError("invalid Huffman stream (stream counts do not add up)")
         if not counts.any():
             return None
         nbytes = (nbits + 7) >> 3
         size = len(encoded.payload)
         if int(nbits.max()) > 8 * size or int(nbytes.sum()) > size \
                 or bool((counts > nbits).any()):
-            raise ValueError("truncated Huffman stream")
+            raise CorruptFileError("truncated Huffman stream")
         if self.lengths.size == 0:
-            raise ValueError("invalid Huffman stream (empty table)")
+            raise CorruptFileError("invalid Huffman stream (empty table)")
         return np.cumsum(nbytes) - nbytes, nbytes, nbits, counts
 
     def select_streams(self, encoded: HuffmanEncoded, keep: np.ndarray) -> HuffmanEncoded:
@@ -596,9 +602,9 @@ class HuffmanCodec:
         del out
         # every assigned LUT slot carries a length, so is non-zero
         if not all(entries.all() for entries in ranks):
-            raise ValueError("invalid Huffman stream (unassigned code)")
+            raise CorruptFileError("invalid Huffman stream (unassigned code)")
         if not np.array_equal(pos, end[order]):
-            raise ValueError("truncated or corrupt Huffman stream")
+            raise CorruptFileError("truncated or corrupt Huffman stream")
         for entries in ranks:
             entries >>= 5
         return ranks
@@ -626,7 +632,7 @@ class HuffmanCodec:
         produced = 0
         while produced < n:
             if pos >= nbits:
-                raise ValueError("truncated Huffman stream")
+                raise CorruptFileError("truncated Huffman stream")
             code = (code << 1) | bit_list[pos]
             pos += 1
             length += 1
@@ -637,9 +643,9 @@ class HuffmanCodec:
                 code = 0
                 length = 0
             elif length > max_len:
-                raise ValueError("invalid Huffman stream (code length overflow)")
+                raise CorruptFileError("invalid Huffman stream (code length overflow)")
         if pos != nbits:
-            raise ValueError("truncated or corrupt Huffman stream")
+            raise CorruptFileError("truncated or corrupt Huffman stream")
         return out
 
 
@@ -691,67 +697,79 @@ def _huffman_code_lengths_from_counts(counts: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# compact sync-offset serialization
+# stored sync offsets: lane-length residuals (DESIGN.md §5)
 # ----------------------------------------------------------------------
-def sync_deltas(syncs: Sequence[Optional[np.ndarray]]) -> np.ndarray:
-    """Sync offsets of one or more streams as compact uint16 deltas.
+def _lane_bits(nbits: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per stream, the bits a full lane is expected to span: the stream's
+    mean, ``(SYNC_INTERVAL * nbits + n // 2) // n`` (0 for an empty one)."""
+    return (SYNC_INTERVAL * nbits + counts // 2) // np.maximum(counts, 1)
 
-    Absolute offsets grow with the stream, but per-lane *deltas* are bounded
-    by ``SYNC_INTERVAL * _ENCODE_MAX_LEN`` bits (8192 < 2**16) and nearly
-    uniform, so uint16 deltas + deflate cost a tiny fraction of raw int64
-    offsets (sync offsets are an acceleration structure — they must not eat
-    into the compression ratio they exist to speed up).  One ``diff`` over all
-    streams' offsets, each non-empty stream's first delta then put back to its
-    first offset: the deltas a ``diff`` per stream gives.
+
+def sync_residuals(streams: Sequence[HuffmanEncoded]) -> List[np.ndarray]:
+    """The streams' sync offsets as stored: ``[u8 residuals, <u2 escapes]``.
+
+    Per stream, every lane but the last (its end is the stream's bit count)
+    stores its bit length less :func:`_lane_bits`, zigzagged (``2r`` or
+    ``-2r - 1``); a value of 255 or more is the byte 255 and goes to the
+    escapes in order.  The first offset is always 0 and is not stored either,
+    so a stream of at most ``SYNC_INTERVAL`` symbols stores nothing.  A lane
+    spans at most ``SYNC_INTERVAL * 32`` bits, so an escape fits 16 bits.
     """
-    offsets = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        np.asarray(sync, dtype=np.int64).ravel() for sync in syncs if sync is not None])
-    deltas = np.diff(offsets, prepend=np.int64(0))
-    lanes = np.asarray([0 if sync is None else np.size(sync) for sync in syncs], dtype=np.int64)
-    firsts = (np.cumsum(lanes) - lanes)[lanes > 0]
-    deltas[firsts] = offsets[firsts]
-    return deltas.astype("<u2")
+    nbits = np.asarray([s.nbits for s in streams], dtype=np.int64)
+    counts = np.asarray([s.nsymbols for s in streams], dtype=np.int64)
+    syncs = [np.zeros(0, dtype=np.int64) if s.sync is None
+             else np.asarray(s.sync, dtype=np.int64).ravel() for s in streams]
+    lanes = np.asarray([sync.size for sync in syncs], dtype=np.int64)
+    if not np.array_equal(lanes, -(-counts // SYNC_INTERVAL)):
+        raise ValueError(f"a stream lacks its sync offsets (one per {SYNC_INTERVAL} symbols)")
+    # one diff over all the offsets end to end; a stream's last lane's is dropped
+    offsets = np.concatenate([np.zeros(0, dtype=np.int64)] + syncs)
+    inner = np.ones(offsets.size, dtype=bool)
+    inner[np.cumsum(lanes)[lanes > 0] - 1] = False
+    residual = (np.diff(offsets, append=np.int64(0))
+                - np.repeat(_lane_bits(nbits, counts), lanes))[inner]
+    zigzag = (residual << 1) ^ (residual >> 63)
+    return [np.minimum(zigzag, 255).astype("u1"), zigzag[zigzag >= 255].astype("<u2")]
 
 
-def pack_sync(syncs: Sequence[Optional[np.ndarray]]) -> bytes:
-    """:func:`sync_deltas`, deflated: one serialised section."""
-    return zlib.compress(sync_deltas(syncs).tobytes(), 6)
+def sync_offsets(residuals: np.ndarray, escapes: np.ndarray, nbits: np.ndarray,
+                 counts: np.ndarray) -> np.ndarray:
+    """Invert :func:`sync_residuals`: the streams' sync offsets concatenated.
 
-
-def sync_offsets(deltas: np.ndarray, lane_counts: Sequence[int]) -> List[Optional[np.ndarray]]:
-    """Invert :func:`sync_deltas`; ``lane_counts`` gives lanes per stream.
-
-    Returns ``None`` entries (→ scalar decode fallback) if ``deltas`` does not
-    hold exactly the expected number of lanes.  One running sum over all
-    streams, each stream's share less the (exact, int64) sum in front of it.
+    ``residuals`` holds ``max(lanes - 1, 0)`` bytes per stream of ``counts``
+    symbols in ``nbits`` bits, and ``escapes`` one value per byte 255.  Each
+    value must be one the encoder writes: an escape below 255, a lane of
+    fewer bits than its symbols, or lanes that leave the last one fewer bits
+    than its symbols are a :class:`~repro.errors.CorruptFileError`.
     """
-    counts = np.asarray(lane_counts, dtype=np.int64)
-    if (counts < 0).any() or deltas.size != int(counts.sum()):
-        return [None] * len(lane_counts)
-    offsets = np.cumsum(deltas, dtype=np.int64)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    offsets -= np.repeat(np.concatenate(([0], offsets))[starts], counts)
-    return [offsets[lo:hi] for lo, hi in zip(starts.tolist(), ends.tolist())]
-
-
-def unpack_sync(blob: bytes, lane_counts: Sequence[int]) -> List[Optional[np.ndarray]]:
-    """Invert :func:`pack_sync` (see :func:`sync_offsets`)."""
-    return sync_offsets(np.frombuffer(zlib_decompress(blob), dtype="<u2"), lane_counts)
-
-
-def unpack_sync_for(blob: Optional[bytes], interval: int,
-                    ncodes: Sequence[int]) -> List[Optional[np.ndarray]]:
-    """Sync offsets per stream from a serialized section, or ``None`` entries.
-
-    ``interval`` is the writer's recorded ``sync_interval``; a missing section
-    or an interval other than the current :data:`SYNC_INTERVAL` disables the
-    fast path (the scalar decoder stays authoritative) instead of guessing.
-    """
-    if blob is None or int(interval) != SYNC_INTERVAL:
-        return [None] * len(ncodes)
-    lanes = [(int(n) + SYNC_INTERVAL - 1) // SYNC_INTERVAL for n in ncodes]
-    return unpack_sync(blob, lanes)
+    nbits = np.asarray(nbits, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    lanes = -(-counts // SYNC_INTERVAL)
+    stored = np.maximum(lanes - 1, 0)
+    zigzag = np.asarray(residuals).astype(np.int64)
+    escaped = zigzag == 255
+    if zigzag.size != int(stored.sum()) or int(escaped.sum()) != np.size(escapes):
+        raise CorruptFileError(f"{zigzag.size} sync residuals and {np.size(escapes)} "
+                               f"escapes do not fit {int(lanes.sum())} lanes")
+    zigzag[escaped] = escapes
+    if np.size(escapes) and int(np.min(escapes)) < 255:
+        raise CorruptFileError("a sync escape holds a value its residual byte could")
+    # each full lane holds SYNC_INTERVAL codes of at least one bit
+    length = ((zigzag >> 1) ^ -(zigzag & 1)) + np.repeat(_lane_bits(nbits, counts), stored)
+    if (length < SYNC_INTERVAL).any():
+        raise CorruptFileError("a sync offset before the end of its lane's codes")
+    # per stream: 0, then the running sum of its stored lane lengths
+    live = lanes > 0
+    first, last = (np.cumsum(lanes) - lanes)[live], (np.cumsum(lanes) - 1)[live]
+    inner = np.ones(int(lanes.sum()), dtype=bool)
+    inner[first] = False
+    steps = np.zeros(inner.size, dtype=np.int64)
+    steps[inner] = length
+    offsets = np.cumsum(steps)
+    offsets -= np.repeat(offsets[first], lanes[live])
+    if (nbits[live] - offsets[last] < counts[live] - stored[live] * SYNC_INTERVAL).any():
+        raise CorruptFileError("sync offsets past the end of their stream's codes")
+    return offsets
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,6 @@ import numpy as np
 from repro.compress import container as ctn
 from repro.compress.base import CompressedBuffer, Compressor, DEFAULT_RADIUS
 from repro.compress.errorbound import ErrorBound
-from repro.compress import huffman
 from repro.compress.huffman import HuffmanCodec
 from repro.errors import required
 
@@ -66,7 +65,6 @@ class SZ1DCompressor(Compressor):
             "shape": list(original_shape),
             "dtype": input_dtype,
             "anchor": anchor,
-            "sync_interval": huffman.SYNC_INTERVAL,
         }
         sections = ctn.pack_huffman([stream])
         sections["outliers"] = ctn.pack_zarray(outliers)
@@ -90,8 +88,7 @@ class SZ1DCompressor(Compressor):
         dtype = np.dtype(required(meta, "dtype", _RECORD, str))
         anchor = required(meta, "anchor", _RECORD, int)
 
-        codes = ctn.unpack_huffman(sections, sync_interval=required(
-            meta, "sync_interval", _RECORD, int))[0].astype(np.int64)
+        codes = ctn.unpack_huffman(sections)[0].astype(np.int64)
         outliers = ctn.unpack_zarray(
             required(sections, "outliers", "sz_1d sections")).astype(np.int64)
 

@@ -28,14 +28,13 @@ import numpy as np
 from repro.compress import container as ctn
 from repro.compress.base import CompressedBuffer, Compressor, DEFAULT_RADIUS
 from repro.compress.errorbound import ErrorBound
-from repro.compress import huffman
 from repro.compress.huffman import HuffmanCodec
 from repro.errors import CorruptFileError, required
 
 __all__ = ["SZInterpCompressor"]
 
 #: what a record decodes under besides its shape (:meth:`SZInterpCompressor.recipe`)
-_RECIPE = ("abs_eb", "radius", "anchor_stride", "cubic", "sync_interval", "dtype")
+_RECIPE = ("abs_eb", "radius", "anchor_stride", "cubic", "dtype")
 
 
 def _level_plan(shape: Tuple[int, ...], anchor_stride: int) -> List[Tuple[int, int]]:
@@ -166,7 +165,7 @@ class SZInterpCompressor(Compressor):
         """Everything a record is decoded under besides its shape."""
         return {"codec": self.name, "abs_eb": float(abs_eb), "radius": self.radius,
                 "anchor_stride": self.anchor_stride, "cubic": self.cubic,
-                "sync_interval": huffman.SYNC_INTERVAL, "dtype": str(dtype)}
+                "dtype": str(dtype)}
 
     def _anchor_sel(self, shape: Tuple[int, ...]) -> Tuple[slice, ...]:
         return tuple(slice(None, None, self.anchor_stride) for _ in shape)
@@ -190,14 +189,13 @@ class SZInterpCompressor(Compressor):
         return record, recon
 
     def decode_record(self, record: bytes, shape: Tuple[int, ...],
-                      sync_interval: int | None = huffman.SYNC_INTERVAL,
                       context: bytes = b"") -> np.ndarray:
         """Invert :meth:`encode_record` (float64) under this compressor's
         bound, stride and radius: :class:`CorruptFileError` if inconsistent."""
         shape = tuple(int(s) for s in shape)
         nanchors = math.prod(len(range(0, n, self.anchor_stride)) for n in shape)
         pairs, reader = ctn.parse_record(record, [shape], [math.prod(shape) - nanchors],
-                                         True, sync_interval, "sz_interp record", context)
+                                         True, "sz_interp record", context)
         (noutliers,) = reader.take("<i8", 1).tolist()
         anchors = reader.take("<f8", nanchors)
         outliers = reader.take("<f8", noutliers)
@@ -241,7 +239,6 @@ class SZInterpCompressor(Compressor):
         except (TypeError, ValueError, OverflowError) as exc:
             raise CorruptFileError(f"sz_interp meta: {exc}") from exc
         recon = decoder.decode_record(required(cont.sections, "record", "sz_interp payload"),
-                                      shape, need("sync_interval"),
-                                      ctn.recipe_context(meta, _RECIPE, "sz_interp meta"))
+                                      shape, ctn.recipe_context(meta, _RECIPE, "sz_interp meta"))
         dtype = np.dtype(need("dtype"))
         return recon.astype(dtype) if dtype != np.float64 else recon

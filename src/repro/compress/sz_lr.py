@@ -70,7 +70,6 @@ import numpy as np
 from repro.compress import container as ctn
 from repro.compress.base import CompressedBuffer, Compressor, DEFAULT_RADIUS
 from repro.compress.errorbound import ErrorBound
-from repro.compress import huffman
 from repro.compress.huffman import HuffmanCodec
 from repro.compress import regression
 from repro.errors import CorruptFileError, required
@@ -85,7 +84,7 @@ _SIDE = ("selection", "anchors", "lorenzo_outliers", "regression_outliers",
          "regression_coeffs")
 
 #: what a record decodes under besides its shapes (:meth:`SZLRCompressor.recipe`)
-_RECIPE = ("abs_eb", "radius", "block_size", "shared", "sync_interval", "dtype")
+_RECIPE = ("abs_eb", "radius", "block_size", "shared", "dtype")
 
 
 # ----------------------------------------------------------------------
@@ -526,8 +525,7 @@ class SZLRCompressor(Compressor):
         spec = self._block_size_spec
         return {"codec": self.name, "abs_eb": float(abs_eb), "radius": self.radius,
                 "block_size": int(spec) if np.isscalar(spec) else [int(b) for b in spec],
-                "shared": bool(shared_encoding), "sync_interval": huffman.SYNC_INTERVAL,
-                "dtype": str(dtype)}
+                "shared": bool(shared_encoding), "dtype": str(dtype)}
 
     def _serialize(self, shapes: Sequence[Tuple[int, ...]], codes: Sequence[np.ndarray],
                    side: Dict[str, np.ndarray], counts: np.ndarray, recipe: dict,
@@ -570,7 +568,7 @@ class SZLRCompressor(Compressor):
         block_size = self._block_size_for(ndim)
         cells = np.asarray([math.prod(shape) for shape in shapes], dtype=np.int64)
         pairs, reader = ctn.parse_record(
-            record, shapes, cells, recipe["shared"], recipe["sync_interval"], "sz_lr record",
+            record, shapes, cells, recipe["shared"], "sz_lr record",
             ctn.recipe_context(recipe, _RECIPE, "sz_lr recipe"))
         narrays = len(shapes)
         outliers = [reader.take("<i8", narrays).astype(np.int64) for _ in range(2)]
@@ -758,7 +756,7 @@ class SZLRCompressor(Compressor):
             raise ValueError("one selection per record")
         parsed = []
         for index, (recipe, shapes, record) in enumerate(entries):
-            abs_eb, radius, block_size, shared, _, dtype = (
+            abs_eb, radius, block_size, shared, dtype = (
                 required(recipe, key, "sz_lr recipe") for key in _RECIPE)
             try:
                 decoder = SZLRCompressor(abs_eb, mode="abs", block_size=block_size, radius=radius)

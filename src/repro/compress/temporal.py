@@ -153,7 +153,7 @@ class TemporalDeltaCodec(Compressor):
         shifted = (codes - min_code).astype(np.uint32)
         table = HuffmanCodec.from_data(shifted)
         meta: Dict[str, object] = {"mode": mode, "eb": float(eb), "offset": self.offset, "n": n,
-                                   "min_code": min_code, "sync_interval": SYNC_INTERVAL}
+                                   "min_code": min_code}
         if shape is not None:
             meta["shape"] = [int(s) for s in shape]
         return StreamCandidate(shifted, table, meta, _FRAMING_BYTES + table.table_nbytes
@@ -210,8 +210,7 @@ class TemporalDeltaCodec(Compressor):
                 required(meta, key, _RECORD, float)
             for key in ("n", "min_code"):
                 required(meta, key, _RECORD, int)
-            pairs = parse_huffman(
-                container.sections, sync_interval=required(meta, "sync_interval", _RECORD, int))
+            pairs = parse_huffman(container.sections)
             (codec, encoded), cut = pairs[0], None
             if encoded.nsymbols != meta["n"]:
                 raise ValueError(f"corrupt temporal_delta stream: {encoded.nsymbols} "

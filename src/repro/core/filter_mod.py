@@ -267,7 +267,7 @@ class AMRICLevelFilter(Filter):
         for payload, plan, layout in zip(payloads, plans, layouts, strict=True):
             arrangement = arrange_blocks(plan.block_shapes, plan.block_positions, mode)
             blocks = unpack_blocks(comp.decode_record(
-                payload, arrangement.packed_shape, recipe.get("sync_interval"),
-                _packed_context(recipe, arrangement)), arrangement)
+                payload, arrangement.packed_shape, _packed_context(recipe, arrangement)),
+                arrangement)
             out.append(dict(enumerate(blocks[:len(layout)])))
         return out

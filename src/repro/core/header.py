@@ -15,9 +15,10 @@ Versioning and compatibility rules (DESIGN.md §5):
 
 * ``format`` must equal :data:`FORMAT_NAME` and ``version`` must equal
   :data:`FORMAT_VERSION`: version 2 stores AMRIC chunks as lean records
-  decoded against the layout this header implies, and no older reader is
-  kept, so any other version is refused by number (never a silently garbled
-  hierarchy).
+  decoded against the layout this header implies; version 3 stores every
+  codec's Huffman sync offsets as lane-length residuals, one per 64 symbols.
+  No older reader is kept, so any other version is refused by number (never
+  a silently garbled hierarchy).
 * Unknown *extra* keys are ignored, so older readers tolerate additive
   evolution within a major version.
 * Every structural field is validated on parse; a corrupt or truncated
@@ -49,7 +50,7 @@ __all__ = [
 ]
 
 FORMAT_NAME = "amric-plotfile"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: one chunk per participating rank: the field-major layout every AMRIC,
 #: series and ``nocomp`` file stores (:class:`~repro.core.preprocess.LevelLayout`)

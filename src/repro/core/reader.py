@@ -481,12 +481,23 @@ class PlotfileHandle:
                 f"no dataset named {name!r}; have {self.dataset_names()}")
         return self._file.datasets[name]
 
+    def placed_elements(self) -> Dict[str, int]:
+        """Per dataset, the cells the header's layout places in it: what
+        :meth:`describe` and ``repro info``'s rows count as data.  A naive
+        chunk records its padded size, so the records are not that count;
+        a box-major (``amrex_1d``) file has no such layout, and its chunks
+        record exactly their cells."""
+        placed = {name: d.valid_elements for name, d in self._file.datasets.items()}
+        if self.header.chunk_alignment == CHUNK_ALIGNMENT_RANK:
+            placed.update((d.name, d.layout.kept_cells) for d in self._scan().datasets)
+        return placed
+
     def describe(self) -> Dict[str, object]:
         """A flat metadata summary (what ``python -m repro info`` prints)."""
         stored = self._file.total_stored_bytes()
-        # what the chunks record as data, as the per-dataset rows count it
-        logical = sum(d.valid_elements * np.dtype(d.dtype).itemsize
-                      for d in self._file.datasets.values())
+        # the cells placed, as the per-dataset rows count them
+        logical = sum(n * np.dtype(self._file.datasets[name].dtype).itemsize
+                      for name, n in self.placed_elements().items())
         return {
             "path": self.path,
             # constant since header-less files are rejected at open; kept so

@@ -287,7 +287,7 @@ class TestSZ1DSpecifics:
         np.testing.assert_array_equal(comp.decompress(buf), recon)
 
     @pytest.mark.parametrize("dropped", ["abs_eb", "radius", "shape", "dtype", "anchor",
-                                         "sync_interval", "outliers"])
+                                         "outliers"])
     def test_stream_missing_a_piece_names_it(self, dropped):
         """Every key and section the encoder writes is read through
         ``required``: a stream that lost one is corrupt, never a KeyError or

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.compress import container as ctn
 from repro.compress import registry
 from repro.compress.errorbound import ErrorBound
-from repro.compress.huffman import SYNC_INTERVAL, HuffmanCodec
+from repro.compress.huffman import HuffmanCodec
 from repro.compress.sz1d import SZ1DCompressor
 from repro.compress.temporal import TemporalDeltaCodec
 from repro.errors import CorruptFileError
@@ -33,8 +33,7 @@ class TestStoredTables:
         stored = SimpleNamespace(symbols=symbols, lengths=np.asarray(lengths, dtype=np.uint8))
         record = ctn.pack_record([symbols.shape], [stream], [stored], [])
         with pytest.raises(CorruptFileError, match="Kraft"):
-            ctn.parse_record(record, [symbols.shape], [symbols.size], True, SYNC_INTERVAL,
-                             "chunk 0")
+            ctn.parse_record(record, [symbols.shape], [symbols.size], True, "chunk 0")
 
 
 class TestContainerFraming:
@@ -86,8 +85,7 @@ class TestHuffmanSections:
                   for n in (1000, 1, 700)]
         codec = HuffmanCodec.from_multiple(arrays)
         sections = ctn.pack_huffman([codec.encode(a) for a in arrays])
-        from repro.compress.huffman import SYNC_INTERVAL
-        back = ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+        back = ctn.unpack_huffman(sections)
         assert len(back) == len(arrays)
         for a, b in zip(arrays, back):
             np.testing.assert_array_equal(a, b)
@@ -97,9 +95,7 @@ class TestHuffmanSections:
         arrays = [rng.integers(0, 9, size=n).astype(np.uint32) for n in (300, 17)]
         streams = [HuffmanCodec.from_data(a).encode(a) for a in arrays]
         blob = ctn.pack_huffman_individual(streams)
-        from repro.compress.huffman import SYNC_INTERVAL
-        back = ctn.unpack_huffman_individual(blob, [a.size for a in arrays],
-                                             SYNC_INTERVAL)
+        back = ctn.unpack_huffman_individual(blob, [a.size for a in arrays])
         for a, b in zip(arrays, back):
             np.testing.assert_array_equal(a, b)
 
@@ -112,7 +108,7 @@ class TestHuffmanSections:
         codec = HuffmanCodec.from_multiple(arrays)
         sections = ctn.pack_huffman([codec.encode(a) for a in arrays])
         assert {"huff_payload", "huff_raw_crc"} & set(sections) == {form}
-        for a, b in zip(arrays, ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)):
+        for a, b in zip(arrays, ctn.unpack_huffman(sections)):
             np.testing.assert_array_equal(a, b)
 
     def test_zarray_roundtrip(self):

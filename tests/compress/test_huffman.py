@@ -19,10 +19,26 @@ from repro.compress.huffman import (
     decode,
     encode,
     encoded_size_per_block,
-    pack_sync,
-    unpack_sync,
+    sync_offsets,
+    sync_residuals,
 )
+from repro.compress import container as ctn
 from repro.compress.lossless import pack_arrays, unpack_arrays
+from repro.errors import CorruptFileError
+
+
+def _lane_mix(n, kind, seed):
+    """``n`` symbols: one value, uniform over 200, or runs of one frequent
+    symbol between bursts of a wide alphabet (lanes far from their mean)."""
+    rng = np.random.default_rng(seed)
+    if kind == "flat":
+        return np.full(n, 7, dtype=np.uint32)
+    if kind == "uniform":
+        return rng.integers(0, 200, size=n).astype(np.uint32)
+    data = np.zeros(n, dtype=np.uint32)
+    burst = (np.arange(n) // (3 * SYNC_INTERVAL)) % 2 == 1
+    data[burst] = rng.integers(1, 5000, size=int(burst.sum()))
+    return data
 
 
 @pytest.mark.usefixtures("peek")
@@ -167,67 +183,71 @@ class TestAdversarial:
         np.testing.assert_array_equal(rebuilt.codes, codec.codes)
         np.testing.assert_array_equal(rebuilt.decode(enc), data)
 
-    def test_pack_sync_roundtrip_and_compact(self):
+    def test_sync_residuals_roundtrip_and_compact(self):
         rng = np.random.default_rng(11)
         streams = [encode(rng.integers(0, 99, size=n).astype(np.uint32))
                    for n in (1, 300, 100_000)]
-        blob = pack_sync([s.sync for s in streams])
-        lanes = [np.asarray(s.sync).size for s in streams]
-        back = unpack_sync(blob, lanes)
-        for s, b in zip(streams, back):
-            np.testing.assert_array_equal(np.asarray(s.sync), b)
+        residuals, escapes = sync_residuals(streams)
+        # no stored first offset, no stored last lane: 0 + 4 + 1562 lanes
+        assert residuals.dtype == np.uint8 and residuals.size == 4 + 1562
+        back = sync_offsets(residuals, escapes, [s.nbits for s in streams],
+                            [s.nsymbols for s in streams])
+        np.testing.assert_array_equal(back, np.concatenate([s.sync for s in streams]))
         # the acceleration structure must stay a small fraction of the payload
-        assert len(blob) < 0.05 * sum(len(s.payload) for s in streams)
-        # a blob of the wrong size degrades to None (scalar fallback), not garbage
-        assert unpack_sync(blob, [lanes[0]]) == [None]
+        blob = zlib.compress(residuals.tobytes() + escapes.tobytes(), 6)
+        assert len(blob) < 0.02 * sum(len(s.payload) for s in streams)
 
-    @given(st.lists(st.lists(st.integers(0, 2 ** 16 - 1), max_size=40), max_size=12),
-           st.integers(-2, 2))
-    def test_unpack_sync_equals_one_cumsum_per_stream(self, deltas, miscount):
-        """One running sum split per stream gives the offsets a cumsum per
-        stream gave, empty streams included; a count that disagrees with the
-        blob is the ``None`` fallback for every stream."""
-        blob = zlib.compress(np.asarray([d for stream in deltas for d in stream],
-                                        dtype=np.uint16).tobytes())
-        counts = [len(stream) for stream in deltas]
-        got = unpack_sync(blob, counts)
-        assert len(got) == len(deltas)
-        for stream, offsets in zip(deltas, got):
-            expected = np.cumsum(np.asarray(stream, dtype=np.int64))
-            assert offsets.dtype == np.int64 and offsets.tobytes() == expected.tobytes()
-        if counts and miscount:
-            wrong = counts[:-1] + [max(counts[-1] + miscount, 0)]
-            if wrong != counts:
-                assert unpack_sync(blob, wrong) == [None] * len(counts)
-        if len(counts) > 1:                     # a negative count is not a shorter stream
-            lying = [-1, counts[0] + counts[1] + 1] + counts[2:]
-            assert unpack_sync(blob, lying) == [None] * len(counts)
+    @given(st.lists(st.tuples(
+        st.sampled_from([0, 1, SYNC_INTERVAL - 1, SYNC_INTERVAL, SYNC_INTERVAL + 1,
+                         2 * SYNC_INTERVAL, 5 * SYNC_INTERVAL, 7 * SYNC_INTERVAL + 3]),
+        st.sampled_from(["flat", "uniform", "bursts"]), st.integers(0, 2 ** 16)),
+        max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_sync_residuals_round_trip(self, shapes):
+        """Streams shorter than a lane, exact multiples of it, empty ones and
+        ones whose lanes swing far from their mean (escapes) come back as the
+        offsets the encoder recorded, through the deflated section too."""
+        streams = [encode(_lane_mix(n, kind, seed)) for n, kind, seed in shapes]
+        residuals, escapes = sync_residuals(streams)
+        nbits = np.asarray([s.nbits for s in streams], dtype=np.int64)
+        counts = np.asarray([s.nsymbols for s in streams], dtype=np.int64)
+        assert residuals.size == int(np.maximum(-(-counts // SYNC_INTERVAL) - 1, 0).sum())
+        assert escapes.size == np.count_nonzero(residuals == 255)
+        want = np.concatenate([np.zeros(0, np.int64)] + [s.sync for s in streams])
+        got = sync_offsets(residuals, escapes, nbits, counts)
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+        for stream in streams:
+            ((_, parsed),) = ctn.parse_huffman(ctn.pack_huffman([stream]))
+            assert parsed.sync.tobytes() == stream.sync.tobytes()
 
-    @staticmethod
-    def _pack_sync_per_stream(syncs):
-        """``pack_sync`` as it was: one ``diff`` per stream."""
-        parts = [np.diff(np.zeros(0, np.int64) if sync is None
-                         else np.asarray(sync, dtype=np.int64).ravel(),
-                         prepend=np.int64(0)).astype(np.uint16) for sync in syncs]
-        cat = np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint16)
-        return zlib.compress(cat.tobytes(), 6)
+    def test_lanes_far_from_their_mean_escape(self):
+        stream = encode(_lane_mix(9 * SYNC_INTERVAL, "bursts", 1))
+        residuals, escapes = sync_residuals([stream])
+        assert escapes.size and int(escapes.min()) >= 255
+        back = sync_offsets(residuals, escapes, [stream.nbits], [stream.nsymbols])
+        np.testing.assert_array_equal(back, stream.sync)
 
-    @given(st.lists(st.one_of(st.none(),
-                              st.lists(st.integers(0, 2 ** 16 - 1), max_size=1),
-                              st.lists(st.integers(0, 2 ** 16 - 1), max_size=30)),
-                    max_size=12))
-    def test_pack_sync_equals_one_diff_per_stream(self, deltas):
-        """One ``diff`` over all streams, each stream's first delta put back,
-        is byte for byte the per-stream packing — ``None``, empty and
-        one-lane streams among them — and unpacks to every stream's offsets."""
-        syncs = [None if d is None else np.cumsum(np.asarray(d, dtype=np.int64))
-                 for d in deltas]
-        blob = pack_sync(syncs)
-        assert blob == self._pack_sync_per_stream(syncs)
-        back = unpack_sync(blob, [0 if s is None else s.size for s in syncs])
-        for sync, offsets in zip(syncs, back, strict=True):
-            expected = np.zeros(0, np.int64) if sync is None else sync
-            assert offsets.tobytes() == expected.tobytes()
+    def test_every_damaged_value_is_corrupt(self):
+        stream = encode(_lane_mix(9 * SYNC_INTERVAL, "bursts", 1))
+        residuals, escapes = sync_residuals([stream])
+        args = [stream.nbits], [stream.nsymbols]
+        hole = int(np.flatnonzero(residuals == 255)[0])
+        # a residual that leaves a lane no bits at all: -(its expected length)
+        empty = 2 * ((SYNC_INTERVAL * stream.nbits + stream.nsymbols // 2)
+                     // stream.nsymbols) - 1
+        for damaged in (
+                (residuals[:-1], escapes),                        # a lane short
+                (residuals, escapes[:-1]),                        # an escape short
+                (residuals, np.append(escapes, 300)),             # one too many
+                (residuals, np.where(np.arange(escapes.size) == 0, 254,
+                                     escapes).astype("<u2")),     # an escape a byte holds
+                (np.where(np.arange(residuals.size) == hole + 1, 254,
+                          residuals).astype("u1"), escapes),      # ... or an escape lost
+                (np.full_like(residuals, 255),
+                 np.full(residuals.size, empty, dtype="<u2")),    # lanes shorter than codes
+                (np.full_like(residuals, 254), escapes[:0])):     # lanes past the end
+            with pytest.raises(CorruptFileError):
+                sync_offsets(*damaged, *args)
 
     @pytest.mark.usefixtures("peek")
     def test_scalar_fallback_matches_lut_path(self):

@@ -70,7 +70,8 @@ def _batch(streams) -> HuffmanEncoded:
         b"".join(s.payload for s in streams),
         sum(s.nbits for s in streams), sum(s.nsymbols for s in streams),
         streams[0].table_symbols, streams[0].table_lengths,
-        sync=np.concatenate([s.sync for s in streams]),
+        sync=np.concatenate([np.zeros(0, np.int64)]
+                            + [s.sync for s in streams if s.sync is not None]),
         streams=np.asarray([[s.nbits, s.nsymbols] for s in streams], dtype=np.int64))
 
 
@@ -82,8 +83,7 @@ class TestBatchedEqualsPerStream:
         streams = [codec.encode(a) for a in arrays]
         flat = codec.decode(_batch(streams))
         np.testing.assert_array_equal(flat, np.concatenate(arrays))
-        through = ctn.unpack_huffman(ctn.pack_huffman(streams),
-                                     sync_interval=SYNC_INTERVAL)
+        through = ctn.unpack_huffman(ctn.pack_huffman(streams))
         assert len(through) == len(arrays)
         for array, stream, got in zip(arrays, streams, through):
             np.testing.assert_array_equal(got, array)
@@ -102,12 +102,12 @@ class TestBatchedEqualsPerStream:
         if arrays[victim].size == 0:
             return
         streams[victim].sync = None
+        with pytest.raises(ValueError, match="sync offsets"):    # never stored without
+            ctn.pack_huffman(streams)
         with mock.patch.object(HuffmanCodec, "_decode_lanes",
                                side_effect=AssertionError("lane path taken")):
-            through = ctn.unpack_huffman(ctn.pack_huffman(streams),
-                                         sync_interval=SYNC_INTERVAL)
-        for array, got in zip(arrays, through):
-            np.testing.assert_array_equal(got, array)
+            flat = codec.decode(_batch(streams))
+        np.testing.assert_array_equal(flat, np.concatenate(arrays))
 
     def test_one_decode_call_per_container(self, monkeypatch):
         rng = np.random.default_rng(1)
@@ -118,7 +118,7 @@ class TestBatchedEqualsPerStream:
         decode = HuffmanCodec.decode
         monkeypatch.setattr(HuffmanCodec, "decode",
                             lambda self, enc: seen.append(enc.nsymbols) or decode(self, enc))
-        ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+        ctn.unpack_huffman(sections)
         assert seen == [sum(a.size for a in arrays)]
 
 
@@ -157,7 +157,7 @@ class TestCorruptionMatrix:
         sections = _sections(self._arrays(seed))
         _put_codes(sections, _codes(sections)[:-cut])
         with pytest.raises(ValueError):
-            ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+            ctn.unpack_huffman(sections)
 
     @given(st.integers(0, 50), st.integers(0, 7), st.sampled_from([-3, -1, 1, 2, 40]))
     def test_flipped_sync_delta(self, seed, lane, bump):
@@ -168,7 +168,7 @@ class TestCorruptionMatrix:
         deltas[lane] = (int(deltas[lane]) + bump) % 2**16
         sections["huff_sync"] = zlib.compress(deltas.tobytes())
         try:
-            got = ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+            got = ctn.unpack_huffman(sections)
         except ValueError:
             return
         for array, back in zip(arrays, got):  # malformed offsets: the scalar loop took over
@@ -180,7 +180,7 @@ class TestCorruptionMatrix:
         deltas[1] += np.uint16(1)     # still monotone and in range: lanes run, and miss
         sections["huff_sync"] = zlib.compress(deltas.tobytes())
         with pytest.raises(ValueError, match="truncated or corrupt"):
-            ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+            ctn.unpack_huffman(sections)
 
     @given(st.integers(0, 3), st.integers(0, 10_000))
     def test_lane_pointed_at_unassigned_code(self, which, where):
@@ -193,7 +193,7 @@ class TestCorruptionMatrix:
         payload[start + bit // 8] |= 0x80 >> (bit % 8)
         _put_codes(sections, bytes(payload))
         with pytest.raises(ValueError, match="unassigned code"):
-            ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+            ctn.unpack_huffman(sections)
 
     @given(st.integers(0, 50), st.permutations(range(4)))
     def test_swapped_nbits(self, seed, perm):
@@ -203,7 +203,7 @@ class TestCorruptionMatrix:
             return
         sections["huff_nbits"] = nbits[list(perm)].tobytes()
         with pytest.raises(ValueError):
-            ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+            ctn.unpack_huffman(sections)
 
     @pytest.mark.parametrize("name", ["huff_nbits", "huff_ncodes"])
     @pytest.mark.parametrize("value", [-1, -(2**62), 2**60])
@@ -213,19 +213,19 @@ class TestCorruptionMatrix:
         counts[2] = value
         sections[name] = counts.tobytes()
         with pytest.raises(ValueError):
-            ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+            ctn.unpack_huffman(sections)
         del sections["huff_sync"]                     # and on the scalar path
         with pytest.raises(ValueError):
-            ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+            ctn.unpack_huffman(sections)
 
     def test_count_section_mismatch_refused(self):
         sections = _sections(self._arrays(6))
         sections["huff_ncodes"] = sections["huff_ncodes"][:-8]
         with pytest.raises(ValueError, match="mismatch"):
-            ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+            ctn.unpack_huffman(sections)
         del sections["huff_ncodes"]
         with pytest.raises(ValueError, match="huff_ncodes"):
-            ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+            ctn.unpack_huffman(sections)
 
     def test_scalar_path_checks_the_stream_end(self):
         """Without sync offsets a stream must still end exactly on its nbits."""
@@ -252,14 +252,14 @@ class TestDeflateErrors:
         sections = _sections([np.arange(300, dtype=np.uint32) % 2])    # 1 bit a code: deflated
         sections[section] = self.JUNK
         with pytest.raises(ValueError):
-            ctn.unpack_huffman(sections, sync_interval=SYNC_INTERVAL)
+            ctn.unpack_huffman(sections)
 
     def test_side_sections(self):
         for reader in (ctn.unpack_zarray, ctn.unpack_zbytes):
             with pytest.raises(ValueError):
                 reader(self.JUNK)
         with pytest.raises(ValueError):
-            ctn.unpack_huffman_individual(self.JUNK, [10], SYNC_INTERVAL)
+            ctn.unpack_huffman_individual(self.JUNK, [10])
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +378,8 @@ class TestManyTablesOnePass:
         starts.  A's last code is short, so it starts in A's last byte and its
         peek reaches into B's bytes: it must read A's slots, B's first code B's."""
         rng = np.random.default_rng(3)
-        a = (1000 + np.round(rng.laplace(0, 8.0, size=SYNC_INTERVAL + 77))).astype(np.uint32)
+        n = 5 * SYNC_INTERVAL + 13                   # 333 symbols: a short last lane
+        a = (1000 + np.round(rng.laplace(0, 8.0, size=n))).astype(np.uint32)
         a[-1] = 1000                                  # the commonest symbol: a short code
         first = HuffmanCodec.from_data(a)
         while first.expected_bits(a) % 8:
@@ -532,7 +533,9 @@ class TestSelectLanes:
 
     def test_checks_stay_on_the_whole_stream(self):
         rng = np.random.default_rng(9)
-        data = rng.integers(0, 9, size=900).astype(np.uint32)
+        # four lanes, the last one short
+        data = rng.integers(0, 9, size=3 * SYNC_INTERVAL + 33 * SYNC_INTERVAL // 64
+                            ).astype(np.uint32)
         codec = HuffmanCodec.from_data(data)
         with pytest.raises(ValueError, match="ascending lanes"):
             codec.select_lanes(codec.encode(data), np.array([1, 4]))

@@ -201,13 +201,12 @@ class TestPinnedWriterBytes:
     """
 
     TINY = {"coarse_shape": (16, 16, 16), "max_grid_size": 8}
-    #: format v2 without restated metadata: no file attrs, dataset attrs
-    #: only the codec recipe and value range (chunk payloads, chunk tables and
-    #: reconstructions unchanged from the v2 pins)
-    PLOTFILE = "537f71eb294fa02ad134c1d11b2d6122f4a548a95b3a58d55a7cbf8060d83295"
-    #: a stream's codes stored raw behind a CRC32 at >= 2 bits a symbol (the
-    #: codes, modes and reconstructions are the deflated-only pin's)
-    DELTA_STEP = "c23ed55869ecaabfaae03e2fb87e8e510307431ed731abcf04a52abff27c0418"
+    #: format v3: sync offsets every 64 symbols, stored as lane-length
+    #: residuals (codes, tables and reconstructions unchanged from the v2 pin)
+    PLOTFILE = "5f3cbd3ba6848d56ab41ebdc3ff127c043de86ce65642c27f8d5aba8017f7984"
+    #: format v3's sync section (the codes, modes and reconstructions are the
+    #: v2 pin's)
+    DELTA_STEP = "931950660ef3c6c5858930ab765c334671a239e0dfbc2acd307305d003e97f68"
 
     @staticmethod
     def sha256(path):

@@ -14,6 +14,7 @@ stream.  The shipped decoder must return the same bits.
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compress import container as ctn
-from repro.compress import huffman
 from repro.compress import regression
 from repro.compress import sz_lr
 from repro.compress.sz_lr import SZLRCompressor
@@ -1010,7 +1010,7 @@ def test_payload_without_its_record_is_corrupt(shared):
 
 
 @pytest.mark.parametrize("key", ["shared", "shapes", "abs_eb", "dtype", "block_size",
-                                 "radius", "sync_interval"])
+                                 "radius"])
 def test_payload_missing_a_meta_key_is_corrupt(key):
     comp, shapes, codes, side, counts, abs_eb = _honest_parts()
     payload = _frame(comp, shapes, codes, side, counts, abs_eb, True)
@@ -1149,7 +1149,7 @@ def unit_block_chunks(draw):
         arrays = [_field(kind, shape, rng).astype(dtype) for kind, shape in zip(kinds, shapes)]
         shared = draw(st.booleans())
         if shared and draw(st.booleans()) and max(map(math.prod, shapes)) <= 1024:
-            # written under another sync interval: the streams take the scalar loop
+            # read without sync offsets: the streams take the scalar loop
             payload = _sync_less(comp, arrays)
         else:
             payload = comp.compress_many(arrays, shared_encoding=shared).payload
@@ -1164,6 +1164,11 @@ def unit_block_chunks(draw):
 def test_selected_arrays_equal_the_same_entries_of_the_full_decode(job):
     comp, chunks = job
     payloads, selects = zip(*chunks)
+    with mock.patch.object(ctn, "parse_record", _parse_dropping_sync):
+        _selected_equal_full(comp, payloads, selects)
+
+
+def _selected_equal_full(comp, payloads, selects):
     together = list(comp.decompress_batch(payloads, selects))
     for payload, select, got in zip(payloads, selects, together, strict=True):
         full = comp.decompress_many(payload)
@@ -1174,15 +1179,24 @@ def test_selected_arrays_equal_the_same_entries_of_the_full_decode(job):
             assert _bits(next(comp.decompress_batch([payload], [select]))) == _bits(want)
 
 
+#: records read as hand-built streams, without their sync offsets
+_SYNC_LESS = set()
+
+
 def _sync_less(comp, arrays):
-    """A buffer written under another sync interval than the reader's: its
-    sync offsets are read past, and its streams decode on the scalar loop."""
-    interval = huffman.SYNC_INTERVAL
-    huffman.SYNC_INTERVAL = interval // 2
-    try:
-        return comp.compress_many(arrays).payload
-    finally:
-        huffman.SYNC_INTERVAL = interval
+    """A buffer whose streams :func:`_parse_dropping_sync` hands over without
+    their sync offsets (as a hand-built stream comes): the scalar loop."""
+    payload = comp.compress_many(arrays).payload
+    _SYNC_LESS.add(ctn.unpack_container(payload).sections["record"])
+    return payload
+
+
+def _parse_dropping_sync(record, *args, parse=ctn.parse_record):
+    pairs, side = parse(record, *args)
+    if bytes(record) in _SYNC_LESS:
+        for _, encoded in pairs:
+            encoded.sync = None
+    return pairs, side
 
 
 def test_a_sync_less_payload_is_selected_on_the_scalar_loop(monkeypatch):
@@ -1192,6 +1206,7 @@ def test_a_sync_less_payload_is_selected_on_the_scalar_loop(monkeypatch):
     comp = SZLRCompressor(1e-3, block_size=4)
     arrays = [_field(kind, (8, 8, 8), rng) for kind in ("noisy", "outliers", "constant", "noisy")]
     payload = _sync_less(comp, arrays)
+    monkeypatch.setattr(ctn, "parse_record", _parse_dropping_sync)
     full = comp.decompress_many(payload)
     scalar = []
     loop = HuffmanCodec._decode_scalar

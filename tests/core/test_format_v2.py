@@ -7,6 +7,7 @@ encoded once).
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def _rewrite(src_path, dst_path, header=None, payload_of=lambda name, index, raw
 class TestTheRecord:
     def test_chunks_hold_no_json_and_each_dataset_one_recipe(self, plotfile):
         with H5LiteFile(plotfile, "r") as f:
-            assert f.header["version"] == FORMAT_VERSION == 2
+            assert f.header["version"] == FORMAT_VERSION == 3
             for name, info in f.datasets.items():
                 recipe = info.attrs["codec"]
                 assert recipe["codec"] == "sz_lr" and recipe["shared"] is True
@@ -146,11 +147,28 @@ class TestDamage:
     def test_older_and_newer_versions_are_refused_by_number(self, plotfile, tmp_path):
         with H5LiteFile(plotfile, "r") as f:
             header = dict(f.header)
-        for version in (1, 3):
+        for version in (1, 2, 4):
             path = _rewrite(plotfile, str(tmp_path / f"v{version}.h5z"),
                             header=dict(header, version=version))
             with pytest.raises(CorruptFileError, match=f"format version {version} is not"):
                 repro.open(path)
+
+    def test_a_version_2_series_step_is_refused_by_number(self, tmp_path):
+        from repro.apps import build_run
+
+        directory = str(tmp_path / "s")
+        sim = build_run("nyx_1", seed=0, regrid_interval=2, coarse_shape=(16, 16, 16),
+                        max_grid_size=8)
+        repro.write_series(list(sim.run(2)), directory, keyframe_interval=2, error_bound=1e-3)
+        with repro.open_series(directory) as series:
+            step, field = os.path.join(directory, series.steps()[1].path), series.fields[0]
+        with H5LiteFile(step, "r") as f:
+            header = dict(f.header, version=2)
+        os.replace(_rewrite(step, step + ".v2", header=header), step)
+        with repro.open_series(directory) as series:
+            series.read_field(field, step=0)                # the keyframe still reads
+            with pytest.raises(CorruptFileError, match="format version 2 is not supported"):
+                series.read_field(field, step=1)
 
     def test_mutated_chunks_never_read_silently_wrong(self, plotfile, clean, tmp_path):
         """300 seeded single-byte flips and truncations inside chunk payloads:
@@ -191,7 +209,7 @@ class TestDamage:
     @pytest.mark.parametrize("compressor, change", [
         *(("sz_lr", change) for change in (
             {"abs_eb": 2e-3}, {"radius": 64}, {"radius": 1}, {"block_size": 5},
-            {"block_size": 0}, {"block_size": "x"}, {"shared": False}, {"sync_interval": 128},
+            {"block_size": 0}, {"block_size": "x"}, {"shared": False},
             {"dtype": "int8"}, {"codec": "nope"})),
         *(("sz_interp", change) for change in (
             {"abs_eb": 2e-3}, {"radius": 64}, {"anchor_stride": 8}, {"cubic": False},
@@ -253,3 +271,27 @@ class TestInfo:
             == report.raw_bytes
         assert summary["stored_bytes"] == report.compressed_bytes
         assert summary["compression_ratio"] == report.compression_ratio
+
+    def test_a_naive_file_counts_the_cells_its_layout_places(self, tmp_path, capsys):
+        """A naive (``modify_filter=False``) chunk records its padded size;
+        the write report, ``describe()`` / ``repro info``'s summary and its
+        per-dataset rows all count the cells the layout places instead."""
+        from repro.analysis.reporting import plotfile_dataset_rows
+        from repro.apps import build_run
+        from repro.cli import main as cli_main
+
+        path = str(tmp_path / "naive.h5z")
+        hierarchy = build_run("nyx_1", seed=23, coarse_shape=(16, 16, 16),
+                              max_grid_size=8).hierarchy
+        report = repro.write(hierarchy, path, error_bound=1e-3, modify_filter=False)
+        with repro.open(path) as handle:
+            summary = handle.describe()
+            rows = plotfile_dataset_rows(handle)
+            padded = sum(handle.dataset_info(row["dataset"]).valid_elements for row in rows)
+        assert report.raw_bytes == 368_640 < 8 * padded
+        assert summary["logical_bytes"] == 8 * sum(row["elements"] for row in rows) \
+            == report.raw_bytes
+        assert summary["compression_ratio"] == report.compression_ratio
+        assert cli_main(["info", path]) == 0
+        assert f"({report.compression_ratio:.1f}x over {report.raw_bytes}" \
+            in capsys.readouterr().out

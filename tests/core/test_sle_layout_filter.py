@@ -116,15 +116,14 @@ class TestAMRICLevelFilter:
         payload, _, plan, recipe = self._payload(nyx_hierarchy, "sz_lr")
         assert b"{" not in payload[:16] and b"block_shapes" not in payload
         assert recipe == {"codec": "sz_lr", "abs_eb": recipe["abs_eb"], "radius": 32768,
-                          "block_size": 6, "shared": True, "sync_interval": 256,
-                          "dtype": "float64"}
+                          "block_size": 6, "shared": True, "dtype": "float64"}
         assert recipe["abs_eb"] == pytest.approx(1e-3 * plan.value_range)
 
     @pytest.mark.parametrize("compressor, key", [
         *(("sz_lr", key) for key in ("codec", "abs_eb", "radius", "block_size", "shared",
-                                     "sync_interval", "dtype")),
+                                     "dtype")),
         *(("sz_interp", key) for key in ("codec", "abs_eb", "radius", "anchor_stride",
-                                         "cubic", "sync_interval", "arrangement"))])
+                                         "cubic", "arrangement"))])
     def test_recipe_missing_a_key_is_corrupt(self, nyx_hierarchy, compressor, key):
         payload, n, plan, recipe = self._payload(nyx_hierarchy, compressor)
         del recipe[key]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import repro
 from repro.amr.box import Box
 from repro.apps import RUN_PRESETS, build_run
-from repro.compress.huffman import HuffmanCodec
+from repro.compress.huffman import SYNC_INTERVAL, HuffmanCodec
 from repro.compress.temporal import TemporalDeltaCodec
 from repro.series.reader import _PASS_STREAMS, _lanes_of
 
@@ -130,7 +130,7 @@ class TestLaneAccounting:
             pieces = dplan.chunk_layout(chunk)
             lanes = _lanes_of(pieces, [ordinal])
             n = sum(pieces[-1])
-            assert lanes is not None and lanes.size < -(-n // 256)
+            assert lanes is not None and lanes.size < -(-n // SYNC_INTERVAL)
             box = Box(tuple(dplan.layout.lo[slot].tolist()), tuple(dplan.layout.hi[slot].tolist()))
             series.read_field(FIELD, box=box, step=step, refill=False)
             assert passes == [[TemporalDeltaCodec.lane_cells(lanes, n).size] * (step + 1)]

@@ -1,5 +1,6 @@
 """The temporal_delta codec: grids, key/delta streams, corrupt inputs."""
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -77,7 +78,7 @@ class TestKeyStreams:
 
 
 class TestDecodePath:
-    """Streams record their sync interval, so they take the lane decoder."""
+    """Streams store their sync offsets, so they take the lane decoder."""
 
     @staticmethod
     def _counted(name):
@@ -86,21 +87,21 @@ class TestDecodePath:
 
     def test_new_streams_decode_through_the_lanes(self, codec, data):
         payload, codes, _ = codec.encode_key(data)
-        assert unpack_container(payload).meta["sync_interval"] == SYNC_INTERVAL
+        assert "huff_sync" in unpack_container(payload).sections
         with self._counted("_decode_lanes") as lanes, self._counted("_decode_scalar") as scalar:
             _, back = codec.decode_key(payload)
         assert lanes.call_count == 1 and scalar.call_count == 0
         assert np.array_equal(back, codes)
 
-    def test_streams_without_the_key_are_corrupt(self, codec, data):
-        """No writer omits the sync interval: a stream without it is damaged,
+    def test_streams_without_their_sync_offsets_are_corrupt(self, codec, data):
+        """No writer omits the sync offsets: a stream without them is damaged,
         refused before any decode, never read through the scalar loop."""
         payload, _, _ = codec.encode_key(data)
         container = unpack_container(payload)
-        meta = {k: v for k, v in container.meta.items() if k != "sync_interval"}
-        damaged = pack_container(container.codec, meta, container.sections)
+        del container.sections["huff_sync"]
+        damaged = pack_container(container.codec, container.meta, container.sections)
         with self._counted("_decode_lanes") as lanes, self._counted("_decode_scalar") as scalar:
-            with pytest.raises(CorruptFileError, match="sync_interval"):
+            with pytest.raises(CorruptFileError, match="huff_sync"):
                 codec.decode_key(damaged)
         assert lanes.call_count == 0 and scalar.call_count == 0
 
@@ -155,7 +156,7 @@ class TestCorruptStreams:
         with pytest.raises(ValueError):
             codec.decode_key(b"not a container at all")
 
-    @pytest.mark.parametrize("dropped", ["eb", "offset", "min_code", "n", "sync_interval",
+    @pytest.mark.parametrize("dropped", ["eb", "offset", "min_code", "n", "huff_sync",
                                          "mode", "huff_table", "huff_raw_crc",
                                          "huff_nbits", "huff_ncodes"])
     def test_stream_missing_a_piece_names_it(self, codec, data, dropped):
@@ -183,24 +184,25 @@ class TestCorruptStreams:
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("sync", ["lane layout", "no sync section"])
+    @pytest.mark.parametrize("sync", ["lane layout", "no lane layout"])
     def test_lanes_decode_to_the_same_codes_of_the_whole(self, codec, data, sync):
-        key, codes, _ = codec.encode_key(data[:4000])
-        delta, _ = _delta(codec, data[:4000] + 0.3, codes)
-        if sync == "no sync section":           # the whole stream is decoded, then cut
-            cont = unpack_container(key)
-            del cont.sections["huff_sync"]
-            key = pack_container(cont.codec, cont.meta, cont.sections)
+        n = 16 * SYNC_INTERVAL - 3 * SYNC_INTERVAL // 8       # 16 lanes, the last short
+        key, codes, _ = codec.encode_key(data[:n])
+        delta, _ = _delta(codec, data[:n] + 0.3, codes)
         lanes = [np.array([0, 3, 4, 15]), None, np.array([15]), np.zeros(0, dtype=np.int64)]
         payloads = [key, delta, delta, key]
-        narrowed = TemporalDeltaCodec.unpack_codes_many(payloads, lanes)
+        # a stream with no lane layout (codes wider than the LUT) is decoded
+        # whole, then cut
+        with mock.patch.object(HuffmanCodec, "select_lanes", return_value=None) \
+                if sync == "no lane layout" else contextlib.nullcontext():
+            narrowed = TemporalDeltaCodec.unpack_codes_many(payloads, lanes)
         for payload, keep, (mode, got, meta) in zip(payloads, lanes, narrowed):
             want_mode, want, want_meta = TemporalDeltaCodec.unpack_codes(payload)
             if keep is not None:
                 want = want[TemporalDeltaCodec.lane_cells(keep, want.size)]
             assert (mode, meta) == (want_mode, want_meta)
             np.testing.assert_array_equal(got, want)
-        assert narrowed[2][1].size == 4000 - 15 * SYNC_INTERVAL
+        assert narrowed[2][1].size == n - 15 * SYNC_INTERVAL
         with pytest.raises(ValueError, match="ascending lanes"):
             TemporalDeltaCodec.unpack_codes_many([delta], [np.array([16])])
 

@@ -193,7 +193,7 @@ class TestCLI:
 
         assert cli_main(["info", str(plotfile), "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["format_version"] == 2
+        assert summary["format_version"] == 3
         assert summary["method"] == "amric"
 
     def test_info_stats_prints_each_io_counter_once(self, plotfile, capsys):
@@ -220,6 +220,24 @@ class TestCLI:
     def test_verify_pass(self, plotfile, capsys):
         assert cli_main(["verify", str(plotfile)]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_verify_decodes_every_chunk_of_an_amrex_1d_file(self, hierarchy, tmp_path,
+                                                             capsys):
+        """A box-major file is never placed by a reader: ``verify`` decodes
+        its chunks through their filter, and a damaged chunk fails it."""
+        path = str(tmp_path / "amrex.h5z")
+        repro.write(hierarchy, path, method="amrex_1d", error_bound=1e-3)
+        assert cli_main(["verify", path]) == 0
+        out = capsys.readouterr().out
+        with repro.open(path) as handle:
+            nchunks = sum(handle.dataset_info(n).nchunks for n in handle.dataset_names())
+        assert f"PASS (cells=ok, finite=ok; {nchunks} chunks decoded)" in out
+        with open(path, "r+b") as fh:
+            with repro.open(path) as handle:
+                first = handle.dataset_info("level_0/cell_data").chunks[0]
+            fh.seek(first.offset + first.nbytes // 2)
+            fh.write(b"\xff\x00\xff\x00")
+        assert cli_main(["verify", path]) == 1
 
     def test_decompress_then_verify_against(self, plotfile, tmp_path, capsys):
         raw = tmp_path / "raw.h5z"
