@@ -19,12 +19,13 @@
 
 PY := PYTHONPATH=src python
 
-# src/ + tools/ Python lines as of the last change to them (+60: format v3's
-# residual sync codec net of the dropped sync_interval fallbacks, `repro
-# verify` of a box-major amrex_1d file, and `info` counting the cells the
-# layout places; the round-2 shrink goal, ROADMAP item 15, is <= 17200 from
+# src/ + tools/ Python lines as of the last change to them (+139: the SZ_L/R
+# encoder's stored-order pass — per-shape int32 gather tables, the
+# residual-bit table, one regression pool per block shape and side streams
+# keyed by their stored place — and `repro verify --against` of a box-major
+# amrex_1d file; the round-2 shrink goal, ROADMAP item 15, is <= 17200 from
 # 18036)
-LOC_BUDGET := 18218
+LOC_BUDGET := 18357
 LOC = $$(find src tools -name '*.py' | xargs cat | wc -l)
 
 # suite -> pytest paths ('+'-separated). Adding a benchmark suite is one line.
@@ -93,8 +94,9 @@ smoke:
 		grep -q "($$cr over" .smoke/info.txt || \
 		{ echo "repro info's ratio is not the write report's $$cr"; exit 1; }
 	$(PY) -m repro verify .smoke/plt.h5z
+	$(PY) -m repro compress --method nocomp --preset nyx_1 .smoke/orig.h5z
+	$(PY) -m repro verify .smoke/plt.h5z --against .smoke/orig.h5z
 	$(PY) -m repro decompress .smoke/plt.h5z .smoke/raw.h5z
-	$(PY) -m repro verify .smoke/plt.h5z --against .smoke/raw.h5z
 	$(PY) -m repro info .smoke/raw.h5z | tee .smoke/raw-info.txt
 	@grep -q "(1.0x over" .smoke/raw-info.txt || \
 		{ echo "repro info of the nocomp copy did not print 1.0x"; exit 1; }
@@ -105,6 +107,7 @@ smoke:
 		grep -q "($$cr over" .smoke/amrex-info.txt || \
 		{ echo "repro info's amrex_1d ratio is not the write report's $$cr"; exit 1; }
 	$(PY) -m repro verify .smoke/amrex.h5z
+	$(PY) -m repro verify .smoke/amrex.h5z --against .smoke/orig.h5z
 	@rm -rf .smoke
 
 smoke-remote:

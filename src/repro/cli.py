@@ -353,26 +353,55 @@ def _decoded_checks(hierarchies, fields) -> List[tuple]:
     return [("fields", fields_ok), ("finite", finite_ok)]
 
 
-def _box_major_checks(handle) -> List[tuple]:
-    """The checks of an ``amrex_1d`` (box-major) file, which no reader
-    places: every chunk decoded through its filter, each level holding its
-    boxes' cells once per field, and finite values."""
+def _box_major_checks(handle, against: Optional[str]) -> tuple:
+    """(checks, bound line) of an ``amrex_1d`` (box-major) file, which no
+    reader places: every chunk decoded through its filter, each level holding
+    its boxes' cells once per field, and finite values.  With a reference copy
+    ``against``, each level's box-major stream is rebuilt from it as the
+    writer cut it — block by block, rank by rank, each block's fields back to
+    back, zero-padded into the file's chunks — and every chunk is held to the
+    bound relative to its own range, padding included (1.0 for a constant
+    chunk, as ``ErrorBound.resolve`` takes it)."""
+    import repro
     from repro.baselines.amrex_1d import ClassicSZFilter
     from repro.compress.sz1d import SZ1DCompressor
     from repro.core.preprocess import level_layouts
 
+    reference = None
+    if against:
+        with repro.open(against) as ref_handle:
+            if ref_handle.header.geometry[:2] != handle.header.geometry[:2]:
+                raise ValueError(f"{against!r} holds other boxes than {handle.path!r}")
+            reference = ref_handle.read()
     filt = ClassicSZFilter(SZ1DCompressor(handle.error_bound))
     cells_ok = finite_ok = True
+    worst = 0.0
     for level, layout in enumerate(level_layouts(*handle.header.geometry)):
         name = f"level_{level}/cell_data"
         info = handle.dataset_info(name)
-        values = [filt.decode(payload, info.chunk_elements)[:chunk.actual_elements]
-                  for payload, chunk in zip(handle._file.read_chunk_payloads(
-                      name, range(info.nchunks)), info.chunks)]
+        chunks = np.stack([filt.decode(payload, info.chunk_elements) for payload in
+                           handle._file.read_chunk_payloads(name, range(info.nchunks))])
         handle.stats.chunks_decoded += info.nchunks
+        values = [chunk[:c.actual_elements] for chunk, c in zip(chunks, info.chunks)]
         cells_ok &= sum(v.size for v in values) == layout.kept_cells * len(handle.fields)
         finite_ok &= all(np.isfinite(v).all() for v in values)
-    return [("cells", cells_ok), ("finite", finite_ok)]
+        if reference is not None:
+            views = [layout.views(reference[level], field) for field in handle.fields]
+            stream = np.concatenate([field[i].reshape(-1) for i in range(layout.nblocks)
+                                     for field in views])
+            ref = np.zeros(chunks.size)
+            ref[:stream.size] = stream
+            ref = ref.reshape(chunks.shape)
+            spread = ref.max(axis=1) - ref.min(axis=1)
+            spread[spread <= 0] = 1.0
+            worst = max(worst, float((np.abs(chunks - ref).max(axis=1) / spread).max()))
+    checks = [("cells", cells_ok), ("finite", finite_ok)]
+    if reference is None:
+        return checks, None
+    eb = handle.error_bound
+    ok = worst <= eb * (1 + 1e-6)
+    checks.append(("error_bound", ok))
+    return checks, f"worst relative error {worst:.3e} {'<=' if ok else '>'} bound {eb:.3e}"
 
 
 def _plotfile_checks(handle, against: Optional[str]) -> tuple:
@@ -381,8 +410,8 @@ def _plotfile_checks(handle, against: Optional[str]) -> tuple:
     import repro
     from repro.core.header import CHUNK_ALIGNMENT_BOX_MAJOR
 
-    if handle.header.chunk_alignment == CHUNK_ALIGNMENT_BOX_MAJOR and against is None:
-        return _box_major_checks(handle), None
+    if handle.header.chunk_alignment == CHUNK_ALIGNMENT_BOX_MAJOR:
+        return _box_major_checks(handle, against)
     hierarchy = handle.read()
     checks = [("levels", hierarchy.nlevels == handle.nlevels),
               *_decoded_checks([hierarchy], handle.fields)]

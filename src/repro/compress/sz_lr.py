@@ -46,12 +46,18 @@ coefficient rows are counted from the shapes and the selection.
 How a call is batched (DESIGN.md §1)
 ------------------------------------
 ``_region_plan(shape, block_size)`` is the one description of "regions of a
-shape".  The encoder stacks the arrays of a shape and walks the plan's regions
-(the Lorenzo-vs-regression choice needs per-(array, region) row sums).  The
-decoder does not walk them: every stored stream is in (array, region, cell)
-order — the order of the concatenated codes — so outliers, anchors and
-coefficient rows are placed by whole-chunk passes, and ``_flat_plan(shape,
-block_size)``, the region plan flattened to per-cell index tables, turns each
+shape", and every stored stream is in (array, region, cell) order — the order
+of the concatenated codes.  Neither direction walks the regions.  The encoder
+stacks the arrays of a shape, runs the Lorenzo differences once over the
+stack and gathers them into stored order (``_stored_order(shape,
+block_size)``, int32 per shape); one table-driven residual-bit pass then gives
+every (array, region) estimate as a row sum over a column slice.  The rows
+above regression's floor are pooled by block shape across the whole call —
+one fit per block shape — and codes, reconstructions and side values are
+written through whole-group and whole-pool indices, the side streams sorted
+by their place in the stored order.  The decoder places outliers, anchors
+and coefficient rows by whole-chunk passes, and ``_flat_plan(shape,
+block_size)``, the stored order inverted to per-cell index tables, turns each
 shape group's rows into values in one pass (one gather to array order, a
 slab-wise prefix sum per axis, one plane evaluation) — the shape groups of a
 whole decode job's run of buffers, not of one buffer.
@@ -63,7 +69,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -105,7 +111,7 @@ class _Region:
 @lru_cache(maxsize=256)
 def _region_plan(shape: Tuple[int, ...], block_size: Tuple[int, ...]):
     """``(segments, regions)`` of an array shape: the one description of
-    "regions of a shape" that the encoder and the decoder both walk.
+    "regions of a shape" that the encoder and the decoder are both built on.
 
     Along every axis the array splits into the "full blocks" segment (a
     multiple of the block size) and the remainder segment (shorter than one
@@ -127,6 +133,23 @@ def _region_plan(shape: Tuple[int, ...], block_size: Tuple[int, ...]):
             block_shape=block_shape, grid=grid, nblocks=math.prod(grid),
             volume=math.prod(extent)))
     return tuple(segments), tuple(regions)
+
+
+@lru_cache(maxsize=256)
+def _stored_order(shape: Tuple[int, ...],
+                  block_size: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(lorenzo, regression)``: the array-order cell at each stored position
+    of a shape, its regions scanned whole (C order) and block by block (int32,
+    read-only, shared).  The encoder gathers a shape group into stored order
+    with them; :func:`_flat_plan` inverts them for the decoder."""
+    _, regions = _region_plan(shape, block_size)
+    position = np.arange(math.prod(shape), dtype=np.int32).reshape((1,) + shape)
+    whole = np.concatenate([position[(0,) + r.slices].ravel() for r in regions])
+    by_block = np.concatenate([_to_blocks(position[(slice(None),) + r.slices], r).ravel()
+                               for r in regions])
+    whole.setflags(write=False)
+    by_block.setflags(write=False)
+    return whole, by_block
 
 
 @dataclass(frozen=True)
@@ -154,11 +177,10 @@ def _flat_plan(shape: Tuple[int, ...], block_size: Tuple[int, ...]) -> _FlatPlan
     """
     segments, regions = _region_plan(shape, block_size)
     ncells = math.prod(shape)
-    position = np.arange(ncells, dtype=np.int32).reshape((1,) + shape)
-    whole = np.concatenate([position[(0,) + r.slices].ravel() for r in regions])
-    by_block = np.concatenate([_to_blocks(position[(slice(None),) + r.slices], r).ravel()
-                               for r in regions])
-    stored = position.ravel()
+    # built afresh, not through the encoder's cache: a reader keeps only the
+    # inverted tables
+    whole, by_block = _stored_order.__wrapped__(shape, block_size)
+    stored = np.arange(ncells, dtype=np.int32)
     tables = {name: np.empty(ncells, dtype=np.int32)
               for name in ("region_of_cell", "lorenzo_source", "regression_source",
                            "block_of_cell")}
@@ -187,20 +209,28 @@ def _flat_plan(shape: Tuple[int, ...], block_size: Tuple[int, ...]) -> _FlatPlan
 
 
 def _lorenzo(stack: np.ndarray, segments) -> np.ndarray:
-    """Lorenzo differences, in place, of every region of every stacked array.
+    """Lorenzo differences of every region of every stacked (C-contiguous)
+    array; ``stack`` is overwritten, the passes alternating between it and
+    one scratch array.
 
     Regions are products of per-axis segments, so the per-region operator —
     ``diff`` with a prepended zero along each axis — is the same per-axis pass
-    over the whole stack restarted at each segment.  Axis 0 of ``stack``
-    indexes the arrays; int64 throughout, so the result is exactly the
-    per-region one.
+    over the whole stack restarted at each segment.  A pass is one contiguous
+    subtraction of the flat stack from itself shifted by a step along the
+    axis, after which the slabs where a segment starts take their values
+    back.  Axis 0 of ``stack`` indexes the arrays; int64 throughout, so the
+    result is exactly the per-region one.
     """
+    source, target = stack, np.empty_like(stack)
     for axis, axis_segments in enumerate(segments, start=1):
+        step = math.prod(stack.shape[axis + 1:])
+        flat = source.reshape(-1)
+        np.subtract(flat[step:], flat[:-step], out=target.reshape(-1)[step:])
         lead = (slice(None),) * axis
-        for start, stop in axis_segments:
-            # numpy buffers the overlapping operand, so this is a plain diff
-            stack[lead + (slice(start + 1, stop),)] -= stack[lead + (slice(start, stop - 1),)]
-    return stack
+        for start, _ in axis_segments:
+            target[lead + (start,)] = source[lead + (start,)]
+        source, target = target, source
+    return source
 
 
 def _prefix_sum(values: np.ndarray, remainder_at: Sequence[int]) -> np.ndarray:
@@ -227,14 +257,6 @@ def _to_blocks(stacked_region: np.ndarray, region: _Region) -> np.ndarray:
             .transpose(axes).reshape((-1,) + region.block_shape))
 
 
-def _from_blocks(blocks: np.ndarray, region: _Region) -> np.ndarray:
-    """Inverse of :func:`_to_blocks`."""
-    ndim = len(region.shape)
-    axes = (0,) + tuple(a for i in range(ndim) for a in (1 + i, 1 + ndim + i))
-    return (blocks.reshape((-1,) + region.grid + region.block_shape)
-            .transpose(axes).reshape((-1,) + region.shape))
-
-
 def _group_by_shape(shapes: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], np.ndarray]:
     """Indices of the arrays of each distinct shape (ascending within a shape)."""
     groups: Dict[Tuple[int, ...], List[int]] = {}
@@ -243,10 +265,50 @@ def _group_by_shape(shapes: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], 
     return {shape: np.asarray(members, dtype=np.int64) for shape, members in groups.items()}
 
 
+#: ``2·log2(1+|x|) + 1`` for ``|x|`` below the table's size, by the expression
+#: :func:`_residual_terms` evaluates past it
+_BITS = 2.0 * np.log2(1.0 + np.arange(1 << 12, dtype=np.float64)) + 1.0
+_BITS.setflags(write=False)
+
+
+def _residual_terms(magnitude: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-cell size estimate ``2·log2(1+|x|) + 1`` of int64 residuals, given
+    ``|x|`` (C-contiguous): a table lookup below :data:`_BITS`'s size, the
+    expression past it — also for ``|int64 min|``, which stays negative, hence
+    the unsigned view.  ``out``: a float64 array of ``magnitude``'s shape."""
+    terms = _BITS.take(magnitude, mode="clip", out=out)
+    unsigned = magnitude.view(np.uint64)
+    if unsigned.max() >= _BITS.size:
+        far = np.flatnonzero(unsigned >= _BITS.size)
+        terms.reshape(-1)[far] = 2.0 * np.log2(1.0 + magnitude.reshape(-1)[far]) + 1.0
+    return terms
+
+
 def _residual_bits(values: np.ndarray) -> np.ndarray:
-    """Per-row size estimate of signed residuals (rows are C-contiguous, so
-    each row sums in the order a per-array ``np.sum`` would)."""
-    return np.sum(2.0 * np.log2(1.0 + np.abs(values)) + 1.0, axis=1)
+    """Per-row size estimate of signed residuals.  The encoder sums slices of
+    one :func:`_residual_terms` pass instead: a row of a column slice adds in
+    the order this per-row ``np.sum`` does."""
+    return np.sum(_residual_terms(np.abs(values)), axis=1)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, lengths)])``."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
+
+
+class _Trial(NamedTuple):
+    """The rows of one (shape group, region) above regression's floor, as the
+    fit of their block shape takes them."""
+
+    data: np.ndarray              # their cells, block by block
+    recon_at: np.ndarray          # where each cell lands in the reconstructions
+    code_at: np.ndarray           # per row: where it starts in the codes
+    key_at: np.ndarray            # ... and in the call's stored order
+    region: np.ndarray            # ... its region in the call
+    lorenzo_bits: np.ndarray      # ... its Lorenzo estimate
+    volume: int                   # cells per row
+    nblocks: int                  # SZ blocks per row
 
 
 class SZLRCompressor(Compressor):
@@ -301,10 +363,11 @@ class SZLRCompressor(Compressor):
         the ``compress_many`` API, and what makes thin remainder regions
         ("residue blocks", Fig. 8 of the paper) predict poorly.
 
-        Arrays of equal shape are stacked and share each numpy pass: one
-        Lorenzo transform per stack, one regression fit per region over the
-        arrays it could win for.  Every value is computed by the arithmetic a
-        per-array loop would use, so the streams do not depend on grouping.
+        Nothing walks (shape, region) pairs (DESIGN.md §1): one Lorenzo pass
+        per shape group, in stored order, one regression fit per block shape
+        of the call, and side values sorted by their place in the stored
+        order.  Every value is computed by the arithmetic a per-array loop
+        would use, so the streams do not depend on grouping.
 
         Returns ``(codes, side, counts, reconstructions)``: uint32 codes per
         array (one per cell, region/block order), the :data:`_SIDE` streams of
@@ -317,96 +380,139 @@ class SZLRCompressor(Compressor):
         if any(len(shape) != ndim for shape in shapes):
             raise ValueError("all arrays of one call must have the same number of dimensions")
         block_size = self._block_size_for(ndim)
-        radius = self.radius
-        two_eb = 2.0 * abs_eb
-        codes: List[np.ndarray] = [None] * len(arrays)            # type: ignore[list-item]
-        reconstructions: List[np.ndarray] = [None] * len(arrays)  # type: ignore[list-item]
-        # side values are produced per (stack, region) as (owning array of
-        # each value, values); a stable sort on the owner at the end puts
-        # them in the stored (array, region, cell) order; the regression
-        # streams start typed and empty, since a call may try no region
-        pieces: Dict[str, list] = {name: [] for name in _SIDE}
-        pieces["regression_outliers"].append((np.zeros(0, np.int64), np.zeros(0)))
-        pieces["regression_coeffs"].append((np.zeros(0, np.int64), np.zeros((0, ndim + 1))))
+        radius, two_eb, narrays = self.radius, 2.0 * abs_eb, len(arrays)
+        groups = _group_by_shape(shapes)
+        plans = {shape: _region_plan(shape, block_size) for shape in groups}
+        cells = np.asarray([math.prod(shape) for shape in shapes], dtype=np.int64)
+        nregions = np.asarray([len(plans[shape][1]) for shape in shapes], dtype=np.int64)
+        first_cell, first_region = np.cumsum(cells) - cells, np.cumsum(nregions) - nregions
+        # one buffer each for codes and reconstructions, a group's rows contiguous
+        codes_out, recon_out = np.empty(cells.sum(), np.uint32), np.empty(cells.sum())
+        anchors, chosen = np.empty(nregions.sum(), np.int64), np.zeros(nregions.sum(), bool)
+        codes, reconstructions = [None] * narrays, [None] * narrays
+        # side values keyed by their place in the stored order: a cell for an
+        # outlier, a region for a coefficient row; a Lorenzo outlier keeps its
+        # region until the choice is made
+        lorenzo_outliers = [(np.zeros(0, np.int64),) * 3]
+        regression_outliers = [(np.zeros(0, np.int64), np.zeros(0))]
+        coefficient_rows = [(np.zeros(0, np.int64), np.zeros((0, ndim + 1)))]
+        pools: Dict[Tuple[int, ...], List[_Trial]] = {}      # by block shape
 
-        for shape, members in _group_by_shape(shapes).items():
-            segments, regions = _region_plan(shape, block_size)
+        end = 0
+        for shape, members in groups.items():
+            segments, regions = plans[shape]
+            m, ncells = len(members), math.prod(shape)
+            base, end = end, end + m * ncells
+            group_codes = codes_out[base:end].reshape(m, ncells)
+            group_recon = recon_out[base:end].reshape((m,) + shape)
+            for row, index in enumerate(members):
+                codes[index], reconstructions[index] = group_codes[row], group_recon[row]
             stack = np.stack([arrays[i] for i in members])
             self._check_magnitude(stack, abs_eb)
-            m = len(members)
-            quantised = np.rint(stack / two_eb).astype(np.int64)
-            recon = quantised * two_eb          # Lorenzo's; regression regions overwrite
+            quantised = np.rint(np.divide(stack, two_eb, out=stack), out=stack).astype(np.int64)
+            del stack
+            np.multiply(quantised, two_eb, out=group_recon)  # Lorenzo's; regression overwrites
+
+            # --- Lorenzo, the group in stored order (two (m, cells) arrays
+            # live at most): anchors, codes, outliers and bit estimates -------
             deltas = _lorenzo(quantised, segments)
-            stack_codes = np.empty((m, math.prod(shape)), dtype=np.uint32)
-            cell = 0
-            for region in regions:
-                where = (slice(None),) + region.slices
-
-                # --- Lorenzo path: dual quantisation across the region ------
-                lor = deltas[where].reshape(m, -1)
-                anchor = lor[:, 0].copy()
-                lor[:, 0] = 0
-                lorenzo_bits = _residual_bits(lor) + 64.0
-                region_codes = stack_codes[:, cell:cell + region.volume]
-                cell += region.volume
-
-                # --- Regression path: per SZ-block plane fit, only for rows
-                # whose Lorenzo estimate is above regression's floor of a bit
-                # per cell plus the coefficients (DESIGN.md §1) -------------
-                coefficient_bits = 32.0 * (ndim + 1) * region.nblocks
-                trial = np.flatnonzero(lorenzo_bits > region.volume + coefficient_bits)
-                use_regression = np.zeros(m, dtype=bool)
-                if t := trial.size:
-                    blocks = _to_blocks(stack[where] if t == m else
-                                        stack[(trial,) + region.slices], region)
-                    model, preds = regression.fit_and_predict(blocks, abs_eb)
-                    residuals = blocks - preds
-                    reg = np.rint(residuals / two_eb).astype(np.int64)
-                    reg_err = reg * two_eb
-                    reg_outlier = (np.abs(reg) >= radius) | \
-                        (np.abs(reg_err - residuals) > abs_eb * (1 + 1e-12))
-                    reg[reg_outlier] = 0
-                    reg = reg.reshape(t, -1)
-                    reg_outlier_rows = reg_outlier.reshape(t, -1)
-                    regression_bits = (_residual_bits(reg) + 64.0 * reg_outlier_rows.sum(axis=1)
-                                       + coefficient_bits)
-                    won = np.flatnonzero(regression_bits < lorenzo_bits[trial])
-                    own = trial[won]
-                    use_regression[own] = True
-                    outlier = reg_outlier_rows[won]
-                    region_codes[own] = np.where(outlier, 0, reg[won] + radius)
-                    row, col = np.nonzero(outlier)
-                    pieces["regression_outliers"].append(
-                        (members[own[row]], residuals.reshape(t, -1)[won[row], col]))
-                    coeffs = model.coefficients.reshape(t, region.nblocks, ndim + 1)[won]
-                    pieces["regression_coeffs"].append(
-                        (np.repeat(members[own], region.nblocks), coeffs.reshape(-1, ndim + 1)))
-                    if own.size:
-                        fitted = _from_blocks(
-                            preds + np.where(reg_outlier, residuals, reg_err), region)
-                        recon[(own,) + region.slices] = fitted[won]
-
-                # --- per-(array, region) choice; Lorenzo stores the rest ----
-                pieces["selection"].append((members, use_regression.astype(np.uint8)))
-                own = np.flatnonzero(~use_regression)
-                lor = lor[own]
-                outlier = np.abs(lor) >= radius
-                region_codes[own] = np.where(outlier, 0, lor + radius)
-                pieces["anchors"].append((members[own], anchor[own]))
+            del quantised
+            lorenzo_order, regression_order = _stored_order(shape, block_size)
+            lor = deltas.reshape(m, ncells).take(lorenzo_order, axis=1)
+            del deltas
+            volume = np.asarray([r.volume for r in regions], dtype=np.int64)
+            start = np.cumsum(volume) - volume
+            region_id = first_region[members][:, None] + np.arange(len(regions))
+            anchors[region_id] = lor[:, start]
+            lor[:, start] = 0
+            magnitude = np.abs(lor)
+            np.add(lor, radius, out=group_codes, casting="unsafe")
+            if magnitude.max() >= radius:
+                outlier = magnitude >= radius
+                group_codes[outlier] = 0
                 row, col = np.nonzero(outlier)
-                pieces["lorenzo_outliers"].append((members[own[row]], lor[row, col]))
-            for row, index in enumerate(members):
-                codes[index] = stack_codes[row]
-                reconstructions[index] = recon[row]
+                lorenzo_outliers.append((first_cell[members[row]] + col, region_id[
+                    row, np.searchsorted(start, col, side="right") - 1], lor[row, col]))
+            terms = _residual_terms(magnitude, out=lor.view(np.float64))
+            del lor, magnitude
+            lorenzo_bits = 64.0 + np.stack([terms[:, s:s + v].sum(axis=1) for s, v in
+                                            zip(start.tolist(), volume.tolist())], axis=1)
 
-        side: Dict[str, np.ndarray] = {}
-        counts = np.empty((len(arrays), len(_SIDE) + 1), dtype=np.int64)
-        for column, name in enumerate(_SIDE):
-            owner = np.concatenate([o for o, _ in pieces[name]])
-            values = np.concatenate([v for _, v in pieces[name]])
-            side[name] = values[np.argsort(owner, kind="stable")]
-            counts[:, column] = np.bincount(owner, minlength=len(arrays))
-        counts[:, -1] = [c.size for c in codes]
+            # --- regression, for the rows above its floor of a bit per cell
+            # plus the coefficients (DESIGN.md §1) -----------------------------
+            trial = lorenzo_bits > volume + 32.0 * (ndim + 1) * np.asarray(
+                [r.nblocks for r in regions])
+            del terms
+            # the members with a row above the floor are stacked again: the
+            # whole stack was dropped once quantised
+            tried = np.flatnonzero(trial.any(axis=1))
+            stack = np.stack([arrays[i] for i in members[tried]]) if tried.size else None
+            for k in np.flatnonzero(trial.any(axis=0)).tolist():
+                rows, s, region = np.flatnonzero(trial[:, k]), int(start[k]), regions[k]
+                order = regression_order[s:s + region.volume]
+                pools.setdefault(region.block_shape, []).append(_Trial(
+                    stack.take((np.searchsorted(tried, rows) * ncells)[:, None] + order).ravel(),
+                    ((rows * ncells)[:, None] + order + base).ravel(), base + rows * ncells + s,
+                    first_cell[members[rows]] + s, region_id[rows, k], lorenzo_bits[rows, k],
+                    region.volume, region.nblocks))
+            del stack
+
+        for block_shape, trials in pools.items():
+            data, recon_at, code_at, key_at, region, lorenzo_bits = (
+                np.concatenate(field) for field in list(zip(*trials))[:6])
+            rows = [len(t.code_at) for t in trials]
+            volume = np.repeat([t.volume for t in trials], rows)
+            nblocks = np.repeat([t.nblocks for t in trials], rows)
+            model, preds = regression.fit_and_predict(data.reshape((-1,) + block_shape), abs_eb)
+            residuals = np.subtract(data, preds.reshape(-1), out=data)
+            reg = np.rint(residuals / two_eb).astype(np.int64)
+            reg_err = reg * two_eb
+            magnitude = np.abs(reg)
+            miss = np.subtract(reg_err, residuals)
+            outlier = (magnitude >= radius) | (np.abs(miss, out=miss) > abs_eb * (1 + 1e-12))
+            magnitude[outlier] = 0
+            terms = _residual_terms(magnitude, out=miss)
+            # per row: (its bits, summed as a per-array np.sum would, + 64 per
+            # outlier) + its coefficients' bits
+            first, sums, at = np.cumsum(volume) - volume, [], 0
+            for t in trials:
+                sums.append(terms[at:at + t.data.size].reshape(-1, t.volume).sum(axis=1))
+                at += t.data.size
+            outliers = np.searchsorted(first, np.flatnonzero(outlier), side="right") - 1
+            won = np.flatnonzero(np.concatenate(sums) + 64.0 * np.bincount(
+                outliers, minlength=volume.size) + 32.0 * (ndim + 1) * nblocks < lorenzo_bits)
+            del magnitude, terms, miss
+            if not won.size:
+                continue
+            chosen[region[won]] = True
+            cell = _ranges(first[won], volume[won])
+            on_outlier = outlier[cell]
+            codes_out[_ranges(code_at[won], volume[won])] = \
+                np.where(on_outlier, 0, reg[cell] + radius)
+            recon_out[recon_at[cell]] = \
+                preds.reshape(-1)[cell] + np.where(on_outlier, residuals[cell], reg_err[cell])
+            regression_outliers.append((_ranges(key_at[won], volume[won])[on_outlier],
+                                        residuals[cell[on_outlier]]))
+            coefficient_rows.append((np.repeat(region[won], nblocks[won]), model.coefficients[
+                _ranges((np.cumsum(nblocks) - nblocks)[won], nblocks[won])]))
+        del pools
+
+        # --- the side streams, in stored order ------------------------------
+        region_owner = np.repeat(np.arange(narrays), nregions)
+        key, region, value = map(np.concatenate, zip(*lorenzo_outliers))
+        keep = ~chosen[region]
+        by_cell = {"lorenzo_outliers": (key[keep], value[keep]),
+                   "regression_outliers": tuple(map(np.concatenate, zip(*regression_outliers)))}
+        region, rows = map(np.concatenate, zip(*coefficient_rows))
+        side = {"selection": chosen.astype(np.uint8), "anchors": anchors[~chosen],
+                "regression_coeffs": rows[np.argsort(region, kind="stable")]}
+        owner = {"selection": region_owner, "anchors": region_owner[~chosen],
+                 "regression_coeffs": region_owner[region]}
+        for name, (key, value) in by_cell.items():
+            side[name] = value[np.argsort(key, kind="stable")]
+            owner[name] = np.searchsorted(first_cell, key, side="right") - 1
+        counts = np.stack([np.bincount(owner[name], minlength=narrays) for name in _SIDE]
+                          + [cells], axis=1)
         return codes, side, counts, reconstructions
 
     def _decode_batch(self, shapes: Sequence[Tuple[int, ...]], abs_eb: float,
@@ -644,8 +750,12 @@ class SZLRCompressor(Compressor):
             raise ValueError("need at least one array")
         if any(isinstance(arrays, np.ndarray) for arrays in chunks):
             raise TypeError("chunks must be a list of lists of arrays")
-        dtypes = [str(np.asarray(arrays[0]).dtype) for arrays in chunks]
-        arrays = [self._as_input(a) for chunk in chunks for a in chunk]
+        dtypes = [sorted({str(np.asarray(a).dtype) for a in arrays}) for arrays in chunks]
+        if mixed := next((kinds for kinds in dtypes if len(kinds) > 1), None):
+            raise ValueError(f"sz_lr: a chunk decodes through one dtype; its arrays are "
+                             f"{' and '.join(mixed)}")
+        dtypes = [kinds[0] for kinds in dtypes]
+        arrays =[self._as_input(a) for chunk in chunks for a in chunk]
         if value_range is None:
             gmin = min(float(a.min()) for a in arrays)
             gmax = max(float(a.max()) for a in arrays)

@@ -62,6 +62,15 @@ def _ref_merge(blocks, region_shape, block_shape):
                                 .transpose(order).reshape(region_shape))
 
 
+def _from_blocks(blocks, region):
+    """``(m * nblocks,) + block_shape`` -> ``(m,) + region.shape``: the inverse
+    of ``sz_lr._to_blocks``."""
+    ndim = len(region.shape)
+    axes = (0,) + tuple(a for i in range(ndim) for a in (1 + i, 1 + ndim + i))
+    return (blocks.reshape((-1,) + region.grid + region.block_shape)
+            .transpose(axes).reshape((-1,) + region.shape))
+
+
 def _ref_design(block_shape):
     coords = np.meshgrid(*[np.arange(s, dtype=np.float64) - (s - 1) / 2.0
                            for s in block_shape], indexing="ij")
@@ -243,7 +252,7 @@ def _ref_decode_batch(self, shapes, abs_eb, codes, side, counts):
                 preds = regression.predict_blocks(regression.RegressionModel(
                     coefficients=side["regression_coeffs"][rows.ravel()],
                     block_shape=region.block_shape))
-                values[(own,) + region.slices] = sz_lr._from_blocks(
+                values[(own,) + region.slices] = _from_blocks(
                     preds + errors.reshape(preds.shape), region)
         for row, index in enumerate(members):
             out[index] = values[row]
@@ -288,9 +297,20 @@ def _field(kind, shape, rng):
 def calls(draw):
     ndim = draw(st.integers(1, 3))
     block_size = draw(st.sampled_from([4, 6, (4, 6, 3)[:ndim], (6, 2, 5)[:ndim]]))
-    pool = draw(st.lists(st.tuples(*[st.sampled_from(EXTENTS)] * ndim),
-                         min_size=1, max_size=3))
-    shapes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.tuples(*[st.sampled_from(EXTENTS)] * ndim),
+                             min_size=1, max_size=3))
+        shapes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+    else:
+        # a call that pools: three shapes k * block + r (one r per axis), so
+        # their full-block regions and their remainder regions share block
+        # shapes, and every block shape's fit mixes shape groups
+        sizes = (block_size,) * ndim if isinstance(block_size, int) else block_size
+        rest = [draw(st.integers(0, b - 1)) for b in sizes]
+        multiples = draw(st.lists(st.tuples(*[st.integers(1, 3 if ndim == 1 else 2)] * ndim),
+                                  min_size=3, max_size=3, unique=True))
+        pool = [tuple(k * b + r for k, b, r in zip(ks, sizes, rest)) for ks in multiples]
+        shapes = draw(st.permutations(pool + draw(st.lists(st.sampled_from(pool), max_size=4))))
     kinds = draw(st.lists(st.sampled_from(KINDS), min_size=len(shapes), max_size=len(shapes)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     arrays = [_field(kind, shape, rng) for kind, shape in zip(kinds, shapes)]
@@ -349,6 +369,37 @@ def test_reference_payloads_decode_through_the_batched_decoder(call):
     decoded = _compressor(call).decompress_many(payload)
     for dec, ref_recon in zip(decoded, ref_recons):
         np.testing.assert_array_equal(dec, ref_recon)
+
+
+@pytest.mark.parametrize("block_size", [6, (4, 6, 5)])
+def test_a_pooled_call_equals_the_reference(monkeypatch, block_size):
+    """Three shapes whose regions share block shapes, so each block shape's
+    one fit mixes shape groups; regression wins several regions of one array
+    and both outlier streams are stored."""
+    comp = SZLRCompressor(1e-3, block_size=block_size, radius=64)
+    sizes = comp._block_size_for(3)
+    pool = [tuple(k * b + r for k, b, r in zip(ks, sizes, (1, 3, 2)))
+            for ks in [(1, 1, 1), (2, 1, 1), (1, 2, 2)]]
+    kinds = ["rough_plane", "outliers", "rough_plane", "noisy", "rough_plane", "outliers",
+             "spiked_plane"]
+    rng = np.random.default_rng(21)
+    arrays = [_field(kind, pool[i % 3], rng) for i, kind in enumerate(kinds)]
+    fitted = []
+    real = regression.fit_and_predict
+    monkeypatch.setattr(regression, "fit_and_predict",
+                        lambda blocks, eb: fitted.append(blocks.shape[1:]) or real(blocks, eb))
+    ((buffer, recons),) = comp.compress_many_with_reconstruction([arrays], value_range=100.0)
+    regions = [r.block_shape for shape in pool for r in sz_lr._region_plan(shape, sizes)[1]]
+    assert len(regions) == 3 * len(set(regions))       # every block shape in all three
+    assert len(fitted) == len(set(fitted)) and set(fitted) <= set(regions)
+    assert tuple(sizes) in fitted              # full blocks of all three shapes, one fit
+    _, side, counts, _ = comp._encode_batch(arrays, comp.error_bound.resolve(value_range=100.0))
+    assert side["lorenzo_outliers"].size and side["regression_outliers"].size
+    per_array = np.split(side["selection"], np.cumsum(counts[:, 0])[:-1])
+    assert max(int(chosen.sum()) for chosen in per_array) >= 2
+    ref_payload, ref_recons, _ = _ref_compress_many(comp, arrays, True, 100.0, None)
+    assert buffer.payload == ref_payload
+    assert _bits(recons) == _bits(ref_recons)
 
 
 def test_regression_outliers_are_stored_alike():
@@ -454,6 +505,28 @@ def test_a_flat_list_of_arrays_is_not_a_list_of_chunks():
         comp.compress_many_with_reconstruction(arrays)
     with pytest.raises(ValueError, match="at least one array"):
         comp.compress_many_with_reconstruction([arrays, []])
+
+
+def test_a_chunk_of_mixed_dtypes_is_refused_before_anything_is_encoded(monkeypatch):
+    """A chunk decodes through one dtype: a float64 array beside a float32 one
+    came back cast to float32, 3e-5 off at a bound of 1e-9."""
+    rng = np.random.default_rng(6)
+    a32 = rng.standard_normal((8, 8, 8)).astype(np.float32)
+    a64 = 1e3 + rng.standard_normal((8, 8, 8))
+    comp = SZLRCompressor(1e-9, mode="abs")
+    encoded = []
+    real = SZLRCompressor._encode_batch
+    monkeypatch.setattr(SZLRCompressor, "_encode_batch",
+                        lambda self, *args: encoded.append(1) or real(self, *args))
+    with pytest.raises(ValueError, match="float32 and float64"):
+        comp.compress_many_with_reconstruction([[a64], [a32, a64]])
+    assert encoded == []
+    # chunks of one dtype each may differ from one another
+    for (buffer, _), array in zip(comp.compress_many_with_reconstruction([[a32], [a64]]),
+                                  [a32, a64]):
+        (decoded,) = comp.decompress_many(buffer)
+        assert decoded.dtype == array.dtype
+        assert np.max(np.abs(decoded - array)) <= 2e-9
 
 
 
@@ -587,7 +660,7 @@ def test_flat_plane_equals_predict_blocks_for_every_block_shape():
         planes = regression.predict_blocks(
             regression.RegressionModel(side["regression_coeffs"], block_shape))
         errors = (codes.astype(np.int64) - 64) * 0.5
-        expected = sz_lr._from_blocks(planes + errors.reshape(planes.shape), region)[0]
+        expected = _from_blocks(planes + errors.reshape(planes.shape), region)[0]
         assert decoded.tobytes() == expected.tobytes(), block_shape
 
 
@@ -664,7 +737,7 @@ def test_one_reconstruction_pass_per_run_and_one_plan_per_shape(monkeypatch, per
 # ----------------------------------------------------------------------
 # the regression module under the batch
 # ----------------------------------------------------------------------
-def test_one_fit_per_shape_group_and_region(monkeypatch):
+def test_one_fit_per_block_shape_per_call(monkeypatch):
     calls_seen = []
     real = regression.fit_and_predict
 
@@ -674,13 +747,16 @@ def test_one_fit_per_shape_group_and_region(monkeypatch):
 
     monkeypatch.setattr(regression, "fit_and_predict", counting)
     rng = np.random.default_rng(0)
-    # 16/8 unit blocks with block size 6: 16 -> two segments, 8 -> two segments
+    # 16/8 unit blocks with block size 6: 16 -> segments 12 + 4, 8 -> 6 + 2; the
+    # eight block shapes of (16, 16, 16) are {6, 4}^3, four of (16, 8, 16)'s
+    # {6, 4} x {6, 2} x {6, 4} are among them, and (6, 6, 6) is
     shapes = [(16, 16, 16)] * 5 + [(16, 8, 16)] * 3 + [(16, 16, 16)] * 2 + [(6, 6, 6)]
     arrays = [_field("noisy", s, rng) for s in shapes]
     comp = SZLRCompressor(1e-3, block_size=6)
     comp.compress_many(arrays)
-    assert len(calls_seen) == 8 + 8 + 1          # regions per distinct shape
-    # every array of a shape went into the same calls
+    assert len(calls_seen) == 8 + 4                 # distinct block shapes of the call
+    assert len({s[1:] for s in calls_seen}) == len(calls_seen)
+    # every block of a block shape went into its one call, whatever its array's shape
     assert sum(s[0] for s in calls_seen if s[1:] == (6, 6, 6)) == 7 * 8 + 3 * 4 + 1
     # ... and of every chunk of the call: a dataset's rank chunks share the fits
     whole = list(calls_seen)
@@ -690,7 +766,7 @@ def test_one_fit_per_shape_group_and_region(monkeypatch):
     del calls_seen[:]
     for chunk in (arrays[:4], arrays[4:9], arrays[9:]):
         comp.compress_many(chunk)
-    assert len(calls_seen) == 8 + (8 + 8) + (8 + 1)         # one call per chunk: per chunk
+    assert len(calls_seen) == 8 + (8 + 4) + 8       # one call per chunk: per chunk
 
 
 # ----------------------------------------------------------------------
@@ -789,6 +865,45 @@ def test_residual_bits_are_at_least_one_per_cell(rows, cols, zeros, magnitude, s
     values = rng.integers(-magnitude, magnitude, (rows, cols), endpoint=True)
     values[rng.random((rows, cols)) < zeros] = 0
     assert (sz_lr._residual_bits(values) >= cols).all()
+
+
+def test_residual_term_table_is_the_expression_at_and_past_its_edge():
+    """The table is built by the expression it stands for; below its edge it
+    is looked up, at and past it computed — bit for bit the same either way,
+    |int64 min| (which ``np.abs`` leaves negative) included."""
+    edge = sz_lr._BITS.size
+
+    def expression(values):
+        return 2.0 * np.log2(1.0 + np.abs(values)) + 1.0
+
+    assert sz_lr._BITS.tobytes() == expression(np.arange(edge)).tobytes()
+    values = np.array([0, 1, edge - 2, edge - 1, edge, edge + 1, 3 * edge, 2 ** 40,
+                       2 ** 62, 2 ** 63 - 1, -2 ** 63, -(edge - 1), -edge, -(edge + 1)])
+    with np.errstate(invalid="ignore"):
+        expected = expression(values)
+        got = sz_lr._residual_terms(np.abs(values))
+        assert got.tobytes() == expected.tobytes()
+        # inside a larger pass, and summed per row as the estimate does
+        rows = np.resize(values, (5, 7 * values.size)) * np.array([[1], [-1], [1], [0], [-1]])
+        assert sz_lr._residual_terms(np.abs(rows)).tobytes() == expression(rows).tobytes()
+        assert sz_lr._residual_bits(rows).tobytes() == \
+            np.sum(expression(rows), axis=1).tobytes()
+
+
+def test_a_row_of_a_column_slice_sums_as_its_contiguous_copy():
+    """The Lorenzo estimates are row sums over column slices of one pass; each
+    must add as today's per-region contiguous copy, which adds as a per-array
+    ``np.sum``."""
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        m, cells = int(rng.integers(1, 30)), int(rng.integers(1, 3000))
+        terms = sz_lr._residual_terms(rng.integers(0, 2 ** 20, (m, cells)))
+        lo = int(rng.integers(0, cells))
+        hi = int(rng.integers(lo + 1, cells + 1))
+        window = terms[:, lo:hi]
+        assert window.sum(axis=1).tobytes() == np.ascontiguousarray(window).sum(axis=1).tobytes()
+        assert window.sum(axis=1).tobytes() == \
+            np.array([np.sum(row.copy()) for row in window]).tobytes()
 
 
 def test_a_multi_array_buffer_reports_its_cells():

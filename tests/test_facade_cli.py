@@ -239,6 +239,26 @@ class TestCLI:
             fh.write(b"\xff\x00\xff\x00")
         assert cli_main(["verify", path]) == 1
 
+    def test_verify_an_amrex_1d_file_against_its_original(self, hierarchy, tmp_path, capsys):
+        """``--against`` rebuilds each level's box-major stream from the
+        reference and holds every chunk to the bound over its own range; a
+        reference moved past the bound fails."""
+        path, raw, moved = (str(tmp_path / name) for name in ("ax.h5z", "raw.h5z", "mv.h5z"))
+        repro.write(hierarchy, path, method="amrex_1d", error_bound=1e-3)
+        repro.write(hierarchy, raw, method="nocomp")
+        assert cli_main(["verify", path, "--against", raw]) == 0
+        out = capsys.readouterr().out
+        assert "PASS (cells=ok, finite=ok, error_bound=ok;" in out
+        assert "worst relative error" in out and "<= bound 1.000e-03" in out
+        with repro.open(raw) as handle:
+            copy = handle.read()
+        data = copy[0].multifab.fabs[0].data
+        data[0, 0, 0, 0] += float(data[0].max() - data[0].min())
+        repro.write(copy, moved, method="nocomp")
+        assert cli_main(["verify", path, "--against", moved]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL (cells=ok, finite=ok, error_bound=FAIL;" in out and "> bound" in out
+
     def test_decompress_then_verify_against(self, plotfile, tmp_path, capsys):
         raw = tmp_path / "raw.h5z"
         assert cli_main(["decompress", str(plotfile), str(raw)]) == 0
