@@ -19,13 +19,13 @@
 
 PY := PYTHONPATH=src python
 
-# src/ + tools/ Python lines as of the last change to them (+139: the SZ_L/R
-# encoder's stored-order pass — per-shape int32 gather tables, the
-# residual-bit table, one regression pool per block shape and side streams
-# keyed by their stored place — and `repro verify --against` of a box-major
-# amrex_1d file; the round-2 shrink goal, ROADMAP item 15, is <= 17200 from
-# 18036)
-LOC_BUDGET := 18357
+# src/ + tools/ Python lines as of the last change to them (-29: the AMRIC
+# filter encodes in one pure call — no plan queue, second size argument,
+# per-instance codec caches or table carried across calls — and no filter
+# declares encode on the base class, net of `repro decompress` of a
+# box-major amrex_1d file; ROADMAP item 14: this number is not raised again,
+# and the round-2 shrink goal is <= 17200 from 18036)
+LOC_BUDGET := 18328
 LOC = $$(find src tools -name '*.py' | xargs cat | wc -l)
 
 # suite -> pytest paths ('+'-separated). Adding a benchmark suite is one line.
@@ -108,6 +108,10 @@ smoke:
 		{ echo "repro info's amrex_1d ratio is not the write report's $$cr"; exit 1; }
 	$(PY) -m repro verify .smoke/amrex.h5z
 	$(PY) -m repro verify .smoke/amrex.h5z --against .smoke/orig.h5z
+	$(PY) -m repro decompress .smoke/amrex.h5z .smoke/amrex-raw.h5z
+	$(PY) -m repro info .smoke/amrex-raw.h5z | tee .smoke/amrex-raw-info.txt
+	@grep -q "(1.0x over" .smoke/amrex-raw-info.txt || \
+		{ echo "repro info of the amrex_1d nocomp copy did not print 1.0x"; exit 1; }
 	@rm -rf .smoke
 
 smoke-remote:

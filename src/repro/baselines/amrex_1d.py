@@ -28,46 +28,54 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.amr.hierarchy import AmrHierarchy
+from repro.amr.hierarchy import AmrHierarchy, AmrLevel
 from repro.compress.base import Compressor
 from repro.compress.errorbound import ErrorBound
 from repro.compress.registry import create_codec
 from repro.core.header import CHUNK_ALIGNMENT_BOX_MAJOR, build_header
 from repro.core.pipeline import LevelFieldRecord, WriteReport, writer_comm
-from repro.core.preprocess import hierarchy_layouts
+from repro.core.preprocess import LevelLayout, hierarchy_layouts
 from repro.core.stages import dataset_record
 from repro.h5lite.chunking import AMREX_DEFAULT_CHUNK, amrex_chunk_elements
 from repro.h5lite.file import H5LiteFile
 from repro.h5lite.filters import Filter
 from repro.parallel.backend import WorkloadTally, apportion
 
-__all__ = ["AMReXOriginalWriter", "ClassicSZFilter"]
+__all__ = ["AMReXOriginalWriter", "ClassicSZFilter", "box_major_blocks"]
+
+
+def box_major_blocks(level: AmrLevel, layout: LevelLayout,
+                     fields: Sequence[str]) -> List[np.ndarray]:
+    """A level's blocks in the order of its box-major stream — block by block
+    in stored order (rank by rank), each block's fields back to back — as
+    views of the level's fabs: what the writer cuts into chunks and what a
+    decode of the stream fills."""
+    views = [layout.views(level, name) for name in fields]
+    return [field[i] for i in range(layout.nblocks) for field in views]
 
 
 class ClassicSZFilter(Filter):
     """AMReX's H5Z-SZ filter: compresses each chunk buffer as handed over.
 
-    ``actual_elements`` is ignored — padding is compressed along with the
-    data, as by a filter with no side channel for the real size.  Each
-    chunk's reconstruction is kept so the writer measures PSNR without
-    decoding the file (the bytes are the same either way).
+    Padding is compressed along with the data, as by a filter with no side
+    channel for the real size.  ``encode`` returns the chunk's reconstruction
+    beside its payload, so the writer measures PSNR without decoding the
+    file (the bytes are the same either way).
     """
 
     filter_id = "sz_classic"
 
     def __init__(self, compressor: Compressor):
         self.compressor = compressor
-        self.reconstructions: List[np.ndarray] = []
 
-    def encode(self, chunk: np.ndarray, actual_elements: Optional[int] = None) -> bytes:
+    def encode(self, chunk: np.ndarray) -> Tuple[bytes, np.ndarray]:
         buffer, recon = self.compressor.compress_with_reconstruction(
             np.asarray(chunk, dtype=np.float64).reshape(-1))
-        self.reconstructions.append(recon)
-        return buffer.payload
+        return buffer.payload, recon
 
     def decode(self, payload: bytes, chunk_elements: int) -> np.ndarray:
         out = np.asarray(self.compressor.decompress(payload), dtype=np.float64).reshape(-1)
@@ -112,13 +120,10 @@ class AMReXOriginalWriter:
             layouts = hierarchy_layouts(hierarchy, unit_block_size=10 ** 6,
                                         remove_redundancy=False)
             for level_index, (level, layout) in enumerate(zip(hierarchy.levels, layouts)):
-                # box-major (field-interleaved): block by block in stored
-                # order, rank by rank, each block's fields back to back
-                views = [layout.views(level, name) for name in components]
-                segments = [(name, field[i].reshape(-1))
-                            for i in range(layout.nblocks)
-                            for name, field in zip(components, views)]
-                level_data = np.concatenate([flat for _, flat in segments])
+                # box-major (field-interleaved): segment k is field k % ncomp
+                segments = [block.reshape(-1)
+                            for block in box_major_blocks(level, layout, components)]
+                level_data = np.concatenate(segments)
 
                 # the chunk must not exceed the smallest per-box field segment;
                 # the level's stream is cut into zero-padded chunks, one filter
@@ -130,7 +135,7 @@ class AMReXOriginalWriter:
                 chunks.reshape(-1)[:level_data.size] = level_data
                 filt = ClassicSZFilter(
                     create_codec("sz_1d", ErrorBound.relative(self.error_bound)))
-                payloads = [filt.encode(chunk) for chunk in chunks]
+                payloads, recons = zip(*(filt.encode(chunk) for chunk in chunks))
                 if h5file is not None:
                     h5file.create_dataset_from_chunks(
                         f"level_{level_index}/cell_data", payloads,
@@ -147,12 +152,13 @@ class AMReXOriginalWriter:
                                   compressed_bytes=level_compressed)
 
                 # each field's (original, reconstruction) segments, rank by rank
-                recon = np.concatenate(filt.reconstructions)
+                recon = np.concatenate(recons)
                 pairs: Dict[str, List[Tuple[np.ndarray, np.ndarray]]] = \
                     {name: [] for name in components}
                 offset = 0
-                for name, flat in segments:
-                    pairs[name].append((flat, recon[offset:offset + flat.size]))
+                for k, flat in enumerate(segments):
+                    pairs[components[k % len(components)]].append(
+                        (flat, recon[offset:offset + flat.size]))
                     offset += flat.size
                 # per-field compressed bytes: conserving split of the level total
                 shares = apportion(level_compressed,

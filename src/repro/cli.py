@@ -303,9 +303,13 @@ def _cmd_compress(args) -> int:
 
 def _cmd_decompress(args) -> int:
     import repro
+    from repro.core.header import CHUNK_ALIGNMENT_BOX_MAJOR
 
     with repro.open(args.input) as handle:
-        hierarchy = handle.read()
+        if handle.header.chunk_alignment == CHUNK_ALIGNMENT_BOX_MAJOR:
+            hierarchy, _ = _box_major_read(handle)
+        else:
+            hierarchy = handle.read()
     report = repro.write(hierarchy, args.out, method="nocomp")
     print(f"decompressed {args.input} -> {args.out}: "
           f"{report.raw_bytes} bytes over {report.ndatasets} datasets")
@@ -353,93 +357,106 @@ def _decoded_checks(hierarchies, fields) -> List[tuple]:
     return [("fields", fields_ok), ("finite", finite_ok)]
 
 
-def _box_major_checks(handle, against: Optional[str]) -> tuple:
-    """(checks, bound line) of an ``amrex_1d`` (box-major) file, which no
-    reader places: every chunk decoded through its filter, each level holding
-    its boxes' cells once per field, and finite values.  With a reference copy
-    ``against``, each level's box-major stream is rebuilt from it as the
-    writer cut it — block by block, rank by rank, each block's fields back to
-    back, zero-padded into the file's chunks — and every chunk is held to the
-    bound relative to its own range, padding included (1.0 for a constant
-    chunk, as ``ErrorBound.resolve`` takes it)."""
-    import repro
-    from repro.baselines.amrex_1d import ClassicSZFilter
+def _box_major_read(handle) -> tuple:
+    """``(hierarchy, chunks)`` of an ``amrex_1d`` (box-major) file, which no
+    reader places: every chunk decoded through its filter (``chunks[l]``,
+    level ``l``'s, one row each, padding included) and the hierarchy rebuilt
+    from ``template_from_header`` in the order the writer cut each level's
+    stream (:func:`~repro.baselines.amrex_1d.box_major_blocks`).  A level
+    whose chunks hold other than its boxes' cells once per field is corrupt."""
+    from repro.baselines.amrex_1d import ClassicSZFilter, box_major_blocks
     from repro.compress.sz1d import SZ1DCompressor
+    from repro.core.header import template_from_header
     from repro.core.preprocess import level_layouts
+    from repro.errors import CorruptFileError
 
-    reference = None
-    if against:
-        with repro.open(against) as ref_handle:
-            if ref_handle.header.geometry[:2] != handle.header.geometry[:2]:
-                raise ValueError(f"{against!r} holds other boxes than {handle.path!r}")
-            reference = ref_handle.read()
     filt = ClassicSZFilter(SZ1DCompressor(handle.error_bound))
-    cells_ok = finite_ok = True
-    worst = 0.0
+    hierarchy = template_from_header(handle.header)
+    decoded = []
     for level, layout in enumerate(level_layouts(*handle.header.geometry)):
         name = f"level_{level}/cell_data"
         info = handle.dataset_info(name)
         chunks = np.stack([filt.decode(payload, info.chunk_elements) for payload in
                            handle._file.read_chunk_payloads(name, range(info.nchunks))])
         handle.stats.chunks_decoded += info.nchunks
-        values = [chunk[:c.actual_elements] for chunk, c in zip(chunks, info.chunks)]
-        cells_ok &= sum(v.size for v in values) == layout.kept_cells * len(handle.fields)
-        finite_ok &= all(np.isfinite(v).all() for v in values)
-        if reference is not None:
-            views = [layout.views(reference[level], field) for field in handle.fields]
-            stream = np.concatenate([field[i].reshape(-1) for i in range(layout.nblocks)
-                                     for field in views])
-            ref = np.zeros(chunks.size)
-            ref[:stream.size] = stream
-            ref = ref.reshape(chunks.shape)
-            spread = ref.max(axis=1) - ref.min(axis=1)
-            spread[spread <= 0] = 1.0
-            worst = max(worst, float((np.abs(chunks - ref).max(axis=1) / spread).max()))
-    checks = [("cells", cells_ok), ("finite", finite_ok)]
-    if reference is None:
-        return checks, None
-    eb = handle.error_bound
-    ok = worst <= eb * (1 + 1e-6)
-    checks.append(("error_bound", ok))
-    return checks, f"worst relative error {worst:.3e} {'<=' if ok else '>'} bound {eb:.3e}"
+        stream = np.concatenate([chunk[:c.actual_elements]
+                                 for chunk, c in zip(chunks, info.chunks)])
+        blocks = box_major_blocks(hierarchy[level], layout, handle.fields)
+        cells = sum(block.size for block in blocks)
+        if stream.size != cells:
+            raise CorruptFileError(f"{name}: its chunks hold {stream.size} cells, "
+                                   f"its boxes {cells}")
+        offset = 0
+        for block in blocks:
+            block[...] = stream[offset:offset + block.size].reshape(block.shape)
+            offset += block.size
+        decoded.append(chunks)
+    return hierarchy, decoded
+
+
+def _box_major_worst(handle, chunks, reference) -> float:
+    """The worst error of an ``amrex_1d`` file's ``chunks`` relative to each
+    chunk's own range, padding included (1.0 for a constant chunk, as
+    ``ErrorBound.resolve`` takes it), against each level's stream rebuilt from
+    ``reference`` and zero-padded into the file's chunks."""
+    from repro.baselines.amrex_1d import box_major_blocks
+    from repro.core.preprocess import level_layouts
+
+    worst = 0.0
+    for level, (layout, decoded) in enumerate(zip(
+            level_layouts(*handle.header.geometry), chunks)):
+        stream = np.concatenate([block.reshape(-1) for block in
+                                 box_major_blocks(reference[level], layout, handle.fields)])
+        ref = np.zeros(decoded.size)
+        ref[:stream.size] = stream
+        ref = ref.reshape(decoded.shape)
+        spread = ref.max(axis=1) - ref.min(axis=1)
+        spread[spread <= 0] = 1.0
+        worst = max(worst, float((np.abs(decoded - ref).max(axis=1) / spread).max()))
+    return worst
 
 
 def _plotfile_checks(handle, against: Optional[str]) -> tuple:
     """(checks, bound line) of one plotfile: its structure, and with a
-    reference copy ``against`` the error bound."""
+    reference copy ``against`` the error bound (an ``amrex_1d`` file's chunk
+    by chunk, :func:`_box_major_worst`)."""
     import repro
     from repro.core.header import CHUNK_ALIGNMENT_BOX_MAJOR
 
-    if handle.header.chunk_alignment == CHUNK_ALIGNMENT_BOX_MAJOR:
-        return _box_major_checks(handle, against)
-    hierarchy = handle.read()
+    box_major = handle.header.chunk_alignment == CHUNK_ALIGNMENT_BOX_MAJOR
+    hierarchy, chunks = _box_major_read(handle) if box_major else (handle.read(), None)
     checks = [("levels", hierarchy.nlevels == handle.nlevels),
               *_decoded_checks([hierarchy], handle.fields)]
     if not against:
         return checks, None
     with repro.open(against) as ref_handle:
+        if box_major and ref_handle.header.geometry[:2] != handle.header.geometry[:2]:
+            raise ValueError(f"{against!r} holds other boxes than {handle.path!r}")
         reference = ref_handle.read()
     eb = handle.error_bound
     eb_mode = handle.header.error_bound_mode
-    worst = 0.0
-    for level in range(hierarchy.nlevels):
-        for name in hierarchy.component_names:
-            ref = reference[level].multifab.to_global(name, reference[level].domain)
-            rec = hierarchy[level].multifab.to_global(name, hierarchy[level].domain)
-            mask = reference[level].boxarray.coverage_mask(reference[level].domain)
-            # the writer resolves the relative bound against the whole
-            # level's range (covered cells included) — use the same
-            # range here or a correctly-bounded file can FAIL
-            vrange = max(float(ref[mask].max() - ref[mask].min()), 1e-30)
-            covered = reference.covered_cells(level)
-            if covered and level < hierarchy.nlevels - 1:
-                # refilled coarse cells are averaged, not bounded;
-                # restrict the bound check to the kept cells
-                from repro.amr.upsample import covered_mask
+    if box_major:
+        worst = _box_major_worst(handle, chunks, reference)
+    else:
+        worst = 0.0
+        for level in range(hierarchy.nlevels):
+            for name in hierarchy.component_names:
+                ref = reference[level].multifab.to_global(name, reference[level].domain)
+                rec = hierarchy[level].multifab.to_global(name, hierarchy[level].domain)
+                mask = reference[level].boxarray.coverage_mask(reference[level].domain)
+                # the writer resolves the relative bound against the whole
+                # level's range (covered cells included) — use the same
+                # range here or a correctly-bounded file can FAIL
+                vrange = max(float(ref[mask].max() - ref[mask].min()), 1e-30)
+                covered = reference.covered_cells(level)
+                if covered and level < hierarchy.nlevels - 1:
+                    # refilled coarse cells are averaged, not bounded;
+                    # restrict the bound check to the kept cells
+                    from repro.amr.upsample import covered_mask
 
-                mask = mask & ~covered_mask(reference, level)
-            err = float(np.max(np.abs(ref[mask] - rec[mask])))
-            worst = max(worst, err if eb_mode == "abs" else err / vrange)
+                    mask = mask & ~covered_mask(reference, level)
+                err = float(np.max(np.abs(ref[mask] - rec[mask])))
+                worst = max(worst, err if eb_mode == "abs" else err / vrange)
     ok = worst <= eb * (1 + 1e-6)
     checks.append(("error_bound", ok))
     kind = "absolute" if eb_mode == "abs" else "relative"

@@ -105,7 +105,7 @@ class Compressor(abc.ABC):
     def _check_magnitude(self, data: np.ndarray, abs_eb: float) -> None:
         """Refuse ``data`` whose codes ``rint(x / (2·eb))`` would not fit int64:
         the cast would wrap and the reconstruction silently miss the bound."""
-        largest = float(np.abs(data).max())
+        largest = float(max(data.max(), -data.min()))      # |x| max, without |x|'s copy
         if largest / (2.0 * abs_eb) >= 2.0 ** 62:
             raise ValueError(f"{self.name} cannot quantise magnitude {largest:.6g} at error "
                              f"bound {abs_eb:.6g}: |x| / (2·eb) must stay below 2**62")

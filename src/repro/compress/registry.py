@@ -54,8 +54,9 @@ class CodecSpec:
     #: value_range, codec)``, which unit SLE relies on — ``chunks`` is a list
     #: of lists of arrays, predicted in one pass, answered with one
     #: ``(buffer, reconstructions)`` per chunk, the shared table carried from
-    #: chunk to chunk; ``AMRICLevelFilter.encode_many`` calls it once per run
-    #: of a dataset's chunks (``framed=False``: bare records).  Read side:
+    #: chunk to chunk; ``AMRICLevelFilter.encode`` calls it once per run of
+    #: a dataset's chunks of one (field, value range) scope (``framed=False``:
+    #: bare records).  Read side:
     #: ``decode_records(records, shapes, recipe, select)`` — an iterable of
     #: one list of arrays per record, in order, optionally only the selected
     #: arrays of each — which is what ``AMRICLevelFilter.decode_blocks``

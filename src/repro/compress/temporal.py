@@ -293,8 +293,9 @@ from repro.h5lite.filters import Filter  # noqa: E402  (no cycle: h5lite only us
 
 
 class TemporalDeltaFilter(Filter):
-    """Chunk filter for temporal streams: the valid prefix is coded, and
-    decodes back without the chunk's padding tail.
+    """Chunk filter for temporal streams: a chunk's valid prefix was coded
+    (the series writer encodes through :func:`~repro.series.writer.temporal_encode_job`),
+    and decodes back without the chunk's padding tail.
 
     ``decode`` is what the staged reader uses for *key* chunks — they are
     self-contained like every other filter's payloads.  Delta chunks raise a
@@ -303,18 +304,8 @@ class TemporalDeltaFilter(Filter):
     """
 
     filter_id = "temporal_delta"
-
-    def __init__(self, codec: Optional[TemporalDeltaCodec] = None):
-        self.codec = codec or TemporalDeltaCodec(ErrorBound.relative(1e-3))
-
-    def encode(self, chunk: np.ndarray, actual_elements: Optional[int] = None) -> bytes:
-        chunk = np.asarray(chunk, dtype=np.float64).reshape(-1)
-        n = chunk.size if actual_elements is None else int(actual_elements)
-        if not 0 < n <= chunk.size:
-            raise ValueError(
-                f"actual_elements {n} out of range for chunk of {chunk.size}")
-        payload, _, _ = self.codec.encode_key(chunk[:n])
-        return payload
+    #: decodes every key stream: the grid travels inside the stream, not in the codec
+    codec = TemporalDeltaCodec(ErrorBound.relative(1e-3))
 
     def decode(self, payload: bytes, chunk_elements: int) -> np.ndarray:
         values, _ = self.codec.decode_key(payload)

@@ -3,7 +3,7 @@
 The global chunk size of a level's shared dataset is the **largest per-rank
 contribution** (:class:`~repro.core.preprocess.LevelLayout` decides it);
 smaller ranks either pad (naive) or pass their actual size to the filter
-(AMRIC).  :class:`AMRICLevelFilter` is an :class:`~repro.h5lite.filters.Filter`
+(AMRIC: each chunk's :class:`ChunkPlan`).  :class:`AMRICLevelFilter` is an :class:`~repro.h5lite.filters.Filter`
 whose ``encode`` understands AMRIC's pre-processed chunk contents: the chunk
 is a field-major rank buffer made of 3D unit blocks, and the filter compresses
 it with 3D SZ (SLE or clustered-interpolation) instead of treating it as a
@@ -14,7 +14,8 @@ what the level layout cannot give.  The blocks a chunk holds — shapes,
 positions, the clustered arrangement — are the writer's :class:`ChunkPlan`,
 which :func:`chunk_plan` derives from the layout on both sides; the codec
 recipe (codec, resolved bound, block size, SLE, ...) is stored once per
-dataset (:attr:`AMRICLevelFilter.recipe`, the dataset's ``codec`` attribute).
+dataset (what :meth:`AMRICLevelFilter.encode` returns beside the records, the
+dataset's ``codec`` attribute).
 """
 
 from __future__ import annotations
@@ -82,36 +83,22 @@ def _packed_context(recipe: dict, arrangement) -> bytes:
 class AMRICLevelFilter(Filter):
     """The modified compression filter: 3D-aware, actual-size-aware.
 
-    The writer queues one :class:`ChunkPlan` per upcoming chunk (in write
-    order) and hands the chunks to ``encode_many`` (``encode`` is its batch
-    of one); the filter consumes the plans, rebuilds the 3D unit blocks from
-    each flat chunk, compresses them with the configured SZ algorithm and
-    emits one record per chunk, leaving the dataset's :attr:`recipe`.  A
-    reader builds the filter with :meth:`reading` from that recipe and hands
-    it each chunk's plan.
+    A writing filter holds only the config it writes under: :meth:`encode`
+    is one pure call over a dataset's chunks, each with its
+    :class:`ChunkPlan` (what its rank actually holds, §3.3), that rebuilds
+    the 3D unit blocks of every flat chunk, compresses them with the
+    configured SZ algorithm and returns the records, the reconstructions and
+    the recipe.  A reader builds the filter with :meth:`reading` from that
+    recipe and hands it each chunk's plan.
     """
 
     filter_id = "amric_3d"
 
     def __init__(self, config: Optional[AMRICConfig] = None):
         #: the settings it writes under (the config validated them)
-        self.config = config = config or AMRICConfig()
-        self._bound = config.error_bound_obj          # rel: per plan's range
-        #: one shared Huffman table carried across the chunks (= ranks) of the
-        #: same SLE plan instead of rebuilt per chunk; a chunk whose symbols
-        #: the table misses rebuilds it, and the rebuilt table is carried on
-        self._shared_codec = None
-        self._codec_scope = None      # (field, value_range) the cached table belongs to
-        self._many_codec = None       # cached multi-array codec (the filter's bound)
-        self._packed_codec = None     # cached single-array codec (absolute bound)
-        self._packed_codec_eb: Optional[float] = None
-        self._pending_plans: List[ChunkPlan] = []
-        #: what the chunk encoded last was written under (a dataset stores it
-        #: once); what a reading filter decodes under
+        self.config = config or AMRICConfig()
+        #: what a reading filter decodes under (the dataset's ``codec`` attribute)
         self.recipe: Optional[dict] = None
-        #: reconstructions of the blocks of every encoded chunk (encode order),
-        #: kept so the writer can compute PSNR without re-reading the file
-        self.last_reconstructions: List[List[np.ndarray]] = []
 
     @classmethod
     def reading(cls, recipe: dict) -> "AMRICLevelFilter":
@@ -121,97 +108,73 @@ class AMRICLevelFilter(Filter):
         return filt
 
     # ------------------------------------------------------------------
-    def queue_plan(self, plan: ChunkPlan) -> None:
-        self._pending_plans.append(plan)
+    def encode(self, chunks: Sequence[np.ndarray], plans: Sequence[ChunkPlan],
+               ) -> Tuple[List[bytes], List[List[np.ndarray]], dict]:
+        """``(records, reconstructions, recipe)`` of a dataset's chunks, in
+        write order: one record and one list of block reconstructions per
+        chunk, and the recipe the dataset stores once (its chunks share one:
+        one field, one value range).
 
-    def _sz_block_size_for(self) -> int:
-        from repro.core.adaptive import select_sz_block_size
-
-        cfg = self.config
-        if not cfg.adaptive_block_size:
-            return cfg.sz_block_size
-        return select_sz_block_size(cfg.unit_block_size, base_block_size=cfg.sz_block_size)
-
-    # ------------------------------------------------------------------
-    def encode(self, chunk: np.ndarray, actual_elements: Optional[int] = None) -> bytes:
-        (payload,) = self.encode_many([chunk], [actual_elements])
-        return payload
-
-    def encode_many(self, chunks: Sequence[np.ndarray],
-                    actual_elements: Sequence[Optional[int]]) -> List[bytes]:
-        """Encode a dataset's chunks, in write order, one queued plan each.
-
-        Consecutive chunks of one ``(field, value_range)`` scope go to a
-        multi-array codec in one call: predicted together, serialised in
-        order, the shared Huffman table carried from chunk to chunk.  A
-        single-array codec encodes chunk by chunk.  Reconstructions stay per
-        chunk; :attr:`recipe` is the last chunk's (a dataset's chunks share
-        one: one field, one value range).
+        A chunk's plan names the cells it holds, a prefix of the chunk (the
+        rest is the padding of the global chunk size).  Consecutive chunks of
+        one ``(field, value_range)`` scope go to a multi-array codec in one
+        call: predicted together, serialised in order, the shared Huffman
+        table carried from chunk to chunk.  A single-array codec encodes
+        chunk by chunk.
         """
-        if len(self._pending_plans) < len(chunks):
-            raise RuntimeError("AMRICLevelFilter.encode called without a queued ChunkPlan")
-        plans = self._pending_plans[:len(chunks)]
-        del self._pending_plans[:len(chunks)]
-        chunks = [np.asarray(chunk, dtype=np.float64).reshape(-1) for chunk in chunks]
         blocks = []
-        for chunk, plan, actual in zip(chunks, plans, actual_elements, strict=True):
-            if actual is not None and actual != plan.nelements:
-                raise ValueError(f"chunk plan expects {plan.nelements} valid elements, "
-                                 f"writer passed {actual}")
+        for chunk, plan in zip(chunks, plans, strict=True):
+            chunk = np.asarray(chunk, dtype=np.float64).reshape(-1)
+            if chunk.size < plan.nelements:
+                raise ValueError(f"chunk holds {chunk.size} cells, "
+                                 f"its plan {plan.nelements}")
             # rebuild the 3D unit blocks from the flat (field-major) chunk prefix
             ends = itertools.accumulate(math.prod(shape) for shape in plan.block_shapes)
             blocks.append([chunk[end - math.prod(shape):end].reshape(shape)
                            for shape, end in zip(plan.block_shapes, ends)])
-
         spec = resolve_codec(self.config.compressor)
-        if spec.supports_many:
-            encoded = self._encode_unit_blocks(spec, plans, blocks)
-        else:
-            encoded = [self._encode_packed(spec, plan, chunk_blocks)
-                       for plan, chunk_blocks in zip(plans, blocks)]
-        self.recipe = encoded[-1][2]
-        self.last_reconstructions.extend(recons for _, recons, _ in encoded)
-        return [record for record, _, _ in encoded]
+        encode = self._encode_unit_blocks if spec.supports_many else self._encode_packed
+        records, reconstructions, recipes = zip(*encode(spec, plans, blocks))
+        return list(records), list(reconstructions), recipes[-1]
 
     def _encode_unit_blocks(self, spec, plans, blocks):
         """Multi-array (unit-block) codecs compress the blocks directly, which
         is what unit SLE (§3.2 Solution 1) relies on: one codec call per run
         of chunks of one scope, ``(record, reconstructions, recipe)`` per chunk."""
-        if self._many_codec is None:
-            self._many_codec = spec.create(self._bound, block_size=self._sz_block_size_for())
-        comp = self._many_codec
+        from repro.core.adaptive import select_sz_block_size
+
+        cfg = self.config
+        block_size = (select_sz_block_size(cfg.unit_block_size, base_block_size=cfg.sz_block_size)
+                      if cfg.adaptive_block_size else cfg.sz_block_size)
+        comp = spec.create(cfg.error_bound_obj, block_size=block_size)
         out = []
         for scope, run in itertools.groupby(
                 zip(plans, blocks), key=lambda item: (item[0].field, item[0].value_range)):
             # the carried table is only valid within one SLE plan — chunks of
             # the same field with the same quantisation grid; a different
             # field (or bound) has a different symbol distribution
-            if self._codec_scope != scope:
-                self._shared_codec = None
-                self._codec_scope = scope
             results = comp.compress_many_with_reconstruction(
-                [chunk_blocks for _, chunk_blocks in run], shared_encoding=self.config.use_sle,
-                value_range=scope[1], codec=self._shared_codec, framed=False)
-            self._shared_codec = comp.last_shared_codec
+                [chunk_blocks for _, chunk_blocks in run], shared_encoding=cfg.use_sle,
+                value_range=scope[1], framed=False)
             out.extend((buffer.payload, recons, buffer.meta["recipe"])
                        for buffer, recons in results)
         return out
 
-    def _encode_packed(self, spec, plan: ChunkPlan, blocks: List[np.ndarray]):
-        """Single-array codecs see one packed 3D arrangement of a chunk's
-        blocks: ``(record, reconstructions, recipe)``."""
+    def _encode_packed(self, spec, plans, blocks):
+        """Single-array codecs see one packed 3D arrangement of each chunk's
+        blocks: ``(record, reconstructions, recipe)`` per chunk."""
         cfg = self.config
-        arrangement = arrange_blocks(plan.block_shapes, plan.block_positions,
-                                     cfg.interp_arrangement)
-        abs_eb = self._bound.resolve(value_range=plan.value_range)
-        if self._packed_codec is None or self._packed_codec_eb != abs_eb:
-            self._packed_codec = spec.create(
-                abs_eb, mode="abs", anchor_stride=cfg.interp_anchor_stride)
-            self._packed_codec_eb = abs_eb
-        recipe = dict(self._packed_codec.recipe(abs_eb), arrangement=cfg.interp_arrangement)
-        record, packed_recon = self._packed_codec.encode_record(
-            pack_blocks(blocks, arrangement), _packed_context(recipe, arrangement))
-        return record, unpack_blocks(packed_recon, arrangement), recipe
+        out = []
+        for plan, chunk_blocks in zip(plans, blocks):
+            arrangement = arrange_blocks(plan.block_shapes, plan.block_positions,
+                                         cfg.interp_arrangement)
+            abs_eb = cfg.error_bound_obj.resolve(value_range=plan.value_range)
+            comp = spec.create(abs_eb, mode="abs", anchor_stride=cfg.interp_anchor_stride)
+            recipe = dict(comp.recipe(abs_eb), arrangement=cfg.interp_arrangement)
+            record, packed_recon = comp.encode_record(
+                pack_blocks(chunk_blocks, arrangement), _packed_context(recipe, arrangement))
+            out.append((record, unpack_blocks(packed_recon, arrangement), recipe))
+        return out
 
     # ------------------------------------------------------------------
     def decode(self, payload: bytes, chunk_elements: int,

@@ -81,8 +81,12 @@ class DatasetPlan:
     name: str
     value_range: float
     layout: LevelLayout                #: shared by every dataset of the level
-    actual_elements: List[int]         #: per chunk, what the filter is told (the chunk size when naive)
     chunk_plans: List[ChunkPlan]       #: per chunk, its unit blocks for the filter
+
+    @property
+    def actual_elements(self) -> List[int]:
+        """Per chunk, the cells its plan names (the chunk size when naive)."""
+        return [plan.nelements for plan in self.chunk_plans]
 
     @property
     def chunk_elements(self) -> int:
@@ -151,8 +155,6 @@ def plan_write(hierarchy: AmrHierarchy, config: AMRICConfig,
             level_plan.datasets.append(DatasetPlan(
                 level=level_index, field=name, name=f"level_{level_index}/{name}",
                 value_range=value_range, layout=layout,
-                actual_elements=([layout.chunk_elements] * len(layout.ranks) if padded
-                                 else list(layout.rank_elements)),
                 chunk_plans=[chunk_plan(layout, chunk, padded, name, value_range)
                              for chunk in range(len(layout.ranks))]))
     return WritePlan(levels=levels)
@@ -201,8 +203,7 @@ class EncodeJob:
     key: str                               #: dataset name (stable identifier)
     data: np.ndarray                       #: the packed dataset buffer
     chunk_elements: int
-    actual_sizes: List[int]
-    plans: List[ChunkPlan]
+    plans: List[ChunkPlan]                 #: per chunk, the cells it holds
     config: AMRICConfig                    #: the filter's settings (frozen)
 
 
@@ -226,30 +227,24 @@ class EncodeResult:
 def make_encode_job(packed: PackedDataset, config: AMRICConfig) -> EncodeJob:
     return EncodeJob(
         key=packed.plan.name, data=packed.data,
-        chunk_elements=packed.plan.chunk_elements,
-        actual_sizes=packed.plan.actual_elements, plans=packed.plan.chunk_plans,
+        chunk_elements=packed.plan.chunk_elements, plans=packed.plan.chunk_plans,
         config=config)
 
 
 def encode_job(job: EncodeJob) -> EncodeResult:
     """Stage 3: run the AMRIC filter over one dataset's chunks, in one
-    :meth:`~repro.core.filter_mod.AMRICLevelFilter.encode_many` call: the
-    chunks are predicted together and serialised in order.
+    :meth:`~repro.core.filter_mod.AMRICLevelFilter.encode` call: the chunks
+    are predicted together and serialised in order.
 
     A module-level pure function over picklable inputs, so every execution
     backend (inline, shm pool) runs the identical code and produces
     identical bytes.
     """
-    filt = AMRICLevelFilter(job.config)
-    for plan in job.plans:
-        filt.queue_plan(plan)
     ce = job.chunk_elements
-    payloads = filt.encode_many(
-        [job.data[i * ce:(i + 1) * ce] for i in range(len(job.actual_sizes))],
-        job.actual_sizes)
-    return EncodeResult(key=job.key, payloads=payloads,
-                        reconstructions=filt.last_reconstructions,
-                        filter_calls=len(payloads), recipe=filt.recipe)
+    payloads, reconstructions, recipe = AMRICLevelFilter(job.config).encode(
+        [job.data[i * ce:(i + 1) * ce] for i in range(len(job.plans))], job.plans)
+    return EncodeResult(key=job.key, payloads=payloads, reconstructions=reconstructions,
+                        filter_calls=len(payloads), recipe=recipe)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Compression filters for chunked datasets (the H5Z layer).
 
-A :class:`Filter` turns one chunk buffer into bytes and back; the file names
-it by ``filter_id``.  This module holds the base class and the pass-through
+A :class:`Filter` is the decode side of a dataset's chunks: the file names it
+by ``filter_id`` and a reader dispatches on that name, then only decodes.
+Each writer encodes through its own filter or codec, with the arguments its
+chunks need.  This module holds the base class and the pass-through
 :class:`NoCompressionFilter`.  The filters that compress live with their
 writers: AMReX's classic one, which compresses every chunk in full *including
 any padding*, is :class:`repro.baselines.amrex_1d.ClassicSZFilter`, and the
-paper's §3.3 modification — the writer passes the actual number of valid
-elements — is :class:`repro.core.filter_mod.AMRICLevelFilter`.
+paper's §3.3 modification — the writer tells the filter what each rank
+actually holds — is :class:`repro.core.filter_mod.AMRICLevelFilter`.
 
 Filters keep no counters: a writer counts launches as the payloads it got
 back, and padded bytes and chunk writes per rank through
@@ -42,19 +44,15 @@ def cut_blocks(chunk: np.ndarray, layout: Sequence[Tuple[int, int]],
 
 
 class Filter:
-    """Base chunk filter: bytes-in / bytes-out, one call per chunk."""
+    """Base chunk filter: the decode side of the chunks its ``filter_id`` names."""
 
     filter_id = "identity"
 
     # -- interface -----------------------------------------------------
-    def encode(self, chunk: np.ndarray, actual_elements: Optional[int] = None) -> bytes:
-        """Compress one chunk (a 1D float array of the dataset's chunk size)."""
-        raise NotImplementedError
-
     def decode(self, payload: bytes, chunk_elements: int) -> np.ndarray:
-        """Invert :meth:`encode`: a 1D array of what the chunk stores — its
-        valid elements, or all ``chunk_elements`` for a filter that encodes
-        the padding."""
+        """One chunk's payload as a 1D array of what it stores — its valid
+        elements, or all ``chunk_elements`` for a filter that encodes the
+        padding."""
         raise NotImplementedError
 
     def decode_blocks(self, payloads: Sequence[bytes], chunk_elements: int,
@@ -86,7 +84,7 @@ class NoCompressionFilter(Filter):
 
     filter_id = "none"
 
-    def encode(self, chunk: np.ndarray, actual_elements: Optional[int] = None) -> bytes:
+    def encode(self, chunk: np.ndarray) -> bytes:
         return np.asarray(chunk, dtype=np.float64).tobytes()
 
     def decode(self, payload: bytes, chunk_elements: int) -> np.ndarray:

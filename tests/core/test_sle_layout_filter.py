@@ -96,11 +96,9 @@ class TestAMRICLevelFilter:
         chunk = np.zeros(chunk_elements)
         chunk[:flat.size] = flat
         filt = AMRICLevelFilter(AMRICConfig(compressor=compressor, error_bound=1e-3))
-        filt.queue_plan(plan)
-        payload = filt.encode(chunk, actual_elements=flat.size)
-        decoded = AMRICLevelFilter.reading(filt.recipe).decode(payload, chunk_elements, plan)
-        # decoded valid prefix matches the recorded reconstructions
-        recons = filt.last_reconstructions[0]
+        (payload,), (recons,), recipe = filt.encode([chunk], [plan])
+        decoded = AMRICLevelFilter.reading(recipe).decode(payload, chunk_elements, plan)
+        # decoded valid prefix matches the returned reconstructions
         rec_flat = np.concatenate([r.reshape(-1) for r in recons])
         np.testing.assert_allclose(decoded[:flat.size], rec_flat, atol=0, rtol=0)
         # error bound holds
@@ -109,8 +107,8 @@ class TestAMRICLevelFilter:
     def _payload(self, hierarchy, compressor, level=1):
         _, flat, plan = self._blocks_and_chunk(hierarchy, level=level)
         filt = AMRICLevelFilter(AMRICConfig(compressor=compressor, error_bound=1e-3))
-        filt.queue_plan(plan)
-        return filt.encode(flat, actual_elements=flat.size), flat.size, plan, filt.recipe
+        (payload,), _, recipe = filt.encode([flat], [plan])
+        return payload, flat.size, plan, recipe
 
     def test_the_record_holds_no_json_and_the_recipe_what_decode_needs(self, nyx_hierarchy):
         payload, _, plan, recipe = self._payload(nyx_hierarchy, "sz_lr")
@@ -150,11 +148,8 @@ class TestAMRICLevelFilter:
         chunk decoded alone, whatever else is asked for."""
         _, flat, plan = self._blocks_and_chunk(nyx_hierarchy, level=0)
         filt = AMRICLevelFilter(AMRICConfig(compressor=compressor, error_bound=bound))
-        payloads = []
-        for scale in (1.0, 2.0):
-            filt.queue_plan(plan)
-            payloads.append(filt.encode(flat * scale, actual_elements=flat.size))
-        reader = AMRICLevelFilter.reading(filt.recipe)
+        payloads, _, recipe = filt.encode([flat, flat * 2.0], [plan, plan])
+        reader = AMRICLevelFilter.reading(recipe)
         layout = _layout_of(plan)
         assert len(layout) > 2
         assert reader.decode_blocks([], 10, [], [], []) == []
@@ -187,17 +182,12 @@ class TestAMRICLevelFilter:
         with pytest.raises(ValueError, match="the chunk has"):
             reader.decode(payload, n - 1, plan)
 
-    def test_encode_without_plan_raises(self):
-        filt = AMRICLevelFilter()
-        with pytest.raises(RuntimeError):
-            filt.encode(np.zeros(10))
-
     def test_plan_size_mismatch_raises(self, nyx_hierarchy):
-        data, flat, plan = self._blocks_and_chunk(nyx_hierarchy)
-        filt = AMRICLevelFilter()
-        filt.queue_plan(plan)
-        with pytest.raises(ValueError):
-            filt.encode(np.zeros(flat.size + 10), actual_elements=flat.size + 5)
+        """A chunk that holds fewer cells than its plan names is refused,
+        naming both counts."""
+        _, flat, plan = self._blocks_and_chunk(nyx_hierarchy)
+        with pytest.raises(ValueError, match=f"{flat.size - 5} cells, its plan {flat.size}"):
+            AMRICLevelFilter().encode([flat[:-5]], [plan])
 
     def test_invalid_compressor_name(self):
         with pytest.raises(ValueError):

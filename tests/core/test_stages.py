@@ -80,16 +80,46 @@ class TestPackEncodeStages:
 
 
 def _per_chunk_reference(job):
-    """The encode stage as one ``AMRICLevelFilter.encode`` call per chunk."""
-    filt = AMRICLevelFilter(job.config)
-    ce = job.chunk_elements
-    payloads = []
-    for i, (plan, actual) in enumerate(zip(job.plans, job.actual_sizes)):
-        filt.queue_plan(plan)
-        payloads.append(filt.encode(job.data[i * ce:(i + 1) * ce], actual_elements=actual))
-    return EncodeResult(key=job.key, payloads=payloads,
-                        reconstructions=filt.last_reconstructions,
-                        filter_calls=len(payloads), recipe=filt.recipe)
+    """The encode stage without the filter: one codec call per chunk.  A
+    multi-array codec gets each chunk's unit blocks, handed the table the
+    previous chunk left (``last_shared_codec``) while the (field, value
+    range) scope holds; a single-array codec the chunk's packed arrangement."""
+    from repro.compress.registry import resolve_codec
+    from repro.core.adaptive import select_sz_block_size
+    from repro.core.filter_mod import _packed_context
+    from repro.core.preprocess import arrange_blocks, pack_blocks, unpack_blocks
+
+    cfg = job.config
+    spec = resolve_codec(cfg.compressor)
+    block_size = (select_sz_block_size(cfg.unit_block_size, base_block_size=cfg.sz_block_size)
+                  if cfg.adaptive_block_size else cfg.sz_block_size)
+    many = spec.create(cfg.error_bound_obj, block_size=block_size)
+    payloads, reconstructions, codec, scope = [], [], None, None
+    for chunk, plan in zip(_chunks_of(job), job.plans):
+        ends = np.cumsum([np.prod(shape) for shape in plan.block_shapes])
+        blocks = [chunk[end - np.prod(shape):end].reshape(shape)
+                  for shape, end in zip(plan.block_shapes, ends)]
+        if spec.supports_many:
+            if scope != (plan.field, plan.value_range):
+                codec, scope = None, (plan.field, plan.value_range)
+            ((buffer, recons),) = many.compress_many_with_reconstruction(
+                [blocks], shared_encoding=cfg.use_sle, value_range=plan.value_range,
+                codec=codec, framed=False)
+            codec = many.last_shared_codec
+            payload, recipe = buffer.payload, buffer.meta["recipe"]
+        else:
+            arrangement = arrange_blocks(plan.block_shapes, plan.block_positions,
+                                         cfg.interp_arrangement)
+            abs_eb = cfg.error_bound_obj.resolve(value_range=plan.value_range)
+            comp = spec.create(abs_eb, mode="abs", anchor_stride=cfg.interp_anchor_stride)
+            recipe = dict(comp.recipe(abs_eb), arrangement=cfg.interp_arrangement)
+            payload, packed = comp.encode_record(pack_blocks(blocks, arrangement),
+                                                 _packed_context(recipe, arrangement))
+            recons = unpack_blocks(packed, arrangement)
+        payloads.append(payload)
+        reconstructions.append(recons)
+    return EncodeResult(key=job.key, payloads=payloads, reconstructions=reconstructions,
+                        filter_calls=len(payloads), recipe=recipe)
 
 
 def _dataset_jobs(hierarchy, config=AMRICConfig(), level=0):
@@ -117,20 +147,19 @@ def _job_of(chunks, plans, config):
     data = np.zeros(len(chunks) * ce)
     for i, chunk in enumerate(chunks):
         data[i * ce:i * ce + chunk.size] = chunk
-    return EncodeJob(key="job", data=data, chunk_elements=ce,
-                     actual_sizes=[plan.nelements for plan in plans], plans=plans,
-                     config=config)
+    return EncodeJob(key="job", data=data, chunk_elements=ce, plans=plans, config=config)
 
 
 def _chunks_of(job):
+    """Each chunk's cells (its plan's), without the padding tail."""
     ce = job.chunk_elements
-    return [job.data[i * ce:i * ce + actual] for i, actual in enumerate(job.actual_sizes)]
+    return [job.data[i * ce:i * ce + plan.nelements] for i, plan in enumerate(job.plans)]
 
 
 class TestOneEncodeManyPerJob:
     """``encode_job`` predicts a dataset's chunks in one pass and serialises
-    them one by one: payloads, reconstructions and filter calls equal the
-    per-chunk ``encode`` loop byte for byte."""
+    them one by one: payloads, reconstructions, recipe and filter calls equal
+    a per-chunk loop of codec calls byte for byte."""
 
     @pytest.fixture(scope="class", params=["nyx", "warpx"])
     def ranked(self, request):
@@ -156,6 +185,7 @@ class TestOneEncodeManyPerJob:
             assert len(passes) == predictor_passes
         reference = _per_chunk_reference(job)
         assert result.payloads == reference.payloads
+        assert result.recipe == reference.recipe
         assert result.filter_calls == reference.filter_calls == len(job.plans)
         assert len(result.reconstructions) == len(reference.reconstructions)
         for ours, theirs in zip(result.reconstructions, reference.reconstructions):
@@ -167,6 +197,20 @@ class TestOneEncodeManyPerJob:
         for job in _dataset_jobs(ranked, config):
             assert len(job.plans) == 4
             self._assert_equal_to_the_loop(job, monkeypatch, predictor_passes=passes)
+
+    @pytest.mark.parametrize("compressor", ["sz_lr", "sz_interp"])
+    def test_one_filter_carries_nothing_from_call_to_call(self, ranked, compressor):
+        """One filter encoding dataset A, then another field's B, then A again
+        returns the same records, reconstructions and recipe for both A calls."""
+        a, b = _dataset_jobs(ranked, AMRICConfig(compressor=compressor))[:2]
+        assert a.plans[0].field != b.plans[0].field
+        filt = AMRICLevelFilter(a.config)
+        first = filt.encode(_chunks_of(a), a.plans)
+        filt.encode(_chunks_of(b), b.plans)
+        again = filt.encode(_chunks_of(a), a.plans)
+        assert first[0] == again[0] and first[2] == again[2]
+        for ours, theirs in zip(first[1], again[1], strict=True):
+            assert [r.tobytes() for r in ours] == [r.tobytes() for r in theirs]
 
     def test_two_scopes_make_two_calls_and_two_tables(self, ranked, monkeypatch):
         first, second = _dataset_jobs(ranked)[:2]

@@ -24,14 +24,16 @@ def _raw(f, name, data, attrs=None):
 
 def _sz_store(f, name, data, filt, chunk_elements=1024):
     """Commit ``data`` flat in chunks of ``chunk_elements``, each zero-padded
-    and compressed whole by the classic filter ``filt``."""
+    and compressed whole by the classic filter ``filt``: ``(info, each
+    chunk's reconstruction)``."""
     flat = data.reshape(-1)
     pieces = [flat[start:start + chunk_elements]
               for start in range(0, flat.size, chunk_elements)]
+    payloads, recons = zip(*(filt.encode(np.pad(p, (0, chunk_elements - p.size)))
+                             for p in pieces))
     return f.create_dataset_from_chunks(
-        name, [filt.encode(np.pad(p, (0, chunk_elements - p.size))) for p in pieces],
-        shape=data.shape, dtype="float64", chunk_elements=chunk_elements,
-        filter_id=filt.filter_id, actual_elements_per_chunk=[p.size for p in pieces])
+        name, payloads, shape=data.shape, dtype="float64", chunk_elements=chunk_elements,
+        filter_id=filt.filter_id, actual_elements_per_chunk=[p.size for p in pieces]), recons
 
 
 class TestFileBasics:
@@ -130,7 +132,7 @@ class TestFilters:
         eb_abs = 1e-3 * (sample_data.max() - sample_data.min())
         filt = ClassicSZFilter(SZ1DCompressor(eb_abs, mode="abs"))
         with H5LiteFile(path, "w") as f:
-            info = _sz_store(f, "x", sample_data, filt)
+            info, _ = _sz_store(f, "x", sample_data, filt)
         with H5LiteFile(path, "r") as f:
             payloads = f.read_chunk_payloads("x", range(info.nchunks))
         # each chunk decodes whole, its zero tail included; the valid prefix is the data
@@ -141,11 +143,11 @@ class TestFilters:
         """One reconstruction per filter call, each what the chunk decodes to."""
         filt = ClassicSZFilter(SZ1DCompressor(1e-3))
         with H5LiteFile(tmp_path / "c.h5z", "w") as f:
-            info = _sz_store(f, "x", sample_data, filt)
+            info, recons = _sz_store(f, "x", sample_data, filt)
         with H5LiteFile(tmp_path / "c.h5z", "r") as f:
             payloads = f.read_chunk_payloads("x", range(info.nchunks))
-        assert len(filt.reconstructions) == info.nchunks == int(np.ceil(sample_data.size / 1024))
-        for payload, recon in zip(payloads, filt.reconstructions):
+        assert len(recons) == info.nchunks == int(np.ceil(sample_data.size / 1024))
+        for payload, recon in zip(payloads, recons):
             np.testing.assert_array_equal(filt.decode(payload, 1024), recon)
 
     def test_nocompression_is_the_raw_bytes(self):

@@ -231,7 +231,7 @@ class TestCLI:
         out = capsys.readouterr().out
         with repro.open(path) as handle:
             nchunks = sum(handle.dataset_info(n).nchunks for n in handle.dataset_names())
-        assert f"PASS (cells=ok, finite=ok; {nchunks} chunks decoded)" in out
+        assert f"PASS (levels=ok, fields=ok, finite=ok; {nchunks} chunks decoded)" in out
         with open(path, "r+b") as fh:
             with repro.open(path) as handle:
                 first = handle.dataset_info("level_0/cell_data").chunks[0]
@@ -248,7 +248,7 @@ class TestCLI:
         repro.write(hierarchy, raw, method="nocomp")
         assert cli_main(["verify", path, "--against", raw]) == 0
         out = capsys.readouterr().out
-        assert "PASS (cells=ok, finite=ok, error_bound=ok;" in out
+        assert "PASS (levels=ok, fields=ok, finite=ok, error_bound=ok;" in out
         assert "worst relative error" in out and "<= bound 1.000e-03" in out
         with repro.open(raw) as handle:
             copy = handle.read()
@@ -257,7 +257,40 @@ class TestCLI:
         repro.write(copy, moved, method="nocomp")
         assert cli_main(["verify", path, "--against", moved]) == 1
         out = capsys.readouterr().out
-        assert "FAIL (cells=ok, finite=ok, error_bound=FAIL;" in out and "> bound" in out
+        assert "FAIL (levels=ok, fields=ok, finite=ok, error_bound=FAIL;" in out
+        assert "> bound" in out
+
+    def test_decompress_an_amrex_1d_file(self, hierarchy, tmp_path, reference_blocks):
+        """The nocomp copy of a box-major file is its box-major decode, cell for
+        cell: each level's copy, cut whole box by box rank by rank with each
+        box's fields back to back, is the file's chunks decoded back to back."""
+        from repro.baselines.amrex_1d import ClassicSZFilter
+        from repro.compress.sz1d import SZ1DCompressor
+
+        path, raw = str(tmp_path / "ax.h5z"), str(tmp_path / "raw.h5z")
+        repro.write(hierarchy, path, method="amrex_1d", error_bound=1e-3)
+        assert cli_main(["decompress", path, raw]) == 0
+        with repro.open(raw) as handle:
+            assert handle.header.method == "nocomp"
+            copy = handle.read()
+        filt = ClassicSZFilter(SZ1DCompressor(1e-3))
+        with repro.open(path) as handle:
+            for level_index, level in enumerate(copy.levels):
+                name = f"level_{level_index}/cell_data"
+                info = handle.dataset_info(name)
+                back = np.concatenate([
+                    filt.decode(payload, info.chunk_elements)[:chunk.actual_elements]
+                    for payload, chunk in zip(handle._file.read_chunk_payloads(
+                        name, range(info.nchunks)), info.chunks)])
+                mf = level.multifab
+                blocks = sorted(reference_blocks(list(level.boxarray),
+                                                 mf.distribution.rank_of_box, 10 ** 6),
+                                key=lambda b: b.rank)                       # stable
+                stream = np.concatenate([
+                    mf[b.box_index].component(mf.component_index(field))
+                    [b.box.slices(origin=mf[b.box_index].box.lo)].reshape(-1)
+                    for b in blocks for field in copy.component_names])
+                assert stream.tobytes() == back.tobytes()
 
     def test_decompress_then_verify_against(self, plotfile, tmp_path, capsys):
         raw = tmp_path / "raw.h5z"
