@@ -19,13 +19,12 @@
 
 PY := PYTHONPATH=src python
 
-# src/ + tools/ Python lines as of the last change to them (-29: the AMRIC
-# filter encodes in one pure call — no plan queue, second size argument,
-# per-instance codec caches or table carried across calls — and no filter
-# declares encode on the base class, net of `repro decompress` of a
-# box-major amrex_1d file; ROADMAP item 14: this number is not raised again,
-# and the round-2 shrink goal is <= 17200 from 18036)
-LOC_BUDGET := 18328
+# src/ + tools/ Python lines as of the last change to them (-14: a series
+# step's chunks are chunk records under a per-dataset recipe — no per-chunk JSON
+# meta, framing estimate term, raw Huffman section or second raw-codes rule;
+# ROADMAP item 14: this number is not raised again, and the round-2 shrink goal
+# is <= 17200 from 18036)
+LOC_BUDGET := 18314
 LOC = $$(find src tools -name '*.py' | xargs cat | wc -l)
 
 # suite -> pytest paths ('+'-separated). Adding a benchmark suite is one line.
@@ -149,6 +148,16 @@ smoke-series:
 		assert v.shape[0] == 5 and np.isfinite(v).all(); \
 		print('time_slice ok:', v.shape, f'{s.stats.chunks_decoded} chunks decoded'); \
 		s.close()"
+	$(PY) -c "import numpy as np, repro; \
+		s = repro.open_series('.smoke-series/run'); \
+		assert [st.kind for st in s.steps()[:2]] == ['key', 'delta'], s.steps(); \
+		fabs = lambda h: [f.data for lvl in h.levels for f in lvl.multifab.fabs]; \
+		h = repro.open('.smoke-series/run/plt00000.h5z'); \
+		assert all(np.array_equal(a, b) for a, b in zip(fabs(h.read()), fabs(s.read(0)))); \
+		print('key step 0 reads through repro.open as through its series'); h.close(); s.close()"
+	@! $(PY) -m repro verify .smoke-series/run/plt00001.h5z 2> .smoke-series/delta.err
+	@grep -q "open_series" .smoke-series/delta.err && \
+		echo "delta step 1 refused alone: $$(cat .smoke-series/delta.err)"
 	$(PY) -c "import itertools, repro; from repro.apps.nyx import NyxSimulation; \
 		repro.write_series(itertools.islice($(SMOKE_SIM).run(7), 5, None), \
 		'.smoke-series/run', append=True)"

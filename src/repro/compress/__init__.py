@@ -24,9 +24,9 @@ analysis/benchmark layer uses for PSNR at scale.
 
 The codec registry (:mod:`repro.compress.registry`) resolves codecs by name
 and :mod:`repro.compress.container` holds every codec's serialisation: the
-section container a standalone buffer travels in (``sz_1d`` and
-``temporal_delta`` streams, and SZ_L/R / SZ_Interp buffers outside a
-plotfile), and the format-v2 chunk record the AMRIC filter stores bare.
+section container a standalone buffer travels in, and the chunk record
+(SZ_L/R, SZ_Interp and ``temporal_delta``) the AMRIC filter and the series
+writer store bare.
 """
 
 from repro.compress.errorbound import ErrorBound

@@ -12,19 +12,20 @@ module is the single implementation:
   framing, inherited unchanged from :mod:`repro.compress.lossless` so streams
   written before this refactor still deserialize);
 * :func:`pack_huffman` / :func:`unpack_huffman` — the shared-table Huffman
-  stream sections (table, codes — raw behind a CRC32 at >= 2 bits a symbol,
-  else deflated —, per-stream bit counts, deflated sync residuals) used by the
-  ``sz_1d`` and ``temporal_delta`` entropy stages;
+  stream sections (table, deflated codes, per-stream bit counts, deflated
+  sync residuals) of a standalone ``sz_1d`` buffer and the ``amrex_1d``
+  baseline's chunks;
 * :func:`parse_huffman` + :func:`decode_huffman` — the two halves of
   :func:`unpack_huffman`: sections to ``(codec, encoded)`` pairs, then one
   entropy pass over the pairs of however many containers a decode job holds;
 * :func:`pack_zarray` / :func:`unpack_zarray` and :func:`pack_zbytes` /
   :func:`unpack_zbytes` — deflated side-array sections;
-* :func:`pack_record` / :func:`parse_record` — the format-v2 chunk record
-  (SZ_L/R and SZ_Interp): a CRC32, the array count, the deflated codes and
-  one deflated side blob, with nothing the array shapes or the codec recipe
-  imply; a standalone buffer wraps it in a container whose meta is the recipe
-  and the shapes, the AMRIC filter stores it bare;
+* :func:`pack_record` / :func:`parse_record` — the chunk record (SZ_L/R,
+  SZ_Interp and ``temporal_delta``): a CRC32, the codes' form, the array
+  count, the codes (raw or deflated) and one deflated side blob, with nothing
+  the array shapes or the codec recipe imply; a standalone buffer wraps it in
+  a container whose meta is the recipe and the shapes, the AMRIC filter and
+  the series writer store it bare;
   :func:`pack_huffman_individual` / :func:`unpack_huffman_individual` are the
   per-array-table (non-SLE) streams alone in that form.
 
@@ -63,7 +64,6 @@ __all__ = [
     "pack_container",
     "unpack_container",
     "pack_huffman",
-    "huffman_framing_nbytes",
     "parse_huffman",
     "unpack_huffman",
     "pack_huffman_individual",
@@ -131,82 +131,45 @@ def unpack_container(payload: bytes, expect_codec: Optional[str] = None) -> Code
 # ----------------------------------------------------------------------
 # Huffman stream sections (one shared table, any number of streams)
 # ----------------------------------------------------------------------
-#: the codes section, deflated or raw behind a CRC32 (as long a name as the
-#: deflated one's, so the framing is the same either way)
-_DEFLATED, _RAW = "huff_payload", "huff_raw_crc"
-
-#: bits a symbol from which the codes are stored raw: deflate's gain on
-#: Huffman codes is measured at <= 0.6% above it (DESIGN.md §4)
-_RAW_BITS = 2
-
 def pack_huffman(streams: Sequence[HuffmanEncoded]) -> Dict[str, bytes]:
     """Sections for Huffman streams sharing one canonical table.
 
     All streams must carry the same table (true for the shared-encoding/SLE
     path and trivially for a single stream).  Emits ``huff_table``, the
-    concatenated codes, ``huff_nbits`` / ``huff_ncodes`` (int64 per stream)
-    and ``huff_sync`` (the deflated
-    :func:`~repro.compress.huffman.sync_residuals`, the parallel-decode
-    acceleration structure).  The codes go raw behind their CRC32
-    (``huff_raw_crc``) when the table spends at least ``_RAW_BITS`` bits a
-    symbol, where deflate buys next to nothing, and deflated
-    (``huff_payload``) below that (DESIGN.md §4).
+    deflated concatenated codes (``huff_payload``, as SZ's zlib back-end
+    does), ``huff_nbits`` / ``huff_ncodes`` (int64 per stream) and
+    ``huff_sync`` (the deflated :func:`~repro.compress.huffman.sync_residuals`,
+    the parallel-decode acceleration structure).
     """
     if not streams:
         raise ValueError("need at least one Huffman stream")
     s0 = streams[0]
     nbits = np.asarray([s.nbits for s in streams], dtype=np.int64)
     ncodes = np.asarray([s.nsymbols for s in streams], dtype=np.int64)
-    codes = b"".join(s.payload for s in streams)
-    if int(nbits.sum()) >= _RAW_BITS * int(ncodes.sum()):
-        section = {_RAW: struct.pack("<I", zlib.crc32(codes)) + codes}
-    else:
-        section = {_DEFLATED: zlib_compress(codes)}
-    return {"huff_table": pack_arrays(s0.table_symbols, s0.table_lengths), **section,
+    return {"huff_table": pack_arrays(s0.table_symbols, s0.table_lengths),
+            "huff_payload": zlib_compress(b"".join(s.payload for s in streams)),
             "huff_nbits": nbits.tobytes(), "huff_ncodes": ncodes.tobytes(),
             "huff_sync": zlib_compress(b"".join(
                 a.tobytes() for a in huffman.sync_residuals(streams)))}
-
-
-def _stored_codes(sections: Dict[str, bytes]) -> bytes:
-    """The codes of :func:`pack_huffman`'s sections: exactly one of the raw
-    and the deflated section, the raw one matching its CRC."""
-    if (_RAW in sections) == (_DEFLATED in sections):
-        raise CorruptFileError(f"Huffman sections hold {'both' if _RAW in sections else 'neither'}"
-                               f" of {_RAW!r} and {_DEFLATED!r}")
-    if _DEFLATED in sections:
-        return zlib_decompress(sections[_DEFLATED])
-    raw = sections[_RAW]
-    if len(raw) < 4 or struct.unpack_from("<I", raw)[0] != zlib.crc32(memoryview(raw)[4:]):
-        raise CorruptFileError(f"Huffman section {_RAW!r}: checksum mismatch")
-    return raw[4:]
-
-
-def huffman_framing_nbytes() -> int:
-    """Bytes of a one-stream Huffman container that its codes do not move (headers, counts,
-    array framing): an empty stream's, less its meta, its codes section and its sync."""
-    sections = pack_huffman([HuffmanEncoded(b"", 0, 0, np.zeros(0, dtype=np.uint32),
-                                            np.zeros(0, dtype=np.uint8))])
-    return (len(pack_container("", {}, sections)) - len(json.dumps({"codec": ""}))
-            - len(sections[_RAW]) - len(sections["huff_sync"]))
 
 
 def parse_huffman(sections: Dict[str, bytes]) -> List[HuffmanPair]:
     """The shared-table Huffman sections as one ``(codec, multi-stream encoded)`` pair.
 
     Everything :func:`unpack_huffman` does short of the entropy decode: the
-    table, the codes (checked or inflated), the per-stream counts — checked
+    table, the inflated codes, the per-stream counts — checked
     against the codes' bytes before the sync offsets are sized from them —
     and the sync offsets.  Damage is a :class:`CorruptFileError`.
     """
-    nbits, ncodes, table, sync = (required(sections, name, "Huffman sections") for name in
-                                  ("huff_nbits", "huff_ncodes", "huff_table", "huff_sync"))
+    nbits, ncodes, table, codes, sync = (
+        required(sections, name, "Huffman sections") for name in
+        ("huff_nbits", "huff_ncodes", "huff_table", "huff_payload", "huff_sync"))
     nbits = np.frombuffer(nbits, dtype=np.int64)
     ncodes = np.frombuffer(ncodes, dtype=np.int64)
     if nbits.size != ncodes.size or nbits.size == 0:
         raise CorruptFileError("Huffman bit/symbol count mismatch")
     symbols, lengths = unpack_arrays(table)
-    payload = _stored_codes(sections)
+    payload = zlib_decompress(codes)
     if (ncodes < 0).any() or (nbits < ncodes).any() \
             or int(((nbits + 7) >> 3).sum()) != len(payload):
         raise CorruptFileError(f"Huffman sections: {len(payload)} bytes of codes do not "
@@ -264,10 +227,18 @@ def unpack_zbytes(section: bytes) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# the format-v2 chunk record (DESIGN.md §5, "Format v2 chunk record")
+# the chunk record (DESIGN.md §5, "Format v2 chunk record" and "Format v4")
 # ----------------------------------------------------------------------
-#: crc32 of everything after it, arrays held, bytes of the deflated codes
-_RECORD = struct.Struct("<IIQ")
+#: crc32 of everything after it, codes form, arrays held, bytes of the stored codes
+_RECORD = struct.Struct("<IBIQ")
+
+#: the codes form: deflated, or stored as they are (the CRC32 covers them)
+_DEFLATED, _RAW = 0, 1
+
+#: bits a symbol from which a record stores its codes raw by default: deflate's
+#: gain on SZ_L/R and series codes is measured at 0.4% from it, none from 5,
+#: and 0.7-5.9% below it (DESIGN.md §4)
+_RAW_BITS = 4
 
 
 def recipe_context(recipe: Mapping[str, Any], keys: Sequence[str], what: str) -> bytes:
@@ -354,20 +325,28 @@ def _take_tables(side: SideReader, ntables: int) -> List[HuffmanCodec]:
 
 def pack_record(shapes: Sequence[Sequence[int]], streams: Sequence[HuffmanEncoded],
                 tables: Sequence[HuffmanCodec], side: Sequence[np.ndarray],
-                context: bytes = b"") -> bytes:
-    """One chunk record: ``crc32 | arrays | codes length | codes | side blob``.
+                context: bytes = b"", raw_bits: Optional[float] = _RAW_BITS) -> bytes:
+    """One chunk record: ``crc32 | form | arrays | codes length | codes | side blob``.
 
     ``streams`` holds one byte-aligned Huffman stream per array, their codes
-    deflated together.  The side blob deflates each stream's bit count, the
-    ``tables`` (one shared, or one per stream), the sync residuals and then the
-    codec's ``side`` arrays (typed little-endian by the caller): nothing the
-    shapes and the codec recipe imply.  The CRC is seeded by :func:`shapes_seed`.
+    stored together: raw when they spend at least ``raw_bits`` bits a symbol,
+    where deflate buys next to nothing on a codec's measured streams, else
+    deflated (``form`` says which; ``raw_bits`` None: always deflated, for a
+    codec whose codes deflate at any width).  The side blob deflates each
+    stream's bit count, the ``tables`` (one shared, or one per stream), the
+    sync residuals and then the codec's ``side`` arrays (typed little-endian
+    by the caller): nothing the shapes and the codec recipe imply.  The CRC
+    is seeded by :func:`shapes_seed`.
     """
     blob = b"".join(np.ascontiguousarray(a).tobytes() for a in (
         np.asarray([s.nbits for s in streams], dtype="<i8"), *_table_arrays(tables),
         *huffman.sync_residuals(streams), *side))
-    codes = zlib_compress(b"".join(s.payload for s in streams))
-    body = struct.pack("<IQ", len(streams), len(codes)) + codes + zlib_compress(blob)
+    codes = b"".join(s.payload for s in streams)
+    form = _RAW if raw_bits is not None and sum(s.nbits for s in streams) >= raw_bits * sum(
+        s.nsymbols for s in streams) else _DEFLATED
+    if form == _DEFLATED:
+        codes = zlib_compress(codes)
+    body = struct.pack("<BIQ", form, len(streams), len(codes)) + codes + zlib_compress(blob)
     return struct.pack("<I", zlib.crc32(body, shapes_seed(shapes, context))) + body
 
 
@@ -384,15 +363,18 @@ def parse_record(record: bytes, shapes: Sequence[Sequence[int]], nsymbols: Seque
     """
     if len(record) < _RECORD.size:
         raise CorruptFileError(f"{what}: {len(record)} bytes, shorter than a record header")
-    crc, narrays, ncodes = _RECORD.unpack_from(record)
+    crc, form, narrays, ncodes = _RECORD.unpack_from(record)
     if narrays != len(shapes):
         raise CorruptFileError(f"{what} holds {narrays} blocks, its place {len(shapes)}")
     if zlib.crc32(memoryview(record)[4:], shapes_seed(shapes, context)) != crc:
         raise CorruptFileError(f"{what}: checksum mismatch (damaged, or read where "
                                "it was not written)")
-    if ncodes > len(record) - _RECORD.size:
-        raise CorruptFileError(f"{what}: its codes run past the record")
-    payload = zlib_decompress(record[_RECORD.size:_RECORD.size + ncodes])
+    if form not in (_DEFLATED, _RAW) or ncodes > len(record) - _RECORD.size:
+        raise CorruptFileError(f"{what}: codes of form {form}, {ncodes} bytes, in a "
+                               f"{len(record)}-byte record")
+    payload = record[_RECORD.size:_RECORD.size + ncodes]
+    if form == _DEFLATED:
+        payload = zlib_decompress(payload)
     side = SideReader(zlib_decompress(record[_RECORD.size + ncodes:]), what)
     nsymbols = np.asarray(nsymbols, dtype=np.int64)
     nbits = side.take("<i8", narrays).astype(np.int64)

@@ -3,8 +3,8 @@
 AMReX's HDF5 plotfile compression hands the filter a *linearised* buffer (all
 spatial structure lost) and the filter compresses it with SZ in 1D.  The codec
 here mirrors that: a 1D Lorenzo predictor (dual-quantisation form), one
-Huffman table per call, and a zlib back-end (on the codes only below 2 bits
-a symbol, where deflate pays: :func:`~repro.compress.container.pack_huffman`).
+Huffman table per call, and a zlib back-end
+(:func:`~repro.compress.container.pack_huffman`).
 The small-chunk behaviour the paper criticises (one compressor launch per
 1024-element HDF5 chunk) is imposed by the filter layer, not by this codec — see
 :mod:`repro.h5lite.filters` and :mod:`repro.baselines.amrex_1d`.

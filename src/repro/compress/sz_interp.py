@@ -183,9 +183,11 @@ class SZInterpCompressor(Compressor):
         recon[self._anchor_sel(shape)] = anchors
         codes, outliers = self._sweep(shape, recon, abs_eb, data, None, None)
         codec = HuffmanCodec.from_data(codes)
+        # interpolation codes run coarse level to fine, and deflate still
+        # finds ~10% in them at any width (DESIGN.md §4): never stored raw
         record = ctn.pack_record([shape], [codec.encode(codes)], [codec], [
             np.asarray([outliers.size], dtype="<i8"), anchors.astype("<f8"),
-            outliers.astype("<f8")], context)
+            outliers.astype("<f8")], context, raw_bits=None)
         return record, recon
 
     def decode_record(self, record: bytes, shape: Tuple[int, ...],

@@ -20,28 +20,33 @@ reconstruction of a delta chunk is element-wise identical to the key
 encoding of the same data, which is what lets a delta-compressed series
 verify against keyframe-only writes bit for bit.
 
-Streams travel in the unified codec container
-(:mod:`repro.compress.container`): a JSON ``meta`` section (mode, grid,
-element count) plus the sectioned Huffman streams ``sz_1d`` uses too, whose
-codes are stored raw behind a CRC32 at 2 bits a symbol and more — every
-stream of a simulation series — and deflated only below that.  The codec
-registers in the codec registry as ``temporal_delta``; the series subsystem
-(:mod:`repro.series`) owns the rolling references and keyframe cadence.
+Each chunk's stream is a chunk record
+(:func:`~repro.compress.container.pack_record`): its codes (raw at 4 bits a
+symbol and more, else deflated), one Huffman table and the chunk's smallest
+code.  What a dataset's chunks share — the grid (``abs_eb``, ``offset``) and
+whether they store absolute codes or deltas (``stream``: the key/delta mode)
+— is the dataset's recipe (:meth:`TemporalDeltaCodec.recipe`, its ``codec``
+attribute), which every record's checksum covers; the code count is the
+chunk index's.  A standalone buffer wraps recipe, shape and record in the
+codec container.  The codec registers in the codec registry as
+``temporal_delta``; the series subsystem (:mod:`repro.series`) owns the
+rolling references and keyframe cadence.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+import math
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.compress.base import CompressedBuffer, Compressor
 from repro.compress.container import (
     decode_huffman,
-    huffman_framing_nbytes,
     pack_container,
-    pack_huffman,
-    parse_huffman,
+    pack_record,
+    parse_record,
+    recipe_context,
     unpack_container,
 )
 from repro.compress.errorbound import ErrorBound
@@ -62,10 +67,13 @@ MODE_DELTA = "delta"
 #: shifted codes must fit the uint32 alphabet Huffman expects
 _MAX_CODE_SPREAD = np.iinfo(np.uint32).max
 
-#: a stream's code-independent bytes (178; not the ~150 B meta, nor the sync offsets)
-_FRAMING_BYTES = huffman_framing_nbytes()
+#: the recipe values a record decodes under (its checksum covers them)
+_RECIPE = ("stream", "abs_eb", "offset")
+_WHAT = "temporal_delta recipe"
 
-_RECORD = "temporal_delta meta"
+_NEEDS_SERIES = ("temporal_delta stream is a delta against an earlier step and "
+                 "cannot be decoded standalone; open the series "
+                 "(repro.open_series) so the reference chain can be resolved")
 
 
 class StreamCandidate(NamedTuple):
@@ -73,8 +81,8 @@ class StreamCandidate(NamedTuple):
 
     shifted: np.ndarray           #: ``codes - min_code`` as uint32
     table: HuffmanCodec           #: built from ``shifted``
-    meta: Dict[str, object]       #: the stream's ``meta`` section
-    nbytes: int                   #: framing + table + the Huffman payload, undeflated
+    min_code: int
+    nbytes: int                   #: a length byte a table symbol, and the Huffman payload
 
 
 class TemporalDeltaCodec(Compressor):
@@ -128,23 +136,38 @@ class TemporalDeltaCodec(Compressor):
         """
         return float(offset) + np.asarray(codes, dtype=np.int64) * (2.0 * float(eb))
 
+    def recipe(self, abs_eb: float, dtype: str = "float64", stream: str = MODE_KEY) -> dict:
+        """What a dataset's records decode under — the grid, and whether they
+        are key or delta streams — stored once per dataset."""
+        return dict(super().recipe(abs_eb, dtype), stream=stream, offset=self.offset)
+
+    @staticmethod
+    def grid_of(recipe) -> Tuple[str, float, float]:
+        """``(mode, abs_eb, offset)`` of a stored recipe (the mode is its
+        ``stream``); a recipe that lost one, or names no mode of this codec,
+        is a :class:`CorruptFileError`."""
+        mode = required(recipe, "stream", _WHAT, str)
+        if mode not in (MODE_KEY, MODE_DELTA):
+            raise CorruptFileError(f"{_WHAT}: unknown stream mode {mode!r}")
+        return mode, required(recipe, "abs_eb", _WHAT, float), \
+            required(recipe, "offset", _WHAT, float)
+
     # ------------------------------------------------------------------
-    # stream framing (key and delta share it; only the payload codes differ)
+    # the record (key and delta share it; only the codes and the recipe differ)
     # ------------------------------------------------------------------
-    def candidate(self, codes: np.ndarray, eb: float,
-                  ref_codes: Optional[np.ndarray] = None,
-                  shape: Optional[Tuple[int, ...]] = None) -> StreamCandidate:
+    def candidate(self, codes: np.ndarray,
+                  ref_codes: Optional[np.ndarray] = None) -> StreamCandidate:
         """Table a chunk's absolute ``codes`` as a key stream — or, given the
         reference's codes, as a delta stream — without entropy-coding them."""
         codes = np.asarray(codes, dtype=np.int64).reshape(-1)
-        n, mode = codes.size, MODE_KEY
+        n = codes.size
         if ref_codes is not None:
             ref = np.asarray(ref_codes, dtype=np.int64).reshape(-1)
             if ref.size != n:
                 raise ValueError(
                     f"reference stream has {ref.size} codes, data has {n}; "
                     "delta encoding needs an identical layout")
-            mode, codes = MODE_DELTA, codes - ref
+            codes = codes - ref
         min_code = int(codes.min()) if n else 0
         if n and int(codes.max()) - min_code > _MAX_CODE_SPREAD:
             raise ValueError(
@@ -152,31 +175,18 @@ class TemporalDeltaCodec(Compressor):
                 "entropy coder's alphabet; the error bound is too tight for this data")
         shifted = (codes - min_code).astype(np.uint32)
         table = HuffmanCodec.from_data(shifted)
-        meta: Dict[str, object] = {"mode": mode, "eb": float(eb), "offset": self.offset, "n": n,
-                                   "min_code": min_code}
-        if shape is not None:
-            meta["shape"] = [int(s) for s in shape]
-        return StreamCandidate(shifted, table, meta, _FRAMING_BYTES + table.table_nbytes
-                               + (table.data_bits + 7) // 8)
-
-    def pack(self, candidate: StreamCandidate) -> bytes:
-        """Entropy-code and frame a candidate (its codes raw or deflated, by
-        their bits a symbol): the committed stream."""
-        stream = candidate.table.encode(candidate.shifted)
-        return pack_container(self.name, candidate.meta, pack_huffman([stream]))
+        # a record stores a table as code lengths over its symbols' span, deflated
+        return StreamCandidate(shifted, table, min_code,
+                               table.nsymbols + (table.data_bits + 7) // 8)
 
     @staticmethod
-    def unpack_codes(payload: bytes) -> Tuple[str, np.ndarray, Dict[str, object]]:
-        """Parse one stream back into (mode, int64 codes, meta).
-
-        For a key stream the codes are the absolute grid codes; for a delta
-        stream they are the code *differences* against the reference stream
-        (adding the reference's absolute codes is the caller's job — the
-        series reader's chain walk).  Every key :meth:`candidate` writes but
-        ``shape`` is required: a meta that lost one is a
-        :class:`~repro.errors.CorruptFileError` naming it.
-        """
-        return TemporalDeltaCodec.unpack_codes_many([payload])[0]
+    def pack(candidate: StreamCandidate, recipe: dict) -> bytes:
+        """Entropy-code a candidate into its record under the dataset's
+        ``recipe``: the committed stream."""
+        n = candidate.shifted.size
+        return pack_record([(n,)], [candidate.table.encode(candidate.shifted)],
+                           [candidate.table], [np.asarray([candidate.min_code], dtype="<i8")],
+                           recipe_context(recipe, _RECIPE, _WHAT))
 
     @staticmethod
     def lane_cells(lanes: np.ndarray, n: int) -> np.ndarray:
@@ -187,130 +197,112 @@ class TemporalDeltaCodec(Compressor):
         return cells[cells < n]
 
     @staticmethod
-    def unpack_codes_many(payloads: Sequence[bytes],
+    def unpack_codes_many(records: Sequence[bytes], recipes: Sequence[dict],
+                          counts: Sequence[int],
                           lanes: Optional[Sequence[Optional[np.ndarray]]] = None,
-                          ) -> List[Tuple[str, np.ndarray, Dict[str, object]]]:
-        """:meth:`unpack_codes` of several streams, entropy-decoded in one pass.
+                          ) -> List[np.ndarray]:
+        """The int64 codes of several records, entropy-decoded in one pass.
 
-        Every stream is parsed (container, mode, grid) before any is decoded;
-        the series reader hands a decode group's chains here, a bounded
-        number of streams at a time.  ``lanes`` names, per stream, the decoder
-        lanes to decode (:meth:`lane_cells`; ``None``: all of them): that
-        stream's codes are then those lanes' codes back to back, and only
-        their bytes are entropy-decoded (:meth:`HuffmanCodec.select_lanes`).
+        Record ``i`` holds ``counts[i]`` codes (its chunk index entry) and
+        decodes under ``recipes[i]``: for a key stream the codes are the
+        absolute grid codes, for a delta stream the *differences* against the
+        reference stream (adding the reference's codes is the caller's job —
+        the series reader's chain walk).  Every record is parsed and checked
+        before any is decoded; the series reader hands a decode group's chains
+        here, a bounded number of records at a time.  ``lanes`` names, per
+        record, the decoder lanes to decode (:meth:`lane_cells`; ``None``: all
+        of them): that record's codes are then those lanes' codes back to
+        back, and only their bytes are entropy-decoded
+        (:meth:`HuffmanCodec.select_lanes`).
         """
         parsed = []
-        for payload, keep in zip(payloads, lanes or [None] * len(payloads)):
-            container = unpack_container(payload, expect_codec=TemporalDeltaCodec.name)
-            meta = container.meta
-            mode = required(meta, "mode", _RECORD, str)
-            if mode not in (MODE_KEY, MODE_DELTA):
-                raise CorruptFileError(f"corrupt temporal_delta stream: unknown mode {mode!r}")
-            for key in ("eb", "offset"):
-                required(meta, key, _RECORD, float)
-            for key in ("n", "min_code"):
-                required(meta, key, _RECORD, int)
-            pairs = parse_huffman(container.sections)
-            (codec, encoded), cut = pairs[0], None
-            if encoded.nsymbols != meta["n"]:
-                raise ValueError(f"corrupt temporal_delta stream: {encoded.nsymbols} "
-                                 f"codes for {meta['n']} elements")
+        for record, recipe, n, keep in zip(records, recipes, counts,
+                                           lanes or [None] * len(records), strict=True):
+            pairs, side = parse_record(record, [(n,)], [n], True, "temporal_delta record",
+                                       recipe_context(recipe, _RECIPE, _WHAT))
+            (min_code,) = side.take("<i8", 1).tolist()
+            side.done()
+            cut = None
             if keep is not None:
+                ((codec, encoded),) = pairs
                 narrowed = codec.select_lanes(encoded, keep)
                 if narrowed is None:            # no lane layout: decoded whole, then cut
-                    cut = TemporalDeltaCodec.lane_cells(keep, encoded.nsymbols)
+                    cut = TemporalDeltaCodec.lane_cells(keep, n)
                 else:
                     pairs = [(codec, narrowed)]
-            parsed.append((mode, meta, pairs, cut))
+            parsed.append((pairs, min_code, cut))
         out = []
-        for (mode, meta, _, cut), (shifted,) in zip(
-                parsed, decode_huffman([pairs for _, _, pairs, _ in parsed])):
+        for (_, min_code, cut), (shifted,) in zip(
+                parsed, decode_huffman([pairs for pairs, _, _ in parsed])):
             if cut is not None:
                 shifted = shifted[cut]
-            out.append((mode, shifted.astype(np.int64) + meta["min_code"], meta))
+            out.append(shifted.astype(np.int64) + min_code)
         return out
-
-    # ------------------------------------------------------------------
-    # encoding
-    # ------------------------------------------------------------------
-    def encode_key(self, data: np.ndarray,
-                   eb: Optional[float] = None) -> Tuple[bytes, np.ndarray, np.ndarray]:
-        """Self-contained stream: returns (payload, codes, reconstruction).
-
-        The series writer's quantise → :meth:`candidate` → :meth:`pack` for
-        one array; a delta stream is the same three calls with the
-        reference's codes passed to :meth:`candidate`.
-        """
-        eb = self._grid_eb(np.asarray(data)) if eb is None else float(eb)
-        codes = self.quantize(data, eb)
-        payload = self.pack(self.candidate(codes, eb, shape=np.shape(data)))
-        return payload, codes, self.grid_values(codes, eb, self.offset)
-
-    # ------------------------------------------------------------------
-    # decoding
-    # ------------------------------------------------------------------
-    def _values(self, codes: np.ndarray, meta: Dict[str, object]) -> np.ndarray:
-        # the grid travels inside the stream, not in this instance's configuration
-        return self.grid_values(codes, meta["eb"], meta["offset"])
-
-    def _decode_standalone(self, payload: bytes):
-        mode, codes, meta = self.unpack_codes(payload)
-        if mode != MODE_KEY:
-            raise ValueError(
-                "temporal_delta stream is a delta against an earlier step and "
-                "cannot be decoded standalone; open the series "
-                "(repro.open_series) so the reference chain can be resolved")
-        return self._values(codes, meta), codes, meta
-
-    def decode_key(self, payload: bytes) -> Tuple[np.ndarray, np.ndarray]:
-        """Decode a key stream to (values, codes); delta streams raise."""
-        return self._decode_standalone(payload)[:2]
 
     # ------------------------------------------------------------------
     # the generic Compressor surface (standalone/registry use: key mode)
     # ------------------------------------------------------------------
     def compress_with_reconstruction(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
+        """A key record wrapped with its recipe and shape: a standalone buffer."""
         data = np.asarray(data, dtype=np.float64)
-        payload, _, recon = self.encode_key(data)
+        eb = self._grid_eb(data)
+        codes = self.quantize(data, eb)
+        recipe = self.recipe(eb)
+        record = self.pack(self.candidate(codes), recipe)
         buffer = CompressedBuffer(
-            payload=payload, original_shape=data.shape,
-            original_dtype=str(data.dtype), original_nbytes=data.nbytes,
-            codec=self.name, meta={"mode": MODE_KEY})
-        return buffer, recon.reshape(data.shape)
+            payload=pack_container(self.name, dict(recipe, shape=list(data.shape)),
+                                   {"record": record}),
+            original_shape=data.shape, original_dtype=str(data.dtype),
+            original_nbytes=data.nbytes, codec=self.name, meta={"mode": MODE_KEY})
+        return buffer, self.grid_values(codes, eb, self.offset).reshape(data.shape)
 
     def decompress(self, buffer: CompressedBuffer | bytes) -> np.ndarray:
-        values, _, meta = self._decode_standalone(self._payload_of(buffer))
-        if isinstance(buffer, CompressedBuffer):
-            return values.reshape(buffer.original_shape)
-        shape = meta.get("shape")
-        return values if shape is None else values.reshape([int(s) for s in shape])
+        cont = unpack_container(self._payload_of(buffer), expect_codec=self.name)
+        shape = required(cont.meta, "shape", "temporal_delta meta", list)
+        if not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise CorruptFileError("temporal_delta meta: shape is not a list of extents")
+        mode, eb, offset = self.grid_of(cont.meta)
+        if mode != MODE_KEY:
+            raise ValueError(_NEEDS_SERIES)
+        (codes,) = self.unpack_codes_many(
+            [required(cont.sections, "record", "temporal_delta payload")], [cont.meta],
+            [math.prod(shape)])
+        return self.grid_values(codes, eb, offset).reshape(shape)
 
 
 # ----------------------------------------------------------------------
 # the chunk filter (what the plotfile's filter_id names)
 # ----------------------------------------------------------------------
-from repro.h5lite.filters import Filter  # noqa: E402  (no cycle: h5lite only uses compress.base)
+# (no cycle: h5lite only uses compress.base)
+from repro.h5lite.filters import Filter, cut_blocks  # noqa: E402
 
 
 class TemporalDeltaFilter(Filter):
-    """Chunk filter for temporal streams: a chunk's valid prefix was coded
-    (the series writer encodes through :func:`~repro.series.writer.temporal_encode_job`),
-    and decodes back without the chunk's padding tail.
+    """Chunk filter of a series step's datasets: reads the *key* datasets of
+    a step opened on its own (:func:`repro.open`).
 
-    ``decode`` is what the staged reader uses for *key* chunks — they are
-    self-contained like every other filter's payloads.  Delta chunks raise a
-    :class:`ValueError` pointing at :func:`repro.open_series`, which resolves
-    the reference chain through the series handle instead.
+    A reading filter holds its dataset's recipe (``codec`` attribute); a key
+    dataset's records decode alone, in one entropy pass per decode job.  A
+    delta dataset raises a :class:`ValueError` pointing at
+    :func:`repro.open_series`, which resolves the reference chain through the
+    series handle instead.  (The series writer encodes through
+    :func:`~repro.series.writer.temporal_encode_job`.)
     """
 
     filter_id = "temporal_delta"
-    #: decodes every key stream: the grid travels inside the stream, not in the codec
-    codec = TemporalDeltaCodec(ErrorBound.relative(1e-3))
 
-    def decode(self, payload: bytes, chunk_elements: int) -> np.ndarray:
-        values, _ = self.codec.decode_key(payload)
-        if values.size > chunk_elements:
-            raise ValueError(
-                f"temporal_delta chunk holds {values.size} elements but the "
-                f"dataset's chunks hold {chunk_elements}")
-        return values
+    def __init__(self, recipe: Optional[dict] = None):
+        self.recipe = dict(recipe or {})
+
+    def decode_blocks(self, payloads, chunk_elements, layouts, wanted, plans=None,
+                      stored=None):
+        """Every block of each chunk: its record decoded whole (a chunk record
+        holds exactly the ``stored`` codes its chunk index names)."""
+        mode, eb, offset = TemporalDeltaCodec.grid_of(self.recipe)
+        if mode != MODE_KEY:
+            raise ValueError(_NEEDS_SERIES)
+        codes = TemporalDeltaCodec.unpack_codes_many(payloads, [self.recipe] * len(payloads),
+                                                     stored)
+        return [dict(enumerate(cut_blocks(TemporalDeltaCodec.grid_values(c, eb, offset),
+                                          layout, n)))
+                for c, layout, n in zip(codes, layouts, stored)]

@@ -16,7 +16,10 @@ Versioning and compatibility rules (DESIGN.md §5):
 * ``format`` must equal :data:`FORMAT_NAME` and ``version`` must equal
   :data:`FORMAT_VERSION`: version 2 stores AMRIC chunks as lean records
   decoded against the layout this header implies; version 3 stores every
-  codec's Huffman sync offsets as lane-length residuals, one per 64 symbols.
+  codec's Huffman sync offsets as lane-length residuals, one per 64 symbols;
+  version 4 stores series-step chunks as the same records, with a flag for
+  raw or deflated codes, and keeps only ``modify_filter`` in
+  ``codec_options``.
   No older reader is kept, so any other version is refused by number (never
   a silently garbled hierarchy).
 * Unknown *extra* keys are ignored, so older readers tolerate additive
@@ -50,7 +53,7 @@ __all__ = [
 ]
 
 FORMAT_NAME = "amric-plotfile"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: one chunk per participating rank: the field-major layout every AMRIC,
 #: series and ``nocomp`` file stores (:class:`~repro.core.preprocess.LevelLayout`)
@@ -290,20 +293,15 @@ def build_header(hierarchy: AmrHierarchy, *, method: str, codec: str,
 
 def header_from_config(hierarchy: AmrHierarchy, config, method: str = "amric"
                        ) -> PlotfileHeader:
-    """The AMRIC writer's header: structure + the config fields decode depends on."""
+    """The AMRIC writer's header: structure, codec and bound, and whether each
+    chunk records its rank's own size (``modify_filter``); what a dataset's
+    records decode under is its own ``codec`` recipe."""
     return build_header(
         hierarchy, method=method, codec=config.compressor,
         error_bound=config.error_bound, error_bound_mode=config.error_bound_mode,
         unit_block_size=config.unit_block_size,
         remove_redundancy=config.remove_redundancy,
-        codec_options={
-            "use_sle": config.use_sle,
-            "adaptive_block_size": config.adaptive_block_size,
-            "sz_block_size": config.sz_block_size,
-            "interp_arrangement": config.interp_arrangement,
-            "interp_anchor_stride": config.interp_anchor_stride,
-            "modify_filter": config.modify_filter,
-        })
+        codec_options={"modify_filter": config.modify_filter})
 
 
 def template_from_header(header: PlotfileHeader) -> AmrHierarchy:

@@ -241,8 +241,7 @@ class AMRICWriter:
                                                    results):
                         commit_dataset(h5file, dplan.name, dplan.layout, result.payloads,
                                        AMRICLevelFilter.filter_id,
-                                       {"value_range": dplan.value_range,
-                                        "codec": result.recipe}, dplan.actual_elements)
+                                       {"codec": result.recipe}, dplan.actual_elements)
                         comm.record_collective_write()
                         records.append(dataset_record(
                             dplan.level, dplan.field,

@@ -106,7 +106,7 @@ class DatasetReadPlan:
     layout: LevelLayout                       #: shared by every dataset of the level
     #: per chunk, the element count its record names (``actual_elements``)
     stored: Tuple[int, ...]
-    #: what an AMRIC dataset's records decode under (its ``codec`` attribute)
+    #: what an AMRIC or series-step dataset's records decode under (``codec`` attr)
     recipe: Optional[dict] = None
     padded: bool = False                      #: naive chunks: encoded with their tail
 
@@ -137,14 +137,18 @@ class ReadPlan:
     datasets: List[DatasetReadPlan]
 
     def __post_init__(self) -> None:
-        self._by_key = {(d.level, d.field): d for d in self.datasets}
+        self._by_name = {d.name: d for d in self.datasets}
 
     @property
     def nranks(self) -> int:
         return max(lvl.nranks for lvl in self.header.levels)
 
     def dataset(self, level: int, fieldname: str) -> Optional[DatasetReadPlan]:
-        return self._by_key.get((level, fieldname))
+        return self.named(f"level_{level}/{fieldname}")
+
+    def named(self, name: str) -> Optional[DatasetReadPlan]:
+        """The plan of the dataset stored as ``name`` (``level_<l>/<field>``)."""
+        return self._by_name.get(name)
 
 
 def parse_plotfile_header(f: H5LiteFile) -> PlotfileHeader:
@@ -217,8 +221,7 @@ def scan_plotfile(f: H5LiteFile, header: Optional[PlotfileHeader] = None,
                 chunk_elements=info.chunk_elements, nchunks=info.nchunks,
                 filter_id=info.filter_id, layout=layout,
                 stored=tuple(chunk.actual_elements for chunk in info.chunks),
-                recipe=info.attrs.get("codec", {})
-                if info.filter_id == AMRICLevelFilter.filter_id else None,
+                recipe=info.attrs.get("codec"),
                 padded=not strict_actual))
     return ReadPlan(header=header, layouts=layouts, datasets=datasets)
 
@@ -250,7 +253,7 @@ class DecodeJob:
     stored: List[int]
     chunk_elements: int
     filter_id: str
-    #: an AMRIC dataset's recipe, and per payload the blocks its record holds
+    #: the dataset's recipe, and per payload the blocks an AMRIC record holds
     recipe: Optional[dict] = None
     plans: Optional[List[ChunkPlan]] = None
 
@@ -267,19 +270,18 @@ class DecodeResult:
 
 def _decode_filter(filter_id: str, recipe: Optional[dict] = None) -> Filter:
     """Filter instance for one stored ``filter_id`` (decode direction only):
-    the ids a field-major plotfile or series step carries.  An AMRIC
-    dataset's chunks decode under its ``recipe``; the others' payloads are
-    self-describing."""
+    the ids a field-major plotfile or series step carries.  An AMRIC or a
+    series-step dataset's chunks decode under its ``recipe``; raw chunks are
+    the values."""
     if filter_id == AMRICLevelFilter.filter_id:
         return AMRICLevelFilter.reading(recipe or {})
     if filter_id == NoCompressionFilter.filter_id:
         return NoCompressionFilter()
     if filter_id == "temporal_delta":
-        # series keyframe chunks are self-contained (payload carries its own
-        # grid); delta chunks raise from decode with a pointer at open_series
+        # a key dataset decodes alone; a delta one raises with a pointer at open_series
         from repro.compress.temporal import TemporalDeltaFilter
 
-        return TemporalDeltaFilter()
+        return TemporalDeltaFilter(recipe)
     raise ValueError(f"cannot decode chunks written with unknown filter {filter_id!r}")
 
 
@@ -297,8 +299,9 @@ def make_decode_job(f: H5LiteFile, dplan: DatasetReadPlan,
                      wanted=[list(wanted[index]) for index in indices],
                      stored=[dplan.stored[index] for index in indices],
                      chunk_elements=dplan.chunk_elements, filter_id=dplan.filter_id,
-                     recipe=dplan.recipe, plans=None if dplan.recipe is None else
-                     [chunk_plan(dplan.layout, index, dplan.padded) for index in indices])
+                     recipe=dplan.recipe,
+                     plans=[chunk_plan(dplan.layout, index, dplan.padded) for index in indices]
+                     if dplan.filter_id == AMRICLevelFilter.filter_id else None)
 
 
 def decode_job(job: DecodeJob) -> DecodeResult:

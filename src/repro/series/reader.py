@@ -428,9 +428,12 @@ class SeriesHandle:
         for _, (step, index) in order:
             fetch.setdefault(step, []).append(index)
         payloads: Dict[Tuple[int, int], bytes] = {}
+        dplans: Dict[int, DatasetReadPlan] = {}         # step -> its plan of the dataset
         for step, indices in fetch.items():
+            handle = self.open_step(step)
             payloads.update(zip(((step, index) for index in indices),
-                                self.open_step(step)._file.read_chunk_payloads(name, indices)))
+                                handle._file.read_chunk_payloads(name, indices)))
+            dplans[step] = handle._scan().named(name)
 
         # fold the deltas forward onto each chain's base, caching each step;
         # the answers are handed on directly — the code cache may be byte-bounded
@@ -439,9 +442,14 @@ class SeriesHandle:
         for at in range(0, len(order), _PASS_STREAMS):
             batch = order[at:at + _PASS_STREAMS]
             streams = TemporalDeltaCodec.unpack_codes_many(
-                [payloads[key] for _, key in batch], [chain.lanes for chain, _ in batch])
+                [payloads[key] for _, key in batch],
+                [dplans[step].recipe for _, (step, _) in batch],
+                [dplans[step].stored[index] for _, (step, index) in batch],
+                [chain.lanes for chain, _ in batch])
             self.stats.chunks_decoded += len(batch)
-            for (chain, (step, index)), (mode, codes, meta) in zip(batch, streams):
+            for (chain, (step, index)), codes in zip(batch, streams):
+                mode, eb, offset = TemporalDeltaCodec.grid_of(dplans[step].recipe)
+                size = dplans[step].stored[index]
                 if (step, index) == chain.streams[0]:
                     entry = chain.base
                 if mode == MODE_DELTA:
@@ -449,14 +457,13 @@ class SeriesHandle:
                         raise ValueError(
                             f"step {step} stores {name!r} as a delta stream but "
                             "the series manifest records no reference step")
-                    if meta["n"] != entry.size:
+                    if size != entry.size:
                         raise ValueError(
                             f"delta chunk {index} of {name!r} at step {step} "
-                            f"has {meta['n']} codes but its reference has "
+                            f"has {size} codes but its reference has "
                             f"{entry.size}; the series is corrupt")
                     codes = entry.codes + codes
-                entry = _CodeStream(codes, float(meta["eb"]), float(meta["offset"]),
-                                    meta["n"], chain.lanes)
+                entry = _CodeStream(codes, eb, offset, size, chain.lanes)
                 self._codes.put((step, name, index), entry)
                 if (step, index) in chain.answers:
                     yield (step, index), entry

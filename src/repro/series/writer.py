@@ -102,6 +102,7 @@ class TemporalEncodeResult:
 
     key: str
     mode: str                                 #: the committed stream kind
+    recipe: dict                              #: what the records decode under
     payloads: List[bytes]
     codes: List[np.ndarray]                   #: absolute codes (the next step's reference)
     key_bytes: int                            #: the key candidate, as its tables imply
@@ -120,7 +121,8 @@ def temporal_encode_job(job: TemporalEncodeJob) -> TemporalEncodeResult:
     A module-level pure function over picklable inputs — the temporal mirror of
     :func:`repro.core.stages.encode_job` — so serial and shm produce identical bytes.
     Each chunk is quantised once and tabled under both modes; only the dataset's winner is
-    entropy-coded and packed.  Both decode to the same grid values either way.
+    entropy-coded and packed, under the one recipe (grid and mode) the dataset stores.
+    Both decode to the same grid values either way.
     """
     codec = TemporalDeltaCodec(ErrorBound.absolute(job.eb_abs), offset=job.offset)
     ce, eb = job.chunk_elements, job.eb_abs
@@ -132,15 +134,16 @@ def temporal_encode_job(job: TemporalEncodeJob) -> TemporalEncodeResult:
         except ValueError as exc:
             raise ValueError(f"series dataset {job.key!r}: {exc}") from None
         codes_out.append(codes)
-        keys.append(codec.candidate(codes, eb, shape=chunk.shape))
+        keys.append(codec.candidate(codes))
         if job.ref_codes is not None:
-            deltas.append(codec.candidate(codes, eb, job.ref_codes[i]))
+            deltas.append(codec.candidate(codes, job.ref_codes[i]))
     key_bytes = sum(c.nbytes for c in keys)
     delta_bytes = sum(c.nbytes for c in deltas) if job.ref_codes is not None else None
-    delta_wins = delta_bytes is not None and delta_bytes < key_bytes
+    mode = MODE_DELTA if delta_bytes is not None and delta_bytes < key_bytes else MODE_KEY
+    recipe = codec.recipe(eb, stream=mode)
     return TemporalEncodeResult(
-        key=job.key, mode=MODE_DELTA if delta_wins else MODE_KEY,
-        payloads=[codec.pack(c) for c in (deltas if delta_wins else keys)],
+        key=job.key, mode=mode, recipe=recipe,
+        payloads=[codec.pack(c, recipe) for c in (deltas if mode == MODE_DELTA else keys)],
         codes=codes_out, key_bytes=key_bytes, delta_bytes=delta_bytes,
         reconstructions=[[codec.grid_values(codes, eb, job.offset)] for codes in codes_out],
         filter_calls=len(job.actual_sizes))
@@ -384,7 +387,7 @@ class SeriesWriter:
                 ref_index = step_index - 1 if result.mode == MODE_DELTA else None
                 commit_dataset(h5file, dplan.name, dplan.layout, result.payloads,
                                TemporalDeltaFilter.filter_id,
-                               {"value_range": dplan.value_range}, dplan.actual_elements)
+                               {"codec": result.recipe}, dplan.actual_elements)
                 comm.record_collective_write()
                 # the record covers the cells a rank owns, not a naive chunk's zero tail
                 ce = dplan.chunk_elements

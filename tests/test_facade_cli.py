@@ -193,7 +193,7 @@ class TestCLI:
 
         assert cli_main(["info", str(plotfile), "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["format_version"] == 3
+        assert summary["format_version"] == 4
         assert summary["method"] == "amric"
 
     def test_info_stats_prints_each_io_counter_once(self, plotfile, capsys):
