@@ -235,10 +235,9 @@ _RECORD = struct.Struct("<IBIQ")
 #: the codes form: deflated, or stored as they are (the CRC32 covers them)
 _DEFLATED, _RAW = 0, 1
 
-#: bits a symbol from which a record stores its codes raw by default: deflate's
-#: gain on SZ_L/R and series codes is measured at 0.4% from it, none from 5,
-#: and 0.7-5.9% below it (DESIGN.md §4)
-_RAW_BITS = 4
+#: bits a symbol from which a record stores its codes raw: above it deflate finds
+#: next to nothing in a simulation's Huffman codes (DESIGN.md §4)
+_RAW_BITS = 2
 
 
 def recipe_context(recipe: Mapping[str, Any], keys: Sequence[str], what: str) -> bytes:
@@ -290,15 +289,15 @@ def _table_arrays(tables: Sequence[HuffmanCodec]) -> List[np.ndarray]:
     around the radius and 0 marks an outlier, so spans stay short."""
     rows, dense = [], [np.zeros(0, "u1")]
     for table in tables:
-        symbols = table.symbols.astype(np.int64)
-        if (np.diff(symbols) <= 0).any():
+        symbols, lengths = table.symbols.astype(np.int64), table.lengths
+        if (symbols[1:] <= symbols[:-1]).any():
             raise ValueError("a stored Huffman table lists its symbols in ascending order")
-        rest = symbols > 0
-        lo = int(symbols[rest][0]) if rest.any() else 1
-        rows.append((lo, int(symbols[-1]) - lo + 1 if rest.any() else 0,
-                     0 if rest.all() else int(table.lengths[0])))
+        zero = int(lengths[0]) if symbols.size and not symbols[0] else 0
+        symbols, lengths = symbols[bool(zero):], lengths[bool(zero):]
+        lo = int(symbols[0]) if symbols.size else 1
+        rows.append((lo, int(symbols[-1]) - lo + 1 if symbols.size else 0, zero))
         dense.append(np.zeros(rows[-1][1], "u1"))
-        dense[-1][symbols[rest] - lo] = table.lengths[rest]
+        dense[-1][symbols - lo] = lengths
     return [np.asarray(rows, dtype="<i8").reshape(-1, 3), np.concatenate(dense)]
 
 
@@ -323,29 +322,61 @@ def _take_tables(side: SideReader, ntables: int) -> List[HuffmanCodec]:
     return tables
 
 
+def _side_blob(nbits: Sequence[int], tables: Sequence[HuffmanCodec],
+               sync: Sequence[np.ndarray], side: Sequence[np.ndarray]) -> bytes:
+    """A record's side blob, undeflated: bit counts, tables, sync residuals, codec arrays."""
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in (
+        np.asarray(nbits, dtype="<i8"), *_table_arrays(tables), *sync, *side))
+
+
+def _raw(nbits: int, nsymbols: int) -> bool:
+    """The one raw-codes rule: codes spending ``_RAW_BITS`` bits a symbol or more."""
+    return nbits >= _RAW_BITS * nsymbols
+
+
+def _stored_codes(codes: bytes, raw: bool) -> Tuple[int, bytes]:
+    """A record's codes form and bytes: ``raw``, else deflated where that shrinks them."""
+    if not raw:
+        deflated = zlib_compress(codes)
+        if len(deflated) < len(codes):
+            return _DEFLATED, deflated
+    return _RAW, codes
+
+
+def record_estimate(table: HuffmanCodec, symbols: np.ndarray, side: Sequence[np.ndarray]
+                    ) -> Tuple[int, Optional[HuffmanEncoded]]:
+    """A one-stream record of ``symbols`` under ``table``: its size less the
+    header, and the encode where sizing took one.  Codes stored raw (from
+    ``_RAW_BITS`` bits a symbol) are sized from the table alone, short of the
+    sync residuals only the encode has; codes a record would deflate are
+    encoded and sized as stored, exactly."""
+    if _raw(table.data_bits, symbols.size):
+        stream, codes, sync = None, (table.data_bits + 7) // 8, []
+    else:
+        stream = table.encode(symbols)
+        codes = len(_stored_codes(stream.payload, False)[1])
+        sync = huffman.sync_residuals([stream])
+    return codes + len(zlib_compress(_side_blob([table.data_bits], [table], sync, side))), stream
+
+
 def pack_record(shapes: Sequence[Sequence[int]], streams: Sequence[HuffmanEncoded],
                 tables: Sequence[HuffmanCodec], side: Sequence[np.ndarray],
-                context: bytes = b"", raw_bits: Optional[float] = _RAW_BITS) -> bytes:
+                context: bytes = b"", deflate_always: bool = False) -> bytes:
     """One chunk record: ``crc32 | form | arrays | codes length | codes | side blob``.
 
     ``streams`` holds one byte-aligned Huffman stream per array, their codes
-    stored together: raw when they spend at least ``raw_bits`` bits a symbol,
-    where deflate buys next to nothing on a codec's measured streams, else
-    deflated (``form`` says which; ``raw_bits`` None: always deflated, for a
-    codec whose codes deflate at any width).  The side blob deflates each
-    stream's bit count, the ``tables`` (one shared, or one per stream), the
-    sync residuals and then the codec's ``side`` arrays (typed little-endian
-    by the caller): nothing the shapes and the codec recipe imply.  The CRC
-    is seeded by :func:`shapes_seed`.
+    stored together: raw when they spend at least ``_RAW_BITS`` bits a
+    symbol, else deflated where that shrinks them (``form`` says which;
+    ``deflate_always``: deflate tried at any width, for a codec whose codes
+    deflate at any width).  The side blob deflates each stream's bit count,
+    the ``tables`` (one shared, or one per stream), the sync residuals and
+    then the codec's ``side`` arrays (typed little-endian by the caller):
+    nothing the shapes and the codec recipe imply.  The CRC is seeded by
+    :func:`shapes_seed`.
     """
-    blob = b"".join(np.ascontiguousarray(a).tobytes() for a in (
-        np.asarray([s.nbits for s in streams], dtype="<i8"), *_table_arrays(tables),
-        *huffman.sync_residuals(streams), *side))
-    codes = b"".join(s.payload for s in streams)
-    form = _RAW if raw_bits is not None and sum(s.nbits for s in streams) >= raw_bits * sum(
-        s.nsymbols for s in streams) else _DEFLATED
-    if form == _DEFLATED:
-        codes = zlib_compress(codes)
+    blob = _side_blob([s.nbits for s in streams], tables, huffman.sync_residuals(streams), side)
+    form, codes = _stored_codes(b"".join(s.payload for s in streams), not deflate_always and _raw(
+        sum(s.nbits for s in streams), sum(s.nsymbols for s in streams)))
     body = struct.pack("<BIQ", form, len(streams), len(codes)) + codes + zlib_compress(blob)
     return struct.pack("<I", zlib.crc32(body, shapes_seed(shapes, context))) + body
 

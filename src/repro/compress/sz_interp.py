@@ -187,7 +187,7 @@ class SZInterpCompressor(Compressor):
         # finds ~10% in them at any width (DESIGN.md §4): never stored raw
         record = ctn.pack_record([shape], [codec.encode(codes)], [codec], [
             np.asarray([outliers.size], dtype="<i8"), anchors.astype("<f8"),
-            outliers.astype("<f8")], context, raw_bits=None)
+            outliers.astype("<f8")], context, deflate_always=True)
         return record, recon
 
     def decode_record(self, record: bytes, shape: Tuple[int, ...],

@@ -1,35 +1,22 @@
 """The ``temporal_delta`` codec: quantised values, delta-coded across timesteps.
 
-The spatial SZ-family codecs predict each value from its *spatial*
-neighbours; in an in situ series the strongest predictor of a cell is the
-same cell one plotfile earlier.  This codec exploits that:
+In an in situ series the strongest predictor of a cell is the same cell one
+plotfile earlier.  Every value is snapped onto a **fixed absolute grid**
+``offset + code * 2*eb`` (``|x - x̂| <= eb`` per element); the grid is fixed
+for a whole series, so a cell's code moves little between steps of a smooth
+field.  A **key** stream entropy-codes the absolute codes and stands alone; a
+**delta** stream entropy-codes ``codes_t - codes_ref`` against the previous
+dump of the same chunk and decodes only with that reference's codes at hand.
+Both decode to *exactly* ``offset + codes * 2*eb``, so a delta-compressed
+series verifies against keyframe-only writes bit for bit.
 
-* every value is snapped onto a **fixed absolute quantisation grid**
-  ``offset + code * 2*eb`` (so ``|x - x̂| <= eb`` per element, the usual SZ
-  guarantee).  Because the grid is fixed for a whole series, the code of a
-  cell at step *t* is a plain integer whose temporal difference is small for
-  smoothly-evolving fields;
-* a **key** stream entropy-codes the absolute codes and is fully
-  self-contained;
-* a **delta** stream entropy-codes ``codes_t - codes_ref`` against a
-  reference stream (the previous dump of the same chunk) and can only be
-  decoded with that reference's codes at hand.
-
-Both stream kinds decode to *exactly* ``offset + codes * 2*eb`` — the
-reconstruction of a delta chunk is element-wise identical to the key
-encoding of the same data, which is what lets a delta-compressed series
-verify against keyframe-only writes bit for bit.
-
-Each chunk's stream is a chunk record
-(:func:`~repro.compress.container.pack_record`): its codes (raw at 4 bits a
-symbol and more, else deflated), one Huffman table and the chunk's smallest
-code.  What a dataset's chunks share — the grid (``abs_eb``, ``offset``) and
-whether they store absolute codes or deltas (``stream``: the key/delta mode)
-— is the dataset's recipe (:meth:`TemporalDeltaCodec.recipe`, its ``codec``
+Each chunk is a chunk record (:func:`~repro.compress.container.pack_record`):
+its codes, one Huffman table and the chunk's smallest code.  The grid
+(``abs_eb``, ``offset``) and the key/delta mode (``stream``) are the
+dataset's recipe (:meth:`TemporalDeltaCodec.recipe`, its ``codec``
 attribute), which every record's checksum covers; the code count is the
 chunk index's.  A standalone buffer wraps recipe, shape and record in the
-codec container.  The codec registers in the codec registry as
-``temporal_delta``; the series subsystem (:mod:`repro.series`) owns the
+codec container.  The series subsystem (:mod:`repro.series`) owns the
 rolling references and keyframe cadence.
 """
 
@@ -47,10 +34,11 @@ from repro.compress.container import (
     pack_record,
     parse_record,
     recipe_context,
+    record_estimate,
     unpack_container,
 )
 from repro.compress.errorbound import ErrorBound
-from repro.compress.huffman import SYNC_INTERVAL, HuffmanCodec
+from repro.compress.huffman import SYNC_INTERVAL, HuffmanCodec, HuffmanEncoded
 from repro.errors import CorruptFileError, required
 
 __all__ = [
@@ -77,12 +65,14 @@ _NEEDS_SERIES = ("temporal_delta stream is a delta against an earlier step and "
 
 
 class StreamCandidate(NamedTuple):
-    """One chunk's codes under one mode: tabled and sized, not yet entropy-coded."""
+    """One chunk's codes under one mode: tabled and sized, entropy-coded only
+    where a record would deflate them (their size is then the deflated one)."""
 
     shifted: np.ndarray           #: ``codes - min_code`` as uint32
     table: HuffmanCodec           #: built from ``shifted``
     min_code: int
-    nbytes: int                   #: a length byte a table symbol, and the Huffman payload
+    nbytes: int                   #: its record's size less the header (``record_estimate``)
+    encoded: Optional[HuffmanEncoded]          #: the codes, where sizing entropy-coded them
 
 
 class TemporalDeltaCodec(Compressor):
@@ -158,7 +148,7 @@ class TemporalDeltaCodec(Compressor):
     def candidate(self, codes: np.ndarray,
                   ref_codes: Optional[np.ndarray] = None) -> StreamCandidate:
         """Table a chunk's absolute ``codes`` as a key stream — or, given the
-        reference's codes, as a delta stream — without entropy-coding them."""
+        reference's codes, as a delta stream — and size its record."""
         codes = np.asarray(codes, dtype=np.int64).reshape(-1)
         n = codes.size
         if ref_codes is not None:
@@ -175,16 +165,16 @@ class TemporalDeltaCodec(Compressor):
                 "entropy coder's alphabet; the error bound is too tight for this data")
         shifted = (codes - min_code).astype(np.uint32)
         table = HuffmanCodec.from_data(shifted)
-        # a record stores a table as code lengths over its symbols' span, deflated
-        return StreamCandidate(shifted, table, min_code,
-                               table.nsymbols + (table.data_bits + 7) // 8)
+        return StreamCandidate(shifted, table, min_code, *record_estimate(
+            table, shifted, [np.asarray([min_code], dtype="<i8")]))
 
     @staticmethod
     def pack(candidate: StreamCandidate, recipe: dict) -> bytes:
         """Entropy-code a candidate into its record under the dataset's
         ``recipe``: the committed stream."""
-        n = candidate.shifted.size
-        return pack_record([(n,)], [candidate.table.encode(candidate.shifted)],
+        n, encoded = candidate.shifted.size, candidate.encoded
+        return pack_record([(n,)], [candidate.table.encode(candidate.shifted)
+                                    if encoded is None else encoded],
                            [candidate.table], [np.asarray([candidate.min_code], dtype="<i8")],
                            recipe_context(recipe, _RECIPE, _WHAT))
 
@@ -278,16 +268,12 @@ from repro.h5lite.filters import Filter, cut_blocks  # noqa: E402
 
 
 class TemporalDeltaFilter(Filter):
-    """Chunk filter of a series step's datasets: reads the *key* datasets of
-    a step opened on its own (:func:`repro.open`).
-
-    A reading filter holds its dataset's recipe (``codec`` attribute); a key
-    dataset's records decode alone, in one entropy pass per decode job.  A
-    delta dataset raises a :class:`ValueError` pointing at
-    :func:`repro.open_series`, which resolves the reference chain through the
-    series handle instead.  (The series writer encodes through
-    :func:`~repro.series.writer.temporal_encode_job`.)
-    """
+    """Chunk filter of a series step's datasets, under the dataset's recipe:
+    a key dataset of a step opened on its own (:func:`repro.open`) decodes in
+    one entropy pass per decode job; a delta dataset raises a
+    :class:`ValueError` pointing at :func:`repro.open_series`, which resolves
+    the reference chain.  (The series writer encodes through
+    :func:`~repro.series.writer.temporal_encode_job`.)"""
 
     filter_id = "temporal_delta"
 

@@ -137,18 +137,14 @@ class ReadPlan:
     datasets: List[DatasetReadPlan]
 
     def __post_init__(self) -> None:
-        self._by_name = {d.name: d for d in self.datasets}
+        self._by_key = {(d.level, d.field): d for d in self.datasets}
 
     @property
     def nranks(self) -> int:
         return max(lvl.nranks for lvl in self.header.levels)
 
     def dataset(self, level: int, fieldname: str) -> Optional[DatasetReadPlan]:
-        return self.named(f"level_{level}/{fieldname}")
-
-    def named(self, name: str) -> Optional[DatasetReadPlan]:
-        """The plan of the dataset stored as ``name`` (``level_<l>/<field>``)."""
-        return self._by_name.get(name)
+        return self._by_key.get((level, fieldname))
 
 
 def parse_plotfile_header(f: H5LiteFile) -> PlotfileHeader:

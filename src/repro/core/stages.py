@@ -79,7 +79,6 @@ class DatasetPlan:
     level: int
     field: str
     name: str
-    value_range: float
     layout: LevelLayout                #: shared by every dataset of the level
     chunk_plans: List[ChunkPlan]       #: per chunk, its unit blocks for the filter
 
@@ -154,9 +153,8 @@ def plan_write(hierarchy: AmrHierarchy, config: AMRICConfig,
             # naive large chunks: the padding tail is real work (a pseudo block)
             level_plan.datasets.append(DatasetPlan(
                 level=level_index, field=name, name=f"level_{level_index}/{name}",
-                value_range=value_range, layout=layout,
-                chunk_plans=[chunk_plan(layout, chunk, padded, name, value_range)
-                             for chunk in range(len(layout.ranks))]))
+                layout=layout, chunk_plans=[chunk_plan(layout, chunk, padded, name, value_range)
+                                            for chunk in range(len(layout.ranks))]))
     return WritePlan(levels=levels)
 
 

@@ -68,7 +68,7 @@ class SeriesDatasetRecord:
     ref: Optional[int]            #: step index the delta references (None for key)
     stored_bytes: int
     raw_bytes: int
-    key_bytes: int                #: key candidate as compared: what its tables imply (DESIGN §6)
+    key_bytes: int                #: key candidate as compared: its records, sized (DESIGN §6)
     delta_bytes: Optional[int]    #: delta candidate (None: not tabled); mode "delta" iff smaller
     psnr: float
 
@@ -216,7 +216,7 @@ class SeriesIndex:
 
     @property
     def key_bytes(self) -> int:
-        """Bytes of the same series keyframe-only, as the key candidates' tables imply."""
+        """Bytes of the same series keyframe-only, as the key candidates are sized."""
         return sum(s.key_bytes for s in self.steps)
 
     @property

@@ -320,7 +320,7 @@ class SeriesHandle:
         """A flat summary (what ``python -m repro info DIR`` prints).
 
         ``keyframe_only_bytes`` is the sum of the recorded key candidates:
-        what their Huffman tables imply, a few percent under a real
+        their records' sizes less the headers, a few percent under a real
         keyframe-only series (DESIGN.md §6).  ``delta_savings_factor``
         compares like with like: that sum over the sum of the candidates that
         were committed.
@@ -428,12 +428,13 @@ class SeriesHandle:
         for _, (step, index) in order:
             fetch.setdefault(step, []).append(index)
         payloads: Dict[Tuple[int, int], bytes] = {}
-        dplans: Dict[int, DatasetReadPlan] = {}         # step -> its plan of the dataset
+        stored: Dict[int, Tuple[dict, List[int]]] = {}  # step -> recipe, codes a chunk
         for step, indices in fetch.items():
-            handle = self.open_step(step)
+            f = self.open_step(step)._file
             payloads.update(zip(((step, index) for index in indices),
-                                handle._file.read_chunk_payloads(name, indices)))
-            dplans[step] = handle._scan().named(name)
+                                f.read_chunk_payloads(name, indices)))
+            info = f.datasets[name]
+            stored[step] = info.attrs.get("codec", {}), [c.actual_elements for c in info.chunks]
 
         # fold the deltas forward onto each chain's base, caching each step;
         # the answers are handed on directly — the code cache may be byte-bounded
@@ -443,13 +444,13 @@ class SeriesHandle:
             batch = order[at:at + _PASS_STREAMS]
             streams = TemporalDeltaCodec.unpack_codes_many(
                 [payloads[key] for _, key in batch],
-                [dplans[step].recipe for _, (step, _) in batch],
-                [dplans[step].stored[index] for _, (step, index) in batch],
+                [stored[step][0] for _, (step, _) in batch],
+                [stored[step][1][index] for _, (step, index) in batch],
                 [chain.lanes for chain, _ in batch])
             self.stats.chunks_decoded += len(batch)
             for (chain, (step, index)), codes in zip(batch, streams):
-                mode, eb, offset = TemporalDeltaCodec.grid_of(dplans[step].recipe)
-                size = dplans[step].stored[index]
+                mode, eb, offset = TemporalDeltaCodec.grid_of(stored[step][0])
+                size = stored[step][1][index]
                 if (step, index) == chain.streams[0]:
                     entry = chain.base
                 if mode == MODE_DELTA:

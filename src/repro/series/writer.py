@@ -9,8 +9,8 @@ a plotfile's, then swaps the spatial encode stage for temporal encode jobs:
 * a dataset whose stream layout matches the previous step's — same
   boxes, same distribution, same unit blocks, i.e. no regrid touched it —
   also tables the codes' difference to the previous step's as a **delta**
-  candidate, and the candidate whose Huffman tables imply the smaller stream
-  is the one entropy-coded and committed (DESIGN.md §6);
+  candidate, and the candidate whose records come out smaller is the one
+  committed (DESIGN.md §6);
 * every ``keyframe_interval``-th step skips the delta candidates entirely,
   so the series always contains self-contained restart points.
 
@@ -105,7 +105,7 @@ class TemporalEncodeResult:
     recipe: dict                              #: what the records decode under
     payloads: List[bytes]
     codes: List[np.ndarray]                   #: absolute codes (the next step's reference)
-    key_bytes: int                            #: the key candidate, as its tables imply
+    key_bytes: int                            #: the key candidate, as sized (its records)
     delta_bytes: Optional[int]                #: the delta candidate (None: not tabled)
     reconstructions: List[List[np.ndarray]]   #: per chunk, its one flat array
     filter_calls: int

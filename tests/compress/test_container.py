@@ -121,10 +121,10 @@ def _form(record):
 
 
 class TestRecordCodesForm:
-    @pytest.mark.parametrize("alphabet, form", [(2, 0), (15, 0), (16, 1), (50, 1)])
-    def test_codes_are_raw_from_four_bits_a_symbol(self, alphabet, form):
-        """One flag, by the table's bits a symbol: 1 and 3.93 deflate, exactly
-        4 (sixteen equal symbols) and more are stored raw."""
+    @pytest.mark.parametrize("alphabet, form", [(2, 0), (3, 0), (4, 1), (50, 1)])
+    def test_codes_are_raw_from_two_bits_a_symbol(self, alphabet, form):
+        """One flag, by the table's bits a symbol: 1 and 1.67 deflate, exactly
+        2 (four equal symbols) and more are stored raw."""
         arrays = [np.arange(n, dtype=np.uint32) % alphabet for n in (1200, 5, 0)]
         codec = HuffmanCodec.from_multiple(arrays)
         shapes = [a.shape for a in arrays]
@@ -135,12 +135,24 @@ class TestRecordCodesForm:
         for a, b in zip(arrays, ctn.decode_huffman([pairs])[0]):
             np.testing.assert_array_equal(a, b)
 
-    def test_no_raw_width_always_deflates(self):
+    def test_deflate_always_deflates_wide_codes(self):
         symbols = np.arange(4000, dtype=np.uint32) % 50
         codec = HuffmanCodec.from_data(symbols)
         record = ctn.pack_record([symbols.shape], [codec.encode(symbols)], [codec], [],
-                                 raw_bits=None)
+                                 deflate_always=True)
         assert _form(record) == 0
+
+    def test_codes_deflate_cannot_shrink_stay_raw(self):
+        """Under the line deflate is tried, and kept only where it shrinks the
+        codes: a few bytes of them are stored as they are."""
+        symbols = np.asarray([0, 1, 0, 0, 1, 0, 1, 1], dtype=np.uint32)
+        codec = HuffmanCodec.from_data(symbols)
+        for deflate_always in (False, True):
+            record = ctn.pack_record([symbols.shape], [codec.encode(symbols)], [codec], [],
+                                     deflate_always=deflate_always)
+            assert _form(record) == 1
+            pairs, side = ctn.parse_record(record, [symbols.shape], [8], True, "r")
+            np.testing.assert_array_equal(ctn.decode_huffman([pairs])[0][0], symbols)
 
 
 def _raw_records():

@@ -201,13 +201,13 @@ class TestPinnedWriterBytes:
     """
 
     TINY = {"coarse_shape": (16, 16, 16), "max_grid_size": 8}
-    #: format v4: records flag raw codes (from 4 bits a symbol), the header
+    #: format v4: records flag raw codes (from 2 bits a symbol), the header
     #: keeps only ``modify_filter`` of its codec options, no ``value_range``
     #: attr (codes, tables and reconstructions unchanged from the v3 pin)
     PLOTFILE = "e1b425aa714c84a7b5157d81ab4726ec23b9ba9841dc6f79fe84f9ef9d9bd211"
     #: format v4: every chunk a record under its dataset's recipe (the codes,
     #: modes and reconstructions are the v3 pin's)
-    DELTA_STEP = "acb25a2de946178bf97037b1a8ce0aafc1b3f7a6b96f3b8d6ab8a172badcf346"
+    DELTA_STEP = "dc9e3056eceabe6e012313a220569e99dc8b60fb36b12f8dba83035a687eaa21"
 
     @staticmethod
     def sha256(path):
