@@ -47,15 +47,16 @@ How a call is batched (DESIGN.md §1)
 ------------------------------------
 ``_region_plan(shape, block_size)`` is the one description of "regions of a
 shape", and every stored stream is in (array, region, cell) order — the order
-of the concatenated codes.  Neither direction walks the regions.  The encoder
-stacks the arrays of a shape, runs the Lorenzo differences once over the
-stack and gathers them into stored order (``_stored_order(shape,
-block_size)``, int32 per shape); one table-driven residual-bit pass then gives
-every (array, region) estimate as a row sum over a column slice.  The rows
-above regression's floor are pooled by block shape across the whole call —
-one fit per block shape — and codes, reconstructions and side values are
-written through whole-group and whole-pool indices, the side streams sorted
-by their place in the stored order.  The decoder places outliers, anchors
+of the concatenated codes.  The encoder stacks the arrays of a shape, runs
+the Lorenzo differences once over the stack and gathers them into stored
+order (``_stored_order(shape, block_size)``, int32 per shape); one
+table-driven residual-bit pass then gives every (array, region) estimate as a
+row sum over a column slice.  The rows above regression's floor are gathered
+into block order once per shape group and copied, region by region, into one
+buffer pooled by block shape — one fit per block shape, every other pass once
+over the buffer — and the winners go back by (group, region) piece: codes a
+column slice, reconstructions a block view.  Side streams are sorted by their
+place in the stored order.  The decoder places outliers, anchors
 and coefficient rows by whole-chunk passes, and ``_flat_plan(shape,
 block_size)``, the stored order inverted to per-cell index tables, turns each
 shape group's rows into values in one pass (one gather to array order, a
@@ -69,7 +70,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -249,12 +250,11 @@ def _prefix_sum(values: np.ndarray, remainder_at: Sequence[int]) -> np.ndarray:
 
 
 def _to_blocks(stacked_region: np.ndarray, region: _Region) -> np.ndarray:
-    """``(m,) + region.shape`` -> ``(m * nblocks,) + block_shape``, array-major."""
+    """``(m,) + region.shape`` -> a ``(m,) + grid + block_shape`` view, array-major."""
     ndim = len(region.shape)
     interleaved = tuple(v for pair in zip(region.grid, region.block_shape) for v in pair)
     axes = (0,) + tuple(range(1, 2 * ndim, 2)) + tuple(range(2, 2 * ndim + 1, 2))
-    return (stacked_region.reshape(stacked_region.shape[:1] + interleaved)
-            .transpose(axes).reshape((-1,) + region.block_shape))
+    return stacked_region.reshape(stacked_region.shape[:1] + interleaved).transpose(axes)
 
 
 def _group_by_shape(shapes: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], np.ndarray]:
@@ -282,33 +282,6 @@ def _residual_terms(magnitude: np.ndarray, out: np.ndarray | None = None) -> np.
         far = np.flatnonzero(unsigned >= _BITS.size)
         terms.reshape(-1)[far] = 2.0 * np.log2(1.0 + magnitude.reshape(-1)[far]) + 1.0
     return terms
-
-
-def _residual_bits(values: np.ndarray) -> np.ndarray:
-    """Per-row size estimate of signed residuals.  The encoder sums slices of
-    one :func:`_residual_terms` pass instead: a row of a column slice adds in
-    the order this per-row ``np.sum`` does."""
-    return np.sum(_residual_terms(np.abs(values)), axis=1)
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(s, s + n) for s, n in zip(starts, lengths)])``."""
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(ends[-1])
-
-
-class _Trial(NamedTuple):
-    """The rows of one (shape group, region) above regression's floor, as the
-    fit of their block shape takes them."""
-
-    data: np.ndarray              # their cells, block by block
-    recon_at: np.ndarray          # where each cell lands in the reconstructions
-    code_at: np.ndarray           # per row: where it starts in the codes
-    key_at: np.ndarray            # ... and in the call's stored order
-    region: np.ndarray            # ... its region in the call
-    lorenzo_bits: np.ndarray      # ... its Lorenzo estimate
-    volume: int                   # cells per row
-    nblocks: int                  # SZ blocks per row
 
 
 class SZLRCompressor(Compressor):
@@ -363,11 +336,11 @@ class SZLRCompressor(Compressor):
         the ``compress_many`` API, and what makes thin remainder regions
         ("residue blocks", Fig. 8 of the paper) predict poorly.
 
-        Nothing walks (shape, region) pairs (DESIGN.md §1): one Lorenzo pass
-        per shape group, in stored order, one regression fit per block shape
-        of the call, and side values sorted by their place in the stored
-        order.  Every value is computed by the arithmetic a per-array loop
-        would use, so the streams do not depend on grouping.
+        One Lorenzo pass per shape group, in stored order; one regression fit
+        per block shape of the call, the trial's other passes once over all
+        its rows (DESIGN.md §1); side values sorted by their place in the
+        stored order.  Every value is computed by the arithmetic a per-array
+        loop would use, so the streams do not depend on grouping.
 
         Returns ``(codes, side, counts, reconstructions)``: uint32 codes per
         array (one per cell, region/block order), the :data:`_SIDE` streams of
@@ -390,13 +363,18 @@ class SZLRCompressor(Compressor):
         codes_out, recon_out = np.empty(cells.sum(), np.uint32), np.empty(cells.sum())
         anchors, chosen = np.empty(nregions.sum(), np.int64), np.zeros(nregions.sum(), bool)
         codes, reconstructions = [None] * narrays, [None] * narrays
+        # per region of the call: its Lorenzo estimate and stored place
+        region_bits, region_cell = np.empty(nregions.sum()), np.empty(nregions.sum(), np.int64)
         # side values keyed by their place in the stored order: a cell for an
         # outlier, a region for a coefficient row; a Lorenzo outlier keeps its
         # region until the choice is made
         lorenzo_outliers = [(np.zeros(0, np.int64),) * 3]
-        regression_outliers = [(np.zeros(0, np.int64), np.zeros(0))]
-        coefficient_rows = [(np.zeros(0, np.int64), np.zeros((0, ndim + 1)))]
-        pools: Dict[Tuple[int, ...], List[_Trial]] = {}      # by block shape
+        regression_outliers = (np.zeros(0, np.int64), np.zeros(0))
+        coefficient_rows = (np.zeros(0, np.int64), np.zeros((0, ndim + 1)))
+        # by block shape, the (group, region) pieces of the rows above regression's
+        # floor: cells in block order, region and start, per row its group row
+        # and region, and the group's codes and reconstructions
+        pools: Dict[Tuple[int, ...], list] = {}
 
         end = 0
         for shape, members in groups.items():
@@ -418,7 +396,7 @@ class SZLRCompressor(Compressor):
             deltas = _lorenzo(quantised, segments)
             del quantised
             lorenzo_order, regression_order = _stored_order(shape, block_size)
-            lor = deltas.reshape(m, ncells).take(lorenzo_order, axis=1)
+            lor = deltas.reshape(m, ncells).take(lorenzo_order, axis=1, mode="clip")
             del deltas
             volume = np.asarray([r.volume for r in regions], dtype=np.int64)
             start = np.cumsum(volume) - volume
@@ -437,73 +415,100 @@ class SZLRCompressor(Compressor):
             del lor, magnitude
             lorenzo_bits = 64.0 + np.stack([terms[:, s:s + v].sum(axis=1) for s, v in
                                             zip(start.tolist(), volume.tolist())], axis=1)
+            del terms
+            region_bits[region_id], region_cell[region_id] = lorenzo_bits, \
+                first_cell[members][:, None] + start
 
             # --- regression, for the rows above its floor of a bit per cell
-            # plus the coefficients (DESIGN.md §1) -----------------------------
+            # plus the coefficients (DESIGN.md §1): their members are stacked
+            # again (the whole stack was dropped once quantised) and gathered
+            # into block order once, so a region's rows are a column slice
             trial = lorenzo_bits > volume + 32.0 * (ndim + 1) * np.asarray(
                 [r.nblocks for r in regions])
-            del terms
-            # the members with a row above the floor are stacked again: the
-            # whole stack was dropped once quantised
             tried = np.flatnonzero(trial.any(axis=1))
-            stack = np.stack([arrays[i] for i in members[tried]]) if tried.size else None
+            blocked = np.stack([arrays[i] for i in members[tried]]).reshape(-1, ncells).take(
+                regression_order, axis=1, mode="clip") if tried.size else None
             for k in np.flatnonzero(trial.any(axis=0)).tolist():
-                rows, s, region = np.flatnonzero(trial[:, k]), int(start[k]), regions[k]
-                order = regression_order[s:s + region.volume]
-                pools.setdefault(region.block_shape, []).append(_Trial(
-                    stack.take((np.searchsorted(tried, rows) * ncells)[:, None] + order).ravel(),
-                    ((rows * ncells)[:, None] + order + base).ravel(), base + rows * ncells + s,
-                    first_cell[members[rows]] + s, region_id[rows, k], lorenzo_bits[rows, k],
-                    region.volume, region.nblocks))
-            del stack
+                s, region, in_trial = int(start[k]), regions[k], trial[tried, k]
+                rows = tried[in_trial]
+                pools.setdefault(region.block_shape, []).append((
+                    blocked[in_trial, s:s + region.volume], region, s, rows,
+                    region_id[rows, k], group_codes, group_recon))
 
-        for block_shape, trials in pools.items():
-            data, recon_at, code_at, key_at, region, lorenzo_bits = (
-                np.concatenate(field) for field in list(zip(*trials))[:6])
-            rows = [len(t.code_at) for t in trials]
-            volume = np.repeat([t.volume for t in trials], rows)
-            nblocks = np.repeat([t.nblocks for t in trials], rows)
-            model, preds = regression.fit_and_predict(data.reshape((-1,) + block_shape), abs_eb)
-            residuals = np.subtract(data, preds.reshape(-1), out=data)
-            reg = np.rint(residuals / two_eb).astype(np.int64)
-            reg_err = reg * two_eb
+        # --- the trial of the whole call: one fit per block shape, every other
+        # pass once over the rows of all pools --------------------------------
+        if pools:
+            data, regions, starts, rows, region, piece_codes, piece_recons = zip(
+                *(piece for pool in pools.values() for piece in pool))
+            bounds = np.cumsum([sum(piece[0].size for piece in pool) for pool in pools.values()])
+            data, region = np.concatenate([d.reshape(-1) for d in data]), np.concatenate(region)
+            nrows = [len(r) for r in rows]
+            volume = np.repeat([r.volume for r in regions], nrows)
+            nblocks = np.repeat([r.nblocks for r in regions], nrows)
+            first, row_at = np.cumsum(volume) - volume, [0, *itertools.accumulate(nrows)][:-1]
+            preds, coefficients = np.empty_like(data), []
+            for block_shape, pool, out in zip(pools, np.split(data, bounds[:-1]),
+                                              np.split(preds, bounds[:-1])):
+                model, pool_preds = regression.fit_and_predict(
+                    pool.reshape((-1,) + block_shape), abs_eb)
+                out[:] = pool_preds.reshape(-1)
+                coefficients.append(model.coefficients)
+            del pools
+            residuals = np.subtract(data, preds, out=data)
+            # the per-array reference's passes in three (cells,) buffers besides
+            # residuals and predictions: reg_err is formed twice
+            quotient = np.divide(residuals, two_eb)
+            reg = np.rint(quotient, out=quotient).astype(np.int64)
+            miss = np.multiply(reg, two_eb, out=quotient)                  # reg_err
+            np.abs(np.subtract(miss, residuals, out=miss), out=miss)
+            outlier = miss > abs_eb * (1 + 1e-12)
+            del miss, quotient
             magnitude = np.abs(reg)
-            miss = np.subtract(reg_err, residuals)
-            outlier = (magnitude >= radius) | (np.abs(miss, out=miss) > abs_eb * (1 + 1e-12))
+            outlier |= magnitude >= radius
             magnitude[outlier] = 0
-            terms = _residual_terms(magnitude, out=miss)
+            # reconstructions: the prediction plus reg_err, or plus the residual
+            # at an outlier (that residual is also its regression_outliers value)
+            cell = np.flatnonzero(outlier)
+            stored = residuals[cell]
+            recon = np.multiply(reg, two_eb, out=residuals)
+            recon[cell] = stored
+            recon = np.add(preds, recon, out=preds)
+            terms = _residual_terms(magnitude, out=data)
             # per row: (its bits, summed as a per-array np.sum would, + 64 per
             # outlier) + its coefficients' bits
-            first, sums, at = np.cumsum(volume) - volume, [], 0
-            for t in trials:
-                sums.append(terms[at:at + t.data.size].reshape(-1, t.volume).sum(axis=1))
-                at += t.data.size
-            outliers = np.searchsorted(first, np.flatnonzero(outlier), side="right") - 1
-            won = np.flatnonzero(np.concatenate(sums) + 64.0 * np.bincount(
-                outliers, minlength=volume.size) + 32.0 * (ndim + 1) * nblocks < lorenzo_bits)
-            del magnitude, terms, miss
-            if not won.size:
-                continue
+            piece_at = first[row_at].tolist()
+            row = np.searchsorted(first, cell, side="right") - 1
+            won = np.concatenate([
+                terms[f:f + n * r.volume].reshape(n, r.volume).sum(axis=1)
+                for f, n, r in zip(piece_at, nrows, regions)
+            ]) + 64.0 * np.bincount(row, minlength=region.size) \
+                + 32.0 * (ndim + 1) * nblocks < region_bits[region]
             chosen[region[won]] = True
-            cell = _ranges(first[won], volume[won])
-            on_outlier = outlier[cell]
-            codes_out[_ranges(code_at[won], volume[won])] = \
-                np.where(on_outlier, 0, reg[cell] + radius)
-            recon_out[recon_at[cell]] = \
-                preds.reshape(-1)[cell] + np.where(on_outlier, residuals[cell], reg_err[cell])
-            regression_outliers.append((_ranges(key_at[won], volume[won])[on_outlier],
-                                        residuals[cell[on_outlier]]))
-            coefficient_rows.append((np.repeat(region[won], nblocks[won]), model.coefficients[
-                _ranges((np.cumsum(nblocks) - nblocks)[won], nblocks[won])]))
-        del pools
+            kept = won[row]
+            regression_outliers = ((region_cell[region] - first)[row[kept]] + cell[kept],
+                                   stored[kept])
+            coefficient_rows = (np.repeat(region[won], nblocks[won]),
+                                np.concatenate(coefficients)[np.repeat(won, nblocks)])
+            # the winners' codes and reconstructions, piece by piece: codes are
+            # a column slice of the group's, reconstructions its regions' blocks
+            np.add(reg, radius, out=reg)
+            reg[cell] = 0
+            for i in np.flatnonzero(np.logical_or.reduceat(won, row_at)).tolist():
+                r, s, f, n = regions[i], starts[i], piece_at[i], nrows[i]
+                w = np.flatnonzero(won[row_at[i]:row_at[i] + n])
+                to = rows[i][w]
+                piece_codes[i][to, s:s + r.volume] = \
+                    reg[f:f + n * r.volume].reshape(n, r.volume).take(w, axis=0)
+                _to_blocks(piece_recons[i][(slice(None),) + r.slices], r)[to] = \
+                    recon[f:f + n * r.volume].reshape((n,) + r.grid + r.block_shape).take(w, axis=0)
 
         # --- the side streams, in stored order ------------------------------
         region_owner = np.repeat(np.arange(narrays), nregions)
         key, region, value = map(np.concatenate, zip(*lorenzo_outliers))
         keep = ~chosen[region]
         by_cell = {"lorenzo_outliers": (key[keep], value[keep]),
-                   "regression_outliers": tuple(map(np.concatenate, zip(*regression_outliers)))}
-        region, rows = map(np.concatenate, zip(*coefficient_rows))
+                   "regression_outliers": regression_outliers}
+        region, rows = coefficient_rows
         side = {"selection": chosen.astype(np.uint8), "anchors": anchors[~chosen],
                 "regression_coeffs": rows[np.argsort(region, kind="stable")]}
         owner = {"selection": region_owner, "anchors": region_owner[~chosen],

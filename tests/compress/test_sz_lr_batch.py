@@ -402,6 +402,38 @@ def test_a_pooled_call_equals_the_reference(monkeypatch, block_size):
     assert _bits(recons) == _bits(ref_recons)
 
 
+@pytest.mark.parametrize("block_size", [6, (4, 6, 5)])
+def test_unit_blocks_of_the_workload_equal_the_reference(monkeypatch, block_size):
+    """The data the writer hands the encoder: unit blocks with extents 16 and 8
+    on each axis (eight shapes; 27 block shapes under block size 6, nine under
+    (4, 6, 5)), rough enough that nearly every region is tried, regression
+    wins some of them, and both outlier streams are stored."""
+    rng = np.random.default_rng(9)
+    shapes = [(a, b, c) for a in (16, 8) for b in (16, 8) for c in (16, 8)] * 2
+    arrays = [_field("rough_plane" if i % 2 and i % 5 else "outliers", shape, rng)
+              for i, shape in enumerate(shapes)]
+    comp = SZLRCompressor(1e-3, block_size=block_size, radius=64)
+    sizes = comp._block_size_for(3)
+    regions = [r for shape in set(shapes) for r in sz_lr._region_plan(shape, sizes)[1]]
+    assert len({r.block_shape for r in regions}) == (27 if block_size == 6 else 9)
+    fitted = []
+    real = regression.fit_and_predict
+    monkeypatch.setattr(regression, "fit_and_predict",
+                        lambda blocks, eb: fitted.append(blocks.shape[1:]) or real(blocks, eb))
+    ((buffer, recons),) = comp.compress_many_with_reconstruction([arrays], value_range=10.0)
+    ref_payload, ref_recons, abs_eb = _ref_compress_many(comp, arrays, True, 10.0, None)
+    assert buffer.payload == ref_payload
+    assert _bits(recons) == _bits(ref_recons)
+    # one fit per block shape, and every block shape has a tried region
+    assert sorted(fitted) == sorted({r.block_shape for r in regions})
+    tried = sum(_ref_encode_array(a, abs_eb, sizes, 64)[7] for a in arrays)
+    assert tried >= 0.9 * sum(r.nblocks for shape in shapes
+                              for r in sz_lr._region_plan(shape, sizes)[1])
+    _, side, _, _ = comp._encode_batch(arrays, abs_eb)
+    assert 0 < side["selection"].sum() < side["selection"].size
+    assert side["lorenzo_outliers"].size and side["regression_outliers"].size
+
+
 def test_regression_outliers_are_stored_alike():
     """The rare stream: a regression region with outliers, in a stack."""
     rng = np.random.default_rng(3)
@@ -864,7 +896,7 @@ def test_residual_bits_are_at_least_one_per_cell(rows, cols, zeros, magnitude, s
     rng = np.random.default_rng(seed)
     values = rng.integers(-magnitude, magnitude, (rows, cols), endpoint=True)
     values[rng.random((rows, cols)) < zeros] = 0
-    assert (sz_lr._residual_bits(values) >= cols).all()
+    assert (np.sum(sz_lr._residual_terms(np.abs(values)), axis=1) >= cols).all()
 
 
 def test_residual_term_table_is_the_expression_at_and_past_its_edge():
@@ -886,7 +918,7 @@ def test_residual_term_table_is_the_expression_at_and_past_its_edge():
         # inside a larger pass, and summed per row as the estimate does
         rows = np.resize(values, (5, 7 * values.size)) * np.array([[1], [-1], [1], [0], [-1]])
         assert sz_lr._residual_terms(np.abs(rows)).tobytes() == expression(rows).tobytes()
-        assert sz_lr._residual_bits(rows).tobytes() == \
+        assert np.sum(sz_lr._residual_terms(np.abs(rows)), axis=1).tobytes() == \
             np.sum(expression(rows), axis=1).tobytes()
 
 

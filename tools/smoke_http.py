@@ -6,14 +6,14 @@ The gateway as an operator would deploy it, across real processes:
 * a **server** (``python -m repro serve --http 0``) running TCP and HTTP
   over one shared request core, with bearer-token auth and a request-size
   limit on both transports;
-* **curl-equivalent requests** (stdlib urllib, no CLI shortcuts) against
+* **curl-equivalent requests** (stdlib http.client, no CLI shortcuts) against
   ``/healthz``, ``/v1/query``, ``/v1/describe`` and ``/metrics``;
 * the **query CLI over HTTP** (``python -m repro query --http``) reading a
   box through the gateway, and the same box read **raw** — the recipe for
   clients without this package: split the body at the first newline, the
   header's ``dtype`` / ``shape`` describe the bytes after it;
-* **negative paths**: a missing token must get 401, a wrong token 401, an
-  oversized body 413, an unknown op 404 — each with the structured JSON
+* **negative paths**: a missing token must get 401, a wrong token 401, a
+  declared oversized body 413, an unknown op 404 — each with the structured JSON
   error envelope, and the same refusals on the TCP port.
 
 The driver asserts an HTTP-served box read is byte-identical to the same
@@ -30,8 +30,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import urllib.error
-import urllib.request
+from http.client import HTTPConnection
 
 import numpy as np
 
@@ -55,28 +54,33 @@ def run(env, *args: str) -> subprocess.CompletedProcess:
 
 
 def http(port: str, method: str, path: str, body=None, token=None,
-         expect: int = 200) -> dict:
+         expect: int = 200, declared: int | None = None) -> dict:
     """One raw HTTP exchange; asserts the status and decodes the body's JSON
-    line (array bytes after it come back under ``"_payload"``)."""
-    request = urllib.request.Request(
-        f"http://127.0.0.1:{port}{path}", method=method,
-        data=json.dumps(body).encode() if body is not None else None)
+    line (array bytes after it come back under ``"_payload"``; a body that is
+    not JSON, under ``"_raw"`` beside its ``"_type"``).  ``declared`` sends
+    headers declaring that many body bytes and no body: the gateway refuses an
+    oversized request from them and closes, so a client sending the body
+    would hit a broken pipe before reading the refusal."""
+    headers = {} if declared is None else {"Content-Length": str(declared)}
     if body is not None:
-        request.add_header("Content-Type", "application/json")
+        headers["Content-Type"] = "application/json"
     if token is not None:
-        request.add_header("Authorization", f"Bearer {token}")
+        headers["Authorization"] = f"Bearer {token}"
+    conn = HTTPConnection("127.0.0.1", int(port), timeout=60)
     try:
-        with urllib.request.urlopen(request, timeout=60) as resp:
-            status, raw = resp.status, resp.read()
-    except urllib.error.HTTPError as err:
-        status, raw = err.code, err.read()
+        conn.request(method, path, headers=headers,
+                     body=json.dumps(body).encode() if body is not None else None)
+        resp = conn.getresponse()
+        status, ctype, raw = resp.status, resp.getheader("Content-Type"), resp.read()
+    finally:
+        conn.close()
     assert status == expect, \
         f"{method} {path}: HTTP {status}, expected {expect}: {raw[:300]!r}"
     head, _, payload = raw.partition(b"\n")
     try:
         return dict(json.loads(head.decode("utf-8")), _payload=payload)
     except ValueError:
-        return {"_raw": raw.decode("utf-8", "replace")}
+        return {"_raw": raw.decode("utf-8", "replace"), "_type": ctype}
 
 
 def main() -> int:
@@ -97,18 +101,15 @@ def main() -> int:
                        "--max-request-bytes", "1048576"),
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True)
-        ready = server.stdout.readline()
-        match = re.search(r"serving on [\w.]+:(\d+)", ready)
-        if not match:
-            print(f"server never came up: {ready!r}", file=sys.stderr)
-            return 1
-        tcp_port = match.group(1)
-        ready = server.stdout.readline()
-        match = re.search(r"http gateway on [\w.]+:(\d+)", ready)
-        if not match:
-            print(f"gateway never came up: {ready!r}", file=sys.stderr)
-            return 1
-        port = match.group(1)
+        ports = []
+        for what, line in (("server", "serving on"), ("gateway", "http gateway on")):
+            ready = server.stdout.readline()
+            match = re.search(line + r" [\w.]+:(\d+)", ready)
+            if not match:
+                print(f"{what} never came up: {ready!r}", file=sys.stderr)
+                return 1
+            ports.append(match.group(1))
+        tcp_port, port = ports
 
         # ---- the happy paths ---------------------------------------------
         health = http(port, "GET", "/healthz")
@@ -129,9 +130,8 @@ def main() -> int:
         wrong = http(port, "POST", "/v1/query", body={"op": "ping"},
                      token="not-the-token", expect=401)
         assert wrong["kind"] == "unauthorized", wrong
-        huge = http(port, "POST", "/v1/query",
-                    body={"op": "ping", "junk": "x" * 2_000_000},
-                    token=TOKEN, expect=413)
+        huge = http(port, "POST", "/v1/query", token=TOKEN, expect=413,
+                    declared=2_000_000)
         assert huge["kind"] == "oversized_request", huge
         unknown = http(port, "POST", "/v1/florble", body={},
                        token=TOKEN, expect=404)
@@ -166,13 +166,8 @@ def main() -> int:
             "raw stdlib + numpy read disagrees with the TCP read"
 
         # ---- /metrics: the Prometheus exposition, live -------------------
-        request = urllib.request.Request(
-            f"http://127.0.0.1:{port}/metrics",
-            headers={"Authorization": f"Bearer {TOKEN}"})
-        with urllib.request.urlopen(request, timeout=60) as resp:
-            assert resp.status == 200
-            ctype = resp.headers["Content-Type"]
-            prom = resp.read().decode("utf-8")
+        metrics = http(port, "GET", "/metrics", token=TOKEN)
+        ctype, prom = metrics["_type"], metrics["_raw"]
         assert ctype.startswith("text/plain"), ctype
         assert "# TYPE repro_server_requests_total counter" in prom
         assert 'repro_server_requests_total{op="ping"}' in prom
