@@ -35,11 +35,11 @@ def test_fig15_amric_vs_amrex_error_fields(benchmark, preset_hierarchy):
         amric = compress_blocks_sle(blocks, SZLRCompressor(preset.error_bound_amric))
         # AMReX: chunked 1D SZ at the (looser) AMReX error bound
         flat = np.concatenate([b.reshape(-1) for b in blocks])
-        buffers, amrex_recon = SZ1DCompressor(
+        records, amrex_recon = SZ1DCompressor(
             ErrorBound.relative(preset.error_bound_amrex)).compress_chunked(flat, 1024)
-        return amric, buffers, amrex_recon
+        return amric, records, amrex_recon
 
-    amric, amrex_buffers, amrex_recon_flat = benchmark.pedantic(run, rounds=1, iterations=1)
+    amric, amrex_records, amrex_recon_flat = benchmark.pedantic(run, rounds=1, iterations=1)
 
     # rebuild dense error fields
     err_amric = np.zeros(domain.shape)
@@ -52,7 +52,7 @@ def test_fig15_amric_vs_amrex_error_fields(benchmark, preset_hierarchy):
         err_amrex[sl] = np.abs(block - amrex_rec_block)
         offset += block.size
 
-    amrex_bytes = sum(b.compressed_nbytes for b in amrex_buffers)
+    amrex_bytes = sum(len(record) for record in amrex_records)
     cmp = compare_error_slices(orig, orig - err_amric, orig - err_amrex)
     rows = [
         {"method": "AMRIC (SZ_L/R)", "CR": amric.compression_ratio,

@@ -44,8 +44,8 @@ def _methods(blocks):
             [r.reshape(-1) for r in enc.reconstructions])
 
     def one_d(eb):
-        buffers, recon = SZ1DCompressor(eb).compress_chunked(flat, 1024)
-        return sum(b.compressed_nbytes for b in buffers), flat, recon
+        records, recon = SZ1DCompressor(eb).compress_chunked(flat, 1024)
+        return sum(len(record) for record in records), flat, recon
 
     return {"LM": lm, "SLE": sle, "Adp": adaptive, "1D": one_d}
 

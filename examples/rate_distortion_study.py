@@ -56,8 +56,8 @@ def main() -> None:
         return enc.compressed_nbytes, flat, rec
 
     def one_d(eb):
-        buffers, rec = SZ1DCompressor(eb).compress_chunked(flat, 1024)
-        return sum(b.compressed_nbytes for b in buffers), flat, rec.reshape(-1)
+        records, rec = SZ1DCompressor(eb).compress_chunked(flat, 1024)
+        return sum(len(record) for record in records), flat, rec.reshape(-1)
 
     points = rate_distortion_sweep(
         {"LM": lm, "SLE": sle, f"Adp-{select_sz_block_size(args.unit)}": adaptive, "1D": one_d},

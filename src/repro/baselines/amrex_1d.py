@@ -62,9 +62,9 @@ class ClassicSZFilter(Filter):
     """AMReX's H5Z-SZ filter: compresses each chunk buffer as handed over.
 
     Padding is compressed along with the data, as by a filter with no side
-    channel for the real size.  ``encode`` returns the chunk's reconstruction
-    beside its payload, so the writer measures PSNR without decoding the
-    file (the bytes are the same either way).
+    channel for the real size.  A chunk's payload is the codec's record;
+    ``encode`` returns the chunk's reconstruction beside it, so the writer
+    measures PSNR without decoding the file (the bytes are the same either way).
     """
 
     filter_id = "sz_classic"
@@ -73,16 +73,10 @@ class ClassicSZFilter(Filter):
         self.compressor = compressor
 
     def encode(self, chunk: np.ndarray) -> Tuple[bytes, np.ndarray]:
-        buffer, recon = self.compressor.compress_with_reconstruction(
-            np.asarray(chunk, dtype=np.float64).reshape(-1))
-        return buffer.payload, recon
+        return self.compressor.encode_record(np.asarray(chunk, dtype=np.float64).reshape(-1))
 
     def decode(self, payload: bytes, chunk_elements: int) -> np.ndarray:
-        out = np.asarray(self.compressor.decompress(payload), dtype=np.float64).reshape(-1)
-        if out.size != chunk_elements:
-            raise ValueError(
-                f"decompressed chunk has {out.size} elements, expected {chunk_elements}")
-        return out
+        return self.compressor.decode_record(payload, (chunk_elements,))
 
 
 class AMReXOriginalWriter:

@@ -12,7 +12,13 @@ plus the 1D codec AMReX's original in situ compression uses
 (:class:`~repro.compress.sz1d.SZ1DCompressor`).
 
 All compressors guarantee ``|x - x̂| <= eb`` for every element (absolute error
-bound), support value-range-relative bounds, and expose
+bound) and support value-range-relative bounds.  A codec is its record: one
+serialisation, decoded against the array shapes under the codec's recipe
+(``encode_record`` / ``decode_record``; SZ_L/R's multi-array
+``compress_many_with_reconstruction`` / ``decode_records``), which the AMRIC
+filter and the series writer store bare.  :class:`~repro.compress.base.Compressor`
+wraps it, once for every codec, into the standalone buffer — the recipe, the
+shapes and the record:
 
 ``compress(array) -> CompressedBuffer``
 ``decompress(buffer) -> array``
@@ -23,10 +29,9 @@ decode cost (the encoder already knows the reconstruction) and is what the
 analysis/benchmark layer uses for PSNR at scale.
 
 The codec registry (:mod:`repro.compress.registry`) resolves codecs by name
-and :mod:`repro.compress.container` holds every codec's serialisation: the
-section container a standalone buffer travels in, and the chunk record
-(SZ_L/R, SZ_Interp and ``temporal_delta``) the AMRIC filter and the series
-writer store bare.
+and builds a record's decoder from its recipe; :mod:`repro.compress.container`
+holds the section container and the chunk record (SZ_L/R, SZ_Interp and
+``temporal_delta``).
 """
 
 from repro.compress.errorbound import ErrorBound

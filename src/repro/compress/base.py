@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
-import abc
+import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.compress import container as ctn
 from repro.compress.errorbound import ErrorBound
+from repro.errors import CorruptFileError, required
 
-__all__ = ["CompressedBuffer", "Compressor", "DEFAULT_RADIUS"]
+__all__ = ["CompressedBuffer", "Compressor", "DEFAULT_RADIUS", "is_float",
+           "stored_dtype"]
 
 #: Default quantisation radius of the SZ-family codecs (SZ's 2^16-entry
 #: interval table): a prediction error quantises to ``round(err / (2*eb))``,
@@ -26,8 +29,8 @@ class CompressedBuffer:
     Attributes
     ----------
     payload:
-        The self-contained compressed byte stream (whatever the compressor's
-        ``decompress`` expects).
+        The standalone buffer: the codec's recipe, the array shapes and the
+        record (:meth:`Compressor.standalone`).
     original_shape / original_dtype:
         Shape and dtype of the input array.
     original_nbytes:
@@ -65,8 +68,36 @@ class CompressedBuffer:
         return 8.0 * self.compressed_nbytes / nelems
 
 
-class Compressor(abc.ABC):
-    """Abstract error-bounded lossy compressor."""
+def is_float(name: str) -> bool:
+    """Whether ``name`` is a numpy float dtype (what a stored record decodes to)."""
+    try:
+        return np.dtype(name).kind == "f"
+    except TypeError:
+        return False
+
+
+def stored_dtype(data: np.ndarray) -> str:
+    """The dtype a record of ``data`` decodes to: the input's when it is a
+    float dtype, else float64 (a lossy integer is no integer)."""
+    dtype = np.asarray(data).dtype
+    return str(dtype) if dtype.kind == "f" else "float64"
+
+
+class Compressor:
+    """Error-bounded lossy compressor: a codec is its record.
+
+    A codec writes one serialisation, its *record*, decoded against the array
+    shapes under its :meth:`recipe` (what the AMRIC filter and the series
+    writer store once per dataset).  A single-array codec implements
+    ``encode_record(data, context) -> (record, reconstruction)`` and
+    ``decode_record(record, shape, context) -> float64 array``, the record's
+    checksum covering ``context`` (what the caller decodes it under); a
+    multi-array codec (the registry's ``supports_many``) implements
+    ``compress_many_with_reconstruction`` and ``decode_records`` instead.
+
+    The standalone buffer is written here, once for every codec: the recipe,
+    the shapes and the record (:meth:`standalone`).
+    """
 
     name: str = "base"
 
@@ -74,25 +105,6 @@ class Compressor(abc.ABC):
         self.error_bound = ErrorBound.coerce(error_bound, mode)
 
     # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def compress_with_reconstruction(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
-        """Compress ``data`` and return the buffer plus the decoded reconstruction.
-
-        The reconstruction must be byte-identical to what :meth:`decompress`
-        would return; implementations produce it as a by-product of encoding so
-        analyses can measure distortion without paying the decode cost.
-        """
-
-    @abc.abstractmethod
-    def decompress(self, buffer: CompressedBuffer | bytes) -> np.ndarray:
-        """Decode a buffer produced by this compressor."""
-
-    # ------------------------------------------------------------------
-    def compress(self, data: np.ndarray) -> CompressedBuffer:
-        """Compress ``data`` (drops the reconstruction)."""
-        buffer, _ = self.compress_with_reconstruction(data)
-        return buffer
-
     def _as_input(self, data: np.ndarray) -> np.ndarray:
         """``data`` as float64; no error bound covers an empty array or NaN/Inf."""
         data = np.asarray(data, dtype=np.float64)
@@ -110,29 +122,83 @@ class Compressor(abc.ABC):
             raise ValueError(f"{self.name} cannot quantise magnitude {largest:.6g} at error "
                              f"bound {abs_eb:.6g}: |x| / (2·eb) must stay below 2**62")
 
-    # -- records: one array, decoded against a shape under a recipe --------
     def recipe(self, abs_eb: float, dtype: str = "float64") -> dict:
-        """What :meth:`decode_record` needs besides the shape (stored once per
+        """What a record decodes under besides its shapes (stored once per
         dataset by the AMRIC filter); a codec with a lean record adds to it."""
         return {"codec": self.name, "abs_eb": float(abs_eb), "dtype": str(dtype)}
-
-    def encode_record(self, data: np.ndarray, context: bytes = b"") -> Tuple[bytes, np.ndarray]:
-        """``(record, reconstruction)`` of one array; by default the record is
-        the standalone payload (``context``: what a checksummed record covers)."""
-        buffer, recon = self.compress_with_reconstruction(data)
-        return buffer.payload, recon
-
-    def decode_record(self, record: bytes, shape: Tuple[int, ...],
-                      context: bytes = b"") -> np.ndarray:
-        return self.decompress(record).reshape(shape)
 
     def resolve_eb(self, data: np.ndarray, value_range: float | None = None) -> float:
         """Absolute error bound for this input."""
         return self.error_bound.resolve(data, value_range=value_range)
 
-    @staticmethod
-    def _payload_of(buffer: "CompressedBuffer | bytes") -> bytes:
-        return buffer.payload if isinstance(buffer, CompressedBuffer) else buffer
+    def _context(self, recipe: dict) -> bytes:
+        """What a single-array codec's standalone record covers: every key of
+        its recipe, so a buffer whose recipe changed fails the checksum."""
+        return ctn.recipe_context(recipe, sorted(self.recipe(0.0)), f"{self.name} recipe")
+
+    # -- the standalone buffer: recipe, shapes and record ------------------
+    def standalone(self, record: bytes, recipe: dict,
+                   shapes: Sequence[Tuple[int, ...]]) -> CompressedBuffer:
+        """The buffer of a record written under ``recipe`` for arrays of ``shapes``."""
+        ncells = sum(math.prod(shape) for shape in shapes)
+        return CompressedBuffer(
+            payload=ctn.pack_container(self.name, dict(
+                recipe, shapes=[list(shape) for shape in shapes]), {"record": record}),
+            original_shape=tuple(shapes[0]) if len(shapes) == 1 else (ncells,),
+            original_dtype=recipe["dtype"],
+            original_nbytes=ncells * np.dtype(recipe["dtype"]).itemsize,
+            codec=self.name, meta={"abs_eb": recipe["abs_eb"]})
+
+    def compress_with_reconstruction(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
+        """The standalone buffer of ``data`` and its reconstruction (what
+        :meth:`decompress` returns, produced as a by-product of encoding)."""
+        from repro.compress.registry import resolve_codec
+
+        if resolve_codec(self.name).supports_many:
+            ((record, (recon,), recipe),) = self.compress_many_with_reconstruction([[data]])
+        else:
+            recipe = self.recipe(self.resolve_eb(self._as_input(data)), stored_dtype(data))
+            record, recon = self.encode_record(data, self._context(recipe))
+        return self.standalone(record, recipe, [recon.shape]), recon
+
+    def compress(self, data: np.ndarray) -> CompressedBuffer:
+        """Compress ``data`` (drops the reconstruction)."""
+        buffer, _ = self.compress_with_reconstruction(data)
+        return buffer
+
+    def decompress(self, buffer: CompressedBuffer | bytes) -> np.ndarray:
+        """The array of a standalone buffer, in the recipe's dtype."""
+        arrays = self._arrays_of(buffer)
+        if len(arrays) != 1:
+            raise ValueError("buffer holds multiple arrays; use decompress_many")
+        return arrays[0]
+
+    def _arrays_of(self, buffer: CompressedBuffer | bytes) -> List[np.ndarray]:
+        """Invert :meth:`standalone`: the shapes checked, the decoder built
+        from the recipe, every array cast to the recipe's dtype."""
+        from repro.compress.registry import codec_from_recipe, resolve_codec
+
+        payload = buffer.payload if isinstance(buffer, CompressedBuffer) else buffer
+        cont = ctn.unpack_container(payload, expect_codec=self.name)
+        what = f"{self.name} meta"
+        shapes = required(cont.meta, "shapes", what, list)
+        if not (shapes and all(isinstance(shape, list) and shape and all(
+                type(n) is int and n > 0 for n in shape) and math.prod(shape) < 2 ** 62
+                for shape in shapes)):
+            raise CorruptFileError(f"{what}: shapes is not a list of positive extents")
+        shapes = [tuple(shape) for shape in shapes]
+        dtype = required(cont.meta, "dtype", what, str)
+        if not is_float(dtype):
+            raise CorruptFileError(f"{what}: dtype {dtype!r} is not a float dtype")
+        record = required(cont.sections, "record", f"{self.name} payload")
+        decoder = codec_from_recipe(cont.meta)
+        if resolve_codec(self.name).supports_many:
+            arrays = next(decoder.decode_records([record], [shapes], cont.meta))
+        elif len(shapes) == 1:
+            arrays = [decoder.decode_record(record, shapes[0], self._context(cont.meta))]
+        else:
+            raise CorruptFileError(f"{what}: a {self.name} record holds one array")
+        return [a.astype(dtype) if dtype != "float64" else a for a in arrays]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(error_bound={self.error_bound})"

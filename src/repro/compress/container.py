@@ -13,8 +13,8 @@ module is the single implementation:
   written before this refactor still deserialize);
 * :func:`pack_huffman` / :func:`unpack_huffman` — the shared-table Huffman
   stream sections (table, deflated codes, per-stream bit counts, deflated
-  sync residuals) of a standalone ``sz_1d`` buffer and the ``amrex_1d``
-  baseline's chunks;
+  sync residuals) of an ``sz_1d`` record, what the ``amrex_1d`` baseline's
+  chunks store;
 * :func:`parse_huffman` + :func:`decode_huffman` — the two halves of
   :func:`unpack_huffman`: sections to ``(codec, encoded)`` pairs, then one
   entropy pass over the pairs of however many containers a decode job holds;
@@ -23,8 +23,9 @@ module is the single implementation:
 * :func:`pack_record` / :func:`parse_record` — the chunk record (SZ_L/R,
   SZ_Interp and ``temporal_delta``): a CRC32, the codes' form, the array
   count, the codes (raw or deflated) and one deflated side blob, with nothing
-  the array shapes or the codec recipe imply; a standalone buffer wraps it in
-  a container whose meta is the recipe and the shapes, the AMRIC filter and
+  the array shapes or the codec recipe imply; a standalone buffer
+  (:meth:`~repro.compress.base.Compressor.standalone`) wraps it in a
+  container whose meta is the recipe and the shapes, the AMRIC filter and
   the series writer store it bare;
   :func:`pack_huffman_individual` / :func:`unpack_huffman_individual` are the
   per-array-table (non-SLE) streams alone in that form.
@@ -110,20 +111,21 @@ def pack_container(codec: str, meta: Dict[str, object],
 def unpack_container(payload: bytes, expect_codec: Optional[str] = None) -> CodecContainer:
     """Invert :func:`pack_container`, validating magic, version and codec name.
 
-    Raises :class:`ValueError` on a bad magic, an unsupported version, a
-    truncated buffer, a missing/corrupt meta section, or (when
-    ``expect_codec`` is given) a stream written by a different codec.
+    Raises :class:`ValueError` on a bad magic, an unsupported version or a
+    truncated buffer, and :class:`CorruptFileError` on a missing/corrupt meta
+    section or (when ``expect_codec`` is given) a stream written by a
+    different codec.
     """
     sections = unpack_sections(payload)
     if "meta" not in sections:
-        raise ValueError("codec container has no 'meta' section")
+        raise CorruptFileError("codec container has no 'meta' section")
     try:
         meta = json.loads(bytes(sections.pop("meta")).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"corrupt codec container meta: {exc}") from exc
-    codec = str(meta.get("codec", ""))
-    if expect_codec is not None and codec != expect_codec:
-        raise ValueError(
+        raise CorruptFileError(f"corrupt codec container meta: {exc}") from exc
+    codec = str(meta.get("codec", "")) if isinstance(meta, dict) else ""
+    if not isinstance(meta, dict) or expect_codec is not None and codec != expect_codec:
+        raise CorruptFileError(
             f"stream was written by codec {codec!r}, not {expect_codec!r}")
     return CodecContainer(codec=codec, meta=meta, sections=sections)
 

@@ -6,9 +6,8 @@ Huffman tables are built (one shared table versus one per small block), so the
 codec here exposes exactly that choice:
 
 * :func:`encode` / :func:`decode` — one table for one code stream;
-* :class:`HuffmanCodec` — reusable table (shared across blocks for SLE);
-* :func:`encoded_size_per_block` — per-block-table encoding (the expensive
-  alternative SLE avoids), used in analyses and tests.
+* :class:`HuffmanCodec` — reusable table (shared across blocks for SLE, or
+  one per block: the expensive alternative SLE avoids).
 
 Both directions are fully vectorized (DESIGN.md §2):
 
@@ -253,11 +252,6 @@ class HuffmanCodec:
     @property
     def nsymbols(self) -> int:
         return int(self.symbols.size)
-
-    @property
-    def table_nbytes(self) -> int:
-        """Serialised table size: symbol values (4 B) + code lengths (1 B)."""
-        return int(self.symbols.size * 5)
 
     def expected_bits(self, data: np.ndarray) -> int:
         """Exact number of payload bits needed to encode ``data`` with this table."""
@@ -807,17 +801,3 @@ def decode_many(pairs: Sequence[Tuple[HuffmanCodec, HuffmanEncoded]]) -> List[np
     # (a job's chunks) can let go of each pair's symbols when done with them
     return [piece.copy() for piece in
             np.split(flat, np.cumsum([e.nsymbols for _, e in pairs])[:-1])]
-
-
-def encoded_size_per_block(blocks: Sequence[np.ndarray]) -> int:
-    """Total bytes when each block gets its own Huffman table (no SLE).
-
-    Models the per-block encoding overhead SLE removes: every block pays for
-    its own serialised table plus its own byte-aligned payload.
-    """
-    total = 0
-    for block in blocks:
-        codec = HuffmanCodec.from_data(block)
-        bits = codec.expected_bits(np.asarray(block).ravel())
-        total += codec.table_nbytes + (bits + 7) // 8
-    return total

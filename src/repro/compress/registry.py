@@ -49,19 +49,17 @@ class CodecSpec:
     factory: Callable[..., Compressor]
     #: keyword options the factory accepts beyond (error_bound, mode)
     options: Tuple[str, ...] = ()
-    #: True when the codec offers the multi-array (unit-block) API.  Write
-    #: side: ``compress_many_with_reconstruction(chunks, shared_encoding,
-    #: value_range, codec)``, which unit SLE relies on — ``chunks`` is a list
-    #: of lists of arrays, predicted in one pass, answered with one
-    #: ``(buffer, reconstructions)`` per chunk, the shared table carried from
-    #: chunk to chunk; ``AMRICLevelFilter.encode`` calls it once per run of
-    #: a dataset's chunks of one (field, value range) scope (``framed=False``:
-    #: bare records).  Read side:
-    #: ``decode_records(records, shapes, recipe, select)`` — an iterable of
-    #: one list of arrays per record, in order, optionally only the selected
-    #: arrays of each — which is what ``AMRICLevelFilter.decode_blocks``
-    #: calls for every chunk of such a codec (``decompress_batch(buffers,
-    #: select)`` is the same over standalone buffers)
+    #: True when the codec's records hold several arrays (unit blocks) and it
+    #: implements them in place of ``encode_record`` / ``decode_record``.
+    #: Write side: ``compress_many_with_reconstruction(chunks, shared_encoding,
+    #: value_range)``, which unit SLE relies on — ``chunks`` is a list of lists
+    #: of arrays, predicted in one pass, answered with one ``(record,
+    #: reconstructions, recipe)`` per chunk; ``AMRICLevelFilter.encode`` calls
+    #: it once per run of a dataset's chunks of one (field, value range) scope.
+    #: Read side: ``decode_records(records, shapes, recipe, select)`` — an
+    #: iterable of one list of arrays per record, in order, optionally only
+    #: the selected arrays of each — which is what
+    #: ``AMRICLevelFilter.decode_blocks`` calls for every chunk of such a codec
     supports_many: bool = False
     description: str = ""
 

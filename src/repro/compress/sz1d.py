@@ -12,15 +12,16 @@ The small-chunk behaviour the paper criticises (one compressor launch per
 
 from __future__ import annotations
 
+import math
 from typing import List, Tuple
 
 import numpy as np
 
 from repro.compress import container as ctn
-from repro.compress.base import CompressedBuffer, Compressor, DEFAULT_RADIUS
+from repro.compress.base import Compressor, DEFAULT_RADIUS, is_float, stored_dtype
 from repro.compress.errorbound import ErrorBound
 from repro.compress.huffman import HuffmanCodec
-from repro.errors import required
+from repro.errors import CorruptFileError, required
 
 __all__ = ["SZ1DCompressor"]
 
@@ -28,7 +29,13 @@ _RECORD = "sz_1d meta"
 
 
 class SZ1DCompressor(Compressor):
-    """1D Lorenzo (first-difference) error-bounded compressor."""
+    """1D Lorenzo (first-difference) error-bounded compressor.
+
+    Its record is a section container (:func:`~repro.compress.container.pack_container`)
+    whose meta names the bound, radius, shape, dtype and anchor it decodes
+    under — the bytes an ``amrex_1d`` chunk stores.  It carries no checksum,
+    so ``context`` is not covered.
+    """
 
     name = "sz_1d"
 
@@ -38,11 +45,9 @@ class SZ1DCompressor(Compressor):
         self.radius = int(radius)
 
     # ------------------------------------------------------------------
-    def compress_with_reconstruction(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
-        input_dtype = str(np.asarray(data).dtype)
-        original_nbytes = int(np.asarray(data).nbytes)
+    def encode_record(self, data: np.ndarray, context: bytes = b"") -> Tuple[bytes, np.ndarray]:
+        input_dtype = stored_dtype(data)
         data = self._as_input(data)
-        original_shape = tuple(int(s) for s in data.shape)
         flat = data.reshape(-1)
         abs_eb = self.resolve_eb(flat)
         self._check_magnitude(flat, abs_eb)
@@ -50,76 +55,58 @@ class SZ1DCompressor(Compressor):
         q = np.rint(flat / (2.0 * abs_eb)).astype(np.int64)
         deltas = np.diff(q, prepend=np.int64(0))
         anchor = int(deltas[0])
-        deltas = deltas.copy()
         deltas[0] = 0
         outlier_mask = np.abs(deltas) >= self.radius
         codes = np.where(outlier_mask, 0, deltas + self.radius).astype(np.uint32)
-        outliers = deltas[outlier_mask].astype(np.int64)
-        recon = (q * (2.0 * abs_eb)).reshape(original_shape)
+        meta = {"abs_eb": abs_eb, "radius": self.radius, "shape": list(data.shape),
+                "dtype": input_dtype, "anchor": anchor}
+        sections = ctn.pack_huffman([HuffmanCodec.from_data(codes).encode(codes)])
+        sections["outliers"] = ctn.pack_zarray(deltas[outlier_mask].astype(np.int64))
+        return ctn.pack_container(self.name, meta, sections), \
+            (q * (2.0 * abs_eb)).reshape(data.shape)
 
-        codec = HuffmanCodec.from_data(codes)
-        stream = codec.encode(codes)
-        meta = {
-            "abs_eb": abs_eb,
-            "radius": self.radius,
-            "shape": list(original_shape),
-            "dtype": input_dtype,
-            "anchor": anchor,
-        }
-        sections = ctn.pack_huffman([stream])
-        sections["outliers"] = ctn.pack_zarray(outliers)
-        payload = ctn.pack_container(self.name, meta, sections)
-        buffer = CompressedBuffer(
-            payload=payload,
-            original_shape=original_shape,
-            original_dtype=input_dtype,
-            original_nbytes=original_nbytes,
-            codec=self.name,
-            meta={"abs_eb": abs_eb},
-        )
-        return buffer, recon
-
-    def decompress(self, buffer: CompressedBuffer | bytes) -> np.ndarray:
-        cont = ctn.unpack_container(self._payload_of(buffer), expect_codec=self.name)
+    def decode_record(self, record: bytes, shape: Tuple[int, ...],
+                      context: bytes = b"") -> np.ndarray:
+        """Invert :meth:`encode_record` (float64): a record whose meta cannot
+        describe ``shape``'s codes is a :class:`CorruptFileError`."""
+        cont = ctn.unpack_container(record, expect_codec=self.name)
         meta, sections = cont.meta, cont.sections
         abs_eb = required(meta, "abs_eb", _RECORD, float)
         radius = required(meta, "radius", _RECORD, int)
-        shape = required(meta, "shape", _RECORD, list)
-        dtype = np.dtype(required(meta, "dtype", _RECORD, str))
+        stored = required(meta, "shape", _RECORD, list)
+        dtype = required(meta, "dtype", _RECORD, str)
         anchor = required(meta, "anchor", _RECORD, int)
-
         codes = ctn.unpack_huffman(sections)[0].astype(np.int64)
-        outliers = ctn.unpack_zarray(
-            required(sections, "outliers", "sz_1d sections")).astype(np.int64)
-
-        deltas = codes - radius
+        outliers = ctn.unpack_zarray(required(sections, "outliers", "sz_1d sections"))
         outlier_mask = codes == 0
-        if outliers.size:
-            deltas[outlier_mask] = outliers
-        else:
-            deltas[outlier_mask] = 0
+        if not (np.isfinite(abs_eb) and abs_eb > 0 and 2 <= radius <= 2 ** 32
+                and -2 ** 63 <= anchor < 2 ** 63 and is_float(dtype)
+                and stored == list(shape) and 0 < math.prod(shape) == codes.size
+                and outliers.size == np.count_nonzero(outlier_mask)):
+            raise CorruptFileError(f"{_RECORD}: does not describe {codes.size} codes of "
+                                   f"shape {tuple(shape)} (abs_eb {abs_eb}, radius {radius}, "
+                                   f"dtype {dtype!r}, anchor {anchor}, shape {stored})")
+        deltas = codes - radius
+        deltas[outlier_mask] = outliers
         deltas[0] = anchor
-        q = np.cumsum(deltas)
-        recon = (q * (2.0 * abs_eb)).reshape(tuple(shape))
-        return recon.astype(dtype) if dtype != np.float64 else recon
+        return (np.cumsum(deltas) * (2.0 * abs_eb)).reshape(shape)
 
     # ------------------------------------------------------------------
     def compress_chunked(self, data: np.ndarray, chunk_elements: int
-                         ) -> Tuple[List[CompressedBuffer], np.ndarray]:
+                         ) -> Tuple[List[bytes], np.ndarray]:
         """Compress a linearised buffer chunk by chunk (AMReX's small-chunk mode).
 
-        Each chunk is an independent compression (its own Huffman table and
-        value range), exactly the behaviour of one HDF5 filter invocation per
-        chunk.  Returns the per-chunk buffers and the full reconstruction.
+        Each chunk is an independent record (its own Huffman table and value
+        range), exactly the behaviour of one HDF5 filter invocation per chunk.
+        Returns the per-chunk records and the full reconstruction.
         """
         if chunk_elements < 2:
             raise ValueError("chunk_elements must be >= 2")
         flat = np.asarray(data, dtype=np.float64).reshape(-1)
-        buffers: List[CompressedBuffer] = []
+        records: List[bytes] = []
         recon = np.empty_like(flat)
         for start in range(0, flat.size, chunk_elements):
-            chunk = flat[start:start + chunk_elements]
-            buf, rec = self.compress_with_reconstruction(chunk)
-            buffers.append(buf)
-            recon[start:start + chunk.size] = rec
-        return buffers, recon.reshape(np.asarray(data).shape)
+            record, recon[start:start + chunk_elements] = \
+                self.encode_record(flat[start:start + chunk_elements])
+            records.append(record)
+        return records, recon.reshape(np.asarray(data).shape)

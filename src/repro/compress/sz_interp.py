@@ -26,15 +26,12 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.compress import container as ctn
-from repro.compress.base import CompressedBuffer, Compressor, DEFAULT_RADIUS
+from repro.compress.base import Compressor, DEFAULT_RADIUS
 from repro.compress.errorbound import ErrorBound
 from repro.compress.huffman import HuffmanCodec
-from repro.errors import CorruptFileError, required
+from repro.errors import CorruptFileError
 
 __all__ = ["SZInterpCompressor"]
-
-#: what a record decodes under besides its shape (:meth:`SZInterpCompressor.recipe`)
-_RECIPE = ("abs_eb", "radius", "anchor_stride", "cubic", "dtype")
 
 
 def _level_plan(shape: Tuple[int, ...], anchor_stride: int) -> List[Tuple[int, int]]:
@@ -159,7 +156,7 @@ class SZInterpCompressor(Compressor):
         return None
 
     # ------------------------------------------------------------------
-    # the record (DESIGN.md §5) and the public API around it
+    # the record (DESIGN.md §5)
     # ------------------------------------------------------------------
     def recipe(self, abs_eb: float, dtype: str = "float64") -> dict:
         """Everything a record is decoded under besides its shape."""
@@ -209,38 +206,3 @@ class SZInterpCompressor(Compressor):
         recon[self._anchor_sel(shape)] = anchors.reshape(recon[self._anchor_sel(shape)].shape)
         self._sweep(shape, recon, self.error_bound.resolve(), None, codes, outliers)
         return recon
-
-    def compress_with_reconstruction(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
-        """The record wrapped with the recipe and the shape: a standalone buffer."""
-        abs_eb = self.resolve_eb(self._as_input(data))
-        meta = self.recipe(abs_eb, str(np.asarray(data).dtype))
-        record, recon = self.encode_record(
-            data, ctn.recipe_context(meta, _RECIPE, "sz_interp meta"))
-        meta["shape"] = list(recon.shape)
-        return CompressedBuffer(
-            payload=ctn.pack_container(self.name, meta, {"record": record}),
-            original_shape=recon.shape, original_dtype=meta["dtype"],
-            original_nbytes=int(np.asarray(data).nbytes), codec=self.name,
-            meta={"abs_eb": abs_eb}), recon
-
-    def decompress(self, buffer: CompressedBuffer | bytes) -> np.ndarray:
-        cont = ctn.unpack_container(self._payload_of(buffer), expect_codec=self.name)
-        meta = cont.meta
-
-        def need(key):
-            return required(meta, key, "sz_interp meta")
-
-        shape = need("shape")
-        if not (isinstance(shape, list) and shape
-                and all(isinstance(n, int) and n > 0 for n in shape)):
-            raise CorruptFileError("sz_interp meta: shape is not a list of positive extents")
-        # decoding parameters travel with the stream (under its checksum); honour them
-        try:
-            decoder = SZInterpCompressor(need("abs_eb"), mode="abs", radius=need("radius"),
-                                         anchor_stride=need("anchor_stride"), cubic=need("cubic"))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise CorruptFileError(f"sz_interp meta: {exc}") from exc
-        recon = decoder.decode_record(required(cont.sections, "record", "sz_interp payload"),
-                                      shape, ctn.recipe_context(meta, _RECIPE, "sz_interp meta"))
-        dtype = np.dtype(need("dtype"))
-        return recon.astype(dtype) if dtype != np.float64 else recon

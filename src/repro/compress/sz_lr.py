@@ -17,26 +17,23 @@ optimises:
 
 Public entry points
 -------------------
-``compress`` / ``compress_with_reconstruction`` / ``decompress``
-    single-array API (the :class:`~repro.compress.base.Compressor` interface);
-``compress_many`` / ``decompress_many``
-    multi-array API used by AMRIC's pre-processing: each array (a "unit
-    block") is predicted independently, while the lossless encoding is either
-    shared (``shared_encoding=True`` → unit SLE) or per-array
-    (``shared_encoding=False`` → the costly per-block-tree alternative).
 ``compress_many_with_reconstruction``
     the one write door, over a list of chunks (each a list of arrays): all of
     their arrays predicted in one pass, each chunk serialised to its own
-    record, in order — wrapped with the codec recipe and the shapes into a
-    standalone buffer, or bare for the AMRIC filter, which stores the recipe
-    once per dataset and derives the shapes from the level layout;
-    ``compress`` and ``compress_many`` are its batch of one.
-``decode_records`` / ``decompress_batch``
-    the arrays of one decode job's records (bare, or standalone buffers):
+    record, in order, with the recipe it decodes under (the AMRIC filter
+    stores the recipe once per dataset and derives the shapes from the level
+    layout).  Each array (a "unit block") is predicted independently, while
+    the lossless encoding is either shared (``shared_encoding=True`` → unit
+    SLE) or per-array (``shared_encoding=False`` → the costly per-block-tree
+    alternative).
+``decode_records``
+    the arrays of one decode job's records, under the job's one recipe:
     parsed one by one, entropy-decoded in one Huffman lane pass,
-    reconstructed in one pass per run of records under one bound and dtype
-    (in practice the whole job) — optionally only a selection of each
-    record's arrays (the unit blocks a box read meets).
+    reconstructed in one pass — optionally only a selection of each record's
+    arrays (the unit blocks a box read meets).
+``compress`` / ``compress_many`` / ``decompress`` / ``decompress_many``
+    the standalone buffer (:meth:`~repro.compress.base.Compressor.standalone`:
+    recipe, shapes and record) of a batch of one.
 
 The record (DESIGN.md §5, "Format v2 chunk record") keeps per array only what
 its shape cannot give — its code bits and its two outlier counts — besides the
@@ -61,7 +58,7 @@ and coefficient rows by whole-chunk passes, and ``_flat_plan(shape,
 block_size)``, the stored order inverted to per-cell index tables, turns each
 shape group's rows into values in one pass (one gather to array order, a
 slab-wise prefix sum per axis, one plane evaluation) — the shape groups of a
-whole decode job's run of buffers, not of one buffer.
+whole decode job's records, not of one record.
 """
 
 from __future__ import annotations
@@ -75,7 +72,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from repro.compress import container as ctn
-from repro.compress.base import CompressedBuffer, Compressor, DEFAULT_RADIUS
+from repro.compress.base import CompressedBuffer, Compressor, DEFAULT_RADIUS, stored_dtype
 from repro.compress.errorbound import ErrorBound
 from repro.compress.huffman import HuffmanCodec
 from repro.compress import regression
@@ -292,12 +289,13 @@ class SZLRCompressor(Compressor):
     def __init__(self, error_bound: ErrorBound | float, block_size: int | Sequence[int] = 6,
                  mode: str = "rel", radius: int = DEFAULT_RADIUS):
         super().__init__(error_bound, mode)
+        sizes = (block_size,) if np.isscalar(block_size) else tuple(block_size)
+        if not sizes or any(int(b) != b or b < 1 for b in sizes):
+            raise ValueError(f"block_size must be positive integers, got {block_size!r}")
         self._block_size_spec = block_size
         self.radius = int(radius)
         if self.radius < 2:
             raise ValueError("radius must be >= 2")
-        #: the shared Huffman table the last chunk of the most recent call used
-        self.last_shared_codec: HuffmanCodec | None = None
 
     # ------------------------------------------------------------------
     # helpers
@@ -524,8 +522,8 @@ class SZLRCompressor(Compressor):
                       codes: Sequence[np.ndarray], side: Dict[str, np.ndarray],
                       counts: np.ndarray) -> List[np.ndarray]:
         """Invert :meth:`_encode_batch`; ``side`` and ``counts`` are the stored
-        concatenations — of one buffer, or of several put end to end
-        (:meth:`decompress_batch` hands over a decode job's run at once).
+        concatenations — of one record, or of several put end to end
+        (:meth:`decode_records` hands over a decode job at once).
 
         Every stream is stored in (array, region, cell) order, which is the
         order of the concatenated codes, so nothing is walked with a cursor:
@@ -632,7 +630,7 @@ class SZLRCompressor(Compressor):
     def recipe(self, abs_eb: float, dtype: str = "float64",
                shared_encoding: bool = True) -> dict:
         """What a record decodes under besides its shapes (the AMRIC filter
-        stores it once per dataset; a standalone buffer, as its meta)."""
+        stores it once per dataset; a standalone buffer, beside the shapes)."""
         spec = self._block_size_spec
         return {"codec": self.name, "abs_eb": float(abs_eb), "radius": self.radius,
                 "block_size": int(spec) if np.isscalar(spec) else [int(b) for b in spec],
@@ -676,11 +674,11 @@ class SZLRCompressor(Compressor):
         ndim = len(shapes[0])
         if any(len(shape) != ndim for shape in shapes):
             raise CorruptFileError("sz_lr payload: arrays of mixed dimension")
-        block_size = self._block_size_for(ndim)
         cells = np.asarray([math.prod(shape) for shape in shapes], dtype=np.int64)
         pairs, reader = ctn.parse_record(
             record, shapes, cells, recipe["shared"], "sz_lr record",
             ctn.recipe_context(recipe, _RECIPE, "sz_lr recipe"))
+        block_size = self._block_size_for(ndim)
         narrays = len(shapes)
         outliers = [reader.take("<i8", narrays).astype(np.int64) for _ in range(2)]
         plans = [_region_plan(tuple(shape), block_size)[1] for shape in shapes]
@@ -704,63 +702,39 @@ class SZLRCompressor(Compressor):
         reader.done()
         return list(shapes), pairs, side, counts
 
-    def _unwrap(self, buffer: CompressedBuffer | bytes):
-        """``(recipe, shapes, record)`` of a standalone buffer."""
-        cont = ctn.unpack_container(self._payload_of(buffer), expect_codec=self.name)
-        shapes = required(cont.meta, "shapes", "sz_lr meta")
-        if not (isinstance(shapes, list) and shapes and all(
-                isinstance(shape, list) and shape and all(
-                    isinstance(n, int) and n > 0 for n in shape) for shape in shapes)):
-            raise CorruptFileError("sz_lr meta: shapes is not a list of positive extents")
-        return cont.meta, [tuple(shape) for shape in shapes], \
-            required(cont.sections, "record", "sz_lr payload")
-
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
-    def compress_with_reconstruction(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
-        ((buffer, (recon,)),) = self.compress_many_with_reconstruction([[data]])
-        return buffer, recon
-
     def compress_many(self, arrays: Sequence[np.ndarray], shared_encoding: bool = True,
-                      value_range: float | None = None,
-                      codec: HuffmanCodec | None = None) -> CompressedBuffer:
-        ((buffer, _),) = self.compress_many_with_reconstruction(
-            [arrays], shared_encoding=shared_encoding, value_range=value_range, codec=codec)
-        return buffer
+                      value_range: float | None = None) -> CompressedBuffer:
+        """The standalone buffer of one chunk of arrays."""
+        ((record, recons, recipe),) = self.compress_many_with_reconstruction(
+            [arrays], shared_encoding=shared_encoding, value_range=value_range)
+        return self.standalone(record, recipe, [r.shape for r in recons])
 
     def compress_many_with_reconstruction(
             self, chunks: Sequence[Sequence[np.ndarray]], shared_encoding: bool = True,
-            value_range: float | None = None, codec: HuffmanCodec | None = None,
-            framed: bool = True) -> List[Tuple[CompressedBuffer, List[np.ndarray]]]:
-        """Compress each chunk (a list of arrays) into its own buffer (AMRIC
-        unit-block API); one ``(buffer, reconstructions)`` per chunk.
+            value_range: float | None = None) -> List[Tuple[bytes, List[np.ndarray], dict]]:
+        """Compress each chunk (a list of arrays) into its own record (AMRIC
+        unit-block API); one ``(record, reconstructions, recipe)`` per chunk.
 
         The arrays of all chunks are predicted in one :meth:`_encode_batch`
         (prediction is confined to an array, so nothing stored depends on
         which arrays share the pass); each chunk is then serialised on its own,
         in order.  ``value_range=None`` resolves over every array of every
-        chunk.  ``codec`` optionally supplies a pre-built shared Huffman table
-        (SLE across *chunks*); a chunk uses the table it is handed when that
-        covers its symbols and otherwise builds its own, which the next chunk
-        is handed in turn.  The last chunk's table is exposed as
-        :attr:`last_shared_codec` so callers can carry it to the next call.
-
-        A buffer's payload is its record wrapped with the recipe and the
-        shapes; ``framed=False`` leaves the bare record (the AMRIC filter
-        stores the recipe once per dataset, ``buffer.meta["recipe"]``, and
-        takes the shapes from the level layout).
+        chunk.  Under ``shared_encoding`` a chunk reuses the Huffman table of
+        the chunk before it when that covers its symbols (SLE across chunks)
+        and otherwise builds its own, which the next chunk is handed in turn.
         """
         if not len(chunks) or any(not len(arrays) for arrays in chunks):
             raise ValueError("need at least one array")
         if any(isinstance(arrays, np.ndarray) for arrays in chunks):
             raise TypeError("chunks must be a list of lists of arrays")
-        dtypes = [sorted({str(np.asarray(a).dtype) for a in arrays}) for arrays in chunks]
+        dtypes = [sorted({stored_dtype(a) for a in arrays}) for arrays in chunks]
         if mixed := next((kinds for kinds in dtypes if len(kinds) > 1), None):
             raise ValueError(f"sz_lr: a chunk decodes through one dtype; its arrays are "
                              f"{' and '.join(mixed)}")
-        dtypes = [kinds[0] for kinds in dtypes]
-        arrays =[self._as_input(a) for chunk in chunks for a in chunk]
+        arrays = [self._as_input(a) for chunk in chunks for a in chunk]
         if value_range is None:
             gmin = min(float(a.min()) for a in arrays)
             gmax = max(float(a.max()) for a in arrays)
@@ -770,40 +744,19 @@ class SZLRCompressor(Compressor):
         # where each array's share of every _SIDE stream starts
         side_at = np.zeros((len(arrays) + 1, len(_SIDE)), dtype=np.int64)
         np.cumsum(counts[:, :len(_SIDE)], axis=0, out=side_at[1:])
-        out = []
-        hi = 0
-        for chunk, input_dtype in zip(chunks, dtypes):
+        out, codec, hi = [], None, 0
+        for chunk, (input_dtype,) in zip(chunks, dtypes):
             lo, hi = hi, hi + len(chunk)
-            shapes = [a.shape for a in arrays[lo:hi]]
             chunk_side = {name: side[name][side_at[lo, column]:side_at[hi, column]]
                           for column, name in enumerate(_SIDE)}
             recipe = self.recipe(abs_eb, input_dtype, shared_encoding)
-            payload, codec = self._serialize(shapes, codes[lo:hi], chunk_side, counts[lo:hi],
-                                             recipe, codec=codec)
-            if framed:
-                payload = ctn.pack_container(self.name, dict(
-                    recipe, shapes=[list(shape) for shape in shapes]), {"record": payload})
-            ncells = sum(math.prod(shape) for shape in shapes)
-            out.append((CompressedBuffer(
-                payload=payload,
-                original_shape=shapes[0] if len(shapes) == 1 else (ncells,),
-                original_dtype=input_dtype,
-                original_nbytes=ncells * np.dtype(input_dtype).itemsize,
-                codec=self.name,
-                meta={"abs_eb": abs_eb, "narrays": len(shapes), "recipe": recipe,
-                      "shared_encoding": bool(shared_encoding), "shapes": shapes},
-            ), reconstructions[lo:hi]))
-        self.last_shared_codec = codec
+            record, codec = self._serialize([a.shape for a in arrays[lo:hi]], codes[lo:hi],
+                                            chunk_side, counts[lo:hi], recipe, codec=codec)
+            out.append((record, reconstructions[lo:hi], recipe))
         return out
 
-    def decompress(self, buffer: CompressedBuffer | bytes) -> np.ndarray:
-        arrays = self.decompress_many(buffer)
-        if len(arrays) != 1:
-            raise ValueError("buffer holds multiple arrays; use decompress_many")
-        return arrays[0]
-
     def decompress_many(self, buffer: CompressedBuffer | bytes) -> List[np.ndarray]:
-        return next(self.decompress_batch([buffer]))
+        return self._arrays_of(buffer)
 
     def _narrow(self, parsed, select, shared: bool):
         """A parsed record cut down to the arrays ``select`` names, as if only
@@ -832,68 +785,48 @@ class SZLRCompressor(Compressor):
                 for column, name in enumerate(_SIDE)}
         return [shapes[index] for index in select.tolist()], pairs, side, counts[select]
 
-    def decompress_batch(self, buffers: Sequence[CompressedBuffer | bytes],
-                         select: Sequence[Sequence[int] | None] | None = None,
-                         ) -> Iterator[List[np.ndarray]]:
-        """:meth:`decompress_many` of several standalone buffers, yielded in
-        order (see :meth:`decode_records`, which each buffer's recipe and
-        shapes lead to)."""
-        return self._decode_entries([self._unwrap(buffer) for buffer in buffers], select)
-
     def decode_records(self, records: Sequence[bytes],
                        shapes: Sequence[Sequence[Tuple[int, ...]]], recipe: dict,
                        select: Sequence[Sequence[int] | None] | None = None,
                        ) -> Iterator[List[np.ndarray]]:
-        """The arrays of bare records (a decode job's chunks: DESIGN.md §2),
-        each decoded against its ``shapes`` under one ``recipe``, yielded in
-        order: all parsed, then their Huffman streams decoded in one lane pass,
-        then each run of consecutive records under one ``(abs_eb, dtype,
-        ndim)`` — in practice the whole job — reconstructed in one
-        :meth:`_decode_batch`.
+        """The float64 arrays of bare records (a decode job's chunks: DESIGN.md
+        §2), each decoded against its ``shapes`` under the job's ``recipe``
+        with this decoder's block size and radius, yielded in order: all
+        parsed, then their Huffman streams decoded in one lane pass, then
+        every array reconstructed in one :meth:`_decode_batch`.
 
-        A run's shapes, codes, side streams and ``counts`` rows are put end to
-        end in record order (stream order is code order, so nothing is
-        re-indexed) and its arrays split back per record.  Prediction is
+        The records' shapes, codes, side streams and ``counts`` rows are put
+        end to end in record order (stream order is code order, so nothing is
+        re-indexed) and the arrays split back per record.  Prediction is
         confined to an array, so each comes out exactly as it would alone, and
-        one damaged record fails the call, its run yielding nothing.
+        one damaged record fails the call before anything is yielded.
 
         ``select[i]`` lists the arrays wanted of record ``i`` (ascending;
         ``None``: all).  Each array is its own byte-aligned Huffman stream, so
         only those are entropy-decoded and reconstructed (:meth:`_narrow`), to
         the bytes of the full decode.
         """
-        return self._decode_entries([(recipe, s, r) for s, r in zip(shapes, records,
-                                                                    strict=True)], select)
-
-    def _decode_entries(self, entries, select):
-        """``(recipe, shapes, record)`` entries: the body of :meth:`decode_records`."""
-        if select is not None and len(select) != len(entries):
+        if select is not None and len(select) != len(records):
             raise ValueError("one selection per record")
+        what = "sz_lr recipe"
+        recipe = self.recipe(required(recipe, "abs_eb", what, float),
+                             required(recipe, "dtype", what, str),
+                             required(recipe, "shared", what, bool))
         parsed = []
-        for index, (recipe, shapes, record) in enumerate(entries):
-            abs_eb, radius, block_size, shared, dtype = (
-                required(recipe, key, "sz_lr recipe") for key in _RECIPE)
-            try:
-                decoder = SZLRCompressor(abs_eb, mode="abs", block_size=block_size, radius=radius)
-                key = (float(abs_eb), str(dtype), len(shapes[0]), radius,
-                       decoder._block_size_for(len(shapes[0])))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise CorruptFileError(f"sz_lr recipe: {exc}") from exc
-            entry = decoder._parse(record, shapes, recipe)
+        for index, (record, record_shapes) in enumerate(zip(records, shapes, strict=True)):
+            entry = self._parse(record, record_shapes, recipe)
             if select is not None and select[index] is not None:
-                entry = decoder._narrow(entry, select[index], shared)
-            parsed.append((decoder, key, entry))
-        decoded = ctn.decode_huffman([pairs for _, _, (_, pairs, _, _) in parsed])
-        for key, run in itertools.groupby(zip(parsed, decoded), key=lambda item: item[0][1]):
-            run = list(run)
-            arrays = run[0][0][0]._decode_batch(
-                [shape for (_, _, (shapes, *_)), _ in run for shape in shapes], key[0],
-                [c for _, codes in run for c in codes],
-                {name: np.concatenate([side[name] for (_, _, (_, _, side, _)), _ in run])
-                 for name in _SIDE},
-                np.concatenate([counts for (_, _, (*_, counts)), _ in run]))
-            dtype = np.dtype(key[1])
-            hi = 0
-            for (_, _, (shapes, *_)), _ in run:
-                lo, hi = hi, hi + len(shapes)
-                yield [a.astype(dtype) if dtype != np.float64 else a for a in arrays[lo:hi]]
+                entry = self._narrow(entry, select[index], recipe["shared"])
+            parsed.append(entry)
+        if not parsed:
+            return
+        decoded = ctn.decode_huffman([pairs for _, pairs, _, _ in parsed])
+        arrays = self._decode_batch(
+            [shape for shapes, *_ in parsed for shape in shapes], recipe["abs_eb"],
+            [c for codes in decoded for c in codes],
+            {name: np.concatenate([side[name] for _, _, side, _ in parsed]) for name in _SIDE},
+            np.concatenate([counts for *_, counts in parsed]))
+        hi = 0
+        for shapes, *_ in parsed:
+            lo, hi = hi, hi + len(shapes)
+            yield arrays[lo:hi]

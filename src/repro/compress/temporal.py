@@ -15,9 +15,8 @@ its codes, one Huffman table and the chunk's smallest code.  The grid
 (``abs_eb``, ``offset``) and the key/delta mode (``stream``) are the
 dataset's recipe (:meth:`TemporalDeltaCodec.recipe`, its ``codec``
 attribute), which every record's checksum covers; the code count is the
-chunk index's.  A standalone buffer wraps recipe, shape and record in the
-codec container.  The series subsystem (:mod:`repro.series`) owns the
-rolling references and keyframe cadence.
+chunk index's.  The series subsystem (:mod:`repro.series`) owns the rolling
+references and keyframe cadence.
 """
 
 from __future__ import annotations
@@ -27,15 +26,13 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compress.base import CompressedBuffer, Compressor
+from repro.compress.base import Compressor
 from repro.compress.container import (
     decode_huffman,
-    pack_container,
     pack_record,
     parse_record,
     recipe_context,
     record_estimate,
-    unpack_container,
 )
 from repro.compress.errorbound import ErrorBound
 from repro.compress.huffman import SYNC_INTERVAL, HuffmanCodec, HuffmanEncoded
@@ -101,16 +98,9 @@ class TemporalDeltaCodec(Compressor):
     # ------------------------------------------------------------------
     # the fixed quantisation grid
     # ------------------------------------------------------------------
-    def _grid_eb(self, data: np.ndarray) -> float:
-        bound = self.error_bound
-        eb = bound.resolve(value_range=1.0) if bound.mode == "abs" else bound.resolve(data)
-        if eb <= 0:
-            raise ValueError("temporal_delta needs a positive error bound")
-        return eb
-
-    def quantize(self, data: np.ndarray, eb: Optional[float] = None) -> np.ndarray:
+    def quantize(self, data: np.ndarray, eb: float) -> np.ndarray:
         """Snap values onto the grid: ``code = rint((x - offset) / (2*eb))``."""
-        eb = self._grid_eb(np.asarray(data)) if eb is None else float(eb)
+        eb = float(eb)
         x = np.asarray(data, dtype=np.float64).reshape(-1)
         if not np.isfinite(x).all():
             raise ValueError("temporal_delta cannot quantise non-finite values (NaN or Inf)")
@@ -169,14 +159,23 @@ class TemporalDeltaCodec(Compressor):
             table, shifted, [np.asarray([min_code], dtype="<i8")]))
 
     @staticmethod
-    def pack(candidate: StreamCandidate, recipe: dict) -> bytes:
+    def pack(candidate: StreamCandidate, recipe: dict, context: bytes = b"") -> bytes:
         """Entropy-code a candidate into its record under the dataset's
-        ``recipe``: the committed stream."""
+        ``recipe`` (the checksum also covers ``context``): the committed stream."""
         n, encoded = candidate.shifted.size, candidate.encoded
         return pack_record([(n,)], [candidate.table.encode(candidate.shifted)
                                     if encoded is None else encoded],
                            [candidate.table], [np.asarray([candidate.min_code], dtype="<i8")],
-                           recipe_context(recipe, _RECIPE, _WHAT))
+                           recipe_context(recipe, _RECIPE, _WHAT) + context)
+
+    @staticmethod
+    def _parse(record: bytes, recipe: dict, n: int, context: bytes = b""):
+        """``(Huffman pairs, smallest code)`` of an ``n``-code record, checked."""
+        pairs, side = parse_record(record, [(n,)], [n], True, "temporal_delta record",
+                                   recipe_context(recipe, _RECIPE, _WHAT) + context)
+        (min_code,) = side.take("<i8", 1).tolist()
+        side.done()
+        return pairs, min_code
 
     @staticmethod
     def lane_cells(lanes: np.ndarray, n: int) -> np.ndarray:
@@ -208,10 +207,7 @@ class TemporalDeltaCodec(Compressor):
         parsed = []
         for record, recipe, n, keep in zip(records, recipes, counts,
                                            lanes or [None] * len(records), strict=True):
-            pairs, side = parse_record(record, [(n,)], [n], True, "temporal_delta record",
-                                       recipe_context(recipe, _RECIPE, _WHAT))
-            (min_code,) = side.take("<i8", 1).tolist()
-            side.done()
+            pairs, min_code = TemporalDeltaCodec._parse(record, recipe, n)
             cut = None
             if keep is not None:
                 ((codec, encoded),) = pairs
@@ -230,34 +226,25 @@ class TemporalDeltaCodec(Compressor):
         return out
 
     # ------------------------------------------------------------------
-    # the generic Compressor surface (standalone/registry use: key mode)
+    # the single-array record (standalone/registry use: key mode)
     # ------------------------------------------------------------------
-    def compress_with_reconstruction(self, data: np.ndarray) -> Tuple[CompressedBuffer, np.ndarray]:
-        """A key record wrapped with its recipe and shape: a standalone buffer."""
-        data = np.asarray(data, dtype=np.float64)
-        eb = self._grid_eb(data)
+    def encode_record(self, data: np.ndarray, context: bytes = b"") -> Tuple[bytes, np.ndarray]:
+        """``(record, reconstruction)``: ``data`` as a key stream (the
+        checksum also covers ``context``)."""
+        data = self._as_input(data)
+        eb = self.resolve_eb(data)
         codes = self.quantize(data, eb)
-        recipe = self.recipe(eb)
-        record = self.pack(self.candidate(codes), recipe)
-        buffer = CompressedBuffer(
-            payload=pack_container(self.name, dict(recipe, shape=list(data.shape)),
-                                   {"record": record}),
-            original_shape=data.shape, original_dtype=str(data.dtype),
-            original_nbytes=data.nbytes, codec=self.name, meta={"mode": MODE_KEY})
-        return buffer, self.grid_values(codes, eb, self.offset).reshape(data.shape)
+        return (self.pack(self.candidate(codes), self.recipe(eb), context),
+                self.grid_values(codes, eb, self.offset).reshape(data.shape))
 
-    def decompress(self, buffer: CompressedBuffer | bytes) -> np.ndarray:
-        cont = unpack_container(self._payload_of(buffer), expect_codec=self.name)
-        shape = required(cont.meta, "shape", "temporal_delta meta", list)
-        if not all(isinstance(n, int) and n >= 0 for n in shape):
-            raise CorruptFileError("temporal_delta meta: shape is not a list of extents")
-        mode, eb, offset = self.grid_of(cont.meta)
-        if mode != MODE_KEY:
-            raise ValueError(_NEEDS_SERIES)
-        (codes,) = self.unpack_codes_many(
-            [required(cont.sections, "record", "temporal_delta payload")], [cont.meta],
-            [math.prod(shape)])
-        return self.grid_values(codes, eb, offset).reshape(shape)
+    def decode_record(self, record: bytes, shape: Tuple[int, ...],
+                      context: bytes = b"") -> np.ndarray:
+        """Invert :meth:`encode_record` on this decoder's grid."""
+        eb, n = self.error_bound.resolve(), math.prod(shape)
+        pairs, min_code = self._parse(record, self.recipe(eb), n, context)
+        (shifted,) = decode_huffman([pairs])[0]
+        return self.grid_values(shifted.astype(np.int64) + min_code, eb,
+                                self.offset).reshape(shape)
 
 
 # ----------------------------------------------------------------------

@@ -153,11 +153,9 @@ class AMRICLevelFilter(Filter):
             # the carried table is only valid within one SLE plan — chunks of
             # the same field with the same quantisation grid; a different
             # field (or bound) has a different symbol distribution
-            results = comp.compress_many_with_reconstruction(
+            out.extend(comp.compress_many_with_reconstruction(
                 [chunk_blocks for _, chunk_blocks in run], shared_encoding=cfg.use_sle,
-                value_range=scope[1], framed=False)
-            out.extend((buffer.payload, recons, buffer.meta["recipe"])
-                       for buffer, recons in results)
+                value_range=scope[1]))
         return out
 
     def _encode_packed(self, spec, plans, blocks):

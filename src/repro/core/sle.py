@@ -14,7 +14,7 @@ three ways to push them through SZ_L/R:
   Huffman table: best prediction but large encoding overhead (the dilemma SLE
   resolves).
 
-Each strategy returns the compressed buffer plus per-block reconstructions so
+Each strategy returns the standalone buffer plus per-block reconstructions so
 rate–distortion and error-slice comparisons (Figures 6, 7 and 9) can be
 produced without decoding.
 """
@@ -60,15 +60,21 @@ def _value_range(blocks: Sequence[np.ndarray]) -> float:
     return gmax - gmin
 
 
+def _standalone(compressor: SZLRCompressor, arrays: Sequence[np.ndarray], shared: bool,
+                value_range: float) -> Tuple[CompressedBuffer, List[np.ndarray]]:
+    """The standalone buffer of one chunk of ``arrays`` and their reconstructions."""
+    ((record, recons, recipe),) = compressor.compress_many_with_reconstruction(
+        [arrays], shared_encoding=shared, value_range=value_range)
+    return compressor.standalone(record, recipe, [r.shape for r in recons]), list(recons)
+
+
 def compress_blocks_sle(blocks: Sequence[np.ndarray], compressor: SZLRCompressor,
                         value_range: float | None = None) -> EncodedBlocks:
     """Unit SLE: per-block prediction, one shared Huffman table."""
     if not blocks:
         raise ValueError("need at least one block")
     value_range = value_range if value_range is not None else _value_range(blocks)
-    ((buffer, recons),) = compressor.compress_many_with_reconstruction(
-        [blocks], shared_encoding=True, value_range=value_range)
-    return EncodedBlocks("sle", buffer, list(recons))
+    return EncodedBlocks("sle", *_standalone(compressor, blocks, True, value_range))
 
 
 def compress_blocks_individual(blocks: Sequence[np.ndarray], compressor: SZLRCompressor,
@@ -77,9 +83,7 @@ def compress_blocks_individual(blocks: Sequence[np.ndarray], compressor: SZLRCom
     if not blocks:
         raise ValueError("need at least one block")
     value_range = value_range if value_range is not None else _value_range(blocks)
-    ((buffer, recons),) = compressor.compress_many_with_reconstruction(
-        [blocks], shared_encoding=False, value_range=value_range)
-    return EncodedBlocks("individual", buffer, list(recons))
+    return EncodedBlocks("individual", *_standalone(compressor, blocks, False, value_range))
 
 
 def compress_blocks_lm(blocks: Sequence[np.ndarray], compressor: SZLRCompressor,
@@ -100,8 +104,7 @@ def compress_blocks_lm(blocks: Sequence[np.ndarray], compressor: SZLRCompressor,
         pads = [(0, cross[d] - b.shape[d]) for d in range(ndim - 1)] + [(0, 0)]
         padded.append(np.pad(b, pads, mode="edge"))
     merged = np.concatenate(padded, axis=ndim - 1)
-    ((buffer, (recon,)),) = compressor.compress_many_with_reconstruction(
-        [[merged]], shared_encoding=True, value_range=value_range)
+    buffer, (recon,) = _standalone(compressor, [merged], True, value_range)
     out: List[np.ndarray] = []
     offset = 0
     for b in blocks:

@@ -192,8 +192,9 @@ class TestSZLRSpecifics:
     def test_compress_many_shared_roundtrip(self):
         arrays = [make_smooth((8, 8, 8), seed=s) for s in range(4)]
         comp = SZLRCompressor(1e-3)
-        ((buf, recons),) = comp.compress_many_with_reconstruction([arrays], shared_encoding=True)
-        decs = comp.decompress_many(buf)
+        ((record, recons, recipe),) = comp.compress_many_with_reconstruction(
+            [arrays], shared_encoding=True)
+        decs = comp.decompress_many(comp.standalone(record, recipe, [a.shape for a in arrays]))
         assert len(decs) == 4
         for r, d in zip(recons, decs):
             np.testing.assert_array_equal(r, d)
@@ -201,9 +202,9 @@ class TestSZLRSpecifics:
     def test_compress_many_individual_roundtrip(self):
         arrays = [make_smooth((8, 8, 8), seed=s) for s in range(3)]
         comp = SZLRCompressor(1e-3)
-        ((buf, recons),) = comp.compress_many_with_reconstruction([arrays],
-                                                                  shared_encoding=False)
-        decs = comp.decompress_many(buf)
+        ((record, recons, recipe),) = comp.compress_many_with_reconstruction(
+            [arrays], shared_encoding=False)
+        decs = comp.decompress_many(comp.standalone(record, recipe, [a.shape for a in arrays]))
         for r, d in zip(recons, decs):
             np.testing.assert_array_equal(r, d)
 
@@ -222,8 +223,8 @@ class TestSZLRSpecifics:
     def test_compress_many_error_bound_uses_global_range(self):
         arrays = [np.full((6, 6, 6), 0.0), np.full((6, 6, 6), 100.0)]
         comp = SZLRCompressor(1e-3)
-        ((buf, _),) = comp.compress_many_with_reconstruction([arrays])
-        assert buf.meta["abs_eb"] == pytest.approx(0.1)
+        ((_, _, recipe),) = comp.compress_many_with_reconstruction([arrays])
+        assert recipe["abs_eb"] == pytest.approx(0.1)
 
     def test_decompress_single_on_multi_buffer_raises(self):
         comp = SZLRCompressor(1e-3)
@@ -268,10 +269,12 @@ class TestSZ1DSpecifics:
         data = make_rough((16, 16, 16))
         comp = SZ1DCompressor(1e-3)
         whole = comp.compress(data)
-        buffers, recon = comp.compress_chunked(data, 512)
-        assert len(buffers) == int(np.ceil(data.size / 512))
-        assert np.max(np.abs(recon - data)) <= max(b.meta["abs_eb"] for b in buffers) * (1 + 1e-9)
-        chunked_total = sum(b.compressed_nbytes for b in buffers)
+        records, recon = comp.compress_chunked(data, 512)
+        assert len(records) == int(np.ceil(data.size / 512))
+        flat = data.reshape(-1)
+        bound = max(comp.resolve_eb(flat[i:i + 512]) for i in range(0, flat.size, 512))
+        assert np.max(np.abs(recon - data)) <= bound * (1 + 1e-9)
+        chunked_total = sum(len(record) for record in records)
         # the small-chunk penalty the paper describes: chunked is strictly larger
         assert chunked_total > whole.compressed_nbytes
 
@@ -288,18 +291,18 @@ class TestSZ1DSpecifics:
 
     @pytest.mark.parametrize("dropped", ["abs_eb", "radius", "shape", "dtype", "anchor",
                                          "outliers"])
-    def test_stream_missing_a_piece_names_it(self, dropped):
+    def test_record_missing_a_piece_names_it(self, dropped):
         """Every key and section the encoder writes is read through
-        ``required``: a stream that lost one is corrupt, never a KeyError or
+        ``required``: a record that lost one is corrupt, never a KeyError or
         a silent scalar decode."""
         comp = SZ1DCompressor(1e-3)
-        buf = comp.compress(make_smooth((6, 7, 8)))
-        cont = ctn.unpack_container(buf.payload)
+        record, _ = comp.encode_record(make_smooth((6, 7, 8)))
+        cont = ctn.unpack_container(record)
         cont.meta.pop(dropped, None)
         cont.sections.pop(dropped, None)
         damaged = ctn.pack_container(cont.codec, cont.meta, cont.sections)
         with pytest.raises(CorruptFileError, match=f"sz_1d .* is missing '{dropped}'"):
-            comp.decompress(damaged)
+            comp.decode_record(damaged, (6, 7, 8))
 
 
 @pytest.mark.parametrize("cls", ALL_COMPRESSORS)

@@ -18,7 +18,6 @@ from repro.compress.huffman import (
     _limit_lengths,
     decode,
     encode,
-    encoded_size_per_block,
     sync_offsets,
     sync_residuals,
 )
@@ -94,10 +93,6 @@ class TestBasics:
         with pytest.raises(KeyError):
             codec.encode(np.array([99], dtype=np.uint32))
 
-    def test_table_nbytes(self):
-        codec = HuffmanCodec.from_data(np.array([5, 6, 7, 7], dtype=np.uint32))
-        assert codec.table_nbytes == 3 * 5
-
     def test_expected_bits_matches_encode(self):
         rng = np.random.default_rng(2)
         data = rng.integers(0, 20, 500).astype(np.uint32)
@@ -112,21 +107,6 @@ class TestSharedTable:
         codec = HuffmanCodec.from_multiple([a, b])
         np.testing.assert_array_equal(codec.decode(codec.encode(a)), a)
         np.testing.assert_array_equal(codec.decode(codec.encode(b)), b)
-
-    def test_shared_table_cheaper_than_per_block_for_many_small_blocks(self):
-        """The size rationale behind SLE: one shared table beats many tables."""
-        rng = np.random.default_rng(3)
-        blocks = [rng.geometric(0.3, size=64).astype(np.uint32) for _ in range(100)]
-        shared = HuffmanCodec.from_multiple(blocks)
-        shared_total = shared.table_nbytes + sum(
-            (shared.expected_bits(b) + 7) // 8 for b in blocks)
-        per_block_total = encoded_size_per_block(blocks)
-        assert shared_total < per_block_total
-
-    def test_per_block_total_counts_tables(self):
-        blocks = [np.array([1, 2, 3], dtype=np.uint32)] * 4
-        total = encoded_size_per_block(blocks)
-        assert total >= 4 * 3 * 5  # at least the table bytes
 
 
 class TestAdversarial:

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.compress import container as ctn
 from repro.compress import regression
 from repro.compress import sz_lr
+from repro.compress.base import stored_dtype
 from repro.compress.sz_lr import SZLRCompressor
 from repro.errors import CorruptFileError
 
@@ -163,16 +164,22 @@ def _ref_encode_array(data, abs_eb, block_size, radius):
             trial_blocks)
 
 
-def _frame(comp, shapes, codes, side, counts, abs_eb, shared, dtype="float64", codec=None):
+def _frame(comp, shapes, codes, side, counts, abs_eb, shared, dtype="float64"):
     """A standalone buffer of the given streams: the compressor's own record
     of them, wrapped with its recipe and the shapes (as ``compress_many`` does)."""
     recipe = comp.recipe(abs_eb, dtype, shared)
-    record, _ = comp._serialize(shapes, codes, side, counts, recipe, codec=codec)
-    return ctn.pack_container(comp.name, dict(recipe, shapes=[list(shape) for shape in shapes]),
-                              {"record": record})
+    record, _ = comp._serialize(shapes, codes, side, counts, recipe)
+    return comp.standalone(record, recipe, shapes).payload
 
 
-def _ref_compress_many(comp, arrays, shared_encoding, value_range, codec):
+def _one_call(comp, arrays, **options):
+    """``compress_many`` with its reconstructions: one chunk's standalone
+    buffer and the reconstruction of each array."""
+    ((record, recons, recipe),) = comp.compress_many_with_reconstruction([arrays], **options)
+    return comp.standalone(record, recipe, [r.shape for r in recons]), recons
+
+
+def _ref_compress_many(comp, arrays, shared_encoding, value_range):
     """The reference's payload and reconstructions.  Only the predictor is
     the reference's: the record is written by the compressor's own
     ``_serialize`` from the per-array results put end to end."""
@@ -189,7 +196,7 @@ def _ref_compress_many(comp, arrays, shared_encoding, value_range, codec):
     counts = np.asarray([[len(e[1 + k]) for k in range(len(sz_lr._SIDE))] + [e[0].size]
                          for e in per_array], dtype=np.int64)
     payload = _frame(comp, [a.shape for a in arrays], [e[0] for e in per_array],
-                     side, counts, abs_eb, shared_encoding, input_dtype, codec=codec)
+                     side, counts, abs_eb, shared_encoding, input_dtype)
     return payload, [e[6] for e in per_array], abs_eb
 
 
@@ -321,7 +328,6 @@ def calls(draw):
         "radius": draw(st.sampled_from([4, 64, 32768])),
         "error_bound": draw(st.sampled_from([1e-2, 1e-3])),
         "shared": draw(st.booleans()),
-        "carried": draw(st.booleans()),
         "given_range": draw(st.booleans()),
     }
 
@@ -338,18 +344,11 @@ def test_batched_encoder_equals_per_array_reference(call):
     value_range = None
     if call["given_range"]:
         value_range = float(max(a.max() for a in arrays) - min(a.min() for a in arrays))
-    codec = None
-    if call["carried"]:
-        # a table from an earlier chunk: covers this call's symbols or not
-        earlier = _compressor(call)
-        earlier.compress_many([a + 0.01 for a in arrays], value_range=value_range)
-        codec = earlier.last_shared_codec
-
     comp = _compressor(call)
-    ((buffer, recons),) = comp.compress_many_with_reconstruction(
-        [arrays], shared_encoding=call["shared"], value_range=value_range, codec=codec)
+    buffer, recons = _one_call(comp, arrays, shared_encoding=call["shared"],
+                               value_range=value_range)
     ref_payload, ref_recons, abs_eb = _ref_compress_many(
-        _compressor(call), arrays, call["shared"], value_range, codec)
+        _compressor(call), arrays, call["shared"], value_range)
 
     assert buffer.payload == ref_payload
     decoded = comp.decompress_many(buffer)
@@ -365,7 +364,7 @@ def test_batched_encoder_equals_per_array_reference(call):
 @settings(max_examples=60, deadline=None)
 def test_reference_payloads_decode_through_the_batched_decoder(call):
     payload, ref_recons, _ = _ref_compress_many(
-        _compressor(call), call["arrays"], call["shared"], None, None)
+        _compressor(call), call["arrays"], call["shared"], None)
     decoded = _compressor(call).decompress_many(payload)
     for dec, ref_recon in zip(decoded, ref_recons):
         np.testing.assert_array_equal(dec, ref_recon)
@@ -388,7 +387,7 @@ def test_a_pooled_call_equals_the_reference(monkeypatch, block_size):
     real = regression.fit_and_predict
     monkeypatch.setattr(regression, "fit_and_predict",
                         lambda blocks, eb: fitted.append(blocks.shape[1:]) or real(blocks, eb))
-    ((buffer, recons),) = comp.compress_many_with_reconstruction([arrays], value_range=100.0)
+    buffer, recons = _one_call(comp, arrays, value_range=100.0)
     regions = [r.block_shape for shape in pool for r in sz_lr._region_plan(shape, sizes)[1]]
     assert len(regions) == 3 * len(set(regions))       # every block shape in all three
     assert len(fitted) == len(set(fitted)) and set(fitted) <= set(regions)
@@ -397,7 +396,7 @@ def test_a_pooled_call_equals_the_reference(monkeypatch, block_size):
     assert side["lorenzo_outliers"].size and side["regression_outliers"].size
     per_array = np.split(side["selection"], np.cumsum(counts[:, 0])[:-1])
     assert max(int(chosen.sum()) for chosen in per_array) >= 2
-    ref_payload, ref_recons, _ = _ref_compress_many(comp, arrays, True, 100.0, None)
+    ref_payload, ref_recons, _ = _ref_compress_many(comp, arrays, True, 100.0)
     assert buffer.payload == ref_payload
     assert _bits(recons) == _bits(ref_recons)
 
@@ -420,8 +419,8 @@ def test_unit_blocks_of_the_workload_equal_the_reference(monkeypatch, block_size
     real = regression.fit_and_predict
     monkeypatch.setattr(regression, "fit_and_predict",
                         lambda blocks, eb: fitted.append(blocks.shape[1:]) or real(blocks, eb))
-    ((buffer, recons),) = comp.compress_many_with_reconstruction([arrays], value_range=10.0)
-    ref_payload, ref_recons, abs_eb = _ref_compress_many(comp, arrays, True, 10.0, None)
+    buffer, recons = _one_call(comp, arrays, value_range=10.0)
+    ref_payload, ref_recons, abs_eb = _ref_compress_many(comp, arrays, True, 10.0)
     assert buffer.payload == ref_payload
     assert _bits(recons) == _bits(ref_recons)
     # one fit per block shape, and every block shape has a tried region
@@ -441,8 +440,8 @@ def test_regression_outliers_are_stored_alike():
     comp = SZLRCompressor(1e-3, block_size=6, radius=64)
     _, side, _, _ = comp._encode_batch(arrays, comp.error_bound.resolve(value_range=100.0))
     assert side["regression_outliers"].size > 0
-    ((buffer, recons),) = comp.compress_many_with_reconstruction([arrays], value_range=100.0)
-    ref_payload, ref_recons, _ = _ref_compress_many(comp, arrays, True, 100.0, None)
+    buffer, recons = _one_call(comp, arrays, value_range=100.0)
+    ref_payload, ref_recons, _ = _ref_compress_many(comp, arrays, True, 100.0)
     assert buffer.payload == ref_payload
     for recon, ref_recon, dec in zip(recons, ref_recons, comp.decompress_many(buffer)):
         np.testing.assert_array_equal(recon, ref_recon)
@@ -455,22 +454,26 @@ def test_grouping_does_not_change_an_arrays_streams():
     arrays = [_field(kind, (13, 9, 6), rng) for kind in KINDS * 2]
     vrange = float(max(a.max() for a in arrays) - min(a.min() for a in arrays))
     comp = SZLRCompressor(1e-3, block_size=4, radius=64)
-    ((_, together),) = comp.compress_many_with_reconstruction([arrays], value_range=vrange)
+    ((_, together, _),) = comp.compress_many_with_reconstruction([arrays], value_range=vrange)
     for array, recon in zip(arrays, together):
-        ((_, alone),) = comp.compress_many_with_reconstruction([[array]], value_range=vrange)
+        ((_, alone, _),) = comp.compress_many_with_reconstruction([[array]], value_range=vrange)
         np.testing.assert_array_equal(alone[0], recon)
 
 
-def _successive_calls(comp, chunks, shared_encoding, value_range, codec):
-    """The reference for a batch of chunks: one call per chunk, the table of
-    each carried to the next (what the filter did before the batch door)."""
-    out = []
+def _successive_calls(comp, chunks, shared_encoding, value_range):
+    """The reference for a batch of chunks: each chunk predicted on its own and
+    serialised with the table of the chunk before it handed in (what the
+    filter's one call per chunk did before the batch door)."""
+    abs_eb = comp.error_bound.resolve(value_range=value_range)
+    out, codec = [], None
     for arrays in chunks:
-        out.append(comp.compress_many_with_reconstruction(
-            [arrays], shared_encoding=shared_encoding, value_range=value_range,
-            codec=codec)[0])
-        codec = comp.last_shared_codec
-    return out, codec
+        codes, side, counts, recons = comp._encode_batch(
+            [np.asarray(a, dtype=np.float64) for a in arrays], abs_eb)
+        recipe = comp.recipe(abs_eb, stored_dtype(arrays[0]), shared_encoding)
+        record, codec = comp._serialize([a.shape for a in arrays], codes, side, counts,
+                                        recipe, codec=codec)
+        out.append((record, recons, recipe))
+    return out
 
 
 @given(calls(), st.data())
@@ -481,30 +484,16 @@ def test_a_batch_of_chunks_equals_one_call_per_chunk(call, data):
                   if len(arrays) > 1 else [])
     chunks = [arrays[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(arrays)])]
     value_range = float(max(a.max() for a in arrays) - min(a.min() for a in arrays))
-    codec = None
-    if call["carried"]:
-        earlier = _compressor(call)
-        earlier.compress_many([a + 0.01 for a in arrays[:2]], value_range=value_range)
-        codec = earlier.last_shared_codec
-
     comp = _compressor(call)
     together = comp.compress_many_with_reconstruction(
         chunks, shared_encoding=call["shared"],
-        value_range=None if call["given_range"] else value_range, codec=codec)
-    reference = _compressor(call)
-    one_by_one, last = _successive_calls(reference, chunks, call["shared"], value_range, codec)
+        value_range=None if call["given_range"] else value_range)
+    one_by_one = _successive_calls(_compressor(call), chunks, call["shared"], value_range)
     assert len(together) == len(chunks)
-    for (buffer, recons), (ref_buffer, ref_recons) in zip(together, one_by_one):
-        assert buffer.payload == ref_buffer.payload
-        assert buffer.meta == ref_buffer.meta
-        assert (buffer.original_shape, buffer.original_nbytes) == \
-            (ref_buffer.original_shape, ref_buffer.original_nbytes)
+    for (record, recons, recipe), (ref_record, ref_recons, ref_recipe) in zip(together,
+                                                                            one_by_one):
+        assert record == ref_record and recipe == ref_recipe
         assert _bits(recons) == _bits(ref_recons)
-    assert _table(comp.last_shared_codec) == _table(last)
-
-
-def _table(codec):
-    return None if codec is None else (codec.symbols.tobytes(), codec.lengths.tobytes())
 
 
 def test_the_carried_table_is_rebuilt_mid_batch_and_carried_on(monkeypatch):
@@ -524,10 +513,10 @@ def test_the_carried_table_is_rebuilt_mid_batch_and_carried_on(monkeypatch):
     together = comp.compress_many_with_reconstruction(chunks, value_range=100.0)
     assert len(built) == 2                      # chunk 0 builds, chunk 1 rebuilds, 2 reuses
     del built[:]
-    one_by_one, _ = _successive_calls(SZLRCompressor(1e-3, block_size=6, radius=64),
-                                      chunks, True, 100.0, None)
+    one_by_one = _successive_calls(SZLRCompressor(1e-3, block_size=6, radius=64),
+                                   chunks, True, 100.0)
     assert len(built) == 2
-    assert [b.payload for b, _ in together] == [b.payload for b, _ in one_by_one]
+    assert [r for r, _, _ in together] == [r for r, _, _ in one_by_one]
 
 
 def test_a_flat_list_of_arrays_is_not_a_list_of_chunks():
@@ -554,9 +543,9 @@ def test_a_chunk_of_mixed_dtypes_is_refused_before_anything_is_encoded(monkeypat
         comp.compress_many_with_reconstruction([[a64], [a32, a64]])
     assert encoded == []
     # chunks of one dtype each may differ from one another
-    for (buffer, _), array in zip(comp.compress_many_with_reconstruction([[a32], [a64]]),
-                                  [a32, a64]):
-        (decoded,) = comp.decompress_many(buffer)
+    for (record, _, recipe), array in zip(
+            comp.compress_many_with_reconstruction([[a32], [a64]]), [a32, a64]):
+        (decoded,) = comp.decompress_many(comp.standalone(record, recipe, [array.shape]))
         assert decoded.dtype == array.dtype
         assert np.max(np.abs(decoded - array)) <= 2e-9
 
@@ -565,9 +554,24 @@ def test_a_chunk_of_mixed_dtypes_is_refused_before_anything_is_encoded(monkeypat
 # ----------------------------------------------------------------------
 # the whole-chunk decoder against the per-region reference
 # ----------------------------------------------------------------------
+def _unwrapped(payload):
+    """``(recipe, shapes, record)`` of a standalone buffer."""
+    cont = ctn.unpack_container(payload)
+    return cont.meta, [tuple(shape) for shape in cont.meta["shapes"]], cont.sections["record"]
+
+
+def _decode_job(comp, payloads, select=None):
+    """``decode_records`` over the records of standalone buffers of one
+    recipe, each array cast to the recipe's dtype (as ``decompress_many``)."""
+    recipe, shapes, records = zip(*map(_unwrapped, payloads))
+    assert all(dict(r, shapes=None) == dict(recipe[0], shapes=None) for r in recipe)
+    for arrays in comp.decode_records(records, shapes, recipe[0], select):
+        yield [a.astype(recipe[0]["dtype"]) for a in arrays]
+
+
 def _deserialize(comp, payload):
     """``(meta, codes per array, side streams, counts)``: parse, then the entropy pass."""
-    recipe, shapes, record = comp._unwrap(payload)
+    recipe, shapes, record = _unwrapped(payload)
     shapes, pairs, side, counts = comp._parse(record, shapes, recipe)
     return dict(recipe, shapes=shapes), ctn.decode_huffman([pairs])[0], side, counts
 
@@ -733,18 +737,14 @@ def _unit_block_chunk(per_shape, rng):
 
 
 @pytest.mark.parametrize("per_shape", [2, 4])
-def test_one_reconstruction_pass_per_run_and_one_plan_per_shape(monkeypatch, per_shape):
-    """A ``decompress_batch`` call reconstructs each run of buffers under one
-    ``(abs_eb, dtype)`` in one ``_decode_batch``, which takes one pass (one
-    flat plan) per distinct shape of the run — however many buffers share it."""
+def test_one_reconstruction_pass_per_job_and_one_plan_per_shape(monkeypatch, per_shape):
+    """A ``decode_records`` call reconstructs its job's records in one
+    ``_decode_batch``, which takes one pass (one flat plan) per distinct
+    shape of the job — however many records share it."""
     rng = np.random.default_rng(4)
-    tight, loose = (SZLRCompressor(eb, mode="abs", block_size=6, radius=64)
-                    for eb in (1e-3, 1e-2))
+    tight = SZLRCompressor(1e-3, mode="abs", block_size=6, radius=64)
     arrays = _unit_block_chunk(per_shape, rng)
-    buffers = [tight.compress_many(arrays[k::3]) for k in range(3)]       # one run
-    buffers.append(loose.compress_many([arrays[0], arrays[8]]))         # another bound
-    buffers.append(loose.compress_many([a.astype(np.float32) for a in arrays[1:3]]))
-    runs = [arrays, [arrays[0], arrays[8]], arrays[1:3]]
+    buffers = [tight.compress_many(arrays[k::3]) for k in range(3)]
     assert 0 < sum(_deserialize(tight, b.payload)[2]["selection"].sum() for b in buffers[:3])
 
     passes, plans = [], []
@@ -759,8 +759,8 @@ def test_one_reconstruction_pass_per_run_and_one_plan_per_shape(monkeypatch, per
     monkeypatch.setattr(sz_lr, "_flat_plan", lambda shape, bs: plans.append(shape)
                         or real_plan(shape, bs))
     monkeypatch.setattr(SZLRCompressor, "_decode_batch", decode)
-    together = list(tight.decompress_batch(buffers))
-    assert passes == [(len(run), sorted({a.shape for a in run})) for run in runs]
+    together = list(_decode_job(tight, [b.payload for b in buffers]))
+    assert passes == [(len(arrays), sorted({a.shape for a in arrays}))]
     monkeypatch.undo()
     for buffer, got in zip(buffers, together, strict=True):
         assert _bits(got) == _bits(tight.decompress_many(buffer))
@@ -821,7 +821,7 @@ def test_regions_under_the_floor_are_not_fitted(monkeypatch, kind):
     comp = SZLRCompressor(1e-3, block_size=6, radius=64)
     fitted = _fitted_blocks(monkeypatch)
     buffer = comp.compress_many(arrays, value_range=10.0)
-    payload, _, abs_eb = _ref_compress_many(comp, arrays, True, 10.0, None)
+    payload, _, abs_eb = _ref_compress_many(comp, arrays, True, 10.0)
     assert buffer.payload == payload
     tried = sum(_ref_encode_array(a, abs_eb, (6, 6, 6), 64)[7] for a in arrays)
     assert sum(fitted) == tried
@@ -863,7 +863,7 @@ def test_a_row_exactly_on_the_floor_is_lorenzo_and_never_fitted(monkeypatch):
     selection = side["selection"].tolist()
     assert selection[2] == 1 and selection[0] == selection[3] == selection[4] == 0
     buffer = comp.compress_many(arrays)
-    payload, _, _ = _ref_compress_many(comp, arrays, True, None, None)
+    payload, _, _ = _ref_compress_many(comp, arrays, True, None)
     assert buffer.payload == payload
     assert [e[7] for e in (_ref_encode_array(a, abs_eb, (6, 6, 6), 64) for a in arrays)] == \
         [0, 1, 1, 0, 0]
@@ -1152,8 +1152,6 @@ def test_payload_without_its_record_is_corrupt(shared):
     assert len(comp.decompress_many(payload)) == len(shapes)
     with pytest.raises(CorruptFileError, match="record"):
         comp.decompress_many(_without(payload, section="record"))
-    with pytest.raises(CorruptFileError, match="record"):          # and inside a batch
-        list(comp.decompress_batch([payload, _without(payload, section="record")]))
 
 
 @pytest.mark.parametrize("key", ["shared", "shapes", "abs_eb", "dtype", "block_size",
@@ -1191,41 +1189,41 @@ def test_a_record_read_against_other_shapes_fails_its_checksum():
         comp.decompress_many(ctn.pack_container(cont.codec, meta, cont.sections))
 
 
-def test_decompress_batch_equals_decompress_many_one_at_a_time():
+def test_decode_records_equals_decompress_many_one_at_a_time():
     rng = np.random.default_rng(9)
-    comp = SZLRCompressor(1e-3, block_size=6)
-    buffers = [comp.compress_many([_field(kind, shape, rng) for shape in shapes],
-                                  shared_encoding=shared)
-               for kind, shapes, shared in (("noisy", [(16, 8, 13)] * 3, True),
-                                            ("smooth", [(8, 8, 8), (5, 4, 3)], False),
-                                            ("spiked_plane", [(16, 16, 16)], True))]
-    together = list(comp.decompress_batch(buffers))
-    assert list(comp.decompress_batch([])) == []
-    for buffer, arrays in zip(buffers, together):
+    comp = SZLRCompressor(1e-3, mode="abs", block_size=6)
+    buffers = [comp.compress_many([_field(kind, shape, rng) for shape in shapes])
+               for kind, shapes in (("noisy", [(16, 8, 13)] * 3),
+                                    ("smooth", [(8, 8, 8), (5, 4, 3)]),
+                                    ("spiked_plane", [(16, 16, 16)]))]
+    together = list(_decode_job(comp, [b.payload for b in buffers]))
+    assert list(comp.decode_records([], [], comp.recipe(1e-3))) == []
+    for buffer, arrays in zip(buffers, together, strict=True):
         assert _bits(arrays) == _bits(comp.decompress_many(buffer))
 
 
 @st.composite
 def decode_jobs(draw):
-    """A decode job of 1-4 buffers for one decoder: each buffer's unit blocks
-    compressed under one of two absolute bounds, as float32 or float64, with
-    SLE on or off, and wanted whole or by an ascending selection."""
+    """A decode job of 1-4 buffers under one recipe (bound, dtype, SLE on or
+    off): each buffer's unit blocks wanted whole or by an ascending selection."""
     block_size = draw(st.sampled_from([4, 6]))
     radius = draw(st.sampled_from([64, 32768]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shared = draw(st.booleans())
+    comp = SZLRCompressor(draw(st.sampled_from([1e-3, 1e-2])), mode="abs",
+                          block_size=block_size, radius=radius)
     buffers, selects = [], []
     for _ in range(draw(st.integers(1, 4))):
         shapes = draw(st.lists(st.tuples(*[st.sampled_from([16, 8, 5])] * 3),
                                min_size=1, max_size=5))
         kinds = draw(st.lists(st.sampled_from(["noisy", "outliers", "smooth", "rough_plane"]),
                               min_size=len(shapes), max_size=len(shapes)))
-        dtype = draw(st.sampled_from([np.float32, np.float64]))
-        comp = SZLRCompressor(draw(st.sampled_from([1e-3, 1e-2])), mode="abs",
-                              block_size=block_size, radius=radius)
         arrays = [_field(kind, shape, rng).astype(dtype) for kind, shape in zip(kinds, shapes)]
-        buffers.append(comp.compress_many(arrays, shared_encoding=draw(st.booleans())))
+        buffers.append(comp.compress_many(arrays, shared_encoding=shared).payload)
         selects.append(draw(st.one_of(st.none(), st.sets(st.integers(0, len(shapes) - 1),
                                                           min_size=1).map(sorted))))
+    # the decoder: the job's block size and radius, its bound from the recipe
     return SZLRCompressor(1e-3, block_size=block_size, radius=radius), buffers, selects
 
 
@@ -1233,28 +1231,18 @@ def decode_jobs(draw):
 @settings(max_examples=60, deadline=None)
 def test_a_job_decodes_as_its_buffers_do_one_at_a_time(job):
     comp, buffers, selects = job
-    together = list(comp.decompress_batch(buffers, selects))
-    alone = [next(comp.decompress_batch([b], [s])) for b, s in zip(buffers, selects)]
+    together = list(_decode_job(comp, buffers, selects))
+    alone = [next(_decode_job(comp, [b], [s])) for b, s in zip(buffers, selects)]
     assert len(together) == len(alone) == len(buffers)
     for got, want in zip(together, alone):
         assert _bits(got) == _bits(want)
         assert [(a.dtype, a.shape) for a in got] == [(a.dtype, a.shape) for a in want]
     if all(select is None for select in selects):
-        assert [_bits(got) for got in comp.decompress_batch(buffers)] == \
-            [_bits(want) for want in alone]
+        assert [_bits(got) for got in _decode_job(comp, buffers)] == \
+            [_bits(comp.decompress_many(b)) for b in buffers]
 
 
-def test_buffers_of_another_dimension_are_a_run_of_their_own():
-    rng = np.random.default_rng(6)
-    comp = SZLRCompressor(1e-3, mode="abs", block_size=4)
-    flat = comp.compress_many([_field("noisy", (12, 9), rng)])
-    cube = comp.compress_many([_field("noisy", (8, 8, 8), rng)])
-    together = list(comp.decompress_batch([flat, cube, flat]))
-    assert [_bits(got) for got in together] == \
-        [_bits(comp.decompress_many(b)) for b in (flat, cube, flat)]
-
-
-def test_a_damaged_buffer_mid_job_fails_the_call_and_its_run_yields_nothing():
+def test_a_damaged_record_mid_job_fails_the_call_before_anything_is_yielded():
     comp, shapes, codes, side, counts, abs_eb = _honest_parts()
     good = _frame(comp, shapes, codes, side, counts, abs_eb, True)
     # outlier counts moved between two arrays (same totals): the parse passes,
@@ -1264,13 +1252,7 @@ def test_a_damaged_buffer_mid_job_fails_the_call_and_its_run_yields_nothing():
     lying[has, 2] -= 1
     lying[(has + 1) % len(shapes), 2] += 1
     bad = _frame(comp, shapes, codes, side, lying, abs_eb, True)
-    job = comp.decompress_batch([good, bad, good])
-    with pytest.raises(CorruptFileError, match="counts disagree"):
-        next(job)
-    # under another bound the first buffer is a run of its own, and is out first
-    other = _frame(comp, shapes, codes, side, counts, 2 * abs_eb, False, "float32")
-    job = comp.decompress_batch([other, bad, good])
-    assert _bits(next(job)) == _bits(comp.decompress_many(other))
+    job = _decode_job(comp, [good, bad, good])
     with pytest.raises(CorruptFileError, match="counts disagree"):
         next(job)
 
@@ -1281,20 +1263,20 @@ def test_a_damaged_buffer_mid_job_fails_the_call_and_its_run_yields_nothing():
 @st.composite
 def unit_block_chunks(draw):
     """A job's chunks as AMRIC hands them over — unit blocks of 16/8 cells per
-    axis, compressed under one recipe — each with a non-empty ascending
+    axis, compressed under one recipe (one dtype, SLE on or off) — each with a non-empty ascending
     selection of its blocks (or ``None``: all)."""
-    comp = SZLRCompressor(1e-3, block_size=draw(st.sampled_from([4, 6])),
+    comp = SZLRCompressor(1e-3, mode="abs", block_size=draw(st.sampled_from([4, 6])),
                           radius=draw(st.sampled_from([64, 32768])))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     chunks = []
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shared = draw(st.booleans())
     for _ in range(draw(st.integers(1, 3))):
         shapes = draw(st.lists(st.tuples(*[st.sampled_from([16, 8])] * 3),
                                min_size=1, max_size=6))
         kinds = draw(st.lists(st.sampled_from(["noisy", "outliers", "constant", "rough_plane"]),
                               min_size=len(shapes), max_size=len(shapes)))
-        dtype = draw(st.sampled_from([np.float32, np.float64]))
         arrays = [_field(kind, shape, rng).astype(dtype) for kind, shape in zip(kinds, shapes)]
-        shared = draw(st.booleans())
         if shared and draw(st.booleans()) and max(map(math.prod, shapes)) <= 1024:
             # read without sync offsets: the streams take the scalar loop
             payload = _sync_less(comp, arrays)
@@ -1316,14 +1298,14 @@ def test_selected_arrays_equal_the_same_entries_of_the_full_decode(job):
 
 
 def _selected_equal_full(comp, payloads, selects):
-    together = list(comp.decompress_batch(payloads, selects))
+    together = list(_decode_job(comp, payloads, selects))
     for payload, select, got in zip(payloads, selects, together, strict=True):
         full = comp.decompress_many(payload)
         want = full if select is None else [full[index] for index in select]
         assert _bits(got) == _bits(want)
         assert [(a.dtype, a.shape) for a in got] == [(a.dtype, a.shape) for a in want]
         if select is not None:                  # ... and alone, as in the batch
-            assert _bits(next(comp.decompress_batch([payload], [select]))) == _bits(want)
+            assert _bits(next(_decode_job(comp, [payload], [select]))) == _bits(want)
 
 
 #: records read as hand-built streams, without their sync offsets
@@ -1360,16 +1342,16 @@ def test_a_sync_less_payload_is_selected_on_the_scalar_loop(monkeypatch):
     monkeypatch.setattr(HuffmanCodec, "_decode_scalar",
                         lambda self, payload, nbits, n: scalar.append(n) or
                         loop(self, payload, nbits, n))
-    (got,) = comp.decompress_batch([payload], [[1, 3]])
+    (got,) = _decode_job(comp, [payload], [[1, 3]])
     assert scalar == [512, 512]
     assert _bits(got) == _bits([full[1], full[3]])
 
 
-def test_a_selection_per_buffer_or_none_at_all():
+def test_a_selection_per_record_or_none_at_all():
     comp, shapes, codes, side, counts, abs_eb = _honest_parts()
     payload = _frame(comp, shapes, codes, side, counts, abs_eb, True)
     with pytest.raises(ValueError):
-        list(comp.decompress_batch([payload, payload], [[0]]))
+        list(_decode_job(comp, [payload, payload], [[0]]))
 
 
 def test_selection_decodes_only_the_selected_streams(monkeypatch):
@@ -1383,7 +1365,7 @@ def test_selection_decodes_only_the_selected_streams(monkeypatch):
     for shared in (True, False):
         payload = _frame(comp, shapes, codes, side, counts, abs_eb, shared)
         del seen[:]
-        (got,) = comp.decompress_batch([payload], [[1, 4]])
+        (got,) = _decode_job(comp, [payload], [[1, 4]])
         assert seen == [math.prod(shapes[1]) + math.prod(shapes[4])]
         assert [a.shape for a in got] == [shapes[1], shapes[4]]
 
@@ -1395,7 +1377,7 @@ def _refused_before_any_decode(monkeypatch, comp, payload, select, match):
     monkeypatch.setattr(SZLRCompressor, "_decode_batch",
                         lambda *a, **k: reached.append("reconstruct"))
     with pytest.raises(ValueError, match=match):
-        list(comp.decompress_batch([payload], [select]))
+        list(_decode_job(comp, [payload], [select]))
     assert reached == []
 
 

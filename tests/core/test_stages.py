@@ -80,10 +80,11 @@ class TestPackEncodeStages:
 
 
 def _per_chunk_reference(job):
-    """The encode stage without the filter: one codec call per chunk.  A
-    multi-array codec gets each chunk's unit blocks, handed the table the
-    previous chunk left (``last_shared_codec``) while the (field, value
-    range) scope holds; a single-array codec the chunk's packed arrangement."""
+    """The encode stage without the filter: one codec pass per chunk.  A
+    multi-array codec predicts each chunk's unit blocks on their own and
+    serialises them with the table the previous chunk left while the (field,
+    value range) scope holds; a single-array codec gets the chunk's packed
+    arrangement."""
     from repro.compress.registry import resolve_codec
     from repro.core.adaptive import select_sz_block_size
     from repro.core.filter_mod import _packed_context
@@ -102,11 +103,11 @@ def _per_chunk_reference(job):
         if spec.supports_many:
             if scope != (plan.field, plan.value_range):
                 codec, scope = None, (plan.field, plan.value_range)
-            ((buffer, recons),) = many.compress_many_with_reconstruction(
-                [blocks], shared_encoding=cfg.use_sle, value_range=plan.value_range,
-                codec=codec, framed=False)
-            codec = many.last_shared_codec
-            payload, recipe = buffer.payload, buffer.meta["recipe"]
+            abs_eb = many.error_bound.resolve(value_range=plan.value_range)
+            codes, side, counts, recons = many._encode_batch(blocks, abs_eb)
+            recipe = many.recipe(abs_eb, "float64", cfg.use_sle)
+            payload, codec = many._serialize([b.shape for b in blocks], codes, side, counts,
+                                             recipe, codec=codec)
         else:
             arrangement = arrange_blocks(plan.block_shapes, plan.block_positions,
                                          cfg.interp_arrangement)

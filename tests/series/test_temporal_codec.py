@@ -8,7 +8,7 @@ import pytest
 
 from repro.compress.container import pack_container, unpack_container
 from repro.compress.errorbound import ErrorBound
-from repro.compress.huffman import SYNC_INTERVAL, HuffmanCodec
+from repro.compress.huffman import MAX_CODE_LEN, SYNC_INTERVAL, HuffmanCodec
 from repro.compress.registry import available_codecs, create_codec
 from repro.compress.temporal import MODE_DELTA, MODE_KEY, TemporalDeltaCodec, TemporalDeltaFilter
 from repro.errors import CorruptFileError
@@ -80,7 +80,7 @@ class TestKeyStreams:
         assert np.array_equal(codec.decompress(buffer.payload), recon)
         assert buffer.compression_ratio > 2
         cont = unpack_container(buffer.payload)
-        assert set(cont.sections) == {"record"} and cont.meta["shape"] == [64, 64]
+        assert set(cont.sections) == {"record"} and cont.meta["shapes"] == [[64, 64]]
 
     def test_constant_field(self, codec):
         record, recipe, codes = _record(codec, np.full(100, 3.0))
@@ -116,6 +116,26 @@ class TestDecodePath:
         assert lanes.call_count == 0 and scalar.call_count == 0
 
 
+class TestWideAlphabet:
+    def test_codes_past_16_bits_decode_whole_and_by_lane(self, codec):
+        """Above 65,536 distinct codes ``_limit_lengths`` widens the table past
+        16 bits: the record has no lane layout, so the scalar loop decodes it
+        whole and the wanted lanes are cut from it (no mock in the way)."""
+        n = 70_000
+        codes = np.random.default_rng(5).permutation(n).astype(np.int64)
+        record, recipe, written = _record(codec, TemporalDeltaCodec.grid_values(
+            codes, EB, codec.offset))
+        assert np.array_equal(written, codes)
+        assert int(codec.candidate(written).table.lengths.max()) > MAX_CODE_LEN
+        lanes = np.asarray([0, 5, n // SYNC_INTERVAL])               # the last one short
+        with TestDecodePath._counted("_decode_scalar") as scalar:
+            whole = _codes(record, recipe, n)
+            some = _codes(record, recipe, n, [lanes])
+        assert scalar.call_count == 2
+        assert np.array_equal(whole, codes)
+        assert np.array_equal(some, codes[TemporalDeltaCodec.lane_cells(lanes, n)])
+
+
 class TestDeltaStreams:
     def test_reconstruction_identical_to_key(self, codec, data):
         """A delta record resolved onto its reference is the key encoding of
@@ -147,10 +167,11 @@ class TestDeltaStreams:
                                                       [[0]], None, [data.size])
         buffer, _ = codec.compress_with_reconstruction(data)
         cont = unpack_container(buffer.payload)
-        # a buffer can only hold a key record; one relabelled delta fails like a delta
+        # a buffer can only hold a key record, whose checksum covers its
+        # recipe: one relabelled delta is a damaged buffer
         relabelled = pack_container(cont.codec, dict(cont.meta, stream=MODE_DELTA),
                                     cont.sections)
-        with pytest.raises(ValueError, match="open_series"):
+        with pytest.raises(CorruptFileError, match="checksum"):
             codec.decompress(relabelled)
 
     def test_mismatched_reference_sizes(self, codec, data):
@@ -178,7 +199,7 @@ class TestCorruptStreams:
         with pytest.raises(ValueError):
             codec.decompress(b"not a container at all")
 
-    @pytest.mark.parametrize("dropped", ["stream", "abs_eb", "offset", "shape", "record"])
+    @pytest.mark.parametrize("dropped", ["stream", "abs_eb", "offset", "shapes", "record"])
     def test_a_buffer_missing_a_piece_names_it(self, codec, data, dropped):
         buffer, _ = codec.compress_with_reconstruction(data)
         cont = unpack_container(buffer.payload)
