@@ -35,9 +35,14 @@ __all__ = ["NoCompressionWriter"]
 
 
 class NoCompressionWriter:
-    """Writes the full hierarchy without compression (and without redundancy removal)."""
+    """Writes the full hierarchy without compression (and without redundancy
+    removal), under the bound its values already carry: 0.0 for raw data, a
+    decompressed copy its source's (so it verifies as its source does)."""
 
     method_name = "nocomp"
+
+    def __init__(self, error_bound: float = 0.0, error_bound_mode: str = "rel"):
+        self.error_bound, self.error_bound_mode = float(error_bound), str(error_bound_mode)
 
     def write_plotfile(self, hierarchy: AmrHierarchy, path: Optional[str] = None) -> WriteReport:
         start = time.perf_counter()
@@ -57,7 +62,8 @@ class NoCompressionWriter:
                 # them back without the producing hierarchy
                 h5file.header = build_header(
                     hierarchy, method=self.method_name, codec="none",
-                    error_bound=0.0, unit_block_size=10 ** 6,
+                    error_bound=self.error_bound, error_bound_mode=self.error_bound_mode,
+                    unit_block_size=10 ** 6,
                     remove_redundancy=False).to_json()
             for level_index, (level, layout) in enumerate(zip(hierarchy.levels, layouts)):
                 if not layout.nblocks:

@@ -16,7 +16,8 @@ them apart):
     (``--input other.h5z``).
 ``decompress IN OUT``
     Fully reconstruct a plotfile and rewrite it uncompressed (method
-    "nocomp"), itself self-describing and re-openable.
+    "nocomp"), itself self-describing and re-openable; its header keeps the
+    source's error bound, which its values still carry.
 ``verify PATH``
     Scan + decode every chunk of a plotfile and check the reconstruction is
     structurally sound; with ``--against RAW`` also check the decoded data
@@ -310,7 +311,8 @@ def _cmd_decompress(args) -> int:
             hierarchy, _ = _box_major_read(handle)
         else:
             hierarchy = handle.read()
-    report = repro.write(hierarchy, args.out, method="nocomp")
+    report = repro.write(hierarchy, args.out, method="nocomp", error_bound=handle.error_bound,
+                         error_bound_mode=handle.header.error_bound_mode)
     print(f"decompressed {args.input} -> {args.out}: "
           f"{report.raw_bytes} bytes over {report.ndatasets} datasets")
     return 0

@@ -19,6 +19,7 @@ __all__ = ["CompressedBuffer", "Compressor", "DEFAULT_RADIUS", "is_float",
 #: interval table): a prediction error quantises to ``round(err / (2*eb))``,
 #: stored shifted by the radius so codes are non-negative, with code 0
 #: reserved for an unpredictable value (``|code| >= radius``) kept verbatim.
+#: Also the largest radius: its ``2 * radius`` codes fill a 16-bit Huffman table.
 DEFAULT_RADIUS = 32768
 
 

@@ -268,6 +268,9 @@ class SideReader:
         self._at += count * dtype.itemsize
         return np.frombuffer(self._raw, dtype, count, self._at - count * dtype.itemsize)
 
+    def more(self) -> bool:
+        return self._at < len(self._raw)
+
     def done(self) -> None:
         if self._at != len(self._raw):
             raise CorruptFileError(f"{self.what}: bytes past its side streams")

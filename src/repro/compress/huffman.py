@@ -40,19 +40,19 @@ Both directions are fully vectorized (DESIGN.md §2):
   ``SYNC_INTERVAL`` Python-level steps are paid once per decode job, not once
   per container or stream.  Code lengths are limited to ``MAX_CODE_LEN`` (16)
   by the Kraft repair in :func:`_limit_lengths`, which keeps a table's LUT at
-  most 2**16 entries.
+  most 2**16 entries; an alphabet of more than 2**16 symbols has no such
+  table and is refused, so every table has a lane layout.
 
-Streams without sync offsets (hand-built :class:`HuffmanEncoded` objects, or
-tables whose code lengths exceed the LUT width) fall back to an exact
-table-driven scalar loop with identical error behaviour: a
-:class:`~repro.errors.CorruptFileError` on truncated streams and on bit
+There is one decoder.  A stream without well-formed sync offsets, or a table
+with a code longer than ``MAX_CODE_LEN``, is a
+:class:`~repro.errors.CorruptFileError`, as are truncated streams and bit
 patterns that match no code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,15 +61,12 @@ from repro.errors import CorruptFileError
 __all__ = ["HuffmanCodec", "encode", "decode", "decode_many", "HuffmanEncoded",
            "MAX_CODE_LEN", "SYNC_INTERVAL", "sync_residuals", "sync_offsets"]
 
-#: default code-length limit — keeps the decode LUT at 2**16 entries
+#: the code-length limit of every table — keeps the decode LUT at 2**16 entries
 MAX_CODE_LEN = 16
 
 #: symbols per decoder lane; encode records one sync offset per interval.  A
 #: format constant (plotfile format v3): the stored offsets imply it
 SYNC_INTERVAL = 64
-
-#: the longest codeword the vectorized encoder can pack (two 32-bit words)
-_ENCODE_MAX_LEN = 32
 
 #: a lane pass whose payloads join to at most this many bytes peeks through a
 #: per-bit LUT index (4 numpy calls a step); larger ones through the byte window.
@@ -89,8 +86,8 @@ class HuffmanEncoded:
     nsymbols: int                #: number of encoded symbols
     table_symbols: np.ndarray    #: the distinct symbol values (uint32)
     table_lengths: np.ndarray    #: canonical code length per distinct symbol (uint8)
-    #: bit offset of every SYNC_INTERVAL-th symbol (enables parallel decode);
-    #: optional — streams without it decode through the scalar fallback
+    #: bit offset of every SYNC_INTERVAL-th symbol: the decoder's lanes.
+    #: Required to decode; only a hand-built stream lacks it
     sync: Optional[np.ndarray] = None
     #: set when ``payload`` is several byte-aligned streams of this one table
     #: back to back: one ``(nbits, nsymbols)`` row per stream.  ``nbits`` and
@@ -113,16 +110,15 @@ def _limit_lengths(lengths: np.ndarray, max_len: int = MAX_CODE_LEN) -> np.ndarr
 
     A simple heuristic (sufficient here because quantisation codes rarely need
     more than ~20 bits): clamp, then repair by extending the shortest codes.
-    Alphabets larger than ``2**max_len`` get a correspondingly larger limit so
-    a prefix code always exists.
+    An alphabet of more than ``2**max_len`` symbols has no such code: a
+    :class:`ValueError` (the codecs bound theirs, DESIGN.md §2).
     """
+    if lengths.size > 1 << max_len:
+        raise ValueError(f"{lengths.size} distinct symbols: a Huffman table holds "
+                         f"at most 2**{max_len}")
     lengths = lengths.copy()
     if lengths.size == 0 or lengths.max() <= max_len:
         return lengths
-    if lengths.size > (1 << max_len):
-        max_len = int(np.ceil(np.log2(lengths.size))) + 1
-        if lengths.max() <= max_len:
-            return lengths
     lengths = np.minimum(lengths, max_len)
     # repair Kraft sum
     kraft = np.sum(2.0 ** (-lengths))
@@ -156,24 +152,29 @@ def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _lane_layout(nbits: np.ndarray, counts: np.ndarray, offsets: np.ndarray,
-                 sync: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _lane_layout(streams: Tuple[np.ndarray, ...], sync: Optional[np.ndarray]
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decoder lanes ``(start bit, end bit, symbol count)`` of byte-aligned streams.
 
-    Stream ``i`` starts at payload byte ``offsets[i]`` and holds ``counts[i]``
-    symbols in ``nbits[i]`` bits; ``sync`` is the streams' sync offsets
-    concatenated.  A lane runs from its sync offset to the next one (the last
-    lane of a stream to the stream's end) and holds ``SYNC_INTERVAL`` symbols
-    (the last lane the remainder).  Returns ``None`` when ``sync`` is not well
-    formed — wrong lane count, a stream whose first offset is not 0, offsets
-    that decrease or pass the stream's end — so the caller can fall back.
+    ``streams`` is :meth:`HuffmanCodec._streams`' ``(byte offset, bytes, bits,
+    symbols)`` per stream and ``sync`` the streams' sync offsets concatenated.
+    A lane runs from its sync offset to the next one (the last lane of a
+    stream to the stream's end) and holds ``SYNC_INTERVAL`` symbols (the last
+    lane the remainder).  Sync offsets that are missing or not well formed —
+    wrong lane count, a stream whose first offset is not 0, offsets that
+    decrease or pass the stream's end — are a :class:`CorruptFileError`.
     """
+    offsets, _, nbits, counts = streams
+    if sync is None:
+        raise CorruptFileError("invalid Huffman stream (no sync offsets)")
+    sync = np.asarray(sync, dtype=np.int64).ravel()
     live = np.flatnonzero(counts)
     nbits, counts, base = nbits[live], counts[live], 8 * offsets[live]
     per_stream = (counts + SYNC_INTERVAL - 1) // SYNC_INTERVAL
     last = np.cumsum(per_stream) - 1
     if sync.size != last[-1] + 1:
-        return None
+        raise CorruptFileError(f"invalid Huffman stream ({sync.size} sync offsets "
+                               f"for {last[-1] + 1} lanes)")
     start = sync + np.repeat(base, per_stream)
     end = np.empty_like(start)
     end[:-1] = start[1:]
@@ -181,7 +182,7 @@ def _lane_layout(nbits: np.ndarray, counts: np.ndarray, offsets: np.ndarray,
     count = np.full(start.size, SYNC_INTERVAL, dtype=np.int64)
     count[last] = counts - (per_stream - 1) * SYNC_INTERVAL
     if sync[last - per_stream + 1].any() or bool((start > end).any()):
-        return None
+        raise CorruptFileError("invalid Huffman stream (malformed sync offsets)")
     return start, end, count
 
 
@@ -194,12 +195,11 @@ class HuffmanCodec:
         if self.symbols.shape != self.lengths.shape:
             raise ValueError("symbols and lengths must align")
         if self.lengths.size:
-            # reject corrupt tables loudly: lengths >= 64 would overflow the
-            # canonical-code shifts silently, and a Kraft-violating table is
-            # not a prefix code at all
-            if int(self.lengths.max()) >= 64 or int(self.lengths.min()) < 1:
+            # reject corrupt tables loudly: a code past MAX_CODE_LEN has no
+            # LUT slot, and a Kraft-violating table is not a prefix code at all
+            if int(self.lengths.max()) > MAX_CODE_LEN or int(self.lengths.min()) < 1:
                 raise ValueError("invalid Huffman table (code length out of range)")
-            # in Python ints: a float sum lets [1, 1, 30] through ('1', '100...0')
+            # exact, in integer units of 2**-top
             top = int(self.lengths.max())
             if sum(n << (top - length) for length, n in
                    enumerate(np.bincount(self.lengths).tolist())) > 1 << top:
@@ -266,8 +266,7 @@ class HuffmanCodec:
 
         Spans below ``_DENSE_SPAN``: one gather from a dense ``symbol - lo``
         table built on first use (out-of-range symbols clip onto a zero slot at
-        either end); wider alphabets search the sorted symbols.  Codes past 57
-        bits lose their top bits here — :meth:`encode` refuses such tables.
+        either end); wider alphabets search the sorted symbols.
         """
         if self._enc is None:
             order = np.argsort(self.symbols, kind="stable")
@@ -298,7 +297,7 @@ class HuffmanCodec:
     def encode(self, data: np.ndarray) -> HuffmanEncoded:
         """Encode ``data`` (flattened) into a packed bitstream.
 
-        Each code (at most 32 bits) is shifted into the 64-bit window starting
+        Each code (at most 16 bits) is shifted into the 64-bit window starting
         at the 32-bit word of its first bit; a word's windows are summed (disjoint
         fields: ADD is OR) and each low half is folded into the next word.
         """
@@ -307,8 +306,6 @@ class HuffmanCodec:
             return HuffmanEncoded(b"", 0, 0, self.symbols, self.lengths,
                                   sync=np.zeros(0, dtype=np.int64))
         entries = self._entries(data)
-        if int(self.lengths.max()) > _ENCODE_MAX_LEN:
-            raise ValueError(f"codes longer than {_ENCODE_MAX_LEN} bits cannot be encoded")
         lengths = entries & 63
         ends = np.cumsum(lengths)
         total_bits = int(ends[-1])
@@ -384,24 +381,23 @@ class HuffmanCodec:
         bool per stream) marks: their bytes back to back, their rows, their
         sync runs.  Streams are byte-aligned and a sync run is relative to its
         stream, so each decodes to the symbols it has in the whole; the counts
-        are checked against the bytes present before anything is sliced.
+        and the sync offsets are checked before anything is sliced.
         """
         checked = self._streams(encoded)
         if checked is None:
             return encoded                      # no symbol anywhere: nothing to cut
+        lanes = (checked[3] + SYNC_INTERVAL - 1) // SYNC_INTERVAL
+        if encoded.sync is None or np.size(encoded.sync) != int(lanes.sum()):
+            raise CorruptFileError("invalid Huffman stream (no sync offsets, or not one a lane)")
         offsets, nbytes, nbits, counts = (column[keep] for column in checked)
         payload = b"".join(encoded.payload[o:o + b]
                            for o, b in zip(offsets.tolist(), nbytes.tolist()))
-        sync = None if encoded.sync is None else np.asarray(encoded.sync).ravel()
-        lanes = (checked[3] + SYNC_INTERVAL - 1) // SYNC_INTERVAL
-        if sync is not None:                    # (not one run per stream: the scalar loop)
-            sync = sync[np.repeat(keep, lanes)] if sync.size == int(lanes.sum()) else None
+        sync = np.asarray(encoded.sync).ravel()[np.repeat(keep, lanes)]
         return HuffmanEncoded(payload, int(nbits.sum()), int(counts.sum()),
                               encoded.table_symbols, encoded.table_lengths, sync=sync,
                               streams=np.stack([nbits, counts], axis=1))
 
-    def select_lanes(self, encoded: HuffmanEncoded,
-                     keep: np.ndarray) -> Optional[HuffmanEncoded]:
+    def select_lanes(self, encoded: HuffmanEncoded, keep: np.ndarray) -> HuffmanEncoded:
         """The one-table ``encoded`` narrowed to the decoder lanes ``keep``
         (ascending lane numbers over its streams' lanes, ``SYNC_INTERVAL``
         symbols each): the bytes of each run of kept lanes back to back, each
@@ -409,18 +405,12 @@ class HuffmanCodec:
         sync offset, so each yields the symbols it has in the whole, and only
         the kept lanes' bytes enter the pass.  The counts are checked against
         the bytes and the sync offsets for well-formedness on the whole
-        stream first.  ``None`` when the stream has no lane layout (no or
-        malformed sync offsets, codes wider than the LUT): decode it whole.
+        stream first (:class:`CorruptFileError`).  A stream of no symbol has
+        no lane.
         """
         checked = self._streams(encoded)
-        if checked is None or encoded.sync is None \
-                or int(self.lengths.max()) > MAX_CODE_LEN:
-            return None
-        offsets, _, nbits, counts = checked
-        layout = _lane_layout(nbits, counts, offsets,
-                              np.asarray(encoded.sync, dtype=np.int64).ravel())
-        if layout is None:
-            return None
+        layout = (np.zeros(0, dtype=np.int64),) * 3 if checked is None \
+            else _lane_layout(checked, encoded.sync)
         keep = np.asarray(keep, dtype=np.int64)
         if keep.size and (int(keep[0]) < 0 or int(keep[-1]) >= layout[0].size
                           or bool((keep[1:] <= keep[:-1]).any())):
@@ -442,58 +432,41 @@ class HuffmanCodec:
                               lanes=np.stack([start, end, count], axis=1))
 
     def decode(self, encoded: HuffmanEncoded) -> np.ndarray:
-        """Decode a bitstream produced by :meth:`encode`.
+        """Decode a bitstream produced by :meth:`encode`: the multi-lane LUT
+        pass over its sync offsets (a stream without them is corrupt).
 
-        Streams carrying sync offsets (everything this codec encodes, and
-        everything the SZ serializers round-trip) take the vectorized
-        multi-lane LUT path; anything else uses the exact scalar fallback.
         A multi-stream ``encoded`` (``encoded.streams`` set) decodes to the
         concatenation of its streams' symbols; a batch (``encoded.parts`` set)
         to the concatenation of its parts', each part under its own table and
-        all their lanes in one pass (a part without usable sync offsets takes
-        the scalar loop alone).  A stream narrowed by :meth:`select_lanes`
-        decodes to its lanes' symbols.  Every part's counts are checked
-        against its bytes before anything is decoded, and one damaged part
-        fails the call.
+        all their lanes in one pass.  A stream narrowed by :meth:`select_lanes`
+        decodes to its lanes' symbols.  Every part's counts and lanes are
+        checked against its bytes before anything is decoded, and one damaged
+        part fails the call.
         """
         parts = [(self, encoded)] if encoded.parts is None else list(encoded.parts)
-        tables, payloads, lanes, laned, scalar = [], [], [], [], []
-        first_bit = 0           # of the next laned payload, all back to back
+        tables, payloads, lanes, places = [], [], [], []
+        first_bit = 0           # of the next payload, all back to back
         total = 0               # symbols so far: where the next part's go in the result
         for codec, part in parts:
             streams = codec._streams(part)
             if streams is None:
                 continue
-            offsets, _, nbits, counts = streams
-            where = slice(total, total + int(counts.sum()))
-            total = where.stop
-            layout = None
-            if part.lanes is not None:
-                layout = tuple(np.asarray(part.lanes, dtype=np.int64).T)
-            elif part.sync is not None and int(codec.lengths.max()) <= MAX_CODE_LEN:
-                layout = _lane_layout(nbits, counts, offsets,
-                                      np.asarray(part.sync, dtype=np.int64).ravel())
-            if layout is None:
-                scalar.append((where, codec, part.payload, streams))
-                continue
-            start, end, count = layout
+            start, end, count = _lane_layout(streams, part.sync) if part.lanes is None \
+                else np.asarray(part.lanes, dtype=np.int64).T
             lanes.append((start + first_bit, end + first_bit, count,
                           np.full(count.size, len(tables), dtype=np.int64)))
+            places.append(slice(total, total + int(streams[3].sum())))
+            total = places[-1].stop
             tables.append(codec)
             payloads.append(part.payload)
-            laned.append(where)
             first_bit += 8 * len(part.payload)
-        ranks = HuffmanCodec._decode_lanes(
-            tables, payloads, *(np.concatenate(column) for column in zip(*lanes))) \
-            if laned else []
         symbols = np.empty(total, dtype=np.uint32)
-        for where, codec, rank in zip(laned, tables, ranks):
-            # (a rank read from the LUT is in range; "clip" only spares take's buffer)
-            np.take(codec._canonical()[1], rank, out=symbols[where], mode="clip")
-        for where, codec, payload, streams in scalar:
-            symbols[where] = np.concatenate([
-                codec._decode_scalar(payload[o:o + b], nb, n)
-                for o, b, nb, n in zip(*(a.tolist() for a in streams)) if n])
+        if tables:
+            ranks = HuffmanCodec._decode_lanes(
+                tables, payloads, *(np.concatenate(column) for column in zip(*lanes)))
+            for where, codec, rank in zip(places, tables, ranks):
+                # (a rank read from the LUT is in range; "clip" only spares take's buffer)
+                np.take(codec._canonical()[1], rank, out=symbols[where], mode="clip")
         return symbols
 
     @staticmethod
@@ -603,45 +576,6 @@ class HuffmanCodec:
             entries >>= 5
         return ranks
 
-    def _decode_scalar(self, payload: bytes, nbits: int, n: int) -> np.ndarray:
-        """Exact canonical decode, one code at a time (fallback path)."""
-        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits)
-        lengths, symbols = self._canonical()
-        codes = _canonical_codes(lengths)           # canonical order: its own order
-        max_len = int(lengths.max())
-        first_code: Dict[int, int] = {}
-        first_index: Dict[int, int] = {}
-        counts: Dict[int, int] = {}
-        for length in np.unique(lengths):
-            sel = lengths == length
-            first_code[int(length)] = int(codes[sel][0])
-            first_index[int(length)] = int(np.nonzero(sel)[0][0])
-            counts[int(length)] = int(sel.sum())
-
-        out = np.empty(n, dtype=np.uint32)
-        bit_list = bits.tolist()
-        pos = 0
-        code = 0
-        length = 0
-        produced = 0
-        while produced < n:
-            if pos >= nbits:
-                raise CorruptFileError("truncated Huffman stream")
-            code = (code << 1) | bit_list[pos]
-            pos += 1
-            length += 1
-            fc = first_code.get(length)
-            if fc is not None and fc <= code < fc + counts[length]:
-                out[produced] = symbols[first_index[length] + (code - fc)]
-                produced += 1
-                code = 0
-                length = 0
-            elif length > max_len:
-                raise CorruptFileError("invalid Huffman stream (code length overflow)")
-        if pos != nbits:
-            raise CorruptFileError("truncated or corrupt Huffman stream")
-        return out
-
 
 def _histogram(data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The distinct values of non-empty ``data`` (ascending, its dtype) and
@@ -707,7 +641,7 @@ def sync_residuals(streams: Sequence[HuffmanEncoded]) -> List[np.ndarray]:
     ``-2r - 1``); a value of 255 or more is the byte 255 and goes to the
     escapes in order.  The first offset is always 0 and is not stored either,
     so a stream of at most ``SYNC_INTERVAL`` symbols stores nothing.  A lane
-    spans at most ``SYNC_INTERVAL * 32`` bits, so an escape fits 16 bits.
+    spans at most ``SYNC_INTERVAL * MAX_CODE_LEN`` bits, so an escape fits 16 bits.
     """
     nbits = np.asarray([s.nbits for s in streams], dtype=np.int64)
     counts = np.asarray([s.nsymbols for s in streams], dtype=np.int64)

@@ -43,6 +43,8 @@ class SZ1DCompressor(Compressor):
                  radius: int = DEFAULT_RADIUS):
         super().__init__(error_bound, mode)
         self.radius = int(radius)
+        if not 2 <= self.radius <= DEFAULT_RADIUS:
+            raise ValueError(f"radius must be in [2, {DEFAULT_RADIUS}], got {radius!r}")
 
     # ------------------------------------------------------------------
     def encode_record(self, data: np.ndarray, context: bytes = b"") -> Tuple[bytes, np.ndarray]:
@@ -79,7 +81,7 @@ class SZ1DCompressor(Compressor):
         codes = ctn.unpack_huffman(sections)[0].astype(np.int64)
         outliers = ctn.unpack_zarray(required(sections, "outliers", "sz_1d sections"))
         outlier_mask = codes == 0
-        if not (np.isfinite(abs_eb) and abs_eb > 0 and 2 <= radius <= 2 ** 32
+        if not (np.isfinite(abs_eb) and abs_eb > 0 and 2 <= radius <= DEFAULT_RADIUS
                 and -2 ** 63 <= anchor < 2 ** 63 and is_float(dtype)
                 and stored == list(shape) and 0 < math.prod(shape) == codes.size
                 and outliers.size == np.count_nonzero(outlier_mask)):

@@ -58,6 +58,8 @@ class SZInterpCompressor(Compressor):
             raise ValueError("anchor_stride must be a power of two >= 2")
         self.anchor_stride = int(anchor_stride)
         self.radius = int(radius)
+        if not 2 <= self.radius <= DEFAULT_RADIUS:
+            raise ValueError(f"radius must be in [2, {DEFAULT_RADIUS}], got {radius!r}")
         self.cubic = bool(cubic)
 
     # ------------------------------------------------------------------

@@ -294,8 +294,8 @@ class SZLRCompressor(Compressor):
             raise ValueError(f"block_size must be positive integers, got {block_size!r}")
         self._block_size_spec = block_size
         self.radius = int(radius)
-        if self.radius < 2:
-            raise ValueError("radius must be >= 2")
+        if not 2 <= self.radius <= DEFAULT_RADIUS:
+            raise ValueError(f"radius must be in [2, {DEFAULT_RADIUS}], got {radius!r}")
 
     # ------------------------------------------------------------------
     # helpers

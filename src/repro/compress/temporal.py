@@ -11,7 +11,13 @@ Both decode to *exactly* ``offset + codes * 2*eb``, so a delta-compressed
 series verifies against keyframe-only writes bit for bit.
 
 Each chunk is a chunk record (:func:`~repro.compress.container.pack_record`):
-its codes, one Huffman table and the chunk's smallest code.  The grid
+its codes, one Huffman table and the chunk's smallest code.  A table holds at
+most 2**16 symbols (its codes fit the 16-bit lane decoder), so a chunk of
+more distinct codes — or of codes spread past 32 bits — keeps its commonest
+codes as symbols and *escapes* the rest: symbol 0 marks an escaped cell, and
+the side blob lists each one's cell index and int64 code after the smallest
+code, so a lane read resolves only its own lanes' escapes (DESIGN.md §6).
+Every other chunk's record is the plain one.  The grid
 (``abs_eb``, ``offset``) and the key/delta mode (``stream``) are the
 dataset's recipe (:meth:`TemporalDeltaCodec.recipe`, its ``codec``
 attribute), which every record's checksum covers; the code count is the
@@ -35,7 +41,7 @@ from repro.compress.container import (
     record_estimate,
 )
 from repro.compress.errorbound import ErrorBound
-from repro.compress.huffman import SYNC_INTERVAL, HuffmanCodec, HuffmanEncoded
+from repro.compress.huffman import MAX_CODE_LEN, SYNC_INTERVAL, HuffmanCodec, HuffmanEncoded
 from repro.errors import CorruptFileError, required
 
 __all__ = [
@@ -49,8 +55,13 @@ __all__ = [
 MODE_KEY = "key"
 MODE_DELTA = "delta"
 
-#: shifted codes must fit the uint32 alphabet Huffman expects
-_MAX_CODE_SPREAD = np.iinfo(np.uint32).max
+#: distinct codes a record's table holds: a chunk of more escapes its rarest
+_MAX_SYMBOLS = 1 << MAX_CODE_LEN
+
+#: symbols are uint32: a chunk whose codes spread wider escapes too, and an
+#: escaping chunk keeps codes within ``_NEAR`` of its commonest
+_MAX_SPREAD = np.iinfo(np.uint32).max
+_NEAR = _MAX_SPREAD // 2
 
 #: the recipe values a record decodes under (its checksum covers them)
 _RECIPE = ("stream", "abs_eb", "offset")
@@ -65,9 +76,9 @@ class StreamCandidate(NamedTuple):
     """One chunk's codes under one mode: tabled and sized, entropy-coded only
     where a record would deflate them (their size is then the deflated one)."""
 
-    shifted: np.ndarray           #: ``codes - min_code`` as uint32
+    shifted: np.ndarray           #: ``codes - min_code`` as uint32 (0 at an escaped cell)
     table: HuffmanCodec           #: built from ``shifted``
-    min_code: int
+    side: List[np.ndarray]        #: the record's side arrays: ``min_code``, then any escapes
     nbytes: int                   #: its record's size less the header (``record_estimate``)
     encoded: Optional[HuffmanEncoded]          #: the codes, where sizing entropy-coded them
 
@@ -149,14 +160,25 @@ class TemporalDeltaCodec(Compressor):
                     "delta encoding needs an identical layout")
             codes = codes - ref
         min_code = int(codes.min()) if n else 0
-        if n and int(codes.max()) - min_code > _MAX_CODE_SPREAD:
-            raise ValueError(
-                f"temporal_delta code spread {int(codes.max()) - min_code} exceeds the "
-                "entropy coder's alphabet; the error bound is too tight for this data")
+        side = [np.asarray([min_code], dtype="<i8")]
+        if n and int(codes.max()) - min_code >= _MAX_SYMBOLS:
+            values, where, counts = np.unique(codes, return_inverse=True, return_counts=True)
+            if values.size > _MAX_SYMBOLS or int(values[-1]) - min_code > _MAX_SPREAD:
+                # the commonest codes (ties: the smaller) near the commonest
+                # stay symbols, code - min_code >= 1; the others are escaped
+                top, rank = int(values[np.argmax(counts)]), np.lexsort((values, -counts))
+                rank = rank[(values[rank] >= top - _NEAR) & (values[rank] <= top + _NEAR)]
+                escaped = np.ones(values.size, dtype=bool)
+                escaped[rank[:_MAX_SYMBOLS - 1]] = False
+                min_code = int(values[~escaped][0]) - 1
+                cells = np.flatnonzero(escaped[where])
+                side = [np.asarray([min_code, cells.size], dtype="<i8"),
+                        cells.astype("<i8"), codes[cells].astype("<i8")]
+                codes = codes.copy()
+                codes[cells] = min_code
         shifted = (codes - min_code).astype(np.uint32)
         table = HuffmanCodec.from_data(shifted)
-        return StreamCandidate(shifted, table, min_code, *record_estimate(
-            table, shifted, [np.asarray([min_code], dtype="<i8")]))
+        return StreamCandidate(shifted, table, side, *record_estimate(table, shifted, side))
 
     @staticmethod
     def pack(candidate: StreamCandidate, recipe: dict, context: bytes = b"") -> bytes:
@@ -165,17 +187,46 @@ class TemporalDeltaCodec(Compressor):
         n, encoded = candidate.shifted.size, candidate.encoded
         return pack_record([(n,)], [candidate.table.encode(candidate.shifted)
                                     if encoded is None else encoded],
-                           [candidate.table], [np.asarray([candidate.min_code], dtype="<i8")],
+                           [candidate.table], candidate.side,
                            recipe_context(recipe, _RECIPE, _WHAT) + context)
 
     @staticmethod
     def _parse(record: bytes, recipe: dict, n: int, context: bytes = b""):
-        """``(Huffman pairs, smallest code)`` of an ``n``-code record, checked."""
-        pairs, side = parse_record(record, [(n,)], [n], True, "temporal_delta record",
+        """``(Huffman pairs, smallest code, escapes)`` of an ``n``-code record,
+        checked; ``escapes`` is ``(cells, codes)``, ascending cells, or ``None``."""
+        what = "temporal_delta record"
+        pairs, side = parse_record(record, [(n,)], [n], True, what,
                                    recipe_context(recipe, _RECIPE, _WHAT) + context)
         (min_code,) = side.take("<i8", 1).tolist()
+        escapes = None
+        if side.more():
+            (count,) = side.take("<i8", 1).tolist()
+            escapes = side.take("<i8", count), side.take("<i8", count)
+            cells = escapes[0]
+            if count < 1 or int(cells[0]) < 0 or int(cells[-1]) >= n \
+                    or bool((cells[1:] <= cells[:-1]).any()):
+                raise CorruptFileError(f"{what}: escaped cells out of place")
         side.done()
-        return pairs, min_code
+        return pairs, min_code, escapes
+
+    @staticmethod
+    def _codes(shifted: np.ndarray, min_code: int, escapes, keep: Optional[np.ndarray],
+               n: int) -> np.ndarray:
+        """The int64 codes of the decoded ``shifted`` symbols of an ``n``-code
+        record's lanes ``keep`` (``None``: all), its escapes resolved: an
+        escaped cell must hold symbol 0, and only those may."""
+        codes = shifted.astype(np.int64) + min_code
+        if escapes is not None:
+            escaped, values = escapes
+            if keep is not None:            # the decoded lanes' escapes, placed in them
+                cells = TemporalDeltaCodec.lane_cells(keep, n)
+                hit = np.isin(escaped, cells)
+                escaped, values = np.searchsorted(cells, escaped[hit]), values[hit]
+            if not np.array_equal(np.flatnonzero(shifted == 0), escaped):
+                raise CorruptFileError("temporal_delta record: escape symbols and "
+                                       "escaped cells disagree")
+            codes[escaped] = values
+        return codes
 
     @staticmethod
     def lane_cells(lanes: np.ndarray, n: int) -> np.ndarray:
@@ -207,23 +258,14 @@ class TemporalDeltaCodec(Compressor):
         parsed = []
         for record, recipe, n, keep in zip(records, recipes, counts,
                                            lanes or [None] * len(records), strict=True):
-            pairs, min_code = TemporalDeltaCodec._parse(record, recipe, n)
-            cut = None
+            pairs, min_code, escapes = TemporalDeltaCodec._parse(record, recipe, n)
             if keep is not None:
                 ((codec, encoded),) = pairs
-                narrowed = codec.select_lanes(encoded, keep)
-                if narrowed is None:            # no lane layout: decoded whole, then cut
-                    cut = TemporalDeltaCodec.lane_cells(keep, n)
-                else:
-                    pairs = [(codec, narrowed)]
-            parsed.append((pairs, min_code, cut))
-        out = []
-        for (_, min_code, cut), (shifted,) in zip(
-                parsed, decode_huffman([pairs for pairs, _, _ in parsed])):
-            if cut is not None:
-                shifted = shifted[cut]
-            out.append(shifted.astype(np.int64) + min_code)
-        return out
+                pairs = [(codec, codec.select_lanes(encoded, keep))]
+            parsed.append((pairs, min_code, escapes, keep, n))
+        return [TemporalDeltaCodec._codes(shifted, *rest)
+                for (_, *rest), (shifted,) in zip(
+                    parsed, decode_huffman([pairs for pairs, *_ in parsed]))]
 
     # ------------------------------------------------------------------
     # the single-array record (standalone/registry use: key mode)
@@ -241,9 +283,9 @@ class TemporalDeltaCodec(Compressor):
                       context: bytes = b"") -> np.ndarray:
         """Invert :meth:`encode_record` on this decoder's grid."""
         eb, n = self.error_bound.resolve(), math.prod(shape)
-        pairs, min_code = self._parse(record, self.recipe(eb), n, context)
+        pairs, min_code, escapes = self._parse(record, self.recipe(eb), n, context)
         (shifted,) = decode_huffman([pairs])[0]
-        return self.grid_values(shifted.astype(np.int64) + min_code, eb,
+        return self.grid_values(self._codes(shifted, min_code, escapes, None, n), eb,
                                 self.offset).reshape(shape)
 
 

@@ -206,7 +206,7 @@ def scan_plotfile(f: H5LiteFile, header: Optional[PlotfileHeader] = None,
         for name in header.components:
             dsname = f"level_{level_index}/{name}"
             if dsname not in f:
-                raise ValueError(
+                raise CorruptFileError(
                     f"{f.path}: the header lists unit blocks for {dsname!r} "
                     "but the file stores no such dataset (an interrupted "
                     "write?)")
@@ -278,7 +278,7 @@ def _decode_filter(filter_id: str, recipe: Optional[dict] = None) -> Filter:
         from repro.compress.temporal import TemporalDeltaFilter
 
         return TemporalDeltaFilter(recipe)
-    raise ValueError(f"cannot decode chunks written with unknown filter {filter_id!r}")
+    raise CorruptFileError(f"cannot decode chunks written with unknown filter {filter_id!r}")
 
 
 def make_decode_job(f: H5LiteFile, dplan: DatasetReadPlan,

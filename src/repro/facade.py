@@ -83,8 +83,9 @@ def write_plotfile(hierarchy: AmrHierarchy, path: Optional[str] = None, *,
     method:
         "amric" (default), "amrex_1d" (the original 1D baseline, honouring
         an ``error_bound``/``chunk_elements`` override) or "nocomp" (one raw
-        chunk per rank, as the AMRIC layout stores it: it takes no override,
-        and any keyword is a :class:`TypeError`).
+        chunk per rank, as the AMRIC layout stores it: its only overrides are
+        ``error_bound`` / ``error_bound_mode``, the bound its values already
+        carry, recorded in the header; any other keyword is a :class:`TypeError`).
     backend:
         None (inline) or an
         :class:`~repro.parallel.backend.ExecutionBackend` instance for the

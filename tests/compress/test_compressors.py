@@ -12,6 +12,8 @@ from repro.compress import (
     psnr,
 )
 from repro.compress import container as ctn
+from repro.compress import registry
+from repro.compress.base import DEFAULT_RADIUS
 from repro.compress.errorbound import ErrorBound
 from repro.errors import CorruptFileError
 from repro.testing import make_rough, make_smooth
@@ -317,9 +319,16 @@ def test_values_past_the_radius_round_trip_within_bound(cls):
     np.testing.assert_array_equal(comp.decompress(buf), recon)
 
 
-def test_szlr_refuses_a_radius_below_two():
+@pytest.mark.parametrize("cls", ALL_COMPRESSORS)
+@pytest.mark.parametrize("radius", [1, DEFAULT_RADIUS + 1, 2 ** 32])
+def test_a_radius_outside_two_to_32768_is_refused(cls, radius):
+    """``2 * radius`` codes must fit one 16-bit Huffman table; a stored recipe
+    naming such a radius is corrupt."""
     with pytest.raises(ValueError, match="radius"):
-        SZLRCompressor(1e-3, radius=1)
+        cls(1e-3, radius=radius)
+    recipe = dict(cls(1e-3).recipe(1e-3), radius=radius)
+    with pytest.raises(CorruptFileError, match="radius"):
+        registry.codec_from_recipe(recipe)
 
 
 class TestPropertyBased:

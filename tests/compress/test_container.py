@@ -24,9 +24,10 @@ def _codec(name):
 
 
 class TestStoredTables:
-    @pytest.mark.parametrize("lengths", [[1, 1, 30], [1, 2, 2, 31]])
+    @pytest.mark.parametrize("lengths", [[1, 1, 16], [1, 2, 2, 16]])
     def test_a_table_that_is_not_a_prefix_code_is_corrupt(self, lengths):
-        """Over Kraft's bound by 2**-30 or less: the record is corrupt."""
+        """Over Kraft's bound by 2**-16, the least a 16-bit table can be: the
+        record is corrupt."""
         symbols = np.arange(1, len(lengths) + 1, dtype=np.uint32)
         stream = HuffmanCodec.from_data(symbols).encode(symbols)
         stored = SimpleNamespace(symbols=symbols, lengths=np.asarray(lengths, dtype=np.uint8))

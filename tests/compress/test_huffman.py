@@ -140,11 +140,14 @@ class TestAdversarial:
         enc = codec.encode(data)
         np.testing.assert_array_equal(codec.decode(enc), data)
 
-    def test_limit_lengths_huge_alphabet_widens_limit(self):
-        n = (1 << MAX_CODE_LEN) + 10
-        lengths = np.full(n, MAX_CODE_LEN + 8, dtype=np.int64)
-        limited = _limit_lengths(lengths)
-        assert np.sum(2.0 ** (-limited.astype(np.float64))) <= 1.0 + 1e-9
+    def test_limit_lengths_refuses_an_alphabet_past_16_bits(self):
+        n = 1 << MAX_CODE_LEN                       # the largest table: every code 16 bits
+        assert (_limit_lengths(np.full(n, MAX_CODE_LEN + 8, dtype=np.int64))
+                == MAX_CODE_LEN).all()
+        with pytest.raises(ValueError, match="at most 2\\*\\*16"):
+            _limit_lengths(np.full(n + 1, MAX_CODE_LEN + 8, dtype=np.int64))
+        with pytest.raises(ValueError, match="65537 distinct symbols"):
+            HuffmanCodec.from_data(np.arange(n + 1, dtype=np.uint32))
 
     def test_million_symbol_roundtrip(self):
         rng = np.random.default_rng(7)
@@ -230,20 +233,21 @@ class TestAdversarial:
                 sync_offsets(*damaged, *args)
 
     @pytest.mark.usefixtures("peek")
-    def test_scalar_fallback_matches_lut_path(self):
-        """A stream stripped of its sync offsets decodes identically (slow path)."""
+    def test_a_stream_stripped_of_its_sync_offsets_is_refused(self):
+        """The lanes are the only decoder: a stream without them is corrupt."""
         rng = np.random.default_rng(9)
         data = rng.integers(0, 50, size=5_000).astype(np.uint32)
         enc = encode(data)
         assert enc.sync is not None
         stripped = HuffmanEncoded(enc.payload, enc.nbits, enc.nsymbols,
                                   enc.table_symbols, enc.table_lengths)
-        np.testing.assert_array_equal(decode(stripped), decode(enc))
+        with pytest.raises(CorruptFileError, match="no sync offsets"):
+            decode(stripped)
 
 
 @pytest.mark.usefixtures("peek")
 class TestCorruptStreams:
-    """Truncated and invalid streams raise ValueError on both decode paths."""
+    """Truncated and invalid streams raise ValueError."""
 
     @staticmethod
     def _stream(n=2000):
@@ -255,13 +259,6 @@ class TestCorruptStreams:
         bad = HuffmanEncoded(enc.payload[:len(enc.payload) // 2], enc.nbits,
                              enc.nsymbols, enc.table_symbols, enc.table_lengths,
                              sync=enc.sync)
-        with pytest.raises(ValueError):
-            decode(bad)
-
-    def test_truncated_payload_scalar_path(self):
-        _, enc = self._stream()
-        bad = HuffmanEncoded(enc.payload[:2], 16, enc.nsymbols,
-                             enc.table_symbols, enc.table_lengths)
         with pytest.raises(ValueError):
             decode(bad)
 
@@ -281,35 +278,28 @@ class TestCorruptStreams:
         with pytest.raises(ValueError):
             decode(bad)
 
-    def test_invalid_code_scalar_path(self):
-        one = encode(np.full(10, 7, dtype=np.uint32))
-        bad = HuffmanEncoded(b"\xff\xff", 10, 10, one.table_symbols, one.table_lengths)
-        with pytest.raises(ValueError):
-            decode(bad)
-
     def test_corrupt_table_rejected_at_construction(self):
         """Deserialized tables with absurd lengths or a Kraft violation must
         raise, never silently build garbage canonical codes."""
         for lengths in ([1, 200, 200],   # shift overflow territory
                         [0, 1, 1],       # zero-length code
                         [1, 1, 1],       # Kraft sum 1.5 > 1
-                        [1, 1, 30],      # over by 2**-30: '1' then '100...0'
-                        [1, 2, 2, 31]):  # over by 2**-31 (a float sum let both through)
+                        [1, 1, 16],      # over by 2**-16: '1' then '100...0'
+                        [1, 2, 2, 16],   # the least excess a table can have
+                        [1, 1, 30],      # past MAX_CODE_LEN: no LUT slot
+                        [1, 2, 2, 31]):
             with pytest.raises(ValueError):
                 HuffmanCodec(np.arange(1, len(lengths) + 1, dtype=np.uint32),
                              np.asarray(lengths, dtype=np.uint8))
 
-    def test_corrupt_sync_offsets_fall_back_or_raise(self):
+    def test_corrupt_sync_offsets_raise(self):
         """Malformed sync metadata must never return silently-wrong data."""
-        data, enc = self._stream()
+        _, enc = self._stream()
         shifted = HuffmanEncoded(enc.payload, enc.nbits, enc.nsymbols,
                                  enc.table_symbols, enc.table_lengths,
                                  sync=np.asarray(enc.sync) + 1)
-        try:
-            out = decode(shifted)
-            np.testing.assert_array_equal(out, data)  # fell back to scalar path
-        except ValueError:
-            pass
+        with pytest.raises(CorruptFileError, match="malformed sync offsets"):
+            decode(shifted)
 
 
 @pytest.mark.usefixtures("peek")

@@ -1,8 +1,9 @@
 """One lane pass per container — and per batch of containers, each under its table.
 
 The batched decode (every stream of a container in one :meth:`HuffmanCodec.decode`
-call) must equal per-stream decode must equal the scalar reference loop, and a
-damaged container must fail with :class:`ValueError` and nothing else.  The
+call) must equal per-stream decode must equal the scalar reference loop
+(``huffman_reference.decode_scalar``), and a damaged container must fail with
+:class:`ValueError` and nothing else.  The
 same holds one level up: :func:`huffman.decode_many` over several ``(codec,
 encoded)`` pairs, every pair under its own table, equals decoding each alone.
 The lane-pass classes run once per peek (the ``peek`` fixture).
@@ -24,6 +25,9 @@ from repro.compress.huffman import (
     HuffmanCodec,
     HuffmanEncoded,
 )
+from repro.errors import CorruptFileError
+
+from huffman_reference import decode_scalar
 
 
 def _deep_codec() -> HuffmanCodec:
@@ -90,11 +94,10 @@ class TestBatchedEqualsPerStream:
             np.testing.assert_array_equal(codec.decode(stream), array)
             if array.size:
                 np.testing.assert_array_equal(
-                    codec._decode_scalar(stream.payload, stream.nbits, array.size), array)
+                    decode_scalar(codec, stream.payload, stream.nbits, array.size), array)
 
     @given(shared_table_mixes(), st.data())
-    def test_one_stream_without_sync_sends_the_batch_down_the_scalar_path(
-            self, mix, data):
+    def test_one_stream_without_sync_fails_the_batch(self, mix, data):
         codec, arrays = mix
         streams = [codec.encode(a) for a in arrays]
         victim = data.draw(st.integers(0, len(streams) - 1))
@@ -105,9 +108,9 @@ class TestBatchedEqualsPerStream:
         with pytest.raises(ValueError, match="sync offsets"):    # never stored without
             ctn.pack_huffman(streams)
         with mock.patch.object(HuffmanCodec, "_decode_lanes",
-                               side_effect=AssertionError("lane path taken")):
-            flat = codec.decode(_batch(streams))
-        np.testing.assert_array_equal(flat, np.concatenate(arrays))
+                               side_effect=AssertionError("lane path taken")), \
+                pytest.raises(CorruptFileError, match="sync offsets"):
+            codec.decode(_batch(streams))
 
     def test_one_decode_call_per_container(self, monkeypatch):
         rng = np.random.default_rng(1)
@@ -140,7 +143,7 @@ def _put_codes(sections, codes: bytes) -> None:
 
 @pytest.mark.usefixtures("peek")
 class TestCorruptionMatrix:
-    """Damage either raises ValueError or (sync only) falls back to exact data."""
+    """Damage raises ValueError, or (sync only) decodes to exact data."""
 
     @staticmethod
     def _arrays(seed, sizes=(700, 1, 300, 513)):
@@ -166,7 +169,7 @@ class TestCorruptionMatrix:
             got = ctn.unpack_huffman(sections)
         except ValueError:
             return
-        for array, back in zip(arrays, got):  # malformed offsets: the scalar loop took over
+        for array, back in zip(arrays, got):  # offsets that still hold every lane's codes
             np.testing.assert_array_equal(back, array)
 
     def test_flipped_interior_sync_delta_is_refused(self):
@@ -209,7 +212,7 @@ class TestCorruptionMatrix:
         sections[name] = counts.tobytes()
         with pytest.raises(ValueError):
             ctn.unpack_huffman(sections)
-        del sections["huff_sync"]                     # and on the scalar path
+        del sections["huff_sync"]                     # and without the sync section
         with pytest.raises(ValueError):
             ctn.unpack_huffman(sections)
 
@@ -222,13 +225,17 @@ class TestCorruptionMatrix:
         with pytest.raises(ValueError, match="huff_ncodes"):
             ctn.unpack_huffman(sections)
 
-    def test_scalar_path_checks_the_stream_end(self):
-        """Without sync offsets a stream must still end exactly on its nbits."""
+    def test_lane_path_checks_the_stream_end(self):
+        """A stream must end exactly on its nbits, and without sync offsets it
+        is refused."""
         codec = HuffmanCodec.from_data(np.arange(64, dtype=np.uint32) % 5)
         enc = codec.encode(np.arange(64, dtype=np.uint32) % 5)
         padded = HuffmanEncoded(enc.payload + b"\x00", enc.nbits + 8, enc.nsymbols,
-                                enc.table_symbols, enc.table_lengths)
-        with pytest.raises(ValueError, match="truncated or corrupt"):
+                                enc.table_symbols, enc.table_lengths, sync=enc.sync)
+        with pytest.raises(CorruptFileError, match="truncated or corrupt"):
+            codec.decode(padded)
+        padded.sync = None
+        with pytest.raises(CorruptFileError, match="no sync offsets"):
             codec.decode(padded)
 
 
@@ -312,10 +319,8 @@ class TestManyTablesOnePass:
     @given(table_mixes())
     def test_one_multi_table_pass_equals_per_stream_decode(self, parts):
         pairs = [(codec, encoded) for codec, encoded, _ in parts]
-        with mock.patch.object(HuffmanCodec, "_decode_scalar",
-                               side_effect=AssertionError("scalar path taken")):
-            together = huffman.decode_many(pairs)
-            alone = [codec.decode(encoded) for codec, encoded in pairs]
+        together = huffman.decode_many(pairs)
+        alone = [codec.decode(encoded) for codec, encoded in pairs]
         assert len(together) == len(parts)
         for (_, _, symbols), got, ref in zip(parts, together, alone):
             assert got.dtype == ref.dtype == np.uint32
@@ -338,35 +343,17 @@ class TestManyTablesOnePass:
         assert huffman.decode_many([]) == []
 
     @given(table_mixes(), st.data())
-    def test_a_part_without_sync_takes_the_scalar_loop_alone(self, parts, data):
+    def test_a_part_without_sync_fails_the_batch_before_any_decode(self, parts, data):
         victim = data.draw(st.integers(0, len(parts) - 1))
         codec, encoded, symbols = parts[victim]
         if symbols.size == 0:
             return                                    # nothing to decode either way
         encoded.sync = None
-        scalar_symbols = []
-        real = HuffmanCodec._decode_scalar
-
-        def scalar(self, payload, nbits, n):
-            assert self is codec
-            scalar_symbols.append(n)
-            return real(self, payload, nbits, n)
-
-        with mock.patch.object(HuffmanCodec, "_decode_scalar", scalar):
-            got = huffman.decode_many([(c, e) for c, e, _ in parts])
-        rows = [[encoded.nbits, encoded.nsymbols]] if encoded.streams is None else encoded.streams
-        assert scalar_symbols == [int(n) for _, n in rows if n]
-        for (_, _, want), back in zip(parts, got):
-            np.testing.assert_array_equal(back, want)
-
-    def test_the_others_still_share_one_pass(self, monkeypatch):
-        pairs = _mid_batch()
-        want = [codec.decode(encoded) for codec, encoded in pairs]
-        pairs[1][1].sync = None
-        passes = _lane_passes(monkeypatch)
-        for back, ref in zip(huffman.decode_many(pairs), want):
-            np.testing.assert_array_equal(back, ref)
-        assert passes == [2]
+        with mock.patch.object(HuffmanCodec, "_decode_lanes",
+                               side_effect=AssertionError("decoded before every part was "
+                                                          "checked")), \
+                pytest.raises(CorruptFileError, match="no sync offsets"):
+            huffman.decode_many([(c, e) for c, e, _ in parts])
 
     def test_a_lane_ending_on_the_next_tables_first_byte(self):
         """Table A's last lane ends on a byte boundary, where table B's payload
@@ -426,7 +413,6 @@ class TestManyTablesOnePass:
             victim.sync = None
         refuse = AssertionError("decoded before every part was checked")
         with mock.patch.object(HuffmanCodec, "_decode_lanes", side_effect=refuse), \
-                mock.patch.object(HuffmanCodec, "_decode_scalar", side_effect=refuse), \
                 pytest.raises(ValueError):
             huffman.decode_many(pairs)
 
@@ -446,29 +432,28 @@ class TestSelectStreams:
         keep = np.asarray(data.draw(st.lists(st.booleans(), min_size=len(arrays),
                                              max_size=len(arrays))), dtype=bool)
         batch = _batch([codec.encode(a) for a in arrays])
-        for encoded in (batch, HuffmanEncoded(
-                batch.payload, batch.nbits, batch.nsymbols, batch.table_symbols,
-                batch.table_lengths, sync=None, streams=batch.streams)):
-            narrowed = codec.select_streams(encoded, keep)
-            kept = [a for a, k in zip(arrays, keep) if k]
-            if not any(a.size for a in arrays):
-                assert narrowed is encoded      # no symbol anywhere: nothing to cut
-                continue
-            assert narrowed.streams[:, 1].tolist() == [a.size for a in kept]
-            assert narrowed.nsymbols == sum(a.size for a in kept)
-            assert len(narrowed.payload) == int(((narrowed.streams[:, 0] + 7) >> 3).sum())
-            assert np.array_equal(codec.decode(narrowed),
-                                  np.concatenate(kept + [np.zeros(0, np.uint32)]))
+        narrowed = codec.select_streams(batch, keep)
+        kept = [a for a, k in zip(arrays, keep) if k]
+        if not any(a.size for a in arrays):
+            assert narrowed is batch            # no symbol anywhere: nothing to cut
+            return
+        assert narrowed.streams[:, 1].tolist() == [a.size for a in kept]
+        assert narrowed.nsymbols == sum(a.size for a in kept)
+        assert len(narrowed.payload) == int(((narrowed.streams[:, 0] + 7) >> 3).sum())
+        assert np.array_equal(codec.decode(narrowed),
+                              np.concatenate(kept + [np.zeros(0, np.uint32)]))
+        batch.sync = None                       # a stream without its lanes
+        with pytest.raises(CorruptFileError, match="no sync offsets"):
+            codec.select_streams(batch, keep)
 
-    def test_sync_that_is_not_one_run_per_stream_falls_back_to_the_scalar_loop(self):
+    def test_sync_that_is_not_one_run_per_stream_is_refused(self):
         rng = np.random.default_rng(5)
         arrays = [rng.integers(0, 9, size=n).astype(np.uint32) for n in (300, 20, 513)]
         codec = HuffmanCodec.from_multiple(arrays)
         batch = _batch([codec.encode(a) for a in arrays])
         batch.sync = batch.sync[:-1]
-        narrowed = codec.select_streams(batch, np.array([True, False, True]))
-        assert narrowed.sync is None
-        assert np.array_equal(codec.decode(narrowed), np.concatenate([arrays[0], arrays[2]]))
+        with pytest.raises(CorruptFileError, match="sync offsets"):
+            codec.select_streams(batch, np.array([True, False, True]))
 
     @pytest.mark.parametrize("row, value", [(0, -1), (1, 10 ** 12)])
     def test_counts_are_checked_before_anything_is_sliced(self, row, value):
@@ -495,16 +480,12 @@ class TestSelectLanes:
             keep = np.asarray(sorted(data.draw(st.sets(st.integers(0, max(len(lanes) - 1, 0)),
                                                        max_size=len(lanes)))), dtype=np.int64)
             narrowed = codec.select_lanes(encoded, keep)
-            if encoded.nsymbols == 0:
-                assert narrowed is None
-                continue
             assert narrowed.nsymbols == sum(lanes[k].size for k in keep)
             assert len(narrowed.payload) <= len(encoded.payload)
+            assert narrowed.lanes.shape == (keep.size, 3)    # a stream of no symbol: none
             pairs.append((codec, narrowed))
             want.append(np.concatenate([np.zeros(0, np.uint32)] + [lanes[k] for k in keep]))
-        with mock.patch.object(HuffmanCodec, "_decode_scalar",
-                               side_effect=AssertionError("scalar path taken")):
-            got = huffman.decode_many(pairs)
+        got = huffman.decode_many(pairs)
         for back, symbols in zip(got, want):
             np.testing.assert_array_equal(back, symbols)
 
@@ -540,7 +521,8 @@ class TestSelectLanes:
         encoded.nbits = 8 * len(encoded.payload) + 1
         with pytest.raises(ValueError, match="truncated Huffman stream"):
             codec.select_lanes(encoded, np.array([0]))
-        for sync in (None, np.array([0, 5, 3, 9])):         # no lane layout: decode it whole
+        for sync in (None, np.array([0, 5, 3, 9])):         # no lane layout: corrupt
             encoded = codec.encode(data)
             encoded.sync = sync
-            assert codec.select_lanes(encoded, np.array([0])) is None
+            with pytest.raises(CorruptFileError, match="sync offsets"):
+                codec.select_lanes(encoded, np.array([0]))

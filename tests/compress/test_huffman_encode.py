@@ -18,6 +18,7 @@ import repro
 from repro.apps import RUN_PRESETS, build_run
 from repro.compress.huffman import (
     _DENSE_SPAN,
+    MAX_CODE_LEN,
     SYNC_INTERVAL,
     HuffmanCodec,
     _huffman_code_lengths_from_counts,
@@ -81,18 +82,19 @@ def draw(rng, symbols, n):
 
 def cases():
     rng = np.random.default_rng(16)
-    lengths = ladder(32)
-    low = np.arange(33, dtype=np.uint32)                      # dense table, symbol 0
-    high = np.arange(TOP - 32, TOP + 1, dtype=np.uint32)      # dense table, symbol 2**32-1
+    # symbol s has code length s + 1 (the last two: 16)
+    lengths = ladder(MAX_CODE_LEN)
+    low = np.arange(17, dtype=np.uint32)                      # dense table, symbol 0
+    high = np.arange(TOP - 16, TOP + 1, dtype=np.uint32)      # dense table, symbol 2**32-1
     yield "one-symbol table", [7], [1], np.full(1000, 7, dtype=np.uint32)
-    yield "lengths 1..32, codes straddle words", low, lengths, draw(rng, low, 5000)
-    yield "lengths 1..32 at the top of uint32", high, lengths, draw(rng, high, 3000)
-    yield "ends on a word boundary", low, lengths, np.array([0, 30, 31], dtype=np.uint32)
-    yield "one full word", low, lengths, np.array([32], dtype=np.uint32)
+    yield "lengths 1..16, codes straddle words", low, lengths, draw(rng, low, 5000)
+    yield "lengths 1..16 at the top of uint32", high, lengths, draw(rng, high, 3000)
+    yield "ends on a word boundary", low, lengths, np.array([0, 14, 15], dtype=np.uint32)
+    yield "one full word", low, lengths, np.array([15, 16], dtype=np.uint32)
     yield "final code spills into a new word", low, lengths, \
-        np.array([30, 31], dtype=np.uint32)
+        np.array([14, 15, 2], dtype=np.uint32)
     yield "final code fills the spilled word", low, lengths, \
-        np.array([31, 32, 31], dtype=np.uint32)
+        np.array([14, 15, 15, 16, 0], dtype=np.uint32)
     yield "a single one-bit code", low, lengths, np.array([0], dtype=np.uint32)
     yield "symbols 0 and 2**32-1", [0, TOP], [1, 1], \
         np.array([0, TOP, TOP, 0, TOP] * 200, dtype=np.uint32)
@@ -129,7 +131,7 @@ class TestKernelAgainstBitOracle:
         np.testing.assert_array_equal(codec.decode(got), np.asarray(data).ravel())
 
     def test_empty_input(self):
-        for codec in (HuffmanCodec(np.arange(33), ladder(32)), HuffmanCodec([], [])):
+        for codec in (HuffmanCodec(np.arange(17), ladder(MAX_CODE_LEN)), HuffmanCodec([], [])):
             nothing = np.zeros(0, dtype=np.uint32)
             got = codec.encode(nothing)
             assert (got.payload, got.nbits, got.nsymbols, got.sync.size) == (b"", 0, 0, 0)
@@ -155,12 +157,9 @@ class TestKernelAgainstBitOracle:
         with pytest.raises(TypeError):
             HuffmanCodec([5, 6], [1, 1]).encode(np.array([5.0, 6.5]))
 
-    def test_code_past_32_bits_is_a_valueerror(self):
-        codec = HuffmanCodec(np.arange(34), ladder(33))
-        data = np.array([0, 1, 2], dtype=np.uint32)
-        assert codec.expected_bits(data) == 6            # lengths still answer
-        with pytest.raises(ValueError, match="longer than 32 bits"):
-            codec.encode(data)
+    def test_code_past_16_bits_is_a_valueerror(self):
+        with pytest.raises(ValueError, match="code length out of range"):
+            HuffmanCodec(np.arange(18), ladder(MAX_CODE_LEN + 1))
 
 
 class TestCodeLengthsAgainstHeap:

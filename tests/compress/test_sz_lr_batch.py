@@ -1277,11 +1277,7 @@ def unit_block_chunks(draw):
         kinds = draw(st.lists(st.sampled_from(["noisy", "outliers", "constant", "rough_plane"]),
                               min_size=len(shapes), max_size=len(shapes)))
         arrays = [_field(kind, shape, rng).astype(dtype) for kind, shape in zip(kinds, shapes)]
-        if shared and draw(st.booleans()) and max(map(math.prod, shapes)) <= 1024:
-            # read without sync offsets: the streams take the scalar loop
-            payload = _sync_less(comp, arrays)
-        else:
-            payload = comp.compress_many(arrays, shared_encoding=shared).payload
+        payload = comp.compress_many(arrays, shared_encoding=shared).payload
         select = draw(st.one_of(st.none(), st.sets(st.integers(0, len(shapes) - 1),
                                                    min_size=1).map(sorted)))
         chunks.append((payload, select))
@@ -1293,8 +1289,7 @@ def unit_block_chunks(draw):
 def test_selected_arrays_equal_the_same_entries_of_the_full_decode(job):
     comp, chunks = job
     payloads, selects = zip(*chunks)
-    with mock.patch.object(ctn, "parse_record", _parse_dropping_sync):
-        _selected_equal_full(comp, payloads, selects)
+    _selected_equal_full(comp, payloads, selects)
 
 
 def _selected_equal_full(comp, payloads, selects):
@@ -1308,43 +1303,28 @@ def _selected_equal_full(comp, payloads, selects):
             assert _bits(next(_decode_job(comp, [payload], [select]))) == _bits(want)
 
 
-#: records read as hand-built streams, without their sync offsets
-_SYNC_LESS = set()
-
-
-def _sync_less(comp, arrays):
-    """A buffer whose streams :func:`_parse_dropping_sync` hands over without
-    their sync offsets (as a hand-built stream comes): the scalar loop."""
-    payload = comp.compress_many(arrays).payload
-    _SYNC_LESS.add(ctn.unpack_container(payload).sections["record"])
-    return payload
-
-
-def _parse_dropping_sync(record, *args, parse=ctn.parse_record):
-    pairs, side = parse(record, *args)
-    if bytes(record) in _SYNC_LESS:
-        for _, encoded in pairs:
-            encoded.sync = None
-    return pairs, side
-
-
-def test_a_sync_less_payload_is_selected_on_the_scalar_loop(monkeypatch):
+def test_a_sync_less_payload_is_refused_before_any_decode(monkeypatch):
+    """A record's streams read without their sync offsets (as a hand-built
+    stream comes) have no lanes: corrupt, whole or selected."""
     from repro.compress.huffman import HuffmanCodec
 
     rng = np.random.default_rng(4)
     comp = SZLRCompressor(1e-3, block_size=4)
     arrays = [_field(kind, (8, 8, 8), rng) for kind in ("noisy", "outliers", "constant", "noisy")]
-    payload = _sync_less(comp, arrays)
-    monkeypatch.setattr(ctn, "parse_record", _parse_dropping_sync)
-    full = comp.decompress_many(payload)
-    scalar = []
-    loop = HuffmanCodec._decode_scalar
-    monkeypatch.setattr(HuffmanCodec, "_decode_scalar",
-                        lambda self, payload, nbits, n: scalar.append(n) or
-                        loop(self, payload, nbits, n))
-    (got,) = _decode_job(comp, [payload], [[1, 3]])
-    assert scalar == [512, 512]
-    assert _bits(got) == _bits([full[1], full[3]])
+    payload = comp.compress_many(arrays).payload
+
+    def parse_dropping_sync(record, *args, parse=ctn.parse_record):
+        pairs, side = parse(record, *args)
+        for _, encoded in pairs:
+            encoded.sync = None
+        return pairs, side
+
+    monkeypatch.setattr(ctn, "parse_record", parse_dropping_sync)
+    monkeypatch.setattr(HuffmanCodec, "_decode_lanes",
+                        mock.Mock(side_effect=AssertionError("a lane pass ran")))
+    for select in (None, [1, 3]):
+        with pytest.raises(CorruptFileError, match="no sync offsets"):
+            list(_decode_job(comp, [payload], [select]))
 
 
 def test_a_selection_per_record_or_none_at_all():

@@ -231,6 +231,26 @@ class TestDamage:
             with pytest.raises(CorruptFileError):
                 handle.read()
 
+    @pytest.mark.parametrize("edit", [(b'"name": "level_1/baryon_density"',
+                                       b'"name": "level_1/baryon_densitz"'),
+                                      (b'"filter_id": "amric_3d"', b'"filter_id": "amric_id"')],
+                             ids=["dataset name", "filter_id"])
+    def test_an_edited_directory_is_corrupt(self, tmp_path, edit):
+        """The directory JSON is not checksummed: a dataset renamed away from
+        the header's, or a filter no reader knows, is refused as corrupt."""
+        from repro.apps import build_run
+
+        path = tmp_path / "tiny.h5z"
+        repro.write(build_run("nyx_1", seed=0, coarse_shape=(16, 16, 16),
+                              max_grid_size=8).hierarchy, str(path), error_bound=1e-3)
+        raw = path.read_bytes()
+        old, new = edit
+        assert old in raw and len(old) == len(new)
+        path.write_bytes(raw.replace(old, new, 1))              # one dataset's entry
+        with pytest.raises(CorruptFileError, match="no such dataset|unknown filter"):
+            with repro.open(str(path)) as handle:
+                handle.read()
+
     def test_a_lost_recipe_is_corrupt(self, plotfile, tmp_path):
         path = _rewrite(plotfile, str(tmp_path / "norecipe.h5z"), attrs_of=lambda attrs: {
             k: v for k, v in attrs.items() if k != "codec"})

@@ -1,16 +1,31 @@
 """The temporal_delta codec: grids, key/delta records, corrupt inputs."""
 
-import contextlib
+import time
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.compress.container import pack_container, unpack_container
+from repro.compress import huffman
+from repro.compress.container import (
+    pack_container,
+    pack_record,
+    parse_record,
+    recipe_context,
+    unpack_container,
+)
 from repro.compress.errorbound import ErrorBound
 from repro.compress.huffman import MAX_CODE_LEN, SYNC_INTERVAL, HuffmanCodec
 from repro.compress.registry import available_codecs, create_codec
-from repro.compress.temporal import MODE_DELTA, MODE_KEY, TemporalDeltaCodec, TemporalDeltaFilter
+from repro.compress.temporal import (
+    MODE_DELTA,
+    MODE_KEY,
+    StreamCandidate,
+    TemporalDeltaCodec,
+    TemporalDeltaFilter,
+)
 from repro.errors import CorruptFileError
 
 EB = 1e-2
@@ -90,7 +105,7 @@ class TestKeyStreams:
 
 
 class TestDecodePath:
-    """Records store their sync offsets, so they take the lane decoder."""
+    """Records store their sync offsets: the lane decoder is the only one."""
 
     @staticmethod
     def _counted(name):
@@ -99,41 +114,188 @@ class TestDecodePath:
 
     def test_records_decode_through_the_lanes(self, codec, data):
         record, recipe, codes = _record(codec, data)
-        with self._counted("_decode_lanes") as lanes, self._counted("_decode_scalar") as scalar:
+        with self._counted("_decode_lanes") as lanes:
             back = _codes(record, recipe, data.size)
-        assert lanes.call_count == 1 and scalar.call_count == 0
+        assert lanes.call_count == 1
         assert np.array_equal(back, codes)
 
     def test_a_record_read_against_another_count_is_corrupt(self, codec, data):
         """The code count comes from the chunk index and seeds the checksum:
         a record read against a count it was not written for is refused
-        before any decode, never read through the scalar loop."""
+        before any decode."""
         record, recipe, _ = _record(codec, data)
-        with self._counted("_decode_lanes") as lanes, self._counted("_decode_scalar") as scalar:
+        with self._counted("_decode_lanes") as lanes:
             for n in (data.size - 1, data.size + 1, 0):
                 with pytest.raises(CorruptFileError, match="checksum"):
                     _codes(record, recipe, n)
-        assert lanes.call_count == 0 and scalar.call_count == 0
+        assert lanes.call_count == 0
+
+
+#: the most distinct codes a record's table holds
+CAP = 1 << MAX_CODE_LEN
+
+
+def _parent_record(codes, recipe):
+    """A record as the plain form writes it: every code a symbol shifted by
+    the smallest, that code alone in the side blob."""
+    min_code = int(codes.min()) if codes.size else 0
+    shifted = (codes - min_code).astype(np.uint32)
+    table = HuffmanCodec.from_data(shifted)
+    return pack_record([(codes.size,)], [table.encode(shifted)], [table],
+                       [np.asarray([min_code], dtype="<i8")],
+                       recipe_context(recipe, ("stream", "abs_eb", "offset"),
+                                      "temporal_delta recipe"))
+
+
+def _best_of(runs, call):
+    best = float("inf")
+    for _ in range(runs):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 class TestWideAlphabet:
-    def test_codes_past_16_bits_decode_whole_and_by_lane(self, codec):
-        """Above 65,536 distinct codes ``_limit_lengths`` widens the table past
-        16 bits: the record has no lane layout, so the scalar loop decodes it
-        whole and the wanted lanes are cut from it (no mock in the way)."""
-        n = 70_000
-        codes = np.random.default_rng(5).permutation(n).astype(np.int64)
-        record, recipe, written = _record(codec, TemporalDeltaCodec.grid_values(
-            codes, EB, codec.offset))
-        assert np.array_equal(written, codes)
-        assert int(codec.candidate(written).table.lengths.max()) > MAX_CODE_LEN
-        lanes = np.asarray([0, 5, n // SYNC_INTERVAL])               # the last one short
-        with TestDecodePath._counted("_decode_scalar") as scalar:
-            whole = _codes(record, recipe, n)
-            some = _codes(record, recipe, n, [lanes])
-        assert scalar.call_count == 2
-        assert np.array_equal(whole, codes)
-        assert np.array_equal(some, codes[TemporalDeltaCodec.lane_cells(lanes, n)])
+    """A chunk of more than 2**16 distinct codes keeps the commonest as
+    symbols and escapes the rest: still one 16-bit table, still the lanes."""
+
+    N = 70_000
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        """70,000 distinct codes as a key record and as a delta record."""
+        rng = np.random.default_rng(5)
+        codes = rng.permutation(self.N).astype(np.int64) - 1000
+        ref = rng.integers(-50, 50, size=self.N)
+        codec = TemporalDeltaCodec(ErrorBound.absolute(EB), offset=3.0)
+        key, delta = codec.candidate(codes), codec.candidate(codes + ref, ref)
+        return codec, codes, ref, [
+            (codec.pack(key, codec.recipe(EB)), codec.recipe(EB), key),
+            (codec.pack(delta, codec.recipe(EB, stream=MODE_DELTA)),
+             codec.recipe(EB, stream=MODE_DELTA), delta)]
+
+    def test_codes_round_trip_whole_and_by_lane_through_the_lanes(self, wide):
+        _, codes, _, records = wide
+        n = self.N
+        lanes = np.asarray([0, n // SYNC_INTERVAL // 2, n // SYNC_INTERVAL])  # the last short
+        assert n % SYNC_INTERVAL
+        for record, recipe, candidate in records:
+            assert candidate.table.nsymbols == CAP
+            assert int(candidate.table.lengths.max()) <= MAX_CODE_LEN
+            assert candidate.side[0][1] == n - (CAP - 1)          # the rest escaped
+            with TestDecodePath._counted("_decode_lanes") as passes:
+                whole = _codes(record, recipe, n)
+                some = _codes(record, recipe, n, [lanes])
+            assert passes.call_count == 2
+            assert np.array_equal(whole, codes)                 # a delta: its differences
+            assert np.array_equal(some, codes[TemporalDeltaCodec.lane_cells(lanes, n)])
+
+    def test_the_old_reader_refuses_a_wide_record(self, wide):
+        """The plain reader takes the smallest code and expects the side
+        blob's end: a wide record's escapes are bytes past it."""
+        record, recipe, _ = wide[3][0]
+        _, side = parse_record(record, [(self.N,)], [self.N], True, "temporal_delta record",
+                               recipe_context(recipe, ("stream", "abs_eb", "offset"),
+                                              "temporal_delta recipe"))
+        side.take("<i8", 1)
+        with pytest.raises(CorruptFileError, match="bytes past"):
+            side.done()
+
+    def test_a_wide_decode_costs_about_what_a_16_bit_one_does(self, wide):
+        codec, _, _, records = wide
+        record, recipe, _ = records[0]
+        plain_codes = np.random.default_rng(6).permutation(60_000).astype(np.int64)
+        plain = codec.pack(codec.candidate(plain_codes), recipe)
+        wide_s = _best_of(3, lambda: _codes(record, recipe, self.N))
+        plain_s = _best_of(3, lambda: _codes(plain, recipe, plain_codes.size))
+        assert wide_s <= 10 * plain_s
+
+    @given(st.sampled_from([CAP - 1, CAP, CAP + 1]), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1, 3]), st.integers(-2 ** 40, 2 ** 40), st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_the_cap_is_where_the_form_changes(self, distinct, seed, stride, base, delta):
+        rng = np.random.default_rng(seed)
+        values = base + stride * np.arange(distinct, dtype=np.int64)
+        # every value once, and a skewed tail: code lengths past 16 bits to clamp
+        extra = values[np.minimum(rng.geometric(0.02, size=5000), distinct) - 1]
+        target = rng.permutation(np.concatenate([values, extra]))
+        ref = rng.integers(-9, 9, size=target.size) if delta else None
+        codes = target if ref is None else target + ref
+        codec = TemporalDeltaCodec(ErrorBound.absolute(EB), offset=3.0)
+        recipe = codec.recipe(EB, stream=MODE_KEY if ref is None else MODE_DELTA)
+        candidate = codec.candidate(codes, ref)
+        record = codec.pack(candidate, recipe)
+        assert np.array_equal(_codes(record, recipe, target.size), target)
+        assert candidate.table.nsymbols == min(distinct, CAP)
+        if distinct <= CAP:
+            assert record == _parent_record(target, recipe)
+        else:                           # the rarest two codes escaped, every copy
+            assert candidate.side[0][1] == np.isin(target, values[-2:]).sum()
+
+    def test_a_spread_past_32_bits_is_escaped(self, codec):
+        codes = np.asarray([0, 1, 1, 2 ** 40, -(2 ** 50), 1, 0], dtype=np.int64)
+        recipe = codec.recipe(EB)
+        candidate = codec.candidate(codes)
+        assert candidate.side[0].tolist() == [-1, 2]            # min_code, two escaped
+        assert candidate.side[1].tolist() == [3, 4]
+        assert np.array_equal(_codes(codec.pack(candidate, recipe), recipe, codes.size), codes)
+
+
+class TestHostileWideRecords:
+    """Each is packed with a valid checksum, so the decoder's own checks meet it."""
+
+    @staticmethod
+    def _wide(codec):
+        codes = np.random.default_rng(7).permutation(CAP + 40).astype(np.int64)
+        return codes, codec.candidate(codes)
+
+    @staticmethod
+    def _repacked(codec, candidate, side):
+        recipe = codec.recipe(EB)
+        return codec.pack(candidate._replace(side=side, encoded=None), recipe), recipe
+
+    def test_a_17_bit_table_is_corrupt(self, codec):
+        """What the writer made of a table past 65,536 symbols before escapes."""
+        lengths = np.asarray(list(range(1, MAX_CODE_LEN + 2)) + [MAX_CODE_LEN + 1])
+        with mock.patch.object(huffman, "MAX_CODE_LEN", 32):
+            table = HuffmanCodec(np.arange(lengths.size), lengths)
+            shifted = np.arange(lengths.size, dtype=np.uint32).repeat(3)
+            candidate = StreamCandidate(shifted, table, [np.asarray([5], "<i8")], 0,
+                                        table.encode(shifted))
+        recipe = codec.recipe(EB)
+        with pytest.raises(CorruptFileError, match="code length out of range"):
+            _codes(codec.pack(candidate, recipe), recipe, shifted.size)
+
+    @pytest.mark.parametrize("cell", [-1, CAP + 40, "repeat", "descending"])
+    def test_an_escaped_cell_out_of_place_is_corrupt(self, codec, cell):
+        codes, candidate = self._wide(codec)
+        head, cells, values = candidate.side
+        cells = cells.copy()
+        if cell == "repeat":
+            cells[1] = cells[0]
+        elif cell == "descending":
+            cells[[0, 1]] = cells[[1, 0]]
+        else:
+            cells[0 if cell == -1 else -1] = cell
+        record, recipe = self._repacked(codec, candidate, [head, cells, values])
+        for lanes in (None, [np.arange(3)]):
+            with pytest.raises(CorruptFileError, match="escaped cells out of place"):
+                _codes(record, recipe, codes.size, lanes)
+
+    @pytest.mark.parametrize("change", [1, -1, "both"])
+    def test_a_mismatched_escape_count_is_corrupt(self, codec, change):
+        codes, candidate = self._wide(codec)
+        head, cells, values = candidate.side
+        if change == "both":            # a count that fits its arrays, not the codes
+            side = [np.asarray([head[0], head[1] - 1], "<i8"), cells[1:], values[1:]]
+        else:
+            side = [np.asarray([head[0], head[1] + change], "<i8"), cells, values]
+        record, recipe = self._repacked(codec, candidate, side)
+        lanes = [np.asarray([int(cells[0]) // SYNC_INTERVAL])]
+        for keep in (None, lanes):
+            with pytest.raises(CorruptFileError):
+                _codes(record, recipe, codes.size, keep)
 
 
 class TestDeltaStreams:
@@ -236,19 +398,14 @@ class TestCorruptStreams:
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got, _codes(record, recipe, n))
 
-    @pytest.mark.parametrize("sync", ["lane layout", "no lane layout"])
-    def test_lanes_decode_to_the_same_codes_of_the_whole(self, codec, data, sync):
+    def test_lanes_decode_to_the_same_codes_of_the_whole(self, codec, data):
         n = 16 * SYNC_INTERVAL - 3 * SYNC_INTERVAL // 8       # 16 lanes, the last short
         key, key_recipe, codes = _record(codec, data[:n])
         delta, delta_recipe, _ = _record(codec, data[:n] + 0.3, codes)
         lanes = [np.array([0, 3, 4, 15]), None, np.array([15]), np.zeros(0, dtype=np.int64)]
         records, recipes = [key, delta, delta, key], [key_recipe, delta_recipe,
                                                       delta_recipe, key_recipe]
-        # a stream with no lane layout (codes wider than the LUT) is decoded
-        # whole, then cut
-        with mock.patch.object(HuffmanCodec, "select_lanes", return_value=None) \
-                if sync == "no lane layout" else contextlib.nullcontext():
-            narrowed = TemporalDeltaCodec.unpack_codes_many(records, recipes, [n] * 4, lanes)
+        narrowed = TemporalDeltaCodec.unpack_codes_many(records, recipes, [n] * 4, lanes)
         for record, recipe, keep, got in zip(records, recipes, lanes, narrowed):
             want = _codes(record, recipe, n)
             if keep is not None:

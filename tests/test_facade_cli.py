@@ -299,6 +299,21 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "error_bound=ok" in out
 
+    def test_a_decompressed_copy_keeps_its_sources_bound(self, plotfile, tmp_path, capsys):
+        """The copy's values are the lossy source's: held to the original data
+        they meet the source's bound, which its header must keep (not 0.0)."""
+        raw, copy = tmp_path / "raw.h5z", tmp_path / "copy.h5z"
+        assert cli_main(["compress", "--preset", "nyx_1", "--method", "nocomp", str(raw)]) == 0
+        assert cli_main(["decompress", str(plotfile), str(copy)]) == 0
+        with repro.open(str(plotfile)) as source, repro.open(str(copy)) as handle:
+            assert handle.header.method == "nocomp"
+            assert (handle.error_bound, handle.header.error_bound_mode) == \
+                (source.error_bound, source.header.error_bound_mode) != (0.0, "rel")
+        capsys.readouterr()
+        assert cli_main(["verify", str(copy), "--against", str(raw)]) == 0
+        out = capsys.readouterr().out
+        assert "error_bound=ok" in out and "<= bound 1.000e-03" in out
+
     def test_recompress_input(self, plotfile, tmp_path, capsys):
         out_path = tmp_path / "re.h5z"
         assert cli_main(["compress", "--input", str(plotfile), str(out_path),
