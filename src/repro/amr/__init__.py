@@ -12,12 +12,12 @@ framework:
   — per-box, multi-component floating point data.
 * :class:`~repro.amr.hierarchy.AmrHierarchy` — the multi-level dataset an AMR
   application dumps at each plotfile step.
-* :mod:`~repro.amr.regrid` — cell tagging and box generation (how levels are
+* :mod:`~repro.amr.regrid` — box generation over tagged cells (how levels are
   created from refinement criteria).
 * :class:`~repro.amr.distribution.DistributionMapping` — box → MPI-rank
   assignment.
-* :mod:`~repro.amr.upsample` — conversion of a hierarchy to a single uniform
-  grid for post-analysis and PSNR evaluation.
+* :mod:`~repro.amr.upsample` — up-sampling, average-down and the refill of
+  covered coarse cells.
 """
 
 from repro.amr.box import Box
@@ -25,8 +25,8 @@ from repro.amr.boxarray import BoxArray
 from repro.amr.multifab import FArrayBox, MultiFab
 from repro.amr.hierarchy import AmrLevel, AmrHierarchy
 from repro.amr.distribution import DistributionMapping
-from repro.amr.regrid import tag_cells, cluster_tags, make_fine_boxarray
-from repro.amr.upsample import flatten_to_uniform, covered_mask
+from repro.amr.regrid import cluster_tags
+from repro.amr.upsample import covered_mask
 
 __all__ = [
     "Box",
@@ -36,9 +36,6 @@ __all__ = [
     "AmrLevel",
     "AmrHierarchy",
     "DistributionMapping",
-    "tag_cells",
     "cluster_tags",
-    "make_fine_boxarray",
-    "flatten_to_uniform",
     "covered_mask",
 ]

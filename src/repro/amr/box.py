@@ -107,10 +107,6 @@ class Box:
     def is_empty(self) -> bool:
         return any(h < l for l, h in zip(self.lo, self.hi))
 
-    def contains_point(self, point: Sequence[int]) -> bool:
-        point = _as_intvect(point, self.ndim)
-        return all(l <= p <= h for l, p, h in zip(self.lo, point, self.hi))
-
     def contains(self, other: "Box") -> bool:
         """True if ``other`` lies entirely inside this box."""
         if other.is_empty():

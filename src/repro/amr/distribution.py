@@ -37,18 +37,6 @@ class DistributionMapping:
             return NotImplemented
         return self.rank_of_box == other.rank_of_box and self.nranks == other.nranks
 
-    def boxes_on_rank(self, rank: int) -> List[int]:
-        """Indices of boxes owned by ``rank`` (in box order)."""
-        if rank < 0 or rank >= self.nranks:
-            raise ValueError(f"rank {rank} out of range [0, {self.nranks})")
-        return [i for i, r in enumerate(self.rank_of_box) if r == rank]
-
-    def counts_per_rank(self) -> List[int]:
-        counts = [0] * self.nranks
-        for r in self.rank_of_box:
-            counts[r] += 1
-        return counts
-
     # ------------------------------------------------------------------
     # strategies
     # ------------------------------------------------------------------
@@ -77,23 +65,6 @@ class DistributionMapping:
             rank_of_box[i] = rank
             heapq.heappush(heap, (load + int(box_sizes[i]), rank))
         return DistributionMapping(rank_of_box, nranks)
-
-    def load_per_rank(self, box_sizes: Sequence[int]) -> List[int]:
-        """Total size owned by each rank."""
-        if len(box_sizes) != len(self.rank_of_box):
-            raise ValueError("box_sizes length mismatch")
-        loads = [0] * self.nranks
-        for size, rank in zip(box_sizes, self.rank_of_box):
-            loads[rank] += int(size)
-        return loads
-
-    def imbalance(self, box_sizes: Sequence[int]) -> float:
-        """max/mean rank load; 1.0 means perfectly balanced."""
-        loads = self.load_per_rank(box_sizes)
-        mean = sum(loads) / len(loads)
-        if mean == 0:
-            return 1.0
-        return max(loads) / mean
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DistributionMapping(nboxes={len(self)}, nranks={self.nranks})"

@@ -16,7 +16,7 @@ Conventions follow AMReX (and the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -119,15 +119,6 @@ class AmrHierarchy:
     def __getitem__(self, level: int) -> AmrLevel:
         return self.levels[level]
 
-    def ratio_between(self, coarse_level: int, fine_level: int) -> int:
-        """Cumulative refinement ratio between two levels."""
-        if not 0 <= coarse_level <= fine_level < self.nlevels:
-            raise ValueError("invalid level pair")
-        ratio = 1
-        for r in self.ref_ratios[coarse_level:fine_level]:
-            ratio *= r
-        return ratio
-
     @property
     def nbytes(self) -> int:
         return sum(lvl.nbytes for lvl in self.levels)
@@ -168,13 +159,6 @@ class AmrHierarchy:
             for _, overlap in fine_coarsened.intersections(box):
                 covered += overlap.size
         return covered
-
-    def redundancy_fraction(self, level: int) -> float:
-        """Fraction of a level's cells that are redundant (covered by finer data)."""
-        total = self.levels[level].num_cells
-        if total == 0:
-            return 0.0
-        return self.covered_cells(level) / total
 
     # ------------------------------------------------------------------
     # convenience constructor

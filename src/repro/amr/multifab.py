@@ -9,7 +9,7 @@ the box→rank distribution mapping.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -70,10 +70,6 @@ class FArrayBox:
     def copy(self) -> "FArrayBox":
         return FArrayBox(self.box, self.ncomp, dtype=self.dtype, data=self.data.copy())
 
-    def linearize(self) -> np.ndarray:
-        """Box-major, component-contiguous 1D buffer (the AMReX plotfile order)."""
-        return self.data.reshape(-1)
-
     def min(self, comp: int | None = None) -> float:
         return float(self.data.min() if comp is None else self.data[comp].min())
 
@@ -133,20 +129,6 @@ class MultiFab:
     # ------------------------------------------------------------------
     # data access
     # ------------------------------------------------------------------
-    def fill(self, name: str, func) -> None:
-        """Fill component ``name`` on every box by evaluating ``func``.
-
-        ``func`` receives the cell-index coordinate arrays ``(i, j, k, ...)``
-        (each of shape = box.shape) and must return an array of that shape.
-        """
-        comp = self.component_index(name)
-        for fab in self.fabs:
-            coords = np.meshgrid(
-                *[np.arange(l, h + 1) for l, h in zip(fab.box.lo, fab.box.hi)],
-                indexing="ij",
-            )
-            fab.set_component(comp, func(*coords))
-
     def set_from_global(self, name: str, global_array: np.ndarray,
                         domain: Box) -> None:
         """Copy the portion of a domain-covering array into every box."""
@@ -171,12 +153,6 @@ class MultiFab:
             out[overlap.slices(origin=domain.lo)] = \
                 fab.component(comp)[overlap.slices(origin=fab.box.lo)]
         return out
-
-    def boxes_on_rank(self, rank: int) -> List[int]:
-        return self.distribution.boxes_on_rank(rank)
-
-    def rank_nbytes(self, rank: int) -> int:
-        return sum(self.fabs[i].nbytes for i in self.boxes_on_rank(rank))
 
     @property
     def nbytes(self) -> int:

@@ -1,15 +1,11 @@
-"""Cell tagging and box generation (regridding).
+"""Box generation (regridding).
 
 AMR applications refine where a criterion fires — e.g. "refine a block when its
-maximum value exceeds a threshold" or "when the norm of the gradient is large"
-(Figure 1 of the paper).  This module provides
-
-* :func:`tag_cells` — build a boolean tag mask from a field and a criterion,
-* :func:`cluster_tags` — cover the tagged cells with rectangular boxes
-  (a simplified Berger–Rigoutsos clustering: recursive bisection at the
-  weakest signature cut until boxes are efficient enough or small enough),
-* :func:`make_fine_boxarray` — the full tagging → clustering → refine pipeline
-  that produces the next finer level's :class:`~repro.amr.boxarray.BoxArray`.
+maximum value exceeds a threshold" (Figure 1 of the paper).  The applications
+tag cells themselves; :func:`cluster_tags` covers the tagged cells with
+rectangular boxes (a simplified Berger–Rigoutsos clustering: recursive
+bisection at the weakest signature cut until boxes are efficient enough or
+small enough).
 """
 
 from __future__ import annotations
@@ -21,38 +17,7 @@ import numpy as np
 from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray
 
-__all__ = ["tag_cells", "cluster_tags", "make_fine_boxarray"]
-
-
-def tag_cells(field: np.ndarray, criterion: str = "threshold",
-              threshold: float | None = None,
-              gradient_threshold: float | None = None) -> np.ndarray:
-    """Return a boolean mask of cells that should be refined.
-
-    Parameters
-    ----------
-    field:
-        The field driving refinement (e.g. baryon density), any dimension.
-    criterion:
-        ``"threshold"`` — tag cells whose value exceeds ``threshold``
-        (default: the field mean, the example criterion in §2.3);
-        ``"gradient"`` — tag cells whose gradient magnitude exceeds
-        ``gradient_threshold`` (default: mean + std of the gradient norm).
-    """
-    field = np.asarray(field, dtype=np.float64)
-    if criterion == "threshold":
-        if threshold is None:
-            threshold = float(field.mean())
-        return field > threshold
-    if criterion == "gradient":
-        grads = np.gradient(field)
-        if field.ndim == 1:
-            grads = [grads]
-        norm = np.sqrt(sum(g * g for g in grads))
-        if gradient_threshold is None:
-            gradient_threshold = float(norm.mean() + norm.std())
-        return norm > gradient_threshold
-    raise ValueError(f"unknown tagging criterion {criterion!r}")
+__all__ = ["cluster_tags"]
 
 
 def _signature_cut(tags: np.ndarray, axis: int) -> int | None:
@@ -182,27 +147,3 @@ def cluster_tags(tags: np.ndarray, origin: Sequence[int] | None = None,
     result = BoxArray(shifted).max_size(max_grid_size)
     return result
 
-
-def make_fine_boxarray(field: np.ndarray, coarse_domain: Box, ratio: int,
-                       criterion: str = "threshold", threshold: float | None = None,
-                       gradient_threshold: float | None = None,
-                       max_grid_size: int = 32, blocking_factor: int = 4,
-                       min_efficiency: float = 0.7) -> BoxArray:
-    """Tag a coarse field and produce the next finer level's BoxArray.
-
-    The returned boxes are expressed in the *fine* index space (coarse boxes
-    refined by ``ratio``), ready to build an :class:`~repro.amr.hierarchy.AmrLevel`.
-    """
-    field = np.asarray(field)
-    if field.shape != coarse_domain.shape:
-        raise ValueError(
-            f"field shape {field.shape} must equal the coarse domain shape {coarse_domain.shape}")
-    tags = tag_cells(field, criterion=criterion, threshold=threshold,
-                     gradient_threshold=gradient_threshold)
-    if not tags.any():
-        return BoxArray([])
-    coarse_ba = cluster_tags(tags, origin=coarse_domain.lo,
-                             max_grid_size=max_grid_size,
-                             min_efficiency=min_efficiency,
-                             blocking_factor=blocking_factor)
-    return coarse_ba.refine(ratio)

@@ -1,12 +1,8 @@
-"""Uniform-resolution reconstruction of an AMR hierarchy (Figure 3 semantics).
+"""Moving data between refinement levels (Figure 3 semantics).
 
-Post-analysis and visualisation usually want a single uniform grid: coarse
-data is up-sampled to the finest resolution and overwritten wherever finer
-data exists — the redundant coarse cells underneath finer levels are never
-used, which is the justification for discarding them before compression.
-
-The same routine is used to compare an original and a decompressed hierarchy
-on equal footing (Table 3 / Figure 10 style evaluations).
+Post-analysis never uses the coarse cells underneath finer levels — it reads
+the finer data, or its average-down — which is the justification for
+discarding them before compression and refilling them on read.
 """
 
 from __future__ import annotations
@@ -16,7 +12,7 @@ import numpy as np
 from repro.amr.hierarchy import AmrHierarchy
 
 __all__ = ["upsample_array", "average_down", "fill_covered_from_finer",
-           "flatten_to_uniform", "covered_mask"]
+           "covered_mask"]
 
 
 def upsample_array(array: np.ndarray, ratio: int) -> np.ndarray:
@@ -89,30 +85,3 @@ def covered_mask(hierarchy: AmrHierarchy, level: int) -> np.ndarray:
         return np.zeros(domain.shape, dtype=bool)
     fine_coarsened = hierarchy[level + 1].boxarray.coarsen(hierarchy.ref_ratios[level])
     return fine_coarsened.coverage_mask(domain)
-
-
-def flatten_to_uniform(hierarchy: AmrHierarchy, name: str,
-                       fill_value: float = 0.0) -> np.ndarray:
-    """Combine every level of one component onto the finest uniform grid.
-
-    Coarse data is up-sampled (piecewise constant) to the finest resolution;
-    finer levels overwrite coarser data wherever they exist.  The redundant
-    coarse points (e.g. "0D" in Figure 3) therefore never reach the output.
-    """
-    finest = hierarchy.nlevels - 1
-    fine_domain = hierarchy[finest].domain
-    out = np.full(fine_domain.shape, fill_value, dtype=np.float64)
-
-    for level, lvl in enumerate(hierarchy.levels):
-        ratio_to_finest = hierarchy.ratio_between(level, finest)
-        comp = lvl.multifab.component_index(name)
-        for fab in lvl.multifab:
-            data = fab.component(comp)
-            up = upsample_array(data, ratio_to_finest)
-            fine_box = fab.box.refine(ratio_to_finest) if ratio_to_finest > 1 else fab.box
-            overlap = fine_box.intersection(fine_domain)
-            if overlap.is_empty():
-                continue
-            out[overlap.slices(origin=fine_domain.lo)] = \
-                up[overlap.slices(origin=fine_box.lo)]
-    return out

@@ -9,12 +9,10 @@ on them without plotting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
 import numpy as np
 
-__all__ = ["error_slice", "ErrorSliceComparison", "compare_error_slices",
-           "boundary_error_excess"]
+__all__ = ["error_slice", "ErrorSliceComparison", "compare_error_slices"]
 
 
 def error_slice(original: np.ndarray, reconstructed: np.ndarray, axis: int = 0,
@@ -39,14 +37,6 @@ class ErrorSliceComparison:
     p99_error_a: float
     p99_error_b: float
 
-    @property
-    def a_is_cleaner(self) -> bool:
-        return self.mean_error_a <= self.mean_error_b
-
-    def as_row(self) -> Dict[str, float]:
-        return {"mean_error_a": self.mean_error_a, "mean_error_b": self.mean_error_b,
-                "p99_error_a": self.p99_error_a, "p99_error_b": self.p99_error_b}
-
 
 def compare_error_slices(original: np.ndarray, recon_a: np.ndarray,
                          recon_b: np.ndarray) -> ErrorSliceComparison:
@@ -57,27 +47,3 @@ def compare_error_slices(original: np.ndarray, recon_a: np.ndarray,
         mean_error_a=float(err_a.mean()), mean_error_b=float(err_b.mean()),
         p99_error_a=float(np.percentile(err_a, 99)),
         p99_error_b=float(np.percentile(err_b, 99)))
-
-
-def boundary_error_excess(original: np.ndarray, reconstructed: np.ndarray,
-                          block_size: int) -> float:
-    """Ratio of mean error on unit-block boundary planes to interior mean error.
-
-    The linear-merging artefacts of Figure 6 concentrate at block boundaries,
-    so this ratio is large for LM and close to 1 for unit SLE.
-    """
-    err = np.abs(np.asarray(original, dtype=np.float64)
-                 - np.asarray(reconstructed, dtype=np.float64))
-    boundary_mask = np.zeros(err.shape, dtype=bool)
-    for axis, n in enumerate(err.shape):
-        idx = np.arange(n)
-        on_boundary = (idx % block_size == 0) | (idx % block_size == block_size - 1)
-        sel = [slice(None)] * err.ndim
-        sel[axis] = on_boundary
-        boundary_mask[tuple(sel)] = True
-    interior = err[~boundary_mask]
-    boundary = err[boundary_mask]
-    if interior.size == 0 or boundary.size == 0:
-        return 1.0
-    interior_mean = interior.mean() or 1e-30
-    return float(boundary.mean() / interior_mean)

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-import numpy as np
-
 from repro.apps.nyx import NyxSimulation
 from repro.apps.warpx import WarpXSimulation
 from repro.apps.base import SyntheticAMRSimulation
@@ -43,16 +41,6 @@ class RunPreset:
     nranks: int = 4
     max_grid_size: int = 32
     seed: int = 0
-
-    @property
-    def ratio(self) -> int:
-        return 2
-
-    @property
-    def paper_cells_per_level(self) -> Tuple[int, int]:
-        coarse = int(np.prod(self.paper_coarse_shape))
-        fine_domain = coarse * self.ratio ** 3
-        return coarse, int(round(fine_domain * self.paper_fine_density))
 
     @property
     def paper_total_bytes(self) -> int:

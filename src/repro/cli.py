@@ -78,7 +78,7 @@ def _add_source_arg(subparser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="AMRIC plotfile tooling (self-describing format v2)")
+        description="AMRIC plotfile tooling (self-describing format v4)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_info = sub.add_parser("info", help="print plotfile or series metadata "

@@ -60,14 +60,6 @@ class CompressedBuffer:
             return float("inf")
         return self.original_nbytes / self.compressed_nbytes
 
-    @property
-    def bitrate(self) -> float:
-        """Bits per element of the original array."""
-        nelems = int(np.prod(self.original_shape)) if self.original_shape else 1
-        if nelems == 0:
-            return 0.0
-        return 8.0 * self.compressed_nbytes / nelems
-
 
 def is_float(name: str) -> bool:
     """Whether ``name`` is a numpy float dtype (what a stored record decodes to)."""

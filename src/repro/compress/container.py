@@ -410,7 +410,17 @@ def parse_record(record: bytes, shapes: Sequence[Sequence[int]], nsymbols: Seque
                                f"{len(record)}-byte record")
     payload = record[_RECORD.size:_RECORD.size + ncodes]
     if form == _DEFLATED:
-        payload = zlib_decompress(payload)
+        # every code is at most 16 bits: a record's codes take at most two
+        # bytes a symbol, so inflating stops one byte past that
+        limit = 2 * int(np.sum(nsymbols, dtype=np.int64))
+        inflater = zlib.decompressobj()
+        try:
+            payload = inflater.decompress(payload, limit + 1)
+        except zlib.error as exc:
+            raise CorruptFileError(f"{what}: corrupt deflate stream: {exc}") from exc
+        if not inflater.eof or len(payload) > limit:
+            raise CorruptFileError(f"{what}: codes inflate past {limit} bytes, two a "
+                                   "symbol, or end early")
     side = SideReader(zlib_decompress(record[_RECORD.size + ncodes:]), what)
     nsymbols = np.asarray(nsymbols, dtype=np.int64)
     nbits = side.take("<i8", narrays).astype(np.int64)

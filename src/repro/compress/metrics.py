@@ -1,4 +1,4 @@
-"""Compression quality metrics (PSNR, NRMSE, ratio, bitrate).
+"""Compression quality metrics (PSNR, NRMSE, ratio).
 
 PSNR follows the paper's definition (footnote 2):
 
@@ -22,7 +22,6 @@ __all__ = [
     "psnr_from_mse",
     "max_abs_error",
     "compression_ratio",
-    "bitrate",
     "CompressionStats",
 ]
 
@@ -88,13 +87,6 @@ def compression_ratio(original_nbytes: int, compressed_nbytes: int) -> float:
     return original_nbytes / compressed_nbytes
 
 
-def bitrate(original_nelements: int, compressed_nbytes: int) -> float:
-    """Bits per element of the compressed representation."""
-    if original_nelements <= 0:
-        raise ValueError("need at least one element")
-    return 8.0 * compressed_nbytes / original_nelements
-
-
 @dataclass
 class CompressionStats:
     """A single (method, dataset, error bound) measurement record."""
@@ -112,10 +104,6 @@ class CompressionStats:
     def compression_ratio(self) -> float:
         return compression_ratio(self.original_nbytes, self.compressed_nbytes)
 
-    @property
-    def bitrate(self) -> float:
-        return 64.0 * self.compressed_nbytes / max(self.original_nbytes, 1)
-
     @staticmethod
     def measure(method: str, error_bound: float, original: np.ndarray,
                 reconstructed: np.ndarray, compressed_nbytes: int,
@@ -131,16 +119,3 @@ class CompressionStats:
             nrmse=nrmse(original, reconstructed),
             extra=dict(extra),
         )
-
-    def as_row(self) -> Dict[str, float | str]:
-        """Flat dict for table reporting."""
-        row: Dict[str, float | str] = {
-            "method": self.method,
-            "error_bound": self.error_bound,
-            "compression_ratio": self.compression_ratio,
-            "psnr": self.psnr,
-            "max_error": self.max_error,
-            "nrmse": self.nrmse,
-        }
-        row.update(self.extra)
-        return row

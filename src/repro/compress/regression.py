@@ -30,15 +30,6 @@ class RegressionModel:
     coefficients: np.ndarray     #: float64 (nblocks, ndim + 1) — already quantised
     block_shape: Tuple[int, ...]
 
-    @property
-    def nblocks(self) -> int:
-        return int(self.coefficients.shape[0])
-
-    @property
-    def nbytes(self) -> int:
-        """Storage cost of the coefficients (stored as float32, as SZ does)."""
-        return int(self.coefficients.shape[0] * self.coefficients.shape[1] * 4)
-
 
 def _centred_coordinates(extent: int) -> np.ndarray:
     """Cell coordinates along one block axis, centred on the block.

@@ -309,10 +309,6 @@ class SZLRCompressor(Compressor):
             raise ValueError(f"block_size {bs} does not match array dimension {ndim}")
         return bs
 
-    @property
-    def block_size(self) -> int | Sequence[int]:
-        return self._block_size_spec
-
     # ------------------------------------------------------------------
     # core predictor: one batched pass per call (a dataset's chunks)
     # ------------------------------------------------------------------

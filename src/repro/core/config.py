@@ -15,10 +15,9 @@ Where the encode jobs run is not configuration: a writer takes an
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from repro.compress.errorbound import ErrorBound
-from repro.compress.registry import create_codec, is_registered, available_codecs
+from repro.compress.registry import is_registered, available_codecs
 
 __all__ = ["AMRICConfig"]
 
@@ -75,7 +74,3 @@ class AMRICConfig:
     def with_overrides(self, **kwargs) -> "AMRICConfig":
         """A copy with some fields replaced (used heavily by the ablations)."""
         return replace(self, **kwargs)
-
-    def make_codec(self, name: Optional[str] = None, **options):
-        """Build any registered codec honouring this configuration's bound."""
-        return create_codec(name or self.compressor, self.error_bound_obj, **options)

@@ -82,14 +82,6 @@ class LevelFieldRecord:
     value_min: float
     value_max: float
 
-    @property
-    def compression_ratio(self) -> float:
-        return self.raw_bytes / max(self.compressed_bytes, 1)
-
-    @property
-    def mse(self) -> float:
-        return self.sq_error / max(self.n_elements, 1)
-
 
 @dataclass
 class WriteReport:
@@ -142,12 +134,6 @@ class WriteReport:
                 for name, recs in self._records_by_field().items()}
 
     @property
-    def worst_psnr(self) -> Dict[str, float]:
-        """Per-field PSNR of the worst level (conservative and monotone)."""
-        return {name: min(r.psnr for r in recs)
-                for name, recs in self._records_by_field().items()}
-
-    @property
     def mean_psnr(self) -> float:
         values = [r.psnr for r in self.records if np.isfinite(r.psnr)]
         return float(np.mean(values)) if values else float("inf")
@@ -155,17 +141,6 @@ class WriteReport:
     @property
     def total_filter_calls(self) -> int:
         return sum(r.filter_calls for r in self.records)
-
-    def as_row(self) -> Dict[str, object]:
-        return {
-            "method": self.method,
-            "error_bound": self.error_bound,
-            "compression_ratio": self.compression_ratio,
-            "mean_psnr": self.mean_psnr,
-            "filter_calls": self.total_filter_calls,
-            "raw_bytes": self.raw_bytes,
-            "compressed_bytes": self.compressed_bytes,
-        }
 
 
 def writer_comm(hierarchy: AmrHierarchy, comm: Optional[SimComm] = None) -> SimComm:

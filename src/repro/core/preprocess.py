@@ -269,10 +269,6 @@ class PackedArrangement:
             self.slot_of_block = list(range(len(self.block_shapes)))
 
     @property
-    def nblocks(self) -> int:
-        return len(self.block_shapes)
-
-    @property
     def packed_shape(self) -> Tuple[int, int, int]:
         return tuple(g * u for g, u in zip(self.grid_shape, self.unit_shape))
 

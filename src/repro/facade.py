@@ -45,7 +45,7 @@ def open_plotfile(path: str, backend=None, cache=None,
                   source=None) -> PlotfileHandle:
     """Open a plotfile for lazy reading (exported as :func:`repro.open`).
 
-    Plotfiles are self-describing (format v2), so the path is all a read
+    Plotfiles are self-describing (format v4), so the path is all a read
     needs; a file without the header, or of another format version, is
     rejected with :class:`~repro.errors.CorruptFileError` (a ``ValueError``).
     ``backend`` — None (inline) or an

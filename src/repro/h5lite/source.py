@@ -400,10 +400,6 @@ class RangeSource(ByteSource):
             return out
 
     # -- cache management -----------------------------------------------
-    @property
-    def cached_bytes(self) -> int:
-        return self._cached_bytes
-
     def clear_cache(self) -> None:
         with self._lock:
             self._blocks.clear()

@@ -11,10 +11,10 @@ Three instrument kinds, all thread-safe and dependency-free:
 :class:`Counter`
     Monotone ``inc(n)``; the unit of every ``*_total`` metric.
 :class:`Gauge`
-    ``set(v)`` / ``inc`` / ``dec``; current-value metrics (cache bytes held).
+    ``set(v)``; current-value metrics (cache bytes held).
 :class:`Histogram`
     Fixed upper-bound buckets, Prometheus-style cumulative on export.
-    ``observe(v)`` is O(#buckets); :meth:`Histogram.quantile` derives
+    ``observe(v)`` is O(#buckets); :func:`quantile_from_buckets` derives
     p50/p99 estimates from the bucket counts, which is how per-op latency
     percentiles come out of a plain counter snapshot.
 
@@ -137,13 +137,6 @@ class Gauge(_Instrument):
         with self._lock:
             self._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         return self._value
@@ -199,15 +192,6 @@ class Histogram(_Instrument):
             running += n
             out.append((bound, running))
         return out
-
-    def quantile(self, q: float) -> float:
-        """Estimate the q-quantile (0..1) from the bucket counts.
-
-        See :func:`quantile_from_buckets` (which also works on a snapshot's
-        serialized bucket rows, so a client can derive p50/p99 from what a
-        remote server sent).
-        """
-        return quantile_from_buckets(self.cumulative(), q)
 
 
 def quantile_from_buckets(buckets: Sequence[Sequence[float]],
@@ -398,18 +382,11 @@ class MetricsRegistry:
                         hist._sum += float(sample["sum"])
                         hist._count += int(sample["count"])
 
-    def to_prometheus(self) -> str:
-        """This registry in the text exposition format."""
-        return render_prometheus(self.snapshot())
-
 
 class _NullInstrument:
     """Accepts every update, records nothing."""
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
         pass
 
     def set(self, value: float) -> None:

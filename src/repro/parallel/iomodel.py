@@ -27,7 +27,7 @@ inputs and outputs so the calibration is auditable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from repro.parallel.filesystem import ParallelFileSystem
 
@@ -67,15 +67,6 @@ class WriteTimeBreakdown:
     @property
     def total_seconds(self) -> float:
         return self.prep_seconds + self.io_seconds
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "prep": self.prep_seconds,
-            "compression": self.compression_seconds,
-            "write": self.write_seconds,
-            "io": self.io_seconds,
-            "total": self.total_seconds,
-        }
 
 
 @dataclass(frozen=True)
@@ -135,28 +126,3 @@ class IOCostModel:
 
         return WriteTimeBreakdown(prep_seconds=prep, compression_seconds=compression,
                                   write_seconds=write)
-
-    # ------------------------------------------------------------------
-    def evaluate_serialized_datasets(self, workloads: Sequence[RankWorkload]
-                                     ) -> WriteTimeBreakdown:
-        """The one-dataset-per-rank alternative of §3.3 (Challenge 2).
-
-        Every rank's dataset is a collective write in which the other ranks
-        idle, so the write phase is the *sum* of the per-rank writes rather
-        than their overlap — the serialisation the paper rejects.
-        """
-        if not workloads:
-            raise ValueError("need at least one rank workload")
-        nranks = len(workloads)
-        nodes = self.nodes_for(nranks)
-        max_raw = max(w.raw_bytes for w in workloads)
-        prep = self.prep_fixed + max_raw / self.copy_bandwidth
-        compression = max(
-            w.compressor_launches * self.compressor_startup
-            + (w.raw_bytes + w.padded_bytes) / self.compressor_throughput
-            for w in workloads)
-        write = sum(
-            self.filesystem.write_seconds(w.compressed_bytes, nodes, w.chunks_written)
-            + self.filesystem.dataset_creation_seconds(1)
-            for w in workloads)
-        return WriteTimeBreakdown(prep, compression, write)

@@ -40,10 +40,6 @@ class SimComm:
     def size(self) -> int:
         return self._nranks
 
-    def ranks(self) -> range:
-        """Iterate over rank ids (the serial stand-in for rank-parallel code)."""
-        return range(self._nranks)
-
     # ------------------------------------------------------------------
     # collectives over per-rank values
     # ------------------------------------------------------------------

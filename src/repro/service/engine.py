@@ -183,10 +183,6 @@ class QueryEngine:
         """
         return self.series(directory).refresh()
 
-    def high_water(self, directory: str) -> int:
-        """The newest committed step index of one (possibly live) series."""
-        return self.series(directory).high_water
-
     def _target(self, query: BoxQuery) -> PlotfileHandle:
         """The plotfile handle a query reads from (a step handle for series)."""
         if is_series_dir(query.path):

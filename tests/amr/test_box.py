@@ -87,13 +87,6 @@ class TestConstruction:
 # queries
 # ----------------------------------------------------------------------
 class TestQueries:
-    def test_contains_point(self):
-        b = Box((1, 1), (3, 3))
-        assert b.contains_point((1, 1))
-        assert b.contains_point((3, 3))
-        assert not b.contains_point((0, 2))
-        assert not b.contains_point((4, 2))
-
     def test_contains_box(self):
         outer = Box.from_shape((10, 10, 10))
         inner = Box((2, 2, 2), (5, 5, 5))

@@ -8,8 +8,8 @@ from repro.amr.boxarray import BoxArray
 from repro.amr.distribution import DistributionMapping
 from repro.amr.hierarchy import AmrHierarchy, AmrLevel
 from repro.amr.multifab import MultiFab
-from repro.amr.regrid import cluster_tags, make_fine_boxarray, tag_cells
-from repro.amr.upsample import covered_mask, flatten_to_uniform, upsample_array
+from repro.amr.regrid import cluster_tags
+from repro.amr.upsample import covered_mask, upsample_array
 
 
 def make_two_level(coarse_shape=(16, 16, 16), ratio=2, fine_boxes=None,
@@ -80,19 +80,11 @@ class TestAmrHierarchy:
         with pytest.raises(ValueError):
             AmrHierarchy([h[0], bad], [2])
 
-    def test_ratio_between(self):
-        h = make_two_level()
-        assert h.ratio_between(0, 0) == 1
-        assert h.ratio_between(0, 1) == 2
-        with pytest.raises(ValueError):
-            h.ratio_between(1, 0)
-
     def test_covered_cells_and_redundancy(self):
         h = make_two_level()
         # fine level covers the coarse region (4..11)^3 => 8^3 coarse cells
         assert h.covered_cells(0) == 8 ** 3
         assert h.covered_cells(1) == 0
-        assert h.redundancy_fraction(0) == pytest.approx(8 ** 3 / 16 ** 3)
 
     def test_densities_list(self):
         h = make_two_level()
@@ -121,25 +113,6 @@ class TestAmrHierarchy:
 
 
 class TestRegrid:
-    def test_tag_threshold_default_mean(self):
-        field = np.zeros((8, 8, 8))
-        field[4:, :, :] = 10.0
-        tags = tag_cells(field, "threshold")
-        assert tags[5, 0, 0] and not tags[0, 0, 0]
-
-    def test_tag_gradient(self):
-        x = np.linspace(0, 1, 32)
-        field = np.tile((x > 0.5).astype(float) * 5, (32, 32, 1))
-        tags = tag_cells(field, "gradient")
-        assert tags.any()
-        # tags concentrate near the jump at index ~16
-        idx = np.nonzero(tags)[2]
-        assert np.all(np.abs(idx - 16) < 4)
-
-    def test_tag_unknown_criterion(self):
-        with pytest.raises(ValueError):
-            tag_cells(np.zeros((4, 4)), "bogus")
-
     def test_cluster_tags_covers_all_tags(self):
         rng = np.random.default_rng(3)
         tags = np.zeros((32, 32, 32), dtype=bool)
@@ -160,28 +133,6 @@ class TestRegrid:
         for b in ba:
             assert all(s <= 16 for s in b.shape)
 
-    def test_make_fine_boxarray(self):
-        coarse_domain = Box.from_shape((32, 32, 32))
-        field = np.zeros(coarse_domain.shape)
-        field[10:20, 10:20, 10:20] = 5.0
-        fine_ba = make_fine_boxarray(field, coarse_domain, ratio=2, threshold=1.0)
-        assert len(fine_ba) >= 1
-        # fine boxes live in the refined index space
-        assert coarse_domain.refine(2).contains(fine_ba.minimal_box())
-        # the tagged region, refined, is covered
-        tagged_fine = Box((10, 10, 10), (19, 19, 19)).refine(2)
-        assert fine_ba.contains_box(tagged_fine)
-
-    def test_make_fine_boxarray_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            make_fine_boxarray(np.zeros((4, 4, 4)), Box.from_shape((8, 8, 8)), 2)
-
-    def test_make_fine_boxarray_no_tags(self):
-        coarse_domain = Box.from_shape((16, 16, 16))
-        ba = make_fine_boxarray(np.zeros(coarse_domain.shape), coarse_domain, 2,
-                                threshold=5.0)
-        assert len(ba) == 0
-
 
 class TestUpsample:
     def test_upsample_array(self):
@@ -200,26 +151,3 @@ class TestUpsample:
         mask = covered_mask(h, 0)
         assert mask.sum() == 8 ** 3
         assert covered_mask(h, 1).sum() == 0
-
-    def test_flatten_uses_fine_where_available(self):
-        h = make_two_level()
-        domain0 = h[0].domain
-        h[0].multifab.set_from_global("density", np.full(domain0.shape, 1.0), domain0)
-        for fab in h[1].multifab:
-            fab.component(0)[...] = 2.0
-        flat = flatten_to_uniform(h, "density")
-        assert flat.shape == h[1].domain.shape
-        # region covered by fine boxes reads fine value
-        assert flat[8, 8, 8] == 2.0  # inside (4..11)*2
-        # region not covered reads upsampled coarse value
-        assert flat[0, 0, 0] == 1.0
-        # the redundant coarse data never appears: set coarse under fine to garbage
-        h[0].multifab[0].component(0)[...] = -999.0
-        flat2 = flatten_to_uniform(h, "density")
-        assert flat2[8, 8, 8] == 2.0
-
-    def test_flatten_single_level(self):
-        h = AmrHierarchy.single_level((8, 8, 8), ["x"])
-        field = np.random.default_rng(1).normal(size=(8, 8, 8))
-        h[0].multifab.set_from_global("x", field, h[0].domain)
-        np.testing.assert_array_equal(flatten_to_uniform(h, "x"), field)

@@ -1,4 +1,4 @@
-"""Direct coverage for :mod:`repro.amr.regrid` (tagging + clustering).
+"""Direct coverage for :mod:`repro.amr.regrid` (clustering).
 
 The series subsystem leans on regridding twice: a regrid mid-series changes
 the step's geometry (forcing the delta writer's keyframe fallback), and
@@ -7,11 +7,9 @@ the clustering invariants both behaviours rely on.
 """
 
 import numpy as np
-import pytest
 
 from repro.amr.box import Box
-from repro.amr.boxarray import BoxArray
-from repro.amr.regrid import cluster_tags, make_fine_boxarray, tag_cells
+from repro.amr.regrid import cluster_tags
 from repro.apps.base import build_two_level_hierarchy
 
 
@@ -19,30 +17,6 @@ def blob_tags(shape=(32, 32, 32), centre=(8, 8, 8), radius=4.5):
     idx = np.indices(shape)
     dist2 = sum((ax - c) ** 2 for ax, c in zip(idx, centre))
     return dist2 <= radius * radius
-
-
-class TestTagCells:
-    def test_threshold_default_is_mean(self):
-        field = np.arange(27.0).reshape(3, 3, 3)
-        tags = tag_cells(field)
-        assert np.array_equal(tags, field > field.mean())
-
-    def test_threshold_explicit(self):
-        field = np.arange(8.0).reshape(2, 2, 2)
-        assert tag_cells(field, threshold=6.5).sum() == 1
-
-    def test_gradient_tags_the_jump(self):
-        field = np.zeros((24, 24))
-        field[:, 12:] = 10.0
-        tags = tag_cells(field, criterion="gradient")
-        assert tags.any()
-        # only columns adjacent to the discontinuity fire
-        cols = np.nonzero(tags.any(axis=0))[0]
-        assert set(cols) <= {10, 11, 12, 13}
-
-    def test_unknown_criterion(self):
-        with pytest.raises(ValueError, match="unknown tagging criterion"):
-            tag_cells(np.zeros((4, 4)), criterion="entropy")
 
 
 class TestClusterTags:
@@ -77,29 +51,6 @@ class TestClusterTags:
         ba0 = cluster_tags(tags, blocking_factor=1)
         ba_shifted = cluster_tags(tags, origin=(10, 20), blocking_factor=1)
         assert [b.shift((10, 20)) for b in ba0] == list(ba_shifted.boxes)
-
-
-class TestMakeFineBoxArray:
-    def test_round_trip_covers_tags_in_fine_space(self):
-        field = np.zeros((24, 24, 24))
-        field[4:10, 4:10, 4:10] = 1.0
-        domain = Box.from_shape(field.shape)
-        fine = make_fine_boxarray(field, domain, ratio=2, threshold=0.5,
-                                  blocking_factor=2)
-        assert len(fine) > 0
-        coarse = fine.coarsen(2)
-        mask = coarse.coverage_mask(domain)
-        assert np.all(mask[field > 0.5])
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="must equal the coarse domain"):
-            make_fine_boxarray(np.zeros((8, 8)), Box.from_shape((9, 9)), ratio=2)
-
-    def test_no_tags_empty(self):
-        field = np.ones((16, 16, 16))
-        ba = make_fine_boxarray(field, Box.from_shape(field.shape), ratio=2,
-                                threshold=2.0)
-        assert len(ba) == 0
 
 
 class TestRegridMidSeries:

@@ -20,7 +20,6 @@ from repro.amr.upsample import (
     average_down,
     covered_mask,
     fill_covered_from_finer,
-    flatten_to_uniform,
     upsample_array,
 )
 
@@ -158,14 +157,3 @@ class TestCoveredRefill:
         # value must equal the mean of the corresponding 4^3 finest cells
         assert np.isclose(h[0].multifab[0].component(0)[1, 1, 1],
                           average_down(fine, 4)[0, 0, 0])
-
-    def test_flatten_prefers_fine_data(self):
-        h = two_level_hierarchy()
-        flat = flatten_to_uniform(h, "f")
-        assert flat.shape == (16, 16, 16)
-        fine_global = h[1].multifab.to_global("f", h[1].domain)
-        assert np.array_equal(flat[4:12, 4:12, 4:12],
-                              fine_global[4:12, 4:12, 4:12])
-        coarse = h[0].multifab.to_global("f", h[0].domain)
-        assert flat[0, 0, 0] == coarse[0, 0, 0]
-        assert flat[1, 1, 1] == coarse[0, 0, 0]  # piecewise-constant upsample

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.amr.upsample import flatten_to_uniform
 from repro.apps import (
     RUN_PRESETS,
     NyxSimulation,
@@ -100,10 +99,10 @@ class TestBuildHierarchy:
         fields = {"rho": lognormal_field((32, 32, 32), sigma=1.0, seed=3)}
         h = build_two_level_hierarchy(fields, "rho", target_fine_density=0.05,
                                       detail_amplitude=0.2, nranks=2, seed=3)
-        flat = flatten_to_uniform(h, "rho")
-        # the flattened fine data is not a pure piecewise-constant upsample:
-        # within a refined coarse cell the two fine cells differ somewhere
-        diffs = np.abs(flat[0::2, :, :] - flat[1::2, :, :])
+        fine = h[1].multifab.to_global("rho", h[1].domain)
+        # the fine data is not a pure piecewise-constant upsample: within a
+        # refined coarse cell the two fine cells differ somewhere
+        diffs = np.abs(fine[0::2, :, :] - fine[1::2, :, :])
         assert diffs.max() > 0
 
 
@@ -208,9 +207,3 @@ class TestPresetsAndDriver:
         assert isinstance(sim2, WarpXSimulation)
         with pytest.raises(KeyError):
             build_run("nyx_99")
-
-    def test_paper_cells_per_level(self):
-        p = RUN_PRESETS["nyx_1"]
-        coarse, fine = p.paper_cells_per_level
-        assert coarse == 256 ** 3
-        assert fine == pytest.approx(512 ** 3 * 0.014, rel=1e-6)

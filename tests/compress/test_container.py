@@ -155,6 +155,27 @@ class TestRecordCodesForm:
             pairs, side = ctn.parse_record(record, [symbols.shape], [8], True, "r")
             np.testing.assert_array_equal(ctn.decode_huffman([pairs])[0][0], symbols)
 
+    def test_codes_that_inflate_past_two_bytes_a_symbol_are_refused(self):
+        """A record under a valid CRC whose deflated codes expand to 64 MB is
+        refused while inflating: no code is longer than 16 bits, so the codes
+        of ``n`` symbols take at most ``2 n`` bytes, and no more is inflated."""
+        import tracemalloc
+        import zlib
+
+        shapes, n = [(1000,)], 1000
+        deflater, mib = zlib.compressobj(9), bytes(1 << 20)
+        codes = b"".join(deflater.compress(mib) for _ in range(64)) + deflater.flush()
+        body = struct.pack("<BIQ", 0, 1, len(codes)) + codes + zlib.compress(b"")
+        record = struct.pack("<I", zlib.crc32(body, ctn.shapes_seed(shapes))) + body
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptFileError, match="inflate past 2000 bytes"):
+                ctn.parse_record(record, shapes, [n], True, "r")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, peak
+
 
 def _raw_records():
     """A ``temporal_delta`` and an ``sz_lr`` record of codes stored raw, each

@@ -5,7 +5,6 @@ import pytest
 
 from repro.compress.metrics import (
     CompressionStats,
-    bitrate,
     compression_ratio,
     max_abs_error,
     mse,
@@ -66,11 +65,6 @@ class TestRatioMetrics:
         assert compression_ratio(1000, 100) == pytest.approx(10.0)
         assert compression_ratio(100, 0) == float("inf")
 
-    def test_bitrate(self):
-        assert bitrate(1000, 1000) == pytest.approx(8.0)
-        with pytest.raises(ValueError):
-            bitrate(0, 10)
-
 
 class TestCompressionStats:
     def test_measure(self):
@@ -81,6 +75,4 @@ class TestCompressionStats:
         assert stats.compression_ratio == pytest.approx(orig.nbytes / 200)
         assert stats.max_error == pytest.approx(1e-4)
         assert stats.extra["chunk_size"] == 64
-        row = stats.as_row()
-        assert row["method"] == "sz_lr"
-        assert "compression_ratio" in row and "psnr" in row
+        assert stats.method == "sz_lr" and stats.psnr > 0

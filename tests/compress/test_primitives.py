@@ -113,10 +113,6 @@ class TestRegression:
         raw_preds = regression.predict_blocks(raw_model)
         assert np.max(np.abs(preds - raw_preds)) < 1e-2
 
-    def test_model_nbytes(self):
-        model = regression.RegressionModel(np.zeros((10, 4)), (6, 6, 6))
-        assert model.nbytes == 10 * 4 * 4
-
     def test_coefficients_float32_representable(self):
         rng = np.random.default_rng(3)
         blocks = rng.normal(size=(3, 5, 5, 5)) * 100

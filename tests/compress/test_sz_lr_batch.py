@@ -940,11 +940,10 @@ def test_a_row_of_a_column_slice_sums_as_its_contiguous_copy():
 
 def test_a_multi_array_buffer_reports_its_cells():
     """``original_shape`` of a multi-array buffer is its cell count, whatever
-    the dtype, so ``bitrate`` is bits per cell."""
+    the dtype."""
     cube = np.random.default_rng(0).standard_normal((10, 10, 10)).astype(np.float32)
     buffer = SZLRCompressor(1e-3).compress_many([cube, cube])
     assert (buffer.original_shape, buffer.original_nbytes) == ((2000,), 8000)
-    assert buffer.bitrate == 8.0 * buffer.compressed_nbytes / 2000
 
 
 # ----------------------------------------------------------------------

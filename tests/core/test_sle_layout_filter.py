@@ -216,15 +216,6 @@ class TestConfig:
         assert not off.use_sle and not off.remove_redundancy
         assert cfg.use_sle  # original untouched
 
-    def test_make_compressors_via_registry(self):
-        cfg = AMRICConfig(error_bound=1e-4, sz_block_size=4)
-        lr = cfg.make_codec("sz_lr", block_size=cfg.sz_block_size)
-        assert lr.block_size == 4
-        lr8 = cfg.make_codec("sz_lr", block_size=8)
-        assert lr8.block_size == 8
-        interp = cfg.make_codec("sz_interp", anchor_stride=cfg.interp_anchor_stride)
-        assert interp.anchor_stride == cfg.interp_anchor_stride
-
     def test_no_layout_toggle(self):
         # every AMRIC dataset is one field; the box-major side of the §3.3
         # ablation is the amrex_1d writer, not a switch on this config
@@ -233,7 +224,7 @@ class TestConfig:
 
     def test_legacy_make_helpers_removed(self):
         # the deprecated make_sz_lr/make_sz_interp shims are gone; everything
-        # routes through the codec registry (make_codec)
+        # routes through the codec registry (create_codec)
         cfg = AMRICConfig()
         assert not hasattr(cfg, "make_sz_lr")
         assert not hasattr(cfg, "make_sz_interp")

@@ -317,7 +317,6 @@ class TestReportAccounting:
     def test_psnr_weighted_and_worst(self, nyx_hierarchy):
         report = AMRICWriter(AMRICConfig(error_bound=1e-3)).write_plotfile(nyx_hierarchy)
         weighted = report.psnr
-        worst = report.worst_psnr
         assert set(weighted) == set(nyx_hierarchy.component_names)
         for name, recs in ((n, [r for r in report.records if r.field == n])
                            for n in weighted):
@@ -327,9 +326,8 @@ class TestReportAccounting:
             vrange = max(r.value_max for r in recs) - min(r.value_min for r in recs)
             expected = 20 * np.log10(vrange) - 10 * np.log10(mse)
             assert weighted[name] == pytest.approx(expected)
-            assert worst[name] == min(r.psnr for r in recs)
             # pooling can only improve on (or match) the worst level
-            assert weighted[name] >= worst[name] - 1e-9
+            assert weighted[name] >= min(r.psnr for r in recs) - 1e-9
 
     def test_record_requires_error_terms(self):
         """The pooled PSNR needs every record's accumulation terms."""
@@ -345,4 +343,4 @@ class TestReportAccounting:
         for rec in report.records:
             assert rec.n_elements == rec.raw_bytes // 8
             assert rec.value_max >= rec.value_min
-            assert rec.mse >= 0.0
+            assert rec.sq_error >= 0.0

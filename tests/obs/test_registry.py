@@ -35,14 +35,6 @@ class TestInstruments:
         with pytest.raises(ValueError, match="cannot decrease"):
             reg.counter("x").inc(-1)
 
-    def test_gauge_set_inc_dec(self):
-        reg = MetricsRegistry()
-        gauge = reg.gauge("bytes_held")
-        gauge.set(100)
-        gauge.inc(10)
-        gauge.dec(60)
-        assert gauge.value == 50
-
     def test_get_or_create_returns_same_instrument(self):
         reg = MetricsRegistry()
         a = reg.counter("c", labels={"op": "ping"})
@@ -92,18 +84,18 @@ class TestHistogram:
         for _ in range(100):
             hist.observe(15.0)      # all mass in (10, 20]
         # p50: rank 50 of 100 inside the second bucket -> interpolated
-        assert 10.0 < hist.quantile(0.5) <= 20.0
-        assert hist.quantile(1.0) == 20.0
+        assert 10.0 < quantile_from_buckets(hist.cumulative(), 0.5) <= 20.0
+        assert quantile_from_buckets(hist.cumulative(), 1.0) == 20.0
 
     def test_quantile_of_empty_histogram_is_nan(self):
         reg = MetricsRegistry()
-        assert math.isnan(reg.histogram("h").quantile(0.5))
+        assert math.isnan(quantile_from_buckets(reg.histogram("h").cumulative(), 0.5))
 
     def test_quantile_inf_bucket_answers_largest_finite_bound(self):
         reg = MetricsRegistry()
         hist = reg.histogram("h", buckets=(1.0, 2.0))
         hist.observe(50.0)
-        assert hist.quantile(0.99) == 2.0
+        assert quantile_from_buckets(hist.cumulative(), 0.99) == 2.0
 
     def test_quantile_from_serialized_snapshot_rows(self):
         """p50/p99 are derivable from the wire-shaped bucket rows alone."""
@@ -113,7 +105,7 @@ class TestHistogram:
             hist.observe(value)
         rows = reg.snapshot()["h"]["samples"][0]["buckets"]
         assert quantile_from_buckets(rows, 0.5) == \
-            pytest.approx(hist.quantile(0.5))
+            pytest.approx(quantile_from_buckets(hist.cumulative(), 0.5))
         assert 0.05 < quantile_from_buckets(rows, 0.99) <= 0.1
 
     def test_quantile_rejects_out_of_range(self):
@@ -232,7 +224,7 @@ def _golden_registry() -> MetricsRegistry:
 
 class TestExposition:
     def test_matches_golden_file(self):
-        rendered = _golden_registry().to_prometheus()
+        rendered = render_prometheus(_golden_registry().snapshot())
         assert rendered == GOLDEN.read_text()
 
     def test_renders_wire_roundtripped_snapshot(self):
@@ -241,14 +233,14 @@ class TestExposition:
 
         reg = _golden_registry()
         roundtripped = json.loads(json.dumps(reg.snapshot()))
-        assert render_prometheus(roundtripped) == reg.to_prometheus()
+        assert render_prometheus(roundtripped) == render_prometheus(reg.snapshot())
 
     def test_deterministic_ordering(self):
         a = MetricsRegistry()
         a.counter("b_total").inc()
         a.counter("a_total", labels={"z": 1}).inc()
         a.counter("a_total", labels={"a": 1}).inc()
-        lines = a.to_prometheus().splitlines()
+        lines = render_prometheus(a.snapshot()).splitlines()
         assert lines == ['# TYPE a_total counter', 'a_total{a="1"} 1',
                          'a_total{z="1"} 1', '# TYPE b_total counter',
                          'b_total 1']

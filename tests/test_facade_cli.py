@@ -507,3 +507,24 @@ class TestLazyServiceImport:
                     with open(os.path.join(folder, name),
                               encoding="utf-8") as fh:
                         assert "asyncio" not in fh.read(), (folder, name)
+
+
+def _modules_with_all():
+    import importlib
+    import pkgutil
+
+    names = ["repro"] + [m.name for m in pkgutil.walk_packages(repro.__path__, "repro.")]
+    return [n for n in names if hasattr(importlib.import_module(n), "__all__")]
+
+
+@pytest.mark.parametrize("name", _modules_with_all())
+def test_every_exported_name_resolves(name):
+    """Each name a module's ``__all__`` lists exists, and ``import *`` works."""
+    import importlib
+
+    module = importlib.import_module(name)
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names what it does not define: {missing}"
+    namespace: dict = {}
+    exec(f"from {name} import *", namespace)
+    assert set(module.__all__) <= set(namespace)

@@ -14,7 +14,9 @@ The gateway as an operator would deploy it, across real processes:
   header's ``dtype`` / ``shape`` describe the bytes after it;
 * **negative paths**: a missing token must get 401, a wrong token 401, a
   declared oversized body 413, an unknown op 404 — each with the structured JSON
-  error envelope, and the same refusals on the TCP port.
+  error envelope, and the same refusals on the TCP port;
+* a second, short-lived **rate-limited server** (``--rate-limit`` /
+  ``--rate-burst``): once the burst is spent a request gets 429.
 
 The driver asserts an HTTP-served box read is byte-identical to the same
 read over TCP, and that ``/metrics`` serves the Prometheus exposition with
@@ -30,6 +32,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from http.client import HTTPConnection
 
 import numpy as np
@@ -83,6 +86,23 @@ def http(port: str, method: str, path: str, body=None, token=None,
         return {"_raw": raw.decode("utf-8", "replace"), "_type": ctype}
 
 
+def serve(env, *flags: str):
+    """Start ``repro serve --port 0 --http 0 FLAGS``: the process and its
+    TCP and HTTP ports (None when it never came up)."""
+    server = subprocess.Popen(
+        python_cmd("-m", "repro", "serve", "--port", "0", "--http", "0", *flags),
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    ports = []
+    for what, line in (("server", "serving on"), ("gateway", "http gateway on")):
+        ready = server.stdout.readline()
+        match = re.search(line + r" [\w.]+:(\d+)", ready)
+        if not match:
+            print(f"{what} never came up: {ready!r}", file=sys.stderr)
+            return server, None, None
+        ports.append(match.group(1))
+    return server, *ports
+
+
 def main() -> int:
     workdir = tempfile.mkdtemp(prefix="smoke-http-")
     plotfile = os.path.join(workdir, "plt.h5z")
@@ -90,26 +110,16 @@ def main() -> int:
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in ("src", env.get("PYTHONPATH")) if p)
     env["SMOKE_HTTP_TOKEN"] = TOKEN
-    server = None
+    servers = []
     try:
         run(env, "compress", "--preset", "nyx_1", plotfile)
 
         # ---- one process, both transports, one auth policy ---------------
-        server = subprocess.Popen(
-            python_cmd("-m", "repro", "serve", "--port", "0", "--http", "0",
-                       "--auth-token", "env:SMOKE_HTTP_TOKEN",
-                       "--max-request-bytes", "1048576"),
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True)
-        ports = []
-        for what, line in (("server", "serving on"), ("gateway", "http gateway on")):
-            ready = server.stdout.readline()
-            match = re.search(line + r" [\w.]+:(\d+)", ready)
-            if not match:
-                print(f"{what} never came up: {ready!r}", file=sys.stderr)
-                return 1
-            ports.append(match.group(1))
-        tcp_port, port = ports
+        server, tcp_port, port = serve(env, "--auth-token", "env:SMOKE_HTTP_TOKEN",
+                                       "--max-request-bytes", "1048576")
+        servers.append(server)
+        if port is None:
+            return 1
 
         # ---- the happy paths ---------------------------------------------
         health = http(port, "GET", "/healthz")
@@ -179,17 +189,34 @@ def main() -> int:
         # and /metrics itself requires the token
         http(port, "GET", "/metrics", expect=401)
 
+        # ---- a rate-limited server: the spent burst is a 429 -------------
+        # a token every 2 s: the request after the burst is refused unless
+        # the burst took 2 s, and 2.5 s later /metrics is admitted again
+        limited, _, limited_port = serve(env, "--rate-limit", "0.5", "--rate-burst", "2")
+        servers.append(limited)
+        if limited_port is None:
+            return 1
+        for _ in range(2):
+            http(limited_port, "POST", "/v1/query", body={"op": "ping"})
+        refused = http(limited_port, "POST", "/v1/query", body={"op": "ping"},
+                       expect=429)
+        assert refused["kind"] == "rate_limited", refused
+        time.sleep(2.5)
+        limited_prom = http(limited_port, "GET", "/metrics")["_raw"]
+        assert 'repro_server_errors_total{kind="rate_limited"}' in limited_prom
+
         print("smoke-http ok: shared-core gateway served health/query/"
-              "describe/metrics; 401/413/404 refused with structured "
+              "describe/metrics; 401/413/404/429 refused with structured "
               "envelopes; HTTP and raw reads identical to TCP read")
         return 0
     finally:
-        if server is not None and server.poll() is None:
-            server.terminate()
-            try:
-                server.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                server.kill()
+        for server in servers:
+            if server.poll() is None:
+                server.terminate()
+                try:
+                    server.wait(timeout=15)
+                except subprocess.TimeoutExpired:
+                    server.kill()
         shutil.rmtree(workdir, ignore_errors=True)
 
 

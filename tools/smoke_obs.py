@@ -8,7 +8,7 @@ The telemetry loop as an operator would drive it, across real processes:
 * a few **clients** (``python -m repro query``) issuing traced requests —
   the same box read twice, so the second lands in the warm chunk cache;
 * ``python -m repro query stats`` pulling the live registry snapshot over
-  the wire, once as JSON and once as Prometheus text.
+  the wire: as JSON, as Prometheus text and as its default tables.
 
 The driver asserts the snapshot shows the traffic it just generated
 (nonzero cache hits, IO bytes, per-op latency bucket counts), that the
@@ -96,6 +96,12 @@ def main() -> int:
             prom), "no per-op latency buckets in the exposition"
         assert 'repro_server_requests_total{op="ping"} 1' in prom
 
+        # ---- and the default table form ----------------------------------
+        table = run(env, "query", "stats", "--port", port).stdout
+        assert "metrics registry" in table
+        assert re.search(r"repro_server_request_seconds\{op=read_field\} p50 +\| *\d",
+                         table), "no read_field latency percentile row in the registry table"
+
         # ---- the request log: one parseable line per request ------------
         server.terminate()
         try:
@@ -116,7 +122,7 @@ def main() -> int:
 
         print(f"smoke-obs ok: {len(records)} logged requests, "
               f"cache hits visible in stats, per-op latency histograms "
-              "rendered in both JSON and Prometheus form")
+              "rendered in JSON, Prometheus and table form")
         return 0
     finally:
         if server is not None and server.poll() is None:

@@ -6,12 +6,15 @@ Three real processes, the in situ deployment shape:
 * a **producer** appending a small nyx series step by step through the
   crash-safe journal (``SeriesWriter(append=True)``), sleeping between
   dumps like a simulation would;
-* a **server** (``python -m repro serve``) watching the live directory;
+* a **server** (``python -m repro serve --http 0``) watching the live
+  directory, with its HTTP gateway beside the TCP listener;
 * a **subscriber** (``python -m repro query follow``) streaming one JSON
   line per committed step, each paired with a box read.
 
 The driver asserts the subscriber saw every step exactly once in order plus
-the finalized event, then runs ``repro verify`` over the finalized
+the finalized event.  Once the producer is done it reads a box over every
+step (``query time-slice``), replays the finalized stream through the
+gateway's ``GET /v1/subscribe`` and runs ``repro verify`` over the
 directory — proving the journal, closed by its ``final`` record, is a
 verifiable series.
 """
@@ -26,6 +29,8 @@ import subprocess
 import sys
 import tempfile
 import time
+
+from repro.service.http import HttpClient
 
 NSTEPS = 5
 FIELD = "baryon_density"
@@ -62,7 +67,7 @@ def main() -> int:
     try:
         # ---- server on an ephemeral port --------------------------------
         server = subprocess.Popen(
-            python_cmd("-m", "repro", "serve", "--port", "0",
+            python_cmd("-m", "repro", "serve", "--port", "0", "--http", "0",
                        "--watch-interval", "0.1"),
             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True)
@@ -72,6 +77,10 @@ def main() -> int:
             print(f"server never came up: {ready!r}", file=sys.stderr)
             return 1
         port = match.group(1)
+        gateway = re.search(r"http gateway on ([\w.]+):(\d+)", server.stdout.readline())
+        if not gateway:
+            print("the http gateway never came up", file=sys.stderr)
+            return 1
 
         # ---- producer: journal commits with a dump cadence --------------
         producer = subprocess.Popen(
@@ -116,6 +125,28 @@ def main() -> int:
                   file=sys.stderr)
             return 1
 
+        # ---- one time-slice row per committed step ----------------------
+        sliced = subprocess.run(
+            python_cmd("-m", "repro", "query", "time-slice", directory,
+                       "--port", port, "--field", FIELD,
+                       "--box", "0:7,0:7,0:7", "--json"),
+            env=env, capture_output=True, text=True, timeout=300)
+        if sliced.returncode != 0:
+            print(f"time-slice failed:\n{sliced.stdout}\n{sliced.stderr}",
+                  file=sys.stderr)
+            return 1
+        answer = json.loads(sliced.stdout)
+        assert answer["shape"] == [NSTEPS, 8, 8, 8], answer["shape"]
+        assert len(answer["times"]) == NSTEPS, answer["times"]
+
+        # ---- the gateway's chunked stream replays the same steps --------
+        host, http_port = gateway.groups()
+        with HttpClient(host=host, port=int(http_port)) as client:
+            replay = list(client.subscribe(directory))
+        replayed = [e["step_index"] for e in replay if e["event"] == "step"]
+        assert replayed == steps, f"GET /v1/subscribe saw {replayed}, follow {steps}"
+        assert replay[-1]["event"] == "finalized", replay[-1]
+
         # ---- the finalized directory is a verifiable series -------------
         verify = subprocess.run(
             python_cmd("-m", "repro", "verify", directory),
@@ -124,8 +155,8 @@ def main() -> int:
             print(f"verify failed:\n{verify.stdout}\n{verify.stderr}",
                   file=sys.stderr)
             return 1
-        print(f"smoke-stream ok: {NSTEPS} steps streamed exactly once, "
-              "finalized series verified")
+        print(f"smoke-stream ok: {NSTEPS} steps streamed exactly once over TCP "
+              "and HTTP, time-sliced, finalized series verified")
         return 0
     finally:
         for proc in (producer, server):
