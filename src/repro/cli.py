@@ -127,8 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (default 9753; 0 binds an ephemeral "
                             "port, printed on startup)")
     p_srv.add_argument("--cache-bytes", type=int, default=None,
-                       help="shared chunk-cache budget in bytes "
-                            "(default 128 MiB)")
+                       help="shared cache budget in bytes for decoded unit "
+                            "blocks only (default 128 MiB); the parsed chunk "
+                            "records an open file keeps are not counted")
     p_srv.add_argument("--max-workers", type=int, default=8,
                        help="engine calls in flight across all TCP "
                             "connections (default 8)")

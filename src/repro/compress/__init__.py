@@ -13,12 +13,10 @@ plus the 1D codec AMReX's original in situ compression uses
 
 All compressors guarantee ``|x - x̂| <= eb`` for every element (absolute error
 bound) and support value-range-relative bounds.  A codec is its record: one
-serialisation, decoded against the array shapes under the codec's recipe
-(``encode_record`` / ``decode_record``; SZ_L/R's multi-array
-``compress_many_with_reconstruction`` / ``decode_records``), which the AMRIC
-filter and the series writer store bare.  :class:`~repro.compress.base.Compressor`
-wraps it, once for every codec, into the standalone buffer — the recipe, the
-shapes and the record:
+serialisation, parsed and decoded against the array shapes under the codec's
+recipe (:class:`~repro.compress.base.Compressor` names the methods), which the
+AMRIC filter and the series writer store bare, and which ``Compressor`` wraps,
+once for every codec, into the standalone buffer — recipe, shapes, record:
 
 ``compress(array) -> CompressedBuffer``
 ``decompress(buffer) -> array``

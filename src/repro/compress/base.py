@@ -84,9 +84,12 @@ class Compressor:
     writer store once per dataset).  A single-array codec implements
     ``encode_record(data, context) -> (record, reconstruction)`` and
     ``decode_record(record, shape, context) -> float64 array``, the record's
-    checksum covering ``context`` (what the caller decodes it under); a
-    multi-array codec (the registry's ``supports_many``) implements
-    ``compress_many_with_reconstruction`` and ``decode_records`` instead.
+    checksum covering ``context`` (what the caller decodes it under), read as
+    ``parse_record(record, shape, context)`` (checked short of the entropy
+    pass) then ``decode_parsed(parsed)``.
+    A multi-array codec (the registry's ``supports_many``) implements
+    ``compress_many_with_reconstruction``, ``parse_record(record, shapes,
+    recipe)`` and ``decode_parsed(parsed, recipe, select)`` instead.
 
     The standalone buffer is written here, once for every codec: the recipe,
     the shapes and the record (:meth:`standalone`).
@@ -114,6 +117,11 @@ class Compressor:
         if largest / (2.0 * abs_eb) >= 2.0 ** 62:
             raise ValueError(f"{self.name} cannot quantise magnitude {largest:.6g} at error "
                              f"bound {abs_eb:.6g}: |x| / (2·eb) must stay below 2**62")
+
+    def decode_record(self, record: bytes, shape: Tuple[int, ...],
+                      context: bytes = b"") -> np.ndarray:
+        """The float64 array of a single-array codec's record: parsed, then decoded."""
+        return self.decode_parsed(self.parse_record(record, shape, context))
 
     def recipe(self, abs_eb: float, dtype: str = "float64") -> dict:
         """What a record decodes under besides its shapes (stored once per
@@ -186,7 +194,8 @@ class Compressor:
         record = required(cont.sections, "record", f"{self.name} payload")
         decoder = codec_from_recipe(cont.meta)
         if resolve_codec(self.name).supports_many:
-            arrays = next(decoder.decode_records([record], [shapes], cont.meta))
+            arrays = next(decoder.decode_parsed(
+                [decoder.parse_record(record, shapes, cont.meta)], cont.meta))
         elif len(shapes) == 1:
             arrays = [decoder.decode_record(record, shapes[0], self._context(cont.meta))]
         else:

@@ -1,45 +1,35 @@
-"""The unified codec container: one serializer for every compressed stream.
-
-Before this module each codec (``sz_lr``, ``sz_interp``, ``sz_1d``) hand-rolled
-the same serialisation: a JSON ``meta`` section, Huffman table/payload/sync
-sections, zlib-deflated side arrays, all framed through
-:func:`repro.compress.lossless.pack_sections`.  A copy of that code per codec
-meant one place per codec to keep in sync whenever the framing evolved.  This
-module is the single implementation:
+"""The codec container: the one serializer of every compressed stream.
 
 * :func:`pack_container` / :func:`unpack_container` — the versioned,
   magic-tagged section container (named byte sections with uint64 length
-  framing, inherited unchanged from :mod:`repro.compress.lossless` so streams
-  written before this refactor still deserialize);
-* :func:`pack_huffman` / :func:`unpack_huffman` — the shared-table Huffman
-  stream sections (table, deflated codes, per-stream bit counts, deflated
-  sync residuals) of an ``sz_1d`` record, what the ``amrex_1d`` baseline's
-  chunks store;
-* :func:`parse_huffman` + :func:`decode_huffman` — the two halves of
-  :func:`unpack_huffman`: sections to ``(codec, encoded)`` pairs, then one
-  entropy pass over the pairs of however many containers a decode job holds;
+  framing, :mod:`repro.compress.lossless`), its ``meta`` naming the codec so
+  a stream handed to the wrong decompressor is refused;
+* :func:`pack_huffman` / :func:`parse_huffman` / :func:`unpack_huffman` — the
+  shared-table Huffman sections of an ``sz_1d`` record (what the ``amrex_1d``
+  baseline's chunks store), and :func:`decode_huffman`, one entropy pass over
+  the ``(codec, encoded)`` pairs of however many records a decode job holds;
 * :func:`pack_zarray` / :func:`unpack_zarray` and :func:`pack_zbytes` /
   :func:`unpack_zbytes` — deflated side-array sections;
 * :func:`pack_record` / :func:`parse_record` — the chunk record (SZ_L/R,
   SZ_Interp and ``temporal_delta``): a CRC32, the codes' form, the array
   count, the codes (raw or deflated) and one deflated side blob, with nothing
-  the array shapes or the codec recipe imply; a standalone buffer
+  the array shapes or the codec recipe imply.  A standalone buffer
   (:meth:`~repro.compress.base.Compressor.standalone`) wraps it in a
-  container whose meta is the recipe and the shapes, the AMRIC filter and
-  the series writer store it bare;
-  :func:`pack_huffman_individual` / :func:`unpack_huffman_individual` are the
-  per-array-table (non-SLE) streams alone in that form.
+  container whose meta is the recipe and the shapes; the AMRIC filter and the
+  series writer store it bare.  :func:`pack_huffman_individual` /
+  :func:`unpack_huffman_individual` are the per-array-table (non-SLE) streams
+  alone in that form.
 
-Every container carries its codec name inside ``meta`` so a stream handed to
-the wrong decompressor is rejected with :class:`ValueError` instead of being
-misinterpreted.  Stored bytes that fail to parse raise
-:class:`~repro.errors.CorruptFileError`.
+Stored bytes that fail to parse raise :class:`~repro.errors.CorruptFileError`.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import struct
+import sys
+import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -59,6 +49,7 @@ from repro.compress.lossless import (
     zlib_decompress,
 )
 from repro.errors import CorruptFileError, required
+from repro.obs.metrics import get_registry
 
 __all__ = [
     "CodecContainer",
@@ -80,6 +71,7 @@ __all__ = [
     "SideReader",
     "pack_record",
     "parse_record",
+    "pairs_of",
 ]
 
 
@@ -234,6 +226,10 @@ def unpack_zbytes(section: bytes) -> bytes:
 #: crc32 of everything after it, codes form, arrays held, bytes of the stored codes
 _RECORD = struct.Struct("<IBIQ")
 
+#: the record-parse leaf of the process registry: records parsed, and their seconds
+_PARSED = get_registry().counter("repro_record_parse_total")
+_PARSE_SECONDS = get_registry().counter("repro_record_parse_seconds_total")
+
 #: the codes form: deflated, or stored as they are (the CRC32 covers them)
 _DEFLATED, _RAW = 0, 1
 
@@ -386,8 +382,22 @@ def pack_record(shapes: Sequence[Sequence[int]], streams: Sequence[HuffmanEncode
     return struct.pack("<I", zlib.crc32(body, shapes_seed(shapes, context))) + body
 
 
+def _inflate(data: bytes, limit: Optional[int], what: str, name: str) -> bytes:
+    """``data`` inflated, stopping one byte past ``limit`` (None: unbounded):
+    a stream that reaches it, is damaged or ends early is :class:`CorruptFileError`."""
+    inflater = zlib.decompressobj()
+    try:
+        out = inflater.decompress(data, 0 if limit is None else min(limit + 1, sys.maxsize))
+    except zlib.error as exc:
+        raise CorruptFileError(f"{what}: corrupt deflate stream: {exc}") from exc
+    if not inflater.eof or limit is not None and len(out) > limit:
+        raise CorruptFileError(f"{what}: {name} inflate past {limit} bytes, or end early")
+    return out
+
+
 def parse_record(record: bytes, shapes: Sequence[Sequence[int]], nsymbols: Sequence[int],
-                 shared: bool, what: str, context: bytes = b""
+                 shared: bool, what: str, context: bytes = b"",
+                 bound: Optional[Tuple[int, int]] = None,
                  ) -> Tuple[List[HuffmanPair], SideReader]:
     """Invert :func:`pack_record` short of the entropy decode: the Huffman
     pairs (one multi-stream pair under a shared table, else one per stream)
@@ -395,8 +405,13 @@ def parse_record(record: bytes, shapes: Sequence[Sequence[int]], nsymbols: Seque
 
     ``nsymbols`` (per array) comes from the shapes and the recipe.  The array
     count, then the checksum, then every length is checked before anything is
-    sized from it: any failure is :class:`CorruptFileError`.
+    sized from it: any failure is :class:`CorruptFileError`.  No code is over
+    16 bits, so the codes inflate to at most two bytes a symbol; ``bound``,
+    the widest table span and the most bytes of the codec's own arrays a legal
+    record holds, bounds the side blob's inflate (None: unbounded).  Each
+    parse counts into the ``repro_record_parse_*`` leaf of the process registry.
     """
+    start = time.perf_counter()
     if len(record) < _RECORD.size:
         raise CorruptFileError(f"{what}: {len(record)} bytes, shorter than a record header")
     crc, form, narrays, ncodes = _RECORD.unpack_from(record)
@@ -408,30 +423,27 @@ def parse_record(record: bytes, shapes: Sequence[Sequence[int]], nsymbols: Seque
     if form not in (_DEFLATED, _RAW) or ncodes > len(record) - _RECORD.size:
         raise CorruptFileError(f"{what}: codes of form {form}, {ncodes} bytes, in a "
                                f"{len(record)}-byte record")
-    payload = record[_RECORD.size:_RECORD.size + ncodes]
-    if form == _DEFLATED:
-        # every code is at most 16 bits: a record's codes take at most two
-        # bytes a symbol, so inflating stops one byte past that
-        limit = 2 * int(np.sum(nsymbols, dtype=np.int64))
-        inflater = zlib.decompressobj()
-        try:
-            payload = inflater.decompress(payload, limit + 1)
-        except zlib.error as exc:
-            raise CorruptFileError(f"{what}: corrupt deflate stream: {exc}") from exc
-        if not inflater.eof or len(payload) > limit:
-            raise CorruptFileError(f"{what}: codes inflate past {limit} bytes, two a "
-                                   "symbol, or end early")
-    side = SideReader(zlib_decompress(record[_RECORD.size + ncodes:]), what)
     nsymbols = np.asarray(nsymbols, dtype=np.int64)
+    ntables = 1 if shared else narrays
+    lanes = int((-(-nsymbols // huffman.SYNC_INTERVAL)).sum())
+    payload = bytes(record[_RECORD.size:_RECORD.size + ncodes])
+    if form == _DEFLATED:
+        payload = _inflate(payload, 2 * int(nsymbols.sum()), what, "codes")
+    # bit counts, table rows and spans, a residual byte and an escape a lane, codec arrays
+    side = SideReader(_inflate(record[_RECORD.size + ncodes:], None if bound is None else
+                               8 * narrays + ntables * (24 + bound[0]) + 3 * lanes + bound[1],
+                               what, "side streams"), what)
     nbits = side.take("<i8", narrays).astype(np.int64)
     if (nbits < nsymbols).any():
         raise CorruptFileError(f"{what}: fewer code bits than symbols")
-    tables = _take_tables(side, 1 if shared else narrays)
+    tables = _take_tables(side, ntables)
     nbytes = (nbits + 7) >> 3
     if int(nbytes.sum()) != len(payload):
         raise CorruptFileError(f"{what}: {len(payload)} bytes of codes, its streams "
                                f"hold {int(nbytes.sum())}")
     sync = _take_sync(side, nbits, nsymbols)
+    _PARSED.inc()
+    _PARSE_SECONDS.inc(time.perf_counter() - start)
     if shared:
         return [(tables[0], HuffmanEncoded(
             payload, int(nbits.sum()), int(nsymbols.sum()), tables[0].symbols,
@@ -442,6 +454,13 @@ def parse_record(record: bytes, shapes: Sequence[Sequence[int]], nsymbols: Seque
                                    table.lengths, sync=sync))
             for table, start, size, bits, count, sync in zip(
                 tables, starts, nbytes.tolist(), nbits.tolist(), nsymbols.tolist(), syncs)], side
+
+
+def pairs_of(pairs: Sequence[HuffmanPair]) -> List[HuffmanPair]:
+    """A parsed record's pairs for one pass: each codec a shallow copy, so the
+    decode tables a pass builds on first use go with it and a kept record
+    never pins them."""
+    return [(copy.copy(codec), encoded) for codec, encoded in pairs]
 
 
 def pack_huffman_individual(streams: Sequence[HuffmanEncoded]) -> bytes:

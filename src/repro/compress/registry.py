@@ -1,9 +1,6 @@
-"""The codec registry: compressors resolved by name, not by if/elif chains.
-
-``AMRICConfig.compressor``, :class:`~repro.core.filter_mod.AMRICLevelFilter`
-and the baseline writers all used to hard-code which class a codec name maps
-to; adding a codec meant editing every one of them.  The registry is the one
-place that knows the mapping:
+"""The codec registry: the one place that maps a codec name to its class
+(``AMRICConfig.compressor``, :class:`~repro.core.filter_mod.AMRICLevelFilter`
+and the baseline writers resolve through it):
 
 * :func:`register_codec` — declare a codec (name, factory, capabilities);
 * :func:`resolve_codec` — name → :class:`CodecSpec`, with a helpful
@@ -56,10 +53,10 @@ class CodecSpec:
     #: of arrays, predicted in one pass, answered with one ``(record,
     #: reconstructions, recipe)`` per chunk; ``AMRICLevelFilter.encode`` calls
     #: it once per run of a dataset's chunks of one (field, value range) scope.
-    #: Read side: ``decode_records(records, shapes, recipe, select)`` — an
-    #: iterable of one list of arrays per record, in order, optionally only
-    #: the selected arrays of each — which is what
-    #: ``AMRICLevelFilter.decode_blocks`` calls for every chunk of such a codec
+    #: Read side: ``parse_record(record, shapes, recipe)`` per record, then
+    #: ``decode_parsed(parsed, recipe, select)`` — an iterable of one list of
+    #: arrays per record, in order, optionally only the selected arrays of
+    #: each — which is what ``AMRICLevelFilter`` calls for such a codec
     supports_many: bool = False
     description: str = ""
 

@@ -67,19 +67,23 @@ class SZ1DCompressor(Compressor):
         return ctn.pack_container(self.name, meta, sections), \
             (q * (2.0 * abs_eb)).reshape(data.shape)
 
-    def decode_record(self, record: bytes, shape: Tuple[int, ...],
-                      context: bytes = b"") -> np.ndarray:
-        """Invert :meth:`encode_record` (float64): a record whose meta cannot
-        describe ``shape``'s codes is a :class:`CorruptFileError`."""
+    def parse_record(self, record: bytes, shape: Tuple[int, ...], context: bytes = b""):
+        """``(shape, meta, Huffman pairs, outliers)`` of a record, short of the
+        entropy pass; :meth:`decode_parsed` checks the meta against them."""
         cont = ctn.unpack_container(record, expect_codec=self.name)
-        meta, sections = cont.meta, cont.sections
+        return (tuple(shape), cont.meta, ctn.parse_huffman(cont.sections),
+                ctn.unpack_zarray(required(cont.sections, "outliers", "sz_1d sections")))
+
+    def decode_parsed(self, parsed) -> np.ndarray:
+        """Invert :meth:`encode_record` (float64): a record whose meta cannot
+        describe its shape's codes is a :class:`CorruptFileError`."""
+        shape, meta, pairs, outliers = parsed
         abs_eb = required(meta, "abs_eb", _RECORD, float)
         radius = required(meta, "radius", _RECORD, int)
         stored = required(meta, "shape", _RECORD, list)
         dtype = required(meta, "dtype", _RECORD, str)
         anchor = required(meta, "anchor", _RECORD, int)
-        codes = ctn.unpack_huffman(sections)[0].astype(np.int64)
-        outliers = ctn.unpack_zarray(required(sections, "outliers", "sz_1d sections"))
+        codes = ctn.decode_huffman([ctn.pairs_of(pairs)])[0][0].astype(np.int64)
         outlier_mask = codes == 0
         if not (np.isfinite(abs_eb) and abs_eb > 0 and 2 <= radius <= DEFAULT_RADIUS
                 and -2 ** 63 <= anchor < 2 ** 63 and is_float(dtype)

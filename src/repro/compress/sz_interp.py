@@ -189,19 +189,26 @@ class SZInterpCompressor(Compressor):
             outliers.astype("<f8")], context, deflate_always=True)
         return record, recon
 
-    def decode_record(self, record: bytes, shape: Tuple[int, ...],
-                      context: bytes = b"") -> np.ndarray:
-        """Invert :meth:`encode_record` (float64) under this compressor's
-        bound, stride and radius: :class:`CorruptFileError` if inconsistent."""
+    def parse_record(self, record: bytes, shape: Tuple[int, ...], context: bytes = b""):
+        """``(shape, Huffman pairs, outlier count, anchors, outliers)`` of a
+        record, checked under this compressor's stride and radius
+        (:class:`CorruptFileError`) short of the entropy pass."""
         shape = tuple(int(s) for s in shape)
         nanchors = math.prod(len(range(0, n, self.anchor_stride)) for n in shape)
-        pairs, reader = ctn.parse_record(record, [shape], [math.prod(shape) - nanchors],
-                                         True, "sz_interp record", context)
+        # a table spans at most 2 radius codes; then a count, and an anchor or an outlier a cell
+        pairs, reader = ctn.parse_record(
+            record, [shape], [math.prod(shape) - nanchors], True, "sz_interp record", context,
+            (2 * self.radius, 8 + 8 * math.prod(shape)))
         (noutliers,) = reader.take("<i8", 1).tolist()
-        anchors = reader.take("<f8", nanchors)
-        outliers = reader.take("<f8", noutliers)
+        anchors = reader.take("<f8", nanchors).copy()
+        outliers = reader.take("<f8", noutliers).copy()
         reader.done()
-        (codes,) = ctn.decode_huffman([pairs])[0]
+        return shape, pairs, noutliers, anchors, outliers
+
+    def decode_parsed(self, parsed) -> np.ndarray:
+        """The float64 array of a :meth:`parse_record` result (left unchanged)."""
+        shape, pairs, noutliers, anchors, outliers = parsed
+        (codes,) = ctn.decode_huffman([ctn.pairs_of(pairs)])[0]
         if int(np.count_nonzero(codes == 0)) != noutliers:
             raise CorruptFileError("sz_interp record: outlier count disagrees with the codes")
         recon = np.zeros(shape, dtype=np.float64)

@@ -26,11 +26,12 @@ Public entry points
     the lossless encoding is either shared (``shared_encoding=True`` → unit
     SLE) or per-array (``shared_encoding=False`` → the costly per-block-tree
     alternative).
-``decode_records``
-    the arrays of one decode job's records, under the job's one recipe:
-    parsed one by one, entropy-decoded in one Huffman lane pass,
-    reconstructed in one pass — optionally only a selection of each record's
-    arrays (the unit blocks a box read meets).
+``parse_record`` / ``decode_parsed``
+    one record read and checked short of the entropy pass (what a reader
+    fetches, and a box-reading handle keeps), then the arrays of one decode
+    job's parsed records, under the job's one recipe: entropy-decoded in one
+    Huffman lane pass, reconstructed in one pass — optionally only a
+    selection of each record's arrays (the unit blocks a box read meets).
 ``compress`` / ``compress_many`` / ``decompress`` / ``decompress_many``
     the standalone buffer (:meth:`~repro.compress.base.Compressor.standalone`:
     recipe, shapes and record) of a batch of one.
@@ -40,25 +41,15 @@ its shape cannot give — its code bits and its two outlier counts — besides t
 codes, the table and the side streams; selection bits, anchors and regression
 coefficient rows are counted from the shapes and the selection.
 
-How a call is batched (DESIGN.md §1)
-------------------------------------
+How a call is batched (DESIGN.md §1 has the whole account)
+----------------------------------------------------------
 ``_region_plan(shape, block_size)`` is the one description of "regions of a
 shape", and every stored stream is in (array, region, cell) order — the order
-of the concatenated codes.  The encoder stacks the arrays of a shape, runs
-the Lorenzo differences once over the stack and gathers them into stored
-order (``_stored_order(shape, block_size)``, int32 per shape); one
-table-driven residual-bit pass then gives every (array, region) estimate as a
-row sum over a column slice.  The rows above regression's floor are gathered
-into block order once per shape group and copied, region by region, into one
-buffer pooled by block shape — one fit per block shape, every other pass once
-over the buffer — and the winners go back by (group, region) piece: codes a
-column slice, reconstructions a block view.  Side streams are sorted by their
-place in the stored order.  The decoder places outliers, anchors
-and coefficient rows by whole-chunk passes, and ``_flat_plan(shape,
-block_size)``, the stored order inverted to per-cell index tables, turns each
-shape group's rows into values in one pass (one gather to array order, a
-slab-wise prefix sum per axis, one plane evaluation) — the shape groups of a
-whole decode job's records, not of one record.
+of the concatenated codes.  The encoder works per shape group over stacks in
+that stored order (``_stored_order``), one regression fit per block shape;
+the decoder places outliers, anchors and coefficient rows by whole-job
+passes and turns each shape group's rows into values through ``_flat_plan``,
+the stored order inverted to per-cell index tables.
 """
 
 from __future__ import annotations
@@ -519,7 +510,7 @@ class SZLRCompressor(Compressor):
                       counts: np.ndarray) -> List[np.ndarray]:
         """Invert :meth:`_encode_batch`; ``side`` and ``counts`` are the stored
         concatenations — of one record, or of several put end to end
-        (:meth:`decode_records` hands over a decode job at once).
+        (:meth:`decode_parsed` hands over a decode job at once).
 
         Every stream is stored in (array, region, cell) order, which is the
         order of the concatenated codes, so nothing is walked with a cursor:
@@ -660,20 +651,30 @@ class SZLRCompressor(Compressor):
             ctn.recipe_context(recipe, _RECIPE, "sz_lr recipe"))
         return record, codec
 
-    def _parse(self, record: bytes, shapes: Sequence[Tuple[int, ...]], recipe: dict):
-        """``(shapes, Huffman pairs, side streams, counts)`` of a record: every
-        stream read and checked (:class:`CorruptFileError`), the entropy decode
-        left to the caller (who batches it over the records of a job).
-        ``counts`` rebuilds the per-array ``(selection, anchors, outliers x 2,
-        coefficient rows, cells)`` rows from the shapes and the selection, since
-        :meth:`_narrow` locates arrays by them."""
+    def _decoding(self, recipe: dict) -> dict:
+        """The recipe a stored record decodes under: its bound, dtype and
+        table mode, with this decoder's block size and radius."""
+        return self.recipe(*(required(recipe, key, "sz_lr recipe", kind) for key, kind in
+                             (("abs_eb", float), ("dtype", str), ("shared", bool))))
+
+    def parse_record(self, record: bytes, shapes: Sequence[Tuple[int, ...]], recipe: dict):
+        """``(shapes, Huffman pairs, side streams, counts)`` of a record:
+        every stream read, checked (:class:`CorruptFileError`) and copied out
+        of the inflated side blob, the entropy decode left to
+        :meth:`decode_parsed`.  ``counts`` rebuilds the per-array ``(selection,
+        anchors, outliers x 2, coefficient rows, cells)`` rows from the shapes
+        and the selection, since :meth:`_narrow` locates arrays by them."""
+        recipe = self._decoding(recipe)
         ndim = len(shapes[0])
         if any(len(shape) != ndim for shape in shapes):
             raise CorruptFileError("sz_lr payload: arrays of mixed dimension")
         cells = np.asarray([math.prod(shape) for shape in shapes], dtype=np.int64)
+        # a table spans at most 2 radius codes; per array two outlier counts, per
+        # cell at most a selection byte, an anchor, an outlier, a coefficient row
         pairs, reader = ctn.parse_record(
             record, shapes, cells, recipe["shared"], "sz_lr record",
-            ctn.recipe_context(recipe, _RECIPE, "sz_lr recipe"))
+            ctn.recipe_context(recipe, _RECIPE, "sz_lr recipe"),
+            (2 * self.radius, 16 * len(shapes) + int(cells.sum()) * (21 + 4 * ndim)))
         block_size = self._block_size_for(ndim)
         narrays = len(shapes)
         outliers = [reader.take("<i8", narrays).astype(np.int64) for _ in range(2)]
@@ -692,7 +693,7 @@ class SZLRCompressor(Compressor):
         side = {"selection": selection}
         for name, dtype in (("anchors", "<i8"), ("lorenzo_outliers", "<i8"),
                             ("regression_outliers", "<f8")):
-            side[name] = reader.take(dtype, counts[:, _SIDE.index(name)].sum())
+            side[name] = reader.take(dtype, counts[:, _SIDE.index(name)].sum()).copy()
         side["regression_coeffs"] = reader.take(
             "<f4", coeff_rows.sum() * (ndim + 1)).astype(np.float64).reshape(-1, ndim + 1)
         reader.done()
@@ -781,39 +782,34 @@ class SZLRCompressor(Compressor):
                 for column, name in enumerate(_SIDE)}
         return [shapes[index] for index in select.tolist()], pairs, side, counts[select]
 
-    def decode_records(self, records: Sequence[bytes],
-                       shapes: Sequence[Sequence[Tuple[int, ...]]], recipe: dict,
-                       select: Sequence[Sequence[int] | None] | None = None,
-                       ) -> Iterator[List[np.ndarray]]:
-        """The float64 arrays of bare records (a decode job's chunks: DESIGN.md
-        §2), each decoded against its ``shapes`` under the job's ``recipe``
-        with this decoder's block size and radius, yielded in order: all
-        parsed, then their Huffman streams decoded in one lane pass, then
-        every array reconstructed in one :meth:`_decode_batch`.
-
-        The records' shapes, codes, side streams and ``counts`` rows are put
-        end to end in record order (stream order is code order, so nothing is
-        re-indexed) and the arrays split back per record.  Prediction is
+    def decode_parsed(self, parsed: Sequence, recipe: dict,
+                      select: Sequence[Sequence[int] | None] | None = None,
+                      ) -> Iterator[List[np.ndarray]]:
+        """The float64 arrays of parsed records (:meth:`parse_record`; a decode
+        job's chunks: DESIGN.md §2) under the job's ``recipe`` and this
+        decoder's block size and radius, in order: one lane pass, then one
+        :meth:`_decode_batch`; ``parsed`` is left as it is (a kept parse
+        decodes again).  The records' shapes, codes, side streams and
+        ``counts`` rows are put end to end (stream order is code order: nothing
+        is re-indexed) and the arrays split back per record; prediction is
         confined to an array, so each comes out exactly as it would alone, and
         one damaged record fails the call before anything is yielded.
 
         ``select[i]`` lists the arrays wanted of record ``i`` (ascending;
-        ``None``: all).  Each array is its own byte-aligned Huffman stream, so
-        only those are entropy-decoded and reconstructed (:meth:`_narrow`), to
-        the bytes of the full decode.
+        ``None`` or every one: all).  Each array is its own byte-aligned
+        Huffman stream, so only those are entropy-decoded and reconstructed
+        (:meth:`_narrow`), to the bytes of the full decode.
         """
-        if select is not None and len(select) != len(records):
+        if select is not None and len(select) != len(parsed):
             raise ValueError("one selection per record")
-        what = "sz_lr recipe"
-        recipe = self.recipe(required(recipe, "abs_eb", what, float),
-                             required(recipe, "dtype", what, str),
-                             required(recipe, "shared", what, bool))
-        parsed = []
-        for index, (record, record_shapes) in enumerate(zip(records, shapes, strict=True)):
-            entry = self._parse(record, record_shapes, recipe)
-            if select is not None and select[index] is not None:
-                entry = self._narrow(entry, select[index], recipe["shared"])
-            parsed.append(entry)
+        recipe = self._decoding(recipe)
+        parsed = [(shapes, ctn.pairs_of(pairs), side, counts)
+                  for shapes, pairs, side, counts in parsed]
+        # (a record selected whole — every array, ascending — needs no narrowing)
+        parsed = [entry if select is None or select[index] is None
+                  or list(select[index]) == list(range(len(entry[0])))
+                  else self._narrow(entry, select[index], recipe["shared"])
+                  for index, entry in enumerate(parsed)]
         if not parsed:
             return
         decoded = ctn.decode_huffman([pairs for _, pairs, _, _ in parsed])

@@ -36,6 +36,7 @@ from repro.compress.base import Compressor
 from repro.compress.container import (
     decode_huffman,
     pack_record,
+    pairs_of,
     parse_record,
     recipe_context,
     record_estimate,
@@ -279,14 +280,20 @@ class TemporalDeltaCodec(Compressor):
         return (self.pack(self.candidate(codes), self.recipe(eb), context),
                 self.grid_values(codes, eb, self.offset).reshape(data.shape))
 
-    def decode_record(self, record: bytes, shape: Tuple[int, ...],
-                      context: bytes = b"") -> np.ndarray:
+    def parse_record(self, record: bytes, shape: Tuple[int, ...], context: bytes = b""):
+        """``(shape, Huffman pairs, smallest code, escapes)`` of a record, checked
+        short of the entropy pass; the escapes are copied out of the side blob."""
+        pairs, min_code, escapes = self._parse(record, self.recipe(self.error_bound.resolve()),
+                                               math.prod(shape), context)
+        return (tuple(shape), pairs, min_code,
+                escapes and tuple(array.copy() for array in escapes))
+
+    def decode_parsed(self, parsed) -> np.ndarray:
         """Invert :meth:`encode_record` on this decoder's grid."""
-        eb, n = self.error_bound.resolve(), math.prod(shape)
-        pairs, min_code, escapes = self._parse(record, self.recipe(eb), n, context)
-        (shifted,) = decode_huffman([pairs])[0]
-        return self.grid_values(self._codes(shifted, min_code, escapes, None, n), eb,
-                                self.offset).reshape(shape)
+        shape, pairs, min_code, escapes = parsed
+        (shifted,) = decode_huffman([pairs_of(pairs)])[0]
+        return self.grid_values(self._codes(shifted, min_code, escapes, None, math.prod(shape)),
+                                self.error_bound.resolve(), self.offset).reshape(shape)
 
 
 # ----------------------------------------------------------------------
@@ -309,8 +316,7 @@ class TemporalDeltaFilter(Filter):
     def __init__(self, recipe: Optional[dict] = None):
         self.recipe = dict(recipe or {})
 
-    def decode_blocks(self, payloads, chunk_elements, layouts, wanted, plans=None,
-                      stored=None):
+    def decode_blocks(self, payloads, chunk_elements, layouts, wanted, stored=None):
         """Every block of each chunk: its record decoded whole (a chunk record
         holds exactly the ``stored`` codes its chunk index names)."""
         mode, eb, offset = TemporalDeltaCodec.grid_of(self.recipe)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -187,48 +188,50 @@ class AMRICLevelFilter(Filter):
             raise ValueError(f"AMRIC chunk plan: holds {ends[-1]} cells, "
                              f"the chunk has {chunk_elements}")
         (blocks,) = self.decode_blocks(
-            [payload], chunk_elements, [[(end - size, size) for end, size in zip(ends, sizes)]],
-            [range(len(sizes))], [plan])
+            [self.parse(payload, plan)], chunk_elements,
+            [[(end - size, size) for end, size in zip(ends, sizes)]], [range(len(sizes))])
         out = np.zeros(chunk_elements, dtype=np.float64)
         np.concatenate([block.reshape(-1) for block in blocks.values()], out=out[:ends[-1]])
         return out
 
-    def decode_blocks(self, payloads: Sequence[bytes], chunk_elements: int,
+    @cached_property
+    def _codec(self):
+        """The decoder of the recipe (a :class:`CorruptFileError` names a bad one)."""
+        if self.recipe is None:
+            raise ValueError("an AMRIC chunk decodes under its dataset's recipe "
+                             "(AMRICLevelFilter.reading) against its ChunkPlan")
+        return codec_from_recipe(self.recipe)
+
+    def parse(self, payload: bytes, plan: ChunkPlan):
+        """A record checked against its chunk's plan short of the entropy pass
+        (another place's fails its block count or checksum: ``CorruptFileError``);
+        a single-array codec's comes with the packed arrangement it decodes into."""
+        comp = self._codec
+        if resolve_codec(comp.name).supports_many:
+            return comp.parse_record(payload, plan.block_shapes, self.recipe)
+        mode = required(self.recipe, "arrangement", "AMRIC recipe")
+        if mode not in ("cluster", "linear"):
+            raise CorruptFileError(f"AMRIC recipe: unknown block arrangement {mode!r}")
+        arrangement = arrange_blocks(plan.block_shapes, plan.block_positions, mode)
+        return arrangement, comp.parse_record(payload, arrangement.packed_shape,
+                                              _packed_context(self.recipe, arrangement))
+
+    def decode_blocks(self, records: Sequence[object], chunk_elements: int,
                       layouts: Sequence[Sequence[Tuple[int, int]]],
                       wanted: Sequence[Sequence[int]],
-                      plans: Optional[Sequence[ChunkPlan]] = None,
                       stored: Optional[Sequence[int]] = None,
                       ) -> List[Dict[int, np.ndarray]]:
-        """The unit blocks of a job's chunks, each in its 3D shape.
-
-        Each record is decoded against its chunk's plan (a record of another
-        place fails its block count or checksum: ``CorruptFileError``).  A
-        multi-array codec gets the job as one batch with the ``wanted``
+        """The unit blocks of a job's parsed records (:meth:`parse`), each in
+        its 3D shape.  A multi-array codec gets the job as one batch with the ``wanted``
         ordinals: the records share its entropy pass and only those blocks
         are decoded, each to what it is in the whole chunk.  A single-array
         codec's packed arrangement decodes whole: every block ``layouts``
         places comes back.  (``stored`` is unused: a plan names its chunk's cells.)
         """
-        if self.recipe is None or plans is None:
-            raise ValueError("an AMRIC chunk decodes under its dataset's recipe "
-                             "(AMRICLevelFilter.reading) against its ChunkPlan")
-        recipe = self.recipe
-        comp = codec_from_recipe(recipe)
+        comp = self._codec
         if resolve_codec(comp.name).supports_many:
-            # (a chunk wanted whole — every ordinal, ascending — needs no narrowing)
-            select = [list(want) if len(want) < len(plan.block_shapes) else None
-                      for want, plan in zip(wanted, plans, strict=True)]
-            decoded = comp.decode_records(payloads, [plan.block_shapes for plan in plans],
-                                          recipe, select)
+            decoded = comp.decode_parsed(records, self.recipe, [list(want) for want in wanted])
             return [dict(zip(want, blocks)) for want, blocks in zip(wanted, decoded)]
-        mode = required(recipe, "arrangement", "AMRIC recipe")
-        if mode not in ("cluster", "linear"):
-            raise CorruptFileError(f"AMRIC recipe: unknown block arrangement {mode!r}")
-        out: List[Dict[int, np.ndarray]] = []
-        for payload, plan, layout in zip(payloads, plans, layouts, strict=True):
-            arrangement = arrange_blocks(plan.block_shapes, plan.block_positions, mode)
-            blocks = unpack_blocks(comp.decode_record(
-                payload, arrangement.packed_shape, _packed_context(recipe, arrangement)),
-                arrangement)
-            out.append(dict(enumerate(blocks[:len(layout)])))
-        return out
+        return [dict(enumerate(unpack_blocks(comp.decode_parsed(parsed), arrangement)
+                               [:len(layout)]))
+                for (arrangement, parsed), layout in zip(records, layouts, strict=True)]

@@ -1,7 +1,7 @@
-"""The staged read pipeline: scan → decode → place → refill.
+"""The staged read pipeline: scan → fetch → decode → place → refill.
 
 The read side mirrors the writer's staged decomposition
-(:mod:`repro.core.stages`) instead of the old serial monolith:
+(:mod:`repro.core.stages`):
 
 ``scan`` (:func:`scan_plotfile`)
     Rebuild every level's :class:`~repro.core.preprocess.LevelLayout` — which
@@ -11,16 +11,20 @@ The read side mirrors the writer's staged decomposition
     writer laid the datasets out by, one per level, shared by the level's
     fields.  A file without a header is rejected.  Produces a
     :class:`ReadPlan` of :class:`DatasetReadPlan` entries.
+``fetch`` (:func:`make_decode_job`)
+    Read the chunk payloads that hold the wanted blocks of one dataset and
+    parse each (:meth:`~repro.h5lite.filters.Filter.parse`): an AMRIC chunk is
+    a lean record (format v2), checked under the dataset's stored codec recipe
+    against the blocks the layout puts in its chunk (a
+    :class:`~repro.core.filter_mod.ChunkPlan`) short of the entropy pass.  A
+    box-reading handle keeps what it parsed, so each record is parsed at most
+    once per open handle.
 ``decode`` (:func:`decode_job`)
-    Decode the wanted unit blocks of one dataset's chunk payloads, handed to
+    Decode the wanted unit blocks of one dataset's parsed records, handed to
     the filter together (:meth:`~repro.h5lite.filters.Filter.decode_blocks`) so
     AMRIC's level filter runs one Huffman lane pass per job instead of one per
-    chunk — over the wanted blocks' streams only.  An AMRIC chunk is a lean
-    record (format v2): it is decoded under the dataset's stored codec recipe
-    against the blocks the layout puts in its chunk (a
-    :class:`~repro.core.filter_mod.ChunkPlan`).  A :class:`DecodeJob` is a
-    plain picklable dataclass (raw bytes, the stored filter id, recipe and
-    plans), so per-dataset decode jobs run through any
+    chunk — over the wanted blocks' streams only.  A :class:`DecodeJob` is a
+    plain picklable dataclass, so per-dataset decode jobs run through any
     :class:`~repro.parallel.backend.ExecutionBackend` with bit-identical
     results.
 ``place`` (:func:`place_dataset`)
@@ -33,22 +37,18 @@ The read side mirrors the writer's staged decomposition
     stencil in :mod:`repro.amr.upsample`, not a private copy.
 
 :class:`PlotfileHandle` (returned by :func:`repro.open`) runs the stages.
-Every consumer — the full :meth:`~PlotfileHandle.read`, the lazy
-``read_field(name, level=..., box=...)``, the query engine's batches, a series
-step — obtains decoded data through one door (:meth:`PlotfileHandle._blocks`),
-in two units.  The **chunk payload is the unit of I/O**: it is fetched whole
-(its deflated sections do not inflate in part).  The **unit block is the unit
-of decode and of cache**: the paper's unit SLE gives every block its own
-byte-aligned Huffman stream under the chunk's shared table and confines
-prediction to the block, so a box read entropy-decodes and reconstructs only
-the blocks it meets — one cache lookup per block, one decode batch for the
-misses.  A filter that cannot decode a block alone (SZ_Interp's packed
-arrangement, the flat baselines, a series' code streams) decodes the chunk and
-every block of it is kept.
+Every consumer — :meth:`~PlotfileHandle.read`, ``read_field``, the query
+engine's batches, a series step — obtains decoded data through one door
+(:meth:`PlotfileHandle._blocks`).  The **chunk payload is the unit of I/O and
+of parsing**, the **unit block the unit of decode and of cache**: unit SLE
+gives every block its own byte-aligned Huffman stream, so a box read decodes
+only the blocks it meets (a filter that cannot decode a block alone decodes
+the chunk, and every block of it is kept).  DESIGN.md §5 has the whole account.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (Callable, ClassVar, Dict, Iterable, Iterator, List, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
@@ -58,7 +58,7 @@ import numpy as np
 from repro.amr.box import Box
 from repro.amr.hierarchy import AmrHierarchy
 from repro.amr.upsample import average_down, fill_covered_from_finer
-from repro.core.filter_mod import AMRICLevelFilter, ChunkPlan, chunk_plan
+from repro.core.filter_mod import AMRICLevelFilter, chunk_plan
 from repro.core.header import CHUNK_ALIGNMENT_RANK, PlotfileHeader, template_from_header
 from repro.core.preprocess import LevelLayout, level_layouts
 from repro.h5lite.file import DatasetInfo, H5LiteFile
@@ -227,31 +227,28 @@ def scan_plotfile(f: H5LiteFile, header: Optional[PlotfileHeader] = None,
 # ----------------------------------------------------------------------
 @dataclass
 class DecodeJob:
-    """One dataset's decode work: raw chunk payloads, what is wanted of each,
-    and the stored filter id.
-
-    The payloads cross the shm pool boundary as shared-memory descriptors,
-    the rest pickles (ints, strings); decoding is deterministic, so every
-    backend produces identical arrays.
+    """One dataset's decode work: its chunks' records as the filter parsed
+    them (:meth:`~repro.h5lite.filters.Filter.parse`; a raw chunk: its bytes),
+    what is wanted of each, and the stored filter id.  The records' arrays and
+    bytes cross the shm pool boundary as shared-memory descriptors, the rest
+    pickles; decoding is deterministic, so every backend yields identical arrays.
     """
 
     #: bulk fields the shm backend ships as shared-memory descriptors
-    _shm_fields: ClassVar[Tuple[str, ...]] = ("payloads",)
+    _shm_fields: ClassVar[Tuple[str, ...]] = ("records",)
 
     key: str                               #: dataset name (stable identifier)
-    payloads: List[bytes]
+    records: List[object]
     chunk_indices: List[int]
-    #: per payload, where each of its blocks sits (:meth:`DatasetReadPlan.chunk_layout`)
+    #: per record, where each of its blocks sits (:meth:`DatasetReadPlan.chunk_layout`)
     layouts: List[List[Tuple[int, int]]]
-    #: per payload, the ordinals of the blocks to decode (ascending)
+    #: per record, the ordinals of the blocks to decode (ascending)
     wanted: List[List[int]]
-    #: per payload, the element count its chunk record names
+    #: per record, the element count its chunk record names
     stored: List[int]
     chunk_elements: int
     filter_id: str
-    #: the dataset's recipe, and per payload the blocks an AMRIC record holds
-    recipe: Optional[dict] = None
-    plans: Optional[List[ChunkPlan]] = None
+    recipe: Optional[dict] = None          #: the dataset's (AMRIC, series step)
 
 
 @dataclass
@@ -281,57 +278,68 @@ def _decode_filter(filter_id: str, recipe: Optional[dict] = None) -> Filter:
     raise CorruptFileError(f"cannot decode chunks written with unknown filter {filter_id!r}")
 
 
-def make_decode_job(f: H5LiteFile, dplan: DatasetReadPlan,
-                    wanted: Mapping[int, Sequence[int]]) -> DecodeJob:
-    """Pull the raw chunk payloads that hold the wanted blocks of one dataset
-    (``{chunk: ordinals}``, see :meth:`DatasetReadPlan.pieces_of`) into a job."""
+@contextmanager
+def _naming(key: str, chunks: Sequence[int]) -> Iterator[None]:
+    """A ``ValueError`` raised inside names the dataset and chunks (a
+    :class:`~repro.errors.CorruptFileError` stays one)."""
+    try:
+        yield
+    except ValueError as exc:
+        kind = CorruptFileError if isinstance(exc, CorruptFileError) else ValueError
+        raise kind(f"{key}, chunks {list(chunks)}: {exc}") from exc
+
+
+def make_decode_job(f: H5LiteFile, dplan: DatasetReadPlan, wanted: Mapping[int, Sequence[int]],
+                    kept: Optional[Dict[int, object]] = None) -> DecodeJob:
+    """The fetch stage: the chunks that hold the wanted blocks of one dataset
+    (``{chunk: ordinals}``, see :meth:`DatasetReadPlan.pieces_of`), read and
+    parsed into a job.  ``kept`` (a box-reading handle's ``{chunk: record}``)
+    gives the chunks parsed before, not fetched again, and takes the records
+    parsed here (not a raw chunk's bytes, nor one that fails to parse: a
+    :class:`~repro.errors.CorruptFileError` naming the dataset and chunk)."""
+    kept = {} if kept is None else kept
     indices = list(wanted)
+    filt = _decode_filter(dplan.filter_id, dplan.recipe)
+    amric = dplan.filter_id == AMRICLevelFilter.filter_id
+    records = [kept.get(index) for index in indices]
+    fetch = [at for at, record in enumerate(records) if record is None]
     # one batched (coalescing) source read instead of N seek+read round-trips;
     # a payload is fetched whole whatever is wanted of it (its deflated
     # sections do not inflate in part)
-    payloads = f.read_chunk_payloads(dplan.name, indices)
-    return DecodeJob(key=dplan.name, payloads=payloads, chunk_indices=indices,
+    for at, payload in zip(fetch, f.read_chunk_payloads(dplan.name, [indices[at] for at in fetch])):
+        plan = chunk_plan(dplan.layout, indices[at], dplan.padded) if amric else None
+        with _naming(dplan.name, [indices[at]]):
+            records[at] = filt.parse(payload, plan)
+        if records[at] is not payload:
+            kept[indices[at]] = records[at]
+    return DecodeJob(key=dplan.name, records=records, chunk_indices=indices,
                      layouts=[dplan.chunk_layout(index) for index in indices],
                      wanted=[list(wanted[index]) for index in indices],
                      stored=[dplan.stored[index] for index in indices],
                      chunk_elements=dplan.chunk_elements, filter_id=dplan.filter_id,
-                     recipe=dplan.recipe,
-                     plans=[chunk_plan(dplan.layout, index, dplan.padded) for index in indices]
-                     if dplan.filter_id == AMRICLevelFilter.filter_id else None)
+                     recipe=dplan.recipe)
 
 
 def decode_job(job: DecodeJob) -> DecodeResult:
-    """Stage 2: decode the wanted blocks of one dataset's chunks.
+    """Stage 2: decode the wanted blocks of one dataset's parsed records.
 
     A module-level pure function over picklable inputs — the read-side mirror
     of :func:`repro.core.stages.encode_job` — so the serial and shm backends
-    run identical code on identical bytes.  A damaged chunk is a
-    :class:`~repro.errors.CorruptFileError` naming the dataset and chunks.
+    run identical code on identical records, parsed or kept alike.  A damaged
+    chunk is a :class:`~repro.errors.CorruptFileError` naming the dataset and
+    chunks.
     """
     # one call per job: a filter whose chunks can share a decode cost (AMRIC's
     # level filter: one Huffman lane pass for the job) gets them together
     filt = _decode_filter(job.filter_id, job.recipe)
-    try:
-        answers = filt.decode_blocks(job.payloads, job.chunk_elements,
-                                     job.layouts, job.wanted, job.plans, job.stored)
-    except ValueError as exc:
-        kind = CorruptFileError if isinstance(exc, CorruptFileError) else ValueError
-        raise kind(f"{job.key}, chunks {job.chunk_indices}: {exc}") from exc
+    with _naming(job.key, job.chunk_indices):
+        answers = filt.decode_blocks(job.records, job.chunk_elements,
+                                     job.layouts, job.wanted, job.stored)
     return DecodeResult(
         pieces=[(chunk, ordinal) for chunk, answer in zip(job.chunk_indices, answers)
                 for ordinal in answer],
         blocks=[np.asarray(block, dtype=np.float64)
                 for answer in answers for block in answer.values()])
-
-
-def _split_indices(indices: Sequence[int], nparts: int) -> List[List[int]]:
-    """Partition chunk indices into at most ``nparts`` contiguous batches.
-
-    Chunk decodes within one dataset are independent, so the split changes
-    nothing but wall-clock on a pooled backend.
-    """
-    per = -(-len(indices) // min(nparts, len(indices)))   # ceil division
-    return [list(indices[i:i + per]) for i in range(0, len(indices), per)]
 
 
 # ----------------------------------------------------------------------
@@ -362,6 +370,8 @@ class ReadStats:
 
     #: chunk payloads entropy-decoded, in whole or in part (a series: streams)
     chunks_decoded: int = 0
+    #: chunk payloads fetched and parsed (a series: none; a kept record is neither)
+    records_parsed: int = 0
     blocks_decoded: int = 0     #: unit blocks reconstructed from them
     cache_hits: int = 0         #: blocks (a series: also code streams) a cache held
     datasets_decoded: int = 0   #: datasets with at least one miss, per request
@@ -390,19 +400,13 @@ class PlotfileHandle:
 
     The handle parses the self-describing header (a file without one is
     rejected with :class:`ValueError`) but decodes nothing until asked:
-
-    * :attr:`fields`, :attr:`levels`, :attr:`codec`, :meth:`describe` —
-      metadata only, no chunk is touched;
-    * :meth:`read_field` — decodes exactly the unit blocks that intersect
-      the requested box (cached per block; see :attr:`stats`);
-    * :meth:`read` — the full staged scan/decode/place/refill pipeline.
-
-    Every decode job runs on the ``backend`` the handle was opened with: the
-    caller's instance, never closed here (None decodes inline).
-
-    Decoded blocks live in a :class:`~repro.service.cache.ChunkCache` under
-    ``(path, dataset, slot)`` keys: the caller's shared one (``cache``), else
-    a private one of the default byte budget.
+    :attr:`fields`, :attr:`levels`, :attr:`codec` and :meth:`describe` touch
+    no chunk; :meth:`read_field` decodes exactly the unit blocks that
+    intersect the box (see :attr:`stats`); :meth:`read` runs every stage.
+    Decode jobs run on the caller's ``backend`` (never closed here; None:
+    inline).  Decoded blocks live in a :class:`~repro.service.cache.ChunkCache`
+    under ``(path, dataset, slot)`` keys — the caller's shared ``cache``, else
+    a private one — and the records box reads parsed on the handle itself.
     """
 
     def __init__(self, path: str, backend: Optional[ExecutionBackend] = None,
@@ -419,6 +423,8 @@ class PlotfileHandle:
             raise
         self._plan: Optional[ReadPlan] = None
         self._cache = cache if cache is not None else ChunkCache()
+        #: ``{dataset: {chunk: parsed record}}`` of box reads, beside the block cache
+        self._records: Dict[str, Dict[int, object]] = {}
         self.stats = ReadStats()
         self._closed = False
 
@@ -432,6 +438,7 @@ class PlotfileHandle:
     def close(self) -> None:
         if not self._closed:
             self._file.close()
+            self._records.clear()
             self._closed = True
 
     def __enter__(self) -> "PlotfileHandle":
@@ -532,19 +539,17 @@ class PlotfileHandle:
                 ) -> Dict[DatasetReadPlan, Dict[int, np.ndarray]]:
         """The one door to decoded unit blocks: ``{dataset: {slot: block}}``.
 
-        Each needed block is looked up once in the handle's cache; the misses
-        are grouped by the chunk payload that holds them and decoded
-        (:meth:`_decode_missing`, one batch) — they alone where the filter can
-        decode a block without its chunk, else the chunk's blocks, all kept.
-        Unless ``store`` is off (the full read's rule: it would only flush
-        what random access keeps warm) every decoded block is stored, as an
-        array that owns its memory so the byte budget counts what is held.
-        The caller holds the answer, so a block the cache evicts or rejects
-        meanwhile costs a later request time, never this one its data.
+        Each needed block is looked up once in the cache; the misses are
+        decoded in one batch (:meth:`_decode_missing`).  Unless ``store`` is
+        off (the full read's rule: it would only flush what random access
+        keeps warm) every decoded block is stored as an array that owns its
+        memory, and every parsed record is kept.  The caller holds the answer,
+        so an eviction meanwhile costs a later request time, never this one
+        its data.
         """
         out, pending = self._lookup(needed)
         if pending:
-            self._fill(out, self._decode_missing(pending, comm), store)
+            self._fill(out, self._decode_missing(pending, comm, store), store)
         return out
 
     def _lookup(self, needed: Mapping[DatasetReadPlan, Iterable[int]]
@@ -591,26 +596,30 @@ class PlotfileHandle:
                                 block if block.base is None else block.copy())
 
     def _decode_missing(self, pending: Mapping[DatasetReadPlan, Mapping[int, List[int]]],
-                        comm: Optional[SimComm],
+                        comm: Optional[SimComm], store: bool = False,
                         ) -> Iterator[Tuple[DatasetReadPlan, int, int, np.ndarray]]:
         """Decode the blocks no cache held, given per dataset as ``{chunk:
         ordinals}``: yields ``(dataset, chunk, ordinal, block)`` for at least
-        those (chunks ascending within a dataset).
-
-        One decode job per dataset — cut into per-worker jobs while the batch
-        has fewer datasets than the handle's backend has workers — submitted
-        through ``comm`` (:meth:`~repro.parallel.mpi_sim.SimComm.run_jobs`) as
-        one batch with one barrier, mirroring the writer's encode stage.  Jobs
-        are pure functions of the stored bytes, so every backend and every
-        split yields identical blocks.
+        those (chunks ascending within a dataset).  One decode job per dataset
+        (cut into per-worker jobs while the batch has fewer datasets than the
+        backend has workers), submitted through ``comm`` as one batch with one
+        barrier; jobs are pure, so every backend and split yields identical
+        blocks.  With ``store`` (a box read) a chunk's parsed record is kept
+        under ``(dataset, chunk)``, so a later miss in it is neither fetched
+        nor parsed again.
         """
         plan = self._scan()
         width = self._backend.parallel_width()
         nparts = -(-width // len(pending))
-        jobs = [(dplan, make_decode_job(self._file, dplan,
-                                        {chunk: wanted[chunk] for chunk in part}))
-                for dplan, wanted in pending.items()
-                for part in _split_indices(list(wanted), nparts)]
+        jobs = []
+        for dplan, wanted in pending.items():
+            kept = self._records.setdefault(dplan.name, {}) if store else {}
+            # at most nparts contiguous runs of chunks (independent decodes)
+            chunks, per = list(wanted), -(-len(wanted) // min(nparts, len(wanted)))
+            for part in (chunks[at:at + per] for at in range(0, len(chunks), per)):
+                self.stats.records_parsed += sum(chunk not in kept for chunk in part)
+                jobs.append((dplan, make_decode_job(
+                    self._file, dplan, {chunk: wanted[chunk] for chunk in part}, kept)))
         comm = comm if comm is not None else SimComm(plan.nranks)
         results = comm.run_jobs(self._backend, decode_job, [job for _, job in jobs])
         for (dplan, job), result in zip(jobs, results):

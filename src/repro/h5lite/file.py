@@ -254,15 +254,6 @@ class H5LiteFile:
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def read_chunk_payload(self, name: str, index: int) -> bytes:
-        """Raw stored bytes of one chunk (no decoding).
-
-        This is what lets consumers decode *selectively*: the staged reader
-        (:mod:`repro.core.reader`) pulls only the payloads whose chunks
-        intersect a request and ships them to decode workers as plain bytes.
-        """
-        return self.read_chunk_payloads(name, [index])[0]
-
     def read_chunk_payloads(self, name: str, indices: Sequence[int]) -> List[bytes]:
         """Raw stored bytes of several chunks, as one batch.
 

@@ -1,7 +1,7 @@
 """Compression filters for chunked datasets (the H5Z layer).
 
 A :class:`Filter` is the decode side of a dataset's chunks: the file names it
-by ``filter_id`` and a reader dispatches on that name, then only decodes.
+by ``filter_id`` and a reader dispatches on that name, then parses and decodes.
 Each writer encodes through its own filter or codec, with the arguments its
 chunks need.  This module holds the base class and the pass-through
 :class:`NoCompressionFilter`.  The filters that compress live with their
@@ -55,20 +55,25 @@ class Filter:
         padding."""
         raise NotImplementedError
 
-    def decode_blocks(self, payloads: Sequence[bytes], chunk_elements: int,
+    def parse(self, payload: bytes, plan: Optional[object] = None) -> object:
+        """A chunk's payload checked short of its decode (against its ``plan``
+        where it is not self-describing): what :meth:`decode_blocks` takes and
+        a box-reading handle keeps.  With nothing to parse, the payload itself
+        (then nothing is kept)."""
+        return payload
+
+    def decode_blocks(self, payloads: Sequence[object], chunk_elements: int,
                       layouts: Sequence[Sequence[Tuple[int, int]]],
                       wanted: Sequence[Sequence[int]],
-                      plans: Optional[Sequence[object]] = None,
                       stored: Optional[Sequence[int]] = None) -> List[Dict[int, np.ndarray]]:
-        """Per payload, decoded blocks by ordinal — what a decode job calls, once.
+        """Per parsed payload (:meth:`parse`), decoded blocks by ordinal —
+        what a decode job calls, once.
 
         ``layouts[i]`` places every block of payload ``i`` in its chunk
         (:func:`cut_blocks`); ``wanted[i]`` lists the ordinals asked for
-        (ascending); ``plans[i]`` is what a filter whose payloads are not
-        self-describing decodes chunk ``i`` against (AMRIC's
-        :class:`~repro.core.filter_mod.ChunkPlan`; unused here); ``stored[i]``
-        is the element count chunk ``i``'s record names (default: up to its
-        last block), which its decode must hold exactly.  The default
+        (ascending); ``stored[i]`` is the element count chunk ``i``'s record
+        names (default: up to its last block), which its decode must hold
+        exactly.  The default
         decodes each chunk whole and answers with all its blocks; a filter
         that can decode a block without its chunk overrides this and answers
         with the wanted ones (which must not depend on what else was asked for).

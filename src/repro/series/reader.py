@@ -159,9 +159,10 @@ class SeriesStepHandle(PlotfileHandle):
         return self._plan
 
     def _decode_missing(self, pending: Mapping[DatasetReadPlan, Mapping[int, List[int]]],
-                        comm) -> Iterator[Tuple[DatasetReadPlan, int, int, np.ndarray]]:
-        # no backend runs here and ``comm`` goes unused: a group's streams share entropy
-        # passes in this process, and what they resolve to lives in this
+                        comm, store: bool = False,
+                        ) -> Iterator[Tuple[DatasetReadPlan, int, int, np.ndarray]]:
+        # no backend runs here and ``comm`` and ``store`` go unused: a group's
+        # streams share entropy passes in this process, and what they resolve to lives in this
         # process's per-series code cache.  A delta adds onto the same cells
         # of its reference, so each chain decodes only the lanes that hold
         # the wanted pieces; a chunk wanted whole is decoded whole and hands on

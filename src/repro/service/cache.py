@@ -1,22 +1,16 @@
 """A byte-budgeted LRU cache of decoded unit blocks.
 
-The chunk payload is the reader's unit of I/O; the unit block is its unit of
-decode and of cache (:mod:`repro.core.reader`): a box read decodes only the
-blocks it meets and leaves exactly those here.  :class:`ChunkCache` is a
-thread-safe LRU over ``(path, dataset, slot index)`` keys with a byte budget —
-inserting past the budget evicts least-recently-used entries, and every
-hit/miss/eviction is counted in :class:`CacheStats` (what the cache-accounting
-tests and the ``stats`` rows of the query service assert against; per block
-since the block door, so a request's lookups are the blocks it needed).  Every
-handle has one: a private one of the default budget, or the one its opener
-shares (``repro.open(path, cache=...)``), so two handles on the same plotfile
-— or two clients of the query service — decode a block once and a long-lived
-handle's memory stays bounded.  The full key carries the path, which is what
-lets one cache serve handles over many files without collisions.
-
-The cache sizes an entry by its ``nbytes``, so what is put must own its memory
-(the door copies a block that is a view of a larger decode); the series reader
-keeps its resolved code streams — whole-chunk by nature — in a second instance.
+:class:`ChunkCache` is a thread-safe LRU over ``(path, dataset, slot index)``
+keys — one entry per decoded unit block, the reader's unit of decode and of
+cache (:mod:`repro.core.reader`) — with a byte budget, every hit, miss and
+eviction counted in :class:`CacheStats`.  Every handle has one: a private one
+of the default budget, or the one its opener shares (``repro.open(path,
+cache=...)``), so handles and service clients over the same file decode a
+block once; the path in the key lets one cache serve many files.  An entry is
+sized by its ``nbytes``, so what is put must own its memory.  The budget
+bounds decoded blocks only (the parsed records a handle keeps are not
+entries); the series reader keeps its resolved code streams in a second
+instance.  DESIGN.md §7 has the whole account.
 """
 
 from __future__ import annotations

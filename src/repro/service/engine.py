@@ -5,23 +5,16 @@ a pool of lazily-opened handles, binds every one of them to a single shared
 :class:`~repro.service.cache.ChunkCache`, and adds the two behaviours a
 serving layer needs beyond what a lone handle offers:
 
-* **batching with block coalescing** — :meth:`read_batch` takes many
-  :class:`BoxQuery` requests at once and hands the ones that land on the same
-  file (or series step) to its handle together: the handle unions the unit
-  blocks their boxes meet, obtains that union once — one cache lookup and at
-  most one decode per block — and assembles every answer from it.  Requests
-  overlapping in blocks (or, for series steps, in delta chains, which are
-  resolved chunk-by-chunk) therefore cost one decode per block per batch
-  instead of one per request.
+* **batching with block coalescing** — :meth:`read_batch` hands the
+  :class:`BoxQuery` requests that land on one file (or series step) to its
+  handle together, which obtains the union of the unit blocks they meet once
+  (one cache lookup and at most one decode per block per batch);
 * **time slices** — :meth:`time_slice` is :meth:`SeriesHandle.time_slice
-  <repro.series.reader.SeriesHandle.time_slice>` on the pooled handle, which
-  reads newest step first so every stream along the chains is decoded exactly
-  once and a keyframe interval shares its entropy passes.
+  <repro.series.reader.SeriesHandle.time_slice>` on the pooled handle.
 
-The engine is what the TCP server (:mod:`repro.service.server`) executes
-requests against, and the seam where sharding across many files would slot
-in: the handle pool already owns the path→handle mapping a shard map would
-partition.
+The TCP server (:mod:`repro.service.server`) executes requests against it;
+the handle pool is the seam where sharding across files would slot in.
+DESIGN.md §7 has the whole account.
 """
 
 from __future__ import annotations
@@ -270,7 +263,8 @@ class QueryEngine:
     # ------------------------------------------------------------------
     def _totals(self):
         """The pool's counters, read once for either accounting surface:
-        ``(plotfile handles, series, requests, batches, chunks decoded, I/O)``.
+        ``(plotfile handles, series, requests, batches, chunks decoded,
+        records parsed, I/O)``.
 
         I/O is the one ledger: :meth:`SourceStats.sum` over the byte sources
         of every pooled plotfile handle and opened series step, a source two
@@ -281,22 +275,24 @@ class QueryEngine:
             series = list(self._series.values())
             requests, batches = self._requests, self._batches
         decoded = sum(h.stats.chunks_decoded for h in handles + series)
+        parsed = sum(h.stats.records_parsed for h in handles + series)
         steps: List[PlotfileHandle] = []
         for s in series:
             with s._handles_lock:
                 steps.extend(s._handles.values())
         io = SourceStats.sum(h.source_stats for h in handles + steps)
-        return handles, series, requests, batches, decoded, io
+        return handles, series, requests, batches, decoded, parsed, io
 
     def _metrics_samples(self):
         """Snapshot-time collector: fold pooled-handle stats into the registry."""
-        handles, series, requests, batches, decoded, io = self._totals()
+        handles, series, requests, batches, decoded, parsed, io = self._totals()
         rows = [
             ("repro_engine_requests_total", "counter", {}, float(requests)),
             ("repro_engine_batches_total", "counter", {}, float(batches)),
             ("repro_engine_plotfiles_open", "gauge", {}, float(len(handles))),
             ("repro_engine_series_open", "gauge", {}, float(len(series))),
             ("repro_chunks_decoded_total", "counter", {}, float(decoded)),
+            ("repro_records_parsed_total", "counter", {}, float(parsed)),
             ("repro_blocks_decoded_total", "counter", {},
              float(sum(h.stats.blocks_decoded for h in handles + series))),
             ("repro_series_refreshes_total", "counter", {},
@@ -327,11 +323,11 @@ class QueryEngine:
 
     def stats(self) -> Dict[str, object]:
         """One flat snapshot: engine counters + cache counters + decode totals."""
-        handles, series, requests, batches, decoded, io = self._totals()
+        handles, series, requests, batches, decoded, parsed, io = self._totals()
         out: Dict[str, object] = {
             "plotfiles_open": len(handles), "series_open": len(series),
             "requests": requests, "batches": batches,
-            "chunks_decoded": decoded,
+            "chunks_decoded": decoded, "records_parsed": parsed,
             # the registry's repro_io_* rows, flat ("io_" prefixed: "requests"
             # above counts engine queries, not source ranges)
             "io_bytes_read": io.bytes_read, "io_requests": io.requests,

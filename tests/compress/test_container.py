@@ -176,6 +176,31 @@ class TestRecordCodesForm:
             tracemalloc.stop()
         assert peak < 8 << 20, peak
 
+    def test_an_sz_lr_side_blob_that_inflates_past_its_shapes_is_refused(self):
+        """The same 64 MB bomb as an SZ_L/R record's side blob: its tables span
+        at most 2 radius codes and its own arrays hold a few per cell, so the
+        shapes bound the blob and no more of it is inflated."""
+        import tracemalloc
+        import zlib
+
+        from repro.compress.sz_lr import _RECIPE, SZLRCompressor
+
+        comp = SZLRCompressor(ErrorBound.absolute(1e-3), block_size=4)
+        recipe, shapes = comp.recipe(1e-3), [(10, 10, 10)]
+        deflater, mib = zlib.compressobj(9), bytes(1 << 20)
+        blob = b"".join(deflater.compress(mib) for _ in range(64)) + deflater.flush()
+        body = struct.pack("<BIQ", 1, 1, 0) + blob
+        context = ctn.recipe_context(recipe, _RECIPE, "sz_lr recipe")
+        record = struct.pack("<I", zlib.crc32(body, ctn.shapes_seed(shapes, context))) + body
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptFileError, match="side streams inflate past"):
+                comp.parse_record(record, shapes, recipe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, peak
+
 
 def _raw_records():
     """A ``temporal_delta`` and an ``sz_lr`` record of codes stored raw, each

@@ -561,18 +561,19 @@ def _unwrapped(payload):
 
 
 def _decode_job(comp, payloads, select=None):
-    """``decode_records`` over the records of standalone buffers of one
-    recipe, each array cast to the recipe's dtype (as ``decompress_many``)."""
+    """The records of standalone buffers of one recipe, parsed and decoded as
+    one job, each array cast to the recipe's dtype (as ``decompress_many``)."""
     recipe, shapes, records = zip(*map(_unwrapped, payloads))
     assert all(dict(r, shapes=None) == dict(recipe[0], shapes=None) for r in recipe)
-    for arrays in comp.decode_records(records, shapes, recipe[0], select):
+    parsed = [comp.parse_record(record, s, recipe[0]) for record, s in zip(records, shapes)]
+    for arrays in comp.decode_parsed(parsed, recipe[0], select):
         yield [a.astype(recipe[0]["dtype"]) for a in arrays]
 
 
 def _deserialize(comp, payload):
     """``(meta, codes per array, side streams, counts)``: parse, then the entropy pass."""
     recipe, shapes, record = _unwrapped(payload)
-    shapes, pairs, side, counts = comp._parse(record, shapes, recipe)
+    shapes, pairs, side, counts = comp.parse_record(record, shapes, recipe)
     return dict(recipe, shapes=shapes), ctn.decode_huffman([pairs])[0], side, counts
 
 
@@ -738,7 +739,7 @@ def _unit_block_chunk(per_shape, rng):
 
 @pytest.mark.parametrize("per_shape", [2, 4])
 def test_one_reconstruction_pass_per_job_and_one_plan_per_shape(monkeypatch, per_shape):
-    """A ``decode_records`` call reconstructs its job's records in one
+    """A ``decode_parsed`` call reconstructs its job's records in one
     ``_decode_batch``, which takes one pass (one flat plan) per distinct
     shape of the job — however many records share it."""
     rng = np.random.default_rng(4)
@@ -1196,7 +1197,7 @@ def test_decode_records_equals_decompress_many_one_at_a_time():
                                     ("smooth", [(8, 8, 8), (5, 4, 3)]),
                                     ("spiked_plane", [(16, 16, 16)]))]
     together = list(_decode_job(comp, [b.payload for b in buffers]))
-    assert list(comp.decode_records([], [], comp.recipe(1e-3))) == []
+    assert list(comp.decode_parsed([], comp.recipe(1e-3))) == []
     for buffer, arrays in zip(buffers, together, strict=True):
         assert _bits(arrays) == _bits(comp.decompress_many(buffer))
 

@@ -102,7 +102,7 @@ class ParentChunkDoor:
         for index in indices:
             key = (dplan.name, index)
             if key not in self.held:
-                payload = self.handle._file.read_chunk_payload(dplan.name, index)
+                payload = self.handle._file.read_chunk_payloads(dplan.name, [index])[0]
                 if dplan.filter_id == AMRICLevelFilter.filter_id:
                     # an AMRIC record decodes against the blocks its chunk holds
                     blocks = [slot.block.box for slot in dplan.slots if slot.chunk == index]

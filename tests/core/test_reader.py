@@ -732,7 +732,7 @@ class TestOnePassPerJob:
                      for d, wanted in zip(plan.datasets, every)]
             single = [make_decode_job(f, d, {chunk: wanted[chunk]})
                       for d, wanted in zip(plan.datasets, every) for chunk in wanted]
-            assert max(len(job.payloads) for job in whole) > 1
+            assert max(len(job.records) for job in whole) > 1
             alone = iter(backend.map(decode_job, single))
             for job, result in zip(whole, backend.map(decode_job, whole)):
                 pieces, blocks = [], []

@@ -139,7 +139,7 @@ class TestAMRICLevelFilter:
         with pytest.raises(ValueError, match="ChunkPlan"):
             AMRICLevelFilter.reading(recipe).decode(payload, n)
         with pytest.raises(ValueError, match="recipe"):
-            AMRICLevelFilter().decode_blocks([payload], n, [_layout_of(plan)], [[0]], [plan])
+            AMRICLevelFilter().decode_blocks([payload], n, [_layout_of(plan)], [[0]])
 
     @pytest.mark.parametrize("compressor, bound", [("sz_lr", 1e-3), ("sz_interp", 1e-3),
                                                    ("sz_lr", 1e-2)])
@@ -152,10 +152,10 @@ class TestAMRICLevelFilter:
         reader = AMRICLevelFilter.reading(recipe)
         layout = _layout_of(plan)
         assert len(layout) > 2
-        assert reader.decode_blocks([], 10, [], [], []) == []
+        assert reader.decode_blocks([], 10, [], []) == []
         for wanted in (list(range(len(layout))), [1], [0, len(layout) - 1]):
-            together = reader.decode_blocks(payloads, flat.size + 7, [layout] * 2,
-                                            [wanted] * 2, [plan] * 2)
+            together = reader.decode_blocks([reader.parse(p, plan) for p in payloads],
+                                            flat.size + 7, [layout] * 2, [wanted] * 2)
             for payload, blocks in zip(payloads, together):
                 chunk = reader.decode(payload, flat.size + 7, plan)
                 assert set(wanted) <= set(blocks)
@@ -178,7 +178,8 @@ class TestAMRICLevelFilter:
             other = ChunkPlan(wrong, plan.block_positions and
                               plan.block_positions[:len(wrong)] + [(0, 0, 0)] * (len(wrong) - len(shapes)))
             with pytest.raises(CorruptFileError, match="blocks|checksum"):
-                reader.decode_blocks([payload], n + 8, [_layout_of(other)], [[0]], [other])
+                reader.decode_blocks([reader.parse(payload, other)], n + 8, [_layout_of(other)],
+                                     [[0]])
         with pytest.raises(ValueError, match="the chunk has"):
             reader.decode(payload, n - 1, plan)
 

@@ -63,7 +63,7 @@ class TestFileBasics:
             assert f.dataset_names() == ["a", "grp/b"]
             assert "a" in f and "missing" not in f
             assert f.datasets["grp/b"].attrs["field"] == "density"
-            assert f.read_chunk_payload("grp/b", 0) == (sample_data * 2).tobytes()
+            assert f.read_chunk_payloads("grp/b", [0])[0] == (sample_data * 2).tobytes()
 
     def test_duplicate_dataset_rejected(self, tmp_path, sample_data):
         with H5LiteFile(tmp_path / "dup.h5z", "w") as f:

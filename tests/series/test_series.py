@@ -308,7 +308,7 @@ class TestGroupedChainDecode:
                         info = f.datasets[name]
                         mode, eb, offset = TemporalDeltaCodec.grid_of(info.attrs["codec"])
                         (codes,) = TemporalDeltaCodec.unpack_codes_many(
-                            [f.read_chunk_payload(name, chunk)], [info.attrs["codec"]],
+                            [f.read_chunk_payloads(name, [chunk])[0]], [info.attrs["codec"]],
                             [info.chunks[chunk].actual_elements])
                     if mode != MODE_DELTA:
                         break

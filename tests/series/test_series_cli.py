@@ -204,7 +204,7 @@ class TestLegacyInfoSatellite:
             dst.header = None                       # strip the format-v1 header
             for name in src.dataset_names():
                 info = src.datasets[name]
-                payloads = [src.read_chunk_payload(name, i)
+                payloads = [src.read_chunk_payloads(name, [i])[0]
                             for i in range(info.nchunks)]
                 dst.create_dataset_from_chunks(
                     name, payloads, shape=info.shape, dtype=info.dtype,

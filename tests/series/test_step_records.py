@@ -135,7 +135,7 @@ def test_a_mutated_record_reads_back_clean_or_corrupt(series_dir, probe, clean, 
     shutil.copytree(series_dir, work)
     path = _step_path(work, step)
     with H5LiteFile(path, "r") as f:
-        record = f.read_chunk_payload(name, chunk)
+        record = f.read_chunk_payloads(name, [chunk])[0]
         n = f.datasets[name].chunks[chunk].actual_elements
     whole, sliced = clean[step]
     rng = np.random.default_rng(47 + step)

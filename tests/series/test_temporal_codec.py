@@ -326,7 +326,7 @@ class TestDeltaStreams:
         record, recipe, _ = _record(codec, data, ref_codes)
         with pytest.raises(ValueError, match="open_series"):
             TemporalDeltaFilter(recipe).decode_blocks([record], data.size, [[(0, data.size)]],
-                                                      [[0]], None, [data.size])
+                                                      [[0]], [data.size])
         buffer, _ = codec.compress_with_reconstruction(data)
         cont = unpack_container(buffer.payload)
         # a buffer can only hold a key record, whose checksum covers its
@@ -425,7 +425,7 @@ class TestFilter:
         recipe = codec.recipe(EB, stream=MODE_KEY)
         layouts = [[(0, 96), (96, data.size - 96)], [(0, 1000)]]
         got = TemporalDeltaFilter(recipe).decode_blocks(
-            records, data.size + 128, layouts, [[0, 1], [0]], None, [data.size, 1000])
+            records, data.size + 128, layouts, [[0, 1], [0]], [data.size, 1000])
         flat = np.concatenate([got[0][0], got[0][1]])
         assert flat.size == data.size and got[1][0].size == 1000
         assert np.abs(flat - data).max() <= 1e-2 * (1 + 1e-12)
@@ -435,10 +435,10 @@ class TestFilter:
         record, recipe, _ = _record(codec, data)
         with pytest.raises(CorruptFileError, match="checksum"):
             TemporalDeltaFilter(recipe).decode_blocks(
-                [record], data.size, [[(0, data.size // 2)]], [[0]], None, [data.size // 2])
+                [record], data.size, [[(0, data.size // 2)]], [[0]], [data.size // 2])
 
     def test_a_lost_recipe_is_corrupt(self, codec, data):
         record, _, _ = _record(codec, data)
         with pytest.raises(CorruptFileError, match="recipe"):
             TemporalDeltaFilter().decode_blocks([record], data.size, [[(0, data.size)]],
-                                                [[0]], None, [data.size])
+                                                [[0]], [data.size])

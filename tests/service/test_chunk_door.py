@@ -288,7 +288,7 @@ def _series_step_chunk_door(base, series, step):
                     info = f.datasets[dplan.name]
                     mode, eb, offset = TemporalDeltaCodec.grid_of(info.attrs["codec"])
                     (codes,) = TemporalDeltaCodec.unpack_codes_many(
-                        [f.read_chunk_payload(dplan.name, index)], [info.attrs["codec"]],
+                        [f.read_chunk_payloads(dplan.name, [index])[0]], [info.attrs["codec"]],
                         [info.chunks[index].actual_elements])
                     if mode != MODE_DELTA:
                         break
@@ -427,7 +427,7 @@ class TestAPayloadOfAnotherDatasetIsRefused:
                              flavour, into, other):
         good = raw_service_plotfile if flavour == "nocomp" else service_plotfile
         swapped = _with_payload(good, str(tmp_path / "swapped.h5z"), f"{into}/{FIELD}", 0,
-                                lambda f, _: f.read_chunk_payload(f"{other}/{FIELD}", 0))
+                                lambda f, _: f.read_chunk_payloads(f"{other}/{FIELD}", [0])[0])
         self._refused_only_there(swapped, good, int(into[-1]), 0)
 
     @pytest.mark.parametrize("change", ["8 bytes short", "8 bytes long"])
@@ -448,9 +448,9 @@ class TestNoWorkForWhatIsCached:
         built = []
         make = reader_mod.make_decode_job
 
-        def recording(f, dplan, wanted):
+        def recording(f, dplan, wanted, *kept):
             built.append(list(wanted))
-            return make(f, dplan, wanted)
+            return make(f, dplan, wanted, *kept)
 
         monkeypatch.setattr(reader_mod, "make_decode_job", recording)
         return built

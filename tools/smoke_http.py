@@ -36,34 +36,20 @@ import time
 from http.client import HTTPConnection
 
 import numpy as np
+from smoke_common import repro_env, run, serve, stop
 
 FIELD = "baryon_density"
 BOX = "0:15,0:15,0:15"
 TOKEN = "smoke-http-token"
 
 
-def python_cmd(*args: str) -> list:
-    return [sys.executable, *args]
-
-
-def run(env, *args: str) -> subprocess.CompletedProcess:
-    proc = subprocess.run(python_cmd("-m", "repro", *args), env=env,
-                          capture_output=True, text=True, timeout=300)
-    if proc.returncode != 0:
-        print(f"repro {' '.join(args)} failed:\n{proc.stdout}\n{proc.stderr}",
-              file=sys.stderr)
-        raise SystemExit(1)
-    return proc
-
-
 def http(port: str, method: str, path: str, body=None, token=None,
          expect: int = 200, declared: int | None = None) -> dict:
     """One raw HTTP exchange; asserts the status and decodes the body's JSON
-    line (array bytes after it come back under ``"_payload"``; a body that is
-    not JSON, under ``"_raw"`` beside its ``"_type"``).  ``declared`` sends
-    headers declaring that many body bytes and no body: the gateway refuses an
-    oversized request from them and closes, so a client sending the body
-    would hit a broken pipe before reading the refusal."""
+    line (array bytes after it under ``"_payload"``; a non-JSON body under
+    ``"_raw"`` beside its ``"_type"``).  ``declared`` declares that many body
+    bytes and sends none: the gateway refuses an oversized request from its
+    headers and closes (sending the body would hit a broken pipe first)."""
     headers = {} if declared is None else {"Content-Length": str(declared)}
     if body is not None:
         headers["Content-Type"] = "application/json"
@@ -86,40 +72,21 @@ def http(port: str, method: str, path: str, body=None, token=None,
         return {"_raw": raw.decode("utf-8", "replace"), "_type": ctype}
 
 
-def serve(env, *flags: str):
-    """Start ``repro serve --port 0 --http 0 FLAGS``: the process and its
-    TCP and HTTP ports (None when it never came up)."""
-    server = subprocess.Popen(
-        python_cmd("-m", "repro", "serve", "--port", "0", "--http", "0", *flags),
-        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    ports = []
-    for what, line in (("server", "serving on"), ("gateway", "http gateway on")):
-        ready = server.stdout.readline()
-        match = re.search(line + r" [\w.]+:(\d+)", ready)
-        if not match:
-            print(f"{what} never came up: {ready!r}", file=sys.stderr)
-            return server, None, None
-        ports.append(match.group(1))
-    return server, *ports
-
-
 def main() -> int:
     workdir = tempfile.mkdtemp(prefix="smoke-http-")
     plotfile = os.path.join(workdir, "plt.h5z")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in ("src", env.get("PYTHONPATH")) if p)
-    env["SMOKE_HTTP_TOKEN"] = TOKEN
+    env = repro_env(SMOKE_HTTP_TOKEN=TOKEN)
     servers = []
     try:
         run(env, "compress", "--preset", "nyx_1", plotfile)
 
         # ---- one process, both transports, one auth policy ---------------
-        server, tcp_port, port = serve(env, "--auth-token", "env:SMOKE_HTTP_TOKEN",
-                                       "--max-request-bytes", "1048576")
+        server, ports = serve(env, "--http", "0", "--auth-token", "env:SMOKE_HTTP_TOKEN",
+                              "--max-request-bytes", "1048576")
         servers.append(server)
-        if port is None:
+        if len(ports) < 2:
             return 1
+        tcp_port, port = ports
 
         # ---- the happy paths ---------------------------------------------
         health = http(port, "GET", "/healthz")
@@ -149,7 +116,7 @@ def main() -> int:
 
         # ---- the same policy on the TCP port (one shared core) -----------
         proc = subprocess.run(
-            python_cmd("-m", "repro", "query", "ping", "--port", tcp_port),
+            [sys.executable, "-m", "repro", "query", "ping", "--port", tcp_port],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 1, "tokenless TCP query was not refused"
         assert "authentication required" in proc.stderr, proc.stderr
@@ -192,10 +159,11 @@ def main() -> int:
         # ---- a rate-limited server: the spent burst is a 429 -------------
         # a token every 2 s: the request after the burst is refused unless
         # the burst took 2 s, and 2.5 s later /metrics is admitted again
-        limited, _, limited_port = serve(env, "--rate-limit", "0.5", "--rate-burst", "2")
+        limited, ports = serve(env, "--http", "0", "--rate-limit", "0.5", "--rate-burst", "2")
         servers.append(limited)
-        if limited_port is None:
+        if len(ports) < 2:
             return 1
+        limited_port = ports[1]
         for _ in range(2):
             http(limited_port, "POST", "/v1/query", body={"op": "ping"})
         refused = http(limited_port, "POST", "/v1/query", body={"op": "ping"},
@@ -210,13 +178,7 @@ def main() -> int:
               "envelopes; HTTP and raw reads identical to TCP read")
         return 0
     finally:
-        for server in servers:
-            if server.poll() is None:
-                server.terminate()
-                try:
-                    server.wait(timeout=15)
-                except subprocess.TimeoutExpired:
-                    server.kill()
+        stop(*servers)
         shutil.rmtree(workdir, ignore_errors=True)
 
 

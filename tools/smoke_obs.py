@@ -6,7 +6,8 @@ The telemetry loop as an operator would drive it, across real processes:
 * a **server** (``python -m repro serve``) with its structured JSON request
   log on stderr;
 * a few **clients** (``python -m repro query``) issuing traced requests —
-  the same box read twice, so the second lands in the warm chunk cache;
+  the same box read twice, so the second lands in the warm chunk cache and
+  parses no chunk record (``records_parsed`` is unchanged by it);
 * ``python -m repro query stats`` pulling the live registry snapshot over
   the wire: as JSON, as Prometheus text and as its default tables.
 
@@ -24,60 +25,47 @@ import json
 import os
 import re
 import shutil
-import subprocess
 import sys
 import tempfile
+
+from smoke_common import repro_env, run, serve, stop
 
 FIELD = "baryon_density"
 BOX = "0:15,0:15,0:15"
 
 
-def python_cmd(*args: str) -> list:
-    return [sys.executable, *args]
-
-
-def run(env, *args: str) -> subprocess.CompletedProcess:
-    proc = subprocess.run(python_cmd("-m", "repro", *args), env=env,
-                          capture_output=True, text=True, timeout=300)
-    if proc.returncode != 0:
-        print(f"repro {' '.join(args)} failed:\n{proc.stdout}\n{proc.stderr}",
-              file=sys.stderr)
-        raise SystemExit(1)
-    return proc
-
-
 def main() -> int:
     workdir = tempfile.mkdtemp(prefix="smoke-obs-")
     plotfile = os.path.join(workdir, "plt.h5z")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in ("src", env.get("PYTHONPATH")) if p)
+    env = repro_env()
     server = None
     try:
         run(env, "compress", "--preset", "nyx_1", plotfile)
 
         # ---- server on an ephemeral port, request log on stderr ---------
-        server = subprocess.Popen(
-            python_cmd("-m", "repro", "serve", "--port", "0"),
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True)
-        ready = server.stdout.readline()
-        match = re.search(r"serving on [\w.]+:(\d+)", ready)
-        if not match:
-            print(f"server never came up: {ready!r}", file=sys.stderr)
+        server, ports = serve(env)
+        if not ports:
             return 1
-        port = match.group(1)
+        (port,) = ports
 
         # ---- traced traffic: the repeat read must hit the warm cache ----
+        run(env, "query", "ping", "--port", port)
+        snapshots = []
         for _ in range(2):
             run(env, "query", "read-field", plotfile, "--port", port,
                 "--field", FIELD, "--box", BOX)
-        run(env, "query", "ping", "--port", port)
+            snapshots.append(json.loads(
+                run(env, "query", "stats", "--port", port, "--json").stdout))
 
-        # ---- query stats, JSON form -------------------------------------
-        snapshot = json.loads(
-            run(env, "query", "stats", "--port", port, "--json").stdout)
+        # ---- query stats, JSON form: the repeat read parsed no record ---
+        snapshot = snapshots[-1]
         registry = snapshot["registry"]
+        parsed = [s["registry"]["repro_records_parsed_total"]["samples"][0]["value"]
+                  for s in snapshots]
+        assert parsed[0] > 0 and parsed == [parsed[0]] * 2, \
+            f"records parsed after each read: {parsed}"
+        assert snapshot["engine"]["records_parsed"] == parsed[0]
+        assert registry["repro_record_parse_seconds_total"]["samples"][0]["value"] > 0
         assert registry["repro_cache_hits_total"]["samples"][0]["value"] > 0, \
             "warm repeat read produced no cache hits"
         assert registry["repro_io_bytes_read_total"]["samples"][0]["value"] > 0
@@ -95,6 +83,7 @@ def main() -> int:
             r'repro_server_request_seconds_bucket\{op="read_field",le="[^"]+"}',
             prom), "no per-op latency buckets in the exposition"
         assert 'repro_server_requests_total{op="ping"} 1' in prom
+        assert f"repro_records_parsed_total {int(parsed[0])}" in prom, "no records-parsed row"
 
         # ---- and the default table form ----------------------------------
         table = run(env, "query", "stats", "--port", port).stdout
@@ -103,11 +92,7 @@ def main() -> int:
                          table), "no read_field latency percentile row in the registry table"
 
         # ---- the request log: one parseable line per request ------------
-        server.terminate()
-        try:
-            server.wait(timeout=15)
-        except subprocess.TimeoutExpired:
-            server.kill()
+        stop(server)
         records = [json.loads(line)
                    for line in server.stderr.read().splitlines()
                    if line.startswith("{")]
@@ -125,12 +110,7 @@ def main() -> int:
               "rendered in JSON, Prometheus and table form")
         return 0
     finally:
-        if server is not None and server.poll() is None:
-            server.terminate()
-            try:
-                server.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                server.kill()
+        stop(server)
         shutil.rmtree(workdir, ignore_errors=True)
 
 

@@ -12,8 +12,9 @@ Three real processes, the in situ deployment shape:
   line per committed step, each paired with a box read.
 
 The driver asserts the subscriber saw every step exactly once in order plus
-the finalized event.  Once the producer is done it reads a box over every
-step (``query time-slice``), replays the finalized stream through the
+the finalized event.  Once the producer is done it checks that ``query
+refresh`` counts every committed step, reads a box over every step
+(``query time-slice``), replays the finalized stream through the
 gateway's ``GET /v1/subscribe`` and runs ``repro verify`` over the
 directory — proving the journal, closed by its ``final`` record, is a
 verifiable series.
@@ -23,12 +24,13 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+
+from smoke_common import repro_env, run, serve, stop
 
 from repro.service.http import HttpClient
 
@@ -53,39 +55,22 @@ print("producer done", flush=True)
 """
 
 
-def python_cmd(*args: str) -> list:
-    return [sys.executable, *args]
-
-
 def main() -> int:
     workdir = tempfile.mkdtemp(prefix="smoke-stream-")
     directory = os.path.join(workdir, "run")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in ("src", env.get("PYTHONPATH")) if p)
+    env = repro_env()
     server = producer = None
     try:
         # ---- server on an ephemeral port --------------------------------
-        server = subprocess.Popen(
-            python_cmd("-m", "repro", "serve", "--port", "0", "--http", "0",
-                       "--watch-interval", "0.1"),
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True)
-        ready = server.stdout.readline()
-        match = re.search(r"serving on [\w.]+:(\d+)", ready)
-        if not match:
-            print(f"server never came up: {ready!r}", file=sys.stderr)
+        server, ports = serve(env, "--http", "0", "--watch-interval", "0.1",
+                              stderr=subprocess.STDOUT)
+        if len(ports) < 2:
             return 1
-        port = match.group(1)
-        gateway = re.search(r"http gateway on ([\w.]+):(\d+)", server.stdout.readline())
-        if not gateway:
-            print("the http gateway never came up", file=sys.stderr)
-            return 1
+        port, http_port = ports
 
         # ---- producer: journal commits with a dump cadence --------------
         producer = subprocess.Popen(
-            python_cmd("-c", PRODUCER.format(directory=directory,
-                                             nsteps=NSTEPS)),
+            [sys.executable, "-c", PRODUCER.format(directory=directory, nsteps=NSTEPS)],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True)
         # wait for the first commit so `follow` finds a series directory
@@ -99,15 +84,8 @@ def main() -> int:
             time.sleep(0.05)
 
         # ---- subscriber: the follow verb, box reads included ------------
-        follow = subprocess.run(
-            python_cmd("-m", "repro", "query", "follow", directory,
-                       "--port", port, "--field", FIELD,
-                       "--box", "0:7,0:7,0:7"),
-            env=env, capture_output=True, text=True, timeout=300)
-        if follow.returncode != 0:
-            print(f"follow failed:\n{follow.stdout}\n{follow.stderr}",
-                  file=sys.stderr)
-            return 1
+        follow = run(env, "query", "follow", directory, "--port", port, "--field", FIELD,
+                     "--box", "0:7,0:7,0:7")
         events = [json.loads(line) for line in follow.stdout.splitlines()
                   if line.startswith("{")]
         steps = [e["step_index"] for e in events if e["event"] == "step"]
@@ -125,47 +103,31 @@ def main() -> int:
                   file=sys.stderr)
             return 1
 
+        # ---- a refresh finds every committed step ------------------------
+        refresh = run(env, "query", "refresh", directory, "--port", port)
+        assert json.loads(refresh.stdout)["nsteps"] == NSTEPS, refresh.stdout
+
         # ---- one time-slice row per committed step ----------------------
-        sliced = subprocess.run(
-            python_cmd("-m", "repro", "query", "time-slice", directory,
-                       "--port", port, "--field", FIELD,
-                       "--box", "0:7,0:7,0:7", "--json"),
-            env=env, capture_output=True, text=True, timeout=300)
-        if sliced.returncode != 0:
-            print(f"time-slice failed:\n{sliced.stdout}\n{sliced.stderr}",
-                  file=sys.stderr)
-            return 1
+        sliced = run(env, "query", "time-slice", directory, "--port", port,
+                     "--field", FIELD, "--box", "0:7,0:7,0:7", "--json")
         answer = json.loads(sliced.stdout)
         assert answer["shape"] == [NSTEPS, 8, 8, 8], answer["shape"]
         assert len(answer["times"]) == NSTEPS, answer["times"]
 
         # ---- the gateway's chunked stream replays the same steps --------
-        host, http_port = gateway.groups()
-        with HttpClient(host=host, port=int(http_port)) as client:
+        with HttpClient(port=int(http_port)) as client:
             replay = list(client.subscribe(directory))
         replayed = [e["step_index"] for e in replay if e["event"] == "step"]
         assert replayed == steps, f"GET /v1/subscribe saw {replayed}, follow {steps}"
         assert replay[-1]["event"] == "finalized", replay[-1]
 
         # ---- the finalized directory is a verifiable series -------------
-        verify = subprocess.run(
-            python_cmd("-m", "repro", "verify", directory),
-            env=env, capture_output=True, text=True, timeout=300)
-        if verify.returncode != 0:
-            print(f"verify failed:\n{verify.stdout}\n{verify.stderr}",
-                  file=sys.stderr)
-            return 1
+        run(env, "verify", directory)
         print(f"smoke-stream ok: {NSTEPS} steps streamed exactly once over TCP "
-              "and HTTP, time-sliced, finalized series verified")
+              "and HTTP, refreshed, time-sliced, finalized series verified")
         return 0
     finally:
-        for proc in (producer, server):
-            if proc is not None and proc.poll() is None:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=15)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
+        stop(producer, server)
         shutil.rmtree(workdir, ignore_errors=True)
 
 
