@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.amr.hierarchy import AmrHierarchy, AmrLevel
 from repro.compress.base import Compressor
 from repro.compress.errorbound import ErrorBound
+from repro.compress.metrics import ErrorTally
 from repro.compress.registry import create_codec
 from repro.core.header import CHUNK_ALIGNMENT_BOX_MAJOR, build_header
 from repro.core.pipeline import LevelFieldRecord, WriteReport, writer_comm
@@ -145,22 +146,20 @@ class AMReXOriginalWriter:
                                   chunk_elements=chunk_elements,
                                   compressed_bytes=level_compressed)
 
-                # each field's (original, reconstruction) segments, rank by rank
+                # each field's segments measured against their reconstruction, rank by rank
                 recon = np.concatenate(recons)
-                pairs: Dict[str, List[Tuple[np.ndarray, np.ndarray]]] = \
-                    {name: [] for name in components}
+                errors = dict.fromkeys(components, ErrorTally())
                 offset = 0
                 for k, flat in enumerate(segments):
-                    pairs[components[k % len(components)]].append(
-                        (flat, recon[offset:offset + flat.size]))
+                    name = components[k % len(components)]
+                    errors[name] += ErrorTally.of(flat, recon[offset:offset + flat.size])
                     offset += flat.size
                 # per-field compressed bytes: conserving split of the level total
                 shares = apportion(level_compressed,
-                                   [sum(orig.size for orig, _ in pairs[name])
-                                    for name in components])
+                                   [errors[name].n_elements for name in components])
                 for name, share in zip(components, shares):
                     records.append(dataset_record(
-                        level_index, name, pairs[name], share,
+                        level_index, name, errors[name], share,
                         round(len(payloads) / hierarchy.ncomp), layout.nblocks))
 
         return WriteReport(method=self.method_name, path=path, records=records,

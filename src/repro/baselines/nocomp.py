@@ -7,8 +7,8 @@ equal raw bytes, committed by :func:`~repro.core.stages.commit_dataset`.
 Nothing is removed: AMReX dumps the whole patch-based level, one block per
 box.  The report is kept like every other writer's (:mod:`repro.core.pipeline`),
 so the I/O benchmarks treat every method uniformly:
-:func:`~repro.core.stages.dataset_record` measures each buffer as its own
-reconstruction (zero error, infinite PSNR), and
+each buffer is measured as its own reconstruction (zero error, infinite
+PSNR) for :func:`~repro.core.stages.dataset_record`, and
 :class:`~repro.parallel.backend.WorkloadTally` bills each participating rank
 one chunk write per dataset and no compressor launch — a rank with no box is
 billed nothing.
@@ -26,6 +26,7 @@ from repro.amr.hierarchy import AmrHierarchy
 from repro.core.header import build_header
 from repro.core.pipeline import LevelFieldRecord, WriteReport, writer_comm
 from repro.core.preprocess import hierarchy_layouts
+from repro.compress.metrics import ErrorTally
 from repro.core.stages import commit_dataset, dataset_record
 from repro.h5lite.file import H5LiteFile
 from repro.h5lite.filters import NoCompressionFilter
@@ -76,8 +77,8 @@ class NoCompressionWriter:
                     commit_dataset(h5file, f"level_{level_index}/{name}", layout,
                                    [filt.encode(buffer[a:b]) for a, b in zip([0] + ends, ends)],
                                    filt.filter_id)
-                    records.append(dataset_record(level_index, name, [(buffer, buffer)],
-                                                  buffer.nbytes, 0, layout.nblocks))
+                    records.append(dataset_record(level_index, name, ErrorTally.of(
+                        buffer, buffer), buffer.nbytes, 0, layout.nblocks))
                     tally.add_dataset(ranks=layout.ranks,
                                       per_rank_elements=layout.rank_elements,
                                       chunk_elements=layout.chunk_elements,

@@ -35,7 +35,6 @@ holds the section container and the chunk record (SZ_L/R, SZ_Interp and
 from repro.compress.errorbound import ErrorBound
 from repro.compress.metrics import (
     CompressionStats,
-    compression_ratio,
     max_abs_error,
     mse,
     nrmse,
@@ -66,7 +65,6 @@ __all__ = [
     "SZInterpCompressor",
     "SZ1DCompressor",
     "CompressionStats",
-    "compression_ratio",
     "psnr",
     "mse",
     "nrmse",

@@ -10,9 +10,10 @@ import numpy as np
 
 from repro.compress import container as ctn
 from repro.compress.errorbound import ErrorBound
+from repro.compress.metrics import ErrorTally
 from repro.errors import CorruptFileError, required
 
-__all__ = ["CompressedBuffer", "Compressor", "DEFAULT_RADIUS", "is_float",
+__all__ = ["BOUND_SLACK", "CompressedBuffer", "Compressor", "DEFAULT_RADIUS", "is_float",
            "stored_dtype"]
 
 #: Default quantisation radius of the SZ-family codecs (SZ's 2^16-entry
@@ -21,6 +22,9 @@ __all__ = ["CompressedBuffer", "Compressor", "DEFAULT_RADIUS", "is_float",
 #: reserved for an unpredictable value (``|code| >= radius``) kept verbatim.
 #: Also the largest radius: its ``2 * radius`` codes fill a 16-bit Huffman table.
 DEFAULT_RADIUS = 32768
+
+#: within ``abs_eb * (1 + BOUND_SLACK)`` a value holds the bound (a few roundings of it)
+BOUND_SLACK = 1e-12
 
 
 @dataclass
@@ -82,7 +86,8 @@ class Compressor:
     A codec writes one serialisation, its *record*, decoded against the array
     shapes under its :meth:`recipe` (what the AMRIC filter and the series
     writer store once per dataset).  A single-array codec implements
-    ``encode_record(data, context) -> (record, reconstruction)`` and
+    ``encode_record(data, context) -> (record, reconstruction)`` (held to
+    the bound by :meth:`measure`) and
     ``decode_record(record, shape, context) -> float64 array``, the record's
     checksum covering ``context`` (what the caller decodes it under), read as
     ``parse_record(record, shape, context)`` (checked short of the entropy
@@ -117,6 +122,17 @@ class Compressor:
         if largest / (2.0 * abs_eb) >= 2.0 ** 62:
             raise ValueError(f"{self.name} cannot quantise magnitude {largest:.6g} at error "
                              f"bound {abs_eb:.6g}: |x| / (2·eb) must stay below 2**62")
+
+    def measure(self, data: np.ndarray, reconstruction: np.ndarray, abs_eb: float,
+                dtype: str = "float64") -> ErrorTally:
+        """``data``'s :class:`ErrorTally` against its reconstruction as stored (in
+        ``dtype``); one past the bound on any cell is refused (``ValueError``)."""
+        tally = ErrorTally.of(data, reconstruction.astype(dtype, copy=False))
+        if tally.max_error > abs_eb * (1 + BOUND_SLACK):
+            raise ValueError(f"{self.name}: the reconstruction of {tally.n_elements} cells "
+                             f"misses the error bound {abs_eb:.9g} (worst error "
+                             f"{tally.max_error:.9g})")
+        return tally
 
     def decode_record(self, record: bytes, shape: Tuple[int, ...],
                       context: bytes = b"") -> np.ndarray:
@@ -156,7 +172,7 @@ class Compressor:
         from repro.compress.registry import resolve_codec
 
         if resolve_codec(self.name).supports_many:
-            ((record, (recon,), recipe),) = self.compress_many_with_reconstruction([[data]])
+            ((record, (recon,), recipe, _),) = self.compress_many_with_reconstruction([[data]])
         else:
             recipe = self.recipe(self.resolve_eb(self._as_input(data)), stored_dtype(data))
             record, recon = self.encode_record(data, self._context(recipe))

@@ -151,24 +151,26 @@ def parse_huffman(sections: Dict[str, bytes]) -> List[HuffmanPair]:
     """The shared-table Huffman sections as one ``(codec, multi-stream encoded)`` pair.
 
     Everything :func:`unpack_huffman` does short of the entropy decode: the
-    table, the inflated codes, the per-stream counts — checked
-    against the codes' bytes before the sync offsets are sized from them —
-    and the sync offsets.  Damage is a :class:`CorruptFileError`.
+    per-stream counts, read first, bound both inflates (two bytes a symbol,
+    three a sync lane); the codes' bytes are checked against them before the
+    sync offsets are sized from them.  Damage is a :class:`CorruptFileError`.
     """
     nbits, ncodes, table, codes, sync = (
         required(sections, name, "Huffman sections") for name in
         ("huff_nbits", "huff_ncodes", "huff_table", "huff_payload", "huff_sync"))
     nbits = np.frombuffer(nbits, dtype=np.int64)
     ncodes = np.frombuffer(ncodes, dtype=np.int64)
-    if nbits.size != ncodes.size or nbits.size == 0:
-        raise CorruptFileError("Huffman bit/symbol count mismatch")
+    if nbits.size != ncodes.size or nbits.size == 0 or (ncodes < 0).any() \
+            or (nbits < ncodes).any():
+        raise CorruptFileError("Huffman sections: bit/symbol count mismatch")
     symbols, lengths = unpack_arrays(table)
-    payload = zlib_decompress(codes)
-    if (ncodes < 0).any() or (nbits < ncodes).any() \
-            or int(((nbits + 7) >> 3).sum()) != len(payload):
+    payload = _inflate(codes, 2 * sum(ncodes.tolist()), "Huffman sections", "codes")
+    if int(((nbits + 7) >> 3).sum()) != len(payload):
         raise CorruptFileError(f"Huffman sections: {len(payload)} bytes of codes do not "
                                "hold the streams' bit and symbol counts")
-    side = SideReader(zlib_decompress(sync), "Huffman section 'huff_sync'")
+    lanes = sum(-(-n // huffman.SYNC_INTERVAL) for n in ncodes.tolist())
+    side = SideReader(_inflate(sync, 3 * lanes, "Huffman sections", "sync"),
+                      "Huffman section 'huff_sync'")
     sync = _take_sync(side, nbits, ncodes)
     side.done()
     batch = HuffmanEncoded(payload, int(nbits.sum()), int(ncodes.sum()), symbols, lengths,

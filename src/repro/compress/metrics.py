@@ -10,8 +10,9 @@ point-wise absolute errors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -21,46 +22,35 @@ __all__ = [
     "psnr",
     "psnr_from_mse",
     "max_abs_error",
-    "compression_ratio",
     "CompressionStats",
+    "ErrorTally",
 ]
 
 
-def _check(original: np.ndarray, reconstructed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    original = np.asarray(original, dtype=np.float64)
-    reconstructed = np.asarray(reconstructed, dtype=np.float64)
+def _tally(original: np.ndarray, reconstructed: np.ndarray) -> "ErrorTally":
+    original, reconstructed = (np.asarray(a, dtype=np.float64) for a in (original, reconstructed))
     if original.shape != reconstructed.shape:
         raise ValueError(
             f"shape mismatch: original {original.shape} vs reconstructed {reconstructed.shape}")
     if original.size == 0:
         raise ValueError("cannot compute metrics on empty arrays")
-    return original, reconstructed
+    return ErrorTally.of(original, reconstructed)
 
 
 def mse(original: np.ndarray, reconstructed: np.ndarray) -> float:
     """Mean squared error."""
-    original, reconstructed = _check(original, reconstructed)
-    return float(np.mean((original - reconstructed) ** 2))
+    tally = _tally(original, reconstructed)
+    return tally.sq_error / tally.n_elements
 
 
 def max_abs_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
     """Maximum point-wise absolute error (what the error bound constrains)."""
-    original, reconstructed = _check(original, reconstructed)
-    return float(np.max(np.abs(original - reconstructed)))
-
-
-def value_range(original: np.ndarray) -> float:
-    original = np.asarray(original, dtype=np.float64)
-    r = float(original.max() - original.min())
-    return r
+    return _tally(original, reconstructed).max_error
 
 
 def nrmse(original: np.ndarray, reconstructed: np.ndarray) -> float:
     """Root-mean-square error normalised by the value range."""
-    r = value_range(original)
-    if r == 0:
-        r = 1.0
-    return float(np.sqrt(mse(original, reconstructed)) / r)
+    return _tally(original, reconstructed).nrmse
 
 
 def psnr_from_mse(mse: float, vrange: float) -> float:
@@ -76,15 +66,7 @@ def psnr_from_mse(mse: float, vrange: float) -> float:
 
 def psnr(original: np.ndarray, reconstructed: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB (paper definition, footnote 2)."""
-    original, reconstructed = _check(original, reconstructed)
-    return psnr_from_mse(mse(original, reconstructed), value_range(original))
-
-
-def compression_ratio(original_nbytes: int, compressed_nbytes: int) -> float:
-    """original size / compressed size."""
-    if compressed_nbytes <= 0:
-        return float("inf")
-    return original_nbytes / compressed_nbytes
+    return _tally(original, reconstructed).psnr
 
 
 @dataclass
@@ -102,20 +84,53 @@ class CompressionStats:
 
     @property
     def compression_ratio(self) -> float:
-        return compression_ratio(self.original_nbytes, self.compressed_nbytes)
+        """original size / compressed size (inf when nothing is stored)."""
+        return self.original_nbytes / self.compressed_nbytes if self.compressed_nbytes > 0 \
+            else float("inf")
 
     @staticmethod
     def measure(method: str, error_bound: float, original: np.ndarray,
                 reconstructed: np.ndarray, compressed_nbytes: int,
                 **extra: float) -> "CompressionStats":
-        """Build a record from an original/reconstruction pair."""
+        """Build a record from an original/reconstruction pair (measured once)."""
+        tally = _tally(original, reconstructed)
         return CompressionStats(
-            method=method,
-            error_bound=float(error_bound),
+            method=method, error_bound=float(error_bound),
             original_nbytes=int(np.asarray(original).nbytes),
-            compressed_nbytes=int(compressed_nbytes),
-            psnr=psnr(original, reconstructed),
-            max_error=max_abs_error(original, reconstructed),
-            nrmse=nrmse(original, reconstructed),
-            extra=dict(extra),
-        )
+            compressed_nbytes=int(compressed_nbytes), psnr=tally.psnr,
+            max_error=tally.max_error, nrmse=tally.nrmse, extra=dict(extra))
+
+
+@dataclass(frozen=True)
+class ErrorTally:
+    """Σ(x−x̂)², max|x−x̂|, min x, max x and n of arrays against their
+    reconstructions: :meth:`of` measures one, its squares summed by one
+    ``np.sum``; ``sum(tallies, ErrorTally())`` adds them up array by array."""
+
+    sq_error: float = 0.0
+    max_error: float = 0.0
+    value_min: float = math.inf
+    value_max: float = -math.inf
+    n_elements: int = 0
+
+    @classmethod
+    def of(cls, original: np.ndarray, reconstruction: np.ndarray) -> "ErrorTally":
+        diff = np.asarray(original - reconstruction)   # (an empty array measures as no array)
+        worst = float(np.abs(diff, out=diff).max(initial=0.0))     # |d|² is d² bit for bit
+        return cls(float(np.sum(np.square(diff, out=diff))), worst, float(original.min(
+            initial=math.inf)), float(original.max(initial=-math.inf)), int(original.size))
+
+    def __add__(self, other: "ErrorTally") -> "ErrorTally":
+        return ErrorTally(self.sq_error + other.sq_error, max(self.max_error, other.max_error),
+                          min(self.value_min, other.value_min),
+                          max(self.value_max, other.value_max), self.n_elements + other.n_elements)
+
+    @property
+    def psnr(self) -> float:
+        return psnr_from_mse(self.sq_error / max(self.n_elements, 1),
+                             self.value_max - self.value_min)
+
+    @property
+    def nrmse(self) -> float:
+        return float(np.sqrt(self.sq_error / self.n_elements)
+                     / ((self.value_max - self.value_min) or 1.0))

@@ -26,7 +26,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.compress import container as ctn
-from repro.compress.base import Compressor, DEFAULT_RADIUS
+from repro.compress.base import BOUND_SLACK, Compressor, DEFAULT_RADIUS, stored_dtype
 from repro.compress.errorbound import ErrorBound
 from repro.compress.huffman import HuffmanCodec
 from repro.errors import CorruptFileError
@@ -128,7 +128,7 @@ class SZInterpCompressor(Compressor):
                 raw = np.rint(err / (2.0 * abs_eb)).astype(np.int64)
                 recon_err = raw * (2.0 * abs_eb)
                 outlier = (np.abs(raw) >= radius) | \
-                    (np.abs(recon_err - err) > abs_eb * (1 + 1e-12))
+                    (np.abs(recon_err - err) > abs_eb * (1 + BOUND_SLACK))
                 codes = np.where(outlier, 0, raw + radius).astype(np.uint32)
                 codes_out.append(codes.ravel())
                 outliers_out.append(err[outlier].astype(np.float64))
@@ -173,7 +173,7 @@ class SZInterpCompressor(Compressor):
         """``(record, reconstruction)``: the codes, then the outlier count, the
         anchors and the outliers (the code count and anchor lattice follow
         from the shape; the checksum also covers ``context``)."""
-        data = self._as_input(data)
+        dtype, data = stored_dtype(data), self._as_input(data)
         abs_eb = self.resolve_eb(data)
         self._check_magnitude(data, abs_eb)
         shape = tuple(int(s) for s in data.shape)
@@ -181,6 +181,7 @@ class SZInterpCompressor(Compressor):
         anchors = np.ascontiguousarray(data[self._anchor_sel(shape)])
         recon[self._anchor_sel(shape)] = anchors
         codes, outliers = self._sweep(shape, recon, abs_eb, data, None, None)
+        self.measure(data, recon, abs_eb, dtype)
         codec = HuffmanCodec.from_data(codes)
         # interpolation codes run coarse level to fine, and deflate still
         # finds ~10% in them at any width (DESIGN.md §4): never stored raw

@@ -63,7 +63,8 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from repro.compress import container as ctn
-from repro.compress.base import CompressedBuffer, Compressor, DEFAULT_RADIUS, stored_dtype
+from repro.compress.base import (BOUND_SLACK, CompressedBuffer, Compressor, DEFAULT_RADIUS,
+                                 stored_dtype)
 from repro.compress.errorbound import ErrorBound
 from repro.compress.huffman import HuffmanCodec
 from repro.compress import regression
@@ -446,7 +447,7 @@ class SZLRCompressor(Compressor):
             reg = np.rint(quotient, out=quotient).astype(np.int64)
             miss = np.multiply(reg, two_eb, out=quotient)                  # reg_err
             np.abs(np.subtract(miss, residuals, out=miss), out=miss)
-            outlier = miss > abs_eb * (1 + 1e-12)
+            outlier = miss > abs_eb * (1 + BOUND_SLACK)
             del miss, quotient
             magnitude = np.abs(reg)
             outlier |= magnitude >= radius
@@ -705,15 +706,16 @@ class SZLRCompressor(Compressor):
     def compress_many(self, arrays: Sequence[np.ndarray], shared_encoding: bool = True,
                       value_range: float | None = None) -> CompressedBuffer:
         """The standalone buffer of one chunk of arrays."""
-        ((record, recons, recipe),) = self.compress_many_with_reconstruction(
+        ((record, recons, recipe, _),) = self.compress_many_with_reconstruction(
             [arrays], shared_encoding=shared_encoding, value_range=value_range)
         return self.standalone(record, recipe, [r.shape for r in recons])
 
     def compress_many_with_reconstruction(
             self, chunks: Sequence[Sequence[np.ndarray]], shared_encoding: bool = True,
-            value_range: float | None = None) -> List[Tuple[bytes, List[np.ndarray], dict]]:
+            value_range: float | None = None) -> List[Tuple[bytes, List[np.ndarray], dict, list]]:
         """Compress each chunk (a list of arrays) into its own record (AMRIC
-        unit-block API); one ``(record, reconstructions, recipe)`` per chunk.
+        unit-block API); one ``(record, reconstructions, recipe, errors)`` per chunk
+        (``errors``: each array's :meth:`measure`, which refuses a missed bound).
 
         The arrays of all chunks are predicted in one :meth:`_encode_batch`
         (prediction is confined to an array, so nothing stored depends on
@@ -746,10 +748,12 @@ class SZLRCompressor(Compressor):
             lo, hi = hi, hi + len(chunk)
             chunk_side = {name: side[name][side_at[lo, column]:side_at[hi, column]]
                           for column, name in enumerate(_SIDE)}
+            errors = [self.measure(a, r, abs_eb, input_dtype)
+                      for a, r in zip(arrays[lo:hi], reconstructions[lo:hi])]
             recipe = self.recipe(abs_eb, input_dtype, shared_encoding)
             record, codec = self._serialize([a.shape for a in arrays[lo:hi]], codes[lo:hi],
                                             chunk_side, counts[lo:hi], recipe, codec=codec)
-            out.append((record, reconstructions[lo:hi], recipe))
+            out.append((record, reconstructions[lo:hi], recipe, errors))
         return out
 
     def decompress_many(self, buffer: CompressedBuffer | bytes) -> List[np.ndarray]:

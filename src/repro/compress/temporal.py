@@ -32,7 +32,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.compress.base import Compressor
+from repro.compress.base import Compressor, stored_dtype
 from repro.compress.container import (
     decode_huffman,
     pack_record,
@@ -274,11 +274,12 @@ class TemporalDeltaCodec(Compressor):
     def encode_record(self, data: np.ndarray, context: bytes = b"") -> Tuple[bytes, np.ndarray]:
         """``(record, reconstruction)``: ``data`` as a key stream (the
         checksum also covers ``context``)."""
-        data = self._as_input(data)
+        dtype, data = stored_dtype(data), self._as_input(data)
         eb = self.resolve_eb(data)
         codes = self.quantize(data, eb)
-        return (self.pack(self.candidate(codes), self.recipe(eb), context),
-                self.grid_values(codes, eb, self.offset).reshape(data.shape))
+        recon = self.grid_values(codes, eb, self.offset).reshape(data.shape)
+        self.measure(data, recon, eb, dtype)
+        return self.pack(self.candidate(codes), self.recipe(eb), context), recon
 
     def parse_record(self, record: bytes, shape: Tuple[int, ...], context: bytes = b""):
         """``(shape, Huffman pairs, smallest code, escapes)`` of a record, checked

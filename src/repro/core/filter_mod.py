@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.compress.container import recipe_context
+from repro.compress.metrics import ErrorTally
 from repro.compress.registry import codec_from_recipe, resolve_codec
 from repro.core.config import AMRICConfig
 from repro.core.preprocess import LevelLayout, arrange_blocks, pack_blocks, unpack_blocks
@@ -48,6 +49,7 @@ class ChunkPlan:
     block_positions: Optional[List[Tuple[int, ...]]] = None
     field: str = ""
     value_range: float = 0.0                    #: field value range (for the relative bound)
+    padding: bool = False     #: the last block is a naive chunk's zero tail (no data)
 
     @property
     def nelements(self) -> int:
@@ -68,7 +70,7 @@ def chunk_plan(layout: LevelLayout, chunk: int, padded: bool = False, field: str
     positions = [tuple(p) for p in layout.lo[run].tolist()]
     tail = layout.chunk_elements - layout.rank_elements[chunk]
     if padded and tail:
-        shapes, positions = shapes + [(1, 1, tail)], None
+        return ChunkPlan(shapes + [(1, 1, tail)], None, field, value_range, padding=True)
     return ChunkPlan(shapes, positions, field, value_range)
 
 
@@ -88,8 +90,8 @@ class AMRICLevelFilter(Filter):
     is one pure call over a dataset's chunks, each with its
     :class:`ChunkPlan` (what its rank actually holds, §3.3), that rebuilds
     the 3D unit blocks of every flat chunk, compresses them with the
-    configured SZ algorithm and returns the records, the reconstructions and
-    the recipe.  A reader builds the filter with :meth:`reading` from that
+    configured SZ algorithm and returns the records, the blocks' error
+    numbers and the recipe.  A reader builds the filter with :meth:`reading` from that
     recipe and hands it each chunk's plan.
     """
 
@@ -110,11 +112,11 @@ class AMRICLevelFilter(Filter):
 
     # ------------------------------------------------------------------
     def encode(self, chunks: Sequence[np.ndarray], plans: Sequence[ChunkPlan],
-               ) -> Tuple[List[bytes], List[List[np.ndarray]], dict]:
-        """``(records, reconstructions, recipe)`` of a dataset's chunks, in
-        write order: one record and one list of block reconstructions per
-        chunk, and the recipe the dataset stores once (its chunks share one:
-        one field, one value range).
+               ) -> Tuple[List[bytes], ErrorTally, dict]:
+        """``(records, error, recipe)`` of a dataset's chunks, in write order:
+        one record per chunk, the :class:`ErrorTally` of its data blocks (each
+        measured at the codec's door, summed in write order) and the recipe
+        the dataset stores once (one field, one value range).
 
         A chunk's plan names the cells it holds, a prefix of the chunk (the
         rest is the padding of the global chunk size).  Consecutive chunks of
@@ -135,13 +137,15 @@ class AMRICLevelFilter(Filter):
                            for shape, end in zip(plan.block_shapes, ends)])
         spec = resolve_codec(self.config.compressor)
         encode = self._encode_unit_blocks if spec.supports_many else self._encode_packed
-        records, reconstructions, recipes = zip(*encode(spec, plans, blocks))
-        return list(records), list(reconstructions), recipes[-1]
+        records, errors, recipes = zip(*encode(spec, plans, blocks))
+        kept = (tally for chunk, plan in zip(errors, plans)
+                for tally in chunk[:len(chunk) - plan.padding])
+        return list(records), sum(kept, ErrorTally()), recipes[-1]
 
     def _encode_unit_blocks(self, spec, plans, blocks):
         """Multi-array (unit-block) codecs compress the blocks directly, which
         is what unit SLE (§3.2 Solution 1) relies on: one codec call per run
-        of chunks of one scope, ``(record, reconstructions, recipe)`` per chunk."""
+        of chunks of one scope, ``(record, block errors, recipe)`` per chunk."""
         from repro.core.adaptive import select_sz_block_size
 
         cfg = self.config
@@ -154,14 +158,15 @@ class AMRICLevelFilter(Filter):
             # the carried table is only valid within one SLE plan — chunks of
             # the same field with the same quantisation grid; a different
             # field (or bound) has a different symbol distribution
-            out.extend(comp.compress_many_with_reconstruction(
-                [chunk_blocks for _, chunk_blocks in run], shared_encoding=cfg.use_sle,
-                value_range=scope[1]))
+            out.extend((record, errors, recipe) for record, _, recipe, errors in
+                       comp.compress_many_with_reconstruction(
+                           [chunk_blocks for _, chunk_blocks in run],
+                           shared_encoding=cfg.use_sle, value_range=scope[1]))
         return out
 
     def _encode_packed(self, spec, plans, blocks):
         """Single-array codecs see one packed 3D arrangement of each chunk's
-        blocks: ``(record, reconstructions, recipe)`` per chunk."""
+        blocks: ``(record, block errors, recipe)`` per chunk."""
         cfg = self.config
         out = []
         for plan, chunk_blocks in zip(plans, blocks):
@@ -172,7 +177,8 @@ class AMRICLevelFilter(Filter):
             recipe = dict(comp.recipe(abs_eb), arrangement=cfg.interp_arrangement)
             record, packed_recon = comp.encode_record(
                 pack_blocks(chunk_blocks, arrangement), _packed_context(recipe, arrangement))
-            out.append((record, unpack_blocks(packed_recon, arrangement), recipe))
+            out.append((record, [ErrorTally.of(block, recon) for block, recon in zip(
+                chunk_blocks, unpack_blocks(packed_recon, arrangement))], recipe))
         return out
 
     # ------------------------------------------------------------------

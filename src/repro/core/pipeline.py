@@ -24,8 +24,8 @@ The writer returns a :class:`WriteReport` carrying, per level and field, the
 raw/compressed sizes, the reconstruction quality (PSNR over the kept data),
 the filter-call counts and the per-rank workloads the I/O cost model consumes.
 Every writer — this one, the series writer and both baselines — keeps that
-ledger one way: :func:`~repro.core.stages.dataset_record` measures each
-dataset from its ``(original, reconstruction)`` pairs, and
+ledger one way: :func:`~repro.core.stages.dataset_record` records each
+dataset from the error numbers its encode measured, and
 :class:`~repro.parallel.backend.WorkloadTally` bills each rank the chunks it
 writes (none for a rank that owns no cell) with an exactly conserving
 largest-remainder byte split.  :func:`writer_comm` is the prologue this
@@ -42,7 +42,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.amr.hierarchy import AmrHierarchy
-from repro.compress.metrics import psnr_from_mse
+from repro.compress.metrics import ErrorTally
 from repro.core.config import AMRICConfig
 from repro.core.filter_mod import AMRICLevelFilter
 from repro.core.stages import (
@@ -114,12 +114,6 @@ class WriteReport:
     def compression_ratio(self) -> float:
         return self.raw_bytes / max(self.compressed_bytes, 1)
 
-    def _records_by_field(self) -> Dict[str, List[LevelFieldRecord]]:
-        fields: Dict[str, List[LevelFieldRecord]] = {}
-        for rec in self.records:
-            fields.setdefault(rec.field, []).append(rec)
-        return fields
-
     @property
     def psnr(self) -> Dict[str, float]:
         """Per-field PSNR aggregated over levels, MSE-weighted by cell count.
@@ -128,10 +122,11 @@ class WriteReport:
         and referenced to the field's value range across all levels — the
         PSNR of the whole field as one dataset.
         """
-        return {name: psnr_from_mse(
-                    sum(r.sq_error for r in recs) / sum(r.n_elements for r in recs),
-                    max(r.value_max for r in recs) - min(r.value_min for r in recs))
-                for name, recs in self._records_by_field().items()}
+        fields: Dict[str, ErrorTally] = {}
+        for r in self.records:
+            fields[r.field] = fields.get(r.field, ErrorTally()) + ErrorTally(
+                r.sq_error, r.max_error, r.value_min, r.value_max, r.n_elements)
+        return {name: error.psnr for name, error in fields.items()}
 
     @property
     def mean_psnr(self) -> float:
@@ -191,8 +186,8 @@ class AMRICWriter:
         # ---- pack / encode / commit, one level at a time -----------------
         # Levels batch the pipeline: a level's datasets pack together, encode
         # concurrently on the backend (one barrier per level) and commit in
-        # plan order, so peak memory is one level's buffers — not the whole
-        # hierarchy's — matching the in situ write pattern of the real code.
+        # plan order, so peak memory is one level's packed buffers and one
+        # job — matching the in situ write pattern of the real code.
         records: List[LevelFieldRecord] = []
         tally = WorkloadTally(comm.size)
         # the context removes the target if the body raises (no partial file)
@@ -208,23 +203,19 @@ class AMRICWriter:
                 with span("write.pack"):
                     packed = [pack_dataset(level, d) for d in level_plan.datasets]
                 with span("write.encode") as sp:
-                    jobs = [make_encode_job(p, cfg) for p in packed]
+                    jobs = [make_encode_job(d, data, cfg)
+                            for d, data in zip(level_plan.datasets, packed)]
                     results = comm.run_jobs(self.backend, encode_job, jobs)
                     sp.add_bytes(sum(r.compressed_bytes for r in results))
                 with span("write.commit"):
-                    for dplan, pack, result in zip(level_plan.datasets, packed,
-                                                   results):
+                    for dplan, result in zip(level_plan.datasets, results):
                         commit_dataset(h5file, dplan.name, dplan.layout, result.payloads,
                                        AMRICLevelFilter.filter_id,
                                        {"codec": result.recipe}, dplan.actual_elements)
                         comm.record_collective_write()
                         records.append(dataset_record(
-                            dplan.level, dplan.field,
-                            [(orig, rec) for blocks, recons in zip(pack.originals,
-                                                                   result.reconstructions)
-                             for orig, rec in zip(blocks, recons)],
-                            result.compressed_bytes, result.filter_calls,
-                            dplan.layout.nblocks))
+                            dplan.level, dplan.field, result.error, result.compressed_bytes,
+                            result.filter_calls, dplan.layout.nblocks))
                         tally.add_dataset(
                             ranks=dplan.layout.ranks,
                             per_rank_elements=dplan.layout.rank_elements,

@@ -63,7 +63,7 @@ def _value_range(blocks: Sequence[np.ndarray]) -> float:
 def _standalone(compressor: SZLRCompressor, arrays: Sequence[np.ndarray], shared: bool,
                 value_range: float) -> Tuple[CompressedBuffer, List[np.ndarray]]:
     """The standalone buffer of one chunk of ``arrays`` and their reconstructions."""
-    ((record, recons, recipe),) = compressor.compress_many_with_reconstruction(
+    ((record, recons, recipe, _),) = compressor.compress_many_with_reconstruction(
         [arrays], shared_encoding=shared, value_range=value_range)
     return compressor.standalone(record, recipe, [r.shape for r in recons]), list(recons)
 

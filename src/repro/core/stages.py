@@ -15,7 +15,7 @@ each a pure function over a small dataclass:
     the same layout from the plotfile header.
 ``pack`` (:func:`pack_dataset`)
     Fill one dataset's write buffer (field-major, per-rank chunk slices) from
-    the AMR level at the layout's offsets; produces a :class:`PackedDataset`.
+    the AMR level at the layout's offsets.
 ``encode`` (:func:`encode_job`)
     Run the AMRIC filter over one dataset's chunk sequence.  This is the
     independent work item the writer submits to an execution backend
@@ -27,8 +27,7 @@ each a pure function over a small dataclass:
     Append the encoded chunks to the H5Lite file and distil the quality /
     size record the :class:`~repro.core.pipeline.WriteReport` aggregates —
     the one commit of every field-major writer (AMRIC, series, ``nocomp``)
-    and the one record function every writer, baselines included, measures
-    with.
+    and the one record function of every writer, baselines included.
 
 Everything that crosses a backend boundary (:class:`EncodeJob`,
 :class:`EncodeResult`) is a plain picklable dataclass, so it runs in the shm
@@ -38,12 +37,12 @@ backend's worker processes as well as inline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.amr.hierarchy import AmrHierarchy, AmrLevel
-from repro.compress.metrics import psnr_from_mse
+from repro.compress.metrics import ErrorTally
 from repro.core.config import AMRICConfig
 from repro.core.filter_mod import AMRICLevelFilter, ChunkPlan, chunk_plan
 from repro.core.header import header_from_config
@@ -55,7 +54,6 @@ __all__ = [
     "LevelPlan",
     "WritePlan",
     "plan_write",
-    "PackedDataset",
     "pack_dataset",
     "EncodeJob",
     "EncodeResult",
@@ -161,24 +159,14 @@ def plan_write(hierarchy: AmrHierarchy, config: AMRICConfig,
 # ----------------------------------------------------------------------
 # pack
 # ----------------------------------------------------------------------
-@dataclass
-class PackedDataset:
-    """One dataset's filled write buffer plus the originals for quality checks."""
-
-    plan: DatasetPlan
-    data: np.ndarray                       #: the whole dataset, chunk per rank
-    originals: List[List[np.ndarray]]      #: per rank, per block (for PSNR)
-
-
-def pack_dataset(level: AmrLevel, dplan: DatasetPlan) -> PackedDataset:
+def pack_dataset(level: AmrLevel, dplan: DatasetPlan) -> np.ndarray:
     """Stage 2: copy every block to its layout offset in one zero-padded buffer."""
     layout = dplan.layout
     views = layout.views(level, dplan.field)
     data = np.zeros(dplan.total_elements, dtype=np.float64)
     for view, offset in zip(views, layout.rank_offsets.tolist()):
         data[offset:offset + view.size].reshape(view.shape)[...] = view
-    return PackedDataset(plan=dplan, data=data,
-                         originals=[views[run] for run in layout.rank_runs])
+    return data
 
 
 # ----------------------------------------------------------------------
@@ -209,11 +197,11 @@ class EncodeJob:
 class EncodeResult:
     """What one encode job produced (travels back across the backend)."""
 
-    _shm_fields: ClassVar[Tuple[str, ...]] = ("payloads", "reconstructions")
+    _shm_fields: ClassVar[Tuple[str, ...]] = ("payloads",)
 
     key: str
     payloads: List[bytes]
-    reconstructions: List[List[np.ndarray]]
+    error: ErrorTally                      #: the dataset's blocks, as the ledger records them
     filter_calls: int
     recipe: dict                           #: the codec recipe the dataset stores once
 
@@ -222,10 +210,9 @@ class EncodeResult:
         return sum(len(p) for p in self.payloads)
 
 
-def make_encode_job(packed: PackedDataset, config: AMRICConfig) -> EncodeJob:
+def make_encode_job(dplan: DatasetPlan, data: np.ndarray, config: AMRICConfig) -> EncodeJob:
     return EncodeJob(
-        key=packed.plan.name, data=packed.data,
-        chunk_elements=packed.plan.chunk_elements, plans=packed.plan.chunk_plans,
+        key=dplan.name, data=data, chunk_elements=dplan.chunk_elements, plans=dplan.chunk_plans,
         config=config)
 
 
@@ -239,9 +226,9 @@ def encode_job(job: EncodeJob) -> EncodeResult:
     identical bytes.
     """
     ce = job.chunk_elements
-    payloads, reconstructions, recipe = AMRICLevelFilter(job.config).encode(
+    payloads, error, recipe = AMRICLevelFilter(job.config).encode(
         [job.data[i * ce:(i + 1) * ce] for i in range(len(job.plans))], job.plans)
-    return EncodeResult(key=job.key, payloads=payloads, reconstructions=reconstructions,
+    return EncodeResult(key=job.key, payloads=payloads, error=error,
                         filter_calls=len(payloads), recipe=recipe)
 
 
@@ -282,32 +269,13 @@ def commit_dataset(h5file: Optional[H5LiteFile], name: str, layout: LevelLayout,
         attrs=attrs)
 
 
-def dataset_record(level: int, field: str,
-                   pairs: Iterable[Tuple[np.ndarray, np.ndarray]],
+def dataset_record(level: int, field: str, error: ErrorTally,
                    compressed_bytes: int, filter_calls: int, nblocks: int):
-    """Stage 4b: one dataset's quality/size record.
-
-    Every writer measures its datasets here: ``pairs`` are the dataset's
-    ``(original, reconstruction)`` pieces in write order (a raw writer passes
-    each buffer as its own reconstruction), and the squared errors are summed
-    in that order.
-    """
+    """Stage 4b: one dataset's quality/size record from its kept cells' error numbers."""
     from repro.core.pipeline import LevelFieldRecord
 
-    sq_err = 0.0
-    max_err = 0.0
-    n_elems = 0
-    gmin, gmax = np.inf, -np.inf
-    for orig, rec in pairs:
-        diff = orig - rec
-        sq_err += float(np.sum(diff * diff))
-        max_err = max(max_err, float(np.max(np.abs(diff))))
-        n_elems += orig.size
-        gmin = min(gmin, float(orig.min()))
-        gmax = max(gmax, float(orig.max()))
     return LevelFieldRecord(
-        level=level, field=field, raw_bytes=n_elems * 8,
-        compressed_bytes=compressed_bytes,
-        psnr=psnr_from_mse(sq_err / max(n_elems, 1), gmax - gmin),
-        max_error=max_err, filter_calls=filter_calls, nblocks=nblocks,
-        sq_error=sq_err, n_elements=n_elems, value_min=gmin, value_max=gmax)
+        level=level, field=field, raw_bytes=error.n_elements * 8,
+        compressed_bytes=compressed_bytes, psnr=error.psnr, max_error=error.max_error,
+        filter_calls=filter_calls, nblocks=nblocks, sq_error=error.sq_error,
+        n_elements=error.n_elements, value_min=error.value_min, value_max=error.value_max)

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.amr.hierarchy import AmrHierarchy
 from repro.compress.errorbound import ErrorBound
+from repro.compress.metrics import ErrorTally
 from repro.compress.temporal import MODE_DELTA, MODE_KEY, TemporalDeltaCodec, TemporalDeltaFilter
 from repro.core.config import AMRICConfig
 from repro.core.header import build_header
@@ -91,14 +92,14 @@ class TemporalEncodeJob:
     offset: float
     #: previous step's absolute codes per chunk; None forces a keyframe
     ref_codes: Optional[List[np.ndarray]] = None
+    owned_sizes: Optional[List[int]] = None   #: the ledger's cells per chunk (None: actual)
 
 
 @dataclass
 class TemporalEncodeResult:
     """What one temporal encode produced (travels back across the backend)."""
 
-    _shm_fields: ClassVar[Tuple[str, ...]] = ("payloads", "codes",
-                                              "reconstructions")
+    _shm_fields: ClassVar[Tuple[str, ...]] = ("payloads", "codes")
 
     key: str
     mode: str                                 #: the committed stream kind
@@ -107,7 +108,7 @@ class TemporalEncodeResult:
     codes: List[np.ndarray]                   #: absolute codes (the next step's reference)
     key_bytes: int                            #: the key candidate, as sized (its records)
     delta_bytes: Optional[int]                #: the delta candidate (None: not tabled)
-    reconstructions: List[List[np.ndarray]]   #: per chunk, its one flat array
+    error: ErrorTally                         #: the owned cells, chunk by chunk
     filter_calls: int
 
     @property
@@ -122,15 +123,19 @@ def temporal_encode_job(job: TemporalEncodeJob) -> TemporalEncodeResult:
     :func:`repro.core.stages.encode_job` — so serial and shm produce identical bytes.
     Each chunk is quantised once and tabled under both modes; only the dataset's winner is
     entropy-coded and packed, under the one recipe (grid and mode) the dataset stores.
-    Both decode to the same grid values either way.
+    Both decode to the same grid values, held to the bound here (``Compressor.measure``).
     """
     codec = TemporalDeltaCodec(ErrorBound.absolute(job.eb_abs), offset=job.offset)
     ce, eb = job.chunk_elements, job.eb_abs
-    keys, deltas, codes_out = [], [], []
-    for i, actual in enumerate(job.actual_sizes):
+    keys, deltas, codes_out, errors = [], [], [], []
+    for i, (actual, owned) in enumerate(zip(job.actual_sizes,
+                                            job.owned_sizes or job.actual_sizes)):
         chunk = job.data[i * ce:i * ce + int(actual)]
         try:
             codes = codec.quantize(chunk, eb)
+            recon = codec.grid_values(codes, eb, job.offset)
+            errors.append(codec.measure(chunk[:owned], recon[:owned], eb))
+            codec.measure(chunk[owned:], recon[owned:], eb)     # a naive chunk's tail
         except ValueError as exc:
             raise ValueError(f"series dataset {job.key!r}: {exc}") from None
         codes_out.append(codes)
@@ -145,8 +150,7 @@ def temporal_encode_job(job: TemporalEncodeJob) -> TemporalEncodeResult:
         key=job.key, mode=mode, recipe=recipe,
         payloads=[codec.pack(c, recipe) for c in (deltas if mode == MODE_DELTA else keys)],
         codes=codes_out, key_bytes=key_bytes, delta_bytes=delta_bytes,
-        reconstructions=[[codec.grid_values(codes, eb, job.offset)] for codes in codes_out],
-        filter_calls=len(job.actual_sizes))
+        error=sum(errors, ErrorTally()), filter_calls=len(job.actual_sizes))
 
 
 # ----------------------------------------------------------------------
@@ -349,13 +353,11 @@ class SeriesWriter:
 
         # ---- encode: temporal jobs through the backend -------------------
         dplans: List[DatasetPlan] = []
-        packed = []
         jobs: List[TemporalEncodeJob] = []
         keys: Dict[str, tuple] = {}
         for level_plan in plan.levels:
             level = hierarchy[level_plan.level]
             for dplan in level_plan.datasets:
-                pack = pack_dataset(level, dplan)
                 keys[dplan.name] = key = _stream_key(dplan)
                 grid = index.field_grids[dplan.field]
                 ref_codes: Optional[List[np.ndarray]] = None
@@ -364,13 +366,12 @@ class SeriesWriter:
                     if ref is not None and ref[0] == key:
                         ref_codes = ref[1]
                 dplans.append(dplan)
-                packed.append(pack)
                 jobs.append(TemporalEncodeJob(
-                    key=dplan.name, data=pack.data,
+                    key=dplan.name, data=pack_dataset(level, dplan),
                     chunk_elements=dplan.chunk_elements,
                     actual_sizes=dplan.actual_elements,
                     eb_abs=grid.eb_abs, offset=grid.offset,
-                    ref_codes=ref_codes))
+                    ref_codes=ref_codes, owned_sizes=dplan.layout.rank_elements))
         results = comm.run_jobs(self.backend, temporal_encode_job, jobs)
         if self.index is None:
             self.index = index
@@ -383,19 +384,15 @@ class SeriesWriter:
         next_ref: Dict[str, Tuple[tuple, List[np.ndarray]]] = {}
         with H5LiteFile(path, "w") as h5file:
             h5file.header = header.to_json()
-            for dplan, pack, result in zip(dplans, packed, results):
+            for dplan, result in zip(dplans, results):
                 ref_index = step_index - 1 if result.mode == MODE_DELTA else None
                 commit_dataset(h5file, dplan.name, dplan.layout, result.payloads,
                                TemporalDeltaFilter.filter_id,
                                {"codec": result.recipe}, dplan.actual_elements)
                 comm.record_collective_write()
-                # the record covers the cells a rank owns, not a naive chunk's zero tail
-                ce = dplan.chunk_elements
-                record = dataset_record(
-                    dplan.level, dplan.field,
-                    [(pack.data[i * ce:i * ce + n], recons[0][:n]) for i, (recons, n)
-                     in enumerate(zip(result.reconstructions, dplan.layout.rank_elements))],
-                    result.compressed_bytes, result.filter_calls, dplan.layout.nblocks)
+                record = dataset_record(dplan.level, dplan.field, result.error,
+                                        result.compressed_bytes, result.filter_calls,
+                                        dplan.layout.nblocks)
                 records.append(record)
                 dataset_records.append(SeriesDatasetRecord(
                     name=dplan.name, mode=result.mode, ref=ref_index,

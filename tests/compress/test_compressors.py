@@ -194,7 +194,7 @@ class TestSZLRSpecifics:
     def test_compress_many_shared_roundtrip(self):
         arrays = [make_smooth((8, 8, 8), seed=s) for s in range(4)]
         comp = SZLRCompressor(1e-3)
-        ((record, recons, recipe),) = comp.compress_many_with_reconstruction(
+        ((record, recons, recipe, _),) = comp.compress_many_with_reconstruction(
             [arrays], shared_encoding=True)
         decs = comp.decompress_many(comp.standalone(record, recipe, [a.shape for a in arrays]))
         assert len(decs) == 4
@@ -204,7 +204,7 @@ class TestSZLRSpecifics:
     def test_compress_many_individual_roundtrip(self):
         arrays = [make_smooth((8, 8, 8), seed=s) for s in range(3)]
         comp = SZLRCompressor(1e-3)
-        ((record, recons, recipe),) = comp.compress_many_with_reconstruction(
+        ((record, recons, recipe, _),) = comp.compress_many_with_reconstruction(
             [arrays], shared_encoding=False)
         decs = comp.decompress_many(comp.standalone(record, recipe, [a.shape for a in arrays]))
         for r, d in zip(recons, decs):
@@ -225,7 +225,7 @@ class TestSZLRSpecifics:
     def test_compress_many_error_bound_uses_global_range(self):
         arrays = [np.full((6, 6, 6), 0.0), np.full((6, 6, 6), 100.0)]
         comp = SZLRCompressor(1e-3)
-        ((_, _, recipe),) = comp.compress_many_with_reconstruction([arrays])
+        ((_, _, recipe, _),) = comp.compress_many_with_reconstruction([arrays])
         assert recipe["abs_eb"] == pytest.approx(0.1)
 
     def test_decompress_single_on_multi_buffer_raises(self):

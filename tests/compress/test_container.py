@@ -201,6 +201,33 @@ class TestRecordCodesForm:
             tracemalloc.stop()
         assert peak < 8 << 20, peak
 
+    @pytest.mark.parametrize("section", ["huff_payload", "huff_sync"])
+    def test_sz_1d_sections_that_inflate_past_their_counts_are_refused(self, section):
+        """The same 64 MB bomb as an ``sz_1d`` record's codes or sync section
+        (every ``amrex_1d`` chunk): the symbol counts, read first, bound the
+        codes to two bytes a symbol and the sync offsets to three bytes a lane."""
+        import tracemalloc
+        import zlib
+
+        from repro.compress.sz1d import SZ1DCompressor
+
+        comp = SZ1DCompressor(ErrorBound.absolute(1e-3))
+        data = np.cumsum(np.random.default_rng(3).normal(size=5000))
+        record, _ = comp.encode_record(data)
+        cont = ctn.unpack_container(record)
+        deflater, mib = zlib.compressobj(9), bytes(1 << 20)
+        cont.sections[section] = b"".join(
+            deflater.compress(mib) for _ in range(64)) + deflater.flush()
+        bomb = ctn.pack_container(comp.name, cont.meta, cont.sections)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptFileError, match="inflate past"):
+                comp.decode_record(bomb, data.shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, peak
+
 
 def _raw_records():
     """A ``temporal_delta`` and an ``sz_lr`` record of codes stored raw, each

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compress.metrics import psnr
+from repro.compress.metrics import ErrorTally, psnr
 from repro.compress.sz_lr import SZLRCompressor
 from repro.core.config import AMRICConfig
 from repro.core.filter_mod import AMRICLevelFilter, ChunkPlan
@@ -96,11 +96,12 @@ class TestAMRICLevelFilter:
         chunk = np.zeros(chunk_elements)
         chunk[:flat.size] = flat
         filt = AMRICLevelFilter(AMRICConfig(compressor=compressor, error_bound=1e-3))
-        (payload,), (recons,), recipe = filt.encode([chunk], [plan])
+        (payload,), error, recipe = filt.encode([chunk], [plan])
         decoded = AMRICLevelFilter.reading(recipe).decode(payload, chunk_elements, plan)
-        # decoded valid prefix matches the returned reconstructions
-        rec_flat = np.concatenate([r.reshape(-1) for r in recons])
-        np.testing.assert_allclose(decoded[:flat.size], rec_flat, atol=0, rtol=0)
+        # the error numbers the filter measured are the decoded blocks', block by block
+        ends = np.cumsum([block.size for block in data])
+        assert error == sum((ErrorTally.of(block, decoded[end - block.size:end].reshape(
+            block.shape)) for block, end in zip(data, ends)), ErrorTally())
         # error bound holds
         assert np.max(np.abs(decoded[:flat.size] - flat)) <= 1e-3 * plan.value_range * (1 + 1e-9)
 

@@ -13,7 +13,7 @@ import pytest
 import repro
 from repro.apps import RUN_PRESETS, build_run
 from repro.baselines.amrex_1d import AMReXOriginalWriter, ClassicSZFilter
-from repro.compress.metrics import max_abs_error, psnr
+from repro.compress.metrics import ErrorTally, max_abs_error, psnr, psnr_from_mse
 from repro.compress.sz1d import SZ1DCompressor
 from repro.core import AMRICConfig
 from repro.core.preprocess import hierarchy_layouts
@@ -97,12 +97,13 @@ class TestRecordsFollowThePapersDefinition:
         for size in (1, 17, 4096):
             orig = rng.normal(size=size) * 300.0
             rec = orig + rng.uniform(-1e-3, 1e-3, size=size)
-            record = dataset_record(2, "f", [(orig, rec)], compressed_bytes=10,
+            record = dataset_record(2, "f", ErrorTally.of(orig, rec), compressed_bytes=10,
                                     filter_calls=1, nblocks=1)
             assert record.psnr == psnr(orig, rec)
             assert record.max_error == max_abs_error(orig, rec)
         constant = np.full(8, 5.0)
-        assert dataset_record(0, "f", [(constant, constant)], 64, 0, 1).psnr == float("inf")
+        assert dataset_record(0, "f", ErrorTally.of(constant, constant), 64, 0, 1).psnr \
+            == float("inf")
 
     @staticmethod
     def _assert_record(record, orig, back):
@@ -159,3 +160,111 @@ class TestRecordsFollowThePapersDefinition:
                 rec = np.concatenate([v.reshape(-1) for v in
                                       layout.views(back[level_index], name)])
                 self._assert_record(records[(level_index, name)], orig, rec)
+
+
+def _pairs_record(pairs):
+    """``(psnr, sq_error, max_error, n)`` of ``(original, read-back)`` pieces the
+    way ``dataset_record`` measured its pairs before the numbers were taken at
+    the codec's door: squares summed piece by piece, in write order."""
+    sq_err, max_err, n, gmin, gmax = 0.0, 0.0, 0, np.inf, -np.inf
+    for orig, back in pairs:
+        diff = orig - back
+        sq_err += float(np.sum(diff * diff))
+        max_err = max(max_err, float(np.max(np.abs(diff))))
+        n += orig.size
+        gmin, gmax = min(gmin, float(orig.min())), max(gmax, float(orig.max()))
+    return psnr_from_mse(sq_err / max(n, 1), gmax - gmin), sq_err, max_err, n
+
+
+class TestTheLedgerIsWhatTheFileReadsBack:
+    """Every writer's record states the error of the cells it keeps as the
+    file reads them back: ``max_error`` is their worst error, and ``psnr`` /
+    ``sq_error`` are the pieces' summed in write order, bit for bit — the
+    numbers each encode job measured once, at the codec's door."""
+
+    @staticmethod
+    def _assert_records(report, pieces):
+        records = {(r.level, r.field): r for r in report.records}
+        assert set(records) == set(pieces)
+        for key, pairs in pieces.items():
+            psnr_, sq_error, max_error, n = _pairs_record(pairs)
+            record = records[key]
+            assert record.max_error == max(float(np.max(np.abs(orig - back)))
+                                           for orig, back in pairs) == max_error
+            assert (record.psnr, record.sq_error, record.n_elements) == (psnr_, sq_error, n)
+
+    @staticmethod
+    def _rank_pieces(hierarchy, back, layouts, flat=False):
+        """Per dataset, its unit blocks (or, ``flat``, each rank's run of
+        them as one piece) and their read-back values, rank by rank."""
+        pieces = {}
+        for level, layout in enumerate(layouts):
+            if not layout.nblocks:
+                continue
+            for name in hierarchy.component_names:
+                orig = layout.views(hierarchy[level], name)
+                got = layout.views(back[level], name)
+                pieces[(level, name)] = [
+                    pair for run in layout.rank_runs for pair in (
+                        [(np.concatenate([v.reshape(-1) for v in orig[run]]),
+                          np.concatenate([v.reshape(-1) for v in got[run]]))] if flat
+                        else zip(orig[run], got[run]))]
+        return pieces
+
+    @pytest.mark.parametrize("compressor", ["sz_lr", "sz_interp"])
+    def test_amric(self, nyx_1, tmp_path, compressor):
+        path = str(tmp_path / "a.h5z")
+        report = repro.write(nyx_1, path, compressor=compressor,
+                             error_bound=RUN_PRESETS["nyx_1"].error_bound_amric)
+        with repro.open(path) as handle:
+            back = handle.read()
+        layouts = hierarchy_layouts(nyx_1, AMRICConfig().unit_block_size, True)
+        self._assert_records(report, self._rank_pieces(nyx_1, back, layouts))
+
+    def test_nocomp(self, nyx_1, tmp_path):
+        path = str(tmp_path / "n.h5z")
+        report = repro.write(nyx_1, path, method="nocomp")
+        with repro.open(path) as handle:
+            back = handle.read()
+        layouts = hierarchy_layouts(nyx_1, 10 ** 6, False)
+        pieces = {key: [(np.concatenate([o for o, _ in pairs]),
+                         np.concatenate([b for _, b in pairs]))]
+                  for key, pairs in self._rank_pieces(nyx_1, back, layouts, flat=True).items()}
+        self._assert_records(report, pieces)
+        assert all(r.max_error == 0.0 and r.psnr == float("inf") for r in report.records)
+
+    def test_amrex_1d(self, nyx_1, tmp_path):
+        from repro.baselines.amrex_1d import box_major_blocks
+        from repro.cli import _box_major_read
+
+        path = str(tmp_path / "x.h5z")
+        report = repro.write(nyx_1, path, method="amrex_1d",
+                             error_bound=RUN_PRESETS["nyx_1"].error_bound_amrex)
+        with repro.open(path) as handle:
+            back, _ = _box_major_read(handle)
+        names = list(nyx_1.component_names)
+        pieces = {}
+        for level, layout in enumerate(hierarchy_layouts(nyx_1, 10 ** 6, False)):
+            segments = zip(box_major_blocks(nyx_1[level], layout, names),
+                           box_major_blocks(back[level], layout, names))
+            for k, (orig, got) in enumerate(segments):
+                pieces.setdefault((level, names[k % len(names)]), []).append(
+                    (orig.reshape(-1), got.reshape(-1)))
+        self._assert_records(report, pieces)
+
+    def test_series_key_and_delta_steps(self, tmp_path):
+        from repro.apps.nyx import NyxSimulation
+
+        sim = NyxSimulation(coarse_shape=(24, 24, 24), nranks=2, target_fine_density=0.03,
+                            max_grid_size=12, seed=42, drift_rate=0.05, growth_rate=0.02)
+        steps = list(sim.run(2))
+        directory = str(tmp_path / "s")
+        reports = repro.write_series(steps, directory, error_bound=1e-3)
+        with repro.open_series(directory) as series:
+            kinds = [record.kind for record in series.steps()]
+            backs = [series.read(step) for step in range(2)]
+        assert kinds == ["key", "delta"]
+        for hierarchy, back, report in zip(steps, backs, reports):
+            layouts = hierarchy_layouts(hierarchy, AMRICConfig().unit_block_size, True)
+            self._assert_records(report, self._rank_pieces(hierarchy, back, layouts,
+                                                            flat=True))

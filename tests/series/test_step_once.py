@@ -25,6 +25,7 @@ import repro.series.writer as writer_mod
 from repro.apps.nyx import NyxSimulation
 from repro.compress.errorbound import ErrorBound
 from repro.compress.huffman import HuffmanCodec
+from repro.compress.metrics import ErrorTally
 from repro.compress.temporal import MODE_DELTA, MODE_KEY, TemporalDeltaCodec
 from repro.series import SeriesIndex, SeriesWriter
 from repro.series.writer import TemporalEncodeJob, TemporalEncodeResult, temporal_encode_job
@@ -40,13 +41,15 @@ def _ref_temporal_encode_job(job: TemporalEncodeJob) -> TemporalEncodeResult:
     codec = TemporalDeltaCodec(ErrorBound.absolute(job.eb_abs), offset=job.offset)
     ce = job.chunk_elements
     recipes = {mode: codec.recipe(job.eb_abs, stream=mode) for mode in (MODE_KEY, MODE_DELTA)}
-    key_payloads, delta_payloads, codes_out, recons = [], [], [], []
-    for i, actual in enumerate(job.actual_sizes):
+    key_payloads, delta_payloads, codes_out, errors = [], [], [], []
+    for i, (actual, owned) in enumerate(zip(job.actual_sizes,
+                                            job.owned_sizes or job.actual_sizes)):
         chunk = job.data[i * ce:i * ce + int(actual)]
         codes = codec.quantize(chunk, job.eb_abs)
         key_payloads.append(codec.pack(codec.candidate(codes), recipes[MODE_KEY]))
         codes_out.append(codes)
-        recons.append([codec.grid_values(codes, job.eb_abs, job.offset)])
+        errors.append(ErrorTally.of(chunk[:owned], codec.grid_values(
+            codes, job.eb_abs, job.offset)[:owned]))
         if job.ref_codes is not None:
             delta_payloads.append(codec.pack(codec.candidate(
                 codec.quantize(chunk, job.eb_abs), job.ref_codes[i]), recipes[MODE_DELTA]))
@@ -58,7 +61,7 @@ def _ref_temporal_encode_job(job: TemporalEncodeJob) -> TemporalEncodeResult:
         mode, payloads = MODE_KEY, key_payloads
     return TemporalEncodeResult(
         key=job.key, mode=mode, recipe=recipes[mode], payloads=payloads, codes=codes_out,
-        key_bytes=key_bytes, delta_bytes=delta_bytes, reconstructions=recons,
+        key_bytes=key_bytes, delta_bytes=delta_bytes, error=sum(errors, ErrorTally()),
         filter_calls=len(job.actual_sizes))
 
 
@@ -135,9 +138,9 @@ def test_a_keyframe_step_tables_each_chunk_once(hierarchies, tmp_path, monkeypat
 
 @pytest.mark.parametrize("modify_filter", [True, False])
 def test_flat_chunk_tally_matches_the_per_block_tally(tmp_path, modify_filter):
-    """The error tally ``append`` takes on flat chunks, against the per unit-block
-    one it took before (reshape loop kept here): same record — over the cells a
-    rank owns, also when a naive chunk (``modify_filter=False``) encodes its zero tail."""
+    """The error tally ``append`` takes on flat chunks, against one taken per unit
+    block of the grid values: same record — over the cells a rank owns, also
+    when a naive chunk (``modify_filter=False``) encodes its zero tail."""
     from repro.core.config import AMRICConfig
     from repro.core.stages import dataset_record, pack_dataset, plan_write
     from repro.parallel.mpi_sim import SimComm
@@ -150,26 +153,25 @@ def test_flat_chunk_tally_matches_the_per_block_tally(tmp_path, modify_filter):
     padded = 0
     for level_plan in plan_write(hierarchy, config, SimComm(3)).levels:
         for dplan in level_plan.datasets:
-            pack = pack_dataset(hierarchy[level_plan.level], dplan)
             grid = grids[dplan.field]
             result = temporal_encode_job(TemporalEncodeJob(
-                key=dplan.name, data=pack.data, chunk_elements=dplan.chunk_elements,
+                key=dplan.name, data=pack_dataset(hierarchy[level_plan.level], dplan),
+                chunk_elements=dplan.chunk_elements,
                 actual_sizes=dplan.actual_elements,
-                eb_abs=grid.eb_abs, offset=grid.offset))
-            blocked = []
+                eb_abs=grid.eb_abs, offset=grid.offset,
+                owned_sizes=dplan.layout.rank_elements))
             layout = dplan.layout
-            for (recon,), valid, run in zip(result.reconstructions, layout.rank_elements,
-                                            layout.rank_runs):
-                padded += recon.size - valid
-                shapes = layout.shapes[run]
-                bounds = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
-                blocked.append([recon[a:b].reshape(shape)
-                                for a, b, shape in zip(bounds, bounds[1:], shapes)])
-            ref = dataset_record(
-                dplan.level, dplan.field,
-                [(orig, rec) for blocks, recons in zip(pack.originals, blocked)
-                 for orig, rec in zip(blocks, recons)],
-                result.compressed_bytes, result.filter_calls, layout.nblocks)
+            views = layout.views(hierarchy[level_plan.level], dplan.field)
+            blocked = ErrorTally()
+            for codes, actual, valid, run in zip(result.codes, dplan.actual_elements,
+                                                 layout.rank_elements, layout.rank_runs):
+                padded += actual - valid
+                recon = TemporalDeltaCodec.grid_values(codes, grid.eb_abs, grid.offset)
+                bounds = np.cumsum([0] + [view.size for view in views[run]])
+                for a, b, view in zip(bounds, bounds[1:], views[run]):
+                    blocked += ErrorTally.of(view, recon[a:b].reshape(view.shape))
+            ref = dataset_record(dplan.level, dplan.field, blocked, result.compressed_bytes,
+                                 result.filter_calls, layout.nblocks)
             flat = next(records)
             assert abs(flat.psnr - ref.psnr) < 1e-9
             assert flat.sq_error == pytest.approx(ref.sq_error, rel=1e-12)
@@ -301,10 +303,13 @@ def test_choice_against_the_encode_both_reference(pairs):
     else:
         assert ours.compressed_bytes <= 1.10 * small
     assert (ours.mode == MODE_DELTA) == (ours.delta_bytes < ours.key_bytes)
-    for a, b, recon, (flat,) in zip(_decoded(ours, ref_codes), _decoded(ref, ref_codes),
-                                    ref.reconstructions, ours.reconstructions):
-        assert np.array_equal(a, b) and np.array_equal(a, flat)
-        assert np.array_equal(flat, recon[0])
+    decoded = _decoded(ours, ref_codes)
+    for a, b in zip(decoded, _decoded(ref, ref_codes)):
+        assert np.array_equal(a, b)
+    # the error numbers the job measured are the decoded values'
+    assert ours.error == ref.error == sum(
+        (ErrorTally.of(np.asarray(pair[2], dtype=np.float64), values)
+         for pair, values in zip(pairs, decoded)), ErrorTally())
     for a, b in zip(ours.codes, ref.codes):
         assert np.array_equal(a, b)
 
