@@ -19,11 +19,11 @@
 
 PY := PYTHONPATH=src python
 
-# src/ + tools/ Python lines as of the last change to them (-5: parsing each
-# chunk record once per handle paid for its lines in the same change; ROADMAP
+# src/ + tools/ Python lines as of the last change to them (-8: measuring the
+# error at the codec's door paid for its lines in the same change; ROADMAP
 # item 14: this number is not raised again, and the round-2 shrink goal is
 # <= 17200 from 18036)
-LOC_BUDGET := 17942
+LOC_BUDGET := 17934
 LOC = $$(find src tools -name '*.py' | xargs cat | wc -l)
 
 # suite -> pytest paths ('+'-separated). Adding a benchmark suite is one line.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -259,14 +259,3 @@ class Box:
 
     def __iter__(self) -> Iterator[IntVect]:
         return self.cells()
-
-
-def bounding_box(boxes: Iterable[Box]) -> Box:
-    """Smallest box enclosing every box in ``boxes``."""
-    boxes = list(boxes)
-    if not boxes:
-        raise ValueError("bounding_box of an empty collection")
-    out = boxes[0]
-    for b in boxes[1:]:
-        out = out.bounding_union(b)
-    return out

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.amr.box import Box, bounding_box
+from repro.amr.box import Box
 
 __all__ = ["BoxArray", "overlaps"]
 
@@ -103,10 +103,6 @@ class BoxArray:
     def num_cells(self) -> int:
         """Total number of cells covered (boxes assumed disjoint)."""
         return sum(b.size for b in self._boxes)
-
-    def minimal_box(self) -> Box:
-        """Smallest box enclosing the whole array."""
-        return bounding_box(self._boxes)
 
     def is_disjoint(self) -> bool:
         """True when no two boxes overlap (the AMReX invariant per level)."""

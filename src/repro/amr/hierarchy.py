@@ -18,12 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray
 from repro.amr.multifab import MultiFab
-from repro.amr.distribution import DistributionMapping
 
 __all__ = ["AmrLevel", "AmrHierarchy"]
 
@@ -159,21 +156,6 @@ class AmrHierarchy:
             for _, overlap in fine_coarsened.intersections(box):
                 covered += overlap.size
         return covered
-
-    # ------------------------------------------------------------------
-    # convenience constructor
-    # ------------------------------------------------------------------
-    @staticmethod
-    def single_level(domain_shape: Sequence[int], component_names: Sequence[str],
-                     max_grid_size: int = 32, nranks: int = 1,
-                     dtype=np.float64) -> "AmrHierarchy":
-        """A one-level hierarchy covering ``domain_shape`` (useful for tests)."""
-        domain = Box.from_shape(domain_shape)
-        ba = BoxArray.decompose(domain, max_grid_size)
-        dm = DistributionMapping.knapsack([b.size for b in ba], nranks)
-        mf = MultiFab(ba, component_names, dm, dtype=dtype)
-        lvl = AmrLevel(level=0, domain=domain, boxarray=ba, multifab=mf)
-        return AmrHierarchy([lvl], ref_ratios=[])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         dens = ", ".join(f"{d:.1%}" for d in self.densities())

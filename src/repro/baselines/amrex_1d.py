@@ -63,9 +63,8 @@ class ClassicSZFilter(Filter):
     """AMReX's H5Z-SZ filter: compresses each chunk buffer as handed over.
 
     Padding is compressed along with the data, as by a filter with no side
-    channel for the real size.  A chunk's payload is the codec's record;
-    ``encode`` returns the chunk's reconstruction beside it, so the writer
-    measures PSNR without decoding the file (the bytes are the same either way).
+    channel for the real size.  A chunk's payload is the codec's record (the
+    writer encodes its chunks alike, ``SZ1DCompressor.compress_chunked``).
     """
 
     filter_id = "sz_classic"
@@ -128,14 +127,13 @@ class AMReXOriginalWriter:
                 nchunks = -(-level_data.size // chunk_elements)
                 chunks = np.zeros((nchunks, chunk_elements))
                 chunks.reshape(-1)[:level_data.size] = level_data
-                filt = ClassicSZFilter(
-                    create_codec("sz_1d", ErrorBound.relative(self.error_bound)))
-                payloads, recons = zip(*(filt.encode(chunk) for chunk in chunks))
+                codec = create_codec("sz_1d", ErrorBound.relative(self.error_bound))
+                payloads, recon = codec.compress_chunked(chunks, chunk_elements)
                 if h5file is not None:
                     h5file.create_dataset_from_chunks(
                         f"level_{level_index}/cell_data", payloads,
                         shape=level_data.shape, dtype=str(level_data.dtype),
-                        chunk_elements=chunk_elements, filter_id=filt.filter_id,
+                        chunk_elements=chunk_elements, filter_id=ClassicSZFilter.filter_id,
                         actual_elements_per_chunk=[
                             min(chunk_elements, level_data.size - i * chunk_elements)
                             for i in range(nchunks)])
@@ -146,13 +144,20 @@ class AMReXOriginalWriter:
                                   chunk_elements=chunk_elements,
                                   compressed_bytes=level_compressed)
 
-                # each field's segments measured against their reconstruction, rank by rank
-                recon = np.concatenate(recons)
+                # |x − x̂| of the level's stream in its reconstruction's buffer: each
+                # chunk held to its own bound, each field's segments tallied, rank by rank
+                error = recon.reshape(-1)[:level_data.size]
+                np.abs(np.subtract(level_data, error, out=error), out=error)
+                starts = np.arange(0, error.size, chunk_elements)
+                for start, worst, vrange in zip(starts.tolist(), np.maximum.reduceat(
+                        error, starts).tolist(), np.ptp(chunks, axis=1).tolist()):
+                    codec.hold(worst, min(chunk_elements, error.size - start),
+                               codec.error_bound.resolve(value_range=vrange))
                 errors = dict.fromkeys(components, ErrorTally())
                 offset = 0
                 for k, flat in enumerate(segments):
                     name = components[k % len(components)]
-                    errors[name] += ErrorTally.of(flat, recon[offset:offset + flat.size])
+                    errors[name] += ErrorTally.of_error(flat, error[offset:offset + flat.size])
                     offset += flat.size
                 # per-field compressed bytes: conserving split of the level total
                 shares = apportion(level_compressed,

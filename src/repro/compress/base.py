@@ -86,8 +86,8 @@ class Compressor:
     A codec writes one serialisation, its *record*, decoded against the array
     shapes under its :meth:`recipe` (what the AMRIC filter and the series
     writer store once per dataset).  A single-array codec implements
-    ``encode_record(data, context) -> (record, reconstruction)`` (held to
-    the bound by :meth:`measure`) and
+    ``encode_record(data, context) -> (record, reconstruction)`` (quantised
+    under :meth:`grid_eb`; its caller holds it to the bound with :meth:`measure`) and
     ``decode_record(record, shape, context) -> float64 array``, the record's
     checksum covering ``context`` (what the caller decodes it under), read as
     ``parse_record(record, shape, context)`` (checked short of the entropy
@@ -123,15 +123,30 @@ class Compressor:
             raise ValueError(f"{self.name} cannot quantise magnitude {largest:.6g} at error "
                              f"bound {abs_eb:.6g}: |x| / (2·eb) must stay below 2**62")
 
+    @staticmethod
+    def grid_eb(abs_eb: float, arrays: Sequence[np.ndarray], dtypes: Sequence[str]) -> float:
+        """The bound ``arrays`` are quantised under so that their reconstructions,
+        cast to the narrowest of ``dtypes``, hold ``abs_eb``: itself in float64,
+        less the cast's rounding in a narrower float (DESIGN.md §4, "a narrower
+        float's grid")."""
+        eps = max(float(np.finfo(dtype).eps) for dtype in dtypes)
+        if eps <= np.finfo(np.float64).eps:
+            return abs_eb
+        largest = max(abs_eb, *(float(max(a.max(), -a.min())) for a in arrays))
+        return max(abs_eb - (eps + 2.0 ** -50) * largest, abs_eb / 2)
+
+    def hold(self, worst: float, n: int, abs_eb: float) -> None:
+        """Refuse a reconstruction of ``n`` cells whose worst error misses ``abs_eb``."""
+        if worst > abs_eb * (1 + BOUND_SLACK):
+            raise ValueError(f"{self.name}: the reconstruction of {n} cells misses the "
+                             f"error bound {abs_eb:.9g} (worst error {worst:.9g})")
+
     def measure(self, data: np.ndarray, reconstruction: np.ndarray, abs_eb: float,
                 dtype: str = "float64") -> ErrorTally:
         """``data``'s :class:`ErrorTally` against its reconstruction as stored (in
-        ``dtype``); one past the bound on any cell is refused (``ValueError``)."""
+        ``dtype``); one past the bound on any cell is refused (:meth:`hold`)."""
         tally = ErrorTally.of(data, reconstruction.astype(dtype, copy=False))
-        if tally.max_error > abs_eb * (1 + BOUND_SLACK):
-            raise ValueError(f"{self.name}: the reconstruction of {tally.n_elements} cells "
-                             f"misses the error bound {abs_eb:.9g} (worst error "
-                             f"{tally.max_error:.9g})")
+        self.hold(tally.max_error, tally.n_elements, abs_eb)
         return tally
 
     def decode_record(self, record: bytes, shape: Tuple[int, ...],
@@ -174,8 +189,11 @@ class Compressor:
         if resolve_codec(self.name).supports_many:
             ((record, (recon,), recipe, _),) = self.compress_many_with_reconstruction([[data]])
         else:
-            recipe = self.recipe(self.resolve_eb(self._as_input(data)), stored_dtype(data))
+            dtype, values = stored_dtype(data), self._as_input(data)
+            abs_eb = self.resolve_eb(values)
+            recipe = self.recipe(self.grid_eb(abs_eb, [values], [dtype]), dtype)
             record, recon = self.encode_record(data, self._context(recipe))
+            self.measure(values, recon, abs_eb, dtype)
         return self.standalone(record, recipe, [recon.shape]), recon
 
     def compress(self, data: np.ndarray) -> CompressedBuffer:

@@ -116,8 +116,13 @@ class ErrorTally:
     @classmethod
     def of(cls, original: np.ndarray, reconstruction: np.ndarray) -> "ErrorTally":
         diff = np.asarray(original - reconstruction)   # (an empty array measures as no array)
-        worst = float(np.abs(diff, out=diff).max(initial=0.0))     # |d|² is d² bit for bit
-        return cls(float(np.sum(np.square(diff, out=diff))), worst, float(original.min(
+        return cls.of_error(original, np.abs(diff, out=diff))
+
+    @classmethod
+    def of_error(cls, original: np.ndarray, error: np.ndarray) -> "ErrorTally":
+        """:meth:`of`, given ``|x − x̂|`` (overwritten by its squares: |d|² is d² bit for bit)."""
+        worst = float(error.max(initial=0.0))
+        return cls(float(np.sum(np.square(error, out=error))), worst, float(original.min(
             initial=math.inf)), float(original.max(initial=-math.inf)), int(original.size))
 
     def __add__(self, other: "ErrorTally") -> "ErrorTally":

@@ -51,7 +51,7 @@ class SZ1DCompressor(Compressor):
         input_dtype = stored_dtype(data)
         data = self._as_input(data)
         flat = data.reshape(-1)
-        abs_eb = self.resolve_eb(flat)
+        abs_eb = self.grid_eb(self.resolve_eb(flat), [flat], [input_dtype])
         self._check_magnitude(flat, abs_eb)
 
         q = np.rint(flat / (2.0 * abs_eb)).astype(np.int64)
@@ -60,13 +60,12 @@ class SZ1DCompressor(Compressor):
         deltas[0] = 0
         outlier_mask = np.abs(deltas) >= self.radius
         codes = np.where(outlier_mask, 0, deltas + self.radius).astype(np.uint32)
-        recon = (q * (2.0 * abs_eb)).reshape(data.shape)
-        self.measure(data, recon, abs_eb, input_dtype)
         meta = {"abs_eb": abs_eb, "radius": self.radius, "shape": list(data.shape),
                 "dtype": input_dtype, "anchor": anchor}
         sections = ctn.pack_huffman([HuffmanCodec.from_data(codes).encode(codes)])
         sections["outliers"] = ctn.pack_zarray(deltas[outlier_mask].astype(np.int64))
-        return ctn.pack_container(self.name, meta, sections), recon
+        return ctn.pack_container(self.name, meta, sections), \
+            (q * (2.0 * abs_eb)).reshape(data.shape)
 
     def parse_record(self, record: bytes, shape: Tuple[int, ...], context: bytes = b""):
         """``(shape, meta, Huffman pairs, outliers)`` of a record, short of the

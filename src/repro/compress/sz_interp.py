@@ -174,14 +174,13 @@ class SZInterpCompressor(Compressor):
         anchors and the outliers (the code count and anchor lattice follow
         from the shape; the checksum also covers ``context``)."""
         dtype, data = stored_dtype(data), self._as_input(data)
-        abs_eb = self.resolve_eb(data)
+        abs_eb = self.grid_eb(self.resolve_eb(data), [data], [dtype])
         self._check_magnitude(data, abs_eb)
         shape = tuple(int(s) for s in data.shape)
         recon = np.zeros(shape, dtype=np.float64)
         anchors = np.ascontiguousarray(data[self._anchor_sel(shape)])
         recon[self._anchor_sel(shape)] = anchors
         codes, outliers = self._sweep(shape, recon, abs_eb, data, None, None)
-        self.measure(data, recon, abs_eb, dtype)
         codec = HuffmanCodec.from_data(codes)
         # interpolation codes run coarse level to fine, and deflate still
         # finds ~10% in them at any width (DESIGN.md §4): never stored raw

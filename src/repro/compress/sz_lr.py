@@ -721,7 +721,8 @@ class SZLRCompressor(Compressor):
         (prediction is confined to an array, so nothing stored depends on
         which arrays share the pass); each chunk is then serialised on its own,
         in order.  ``value_range=None`` resolves over every array of every
-        chunk.  Under ``shared_encoding`` a chunk reuses the Huffman table of
+        chunk; the call's one grid is :meth:`grid_eb`'s for its narrowest
+        dtype.  Under ``shared_encoding`` a chunk reuses the Huffman table of
         the chunk before it when that covers its symbols (SLE across chunks)
         and otherwise builds its own, which the next chunk is handed in turn.
         """
@@ -739,7 +740,8 @@ class SZLRCompressor(Compressor):
             gmax = max(float(a.max()) for a in arrays)
             value_range = gmax - gmin
         abs_eb = self.error_bound.resolve(value_range=value_range)
-        codes, side, counts, reconstructions = self._encode_batch(arrays, abs_eb)
+        grid = self.grid_eb(abs_eb, arrays, [dtype for (dtype,) in dtypes])
+        codes, side, counts, reconstructions = self._encode_batch(arrays, grid)
         # where each array's share of every _SIDE stream starts
         side_at = np.zeros((len(arrays) + 1, len(_SIDE)), dtype=np.int64)
         np.cumsum(counts[:, :len(_SIDE)], axis=0, out=side_at[1:])
@@ -750,7 +752,7 @@ class SZLRCompressor(Compressor):
                           for column, name in enumerate(_SIDE)}
             errors = [self.measure(a, r, abs_eb, input_dtype)
                       for a, r in zip(arrays[lo:hi], reconstructions[lo:hi])]
-            recipe = self.recipe(abs_eb, input_dtype, shared_encoding)
+            recipe = self.recipe(grid, input_dtype, shared_encoding)
             record, codec = self._serialize([a.shape for a in arrays[lo:hi]], codes[lo:hi],
                                             chunk_side, counts[lo:hi], recipe, codec=codec)
             out.append((record, reconstructions[lo:hi], recipe, errors))

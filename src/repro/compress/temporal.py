@@ -275,11 +275,10 @@ class TemporalDeltaCodec(Compressor):
         """``(record, reconstruction)``: ``data`` as a key stream (the
         checksum also covers ``context``)."""
         dtype, data = stored_dtype(data), self._as_input(data)
-        eb = self.resolve_eb(data)
+        eb = self.grid_eb(self.resolve_eb(data), [data], [dtype])
         codes = self.quantize(data, eb)
-        recon = self.grid_values(codes, eb, self.offset).reshape(data.shape)
-        self.measure(data, recon, eb, dtype)
-        return self.pack(self.candidate(codes), self.recipe(eb), context), recon
+        return (self.pack(self.candidate(codes), self.recipe(eb), context),
+                self.grid_values(codes, eb, self.offset).reshape(data.shape))
 
     def parse_record(self, record: bytes, shape: Tuple[int, ...], context: bytes = b""):
         """``(shape, Huffman pairs, smallest code, escapes)`` of a record, checked

@@ -177,7 +177,7 @@ class AMRICLevelFilter(Filter):
             recipe = dict(comp.recipe(abs_eb), arrangement=cfg.interp_arrangement)
             record, packed_recon = comp.encode_record(
                 pack_blocks(chunk_blocks, arrangement), _packed_context(recipe, arrangement))
-            out.append((record, [ErrorTally.of(block, recon) for block, recon in zip(
+            out.append((record, [comp.measure(block, recon, abs_eb) for block, recon in zip(
                 chunk_blocks, unpack_blocks(packed_recon, arrangement))], recipe))
         return out
 

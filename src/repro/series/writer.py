@@ -88,11 +88,11 @@ class TemporalEncodeJob:
     data: np.ndarray                          #: packed buffer (one chunk per rank)
     chunk_elements: int
     actual_sizes: List[int]                   #: valid elements per chunk
+    owned_sizes: List[int]                    #: the ledger's cells per chunk (its rank's)
     eb_abs: float                             #: the series' fixed grid for this field
     offset: float
     #: previous step's absolute codes per chunk; None forces a keyframe
     ref_codes: Optional[List[np.ndarray]] = None
-    owned_sizes: Optional[List[int]] = None   #: the ledger's cells per chunk (None: actual)
 
 
 @dataclass
@@ -128,8 +128,7 @@ def temporal_encode_job(job: TemporalEncodeJob) -> TemporalEncodeResult:
     codec = TemporalDeltaCodec(ErrorBound.absolute(job.eb_abs), offset=job.offset)
     ce, eb = job.chunk_elements, job.eb_abs
     keys, deltas, codes_out, errors = [], [], [], []
-    for i, (actual, owned) in enumerate(zip(job.actual_sizes,
-                                            job.owned_sizes or job.actual_sizes)):
+    for i, (actual, owned) in enumerate(zip(job.actual_sizes, job.owned_sizes)):
         chunk = job.data[i * ce:i * ce + int(actual)]
         try:
             codes = codec.quantize(chunk, eb)
@@ -369,9 +368,8 @@ class SeriesWriter:
                 jobs.append(TemporalEncodeJob(
                     key=dplan.name, data=pack_dataset(level, dplan),
                     chunk_elements=dplan.chunk_elements,
-                    actual_sizes=dplan.actual_elements,
-                    eb_abs=grid.eb_abs, offset=grid.offset,
-                    ref_codes=ref_codes, owned_sizes=dplan.layout.rank_elements))
+                    actual_sizes=dplan.actual_elements, owned_sizes=dplan.layout.rank_elements,
+                    eb_abs=grid.eb_abs, offset=grid.offset, ref_codes=ref_codes))
         results = comm.run_jobs(self.backend, temporal_encode_job, jobs)
         if self.index is None:
             self.index = index

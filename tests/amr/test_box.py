@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.amr.box import Box, bounding_box
+from repro.amr.box import Box
 
 
 # ----------------------------------------------------------------------
@@ -233,12 +233,6 @@ class TestAlgebra:
         cells = list(b.cells())
         assert len(cells) == b.size
         assert (0, 0) in cells and (1, 2) in cells
-
-    def test_bounding_box_helper(self):
-        boxes = [Box((0, 0), (1, 1)), Box((5, 2), (6, 3))]
-        assert bounding_box(boxes) == Box((0, 0), (6, 3))
-        with pytest.raises(ValueError):
-            bounding_box([])
 
 
 # ----------------------------------------------------------------------

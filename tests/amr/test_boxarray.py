@@ -34,9 +34,6 @@ class TestBasics:
     def test_num_cells(self, simple_array):
         assert simple_array.num_cells == 3 * 64
 
-    def test_minimal_box(self, simple_array):
-        assert simple_array.minimal_box() == Box((0, 0, 0), (7, 7, 3))
-
     def test_is_disjoint(self, simple_array):
         assert simple_array.is_disjoint()
         overlapping = BoxArray([Box((0, 0, 0), (3, 3, 3)), Box((2, 2, 2), (5, 5, 5))])

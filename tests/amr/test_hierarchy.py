@@ -92,12 +92,6 @@ class TestAmrHierarchy:
         assert len(dens) == 2
         assert dens[0] == pytest.approx(1.0)
 
-    def test_single_level_helper(self):
-        h = AmrHierarchy.single_level((16, 16, 16), ["a", "b"], max_grid_size=8, nranks=4)
-        assert h.nlevels == 1
-        assert h[0].num_cells == 16 ** 3
-        assert h.ncomp == 2
-
     def test_value_range(self):
         h = make_two_level()
         domain = h[0].domain

@@ -18,13 +18,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compress import container as ctn
 from repro.compress import regression
 from repro.compress import sz_lr
-from repro.compress.base import stored_dtype
+from repro.compress.base import BOUND_SLACK, stored_dtype
 from repro.compress.sz_lr import SZLRCompressor
 from repro.errors import CorruptFileError
 
@@ -542,17 +542,15 @@ def test_a_chunk_of_mixed_dtypes_is_refused_before_anything_is_encoded(monkeypat
     with pytest.raises(ValueError, match="float32 and float64"):
         comp.compress_many_with_reconstruction([[a64], [a32, a64]])
     assert encoded == []
-    # chunks of one dtype each may differ from one another; each is held to the
-    # bound in its own dtype, which float32 cannot hold at 1e-9 ...
-    with pytest.raises(ValueError, match=r"sz_lr: the reconstruction of 512 cells misses"):
-        comp.compress_many_with_reconstruction([[a32], [a64]])
-    # ... and holds at 1e-3
-    comp = SZLRCompressor(1e-3, mode="abs")
-    for (record, _, recipe, _), array in zip(
-            comp.compress_many_with_reconstruction([[a32], [a64]]), [a32, a64]):
-        (decoded,) = comp.decompress_many(comp.standalone(record, recipe, [array.shape]))
-        assert decoded.dtype == array.dtype
-        assert np.max(np.abs(decoded.astype(np.float64) - array)) <= 1e-3
+    # chunks of one dtype each may differ from one another, and each holds the
+    # bound in its own dtype: float32's cast too, below its spacing (1e-9) and above it
+    for eb in (1e-9, 1e-3):
+        comp = SZLRCompressor(eb, mode="abs")
+        for (record, _, recipe, _), array in zip(
+                comp.compress_many_with_reconstruction([[a32], [a64]]), [a32, a64]):
+            (decoded,) = comp.decompress_many(comp.standalone(record, recipe, [array.shape]))
+            assert decoded.dtype == array.dtype
+            assert np.max(np.abs(decoded.astype(np.float64) - array)) <= eb * (1 + BOUND_SLACK)
 
 
 
@@ -1218,21 +1216,27 @@ def decode_jobs(draw):
     shared = draw(st.booleans())
     comp = SZLRCompressor(draw(st.sampled_from([1e-3, 1e-2])), mode="abs",
                           block_size=block_size, radius=radius)
-    buffers, selects = [], []
+    chunks, selects = [], []
     for _ in range(draw(st.integers(1, 4))):
         shapes = draw(st.lists(st.tuples(*[st.sampled_from([16, 8, 5])] * 3),
                                min_size=1, max_size=5))
         kinds = draw(st.lists(st.sampled_from(["noisy", "outliers", "smooth", "rough_plane"]),
                               min_size=len(shapes), max_size=len(shapes)))
-        arrays = [_field(kind, shape, rng).astype(dtype) for kind, shape in zip(kinds, shapes)]
-        try:
-            buffers.append(comp.compress_many(arrays, shared_encoding=shared).payload)
-        except ValueError:      # refused at the door: a float32 cast past the bound
-            reject()
+        chunks.append([_field(kind, shape, rng).astype(dtype)
+                       for kind, shape in zip(kinds, shapes)])
         selects.append(draw(st.one_of(st.none(), st.sets(st.integers(0, len(shapes) - 1),
                                                           min_size=1).map(sorted))))
     # the decoder: the job's block size and radius, its bound from the recipe
-    return SZLRCompressor(1e-3, block_size=block_size, radius=radius), buffers, selects
+    return (SZLRCompressor(1e-3, block_size=block_size, radius=radius),
+            _one_recipe(comp, chunks, shared), selects)
+
+
+def _one_recipe(comp, chunks, shared):
+    """The standalone buffers of ``chunks`` compressed as a dataset's are, in one
+    call and so under one recipe (a float32 grid follows the call's largest value)."""
+    return [comp.standalone(record, recipe, [r.shape for r in recons]).payload
+            for record, recons, recipe, _ in comp.compress_many_with_reconstruction(
+                chunks, shared_encoding=shared)]
 
 
 @given(decode_jobs())
@@ -1276,7 +1280,7 @@ def unit_block_chunks(draw):
     comp = SZLRCompressor(1e-3, mode="abs", block_size=draw(st.sampled_from([4, 6])),
                           radius=draw(st.sampled_from([64, 32768])))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    chunks = []
+    chunks, selects = [], []
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     shared = draw(st.booleans())
     for _ in range(draw(st.integers(1, 3))):
@@ -1284,15 +1288,11 @@ def unit_block_chunks(draw):
                                min_size=1, max_size=6))
         kinds = draw(st.lists(st.sampled_from(["noisy", "outliers", "constant", "rough_plane"]),
                               min_size=len(shapes), max_size=len(shapes)))
-        arrays = [_field(kind, shape, rng).astype(dtype) for kind, shape in zip(kinds, shapes)]
-        try:
-            payload = comp.compress_many(arrays, shared_encoding=shared).payload
-        except ValueError:      # refused at the door: a float32 cast past the bound
-            reject()
-        select = draw(st.one_of(st.none(), st.sets(st.integers(0, len(shapes) - 1),
-                                                   min_size=1).map(sorted)))
-        chunks.append((payload, select))
-    return comp, chunks
+        chunks.append([_field(kind, shape, rng).astype(dtype)
+                       for kind, shape in zip(kinds, shapes)])
+        selects.append(draw(st.one_of(st.none(), st.sets(st.integers(0, len(shapes) - 1),
+                                                          min_size=1).map(sorted))))
+    return comp, list(zip(_one_recipe(comp, chunks, shared), selects))
 
 
 @given(unit_block_chunks())

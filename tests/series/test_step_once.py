@@ -42,8 +42,7 @@ def _ref_temporal_encode_job(job: TemporalEncodeJob) -> TemporalEncodeResult:
     ce = job.chunk_elements
     recipes = {mode: codec.recipe(job.eb_abs, stream=mode) for mode in (MODE_KEY, MODE_DELTA)}
     key_payloads, delta_payloads, codes_out, errors = [], [], [], []
-    for i, (actual, owned) in enumerate(zip(job.actual_sizes,
-                                            job.owned_sizes or job.actual_sizes)):
+    for i, (actual, owned) in enumerate(zip(job.actual_sizes, job.owned_sizes)):
         chunk = job.data[i * ce:i * ce + int(actual)]
         codes = codec.quantize(chunk, job.eb_abs)
         key_payloads.append(codec.pack(codec.candidate(codes), recipes[MODE_KEY]))
@@ -257,8 +256,9 @@ def _job(pairs, which, ref_codes=None):
     data = np.zeros(ce * len(pairs))
     for i, pair in enumerate(pairs):
         data[i * ce:i * ce + len(pair[which])] = pair[which]
+    sizes = [len(p[1]) for p in pairs]
     return TemporalEncodeJob(key="level_0/f", data=data, chunk_elements=ce,
-                             actual_sizes=[len(p[1]) for p in pairs],
+                             actual_sizes=sizes, owned_sizes=sizes,
                              eb_abs=EB, offset=0.0, ref_codes=ref_codes)
 
 
